@@ -391,78 +391,6 @@ func (c *Cache) GetBand(fp Fingerprint, version, band string) (*CachedPlan, bool
 	return cp, true
 }
 
-// GetBandBatch looks up a whole slice of fingerprints in one pass — the
-// batch endpoint's dedup sweep. The result is index-aligned with fps: a hit
-// yields the cached plan, a miss nil. Lookups are grouped by shard so each
-// shard's lock is taken once per batch rather than once per member, and
-// duplicate fingerprints within the batch resolve to the same entry without
-// extra lock traffic. Hit/miss accounting matches len(fps) individual Gets.
-func (c *Cache) GetBandBatch(fps []Fingerprint, version, band string) []*CachedPlan {
-	out := make([]*CachedPlan, len(fps))
-	if len(fps) == 0 {
-		return out
-	}
-	// Group member indices by shard, preserving order within a shard.
-	byShard := make(map[*shard][]int, len(c.shards))
-	for i, fp := range fps {
-		sh := c.shardFor(fp)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	now := time.Now()
-	gen := c.gen.Load()
-	var hits, misses, invalidated, expired int64
-	for sh, idxs := range byShard {
-		sh.mu.Lock()
-		for _, i := range idxs {
-			k := key(fps[i], version, band)
-			e, ok := sh.entries[k]
-			if ok && e.gen != gen {
-				sh.remove(e)
-				invalidated++
-				ok = false
-			}
-			if ok && !e.expires.IsZero() && now.After(e.expires) {
-				sh.remove(e)
-				expired++
-				ok = false
-			}
-			if !ok {
-				misses++
-				continue
-			}
-			sh.unlink(e)
-			sh.pushFront(e)
-			out[i] = e.cp
-			hits++
-		}
-		sh.mu.Unlock()
-	}
-	c.hits.Add(hits)
-	c.misses.Add(misses)
-	c.invalidated.Add(invalidated)
-	c.expired.Add(expired)
-	if c.metricsHits != nil && hits > 0 {
-		c.metricsHits.Add(hits)
-	}
-	if c.metricsMisses != nil && misses > 0 {
-		c.metricsMisses.Add(misses)
-	}
-	if c.metricsInval != nil && invalidated > 0 {
-		c.metricsInval.Add(invalidated)
-	}
-	if c.metricsEvict != nil && expired > 0 {
-		c.metricsEvict.Add(expired)
-	}
-	if c.metricsAge != nil {
-		for _, cp := range out {
-			if cp != nil {
-				c.metricsAge.Observe(float64(now.Sub(cp.CachedAt).Microseconds()) / 1000)
-			}
-		}
-	}
-	return out
-}
-
 // Put inserts cp under (cp.Fingerprint, cp.ModelVersion). A plan produced
 // by a version other than the active one is dropped (it could only serve
 // requests that already lost the hot-swap race); before the first Activate

@@ -2,15 +2,13 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/plancache"
 )
@@ -27,11 +25,11 @@ type BatchRequest struct {
 
 // BatchMemberResult is one member's outcome inside a BatchResponse: either
 // Plan (the same shape as a POST /optimize reply) or Error. Cache reports
-// how the member was served: "hit" (plan cache), "collapsed" (another
-// in-flight request's enumeration), "dedup" (another member of this batch
-// with the same fingerprint), "peer" (a peer replica's cache over the
-// fleet-shared tier), "miss" (own enumeration, cache populated) or
-// "" (cache not in play).
+// how the member was served, with the values POST /optimize sends as
+// X-Cache: hit (plan cache), collapsed (another in-flight request's
+// enumeration), dedup (another member of this batch with the same
+// fingerprint), peer (a peer replica's cache over the fleet-shared tier),
+// miss (own enumeration, cache populated) or empty (cache not in play).
 type BatchMemberResult struct {
 	Plan  *OptimizeResponse `json:"plan,omitempty"`
 	Error string            `json:"error,omitempty"`
@@ -72,81 +70,48 @@ func (s *Server) maxBatchMembers() int {
 	return DefaultMaxBatchMembers
 }
 
-// handleOptimizeBatch admits a slice of plans as one unit, deduplicates
-// members by canonical fingerprint before any enumeration runs, sweeps the
-// plan cache with one batched lookup, and fans the remaining distinct
-// members across the enumeration worker pool.
-func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
-	batchID := s.nextReqID()
-	w.Header().Set("X-Request-Id", batchID)
-	if r.Method != http.MethodPost {
-		s.fail(w, batchID, http.StatusMethodNotAllowed, errors.New(`POST {"plans": [...]} — a slice of JSON logical plans`))
-		return
-	}
-	start := time.Now()
-	deadline, err := s.deadline(r)
-	if err != nil {
-		s.fail(w, batchID, http.StatusBadRequest, err)
-		return
-	}
-	lambda, err := riskLambda(r)
-	if err != nil {
-		s.fail(w, batchID, http.StatusBadRequest, err)
-		return
-	}
-	var breq BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody())).Decode(&breq); err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		s.fail(w, batchID, code, err)
-		return
-	}
-	if len(breq.Plans) == 0 {
-		s.fail(w, batchID, http.StatusBadRequest, errors.New("service: batch carries no plans"))
-		return
-	}
-	if limit := s.maxBatchMembers(); len(breq.Plans) > limit {
-		s.fail(w, batchID, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("service: batch of %d plans exceeds the member limit of %d", len(breq.Plans), limit))
-		return
-	}
+// batchMember is one plan of a batch on its way to a result: q is nil when
+// the plan did not parse, out is set once the member is served.
+type batchMember struct {
+	q   *optimizeReq
+	out *optimizeOut
+}
 
-	ctx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
+// handleOptimizeBatch admits a slice of plans as one unit and takes every
+// member through the same answer path a single request uses: all
+// fingerprinted members through the local cache tier first, then the
+// remaining distinct members, fanned out across the enumeration worker pool,
+// through the tiers after it, then each duplicate — whose leader, the first
+// member with its fingerprint, has an outcome by now — through the dedup
+// tier.
+func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
+	var breq BatchRequest
+	p, ctx, ls, ok := s.prelude(w, r, "batch", `POST {"plans": [...]} — a slice of JSON logical plans`, func(body io.Reader) error {
+		if err := json.NewDecoder(body).Decode(&breq); err != nil {
+			return err
+		}
+		if len(breq.Plans) == 0 {
+			return errors.New("service: batch carries no plans")
+		}
+		if limit := s.maxBatchMembers(); len(breq.Plans) > limit {
+			return &statusError{http.StatusRequestEntityTooLarge,
+				fmt.Errorf("service: batch of %d plans exceeds the member limit of %d", len(breq.Plans), limit)}
+		}
+		return nil
+	})
+	if !ok {
+		return
 	}
 	// One admission unit: the batch holds one slot (its members share the
 	// enumeration worker pool internally), so a 64-member batch cannot
 	// monopolize 64 admission slots.
-	traceID, remoteSampled := traceContext(w, r)
-	shed, release, ok := s.admit(ctx, w, "batch", batchID, start)
-	if !ok {
-		return
-	}
-	if release != nil {
-		defer release()
-	}
+	defer ls.done()
 
 	// The whole batch is one trace: a "batch" root span with one "member"
 	// child span per plan, so the fan-out reads as a single tree. A
 	// propagated traceparent names the trace; its sampled flag forces
 	// retention, exactly like ?trace=1 on /optimize.
-	btid := batchID
-	if traceID != "" {
-		btid = traceID
-	}
-	btr := s.Tracer.Start(btid)
-	if btr == nil && remoteSampled {
-		btr = obs.NewTrace(btid)
-	}
-	if btr != nil && traceID != "" {
-		btr.RequestID = batchID
-	}
+	btr := s.startTrace(&p, p.remoteSampled)
 	broot := btr.StartSpan(nil, "batch")
 	broot.SetInt("members", int64(len(breq.Plans)))
 
@@ -155,162 +120,91 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	m.Counter("batch_members_total").Add(int64(len(breq.Plans)))
 	m.Histogram("batch_size").Observe(float64(len(breq.Plans)))
 
-	simulate := r.URL.Query().Get("simulate") == "1"
-	nocache := r.URL.Query().Get("nocache") == "1"
-	nopeer := r.URL.Query().Get("nopeer") == "1"
-	useCache := s.PlanCache != nil && !nocache
-
 	// Parse and fingerprint every member up front; duplicates point at the
 	// first member with their fingerprint (the leader) and never enumerate.
-	type member struct {
-		q      *optimizeReq
-		out    *optimizeOut
-		leader int
-	}
-	members := make([]member, len(breq.Plans))
+	members := make([]batchMember, len(breq.Plans))
 	firstByFP := make(map[plancache.Fingerprint]int, len(breq.Plans))
 	distinct := 0
 	for i, raw := range breq.Plans {
-		members[i].leader = -1
-		id := fmt.Sprintf("%s.%d", batchID, i)
-		l, perr := plan.UnmarshalJSONPlan(bytes.NewReader(raw))
-		if perr != nil {
-			members[i].out = &optimizeOut{status: http.StatusBadRequest, err: fmt.Errorf("member %d: %w", i, perr)}
+		l, err := plan.UnmarshalJSONPlan(bytes.NewReader(raw))
+		if err != nil {
+			members[i].out = &optimizeOut{status: http.StatusBadRequest, err: fmt.Errorf("member %d: %w", i, err)}
 			continue
 		}
-		q := &optimizeReq{
-			id:       id,
-			l:        l,
-			start:    start,
-			deadline: deadline,
-			lambda:   lambda,
-			simulate: simulate,
-			nocache:  nocache,
-			nopeer:   nopeer,
-			shed:     shed,
-			fpDone:   true,
-			endpoint: "batch",
-			trace:    btr,
-			parent:   broot,
-		}
-		if useCache {
-			if fp, canon, fpErr := plancache.Compute(l, s.Platforms, s.Avail, s.PlanCache.BandsPerDecade()); fpErr == nil {
-				q.fp, q.canon = fp, canon
-			}
-		}
+		q := s.unit(&p, l)
+		q.id = fmt.Sprintf("%s.%d", p.id, i)
+		q.tr, q.member = btr, true
+		q.parent = btr.StartSpan(broot, "member")
+		q.parent.SetStr("requestId", q.id)
 		members[i].q = q
 		if q.canon != nil {
 			if j, seen := firstByFP[q.fp]; seen {
-				members[i].leader = j
+				q.leader = &members[j]
 				continue
 			}
 			firstByFP[q.fp] = i
 		}
 		distinct++
 	}
+	settle := func(mb *batchMember, out *optimizeOut) {
+		mb.out = out
+		mb.q.parent.End()
+	}
 
-	// Cache sweep: one batched lookup resolves every fingerprinted member
+	// Local tier: every fingerprinted member is looked up exactly once
 	// (duplicates included — they share the entry) before any enumeration.
-	p := s.provider()
-	if useCache && p != nil {
-		version := p.Get().Version()
-		band := plancache.RiskBand(lambda)
-		idxs := make([]int, 0, len(members))
-		fps := make([]plancache.Fingerprint, 0, len(members))
-		for i := range members {
-			if members[i].q != nil && members[i].q.canon != nil {
-				idxs = append(idxs, i)
-				fps = append(fps, members[i].q.fp)
+	for i := range members {
+		if mb := &members[i]; mb.q != nil {
+			if a, _ := s.localTier(ctx, mb.q); a.found() {
+				settle(mb, s.finish(ctx, mb.q, a, nil))
 			}
-		}
-		for k, cp := range s.PlanCache.GetBandBatch(fps, version, band) {
-			if cp == nil {
-				continue
-			}
-			i := idxs[k]
-			q := members[i].q
-			sp := btr.StartSpan(broot, "member")
-			sp.SetStr("requestId", q.id)
-			q.parent = sp
-			if out, hk := s.cachedOut(q, cp, q.canon, version, btr, "hit"); hk {
-				members[i].out = out
-			}
-			sp.End()
-			q.parent = broot
 		}
 	}
 
 	// Fan the remaining distinct members across the enumeration pool:
-	// `fanout` members optimize concurrently, each with an equal share of
-	// the worker budget, so a batch uses the same parallelism one request
-	// would.
-	var runnable []int
+	// `fanout` members resolve concurrently, each with an equal share of the
+	// worker budget, so a batch uses the same parallelism one request would.
+	// They enter at tier 1 — the local tier is behind them.
+	var runnable []*batchMember
 	for i := range members {
-		if members[i].out == nil && members[i].q != nil && members[i].leader == -1 {
-			runnable = append(runnable, i)
+		if mb := &members[i]; mb.out == nil && mb.q.leader == nil {
+			runnable = append(runnable, mb)
 		}
 	}
 	if n := len(runnable); n > 0 {
 		workers := s.workers()
 		fanout := min(n, workers)
-		inner := max(1, workers/fanout)
 		sem := make(chan struct{}, fanout)
 		var wg sync.WaitGroup
-		for _, i := range runnable {
+		for _, mb := range runnable {
 			wg.Add(1)
-			go func(i int) {
+			go func(mb *batchMember) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				q := members[i].q
-				q.workers = inner
-				members[i].out = s.runOptimize(ctx, q)
-			}(i)
+				mb.q.workers = max(1, workers/fanout)
+				settle(mb, s.serve(ctx, mb.q, 1))
+			}(mb)
 		}
 		wg.Wait()
 	}
-
-	// Duplicate members materialize their leader's plan through their own
-	// canonical permutation; if the leader failed (or its result was not
-	// cacheable), the duplicate runs its own enumeration as a fallback.
-	deduped := 0
+	// What is left are duplicates, whose leaders now all have an outcome.
 	for i := range members {
-		mb := &members[i]
-		if mb.out != nil || mb.q == nil {
-			continue
+		if mb := &members[i]; mb.out == nil {
+			settle(mb, s.serve(ctx, mb.q, 1))
 		}
-		if lo := members[mb.leader].out; lo != nil && lo.err == nil && lo.cp != nil {
-			sp := btr.StartSpan(broot, "member")
-			sp.SetStr("requestId", mb.q.id)
-			mb.q.parent = sp
-			out, dk := s.cachedOut(mb.q, lo.cp, mb.q.canon, lo.resp.ModelVersion, btr, "dedup")
-			sp.End()
-			mb.q.parent = broot
-			if dk {
-				mb.out = out
-				deduped++
-				m.Counter("batch_dedup_total").Inc()
-				continue
-			}
-		}
-		mb.out = s.runOptimize(ctx, mb.q)
 	}
 
 	resp := BatchResponse{
-		RequestID: batchID,
+		RequestID: p.id,
 		Members:   len(members),
 		Distinct:  distinct,
-		Deduped:   deduped,
-		Shed:      shed,
+		Shed:      p.shed,
 		Results:   make([]BatchMemberResult, len(members)),
 	}
 	degraded := 0
 	for i := range members {
 		out := members[i].out
-		if out == nil {
-			// Unreachable by construction; keep the response well-formed.
-			out = &optimizeOut{status: http.StatusInternalServerError, err: errors.New("member not served")}
-		}
 		if out.err != nil {
 			resp.Errors++
 			s.countFailure(out.err)
@@ -318,23 +212,26 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = BatchMemberResult{Error: out.err.Error()}
 			continue
 		}
-		if out.cache == "hit" || out.cache == "collapsed" {
+		switch out.src {
+		case srcHit, srcCollapsed:
 			resp.CacheHits++
+		case srcDedup:
+			resp.Deduped++
+			m.Counter("batch_dedup_total").Inc()
 		}
 		if out.resp.Degraded {
 			degraded++
 		}
-		r := out.resp
-		resp.Results[i] = BatchMemberResult{Plan: &r, Cache: out.cache}
+		resp.Results[i] = BatchMemberResult{Plan: &out.resp, Cache: sources[out.src].xcache}
 	}
-	resp.TotalMs = float64(time.Since(start).Microseconds()) / 1000
+	resp.TotalMs = sinceMs(p.start)
 	resp.TraceID = traceIDOf(btr)
 
 	// Close the shared trace once the whole fan-out is accounted for; a
 	// batch with any degraded member is notable, like a degraded single
 	// request.
 	broot.SetInt("distinct", int64(distinct))
-	broot.SetInt("deduped", int64(deduped))
+	broot.SetInt("deduped", int64(resp.Deduped))
 	broot.SetInt("cacheHits", int64(resp.CacheHits))
 	broot.SetInt("errors", int64(resp.Errors))
 	broot.SetInt("degraded", int64(degraded))
@@ -343,6 +240,6 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	if degraded > 0 {
 		notable = "degraded"
 	}
-	s.Tracer.Finish(btr, remoteSampled, notable)
+	s.Tracer.Finish(btr, p.remoteSampled, notable)
 	s.writeJSON(w, resp)
 }

@@ -162,3 +162,26 @@ func TestBatchEndpointRejections(t *testing.T) {
 		t.Fatalf("cacheless batch = %+v", out)
 	}
 }
+
+// TestBatchLooksEachMemberUpOnce: every fingerprinted member costs the plan
+// cache exactly one lookup, so a batch moves the hit/miss counters exactly
+// as the same plans sent one by one would.
+func TestBatchLooksEachMemberUpOnce(t *testing.T) {
+	_, ts := newCachedServer(plancache.Config{})
+	defer ts.Close()
+	example := marshalPlan(t, workload.RunningExample())
+	plans := []json.RawMessage{example, example, marshalPlan(t, workload.Pipeline(6, 1e9))}
+
+	for _, want := range []struct{ hits, misses int64 }{{0, 3}, {3, 3}} {
+		if resp, _, raw := postBatch(t, ts.URL, plans); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d (%.300s)", resp.StatusCode, raw)
+		}
+		var cz struct {
+			Stats plancache.Stats `json:"stats"`
+		}
+		getJSON(t, ts.URL+"/cachez", &cz)
+		if cz.Stats.Hits != want.hits || cz.Stats.Misses != want.misses {
+			t.Fatalf("after the batch: hits=%d misses=%d, want %d/%d", cz.Stats.Hits, cz.Stats.Misses, want.hits, want.misses)
+		}
+	}
+}

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -14,73 +16,115 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/plancache"
+	"repro/internal/registry"
+	"repro/internal/simulator"
 )
 
-// optimizeReq is one request unit flowing through the cache → singleflight
-// → optimize layers, independent of its HTTP transport so POST /optimize
-// and each POST /optimize/batch member share one path.
-type optimizeReq struct {
-	id        string
-	l         *plan.Logical
-	start     time.Time
-	deadline  time.Duration
-	lambda    float64
-	simulate  bool
-	wantTrace bool
-	nocache   bool
-	// nopeer bypasses the fleet-shared cache tier (peer fill and fleet
-	// singleflight) for this request, mirroring what nocache does for the
-	// local cache.
-	nopeer bool
-	// peerMs is the time spent fetching the served entry from the fleet
-	// tier, set only when the request was peer-filled; cachedOut observes
-	// it into peer_fill_ms{outcome="hit"} with the retained trace as the
-	// exemplar.
-	peerMs float64
+// reqParams is what the shared prelude of POST /optimize and POST
+// /optimize/batch resolves before any plan is looked at; every request unit
+// of the call inherits it.
+type reqParams struct {
+	// id is the request ID (also sent as X-Request-Id); batch members carry
+	// "<batchId>.<index>".
+	id string
 	// endpoint labels the serving metrics ("optimize" or "batch").
 	endpoint string
+	start    time.Time
+	deadline time.Duration
+	lambda   float64
+	simulate bool
+	nocache  bool
+	// nopeer bypasses the fleet-shared tiers (peer probe and fleet claim)
+	// for this request, mirroring what nocache does for the local cache.
+	nopeer bool
 	// traceID is the W3C trace ID propagated by the caller's traceparent
 	// header; empty means the request ID doubles as the trace ID.
-	traceID string
-	// remoteSampled mirrors the traceparent sampled flag: the caller asked
-	// for this trace to be kept, so retention is forced like ?trace=1.
+	// remoteSampled mirrors the header's sampled flag: the caller asked for
+	// this trace to be kept, so retention is forced like ?trace=1.
+	traceID       string
 	remoteSampled bool
-	// trace/parent carry the shared batch trace and this member's parent
-	// span when the request is one member of a batch: the member records
-	// its spans into the batch's tree and must not finish the trace itself.
-	trace  *obs.Trace
-	parent *obs.Span
-	// shed admits the request in load-shedding mode: the enumeration starts
-	// already degraded (core.Budget.ForceDegraded) and serves the beam.
+	// shed admits the call in load-shedding mode: enumerations start already
+	// degraded (core.Budget.ForceDegraded) and serve the beam.
 	shed bool
+}
+
+// optimizeReq is one request unit — a POST /optimize call or one member of
+// a POST /optimize/batch call — on its way through resolve → respond →
+// account.
+type optimizeReq struct {
+	reqParams
+	l         *plan.Logical
+	wantTrace bool
+	// snap is the one immutable model snapshot of the whole request:
+	// concurrent hot-swaps affect later requests, never this one, and the
+	// response's modelVersion is exactly the model that scored the plan. Nil
+	// when no model is configured.
+	snap    *registry.Snapshot
+	version string
+	// (fp, version, band) is the cache key. A nil canon means the cache is
+	// not in play: none configured, ?nocache=1, or a plan the fingerprinter
+	// rejects.
+	fp    plancache.Fingerprint
+	canon *plancache.Canon
+	band  string
+	// tr records the unit's spans under parent. A batch member shares the
+	// batch's trace, nests under its own "member" span and must not finish
+	// the trace itself.
+	tr     *obs.Trace
+	parent *obs.Span
+	member bool
+	// leader is the earlier member of the same batch with the same
+	// fingerprint, whose plan the dedup tier serves.
+	leader *batchMember
 	// workers overrides the server's enumeration parallelism when positive
 	// (batch members share the pool across the fan-out).
 	workers int
-	// fp/canon carry a precomputed fingerprint when fpDone is set (the
-	// batch path fingerprints members up front for its dedup sweep); a nil
-	// canon with fpDone means fingerprinting failed and the cache is
-	// bypassed.
-	fp     plancache.Fingerprint
-	canon  *plancache.Canon
-	fpDone bool
+	// fleetStart/peerMs time the fleet tiers; peerMs is set only when one of
+	// them answered and feeds peer_fill_ms{outcome="hit"}. release gives up
+	// the fleet claim the claim tier won, once the enumeration is published.
+	fleetStart time.Time
+	peerMs     float64
+	release    func()
 }
 
 // optimizeOut is the outcome of one request unit: either resp (with the
-// X-Cache disposition and, for full runs, the cacheable plan the batch
-// dedup layer can rematerialize for duplicate members) or err with its
-// HTTP status.
+// source that answered it and the plan batch duplicates can rematerialize)
+// or err with its HTTP status.
 type optimizeOut struct {
 	resp   OptimizeResponse
-	cache  string // X-Cache value: "", "hit", "collapsed", "miss", "dedup" or "peer"
+	src    source
 	cp     *plancache.CachedPlan
 	status int
 	err    error
 }
 
+// statusError is an error that knows the HTTP status it is reported under.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e *statusError) Error() string { return e.err.Error() }
+func (e *statusError) Unwrap() error { return e.err }
+
+// statusOf maps err to its HTTP status: an oversized body is 413, a
+// statusError carries its own, anything else is fallback.
+func statusOf(err error, fallback int) int {
+	var tooLarge *http.MaxBytesError
+	var se *statusError
+	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &se):
+		return se.status
+	}
+	return fallback
+}
+
 // deadline resolves the effective deadline of a request: ?deadline_ms= wins
 // over the server default. A malformed or non-positive value is an error.
-func (s *Server) deadline(r *http.Request) (time.Duration, error) {
-	q := r.URL.Query().Get("deadline_ms")
+func (s *Server) deadline(qs url.Values) (time.Duration, error) {
+	q := qs.Get("deadline_ms")
 	if q == "" {
 		return s.DefaultDeadline, nil
 	}
@@ -93,8 +137,8 @@ func (s *Server) deadline(r *http.Request) (time.Duration, error) {
 
 // riskLambda resolves the request's risk-aversion weight from ?risk_lambda=.
 // A malformed, negative or non-finite value is an error.
-func riskLambda(r *http.Request) (float64, error) {
-	q := r.URL.Query().Get("risk_lambda")
+func riskLambda(qs url.Values) (float64, error) {
+	q := qs.Get("risk_lambda")
 	if q == "" {
 		return 0, nil
 	}
@@ -127,29 +171,48 @@ func traceIDOf(tr *obs.Trace) string {
 	return tr.ID
 }
 
+// startTrace opens the trace of one call. The request ID doubles as the
+// trace ID unless the caller propagated a W3C traceparent, in which case the
+// remote trace ID names the trace (retrievable via /tracez?id=<remote id>)
+// and RequestID keeps the local join key. A configured tracer records every
+// call and decides retention at the end (tail-based sampling); force (set by
+// ?trace=1 or a sampled traceparent) gets a one-shot trace even without a
+// tracer, living only in the response.
+func (s *Server) startTrace(p *reqParams, force bool) *obs.Trace {
+	tid := p.id
+	if p.traceID != "" {
+		tid = p.traceID
+	}
+	tr := s.Tracer.Start(tid)
+	if tr == nil && force {
+		tr = obs.NewTrace(tid)
+	}
+	if tr != nil && p.traceID != "" {
+		tr.RequestID = p.id
+	}
+	return tr
+}
+
 // finishTrace closes one request unit's trace. Members of a shared batch
 // trace skip it — the batch handler finishes that trace exactly once, with
 // the whole fan-out recorded. Returns whether the trace entered the
 // retention ring, which gates exemplar exposure: only resolvable trace IDs
 // are attached to histogram buckets.
-func (s *Server) finishTrace(q *optimizeReq, tr *obs.Trace, notable string) bool {
-	if q.trace != nil {
+func (s *Server) finishTrace(q *optimizeReq, notable string) bool {
+	if q.member {
 		return false
 	}
-	return s.Tracer.Finish(tr, q.wantTrace || q.remoteSampled, notable)
+	return s.Tracer.Finish(q.tr, q.wantTrace || q.remoteSampled, notable)
 }
 
 // countServing feeds one request unit's outcome into the labeled serving
 // metrics and the SLO tracker: serving_requests_total partitioned by
-// endpoint/outcome/cache disposition, serving_latency_ms by endpoint (with
+// endpoint/outcome/answering source, serving_latency_ms by endpoint (with
 // the retained trace as the bucket's exemplar), and the SLO's good/bad
 // tally (shed responses are successes — degraded quality, not an error).
-func (s *Server) countServing(endpoint, outcome, cache string, latencyMs float64, exemplarTrace string) {
-	if cache == "" {
-		cache = "none"
-	}
+func (s *Server) countServing(endpoint, outcome string, src source, latencyMs float64, exemplarTrace string) {
 	m := s.Metrics()
-	m.CounterVec("serving_requests_total", "endpoint", "outcome", "cache").With(endpoint, outcome, cache).Inc()
+	m.CounterVec("serving_requests_total", "endpoint", "outcome", "cache").With(endpoint, outcome, sources[src].label).Inc()
 	m.HistogramVec("serving_latency_ms", "endpoint").With(endpoint).ObserveExemplar(latencyMs, exemplarTrace)
 	s.SLO.Record(latencyMs, outcome == "ok" || outcome == "shed")
 }
@@ -159,338 +222,253 @@ func sinceMs(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1000
 }
 
-// admit runs the admission layer for one request unit (a single request or
-// a whole batch). ok=false means the request was refused and the response
-// is already written; otherwise the caller must invoke release (when
-// non-nil) once the unit finishes, and shed tells it to serve the degraded
-// beam.
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, endpoint, reqID string, start time.Time) (shed bool, release func(), ok bool) {
+// refuse accounts one call or request unit that ends in an error status —
+// the deadline counters when its deadline or connection ran out, the log
+// record, the serving metrics and the SLO — everything except the
+// HTTP-level failure counting that fail performs when the transport writes
+// the outcome.
+func (s *Server) refuse(p *reqParams, version string, status int, err error) *optimizeOut {
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.mu.Lock()
+		s.stats.DeadlineExceeded++
+		s.mu.Unlock()
+		s.Metrics().Counter("deadline_exceeded_total").Inc()
+	}
+	ms := sinceMs(p.start)
+	if s.Logger != nil {
+		s.Logger.Error("optimize failed",
+			"requestId", p.id,
+			"status", status,
+			"ms", ms,
+			"modelVersion", version,
+			"err", err.Error())
+	}
+	s.countServing(p.endpoint, strconv.Itoa(status), srcNone, ms, "")
+	return &optimizeOut{status: status, err: err}
+}
+
+// admit runs the admission layer for one call (a single request or a whole
+// batch). ok=false means the call was refused and the response is already
+// written; otherwise the caller must invoke release (when non-nil) once the
+// call finishes, and shed tells it to serve the degraded beam.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, p *reqParams) (shed bool, release func(), ok bool) {
 	if s.Admission == nil {
 		return false, nil, true
 	}
 	outcome, rel := s.Admission.Acquire(ctx)
+	var out *optimizeOut
 	switch outcome {
 	case admitRejected:
 		s.mu.Lock()
 		s.stats.Rejected++
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", s.Admission.retryAfterSeconds())
-		err := errors.New("service: admission queue full, retry later")
-		s.fail(w, reqID, http.StatusTooManyRequests, err)
-		s.logOptimize(reqID, http.StatusTooManyRequests, start, "", false, err)
-		s.countServing(endpoint, "429", "", sinceMs(start), "")
-		return false, nil, false
+		out = s.refuse(p, "", http.StatusTooManyRequests, errors.New("service: admission queue full, retry later"))
 	case admitCanceled:
-		s.mu.Lock()
-		s.stats.DeadlineExceeded++
-		s.mu.Unlock()
-		s.Metrics().Counter("deadline_exceeded_total").Inc()
-		err := fmt.Errorf("service: request expired in the admission queue: %w", ctx.Err())
-		s.fail(w, reqID, http.StatusServiceUnavailable, err)
-		s.logOptimize(reqID, http.StatusServiceUnavailable, start, "", false, err)
-		s.countServing(endpoint, "503", "", sinceMs(start), "")
-		return false, nil, false
-	case admitShed:
-		return true, rel, true
+		out = s.refuse(p, "", http.StatusServiceUnavailable,
+			fmt.Errorf("service: request expired in the admission queue: %w", ctx.Err()))
 	default:
-		return false, rel, true
+		return outcome == admitShed, rel, true
+	}
+	s.fail(w, p.id, out.status, out.err)
+	return false, nil, false
+}
+
+// lease is what a call admitted by prelude holds until it finishes: its
+// admission slot and its deadline context.
+type lease struct {
+	release func()
+	cancel  context.CancelFunc
+}
+
+func (l lease) done() {
+	if l.release != nil {
+		l.release()
+	}
+	if l.cancel != nil {
+		l.cancel()
 	}
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
+// prelude is everything both optimize endpoints do before a plan enters
+// the answer path: method check, ?deadline_ms= and ?risk_lambda=, the body
+// read under the size limit (decode parses it; 413 when oversized), the
+// deadline context, traceparent and admission. The deadline context is
+// created before admission so time spent in the queue counts against the
+// request's deadline — a queued request whose deadline lapses is dequeued
+// as canceled, not optimized late. ok=false means the error response is
+// already written; otherwise the caller owes l.done().
+func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage string, decode func(body io.Reader) error) (p reqParams, ctx context.Context, l lease, ok bool) {
+	p = reqParams{id: s.nextReqID(), endpoint: endpoint}
+	w.Header().Set("X-Request-Id", p.id)
 	if r.Method != http.MethodPost {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("POST a JSON logical plan"))
+		s.fail(w, p.id, http.StatusMethodNotAllowed, errors.New(usage))
 		return
 	}
-	start := time.Now()
-	deadline, err := s.deadline(r)
+	p.start = time.Now()
+	qs := r.URL.Query()
+	var err error
+	if p.deadline, err = s.deadline(qs); err == nil {
+		p.lambda, err = riskLambda(qs)
+	}
+	if err == nil {
+		err = decode(http.MaxBytesReader(w, r.Body, s.maxBody()))
+	}
 	if err != nil {
-		s.fail(w, reqID, http.StatusBadRequest, err)
+		s.fail(w, p.id, statusOf(err, http.StatusBadRequest), err)
 		return
 	}
-	lambda, err := riskLambda(r)
-	if err != nil {
-		s.fail(w, reqID, http.StatusBadRequest, err)
-		return
-	}
-	l, err := plan.UnmarshalJSONPlan(http.MaxBytesReader(w, r.Body, s.maxBody()))
-	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		s.fail(w, reqID, code, err)
-		return
-	}
+	p.simulate = qs.Get("simulate") == "1"
+	p.nocache = qs.Get("nocache") == "1"
+	p.nopeer = qs.Get("nopeer") == "1"
 
-	// The deadline context is created before admission so time spent in the
-	// queue counts against the request's deadline — a queued request whose
-	// deadline lapses is dequeued as canceled, not optimized late.
-	ctx := r.Context()
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
+	ctx = r.Context()
+	if p.deadline > 0 {
+		ctx, l.cancel = context.WithTimeout(ctx, p.deadline)
 	}
-	traceID, remoteSampled := traceContext(w, r)
-	shed, release, ok := s.admit(ctx, w, "optimize", reqID, start)
+	p.traceID, p.remoteSampled = traceContext(w, r)
+	if p.shed, l.release, ok = s.admit(ctx, w, &p); !ok {
+		l.done()
+	}
+	return p, ctx, l, ok
+}
+
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	var l *plan.Logical
+	p, ctx, ls, ok := s.prelude(w, r, "optimize", "POST a JSON logical plan", func(body io.Reader) (err error) {
+		l, err = plan.UnmarshalJSONPlan(body)
+		return err
+	})
 	if !ok {
 		return
 	}
-	if release != nil {
-		defer release()
-	}
+	defer ls.done()
 
-	out := s.runOptimize(ctx, &optimizeReq{
-		id:            reqID,
-		l:             l,
-		start:         start,
-		deadline:      deadline,
-		lambda:        lambda,
-		simulate:      r.URL.Query().Get("simulate") == "1",
-		wantTrace:     r.URL.Query().Get("trace") == "1",
-		nocache:       r.URL.Query().Get("nocache") == "1",
-		nopeer:        r.URL.Query().Get("nopeer") == "1",
-		shed:          shed,
-		endpoint:      "optimize",
-		traceID:       traceID,
-		remoteSampled: remoteSampled,
-	})
+	q := s.unit(&p, l)
+	q.wantTrace = r.URL.Query().Get("trace") == "1"
+	q.tr = s.startTrace(&p, q.wantTrace || p.remoteSampled)
+	out := s.serve(ctx, q, 0)
 	if out.err != nil {
-		s.fail(w, reqID, out.status, out.err)
+		s.fail(w, p.id, out.status, out.err)
 		return
 	}
 	s.writeResponse(w, out)
 }
 
-// runOptimize carries one request unit through the cache, singleflight and
-// optimize layers. It does all success/failure accounting except the
-// HTTP-level failure counting that fail performs; transport handlers only
-// write the outcome.
-func (s *Server) runOptimize(ctx context.Context, q *optimizeReq) *optimizeOut {
-	cctx, err := core.NewContext(q.l, s.Platforms, s.Avail)
-	if err != nil {
-		return &optimizeOut{status: http.StatusBadRequest, err: err}
+// unit builds the request unit for one plan of a call: it pins the model
+// snapshot and, when a cache is in play, fingerprints the plan — the
+// canonical hash is a few microseconds against the enumeration's
+// milliseconds.
+func (s *Server) unit(p *reqParams, l *plan.Logical) *optimizeReq {
+	q := &optimizeReq{reqParams: *p, l: l, band: plancache.RiskBand(p.lambda)}
+	if mp := s.provider(); mp != nil {
+		q.snap = mp.Get()
+		q.version = q.snap.Version()
 	}
-	cctx.Workers = q.workers
-	if cctx.Workers <= 0 {
-		cctx.Workers = s.workers()
+	if q.snap != nil && s.PlanCache != nil && !p.nocache {
+		if fp, canon, err := plancache.Compute(l, s.Platforms, s.Avail, s.PlanCache.BandsPerDecade()); err == nil {
+			q.fp, q.canon = fp, canon
+		}
 	}
-	budget := s.Budget
-	if budget.SoftDeadline == 0 && q.deadline > 0 {
-		// Degrade at 80% of the deadline so the request has slack to
-		// finish its best-effort plan before the hard cutoff.
-		budget.SoftDeadline = q.deadline * 4 / 5
-	}
-	if q.shed {
-		// Load-shedding admission: skip straight to the degraded beam.
-		budget.ForceDegraded = true
-	}
-	cctx.Budget = budget
-	if q.lambda != 0 {
-		// Risk-aware request: λ-adjusted scoring plus overlap pruning, so
-		// near-ties the model cannot separate survive to the final selection.
-		cctx.Risk = core.Risk{Lambda: q.lambda, KeepOverlap: true}
-	}
+	return q
+}
 
-	// Fingerprint the plan up front when a cache is configured: the
-	// canonical hash is a few microseconds against the enumeration's
-	// milliseconds. ?nocache=1 is the per-request escape hatch, and a plan
-	// the fingerprinter rejects simply bypasses the cache.
-	useCache := s.PlanCache != nil && !q.nocache
-	fp, canon := q.fp, q.canon
-	if useCache && canon == nil {
-		if q.fpDone {
-			useCache = false
-		} else if cfp, ccanon, fpErr := plancache.Compute(q.l, s.Platforms, s.Avail, s.PlanCache.BandsPerDecade()); fpErr == nil {
-			fp, canon = cfp, ccanon
-		} else {
-			useCache = false
-		}
+// serve is the one answer path: resolve the unit through the tier list from
+// tier index from on, then respond and account.
+func (s *Server) serve(ctx context.Context, q *optimizeReq, from int) *optimizeOut {
+	if q.snap == nil {
+		return s.failed(q, http.StatusServiceUnavailable, errors.New("service: no model configured"))
 	}
+	a, err := s.resolve(ctx, q, from)
+	return s.finish(ctx, q, a, err)
+}
 
-	// The request ID doubles as the trace ID unless the caller propagated a
-	// W3C traceparent, in which case the remote trace ID names the trace
-	// (retrievable via /tracez?id=<remote id>) and RequestID keeps the local
-	// join key. A configured tracer records every request and decides
-	// retention at the end (tail-based sampling); ?trace=1 and a sampled
-	// traceparent additionally force retention. Without a tracer, ?trace=1
-	// still gets a one-shot trace that lives only in this response. Batch
-	// members record into the shared batch trace instead, each under its own
-	// "member" span.
-	var tr *obs.Trace
-	if q.trace != nil {
-		tr = q.trace
-		member := tr.StartSpan(q.parent, "member")
-		member.SetStr("requestId", q.id)
-		defer member.End()
-		q.parent = member
-		cctx.TraceParent = member
-	} else {
-		tid := q.id
-		if q.traceID != "" {
-			tid = q.traceID
-		}
-		tr = s.Tracer.Start(tid)
-		if tr == nil && (q.wantTrace || q.remoteSampled) {
-			tr = obs.NewTrace(tid)
-		}
-		if tr != nil && q.traceID != "" {
-			tr.RequestID = q.id
-		}
-	}
-	cctx.Trace = tr
+// failed closes the trace of a unit that ends in an error status and
+// accounts it.
+func (s *Server) failed(q *optimizeReq, status int, err error) *optimizeOut {
+	q.tr.SetError(err.Error())
+	s.finishTrace(q, "")
+	return s.refuse(&q.reqParams, q.version, status, err)
+}
 
-	// Resolve one immutable snapshot for the whole request: concurrent
-	// hot-swaps affect later requests, never this one, and the response's
-	// modelVersion is exactly the model that scored the plan.
-	p := s.provider()
-	if p == nil {
-		err := errors.New("service: no model configured")
-		tr.SetError(err.Error())
-		s.finishTrace(q, tr, "")
-		s.logOptimize(q.id, http.StatusServiceUnavailable, q.start, "", false, err)
-		s.countServing(q.endpoint, "503", "", sinceMs(q.start), "")
-		return &optimizeOut{status: http.StatusServiceUnavailable, err: err}
-	}
-	snap := p.Get()
-	riskBand := plancache.RiskBand(q.lambda)
-	if useCache {
-		if cp, ok := s.PlanCache.GetBand(fp, snap.Version(), riskBand); ok {
-			if out, ok := s.cachedOut(q, cp, canon, snap.Version(), tr, "hit"); ok {
-				return out
-			}
-			// A cached assignment that fails to materialize against this
-			// plan (a banding artifact) falls through to the full run.
+// finish turns what resolve returned into the unit's outcome. A cached plan
+// that does not fit this unit's plan (a cross-plan banding artifact), or a
+// collapsed leader with no plan to share, is the one fallback: the unit
+// enumerates for itself alone, outside the cache.
+func (s *Server) finish(ctx context.Context, q *optimizeReq, a answer, err error) *optimizeOut {
+	var x *plan.Execution
+	if err == nil && a.res == nil {
+		if a.cp != nil {
+			x, _ = a.cp.Materialize(q.l, q.canon, s.Platforms)
 		}
-	}
-
-	var res *core.Result
-	var leaderCP *plancache.CachedPlan
-	if useCache && !q.shed {
-		// Singleflight: concurrent identical (fingerprint, version)
-		// requests run one enumeration. The leader optimizes under its own
-		// ctx and publishes the result; followers wait under theirs and
-		// serve the shared plan as "collapsed". Shed requests bypass this
-		// layer: their degraded beam must not be published to followers
-		// expecting a full-quality plan.
-		var cp *plancache.CachedPlan
-		var followed, peerServed bool
-		cp, followed, err = s.PlanCache.DoBand(ctx, fp, snap.Version(), riskBand, func() (*plancache.CachedPlan, error) {
-			// Fleet-shared tier, entered only by the process-local
-			// singleflight leader: first ask a peer for its entry, then —
-			// still cold fleet-wide — claim the key in the shared store so
-			// exactly one replica runs the enumeration while the others
-			// wait on the claimant. Every branch degrades to the local
-			// enumeration below; a sick fleet slows a request by bounded
-			// timeouts at worst, it never wedges one.
-			if s.peerFillEnabled(q) {
-				fstart := time.Now()
-				if pcp, ok := s.PlanCache.FillRemote(ctx, fp, snap.Version(), riskBand); ok {
-					q.peerMs = sinceMs(fstart)
-					peerServed = true
-					return pcp, nil
-				}
-				s.Metrics().HistogramVec("peer_fill_ms", "outcome").With("miss").Observe(sinceMs(fstart))
-				pcp, release := s.claimOrWait(ctx, fp, snap.Version(), riskBand)
-				if pcp != nil {
-					q.peerMs = sinceMs(fstart)
-					peerServed = true
-					return pcp, nil
-				}
-				if release != nil {
-					// We hold the fleet claim: release it only after the
-					// enumeration result is published to the local cache,
-					// so a waiter observing the release always finds the
-					// entry (or learns the run failed and contends anew).
-					defer release()
-				}
-			}
-			lr, lerr := cctx.OptimizeProvider(ctx, snap)
-			if lerr != nil {
-				return nil, lerr
-			}
-			res = lr
-			ncp, cerr := plancache.FromResult(fp, canon, snap.Version(), lr)
-			if cerr != nil {
-				// Still a successful optimization: serve it, cache nothing.
-				return nil, nil
-			}
-			ncp.TraceID = traceIDOf(tr)
-			// Degraded plans are budget artifacts of one moment, not the
-			// enumeration optimum — never cache them.
-			if !lr.Degraded {
-				s.PlanCache.Put(ncp)
-			}
-			return ncp, nil
-		})
-		if followed && err == nil {
-			if cp != nil {
-				if out, ok := s.cachedOut(q, cp, canon, snap.Version(), tr, "collapsed"); ok {
-					return out
-				}
-			}
-			// The leader's result does not fit this request's plan; run
-			// the enumeration ourselves.
-			res, err = cctx.OptimizeProvider(ctx, snap)
-		} else if err == nil && peerServed && cp != nil {
-			if out, ok := s.cachedOut(q, cp, canon, snap.Version(), tr, "peer"); ok {
-				return out
-			}
-			// The peer's plan does not fit this request (a cross-plan
-			// banding artifact); run the enumeration ourselves.
-			res, err = cctx.OptimizeProvider(ctx, snap)
-		} else if err == nil {
-			leaderCP = cp
-		}
-	} else {
-		res, err = cctx.OptimizeProvider(ctx, snap)
-		if err == nil && useCache && canon != nil {
-			if ncp, cerr := plancache.FromResult(fp, canon, snap.Version(), res); cerr == nil {
-				ncp.TraceID = traceIDOf(tr)
-				leaderCP = ncp
-				if !res.Degraded {
-					s.PlanCache.Put(ncp)
-				}
-			}
+		if x == nil {
+			q.canon = nil
+			a, err = s.enumerate(ctx, q)
 		}
 	}
 	if err != nil {
-		tr.SetError(err.Error())
-		s.finishTrace(q, tr, "")
+		status := statusOf(err, http.StatusUnprocessableEntity)
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.mu.Lock()
-			s.stats.DeadlineExceeded++
-			s.mu.Unlock()
-			s.Metrics().Counter("deadline_exceeded_total").Inc()
+			status = http.StatusServiceUnavailable
 			err = fmt.Errorf("service: optimization exceeded its deadline of %v: %w", q.deadline, err)
-			s.logOptimize(q.id, http.StatusServiceUnavailable, q.start, snap.Version(), false, err)
-			s.countServing(q.endpoint, "503", "", sinceMs(q.start), "")
-			return &optimizeOut{status: http.StatusServiceUnavailable, err: err}
 		}
-		s.logOptimize(q.id, http.StatusUnprocessableEntity, q.start, snap.Version(), false, err)
-		s.countServing(q.endpoint, "422", "", sinceMs(q.start), "")
-		return &optimizeOut{status: http.StatusUnprocessableEntity, err: err}
+		return s.failed(q, status, err)
 	}
+	if a.res != nil {
+		x = a.res.Execution
+	}
+	retained := s.closeTrace(q, a)
+	resp, run := s.respond(q, a, x)
+	s.account(q, a, &resp, run, retained)
+	return &optimizeOut{resp: resp, src: a.src, cp: a.cp}
+}
+
+// closeTrace records how a successful unit was answered and finishes its
+// trace. An answer served without an enumeration of its own is a one-span
+// story: the lookup is all that happened — no vectorize/enumerate/prune
+// spans, because none of that ran — plus a link to the trace of the run
+// that produced the plan (when that run was traced and is not this trace),
+// so the enumeration spans are one /tracez?id= away. For a peer fill that
+// trace lives on the replica that enumerated; its /tracez resolves it.
+func (s *Server) closeTrace(q *optimizeReq, a answer) (retained bool) {
 	notable := ""
-	if res.Degraded {
+	if a.res == nil {
+		cp := a.cp
+		sp := q.tr.StartSpan(q.parent, "cache")
+		sp.SetStr("result", sources[a.src].xcache)
+		sp.SetStr("fingerprint", cp.Fingerprint.Short())
+		sp.SetStr("modelVersion", cp.ModelVersion)
+		sp.SetFloat("age_ms", sinceMs(cp.CachedAt))
+		sp.End()
+		if cp.TraceID != "" && cp.TraceID != traceIDOf(q.tr) {
+			q.tr.AddLink(cp.TraceID, sources[a.src].link)
+		}
+	} else if a.res.Degraded {
 		notable = "degraded"
 	}
-	retained := s.finishTrace(q, tr, notable)
-	resp := OptimizeResponse{
-		RequestID:           q.id,
-		ModelVersion:        snap.Version(),
-		PredictedRuntimeSec: res.Predicted,
-		PredictedLoSec:      res.PredictedDist.Lo,
-		PredictedHiSec:      res.PredictedDist.Hi,
-		PredictedSpreadSec:  res.PredictedDist.Spread,
-		RiskLambda:          q.lambda,
-		Degraded:            res.Degraded,
-		DegradeReason:       res.Stats.DegradeReason,
-		Stats: StatsJSON{
+	return s.finishTrace(q, notable)
+}
+
+// respond builds the reply from a fresh result or a cached plan. x is the
+// execution plan either way — res.Execution, or the cached canonical
+// assignment rematerialized against this unit's plan, so conversions and
+// their cardinalities come from the plan itself and a cached answer is
+// byte-identical to an uncached one. A cached answer reports zero stats: no
+// enumeration work happened. run is the simulated execution when
+// ?simulate=1 asked for one.
+func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp OptimizeResponse, run *simulator.Result) {
+	resp = OptimizeResponse{
+		RequestID:      q.id,
+		ModelVersion:   q.version,
+		Assignments:    make([]string, len(x.Assign)),
+		OptimizationMs: sinceMs(q.start),
+		TraceID:        traceIDOf(q.tr),
+	}
+	var dist core.CostDist
+	if res := a.res; res != nil {
+		resp.PredictedRuntimeSec, dist, resp.RiskLambda = res.Predicted, res.PredictedDist, q.lambda
+		resp.Degraded, resp.DegradeReason = res.Degraded, res.Stats.DegradeReason
+		resp.Stats = StatsJSON{
 			VectorsCreated: res.Stats.VectorsCreated,
 			Merges:         res.Stats.Merges,
 			ModelBatches:   res.Stats.ModelBatches,
@@ -503,145 +481,21 @@ func (s *Server) runOptimize(ctx context.Context, q *optimizeReq) *optimizeOut {
 			PoolTasks:      res.Stats.Par.Tasks,
 			PoolSteals:     res.Stats.Par.Steals,
 			PoolQueueDepth: res.Stats.Par.MaxQueueDepth,
-		},
-		StageMs:        res.Stats.Timings.Milliseconds(),
-		OptimizationMs: float64(time.Since(q.start).Microseconds()) / 1000,
-		TraceID:        traceIDOf(tr),
-	}
-	if q.wantTrace {
-		resp.Trace = res.Trace
-	}
-	for _, p := range res.Execution.Assign {
-		resp.Assignments = append(resp.Assignments, p.String())
-	}
-	for _, conv := range res.Execution.Conversions {
-		resp.Conversions = append(resp.Conversions, ConversionJSON{
-			Name:     conv.Name(),
-			AfterOp:  int(conv.AfterOp),
-			BeforeOp: int(conv.BeforeOp),
-			Tuples:   conv.Card,
-		})
-	}
-	if q.simulate && s.Cluster != nil {
-		run := s.Cluster.Run(res.Execution)
-		resp.SimulatedRuntimeSec = run.Runtime
-		resp.SimulatedLabel = run.Label()
-		// Execution feedback: the chosen plan's vector paired with its
-		// observed runtime feeds the retraining loop, tagged with the
-		// model's predictive spread so retraining can prioritize the plans
-		// the model was least certain about. Failed runs carry no usable
-		// runtime label and are skipped.
-		if s.Feedback != nil && res.Vector != nil && !run.Failed() {
-			if err := s.Feedback.AddWithSpread(res.Vector.F, run.Runtime, res.PredictedDist.Spread); err != nil {
-				s.Metrics().Counter("feedback_rejected_total").Inc()
-			} else {
-				s.Metrics().Counter("feedback_samples_total").Inc()
-			}
 		}
-	}
-
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.TotalMs += resp.OptimizationMs
-	if res.Degraded {
-		s.stats.Degraded++
-	}
-	if q.shed {
-		s.stats.Shed++
-	}
-	s.mu.Unlock()
-	s.record(resp, res)
-	outcome := "ok"
-	if q.shed {
-		outcome = "shed"
-		s.Metrics().Counter("shed_total").Inc()
-	}
-	exemplar := ""
-	if retained {
-		exemplar = traceIDOf(tr)
-	}
-	cacheDisp := ""
-	if useCache {
-		cacheDisp = "miss"
-	}
-	s.countServing(q.endpoint, outcome, cacheDisp, resp.OptimizationMs, exemplar)
-	if s.Logger != nil {
-		s.Logger.Info("optimize",
-			"requestId", q.id,
-			"status", http.StatusOK,
-			"ms", resp.OptimizationMs,
-			"modelVersion", resp.ModelVersion,
-			"degraded", res.Degraded,
-			"shed", q.shed,
-			"traced", tr != nil,
-			"predictedSec", res.Predicted)
-	}
-
-	out := &optimizeOut{resp: resp, cp: leaderCP}
-	if useCache {
-		out.cache = "miss"
-	}
-	return out
-}
-
-// cachedOut builds the response for a request unit served without its own
-// enumeration: from the plan cache (how = "hit"), from a collapsed
-// concurrent run (how = "collapsed"), from a duplicate batch member's run
-// (how = "dedup") or from a peer replica's cache over the fleet-shared
-// tier (how = "peer"). The cached canonical assignment is rematerialized
-// against this request's plan, so conversions and their cardinalities come
-// from the plan itself, byte-identical to the uncached path. Stats are zero
-// — no enumeration work happened. Returns ok=false when the cached plan
-// does not fit the request's plan (a cross-plan banding artifact); the
-// caller then runs the full optimization.
-func (s *Server) cachedOut(q *optimizeReq, cp *plancache.CachedPlan, canon *plancache.Canon, version string, tr *obs.Trace, how string) (*optimizeOut, bool) {
-	x, err := cp.Materialize(q.l, canon, s.Platforms)
-	if err != nil {
-		return nil, false
-	}
-	// A cache hit is a one-span trace: the lookup is the whole story — no
-	// vectorize/enumerate/prune spans, because none of that ran. The trace
-	// links the run that produced the cached plan (when that run was
-	// traced), so the enumeration spans are one /tracez?id= away.
-	sp := tr.StartSpan(q.parent, "cache")
-	sp.SetStr("result", how)
-	sp.SetStr("fingerprint", cp.Fingerprint.Short())
-	sp.SetStr("modelVersion", cp.ModelVersion)
-	sp.SetFloat("age_ms", float64(time.Since(cp.CachedAt).Microseconds())/1000)
-	sp.End()
-	if cp.TraceID != "" && cp.TraceID != traceIDOf(tr) {
-		linkReason := "cache-origin"
-		switch how {
-		case "collapsed":
-			linkReason = "singleflight-leader"
-		case "dedup":
-			linkReason = "batch-dedup-leader"
-		case "peer":
-			// The linked trace lives on the replica that enumerated the
-			// plan; /tracez on this replica will not resolve it, the
-			// origin's will.
-			linkReason = "peer-fill"
+		resp.StageMs = res.Stats.Timings.Milliseconds()
+		if q.wantTrace {
+			resp.Trace = res.Trace
 		}
-		tr.AddLink(cp.TraceID, linkReason)
+	} else {
+		cp := a.cp
+		resp.PredictedRuntimeSec, dist, resp.RiskLambda = cp.Predicted, cp.PredictedDist, cp.RiskLambda
+		resp.ServedModelVersion = cp.ModelVersion
+		resp.CachedAt = cp.CachedAt.UTC().Format(time.RFC3339Nano)
+		resp.StageMs = map[string]float64{}
 	}
-	retained := s.finishTrace(q, tr, "")
-
-	resp := OptimizeResponse{
-		RequestID:           q.id,
-		ModelVersion:        version,
-		ServedModelVersion:  cp.ModelVersion,
-		CachedAt:            cp.CachedAt.UTC().Format(time.RFC3339Nano),
-		PredictedRuntimeSec: cp.Predicted,
-		PredictedLoSec:      cp.PredictedDist.Lo,
-		PredictedHiSec:      cp.PredictedDist.Hi,
-		PredictedSpreadSec:  cp.PredictedDist.Spread,
-		RiskLambda:          cp.RiskLambda,
-		StageMs:             map[string]float64{},
-		OptimizationMs:      float64(time.Since(q.start).Microseconds()) / 1000,
-		TraceID:             traceIDOf(tr),
-	}
-	for _, p := range x.Assign {
-		resp.Assignments = append(resp.Assignments, p.String())
+	resp.PredictedLoSec, resp.PredictedHiSec, resp.PredictedSpreadSec = dist.Lo, dist.Hi, dist.Spread
+	for i, p := range x.Assign {
+		resp.Assignments[i] = p.String()
 	}
 	for _, conv := range x.Conversions {
 		resp.Conversions = append(resp.Conversions, ConversionJSON{
@@ -652,78 +506,93 @@ func (s *Server) cachedOut(q *optimizeReq, cp *plancache.CachedPlan, canon *plan
 		})
 	}
 	if q.simulate && s.Cluster != nil {
-		run := s.Cluster.Run(x)
-		resp.SimulatedRuntimeSec = run.Runtime
-		resp.SimulatedLabel = run.Label()
-		// Cache hits still contribute execution feedback: the cached plan
-		// vector pairs with this run's observed runtime.
-		if s.Feedback != nil && len(cp.VectorF) > 0 && !run.Failed() {
-			if err := s.Feedback.AddWithSpread(cp.VectorF, run.Runtime, cp.PredictedDist.Spread); err != nil {
-				s.Metrics().Counter("feedback_rejected_total").Inc()
+		r := s.Cluster.Run(x)
+		resp.SimulatedRuntimeSec, resp.SimulatedLabel = r.Runtime, r.Label()
+		run = &r
+	}
+	return resp, run
+}
+
+// account does the bookkeeping of one successful answer, whatever its
+// source: execution feedback, /statz, the metric registry, the SLO and the
+// log record.
+func (s *Server) account(q *optimizeReq, a answer, resp *OptimizeResponse, run *simulator.Result, retained bool) {
+	m := s.Metrics()
+	// Execution feedback: the chosen plan's vector paired with its observed
+	// runtime feeds the retraining loop — cached answers included, through
+	// the vector the cache kept — tagged with the model's predictive spread
+	// so retraining can prioritize the plans the model was least certain
+	// about. Failed runs carry no usable runtime label and are skipped.
+	if run != nil && s.Feedback != nil && !run.Failed() {
+		var vec []float64
+		if a.cp != nil {
+			vec = a.cp.VectorF
+		} else if a.res.Vector != nil {
+			vec = a.res.Vector.F
+		}
+		if len(vec) > 0 {
+			if err := s.Feedback.AddWithSpread(vec, run.Runtime, resp.PredictedSpreadSec); err != nil {
+				m.Counter("feedback_rejected_total").Inc()
 			} else {
-				s.Metrics().Counter("feedback_samples_total").Inc()
+				m.Counter("feedback_samples_total").Inc()
 			}
 		}
 	}
 
+	// Only an enumeration can be shed; a shed call answered from a cache
+	// tier got the full-quality plan.
+	shed := q.shed && a.res != nil
 	s.mu.Lock()
 	s.stats.Requests++
 	s.stats.TotalMs += resp.OptimizationMs
+	if resp.Degraded {
+		s.stats.Degraded++
+	}
+	if shed {
+		s.stats.Shed++
+	}
 	s.mu.Unlock()
-	m := s.Metrics()
+
 	m.Counter("requests_total").Inc()
-	m.Counter("model_requests_" + resp.ModelVersion).Inc()
 	m.CounterVec("serving_model_requests_total", "version").With(resp.ModelVersion).Inc()
 	m.Histogram("optimize_ms").Observe(resp.OptimizationMs)
+	if a.res != nil {
+		s.recordEnumeration(a.res, resp.StageMs)
+	}
+	outcome := "ok"
+	if shed {
+		outcome = "shed"
+		m.Counter("shed_total").Inc()
+	}
 	exemplar := ""
 	if retained {
-		exemplar = traceIDOf(tr)
+		exemplar = traceIDOf(q.tr)
 	}
-	if how == "peer" {
+	if a.src == srcPeer {
 		m.HistogramVec("peer_fill_ms", "outcome").With("hit").ObserveExemplar(q.peerMs, exemplar)
 	}
-	s.countServing(q.endpoint, "ok", how, resp.OptimizationMs, exemplar)
+	s.countServing(q.endpoint, outcome, a.src, resp.OptimizationMs, exemplar)
 	if s.Logger != nil {
 		s.Logger.Info("optimize",
 			"requestId", q.id,
 			"status", http.StatusOK,
 			"ms", resp.OptimizationMs,
 			"modelVersion", resp.ModelVersion,
-			"cache", how,
+			"cache", sources[a.src].label,
+			"degraded", resp.Degraded,
+			"shed", shed,
+			"traced", q.tr != nil,
 			"predictedSec", resp.PredictedRuntimeSec)
 	}
-	return &optimizeOut{resp: resp, cache: how, cp: cp}, true
 }
 
-// writeResponse writes a successful request unit's reply. An encoding
-// failure (usually a dropped connection) is a failed request, not just a
-// note: the plan was computed but the client will not see it.
-func (s *Server) writeResponse(w http.ResponseWriter, out *optimizeOut) {
-	if out.cache != "" {
-		w.Header().Set("X-Cache", out.cache)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out.resp); err != nil {
-		s.mu.Lock()
-		s.stats.Failures++
-		s.stats.LastError = err.Error()
-		s.mu.Unlock()
-		m := s.Metrics()
-		m.Counter("encode_failures_total").Inc()
-		m.Counter("failures_total").Inc()
-	}
-}
-
-// record feeds one successful optimization into the metric registry.
-func (s *Server) record(resp OptimizeResponse, res *core.Result) {
+// recordEnumeration feeds one enumeration's work counters into the metric
+// registry.
+func (s *Server) recordEnumeration(res *core.Result, stageMs map[string]float64) {
 	m := s.Metrics()
-	m.Counter("requests_total").Inc()
-	m.Counter("model_requests_" + resp.ModelVersion).Inc()
-	m.CounterVec("serving_model_requests_total", "version").With(resp.ModelVersion).Inc()
 	if res.Degraded {
 		m.Counter("degraded_total").Inc()
 	}
-	m.Histogram("optimize_ms").Observe(resp.OptimizationMs)
 	m.Histogram("vectors_created").Observe(float64(res.Stats.VectorsCreated))
 	m.Histogram("model_rows").Observe(float64(res.Stats.ModelRows))
 	if res.Stats.ModelBatches > 0 {
@@ -741,22 +610,26 @@ func (s *Server) record(resp OptimizeResponse, res *core.Result) {
 	if res.Stats.Par.MaxQueueDepth > 0 {
 		m.Histogram("pool_queue_depth").Observe(float64(res.Stats.Par.MaxQueueDepth))
 	}
-	for stage, ms := range res.Stats.Timings.Milliseconds() {
+	for stage, ms := range stageMs {
 		m.Histogram("stage_" + stage + "_ms").Observe(ms)
 	}
 }
 
-// logOptimize emits one structured record for a failed optimize request.
-// (The success path logs inline, where the full response is in scope.)
-func (s *Server) logOptimize(reqID string, status int, start time.Time, modelVersion string, degraded bool, err error) {
-	if s.Logger == nil {
-		return
+// writeResponse writes a successful request unit's reply. An encoding
+// failure (usually a dropped connection) is a failed request, not just a
+// note: the plan was computed but the client will not see it.
+func (s *Server) writeResponse(w http.ResponseWriter, out *optimizeOut) {
+	if xc := sources[out.src].xcache; xc != "" {
+		w.Header().Set("X-Cache", xc)
 	}
-	s.Logger.Error("optimize failed",
-		"requestId", reqID,
-		"status", status,
-		"ms", float64(time.Since(start).Microseconds())/1000,
-		"modelVersion", modelVersion,
-		"degraded", degraded,
-		"err", err.Error())
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(out.resp); err != nil {
+		s.mu.Lock()
+		s.stats.Failures++
+		s.stats.LastError = err.Error()
+		s.mu.Unlock()
+		m := s.Metrics()
+		m.Counter("encode_failures_total").Inc()
+		m.Counter("failures_total").Inc()
+	}
 }

@@ -44,13 +44,6 @@ func ClaimKey(fp plancache.Fingerprint, version, band string) string {
 	return k
 }
 
-// peerFillEnabled reports whether this request unit may consult the fleet
-// tier. The tier is skipped for shed requests (they never reach the
-// singleflight leader anyway) and for ?nopeer=1.
-func (s *Server) peerFillEnabled(q *optimizeReq) bool {
-	return s.PeerFill != nil && s.PlanCache != nil && !q.nopeer
-}
-
 // claimOrWait runs the fleet-singleflight protocol for one cold cache key.
 // It returns exactly one of:
 //
@@ -120,7 +113,7 @@ func (s *Server) claimOrWait(ctx context.Context, fp plancache.Fingerprint, vers
 				ticker.Stop()
 				return nil, nil
 			case <-ticker.C:
-				if s.PeerFill != nil && holder.Addr != "" {
+				if holder.Addr != "" {
 					cp, ferr := s.PeerFill.FetchFrom(wctx, holder.Addr, fp, version, band)
 					if ferr == nil && cp != nil {
 						ticker.Stop()

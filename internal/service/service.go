@@ -3,17 +3,25 @@
 // and the enumeration statistics. It is the embedding surface a
 // cross-platform system would call in place of its cost-based optimizer.
 //
-// # Request path layering
+// # Request path
 //
-// The serving path is built from four explicit layers, each in its own file:
+// Both optimize endpoints share one prelude (optimize.go: method, query
+// parameters, body limit, deadline context, traceparent) that ends in the
+// admission layer (admission.go: bounded queue, 429 + Retry-After when full,
+// deadline-aware dequeue, pressure-triggered load shedding to the degraded
+// beam). Every plan — a single request or a batch member — then takes the
+// one answer path:
 //
-//	admission   (admission.go) — bounded queue, 429 + Retry-After when
-//	            full, deadline-aware dequeue, pressure-triggered load
-//	            shedding to the degraded beam
-//	cache       (optimize.go)  — canonical-fingerprint plan cache lookup
-//	singleflight (optimize.go) — concurrent identical requests collapse
-//	            into one enumeration
-//	optimize    (optimize.go)  — the full vector-algebra enumeration
+//	resolve  (resolve.go)  — walk one ordered list of tiers: local plan
+//	         cache → batch dedup → peer probe → fleet claim → enumerate and
+//	         publish; the last three run under an in-process singleflight
+//	         that collapses concurrent identical requests into one walk
+//	respond  (optimize.go) — build the reply from the fresh result or the
+//	         rematerialized cached plan
+//	account  (optimize.go) — execution feedback, /statz, metrics, SLO, log
+//
+// One table in resolve.go maps the source that answered to its X-Cache
+// value, trace-link reason and serving_requests_total cache label.
 //
 // lifecycle.go holds the probe endpoints (/healthz, /readyz, /statz,
 // /metricz) and the store watcher that converges a replica fleet onto the
@@ -94,8 +102,6 @@
 //     pruning across risk-aware (risk_lambda > 0) requests
 //   - pool_rounds_total / pool_tasks_total / pool_steals_total — the
 //     parallel-enumeration scheduler across requests
-//   - model_requests_<version> — optimize requests scored by each model
-//     version (the hot-swap audit trail)
 //   - model_swaps_total — models hot-swapped in via reload/promote/retrain
 //     or the store watcher
 //   - store_watch_swaps_total — hot-swaps triggered by the store watcher
@@ -142,7 +148,7 @@
 // exposition): serving_requests_total{endpoint,outcome,cache},
 // serving_latency_ms{endpoint} (whose exposition buckets carry
 // trace-exemplar annotations for retained traces) and
-// serving_model_requests_total{version}.
+// serving_model_requests_total{version} (the hot-swap audit trail).
 //
 // Servers with a configured SLO additionally expose the slo_objective_ms,
 // slo_target and slo_breached gauges plus one slo_burn_rate_<window> gauge
@@ -228,9 +234,9 @@ type Server struct {
 	// (the request still inherits the connection's context).
 	DefaultDeadline time.Duration
 	// Budget is the per-request enumeration budget. If a deadline applies
-	// and Budget.SoftDeadline is zero, the soft deadline is set to 80% of
-	// it so requests degrade gracefully before the hard deadline kills
-	// them.
+	// and Budget.SoftDeadline is zero, each enumeration's soft deadline is
+	// set to 80% of the time the request has left when it starts, so
+	// requests degrade gracefully before the hard deadline kills them.
 	Budget core.Budget
 	// MaxBodyBytes caps the request body size; oversized plans are
 	// rejected with 413 before parsing. Zero means DefaultMaxBodyBytes.
@@ -259,7 +265,8 @@ type Server struct {
 	// collapses concurrent identical requests into one run. Entries are
 	// keyed (fingerprint, modelVersion); every hot-swap through swapIn
 	// flash-invalidates stale versions. Responses gain an X-Cache header
-	// (hit, miss or collapsed) and the cachedAt/servedModelVersion fields;
+	// naming the source that answered and the cachedAt/servedModelVersion
+	// fields;
 	// ?nocache=1 bypasses the cache for one request. GET /cachez inspects
 	// it and POST /cachez/purge empties it (see cachez.go).
 	PlanCache *plancache.Cache

@@ -137,7 +137,7 @@ curl -sf "$BASE/metricz" > "$WORK/metricz.json"
   || die "model_swaps_total not incremented"
 [ "$(jget "$WORK/metricz.json" "d['counters']['feedback_samples_total'] >= 1")" = "True" ] \
   || die "feedback_samples_total not incremented"
-[ "$(jget "$WORK/metricz.json" "d['counters'].get('model_requests_v1', 0) >= 1 and d['counters'].get('model_requests_v2', 0) >= 1")" = "True" ] \
+[ "$(jget "$WORK/metricz.json" "all(d['counters'].get('serving_model_requests_total{version=\"%s\"}' % v, 0) >= 1 for v in ('v1', 'v2'))")" = "True" ] \
   || die "per-version request counters missing"
 [ "$(jget "$WORK/metricz.json" "d['counters']['plan_cache_hits_total'] >= 1")" = "True" ] \
   || die "plan_cache_hits_total not incremented"
