@@ -2,6 +2,7 @@ package mlmodel
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/vecops"
 )
@@ -17,9 +18,10 @@ type Matrix = vecops.Matrix
 // optimizer's determinism contract compares batched and scalar runs bit for
 // bit. len(out) must be at least X.Rows. Implementations must be safe for
 // concurrent PredictBatch calls (the enumeration chunks one matrix across
-// workers), so per-call scratch lives on the stack or is freshly allocated.
+// workers), so per-call scratch lives on the stack or comes from scratchPool.
 //
-// Every model family in this package implements BatchModel natively; the
+// Every model family in this package implements BatchModel natively — Tree,
+// Forest and GBM through the one flat-forest kernel (flat.go) — and the
 // Batcher adapter lifts third-party scalar models.
 type BatchModel interface {
 	Model
@@ -41,96 +43,6 @@ type scalarBatch struct{ Model }
 func (b scalarBatch) PredictBatch(X *Matrix, out []float64) {
 	for i := 0; i < X.Rows; i++ {
 		out[i] = b.Predict(X.Row(i))
-	}
-}
-
-// PredictBatch walks all rows through the tree level-synchronously: each
-// round advances every still-internal row one level and compacts the active
-// set, so node metadata loaded once serves many rows and finished rows stop
-// costing anything. Identical comparisons to the scalar walk, hence
-// identical results.
-func (t *Tree) PredictBatch(X *Matrix, out []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	t.predictBatchInto(X, out, make([]int32, n), make([]int32, n))
-}
-
-// predictBatchInto is PredictBatch with caller-provided scratch (idx holds
-// the per-row current node, act the active row list; both of length X.Rows)
-// so tree ensembles reuse one scratch pair across all their trees.
-func (t *Tree) predictBatchInto(X *Matrix, out []float64, idx, act []int32) {
-	n := X.Rows
-	for i := 0; i < n; i++ {
-		idx[i] = 0
-		act[i] = int32(i)
-	}
-	live := n
-	for live > 0 {
-		w := 0
-		for k := 0; k < live; k++ {
-			r := act[k]
-			nd := &t.nodes[idx[r]]
-			if nd.feature < 0 {
-				out[r] = nd.value
-				continue
-			}
-			if X.Data[int(r)*X.Cols+int(nd.feature)] <= nd.threshold {
-				idx[r] = nd.left
-			} else {
-				idx[r] = nd.right
-			}
-			act[w] = r
-			w++
-		}
-		live = w
-	}
-}
-
-// PredictBatch accumulates the trees' batched estimates in tree order and
-// scales by 1/len(trees) — the same operations, in the same order, as the
-// scalar Predict, so results are bit-identical.
-func (f *Forest) PredictBatch(X *Matrix, out []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		out[i] = 0
-	}
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for _, t := range f.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			out[i] += tmp[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		out[i] *= f.inv
-	}
-}
-
-// PredictBatch applies the boosting rounds in order, adding lr·tree(x) per
-// round exactly like the scalar Predict.
-func (g *GBM) PredictBatch(X *Matrix, out []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		out[i] = g.base
-	}
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for _, t := range g.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			out[i] += g.lr * tmp[i]
-		}
 	}
 }
 
@@ -172,29 +84,11 @@ func (m *MLP) PredictBatch(X *Matrix, out []float64) {
 
 // PredictBatch averages the members' batched predictions in member order,
 // matching the scalar Predict's accumulation exactly.
-func (e Ensemble) PredictBatch(X *Matrix, out []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		out[i] = 0
-	}
-	if len(e.Models) == 0 {
-		return
-	}
-	tmp := make([]float64, n)
-	for _, m := range e.Models {
-		Batcher(m).PredictBatch(X, tmp)
-		for i := 0; i < n; i++ {
-			out[i] += tmp[i]
-		}
-	}
-	div := float64(len(e.Models))
-	for i := 0; i < n; i++ {
-		out[i] /= div
-	}
-}
+func (e Ensemble) PredictBatch(X *Matrix, out []float64) { e.predict(X, out, nil, nil, nil) }
+
+// scratchPool recycles Ensemble's per-call member buffer, the one batch
+// scratch that crosses an interface call and so cannot live on the stack.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
 
 // PredictBatch exponentiates the inner model's batched estimates with the
 // same expm1-and-clamp as the scalar Predict.

@@ -7,9 +7,9 @@ import "math"
 // distribution. The mean is ALWAYS bit-identical to the scalar/batch point
 // path — the optimizer's determinism and λ=0 parity contracts compare them
 // bit for bit — so each family's PredictBatchDist replays the exact
-// accumulation order of its PredictBatch and derives the uncertainty
-// summary from intermediate quantities that were computed anyway (or nearly
-// so):
+// accumulation order of its PredictBatch (the tree families run the same
+// kernel pass for both, flat.go) and derives the uncertainty summary from
+// intermediate quantities that were computed anyway (or nearly so):
 //
 //   - Forest:   spread = population std of the per-tree predictions
 //               (bagging disagreement); lo/hi = mean ∓ z·spread.
@@ -33,18 +33,12 @@ import "math"
 // zInterval is the standard-normal quantile for the central 90% interval.
 const zInterval = 1.645
 
-// DistModel is a Model that also reports the uncertainty of a single
-// prediction. mean is bit-identical to Predict(x).
-type DistModel interface {
-	Model
-	PredictDist(x []float64) (mean, spread, lo, hi float64)
-}
-
-// BatchDistModel is the batched counterpart of DistModel: it fills the four
-// parallel output slices for every row of X. mean[i] must be bit-identical
-// to PredictBatch's out[i]; spread is nonnegative and lo ≤ mean ≤ hi holds
-// row-wise. len of each slice must be at least X.Rows. Implementations must
-// be safe for concurrent calls, like PredictBatch.
+// BatchDistModel is a Model that also reports the uncertainty of its
+// predictions: it fills the four parallel output slices for every row of X.
+// mean[i] must be bit-identical to PredictBatch's out[i]; spread is
+// nonnegative and lo ≤ mean ≤ hi holds row-wise. len of each slice must be
+// at least X.Rows. Implementations must be safe for concurrent calls, like
+// PredictBatch.
 type BatchDistModel interface {
 	Model
 	PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64)
@@ -73,14 +67,6 @@ func (p pointDist) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	}
 }
 
-// distOne evaluates a batch-dist model on a single row.
-func distOne(m BatchDistModel, x []float64) (mean, spread, lo, hi float64) {
-	X := Matrix{Data: x, Rows: 1, Cols: len(x)}
-	var mv, sv, lv, hv [1]float64
-	m.PredictBatchDist(&X, mv[:], sv[:], lv[:], hv[:])
-	return mv[0], sv[0], lv[0], hv[0]
-}
-
 // zBounds fills lo/hi with the symmetric z-interval around mean.
 func zBounds(n int, mean, spread, lo, hi []float64) {
 	for i := 0; i < n; i++ {
@@ -88,157 +74,6 @@ func zBounds(n int, mean, spread, lo, hi []float64) {
 		lo[i] = mean[i] - d
 		hi[i] = mean[i] + d
 	}
-}
-
-// PredictDist returns the tree's leaf mean and the training-target std of
-// that leaf.
-func (t *Tree) PredictDist(x []float64) (mean, spread, lo, hi float64) {
-	return distOne(t, x)
-}
-
-// PredictBatchDist walks the rows level-synchronously exactly like
-// PredictBatch (identical comparisons, identical means) and additionally
-// reports each row's leaf spread.
-func (t *Tree) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for i := 0; i < n; i++ {
-		idx[i] = 0
-		act[i] = int32(i)
-	}
-	live := n
-	for live > 0 {
-		w := 0
-		for k := 0; k < live; k++ {
-			r := act[k]
-			nd := &t.nodes[idx[r]]
-			if nd.feature < 0 {
-				mean[r] = nd.value
-				spread[r] = nd.spread
-				continue
-			}
-			if X.Data[int(r)*X.Cols+int(nd.feature)] <= nd.threshold {
-				idx[r] = nd.left
-			} else {
-				idx[r] = nd.right
-			}
-			act[w] = r
-			w++
-		}
-		live = w
-	}
-	zBounds(n, mean, spread, lo, hi)
-}
-
-// PredictDist returns the forest mean and the per-tree disagreement.
-func (f *Forest) PredictDist(x []float64) (mean, spread, lo, hi float64) {
-	return distOne(f, x)
-}
-
-// PredictBatchDist accumulates the trees' batched estimates in tree order —
-// the same operations, in the same order, as PredictBatch, so means are
-// bit-identical — and tracks the sum of squares to derive the per-row
-// population std of the tree predictions.
-func (f *Forest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		mean[i] = 0
-		spread[i] = 0 // reused as the Σtmp² accumulator until the final pass
-	}
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for _, t := range f.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			mean[i] += tmp[i]
-			spread[i] += tmp[i] * tmp[i]
-		}
-	}
-	for i := 0; i < n; i++ {
-		mean[i] *= f.inv
-		v := spread[i]*f.inv - mean[i]*mean[i]
-		if v < 0 {
-			v = 0
-		}
-		spread[i] = math.Sqrt(v)
-	}
-	zBounds(n, mean, spread, lo, hi)
-}
-
-// gbmTailWindow is the number of trailing boosting rounds whose partial sums
-// form the GBM's virtual ensemble.
-const gbmTailWindow = 16
-
-// PredictDist returns the boosted mean and the convergence noise of the
-// final boosting rounds.
-func (g *GBM) PredictDist(x []float64) (mean, spread, lo, hi float64) {
-	return distOne(g, x)
-}
-
-// PredictBatchDist applies the boosting rounds in order exactly like
-// PredictBatch (bit-identical means) and snapshots the partial boosted sum
-// after each of the last gbmTailWindow rounds; the population std of those
-// partials is the spread. A model still moving in its final rounds is
-// uncertain; one that has flattened out is confident.
-func (g *GBM) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	n := X.Rows
-	if n == 0 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		mean[i] = g.base
-	}
-	nt := len(g.trees)
-	k := nt
-	if k > gbmTailWindow {
-		k = gbmTailWindow
-	}
-	hist := make([]float64, k*n)
-	tmp := make([]float64, n)
-	idx := make([]int32, n)
-	act := make([]int32, n)
-	for ti, t := range g.trees {
-		t.predictBatchInto(X, tmp, idx, act)
-		for i := 0; i < n; i++ {
-			mean[i] += g.lr * tmp[i]
-		}
-		if ti >= nt-k {
-			copy(hist[(ti-(nt-k))*n:(ti-(nt-k))*n+n], mean[:n])
-		}
-	}
-	for i := 0; i < n; i++ {
-		var s, sq float64
-		for w := 0; w < k; w++ {
-			v := hist[w*n+i]
-			s += v
-			sq += v * v
-		}
-		if k > 0 {
-			mu := s / float64(k)
-			v := sq/float64(k) - mu*mu
-			if v < 0 {
-				v = 0
-			}
-			spread[i] = math.Sqrt(v)
-		} else {
-			spread[i] = 0
-		}
-	}
-	zBounds(n, mean, spread, lo, hi)
-}
-
-// PredictDist returns the linear estimate with the model's homoscedastic
-// training-residual spread.
-func (l *Linear) PredictDist(x []float64) (mean, spread, lo, hi float64) {
-	return distOne(l, x)
 }
 
 // PredictBatchDist is PredictBatch plus the constant residual spread.
@@ -251,12 +86,6 @@ func (l *Linear) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	zBounds(n, mean, spread, lo, hi)
 }
 
-// PredictDist returns the network estimate with the model's homoscedastic
-// training-residual spread.
-func (m *MLP) PredictDist(x []float64) (mean, spread, lo, hi float64) {
-	return distOne(m, x)
-}
-
 // PredictBatchDist is PredictBatch plus the constant residual spread.
 func (m *MLP) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	n := X.Rows
@@ -267,62 +96,61 @@ func (m *MLP) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	zBounds(n, mean, spread, lo, hi)
 }
 
-// PredictDist returns the ensemble mean with the members' disagreement.
-func (e Ensemble) PredictDist(x []float64) (mean, spread, lo, hi float64) {
-	return distOne(e, x)
+// PredictBatchDist is PredictBatch plus the population std of the member
+// predictions as the spread, with the member min/max as the interval.
+func (e Ensemble) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+	e.predict(X, mean, spread, lo, hi)
 }
 
-// PredictBatchDist averages the members' batched point predictions in member
-// order — the same accumulation as PredictBatch, so means are bit-identical —
-// and reports the population std of the member predictions as the spread
-// with the member min/max as the interval.
-func (e Ensemble) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+// predict averages the members' batched predictions in member order and,
+// unless spread is nil, folds their disagreement in the same pass — one
+// accumulation for both entry points, so their means are bit-identical.
+func (e Ensemble) predict(X *Matrix, mean, spread, lo, hi []float64) {
 	n := X.Rows
-	if n == 0 {
-		return
-	}
 	for i := 0; i < n; i++ {
 		mean[i] = 0
-		spread[i] = 0
-		lo[i] = math.Inf(1)
-		hi[i] = math.Inf(-1)
 	}
-	if len(e.Models) == 0 {
-		for i := 0; i < n; i++ {
-			lo[i] = 0
-			hi[i] = 0
+	if spread != nil {
+		lo0, hi0 := math.Inf(1), math.Inf(-1) // folded down to the member min/max
+		if len(e.Models) == 0 {
+			lo0, hi0 = 0, 0
 		}
+		for i := 0; i < n; i++ {
+			spread[i], lo[i], hi[i] = 0, lo0, hi0
+		}
+	}
+	if n == 0 || len(e.Models) == 0 {
 		return
 	}
-	tmp := make([]float64, n)
+	buf := scratchPool.Get().(*[]float64)
+	defer scratchPool.Put(buf)
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	tmp := (*buf)[:n]
 	for _, m := range e.Models {
 		Batcher(m).PredictBatch(X, tmp)
-		for i := 0; i < n; i++ {
-			mean[i] += tmp[i]
-			spread[i] += tmp[i] * tmp[i]
-			if tmp[i] < lo[i] {
-				lo[i] = tmp[i]
+		for i, p := range tmp {
+			mean[i] += p
+			if spread == nil {
+				continue
 			}
-			if tmp[i] > hi[i] {
-				hi[i] = tmp[i]
+			spread[i] += p * p
+			if p < lo[i] {
+				lo[i] = p
+			}
+			if p > hi[i] {
+				hi[i] = p
 			}
 		}
 	}
 	div := float64(len(e.Models))
 	for i := 0; i < n; i++ {
 		mean[i] /= div
-		v := spread[i]/div - mean[i]*mean[i]
-		if v < 0 {
-			v = 0
+		if spread != nil {
+			spread[i] = stdFromSums(mean[i], spread[i]/div)
 		}
-		spread[i] = math.Sqrt(v)
 	}
-}
-
-// PredictDist returns the exponentiated estimate with the inner interval
-// pushed through the transform.
-func (m LogTarget) PredictDist(x []float64) (mean, spread, lo, hi float64) {
-	return distOne(m, x)
 }
 
 // PredictBatchDist exponentiates the inner model's distributional estimates.

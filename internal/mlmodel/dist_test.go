@@ -87,38 +87,6 @@ func TestDistMeanBitParity(t *testing.T) {
 	}
 }
 
-// TestDistScalarBatchAgree pins PredictDist (the scalar path) to a batch of
-// one: same mean, spread and bounds.
-func TestDistScalarBatchAgree(t *testing.T) {
-	const nf = 8
-	rng := rand.New(rand.NewSource(7))
-	for _, fam := range distFamilies(t, nf) {
-		sm, ok := fam.m.(mlmodel.DistModel)
-		if !ok {
-			t.Errorf("%s does not implement DistModel", fam.name)
-			continue
-		}
-		dm := fam.m.(mlmodel.BatchDistModel)
-		for trial := 0; trial < 10; trial++ {
-			x := make([]float64, nf)
-			for i := range x {
-				x[i] = rng.Float64() * 10
-			}
-			m1, s1, l1, h1 := sm.PredictDist(x)
-			X := vecops.Matrix{Data: x, Rows: 1, Cols: nf}
-			var m2, s2, l2, h2 [1]float64
-			dm.PredictBatchDist(&X, m2[:], s2[:], l2[:], h2[:])
-			if m1 != m2[0] || s1 != s2[0] || l1 != l2[0] || h1 != h2[0] {
-				t.Fatalf("%s: PredictDist (%v %v %v %v) != batch of one (%v %v %v %v)",
-					fam.name, m1, s1, l1, h1, m2[0], s2[0], l2[0], h2[0])
-			}
-			if m1 != fam.m.Predict(x) {
-				t.Fatalf("%s: PredictDist mean %v != Predict %v", fam.name, m1, fam.m.Predict(x))
-			}
-		}
-	}
-}
-
 // TestDistPersistRoundTrip checks the uncertainty state survives the
 // persistence envelope: per-leaf spreads (tree families) and residual stds
 // (Linear, MLP) round-trip exactly, so a reloaded artifact reports the same

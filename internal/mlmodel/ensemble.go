@@ -58,5 +58,5 @@ func ensembleFromEnvelope(payload []byte) (Model, error) {
 		}
 		e.Models = append(e.Models, m)
 	}
-	return e, nil
+	return e, e.checkWidths()
 }

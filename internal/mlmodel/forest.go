@@ -37,23 +37,18 @@ func (c ForestConfig) withDefaults(numFeatures int) ForestConfig {
 
 // Forest is a bagged ensemble of CART regression trees — the model the
 // paper found most robust for runtime prediction. Prediction is the mean of
-// the trees' estimates.
-type Forest struct {
-	trees []*Tree
-	inv   float64 // 1/len(trees), precomputed for the hot Predict path
-}
+// the trees' estimates (summed in tree order, then scaled by 1/trees); the
+// predictive spread is the trees' disagreement.
+type Forest struct{ flatForest }
 
-// Predict returns the forest's runtime estimate for feature vector x.
-func (f *Forest) Predict(x []float64) float64 {
-	s := 0.0
-	for _, t := range f.trees {
-		s += t.Predict(x)
+// newForest joins fitted trees, in order, into one forest.
+func newForest(trees []*Tree) *Forest {
+	f := &Forest{flatForest{kind: bagged, scale: 1 / float64(len(trees))}}
+	for _, t := range trees {
+		f.graft(&t.flatForest)
 	}
-	return s * f.inv
+	return f
 }
-
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
 
 // FitForest trains a random forest on d: each tree sees a bootstrap sample
 // of the rows and a random MaxFeatures-subset of features per split.
@@ -67,7 +62,7 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 		return nil, fmt.Errorf("mlmodel: cannot fit a forest on an empty dataset")
 	}
 	cfg = cfg.withDefaults(d.NumFeatures())
-	f := &Forest{trees: make([]*Tree, cfg.Trees), inv: 1 / float64(cfg.Trees)}
+	trees := make([]*Tree, cfg.Trees)
 
 	fitOne := func(i int) error {
 		rng := newRng(cfg.Seed + int64(i)*7919)
@@ -86,7 +81,7 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 		if err != nil {
 			return err
 		}
-		f.trees[i] = t
+		trees[i] = t
 		return nil
 	}
 
@@ -96,7 +91,7 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 				return nil, err
 			}
 		}
-		return f, nil
+		return newForest(trees), nil
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -132,7 +127,7 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 	if ferr != nil {
 		return nil, ferr
 	}
-	return f, nil
+	return newForest(trees), nil
 }
 
 // ForestTrainer adapts FitForest to the Trainer interface.

@@ -54,24 +54,11 @@ func (c GBMConfig) withDefaults() GBMConfig {
 // wide leaves, which plan *ranking* cannot tolerate. Split finding uses
 // quantile histograms (the LightGBM approach): features are quantized to at
 // most MaxBins bins once per fit, making a split scan O(rows + bins) per
-// feature instead of O(rows log rows).
-type GBM struct {
-	base  float64
-	lr    float64
-	trees []*Tree
-}
-
-// Predict returns the boosted estimate for x.
-func (g *GBM) Predict(x []float64) float64 {
-	s := g.base
-	for _, t := range g.trees {
-		s += g.lr * t.Predict(x)
-	}
-	return s
-}
-
-// NumTrees returns the number of boosting rounds fitted.
-func (g *GBM) NumTrees() int { return len(g.trees) }
+// feature instead of O(rows log rows). The estimate is the training mean
+// plus lr·tree(x) round by round; the predictive spread is the std of the
+// last gbmTailWindow partial sums — a model still moving in its final rounds
+// is uncertain, one that has flattened out is confident.
+type GBM struct{ flatForest }
 
 // binner quantizes features to histogram bins via per-feature quantile cut
 // points. bin b covers values in (edges[b-1], edges[b]]; values above the
@@ -166,13 +153,12 @@ type histBuilder struct {
 }
 
 // build grows the subtree over rows and returns its node index in t.
-func (hb *histBuilder) build(t *Tree, rows []int32, depth int) int32 {
-	node := int32(len(t.nodes))
+func (hb *histBuilder) build(t *flatForest, rows []int32, depth int) int32 {
 	sum := 0.0
 	for _, r := range rows {
 		sum += hb.resid[r]
 	}
-	t.nodes = append(t.nodes, treeNode{feature: -1, value: sum / float64(len(rows))})
+	node := t.leaf(sum / float64(len(rows)))
 	if depth >= hb.cfg.MaxDepth || len(rows) < 2*hb.cfg.MinLeaf {
 		return node
 	}
@@ -194,10 +180,7 @@ func (hb *histBuilder) build(t *Tree, rows []int32, depth int) int32 {
 	}
 	l := hb.build(t, left, depth+1)
 	r := hb.build(t, right, depth+1)
-	t.nodes[node].feature = int32(feat)
-	t.nodes[node].threshold = hb.bins.edges[feat][bin]
-	t.nodes[node].left = l
-	t.nodes[node].right = r
+	t.split(node, int32(feat), hb.bins.edges[feat][bin], l, r)
 	return node
 }
 
@@ -309,7 +292,7 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 	cfg = cfg.withDefaults()
 	n := d.Len()
 
-	g := &GBM{lr: cfg.LR}
+	g := &GBM{flatForest{kind: boosted, scale: cfg.LR}}
 	for _, y := range d.Y {
 		g.base += y
 	}
@@ -352,17 +335,18 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 				rows = append(rows, int32(rng.intn(n)))
 			}
 		}
-		t := &Tree{}
-		hb.build(t, rows, 0)
-		g.trees = append(g.trees, t)
-		if t.NumNodes() == 1 && math.Abs(t.nodes[0].value) < 1e-15 {
+		first := hb.build(&g.flatForest, rows, 0)
+		if err := g.endTree(first); err != nil {
+			return nil, err
+		}
+		if g.NumNodes() == int(first)+1 && math.Abs(g.value[first]) < 1e-15 {
 			// Residuals are exhausted; further rounds are no-ops.
 			break
 		}
 		// Update running predictions on every training row (not only the
 		// sampled ones) so the next round's residuals stay exact.
 		for i := 0; i < n; i++ {
-			pred[i] += cfg.LR * t.Predict(d.X[i])
+			pred[i] += cfg.LR * g.value[g.leafOf(round, d.X[i])]
 		}
 	}
 	return g, nil

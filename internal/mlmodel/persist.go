@@ -31,56 +31,86 @@ type treeJSON struct {
 	Spread []float64 `json:"spread,omitempty"`
 }
 
-func treeToJSON(t *Tree) treeJSON {
-	tj := treeJSON{
-		Feature:   make([]int32, len(t.nodes)),
-		Threshold: make([]float64, len(t.nodes)),
-		Left:      make([]int32, len(t.nodes)),
-		Right:     make([]int32, len(t.nodes)),
-		Value:     make([]float64, len(t.nodes)),
-		Spread:    make([]float64, len(t.nodes)),
+// treeJSON returns tree t in the artifact's per-tree layout: node indices
+// relative to the tree, a leaf as feature -1 with zero children.
+func (f *flatForest) treeJSON(t int) treeJSON {
+	lo, hi := f.root[t], int32(len(f.value))
+	if t+1 < len(f.root) {
+		hi = f.root[t+1]
 	}
-	for i, n := range t.nodes {
-		tj.Feature[i] = n.feature
-		tj.Threshold[i] = n.threshold
-		tj.Left[i] = n.left
-		tj.Right[i] = n.right
-		tj.Value[i] = n.value
-		tj.Spread[i] = n.spread
+	n := hi - lo
+	tj := treeJSON{
+		Feature:   make([]int32, n),
+		Threshold: make([]float64, n),
+		Left:      make([]int32, n),
+		Right:     make([]int32, n),
+		Value:     make([]float64, n),
+		Spread:    make([]float64, n),
+	}
+	for i := lo; i < hi; i++ {
+		j := i - lo
+		tj.Threshold[j] = f.thr[i]
+		tj.Value[j] = f.value[i]
+		tj.Spread[j] = f.spreadAt(i)
+		if f.kids[2*i] == i {
+			tj.Feature[j] = -1
+			continue
+		}
+		tj.Feature[j] = f.feat[i]
+		tj.Left[j] = f.kids[2*i] - lo
+		tj.Right[j] = f.kids[2*i+1] - lo
 	}
 	return tj
 }
 
-func treeFromJSON(tj treeJSON) (*Tree, error) {
+// treesJSON returns every tree of f, in order.
+func (f *flatForest) treesJSON() []treeJSON {
+	var out []treeJSON
+	for t := range f.depth {
+		out = append(out, f.treeJSON(t))
+	}
+	return out
+}
+
+// addTree appends the tree tj describes, straight into the flat slices. An
+// artifact is untrusted: a split whose child does not come after it inside
+// the tree could loop a walk forever, so it is refused here, at load.
+func (f *flatForest) addTree(tj treeJSON) error {
 	n := len(tj.Feature)
 	if len(tj.Threshold) != n || len(tj.Left) != n || len(tj.Right) != n || len(tj.Value) != n {
-		return nil, fmt.Errorf("mlmodel: inconsistent tree arrays")
+		return fmt.Errorf("mlmodel: inconsistent tree arrays")
 	}
 	if len(tj.Spread) != 0 && len(tj.Spread) != n {
-		return nil, fmt.Errorf("mlmodel: inconsistent tree spread array")
+		return fmt.Errorf("mlmodel: inconsistent tree spread array")
 	}
 	if n == 0 {
-		return nil, fmt.Errorf("mlmodel: empty tree")
+		return fmt.Errorf("mlmodel: empty tree")
 	}
-	t := &Tree{nodes: make([]treeNode, n)}
+	off := int32(len(f.value))
+	f.appendSpread(tj.Spread)
 	for i := 0; i < n; i++ {
-		if tj.Feature[i] >= 0 {
-			if tj.Left[i] <= 0 || int(tj.Left[i]) >= n || tj.Right[i] <= 0 || int(tj.Right[i]) >= n {
-				return nil, fmt.Errorf("mlmodel: tree node %d has out-of-range children", i)
-			}
+		at := f.leaf(tj.Value[i])
+		f.thr[at] = tj.Threshold[i]
+		if tj.Feature[i] < 0 {
+			continue
 		}
-		t.nodes[i] = treeNode{
-			feature:   tj.Feature[i],
-			threshold: tj.Threshold[i],
-			left:      tj.Left[i],
-			right:     tj.Right[i],
-			value:     tj.Value[i],
+		l, r := tj.Left[i], tj.Right[i]
+		if int(l) <= i || int(l) >= n || int(r) <= i || int(r) >= n {
+			return fmt.Errorf("mlmodel: tree node %d has out-of-range children (they must follow it)", i)
 		}
-		if len(tj.Spread) == n {
-			t.nodes[i].spread = tj.Spread[i]
+		f.split(at, tj.Feature[i], tj.Threshold[i], off+l, off+r)
+	}
+	return f.endTree(off)
+}
+
+// addTrees appends every tree of tjs, in order.
+func (f *flatForest) addTrees(tjs []treeJSON) error {
+	for _, tj := range tjs {
+		if err := f.addTree(tj); err != nil {
+			return err
 		}
 	}
-	return t, nil
+	return nil
 }
 
 type gbmJSON struct {
@@ -168,17 +198,9 @@ func envelope(m Model) (*modelEnvelope, error) {
 	}
 	switch mm := m.(type) {
 	case *GBM:
-		gj := gbmJSON{Base: mm.base, LR: mm.lr}
-		for _, t := range mm.trees {
-			gj.Trees = append(gj.Trees, treeToJSON(t))
-		}
-		return marshal("gbm", gj)
+		return marshal("gbm", gbmJSON{Base: mm.base, LR: mm.scale, Trees: mm.treesJSON()})
 	case *Forest:
-		fj := forestJSON{}
-		for _, t := range mm.trees {
-			fj.Trees = append(fj.Trees, treeToJSON(t))
-		}
-		return marshal("forest", fj)
+		return marshal("forest", forestJSON{Trees: mm.treesJSON()})
 	case *Linear:
 		return marshal("linear", linearJSON{Weights: mm.Weights, Intercept: mm.Intercept, ResidStd: mm.ResidStd})
 	case *MLP:
@@ -188,7 +210,7 @@ func envelope(m Model) (*modelEnvelope, error) {
 			ResidStd: mm.residStd,
 		})
 	case *Tree:
-		return marshal("tree", treeToJSON(mm))
+		return marshal("tree", mm.treeJSON(0))
 	case LogTarget:
 		inner, err := envelope(mm.Inner)
 		if err != nil {
@@ -213,7 +235,11 @@ func LoadModel(r io.Reader) (Model, error) {
 	if err := dec.Decode(&env); err != nil {
 		return nil, fmt.Errorf("mlmodel: decoding model: %w", err)
 	}
-	return fromEnvelope(&env)
+	m, err := fromEnvelope(&env)
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 func fromEnvelope(env *modelEnvelope) (Model, error) {
@@ -223,15 +249,8 @@ func fromEnvelope(env *modelEnvelope) (Model, error) {
 		if err := json.Unmarshal(env.Payload, &gj); err != nil {
 			return nil, err
 		}
-		g := &GBM{base: gj.Base, lr: gj.LR}
-		for _, tj := range gj.Trees {
-			t, err := treeFromJSON(tj)
-			if err != nil {
-				return nil, err
-			}
-			g.trees = append(g.trees, t)
-		}
-		return g, nil
+		g := &GBM{flatForest{kind: boosted, base: gj.Base, scale: gj.LR}}
+		return g, g.addTrees(gj.Trees)
 	case "forest":
 		var fj forestJSON
 		if err := json.Unmarshal(env.Payload, &fj); err != nil {
@@ -240,15 +259,8 @@ func fromEnvelope(env *modelEnvelope) (Model, error) {
 		if len(fj.Trees) == 0 {
 			return nil, fmt.Errorf("mlmodel: forest with no trees")
 		}
-		f := &Forest{inv: 1 / float64(len(fj.Trees))}
-		for _, tj := range fj.Trees {
-			t, err := treeFromJSON(tj)
-			if err != nil {
-				return nil, err
-			}
-			f.trees = append(f.trees, t)
-		}
-		return f, nil
+		f := &Forest{flatForest{kind: bagged, scale: 1 / float64(len(fj.Trees))}}
+		return f, f.addTrees(fj.Trees)
 	case "linear":
 		var lj linearJSON
 		if err := json.Unmarshal(env.Payload, &lj); err != nil {
@@ -266,7 +278,8 @@ func fromEnvelope(env *modelEnvelope) (Model, error) {
 		if err := json.Unmarshal(env.Payload, &tj); err != nil {
 			return nil, err
 		}
-		return treeFromJSON(tj)
+		t := &Tree{flatForest{kind: single}}
+		return t, t.addTree(tj)
 	case "ensemble":
 		return ensembleFromEnvelope(env.Payload)
 	case "logtarget":

@@ -8,7 +8,7 @@ import (
 
 // TreeConfig controls CART regression-tree induction.
 type TreeConfig struct {
-	MaxDepth    int // 0 means unlimited
+	MaxDepth    int // 0 means as deep as the fitted form allows (maxTreeDepth)
 	MinLeaf     int // minimum samples per leaf (default 1)
 	MinSplit    int // minimum samples to attempt a split (default 2)
 	MaxFeatures int // features considered per split; 0 means all
@@ -16,6 +16,9 @@ type TreeConfig struct {
 }
 
 func (c TreeConfig) withDefaults() TreeConfig {
+	if c.MaxDepth <= 0 || c.MaxDepth > maxTreeDepth {
+		c.MaxDepth = maxTreeDepth
+	}
 	if c.MinLeaf < 1 {
 		c.MinLeaf = 1
 	}
@@ -25,46 +28,13 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// treeNode is one node of a fitted regression tree, stored in a flat slice
-// for cache-friendly prediction.
-type treeNode struct {
-	feature   int32 // -1 for leaves
-	threshold float64
-	left      int32 // index of the left child
-	right     int32 // index of the right child
-	value     float64
-	// spread is the population std of the training targets that reached
-	// this node, recorded at fit time; leaves report it as the tree's
-	// local predictive uncertainty (see PredictDist). Zero on trees loaded
-	// from artifacts that predate the field.
-	spread float64
-}
-
 // Tree is a fitted CART regression tree predicting the mean target of the
 // training rows that reach each leaf. Splits minimize the weighted sum of
-// child variances (equivalently maximize variance reduction).
-type Tree struct {
-	nodes []treeNode
-}
-
-// Predict returns the tree's estimate for x.
-func (t *Tree) Predict(x []float64) float64 {
-	i := int32(0)
-	for {
-		n := &t.nodes[i]
-		if n.feature < 0 {
-			return n.value
-		}
-		if x[n.feature] <= n.threshold {
-			i = n.left
-		} else {
-			i = n.right
-		}
-	}
-}
-
-// NumNodes returns the node count of the fitted tree.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
+// child variances (equivalently maximize variance reduction). Every node
+// records the population std of the training targets that reached it; the
+// leaf's is the tree's local predictive uncertainty (PredictBatchDist), zero
+// on trees loaded from artifacts that predate the field.
+type Tree struct{ flatForest }
 
 // treeBuilder carries the induction state.
 type treeBuilder struct {
@@ -107,17 +77,19 @@ func FitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	t := &Tree{}
-	b.build(t, idx, 0)
+	t := &Tree{flatForest{kind: single}}
+	if err := t.endTree(b.build(&t.flatForest, idx, 0)); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // build grows the subtree over rows idx and returns its node index.
-func (b *treeBuilder) build(t *Tree, idx []int, depth int) int32 {
-	node := int32(len(t.nodes))
+func (b *treeBuilder) build(t *flatForest, idx []int, depth int) int32 {
 	mu := mean(b.d.Y, idx)
-	t.nodes = append(t.nodes, treeNode{feature: -1, value: mu, spread: stddev(b.d.Y, idx, mu)})
-	if len(idx) < b.cfg.MinSplit || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || constantTarget(b.d.Y, idx) {
+	node := t.leaf(mu)
+	t.spread = append(t.spread, stddev(b.d.Y, idx, mu))
+	if len(idx) < b.cfg.MinSplit || depth >= b.cfg.MaxDepth || constantTarget(b.d.Y, idx) {
 		return node
 	}
 	feat, thr, ok := b.bestSplit(idx)
@@ -137,10 +109,7 @@ func (b *treeBuilder) build(t *Tree, idx []int, depth int) int32 {
 	}
 	l := b.build(t, left, depth+1)
 	r := b.build(t, right, depth+1)
-	t.nodes[node].feature = int32(feat)
-	t.nodes[node].threshold = thr
-	t.nodes[node].left = l
-	t.nodes[node].right = r
+	t.split(node, int32(feat), thr, l, r)
 	return node
 }
 

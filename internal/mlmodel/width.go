@@ -16,24 +16,8 @@ func FeatureWidth(m Model) (width int, exact bool) {
 		return len(mm.Weights), true
 	case *MLP:
 		return len(mm.xMean), true
-	case *Tree:
-		return treeWidth(mm), false
-	case *Forest:
-		w := 0
-		for _, t := range mm.trees {
-			if tw := treeWidth(t); tw > w {
-				w = tw
-			}
-		}
-		return w, false
-	case *GBM:
-		w := 0
-		for _, t := range mm.trees {
-			if tw := treeWidth(t); tw > w {
-				w = tw
-			}
-		}
-		return w, false
+	case interface{ width() int }: // Tree, Forest, GBM: the flat forest
+		return mm.width(), false
 	case LogTarget:
 		return FeatureWidth(mm.Inner)
 	case Ensemble:
@@ -58,15 +42,27 @@ func FeatureWidth(m Model) (width int, exact bool) {
 	}
 }
 
-// treeWidth returns max split-feature index + 1 over the tree's nodes.
-func treeWidth(t *Tree) int {
-	w := 0
-	for _, n := range t.nodes {
-		if int(n.feature)+1 > w {
-			w = int(n.feature) + 1
+// checkWidths refuses an ensemble whose members cannot all score the same
+// row: exact widths that differ, or a tree member splitting on a feature an
+// exact member's width does not have. FeatureWidth reports the exact width
+// for such a mix, so a row of that width would index out of range.
+func (e Ensemble) checkWidths() error {
+	exactWidth, bound := -1, 0
+	for _, member := range e.Models {
+		w, exact := FeatureWidth(member)
+		switch {
+		case !exact:
+			bound = max(bound, w)
+		case exactWidth < 0:
+			exactWidth = w
+		case w != exactWidth:
+			return fmt.Errorf("mlmodel: ensemble members expect %d and %d features", exactWidth, w)
 		}
 	}
-	return w
+	if exactWidth >= 0 && bound > exactWidth {
+		return fmt.Errorf("mlmodel: ensemble member references feature %d but another expects %d features", bound-1, exactWidth)
+	}
+	return nil
 }
 
 // FamilyName labels the model family for artifact metadata and logs, e.g.

@@ -84,11 +84,8 @@ func New(m mlmodel.Model, schemaWidth int, platforms []string, rows int, holdout
 	}
 	w, exact := mlmodel.FeatureWidth(m)
 	if schemaWidth > 0 {
-		if exact && w != schemaWidth {
-			return nil, fmt.Errorf("registry: model has feature width %d but schema width %d was declared", w, schemaWidth)
-		}
-		if !exact && w > schemaWidth {
-			return nil, fmt.Errorf("registry: model references feature %d but schema width %d was declared", w-1, schemaWidth)
+		if err := checkDeclaredWidth(m, schemaWidth); err != nil {
+			return nil, err
 		}
 		w, exact = schemaWidth, true
 	}
@@ -104,6 +101,20 @@ func New(m mlmodel.Model, schemaWidth int, platforms []string, rows int, holdout
 		Hash:         hex.EncodeToString(sum[:]),
 		Model:        m,
 	}, nil
+}
+
+// checkDeclaredWidth refuses a declared plan-vector width the model itself
+// contradicts: an exact model width that differs, or a split on a feature the
+// declared width does not have.
+func checkDeclaredWidth(m mlmodel.Model, declared int) error {
+	w, exact := mlmodel.FeatureWidth(m)
+	if exact && w != declared {
+		return fmt.Errorf("registry: model has feature width %d but schema width %d was declared", w, declared)
+	}
+	if !exact && w > declared {
+		return fmt.Errorf("registry: model references feature %d but schema width %d was declared", w-1, declared)
+	}
+	return nil
 }
 
 // modelBytes serializes m through the mlmodel envelope in canonical
@@ -155,6 +166,15 @@ func Read(r io.Reader) (*Artifact, error) {
 	}
 	a := f.Artifact
 	a.Model = m
+	// Serving decides from the metadata alone whether the model fits its plan
+	// vectors (Validate), so the metadata must not understate what the payload
+	// indexes: that would pass Validate and run off the end of a plan vector
+	// inside a request. An undeclared width is recovered from the model.
+	if a.FeatureWidth <= 0 {
+		a.FeatureWidth, a.WidthExact = mlmodel.FeatureWidth(m)
+	} else if err := checkDeclaredWidth(m, a.FeatureWidth); err != nil {
+		return nil, err
+	}
 	if a.Hash != "" {
 		canon, err := canonicalJSON(f.Model)
 		if err != nil {

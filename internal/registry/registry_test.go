@@ -2,6 +2,7 @@ package registry_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"os"
@@ -317,5 +318,79 @@ func TestProviderSwap(t *testing.T) {
 	sp := registry.StaticProvider(trainLinear(t, ds), "test-model")
 	if sp.Get().Version() != "test-model" {
 		t.Errorf("static version = %q", sp.Get().Version())
+	}
+}
+
+// TestReadChecksMetadataAgainstModel: serving decides from the artifact's
+// metadata whether the model fits its plan vectors, so Read must refuse
+// metadata the payload contradicts — hash-valid or not. An understated width
+// used to pass Validate and index past the plan vector inside a request; a
+// tree whose split is its own child used to loop Predict forever.
+func TestReadChecksMetadataAgainstModel(t *testing.T) {
+	ds := synth(200, 6, 4, func(x []float64) float64 { return x[0] + 3*x[5] }, 0.1)
+	gbm, err := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 20, Seed: 1})
+	if err != nil {
+		t.Fatalf("FitGBM: %v", err)
+	}
+	bound, _ := mlmodel.FeatureWidth(gbm)
+	if bound != 6 {
+		t.Fatalf("test model splits on features below %d, want 6", bound)
+	}
+	write := func(m mlmodel.Model, width int) string {
+		t.Helper()
+		art, err := registry.New(m, width, nil, ds.Len(), mlmodel.Metrics{})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := art.Write(&buf); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
+		return buf.String()
+	}
+	redeclare := func(file string, from, to int) string {
+		t.Helper()
+		old, repl := fmt.Sprintf(`"featureWidth":%d,`, from), fmt.Sprintf(`"featureWidth":%d,`, to)
+		if !strings.Contains(file, old) {
+			t.Fatalf("artifact does not declare %s", old)
+		}
+		return strings.Replace(file, old, repl, 1)
+	}
+	treeFile, linFile := write(gbm, 8), write(trainLinear(t, ds), 6)
+
+	// The looping tree, wrapped with the hash of its own payload.
+	loop := `{"type":"tree","payload":{"feature":[0,0,-1],"threshold":[0,0,0],"left":[1,1,0],"right":[2,1,0],"value":[0,0,0]}}`
+	loopFile := fmt.Sprintf(`{"artifact":{"family":"tree","featureWidth":1,"hash":"%x"},"model":%s}`, sha256.Sum256([]byte(loop)), loop)
+
+	for _, c := range []struct {
+		name, file, wantErr string
+	}{
+		{"as written", treeFile, ""},
+		{"tree bound below the declared width", redeclare(treeFile, 8, 6), ""},
+		{"tree width understated", redeclare(treeFile, 8, 5), "references feature 5"},
+		{"linear width understated", redeclare(linFile, 6, 5), "feature width 6"},
+		{"linear width overstated", redeclare(linFile, 6, 7), "feature width 6"},
+		{"hash-valid looping tree", loopFile, "out-of-range children"},
+	} {
+		_, err := registry.Read(strings.NewReader(c.file))
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: Read: %v", c.name, err)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: Read error = %v, want one mentioning %q", c.name, err, c.wantErr)
+		}
+	}
+
+	// An artifact that declares no width gets the model's own, so Validate
+	// still has something to hold against the serving schema.
+	art, err := registry.Read(strings.NewReader(redeclare(treeFile, 8, 0)))
+	if err != nil {
+		t.Fatalf("Read of an undeclared width: %v", err)
+	}
+	if art.FeatureWidth != 6 || art.WidthExact {
+		t.Errorf("undeclared width read back as (%d, %v), want the model's bound (6, false)", art.FeatureWidth, art.WidthExact)
+	}
+	if err := art.Validate(5, 0); err == nil {
+		t.Error("Validate let a 6-feature model serve 5-wide plan vectors")
 	}
 }
