@@ -54,8 +54,8 @@ type Result struct {
 	// estimate, risk-adjusted to mean + λ·spread when Risk.Lambda was set.
 	Predicted float64
 	// PredictedDist is the model's predictive distribution for the chosen
-	// plan. On point-estimate models (or models without distributional
-	// support) it degenerates to Lo = Hi = Mean with zero Spread.
+	// plan. On models without distributional support it degenerates to
+	// Lo = Hi = Mean with zero Spread.
 	PredictedDist CostDist
 	// Risk echoes the Context.Risk configuration the run used.
 	Risk Risk
@@ -124,15 +124,7 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 		return nil, err
 	}
 	rt := c.endRunTrace(&st, nil)
-	pd := best.Dist
-	if !c.Risk.enabled() {
-		// Post-hoc interval for point-estimate runs: scored outside the
-		// enumeration's accounting (like recordContributions) so λ=0 Stats
-		// stay pinned to the historical counters.
-		pd = predictDistOne(m, best.F)
-		pd.Mean = best.Cost
-	}
-	return &Result{Execution: x, Vector: best, Predicted: best.Cost, PredictedDist: pd, Risk: c.Risk, Degraded: st.Degraded, Stats: st, Trace: rt}, nil
+	return &Result{Execution: x, Vector: best, Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Degraded: st.Degraded, Stats: st, Trace: rt}, nil
 }
 
 // OptimizeExhaustive enumerates the complete search space Ω_p without
@@ -158,12 +150,7 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	if err != nil {
 		return nil, err
 	}
-	pd := best.Dist
-	if !c.Risk.enabled() {
-		pd = predictDistOne(m, best.F)
-		pd.Mean = best.Cost
-	}
-	return &Result{Execution: x, Vector: best, Predicted: best.Cost, PredictedDist: pd, Risk: c.Risk, Stats: st}, nil
+	return &Result{Execution: x, Vector: best, Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Stats: st}, nil
 }
 
 // ---------------------------------------------------------------------------

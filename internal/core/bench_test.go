@@ -174,7 +174,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 			for _, v := range merged.Vectors {
 				v.Cost = model.Predict(v.F)
 			}
-			dedupFootprint(merged, nil, nil)
+			ctx.pruneGroups(merged, nil, nil)
 		}
 	})
 	b.Run("PredictBatch", func(b *testing.B) {
@@ -215,8 +215,8 @@ func BenchmarkParallelEnumeration(b *testing.B) {
 
 // BenchmarkParallelEnumerate measures the full optimization with the worker
 // pool sized to GOMAXPROCS, so one `go test -cpu 1,2,4,8` run sweeps the
-// scaling curve (CI's -cpu matrix leg does exactly that; BENCH_parallel.json
-// records a snapshot). Two shapes at Figure 9a's 40-operator scale: a
+// scaling curve (CI's -cpu matrix leg does exactly that; the benchmark
+// ledger's core.parallel_speedup_x tracks the ratio). Two shapes at Figure 9a's 40-operator scale: a
 // pipeline, whose rounds fan many independent boundary tasks across the
 // pool, and a multi-branch DAG, where the boundary-tie guard serializes the
 // hole-closing join merges and stresses work stealing instead.
@@ -248,12 +248,12 @@ func BenchmarkParallelEnumerate(b *testing.B) {
 	})
 }
 
-// BenchmarkRiskPrune measures the overhead of distributional scoring at
-// Figure 9a's 40-operator scale: the same pipeline optimized on the
-// point-estimate path (zero Risk — the historical code path, byte for byte)
-// and on the risk-aware path (λ=0.5 with overlap pruning, four batched
-// output columns plus interval bookkeeping per prune). BENCH_risk.json
-// records a snapshot of the two.
+// BenchmarkRiskPrune measures what keeping near-ties costs at Figure 9a's
+// 40-operator scale: the same pipeline, scored by the same distributional
+// batch, optimized with zero Risk (one survivor per pruning group) and with
+// λ=0.5 plus overlap pruning (up to four per group, so later enumerations
+// are larger). The benchmark ledger tracks the same pair as
+// core.optimize_ms and core.risk_optimize_ms.
 func BenchmarkRiskPrune(b *testing.B) {
 	m := distWeightModel{}
 	b.Run("PointScoring", func(b *testing.B) {

@@ -144,8 +144,8 @@ type Context struct {
 	// schedule.go), and within a task merges and model invocations fan out
 	// the same way. 0 or 1 runs serially. Results are bit-identical either
 	// way — the schedule and reduction order are computed serially — but
-	// the cost model must be safe for concurrent Predict and PredictBatch
-	// calls (all mlmodel models are).
+	// the cost model must be safe for concurrent Predict, PredictBatch and
+	// PredictBatchDist calls (all mlmodel models are).
 	Workers int
 
 	// Budget bounds the work of one optimization run; the zero value is
@@ -169,7 +169,7 @@ type Context struct {
 	TraceParent *obs.Span
 
 	// Risk configures uncertainty-aware scoring and pruning (see Risk).
-	// The zero value keeps the historical point-estimate behavior exactly.
+	// The zero value is the paper's point-estimate optimizer.
 	Risk Risk
 
 	alternatives [][]uint8     // per op: schema platform columns available

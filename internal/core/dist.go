@@ -1,20 +1,15 @@
 package core
 
-import (
-	"sort"
+import "repro/internal/vecops"
 
-	"repro/internal/vecops"
-)
-
-// This file is the uncertainty-aware half of the prediction contract. The
-// enumeration historically scored plan vectors by a scalar point estimate;
-// models that expose their predictive distribution (mlmodel.BatchDistModel
-// satisfies DistBatchCostModel structurally) let the optimizer carry a
-// CostDist per vector instead: pruning can keep near-ties whose intervals
-// overlap the group winner's, and final selection can score by
-// mean + λ·spread. The default Risk zero value disables all of it and the
-// enumeration runs the historical point-estimate code path byte for byte —
-// the λ=0 parity and determinism suites pin that equivalence.
+// This file is the prediction contract of the enumeration. Every vector is
+// scored by the model's predictive distribution (mlmodel.BatchDistModel
+// satisfies DistBatchCostModel structurally; point-only models degrade to a
+// zero-spread one): Vector.Dist carries it, Vector.Cost is its selection
+// score mean + λ·spread, and the prune operation (pruneGroups) may keep
+// near-ties whose intervals overlap their group winner's. Context.Risk holds
+// the two knobs; its zero value — λ=0, keep one per group — is the paper's
+// point-estimate optimizer, run by the same code as every other setting.
 
 // CostDist summarizes the model's predictive distribution for one plan
 // vector: the mean point estimate (bit-identical to the scalar prediction
@@ -31,38 +26,27 @@ type CostDist struct {
 func (d CostDist) Overlaps(o CostDist) bool { return d.Lo <= o.Hi && o.Lo <= d.Hi }
 
 // Risk configures uncertainty-aware scoring and pruning for one optimization
-// run. The zero value is exactly the historical point-estimate optimizer.
+// run. The zero value is the paper's point-estimate optimizer.
 type Risk struct {
 	// Lambda is the risk-aversion weight: vectors are scored (for pruning,
 	// degraded-mode truncation and final selection alike) by
-	// mean + Lambda·spread. 0 scores by the mean alone, bit-identical to
-	// the point-estimate path.
+	// mean + Lambda·spread. 0 scores by the mean alone.
 	Lambda float64
 	// KeepOverlap switches boundary pruning from keep-one-per-footprint to
 	// keep-near-ties: vectors whose predictive interval overlaps their
-	// group winner's survive (up to MaxKept per group), so a plan the
+	// group winner's survive (up to overlapKept per group), so a plan the
 	// model cannot confidently separate from the winner stays in play
 	// until more of the plan is merged in and the intervals sharpen.
 	KeepOverlap bool
-	// MaxKept caps the survivors per pruning group when KeepOverlap is
-	// set. 0 means the default of 4.
-	MaxKept int
 }
 
-// enabled reports whether the run needs distributional predictions at all.
-func (r Risk) enabled() bool { return r.Lambda != 0 || r.KeepOverlap }
-
-// maxKept returns the per-group survivor cap.
-func (r Risk) maxKept() int {
-	if r.MaxKept > 0 {
-		return r.MaxKept
-	}
-	return 4
-}
+// overlapKept is the number of vectors a pruning group retains under
+// Risk.KeepOverlap: the winner plus up to three near-ties.
+const overlapKept = 4
 
 // score collapses a predictive distribution to the run's selection score.
-// The λ=0 path must return the mean bit-for-bit (never compute mean + 0·s:
-// a negative-zero spread contribution would flip the sign bit of -0 means).
+// λ=0 must return the mean bit-for-bit, so it never computes mean + 0·s: that
+// would turn a -0 mean into +0 and an infinite spread into NaN.
 func (c *Context) score(d CostDist) float64 {
 	s := d.Mean
 	if c.Risk.Lambda != 0 {
@@ -83,7 +67,7 @@ type DistBatchCostModel interface {
 }
 
 // asBatchDist returns m as a DistBatchCostModel, degrading point-only models
-// to a zero-spread distribution (lo = hi = mean) so risk-aware runs work —
+// to a zero-spread distribution (lo = hi = mean) so the enumeration works —
 // without uncertainty information — against any CostModel.
 func asBatchDist(m CostModel) DistBatchCostModel {
 	if dm, ok := m.(DistBatchCostModel); ok {
@@ -101,97 +85,4 @@ func (p pointBatchDist) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi 
 		lo[i] = mean[i]
 		hi[i] = mean[i]
 	}
-}
-
-// predictDistOne scores a single feature row distributionally — the post-hoc
-// path that surfaces the winning plan's interval on point-estimate (λ=0)
-// runs without touching the enumeration's counters or memo.
-func predictDistOne(m CostModel, f []float64) CostDist {
-	dm := asBatchDist(m)
-	X := vecops.Matrix{Data: f, Rows: 1, Cols: len(f)}
-	var mean, spread, lo, hi [1]float64
-	dm.PredictBatchDist(&X, mean[:], spread[:], lo[:], hi[:])
-	return CostDist{Mean: mean[0], Spread: spread[0], Lo: lo[0], Hi: hi[0]}
-}
-
-// riskDedup is the KeepOverlap variant of boundary pruning, shared by
-// BoundaryPruner (props nil) and PropertyPruner: vectors group by pruning
-// footprint (refined by the property keys), the group winner is the vector
-// with the lowest score (ties to the earliest, like dedupFootprint), and —
-// unlike the point-estimate path — group members whose predictive interval
-// overlaps the winner's survive too, cheapest first, up to Risk.MaxKept per
-// group. Keeping extra survivors only ever widens the enumeration the
-// lossless Lemma 1 argument reasons about, so the winner-per-footprint
-// guarantee is untouched; the near-ties ride along as insurance against the
-// model misordering plans it cannot confidently separate. Survivors appear
-// in group first-seen order, winner first — deterministic for any Workers.
-func riskDedup(c *Context, e *Enumeration, st *Stats, rec *PruneRecord, props []Property) {
-	if len(e.Vectors) <= 1 {
-		return
-	}
-	type gkey struct {
-		foot  uint64
-		sfoot string
-		prop  uint64
-	}
-	order := make([]gkey, 0, len(e.Vectors))
-	groups := make(map[gkey][]*Vector, len(e.Vectors))
-	for _, v := range e.Vectors {
-		foot, sfoot, _ := footprintKey(v.Assign, e.Boundary)
-		var prop uint64
-		for _, pr := range props {
-			// Mix the property keys order-sensitively (as PropertyPruner).
-			prop = prop*0x9e3779b97f4a7c15 + pr.Key(c, v) + 0x7f4a7c15
-		}
-		k := gkey{foot: foot, sfoot: sfoot, prop: prop}
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], v)
-	}
-	maxKept := c.Risk.maxKept()
-	kept := e.Vectors[:0]
-	scratch := make([]int, 0, 16)
-	for _, k := range order {
-		g := groups[k]
-		win := 0
-		for i := 1; i < len(g); i++ {
-			if g[i].Cost < g[win].Cost {
-				win = i
-			}
-		}
-		winSlot := len(kept)
-		kept = append(kept, g[win])
-		if len(g) == 1 {
-			continue
-		}
-		idxs := scratch[:0]
-		for i := range g {
-			if i != win {
-				idxs = append(idxs, i)
-			}
-		}
-		sort.SliceStable(idxs, func(a, b int) bool { return g[idxs[a]].Cost < g[idxs[b]].Cost })
-		nKept := 1
-		for _, i := range idxs {
-			v := g[i]
-			if nKept < maxKept && v.Dist.Overlaps(g[win].Dist) {
-				kept = append(kept, v)
-				nKept++
-				if st != nil {
-					st.IntervalKept++
-				}
-				if rec != nil {
-					rec.IntervalKept++
-				}
-				continue
-			}
-			if st != nil {
-				st.Pruned++
-			}
-			rec.observeDiscard(v, winSlot)
-		}
-		scratch = idxs[:0]
-	}
-	e.Vectors = kept
 }

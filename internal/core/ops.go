@@ -405,7 +405,8 @@ type Pruner interface {
 // BoundaryPruner implements the lossless boundary pruning of Definition 2:
 // among the vectors of an enumeration that employ the same platforms for all
 // boundary operators (equal pruning footprints), only the one with the
-// lowest predicted cost survives. It reduces the pipeline search space from
+// lowest predicted cost survives (joined, under Risk.KeepOverlap, by its
+// near-ties; see pruneGroups). It reduces the pipeline search space from
 // O(k^n) to O(n·k²) (Lemma 1) and never discards a subplan contained in the
 // optimal plan.
 type BoundaryPruner struct {
@@ -418,67 +419,123 @@ type BoundaryPruner struct {
 // in Vector.Cost. A cancelled ctx returns early without pruning; the caller
 // is expected to abandon the enumeration.
 func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
-	if len(e.Vectors) == 0 {
-		return
+	if c.predictEnum(ctx, p.Model, e, st) {
+		c.pruneGroups(e, st, nil)
 	}
-	if !c.predictEnum(ctx, p.Model, e, st) {
-		return
-	}
-	if c.Risk.KeepOverlap {
-		riskDedup(c, e, st, c.curRec, nil)
-		return
-	}
-	dedupFootprint(e, st, c.curRec)
 }
 
-// dedupFootprint keeps, per pruning footprint, only the cheapest vector
-// (costs must already be set). It is the lossless half of boundary pruning,
-// shared by BoundaryPruner and the batch ablation benchmark. rec, when
-// non-nil, receives the pruning audit (which discarded vector was the best
-// pruned alternative); untraced runs pass nil and pay nothing.
-func dedupFootprint(e *Enumeration, st *Stats, rec *PruneRecord) {
+// groupKey identifies a pruning group within one enumeration: the pruning
+// footprint (packed, or past 16 boundary operators the number pruneGroups
+// gave its string form) refined by the mixed property keys.
+type groupKey struct{ foot, prop uint64 }
+
+// pruneGroups is the prune operation itself (Section IV-E), shared by every
+// cost-driven pruner; costs must already be set. Vectors group by pruning
+// footprint refined by the keys of props ("interesting properties", Section
+// V); per group the lowest-cost vector wins, ties to the earliest. Without
+// Risk.KeepOverlap that is Definition 2: one survivor per group, in group
+// first-seen order. With it, up to overlapKept-1 further members whose
+// predictive interval overlaps their winner's survive behind it, cheapest
+// first — insurance against the model misordering plans it cannot separate.
+// Extra survivors only widen the enumeration Lemma 1 reasons about, so the
+// winner-per-footprint guarantee holds for either setting. Everything here
+// is a function of the vectors' order and costs alone, hence identical for
+// any Workers.
+//
+// A group that keeps no near-ties settles each loss as it happens, so that
+// case allocates the one map and nothing else — it runs after every
+// concatenation of every request. Otherwise no member's fate is known before
+// its group's winner is final, and all of them wait.
+func (c *Context) pruneGroups(e *Enumeration, st *Stats, props []Property) {
 	if len(e.Vectors) <= 1 {
 		return
 	}
-	type slot struct{ idx int }
-	byKey := make(map[uint64]slot)
-	var byStr map[string]slot
+	nearTies := 0
+	if c.Risk.KeepOverlap {
+		nearTies = overlapKept - 1
+	}
+	rec := c.curRec
+	discard := func(v *Vector, survivorSlot int) {
+		if st != nil {
+			st.Pruned++
+		}
+		rec.observeDiscard(v, survivorSlot)
+	}
+	type member struct {
+		v     *Vector
+		group int
+	}
+	var waiting []member
+	var wide map[string]uint64
+	groups := make(map[groupKey]int)
 	kept := e.Vectors[:0]
 	for _, v := range e.Vectors {
-		key, skey, packed := footprintKey(v.Assign, e.Boundary)
-		if packed {
-			if s, ok := byKey[key]; ok {
-				discarded := v
-				if v.Cost < kept[s.idx].Cost {
-					discarded = kept[s.idx]
-					kept[s.idx] = v
+		foot, sfoot, packed := footprintKey(v.Assign, e.Boundary)
+		if !packed {
+			// The boundary, hence packed, is the enumeration's: numbering
+			// the string footprints cannot collide with a packed one.
+			id, ok := wide[sfoot]
+			if !ok {
+				if wide == nil {
+					wide = make(map[string]uint64)
 				}
-				if st != nil {
-					st.Pruned++
-				}
-				rec.observeDiscard(discarded, s.idx)
-				continue
+				id = uint64(len(wide))
+				wide[sfoot] = id
 			}
-			byKey[key] = slot{idx: len(kept)}
-		} else {
-			if byStr == nil {
-				byStr = make(map[string]slot)
-			}
-			if s, ok := byStr[skey]; ok {
-				discarded := v
-				if v.Cost < kept[s.idx].Cost {
-					discarded = kept[s.idx]
-					kept[s.idx] = v
-				}
-				if st != nil {
-					st.Pruned++
-				}
-				rec.observeDiscard(discarded, s.idx)
-				continue
-			}
-			byStr[skey] = slot{idx: len(kept)}
+			foot = id
 		}
-		kept = append(kept, v)
+		k := groupKey{foot: foot}
+		for _, pr := range props {
+			// Mix the property keys order-sensitively.
+			k.prop = k.prop*0x9e3779b97f4a7c15 + pr.Key(c, v) + 0x7f4a7c15
+		}
+		g, seen := groups[k]
+		if !seen {
+			g = len(kept)
+			groups[k] = g
+			kept = append(kept, v)
+		}
+		switch {
+		case nearTies > 0:
+			waiting = append(waiting, member{v, g})
+		case seen:
+			if v.Cost < kept[g].Cost {
+				v, kept[g] = kept[g], v
+			}
+			discard(v, g)
+		}
+	}
+	if nearTies > 0 {
+		// Groups in first-seen order, members by cost then arrival: each run
+		// opens with its winner. The survivors are rebuilt over e.Vectors,
+		// which waiting no longer reads.
+		sort.SliceStable(waiting, func(a, b int) bool {
+			if waiting[a].group != waiting[b].group {
+				return waiting[a].group < waiting[b].group
+			}
+			return waiting[a].v.Cost < waiting[b].v.Cost
+		})
+		kept = kept[:0]
+		for i := 0; i < len(waiting); {
+			win := waiting[i]
+			winSlot, room := len(kept), nearTies
+			kept = append(kept, win.v)
+			for i++; i < len(waiting) && waiting[i].group == win.group; i++ {
+				v := waiting[i].v
+				if room == 0 || !v.Dist.Overlaps(win.v.Dist) {
+					discard(v, winSlot)
+					continue
+				}
+				kept = append(kept, v)
+				room--
+				if st != nil {
+					st.IntervalKept++
+				}
+				if rec != nil {
+					rec.IntervalKept++
+				}
+			}
+		}
 	}
 	e.Vectors = kept
 }

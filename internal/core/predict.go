@@ -53,15 +53,17 @@ func (b scalarBatch) PredictBatch(X *vecops.Matrix, out []float64) {
 	}
 }
 
-// featureMatrix returns a flat row-major matrix over the current vectors of
-// e. When the vectors still alias the enumeration's merge arena row for row
-// (the common case: predict runs right after the merge that built them),
-// this is a zero-copy view; otherwise — after pruning reordered the
-// survivors, or when a caller replaced e.Vectors outright — the rows are
-// gathered into a fresh matrix.
-func (e *Enumeration) featureMatrix(cols int) *vecops.Matrix {
+// featureMatrix returns a flat row-major matrix over the vectors of e at the
+// given indices. When those are all of them and the vectors still alias the
+// enumeration's merge arena row for row (the common case: predict runs right
+// after the merge that built them, with nothing memoized), this is a
+// zero-copy view; otherwise — memo hits dropped out, pruning reordered the
+// survivors, or a caller replaced e.Vectors outright — the rows are gathered
+// into a fresh matrix. Returned by value so that predictEnum's chunk closure
+// captures it without a second allocation.
+func (e *Enumeration) featureMatrix(cols int, rows []int) vecops.Matrix {
 	n := len(e.Vectors)
-	if e.mat != nil && e.mat.Cols == cols && n <= e.mat.Rows {
+	if len(rows) == n && e.mat != nil && e.mat.Cols == cols && n <= e.mat.Rows {
 		aligned := true
 		for i, v := range e.Vectors {
 			if len(v.F) != cols || &v.F[0] != &e.mat.Data[i*cols] {
@@ -70,30 +72,27 @@ func (e *Enumeration) featureMatrix(cols int) *vecops.Matrix {
 			}
 		}
 		if aligned {
-			m := e.mat.RowsView(0, n)
-			return &m
+			return e.mat.RowsView(0, n)
 		}
 	}
-	m := vecops.NewMatrix(n, cols)
-	for i, v := range e.Vectors {
-		copy(m.Row(i), v.F)
+	m := vecops.NewMatrix(len(rows), cols)
+	for k, i := range rows {
+		copy(m.Row(k), e.Vectors[i].F)
 	}
-	return m
+	return *m
 }
 
-// predictEnum sets Vector.Cost (and Vector.Dist) for every vector of e
+// predictEnum sets Vector.Dist to the model's predictive distribution and
+// Vector.Cost to its selection score (Context.score) for every vector of e
 // through one batched model invocation, and is the single
 // prediction/accounting path shared by BoundaryPruner, PropertyPruner and
-// GetOptimal. On risk-enabled runs (Context.Risk) the batch goes through
-// PredictBatchDist and Cost becomes the λ-adjusted score; otherwise the
-// historical point-estimate batch runs unchanged. Vectors whose full
-// assignment was already predicted in this run are served from the per-run
-// memo (Stats.MemoHits); the rest form one flat matrix scored by a single
-// logical PredictBatch (Stats.ModelBatches/ModelRows), chunked across
-// workers via parallelForCtx in pruneBlock-sized blocks so cancellation
-// latency stays bounded by one block of model work, exactly as on the
-// scalar path. Returns false when ctx was cancelled mid-batch; costs are
-// then partial and the caller must abandon the enumeration.
+// GetOptimal. Vectors whose full assignment was already predicted in this
+// run are served from the per-run memo (Stats.MemoHits); the rest form one
+// flat matrix scored by a single logical PredictBatchDist
+// (Stats.ModelBatches/ModelRows), chunked across workers via parallelForCtx
+// in pruneBlock-sized blocks so cancellation latency stays bounded by one
+// block of model work. Returns false when ctx was cancelled mid-batch; costs
+// are then partial and the caller must abandon the enumeration.
 func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, st *Stats) bool {
 	n := len(e.Vectors)
 	if n == 0 {
@@ -125,55 +124,27 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 	}
 	ok := true
 	if len(miss) > 0 {
-		var X *vecops.Matrix
-		if len(miss) == n {
-			X = e.featureMatrix(c.Schema.Len())
+		X := e.featureMatrix(c.Schema.Len(), miss)
+		// The four output columns share one buffer: one allocation per batch.
+		buf := make([]float64, 4*len(miss))
+		mean, spread := buf[:len(miss)], buf[len(miss):2*len(miss)]
+		lov, hiv := buf[2*len(miss):3*len(miss)], buf[3*len(miss):]
+		dm := asBatchDist(m)
+		err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(lo, hi int) {
+			// Sliced from a copy: a method call on X itself would take its
+			// address and move it to the heap, one allocation per batch.
+			sub := X
+			sub = sub.RowsView(lo, hi)
+			dm.PredictBatchDist(&sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
+		})
+		if err != nil {
+			ok = false
 		} else {
-			X = vecops.NewMatrix(len(miss), c.Schema.Len())
 			for k, i := range miss {
-				copy(X.Row(k), e.Vectors[i].F)
-			}
-		}
-		if !c.Risk.enabled() {
-			// Point-estimate path: byte-for-byte the historical batched
-			// prediction (same chunking, same writes to Cost).
-			out := make([]float64, len(miss))
-			bm := asBatch(m)
-			err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(lo, hi int) {
-				sub := X.RowsView(lo, hi)
-				bm.PredictBatch(&sub, out[lo:hi])
-			})
-			if err != nil {
-				ok = false
-			} else {
-				for k, i := range miss {
-					v := e.Vectors[i]
-					v.Cost = out[k]
-					v.Dist = CostDist{Mean: out[k], Lo: out[k], Hi: out[k]}
-					c.memo[string(v.Assign)] = v.Dist
-				}
-			}
-		} else {
-			// Distributional path: same batching and chunking, four parallel
-			// output slices. mean[k] is bit-identical to the point path.
-			mean := make([]float64, len(miss))
-			spread := make([]float64, len(miss))
-			lov := make([]float64, len(miss))
-			hiv := make([]float64, len(miss))
-			dm := asBatchDist(m)
-			err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(lo, hi int) {
-				sub := X.RowsView(lo, hi)
-				dm.PredictBatchDist(&sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
-			})
-			if err != nil {
-				ok = false
-			} else {
-				for k, i := range miss {
-					v := e.Vectors[i]
-					v.Dist = CostDist{Mean: mean[k], Spread: spread[k], Lo: lov[k], Hi: hiv[k]}
-					v.Cost = c.score(v.Dist)
-					c.memo[string(v.Assign)] = v.Dist
-				}
+				v := e.Vectors[i]
+				v.Dist = CostDist{Mean: mean[k], Spread: spread[k], Lo: lov[k], Hi: hiv[k]}
+				v.Cost = c.score(v.Dist)
+				c.memo[string(v.Assign)] = v.Dist
 			}
 		}
 	}

@@ -82,53 +82,11 @@ type PropertyPruner struct {
 	Properties []Property
 }
 
-// Prune implements Pruner. It scores the enumeration through the same
-// batched helper as BoundaryPruner (so the two produce identical Stats on
-// identical inputs) and, like it, returns early without pruning when
-// cancelled.
+// Prune implements Pruner: BoundaryPruner's score-then-prune with the
+// properties refining the groups, so with none the two are the same
+// operation. Like it, it returns early without pruning when cancelled.
 func (p PropertyPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
-	if len(e.Vectors) == 0 {
-		return
+	if c.predictEnum(ctx, p.Model, e, st) {
+		c.pruneGroups(e, st, p.Properties)
 	}
-	if !c.predictEnum(ctx, p.Model, e, st) {
-		return
-	}
-	if c.Risk.KeepOverlap {
-		riskDedup(c, e, st, c.curRec, p.Properties)
-		return
-	}
-	if len(e.Vectors) == 1 {
-		return
-	}
-	type groupKey struct {
-		foot  uint64
-		sfoot string
-		prop  uint64
-	}
-	best := map[groupKey]int{}
-	kept := e.Vectors[:0]
-	for _, v := range e.Vectors {
-		foot, sfoot, _ := footprintKey(v.Assign, e.Boundary)
-		var prop uint64
-		for _, pr := range p.Properties {
-			// Mix the property keys order-sensitively.
-			prop = prop*0x9e3779b97f4a7c15 + pr.Key(c, v) + 0x7f4a7c15
-		}
-		k := groupKey{foot: foot, sfoot: sfoot, prop: prop}
-		if j, ok := best[k]; ok {
-			discarded := v
-			if v.Cost < kept[j].Cost {
-				discarded = kept[j]
-				kept[j] = v
-			}
-			if st != nil {
-				st.Pruned++
-			}
-			c.curRec.observeDiscard(discarded, j)
-			continue
-		}
-		best[k] = len(kept)
-		kept = append(kept, v)
-	}
-	e.Vectors = kept
 }

@@ -128,7 +128,7 @@ func (c *Context) taskContext(workers int, span *obs.Span) *Context {
 	tc.memo = nil
 	tc.curRec, tc.curSpan = nil, nil
 	if c.rt != nil {
-		tc.rt = &RunTrace{Spans: c.Trace, Platforms: c.rt.Platforms}
+		tc.rt = &RunTrace{Spans: c.Trace, Platforms: c.rt.Platforms, intervals: c.rt.intervals}
 		tc.root = span
 	} else {
 		tc.rt, tc.root = nil, nil

@@ -36,6 +36,11 @@ type RunTrace struct {
 	// run's model; the model is generally non-linear, so contributions
 	// indicate relative weight rather than summing to the plan total).
 	OpContribs []OpContribution `json:"opContribs,omitempty"`
+
+	// intervals is set on runs with a non-zero Context.Risk: only they
+	// report predictive intervals in the audit, so a point-estimate run's
+	// audit reads (and marshals) as it did before vectors carried them.
+	intervals bool
 }
 
 // PruneRecord audits one prune invocation: the enumeration's size before and
@@ -90,9 +95,9 @@ type PrunedAlternative struct {
 	SurvivorCost float64 `json:"survivorCost"`
 	Margin       float64 `json:"margin"`
 	// Lo/Hi and SurvivorLo/SurvivorHi are the two plans' predictive
-	// intervals, reported on distributional (risk-enabled) runs so the
-	// losing margin can be read against the model's uncertainty. Zero (and
-	// omitted) on point-estimate runs.
+	// intervals, reported on runs with a non-zero Risk so the losing margin
+	// can be read against the model's uncertainty. Zero (and omitted) on
+	// point-estimate runs and when the model exposes no uncertainty.
 	Lo         float64 `json:"lo,omitempty"`
 	Hi         float64 `json:"hi,omitempty"`
 	SurvivorLo float64 `json:"survivorLo,omitempty"`
@@ -129,7 +134,7 @@ type FinalSelection struct {
 	Size     int     `json:"size"`
 	BestCost float64 `json:"bestCost"`
 	// BestLo/BestHi/BestSpread are the winner's predictive interval and
-	// spread on distributional (risk-enabled) runs; zero and omitted on
+	// spread on runs with a non-zero Risk; zero and omitted on
 	// point-estimate runs.
 	BestLo     float64 `json:"bestLo,omitempty"`
 	BestHi     float64 `json:"bestHi,omitempty"`
@@ -165,8 +170,12 @@ func (c *Context) newRunTrace() *RunTrace {
 	for i, p := range c.Schema.Platforms {
 		names[i] = p.String()
 	}
-	return &RunTrace{Spans: c.Trace, Platforms: names}
+	return &RunTrace{Spans: c.Trace, Platforms: names, intervals: c.Risk != Risk{}}
 }
+
+// reports tells whether the audit shows d's interval: on runs that asked for
+// risk-aware optimization, when the model gave d any width.
+func (rt *RunTrace) reports(d CostDist) bool { return rt.intervals && d.Spread != 0 }
 
 // platformName resolves a schema platform column to its name ("?" for
 // Unassigned — boundary operators are always assigned, so this only shows
@@ -213,7 +222,7 @@ func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration, degraded bool) {
 			SurvivorCost: survivor.Cost,
 			Margin:       rec.prunedCost - survivor.Cost,
 		}
-		if rec.prunedDist.Spread != 0 || survivor.Dist.Spread != 0 {
+		if rt.reports(rec.prunedDist) || rt.reports(survivor.Dist) {
 			alt.Lo, alt.Hi = rec.prunedDist.Lo, rec.prunedDist.Hi
 			alt.SurvivorLo, alt.SurvivorHi = survivor.Dist.Lo, survivor.Dist.Hi
 		}
@@ -229,7 +238,7 @@ func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration, degraded bool) {
 // complete alternative.
 func (rt *RunTrace) finishSelection(e *Enumeration, best *Vector) {
 	sel := &FinalSelection{Size: len(e.Vectors), BestCost: best.Cost}
-	if best.Dist.Spread != 0 {
+	if rt.reports(best.Dist) {
 		sel.BestLo, sel.BestHi, sel.BestSpread = best.Dist.Lo, best.Dist.Hi, best.Dist.Spread
 	}
 	var runner *Vector
@@ -243,7 +252,7 @@ func (rt *RunTrace) finishSelection(e *Enumeration, best *Vector) {
 	}
 	if runner != nil {
 		alt := &AlternativePlan{Cost: runner.Cost, Margin: runner.Cost - best.Cost}
-		if runner.Dist.Spread != 0 {
+		if rt.reports(runner.Dist) {
 			alt.Lo, alt.Hi = runner.Dist.Lo, runner.Dist.Hi
 		}
 		for _, a := range runner.Assign {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/plan"
@@ -26,26 +25,11 @@ type Vector struct {
 	// mean + λ·spread when the run's Risk.Lambda is nonzero.
 	Cost float64
 
-	// Dist is the predictive distribution behind Cost. On point-estimate
-	// runs it degenerates to Lo = Hi = Mean with zero Spread.
+	// Dist is the predictive distribution behind Cost. On models without
+	// distributional support it degenerates to Lo = Hi = Mean with zero
+	// Spread.
 	Dist CostDist
 }
-
-// Clone returns a deep copy of v.
-func (v *Vector) Clone() *Vector {
-	out := &Vector{
-		F:      make([]float64, len(v.F)),
-		Assign: make([]uint8, len(v.Assign)),
-		Cost:   v.Cost,
-		Dist:   v.Dist,
-	}
-	copy(out.F, v.F)
-	copy(out.Assign, v.Assign)
-	return out
-}
-
-// Covers reports whether the vector assigns a platform to operator id.
-func (v *Vector) Covers(id plan.OpID) bool { return v.Assign[id] != Unassigned }
 
 // Scope returns the set of operators the vector covers.
 func (v *Vector) Scope(n int) plan.Bitset {
@@ -58,35 +42,12 @@ func (v *Vector) Scope(n int) plan.Bitset {
 	return b
 }
 
-// String renders the topology cells and assignment compactly for debugging.
-func (v *Vector) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "vec[topo=%.0f,%.0f,%.0f,%.0f cost=%.3g assign=", v.F[0], v.F[1], v.F[2], v.F[3], v.Cost)
-	for i, a := range v.Assign {
-		if a == Unassigned {
-			sb.WriteByte('.')
-		} else {
-			fmt.Fprintf(&sb, "%d", a)
-		}
-		if i < len(v.Assign)-1 && (i+1)%8 == 0 {
-			sb.WriteByte(' ')
-		}
-	}
-	sb.WriteByte(']')
-	return sb.String()
-}
-
 // Abstract is an abstract plan vector: the output of Vectorize (Section
 // IV-C(1)). It fixes the plan-structure features but leaves the per-platform
 // instantiation open, marking alternative cells with -1.
 type Abstract struct {
 	F     []float64
 	Scope plan.Bitset
-}
-
-// Clone returns a deep copy of a.
-func (a *Abstract) Clone() *Abstract {
-	return &Abstract{F: append([]float64(nil), a.F...), Scope: a.Scope.Clone()}
 }
 
 // footprintKey computes the pruning-footprint key of an assignment over the

@@ -119,7 +119,9 @@ func (h *Histogram) Observe(v float64) {
 // ObserveExemplar records one value and, when traceID is non-empty, stamps
 // it as the exemplar of the value's bucket — a plain Observe otherwise. The
 // caller passes a trace ID only for runs whose trace was actually retained,
-// so every exposed exemplar is resolvable via /tracez?id=.
+// and the registry drops exemplars whose trace has since been evicted
+// (ResolveExemplars), so every exposed exemplar is resolvable via
+// /tracez?id=.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.Observe(v)
 	if traceID == "" || math.IsNaN(v) {
@@ -225,6 +227,9 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	cvecs    map[string]*CounterVec
 	hvecs    map[string]*HistogramVec
+	// resolves, when set, reports whether a trace ID can still be looked
+	// up; snapshots drop the exemplars for which it cannot.
+	resolves func(traceID string) bool
 }
 
 // NewRegistry returns an empty registry.
@@ -294,6 +299,30 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// ResolveExemplars makes Snapshot and WritePrometheus drop every exemplar
+// whose trace ID resolves reports false. A bucket keeps its exemplar until a
+// later traced observation replaces it, which can be long after a bounded
+// trace store evicted the trace; filtering when the metrics are read is what
+// keeps every exposed exemplar a working link.
+func (r *Registry) ResolveExemplars(resolves func(traceID string) bool) {
+	r.mu.Lock()
+	r.resolves = resolves
+	r.mu.Unlock()
+}
+
+// dropStale clears the exemplars of hs that no longer resolve. Callers hold
+// r.mu; hs.Le is the snapshot's own slice.
+func (r *Registry) dropStale(hs HistogramSnapshot) HistogramSnapshot {
+	if r.resolves != nil {
+		for i, b := range hs.Le {
+			if b.Exemplar != nil && !r.resolves(b.Exemplar.TraceID) {
+				hs.Le[i].Exemplar = nil
+			}
+		}
+	}
+	return hs
+}
+
 // Snapshot is the JSON-ready state of a registry.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
@@ -326,11 +355,11 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	for n, h := range r.hists {
-		s.Histograms[n] = h.Snapshot()
+		s.Histograms[n] = r.dropStale(h.Snapshot())
 	}
 	for n, v := range r.hvecs {
 		for key, hs := range v.snapshot() {
-			s.Histograms[n+"{"+key+"}"] = hs
+			s.Histograms[n+"{"+key+"}"] = r.dropStale(hs)
 		}
 	}
 	if len(r.gauges) > 0 {

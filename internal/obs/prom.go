@@ -32,7 +32,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	hists := make(map[string]HistogramSnapshot, len(r.hists))
 	for n, h := range r.hists {
-		hists[n] = h.Snapshot()
+		hists[n] = r.dropStale(h.Snapshot())
 	}
 	cvecs := make(map[string]map[string]int64, len(r.cvecs))
 	for n, v := range r.cvecs {
@@ -41,6 +41,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	hvecs := make(map[string]map[string]HistogramSnapshot, len(r.hvecs))
 	for n, v := range r.hvecs {
 		hvecs[n] = v.snapshot()
+		for _, hs := range hvecs[n] {
+			r.dropStale(hs)
+		}
 	}
 	r.mu.RUnlock()
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -417,6 +418,69 @@ func TestServingMetricsLabeled(t *testing.T) {
 		}
 		id := line[i+len(`# {trace_id="`):]
 		id = id[:strings.Index(id, `"`)]
+		getTrace(t, ts.URL, id)
+	}
+}
+
+// TestMetriczDropsEvictedExemplars: a latency bucket keeps its exemplar until
+// another traced request lands in it, which can be long after the trace ring
+// evicted that trace. /metricz must stop exposing the exemplar then, in both
+// formats, so every exemplar it does expose resolves on /tracez.
+func TestMetriczDropsEvictedExemplars(t *testing.T) {
+	s, ts := newObsServer(t)
+	body := planJSON(t)
+	var out service.OptimizeResponse
+	postTraced(t, ts.URL+"/optimize", tpHeaderA, body, &out)
+	// One slow request of trace A: the only observation its bucket will see.
+	s.Metrics().HistogramVec("serving_latency_ms", "endpoint").With("optimize").ObserveExemplar(60_000, tpTraceA)
+
+	exposed := func() (ids []string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metricz?format=prometheus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if _, id, ok := strings.Cut(line, `# {trace_id="`); ok {
+				ids = append(ids, id[:strings.Index(id, `"`)])
+			}
+		}
+		var snap obs.Snapshot
+		getJSON(t, ts.URL+"/metricz", &snap)
+		n := 0
+		for _, h := range snap.Histograms {
+			for _, b := range h.Le {
+				if b.Exemplar != nil {
+					n++
+				}
+			}
+		}
+		if n != len(ids) {
+			t.Errorf("JSON snapshot exposes %d exemplars, the Prometheus exposition %d", n, len(ids))
+		}
+		return ids
+	}
+	if ids := exposed(); !slices.Contains(ids, tpTraceA) {
+		t.Fatalf("trace A is retained but not an exemplar: %v", ids)
+	}
+	// Wrap the ring: every request is retained (sample rate 1), under its
+	// own request ID.
+	for i := 0; i <= s.Tracer.Cap(); i++ {
+		postTraced(t, ts.URL+"/optimize", "", body, &out)
+	}
+	if s.Tracer.Get(tpTraceA) != nil {
+		t.Fatalf("trace A survived %d newer traces in a %d-slot ring", s.Tracer.Cap()+1, s.Tracer.Cap())
+	}
+	ids := exposed()
+	if len(ids) == 0 {
+		t.Fatal("no exemplar left: the newer traces are retained and should be exposed")
+	}
+	for _, id := range ids {
 		getTrace(t, ts.URL, id)
 	}
 }

@@ -333,7 +333,11 @@ type Server struct {
 // Metrics returns the server's metric registry (created on first use), the
 // data behind /metricz.
 func (s *Server) Metrics() *obs.Registry {
-	s.mOnce.Do(func() { s.metrics = obs.NewRegistry() })
+	s.mOnce.Do(func() {
+		s.metrics = obs.NewRegistry()
+		// The trace ring evicts; an exemplar must not outlive its trace.
+		s.metrics.ResolveExemplars(func(id string) bool { return s.Tracer.Get(id) != nil })
+	})
 	return s.metrics
 }
 
