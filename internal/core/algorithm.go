@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -94,6 +94,7 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 	}
 	var st Stats
 	c.beginRunTrace()
+	defer c.endRun()
 	final, err := c.EnumerateFull(ctx, pr, order, &st)
 	if err != nil {
 		c.endRunTrace(&st, err)
@@ -124,7 +125,8 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 		return nil, err
 	}
 	rt := c.endRunTrace(&st, nil)
-	return &Result{Execution: x, Vector: best, Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Degraded: st.Degraded, Stats: st, Trace: rt}, nil
+	// The winner is cloned out of the run's store, which is dropped here.
+	return &Result{Execution: x, Vector: best.clone(), Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Degraded: st.Degraded, Stats: st, Trace: rt}, nil
 }
 
 // OptimizeExhaustive enumerates the complete search space Ω_p without
@@ -136,8 +138,8 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.resetMemo()
 	var st Stats
+	defer c.endRun()
 	e, err := c.Enumerate(ctx, c.Vectorize(), maxVectors, &st)
 	if err != nil {
 		return nil, err
@@ -150,7 +152,7 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Execution: x, Vector: best, Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Stats: st}, nil
+	return &Result{Execution: x, Vector: best.clone(), Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Stats: st}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -162,6 +164,34 @@ type enumNode struct {
 	prio float64
 	tie  int // fewer new boundary operators wins on equal priority
 	seq  int // insertion order breaks remaining ties
+
+	// children are the node's downstream neighbours and claimed marks a
+	// node some task of the round consumes; selectRound computes both.
+	children []*enumNode
+	claimed  bool
+}
+
+// frontier is the serial state of the schedule: the live enumerations, the
+// live enumeration that owns each operator, the counters numbering nodes and
+// concatenations in selection order, and selectRound's buffers.
+type frontier struct {
+	nodes     []*enumNode
+	owner     []*enumNode
+	seq, step int
+	ordered   []*enumNode
+	union     plan.Bitset
+	boundary  []plan.OpID
+}
+
+// add appends the live enumeration e to the frontier as the owner of its
+// scope's operators.
+func (f *frontier) add(e *Enumeration) {
+	node := &enumNode{e: e, seq: f.seq}
+	f.seq++
+	for id := e.Scope.Next(0); id >= 0; id = e.Scope.Next(id + 1) {
+		f.owner[id] = node
+	}
+	f.nodes = append(f.nodes, node)
 }
 
 // mergeBlock and pruneBlock are the cooperative-cancellation granularities
@@ -194,6 +224,9 @@ const (
 // is set instead of returning an error. Count caps are rebased at each round
 // barrier — a trip on one task degrades all tasks from the next round on —
 // so degraded runs also stay deterministic across worker counts.
+//
+// The returned enumeration lives in the run's vector store and is valid until
+// the next run (EnumerateFull, Enumerate or Optimize*) on this Context.
 func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolicy, st *Stats) (*Enumeration, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -203,47 +236,42 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		// not want them.
 		st = new(Stats)
 	}
-	// Each run gets a fresh prediction memo so consecutive runs on one
-	// Context are independent (and produce equal Counters()). GetOptimal,
-	// called right after this returns, still sees this run's entries.
-	c.resetMemo()
 	start := time.Now()
 	n := c.Plan.NumOps()
 	if n == 0 {
 		return nil, fmt.Errorf("core: empty plan")
 	}
-	// Lines 2-5: split into singletons, enumerate each, set priorities.
+	// Lines 2-5: split into singletons, enumerate each, set priorities. The
+	// split is a walk over the abstract vector's scope: a singleton's rows
+	// are built from the operator, not from its abstract vector (Split).
 	vspan := c.span(c.root, "vectorize")
 	abstract := c.Vectorize()
 	vspan.End()
 	sspan := c.span(c.root, "split")
-	singles := c.Split(abstract)
-	sspan.SetInt("singletons", int64(len(singles))).End()
+	sspan.SetInt("singletons", int64(abstract.Scope.Count())).End()
 	st.Timings.Vectorize += time.Since(start)
 	enumStart := time.Now()
 	espan := c.span(c.root, "enumerate")
-	owner := make([]*enumNode, n)
-	nodes := make([]*enumNode, 0, len(singles))
-	seq := 0
-	for _, a := range singles {
-		id := a.Scope.IDs()[0]
-		node := &enumNode{e: c.enumerateSingleton(id, st), seq: seq}
-		seq++
-		owner[id] = node
-		nodes = append(nodes, node)
+	rows := 0
+	for _, alts := range c.alternatives {
+		rows += len(alts)
+	}
+	c.beginRun(rows)
+	f := &frontier{nodes: make([]*enumNode, 0, n), owner: make([]*enumNode, n), union: plan.NewBitset(n)}
+	for id := abstract.Scope.Next(0); id >= 0; id = abstract.Scope.Next(id + 1) {
+		f.add(c.enumerateSingleton(id, st))
 	}
 	espan.SetInt("vectors", int64(st.VectorsCreated)).End()
 	st.Timings.Enumerate += time.Since(enumStart)
 
 	degraded := false
-	step := 0
 	// Lines 6-17: concatenate by priority until one enumeration remains,
 	// one scheduling round at a time.
-	for len(nodes) > 1 {
+	for len(f.nodes) > 1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tasks := c.selectRound(nodes, owner, order, &step)
+		tasks := c.selectRound(f, order)
 		if len(tasks) == 0 {
 			// Every live enumeration is childless: the plan has more than
 			// one weakly-connected component.
@@ -257,6 +285,7 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 			rspan = c.span(c.root, "round")
 			rspan.SetInt("round", int64(round)).SetInt("tasks", int64(len(tasks)))
 			for _, t := range tasks {
+				t.rt = &RunTrace{Spans: c.Trace, Platforms: c.rt.Platforms, intervals: c.rt.intervals}
 				t.span = c.Trace.StartSpan(rspan, "task")
 				t.span.SetInt("scope", int64(t.node.e.Scope.Count())).
 					SetInt("children", int64(len(t.children)))
@@ -270,110 +299,92 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 				return nil, t.err
 			}
 		}
-		// Deterministic reduction: fold the task results into the shared
-		// frontier in task-selection order — stats, memo entries, audit
-		// records, and the merged enumerations' ownership.
-		consumed := make(map[*enumNode]bool, 2*len(tasks))
-		merged := make([]*enumNode, 0, len(tasks))
+		// Deterministic reduction: the consumed enumerations leave the
+		// frontier and the task results join it in task-selection order,
+		// with their stats and audit records.
+		live := f.nodes[:0]
+		for _, nd := range f.nodes {
+			if !nd.claimed {
+				live = append(live, nd)
+			}
+		}
+		f.nodes = live
 		for _, t := range tasks {
 			st.merge(&t.st)
 			if t.st.Degraded {
 				degraded = true
 			}
-			if len(t.tc.memo) > 0 {
-				if c.memo == nil {
-					c.memo = make(map[string]CostDist, len(t.tc.memo))
-				}
-				for k, v := range t.tc.memo {
-					c.memo[k] = v
-				}
-			}
 			if c.rt != nil {
-				c.rt.Prunes = append(c.rt.Prunes, t.tc.rt.Prunes...)
+				c.rt.Prunes = append(c.rt.Prunes, t.rt.Prunes...)
 			}
-			node := &enumNode{e: t.result, seq: seq}
-			seq++
-			for _, id := range t.result.Scope.IDs() {
-				owner[id] = node
-			}
-			merged = append(merged, node)
-			consumed[t.node] = true
-			for _, ch := range t.children {
-				consumed[ch] = true
-			}
+			f.add(t.result)
 		}
-		live := nodes[:0]
-		for _, nd := range nodes {
-			if !consumed[nd] {
-				live = append(live, nd)
-			}
-		}
-		nodes = append(live, merged...)
 	}
-	return nodes[0].e, nil
+	return f.nodes[0].e, nil
 }
 
-// childrenOf returns the distinct enumerations downstream-adjacent to node
-// (owners of consumers of node's operators), ordered by ascending insertion
-// sequence number for determinism (singletons get their sequence in scope-ID
-// order, merged nodes in creation order).
-func (c *Context) childrenOf(node *enumNode, owner []*enumNode) []*enumNode {
-	seen := map[*enumNode]bool{node: true}
-	var out []*enumNode
-	for _, id := range node.e.Scope.IDs() {
+// childrenOf returns, appended to out, the distinct enumerations
+// downstream-adjacent to node (owners of consumers of node's operators),
+// ordered by ascending insertion sequence number for determinism (singletons
+// get their sequence in scope-ID order, merged nodes in creation order).
+func (c *Context) childrenOf(node *enumNode, owner []*enumNode, out []*enumNode) []*enumNode {
+	scope := node.e.Scope
+	for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
 		for _, nb := range c.Plan.Op(id).Out {
 			o := owner[nb]
-			if !seen[o] {
-				seen[o] = true
-				out = append(out, o)
+			if o == node || slices.Contains(out, o) {
+				continue
 			}
+			// A node has a handful of children: insertion keeps them sorted.
+			i := len(out)
+			out = append(out, o)
+			for ; i > 0 && out[i-1].seq > o.seq; i-- {
+				out[i] = out[i-1]
+			}
+			out[i] = o
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
 
 // setPriority computes the node's priority under the given policy and its
 // tie-break value (the number of boundary operators the concatenation with
 // its children would introduce).
-func (c *Context) setPriority(node *enumNode, owner []*enumNode, order OrderPolicy) {
-	children := c.childrenOf(node, owner)
+func (c *Context) setPriority(node *enumNode, order OrderPolicy, f *frontier) {
+	scope := node.e.Scope
 	switch order {
 	case OrderPriority:
 		// Definition 3: |V| × Π |Vc|.
 		p := float64(len(node.e.Vectors))
-		for _, ch := range children {
+		for _, ch := range node.children {
 			p *= float64(len(ch.e.Vectors))
 		}
-		if len(children) == 0 {
+		if len(node.children) == 0 {
 			p = 0 // nothing to concatenate; let productive nodes go first
 		}
 		node.prio = p
 	case OrderTopDown:
 		// Sink-most first: priority grows with dataflow depth.
 		d := math.Inf(-1)
-		for _, id := range node.e.Scope.IDs() {
-			if f := float64(c.depth[id]); f > d {
-				d = f
-			}
+		for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
+			d = math.Max(d, float64(c.depth[id]))
 		}
 		node.prio = d
 	case OrderBottomUp:
 		// Source-most first: priority shrinks with dataflow depth.
 		d := math.Inf(1)
-		for _, id := range node.e.Scope.IDs() {
-			if f := float64(c.depth[id]); f < d {
-				d = f
-			}
+		for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
+			d = math.Min(d, float64(c.depth[id]))
 		}
 		node.prio = -d
 	case OrderFIFO:
 		node.prio = 0
 	}
 	// Tie-break: fewer new boundary operators (Section V-B).
-	scope := node.e.Scope.Clone()
-	for _, ch := range children {
-		scope.UnionInto(ch.e.Scope)
+	copy(f.union, scope)
+	for _, ch := range node.children {
+		f.union.UnionInto(ch.e.Scope)
 	}
-	node.tie = len(c.boundaryOf(scope))
+	f.boundary = c.boundaryOf(f.union, f.boundary[:0])
+	node.tie = len(f.boundary)
 }

@@ -93,6 +93,7 @@ func BenchmarkAblationVecops(b *testing.B) {
 // of the entire enumeration.
 func BenchmarkMerge(b *testing.B) {
 	ctx := benchContext(b, 20, 5)
+	ctx.beginRun(0)
 	a := ctx.enumerateSingleton(3, nil)
 	c := ctx.enumerateSingleton(4, nil)
 	info := ctx.MergeInfo(a, c)
@@ -126,50 +127,51 @@ func BenchmarkPrune(b *testing.B) {
 	}
 	orig := make([]*Vector, len(e.Vectors))
 	copy(orig, e.Vectors)
+	mat := e.mat
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ctx.memo = nil // fresh memo: measure inference, not cache hits
-		e.Vectors = append(e.Vectors[:0], orig...)
+		// Restore the enumeration as Enumerate laid it out, unscored:
+		// measure inference, not hits on the previous iteration's scores.
+		e.Vectors, e.mat = append(e.Vectors[:0], orig...), mat
+		for _, v := range e.Vectors {
+			v.scored = false
+		}
 		BoundaryPruner{Model: model}.Prune(context.Background(), ctx, e, nil)
 	}
 }
 
 // BenchmarkAblationBatch compares one merge+prune step of the enumeration on
 // the pre-batching scalar path (per-pair allocating Merge, one model call
-// per vector) against the batch path (arena-backed merge, one PredictBatch
-// over the enumeration's feature matrix) at the scale of Figure 9a's
-// 40-operator pipeline.
+// per vector) against the batch path (merge into the worker scratch, one
+// PredictBatch over the product's feature matrix) at the scale of Figure
+// 9a's 40-operator pipeline.
 func BenchmarkAblationBatch(b *testing.B) {
 	ctx := benchContext(b, 40, 2)
 	model := weightModel{}
 	// Pre-build the step's inputs: an 11-operator prefix enumeration
 	// (2^11 vectors) about to be merged with the next singleton —
 	// 4096 merge pairs scored by one prune.
-	left := ctx.enumerateSingleton(0, nil)
-	for id := 1; id < 11; id++ {
-		next := ctx.enumerateSingleton(plan.OpID(id), nil)
-		pairs := Iterate(left, next)
-		info := ctx.MergeInfo(left, next)
-		merged := ctx.arenaEnum(left.Scope.Union(next.Scope), len(pairs))
-		for i, pr := range pairs {
-			ctx.mergeInto(merged.Vectors[i], pr[0], pr[1], info, nil)
-		}
-		merged.Boundary = ctx.boundaryOf(merged.Scope)
-		left = merged
+	prefix := plan.NewBitset(40)
+	for id := plan.OpID(0); id < 11; id++ {
+		prefix.Set(id)
+	}
+	left, err := ctx.Enumerate(context.Background(), &Abstract{Scope: prefix}, 0, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
 	right := ctx.enumerateSingleton(plan.OpID(11), nil)
-	pairs := Iterate(left, right)
+	pairs, nr := len(left.Vectors)*len(right.Vectors), len(right.Vectors)
 	info := ctx.MergeInfo(left, right)
 	scope := left.Scope.Union(right.Scope)
-	boundary := ctx.boundaryOf(scope)
+	boundary := ctx.boundaryOf(scope, nil)
 
 	b.Run("ScalarPredict", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			merged := &Enumeration{Scope: scope, Boundary: boundary,
-				Vectors: make([]*Vector, 0, len(pairs))}
-			for _, pr := range pairs {
-				merged.Vectors = append(merged.Vectors, ctx.Merge(pr[0], pr[1], info, nil))
+				Vectors: make([]*Vector, 0, pairs)}
+			for j := 0; j < pairs; j++ {
+				merged.Vectors = append(merged.Vectors, ctx.Merge(left.Vectors[j/nr], right.Vectors[j%nr], info, nil))
 			}
 			for _, v := range merged.Vectors {
 				v.Cost = model.Predict(v.F)
@@ -180,11 +182,10 @@ func BenchmarkAblationBatch(b *testing.B) {
 	b.Run("PredictBatch", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ctx.memo = nil // fresh memo: measure inference, not cache hits
-			merged := ctx.arenaEnum(scope, len(pairs))
+			merged := ctx.scratch.product(ctx.store, scope, pairs)
 			merged.Boundary = boundary
-			for j, pr := range pairs {
-				ctx.mergeInto(merged.Vectors[j], pr[0], pr[1], info, nil)
+			for j, v := range merged.Vectors {
+				ctx.mergeInto(v, left.Vectors[j/nr], right.Vectors[j%nr], info, nil)
 			}
 			BoundaryPruner{Model: model}.Prune(context.Background(), ctx, merged, nil)
 		}

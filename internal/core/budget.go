@@ -32,7 +32,7 @@ type Budget struct {
 	// MaxModelCalls bounds the feature rows sent to the cost oracle
 	// (Stats.ModelRows) — the per-row quantity that scalar model calls
 	// used to count, so existing budget values keep their meaning under
-	// batched inference. Memoized predictions are free. 0 means
+	// batched inference. Vectors already scored are free. 0 means
 	// unlimited.
 	MaxModelCalls int
 	// SoftDeadline bounds the wall-clock enumeration time, measured from
@@ -95,6 +95,7 @@ func truncateCheapest(e *Enumeration, n int, st *Stats) {
 	if len(e.Vectors) <= n {
 		return
 	}
+	e.mat = nil
 	sort.SliceStable(e.Vectors, func(i, j int) bool {
 		return e.Vectors[i].Cost < e.Vectors[j].Cost
 	})
@@ -102,4 +103,12 @@ func truncateCheapest(e *Enumeration, n int, st *Stats) {
 		st.Pruned += len(e.Vectors) - n
 	}
 	e.Vectors = e.Vectors[:n]
+}
+
+// truncate is truncateCheapest to the degraded beam for an enumeration that
+// lives in the run's store: the rows of the vectors it drops are released.
+func (c *Context) truncate(e *Enumeration, st *Stats) {
+	all := e.Vectors
+	truncateCheapest(e, c.Budget.cap(), st)
+	c.store.release(all[len(e.Vectors):])
 }

@@ -40,7 +40,7 @@ type Stats struct {
 	Merges         int // merge operations performed
 	ModelBatches   int // batched cost-oracle invocations (one per predicted enumeration)
 	ModelRows      int // feature rows sent to the cost oracle across all batches
-	MemoHits       int // predictions served from the per-run memo instead of the model
+	MemoHits       int // vectors that reached the cost oracle already scored (no model work)
 	Pruned         int // vectors discarded by pruning
 	IntervalKept   int // near-tie vectors kept by overlap pruning (Risk.KeepOverlap)
 	PeakEnumSize   int // largest enumeration encountered
@@ -181,31 +181,27 @@ type Context struct {
 	adjacency    [][]plan.OpID // per op: all neighbours (in and out)
 	effIters     []float64     // per op: loop iterations (1 outside loops)
 
-	// memo caches model predictions within one optimization run, keyed by
-	// the vector's full assignment bytes: a subvector re-entering the
-	// prediction path (GetOptimal after the final prune, re-merged
-	// identical subplans) is served from here instead of the model. It is
-	// reset at the start of every run (EnumerateFull/OptimizeExhaustive)
-	// so consecutive runs on one Context stay independent and their
-	// Stats.Counters() stay comparable. It lives here rather than on
-	// Stats to keep Stats a comparable struct.
-	memo map[string]CostDist
+	// Per-run enumeration memory (store.go): the vector store of the run in
+	// progress (or last finished, while its result may still be read) and
+	// the scratch of the goroutine driving this Context — worker 0's on the
+	// caller's Context, the executing worker's on a pool worker's copy.
+	store   *vecStore
+	scratch *scratch
+	// poison arms the store's test-only poison hook for runs on this
+	// Context (see vecStore.poison).
+	poison bool
 
 	// Per-run tracing state, live only while Trace is set: the run's audit
 	// collector, the root span, the span adopted as parent by nested infer
-	// spans, and the in-flight prune audit record. On the main Context they
-	// are touched only by the goroutine driving the enumeration; each
-	// scheduled task gets its own shallow Context copy (taskContext) with a
-	// task-local collector and span parent, folded back in at the round
-	// barrier.
+	// spans, and the in-flight prune audit record. A scheduled task records
+	// into a collector and under a span of its own (runTask installs them
+	// on the Context that executes it: this one when the round runs inline,
+	// a pool worker's copy otherwise), folded back in at the round barrier.
 	rt      *RunTrace
 	root    *obs.Span
 	curSpan *obs.Span
 	curRec  *PruneRecord
 }
-
-// resetMemo clears the per-run prediction memo.
-func (c *Context) resetMemo() { c.memo = nil }
 
 // span opens a child span of parent when this run is traced; the returned
 // span may be nil and all its methods then no-op.
@@ -345,12 +341,11 @@ func (c *Context) SearchSpaceSize() float64 {
 	return size
 }
 
-// boundaryOf returns the operators of scope that are adjacent to at least
-// one operator outside scope, in ascending ID order (the boundary operators
-// of Definition 2).
-func (c *Context) boundaryOf(scope plan.Bitset) []plan.OpID {
-	var out []plan.OpID
-	for _, id := range scope.IDs() {
+// boundaryOf appends to out the operators of scope that are adjacent to at
+// least one operator outside scope, in ascending ID order (the boundary
+// operators of Definition 2).
+func (c *Context) boundaryOf(scope plan.Bitset, out []plan.OpID) []plan.OpID {
+	for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
 		for _, nb := range c.adjacency[id] {
 			if !scope.Has(nb) {
 				out = append(out, id)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/platform"
 	"repro/internal/vecops"
 	"repro/internal/workload"
 )
@@ -39,10 +38,7 @@ func FuzzEnumerate(f *testing.F) {
 		nPlats := int(nPlatsRaw)%3 + 2
 		workers := int(workersRaw)%8 + 1
 		l := workload.RandomDAG(nOps, 1e7, seed)
-		ctx, err := core.NewContext(l, platform.Subset(nPlats), platform.UniformAvailability(nPlats))
-		if err != nil {
-			t.Fatalf("NewContext rejected a workload-built DAG: %v", err)
-		}
+		ctx := newCtx(t, l, nPlats)
 		ctx.Workers = workers
 		ctx.Budget = core.Budget{MaxVectors: int(maxVec % 300), MaxModelCalls: int(maxMC % 1024)}
 		ctx.Trace = obs.NewTrace("fuzz")
@@ -148,10 +144,7 @@ func FuzzPruneLossless(f *testing.F) {
 		order := core.OrderPolicy(orderRaw % 4)
 		l := workload.RandomDAG(nOps, 1e7, seed)
 		newContext := func(keepOverlap bool) *core.Context {
-			ctx, err := core.NewContext(l, platform.Subset(nPlats), platform.UniformAvailability(nPlats))
-			if err != nil {
-				t.Fatalf("NewContext rejected a workload-built DAG: %v", err)
-			}
+			ctx := newCtx(t, l, nPlats)
 			ctx.Workers = workers
 			ctx.Risk = core.Risk{Lambda: lambda, KeepOverlap: keepOverlap}
 			return ctx

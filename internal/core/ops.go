@@ -14,44 +14,26 @@ import (
 // scope s of operator IDs and a set of plan vectors, each representing one
 // execution plan for the logical subplan spanned by the scope. Boundary
 // caches the scope's boundary operators (Definition 2) in ascending order.
+//
+// An enumeration returned by Enumerate or EnumerateFull lives in its run's
+// vector store (store.go) and is valid until the next run on the same
+// Context; the one a Pruner is handed may live in a worker's scratch and is
+// valid only during the call.
 type Enumeration struct {
 	Scope    plan.Bitset
 	Boundary []plan.OpID
 	Vectors  []*Vector
 
-	// mat is the shared arena behind the vectors' feature blocks when the
-	// enumeration was built by the batch path: Vectors[i].F aliases row i.
-	// Pruning shrinks Vectors without touching the arena, so consumers
-	// must re-verify the alignment (featureMatrix does) before treating
-	// the arena as the enumeration's feature matrix. nil for enumerations
-	// assembled vector by vector.
+	// mat, when set, is the enumeration's feature matrix: row i is
+	// Vectors[i].F. Whoever lays the vectors out contiguously sets it (a
+	// scratch product, Enumerate's blocks) and everything that drops or
+	// reorders vectors clears it, so predictEnum can score the rows in place
+	// without checking. nil for enumerations assembled vector by vector.
 	mat *vecops.Matrix
 }
 
 // Size returns the number of plan vectors in the enumeration.
 func (e *Enumeration) Size() int { return len(e.Vectors) }
-
-// arenaEnum allocates an enumeration of n vectors whose feature blocks
-// share one flat row-major matrix and whose assignments share one flat byte
-// block — three allocations total instead of 3n, and the layout batched
-// model inference consumes without copying.
-func (c *Context) arenaEnum(scope plan.Bitset, n int) *Enumeration {
-	e := &Enumeration{
-		Scope:   scope,
-		Vectors: make([]*Vector, n),
-		mat:     vecops.NewMatrix(n, c.Schema.Len()),
-	}
-	vecs := make([]Vector, n)
-	nOps := c.Plan.NumOps()
-	assign := make([]uint8, n*nOps)
-	for i := 0; i < n; i++ {
-		v := &vecs[i]
-		v.F = e.mat.Row(i)
-		v.Assign = assign[i*nOps : (i+1)*nOps : (i+1)*nOps]
-		e.Vectors[i] = v
-	}
-	return e
-}
 
 // ---------------------------------------------------------------------------
 // Core operations (Section IV-C)
@@ -198,7 +180,8 @@ func (c *Context) Split(a *Abstract) []*Abstract {
 // alternatives, i.e. the exhaustive enumeration of the subplan. maxVectors
 // guards against accidental exponential blow-ups: 0 means unlimited. ctx
 // cancels the enumeration (checked between merges, every mergeBlock pairs);
-// nil means context.Background().
+// nil means context.Background(). The returned enumeration is valid until the
+// next run on this Context (see Enumeration).
 func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st *Stats) (*Enumeration, error) {
 	ids := a.Scope.IDs()
 	if len(ids) == 0 {
@@ -208,29 +191,34 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 	if ctx != nil && ctx.Done() != nil {
 		check = ctx.Err
 	}
+	c.beginRun(0)
 	e := c.enumerateSingleton(ids[0], st)
 	for _, id := range ids[1:] {
 		if err := check(); err != nil {
 			return nil, err
 		}
 		next := c.enumerateSingleton(id, st)
-		pairs := Iterate(e, next)
-		// The concatenation has exactly len(pairs) vectors, so an
-		// oversized product is rejected before its arena is allocated.
-		if maxVectors > 0 && len(pairs) > maxVectors {
+		pairs, nb := len(e.Vectors)*len(next.Vectors), len(next.Vectors)
+		// An oversized product is rejected before its rows are allocated.
+		if maxVectors > 0 && pairs > maxVectors {
 			return nil, fmt.Errorf("core: enumeration exceeds %d vectors", maxVectors)
 		}
 		info := c.MergeInfo(e, next)
-		merged := c.arenaEnum(e.Scope.Union(next.Scope), len(pairs))
-		for i, pr := range pairs {
+		// Every vector survives, so the product is merged straight into
+		// store rows.
+		rows, mat := c.store.block(pairs)
+		merged := &Enumeration{Scope: e.Scope.Union(next.Scope), Vectors: rows, mat: &mat}
+		for i, v := range merged.Vectors {
 			if i%mergeBlock == 0 {
 				if err := check(); err != nil {
 					return nil, err
 				}
 			}
-			c.mergeInto(merged.Vectors[i], pr[0], pr[1], info, st)
+			c.mergeInto(v, e.Vectors[i/nb], next.Vectors[i%nb], info, st)
 		}
-		merged.Boundary = c.boundaryOf(merged.Scope)
+		c.store.release(e.Vectors)
+		c.store.release(next.Vectors)
+		merged.Boundary = c.boundaryOf(merged.Scope, nil)
 		e = merged
 		if st != nil {
 			st.observe(len(e.Vectors))
@@ -240,16 +228,17 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 }
 
 // enumerateSingleton returns the enumeration of a single operator: one plan
-// vector per available execution operator.
+// vector per available execution operator, in rows of the run's store.
 func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	o := c.Plan.Op(id)
 	s := c.Schema
 	scope := plan.NewBitset(c.Plan.NumOps())
 	scope.Set(id)
-	e := c.arenaEnum(scope, len(c.alternatives[id]))
-	e.Boundary = c.boundaryOf(scope)
+	e := &Enumeration{Scope: scope, Boundary: c.boundaryOf(scope, nil), Vectors: c.store.take(len(c.alternatives[id]))}
 	for vi, pi := range c.alternatives[id] {
 		v := e.Vectors[vi]
+		*v = Vector{F: v.F, Assign: v.Assign}
+		clear(v.F)
 		for i := range v.Assign {
 			v.Assign[i] = Unassigned
 		}
@@ -290,17 +279,9 @@ func (c *Context) Unvectorize(v *Vector) (*plan.Execution, error) {
 // Auxiliary operations (Section IV-D)
 // ---------------------------------------------------------------------------
 
-// Iterate returns the cartesian product of the two enumerations' vectors as
-// ordered pairs (operation 5).
-func Iterate(a, b *Enumeration) [][2]*Vector {
-	out := make([][2]*Vector, 0, len(a.Vectors)*len(b.Vectors))
-	for _, va := range a.Vectors {
-		for _, vb := range b.Vectors {
-			out = append(out, [2]*Vector{va, vb})
-		}
-	}
-	return out
-}
+// Iterate (operation 5), the cartesian product of two enumerations' vectors
+// as ordered pairs, is index arithmetic here: a concatenation of a and b
+// merges pair i from a.Vectors[i/len(b.Vectors)] and b.Vectors[i%len(b.Vectors)].
 
 // MergeCtx precomputes the plan-structure information shared by every merge
 // of vectors from two fixed enumerations: the dataflow edges crossing the
@@ -338,13 +319,12 @@ func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
 	return out
 }
 
-// mergeInto is Merge writing into a pre-allocated vector (an arena row on
-// the enumeration fast path). out.F and out.Assign must have the schema and
-// plan widths; every cell is overwritten.
+// mergeInto is Merge writing into a pre-allocated vector (a scratch or store
+// row on the enumeration fast path). out.F and out.Assign must have the
+// schema and plan widths; every cell is overwritten, whatever it held.
 func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 	s := c.Schema
-	out.Cost = 0
-	out.Dist = CostDist{}
+	out.Cost, out.Dist, out.scored = 0, CostDist{}, false
 	vecops.Add(out.F, v1.F, v2.F)
 	out.F[TopoPipeline] -= float64(info.Fuses)
 	// The dataset cell and the per-platform peak-bytes cells merge by max,
@@ -414,10 +394,10 @@ type BoundaryPruner struct {
 }
 
 // Prune applies boundary pruning to e using the model as the cost oracle.
-// The whole enumeration is scored with one batched model invocation (memo
-// hits excepted; see predictEnum) and survivors carry their predicted cost
-// in Vector.Cost. A cancelled ctx returns early without pruning; the caller
-// is expected to abandon the enumeration.
+// The whole enumeration is scored with one batched model invocation (vectors
+// already scored excepted; see predictEnum) and survivors carry their
+// predicted cost in Vector.Cost. A cancelled ctx returns early without
+// pruning; the caller is expected to abandon the enumeration.
 func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
 	if c.predictEnum(ctx, p.Model, e, st) {
 		c.pruneGroups(e, st, nil)
@@ -443,13 +423,15 @@ type groupKey struct{ foot, prop uint64 }
 // any Workers.
 //
 // A group that keeps no near-ties settles each loss as it happens, so that
-// case allocates the one map and nothing else — it runs after every
-// concatenation of every request. Otherwise no member's fate is known before
-// its group's winner is final, and all of them wait.
+// case allocates nothing (the group map is the worker scratch's, cleared per
+// prune) — it runs after every concatenation of every request. Otherwise no
+// member's fate is known before its group's winner is final, and all of them
+// wait.
 func (c *Context) pruneGroups(e *Enumeration, st *Stats, props []Property) {
 	if len(e.Vectors) <= 1 {
 		return
 	}
+	e.mat = nil
 	nearTies := 0
 	if c.Risk.KeepOverlap {
 		nearTies = overlapKept - 1
@@ -467,7 +449,12 @@ func (c *Context) pruneGroups(e *Enumeration, st *Stats, props []Property) {
 	}
 	var waiting []member
 	var wide map[string]uint64
-	groups := make(map[groupKey]int)
+	sc := c.work()
+	if sc.groups == nil {
+		sc.groups = make(map[groupKey]int)
+	}
+	groups := sc.groups
+	clear(groups)
 	kept := e.Vectors[:0]
 	for _, v := range e.Vectors {
 		foot, sfoot, packed := footprintKey(v.Assign, e.Boundary)
@@ -553,6 +540,7 @@ type SwitchPruner struct {
 // Prune applies the platform-switch pruning to e. It never invokes a cost
 // oracle, so ctx is unused.
 func (p SwitchPruner) Prune(_ context.Context, c *Context, e *Enumeration, st *Stats) {
+	e.mat = nil
 	kept := e.Vectors[:0]
 	for _, v := range e.Vectors {
 		if c.Schema.Conversions(v.F) <= p.Beta {
@@ -582,9 +570,9 @@ func (NoPruner) Prune(context.Context, *Context, *Enumeration, *Stats) {}
 // GetOptimal predicts the runtime of every vector in e and returns the one
 // with the lowest prediction (Algorithm 1, line 18). Ties resolve to the
 // earliest vector for determinism. Prediction goes through the same batched
-// helper as the pruners (after a pruned run, every survivor is a memo hit,
-// so the final selection costs no model work at all). A nil return means
-// the enumeration was empty or ctx was cancelled mid-batch; the caller
+// helper as the pruners (after a pruned run, every survivor is already
+// scored, so the final selection costs no model work at all). A nil return
+// means the enumeration was empty or ctx was cancelled mid-batch; the caller
 // distinguishes the two via ctx.Err().
 func (c *Context) GetOptimal(ctx context.Context, e *Enumeration, m CostModel, st *Stats) *Vector {
 	if len(e.Vectors) == 0 {

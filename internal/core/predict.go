@@ -53,46 +53,40 @@ func (b scalarBatch) PredictBatch(X *vecops.Matrix, out []float64) {
 	}
 }
 
-// featureMatrix returns a flat row-major matrix over the vectors of e at the
-// given indices. When those are all of them and the vectors still alias the
-// enumeration's merge arena row for row (the common case: predict runs right
-// after the merge that built them, with nothing memoized), this is a
-// zero-copy view; otherwise — memo hits dropped out, pruning reordered the
-// survivors, or a caller replaced e.Vectors outright — the rows are gathered
-// into a fresh matrix. Returned by value so that predictEnum's chunk closure
-// captures it without a second allocation.
-func (e *Enumeration) featureMatrix(cols int, rows []int) vecops.Matrix {
-	n := len(e.Vectors)
-	if len(rows) == n && e.mat != nil && e.mat.Cols == cols && n <= e.mat.Rows {
-		aligned := true
-		for i, v := range e.Vectors {
-			if len(v.F) != cols || &v.F[0] != &e.mat.Data[i*cols] {
-				aligned = false
-				break
-			}
-		}
-		if aligned {
-			return e.mat.RowsView(0, n)
-		}
+// features returns the flat row-major matrix of the unscored vectors of e,
+// listed in miss. When that is every vector and the enumeration carries its
+// feature matrix (the common case: predict runs right after the merge that
+// laid the rows out), it is that matrix itself; otherwise — some vectors were
+// already scored, pruning dropped or reordered rows, or the enumeration was
+// assembled by hand — the rows are gathered into the scratch. Returned by
+// value so that predictEnum's chunk closure captures it without an
+// allocation.
+func (sc *scratch) features(e *Enumeration, cols int) vecops.Matrix {
+	n := len(sc.miss)
+	if e.mat != nil && n == e.mat.Rows && n == len(e.Vectors) {
+		return *e.mat
 	}
-	m := vecops.NewMatrix(len(rows), cols)
-	for k, i := range rows {
+	if cap(sc.gather) < n*cols {
+		sc.gather = make([]float64, n*cols)
+	}
+	m := vecops.Matrix{Data: sc.gather[:n*cols], Rows: n, Cols: cols}
+	for k, i := range sc.miss {
 		copy(m.Row(k), e.Vectors[i].F)
 	}
-	return *m
+	return m
 }
 
 // predictEnum sets Vector.Dist to the model's predictive distribution and
 // Vector.Cost to its selection score (Context.score) for every vector of e
 // through one batched model invocation, and is the single
 // prediction/accounting path shared by BoundaryPruner, PropertyPruner and
-// GetOptimal. Vectors whose full assignment was already predicted in this
-// run are served from the per-run memo (Stats.MemoHits); the rest form one
-// flat matrix scored by a single logical PredictBatchDist
-// (Stats.ModelBatches/ModelRows), chunked across workers via parallelForCtx
-// in pruneBlock-sized blocks so cancellation latency stays bounded by one
-// block of model work. Returns false when ctx was cancelled mid-batch; costs
-// are then partial and the caller must abandon the enumeration.
+// GetOptimal. Vectors that already carry this run's prediction are not sent
+// again (Stats.MemoHits); the rest form one flat matrix scored by a single
+// logical PredictBatchDist (Stats.ModelBatches/ModelRows), chunked across
+// workers via parallelForCtx in pruneBlock-sized blocks so cancellation
+// latency stays bounded by one block of model work. Returns false when ctx
+// was cancelled mid-batch; costs are then partial and the caller must abandon
+// the enumeration.
 func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, st *Stats) bool {
 	n := len(e.Vectors)
 	if n == 0 {
@@ -107,26 +101,26 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 		}
 		ispan = c.Trace.StartSpan(parent, "infer")
 	}
-	if c.memo == nil {
-		c.memo = make(map[string]CostDist)
-	}
-	// Memo pass (serial, so hit counts are deterministic for any Workers).
-	hits := 0
-	miss := make([]int, 0, n)
+	// Scored pass (serial, so hit counts are deterministic for any Workers).
+	sc := c.work()
+	sc.miss = sc.miss[:0]
 	for i, v := range e.Vectors {
-		if d, ok := c.memo[string(v.Assign)]; ok {
-			v.Dist = d
-			v.Cost = c.score(d)
-			hits++
+		if v.scored {
+			v.Cost = c.score(v.Dist)
 		} else {
-			miss = append(miss, i)
+			sc.miss = append(sc.miss, i)
 		}
 	}
+	miss := sc.miss
+	hits := n - len(miss)
 	ok := true
 	if len(miss) > 0 {
-		X := e.featureMatrix(c.Schema.Len(), miss)
-		// The four output columns share one buffer: one allocation per batch.
-		buf := make([]float64, 4*len(miss))
+		X := sc.features(e, c.Schema.Len())
+		// The four output columns share one buffer, the scratch's.
+		if cap(sc.out) < 4*len(miss) {
+			sc.out = make([]float64, 4*len(miss))
+		}
+		buf := sc.out[:4*len(miss)]
 		mean, spread := buf[:len(miss)], buf[len(miss):2*len(miss)]
 		lov, hiv := buf[2*len(miss):3*len(miss)], buf[3*len(miss):]
 		dm := asBatchDist(m)
@@ -144,7 +138,7 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 				v := e.Vectors[i]
 				v.Dist = CostDist{Mean: mean[k], Spread: spread[k], Lo: lov[k], Hi: hiv[k]}
 				v.Cost = c.score(v.Dist)
-				c.memo[string(v.Assign)] = v.Dist
+				v.scored = true
 			}
 		}
 	}

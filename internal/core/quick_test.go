@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,18 +124,16 @@ func TestQuickPruneSubset(t *testing.T) {
 }
 
 // TestQuickWorkersDeterministic: for random DAGs, the parallel enumeration
-// is an exact replica of the serial one — Workers=1 and Workers=8 produce
-// byte-identical platform assignments and do the same amount of merge work.
-// This is the determinism contract the chunked parallel writes exist for.
+// is an exact replica of the serial one — Workers=1, 2 and 8 produce
+// byte-identical platform assignments and do the same amount of merge work,
+// with the store's poison hook armed. This is the determinism contract the
+// chunked parallel writes exist for.
 func TestQuickWorkersDeterministic(t *testing.T) {
 	f := func(seed int64, sizeRaw uint8) bool {
 		size := int(sizeRaw)%10 + 4
 		l := workload.RandomDAG(size, 1e8, seed)
 		run := func(workers int) (*core.Result, bool) {
-			ctx, err := core.NewContext(l, platform.Subset(3), platform.UniformAvailability(3))
-			if err != nil {
-				return nil, false
-			}
+			ctx := newCtx(t, l, 3)
 			ctx.Workers = workers
 			m := newAdditiveLinModel(ctx.Schema, seed+13)
 			res, err := ctx.Optimize(context.Background(), m)
@@ -147,20 +146,14 @@ func TestQuickWorkersDeterministic(t *testing.T) {
 		if !ok {
 			return false
 		}
-		par, ok := run(8)
-		if !ok {
-			return false
-		}
-		if len(serial.Execution.Assign) != len(par.Execution.Assign) {
-			return false
-		}
-		for i := range serial.Execution.Assign {
-			if serial.Execution.Assign[i] != par.Execution.Assign[i] {
+		for _, workers := range []int{2, 8} {
+			par, ok := run(workers)
+			if !ok || !slices.Equal(serial.Execution.Assign, par.Execution.Assign) ||
+				serial.Predicted != par.Predicted || serial.Stats.Counters() != par.Stats.Counters() {
 				return false
 			}
 		}
-		return serial.Stats.Merges == par.Stats.Merges &&
-			serial.Stats.Counters() == par.Stats.Counters()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

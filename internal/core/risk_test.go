@@ -20,7 +20,7 @@ import (
 //   - λ=0 is provably the status quo: a context with an explicit zero Risk
 //     produces byte-identical plans, Counters() and PruneRecord JSON to the
 //     default context across the random-DAG corpus, every model family, and
-//     Workers ∈ {1,8} — and the marshalled audit contains none of the new
+//     Workers ∈ {1,2,8} — and the marshalled audit contains none of the new
 //     interval fields (they are omitempty and must stay zero at λ=0).
 //   - λ>0 stays deterministic: the risk-aware path is bit-identical across
 //     Workers ∈ {1,2,4,8}.
@@ -59,7 +59,7 @@ func riskRun(t *testing.T, l *plan.Logical, m core.CostModel, risk core.Risk, wo
 
 // TestRiskLambdaZeroParity pins that λ=0 reproduces today's optimizer
 // byte-for-byte: for the random-DAG corpus, all six model families and
-// Workers ∈ {1,8}, an explicit zero Risk is indistinguishable from the
+// Workers ∈ {1,2,8}, an explicit zero Risk is indistinguishable from the
 // default context — plan bytes, Counters(), and the JSON-marshalled
 // PruneRecords all match, and the audit JSON carries no interval fields.
 func TestRiskLambdaZeroParity(t *testing.T) {
@@ -87,7 +87,7 @@ func TestRiskLambdaZeroParity(t *testing.T) {
 				m := families[fam]
 				t.Run(fam, func(t *testing.T) {
 					t.Parallel()
-					for _, workers := range []int{1, 8} {
+					for _, workers := range []int{1, 2, 8} {
 						base := runDeterministic(t, l, m, workers)
 						zero := riskRun(t, l, m, core.Risk{}, workers)
 						if string(zero.assign) != string(base.assign) {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,7 +35,7 @@ type boundaryTask struct {
 	// independent of execution interleaving.
 	stepBase int
 
-	tc     *Context // task-local context (own memo, audit collector, spans)
+	rt     *RunTrace // task-local audit collector (traced runs only)
 	span   *obs.Span
 	result *Enumeration
 	st     Stats
@@ -47,8 +48,9 @@ type boundaryTask struct {
 // traversal order and greedily selects a set of pairwise-disjoint boundary
 // tasks in priority order. Enumerations whose children are already claimed
 // by a higher-priority task sit the round out; childless enumerations wait
-// until an upstream enumeration absorbs them. step is advanced by the number
-// of concatenations handed out.
+// until an upstream enumeration absorbs them. The frontier's step counter
+// advances by the number of concatenations handed out, and every enumeration
+// a task will consume is marked claimed for the reduction to drop.
 //
 // Selection is guarded by the boundary tie-break: a task is admissible only
 // when its tie (the boundary size of the concatenated scope, Section V-B)
@@ -62,78 +64,56 @@ type boundaryTask struct {
 // boundaries while join lattices close their input holes before the chain
 // concatenations run. The node with the minimum tie is always admissible,
 // so every round selects at least one task.
-func (c *Context) selectRound(nodes []*enumNode, owner []*enumNode, order OrderPolicy, step *int) []*boundaryTask {
-	for _, nd := range nodes {
-		c.setPriority(nd, owner, order)
-	}
-	ordered := append(make([]*enumNode, 0, len(nodes)), nodes...)
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.prio != b.prio {
-			return a.prio > b.prio
-		}
-		if a.tie != b.tie {
-			return a.tie < b.tie
-		}
-		return a.seq < b.seq
-	})
-	children := make(map[*enumNode][]*enumNode, len(nodes))
+func (c *Context) selectRound(f *frontier, order OrderPolicy) []*boundaryTask {
+	// Children, priorities and ties are computed once per live node, from
+	// the frontier as the last barrier left it.
 	minTie := -1
-	for _, nd := range ordered {
-		ch := c.childrenOf(nd, owner)
-		if len(ch) == 0 {
-			continue
-		}
-		children[nd] = ch
-		if minTie < 0 || nd.tie < minTie {
+	for _, nd := range f.nodes {
+		nd.children = c.childrenOf(nd, f.owner, nd.children[:0])
+		c.setPriority(nd, order, f)
+		if len(nd.children) > 0 && (minTie < 0 || nd.tie < minTie) {
 			minTie = nd.tie
 		}
 	}
-	claimed := make(map[*enumNode]bool, len(nodes))
+	f.ordered = append(f.ordered[:0], f.nodes...)
+	slices.SortFunc(f.ordered, func(a, b *enumNode) int {
+		if a.prio != b.prio {
+			return cmp.Compare(b.prio, a.prio)
+		}
+		if a.tie != b.tie {
+			return cmp.Compare(a.tie, b.tie)
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	var tasks []*boundaryTask
-	for _, nd := range ordered {
-		ch, ok := children[nd]
-		if !ok || claimed[nd] || nd.tie > minTie+1 {
+	for _, nd := range f.ordered {
+		if len(nd.children) == 0 || nd.claimed || nd.tie > minTie+1 {
 			continue
 		}
-		free := true
-		for _, c := range ch {
-			if claimed[c] {
-				free = false
-				break
-			}
-		}
-		if !free {
+		if slices.ContainsFunc(nd.children, func(ch *enumNode) bool { return ch.claimed }) {
 			continue
 		}
-		claimed[nd] = true
-		for _, c := range ch {
-			claimed[c] = true
+		nd.claimed = true
+		for _, ch := range nd.children {
+			ch.claimed = true
 		}
-		tasks = append(tasks, &boundaryTask{node: nd, children: ch, stepBase: *step})
-		*step += len(ch)
+		tasks = append(tasks, &boundaryTask{node: nd, children: nd.children, stepBase: f.step})
+		f.step += len(nd.children)
 	}
 	return tasks
 }
 
-// taskContext returns a shallow copy of c for one task: the precomputed
-// read-only plan state is shared, while the per-run mutable state — the
-// prediction memo, the audit collector and the span parent — is task-local so
-// concurrent tasks never synchronize on it. The task's memo and audit records
-// are folded back into c at the round barrier, in task order.
-func (c *Context) taskContext(workers int, span *obs.Span) *Context {
-	tc := new(Context)
-	*tc = *c
-	tc.Workers = workers
-	tc.memo = nil
-	tc.curRec, tc.curSpan = nil, nil
-	if c.rt != nil {
-		tc.rt = &RunTrace{Spans: c.Trace, Platforms: c.rt.Platforms, intervals: c.rt.intervals}
-		tc.root = span
-	} else {
-		tc.rt, tc.root = nil, nil
-	}
-	return tc
+// workerContext returns a shallow copy of c for one pool worker: the
+// precomputed read-only plan state is shared, while what a task mutates —
+// the scratch, and the audit collector and span parent runTask installs per
+// task — is the worker's own, so concurrent tasks never synchronize on it.
+func (c *Context) workerContext(sc *scratch) *Context {
+	wc := new(Context)
+	*wc = *c
+	wc.Workers = 1
+	wc.scratch = sc
+	wc.curRec, wc.curSpan = nil, nil
+	return wc
 }
 
 // runRound executes the round's tasks. With one task (or one worker) it runs
@@ -151,20 +131,19 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	if workers <= 1 || len(tasks) == 1 {
-		// Inline path: a single task keeps the full intra-enumeration
-		// parallelism (merges and model batches still fan out), which is
+	if workers <= 1 {
+		// Inline path, on c itself: either the run is serial or the round
+		// has a single task, which keeps the full intra-enumeration
+		// parallelism (merges and model batches still fan out) — that is
 		// where the work concentrates in the final rounds.
-		inner := 1
-		if len(tasks) == 1 {
-			inner = c.Workers
-		}
 		if len(tasks) > st.Par.MaxQueueDepth {
 			st.Par.MaxQueueDepth = len(tasks)
 		}
+		rt, root := c.rt, c.root
 		for _, t := range tasks {
-			c.runTask(ctx, pr, t, inner, degraded, start, base)
+			c.runTask(ctx, pr, t, degraded, start, base)
 		}
+		c.rt, c.root = rt, root
 		return
 	}
 	queues := make([][]*boundaryTask, workers)
@@ -208,16 +187,16 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(self int) {
+		go func(self int, wc *Context) {
 			defer wg.Done()
 			for {
 				t := next(self)
 				if t == nil {
 					return
 				}
-				c.runTask(ctx, pr, t, 1, degraded, start, base)
+				wc.runTask(ctx, pr, t, degraded, start, base)
 			}
-		}(w)
+		}(w, c.workerContext(c.store.worker(w)))
 	}
 	wg.Wait()
 	st.Par.Steals += steals
@@ -225,14 +204,15 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 
 // runTask concatenates the task's enumeration with each of its children in
 // order, pruning after every concatenation — the per-child body of the
-// serial Algorithm 1 loop, operating entirely on task-local state. Each task
-// fills its own merge arenas (arenaEnum), so workers never contend on
-// allocation or vector storage.
-func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, innerWorkers int, degraded bool, start time.Time, base Stats) {
-	tc := c.taskContext(innerWorkers, t.span)
-	t.tc = tc
+// serial Algorithm 1 loop. tc is the Context executing the task (the run's
+// own when the round runs inline, a pool worker's copy otherwise): each
+// product is merged into its scratch, pruned there, and what survives is
+// copied into store rows, while the rows of the two inputs go back to the
+// store — so workers contend on nothing but the store's free list.
+func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degraded bool, start time.Time, base Stats) {
+	tc.rt, tc.root = t.rt, t.span
 	st := &t.st
-	budget := c.Budget
+	budget := tc.Budget
 	deg := degraded
 	cur := t.node.e
 	for ci, child := range t.children {
@@ -259,15 +239,16 @@ func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, inner
 			}
 		}
 		if deg {
-			truncateCheapest(cur, budget.cap(), st)
-			truncateCheapest(child.e, budget.cap(), st)
+			tc.truncate(cur, st)
+			tc.truncate(child.e, st)
 		}
-		pairs := Iterate(cur, child.e)
+		left, right := cur.Vectors, child.e.Vectors
+		pairs := len(left) * len(right)
 		info := tc.MergeInfo(cur, child.e)
-		merged := tc.arenaEnum(cur.Scope.Union(child.e.Scope), len(pairs))
+		merged := tc.scratch.product(tc.store, cur.Scope.Union(child.e.Scope), pairs)
 		mspan := tc.span(tc.root, "merge")
-		mspan.SetInt("step", int64(step)).SetInt("left", int64(len(cur.Vectors))).
-			SetInt("right", int64(len(child.e.Vectors))).SetInt("pairs", int64(len(pairs)))
+		mspan.SetInt("step", int64(step)).SetInt("left", int64(len(left))).
+			SetInt("right", int64(len(right))).SetInt("pairs", int64(pairs))
 		if deg && !wasDeg {
 			// The budget tripped on this very concatenation: the audit
 			// trail marks where the run left the lossless regime.
@@ -275,11 +256,12 @@ func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, inner
 		}
 		mergeStart := time.Now()
 		// Merge is a pure function of its two inputs, so the cartesian
-		// product fans out across workers writing into disjoint arena rows;
-		// chunked writes keep the vector order deterministic.
-		err := parallelForCtx(ctx, len(pairs), tc.Workers, mergeBlock, func(lo, hi int) {
+		// product (pair i is left[i/len(right)] × right[i%len(right)]) fans
+		// out across workers writing into disjoint scratch rows; chunked
+		// writes keep the vector order deterministic.
+		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				tc.mergeInto(merged.Vectors[i], pairs[i][0], pairs[i][1], info, nil)
+				tc.mergeInto(merged.Vectors[i], left[i/len(right)], right[i%len(right)], info, nil)
 			}
 		})
 		st.Timings.Merge += time.Since(mergeStart)
@@ -288,9 +270,12 @@ func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, inner
 			t.err = err
 			return
 		}
-		st.Merges += len(pairs)
-		st.VectorsCreated += len(pairs)
-		merged.Boundary = tc.boundaryOf(merged.Scope)
+		// Both inputs are consumed: their rows are free for the survivors.
+		tc.store.release(left)
+		tc.store.release(right)
+		st.Merges += pairs
+		st.VectorsCreated += pairs
+		merged.Boundary = tc.boundaryOf(merged.Scope, nil)
 		st.observe(len(merged.Vectors))
 		pspan := tc.span(tc.root, "prune")
 		if tc.rt != nil {
@@ -317,7 +302,7 @@ func (c *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, inner
 		if deg {
 			truncateCheapest(merged, budget.cap(), st)
 		}
-		cur = merged
+		cur = tc.keep(merged)
 	}
 	t.result = cur
 	if t.span != nil {

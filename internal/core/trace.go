@@ -12,7 +12,7 @@ import (
 // attached to the Context (Context.Trace), every Optimize/OptimizeOpts run
 // records, besides the obs span tree, a typed pruning audit trail — which
 // subplan enumerations were pruned, by what predicted boundary costs, how
-// much inference was memoized, and where the budget degraded the run. The
+// many vectors were already scored, and where the budget degraded the run. The
 // audit rides on Result.Trace and backs Result.Explain, the human-readable
 // account of why the winning platform assignment beat its alternatives.
 
@@ -58,8 +58,8 @@ type PruneRecord struct {
 	// VectorsIn and VectorsOut are the enumeration sizes around the prune.
 	VectorsIn  int `json:"vectorsIn"`
 	VectorsOut int `json:"vectorsOut"`
-	// ModelRows and MemoHits split this prune's predictions between the
-	// cost oracle and the per-run memo.
+	// ModelRows and MemoHits split this prune's vectors between those sent
+	// to the cost oracle and those that arrived already scored.
 	ModelRows int `json:"modelRows"`
 	MemoHits  int `json:"memoHits"`
 	// BestCost and WorstCost bound the surviving vectors' predicted costs.

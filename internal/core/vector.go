@@ -29,6 +29,20 @@ type Vector struct {
 	// distributional support it degenerates to Lo = Hi = Mean with zero
 	// Spread.
 	Dist CostDist
+
+	// scored records that Cost and Dist are the cost oracle's answer for
+	// this vector rather than their zero values: a scored vector re-entering
+	// predictEnum (the survivors of the last prune, at GetOptimal) is
+	// counted as a memo hit and not sent to the model again.
+	scored bool
+}
+
+// clone returns a copy of v that shares no memory with it.
+func (v *Vector) clone() *Vector {
+	w := *v
+	w.F = append([]float64(nil), v.F...)
+	w.Assign = append([]uint8(nil), v.Assign...)
+	return &w
 }
 
 // Scope returns the set of operators the vector covers.

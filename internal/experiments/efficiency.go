@@ -263,13 +263,19 @@ func RenderFig9(title string, rows []Fig9Row) string {
 }
 
 // Fig10Row is one point of Figure 10: enumeration-order latency for join
-// queries.
+// queries, and the work behind it. The latencies are wall-clock medians;
+// the work counters (indexed priority, top-down, bottom-up) are
+// deterministic.
 type Fig10Row struct {
 	Joins      int
 	Platforms  int
 	PriorityMs float64
 	TopDownMs  float64
 	BottomUpMs float64
+	// Vectors and ModelRows are Stats.VectorsCreated and Stats.ModelRows of
+	// one run under the priority, top-down and bottom-up orders.
+	Vectors   [3]int
+	ModelRows [3]int
 }
 
 // Figure10 compares the priority-based enumeration order against top-down
@@ -288,20 +294,18 @@ func (h *Harness) Figure10() ([]Fig10Row, error) {
 			}
 			ctx.Workers = h.Workers
 			row := Fig10Row{Joins: joins, Platforms: k}
-			measure := func(order core.OrderPolicy) (float64, error) {
-				return timeIt(reps, func() error {
-					_, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, order)
+			ms := []*float64{&row.PriorityMs, &row.TopDownMs, &row.BottomUpMs}
+			for i, order := range []core.OrderPolicy{core.OrderPriority, core.OrderTopDown, core.OrderBottomUp} {
+				*ms[i], err = timeIt(reps, func() error {
+					res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, order)
+					if err == nil {
+						row.Vectors[i], row.ModelRows[i] = res.Stats.VectorsCreated, res.Stats.ModelRows
+					}
 					return err
 				})
-			}
-			if row.PriorityMs, err = measure(core.OrderPriority); err != nil {
-				return nil, err
-			}
-			if row.TopDownMs, err = measure(core.OrderTopDown); err != nil {
-				return nil, err
-			}
-			if row.BottomUpMs, err = measure(core.OrderBottomUp); err != nil {
-				return nil, err
+				if err != nil {
+					return nil, err
+				}
 			}
 			rows = append(rows, row)
 		}
@@ -313,10 +317,10 @@ func (h *Harness) Figure10() ([]Fig10Row, error) {
 func RenderFig10(rows []Fig10Row) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 10: Effectiveness of priority-based enumeration (join queries)\n")
-	sb.WriteString("#joins  #plats  priority(ms)  top-down(ms)  bottom-up(ms)\n")
+	sb.WriteString("#joins  #plats  priority(ms)  top-down(ms)  bottom-up(ms)  vectors created (p/t/b)\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%6d  %6d  %12.2f  %12.2f  %13.2f\n",
-			r.Joins, r.Platforms, r.PriorityMs, r.TopDownMs, r.BottomUpMs)
+		fmt.Fprintf(&sb, "%6d  %6d  %12.2f  %12.2f  %13.2f  %d/%d/%d\n",
+			r.Joins, r.Platforms, r.PriorityMs, r.TopDownMs, r.BottomUpMs, r.Vectors[0], r.Vectors[1], r.Vectors[2])
 	}
 	return sb.String()
 }

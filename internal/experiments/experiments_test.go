@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,24 +29,75 @@ func harness(t *testing.T) *experiments.Harness {
 	return hns
 }
 
+// perPlan runs optimize (which reports how many plans it enumerated) and
+// returns its heap allocations and allocated bytes per enumerated plan.
+func perPlan(optimize func() int) (allocs, bytes float64) {
+	const runs = 10
+	plans := 0
+	run := func() { plans = optimize() }
+	allocs = testing.AllocsPerRun(runs, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs / float64(plans), float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(plans)
+}
+
+// TestFigure1Shape asserts Figure 1's claim where it is deterministic: what
+// the representation costs per enumerated plan. The vector enumeration merges
+// into reused rows and keeps only survivors; the object enumeration allocates
+// a subplan object per plan and a fresh feature vector per model call. The
+// wall-clock ratio the figure plots is measured, with reference-scaled
+// medians, by the benchmark ledger (core.vec_speedup_x and paper-fig9's
+// 40-operator gate), not here.
 func TestFigure1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency experiment")
 	}
-	rows, err := harness(t).Figure1()
+	h := harness(t)
+	rows, err := h.Figure1()
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
-	// The vector-based enumeration must beat the traditional object
-	// enumeration on the non-trivial plans. The 6-operator WordCount runs
-	// in ~0.1ms where scheduler noise swamps the architectural difference,
-	// so only plans above a dozen operators are asserted.
-	for _, r := range rows {
-		if r.Operators >= 15 && r.Factor <= 1 {
-			t.Errorf("%s (%d ops): vector-based not faster (factor %.2f)", r.Task, r.Operators, r.Factor)
+	plats := platform.Subset(2)
+	avail := platform.UniformAvailability(2)
+	m := h.LatencyModel(plats)
+	for _, l := range []*plan.Logical{
+		workload.WordCount(1 * workload.GB), workload.Join(10 * workload.GB), workload.Pipeline(40, 10*workload.GB),
+	} {
+		vecAllocs, vecBytes := perPlan(func() int {
+			res, err := h.RoboptOptimizeWith(l, plats, avail, m)
+			if err != nil {
+				t.Fatalf("Robopt: %v", err)
+			}
+			return res.Stats.VectorsCreated
+		})
+		objAllocs, objBytes := perPlan(func() int {
+			res, err := h.RheemMLOptimizeWith(l, plats, avail, m)
+			if err != nil {
+				t.Fatalf("Rheem-ML: %v", err)
+			}
+			return res.Stats.SubplansCreated
+		})
+		t.Logf("%d ops, per enumerated plan: vectors %.1f allocs / %.0f B, objects %.1f allocs / %.0f B",
+			l.NumOps(), vecAllocs, vecBytes, objAllocs, objBytes)
+		// Fixed per-run costs (the context, the result) weigh on the
+		// 6-operator WordCount; from a dozen operators on, vectors must
+		// cost at most half of what objects do.
+		margin := 1.0
+		if l.NumOps() >= 15 {
+			margin = 2
+		}
+		if vecAllocs*margin > objAllocs {
+			t.Errorf("%d ops: %.1f allocations per plan vector, %.1f per subplan object", l.NumOps(), vecAllocs, objAllocs)
+		}
+		if vecBytes*margin > objBytes {
+			t.Errorf("%d ops: %.0f bytes per plan vector, %.0f per subplan object", l.NumOps(), vecBytes, objBytes)
 		}
 	}
 	out := experiments.RenderFig1(rows)
@@ -187,15 +239,18 @@ func TestFigure10Shape(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(rows))
 	}
-	// At the largest configuration the priority order must not lose badly
-	// to either baseline (the paper: up to 2.5x over top-down, 8.5x over
-	// bottom-up; worst case parity).
-	big := rows[len(rows)-1]
-	if big.PriorityMs > big.TopDownMs*1.5 {
-		t.Errorf("priority (%.2fms) much slower than top-down (%.2fms)", big.PriorityMs, big.TopDownMs)
-	}
-	if big.PriorityMs > big.BottomUpMs*1.5 {
-		t.Errorf("priority (%.2fms) much slower than bottom-up (%.2fms)", big.PriorityMs, big.BottomUpMs)
+	// The priority order exists to maximize the pruning effect: at every
+	// grid point it must materialize fewer plan vectors and send fewer rows
+	// to the model than either distance-based order. These counters are
+	// deterministic; the latencies the figure plots are not asserted (the
+	// benchmark ledger carries the wall-clock claims).
+	for _, r := range rows {
+		for i, order := range []string{"top-down", "bottom-up"} {
+			if r.Vectors[0] >= r.Vectors[i+1] || r.ModelRows[0] >= r.ModelRows[i+1] {
+				t.Errorf("%d joins, %d platforms: priority created %d vectors / %d model rows, %s %d / %d",
+					r.Joins, r.Platforms, r.Vectors[0], r.ModelRows[0], order, r.Vectors[i+1], r.ModelRows[i+1])
+			}
+		}
 	}
 	_ = experiments.RenderFig10(rows)
 }

@@ -383,9 +383,9 @@ type StageTimings struct {
 	Unvectorize time.Duration
 
 	// Infer is the wall-clock time spent inside batched model inference
-	// (memo lookups included). It is a sub-span, not a stage: inference
-	// runs inside the prune stage and the final plan selection, so Infer
-	// is excluded from Total() to keep the stages additive.
+	// (the already-scored check included). It is a sub-span, not a stage:
+	// inference runs inside the prune stage and the final plan selection,
+	// so Infer is excluded from Total() to keep the stages additive.
 	Infer time.Duration
 }
 

@@ -95,14 +95,30 @@ func (b Bitset) Equal(other Bitset) bool {
 // IDs returns the member IDs in ascending order.
 func (b Bitset) IDs() []OpID {
 	out := make([]OpID, 0, b.Count())
-	for wi, w := range b {
-		for w != 0 {
-			bit := bits.TrailingZeros64(w)
-			out = append(out, OpID(wi*64+bit))
-			w &= w - 1
-		}
+	for id := b.Next(0); id >= 0; id = b.Next(id + 1) {
+		out = append(out, id)
 	}
 	return out
+}
+
+// Next returns the smallest member that is at least from, or -1 when there
+// is none. It walks a set in ascending order without allocating:
+//
+//	for id := b.Next(0); id >= 0; id = b.Next(id + 1) { ... }
+func (b Bitset) Next(from OpID) OpID {
+	if from < 0 {
+		from = 0
+	}
+	for wi := int(from >> 6); wi < len(b); wi++ {
+		w := b[wi]
+		if wi == int(from>>6) {
+			w &^= 1<<(uint(from)&63) - 1
+		}
+		if w != 0 {
+			return OpID(wi*64 + bits.TrailingZeros64(w))
+		}
+	}
+	return -1
 }
 
 // String renders the set as "{1,4,7}".

@@ -39,6 +39,11 @@ func TestBitsetBasics(t *testing.T) {
 	if got := b.String(); got != "{0,63,127,129}" {
 		t.Errorf("String = %q", got)
 	}
+	for _, c := range [][2]plan.OpID{{-3, 0}, {0, 0}, {1, 63}, {63, 63}, {64, 127}, {128, 129}, {130, -1}, {500, -1}} {
+		if got := b.Next(c[0]); got != c[1] {
+			t.Errorf("Next(%d) = %d, want %d", c[0], got, c[1])
+		}
+	}
 }
 
 func TestBitsetUnionIntersect(t *testing.T) {

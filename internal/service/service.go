@@ -97,7 +97,8 @@
 //   - model_batches_total — batched cost-oracle invocations across requests
 //   - model_rows_total — feature rows sent to the cost oracle across
 //     requests
-//   - memo_hits_total — predictions served from the per-run memo
+//   - memo_hits_total — plan vectors that reached the cost oracle already
+//     scored (no model work)
 //   - interval_kept_total — near-tie plan vectors kept alive by overlap
 //     pruning across risk-aware (risk_lambda > 0) requests
 //   - pool_rounds_total / pool_tasks_total / pool_steals_total — the
