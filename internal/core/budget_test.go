@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,35 +16,53 @@ import (
 // slowModel wraps a linear oracle with a per-call sleep, making model-call
 // volume the dominant optimization cost — the regime of a real trained
 // model, where cancellation latency is governed by the prune-loop check
-// granularity rather than by arithmetic.
+// granularity rather than by arithmetic. It counts in late the calls that
+// start after watch is done: the work an optimization still does once it has
+// been told to stop.
 type slowModel struct {
 	inner linModel
 	d     time.Duration
+	watch context.Context
+	late  *atomic.Int64
 }
 
 func (m slowModel) Predict(f []float64) float64 {
+	if m.watch.Err() != nil {
+		m.late.Add(1)
+	}
 	time.Sleep(m.d)
 	return m.inner.Predict(f)
 }
 
 // slowPlanCtx returns a context whose Optimize run takes multiple seconds
 // under the given per-predict latency (hundreds of boundary-pruning model
-// calls), so mid-run cancellation has a wide window to land in.
-func slowPlanCtx(t *testing.T) (*core.Context, slowModel) {
+// calls), so mid-run cancellation has a wide window to land in. The model
+// counts the calls made after watch is done.
+func slowPlanCtx(t *testing.T, watch context.Context) (*core.Context, slowModel) {
 	t.Helper()
 	l := workload.Pipeline(24, 1e7)
 	ctx := newCtx(t, l, 3)
-	return ctx, slowModel{inner: newAdditiveLinModel(ctx.Schema, 11), d: 2 * time.Millisecond}
+	return ctx, slowModel{inner: newAdditiveLinModel(ctx.Schema, 11), d: 2 * time.Millisecond, watch: watch, late: new(atomic.Int64)}
+}
+
+// checkStopsWithinOneBlock is the latency contract of cancellation, stated
+// in model calls rather than wall-clock (which a loaded machine stretches):
+// the cooperative checks at every heap-pop and before each prune block bound
+// the work done after ctx is done to the block in flight — on this serial
+// context, fewer than core.PruneBlock model calls.
+func checkStopsWithinOneBlock(t *testing.T, m slowModel) {
+	t.Helper()
+	if late := m.late.Load(); late >= core.PruneBlock {
+		t.Errorf("%d model calls started after the context was done, want fewer than one prune block of %d", late, core.PruneBlock)
+	}
 }
 
 // TestOptimizeCancelReturnsQuickly cancels an optimization mid-enumeration
-// and requires ctx.Err() back within 100ms: the cooperative checks at every
-// heap-pop and inside each prune block bound the latency to one block of
-// model calls.
+// and requires ctx.Err() back within one block of model calls.
 func TestOptimizeCancelReturnsQuickly(t *testing.T) {
-	ctx, m := slowPlanCtx(t)
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	ctx, m := slowPlanCtx(t, cctx)
 	done := make(chan error, 1)
 	go func() {
 		_, err := ctx.Optimize(cctx, m)
@@ -55,36 +74,29 @@ func TestOptimizeCancelReturnsQuickly(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 	cancel()
-	cancelled := time.Now()
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if lag := time.Since(cancelled); lag > 100*time.Millisecond {
-			t.Errorf("returned %v after cancellation, want ≤ 100ms", lag)
-		}
+		checkStopsWithinOneBlock(t, m)
 	case <-time.After(5 * time.Second):
 		t.Fatal("optimization did not return after cancellation")
 	}
 }
 
 // TestOptimizeHardDeadline gives a multi-second optimization a 50ms context
-// deadline and requires context.DeadlineExceeded within 2x the deadline.
+// deadline and requires context.DeadlineExceeded within one block of model
+// calls of it.
 func TestOptimizeHardDeadline(t *testing.T) {
-	ctx, m := slowPlanCtx(t)
-	const deadline = 50 * time.Millisecond
-	cctx, cancel := context.WithTimeout(context.Background(), deadline)
+	cctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	start := time.Now()
+	ctx, m := slowPlanCtx(t, cctx)
 	_, err := ctx.Optimize(cctx, m)
-	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if elapsed > 2*deadline {
-		t.Errorf("returned after %v, want ≤ %v", elapsed, 2*deadline)
-	}
+	checkStopsWithinOneBlock(t, m)
 }
 
 // TestBudgetMaxVectorsDegrades exhausts the vector budget on a plan whose
@@ -175,7 +187,7 @@ func TestBudgetMaxModelCallsDegrades(t *testing.T) {
 // cancelling — a multi-second slow-model run with a 30ms soft deadline must
 // still return a valid plan, flagged degraded, with no error.
 func TestBudgetSoftDeadlineDegrades(t *testing.T) {
-	ctx, m := slowPlanCtx(t)
+	ctx, m := slowPlanCtx(t, context.Background())
 	ctx.Budget = core.Budget{SoftDeadline: 30 * time.Millisecond}
 	res, err := ctx.Optimize(context.Background(), m)
 	if err != nil {

@@ -10,3 +10,7 @@ func (c *Context) PoisonFreed() { c.poison = true }
 // LiveRows is the number of store rows of the run in progress (or last
 // finished by EnumerateFull or Enumerate) that are not on the free list.
 func (c *Context) LiveRows() int { return c.store.rows - len(c.store.free) }
+
+// PruneBlock is the number of model calls between two cancellation checks of
+// the scoring loop.
+const PruneBlock = pruneBlock

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -28,32 +27,31 @@ const DefaultMaxSeries = 64
 // series.
 const overflowValue = "other"
 
-// seriesKey renders label names and values into the canonical exposition
-// form `k1="v1",k2="v2"` — the map key and, verbatim, the label block of the
-// Prometheus series, so series sort deterministically by their rendered
-// labels.
-func seriesKey(labels, values []string) string {
-	var b strings.Builder
+// appendSeriesKey renders label names and values into the canonical
+// exposition form `k1="v1",k2="v2"` — the map key and, verbatim, the label
+// block of the Prometheus series, so series sort deterministically by their
+// rendered labels. Values are escaped per the Prometheus text format:
+// backslash, double quote and newline.
+func appendSeriesKey(b []byte, labels, values []string) []byte {
 	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(values[i]))
-		b.WriteByte('"')
+		b = append(b, l...)
+		b = append(b, '=', '"')
+		for j := 0; j < len(values[i]); j++ {
+			switch c := values[i][j]; c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\n':
+				b = append(b, '\\', 'n')
+			default:
+				b = append(b, c)
+			}
+		}
+		b = append(b, '"')
 	}
-	return b.String()
-}
-
-// escapeLabel escapes a label value per the Prometheus text format:
-// backslash, double quote and newline.
-func escapeLabel(v string) string {
-	if !strings.ContainsAny(v, "\\\"\n") {
-		return v
-	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	return b
 }
 
 // CounterVec is a counter family partitioned by a fixed set of labels.
@@ -120,20 +118,24 @@ func (v *HistogramVec) snapshot() map[string]HistogramSnapshot {
 
 // lookupSeries is the shared get-or-create path of both vec kinds: RLock
 // fast path, write path under the full lock, overflow series past the cap.
+// The steady state is a lookup of an existing series, which renders the key
+// into a stack buffer and allocates nothing; the key becomes a string only
+// when it names a new series.
 func lookupSeries[T any](mu *sync.RWMutex, series map[string]T, labels, values []string, max int, fresh func() T) T {
 	if len(values) != len(labels) {
 		panic("obs: label value count does not match the vec's label schema")
 	}
-	key := seriesKey(labels, values)
+	var buf [128]byte
+	key := appendSeriesKey(buf[:0], labels, values)
 	mu.RLock()
-	s, ok := series[key]
+	s, ok := series[string(key)]
 	mu.RUnlock()
 	if ok {
 		return s
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if s, ok = series[key]; ok {
+	if s, ok = series[string(key)]; ok {
 		return s
 	}
 	if len(series) >= max {
@@ -143,14 +145,13 @@ func lookupSeries[T any](mu *sync.RWMutex, series map[string]T, labels, values [
 		for i := range over {
 			over[i] = overflowValue
 		}
-		okey := seriesKey(labels, over)
-		if s, ok = series[okey]; ok {
+		key = appendSeriesKey(key[:0], labels, over)
+		if s, ok = series[string(key)]; ok {
 			return s
 		}
-		key = okey
 	}
 	s = fresh()
-	series[key] = s
+	series[string(key)] = s
 	return s
 }
 

@@ -84,11 +84,22 @@ func TestHistogramVecExemplar(t *testing.T) {
 }
 
 func TestEscapeLabel(t *testing.T) {
-	if got := escapeLabel(`plain`); got != "plain" {
-		t.Errorf("plain escaped to %q", got)
+	key := func(v string) string { return string(appendSeriesKey(nil, []string{"k"}, []string{v})) }
+	if got := key(`plain`); got != `k="plain"` {
+		t.Errorf("plain rendered as %q", got)
 	}
-	if got := escapeLabel("a\"b\\c\nd"); got != `a\"b\\c\nd` {
+	if got := key("a\"b\\c\nd"); got != `k="a\"b\\c\nd"` {
 		t.Errorf("escaped to %q", got)
+	}
+}
+
+// TestVecLookupDoesNotAllocate: finding an existing series — three times per
+// served request — builds no key string.
+func TestVecLookupDoesNotAllocate(t *testing.T) {
+	v := NewRegistry().CounterVec("reqs", "endpoint", "outcome", "cache")
+	v.With("optimize", "ok", "hit").Inc()
+	if n := testing.AllocsPerRun(100, func() { v.With("optimize", "ok", "hit").Inc() }); n != 0 {
+		t.Errorf("With on an existing series allocates %.0f times", n)
 	}
 }
 

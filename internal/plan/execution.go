@@ -32,18 +32,32 @@ type Execution struct {
 
 // NewExecution builds an execution plan from a per-operator platform
 // assignment, deriving the conversion operators from the platform-switch
-// edges. The assignment must cover every operator.
+// edges in (From, port) order. The assignment must cover every operator; the
+// plan keeps the slice, which the caller must not change afterwards.
 func NewExecution(l *Logical, assign []platform.ID) (*Execution, error) {
 	if len(assign) != len(l.Ops) {
 		return nil, fmt.Errorf("plan: assignment covers %d of %d operators", len(assign), len(l.Ops))
 	}
-	x := &Execution{Logical: l, Assign: append([]platform.ID(nil), assign...)}
-	for _, e := range l.Edges() {
-		pa, pb := assign[e.From], assign[e.To]
-		if pa != pb {
-			x.Conversions = append(x.Conversions, Conversion{
-				From: pa, To: pb, AfterOp: e.From, BeforeOp: e.To, Card: l.EdgeCard(e),
-			})
+	x := &Execution{Logical: l, Assign: assign}
+	switches := 0
+	for _, o := range l.Ops {
+		for _, c := range o.Out {
+			if assign[o.ID] != assign[c] {
+				switches++
+			}
+		}
+	}
+	if switches == 0 {
+		return x, nil
+	}
+	x.Conversions = make([]Conversion, 0, switches)
+	for _, o := range l.Ops {
+		for _, c := range o.Out {
+			if pa, pb := assign[o.ID], assign[c]; pa != pb {
+				x.Conversions = append(x.Conversions, Conversion{
+					From: pa, To: pb, AfterOp: o.ID, BeforeOp: c, Card: o.OutputCard,
+				})
+			}
 		}
 	}
 	return x, nil

@@ -1,15 +1,19 @@
 package plan
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
+	"strconv"
 
 	"repro/internal/platform"
 )
 
 // jsonPlan is the on-disk representation of a logical plan, consumed by the
-// robopt CLI and producible by any client.
+// robopt CLI and producible by any client. These structs are the encode-side
+// shape only: DecodeJSONPlan parses the same grammar by hand.
 type jsonPlan struct {
 	AvgTupleBytes float64    `json:"avgTupleBytes"`
 	Operators     []jsonOp   `json:"operators"`
@@ -32,7 +36,8 @@ type jsonLoop struct {
 	Iterations int `json:"iterations"`
 }
 
-// MarshalJSONPlan encodes a logical plan.
+// MarshalJSONPlan encodes a logical plan. Loops are listed in ID order, so
+// equal plans encode to equal bytes.
 func MarshalJSONPlan(l *Logical) ([]byte, error) {
 	jp := jsonPlan{AvgTupleBytes: l.AvgTupleBytes}
 	for _, o := range l.Ops {
@@ -55,76 +60,469 @@ func MarshalJSONPlan(l *Logical) ([]byte, error) {
 	for id, it := range l.Loops {
 		jp.Loops = append(jp.Loops, jsonLoop{ID: id, Iterations: it})
 	}
+	sort.Slice(jp.Loops, func(i, j int) bool { return jp.Loops[i].ID < jp.Loops[j].ID })
 	return json.MarshalIndent(jp, "", "  ")
 }
 
-// UnmarshalJSONPlan decodes and validates a logical plan. Operators must be
-// listed so that every operator's inputs precede it (IDs are re-derived from
-// list order and must match the declared ids).
+// UnmarshalJSONPlan reads r to its end and decodes it with DecodeJSONPlan.
 func UnmarshalJSONPlan(r io.Reader) (*Logical, error) {
-	var jp jsonPlan
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jp); err != nil {
+	// A reader that knows how much it holds (bytes.Reader, strings.Reader,
+	// bytes.Buffer) is read in one piece.
+	var buf bytes.Buffer
+	if s, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(s.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("plan: decoding JSON plan: %w", err)
 	}
-	if jp.AvgTupleBytes <= 0 {
-		jp.AvgTupleBytes = 100
+	return DecodeJSONPlan(buf.Bytes())
+}
+
+// kindByName and udfByName resolve the names the wire format uses; indexing
+// them with string(b) for a byte slice b does not allocate. maxFanIn is the
+// largest input arity of any kind: a longer "in" list cannot validate, so the
+// decoder stops reading one there rather than buffer whatever a body sends.
+var (
+	kindByName = map[string]platform.Kind{}
+	udfByName  = map[string]platform.Complexity{}
+	maxFanIn   int
+)
+
+func init() {
+	for _, k := range platform.AllKinds() {
+		kindByName[k.String()] = k
+		maxFanIn = max(maxFanIn, platform.ArityOf(k).In)
 	}
-	b := NewBuilder(jp.AvgTupleBytes)
-	loopOps := map[int][]OpID{}
-	for i, op := range jp.Operators {
-		if op.ID != i {
-			return nil, fmt.Errorf("plan: operator at position %d declares id %d; ids must be dense and ordered", i, op.ID)
+	for c := platform.Logarithmic; c <= platform.SuperQuadratic; c++ {
+		udfByName[c.String()] = c
+	}
+}
+
+// maxSlabHint caps how many operators the decoder sizes the Builder's slabs
+// for before it has parsed any: the count comes from unparsed bytes, and a
+// body of a million '{' must not be answered with a million operators'
+// worth of memory. Larger plans grow the slabs as their operators arrive.
+const maxSlabHint = 64
+
+// DecodeJSONPlan decodes and validates a logical plan. Operators must be
+// listed so that every operator's inputs precede it (IDs are re-derived from
+// list order and must match the declared ids). Loop regions are renumbered
+// 1..k in the order the operator list first references them.
+//
+// The accepted grammar is the JSON MarshalJSONPlan writes, with keys in any
+// order and any JSON whitespace, and nothing else: keys are matched
+// exact-case, an unknown or repeated key is an error, so is null in place of
+// a value, and so is anything but whitespace after the closing brace.
+func DecodeJSONPlan(data []byte) (*Logical, error) {
+	d := decoder{data: data, in: make([]OpID, 0, maxFanIn)}
+	// Every operator and loop is an object inside the top-level one, so the
+	// '{' count bounds the operator count, and is exact for a plan without
+	// loops or braces in its names. Names are a small part of a body.
+	nOps := min(bytes.Count(data, []byte{'{'}), maxSlabHint)
+	d.b = newBuilder(0, nOps, len(data)/16)
+	if err := d.plan(); err != nil {
+		return nil, err
+	}
+	return d.b.Build()
+}
+
+// decoder is a single-pass parser of the plan grammar over data, feeding the
+// Builder as operators complete. It does not recurse: the grammar's nesting
+// is fixed (plan → operators → operator → in), so a deeply nested body is
+// rejected at its first misplaced bracket.
+type decoder struct {
+	data []byte
+	pos  int
+	b    *Builder
+	in   []OpID // the current operator's in list, reused across operators
+	// loops are the declared regions (the last declaration of an id wins,
+	// as it always has); nil until the body declares one.
+	loops map[int]int
+}
+
+func (d *decoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("plan: decoding JSON plan: "+format+" at offset %d", append(args, d.pos)...)
+}
+
+// Field bits: which keys an object takes, and which it has had.
+const (
+	fAvgTupleBytes = 1 << iota
+	fOperators
+	fLoops
+	fID
+	fKind
+	fName
+	fUDF
+	fSelectivity
+	fCard
+	fIn
+	fLoop
+	fIterations
+)
+
+func (d *decoder) plan() error {
+	avg := 0.0
+	err := d.object(fAvgTupleBytes|fOperators|fLoops, func(field uint) (err error) {
+		switch field {
+		case fAvgTupleBytes:
+			avg, err = d.float()
+		case fOperators:
+			err = d.array(d.operator)
+		case fLoops:
+			err = d.array(d.loop)
 		}
-		kind, err := platform.KindByName(op.Kind)
-		if err != nil {
-			return nil, err
-		}
-		udf := platform.Linear
-		if op.UDF != "" {
-			found := false
-			for c := platform.Logarithmic; c <= platform.SuperQuadratic; c++ {
-				if c.String() == op.UDF {
-					udf, found = c, true
-					break
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if d.skipSpace(); d.pos != len(d.data) {
+		return d.errorf("data after the plan object")
+	}
+	if avg <= 0 {
+		avg = 100
+	}
+	d.b.avgTupleBytes = avg
+	return d.numberLoops()
+}
+
+// operator parses the operator object at list position i and adds it to the
+// plan.
+func (d *decoder) operator(i int) error {
+	var (
+		id, loop        int
+		kind, name, udf []byte
+		sel, card       float64
+	)
+	d.in = d.in[:0]
+	err := d.object(fID|fKind|fName|fUDF|fSelectivity|fCard|fIn|fLoop, func(field uint) (err error) {
+		switch field {
+		case fID:
+			id, err = d.int()
+		case fKind:
+			kind, err = d.string()
+		case fName:
+			name, err = d.string()
+		case fUDF:
+			udf, err = d.string()
+		case fSelectivity:
+			sel, err = d.float()
+		case fCard:
+			card, err = d.float()
+		case fIn:
+			err = d.array(func(int) error {
+				if len(d.in) == maxFanIn {
+					return fmt.Errorf("plan: operator at position %d lists more than %d inputs, which no kind takes", i, maxFanIn)
 				}
-			}
-			if !found {
-				return nil, fmt.Errorf("plan: operator %d has unknown UDF complexity %q", i, op.UDF)
-			}
+				p, err := d.int()
+				d.in = append(d.in, OpID(p))
+				return err
+			})
+		case fLoop:
+			loop, err = d.int()
 		}
-		sel := op.Selectivity
-		if sel == 0 {
-			sel = 1
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	if id != i {
+		return fmt.Errorf("plan: operator at position %d declares id %d; ids must be dense and ordered", i, id)
+	}
+	k, ok := kindByName[string(kind)]
+	if !ok {
+		_, err := platform.KindByName(string(kind))
+		return err
+	}
+	c := platform.Linear
+	if len(udf) > 0 {
+		if c, ok = udfByName[string(udf)]; !ok {
+			return fmt.Errorf("plan: operator %d has unknown UDF complexity %q", i, udf)
 		}
-		var id OpID
-		if kind.IsSource() {
-			if op.Card <= 0 {
-				return nil, fmt.Errorf("plan: source operator %d needs a positive card", i)
-			}
-			id = b.Source(kind, op.Name, op.Card)
+	}
+	if sel == 0 {
+		sel = 1
+	}
+	var op OpID
+	if k.IsSource() {
+		if card <= 0 {
+			return fmt.Errorf("plan: source operator %d needs a positive card", i)
+		}
+		op = d.b.Source(k, d.b.intern(name), card)
+	} else {
+		op = d.b.add(k, d.b.intern(name), c, sel, d.in)
+	}
+	// The declared id stands in for the region's until numberLoops.
+	d.b.ops[op].LoopID = loop
+	return nil
+}
+
+// loop parses one declared loop region.
+func (d *decoder) loop(int) error {
+	var id, iterations int
+	err := d.object(fID|fIterations, func(field uint) (err error) {
+		if field == fID {
+			id, err = d.int()
 		} else {
-			in := make([]OpID, len(op.In))
-			for j, p := range op.In {
-				in[j] = OpID(p)
-			}
-			id = b.Add(kind, op.Name, udf, sel, in...)
+			iterations, err = d.int()
 		}
-		if op.Loop != 0 {
-			loopOps[op.Loop] = append(loopOps[op.Loop], id)
+		return err
+	})
+	if d.loops == nil {
+		d.loops = map[int]int{}
+	}
+	d.loops[id] = iterations
+	return err
+}
+
+// numberLoops replaces the declared loop ids the operators carry by region
+// numbers 1..k in order of first reference, so the same body always decodes
+// to the same plan. A declared region no operator references is dropped.
+func (d *decoder) numberLoops() error {
+	var regions map[int]int // declared id → region number
+	for _, o := range d.b.ops {
+		if o.LoopID == 0 {
+			continue
 		}
-	}
-	declared := map[int]int{}
-	for _, lp := range jp.Loops {
-		declared[lp.ID] = lp.Iterations
-	}
-	for loopID, ops := range loopOps {
-		it, ok := declared[loopID]
+		region, ok := regions[o.LoopID]
 		if !ok {
-			return nil, fmt.Errorf("plan: operators reference undeclared loop %d", loopID)
+			iterations, declared := d.loops[o.LoopID]
+			if !declared {
+				return fmt.Errorf("plan: operators reference undeclared loop %d", o.LoopID)
+			}
+			if regions == nil {
+				regions = map[int]int{}
+			}
+			region = d.b.Loop(iterations)
+			regions[o.LoopID] = region
 		}
-		b.Loop(it, ops...)
+		o.LoopID = region
 	}
-	return b.Build()
+	return nil
+}
+
+func (d *decoder) skipSpace() {
+	i := d.pos
+	for ; i < len(d.data); i++ {
+		if c := d.data[i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
+			break
+		}
+	}
+	d.pos = i
+}
+
+// open consumes c, the opening bracket of an object or array.
+func (d *decoder) open(c byte) error {
+	if d.skipSpace(); d.peek() != c {
+		return d.errorf("expected %q", c)
+	}
+	d.pos++
+	return nil
+}
+
+// more reports whether another member follows in the object or array that
+// ends with end, consuming the separating comma or the closing bracket.
+func (d *decoder) more(first bool, end byte) (bool, error) {
+	if d.skipSpace(); d.pos == len(d.data) {
+		return false, d.errorf("unexpected end of input")
+	}
+	switch c := d.data[d.pos]; {
+	case c == end:
+		d.pos++
+		return false, nil
+	case first:
+		return true, nil
+	case c == ',':
+		d.pos++
+		return true, nil
+	}
+	return false, d.errorf("expected ',' or %q", end)
+}
+
+// array parses a list, calling elem at the start of each element with the
+// element's position.
+func (d *decoder) array(elem func(i int) error) error {
+	if err := d.open('['); err != nil {
+		return err
+	}
+	for i := 0; ; i++ {
+		ok, err := d.more(i == 0, ']')
+		if err != nil || !ok {
+			return err
+		}
+		if err := elem(i); err != nil {
+			return err
+		}
+	}
+}
+
+// fieldOf maps the grammar's keys to their field bits; any other key maps to
+// 0, which no object accepts.
+func fieldOf(key []byte) uint {
+	switch string(key) {
+	case "avgTupleBytes":
+		return fAvgTupleBytes
+	case "operators":
+		return fOperators
+	case "loops":
+		return fLoops
+	case "id":
+		return fID
+	case "kind":
+		return fKind
+	case "name":
+		return fName
+	case "udf":
+		return fUDF
+	case "selectivity":
+		return fSelectivity
+	case "card":
+		return fCard
+	case "in":
+		return fIn
+	case "loop":
+		return fLoop
+	case "iterations":
+		return fIterations
+	}
+	return 0
+}
+
+// object parses an object whose keys must be distinct members of fields,
+// calling value at the start of each key's value.
+func (d *decoder) object(fields uint, value func(field uint) error) error {
+	if err := d.open('{'); err != nil {
+		return err
+	}
+	var seen uint
+	for first := true; ; first = false {
+		ok, err := d.more(first, '}')
+		if err != nil || !ok {
+			return err
+		}
+		key, err := d.string()
+		if err != nil {
+			return err
+		}
+		field := fieldOf(key)
+		if field&fields == 0 {
+			return d.errorf("unknown field %q", key)
+		}
+		if field&seen != 0 {
+			return d.errorf("duplicate field %q", key)
+		}
+		seen |= field
+		if d.skipSpace(); d.peek() != ':' {
+			return d.errorf("expected ':' after %q", key)
+		}
+		d.pos++
+		if err := value(field); err != nil {
+			return err
+		}
+	}
+}
+
+// string parses a string literal and returns its contents: a sub-slice of
+// data when the literal is plain ASCII without escapes, the common case, and
+// encoding/json's reading of it otherwise.
+func (d *decoder) string() ([]byte, error) {
+	if d.skipSpace(); d.peek() != '"' {
+		return nil, d.errorf("expected a string")
+	}
+	plain := true
+	for i := d.pos + 1; i < len(d.data); i++ {
+		switch c := d.data[i]; {
+		case c == '"':
+			lit := d.data[d.pos : i+1]
+			d.pos = i + 1
+			if plain {
+				return lit[1 : len(lit)-1], nil
+			}
+			var s string
+			if err := json.Unmarshal(lit, &s); err != nil {
+				return nil, fmt.Errorf("plan: decoding JSON plan: %w", err)
+			}
+			return []byte(s), nil
+		case c == '\\':
+			plain = false
+			i++ // whatever is escaped, it does not end the literal
+		case c < ' ':
+			d.pos = i
+			return nil, d.errorf("control character in string")
+		case c >= 0x80:
+			plain = false
+		}
+	}
+	d.pos = len(d.data)
+	return nil, d.errorf("unterminated string")
+}
+
+// peek returns the byte at the cursor, or 0 at the end of the input.
+func (d *decoder) peek() byte {
+	if d.pos < len(d.data) {
+		return d.data[d.pos]
+	}
+	return 0
+}
+
+// digits consumes a run of decimal digits and reports whether there was one.
+func (d *decoder) digits() bool {
+	start := d.pos
+	for c := d.peek(); '0' <= c && c <= '9'; c = d.peek() {
+		d.pos++
+	}
+	return d.pos > start
+}
+
+// number scans a JSON number literal:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func (d *decoder) number() ([]byte, error) {
+	d.skipSpace()
+	start := d.pos
+	if d.peek() == '-' {
+		d.pos++
+	}
+	if d.peek() == '0' {
+		d.pos++
+	} else if !d.digits() {
+		return nil, d.errorf("expected a number")
+	}
+	if d.peek() == '.' {
+		if d.pos++; !d.digits() {
+			return nil, d.errorf("malformed number")
+		}
+	}
+	if c := d.peek(); c == 'e' || c == 'E' {
+		if d.pos++; d.peek() == '+' || d.peek() == '-' {
+			d.pos++
+		}
+		if !d.digits() {
+			return nil, d.errorf("malformed number")
+		}
+	}
+	return d.data[start:d.pos], nil
+}
+
+func (d *decoder) float() (float64, error) {
+	lit, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseFloat(string(lit), 64)
+	if err != nil {
+		return 0, d.errorf("number %s does not fit a float64", lit)
+	}
+	return v, nil
+}
+
+func (d *decoder) int() (int, error) {
+	lit, err := d.number()
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
+	if err != nil {
+		return 0, d.errorf("number %s is not an integer that fits an int", lit)
+	}
+	return int(v), nil
 }

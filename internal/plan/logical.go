@@ -120,79 +120,81 @@ func (l *Logical) EdgeCard(e Edge) float64 { return l.Ops[e.From].OutputCard }
 // forward propagation from the source cardinalities through the operators'
 // selectivities. The paper injects real cardinalities into both optimizers
 // (Section II); the simulator plays the role of ground truth here, so the
-// propagated values are exact by construction.
+// propagated values are exact by construction. Plans made by a Builder come
+// with their cardinalities propagated; this is for hand-assembled ones.
 func (l *Logical) PropagateCardinalities() {
-	order := l.TopoOrder()
-	inCards := make([][]float64, len(l.Ops))
-	for _, o := range l.Ops {
-		inCards[o.ID] = make([]float64, len(o.In))
+	for _, id := range l.TopoOrder() {
+		l.propagate(l.Ops[id])
 	}
-	for _, id := range order {
-		o := l.Ops[id]
-		switch {
-		case len(o.In) == 0:
-			o.InputCard = l.SourceCards[o.ID]
-			o.OutputCard = o.InputCard
-		default:
-			sum := 0.0
-			maxIn := 0.0
-			for i, p := range o.In {
-				c := l.Ops[p].OutputCard
-				inCards[o.ID][i] = c
-				sum += c
-				if c > maxIn {
-					maxIn = c
-				}
-			}
-			o.InputCard = sum
-			switch o.Kind {
-			case platform.Union:
-				o.OutputCard = sum
-			case platform.Join:
-				o.OutputCard = o.Selectivity * maxIn
-			case platform.Count:
-				o.OutputCard = 1
-			case platform.Replicate, platform.Cache, platform.Broadcast,
-				platform.Collect, platform.RepeatLoop, platform.Sort:
-				o.OutputCard = maxIn
-			case platform.CollectionSink, platform.TextFileSink:
-				o.OutputCard = 0
-			default:
-				o.OutputCard = o.Selectivity * sum
-			}
+}
+
+// propagate computes o's cardinalities from those of its producers, which
+// must have theirs already.
+func (l *Logical) propagate(o *Operator) {
+	if len(o.In) == 0 {
+		o.InputCard = l.SourceCards[o.ID]
+		o.OutputCard = o.InputCard
+		return
+	}
+	sum := 0.0
+	maxIn := 0.0
+	for _, p := range o.In {
+		c := l.Ops[p].OutputCard
+		sum += c
+		if c > maxIn {
+			maxIn = c
 		}
+	}
+	o.InputCard = sum
+	switch o.Kind {
+	case platform.Union:
+		o.OutputCard = sum
+	case platform.Join:
+		o.OutputCard = o.Selectivity * maxIn
+	case platform.Count:
+		o.OutputCard = 1
+	case platform.Replicate, platform.Cache, platform.Broadcast,
+		platform.Collect, platform.RepeatLoop, platform.Sort:
+		o.OutputCard = maxIn
+	case platform.CollectionSink, platform.TextFileSink:
+		o.OutputCard = 0
+	default:
+		o.OutputCard = o.Selectivity * sum
 	}
 }
 
 // TopoOrder returns the operator IDs in a topological order of the dataflow.
 // It panics if the plan contains a cycle (Validate reports it as an error).
 func (l *Logical) TopoOrder() []OpID {
+	order, ok := l.topoOrder()
+	if !ok {
+		panic("plan: dataflow graph contains a cycle")
+	}
+	return order
+}
+
+// topoOrder is Kahn's algorithm; ok is false when a cycle keeps the order
+// from covering every operator.
+func (l *Logical) topoOrder() (order []OpID, ok bool) {
 	indeg := make([]int, len(l.Ops))
+	// order doubles as the queue: operators are appended as they become
+	// ready and visited in that order.
+	order = make([]OpID, 0, len(l.Ops))
 	for _, o := range l.Ops {
 		indeg[o.ID] = len(o.In)
-	}
-	queue := make([]OpID, 0, len(l.Ops))
-	for _, o := range l.Ops {
-		if indeg[o.ID] == 0 {
-			queue = append(queue, o.ID)
+		if len(o.In) == 0 {
+			order = append(order, o.ID)
 		}
 	}
-	out := make([]OpID, 0, len(l.Ops))
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		out = append(out, id)
-		for _, c := range l.Ops[id].Out {
+	for i := 0; i < len(order); i++ {
+		for _, c := range l.Ops[order[i]].Out {
 			indeg[c]--
 			if indeg[c] == 0 {
-				queue = append(queue, c)
+				order = append(order, c)
 			}
 		}
 	}
-	if len(out) != len(l.Ops) {
-		panic("plan: dataflow graph contains a cycle")
-	}
-	return out
+	return order, len(order) == len(l.Ops)
 }
 
 // Validate checks structural well-formedness: arity compliance, matching
@@ -200,81 +202,74 @@ func (l *Logical) TopoOrder() []OpID {
 // source cardinalities for every source.
 func (l *Logical) Validate() error {
 	for i, o := range l.Ops {
-		if o == nil {
-			return fmt.Errorf("plan: nil operator at index %d", i)
-		}
-		if o.ID != OpID(i) {
-			return fmt.Errorf("plan: operator at index %d has ID %d", i, o.ID)
-		}
-		if !o.Kind.Valid() {
-			return fmt.Errorf("plan: op %d has invalid kind %d", o.ID, o.Kind)
-		}
-		ar := platform.ArityOf(o.Kind)
-		if len(o.In) != ar.In {
-			return fmt.Errorf("plan: op %d (%s) has %d inputs, kind requires %d", o.ID, o.Kind, len(o.In), ar.In)
-		}
-		if len(o.Out) != ar.Out {
-			return fmt.Errorf("plan: op %d (%s) has %d outputs, kind requires %d", o.ID, o.Kind, len(o.Out), ar.Out)
-		}
-		if !o.UDF.Valid() {
-			return fmt.Errorf("plan: op %d (%s) has invalid UDF complexity", o.ID, o.Kind)
-		}
-		if o.Selectivity < 0 {
-			return fmt.Errorf("plan: op %d (%s) has negative selectivity", o.ID, o.Kind)
-		}
-		for _, p := range o.In {
-			if int(p) < 0 || int(p) >= len(l.Ops) {
-				return fmt.Errorf("plan: op %d references unknown input %d", o.ID, p)
-			}
-			if !contains(l.Ops[p].Out, o.ID) {
-				return fmt.Errorf("plan: op %d lists %d as input but is not in its outputs", o.ID, p)
-			}
-		}
-		for _, c := range o.Out {
-			if int(c) < 0 || int(c) >= len(l.Ops) {
-				return fmt.Errorf("plan: op %d references unknown output %d", o.ID, c)
-			}
-			if !contains(l.Ops[c].In, o.ID) {
-				return fmt.Errorf("plan: op %d lists %d as output but is not in its inputs", o.ID, c)
-			}
-		}
-		if len(o.In) == 0 {
-			if _, ok := l.SourceCards[o.ID]; !ok {
-				return fmt.Errorf("plan: source op %d (%s) has no source cardinality", o.ID, o.Kind)
-			}
-		}
-		if o.LoopID != 0 {
-			if _, ok := l.Loops[o.LoopID]; !ok {
-				return fmt.Errorf("plan: op %d references unknown loop %d", o.ID, o.LoopID)
-			}
+		if err := l.checkOp(i, o); err != nil {
+			return err
 		}
 	}
-	// Acyclicity: a topological order must cover every operator.
-	indeg := make([]int, len(l.Ops))
-	for _, o := range l.Ops {
-		indeg[o.ID] = len(o.In)
-	}
-	queue := []OpID{}
-	for _, o := range l.Ops {
-		if indeg[o.ID] == 0 {
-			queue = append(queue, o.ID)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, c := range l.Ops[id].Out {
-			indeg[c]--
-			if indeg[c] == 0 {
-				queue = append(queue, c)
-			}
-		}
-	}
-	if seen != len(l.Ops) {
+	// Acyclicity: a topological order must cover every operator. (A plan a
+	// Builder made is acyclic by construction, so Build skips this.)
+	if _, ok := l.topoOrder(); !ok {
 		return fmt.Errorf("plan: dataflow graph contains a cycle")
 	}
+	return l.checkLoops()
+}
+
+// checkOp checks the operator at index i: identity, kind, arity, UDF,
+// selectivity, adjacency in both directions, source cardinality, loop.
+func (l *Logical) checkOp(i int, o *Operator) error {
+	if o == nil {
+		return fmt.Errorf("plan: nil operator at index %d", i)
+	}
+	if o.ID != OpID(i) {
+		return fmt.Errorf("plan: operator at index %d has ID %d", i, o.ID)
+	}
+	if !o.Kind.Valid() {
+		return fmt.Errorf("plan: op %d has invalid kind %d", o.ID, o.Kind)
+	}
+	ar := platform.ArityOf(o.Kind)
+	if len(o.In) != ar.In {
+		return fmt.Errorf("plan: op %d (%s) has %d inputs, kind requires %d", o.ID, o.Kind, len(o.In), ar.In)
+	}
+	if len(o.Out) != ar.Out {
+		return fmt.Errorf("plan: op %d (%s) has %d outputs, kind requires %d", o.ID, o.Kind, len(o.Out), ar.Out)
+	}
+	if !o.UDF.Valid() {
+		return fmt.Errorf("plan: op %d (%s) has invalid UDF complexity", o.ID, o.Kind)
+	}
+	if o.Selectivity < 0 {
+		return fmt.Errorf("plan: op %d (%s) has negative selectivity", o.ID, o.Kind)
+	}
+	for _, p := range o.In {
+		if int(p) < 0 || int(p) >= len(l.Ops) {
+			return fmt.Errorf("plan: op %d references unknown input %d", o.ID, p)
+		}
+		if !contains(l.Ops[p].Out, o.ID) {
+			return fmt.Errorf("plan: op %d lists %d as input but is not in its outputs", o.ID, p)
+		}
+	}
+	for _, c := range o.Out {
+		if int(c) < 0 || int(c) >= len(l.Ops) {
+			return fmt.Errorf("plan: op %d references unknown output %d", o.ID, c)
+		}
+		if !contains(l.Ops[c].In, o.ID) {
+			return fmt.Errorf("plan: op %d lists %d as output but is not in its inputs", o.ID, c)
+		}
+	}
+	if len(o.In) == 0 {
+		if _, ok := l.SourceCards[o.ID]; !ok {
+			return fmt.Errorf("plan: source op %d (%s) has no source cardinality", o.ID, o.Kind)
+		}
+	}
+	if o.LoopID != 0 {
+		if _, ok := l.Loops[o.LoopID]; !ok {
+			return fmt.Errorf("plan: op %d references unknown loop %d", o.ID, o.LoopID)
+		}
+	}
+	return nil
+}
+
+// checkLoops checks that every loop region runs at least once.
+func (l *Logical) checkLoops() error {
 	for id, it := range l.Loops {
 		if it < 1 {
 			return fmt.Errorf("plan: loop %d has %d iterations", id, it)

@@ -23,11 +23,13 @@
 package plancache
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/plan"
 	"repro/internal/platform"
@@ -121,38 +123,46 @@ func Compute(l *plan.Logical, platforms []platform.ID, avail *platform.Availabil
 	}
 	n := len(l.Ops)
 
+	// One scratch block holds the eight per-operator work arrays.
+	scratch := make([]uint64, 8*n)
+	cut := func() []uint64 {
+		part := scratch[:n:n]
+		scratch = scratch[n:]
+		return part
+	}
+	availMask, srcBand, loopIters := cut(), cut(), cut()
+	labels, next, indeg, ready, inv := cut(), cut(), cut(), cut()[:0], cut()
+
 	// Per-operator local attributes, computed once: the availability mask
-	// (which platform columns may run this operator) and the banded source
+	// (which platform columns may run this operator), the banded source
 	// cardinality (non-sources derive theirs from structure + selectivity,
-	// so only sources contribute a cardinality of their own).
-	availMask := make([]uint32, n)
-	srcBand := make([]int64, n)
-	loopIters := make([]uint32, n)
+	// so only sources contribute a cardinality of their own; -1 for the
+	// rest) and the iteration count of the operator's loop region.
 	for i, o := range l.Ops {
 		for j, p := range platforms {
 			if avail.Has(o.Kind, p) {
 				availMask[i] |= 1 << uint(j)
 			}
 		}
-		srcBand[i] = -1
+		band := int64(-1)
 		if len(o.In) == 0 {
-			srcBand[i] = cardBand(l.SourceCards[o.ID], bands)
+			band = cardBand(l.SourceCards[o.ID], bands)
 		}
+		srcBand[i] = uint64(band)
 		if o.LoopID != 0 {
-			loopIters[i] = uint32(l.Loops[o.LoopID])
+			loopIters[i] = uint64(uint32(l.Loops[o.LoopID]))
 		}
 	}
 
 	// Initial labels from local attributes only.
-	labels := make([]uint64, n)
 	for i, o := range l.Ops {
 		h := uint64(fnvOffset)
 		h = mix(h, uint64(o.Kind))
 		h = mix(h, uint64(o.UDF))
 		h = mix(h, math.Float64bits(o.Selectivity))
-		h = mix(h, uint64(loopIters[i]))
-		h = mix(h, uint64(srcBand[i]))
-		h = mix(h, uint64(availMask[i]))
+		h = mix(h, loopIters[i])
+		h = mix(h, srcBand[i])
+		h = mix(h, availMask[i])
 		h = mix(h, uint64(len(o.In)))
 		h = mix(h, uint64(len(o.Out)))
 		labels[i] = h
@@ -161,10 +171,7 @@ func Compute(l *plan.Logical, platforms []platform.ID, avail *platform.Availabil
 	// The number of rounds bounds how far structural context propagates;
 	// the plan diameter suffices, capped for very long pipelines (the final
 	// encoding is complete regardless, so this only affects tie quality).
-	rounds := n
-	if rounds > 24 {
-		rounds = 24
-	}
+	rounds := min(n, 24)
 	// Besides each neighbour's label, fold in the port positions this
 	// operator occupies at that neighbour. Ports are ordered structure (a
 	// join's left and right inputs are not interchangeable), but a
@@ -173,7 +180,6 @@ func Compute(l *plan.Logical, platforms []platform.ID, avail *platform.Availabil
 	// label-equal forever and the ID tie-break below would make the
 	// canonical order depend on the labeling — exactly what the fingerprint
 	// must be invariant to.
-	next := make([]uint64, n)
 	for r := 0; r < rounds; r++ {
 		for i, o := range l.Ops {
 			h := mix(labels[i], 0x9e3779b97f4a7c15)
@@ -203,18 +209,13 @@ func Compute(l *plan.Logical, platforms []platform.ID, avail *platform.Availabil
 	// Canonical order: Kahn's topological sort emitting the smallest-label
 	// ready operator first (original ID as the last-resort tiebreak for
 	// label-identical operators).
-	indeg := make([]int, n)
 	for _, o := range l.Ops {
-		indeg[o.ID] = len(o.In)
-	}
-	var ready []plan.OpID
-	for _, o := range l.Ops {
-		if indeg[o.ID] == 0 {
-			ready = append(ready, o.ID)
+		indeg[o.ID] = uint64(len(o.In))
+		if len(o.In) == 0 {
+			ready = append(ready, uint64(o.ID))
 		}
 	}
-	perm := make([]int, n) // op ID -> canonical index
-	inv := make([]int, n)  // canonical index -> op ID
+	perm := make([]int, n) // op ID -> canonical index; inv is the inverse
 	for ci := 0; ci < n; ci++ {
 		if len(ready) == 0 {
 			return zero, nil, fmt.Errorf("plancache: plan contains a cycle")
@@ -229,72 +230,76 @@ func Compute(l *plan.Logical, platforms []platform.ID, avail *platform.Availabil
 		id := ready[best]
 		ready = append(ready[:best], ready[best+1:]...)
 		perm[id] = ci
-		inv[ci] = int(id)
+		inv[ci] = id
 		for _, c := range l.Ops[id].Out {
 			indeg[c]--
 			if indeg[c] == 0 {
-				ready = append(ready, c)
+				ready = append(ready, uint64(c))
 			}
 		}
 	}
 
-	// Loop regions get canonical identities: the smallest canonical index
-	// among the region's members. This captures which operators share an
-	// iterative region, not just each operator's iteration count.
-	loopCanon := make(map[int]uint32)
-	for ci := 0; ci < n; ci++ {
-		o := l.Ops[inv[ci]]
-		if o.LoopID == 0 {
-			continue
+	// Loop regions get canonical identities: one plus the smallest canonical
+	// index among the region's members (0 outside any region). This captures
+	// which operators share an iterative region, not just each operator's
+	// iteration count. Sorting the loop operators' canonical indices by
+	// region brings each region's smallest to the front of its run. The
+	// ordering's work arrays are free by now: indeg has counted down to all
+	// zeros.
+	region, members := indeg, next[:0]
+	loopOf := func(ci uint64) int { return l.Ops[inv[ci]].LoopID }
+	for ci := range inv {
+		if loopOf(uint64(ci)) != 0 {
+			members = append(members, uint64(ci))
 		}
-		if _, ok := loopCanon[o.LoopID]; !ok {
-			loopCanon[o.LoopID] = uint32(ci)
+	}
+	slices.SortFunc(members, func(a, b uint64) int {
+		return cmp.Or(cmp.Compare(loopOf(a), loopOf(b)), cmp.Compare(a, b))
+	})
+	for i, ci := range members {
+		if i > 0 && loopOf(ci) == loopOf(members[i-1]) {
+			region[ci] = region[members[i-1]]
+		} else {
+			region[ci] = ci + 1
 		}
 	}
 
 	// Complete canonical encoding. Every structural and annotation feature
 	// appears, in canonical order, so equal encodings mean isomorphic plans
 	// (within a cardinality band) — the collision-resistance property the
-	// fingerprint inherits from SHA-256.
-	h := sha256.New()
-	var b [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	h.Write([]byte("robopt-plan-fp-v1"))
-	wu(uint64(bands))
-	wu(uint64(len(platforms)))
+	// fingerprint inherits from SHA-256. A typical plan's encoding fits the
+	// stack buffer; a longer one moves to the heap as append grows it.
+	var stack [4096]byte
+	enc := stack[:0]
+	enc = append(enc, fingerprintHeader...)
+	enc = binary.LittleEndian.AppendUint64(enc, uint64(bands))
+	enc = binary.LittleEndian.AppendUint64(enc, uint64(len(platforms)))
 	for _, p := range platforms {
 		name := p.String()
-		wu(uint64(len(name)))
-		h.Write([]byte(name))
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(len(name)))
+		enc = append(enc, name...)
 	}
-	wu(math.Float64bits(l.AvgTupleBytes))
-	wu(uint64(n))
+	enc = binary.LittleEndian.AppendUint64(enc, math.Float64bits(l.AvgTupleBytes))
+	enc = binary.LittleEndian.AppendUint64(enc, uint64(n))
 	for ci := 0; ci < n; ci++ {
 		o := l.Ops[inv[ci]]
-		wu(uint64(o.Kind))
-		wu(uint64(o.UDF))
-		wu(math.Float64bits(o.Selectivity))
-		wu(uint64(loopIters[o.ID]))
-		if o.LoopID != 0 {
-			wu(uint64(loopCanon[o.LoopID]) + 1)
-		} else {
-			wu(0)
+		for _, v := range [...]uint64{
+			uint64(o.Kind), uint64(o.UDF), math.Float64bits(o.Selectivity), loopIters[o.ID],
+			region[ci], srcBand[o.ID], availMask[o.ID],
+		} {
+			enc = binary.LittleEndian.AppendUint64(enc, v)
 		}
-		wu(uint64(srcBand[o.ID]))
-		wu(uint64(availMask[o.ID]))
-		wu(uint64(len(o.In)))
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(len(o.In)))
 		for _, p := range o.In {
-			wu(uint64(perm[p]))
+			enc = binary.LittleEndian.AppendUint64(enc, uint64(perm[p]))
 		}
-		wu(uint64(len(o.Out)))
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(len(o.Out)))
 		for _, c := range o.Out {
-			wu(uint64(perm[c]))
+			enc = binary.LittleEndian.AppendUint64(enc, uint64(perm[c]))
 		}
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp, &Canon{Perm: perm}, nil
+	return sha256.Sum256(enc), &Canon{Perm: perm}, nil
 }
+
+// fingerprintHeader versions the canonical encoding.
+const fingerprintHeader = "robopt-plan-fp-v1"

@@ -1,11 +1,9 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 
@@ -86,8 +84,8 @@ type batchMember struct {
 // tier.
 func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	var breq BatchRequest
-	p, ctx, ls, ok := s.prelude(w, r, "batch", `POST {"plans": [...]} — a slice of JSON logical plans`, func(body io.Reader) error {
-		if err := json.NewDecoder(body).Decode(&breq); err != nil {
+	p, ctx, ls, ok := s.prelude(w, r, "batch", `POST {"plans": [...]} — a slice of JSON logical plans`, func(body []byte) error {
+		if err := json.Unmarshal(body, &breq); err != nil {
 			return err
 		}
 		if len(breq.Plans) == 0 {
@@ -126,7 +124,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	firstByFP := make(map[plancache.Fingerprint]int, len(breq.Plans))
 	distinct := 0
 	for i, raw := range breq.Plans {
-		l, err := plan.UnmarshalJSONPlan(bytes.NewReader(raw))
+		l, err := plan.DecodeJSONPlan(raw)
 		if err != nil {
 			members[i].out = &optimizeOut{status: http.StatusBadRequest, err: fmt.Errorf("member %d: %w", i, err)}
 			continue

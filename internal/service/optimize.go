@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -290,15 +291,33 @@ func (l lease) done() {
 	}
 }
 
+// readBody reads a request body to its end; the plan decoder works on the
+// whole body at once. The buffer starts at the declared Content-Length —
+// capped, since nothing has arrived yet to back the claim — or, undeclared,
+// at the few kilobytes a typical plan takes, and grows as the body does.
+func readBody(body io.Reader, contentLength int64) ([]byte, error) {
+	const typical, maxDeclared = 4 << 10, 64 << 10
+	var buf bytes.Buffer
+	if contentLength > 0 {
+		buf.Grow(int(min(contentLength, maxDeclared)) + bytes.MinRead)
+	} else {
+		buf.Grow(typical)
+	}
+	if _, err := buf.ReadFrom(body); err != nil {
+		return nil, fmt.Errorf("service: reading the request body: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // prelude is everything both optimize endpoints do before a plan enters
 // the answer path: method check, ?deadline_ms= and ?risk_lambda=, the body
-// read under the size limit (decode parses it; 413 when oversized), the
-// deadline context, traceparent and admission. The deadline context is
+// read under the size limit (413 when oversized, whatever it holds; decode
+// parses it), the deadline context, traceparent and admission. The deadline context is
 // created before admission so time spent in the queue counts against the
 // request's deadline — a queued request whose deadline lapses is dequeued
 // as canceled, not optimized late. ok=false means the error response is
 // already written; otherwise the caller owes l.done().
-func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage string, decode func(body io.Reader) error) (p reqParams, ctx context.Context, l lease, ok bool) {
+func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage string, decode func(body []byte) error) (p reqParams, ctx context.Context, l lease, ok bool) {
 	p = reqParams{id: s.nextReqID(), endpoint: endpoint}
 	w.Header().Set("X-Request-Id", p.id)
 	if r.Method != http.MethodPost {
@@ -311,8 +330,12 @@ func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage
 	if p.deadline, err = s.deadline(qs); err == nil {
 		p.lambda, err = riskLambda(qs)
 	}
+	var body []byte
 	if err == nil {
-		err = decode(http.MaxBytesReader(w, r.Body, s.maxBody()))
+		body, err = readBody(http.MaxBytesReader(w, r.Body, s.maxBody()), r.ContentLength)
+	}
+	if err == nil {
+		err = decode(body)
 	}
 	if err != nil {
 		s.fail(w, p.id, statusOf(err, http.StatusBadRequest), err)
@@ -335,8 +358,8 @@ func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var l *plan.Logical
-	p, ctx, ls, ok := s.prelude(w, r, "optimize", "POST a JSON logical plan", func(body io.Reader) (err error) {
-		l, err = plan.UnmarshalJSONPlan(body)
+	p, ctx, ls, ok := s.prelude(w, r, "optimize", "POST a JSON logical plan", func(body []byte) (err error) {
+		l, err = plan.DecodeJSONPlan(body)
 		return err
 	})
 	if !ok {
