@@ -12,7 +12,6 @@ package peercache
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -52,6 +51,30 @@ const (
 // protocol violation, not a plan.
 const maxEntryBytes = 1 << 20
 
+var errEntryTooBig = fmt.Errorf("entry exceeds %d bytes", maxEntryBytes)
+
+// idleConnsPerPeer is how many idle connections the default client keeps to
+// one peer. A lookup holds at most one connection to a peer at a time, so this
+// is how many lookups can be in flight toward one peer, burst after burst,
+// without dialling again: twice the default admission concurrency of an
+// 8-CPU replica, where http.DefaultTransport would keep 2.
+const idleConnsPerPeer = 32
+
+// transport carries the probes of every Filler that is not given a client.
+// Peers are addresses the fleet's own replicas registered in the shared
+// store, so it takes no proxy from the environment; an entry is a kilobyte or
+// two, so it does not negotiate gzip; and it shares its connection pool with
+// nothing else in the process.
+var transport = &http.Transport{
+	DisableCompression:  true,
+	MaxIdleConnsPerHost: idleConnsPerPeer,
+	IdleConnTimeout:     90 * time.Second,
+}
+
+// bodies recycles the buffers probes read response bodies into; a decoded
+// entry keeps no reference to its bytes.
+var bodies = sync.Pool{New: func() any { return new([]byte) }}
+
 // negCacheCap bounds the negative-result memo; past it, expired entries
 // are swept and, if the memo is still over cap, it is cleared outright
 // (it is only a memo — losing it costs one extra probe per key).
@@ -81,7 +104,8 @@ type Config struct {
 	// breaker (defaults when 0).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Client is the HTTP client probes go through (a fresh one when nil).
+	// Client is the HTTP client probes go through (when nil, one over the
+	// package's own transport).
 	Client *http.Client
 	// Metrics, when set, receives the peer_fill_* counters.
 	Metrics *obs.Registry
@@ -135,7 +159,7 @@ func New(cfg Config) (*Filler, error) {
 		cfg.BreakerCooldown = DefaultBreakerCooldown
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
+		cfg.Client = &http.Client{Transport: transport}
 	}
 	f := &Filler{cfg: cfg, neg: map[string]time.Time{}, breakers: map[string]*breaker{}}
 	if m := cfg.Metrics; m != nil {
@@ -290,11 +314,13 @@ func (f *Filler) probe(ctx context.Context, addr string, fp plancache.Fingerprin
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var e Entry
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxEntryBytes)).Decode(&e); err != nil {
+		buf := bodies.Get().(*[]byte)
+		defer bodies.Put(buf)
+		*buf, err = readBody((*buf)[:0], resp.Body, resp.ContentLength)
+		if err != nil {
 			return nil, false, fmt.Errorf("peer %s: %w", addr, err)
 		}
-		cp, err := e.ToCached()
+		cp, err := DecodeEntry(*buf)
 		if err != nil {
 			return nil, false, fmt.Errorf("peer %s: %w", addr, err)
 		}
@@ -305,6 +331,35 @@ func (f *Filler) probe(ctx context.Context, addr string, fp plancache.Fingerprin
 	default:
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, false, fmt.Errorf("peer %s: status %d", addr, resp.StatusCode)
+	}
+}
+
+// readBody appends r, read to its end, to buf, sized in one step when the
+// peer announced a length (-1 when it did not). A body longer than
+// maxEntryBytes is an error, not a truncation.
+func readBody(buf []byte, r io.Reader, length int64) ([]byte, error) {
+	if length > maxEntryBytes {
+		return buf, errEntryTooBig
+	}
+	// One byte more than announced, so that the read that meets the end of
+	// the body has room to find it.
+	if need := int(length) + 1; need > cap(buf) {
+		buf = make([]byte, 0, need)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), maxEntryBytes+1)])
+		buf = buf[:len(buf)+n]
+		switch {
+		case len(buf) > maxEntryBytes:
+			return buf, errEntryTooBig
+		case err == io.EOF:
+			return buf, nil
+		case err != nil:
+			return buf, err
+		}
 	}
 }
 

@@ -1,11 +1,17 @@
 package peercache
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,47 +39,30 @@ func testPlan(b byte, version string) *plancache.CachedPlan {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	cp := testPlan(7, "v3")
-	cp.RiskLambda = 0.5
-	e := FromCached(cp, "replica-a")
-	data, err := json.Marshal(e)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	// The assignment must travel as a JSON int array, not base64.
-	if !strings.Contains(string(data), `"assignCanon":[0,1,2]`) {
-		t.Fatalf("assignment not an int array on the wire: %s", data)
-	}
-	var back Entry
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	got, err := back.ToCached()
-	if err != nil {
-		t.Fatalf("ToCached: %v", err)
-	}
-	if got.Fingerprint != cp.Fingerprint || got.ModelVersion != cp.ModelVersion ||
-		got.Predicted != cp.Predicted || got.RiskLambda != cp.RiskLambda ||
-		got.PredictedDist != cp.PredictedDist || got.TraceID != cp.TraceID {
-		t.Fatalf("round trip lost data: %+v vs %+v", got, cp)
-	}
-	if len(got.AssignCanon) != 3 || got.AssignCanon[2] != 2 {
-		t.Fatalf("assignment corrupted: %v", got.AssignCanon)
-	}
-}
-
+// TestWireValidation: what is well-formed but not an installable entry is
+// refused by the decoder.
 func TestWireValidation(t *testing.T) {
+	good := testPlan(1, "v1").Fingerprint.String()
 	bad := []Entry{
 		{Fingerprint: "zz", ModelVersion: "v1", AssignCanon: []int{0}},
-		{Fingerprint: testPlan(1, "v1").Fingerprint.String(), AssignCanon: []int{0}},
-		{Fingerprint: testPlan(1, "v1").Fingerprint.String(), ModelVersion: "v1"},
-		{Fingerprint: testPlan(1, "v1").Fingerprint.String(), ModelVersion: "v1", AssignCanon: []int{300}},
+		{Fingerprint: good[:62], ModelVersion: "v1", AssignCanon: []int{0}},
+		{Fingerprint: good, AssignCanon: []int{0}},
+		{Fingerprint: good, ModelVersion: "v1"},
+		{Fingerprint: good, ModelVersion: "v1", AssignCanon: []int{300}},
+		{Fingerprint: good, ModelVersion: "v1", AssignCanon: []int{-1}},
 	}
 	for i, e := range bad {
-		if _, err := e.ToCached(); err == nil {
-			t.Errorf("bad entry %d accepted: %+v", i, e)
+		data, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := DecodeEntry(data); err == nil {
+			t.Errorf("bad entry %d accepted: %s", i, data)
+		}
+	}
+	data, _ := json.Marshal(Entry{Fingerprint: good, ModelVersion: "v1", AssignCanon: []int{255}})
+	if _, err := DecodeEntry(data); err != nil {
+		t.Errorf("the control entry is refused: %v", err)
 	}
 }
 
@@ -91,8 +80,13 @@ func serveEntry(cp *plancache.CachedPlan, replica string, hits *atomic.Int64) ht
 		if hits != nil {
 			hits.Add(1)
 		}
+		body, err := AppendEntry(nil, cp, replica)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(FromCached(cp, replica))
+		w.Write(body)
 	}
 }
 
@@ -332,5 +326,131 @@ func TestFetchFrom(t *testing.T) {
 func TestNewRequiresPeers(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a config without Peers")
+	}
+}
+
+// TestDefaultClientIsDirect: the default client takes no proxy from the
+// environment and asks for no compression — peers are in-cluster addresses,
+// and an entry is a kilobyte or two.
+func TestDefaultClientIsDirect(t *testing.T) {
+	t.Setenv("HTTP_PROXY", "http://127.0.0.1:1")
+	t.Setenv("http_proxy", "http://127.0.0.1:1")
+	cp := testPlan(4, "v1")
+	var acceptEncoding atomic.Value
+	addr := peerServer(t, func(w http.ResponseWriter, r *http.Request) {
+		acceptEncoding.Store(r.Header.Get("Accept-Encoding"))
+		serveEntry(cp, "peer-a", nil)(w, r)
+	})
+	f := newFiller(t, Config{Peers: staticPeers(addr)})
+	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", ""); err != nil || got == nil {
+		t.Fatalf("Fill = (%v, %v), want a hit with a dead proxy in the environment", got, err)
+	}
+	if ae := acceptEncoding.Load(); ae != "" {
+		t.Errorf("probe sent Accept-Encoding %q, want none", ae)
+	}
+	// Go never proxies a loopback address, so the fill above cannot tell:
+	// look at the transport itself.
+	tr, ok := f.cfg.Client.Transport.(*http.Transport)
+	if !ok || tr.Proxy != nil {
+		t.Errorf("default client transport = %#v, want an http.Transport without a proxy", f.cfg.Client.Transport)
+	}
+}
+
+// TestDefaultClientReusesConnections: a burst of n concurrent lookups opens
+// at most n connections to a peer, and the next burst opens none — the
+// transport keeps as many idle connections per peer as lookups run at once.
+func TestDefaultClientReusesConnections(t *testing.T) {
+	const n = 8
+	cp := testPlan(6, "v1")
+	var (
+		arrived atomic.Int64
+		opened  atomic.Int64
+		waves   = [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	)
+	// Every request of a wave waits for the whole wave, so that none can
+	// reuse the connection of another.
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		k := arrived.Add(1)
+		if k%n == 0 {
+			close(waves[(k-1)/n])
+		}
+		select {
+		case <-waves[(k-1)/n]:
+		case <-r.Context().Done():
+		}
+		serveEntry(cp, "peer-a", nil)(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	f := newFiller(t, Config{Peers: staticPeers(strings.TrimPrefix(ts.URL, "http://")), Hedge: 1, Timeout: 10 * time.Second})
+
+	// The transport parks a connection after the probe has seen the end of
+	// its body, on a goroutine of its own: wait for that, not for Fill.
+	parked := make(chan struct{}, 2*n)
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		PutIdleConn: func(err error) {
+			if err != nil {
+				t.Errorf("connection not kept: %v", err)
+			}
+			parked <- struct{}{}
+		},
+	})
+	for wave := 1; wave <= 2; wave++ {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got, err := f.Fill(ctx, cp.Fingerprint, "v1", ""); err != nil || got == nil {
+					t.Errorf("Fill = (%v, %v), want a hit", got, err)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := 0; i < n; i++ {
+			select {
+			case <-parked:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("wave %d: %d of %d connections parked", wave, i, n)
+			}
+		}
+		if got := opened.Load(); got != n {
+			t.Fatalf("after wave %d the peer has seen %d connections, want %d", wave, got, n)
+		}
+	}
+}
+
+// TestOversizedBody: a body past maxEntryBytes is named for what it is, with
+// or without an announced length, and counts against the peer.
+func TestOversizedBody(t *testing.T) {
+	huge := bytes.Repeat([]byte(" "), maxEntryBytes+1)
+	for name, announce := range map[string]bool{"announced": true, "chunked": false} {
+		addr := peerServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if announce {
+				w.Header().Set("Content-Length", strconv.Itoa(len(huge)))
+			}
+			w.Write(huge)
+		})
+		f := newFiller(t, Config{Peers: staticPeers(addr), Hedge: 1, BreakerThreshold: 1, Timeout: 10 * time.Second})
+		var fp plancache.Fingerprint
+		_, err := f.Fill(context.Background(), fp, "v1", "")
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("entry exceeds %d bytes", maxEntryBytes)) {
+			t.Errorf("%s: Fill error %v, want the size named", name, err)
+		}
+		if s := f.Snapshot(); s.Errors != 1 || s.Timeouts != 0 || s.OpenBreakers != 1 {
+			t.Errorf("%s: stats = %+v, want one error and an open breaker", name, s)
+		}
+	}
+	// A body of exactly the limit is read whole (and is then no entry).
+	addr := peerServer(t, func(w http.ResponseWriter, r *http.Request) { w.Write(huge[1:]) })
+	f := newFiller(t, Config{Peers: staticPeers(addr), Hedge: 1, Timeout: 10 * time.Second})
+	var fp plancache.Fingerprint
+	if _, err := f.Fill(context.Background(), fp, "v1", ""); err == nil || strings.Contains(err.Error(), "exceeds") {
+		t.Errorf("Fill error %v on a body at the limit, want a decoding error", err)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
+	"repro/internal/jsonlex"
 	"repro/internal/platform"
 )
 
@@ -114,7 +114,10 @@ const maxSlabHint = 64
 // exact-case, an unknown or repeated key is an error, so is null in place of
 // a value, and so is anything but whitespace after the closing brace.
 func DecodeJSONPlan(data []byte) (*Logical, error) {
-	d := decoder{data: data, in: make([]OpID, 0, maxFanIn)}
+	d := decoder{
+		Scanner: jsonlex.Scanner{Data: data, What: "plan: decoding JSON plan"},
+		in:      make([]OpID, 0, maxFanIn),
+	}
 	// Every operator and loop is an object inside the top-level one, so the
 	// '{' count bounds the operator count, and is exact for a plan without
 	// loops or braces in its names. Names are a small part of a body.
@@ -129,19 +132,15 @@ func DecodeJSONPlan(data []byte) (*Logical, error) {
 // decoder is a single-pass parser of the plan grammar over data, feeding the
 // Builder as operators complete. It does not recurse: the grammar's nesting
 // is fixed (plan → operators → operator → in), so a deeply nested body is
-// rejected at its first misplaced bracket.
+// rejected at its first misplaced bracket. Tokens are jsonlex's; which keys
+// an object takes, each at most once, is decided here.
 type decoder struct {
-	data []byte
-	pos  int
-	b    *Builder
-	in   []OpID // the current operator's in list, reused across operators
+	jsonlex.Scanner
+	b  *Builder
+	in []OpID // the current operator's in list, reused across operators
 	// loops are the declared regions (the last declaration of an id wins,
 	// as it always has); nil until the body declares one.
 	loops map[int]int
-}
-
-func (d *decoder) errorf(format string, args ...any) error {
-	return fmt.Errorf("plan: decoding JSON plan: "+format+" at offset %d", append(args, d.pos)...)
 }
 
 // Field bits: which keys an object takes, and which it has had.
@@ -165,19 +164,19 @@ func (d *decoder) plan() error {
 	err := d.object(fAvgTupleBytes|fOperators|fLoops, func(field uint) (err error) {
 		switch field {
 		case fAvgTupleBytes:
-			avg, err = d.float()
+			avg, err = d.Float()
 		case fOperators:
-			err = d.array(d.operator)
+			err = d.Array(d.operator)
 		case fLoops:
-			err = d.array(d.loop)
+			err = d.Array(d.loop)
 		}
 		return err
 	})
 	if err != nil {
 		return err
 	}
-	if d.skipSpace(); d.pos != len(d.data) {
-		return d.errorf("data after the plan object")
+	if d.SkipSpace(); d.Pos != len(d.Data) {
+		return d.Errorf("data after the plan object")
 	}
 	if avg <= 0 {
 		avg = 100
@@ -198,28 +197,28 @@ func (d *decoder) operator(i int) error {
 	err := d.object(fID|fKind|fName|fUDF|fSelectivity|fCard|fIn|fLoop, func(field uint) (err error) {
 		switch field {
 		case fID:
-			id, err = d.int()
+			id, err = d.Int()
 		case fKind:
-			kind, err = d.string()
+			kind, err = d.Str()
 		case fName:
-			name, err = d.string()
+			name, err = d.Str()
 		case fUDF:
-			udf, err = d.string()
+			udf, err = d.Str()
 		case fSelectivity:
-			sel, err = d.float()
+			sel, err = d.Float()
 		case fCard:
-			card, err = d.float()
+			card, err = d.Float()
 		case fIn:
-			err = d.array(func(int) error {
+			err = d.Array(func(int) error {
 				if len(d.in) == maxFanIn {
 					return fmt.Errorf("plan: operator at position %d lists more than %d inputs, which no kind takes", i, maxFanIn)
 				}
-				p, err := d.int()
+				p, err := d.Int()
 				d.in = append(d.in, OpID(p))
 				return err
 			})
 		case fLoop:
-			loop, err = d.int()
+			loop, err = d.Int()
 		}
 		return err
 	})
@@ -262,9 +261,9 @@ func (d *decoder) loop(int) error {
 	var id, iterations int
 	err := d.object(fID|fIterations, func(field uint) (err error) {
 		if field == fID {
-			id, err = d.int()
+			id, err = d.Int()
 		} else {
-			iterations, err = d.int()
+			iterations, err = d.Int()
 		}
 		return err
 	})
@@ -299,61 +298,6 @@ func (d *decoder) numberLoops() error {
 		o.LoopID = region
 	}
 	return nil
-}
-
-func (d *decoder) skipSpace() {
-	i := d.pos
-	for ; i < len(d.data); i++ {
-		if c := d.data[i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
-			break
-		}
-	}
-	d.pos = i
-}
-
-// open consumes c, the opening bracket of an object or array.
-func (d *decoder) open(c byte) error {
-	if d.skipSpace(); d.peek() != c {
-		return d.errorf("expected %q", c)
-	}
-	d.pos++
-	return nil
-}
-
-// more reports whether another member follows in the object or array that
-// ends with end, consuming the separating comma or the closing bracket.
-func (d *decoder) more(first bool, end byte) (bool, error) {
-	if d.skipSpace(); d.pos == len(d.data) {
-		return false, d.errorf("unexpected end of input")
-	}
-	switch c := d.data[d.pos]; {
-	case c == end:
-		d.pos++
-		return false, nil
-	case first:
-		return true, nil
-	case c == ',':
-		d.pos++
-		return true, nil
-	}
-	return false, d.errorf("expected ',' or %q", end)
-}
-
-// array parses a list, calling elem at the start of each element with the
-// element's position.
-func (d *decoder) array(elem func(i int) error) error {
-	if err := d.open('['); err != nil {
-		return err
-	}
-	for i := 0; ; i++ {
-		ok, err := d.more(i == 0, ']')
-		if err != nil || !ok {
-			return err
-		}
-		if err := elem(i); err != nil {
-			return err
-		}
-	}
 }
 
 // fieldOf maps the grammar's keys to their field bits; any other key maps to
@@ -391,138 +335,29 @@ func fieldOf(key []byte) uint {
 // object parses an object whose keys must be distinct members of fields,
 // calling value at the start of each key's value.
 func (d *decoder) object(fields uint, value func(field uint) error) error {
-	if err := d.open('{'); err != nil {
+	if err := d.Open('{'); err != nil {
 		return err
 	}
 	var seen uint
 	for first := true; ; first = false {
-		ok, err := d.more(first, '}')
+		ok, err := d.More(first, '}')
 		if err != nil || !ok {
 			return err
 		}
-		key, err := d.string()
+		key, err := d.Key()
 		if err != nil {
 			return err
 		}
 		field := fieldOf(key)
 		if field&fields == 0 {
-			return d.errorf("unknown field %q", key)
+			return d.Errorf("unknown field %q", key)
 		}
 		if field&seen != 0 {
-			return d.errorf("duplicate field %q", key)
+			return d.Errorf("duplicate field %q", key)
 		}
 		seen |= field
-		if d.skipSpace(); d.peek() != ':' {
-			return d.errorf("expected ':' after %q", key)
-		}
-		d.pos++
 		if err := value(field); err != nil {
 			return err
 		}
 	}
-}
-
-// string parses a string literal and returns its contents: a sub-slice of
-// data when the literal is plain ASCII without escapes, the common case, and
-// encoding/json's reading of it otherwise.
-func (d *decoder) string() ([]byte, error) {
-	if d.skipSpace(); d.peek() != '"' {
-		return nil, d.errorf("expected a string")
-	}
-	plain := true
-	for i := d.pos + 1; i < len(d.data); i++ {
-		switch c := d.data[i]; {
-		case c == '"':
-			lit := d.data[d.pos : i+1]
-			d.pos = i + 1
-			if plain {
-				return lit[1 : len(lit)-1], nil
-			}
-			var s string
-			if err := json.Unmarshal(lit, &s); err != nil {
-				return nil, fmt.Errorf("plan: decoding JSON plan: %w", err)
-			}
-			return []byte(s), nil
-		case c == '\\':
-			plain = false
-			i++ // whatever is escaped, it does not end the literal
-		case c < ' ':
-			d.pos = i
-			return nil, d.errorf("control character in string")
-		case c >= 0x80:
-			plain = false
-		}
-	}
-	d.pos = len(d.data)
-	return nil, d.errorf("unterminated string")
-}
-
-// peek returns the byte at the cursor, or 0 at the end of the input.
-func (d *decoder) peek() byte {
-	if d.pos < len(d.data) {
-		return d.data[d.pos]
-	}
-	return 0
-}
-
-// digits consumes a run of decimal digits and reports whether there was one.
-func (d *decoder) digits() bool {
-	start := d.pos
-	for c := d.peek(); '0' <= c && c <= '9'; c = d.peek() {
-		d.pos++
-	}
-	return d.pos > start
-}
-
-// number scans a JSON number literal:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *decoder) number() ([]byte, error) {
-	d.skipSpace()
-	start := d.pos
-	if d.peek() == '-' {
-		d.pos++
-	}
-	if d.peek() == '0' {
-		d.pos++
-	} else if !d.digits() {
-		return nil, d.errorf("expected a number")
-	}
-	if d.peek() == '.' {
-		if d.pos++; !d.digits() {
-			return nil, d.errorf("malformed number")
-		}
-	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		if d.pos++; d.peek() == '+' || d.peek() == '-' {
-			d.pos++
-		}
-		if !d.digits() {
-			return nil, d.errorf("malformed number")
-		}
-	}
-	return d.data[start:d.pos], nil
-}
-
-func (d *decoder) float() (float64, error) {
-	lit, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		return 0, d.errorf("number %s does not fit a float64", lit)
-	}
-	return v, nil
-}
-
-func (d *decoder) int() (int, error) {
-	lit, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	if err != nil {
-		return 0, d.errorf("number %s is not an integer that fits an int", lit)
-	}
-	return int(v), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/peercache"
@@ -15,8 +16,8 @@ import (
 // The shared cache tier has two server-side pieces:
 //
 //   - GET /peercache?fp=&version=&band= — answer a peer's lookup from the
-//     local plan cache. 200 with a peercache.Entry body on a hit, 404 on a
-//     miss. The lookup is a Peek: peer probes never distort this replica's
+//     local plan cache. 200 with the entry in peercache's wire format on a
+//     hit, 404 on a miss. The lookup is a Peek: peer probes never distort this replica's
 //     own hit/miss accounting or LRU order.
 //   - claimOrWait — the fleet-singleflight client: before a cold
 //     enumeration, claim the cache key in the shared store. The winner
@@ -136,9 +137,12 @@ func (s *Server) claimOrWait(ctx context.Context, fp plancache.Fingerprint, vers
 	}
 }
 
+// entryBufs recycles the buffers /peercache hits are encoded into.
+var entryBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // handlePeercache serves GET /peercache?fp=&version=&band= — the wire
 // endpoint of the shared cache tier (see internal/peercache for the
-// client side and the Entry body format).
+// client side and the body format).
 func (s *Server) handlePeercache(w http.ResponseWriter, r *http.Request) {
 	reqID := s.nextReqID()
 	w.Header().Set("X-Request-Id", reqID)
@@ -170,6 +174,14 @@ func (s *Server) handlePeercache(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "peercache: miss", RequestID: reqID})
 		return
 	}
+	buf := entryBufs.Get().(*[]byte)
+	defer entryBufs.Put(buf)
+	*buf, err = peercache.AppendEntry((*buf)[:0], cp, s.ReplicaID)
+	if err != nil {
+		s.fail(w, reqID, http.StatusInternalServerError, err)
+		return
+	}
 	s.Metrics().Counter("peer_serve_total").Inc()
-	s.writeJSON(w, peercache.FromCached(cp, s.ReplicaID))
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(*buf) // the peer hanging up is its own affair
 }

@@ -2,6 +2,8 @@ package service_test
 
 import (
 	"bytes"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -415,5 +417,47 @@ func TestPeerFillModelSwapRace(t *testing.T) {
 	_, after, _ := postPlan(t, tsB.URL+"/optimize", body)
 	if after.ModelVersion != "v2" || after.PredictedRuntimeSec != 2*base {
 		t.Fatalf("post-swap response %q/%g, want v2 at %g", after.ModelVersion, after.PredictedRuntimeSec, 2*base)
+	}
+}
+
+// TestPeercacheEndpointBody: a hit is answered in peercache's wire format,
+// and an entry that format cannot carry is a 500 with the usual error body,
+// not an empty 200.
+func TestPeercacheEndpointBody(t *testing.T) {
+	s := &service.Server{Model: sumModel{}, Platforms: platform.Subset(3), Avail: platform.UniformAvailability(3), ReplicaID: "ra"}
+	s.PlanCache = plancache.New(plancache.Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	good := &plancache.CachedPlan{ModelVersion: "v1", Predicted: 1.5, CachedAt: time.Now(), AssignCanon: []uint8{0, 2}, VectorF: []float64{1e-7, 2}}
+	bad := &plancache.CachedPlan{ModelVersion: "v1", Predicted: math.NaN(), CachedAt: time.Now(), AssignCanon: []uint8{1}}
+	good.Fingerprint[0], bad.Fingerprint[0] = 1, 2
+	s.PlanCache.Put(good)
+	s.PlanCache.Put(bad)
+
+	get := func(cp *plancache.CachedPlan) (int, []byte) {
+		resp, err := http.Get(ts.URL + "/peercache?fp=" + cp.Fingerprint.String() + "&version=v1&band=")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type = %q", ct)
+		}
+		return resp.StatusCode, body
+	}
+	code, body := get(good)
+	want, _ := peercache.AppendEntry(nil, good, "ra")
+	if code != http.StatusOK || !bytes.Equal(body, want) {
+		t.Errorf("hit = %d %s, want 200 %s", code, body, want)
+	}
+	if cp, err := peercache.DecodeEntry(body); err != nil || cp.Predicted != 1.5 || len(cp.VectorF) != 2 {
+		t.Errorf("DecodeEntry(%s) = %+v, %v", body, cp, err)
+	}
+	if code, body := get(bad); code != http.StatusInternalServerError || !bytes.Contains(body, []byte(`"error"`)) {
+		t.Errorf("unencodable entry = %d %s, want a 500 error body", code, body)
 	}
 }

@@ -66,8 +66,9 @@
 //     (see cachez.go); with peer fill enabled, /cachez also reports the
 //     shared-tier counters.
 //   - GET /peercache — the shared cache tier's wire endpoint: peers look up
-//     a cache entry by fp=&version=&band=, 200 with a peercache.Entry body
-//     on a hit, 404 on a miss (see peercache.go and internal/peercache).
+//     a cache entry by fp=&version=&band=, 200 with the entry in
+//     internal/peercache's wire format on a hit, 404 on a miss (see
+//     peercache.go).
 //   - /debug/pprof/ — the net/http/pprof profiling surface, mounted only
 //     when the server opts in (roboptd -pprof).
 //
