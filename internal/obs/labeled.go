@@ -155,55 +155,50 @@ func lookupSeries[T any](mu *sync.RWMutex, series map[string]T, labels, values [
 	return s
 }
 
-// CounterVec returns the labeled counter family registered under name,
-// creating it on first use with the given label schema and the
-// DefaultMaxSeries cardinality bound. The label schema is fixed at creation;
-// later calls return the existing vec regardless of the labels passed.
-func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
+// instrument is the shared get-or-create path of all five instrument kinds:
+// RLock fast path, re-check and fresh() under the full lock. byName selects
+// the registry's map for the kind. A nil registry registers nothing: every
+// call hands out a detached instrument that counts and observes like any
+// other, which is what makes a Metrics field optional without a guard at each
+// increment.
+func instrument[T any](r *Registry, name string, byName func() map[string]*T, fresh func() *T) *T {
+	if r == nil {
+		return fresh()
+	}
 	r.mu.RLock()
-	v, ok := r.cvecs[name]
+	v, ok := byName()[name]
 	r.mu.RUnlock()
 	if ok {
 		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if v, ok = r.cvecs[name]; ok {
+	m := byName()
+	if v, ok = m[name]; ok {
 		return v
 	}
-	v = &CounterVec{
-		name:   name,
-		labels: append([]string(nil), labels...),
-		max:    DefaultMaxSeries,
-		series: map[string]*Counter{},
-	}
-	r.cvecs[name] = v
+	v = fresh()
+	m[name] = v
 	return v
+}
+
+// CounterVec returns the labeled counter family registered under name,
+// creating it on first use with the given label schema and the
+// DefaultMaxSeries cardinality bound. The label schema is fixed at creation;
+// later calls return the existing vec regardless of the labels passed.
+func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
+	return instrument(r, name, func() map[string]*CounterVec { return r.cvecs }, func() *CounterVec {
+		return &CounterVec{name: name, labels: append([]string(nil), labels...), max: DefaultMaxSeries, series: map[string]*Counter{}}
+	})
 }
 
 // HistogramVec returns the labeled histogram family registered under name,
 // creating it on first use with the given label schema and the
 // DefaultMaxSeries cardinality bound.
 func (r *Registry) HistogramVec(name string, labels ...string) *HistogramVec {
-	r.mu.RLock()
-	v, ok := r.hvecs[name]
-	r.mu.RUnlock()
-	if ok {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok = r.hvecs[name]; ok {
-		return v
-	}
-	v = &HistogramVec{
-		name:   name,
-		labels: append([]string(nil), labels...),
-		max:    DefaultMaxSeries,
-		series: map[string]*Histogram{},
-	}
-	r.hvecs[name] = v
-	return v
+	return instrument(r, name, func() map[string]*HistogramVec { return r.hvecs }, func() *HistogramVec {
+		return &HistogramVec{name: name, labels: append([]string(nil), labels...), max: DefaultMaxSeries, series: map[string]*Histogram{}}
+	})
 }
 
 // sortedSeriesKeys returns the keys of a series map in exposition order.

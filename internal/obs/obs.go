@@ -220,6 +220,12 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // Registry is a named collection of counters and histograms. Lookups are
 // get-or-create and safe for concurrent use; names are stable identifiers
 // reported verbatim on /metricz.
+//
+// A nil *Registry is the registry of a component whose metrics nobody reads:
+// every lookup hands out a detached instrument that works but is registered
+// nowhere (see instrument), and Snapshot and WritePrometheus report nothing.
+// Two lookups of one name on a nil registry are therefore two instruments:
+// code that reads back what it counted resolves its handle once and keeps it.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
@@ -246,57 +252,18 @@ func NewRegistry() *Registry {
 // Counter returns the counter registered under name, creating it on first
 // use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
-	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return instrument(r, name, func() map[string]*Counter { return r.counters }, func() *Counter { return &Counter{} })
 }
 
 // Histogram returns the histogram registered under name, creating it on
 // first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.hists[name]; ok {
-		return h
-	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
+	return instrument(r, name, func() map[string]*Histogram { return r.hists }, func() *Histogram { return &Histogram{} })
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return instrument(r, name, func() map[string]*Gauge { return r.gauges }, func() *Gauge { return &Gauge{} })
 }
 
 // ResolveExemplars makes Snapshot and WritePrometheus drop every exemplar
@@ -305,6 +272,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 // trace store evicted the trace; filtering when the metrics are read is what
 // keeps every exposed exemplar a working link.
 func (r *Registry) ResolveExemplars(resolves func(traceID string) bool) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	r.resolves = resolves
 	r.mu.Unlock()
@@ -335,6 +305,9 @@ type Snapshot struct {
 // appear under their full exposition name — `family{k="v",...}` — so JSON
 // consumers see one flat namespace.
 func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		r = NewRegistry()
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,6 +98,52 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	}
 	if round.Histograms["optimize_ms"].Count != 1 {
 		t.Fatalf("histogram lost in round trip: %+v", round.Histograms)
+	}
+}
+
+// TestNilRegistry: a nil registry is a working sink. Its instruments count
+// and observe, nothing is registered — two lookups of one name are two
+// instruments — and the read side reports nothing.
+func TestNilRegistry(t *testing.T) {
+	var r *obs.Registry
+	c := r.Counter("hits")
+	c.Inc()
+	c.Add(2)
+	if c.Load() != 3 {
+		t.Fatalf("detached counter = %d, want 3", c.Load())
+	}
+	if other := r.Counter("hits"); other == c || other.Load() != 0 {
+		t.Fatalf("a second lookup on a nil registry returned the first instrument (value %d)", other.Load())
+	}
+	h := r.Histogram("ms")
+	h.Observe(4)
+	if h.Count() != 1 || h.Sum() != 4 {
+		t.Fatalf("detached histogram count=%d sum=%g, want 1/4", h.Count(), h.Sum())
+	}
+	g := r.Gauge("depth")
+	g.Add(2)
+	g.Add(-1)
+	if g.Load() != 1 {
+		t.Fatalf("detached gauge = %g, want 1", g.Load())
+	}
+	cv := r.CounterVec("served", "endpoint")
+	cv.With("optimize").Inc()
+	if got := cv.With("optimize").Load(); got != 1 {
+		t.Fatalf("detached vec series = %d, want 1 (series live in the vec, not the registry)", got)
+	}
+	r.HistogramVec("latency", "endpoint").With("optimize").ObserveExemplar(1, "t1")
+	r.ResolveExemplars(func(string) bool { return false })
+
+	snap := r.Snapshot()
+	if len(snap.Counters)+len(snap.Histograms)+len(snap.Gauges) != 0 {
+		t.Fatalf("nil registry snapshot reports %+v", snap)
+	}
+	if snap.Counters == nil || snap.Histograms == nil {
+		t.Fatal("nil registry snapshot has nil maps; JSON consumers expect {}")
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil || b.Len() != 0 {
+		t.Fatalf("nil registry exposition = %q, err %v; want nothing", b.String(), err)
 	}
 }
 

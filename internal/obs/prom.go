@@ -21,6 +21,9 @@ import (
 // order, so the output is deterministic for a fixed registry state — which
 // is what the golden-file test pins down.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	counters := make(map[string]int64, len(r.counters))
 	for n, c := range r.counters {

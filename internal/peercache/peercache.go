@@ -107,7 +107,10 @@ type Config struct {
 	// Client is the HTTP client probes go through (when nil, one over the
 	// package's own transport).
 	Client *http.Client
-	// Metrics, when set, receives the peer_fill_* counters.
+	// Metrics, when set, holds the peer_fill_*_total counters. They are the
+	// filler's only ledger: New resolves each handle once and Snapshot reads
+	// the same counters back, so two fillers sharing one registry share its
+	// counters. Nil keeps them private to the filler.
 	Metrics *obs.Registry
 }
 
@@ -128,8 +131,9 @@ type Filler struct {
 	neg      map[string]time.Time // key -> memo expiry
 	breakers map[string]*breaker  // peer addr -> breaker
 
-	hits, misses, errors, timeouts  atomic.Int64
-	mHits, mMisses, mErrs, mTimeout *obs.Counter
+	// The outcome of every probe, counted once: peer_fill_hits_total,
+	// peer_fill_misses_total, peer_fill_errors_total, peer_fill_timeouts_total.
+	hits, misses, errors, timeouts *obs.Counter
 }
 
 // New returns a Filler over cfg.
@@ -161,20 +165,14 @@ func New(cfg Config) (*Filler, error) {
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Transport: transport}
 	}
-	f := &Filler{cfg: cfg, neg: map[string]time.Time{}, breakers: map[string]*breaker{}}
-	if m := cfg.Metrics; m != nil {
-		f.mHits = m.Counter("peer_fill_hits_total")
-		f.mMisses = m.Counter("peer_fill_misses_total")
-		f.mErrs = m.Counter("peer_fill_errors_total")
-		f.mTimeout = m.Counter("peer_fill_timeouts_total")
-	}
-	return f, nil
-}
-
-func inc(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
+	m := cfg.Metrics
+	return &Filler{
+		cfg: cfg, neg: map[string]time.Time{}, breakers: map[string]*breaker{},
+		hits:     m.Counter("peer_fill_hits_total"),
+		misses:   m.Counter("peer_fill_misses_total"),
+		errors:   m.Counter("peer_fill_errors_total"),
+		timeouts: m.Counter("peer_fill_timeouts_total"),
+	}, nil
 }
 
 func negKey(fp plancache.Fingerprint, version, band string) string {
@@ -288,13 +286,15 @@ type probeResult struct {
 	err  error
 }
 
-// isTimeout classifies a probe error as a deadline/timeout failure.
-func isTimeout(err error) bool {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return true
-	}
+// failed counts one failed probe: a deadline or timeout failure as a timeout,
+// anything else as an error.
+func (f *Filler) failed(err error) {
 	var ne interface{ Timeout() bool }
-	return errors.As(err, &ne) && ne.Timeout()
+	if errors.Is(err, context.DeadlineExceeded) || errors.As(err, &ne) && ne.Timeout() {
+		f.timeouts.Inc()
+	} else {
+		f.errors.Inc()
+	}
 }
 
 // probe fetches (fp, version, band) from one peer. A 404 is a clean miss.
@@ -369,16 +369,14 @@ func readBody(buf []byte, r io.Reader, length int64) ([]byte, error) {
 func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, band string) (*plancache.CachedPlan, error) {
 	k := negKey(fp, version, band)
 	if f.negHit(k) {
-		f.misses.Add(1)
-		inc(f.mMisses)
+		f.misses.Inc()
 		return nil, nil
 	}
 	peers := f.alivePeers()
 	if len(peers) == 0 {
 		// A fleet of one (or a fully broken one) is not worth memoizing:
 		// peers may register at any moment.
-		f.misses.Add(1)
-		inc(f.mMisses)
+		f.misses.Inc()
 		return nil, nil
 	}
 	start := int(f.rr.Add(1)-1) % len(peers)
@@ -422,21 +420,14 @@ func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, ba
 			switch {
 			case r.err == nil && r.cp != nil:
 				f.breakerResult(r.addr, true)
-				f.hits.Add(1)
-				inc(f.mHits)
+				f.hits.Inc()
 				return r.cp, nil
 			case r.miss:
 				f.breakerResult(r.addr, true)
 				sawMiss = true
 			default:
 				f.breakerResult(r.addr, false)
-				if isTimeout(r.err) {
-					f.timeouts.Add(1)
-					inc(f.mTimeout)
-				} else {
-					f.errors.Add(1)
-					inc(f.mErrs)
-				}
+				f.failed(r.err)
 				if firstErr == nil {
 					firstErr = r.err
 				}
@@ -453,8 +444,7 @@ func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, ba
 		}
 	}
 	if sawMiss {
-		f.misses.Add(1)
-		inc(f.mMisses)
+		f.misses.Inc()
 		f.memoizeMiss(k)
 		return nil, nil
 	}
@@ -468,13 +458,7 @@ func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, ba
 func (f *Filler) FetchFrom(ctx context.Context, addr string, fp plancache.Fingerprint, version, band string) (*plancache.CachedPlan, error) {
 	cp, miss, err := f.probe(ctx, addr, fp, version, band)
 	if err != nil {
-		if isTimeout(err) {
-			f.timeouts.Add(1)
-			inc(f.mTimeout)
-		} else {
-			f.errors.Add(1)
-			inc(f.mErrs)
-		}
+		f.failed(err)
 		return nil, err
 	}
 	if miss {

@@ -39,8 +39,11 @@ type Config struct {
 	// computed with (0 means DefaultCardBands). Stored here so every caller
 	// of the same cache fingerprints identically.
 	BandsPerDecade int
-	// Metrics, when set, receives the plan_cache_* counters and the
-	// plan_cache_age_ms histogram.
+	// Metrics, when set, holds the plan_cache_* counters and the
+	// plan_cache_age_ms histogram. They are the cache's only ledger: New
+	// resolves each handle once and Snapshot reads the same counters back, so
+	// two caches sharing one registry share its counters (and each reports the
+	// sum). Nil keeps the counters private to the cache.
 	Metrics *obs.Registry
 }
 
@@ -184,31 +187,32 @@ func (sh *shard) remove(e *entry) {
 // Cache is a sharded, bounded, model-version-aware LRU of optimization
 // results. All methods are safe for concurrent use.
 type Cache struct {
-	cfg           Config
-	shards        []*shard
-	shardMask     uint32
-	entriesPer    int
-	bytesPer      int64
-	gen           atomic.Uint64
-	active        atomic.Pointer[string]
-	flight        group
-	hits          atomic.Int64
-	misses        atomic.Int64
-	collapsed     atomic.Int64
-	evictions     atomic.Int64
-	expired       atomic.Int64
-	invalidated   atomic.Int64
-	inserts       atomic.Int64
-	dropped       atomic.Int64
-	peerFills     atomic.Int64
-	remote        atomic.Pointer[remoteHolder]
-	metricsHits   *obs.Counter
-	metricsMisses *obs.Counter
-	metricsEvict  *obs.Counter
-	metricsColl   *obs.Counter
-	metricsInval  *obs.Counter
-	metricsPeer   *obs.Counter
-	metricsAge    *obs.Histogram
+	cfg        Config
+	shards     []*shard
+	shardMask  uint32
+	entriesPer int
+	bytesPer   int64
+	gen        atomic.Uint64
+	active     atomic.Pointer[string]
+	flight     group
+	remote     atomic.Pointer[remoteHolder]
+
+	// One counter per number Snapshot reports, each incremented at the event
+	// and nowhere else. The first six are the registry's plan_cache_*_total;
+	// removed counts capacity evictions and TTL expiries together, as
+	// plan_cache_evictions_total always has, and expired keeps the TTL share
+	// apart so Snapshot can report the two separately. expired, inserts and
+	// dropped have no /metricz row and are registered nowhere.
+	hits, misses, collapsed, invalidated, peerFills, removed *obs.Counter
+	expired, inserts, dropped                                *obs.Counter
+	age                                                      *obs.Histogram
+}
+
+// expire counts one TTL expiry: into removed first, so that a Snapshot, which
+// reads expired first, never sees more expiries than removals.
+func (c *Cache) expire() {
+	c.removed.Inc()
+	c.expired.Inc()
 }
 
 // New returns a cache with the given configuration.
@@ -230,7 +234,18 @@ func New(cfg Config) *Cache {
 	if cfg.BandsPerDecade <= 0 {
 		cfg.BandsPerDecade = DefaultCardBands
 	}
-	c := &Cache{cfg: cfg, shardMask: uint32(ns - 1)}
+	m := cfg.Metrics
+	c := &Cache{
+		cfg: cfg, shardMask: uint32(ns - 1),
+		hits:        m.Counter("plan_cache_hits_total"),
+		misses:      m.Counter("plan_cache_misses_total"),
+		removed:     m.Counter("plan_cache_evictions_total"),
+		collapsed:   m.Counter("plan_cache_collapsed_total"),
+		invalidated: m.Counter("plan_cache_invalidations_total"),
+		peerFills:   m.Counter("plan_cache_peer_fills_total"),
+		age:         m.Histogram("plan_cache_age_ms"),
+		expired:     new(obs.Counter), inserts: new(obs.Counter), dropped: new(obs.Counter),
+	}
 	c.shards = make([]*shard, ns)
 	for i := range c.shards {
 		c.shards[i] = &shard{entries: map[string]*entry{}}
@@ -242,16 +257,6 @@ func New(cfg Config) *Cache {
 	c.bytesPer = cfg.MaxBytes / int64(ns)
 	if c.bytesPer < 1024 {
 		c.bytesPer = 1024
-	}
-	if m := cfg.Metrics; m != nil {
-		// Pre-create the counters so they appear in scrapes at zero.
-		c.metricsHits = m.Counter("plan_cache_hits_total")
-		c.metricsMisses = m.Counter("plan_cache_misses_total")
-		c.metricsEvict = m.Counter("plan_cache_evictions_total")
-		c.metricsColl = m.Counter("plan_cache_collapsed_total")
-		c.metricsInval = m.Counter("plan_cache_invalidations_total")
-		c.metricsPeer = m.Counter("plan_cache_peer_fills_total")
-		c.metricsAge = m.Histogram("plan_cache_age_ms")
 	}
 	return c
 }
@@ -319,12 +324,7 @@ func (c *Cache) Activate(version string) bool {
 		}
 		sh.mu.Unlock()
 	}
-	if n > 0 {
-		c.invalidated.Add(n)
-		if c.metricsInval != nil {
-			c.metricsInval.Add(n)
-		}
-	}
+	c.invalidated.Add(n)
 	return true
 }
 
@@ -355,39 +355,25 @@ func (c *Cache) GetBand(fp Fingerprint, version, band string) (*CachedPlan, bool
 	e, ok := sh.entries[k]
 	if ok && e.gen != c.gen.Load() {
 		sh.remove(e)
-		c.invalidated.Add(1)
-		if c.metricsInval != nil {
-			c.metricsInval.Inc()
-		}
+		c.invalidated.Inc()
 		ok = false
 	}
 	if ok && !e.expires.IsZero() && now.After(e.expires) {
 		sh.remove(e)
-		c.expired.Add(1)
-		if c.metricsEvict != nil {
-			c.metricsEvict.Inc()
-		}
+		c.expire()
 		ok = false
 	}
 	if !ok {
 		sh.mu.Unlock()
-		c.misses.Add(1)
-		if c.metricsMisses != nil {
-			c.metricsMisses.Inc()
-		}
+		c.misses.Inc()
 		return nil, false
 	}
 	sh.unlink(e)
 	sh.pushFront(e)
 	cp := e.cp
 	sh.mu.Unlock()
-	c.hits.Add(1)
-	if c.metricsHits != nil {
-		c.metricsHits.Inc()
-	}
-	if c.metricsAge != nil {
-		c.metricsAge.Observe(float64(now.Sub(cp.CachedAt).Microseconds()) / 1000)
-	}
+	c.hits.Inc()
+	c.age.Observe(float64(now.Sub(cp.CachedAt).Microseconds()) / 1000)
 	return cp, true
 }
 
@@ -401,7 +387,7 @@ func (c *Cache) Put(cp *CachedPlan) bool {
 		return false
 	}
 	if v := c.active.Load(); v != nil && *v != cp.ModelVersion {
-		c.dropped.Add(1)
+		c.dropped.Inc()
 		return false
 	}
 	gen := c.gen.Load()
@@ -421,13 +407,10 @@ func (c *Cache) Put(cp *CachedPlan) bool {
 	// entry and byte budgets.
 	for (len(sh.entries) > c.entriesPer || sh.bytes > c.bytesPer) && sh.tail != nil && sh.tail != e {
 		sh.remove(sh.tail)
-		c.evictions.Add(1)
-		if c.metricsEvict != nil {
-			c.metricsEvict.Inc()
-		}
+		c.removed.Inc()
 	}
 	sh.mu.Unlock()
-	c.inserts.Add(1)
+	c.inserts.Inc()
 	return true
 }
 
@@ -490,6 +473,7 @@ type Stats struct {
 
 // Snapshot returns the cache's current statistics.
 func (c *Cache) Snapshot() Stats {
+	expired := c.expired.Load() // before removed: see expire
 	return Stats{
 		Entries:       c.Len(),
 		Bytes:         c.Bytes(),
@@ -502,8 +486,8 @@ func (c *Cache) Snapshot() Stats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Collapsed:     c.collapsed.Load(),
-		Evictions:     c.evictions.Load(),
-		Expired:       c.expired.Load(),
+		Evictions:     c.removed.Load() - expired,
+		Expired:       expired,
 		Invalidated:   c.invalidated.Load(),
 		Inserts:       c.inserts.Load(),
 		Dropped:       c.dropped.Load(),

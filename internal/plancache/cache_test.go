@@ -1,11 +1,13 @@
 package plancache
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/platform"
 )
@@ -344,4 +346,106 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	c.Snapshot() // must not race with anything above
+}
+
+// doneSpy reports the first call of Done: group.do asks a follower's context
+// for it only once the follower has found the leader's flight.
+type doneSpy struct {
+	context.Context
+	once   sync.Once
+	called chan struct{}
+}
+
+func (d *doneSpy) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.called) })
+	return d.Context.Done()
+}
+
+// TestCacheStatsMatchRegistry scripts one of everything the cache counts —
+// hit, miss, capacity eviction, TTL expiry on both lookup paths, dropped
+// insert, collapsed request, peer install, flash invalidation — and pins every
+// Snapshot field (the values the same script yields with the pre-ledger
+// mirrored counters) next to the registry's plan_cache_* series, which are the
+// same counters: evictions_total is the one that is not 1:1, counting
+// capacity evictions and expiries together.
+func TestCacheStatsMatchRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := New(Config{MaxEntries: 2, Shards: 1, TTL: time.Hour, Metrics: reg})
+	fpOf := func(b byte) (fp Fingerprint) { fp[0] = b; return fp }
+	stale := func(b byte) *CachedPlan {
+		cp := fab(b, "v1", 1)
+		cp.CachedAt = time.Now().Add(-2 * time.Hour)
+		return cp
+	}
+
+	c.Activate("v1")
+	c.Put(fab(1, "v1", 1))
+	if _, ok := c.Get(fpOf(1), "v1"); !ok {
+		t.Fatal("miss on a fresh entry")
+	}
+	c.Get(fpOf(9), "v1")          // miss
+	c.Put(fab(2, "v1", 1))        // fills the shard
+	c.Put(fab(3, "v1", 1))        // evicts 1
+	c.Put(stale(4))               // evicts 2
+	c.Get(fpOf(4), "v1")          // expires 4, and is a miss
+	c.Put(stale(5))               // fits: 4 is gone
+	c.PeekBand(fpOf(5), "v1", "") // expires 5; a peek is neither hit nor miss
+	c.Put(fab(6, "v0", 1))        // dropped: not the active version
+
+	// One collapsed request: the follower is let in while the leader runs.
+	follower := &doneSpy{Context: context.Background(), called: make(chan struct{})}
+	followed := make(chan bool)
+	fn := func() (*CachedPlan, error) {
+		go func() {
+			_, collapsed, _ := c.Do(follower, fpOf(7), "v1", nil)
+			followed <- collapsed
+		}()
+		<-follower.called
+		return fab(7, "v1", 1), nil
+	}
+	if _, collapsed, err := c.Do(context.Background(), fpOf(7), "v1", fn); collapsed || err != nil {
+		t.Fatalf("leader: collapsed=%v err=%v", collapsed, err)
+	}
+	if !<-followed {
+		t.Fatal("follower was not collapsed")
+	}
+
+	// One peer install, and one answer under the wrong key, which is dropped.
+	c.SetRemoteFiller(&fakeFiller{cp: fab(8, "v1", 1)})
+	if _, ok := c.FillRemote(context.Background(), fpOf(8), "v1", ""); !ok {
+		t.Fatal("peer entry not installed")
+	}
+	if _, ok := c.FillRemote(context.Background(), fpOf(9), "v1", ""); ok {
+		t.Fatal("peer entry installed under a key it does not carry")
+	}
+	c.Activate("v2") // invalidates 3 and 8
+
+	want := Stats{
+		MaxEntries: 2, MaxBytes: DefaultMaxBytes, TTLMs: 3.6e6, Shards: 1,
+		Generation: 2, ActiveVersion: "v2",
+		Hits: 1, Misses: 2, Collapsed: 1, Evictions: 2, Expired: 2,
+		Invalidated: 2, Inserts: 6, Dropped: 2, PeerFills: 1,
+	}
+	if got := c.Snapshot(); got != want {
+		t.Errorf("Snapshot =\n%+v, want\n%+v", got, want)
+	}
+	snap := reg.Snapshot()
+	for name, v := range map[string]int64{
+		"plan_cache_hits_total":          want.Hits,
+		"plan_cache_misses_total":        want.Misses,
+		"plan_cache_collapsed_total":     want.Collapsed,
+		"plan_cache_evictions_total":     want.Evictions + want.Expired,
+		"plan_cache_invalidations_total": want.Invalidated,
+		"plan_cache_peer_fills_total":    want.PeerFills,
+	} {
+		if snap.Counters[name] != v {
+			t.Errorf("%s = %d, want %d", name, snap.Counters[name], v)
+		}
+	}
+	if n := snap.Histograms["plan_cache_age_ms"].Count; n != want.Hits {
+		t.Errorf("plan_cache_age_ms count = %d, want one observation per hit (%d)", n, want.Hits)
+	}
+	if len(snap.Counters) != 6 {
+		t.Errorf("the cache registered %d counters, want 6: expired, inserts and dropped have no /metricz row", len(snap.Counters))
+	}
 }

@@ -72,19 +72,16 @@ func (c *Cache) InstallRemote(cp *CachedPlan, fp Fingerprint, version, band stri
 	// A peer answering with the wrong key is a protocol violation; refuse
 	// the entry rather than poisoning the local cache.
 	if cp.Fingerprint != fp || cp.ModelVersion != version || RiskBand(cp.RiskLambda) != band {
-		c.dropped.Add(1)
+		c.dropped.Inc()
 		return nil, false
 	}
 	// Re-check the active version at install time: the requester may have
 	// hot-swapped while the lookup was in flight.
 	if v := c.active.Load(); v != nil && *v != version {
-		c.dropped.Add(1)
+		c.dropped.Inc()
 		return nil, false
 	}
-	c.peerFills.Add(1)
-	if c.metricsPeer != nil {
-		c.metricsPeer.Inc()
-	}
+	c.peerFills.Inc()
 	c.Put(cp)
 	return cp, true
 }
@@ -106,18 +103,12 @@ func (c *Cache) PeekBand(fp Fingerprint, version, band string) (*CachedPlan, boo
 	}
 	if e.gen != c.gen.Load() {
 		sh.remove(e)
-		c.invalidated.Add(1)
-		if c.metricsInval != nil {
-			c.metricsInval.Inc()
-		}
+		c.invalidated.Inc()
 		return nil, false
 	}
 	if !e.expires.IsZero() && now.After(e.expires) {
 		sh.remove(e)
-		c.expired.Add(1)
-		if c.metricsEvict != nil {
-			c.metricsEvict.Inc()
-		}
+		c.expire()
 		return nil, false
 	}
 	return e.cp, true

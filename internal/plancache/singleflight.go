@@ -85,10 +85,7 @@ func (c *Cache) Do(ctx context.Context, fp Fingerprint, version string, fn func(
 func (c *Cache) DoBand(ctx context.Context, fp Fingerprint, version, band string, fn func() (*CachedPlan, error)) (cp *CachedPlan, collapsed bool, err error) {
 	cp, collapsed, err = c.flight.do(ctx, key(fp, version, band), fn)
 	if collapsed && err == nil {
-		c.collapsed.Add(1)
-		if c.metricsColl != nil {
-			c.metricsColl.Inc()
-		}
+		c.collapsed.Inc()
 	}
 	return cp, collapsed, err
 }

@@ -45,7 +45,8 @@ type Retrainer struct {
 	// metadata.
 	SchemaWidth int
 	Platforms   []string
-	// Metrics, when set, receives retrain counters and durations.
+	// Metrics, when set, receives retrain counters and durations (a nil
+	// registry counts into nothing).
 	Metrics *obs.Registry
 	// Logger, when set, receives one structured record per retraining
 	// attempt: promotions at Info, holdout regressions at Warn, skipped
@@ -182,7 +183,12 @@ func (r *Retrainer) RetrainOnce() (Outcome, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := r.metricsOrNop()
+	m := r.Metrics
+	// failed counts an attempt that got as far as training and then broke.
+	failed := func(err error) (Outcome, error) {
+		m.Counter("retrain_failures_total").Inc()
+		return Outcome{}, err
+	}
 	fb, spreads, firstSeq := r.Feedback.SnapshotSpreads()
 	total := firstSeq + int64(fb.Len())
 	m.Gauge("feedback_buffer_len").Set(float64(fb.Len()))
@@ -237,8 +243,7 @@ func (r *Retrainer) RetrainOnce() (Outcome, error) {
 	}
 	cand, err := r.Train(trainSet)
 	if err != nil {
-		m.Counter("retrain_failures_total").Inc()
-		return Outcome{}, fmt.Errorf("registry: retraining: %w", err)
+		return failed(fmt.Errorf("registry: retraining: %w", err))
 	}
 	active := r.Provider.Get()
 	out := Outcome{
@@ -258,18 +263,15 @@ func (r *Retrainer) RetrainOnce() (Outcome, error) {
 	}
 	art, err := New(cand, r.SchemaWidth, r.Platforms, trainSet.Len(), out.Candidate)
 	if err != nil {
-		m.Counter("retrain_failures_total").Inc()
-		return Outcome{}, err
+		return failed(err)
 	}
 	if r.Store != nil {
 		v, err := r.Store.Save(art)
 		if err != nil {
-			m.Counter("retrain_failures_total").Inc()
-			return Outcome{}, err
+			return failed(err)
 		}
 		if err := r.Store.Activate(v); err != nil {
-			m.Counter("retrain_failures_total").Inc()
-			return Outcome{}, err
+			return failed(err)
 		}
 		out.Version = v
 	}
@@ -328,13 +330,4 @@ func oversampleHighSpread(fb *mlmodel.Dataset, spreads []float64, fbSeen, freshT
 		}
 	}
 	return dup
-}
-
-// metricsOrNop returns the configured registry or a throwaway one, so the
-// hot path never branches on nil.
-func (r *Retrainer) metricsOrNop() *obs.Registry {
-	if r.Metrics != nil {
-		return r.Metrics
-	}
-	return obs.NewRegistry()
 }

@@ -125,26 +125,22 @@ func (a *Admission) InFlight() int {
 	return len(a.slots)
 }
 
-func (a *Admission) count(name string) {
-	if a.Metrics != nil {
-		a.Metrics.Counter(name).Inc()
-	}
-}
-
 // Acquire admits one request unit. The returned release func must be called
 // exactly once when the outcome is admitOK or admitShed; it is nil for
 // admitRejected and admitCanceled. The four outcome counters partition
 // admission_offered_total: offered = admitted + shed + rejected + canceled.
 func (a *Admission) Acquire(ctx context.Context) (admitOutcome, func()) {
 	a.init()
-	a.count("admission_offered_total")
+	m := a.Metrics
+	m.Counter("admission_offered_total").Inc()
+	admitted := m.Counter("admission_admitted_total")
 	var relOnce sync.Once
 	release := func() { relOnce.Do(func() { <-a.slots }) }
 
 	// Fast path: a free slot means no pressure — admit in full.
 	select {
 	case a.slots <- struct{}{}:
-		a.count("admission_admitted_total")
+		admitted.Inc()
 		return admitOK, release
 	default:
 	}
@@ -153,34 +149,31 @@ func (a *Admission) Acquire(ctx context.Context) (admitOutcome, func()) {
 	q := a.queued.Add(1)
 	if int(q) > a.maxQueue() {
 		a.queued.Add(-1)
-		a.count("admission_rejected_total")
+		m.Counter("admission_rejected_total").Inc()
 		return admitRejected, nil
 	}
 	// The shed decision is made at enqueue time from the backlog this
 	// request joined behind: a deep queue now means full-quality service
 	// later would only compound the wait.
 	shed := int(q) >= a.shedAt()
-	if a.Metrics != nil {
-		a.Metrics.Gauge("admission_queue_depth").Add(1)
-	}
+	depth := m.Gauge("admission_queue_depth")
+	depth.Add(1)
 	start := time.Now()
 	defer func() {
 		a.queued.Add(-1)
-		if a.Metrics != nil {
-			a.Metrics.Gauge("admission_queue_depth").Add(-1)
-			a.Metrics.Histogram("admission_wait_ms").Observe(float64(time.Since(start).Microseconds()) / 1000)
-		}
+		depth.Add(-1)
+		m.Histogram("admission_wait_ms").Observe(sinceMs(start))
 	}()
 	select {
 	case a.slots <- struct{}{}:
 		if shed {
-			a.count("admission_shed_total")
+			m.Counter("admission_shed_total").Inc()
 			return admitShed, release
 		}
-		a.count("admission_admitted_total")
+		admitted.Inc()
 		return admitOK, release
 	case <-ctx.Done():
-		a.count("admission_canceled_total")
+		m.Counter("admission_canceled_total").Inc()
 		return admitCanceled, nil
 	}
 }

@@ -126,7 +126,8 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range breq.Plans {
 		l, err := plan.DecodeJSONPlan(raw)
 		if err != nil {
-			members[i].out = &optimizeOut{status: http.StatusBadRequest, err: fmt.Errorf("member %d: %w", i, err)}
+			members[i].out = &optimizeOut{status: http.StatusBadRequest, err: fmt.Errorf("member %d: %w", i, err), early: true}
+			s.account(&p, members[i].out)
 			continue
 		}
 		q := s.unit(&p, l)
@@ -205,7 +206,6 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		out := members[i].out
 		if out.err != nil {
 			resp.Errors++
-			s.countFailure(out.err)
 			m.Counter("batch_member_errors_total").Inc()
 			resp.Results[i] = BatchMemberResult{Error: out.err.Error()}
 			continue

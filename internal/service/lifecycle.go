@@ -136,23 +136,24 @@ func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) 
 	return done, nil
 }
 
+// handleStatz serves the short summary: a view of the registry behind
+// /metricz under /statz's own key names, plus configuration and occupancy.
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	avg := 0.0
-	if n := s.stats.Requests - s.stats.Failures; n > 0 {
-		avg = s.stats.TotalMs / float64(n)
+	snap := s.Metrics().Snapshot()
+	lastError := ""
+	if msg := s.lastError.Load(); msg != nil {
+		lastError = *msg
 	}
 	out := map[string]any{
-		"requests":         s.stats.Requests,
-		"failures":         s.stats.Failures,
-		"deadlineExceeded": s.stats.DeadlineExceeded,
-		"degraded":         s.stats.Degraded,
-		"shed":             s.stats.Shed,
-		"rejected":         s.stats.Rejected,
-		"avgMs":            avg,
-		"lastError":        s.stats.LastError,
+		"requests":         snap.Counters["requests_total"],
+		"failures":         snap.Counters["failures_total"],
+		"deadlineExceeded": snap.Counters["deadline_exceeded_total"],
+		"degraded":         snap.Counters["degraded_total"],
+		"shed":             snap.Counters["shed_total"],
+		"rejected":         snap.Counters["admission_rejected_total"],
+		"avgMs":            snap.Histograms["optimize_ms"].Avg,
+		"lastError":        lastError,
 		"workers":          s.workers(),
 		"ready":            !s.unready.Load(),
 		"buildVersion":     buildinfo.Version(),

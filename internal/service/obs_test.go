@@ -357,6 +357,63 @@ func TestSloz(t *testing.T) {
 	}
 }
 
+// TestSLOIgnoresPreAdmissionRejections: a call turned away before admission
+// (405, 400, 413) and a batch member that does not parse are counted and timed
+// like any response, but they say nothing about the service: a burst of
+// malformed bodies leaves every /sloz window where it was.
+func TestSLOIgnoresPreAdmissionRejections(t *testing.T) {
+	_, ts := newObsServer(t)
+	var out service.OptimizeResponse
+	postTraced(t, ts.URL+"/optimize", "", planJSON(t), &out)
+	var before service.SlozResponse
+	getJSON(t, ts.URL+"/sloz", &before)
+
+	good := string(planJSON(t))
+	for i := 0; i < 20; i++ {
+		for _, req := range []struct{ path, body string }{
+			{"/optimize", "{nope"},
+			{"/optimize?risk_lambda=bogus", good},
+			{"/optimize/batch", `{"plans": []}`},
+		} {
+			resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST %s: status %d, want 400", req.path, resp.StatusCode)
+			}
+		}
+		if resp, err := http.Get(ts.URL + "/optimize"); err != nil {
+			t.Fatal(err)
+		} else if resp.Body.Close(); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("GET /optimize: status %d, want 405", resp.StatusCode)
+		}
+	}
+	// One unparseable member beside a good one: the good one is the batch's
+	// only SLO event.
+	resp, err := http.Post(ts.URL+"/optimize/batch", "application/json", strings.NewReader(`{"plans": [`+good+`, {"operators": 7}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	var after service.SlozResponse
+	getJSON(t, ts.URL+"/sloz", &after)
+	for i, w := range after.Windows {
+		if want := before.Windows[i].Total + 1; w.Total != want || w.Good != want {
+			t.Errorf("window %s total=%d good=%d after the burst, want %d/%d", w.Window, w.Total, w.Good, want, want)
+		}
+	}
+	c := checkLedger(t, ts.URL)
+	if got := c[`serving_requests_total{endpoint="optimize",outcome="400",cache="none"}`]; got != 40 {
+		t.Errorf(`serving_requests_total{endpoint="optimize",outcome="400"} = %d, want 40: rejections are still counted`, got)
+	}
+	if got := c[`serving_requests_total{endpoint="optimize",outcome="405",cache="none"}`]; got != 20 {
+		t.Errorf(`serving_requests_total{endpoint="optimize",outcome="405"} = %d, want 20`, got)
+	}
+}
+
 // TestSlozDisabled: a server without an SLO answers /sloz with
 // enabled=false rather than erroring.
 func TestSlozDisabled(t *testing.T) {

@@ -88,15 +88,33 @@ type optimizeReq struct {
 	release    func()
 }
 
-// optimizeOut is the outcome of one request unit: either resp (with the
-// source that answered it and the plan batch duplicates can rematerialize)
-// or err with its HTTP status.
+// optimizeOut is the outcome of one request unit, and what account enters in
+// the ledger for it: either resp (with the source that answered it and the
+// plan batch duplicates can rematerialize) or err with its HTTP status; of a
+// failed unit's resp only ModelVersion is set, for the log.
 type optimizeOut struct {
 	resp   OptimizeResponse
 	src    source
 	cp     *plancache.CachedPlan
 	status int
 	err    error
+	// shed marks a plan enumerated on the degraded beam because admission
+	// pressure shed the call. retained marks a unit whose trace entered the
+	// retention ring: only then is resp.TraceID a resolvable exemplar.
+	shed, retained bool
+	// early marks an error the SLO never sees: the call was turned away
+	// before admission, or a batch member did not parse. lost marks not a
+	// response but the loss of one on its way to the client, after the unit
+	// was accounted.
+	early, lost bool
+}
+
+// exemplar is the trace ID histogram buckets may link to for this unit.
+func (o *optimizeOut) exemplar() string {
+	if o.retained {
+		return o.resp.TraceID
+	}
+	return ""
 }
 
 // statusError is an error that knows the HTTP status it is reported under.
@@ -206,46 +224,80 @@ func (s *Server) finishTrace(q *optimizeReq, notable string) bool {
 	return s.Tracer.Finish(q.tr, q.wantTrace || q.remoteSampled, notable)
 }
 
-// countServing feeds one request unit's outcome into the labeled serving
-// metrics and the SLO tracker: serving_requests_total partitioned by
-// endpoint/outcome/answering source, serving_latency_ms by endpoint (with
-// the retained trace as the bucket's exemplar), and the SLO's good/bad
-// tally (shed responses are successes — degraded quality, not an error).
-func (s *Server) countServing(endpoint, outcome string, src source, latencyMs float64, exemplarTrace string) {
-	m := s.Metrics()
-	m.CounterVec("serving_requests_total", "endpoint", "outcome", "cache").With(endpoint, outcome, sources[src].label).Inc()
-	m.HistogramVec("serving_latency_ms", "endpoint").With(endpoint).ObserveExemplar(latencyMs, exemplarTrace)
-	s.SLO.Record(latencyMs, outcome == "ok" || outcome == "shed")
-}
-
 // sinceMs is the elapsed wall-clock in milliseconds.
 func sinceMs(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1000
 }
 
-// refuse accounts one call or request unit that ends in an error status —
-// the deadline counters when its deadline or connection ran out, the log
-// record, the serving metrics and the SLO — everything except the
-// HTTP-level failure counting that fail performs when the transport writes
-// the outcome.
-func (s *Server) refuse(p *reqParams, version string, status int, err error) *optimizeOut {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.mu.Lock()
-		s.stats.DeadlineExceeded++
-		s.mu.Unlock()
-		s.Metrics().Counter("deadline_exceeded_total").Inc()
+// account is the ledger of the two optimize endpoints, and its only writer.
+// Every response — a call prelude turned away (405, 400, 413), one admission
+// refused (429, 503), a unit that failed, a batch member that did not parse,
+// a plan served in full or shed — passes through here exactly once and
+// increments one instrument per fact: requests_total, failures_total,
+// deadline_exceeded_total (the deadline or the connection ran out),
+// shed_total, serving_requests_total by endpoint/outcome/answering source,
+// serving_latency_ms by endpoint (with the retained trace as the bucket's
+// exemplar), the SLO's good/bad tally (a shed response is a success —
+// degraded quality, not an error) and the request log. /statz, /fleetz and
+// /sloz are views of what this wrote. A response that was accounted and then
+// failed to encode comes back as out.lost and adds only the failure.
+func (s *Server) account(p *reqParams, out *optimizeOut) {
+	m := s.Metrics()
+	if out.err != nil {
+		m.Counter("failures_total").Inc()
+		msg := out.err.Error()
+		s.lastError.Store(&msg)
 	}
-	ms := sinceMs(p.start)
-	if s.Logger != nil {
+	if out.lost {
+		m.Counter("encode_failures_total").Inc()
+		return
+	}
+	m.Counter("requests_total").Inc()
+	ms, outcome := out.resp.OptimizationMs, "ok"
+	switch {
+	case out.err != nil:
+		ms, outcome = sinceMs(p.start), strconv.Itoa(out.status)
+		if errors.Is(out.err, context.DeadlineExceeded) || errors.Is(out.err, context.Canceled) {
+			m.Counter("deadline_exceeded_total").Inc()
+		}
+	case out.shed:
+		outcome = "shed"
+		m.Counter("shed_total").Inc()
+	}
+	m.CounterVec("serving_requests_total", "endpoint", "outcome", "cache").With(p.endpoint, outcome, sources[out.src].label).Inc()
+	m.HistogramVec("serving_latency_ms", "endpoint").With(p.endpoint).ObserveExemplar(ms, out.exemplar())
+	if !out.early {
+		s.SLO.Record(ms, out.err == nil)
+	}
+	switch {
+	case s.Logger == nil:
+		return
+	case out.err != nil:
 		s.Logger.Error("optimize failed",
 			"requestId", p.id,
-			"status", status,
+			"status", out.status,
 			"ms", ms,
-			"modelVersion", version,
-			"err", err.Error())
+			"modelVersion", out.resp.ModelVersion,
+			"err", out.err.Error())
+	default:
+		s.Logger.Info("optimize",
+			"requestId", p.id,
+			"status", http.StatusOK,
+			"ms", ms,
+			"modelVersion", out.resp.ModelVersion,
+			"cache", sources[out.src].label,
+			"degraded", out.resp.Degraded,
+			"shed", out.shed,
+			"traced", out.resp.TraceID != "",
+			"predictedSec", out.resp.PredictedRuntimeSec)
 	}
-	s.countServing(p.endpoint, strconv.Itoa(status), srcNone, ms, "")
-	return &optimizeOut{status: status, err: err}
+}
+
+// reject accounts a call that ends before any plan is looked at and writes
+// its error reply.
+func (s *Server) reject(w http.ResponseWriter, p *reqParams, out *optimizeOut) {
+	s.account(p, out)
+	s.fail(w, p.id, out.status, out.err)
 }
 
 // admit runs the admission layer for one call (a single request or a whole
@@ -256,22 +308,17 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, p *reqParams)
 	if s.Admission == nil {
 		return false, nil, true
 	}
-	outcome, rel := s.Admission.Acquire(ctx)
-	var out *optimizeOut
-	switch outcome {
+	switch outcome, rel := s.Admission.Acquire(ctx); outcome {
 	case admitRejected:
-		s.mu.Lock()
-		s.stats.Rejected++
-		s.mu.Unlock()
 		w.Header().Set("Retry-After", s.Admission.retryAfterSeconds())
-		out = s.refuse(p, "", http.StatusTooManyRequests, errors.New("service: admission queue full, retry later"))
+		s.reject(w, p, &optimizeOut{status: http.StatusTooManyRequests,
+			err: errors.New("service: admission queue full, retry later")})
 	case admitCanceled:
-		out = s.refuse(p, "", http.StatusServiceUnavailable,
-			fmt.Errorf("service: request expired in the admission queue: %w", ctx.Err()))
+		s.reject(w, p, &optimizeOut{status: http.StatusServiceUnavailable,
+			err: fmt.Errorf("service: request expired in the admission queue: %w", ctx.Err())})
 	default:
 		return outcome == admitShed, rel, true
 	}
-	s.fail(w, p.id, out.status, out.err)
 	return false, nil, false
 }
 
@@ -318,13 +365,12 @@ func readBody(body io.Reader, contentLength int64) ([]byte, error) {
 // as canceled, not optimized late. ok=false means the error response is
 // already written; otherwise the caller owes l.done().
 func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage string, decode func(body []byte) error) (p reqParams, ctx context.Context, l lease, ok bool) {
-	p = reqParams{id: s.nextReqID(), endpoint: endpoint}
+	p = reqParams{id: s.nextReqID(), endpoint: endpoint, start: time.Now()}
 	w.Header().Set("X-Request-Id", p.id)
 	if r.Method != http.MethodPost {
-		s.fail(w, p.id, http.StatusMethodNotAllowed, errors.New(usage))
+		s.reject(w, &p, &optimizeOut{status: http.StatusMethodNotAllowed, err: errors.New(usage), early: true})
 		return
 	}
-	p.start = time.Now()
 	qs := r.URL.Query()
 	var err error
 	if p.deadline, err = s.deadline(qs); err == nil {
@@ -338,7 +384,7 @@ func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage
 		err = decode(body)
 	}
 	if err != nil {
-		s.fail(w, p.id, statusOf(err, http.StatusBadRequest), err)
+		s.reject(w, &p, &optimizeOut{status: statusOf(err, http.StatusBadRequest), err: err, early: true})
 		return
 	}
 	p.simulate = qs.Get("simulate") == "1"
@@ -375,7 +421,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, p.id, out.status, out.err)
 		return
 	}
-	s.writeResponse(w, out)
+	s.writeResponse(w, &p, out)
 }
 
 // unit builds the request unit for one plan of a call: it pins the model
@@ -411,7 +457,10 @@ func (s *Server) serve(ctx context.Context, q *optimizeReq, from int) *optimizeO
 func (s *Server) failed(q *optimizeReq, status int, err error) *optimizeOut {
 	q.tr.SetError(err.Error())
 	s.finishTrace(q, "")
-	return s.refuse(&q.reqParams, q.version, status, err)
+	out := &optimizeOut{status: status, err: err}
+	out.resp.ModelVersion = q.version
+	s.account(&q.reqParams, out)
+	return out
 }
 
 // finish turns what resolve returned into the unit's outcome. A cached plan
@@ -440,10 +489,14 @@ func (s *Server) finish(ctx context.Context, q *optimizeReq, a answer, err error
 	if a.res != nil {
 		x = a.res.Execution
 	}
-	retained := s.closeTrace(q, a)
-	resp, run := s.respond(q, a, x)
-	s.account(q, a, &resp, run, retained)
-	return &optimizeOut{resp: resp, src: a.src, cp: a.cp}
+	// Only an enumeration can be shed; a shed call answered from a cache
+	// tier got the full-quality plan.
+	out := &optimizeOut{src: a.src, cp: a.cp, shed: q.shed && a.res != nil, retained: s.closeTrace(q, a)}
+	var run *simulator.Result
+	out.resp, run = s.respond(q, a, x)
+	s.record(q, a, out, run)
+	s.account(&q.reqParams, out)
+	return out
 }
 
 // closeTrace records how a successful unit was answered and finishes its
@@ -536,10 +589,10 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 	return resp, run
 }
 
-// account does the bookkeeping of one successful answer, whatever its
-// source: execution feedback, /statz, the metric registry, the SLO and the
-// log record.
-func (s *Server) account(q *optimizeReq, a answer, resp *OptimizeResponse, run *simulator.Result, retained bool) {
+// record keeps what only a served plan has to tell: execution feedback, the
+// model version that scored it, its latency among the successes, the
+// enumeration's work when one ran and the fleet tier's share of a peer fill.
+func (s *Server) record(q *optimizeReq, a answer, out *optimizeOut, run *simulator.Result) {
 	m := s.Metrics()
 	// Execution feedback: the chosen plan's vector paired with its observed
 	// runtime feeds the retraining loop — cached answers included, through
@@ -554,59 +607,28 @@ func (s *Server) account(q *optimizeReq, a answer, resp *OptimizeResponse, run *
 			vec = a.res.Vector.F
 		}
 		if len(vec) > 0 {
-			if err := s.Feedback.AddWithSpread(vec, run.Runtime, resp.PredictedSpreadSec); err != nil {
+			if err := s.Feedback.AddWithSpread(vec, run.Runtime, out.resp.PredictedSpreadSec); err != nil {
 				m.Counter("feedback_rejected_total").Inc()
 			} else {
 				m.Counter("feedback_samples_total").Inc()
 			}
 		}
 	}
-
-	// Only an enumeration can be shed; a shed call answered from a cache
-	// tier got the full-quality plan.
-	shed := q.shed && a.res != nil
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.TotalMs += resp.OptimizationMs
-	if resp.Degraded {
-		s.stats.Degraded++
-	}
-	if shed {
-		s.stats.Shed++
-	}
-	s.mu.Unlock()
-
-	m.Counter("requests_total").Inc()
-	m.CounterVec("serving_model_requests_total", "version").With(resp.ModelVersion).Inc()
-	m.Histogram("optimize_ms").Observe(resp.OptimizationMs)
+	m.CounterVec("serving_model_requests_total", "version").With(out.resp.ModelVersion).Inc()
+	m.Histogram("optimize_ms").Observe(out.resp.OptimizationMs)
 	if a.res != nil {
-		s.recordEnumeration(a.res, resp.StageMs)
-	}
-	outcome := "ok"
-	if shed {
-		outcome = "shed"
-		m.Counter("shed_total").Inc()
-	}
-	exemplar := ""
-	if retained {
-		exemplar = traceIDOf(q.tr)
+		s.recordEnumeration(a.res, out.resp.StageMs)
 	}
 	if a.src == srcPeer {
-		m.HistogramVec("peer_fill_ms", "outcome").With("hit").ObserveExemplar(q.peerMs, exemplar)
+		s.peerFillMs("hit").ObserveExemplar(q.peerMs, out.exemplar())
 	}
-	s.countServing(q.endpoint, outcome, a.src, resp.OptimizationMs, exemplar)
-	if s.Logger != nil {
-		s.Logger.Info("optimize",
-			"requestId", q.id,
-			"status", http.StatusOK,
-			"ms", resp.OptimizationMs,
-			"modelVersion", resp.ModelVersion,
-			"cache", sources[a.src].label,
-			"degraded", resp.Degraded,
-			"shed", shed,
-			"traced", q.tr != nil,
-			"predictedSec", resp.PredictedRuntimeSec)
-	}
+}
+
+// peerFillMs is the fleet tiers' latency histogram for one outcome: "hit"
+// when a peer's entry answered (observed with the served unit's exemplar),
+// "miss" when the probe round came back empty.
+func (s *Server) peerFillMs(outcome string) *obs.Histogram {
+	return s.Metrics().HistogramVec("peer_fill_ms", "outcome").With(outcome)
 }
 
 // recordEnumeration feeds one enumeration's work counters into the metric
@@ -641,18 +663,12 @@ func (s *Server) recordEnumeration(res *core.Result, stageMs map[string]float64)
 // writeResponse writes a successful request unit's reply. An encoding
 // failure (usually a dropped connection) is a failed request, not just a
 // note: the plan was computed but the client will not see it.
-func (s *Server) writeResponse(w http.ResponseWriter, out *optimizeOut) {
+func (s *Server) writeResponse(w http.ResponseWriter, p *reqParams, out *optimizeOut) {
 	if xc := sources[out.src].xcache; xc != "" {
 		w.Header().Set("X-Cache", xc)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(out.resp); err != nil {
-		s.mu.Lock()
-		s.stats.Failures++
-		s.stats.LastError = err.Error()
-		s.mu.Unlock()
-		m := s.Metrics()
-		m.Counter("encode_failures_total").Inc()
-		m.Counter("failures_total").Inc()
+		s.account(p, &optimizeOut{err: err, lost: true})
 	}
 }

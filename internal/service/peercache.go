@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"sync"
@@ -137,6 +136,9 @@ func (s *Server) claimOrWait(ctx context.Context, fp plancache.Fingerprint, vers
 	}
 }
 
+// errPeerMiss is the body of a /peercache 404: an expected answer, not a fault.
+var errPeerMiss = errors.New("peercache: miss")
+
 // entryBufs recycles the buffers /peercache hits are encoded into.
 var entryBufs = sync.Pool{New: func() any { return new([]byte) }}
 
@@ -167,11 +169,7 @@ func (s *Server) handlePeercache(w http.ResponseWriter, r *http.Request) {
 	}
 	cp, ok := s.PlanCache.PeekBand(fp, version, qs.Get("band"))
 	if !ok {
-		// A miss is an expected outcome, not a failure: answer 404 without
-		// the failure accounting s.fail performs.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "peercache: miss", RequestID: reqID})
+		s.fail(w, reqID, http.StatusNotFound, errPeerMiss)
 		return
 	}
 	buf := entryBufs.Get().(*[]byte)

@@ -141,7 +141,7 @@ func (s *Server) peerTier(ctx context.Context, q *optimizeReq) (answer, error) {
 	if ok {
 		q.peerMs = sinceMs(q.fleetStart)
 	} else {
-		s.Metrics().HistogramVec("peer_fill_ms", "outcome").With("miss").Observe(sinceMs(q.fleetStart))
+		s.peerFillMs("miss").Observe(sinceMs(q.fleetStart))
 	}
 	return answer{src: srcPeer, cp: cp}, nil
 }

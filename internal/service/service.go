@@ -18,7 +18,8 @@
 //	         that collapses concurrent identical requests into one walk
 //	respond  (optimize.go) — build the reply from the fresh result or the
 //	         rematerialized cached plan
-//	account  (optimize.go) — execution feedback, /statz, metrics, SLO, log
+//	record   (optimize.go) — execution feedback and the served plan's metrics
+//	account  (optimize.go) — the ledger: counters, labeled series, SLO, log
 //
 // One table in resolve.go maps the source that answered to its X-Cache
 // value, trace-link reason and serving_requests_total cache label.
@@ -49,9 +50,10 @@
 //   - GET /readyz — readiness probe: 200 only while the replica holds a
 //     servable model artifact and is not draining; a load balancer fronting
 //     N replicas gates traffic on this.
-//   - GET /statz — cumulative request counters as JSON (plus the resolved
-//     worker count and admission/readiness state).
-//   - GET /metricz — full metrics snapshot (see below);
+//   - GET /statz — the short summary: the request counters of /metricz under
+//     its own key names, plus the resolved worker count and
+//     admission/readiness state.
+//   - GET /metricz — full metrics snapshot (see Metrics below);
 //     ?format=prometheus serves the Prometheus text exposition instead.
 //   - GET /tracez — recent retained traces, newest first; ?id= for one
 //     (see tracez.go). Accepts both request IDs and W3C trace IDs.
@@ -79,103 +81,19 @@
 // sampled flag forces retention like ?trace=1, and the header is echoed on
 // the response (see traceparent handling in optimize.go).
 //
-// # /metricz fields
+// # Metrics
 //
-// The snapshot has two top-level objects, "counters" and "histograms"
-// (plus "gauges" when any are set).
-//
-// Counters:
-//
-//   - requests_total — optimize requests received (any outcome; batch
-//     members count individually)
-//   - failures_total — optimize requests that returned an error status
-//   - deadline_exceeded_total — requests cancelled by their deadline (503)
-//   - degraded_total — successful requests whose plan was budget-degraded
-//   - shed_total — successful requests served the degraded beam because
-//     admission pressure shed them (DegradeReason "load-shed"; a subset of
-//     degraded_total)
-//   - encode_failures_total — response JSON encoding failures (client gone)
-//   - model_batches_total — batched cost-oracle invocations across requests
-//   - model_rows_total — feature rows sent to the cost oracle across
-//     requests
-//   - memo_hits_total — plan vectors that reached the cost oracle already
-//     scored (no model work)
-//   - interval_kept_total — near-tie plan vectors kept alive by overlap
-//     pruning across risk-aware (risk_lambda > 0) requests
-//   - pool_rounds_total / pool_tasks_total / pool_steals_total — the
-//     parallel-enumeration scheduler across requests
-//   - model_swaps_total — models hot-swapped in via reload/promote/retrain
-//     or the store watcher
-//   - store_watch_swaps_total — hot-swaps triggered by the store watcher
-//     observing another replica's promotion
-//   - store_watch_errors_total — store-watcher reload attempts that failed
-//   - batch_requests_total — POST /optimize/batch calls
-//   - batch_members_total — plans submitted across all batch calls
-//   - batch_dedup_total — batch members served from another member's
-//     enumeration in the same batch (fingerprint duplicates)
-//   - batch_member_errors_total — batch members that failed individually
-//   - feedback_samples_total — execution-feedback samples captured from
-//     simulate=1 requests
-//   - feedback_rejected_total — feedback samples dropped (width mismatch)
-//
-// Servers with a configured Admission controller additionally expose
-// admission_offered_total, admission_admitted_total, admission_shed_total,
-// admission_rejected_total and admission_canceled_total (offered =
-// admitted + shed + rejected + canceled), the admission_wait_ms histogram
-// (time spent queued before a slot freed) and the admission_queue_depth
-// gauge.
-//
-// Servers with a configured PlanCache additionally expose
-// plan_cache_hits_total, plan_cache_misses_total, plan_cache_evictions_total
-// (capacity and TTL evictions), plan_cache_collapsed_total (requests served
-// by another request's enumeration) and plan_cache_invalidations_total
-// (entries reclaimed after a model swap), plus the plan_cache_age_ms
-// histogram (entry age at hit time).
-//
-// Servers with peer fill enabled (roboptd -peer-fill) additionally expose
-// plan_cache_peer_fills_total (entries installed from peers),
-// peer_fill_hits_total / peer_fill_misses_total / peer_fill_errors_total /
-// peer_fill_timeouts_total (outcomes of outbound peer probes),
-// peer_serve_total (lookups answered for peers on /peercache),
-// fleet_singleflight_claims_total / fleet_singleflight_waits_total /
-// fleet_singleflight_takeovers_total (the claim protocol), and the
-// peer_fill_ms{outcome} histogram, whose hit buckets carry trace exemplars.
-//
-// Servers with a configured Retrainer additionally expose the retrain_*
-// counters, the retrain_ms histogram and the feedback_buffer_len /
-// retrain_last_unix gauges documented in internal/registry.
-//
-// Labeled series (bounded cardinality; rendered into snapshot keys as
-// name{label="value",...} and as native labels in the Prometheus
-// exposition): serving_requests_total{endpoint,outcome,cache},
-// serving_latency_ms{endpoint} (whose exposition buckets carry
-// trace-exemplar annotations for retained traces) and
-// serving_model_requests_total{version} (the hot-swap audit trail).
-//
-// Servers with a configured SLO additionally expose the slo_objective_ms,
-// slo_target and slo_breached gauges plus one slo_burn_rate_<window> gauge
-// per rolling window (see sloz.go), refreshed on every /metricz scrape.
-//
-// Histograms (each reported with count, sum, avg, p50/p90/p99 estimates and
-// cumulative power-of-two buckets):
-//
-//   - optimize_ms — end-to-end optimization latency per successful request
-//   - plan_spread — the chosen plan's predictive spread (one std of model
-//     uncertainty, seconds) per request
-//   - plan_interval_width — the chosen plan's predictive interval width
-//     (hi − lo, seconds) per request
-//   - vectors_created — plan vectors materialized per request
-//   - model_rows — feature rows sent to the cost oracle per request
-//   - model_batch_rows — average rows per model batch per request (the
-//     inference batch size)
-//   - batch_size — members per POST /optimize/batch call
-//   - pool_queue_depth — deepest per-worker task queue per request (the
-//     enumeration pool's load skew before stealing)
-//   - stage_vectorize_ms, stage_enumerate_ms, stage_merge_ms,
-//     stage_prune_ms, stage_unvectorize_ms — per-stage span timings of the
-//     optimization pipeline
-//   - stage_infer_ms — model-inference latency per request (a sub-span of
-//     pruning and final plan selection)
+// README's "Metrics reference" table lists every series /metricz exports,
+// and scripts/metrics_lint.sh keeps it in step with the code. The accounting
+// rule behind it: one routine, one instrument per event. Every response of
+// the two optimize endpoints passes through account (optimize.go) exactly
+// once, and account is the only writer of requests_total, failures_total,
+// deadline_exceeded_total, shed_total, serving_requests_total,
+// serving_latency_ms, the SLO and the request log; the plan cache and the
+// peer-fill client likewise keep one registered counter per number they
+// report. /statz, /cachez and /fleetz are views: they read those instruments
+// and keep no tally of their own. An admin endpoint's error reply is not an
+// optimize request and touches none of them.
 package service
 
 import (
@@ -318,18 +236,9 @@ type Server struct {
 	// unready is set while draining (SetReady(false)); the zero value keeps
 	// embedded servers ready by default.
 	unready atomic.Bool
-
-	mu    sync.Mutex
-	stats struct {
-		Requests         int64
-		Failures         int64
-		DeadlineExceeded int64
-		Degraded         int64
-		Shed             int64
-		Rejected         int64
-		TotalMs          float64
-		LastError        string
-	}
+	// lastError is the message of the latest failed optimize response, the
+	// one /statz field the registry cannot hold; account sets it.
+	lastError atomic.Pointer[string]
 }
 
 // Metrics returns the server's metric registry (created on first use), the
@@ -502,23 +411,10 @@ func (s *Server) maxBody() int64 {
 	return DefaultMaxBodyBytes
 }
 
-// countFailure records a failed request in the legacy stats block and the
-// metric registry without writing anything — the accounting shared by
-// whole-request failures (fail) and per-member batch failures.
-func (s *Server) countFailure(err error) {
-	s.mu.Lock()
-	s.stats.Requests++
-	s.stats.Failures++
-	s.stats.LastError = err.Error()
-	s.mu.Unlock()
-	m := s.Metrics()
-	m.Counter("requests_total").Inc()
-	m.Counter("failures_total").Inc()
-}
-
-// fail reports an error reply as JSON and counts it.
+// fail writes an error reply as JSON. It counts nothing: the optimize
+// endpoints account their failures in account, and an admin endpoint's error
+// is not an optimize request.
 func (s *Server) fail(w http.ResponseWriter, reqID string, code int, err error) {
-	s.countFailure(err)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), RequestID: reqID})

@@ -54,8 +54,8 @@ func oversizedBody() []byte {
 // TestStressConcurrentMixedRequests hammers the server with 64 goroutines,
 // each sending one request of every kind — valid, malformed, oversized, and
 // valid-with-1ms-deadline — then checks that every response carried the
-// expected status with a well-formed body and that the /statz totals add up
-// exactly. Run with -race this doubles as the data-race check on the
+// expected status with a well-formed body and that the ledger's totals add
+// up exactly. Run with -race this doubles as the data-race check on the
 // handler's counters and metric registry.
 func TestStressConcurrentMixedRequests(t *testing.T) {
 	ts := newStressServer()
@@ -162,46 +162,21 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 		t.FailNow()
 	}
 
-	st, err := client.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatalf("statz: %v", err)
-	}
-	defer st.Body.Close()
-	var stats map[string]any
-	if err := json.NewDecoder(st.Body).Decode(&stats); err != nil {
-		t.Fatalf("decode statz: %v", err)
-	}
-	want := map[string]float64{
-		"requests":         4 * goroutines,
-		"failures":         3 * goroutines,
-		"deadlineExceeded": goroutines,
-	}
-	for k, v := range want {
-		if got := stats[k].(float64); got != v {
-			t.Errorf("statz %s = %v, want %v", k, got, v)
+	// Every response was entered in the ledger once: the plain counters, the
+	// labeled series and /statz are readings of the same instruments.
+	c := checkLedger(t, ts.URL)
+	for name, want := range map[string]int64{
+		"requests_total":          4 * goroutines,
+		"failures_total":          3 * goroutines,
+		"deadline_exceeded_total": goroutines,
+		`serving_requests_total{endpoint="optimize",outcome="ok",cache="none"}`:  goroutines,
+		`serving_requests_total{endpoint="optimize",outcome="400",cache="none"}`: goroutines,
+		`serving_requests_total{endpoint="optimize",outcome="413",cache="none"}`: goroutines,
+		`serving_requests_total{endpoint="optimize",outcome="503",cache="none"}`: goroutines,
+	} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want %d", name, c[name], want)
 		}
-	}
-
-	// The metric registry must agree with the mutex-guarded stats.
-	mz, err := client.Get(ts.URL + "/metricz")
-	if err != nil {
-		t.Fatalf("metricz: %v", err)
-	}
-	defer mz.Body.Close()
-	var snap struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	if err := json.NewDecoder(mz.Body).Decode(&snap); err != nil {
-		t.Fatalf("decode metricz: %v", err)
-	}
-	if got := snap.Counters["requests_total"]; got != 4*goroutines {
-		t.Errorf("requests_total = %d, want %d", got, 4*goroutines)
-	}
-	if got := snap.Counters["failures_total"]; got != 3*goroutines {
-		t.Errorf("failures_total = %d, want %d", got, 3*goroutines)
-	}
-	if got := snap.Counters["deadline_exceeded_total"]; got != goroutines {
-		t.Errorf("deadline_exceeded_total = %d, want %d", got, goroutines)
 	}
 }
 
