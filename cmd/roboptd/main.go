@@ -25,7 +25,7 @@
 // Repeated structurally identical plans are served from a fingerprint-keyed
 // plan cache (-cache-entries/-cache-bytes/-cache-ttl) instead of re-running
 // the enumeration; concurrent identical requests collapse into one run.
-// Entries are keyed by model version, and every promote/reload/retrain swap
+// Entries are keyed by model version, and publishing a new one
 // flash-invalidates plans scored by the outgoing model. Responses carry an
 // X-Cache header; ?nocache=1 bypasses the cache per request; GET /cachez
 // and POST /cachez/purge administer it.
@@ -91,6 +91,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -183,73 +184,19 @@ func main() {
 		}
 	}
 
-	// Resolve the boot artifact: an explicit -model file wins, then the
-	// store's active version, then training on startup.
-	var art *registry.Artifact
-	switch {
-	case *modelPath != "":
-		f, err := os.Open(*modelPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		art, err = registry.ReadAny(f)
-		if closeErr := f.Close(); err == nil {
-			err = closeErr
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		logger.Info("model loaded", "version", art.Version, "path", *modelPath)
-	case store != nil:
-		if art, err = store.LoadActive(); err != nil {
-			log.Fatal(err)
-		}
-		if art != nil {
-			logger.Info("model loaded", "version", art.Version, "store", *modelDir)
-		}
-	}
-	if art == nil {
+	art, pin, err := bootArtifact(*modelPath, store, logger, func() (*registry.Artifact, error) {
 		fmt.Fprintln(os.Stderr, "roboptd: training a model on startup (pass -model or populate -model-dir to skip)")
 		h := experiments.NewHarness()
 		h.Quick = *quick
 		model, err := h.Model(plats, avail)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		if art, err = registry.New(model, schema.Len(), names, 0, mlmodel.Metrics{}); err != nil {
-			log.Fatal(err)
-		}
-		logger.Info("model trained")
-	}
-	// Fail fast on a model that cannot score this deployment's plan vectors:
-	// a width or platform-count mismatch would silently produce garbage
-	// assignments on every request.
-	if err := art.Validate(schema.Len(), len(plats)); err != nil {
+		return registry.New(model, schema.Len(), names, 0, mlmodel.Metrics{})
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
-	// A boot artifact that is not yet a stored version (explicit file, legacy
-	// model, or freshly trained) is saved and activated, so /modelz lists it
-	// and a restart resumes from it.
-	if store != nil {
-		if _, ok := storeVersion(art.Version); !ok {
-			// Restarting with the same -model file must not pile up duplicate
-			// versions: an identical payload already in the store is reused.
-			if v := findByHash(store, art.Hash); v != "" {
-				art.Version = v
-				logger.Info("boot model already stored", "version", v)
-			} else {
-				v, err := store.Save(art)
-				if err != nil {
-					log.Fatal(err)
-				}
-				logger.Info("boot model saved to store", "version", v)
-			}
-			if err := store.Activate(art.Version); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
 	provider, err := registry.NewProvider(art)
 	if err != nil {
 		log.Fatal(err)
@@ -300,14 +247,16 @@ func main() {
 			TTL:        *cacheTTL,
 			Metrics:    srv.Metrics(),
 		})
-		// Pin the cache to the boot version so entries produced before the
-		// first swap are accepted, and swaps invalidate from a known base.
-		// The snapshot's label, not art.Version: the serving path keys
-		// entries with Snapshot.Version(), which is "unversioned" for a
-		// bare -model file outside a store.
-		cache.Activate(provider.Get().Version())
 		srv.PlanCache = cache
 		logger.Info("plan cache enabled", "entries", *cacheSize, "bytes", *cacheBytes, "ttl", *cacheTTL)
+	}
+
+	// The boot artifact becomes the served version the way every later one
+	// does. A model that cannot score this deployment's plan vectors fails
+	// here, before it is saved or activated: a width or platform-count
+	// mismatch would produce garbage assignments on every request.
+	if _, err := srv.Publish(art, pin); err != nil {
+		log.Fatal(err)
 	}
 
 	// Shutdown: the first SIGINT/SIGTERM starts a graceful drain; the
@@ -317,13 +266,11 @@ func main() {
 
 	var retrainerDone chan struct{}
 	if *retrainIntv > 0 {
-		quickTrain := *quick
-		retrainer := &registry.Retrainer{
+		srv.Retrainer = &registry.Retrainer{
 			Provider: provider,
 			Feedback: feedback,
-			Store:    store,
 			Train: func(ds *mlmodel.Dataset) (mlmodel.Model, error) {
-				return experiments.TrainOnDataset(ds, quickTrain, 7)
+				return experiments.TrainOnDataset(ds, *quick, 7)
 			},
 			Interval:    *retrainIntv,
 			SchemaWidth: schema.Len(),
@@ -331,20 +278,9 @@ func main() {
 			Metrics:     srv.Metrics(),
 			Logger:      logger,
 		}
-		// Background promotions take the same admin lock as /modelz
-		// mutations, so a retrain swap can never interleave with an
-		// operator's reload or promote.
-		retrainer.Gate = srv.AdminLocker()
-		// A background promotion must flash-invalidate cached plans scored
-		// by the outgoing model, exactly like an admin promote does.
-		if srv.PlanCache != nil {
-			cache := srv.PlanCache
-			retrainer.OnSwap = func(v string) { cache.Activate(v) }
-		}
-		srv.Retrainer = retrainer
 		retrainerDone = make(chan struct{})
 		go func() {
-			retrainer.Run(rootCtx)
+			srv.Retrainer.Run(rootCtx, srv.Retrain)
 			close(retrainerDone)
 		}()
 		logger.Info("retraining enabled", "interval", *retrainIntv, "feedbackCap", feedback.Cap())
@@ -481,34 +417,35 @@ func main() {
 	logger.Info("drained cleanly")
 }
 
-// findByHash returns the stored version carrying the given content hash, or
-// "" when none does.
-func findByHash(store *registry.Store, hash string) string {
-	if hash == "" {
-		return ""
+// bootArtifact resolves the artifact to serve at startup: an explicit -model
+// file wins, then the store's active version, then train. pin reports whether
+// the artifact is one this process brings to the store (a file, a fresh
+// model) and so has to be saved and made ACTIVE, or one read from it.
+func bootArtifact(modelPath string, store *registry.Store, logger *slog.Logger, train func() (*registry.Artifact, error)) (art *registry.Artifact, pin bool, err error) {
+	if modelPath != "" {
+		f, err := os.Open(modelPath)
+		if err != nil {
+			return nil, false, err
+		}
+		defer f.Close()
+		if art, err = registry.ReadAny(f); err != nil {
+			return nil, false, err
+		}
+		logger.Info("model loaded", "version", art.Version, "path", modelPath)
+		return art, true, nil
 	}
-	arts, err := store.List()
-	if err != nil {
-		return ""
-	}
-	for _, a := range arts {
-		if a.Hash == hash {
-			return a.Version
+	if store != nil {
+		if art, err = store.LoadActive(); err != nil {
+			return nil, false, err
+		}
+		if art != nil {
+			logger.Info("model loaded", "version", art.Version, "store", store.Dir())
+			return art, false, nil
 		}
 	}
-	return ""
-}
-
-// storeVersion reports whether v is a store-style version name ("v<N>") —
-// i.e. whether the artifact already lives in an artifact store.
-func storeVersion(v string) (string, bool) {
-	if len(v) < 2 || v[0] != 'v' {
-		return "", false
+	if art, err = train(); err != nil {
+		return nil, false, err
 	}
-	for _, c := range v[1:] {
-		if c < '0' || c > '9' {
-			return "", false
-		}
-	}
-	return v, true
+	logger.Info("model trained")
+	return art, true, nil
 }

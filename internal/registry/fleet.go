@@ -67,30 +67,15 @@ func (s *Store) RegisterReplica(info ReplicaInfo) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir := filepath.Join(s.dir, replicasSubdir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(s.dir, replicasSubdir), 0o755); err != nil {
 		return fmt.Errorf("registry: creating replicas dir: %w", err)
 	}
-	// Atomic write-and-rename, like writeFileLocked but rooted in the
-	// subdirectory (the shared helper embeds the name in the temp pattern,
-	// which cannot carry a path separator).
-	tmp, err := os.CreateTemp(dir, ".replica.tmp*")
+	err := s.writeFileLocked(filepath.Join(replicasSubdir, replicaFile(info.ID)), func(f *os.File) error {
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		return enc.Encode(info)
+	})
 	if err != nil {
-		return fmt.Errorf("registry: replica registration: %w", err)
-	}
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(info); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: replica registration: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("registry: replica registration: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, replicaFile(info.ID))); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("registry: replica registration: %w", err)
 	}
 	// A local write must be visible to this handle's next Replicas call

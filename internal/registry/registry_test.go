@@ -165,6 +165,19 @@ func TestArtifactValidate(t *testing.T) {
 	}
 }
 
+// splitArtifact wraps a linear model fit on a seed-chosen split of one small
+// dataset: a distinct payload per seed, the same payload for the same seed.
+func splitArtifact(t *testing.T, seed int64) *registry.Artifact {
+	t.Helper()
+	ds := synth(60, 2, 4, func(x []float64) float64 { return x[0] + x[1] }, 0)
+	sub, _ := ds.Split(0.2, seed)
+	a, err := registry.New(trainLinear(t, sub), 2, []string{"java", "spark"}, sub.Len(), mlmodel.Metrics{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	return a
+}
+
 func TestStoreLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	st, err := registry.OpenStore(dir)
@@ -175,16 +188,7 @@ func TestStoreLifecycle(t *testing.T) {
 		t.Fatalf("empty store LoadActive = %v, %v", a, err)
 	}
 
-	ds := synth(60, 2, 4, func(x []float64) float64 { return x[0] + x[1] }, 0)
-	mkArt := func(seed int64) *registry.Artifact {
-		sub, _ := ds.Split(0.2, seed)
-		a, err := registry.New(trainLinear(t, sub), 2, []string{"java", "spark"}, sub.Len(), mlmodel.Metrics{})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return a
-	}
-	a1, a2 := mkArt(1), mkArt(2)
+	a1, a2 := splitArtifact(t, 1), splitArtifact(t, 2)
 	v1, err := st.Save(a1)
 	if err != nil || v1 != "v1" {
 		t.Fatalf("Save #1 = %q, %v", v1, err)
@@ -218,7 +222,7 @@ func TestStoreLifecycle(t *testing.T) {
 
 	// A copied-in artifact file is promotable under its filename version.
 	var buf bytes.Buffer
-	if err := mkArt(3).Write(&buf); err != nil {
+	if err := splitArtifact(t, 3).Write(&buf); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "v7.json"), buf.Bytes(), 0o644); err != nil {
@@ -228,13 +232,65 @@ func TestStoreLifecycle(t *testing.T) {
 		t.Fatalf("Load(v7) = %+v, %v", a, err)
 	}
 	// The next Save lands after the copied-in version.
-	if v, err := st.Save(mkArt(4)); err != nil || v != "v8" {
+	if v, err := st.Save(splitArtifact(t, 4)); err != nil || v != "v8" {
 		t.Fatalf("Save after copy-in = %q, %v", v, err)
 	}
 	arts, err := st.List()
 	if err != nil || len(arts) != 4 {
 		t.Fatalf("List = %d artifacts, %v", len(arts), err)
 	}
+}
+
+// TestStoreAdopt: Adopt names the stored version holding an artifact's
+// payload — the one the artifact already names, else one with the same hash —
+// and writes a new version only when there is none.
+func TestStoreAdopt(t *testing.T) {
+	dir := t.TempDir()
+	st, err := registry.OpenStore(dir)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	adopt := func(a *registry.Artifact, want string, wantVersions int) {
+		t.Helper()
+		v, err := st.Adopt(a)
+		if err != nil || v != want || a.Version != want {
+			t.Fatalf("Adopt = %q (artifact says %q), %v; want %q", v, a.Version, err, want)
+		}
+		if vs, _ := st.Versions(); len(vs) != wantVersions {
+			t.Fatalf("store holds %v, want %d versions", vs, wantVersions)
+		}
+	}
+	adopt(splitArtifact(t, 1), "v1", 1) // new payload: saved
+	adopt(splitArtifact(t, 1), "v1", 1) // same payload from elsewhere (a restart on one file): reused
+	adopt(splitArtifact(t, 2), "v2", 2)
+	// The same payload stored twice: an artifact that names one of the copies
+	// keeps its name, whichever copy a hash scan would meet first.
+	if _, err := st.Save(splitArtifact(t, 1)); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	v3, err := st.Load("v3")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	adopt(v3, "v3", 3)
+	// A name the store uses for a different payload is not trusted.
+	foreign := splitArtifact(t, 2)
+	foreign.Version = "v1"
+	adopt(foreign, "v2", 3)
+	// A legacy bare model copied in as v<N>.json records no hash; the artifact
+	// Load makes of it still adopts its own name.
+	var buf bytes.Buffer
+	if err := mlmodel.SaveModel(&buf, splitArtifact(t, 5).Model); err != nil {
+		t.Fatalf("SaveModel: %v", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "v9.json"), buf.Bytes(), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	v9, err := st.Load("v9")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	adopt(v9, "v9", 4)
 }
 
 func TestFeedbackRing(t *testing.T) {

@@ -21,9 +21,6 @@ import (
 type Retrainer struct {
 	Provider *Provider
 	Feedback *Feedback
-	// Store, when set, persists every promoted artifact and moves the
-	// ACTIVE marker so a restart resumes from the promoted model.
-	Store *Store
 	// Train fits a candidate on the assembled dataset (e.g. the
 	// experiments harness trainer with an explicit dataset).
 	Train func(*mlmodel.Dataset) (mlmodel.Model, error)
@@ -52,24 +49,9 @@ type Retrainer struct {
 	// attempt: promotions at Info, holdout regressions at Warn, skipped
 	// attempts (insufficient or no new samples) at Debug, errors at Error.
 	Logger *slog.Logger
-	// Gate, when set, is locked by Run around each background attempt so
-	// unattended retrains serialize with an external admin mutex (the
-	// service's /modelz mutation lock) — a background promotion can then
-	// never interleave with an admin promote and leave the provider serving
-	// a different version than the store's ACTIVE marker records.
-	// RetrainOnce itself deliberately does not take it: admin handlers call
-	// RetrainOnce while already holding that lock.
-	Gate sync.Locker
-	// OnSwap, when set, is called with the promoted artifact's version
-	// after every successful background promotion swap — the hook a plan
-	// cache uses to flash-invalidate entries scored by the previous model.
-	// It runs under the retrainer's internal mutex (and the Gate, for Run
-	// promotions), so it must not call back into the retrainer.
-	OnSwap func(version string)
 
-	// mu serializes retraining attempts end-to-end: concurrent callers (the
-	// Run loop and POST /modelz/retrain) must not train twice on the same
-	// data or interleave their Save/Activate/Swap sequences.
+	// mu serializes retraining attempts end-to-end: concurrent callers must
+	// not train twice on the same data or interleave their publications.
 	mu        sync.Mutex
 	lastTotal int64
 	// trainedUpTo is the feedback sequence number (Feedback.Total at
@@ -87,8 +69,9 @@ type Outcome struct {
 	// Reason is "promoted", "holdout-regression", "insufficient-samples",
 	// "insufficient-unseen-samples" or "no-new-samples".
 	Reason string `json:"reason"`
-	// Version is the store version of the promoted artifact ("" without a
-	// store or when not promoted).
+	// Version is the version the promoted artifact is served under: the
+	// store's name for it, or its content-derived label without a store ("" when
+	// not promoted).
 	Version string `json:"version,omitempty"`
 	// Candidate and Active are the holdout metrics behind the decision
 	// (zero when the attempt was skipped).
@@ -117,9 +100,11 @@ func (r *Retrainer) interval() time.Duration {
 	return time.Minute
 }
 
-// Run retrains every Interval until ctx is cancelled. Errors are logged and
-// do not stop the loop.
-func (r *Retrainer) Run(ctx context.Context) {
+// Run calls step every Interval until ctx is cancelled and logs what it
+// reports. step is one retraining attempt as the owner of the serving state
+// runs it — service.Server.Retrain, which holds the admin lock around
+// RetrainOnce. Errors are logged and do not stop the loop.
+func (r *Retrainer) Run(ctx context.Context, step func() (Outcome, error)) {
 	t := time.NewTicker(r.interval())
 	defer t.Stop()
 	for {
@@ -127,8 +112,7 @@ func (r *Retrainer) Run(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			out, err := r.retrainGated()
-			r.logOutcome(out, err)
+			r.logOutcome(step())
 		}
 	}
 }
@@ -162,24 +146,15 @@ func (r *Retrainer) logOutcome(out Outcome, err error) {
 	}
 }
 
-// retrainGated is Run's entry point: it takes the external Gate (when
-// configured) before retraining, so background attempts serialize with
-// admin-endpoint mutations that hold the same lock.
-func (r *Retrainer) retrainGated() (Outcome, error) {
-	if r.Gate != nil {
-		r.Gate.Lock()
-		defer r.Gate.Unlock()
-	}
-	return r.RetrainOnce()
-}
-
 // RetrainOnce performs one retraining attempt: assemble data, fit a
-// candidate, gate on holdout error, and hot-swap on success. Safe to call
-// concurrently from tests and admin endpoints as well as from Run; attempts
-// are serialized internally.
-func (r *Retrainer) RetrainOnce() (Outcome, error) {
-	if r.Provider == nil || r.Feedback == nil || r.Train == nil {
-		return Outcome{}, fmt.Errorf("registry: retrainer needs Provider, Feedback and Train")
+// candidate, gate on holdout error, and hand a candidate that passed to
+// publish, which makes it the served model (storing it, swapping it in,
+// telling the plan cache) or returns why it could not. The retrainer itself
+// changes nothing outside its own bookkeeping. Attempts are serialized
+// internally.
+func (r *Retrainer) RetrainOnce(publish func(*Artifact) error) (Outcome, error) {
+	if r.Provider == nil || r.Feedback == nil || r.Train == nil || publish == nil {
+		return Outcome{}, fmt.Errorf("registry: retrainer needs Provider, Feedback, Train and a publish function")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -265,29 +240,19 @@ func (r *Retrainer) RetrainOnce() (Outcome, error) {
 	if err != nil {
 		return failed(err)
 	}
-	if r.Store != nil {
-		v, err := r.Store.Save(art)
-		if err != nil {
-			return failed(err)
-		}
-		if err := r.Store.Activate(v); err != nil {
-			return failed(err)
-		}
-		out.Version = v
+	// Labelled by content until a store names it, so a promotion without a
+	// store is still a version the plan cache can tell from the last one.
+	art.Version = "retrain-" + art.Hash[:8]
+	if err := publish(art); err != nil {
+		return failed(err)
 	}
-	if _, err := r.Provider.Swap(art); err != nil {
-		return Outcome{}, err
-	}
-	if r.OnSwap != nil {
-		r.OnSwap(art.Version)
-	}
+	out.Version = art.Version
 	// Advance the watermark to the whole snapshot, not just the training
 	// rows: holdout rows the candidate never saw are also retired from
 	// future holdouts, which costs a few rows of holdout material but keeps
 	// the "unseen by the incumbent" invariant a single sequence comparison.
 	r.trainedUpTo = total
 	m.Counter("retrain_promoted_total").Inc()
-	m.Counter("model_swaps_total").Inc()
 	m.Gauge("retrain_last_unix").Set(float64(time.Now().Unix()))
 	out.Promoted = true
 	out.Reason = "promoted"

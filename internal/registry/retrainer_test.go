@@ -1,6 +1,8 @@
 package registry_test
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,6 +43,25 @@ func newRetrainer(t *testing.T, active mlmodel.Model, cap int) (*registry.Retrai
 	return r, fb, p
 }
 
+// publishTo is the publish function of a retrainer tested on its own: what
+// service.Server's publish routine does, minus the server — store the
+// artifact and move ACTIVE when there is a store, then swap the provider.
+func publishTo(p *registry.Provider, st *registry.Store) func(*registry.Artifact) error {
+	return func(a *registry.Artifact) error {
+		if st != nil {
+			v, err := st.Save(a)
+			if err == nil {
+				err = st.Activate(v)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		_, err := p.Swap(a)
+		return err
+	}
+}
+
 func feed(t *testing.T, fb *registry.Feedback, n int, seed int64) {
 	t.Helper()
 	ds := synth(n, 3, seed, func(x []float64) float64 { return 4*x[0] - 2*x[1] + x[2] + 1 }, 0.05)
@@ -60,17 +81,17 @@ func TestRetrainerPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	r.Store = st
+	pub := publishTo(p, st)
 
 	// Below MinSamples: skipped.
 	feed(t, fb, 10, 21)
-	out, err := r.RetrainOnce()
+	out, err := r.RetrainOnce(pub)
 	if err != nil || out.Reason != "insufficient-samples" {
 		t.Fatalf("undersized buffer: %+v, %v", out, err)
 	}
 
 	feed(t, fb, 200, 22)
-	out, err = r.RetrainOnce()
+	out, err = r.RetrainOnce(pub)
 	if err != nil {
 		t.Fatalf("RetrainOnce: %v", err)
 	}
@@ -94,12 +115,43 @@ func TestRetrainerPromotes(t *testing.T) {
 	}
 
 	// No new samples since: skipped without touching the model.
-	out, err = r.RetrainOnce()
+	out, err = r.RetrainOnce(pub)
 	if err != nil || out.Reason != "no-new-samples" {
 		t.Fatalf("stale buffer: %+v, %v", out, err)
 	}
 	if p.Swaps() != 1 {
 		t.Errorf("skip still swapped: %d", p.Swaps())
+	}
+}
+
+// TestRetrainerPublishContract: the retrainer changes nothing itself. Without
+// a publish function an attempt is an immediate error, and a candidate whose
+// publication fails is a failed attempt — not promoted, the provider as it was.
+func TestRetrainerPublishContract(t *testing.T) {
+	r, fb, p := newRetrainer(t, badLinear(3), 512)
+	feed(t, fb, 200, 71)
+	if _, err := r.RetrainOnce(nil); err == nil {
+		t.Fatal("RetrainOnce accepted a nil publish function")
+	}
+	var got *registry.Artifact
+	out, err := r.RetrainOnce(func(a *registry.Artifact) error {
+		got = a
+		return errors.New("store is read-only")
+	})
+	if err == nil || out.Promoted {
+		t.Fatalf("failed publication reported as %+v, %v", out, err)
+	}
+	if got == nil || got.Model == nil || !strings.HasPrefix(got.Version, "retrain-") {
+		t.Fatalf("publish was handed %+v, want a content-labelled candidate", got)
+	}
+	if p.Swaps() != 0 {
+		t.Errorf("the retrainer swapped the provider itself: swaps = %d", p.Swaps())
+	}
+	if n := r.Metrics.Counter("retrain_failures_total").Load(); n != 1 {
+		t.Errorf("retrain_failures_total = %d, want 1", n)
+	}
+	if n := r.Metrics.Counter("retrain_promoted_total").Load(); n != 0 {
+		t.Errorf("retrain_promoted_total = %d, want 0", n)
 	}
 }
 
@@ -116,11 +168,10 @@ func TestRetrainerRejectsRegression(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	r.Store = st
 	r.Train = func(*mlmodel.Dataset) (mlmodel.Model, error) { return badLinear(3), nil }
 
 	feed(t, fb, 200, 32)
-	out, err := r.RetrainOnce()
+	out, err := r.RetrainOnce(publishTo(p, st))
 	if err != nil {
 		t.Fatalf("RetrainOnce: %v", err)
 	}
@@ -143,21 +194,22 @@ func TestRetrainerRejectsRegression(t *testing.T) {
 // judge on rows added since — with too few unseen samples it declines
 // rather than scoring the incumbent on data it trained on.
 func TestRetrainerHoldoutRecency(t *testing.T) {
-	r, fb, _ := newRetrainer(t, badLinear(3), 512)
+	r, fb, p := newRetrainer(t, badLinear(3), 512)
+	pub := publishTo(p, nil)
 	feed(t, fb, 200, 61)
-	out, err := r.RetrainOnce()
+	out, err := r.RetrainOnce(pub)
 	if err != nil || !out.Promoted {
 		t.Fatalf("first retrain: %+v, %v", out, err)
 	}
 	// Two fresh samples: not enough to carve a holdout slice from.
 	feed(t, fb, 2, 62)
-	out, err = r.RetrainOnce()
+	out, err = r.RetrainOnce(pub)
 	if err != nil || out.Reason != "insufficient-unseen-samples" {
 		t.Fatalf("tiny unseen set was judged anyway: %+v, %v", out, err)
 	}
 	// Plenty of fresh samples: the gate runs again on unseen data only.
 	feed(t, fb, 100, 63)
-	out, err = r.RetrainOnce()
+	out, err = r.RetrainOnce(pub)
 	if err != nil {
 		t.Fatalf("RetrainOnce: %v", err)
 	}
@@ -180,7 +232,7 @@ func TestRetrainerConcurrentRetrainOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	r.Store = st
+	pub := publishTo(p, st)
 	feed(t, fb, 200, 51)
 
 	var promoted atomic.Int64
@@ -196,7 +248,7 @@ func TestRetrainerConcurrentRetrainOnce(t *testing.T) {
 					x := []float64{float64(g), float64(i), 1}
 					_ = fb.Add(x, 4*x[0]-2*x[1]+x[2]+1)
 				}
-				out, err := r.RetrainOnce()
+				out, err := r.RetrainOnce(pub)
 				if err != nil {
 					t.Errorf("RetrainOnce: %v", err)
 					return
@@ -230,18 +282,18 @@ func TestRetrainerConcurrentRetrainOnce(t *testing.T) {
 // TestRetrainerBaseDataset: a base dataset is mixed into training and a
 // width mismatch between base and feedback is a hard error.
 func TestRetrainerBaseDataset(t *testing.T) {
-	r, fb, _ := newRetrainer(t, badLinear(3), 512)
+	r, fb, p := newRetrainer(t, badLinear(3), 512)
 	r.Base = synth(100, 3, 41, func(x []float64) float64 { return 4*x[0] - 2*x[1] + x[2] + 1 }, 0.05)
 	feed(t, fb, 100, 42)
-	out, err := r.RetrainOnce()
+	out, err := r.RetrainOnce(publishTo(p, nil))
 	if err != nil || !out.Promoted {
 		t.Fatalf("base-augmented retrain: %+v, %v", out, err)
 	}
 
-	r2, fb2, _ := newRetrainer(t, badLinear(3), 512)
+	r2, fb2, p2 := newRetrainer(t, badLinear(3), 512)
 	r2.Base = synth(10, 5, 43, func(x []float64) float64 { return x[0] }, 0)
 	feed(t, fb2, 100, 44)
-	if _, err := r2.RetrainOnce(); err == nil {
+	if _, err := r2.RetrainOnce(publishTo(p2, nil)); err == nil {
 		t.Error("width-mismatched base dataset accepted")
 	}
 }

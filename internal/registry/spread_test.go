@@ -32,7 +32,7 @@ func feedSpread(t *testing.T, fb *registry.Feedback, n int, seed int64) int {
 func TestRetrainerOversamplesHighSpread(t *testing.T) {
 	r, fb, p := newRetrainer(t, badLinear(3), 512)
 	high := feedSpread(t, fb, 200, 41)
-	out, err := r.RetrainOnce()
+	out, err := r.RetrainOnce(publishTo(p, nil))
 	if err != nil {
 		t.Fatalf("RetrainOnce: %v", err)
 	}
@@ -56,9 +56,9 @@ func TestRetrainerOversamplesHighSpread(t *testing.T) {
 // TestRetrainerNoSpreadNoOversampling: spread-less feedback (the legacy Add
 // path) retrains exactly as before — nothing is duplicated.
 func TestRetrainerNoSpreadNoOversampling(t *testing.T) {
-	r, fb, _ := newRetrainer(t, badLinear(3), 512)
+	r, fb, p := newRetrainer(t, badLinear(3), 512)
 	feed(t, fb, 200, 42)
-	out, err := r.RetrainOnce()
+	out, err := r.RetrainOnce(publishTo(p, nil))
 	if err != nil {
 		t.Fatalf("RetrainOnce: %v", err)
 	}

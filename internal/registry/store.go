@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -115,9 +116,42 @@ func (s *Store) Save(a *Artifact) (string, error) {
 	return version, nil
 }
 
-// writeFileLocked atomically writes a file into the store dir.
+// Adopt makes a's payload a stored version and returns that version's name,
+// which a.Version is on return: the version a already names when that holds
+// the same payload, else any version recording a's hash (so restarting on one
+// model file does not pile up copies), else a new one written by Save. The
+// scan reads each file's recorded hash without decoding its model.
+func (s *Store) Adopt(a *Artifact) (string, error) {
+	if a.Hash == "" {
+		return s.Save(a)
+	}
+	if cur, err := s.Load(a.Version); err == nil && cur.Hash == a.Hash {
+		return a.Version, nil
+	}
+	versions, err := s.Versions()
+	if err != nil {
+		return "", err
+	}
+	for _, v := range versions {
+		var f struct {
+			Artifact struct {
+				Hash string `json:"hash"`
+			} `json:"artifact"`
+		}
+		data, err := os.ReadFile(filepath.Join(s.dir, v+".json"))
+		if err == nil && json.Unmarshal(data, &f) == nil && f.Artifact.Hash == a.Hash {
+			a.Version = v
+			return v, nil
+		}
+	}
+	return s.Save(a)
+}
+
+// writeFileLocked atomically writes the file at name, a path relative to the
+// store dir whose directory must exist.
 func (s *Store) writeFileLocked(name string, fill func(*os.File) error) error {
-	tmp, err := os.CreateTemp(s.dir, "."+name+".tmp*")
+	path := filepath.Join(s.dir, name)
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("registry: store write: %w", err)
 	}
@@ -133,7 +167,7 @@ func (s *Store) writeFileLocked(name string, fill func(*os.File) error) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("registry: store close: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.dir, name)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("registry: store rename: %w", err)
 	}
 	return nil

@@ -73,11 +73,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// SyncStore re-reads the store's active artifact and hot-swaps it in if it
-// differs from the served one, under the admin lock — the one code path
-// shared by POST /modelz/reload and the store watcher, so a watcher-driven
-// swap can never interleave with an admin mutation or a retrainer
-// promotion (which gates on the same lock).
+// SyncStore re-reads the store's active artifact and publishes it unpinned
+// (the marker is what it follows) — POST /modelz/reload and every store
+// watcher tick. The read happens under the admin lock too, so what it read
+// cannot be published over a promotion made in between.
 func (s *Server) SyncStore() (SwapResponse, error) {
 	if s.ModelStore == nil {
 		return SwapResponse{}, errors.New("service: no model store configured (-model-dir)")
@@ -91,7 +90,7 @@ func (s *Server) SyncStore() (SwapResponse, error) {
 	if art == nil {
 		return SwapResponse{}, errors.New("service: model store holds no artifacts")
 	}
-	return s.swapIn(art)
+	return s.publish(art, false)
 }
 
 // StartStoreWatcher polls the model store for promotions made by other
@@ -118,12 +117,8 @@ func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) 
 				if s.Logger != nil {
 					s.Logger.Warn("store watcher: sync failed", "version", version, "err", err.Error())
 				}
-			case resp.Swapped:
+			case resp.Swapped: // publish logged it
 				m.Counter("store_watch_swaps_total").Inc()
-				if s.Logger != nil {
-					s.Logger.Info("store watcher: converged on promoted model",
-						"version", resp.Version, "previous", resp.Previous)
-				}
 			}
 		},
 	}

@@ -23,9 +23,10 @@ import (
 //     report its outcome (the background loop's step, on demand).
 //   - GET  /modelz/feedback — the buffered execution-feedback samples as CSV.
 //
-// Admin mutations are serialized by a dedicated mutex so a reload cannot
-// interleave with a promote; /optimize never takes it — requests read the
-// provider's atomic pointer only.
+// Every way the served version changes — these three POSTs, the store watcher,
+// the background retrain loop and roboptd's boot — is a call of one routine,
+// publish, made under the one admin mutex. /optimize never takes that mutex:
+// requests read the provider's atomic pointer only.
 
 // ModelzResponse is the JSON reply of GET /modelz.
 type ModelzResponse struct {
@@ -109,9 +110,22 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-// swapIn validates art against the serving configuration and publishes it,
-// unless the provider already serves the identical payload.
-func (s *Server) swapIn(art *registry.Artifact) (SwapResponse, error) {
+// publish makes art the served version. It is the only code that moves the
+// store's ACTIVE marker, swaps the provider, points the plan cache at a
+// version or counts a swap, in that order:
+//
+//  1. validate art against the serving schema;
+//  2. if pin is set and a store is configured, make the payload a stored
+//     version (Store.Adopt) and move ACTIVE to it;
+//  3. swap the provider, unless it already serves this payload as this version;
+//  4. activate the served version in the plan cache, which flash-invalidates
+//     plans the outgoing model scored;
+//  5. count model_swaps_total and log.
+//
+// A step that fails returns before the next, so a failed store write leaves
+// the provider, the cache and the counter untouched, and no replica serves a
+// version its peers cannot converge on. Callers hold adminMu.
+func (s *Server) publish(art *registry.Artifact, pin bool) (SwapResponse, error) {
 	width, err := s.schemaWidth()
 	if err != nil {
 		return SwapResponse{}, err
@@ -123,21 +137,60 @@ func (s *Server) swapIn(art *registry.Artifact) (SwapResponse, error) {
 	if p == nil {
 		return SwapResponse{}, errors.New("service: no model configured")
 	}
+	if pin && s.ModelStore != nil {
+		v, err := s.ModelStore.Adopt(art)
+		if err == nil {
+			err = s.ModelStore.Activate(v)
+		}
+		if err != nil {
+			return SwapResponse{}, &statusError{http.StatusInternalServerError, err}
+		}
+	}
 	cur := p.Get()
-	if cur.Artifact.Hash != "" && cur.Artifact.Hash == art.Hash && cur.Version() == art.Version {
-		return SwapResponse{Swapped: false, Version: cur.Version()}, nil
+	resp := SwapResponse{Version: cur.Version()}
+	if cur.Artifact.Hash == "" || cur.Artifact.Hash != art.Hash || cur.Artifact.Version != art.Version {
+		if _, err := p.Swap(art); err != nil {
+			return SwapResponse{}, err
+		}
+		resp = SwapResponse{Swapped: true, Version: art.Version, Previous: cur.Version()}
 	}
-	old, err := p.Swap(art)
-	if err != nil {
-		return SwapResponse{}, err
-	}
-	s.Metrics().Counter("model_swaps_total").Inc()
-	// Flash-invalidate the plan cache: plans scored by the previous version
-	// must never serve requests resolved against the new one.
 	if s.PlanCache != nil {
-		s.PlanCache.Activate(art.Version)
+		s.PlanCache.Activate(p.Get().Version())
 	}
-	return SwapResponse{Swapped: true, Version: art.Version, Previous: old.Version()}, nil
+	if resp.Swapped {
+		s.Metrics().Counter("model_swaps_total").Inc()
+		if s.Logger != nil {
+			s.Logger.Info("model published", "version", resp.Version, "previous", resp.Previous, "pinned", pin)
+		}
+	}
+	return resp, nil
+}
+
+// Publish makes art the served version, and with pin also the store's ACTIVE
+// one. roboptd boots through it, pinning an artifact it brings (a -model file,
+// a freshly trained model) and not one it read from the store: that one is
+// already what ACTIVE names, and writing the marker again could undo a
+// promotion another replica made since it was read.
+func (s *Server) Publish(art *registry.Artifact, pin bool) (SwapResponse, error) {
+	s.adminMu.Lock()
+	defer s.adminMu.Unlock()
+	return s.publish(art, pin)
+}
+
+// Retrain runs one retraining attempt under the admin lock; a candidate that
+// passes the retrainer's gate is published pinned. It is the step behind
+// POST /modelz/retrain and the one Retrainer.Run is given for the background
+// loop.
+func (s *Server) Retrain() (registry.Outcome, error) {
+	if s.Retrainer == nil {
+		return registry.Outcome{}, &statusError{http.StatusConflict, errors.New("service: no retrainer configured (-retrain-interval)")}
+	}
+	s.adminMu.Lock()
+	defer s.adminMu.Unlock()
+	return s.Retrainer.RetrainOnce(func(art *registry.Artifact) error {
+		_, err := s.publish(art, true)
+		return err
+	})
 }
 
 func (s *Server) handleModelzReload(w http.ResponseWriter, r *http.Request) {
@@ -147,9 +200,6 @@ func (s *Server) handleModelzReload(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("POST /modelz/reload"))
 		return
 	}
-	// Reload shares SyncStore with the store watcher, so an admin reload, a
-	// watcher-driven convergence swap and a retrainer promotion all
-	// serialize under the same admin lock.
 	resp, err := s.SyncStore()
 	if err != nil {
 		s.fail(w, reqID, http.StatusConflict, err)
@@ -174,24 +224,17 @@ func (s *Server) handleModelzPromote(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, reqID, http.StatusBadRequest, errors.New("service: promote needs ?version=vN"))
 		return
 	}
-	s.adminMu.Lock()
-	defer s.adminMu.Unlock()
 	art, err := s.ModelStore.Load(version)
 	if err != nil {
 		s.fail(w, reqID, http.StatusNotFound, err)
 		return
 	}
-	resp, err := s.swapIn(art)
+	// Pinned even when the provider already serves this version (it may have
+	// booted on it through LoadActive's newest-version fallback): the choice
+	// must survive a restart.
+	resp, err := s.Publish(art, true)
 	if err != nil {
-		s.fail(w, reqID, http.StatusConflict, err)
-		return
-	}
-	// Activate even when the in-memory swap was a no-op: the server may
-	// already serve this version via LoadActive's newest-version fallback,
-	// and promoting it then must still pin the ACTIVE marker so the choice
-	// survives a restart.
-	if err := s.ModelStore.Activate(version); err != nil {
-		s.fail(w, reqID, http.StatusInternalServerError, err)
+		s.fail(w, reqID, statusOf(err, http.StatusConflict), err)
 		return
 	}
 	s.writeJSON(w, resp)
@@ -204,15 +247,9 @@ func (s *Server) handleModelzRetrain(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("POST /modelz/retrain"))
 		return
 	}
-	if s.Retrainer == nil {
-		s.fail(w, reqID, http.StatusConflict, errors.New("service: no retrainer configured (-retrain-interval)"))
-		return
-	}
-	s.adminMu.Lock()
-	defer s.adminMu.Unlock()
-	out, err := s.Retrainer.RetrainOnce()
+	out, err := s.Retrain()
 	if err != nil {
-		s.fail(w, reqID, http.StatusInternalServerError, err)
+		s.fail(w, reqID, statusOf(err, http.StatusInternalServerError), err)
 		return
 	}
 	s.writeJSON(w, out)

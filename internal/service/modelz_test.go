@@ -2,17 +2,26 @@ package service_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mlmodel"
+	"repro/internal/obs"
+	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/registry"
 	"repro/internal/service"
@@ -346,8 +355,7 @@ func TestModelzRetrainEndpoint(t *testing.T) {
 	s.Retrainer = &registry.Retrainer{
 		Provider:    p,
 		Feedback:    fb,
-		Store:       st,
-		Train:       func(ds *mlmodel.Dataset) (mlmodel.Model, error) { return mlmodel.FitLinear(ds, mlmodel.LinearConfig{}) },
+		Train:       fitLinear,
 		MinSamples:  32,
 		Seed:        5,
 		SchemaWidth: width,
@@ -358,16 +366,7 @@ func TestModelzRetrainEndpoint(t *testing.T) {
 	defer ts.Close()
 
 	// Synthetic feedback: a linear law the trainer can recover exactly.
-	lin := scaledLinear(width, 1)
-	for i := 0; i < 64; i++ {
-		x := make([]float64, width)
-		for j := range x {
-			x[j] = float64((i*7+j*3)%11) / 11
-		}
-		if err := fb.Add(x, lin.Predict(x)); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
+	feedLaw(t, fb, width, 1, 64, 0)
 
 	var out registry.Outcome
 	postJSON(t, ts.URL+"/modelz/retrain", http.StatusOK, &out)
@@ -395,13 +394,332 @@ func TestModelzRetrainEndpoint(t *testing.T) {
 	}
 }
 
+// fitLinear is the retrainer's trainer in these tests.
+func fitLinear(ds *mlmodel.Dataset) (mlmodel.Model, error) {
+	return mlmodel.FitLinear(ds, mlmodel.LinearConfig{})
+}
+
+// feedLaw buffers n samples of the law y = scale × scaledLinear(1)(x), which
+// neither stored test model (scale 1, scale 2) matches once scale > 2 and
+// which fitLinear recovers: a retrain after it promotes. round varies the
+// rows, so successive calls all count as new samples. Safe off the test's
+// goroutine: a failure is an Errorf.
+func feedLaw(t *testing.T, fb *registry.Feedback, width int, scale float64, n, round int) {
+	t.Helper()
+	lin := scaledLinear(width, scale)
+	for i := 0; i < n; i++ {
+		x := make([]float64, width)
+		for j := range x {
+			x[j] = float64((i*7+j*3+round*5)%11) / 11
+		}
+		if err := fb.Add(x, lin.Predict(x)); err != nil {
+			t.Errorf("Add: %v", err)
+			return
+		}
+	}
+}
+
+// addCacheAndRetrainer gives a lifecycle server the rest of a deployment — a
+// plan cache and a retrainer on a feedback buffer large enough to retrain
+// from — and boots it the way roboptd boots on an artifact read from the
+// store: published unpinned. Nothing else wires the three together.
+func addCacheAndRetrainer(t *testing.T, s *service.Server) {
+	t.Helper()
+	s.Feedback = registry.NewFeedback(1024)
+	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s.Retrainer = &registry.Retrainer{
+		Provider:    s.Provider,
+		Feedback:    s.Feedback,
+		Train:       fitLinear,
+		MinSamples:  32,
+		Seed:        5,
+		SchemaWidth: testWidth(t),
+		Platforms:   platformNames(3),
+		Metrics:     s.Metrics(),
+	}
+	if sw, err := s.Publish(s.Provider.Get().Artifact, false); err != nil || sw.Swapped {
+		t.Fatalf("boot publish = %+v, %v", sw, err)
+	}
+}
+
+// retrainLoopTick runs the background loop for one tick: Retrainer.Run with
+// the step roboptd gives it, stopped by the step itself.
+func retrainLoopTick(t *testing.T, s *service.Server) registry.Outcome {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out registry.Outcome
+	var ticks int
+	s.Retrainer.Interval = time.Millisecond
+	s.Retrainer.Run(ctx, func() (registry.Outcome, error) {
+		defer cancel()
+		o, err := s.Retrain()
+		if ticks++; ticks == 1 {
+			out = o
+		}
+		return o, err
+	})
+	return out
+}
+
+// counter reads one counter off /metricz.
+func counter(t *testing.T, base, name string) int64 {
+	t.Helper()
+	var snap obs.Snapshot
+	getJSON(t, base+"/metricz", &snap)
+	return snap.Counters[name]
+}
+
+// checkPublished asserts what every way of publishing a version must leave
+// behind: the provider, the plan cache and (when the version is a stored one)
+// the store's ACTIVE marker name the same version; a plan cached under the
+// outgoing version is not served — the repeat of body is one miss scored by
+// the new version, then hits; nothing was dropped by the cache; and
+// publishing the same payload again changes and counts nothing.
+func checkPublished(t *testing.T, s *service.Server, base string, st *registry.Store, body []byte, want string) {
+	t.Helper()
+	if got := s.Provider.Get().Version(); got != want {
+		t.Fatalf("provider serves %q, want %q", got, want)
+	}
+	if got := s.PlanCache.ActiveVersion(); got != want {
+		t.Errorf("plan cache is active at %q, provider serves %q", got, want)
+	}
+	if st != nil {
+		if got, err := st.ActiveVersion(); err != nil || got != want {
+			t.Errorf("store ACTIVE = %q, %v; provider serves %q", got, err, want)
+		}
+	}
+	for i, wantX := range []string{"miss", "hit"} {
+		resp, out, _ := postPlan(t, base+"/optimize", body)
+		if got := resp.Header.Get("X-Cache"); got != wantX {
+			t.Errorf("request %d after publish: X-Cache = %q, want %q", i+1, got, wantX)
+		}
+		if out.ModelVersion != want || (out.ServedModelVersion != "" && out.ServedModelVersion != want) {
+			t.Errorf("request %d after publish: modelVersion %q, servedModelVersion %q, want %q",
+				i+1, out.ModelVersion, out.ServedModelVersion, want)
+		}
+	}
+	if d := s.PlanCache.Snapshot().Dropped; d != 0 {
+		t.Errorf("plan cache dropped %d inserts: it was not told the version moved", d)
+	}
+
+	again := s.Provider.Get().Artifact
+	if st != nil {
+		var err error
+		if again, err = st.Load(want); err != nil {
+			t.Fatalf("Load(%s): %v", want, err)
+		}
+	}
+	swaps, gen, counted := s.Provider.Swaps(), s.PlanCache.Generation(), counter(t, base, "model_swaps_total")
+	sw, err := s.Publish(again, st != nil)
+	if err != nil || sw.Swapped || sw.Version != want {
+		t.Errorf("re-publishing the served payload = %+v, %v; want a no-op at %s", sw, err, want)
+	}
+	if s.Provider.Swaps() != swaps || s.PlanCache.Generation() != gen || counter(t, base, "model_swaps_total") != counted {
+		t.Errorf("re-publishing the served payload bumped something: swaps %d→%d, generation %d→%d, model_swaps_total %d→%d",
+			swaps, s.Provider.Swaps(), gen, s.PlanCache.Generation(), counted, counter(t, base, "model_swaps_total"))
+	}
+}
+
+// TestPublishEntryPoints is the one table behind fleet invariant 1 ("never
+// serve a plan scored by a non-active model"): boot, promote, reload, a store
+// watcher tick and a retrain — by the endpoint and by the background loop —
+// each leave the same post-conditions, because each is a call of the one
+// publish routine. Every row starts from a server serving v1 (store: v1, v2;
+// ACTIVE v1) with one plan cached under v1; act drives one entry point and
+// returns the server it left serving want.
+func TestPublishEntryPoints(t *testing.T) {
+	type act func(t *testing.T, s *service.Server, ts *httptest.Server, st *registry.Store) (*service.Server, *httptest.Server)
+	for _, tc := range []struct {
+		name      string
+		want      string
+		wantSwaps int64
+		act       act
+	}{
+		// A replica booting on a -model file the store has not seen: a second
+		// server over the same store, doing what roboptd's main does with the
+		// artifact bootArtifact hands it. The provider was built on the
+		// artifact, so publishing it swaps nothing.
+		{"boot", "v3", 0, func(t *testing.T, _ *service.Server, _ *httptest.Server, st *registry.Store) (*service.Server, *httptest.Server) {
+			art := newArtifact(t, testWidth(t), 4)
+			p, err := registry.NewProvider(art)
+			if err != nil {
+				t.Fatalf("NewProvider: %v", err)
+			}
+			s := &service.Server{
+				Provider:   p,
+				ModelStore: st,
+				Platforms:  platform.Subset(3),
+				Avail:      platform.UniformAvailability(3),
+			}
+			s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(ts.Close)
+			if sw, err := s.Publish(art, true); err != nil || sw.Swapped || sw.Version != "v3" {
+				t.Fatalf("boot publish = %+v, %v", sw, err)
+			}
+			return s, ts
+		}},
+		{"promote", "v2", 1, func(t *testing.T, s *service.Server, ts *httptest.Server, _ *registry.Store) (*service.Server, *httptest.Server) {
+			var sw service.SwapResponse
+			postJSON(t, ts.URL+"/modelz/promote?version=v2", http.StatusOK, &sw)
+			if !sw.Swapped || sw.Version != "v2" || sw.Previous != "v1" {
+				t.Fatalf("promote = %+v", sw)
+			}
+			return s, ts
+		}},
+		{"reload", "v2", 1, func(t *testing.T, s *service.Server, ts *httptest.Server, st *registry.Store) (*service.Server, *httptest.Server) {
+			if err := st.Activate("v2"); err != nil {
+				t.Fatalf("Activate: %v", err)
+			}
+			var sw service.SwapResponse
+			postJSON(t, ts.URL+"/modelz/reload", http.StatusOK, &sw)
+			if !sw.Swapped || sw.Version != "v2" || sw.Previous != "v1" {
+				t.Fatalf("reload = %+v", sw)
+			}
+			return s, ts
+		}},
+		{"watcher tick", "v2", 1, func(t *testing.T, s *service.Server, ts *httptest.Server, st *registry.Store) (*service.Server, *httptest.Server) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done, err := s.StartStoreWatcher(ctx, time.Millisecond)
+			if err != nil {
+				t.Fatalf("StartStoreWatcher: %v", err)
+			}
+			if err := st.Activate("v2"); err != nil {
+				t.Fatalf("Activate: %v", err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); counter(t, ts.URL, "store_watch_swaps_total") == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the watcher never converged on v2")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			<-done
+			return s, ts
+		}},
+		{"retrain endpoint", "v3", 1, func(t *testing.T, s *service.Server, ts *httptest.Server, _ *registry.Store) (*service.Server, *httptest.Server) {
+			feedLaw(t, s.Feedback, testWidth(t), 8, 64, 0)
+			var out registry.Outcome
+			postJSON(t, ts.URL+"/modelz/retrain", http.StatusOK, &out)
+			if !out.Promoted || out.Version != "v3" {
+				t.Fatalf("retrain = %+v", out)
+			}
+			return s, ts
+		}},
+		{"retrain loop", "v3", 1, func(t *testing.T, s *service.Server, ts *httptest.Server, _ *registry.Store) (*service.Server, *httptest.Server) {
+			feedLaw(t, s.Feedback, testWidth(t), 8, 64, 0)
+			if out := retrainLoopTick(t, s); !out.Promoted || out.Version != "v3" {
+				t.Fatalf("loop tick = %+v", out)
+			}
+			return s, ts
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts, st := newLifecycleServer(t)
+			defer ts.Close()
+			addCacheAndRetrainer(t, s)
+			body := planJSON(t)
+			postPlan(t, ts.URL+"/optimize", body)
+			if resp, _, _ := postPlan(t, ts.URL+"/optimize", body); resp.Header.Get("X-Cache") != "hit" {
+				t.Fatalf("warm-up X-Cache = %q, want hit", resp.Header.Get("X-Cache"))
+			}
+			before := counter(t, ts.URL, "model_swaps_total")
+			s, ts = tc.act(t, s, ts, st)
+			if got := counter(t, ts.URL, "model_swaps_total") - before; got != tc.wantSwaps {
+				t.Errorf("model_swaps_total moved by %d, want %d", got, tc.wantSwaps)
+			}
+			checkPublished(t, s, ts.URL, st, body, tc.want)
+		})
+	}
+}
+
+// TestRetrainPromotionKeepsCaching: a server with a plan cache and a
+// retrainer, put together without roboptd's main, keeps caching after a
+// retrain promotes — with a store and without one, by the endpoint and by the
+// background loop. At the parent commit the retrainer swapped the provider on
+// its own and only main.go's OnSwap hook told the cache; a server assembled
+// any other way dropped every insert from then on.
+func TestRetrainPromotionKeepsCaching(t *testing.T) {
+	for _, withStore := range []bool{true, false} {
+		for _, entry := range []string{"endpoint", "loop"} {
+			t.Run(fmt.Sprintf("store=%v/%s", withStore, entry), func(t *testing.T) {
+				s, ts, st := newLifecycleServer(t)
+				defer ts.Close()
+				if !withStore {
+					s.ModelStore, st = nil, nil
+				}
+				addCacheAndRetrainer(t, s)
+				body := planJSON(t)
+				postPlan(t, ts.URL+"/optimize", body)
+
+				feedLaw(t, s.Feedback, testWidth(t), 8, 64, 0)
+				var out registry.Outcome
+				if entry == "endpoint" {
+					postJSON(t, ts.URL+"/modelz/retrain", http.StatusOK, &out)
+				} else {
+					out = retrainLoopTick(t, s)
+				}
+				if !out.Promoted || out.Version == "" || out.Version == "v1" {
+					t.Fatalf("retrain = %+v, want a promotion to a new version", out)
+				}
+				checkPublished(t, s, ts.URL, st, body, out.Version)
+			})
+		}
+	}
+}
+
+// TestPromoteMarkerFailure: publish moves the store's ACTIVE marker before it
+// swaps the provider, so a marker that cannot be written fails the promote
+// with nothing changed — the replica keeps serving (and caching under) the
+// version its peers can still converge on. At the parent commit the swap came
+// first: the reply was a 500 from a replica already serving v2.
+func TestPromoteMarkerFailure(t *testing.T) {
+	s, ts, st := newLifecycleServer(t)
+	defer ts.Close()
+	addCacheAndRetrainer(t, s)
+	body := planJSON(t)
+	postPlan(t, ts.URL+"/optimize", body)
+
+	// A non-empty directory where the marker goes: the rename onto it fails,
+	// for root too.
+	marker := filepath.Join(st.Dir(), "ACTIVE")
+	if err := os.Remove(marker); err != nil {
+		t.Fatalf("Remove: %v", err)
+	}
+	if err := os.MkdirAll(filepath.Join(marker, "x"), 0o755); err != nil {
+		t.Fatalf("MkdirAll: %v", err)
+	}
+	postJSON(t, ts.URL+"/modelz/promote?version=v2", http.StatusInternalServerError, nil)
+
+	var mz service.ModelzResponse
+	getJSON(t, ts.URL+"/modelz", &mz)
+	if mz.Active.Version != "v1" || mz.Swaps != 0 {
+		t.Errorf("failed promote changed the served model: active %s, swaps %d", mz.Active.Version, mz.Swaps)
+	}
+	if got := s.PlanCache.ActiveVersion(); got != "v1" {
+		t.Errorf("failed promote moved the plan cache to %q", got)
+	}
+	if n := counter(t, ts.URL, "model_swaps_total"); n != 0 {
+		t.Errorf("failed promote counted model_swaps_total = %d", n)
+	}
+	if resp, out, _ := postPlan(t, ts.URL+"/optimize", body); resp.Header.Get("X-Cache") != "hit" || out.ModelVersion != "v1" {
+		t.Errorf("after the failed promote: X-Cache %q, modelVersion %q; want a v1 hit",
+			resp.Header.Get("X-Cache"), out.ModelVersion)
+	}
+}
+
 // TestStressHotSwapUnderLoad is the torn-read check of the hot-swap path: 64
-// goroutines POST /optimize while a swapper flips the provider between a
-// scale-1 artifact (v1) and a scale-2 artifact (v2) as fast as it can. Both
-// models choose the same plan but predict exactly a factor 2 apart, so every
-// response must satisfy predicted == base·scale(version): any response whose
-// label does not match the model that scored it — or any torn read — fails.
-// Run with -race this also exercises the provider's atomic publication.
+// goroutines POST /optimize while a swapper publishes a scale-1 artifact (v1)
+// and a scale-2 artifact (v2) in turn as fast as it can, with a retrain tick
+// — a third, content-labelled version — every few flips. The two fixed models
+// choose the same plan but predict exactly a factor 2 apart, so every response
+// they label must satisfy predicted == base·scale(version): any response whose
+// label does not match the model that scored it — or any torn read — fails;
+// and with the plan cache on, every cached answer must come from the version
+// the response names. Run with -race this also exercises the provider's
+// atomic publication against the cache's flash invalidation.
 func TestStressHotSwapUnderLoad(t *testing.T) {
 	width := testWidth(t)
 	a1, a2 := newArtifact(t, width, 1), newArtifact(t, width, 2)
@@ -415,6 +733,7 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 	}
+	addCacheAndRetrainer(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -434,12 +753,16 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 		t.Fatalf("baseline = %+v", base)
 	}
 
-	// Swapper: flip artifacts until the load is done.
+	// Swapper: flip artifacts until the load is done, retraining now and then.
+	// flips counts its publishes; the load paces itself on it, so that cache
+	// hits, much faster than a publish, still spread over many of them.
 	done := make(chan struct{})
+	var flips, promoted atomic.Int64
 	var swapperWG sync.WaitGroup
 	swapperWG.Add(1)
 	go func() {
 		defer swapperWG.Done()
+		defer flips.Store(math.MaxInt32) // never leave the load waiting
 		arts := [2]*registry.Artifact{a2, a1}
 		for i := 0; ; i++ {
 			select {
@@ -447,24 +770,42 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := p.Swap(arts[i%2]); err != nil {
-				t.Errorf("Swap: %v", err)
+			if _, err := s.Publish(arts[i%2], false); err != nil {
+				t.Errorf("Publish: %v", err)
 				return
+			}
+			flips.Add(1)
+			// A retrain is the slow publish, so most of the load lands while one
+			// trains: start them from v1 (i odd) and from v2 (i even) in turn.
+			if i%8 == 3 || i%8 == 6 {
+				feedLaw(t, s.Feedback, width, float64(int(8)<<(i/8%2)), 64, i)
+				out, err := s.Retrain()
+				if err != nil {
+					t.Errorf("Retrain: %v", err)
+					return
+				}
+				if out.Promoted {
+					promoted.Add(1)
+				}
+				flips.Add(1)
 			}
 		}
 	}()
 
 	const goroutines = 64
-	const perG = 3
+	const perG = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*perG)
-	versionSeen := [3]int32{} // index 1 = v1, 2 = v2
+	versionSeen := [3]int32{} // index 1 = v1, 2 = v2, 0 = a retrained version
 	var mu sync.Mutex
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
+				for flips.Load() < int64(3*i) {
+					runtime.Gosched()
+				}
 				resp, err := client.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(valid))
 				if err != nil {
 					errs <- err
@@ -477,17 +818,24 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 					errs <- err
 					continue
 				}
+				if out.ServedModelVersion != "" && out.ServedModelVersion != out.ModelVersion {
+					errs <- fmt.Errorf("servedModelVersion %q != modelVersion %q", out.ServedModelVersion, out.ModelVersion)
+					continue
+				}
 				var scale float64
-				switch out.ModelVersion {
-				case "v1":
+				switch {
+				case out.ModelVersion == "v1":
 					scale = 1
-				case "v2":
+				case out.ModelVersion == "v2":
 					scale = 2
+				case strings.HasPrefix(out.ModelVersion, "retrain-"):
+					// A retrained model: labelled consistently is all there is
+					// to check.
 				default:
 					errs <- fmt.Errorf("unknown model version %q", out.ModelVersion)
 					continue
 				}
-				if out.PredictedRuntimeSec != scale*base.PredictedRuntimeSec {
+				if scale != 0 && out.PredictedRuntimeSec != scale*base.PredictedRuntimeSec {
 					errs <- fmt.Errorf("version %s predicted %g, want exactly %g — response labeled with a model that did not score it",
 						out.ModelVersion, out.PredictedRuntimeSec, scale*base.PredictedRuntimeSec)
 					continue
@@ -508,8 +856,16 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 	if p.Swaps() < 2 {
 		t.Errorf("swapper only swapped %d times", p.Swaps())
 	}
-	t.Logf("responses: v1=%d v2=%d, swaps=%d", versionSeen[1], versionSeen[2], p.Swaps())
-	if versionSeen[1]+versionSeen[2] != goroutines*perG {
-		t.Errorf("accounted responses = %d, want %d", versionSeen[1]+versionSeen[2], goroutines*perG)
+	if promoted.Load() == 0 {
+		t.Error("no retrain tick promoted: the load never raced a retrainer's publish")
+	}
+	t.Logf("responses: v1=%d v2=%d retrained=%d, swaps=%d of which %d retrains",
+		versionSeen[1], versionSeen[2], versionSeen[0], p.Swaps(), promoted.Load())
+	if n := versionSeen[0] + versionSeen[1] + versionSeen[2]; n != goroutines*perG {
+		t.Errorf("accounted responses = %d, want %d", n, goroutines*perG)
+	}
+	// Quiescence: whatever was published last, the cache follows the provider.
+	if got, want := s.PlanCache.ActiveVersion(), p.Get().Version(); got != want {
+		t.Errorf("plan cache is active at %q, provider serves %q", got, want)
 	}
 }

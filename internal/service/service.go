@@ -26,7 +26,9 @@
 //
 // lifecycle.go holds the probe endpoints (/healthz, /readyz, /statz,
 // /metricz) and the store watcher that converges a replica fleet onto the
-// same promoted model version; batch.go the slice-at-a-time endpoint.
+// same promoted model version; batch.go the slice-at-a-time endpoint. A model
+// version becomes the served one through one routine, publish (modelz.go),
+// whichever of boot, promote, reload, the watcher or a retrain asks.
 //
 // # Endpoints
 //
@@ -183,10 +185,10 @@ type Server struct {
 	// PlanCache, when set, serves structurally repeated plans from a
 	// fingerprint-keyed cache instead of re-running the enumeration, and
 	// collapses concurrent identical requests into one run. Entries are
-	// keyed (fingerprint, modelVersion); every hot-swap through swapIn
-	// flash-invalidates stale versions. Responses gain an X-Cache header
-	// naming the source that answered and the cachedAt/servedModelVersion
-	// fields;
+	// keyed (fingerprint, modelVersion); publish (modelz.go) activates the
+	// served version in it, flash-invalidating stale ones. Responses gain an
+	// X-Cache header naming the source that answered and the
+	// cachedAt/servedModelVersion fields;
 	// ?nocache=1 bypasses the cache for one request. GET /cachez inspects
 	// it and POST /cachez/purge empties it (see cachez.go).
 	PlanCache *plancache.Cache
@@ -229,9 +231,8 @@ type Server struct {
 	metrics *obs.Registry
 	pOnce   sync.Once
 	staticP *registry.Provider
-	// adminMu serializes /modelz mutations (reload, promote, retrain),
-	// /cachez/purge and store-watcher swaps; the /optimize path never takes
-	// it.
+	// adminMu serializes every publish (see modelz.go) and /cachez/purge; the
+	// /optimize path never takes it.
 	adminMu sync.Mutex
 	// unready is set while draining (SetReady(false)); the zero value keeps
 	// embedded servers ready by default.
@@ -251,14 +252,6 @@ func (s *Server) Metrics() *obs.Registry {
 	})
 	return s.metrics
 }
-
-// AdminLocker exposes the /modelz mutation mutex so a background retraining
-// loop (registry.Retrainer.Gate) can serialize its promotions with admin
-// reloads and promotes — otherwise a background hot-swap could interleave
-// with an admin promote and leave the provider serving a different version
-// than the store's ACTIVE marker records. The store watcher's swaps and
-// /cachez/purge serialize behind the same lock.
-func (s *Server) AdminLocker() sync.Locker { return &s.adminMu }
 
 // workers returns the resolved enumeration parallelism.
 func (s *Server) workers() int { return core.ResolveWorkers(s.Workers) }

@@ -8,10 +8,9 @@
 #   2. Every metric in the table must still exist in code — stale docs fail.
 #   3. Label-cardinality bound: no CounterVec/HistogramVec may declare more
 #      than MAX_LABELS labels (each label multiplies series count).
-#   4. One writer per fact: within one package, a metric name is registered at
-#      one non-test site. Code that needs the instrument twice resolves the
-#      handle once; a second site is how a second ledger starts. Two packages
-#      may write one name (model_swaps_total: registry and service).
+#   4. One writer per fact: a metric name is registered at one non-test site
+#      in the whole module. Code that needs the instrument twice resolves the
+#      handle once; a second site is how a second ledger starts.
 #
 # Run from anywhere; CI runs it as its own leg.
 set -euo pipefail
@@ -28,10 +27,10 @@ err() { echo "metrics-lint: $*" >&2; fail=1; }
 # HistogramVec on the obs registry. A trailing underscore marks a dynamic
 # prefix family.
 registration='\.(Counter|Gauge|Histogram|CounterVec|HistogramVec)\("[a-z0-9_]+"'
-# One "dir name" line per registration site.
+# One "name file" line per registration site.
 code_sites=$(grep -roE "$registration" --include='*.go' internal cmd | grep -v '_test\.go:' \
-  | sed -E 's|/[^/]*\.go:[^"]*"| |; s/"$//')
-code_names=$(echo "$code_sites" | cut -d' ' -f2 | sort -u)
+  | sed -E 's|^([^:]*):[^"]*"([^"]*)"$|\2 \1|')
+code_names=$(echo "$code_sites" | cut -d' ' -f1 | sort -u)
 [ -n "$code_names" ] || { err "extracted no metric names from code"; exit 1; }
 
 # --- doc-side names --------------------------------------------------------
@@ -81,11 +80,11 @@ done < <(grep -rnE '\.(CounterVec|HistogramVec)\("[a-z0-9_]+"(, *"[a-z0-9_]+")*\
     --include='*.go' internal cmd | grep -v '_test\.go' \
   | sed -E 's/^([^:]+):([0-9]+):.*\.(CounterVec|HistogramVec)(\(("[a-z0-9_]+"(, *)?)+\)).*/\1:\2:\4/')
 
-# --- 4: one registration site per name and package ---------------------------
-while read -r n dir name; do
+# --- 4: one registration site per name ---------------------------------------
+while read -r n name; do
   [ -n "$name" ] || continue
-  err "metric '$name' is registered at $n sites in $dir — resolve the handle once"
-done < <(echo "$code_sites" | sort | uniq -c | awk '$1 > 1')
+  err "metric '$name' is registered at $n sites ($(grep "^$name " <<<"$code_sites" | cut -d' ' -f2 | sort -u | tr '\n' ' ')) — resolve the handle once"
+done < <(echo "$code_sites" | cut -d' ' -f1 | sort | uniq -c | awk '$1 > 1')
 
 if [ "$fail" = 0 ]; then
   n_code=$(echo "$code_names" | wc -l)
