@@ -42,10 +42,11 @@
 // # Running a replica fleet
 //
 // N roboptd processes pointed at one shared -model-dir behave as a
-// converging fleet: each replica polls the store's ACTIVE marker every
-// -store-watch-interval and hot-swaps in any version promoted by another
-// replica, an operator, or a background retrainer — promote once, converge
-// everywhere, no restarts. GET /healthz is the liveness probe and
+// converging fleet: each replica compares the store's ACTIVE marker with the
+// version it serves every -store-watch-interval and hot-swaps in what the
+// marker names, whoever moved it — another replica, an operator, a background
+// retrainer; a sync that fails is retried on the next tick. Promote once,
+// converge everywhere, no restarts. GET /healthz is the liveness probe and
 // GET /readyz the readiness probe (503 while draining or without a servable
 // artifact), so a load balancer can gate traffic per replica.
 //
@@ -222,13 +223,24 @@ func main() {
 		srv.SLO = obs.NewSLO(*sloLatency, *sloTarget)
 		logger.Info("slo tracking enabled", "objectiveMs", *sloLatency, "target", *sloTarget)
 	}
+	// The defaults of -replica-id (host:pid) and of the address other replicas
+	// reach this one at (-advertise, else -addr with the host filled in): the
+	// fleet registration record and, with -peer-fill, the owner address in
+	// shared-store claim files that waiting replicas poll.
+	host, _ := os.Hostname()
+	if host == "" {
+		host = "localhost"
+	}
 	srv.ReplicaID = *replicaID
 	if srv.ReplicaID == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "localhost"
-		}
 		srv.ReplicaID = fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
+	scrapeAddr := *advertise
+	if scrapeAddr == "" {
+		scrapeAddr = *addr
+	}
+	if strings.HasPrefix(scrapeAddr, ":") {
+		scrapeAddr = host + scrapeAddr
 	}
 	if *admitConc >= 0 {
 		srv.Admission = &service.Admission{
@@ -260,11 +272,17 @@ func main() {
 	}
 
 	// Shutdown: the first SIGINT/SIGTERM starts a graceful drain; the
-	// retrainer loop shares the same root context and stops with it.
+	// background loops share the same root context and stop with it.
 	rootCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	var loops []<-chan struct{}
+	started := func(done <-chan struct{}, err error) {
+		if err != nil {
+			log.Fatal(err)
+		}
+		loops = append(loops, done)
+	}
 
-	var retrainerDone chan struct{}
 	if *retrainIntv > 0 {
 		srv.Retrainer = &registry.Retrainer{
 			Provider: provider,
@@ -272,57 +290,28 @@ func main() {
 			Train: func(ds *mlmodel.Dataset) (mlmodel.Model, error) {
 				return experiments.TrainOnDataset(ds, *quick, 7)
 			},
-			Interval:    *retrainIntv,
 			SchemaWidth: schema.Len(),
 			Platforms:   names,
 			Metrics:     srv.Metrics(),
 			Logger:      logger,
 		}
-		retrainerDone = make(chan struct{})
-		go func() {
-			srv.Retrainer.Run(rootCtx, srv.Retrain)
-			close(retrainerDone)
-		}()
+		started(srv.StartRetrainLoop(rootCtx, *retrainIntv))
 		logger.Info("retraining enabled", "interval", *retrainIntv, "feedbackCap", feedback.Cap())
 	}
 
-	// Store watcher: converge on promotions made by other replicas (or this
-	// replica's own retrainer — that swap is a no-op here because the hash
-	// and version already match).
-	var watcherDone <-chan struct{}
+	// Store follower: converge on whatever another replica, an operator or a
+	// retrainer makes ACTIVE. This replica's own promotions already match.
 	if store != nil && *watchIntv > 0 {
-		watcherDone, err = srv.StartStoreWatcher(rootCtx, *watchIntv)
-		if err != nil {
-			log.Fatal(err)
-		}
-		logger.Info("store watcher enabled", "dir", *modelDir, "interval", *watchIntv)
-	}
-
-	// scrapeAddr is the address other replicas reach this one at — the fleet
-	// registration record, and with -peer-fill also the owner address written
-	// into shared-store claim files so waiting replicas can poll us.
-	scrapeAddr := *advertise
-	if scrapeAddr == "" {
-		scrapeAddr = *addr
-	}
-	if strings.HasPrefix(scrapeAddr, ":") {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "localhost"
-		}
-		scrapeAddr = host + scrapeAddr
+		started(srv.StartStoreWatcher(rootCtx, *watchIntv))
+		logger.Info("store follower enabled", "dir", *modelDir, "interval", *watchIntv)
 	}
 
 	// Fleet registration: heartbeat this replica's scrape address into the
 	// shared store so GET /fleetz and obsctl discover it. The loop
 	// deregisters when rootCtx is cancelled, i.e. before the drain finishes,
 	// so a clean shutdown leaves no stale record behind.
-	var replicaDone <-chan struct{}
 	if store != nil && *fleetHB > 0 {
-		replicaDone, err = srv.RegisterReplicaLoop(rootCtx, scrapeAddr, *fleetHB)
-		if err != nil {
-			log.Fatal(err)
-		}
+		started(srv.RegisterReplicaLoop(rootCtx, scrapeAddr, *fleetHB))
 		logger.Info("fleet registration enabled",
 			"replicaId", srv.ReplicaID, "addr", scrapeAddr, "heartbeat", *fleetHB)
 	}
@@ -387,7 +376,7 @@ func main() {
 	}
 
 	// Graceful drain: stop accepting connections, give in-flight requests
-	// -shutdown-grace to finish, and wait for the retrainer loop (already
+	// -shutdown-grace to finish, and wait for the background loops (already
 	// cancelled via rootCtx) to wind down. A second signal kills the
 	// process the default way because stop() restored default handling.
 	stop()
@@ -398,18 +387,10 @@ func main() {
 	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGr)
 	defer cancel()
 	drainErr := hs.Shutdown(drainCtx)
-	if retrainerDone != nil {
-		<-retrainerDone
-		logger.Info("retrainer stopped")
+	for _, done := range loops {
+		<-done
 	}
-	if watcherDone != nil {
-		<-watcherDone
-		logger.Info("store watcher stopped")
-	}
-	if replicaDone != nil {
-		<-replicaDone
-		logger.Info("fleet registration removed")
-	}
+	logger.Info("background loops stopped", "loops", len(loops))
 	if drainErr != nil && !errors.Is(drainErr, http.ErrServerClosed) {
 		logger.Error("drain incomplete; open connections were cut", "err", drainErr)
 		os.Exit(1)

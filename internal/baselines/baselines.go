@@ -52,12 +52,12 @@ type Oracle interface {
 	Estimate(sp *SubPlan) float64
 }
 
-// BatchOracle is an Oracle that can estimate many subplans in one call.
-// EstimateBatch must be arithmetically identical to calling Estimate on each
+// batchOracle is an Oracle that can estimate many subplans in one call.
+// estimateBatch must be arithmetically identical to calling Estimate on each
 // subplan in order; out must have at least len(sps) entries.
-type BatchOracle interface {
+type batchOracle interface {
 	Oracle
-	EstimateBatch(sps []*SubPlan, out []float64)
+	estimateBatch(sps []*SubPlan, out []float64)
 }
 
 // Stats mirrors core.Stats for the object-based enumeration.
@@ -133,11 +133,11 @@ func (o MLOracle) Estimate(sp *SubPlan) float64 {
 	return o.Model.Predict(v.F)
 }
 
-// EstimateBatch estimates many subplans with a single model invocation. The
+// estimateBatch estimates many subplans with a single model invocation. The
 // per-subplan object-to-vector transformation is still paid for every row —
 // that overhead is the point of the Rheem-ML baseline — only the model
 // inference itself is batched.
-func (o MLOracle) EstimateBatch(sps []*SubPlan, out []float64) {
+func (o MLOracle) estimateBatch(sps []*SubPlan, out []float64) {
 	X := vecops.NewMatrix(len(sps), o.Ctx.Schema.Len())
 	for i, sp := range sps {
 		assign := make(map[plan.OpID]uint8, len(sp.Ops))
@@ -303,14 +303,14 @@ func (z *Optimizer) merge(a, b *SubPlan, crossing []plan.Edge, st *Stats) *SubPl
 	return out
 }
 
-// estimateAll fills sp.Cost for every subplan, using one EstimateBatch call
+// estimateAll fills sp.Cost for every subplan, using one estimateBatch call
 // when the oracle supports batching and the per-subplan scalar path
 // otherwise. OracleCalls counts subplans either way, so the baseline stats
 // stay comparable across oracle kinds.
 func (z *Optimizer) estimateAll(sps []*SubPlan, st *Stats) {
-	if bo, ok := z.Oracle.(BatchOracle); ok && len(sps) > 1 {
+	if bo, ok := z.Oracle.(batchOracle); ok && len(sps) > 1 {
 		out := make([]float64, len(sps))
-		bo.EstimateBatch(sps, out)
+		bo.estimateBatch(sps, out)
 		for i, sp := range sps {
 			sp.Cost = out[i]
 		}

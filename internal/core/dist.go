@@ -22,8 +22,8 @@ type CostDist struct {
 	Hi     float64 `json:"hi"`
 }
 
-// Overlaps reports whether the two predictive intervals intersect.
-func (d CostDist) Overlaps(o CostDist) bool { return d.Lo <= o.Hi && o.Lo <= d.Hi }
+// overlaps reports whether the two predictive intervals intersect.
+func (d CostDist) overlaps(o CostDist) bool { return d.Lo <= o.Hi && o.Lo <= d.Hi }
 
 // Risk configures uncertainty-aware scoring and pruning for one optimization
 // run. The zero value is the paper's point-estimate optimizer.

@@ -141,7 +141,7 @@ func FuzzPruneLossless(f *testing.F) {
 		workers := int(workersRaw)%8 + 1
 		// λ ≤ 1.5 keeps a plan's score inside its own 1.645σ interval.
 		lambda := float64(lambdaRaw%4) * 0.5
-		order := core.OrderPolicy(orderRaw % 4)
+		order := core.OrderPolicy(orderRaw % 3)
 		l := workload.RandomDAG(nOps, 1e7, seed)
 		newContext := func(keepOverlap bool) *core.Context {
 			ctx := newCtx(t, l, nPlats)

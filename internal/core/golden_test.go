@@ -139,8 +139,10 @@ func TestScorePruneGolden(t *testing.T) {
 							for _, workers := range []int{1, 2, 8} {
 								// Workers=2 joined after the digests were
 								// recorded: it must match Workers=1 and stays
-								// out of them, on the small two DAGs only.
-								if workers == 2 && cs.nOps > 33 {
+								// out of them, on the small two DAGs only and
+								// off the near-tie corner, a quarter of this
+								// test's time that Workers=8 already covers.
+								if workers == 2 && (cs.nOps > 33 || (risk.KeepOverlap && property)) {
 									continue
 								}
 								one := sha256.New()

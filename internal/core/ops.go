@@ -509,7 +509,7 @@ func (c *Context) pruneGroups(e *Enumeration, st *Stats, props []Property) {
 			kept = append(kept, win.v)
 			for i++; i < len(waiting) && waiting[i].group == win.group; i++ {
 				v := waiting[i].v
-				if room == 0 || !v.Dist.Overlaps(win.v.Dist) {
+				if room == 0 || !v.Dist.overlaps(win.v.Dist) {
 					discard(v, winSlot)
 					continue
 				}

@@ -29,9 +29,6 @@ type Lin struct {
 	Gamma float64 // fixed
 }
 
-// Eval returns the cost estimate for the given cardinalities.
-func (l Lin) Eval(in, out float64) float64 { return l.Alpha*in + l.Beta*out + l.Gamma }
-
 // Model is a complete cross-platform linear cost model.
 type Model struct {
 	// Coef[p][k] is the cost function of kind k's execution operator on

@@ -124,9 +124,9 @@ func ScrapeReplica(ctx context.Context, client *http.Client, info registry.Repli
 	return st
 }
 
-// Scrape collects every replica concurrently, preserving input order. A nil
+// scrape collects every replica concurrently, preserving input order. A nil
 // client gets DefaultScrapeTimeout.
-func Scrape(ctx context.Context, client *http.Client, replicas []registry.ReplicaInfo) []ReplicaStatus {
+func scrape(ctx context.Context, client *http.Client, replicas []registry.ReplicaInfo) []ReplicaStatus {
 	if client == nil {
 		client = &http.Client{Timeout: DefaultScrapeTimeout}
 	}
@@ -225,7 +225,7 @@ func Collect(ctx context.Context, store *registry.Store, ttl time.Duration, clie
 	if err != nil {
 		return View{}, err
 	}
-	statuses := Scrape(ctx, client, replicas)
+	statuses := scrape(ctx, client, replicas)
 	sort.Slice(statuses, func(i, j int) bool { return statuses[i].ID < statuses[j].ID })
 	return View{
 		ScrapedAt: time.Now().UTC(),

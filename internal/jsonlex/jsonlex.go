@@ -155,9 +155,9 @@ func (s *Scanner) digits() bool {
 	return s.Pos > start
 }
 
-// Number scans a JSON number literal:
+// number scans a JSON number literal:
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (s *Scanner) Number() ([]byte, error) {
+func (s *Scanner) number() ([]byte, error) {
 	s.SkipSpace()
 	start := s.Pos
 	if s.Peek() == '-' {
@@ -186,7 +186,7 @@ func (s *Scanner) Number() ([]byte, error) {
 
 // Float parses a number that fits a float64.
 func (s *Scanner) Float() (float64, error) {
-	lit, err := s.Number()
+	lit, err := s.number()
 	if err != nil {
 		return 0, err
 	}
@@ -199,7 +199,7 @@ func (s *Scanner) Float() (float64, error) {
 
 // Int parses a number that is an integer and fits an int.
 func (s *Scanner) Int() (int, error) {
-	lit, err := s.Number()
+	lit, err := s.number()
 	if err != nil {
 		return 0, err
 	}
@@ -249,7 +249,7 @@ func (s *Scanner) Skip(depth int) error {
 				return s.Errorf("invalid literal")
 			}
 		default:
-			if _, err := s.Number(); err != nil {
+			if _, err := s.number(); err != nil {
 				return err
 			}
 		}

@@ -178,16 +178,6 @@ func (t *Trace) AddLink(traceID, reason string) {
 	t.links = append(t.links, TraceLink{TraceID: traceID, Reason: reason})
 }
 
-// NumSpans returns the number of spans recorded so far.
-func (t *Trace) NumSpans() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
-}
-
 // TraceSnapshot is the JSON-ready state of a finished trace.
 type TraceSnapshot struct {
 	ID         string         `json:"id"`

@@ -57,9 +57,6 @@ func TestNilNoOps(t *testing.T) {
 	s.End()
 	tr.End()
 	tr.SetError("boom")
-	if tr.NumSpans() != 0 {
-		t.Fatal("nil trace has spans")
-	}
 
 	var tc *Tracer
 	if got := tc.Start("id"); got != nil {

@@ -77,10 +77,6 @@ func (x *Execution) Validate(avail *platform.Availability) error {
 	return nil
 }
 
-// PlatformSwitches returns the number of conversion operators in the plan
-// (the platform-switch count used by TDGen's β pruning, Section VI-A).
-func (x *Execution) PlatformSwitches() int { return len(x.Conversions) }
-
 // PlatformsUsed returns the distinct platforms in the plan, in ID order.
 func (x *Execution) PlatformsUsed() []platform.ID {
 	seen := map[platform.ID]bool{}

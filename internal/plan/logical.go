@@ -40,7 +40,7 @@ type Operator struct {
 	Out []OpID
 
 	// InputCard and OutputCard are the propagated tuple cardinalities
-	// (filled by Logical.PropagateCardinalities). InputCard is the sum
+	// (filled by the Builder). InputCard is the sum
 	// over input ports.
 	InputCard  float64
 	OutputCard float64
@@ -116,20 +116,11 @@ func (l *Logical) Edges() []Edge {
 // cardinality of the producer.
 func (l *Logical) EdgeCard(e Edge) float64 { return l.Ops[e.From].OutputCard }
 
-// PropagateCardinalities computes InputCard/OutputCard for every operator by
-// forward propagation from the source cardinalities through the operators'
-// selectivities. The paper injects real cardinalities into both optimizers
-// (Section II); the simulator plays the role of ground truth here, so the
-// propagated values are exact by construction. Plans made by a Builder come
-// with their cardinalities propagated; this is for hand-assembled ones.
-func (l *Logical) PropagateCardinalities() {
-	for _, id := range l.TopoOrder() {
-		l.propagate(l.Ops[id])
-	}
-}
-
-// propagate computes o's cardinalities from those of its producers, which
-// must have theirs already.
+// propagate computes o's InputCard/OutputCard from those of its producers,
+// which must have theirs already, through its selectivity. The paper injects
+// real cardinalities into both optimizers (Section II); the simulator plays
+// the role of ground truth here, so the propagated values are exact by
+// construction.
 func (l *Logical) propagate(o *Operator) {
 	if len(o.In) == 0 {
 		o.InputCard = l.SourceCards[o.ID]

@@ -186,7 +186,7 @@ func TestExecutionConversions(t *testing.T) {
 		t.Fatalf("NewExecution: %v", err)
 	}
 	// Platform switches: o5(Java)->o6(Spark) and o8(Spark)->o9(Java).
-	if got := x.PlatformSwitches(); got != 2 {
+	if got := len(x.Conversions); got != 2 {
 		t.Fatalf("switches = %d, want 2; convs=%v", got, x.Conversions)
 	}
 	if got := x.PlatformLabel(); got != "Java+Spark" {

@@ -70,7 +70,7 @@ func (s *Store) RegisterReplica(info ReplicaInfo) error {
 	if err := os.MkdirAll(filepath.Join(s.dir, replicasSubdir), 0o755); err != nil {
 		return fmt.Errorf("registry: creating replicas dir: %w", err)
 	}
-	err := s.writeFileLocked(filepath.Join(replicasSubdir, replicaFile(info.ID)), func(f *os.File) error {
+	err := s.writeFileLocked(filepath.Join(replicasSubdir, replicaFile(info.ID)), os.Rename, func(f *os.File) error {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
 		return enc.Encode(info)

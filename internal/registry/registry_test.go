@@ -241,6 +241,62 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 }
 
+// TestStoreSaveConcurrentHandles: two Store handles on one directory — two
+// replicas retraining at once — never get the same version name, and each name
+// loads the payload its Save wrote. The process mutex cannot order them; the
+// exclusive install does.
+func TestStoreSaveConcurrentHandles(t *testing.T) {
+	dir := t.TempDir()
+	const perHandle = 40
+	arts := make([][]*registry.Artifact, 2)
+	for h := range arts {
+		for i := 0; i < perHandle; i++ {
+			arts[h] = append(arts[h], splitArtifact(t, int64(100+h*perHandle+i)))
+		}
+	}
+	var mu sync.Mutex
+	wrote := map[string]string{} // version name → hash of the artifact saved under it
+	var wg sync.WaitGroup
+	for h := range arts {
+		st, err := registry.OpenStore(dir)
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
+		}
+		wg.Add(1)
+		go func(st *registry.Store, mine []*registry.Artifact) {
+			defer wg.Done()
+			for _, a := range mine {
+				v, err := st.Save(a)
+				if err != nil {
+					t.Errorf("Save: %v", err)
+					return
+				}
+				mu.Lock()
+				if _, dup := wrote[v]; dup {
+					t.Errorf("Save handed out %s twice", v)
+				}
+				wrote[v] = a.Hash
+				mu.Unlock()
+			}
+		}(st, arts[h])
+	}
+	wg.Wait()
+	if len(wrote) != 2*perHandle {
+		t.Fatalf("%d saves got %d distinct names", 2*perHandle, len(wrote))
+	}
+	st, err := registry.OpenStore(dir)
+	if err != nil {
+		t.Fatalf("OpenStore: %v", err)
+	}
+	for v, hash := range wrote {
+		if a, err := st.Load(v); err != nil {
+			t.Errorf("Load(%s): %v", v, err)
+		} else if a.Hash != hash {
+			t.Errorf("Load(%s) holds hash %.8s, its Save wrote %.8s", v, a.Hash, hash)
+		}
+	}
+}
+
 // TestStoreAdopt: Adopt names the stored version holding an artifact's
 // payload — the one the artifact already names, else one with the same hash —
 // and writes a new version only when there is none.

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -28,8 +27,6 @@ type Retrainer struct {
 	// anchoring the candidate where feedback is sparse. Nil retrains on
 	// feedback alone.
 	Base *mlmodel.Dataset
-	// Interval is the retraining period of Run (default 1 minute).
-	Interval time.Duration
 	// MinSamples is the fewest buffered feedback samples worth retraining
 	// on (default 64).
 	MinSamples int
@@ -93,30 +90,6 @@ func (r *Retrainer) holdoutFrac() float64 {
 	return 0.25
 }
 
-func (r *Retrainer) interval() time.Duration {
-	if r.Interval > 0 {
-		return r.Interval
-	}
-	return time.Minute
-}
-
-// Run calls step every Interval until ctx is cancelled and logs what it
-// reports. step is one retraining attempt as the owner of the serving state
-// runs it — service.Server.Retrain, which holds the admin lock around
-// RetrainOnce. Errors are logged and do not stop the loop.
-func (r *Retrainer) Run(ctx context.Context, step func() (Outcome, error)) {
-	t := time.NewTicker(r.interval())
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			r.logOutcome(step())
-		}
-	}
-}
-
 // logOutcome emits one structured record per retraining attempt, keyed by
 // the outcome reason so operators can alert on regressions and confirm
 // promotions without parsing free-form text.
@@ -150,12 +123,13 @@ func (r *Retrainer) logOutcome(out Outcome, err error) {
 // candidate, gate on holdout error, and hand a candidate that passed to
 // publish, which makes it the served model (storing it, swapping it in,
 // telling the plan cache) or returns why it could not. The retrainer itself
-// changes nothing outside its own bookkeeping. Attempts are serialized
-// internally.
-func (r *Retrainer) RetrainOnce(publish func(*Artifact) error) (Outcome, error) {
+// changes nothing outside its own bookkeeping and logs the attempt's outcome.
+// Attempts are serialized internally.
+func (r *Retrainer) RetrainOnce(publish func(*Artifact) error) (out Outcome, err error) {
 	if r.Provider == nil || r.Feedback == nil || r.Train == nil || publish == nil {
 		return Outcome{}, fmt.Errorf("registry: retrainer needs Provider, Feedback, Train and a publish function")
 	}
+	defer func() { r.logOutcome(out, err) }()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	m := r.Metrics
@@ -221,7 +195,7 @@ func (r *Retrainer) RetrainOnce(publish func(*Artifact) error) (Outcome, error) 
 		return failed(fmt.Errorf("registry: retraining: %w", err))
 	}
 	active := r.Provider.Get()
-	out := Outcome{
+	out = Outcome{
 		Candidate: mlmodel.Evaluate(cand, holdout),
 		Active:    mlmodel.Evaluate(active.Artifact.Model, holdout),
 	}

@@ -2,7 +2,9 @@ package registry
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -34,6 +36,10 @@ type Store struct {
 
 // activeMarker is the file naming the active version inside a store dir.
 const activeMarker = "ACTIVE"
+
+// DefaultWatchInterval is how often a replica compares the ACTIVE marker with
+// the version it serves when the caller does not pick a period.
+const DefaultWatchInterval = 2 * time.Second
 
 // OpenStore opens (creating if needed) the artifact store at dir.
 func OpenStore(dir string) (*Store, error) {
@@ -94,7 +100,10 @@ func (s *Store) Versions() ([]string, error) {
 
 // Save writes a as the next version and returns its name ("v<N>"). The
 // artifact's Version field is set on success. Save does not change the
-// active marker; pair it with Activate to promote.
+// active marker; pair it with Activate to promote. The name is created
+// exclusively (hard link, like a claim), so a version names one payload even
+// when another process saves into the same directory at the same moment: the
+// loser of a number moves on to the next one.
 func (s *Store) Save(a *Artifact) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -107,13 +116,17 @@ func (s *Store) Save(a *Artifact) (string, error) {
 		n, _ := versionNum(versions[len(versions)-1])
 		next = n + 1
 	}
-	version := "v" + strconv.Itoa(next)
-	a.Version = version
-	if err := s.writeFileLocked(version+".json", func(f *os.File) error { return a.Write(f) }); err != nil {
-		a.Version = ""
-		return "", err
+	for ; ; next++ {
+		a.Version = "v" + strconv.Itoa(next)
+		err := s.writeFileLocked(a.Version+".json", os.Link, func(f *os.File) error { return a.Write(f) })
+		if err == nil {
+			return a.Version, nil
+		}
+		if !errors.Is(err, fs.ErrExist) {
+			a.Version = ""
+			return "", err
+		}
 	}
-	return version, nil
 }
 
 // Adopt makes a's payload a stored version and returns that version's name,
@@ -148,8 +161,10 @@ func (s *Store) Adopt(a *Artifact) (string, error) {
 }
 
 // writeFileLocked atomically writes the file at name, a path relative to the
-// store dir whose directory must exist.
-func (s *Store) writeFileLocked(name string, fill func(*os.File) error) error {
+// store dir whose directory must exist: filled and synced under a temporary
+// name, then installed — by os.Rename, which replaces what is there, or by
+// os.Link, which fails with fs.ErrExist instead.
+func (s *Store) writeFileLocked(name string, install func(tmp, path string) error, fill func(*os.File) error) error {
 	path := filepath.Join(s.dir, name)
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -167,8 +182,8 @@ func (s *Store) writeFileLocked(name string, fill func(*os.File) error) error {
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("registry: store close: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("registry: store rename: %w", err)
+	if err := install(tmp.Name(), path); err != nil {
+		return fmt.Errorf("registry: store install: %w", err)
 	}
 	return nil
 }
@@ -221,14 +236,15 @@ func (s *Store) Activate(version string) error {
 	if _, err := os.Stat(filepath.Join(s.dir, version+".json")); err != nil {
 		return fmt.Errorf("registry: cannot activate %s: %w", version, err)
 	}
-	return s.writeFileLocked(activeMarker, func(f *os.File) error {
+	return s.writeFileLocked(activeMarker, os.Rename, func(f *os.File) error {
 		_, err := f.WriteString(version + "\n")
 		return err
 	})
 }
 
 // ActiveVersion returns the version named by the ACTIVE marker, or "" when
-// none is set.
+// none is set: no marker, or an empty one (a writer that truncates before it
+// writes, unlike Activate).
 func (s *Store) ActiveVersion() (string, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, activeMarker))
 	if os.IsNotExist(err) {
@@ -238,6 +254,9 @@ func (s *Store) ActiveVersion() (string, error) {
 		return "", fmt.Errorf("registry: reading active marker: %w", err)
 	}
 	v := strings.TrimSpace(string(data))
+	if v == "" {
+		return "", nil
+	}
 	if _, ok := versionNum(v); !ok {
 		return "", fmt.Errorf("registry: active marker names invalid version %q", v)
 	}

@@ -119,8 +119,8 @@ func (a *Admission) retryAfterSeconds() string {
 // QueueDepth reports the currently waiting request units.
 func (a *Admission) QueueDepth() int { return int(a.queued.Load()) }
 
-// InFlight reports the currently admitted request units.
-func (a *Admission) InFlight() int {
+// inFlight reports the currently admitted request units.
+func (a *Admission) inFlight() int {
 	a.init()
 	return len(a.slots)
 }

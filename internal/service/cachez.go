@@ -32,13 +32,7 @@ type PurgeResponse struct {
 	Purged int `json:"purged"`
 }
 
-func (s *Server) handleCachez(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodGet {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("GET /cachez"))
-		return
-	}
+func (s *Server) handleCachez(w http.ResponseWriter, r *http.Request, reqID string) {
 	if s.PlanCache == nil {
 		s.writeJSON(w, CachezResponse{Enabled: false})
 		return
@@ -50,13 +44,7 @@ func (s *Server) handleCachez(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-func (s *Server) handleCachezPurge(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("POST /cachez/purge"))
-		return
-	}
+func (s *Server) handleCachezPurge(w http.ResponseWriter, r *http.Request, reqID string) {
 	if s.PlanCache == nil {
 		s.fail(w, reqID, http.StatusConflict, errors.New("service: no plan cache configured (-cache-entries)"))
 		return

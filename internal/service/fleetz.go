@@ -25,13 +25,7 @@ import (
 // obsctl renders the same view from the command line without going through
 // a replica. A server without a ModelStore reports 503: there is no fleet
 // without the shared store.
-func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodGet {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("GET /fleetz"))
-		return
-	}
+func (s *Server) handleFleetz(w http.ResponseWriter, r *http.Request, reqID string) {
 	if s.ModelStore == nil {
 		s.fail(w, reqID, http.StatusServiceUnavailable, errors.New("service: no model store configured (-model-dir), fleet discovery disabled"))
 		return
@@ -72,24 +66,13 @@ func (s *Server) RegisterReplicaLoop(ctx context.Context, addr string, interval 
 	if err := s.ModelStore.RegisterReplica(info); err != nil {
 		return nil, err
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				if err := s.ModelStore.DeregisterReplica(s.ReplicaID); err != nil && s.Logger != nil {
-					s.Logger.Warn("replica deregistration failed", "replicaId", s.ReplicaID, "err", err.Error())
-				}
-				return
-			case <-t.C:
-				if err := s.ModelStore.RegisterReplica(info); err != nil && s.Logger != nil {
-					s.Logger.Warn("replica heartbeat failed", "replicaId", s.ReplicaID, "err", err.Error())
-				}
-			}
+	warn := func(msg string, err error) {
+		if err != nil && s.Logger != nil {
+			s.Logger.Warn(msg, "replicaId", s.ReplicaID, "err", err.Error())
 		}
-	}()
-	return done, nil
+	}
+	return every(ctx, interval,
+		func() { warn("replica heartbeat failed", s.ModelStore.RegisterReplica(info)) },
+		func() { warn("replica deregistration failed", s.ModelStore.DeregisterReplica(s.ReplicaID)) },
+	), nil
 }

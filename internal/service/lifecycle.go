@@ -13,9 +13,9 @@ import (
 )
 
 // The lifecycle layer makes one process fleet-capable: /healthz and /readyz
-// are the probes a load balancer gates traffic on, and the store watcher
-// converges every replica sharing a -model-dir onto the same promoted model
-// version without a restart or an explicit admin call per replica.
+// are the probes a load balancer gates traffic on, and the store follower
+// converges every replica sharing a -model-dir onto the version the store
+// names ACTIVE without a restart or an explicit admin call per replica.
 
 // handleHealthz is the liveness probe: the process is up and serving HTTP.
 // It says nothing about whether the replica can optimize — that is /readyz.
@@ -74,9 +74,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // SyncStore re-reads the store's active artifact and publishes it unpinned
-// (the marker is what it follows) — POST /modelz/reload and every store
-// watcher tick. The read happens under the admin lock too, so what it read
-// cannot be published over a promotion made in between.
+// (the marker is what it follows) — POST /modelz/reload, and a store follower
+// tick that found ACTIVE naming another version. The read happens under the
+// admin lock too, so what it read cannot be published over a promotion made
+// in between.
 func (s *Server) SyncStore() (SwapResponse, error) {
 	if s.ModelStore == nil {
 		return SwapResponse{}, errors.New("service: no model store configured (-model-dir)")
@@ -93,42 +94,78 @@ func (s *Server) SyncStore() (SwapResponse, error) {
 	return s.publish(art, false)
 }
 
-// StartStoreWatcher polls the model store for promotions made by other
-// processes sharing it and hot-swaps them in — the convergence half of
-// running N replicas behind one -model-dir. interval ≤ 0 means
-// registry.DefaultWatchInterval. The watcher is primed to the store's
-// current state, so only promotions after this call trigger swaps. The
-// returned channel closes when the watcher goroutine exits (after ctx is
-// done).
+// every calls step once per interval until ctx is done, then stop (when
+// given), and closes the returned channel: the one shape of the server's
+// background loops. A slow step delays the next tick; ticks never pile up.
+func every(ctx context.Context, interval time.Duration, step, stop func()) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				if stop != nil {
+					stop()
+				}
+				return
+			case <-t.C:
+				step()
+			}
+		}
+	}()
+	return done
+}
+
+// followStore returns one tick of the store follower: read the ACTIVE marker
+// and, unless it is unset or names the version already served, SyncStore. The
+// rule compares instead of remembering what it saw last, so a sync that failed
+// (the marker visible before its artifact, an artifact this replica cannot
+// serve) is tried again on the next tick, and the replica's own promotions
+// cost one small read. Nothing is carried between ticks but the text of the
+// last failure, which keeps a failure that repeats every tick to one warn line.
+func (s *Server) followStore() func() {
+	m := s.Metrics()
+	var warned string
+	return func() {
+		var resp SwapResponse
+		active, err := s.ModelStore.ActiveVersion()
+		if err == nil {
+			if active == "" || active == s.provider().Get().Version() {
+				return
+			}
+			resp, err = s.SyncStore()
+		}
+		switch {
+		case err != nil:
+			m.Counter("store_watch_errors_total").Inc()
+			if s.Logger != nil && err.Error() != warned {
+				warned = err.Error()
+				s.Logger.Warn("store follower: sync failed", "active", active, "err", warned)
+			}
+		case resp.Swapped: // publish logged it
+			m.Counter("store_watch_swaps_total").Inc()
+		}
+	}
+}
+
+// StartStoreWatcher follows the model store every interval (≤ 0 means
+// registry.DefaultWatchInterval): whatever another process sharing the store
+// makes ACTIVE, this replica ends up serving — the convergence half of running
+// N replicas behind one -model-dir. The returned channel closes when the
+// loop's goroutine has exited (after ctx is done).
 func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) (<-chan struct{}, error) {
 	if s.ModelStore == nil {
 		return nil, errors.New("service: no model store configured (-model-dir)")
 	}
-	m := s.Metrics()
-	w := &registry.Watcher{
-		Store:    s.ModelStore,
-		Interval: interval,
-		Logger:   s.Logger,
-		OnChange: func(version string) {
-			resp, err := s.SyncStore()
-			switch {
-			case err != nil:
-				m.Counter("store_watch_errors_total").Inc()
-				if s.Logger != nil {
-					s.Logger.Warn("store watcher: sync failed", "version", version, "err", err.Error())
-				}
-			case resp.Swapped: // publish logged it
-				m.Counter("store_watch_swaps_total").Inc()
-			}
-		},
+	if s.provider() == nil {
+		return nil, errors.New("service: no model configured")
 	}
-	w.Prime()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		w.Run(ctx)
-	}()
-	return done, nil
+	if interval <= 0 {
+		interval = registry.DefaultWatchInterval
+	}
+	return every(ctx, interval, s.followStore(), nil), nil
 }
 
 // handleStatz serves the short summary: a view of the registry behind
@@ -158,7 +195,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		out["admission"] = map[string]any{
 			"maxConcurrent": a.maxConcurrent(),
 			"maxQueue":      a.maxQueue(),
-			"inFlight":      a.InFlight(),
+			"inFlight":      a.inFlight(),
 			"queueDepth":    a.QueueDepth(),
 			"shedThreshold": a.shedAt(),
 		}

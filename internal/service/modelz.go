@@ -1,11 +1,13 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -23,7 +25,7 @@ import (
 //     report its outcome (the background loop's step, on demand).
 //   - GET  /modelz/feedback — the buffered execution-feedback samples as CSV.
 //
-// Every way the served version changes — these three POSTs, the store watcher,
+// Every way the served version changes — these three POSTs, the store follower,
 // the background retrain loop and roboptd's boot — is a call of one routine,
 // publish, made under the one admin mutex. /optimize never takes that mutex:
 // requests read the provider's atomic pointer only.
@@ -77,13 +79,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodGet {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("GET /modelz"))
-		return
-	}
+func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request, reqID string) {
 	p := s.provider()
 	if p == nil {
 		s.fail(w, reqID, http.StatusServiceUnavailable, errors.New("service: no model configured"))
@@ -179,8 +175,7 @@ func (s *Server) Publish(art *registry.Artifact, pin bool) (SwapResponse, error)
 
 // Retrain runs one retraining attempt under the admin lock; a candidate that
 // passes the retrainer's gate is published pinned. It is the step behind
-// POST /modelz/retrain and the one Retrainer.Run is given for the background
-// loop.
+// POST /modelz/retrain and StartRetrainLoop.
 func (s *Server) Retrain() (registry.Outcome, error) {
 	if s.Retrainer == nil {
 		return registry.Outcome{}, &statusError{http.StatusConflict, errors.New("service: no retrainer configured (-retrain-interval)")}
@@ -193,13 +188,20 @@ func (s *Server) Retrain() (registry.Outcome, error) {
 	})
 }
 
-func (s *Server) handleModelzReload(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("POST /modelz/reload"))
-		return
+// StartRetrainLoop runs Retrain every interval (≤ 0 means one minute) until
+// ctx is done; the retrainer logs each attempt, and a failed one does not stop
+// the loop. The returned channel closes when the loop's goroutine has exited.
+func (s *Server) StartRetrainLoop(ctx context.Context, interval time.Duration) (<-chan struct{}, error) {
+	if s.Retrainer == nil {
+		return nil, errors.New("service: no retrainer configured (-retrain-interval)")
 	}
+	if interval <= 0 {
+		interval = time.Minute
+	}
+	return every(ctx, interval, func() { _, _ = s.Retrain() }, nil), nil
+}
+
+func (s *Server) handleModelzReload(w http.ResponseWriter, r *http.Request, reqID string) {
 	resp, err := s.SyncStore()
 	if err != nil {
 		s.fail(w, reqID, http.StatusConflict, err)
@@ -208,13 +210,7 @@ func (s *Server) handleModelzReload(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-func (s *Server) handleModelzPromote(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("POST /modelz/promote?version=vN"))
-		return
-	}
+func (s *Server) handleModelzPromote(w http.ResponseWriter, r *http.Request, reqID string) {
 	if s.ModelStore == nil {
 		s.fail(w, reqID, http.StatusConflict, errors.New("service: no model store configured (-model-dir)"))
 		return
@@ -240,13 +236,7 @@ func (s *Server) handleModelzPromote(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, resp)
 }
 
-func (s *Server) handleModelzRetrain(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodPost {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("POST /modelz/retrain"))
-		return
-	}
+func (s *Server) handleModelzRetrain(w http.ResponseWriter, r *http.Request, reqID string) {
 	out, err := s.Retrain()
 	if err != nil {
 		s.fail(w, reqID, statusOf(err, http.StatusInternalServerError), err)
@@ -255,13 +245,7 @@ func (s *Server) handleModelzRetrain(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, out)
 }
 
-func (s *Server) handleModelzFeedback(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodGet {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("GET /modelz/feedback"))
-		return
-	}
+func (s *Server) handleModelzFeedback(w http.ResponseWriter, r *http.Request, reqID string) {
 	if s.Feedback == nil {
 		s.fail(w, reqID, http.StatusConflict, errors.New("service: no feedback buffer configured"))
 		return

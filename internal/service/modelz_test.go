@@ -442,24 +442,30 @@ func addCacheAndRetrainer(t *testing.T, s *service.Server) {
 	}
 }
 
-// retrainLoopTick runs the background loop for one tick: Retrainer.Run with
-// the step roboptd gives it, stopped by the step itself.
+// retrainLoopTick runs the background loop roboptd starts until one attempt
+// has trained, and reports that attempt the way the retrainer counted it.
 func retrainLoopTick(t *testing.T, s *service.Server) registry.Outcome {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var out registry.Outcome
-	var ticks int
-	s.Retrainer.Interval = time.Millisecond
-	s.Retrainer.Run(ctx, func() (registry.Outcome, error) {
-		defer cancel()
-		o, err := s.Retrain()
-		if ticks++; ticks == 1 {
-			out = o
+	counters := func() map[string]int64 { return s.Metrics().Snapshot().Counters }
+	before := counters()
+	done, err := s.StartRetrainLoop(ctx, time.Millisecond)
+	if err != nil {
+		t.Fatalf("StartRetrainLoop: %v", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); counters()["retrain_total"] == before["retrain_total"]; {
+		if time.Now().After(deadline) {
+			t.Fatal("the retrain loop never trained")
 		}
-		return o, err
-	})
-	return out
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	if counters()["retrain_promoted_total"] == before["retrain_promoted_total"] {
+		return registry.Outcome{}
+	}
+	return registry.Outcome{Promoted: true, Reason: "promoted", Version: s.Provider.Get().Version()}
 }
 
 // counter reads one counter off /metricz.

@@ -145,13 +145,7 @@ var entryBufs = sync.Pool{New: func() any { return new([]byte) }}
 // handlePeercache serves GET /peercache?fp=&version=&band= — the wire
 // endpoint of the shared cache tier (see internal/peercache for the
 // client side and the body format).
-func (s *Server) handlePeercache(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodGet {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("GET /peercache?fp=&version=&band="))
-		return
-	}
+func (s *Server) handlePeercache(w http.ResponseWriter, r *http.Request, reqID string) {
 	if s.PlanCache == nil {
 		s.fail(w, reqID, http.StatusNotFound, errors.New("service: no plan cache configured (-cache-entries)"))
 		return

@@ -25,10 +25,11 @@
 // value, trace-link reason and serving_requests_total cache label.
 //
 // lifecycle.go holds the probe endpoints (/healthz, /readyz, /statz,
-// /metricz) and the store watcher that converges a replica fleet onto the
-// same promoted model version; batch.go the slice-at-a-time endpoint. A model
+// /metricz), the store follower that converges a replica fleet onto the
+// version its store names ACTIVE, and every, the one shape of the server's
+// background loops; batch.go the slice-at-a-time endpoint. A model
 // version becomes the served one through one routine, publish (modelz.go),
-// whichever of boot, promote, reload, the watcher or a retrain asks.
+// whichever of boot, promote, reload, the follower or a retrain asks.
 //
 // # Endpoints
 //
@@ -100,9 +101,11 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,7 +136,7 @@ type Server struct {
 	Provider *registry.Provider
 	// ModelStore, when set, backs POST /modelz/reload and
 	// POST /modelz/promote with persisted artifact versions, and is what
-	// StartStoreWatcher polls for other replicas' promotions.
+	// StartStoreWatcher follows.
 	ModelStore *registry.Store
 	// Feedback, when set, receives one (plan vector, observed runtime)
 	// sample per /optimize?simulate=1 request whose simulated run succeeded
@@ -382,19 +385,38 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/statz", s.handleStatz)
 	mux.HandleFunc("/metricz", s.handleMetricz)
-	mux.HandleFunc("/modelz", s.handleModelz)
-	mux.HandleFunc("/modelz/reload", s.handleModelzReload)
-	mux.HandleFunc("/modelz/promote", s.handleModelzPromote)
-	mux.HandleFunc("/modelz/retrain", s.handleModelzRetrain)
-	mux.HandleFunc("/modelz/feedback", s.handleModelzFeedback)
-	mux.HandleFunc("/tracez", s.handleTracez)
-	mux.HandleFunc("/sloz", s.handleSloz)
-	mux.HandleFunc("/fleetz", s.handleFleetz)
-	mux.HandleFunc("/cachez", s.handleCachez)
-	mux.HandleFunc("/cachez/purge", s.handleCachezPurge)
-	mux.HandleFunc("/peercache", s.handlePeercache)
+	s.admin(mux, "GET /modelz", s.handleModelz)
+	s.admin(mux, "POST /modelz/reload", s.handleModelzReload)
+	s.admin(mux, "POST /modelz/promote?version=vN", s.handleModelzPromote)
+	s.admin(mux, "POST /modelz/retrain", s.handleModelzRetrain)
+	s.admin(mux, "GET /modelz/feedback", s.handleModelzFeedback)
+	s.admin(mux, "GET /tracez", s.handleTracez)
+	s.admin(mux, "GET /sloz", s.handleSloz)
+	s.admin(mux, "GET /fleetz", s.handleFleetz)
+	s.admin(mux, "GET /cachez", s.handleCachez)
+	s.admin(mux, "POST /cachez/purge", s.handleCachezPurge)
+	s.admin(mux, "GET /peercache?fp=&version=&band=", s.handlePeercache)
 	s.registerPprof(mux)
 	return mux
+}
+
+// admin mounts h at usage's path ("POST /modelz/promote?version=vN" is the
+// method, the path and a hint of the query) behind the prologue the admin
+// endpoints share: mint the request ID, send it as X-Request-Id, and answer
+// any other method with a 405 whose error is usage. The path goes to the mux
+// bare, so the 405 is this package's ErrorResponse and not the mux's text.
+func (s *Server) admin(mux *http.ServeMux, usage string, h func(w http.ResponseWriter, r *http.Request, reqID string)) {
+	method, target, _ := strings.Cut(usage, " ")
+	path, _, _ := strings.Cut(target, "?")
+	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+		reqID := s.nextReqID()
+		w.Header().Set("X-Request-Id", reqID)
+		if r.Method != method {
+			s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New(usage))
+			return
+		}
+		h(w, r, reqID)
+	})
 }
 
 func (s *Server) maxBody() int64 {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"net/http"
 
 	"repro/internal/obs"
@@ -23,13 +22,7 @@ type SlozResponse struct {
 	obs.SLOSnapshot
 }
 
-func (s *Server) handleSloz(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodGet {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("GET /sloz"))
-		return
-	}
+func (s *Server) handleSloz(w http.ResponseWriter, r *http.Request, reqID string) {
 	resp := SlozResponse{Enabled: s.SLO != nil}
 	if s.SLO != nil {
 		resp.SLOSnapshot = s.SLO.Snapshot()

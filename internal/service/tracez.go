@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -35,13 +34,7 @@ type TracezResponse struct {
 	Traces []obs.TraceSnapshot `json:"traces"`
 }
 
-func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request) {
-	reqID := s.nextReqID()
-	w.Header().Set("X-Request-Id", reqID)
-	if r.Method != http.MethodGet {
-		s.fail(w, reqID, http.StatusMethodNotAllowed, errors.New("GET /tracez"))
-		return
-	}
+func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request, reqID string) {
 	if id := r.URL.Query().Get("id"); id != "" {
 		tr := s.Tracer.Get(id)
 		if tr == nil {

@@ -17,7 +17,6 @@ import (
 
 // GB and related sizes express dataset sizes in bytes.
 const (
-	KB = 1e3
 	MB = 1e6
 	GB = 1e9
 	TB = 1e12
