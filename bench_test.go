@@ -1,280 +1,18 @@
 package robopt
 
-// Benchmarks: one per table and figure of the paper's evaluation, plus the
-// ablations called out in DESIGN.md. Each benchmark measures the core
-// operation behind the corresponding experiment; the cmd/benchharness binary
-// prints the full row sets in the paper's format.
-//
-// Model training is shared across benchmarks (Quick mode keeps -bench runs
-// in seconds; benchharness without -quick uses the full configuration).
+// Benchmarks: the ablations called out in DESIGN.md that no table of the
+// paper's evaluation reports. The tables and figures themselves, latency
+// medians included, come from cmd/benchharness (internal/experiments.All).
 
 import (
-	"context"
-	"sync"
+	"strconv"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/mlmodel"
 	"repro/internal/platform"
 	"repro/internal/simulator"
 	"repro/internal/tdgen"
-	"repro/internal/workload"
 )
-
-var (
-	benchOnce sync.Once
-	benchH    *experiments.Harness
-)
-
-func benchHarness(b *testing.B) *experiments.Harness {
-	b.Helper()
-	benchOnce.Do(func() {
-		benchH = experiments.NewHarness()
-		benchH.Quick = true
-	})
-	return benchH
-}
-
-func benchModel(b *testing.B, nPlats int) (mlmodel.Model, []platform.ID, *platform.Availability) {
-	b.Helper()
-	plats := platform.Subset(nPlats)
-	avail := platform.UniformAvailability(nPlats)
-	m, err := benchHarness(b).Model(plats, avail)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m, plats, avail
-}
-
-// BenchmarkFigure1 measures the two enumeration styles of Figure 1 on the
-// TPC-H Q3 plan over two platforms: vector-based (Robopt) vs traditional
-// object enumeration with per-call vectorization (Rheem-ML).
-func BenchmarkFigure1(b *testing.B) {
-	h := benchHarness(b)
-	_, plats, avail := benchModel(b, 2)
-	l := workload.Join(10 * workload.GB)
-	b.Run("VectorBased", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := h.RoboptOptimize(l, plats, avail); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Traditional", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := h.RheemMLOptimize(l, plats, avail); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFigure2 measures the single-platform choice under the two cost
-// model tunings (the decision Figure 2 evaluates).
-func BenchmarkFigure2(b *testing.B) {
-	h := benchHarness(b)
-	l := workload.Aggregate(200 * workload.GB)
-	avail := platform.DefaultAvailability()
-	cands := []platform.ID{platform.Java, platform.Spark, platform.Flink}
-	well := experiments.CostSingleScore(h.WellTuned())
-	simply := experiments.CostSingleScore(h.SimplyTuned())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SinglePlatformChoice(l, cands, avail, well); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.SinglePlatformChoice(l, cands, avail, simply); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1 measures the pruned priority enumeration for the Table I
-// grid corners.
-func BenchmarkTable1(b *testing.B) {
-	for _, cfg := range []struct {
-		ops, plats int
-	}{{5, 2}, {5, 5}, {20, 2}, {20, 5}} {
-		m, plats, avail := benchModel(b, cfg.plats)
-		l := workload.Pipeline(cfg.ops, workload.GB)
-		ctx, err := core.NewContext(l, plats, avail)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(byOpsPlats(cfg.ops, cfg.plats), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ctx.Optimize(context.Background(), m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func byOpsPlats(ops, plats int) string {
-	return "ops=" + itoa(ops) + "/plats=" + itoa(plats)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkFigure8 measures the degree-5 piecewise interpolation TDGen uses
-// for log generation.
-func BenchmarkFigure8(b *testing.B) {
-	xs := []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	ys := []float64{1, 3, 9, 25, 70, 150, 330, 700, 1500, 3200}
-	in, err := tdgen.NewInterpolator(xs, ys)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in.At(float64(i%512) + 0.5)
-	}
-}
-
-// BenchmarkFigure9 measures the optimization latency of each optimizer at
-// the Figure 9 grid corners (operators x platforms).
-func BenchmarkFigure9(b *testing.B) {
-	h := benchHarness(b)
-	for _, cfg := range []struct {
-		ops, plats int
-	}{{5, 2}, {20, 2}, {80, 2}, {20, 5}, {80, 5}} {
-		m, plats, avail := benchModel(b, cfg.plats)
-		l := workload.Pipeline(cfg.ops, 10*workload.GB)
-		name := byOpsPlats(cfg.ops, cfg.plats)
-		b.Run("Robopt/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := h.RoboptOptimize(l, plats, avail); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("Rheemix/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := h.RheemixOptimize(l, plats, avail); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("RheemML/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := h.RheemMLOptimize(l, plats, avail); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if cfg.ops == 5 {
-			ctx, err := core.NewContext(l, plats, avail)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run("Exhaustive/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := ctx.OptimizeExhaustive(context.Background(), m, 0); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFigure10 measures the enumeration orders on join trees (Figure 10)
-// and doubles as the priority ablation.
-func BenchmarkFigure10(b *testing.B) {
-	m, plats, avail := benchModel(b, 3)
-	for _, joins := range []int{2, 5} {
-		l := workload.JoinTree(joins, 10*workload.GB)
-		ctx, err := core.NewContext(l, plats, avail)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, order := range []core.OrderPolicy{core.OrderPriority, core.OrderTopDown, core.OrderBottomUp} {
-			b.Run(order.String()+"/joins="+itoa(joins), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, order); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFigure11 measures the single-platform mode decision for a
-// representative query of the Figure 11 grid.
-func BenchmarkFigure11(b *testing.B) {
-	h := benchHarness(b)
-	plats := platform.All()
-	avail := platform.DefaultAvailability()
-	l := workload.WordCount(3 * workload.GB)
-	score, err := h.RoboptSingleScore(l, plats, avail)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cands := []platform.ID{platform.Java, platform.Spark, platform.Flink}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.SinglePlatformChoice(l, cands, avail, score); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure12 measures the full multi-platform optimization of the
-// iterative queries of Figure 12.
-func BenchmarkFigure12(b *testing.B) {
-	h := benchHarness(b)
-	plats := platform.All()
-	avail := platform.DefaultAvailability()
-	for _, cs := range []struct {
-		name string
-		l    *Plan
-	}{
-		{"Kmeans", workload.Kmeans(workload.GB, workload.DefaultKmeans)},
-		{"SGD", workload.SGD(7.4*workload.GB, workload.DefaultSGD)},
-		{"CrocoPR", workload.CrocoPR(2*workload.GB, workload.DefaultCrocoPR)},
-	} {
-		b.Run(cs.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := h.RoboptOptimize(cs.l, plats, avail); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFigure13 measures optimization under the Postgres-residency
-// constraint of Figure 13.
-func BenchmarkFigure13(b *testing.B) {
-	h := benchHarness(b)
-	plats := platform.All()
-	avail := platform.DefaultAvailability().Only(platform.TableSource, platform.Postgres)
-	l := workload.Join(10 * workload.GB)
-	if _, err := h.RoboptOptimize(l, plats, avail); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.RoboptOptimize(l, plats, avail); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkAblationModel compares the prediction cost of the three model
 // families the paper tried (random forest, linear regression, MLP).
@@ -333,7 +71,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 			Avail:             platform.UniformAvailability(3),
 			Seed:              4,
 		}
-		b.Run("beta="+itoa(beta), func(b *testing.B) {
+		b.Run("beta="+strconv.Itoa(beta), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := tdgen.New(cfg, cluster).Generate(); err != nil {
 					b.Fatal(err)

@@ -1,22 +1,21 @@
 // Command benchharness regenerates the tables and figures of the paper's
-// evaluation (Section VII) and prints them as text tables in the paper's
-// format. Use -exp to select experiments:
+// evaluation (Section VII) and prints them as aligned text tables on stdout
+// (timings go to stderr, so the deterministic experiments print the same
+// bytes every run). Use -exp to select experiments; -h lists their ids:
 //
 //	benchharness -exp all
 //	benchharness -exp fig1,table1,fig9a
 //	benchharness -quick -exp fig11     # fast, lower-quality model
-//
-// Experiment ids: fig1, fig2, fig8, fig9a, fig9b, fig9c, fig9d, fig10,
-// fig11, fig12, fig13, table1, table2, table3.
+//	benchharness -exp all -csv out     # also one CSV per experiment
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -27,166 +26,65 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchharness: ")
+	all := experiments.All()
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.ID
+	}
 	var (
-		expFlag = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		expFlag = flag.String("exp", "all", "comma-separated experiment ids, or 'all': "+strings.Join(ids, ", "))
 		quick   = flag.Bool("quick", false, "train a small model (fast, less faithful)")
-		csvDir  = flag.String("csv", "", "also write each experiment's rows as CSV into this directory")
+		csvDir  = flag.String("csv", "", "also write each experiment's table as <id>.csv into this directory")
 		workers = flag.Int("workers", 0, "enumeration parallelism for the Robopt runs (0 = all CPUs; results are worker-count invariant)")
 	)
 	flag.Parse()
 
+	want := ids
+	if *expFlag != "all" {
+		want = strings.Split(*expFlag, ",")
+		for i, id := range want {
+			want[i] = strings.TrimSpace(id)
+			if !slices.Contains(ids, want[i]) {
+				log.Fatalf("unknown experiment %q (have %s)", want[i], strings.Join(ids, ", "))
+			}
+		}
+	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			log.Fatal(err)
+		}
+	}
+
 	h := experiments.NewHarness()
 	h.Quick = *quick
 	h.Workers = core.ResolveWorkers(*workers)
-
-	type experiment struct {
-		id  string
-		run func() (string, func(io.Writer) error, error)
-	}
-	all := []experiment{
-		{"table2", func() (string, func(io.Writer) error, error) {
-			rows := experiments.Table2()
-			return experiments.RenderTable2(rows), nil, nil
-		}},
-		{"fig1", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure1()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig1(rows), func(w io.Writer) error { return experiments.Fig1CSV(w, rows) }, nil
-		}},
-		{"fig2", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure2()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig2(rows), func(w io.Writer) error { return experiments.Fig2CSV(w, rows) }, nil
-		}},
-		{"table1", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Table1()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderTable1(rows), func(w io.Writer) error { return experiments.Table1CSV(w, rows) }, nil
-		}},
-		{"fig8", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure8()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig8(rows), func(w io.Writer) error { return experiments.Fig8CSV(w, rows) }, nil
-		}},
-		{"fig9a", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure9a()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig9("Figure 9a: latency vs #operators (2 platforms)", rows),
-				func(w io.Writer) error { return experiments.Fig9CSV(w, rows) }, nil
-		}},
-		{"fig9b", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure9bcd(5)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig9("Figure 9b: latency vs #platforms (5 operators)", rows),
-				func(w io.Writer) error { return experiments.Fig9CSV(w, rows) }, nil
-		}},
-		{"fig9c", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure9bcd(20)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig9("Figure 9c: latency vs #platforms (20 operators)", rows),
-				func(w io.Writer) error { return experiments.Fig9CSV(w, rows) }, nil
-		}},
-		{"fig9d", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure9bcd(80)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig9("Figure 9d: latency vs #platforms (80 operators)", rows),
-				func(w io.Writer) error { return experiments.Fig9CSV(w, rows) }, nil
-		}},
-		{"fig10", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure10()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig10(rows), func(w io.Writer) error { return experiments.Fig10CSV(w, rows) }, nil
-		}},
-		{"fig11", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure11()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig11(rows), func(w io.Writer) error { return experiments.Fig11CSV(w, rows) }, nil
-		}},
-		{"table3", func() (string, func(io.Writer) error, error) {
-			points, err := h.Figure11()
-			if err != nil {
-				return "", nil, err
-			}
-			rows := h.Table3(points)
-			return experiments.RenderTable3(rows), func(w io.Writer) error { return experiments.Table3CSV(w, rows) }, nil
-		}},
-		{"fig12", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure12()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig12(rows), func(w io.Writer) error { return experiments.Fig12CSV(w, rows) }, nil
-		}},
-		{"fig13", func() (string, func(io.Writer) error, error) {
-			rows, err := h.Figure13()
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.RenderFig13(rows), func(w io.Writer) error { return experiments.Fig13CSV(w, rows) }, nil
-		}},
-	}
-
-	want := map[string]bool{}
-	if *expFlag != "all" {
-		for _, id := range strings.Split(*expFlag, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-		known := map[string]bool{}
-		for _, e := range all {
-			known[e.id] = true
-		}
-		for id := range want {
-			if !known[id] {
-				log.Fatalf("unknown experiment %q", id)
-			}
-		}
-	}
-
 	for _, e := range all {
-		if *expFlag != "all" && !want[e.id] {
+		if !slices.Contains(want, e.ID) {
 			continue
 		}
 		start := time.Now()
-		out, csvWrite, err := e.run()
+		t, err := e.Run(h)
 		if err != nil {
-			log.Fatalf("%s: %v", e.id, err)
+			log.Fatalf("%s: %v", e.ID, err)
 		}
-		fmt.Printf("### %s (generated in %v)\n%s\n", e.id, time.Since(start).Round(time.Millisecond), out)
-		if *csvDir != "" && csvWrite != nil {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				log.Fatal(err)
-			}
-			f, err := os.Create(filepath.Join(*csvDir, e.id+".csv"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			err = csvWrite(f)
-			if closeErr := f.Close(); err == nil {
-				err = closeErr
-			}
-			if err != nil {
-				log.Fatalf("%s: writing CSV: %v", e.id, err)
-			}
+		log.Printf("%s generated in %v", e.ID, time.Since(start).Round(time.Millisecond))
+		if err := t.WriteText(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println()
+		if *csvDir == "" {
+			continue
+		}
+		f, err := os.Create(filepath.Join(*csvDir, e.ID+".csv"))
+		if err != nil {
+			log.Fatal(err)
+		}
+		err = t.WriteCSV(f)
+		if closeErr := f.Close(); err == nil {
+			err = closeErr
+		}
+		if err != nil {
+			log.Fatalf("%s: writing CSV: %v", e.ID, err)
 		}
 	}
 }

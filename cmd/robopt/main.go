@@ -266,19 +266,17 @@ func main() {
 		if *explain != "" {
 			logger.Warn("-explain only applies to -mode multi; ignoring")
 		}
-		score, err := scoreFn(h, l, plats, avail, model)
+		ctx, err := core.NewContext(l, plats, avail)
 		if err != nil {
 			log.Fatal(err)
 		}
-		p, err := experiments.SinglePlatformChoice(l, plats, avail, score)
+		p, err := experiments.SinglePlatformChoice(l, plats, avail, func(x *plan.Execution) (float64, error) {
+			return ctx.PredictAssignment(model, x.Assign)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		assign := make([]platform.ID, l.NumOps())
-		for i := range assign {
-			assign[i] = p
-		}
-		if x, err = plan.NewExecution(l, assign); err != nil {
+		if x, err = plan.AllOn(l, p, avail); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("chosen platform: %s\n", p)
@@ -300,22 +298,4 @@ func main() {
 		r := simulator.Default().Run(x)
 		fmt.Printf("simulated runtime: %s\n", r.Label())
 	}
-}
-
-func scoreFn(h *experiments.Harness, l *plan.Logical, plats []platform.ID, avail *platform.Availability, model mlmodel.Model) (func(*plan.Execution) (float64, error), error) {
-	ctx, err := core.NewContext(l, plats, avail)
-	if err != nil {
-		return nil, err
-	}
-	return func(x *plan.Execution) (float64, error) {
-		assign := make([]uint8, len(x.Assign))
-		for i, p := range x.Assign {
-			pi := ctx.Schema.PlatIndex(p)
-			if pi < 0 {
-				return 0, fmt.Errorf("platform %s not in schema", p)
-			}
-			assign[i] = uint8(pi)
-		}
-		return model.Predict(ctx.VectorizeExecution(assign).F), nil
-	}, nil
 }

@@ -616,3 +616,21 @@ func (c *Context) VectorizeExecution(assign []uint8) *Vector {
 	v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
 	return v
 }
+
+// PredictAssignment returns m's runtime estimate for an explicit platform
+// assignment of the plan (one platform per operator, in ID order): platform
+// IDs to schema columns, VectorizeExecution, Predict.
+func (c *Context) PredictAssignment(m CostModel, assign []platform.ID) (float64, error) {
+	if len(assign) != c.Plan.NumOps() {
+		return 0, fmt.Errorf("assignment covers %d of %d operators", len(assign), c.Plan.NumOps())
+	}
+	cols := make([]uint8, len(assign))
+	for i, p := range assign {
+		pi := c.Schema.PlatIndex(p)
+		if pi < 0 {
+			return 0, fmt.Errorf("platform %s not in the optimizer's universe", p)
+		}
+		cols[i] = uint8(pi)
+	}
+	return m.Predict(c.VectorizeExecution(cols).F), nil
+}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
+	"strconv"
 
 	"repro/internal/plan"
 	"repro/internal/platform"
@@ -14,6 +14,15 @@ import (
 // singleModePlatforms are the execution platforms compared in the
 // single-platform experiments (the bars of Figure 11).
 var singleModePlatforms = []platform.ID{platform.Java, platform.Spark, platform.Flink}
+
+// perPlatform returns pre, one cell per single-mode platform, then post: the
+// column layout Figures 11 and 12 share.
+func perPlatform(cell func(platform.ID) string, pre []string, post ...string) []string {
+	for _, p := range singleModePlatforms {
+		pre = append(pre, cell(p))
+	}
+	return append(pre, post...)
+}
 
 // Fig2Row is one query of Figure 2: simulated runtime of the plan chosen by
 // the well-tuned vs. the simply-tuned cost model.
@@ -38,19 +47,17 @@ func (h *Harness) Figure2() ([]Fig2Row, error) {
 		{"Aggregate", "200GB input", workload.Aggregate(200 * workload.GB)},
 		{"CrocoPR", "2GB input", workload.CrocoPR(2*workload.GB, workload.DefaultCrocoPR)},
 	}
-	plats := platform.All()
 	avail := platform.DefaultAvailability()
 	var rows []Fig2Row
 	for _, cs := range cases {
-		well, err := SinglePlatformChoice(cs.l, singleModePlatforms, avail, CostSingleScore(h.WellTuned()))
+		well, err := SinglePlatformChoice(cs.l, singleModePlatforms, avail, costSingleScore(h.WellTuned()))
 		if err != nil {
 			return nil, err
 		}
-		simply, err := SinglePlatformChoice(cs.l, singleModePlatforms, avail, CostSingleScore(h.SimplyTuned()))
+		simply, err := SinglePlatformChoice(cs.l, singleModePlatforms, avail, costSingleScore(h.SimplyTuned()))
 		if err != nil {
 			return nil, err
 		}
-		_ = plats
 		rw, err := h.Cluster.RunAllOn(cs.l, well, avail)
 		if err != nil {
 			return nil, err
@@ -69,30 +76,17 @@ func (h *Harness) Figure2() ([]Fig2Row, error) {
 	return rows, nil
 }
 
-// RenderFig2 prints Figure 2.
-func RenderFig2(rows []Fig2Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 2: Impact of a well-tuned cost model (single-platform choice)\n")
-	sb.WriteString("query       input         well-tuned            simply-tuned\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-11s %-12s  %-20s  %-20s\n", r.Query, r.Input, r.WellLabel, r.SimplyLabel)
-	}
-	return sb.String()
+func fig2Table(rows []Fig2Row) *Table {
+	return tabulate(rows, []string{"query", "input", "well-tuned", "simply-tuned"}, func(r Fig2Row) []string {
+		return []string{r.Query, r.Input, r.WellLabel, r.SimplyLabel}
+	})
 }
 
-// Table2 returns the query/dataset inventory (Table II).
-func Table2() []workload.Query { return workload.Catalog() }
-
-// RenderTable2 prints Table II.
-func RenderTable2(rows []workload.Query) string {
-	var sb strings.Builder
-	sb.WriteString("Table II: Real queries and datasets\n")
-	sb.WriteString("query       description                  #operators  dataset (size)\n")
-	for _, q := range rows {
-		fmt.Fprintf(&sb, "%-11s %-28s %10d  %s (%s - %s)\n",
-			q.Name, q.Description, q.Operators, q.Dataset, fmtBytes(q.MinBytes), fmtBytes(q.MaxBytes))
-	}
-	return sb.String()
+func table2Table(rows []workload.Query) *Table {
+	return tabulate(rows, []string{"query", "description", "#operators", "dataset (size)"}, func(q workload.Query) []string {
+		return []string{q.Name, q.Description, strconv.Itoa(q.Operators),
+			fmt.Sprintf("%s (%s - %s)", q.Dataset, fmtBytes(q.MinBytes), fmtBytes(q.MaxBytes))}
+	})
 }
 
 func fmtBytes(b float64) string {
@@ -136,8 +130,14 @@ type Fig11Point struct {
 }
 
 // Figure11 reproduces the single-platform execution mode experiment for all
-// Table II queries.
+// Table II queries. The grid runs once per harness: Table III is derived from
+// the same points.
 func (h *Harness) Figure11() ([]Fig11Point, error) {
+	h.fig11.once.Do(func() { h.fig11.points, h.fig11.err = h.figure11() })
+	return h.fig11.points, h.fig11.err
+}
+
+func (h *Harness) figure11() ([]Fig11Point, error) {
 	avail := platform.DefaultAvailability()
 	plats := platform.All()
 	var points []Fig11Point
@@ -165,7 +165,7 @@ func (h *Harness) Figure11() ([]Fig11Point, error) {
 				}
 			}
 			var err error
-			pt.Rheemix, err = SinglePlatformChoice(l, singleModePlatforms, avail, CostSingleScore(h.WellTuned()))
+			pt.Rheemix, err = SinglePlatformChoice(l, singleModePlatforms, avail, costSingleScore(h.WellTuned()))
 			if err != nil {
 				return nil, err
 			}
@@ -183,21 +183,16 @@ func (h *Harness) Figure11() ([]Fig11Point, error) {
 	return points, nil
 }
 
-// RenderFig11 prints the Figure 11 grid.
-func RenderFig11(points []Fig11Point) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 11: Single-platform execution mode\n")
-	sb.WriteString("query       size        Java            Spark           Flink           rheemix   robopt    fastest\n")
+// fig11Table tabulates the grid; its note is the fastest-platform hit rate
+// reported in Section VII-C1 (84% vs 43%).
+func fig11Table(points []Fig11Point) *Table {
+	columns := perPlatform(platform.ID.String, []string{"query", "size"}, "rheemix", "robopt", "fastest")
+	t := tabulate(points, columns, func(pt Fig11Point) []string {
+		return perPlatform(func(p platform.ID) string { return pt.Labels[p] }, []string{pt.Query, fmtBytes(pt.Bytes)},
+			pt.Rheemix.String(), pt.Robopt.String(), pt.Fastest.String())
+	})
+	rx, rb := 0, 0
 	for _, pt := range points {
-		fmt.Fprintf(&sb, "%-11s %-10s  %-14s  %-14s  %-14s  %-8s  %-8s  %-8s\n",
-			pt.Query, fmtBytes(pt.Bytes),
-			pt.Labels[platform.Java], pt.Labels[platform.Spark], pt.Labels[platform.Flink],
-			pt.Rheemix, pt.Robopt, pt.Fastest)
-	}
-	// Success rates, as reported in Section VII-C1 (84% vs 43%).
-	total, rx, rb := 0, 0, 0
-	for _, pt := range points {
-		total++
 		if pt.Rheemix == pt.Fastest {
 			rx++
 		}
@@ -205,9 +200,10 @@ func RenderFig11(points []Fig11Point) string {
 			rb++
 		}
 	}
-	fmt.Fprintf(&sb, "fastest-platform hit rate: robopt %d/%d (%.0f%%), rheemix %d/%d (%.0f%%)\n",
-		rb, total, 100*float64(rb)/float64(total), rx, total, 100*float64(rx)/float64(total))
-	return sb.String()
+	total := float64(len(points))
+	t.Notes = []string{fmt.Sprintf("fastest-platform hit rate: robopt %d/%d (%.0f%%), rheemix %d/%d (%.0f%%)",
+		rb, len(points), 100*float64(rb)/total, rx, len(points), 100*float64(rx)/total)}
+	return t
 }
 
 // Table3Row summarizes Figure 11 per query: max and average runtime
@@ -261,16 +257,11 @@ func (h *Harness) Table3(points []Fig11Point) []Table3Row {
 	return rows
 }
 
-// RenderTable3 prints Table III.
-func RenderTable3(rows []Table3Row) string {
-	var sb strings.Builder
-	sb.WriteString("Table III: Runtime difference from the optimal platform (seconds)\n")
-	sb.WriteString("query        rheemix max  rheemix avg  robopt max  robopt avg\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-12s %11.1f  %11.1f  %10.1f  %10.1f\n",
-			r.Query, r.RheemixMax, r.RheemixAvg, r.RoboptMax, r.RoboptAvg)
-	}
-	return sb.String()
+func table3Table(rows []Table3Row) *Table {
+	sec := func(v float64) string { return fmt.Sprintf("%.1f", v) }
+	return tabulate(rows, []string{"query", "rheemix max", "rheemix avg", "robopt max", "robopt avg"}, func(r Table3Row) []string {
+		return []string{r.Query, sec(r.RheemixMax), sec(r.RheemixAvg), sec(r.RoboptMax), sec(r.RoboptAvg)}
+	})
 }
 
 // Fig12Row is one configuration of the multi-platform experiment: the
@@ -349,18 +340,11 @@ func (h *Harness) Figure12() ([]Fig12Row, error) {
 	return rows, nil
 }
 
-// RenderFig12 prints Figure 12.
-func RenderFig12(rows []Fig12Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 12: Multiple-platform execution mode\n")
-	sb.WriteString("query         param             Java         Spark        Flink        rheemix                     robopt\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-13s %-16s  %-11s  %-11s  %-11s  %-26s  %s\n",
-			r.Query, r.Param,
-			r.Single[platform.Java], r.Single[platform.Spark], r.Single[platform.Flink],
-			r.RheemixLb, r.RoboptLb)
-	}
-	return sb.String()
+func fig12Table(rows []Fig12Row) *Table {
+	columns := perPlatform(platform.ID.String, []string{"query", "param"}, "rheemix", "robopt")
+	return tabulate(rows, columns, func(r Fig12Row) []string {
+		return perPlatform(func(p platform.ID) string { return r.Single[p] }, []string{r.Query, r.Param}, r.RheemixLb, r.RoboptLb)
+	})
 }
 
 // Fig13Row is one dataset size of the Postgres-resident Join experiment.
@@ -405,15 +389,10 @@ func (h *Harness) Figure13() ([]Fig13Row, error) {
 	return rows, nil
 }
 
-// RenderFig13 prints Figure 13.
-func RenderFig13(rows []Fig13Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 13: Join query with data resident in Postgres\n")
-	sb.WriteString("size     postgres      rheemix                      robopt\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8s %-12s  %-27s  %s\n", fmtBytes(r.Bytes), r.PostgresRT, r.RheemixLb, r.RoboptLb)
-	}
-	return sb.String()
+func fig13Table(rows []Fig13Row) *Table {
+	return tabulate(rows, []string{"size", "postgres", "rheemix", "robopt"}, func(r Fig13Row) []string {
+		return []string{fmtBytes(r.Bytes), r.PostgresRT, r.RheemixLb, r.RoboptLb}
+	})
 }
 
 // Fig8Row is one cardinality of the interpolation demonstration (Figure 8).
@@ -462,19 +441,14 @@ func (h *Harness) Figure8() ([]Fig8Row, error) {
 	return rows, nil
 }
 
-// RenderFig8 prints Figure 8.
-func RenderFig8(rows []Fig8Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 8: Interpolation to predict job runtimes\n")
-	sb.WriteString("cardinality    actual(s)  interpolated(s)  training-point\n")
-	for _, r := range rows {
+func fig8Table(rows []Fig8Row) *Table {
+	return tabulate(rows, []string{"cardinality", "actual(s)", "interpolated(s)", "training-point"}, func(r Fig8Row) []string {
 		mark := ""
 		if r.TrainingPt {
 			mark = "*"
 		}
-		fmt.Fprintf(&sb, "%11.3g  %9.2f  %15.2f  %s\n", r.Cardinality, r.Actual, r.Interpolated, mark)
-	}
-	return sb.String()
+		return []string{fmt.Sprintf("%.3g", r.Cardinality), fmt.Sprintf("%.2f", r.Actual), fmt.Sprintf("%.2f", r.Interpolated), mark}
+	})
 }
 
 // newLogInterp builds a log-log degree-5 interpolator over pre-transformed

@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -67,16 +67,18 @@ func (h *Harness) Figure1() ([]Fig1Row, error) {
 	return rows, nil
 }
 
-// RenderFig1 prints Figure 1 in the paper's style.
-func RenderFig1(rows []Fig1Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 1: Benefit of using vectors in the plan enumeration (2 platforms)\n")
-	sb.WriteString("task            #ops  traditional(ms)  vector-based(ms)  improvement\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-15s %4d  %15.2f  %16.2f  %10.1fx\n",
-			r.Task, r.Operators, r.TraditionalMs, r.VectorMs, r.Factor)
+// ms formats a latency cell; a negative value marks an arm that was not run.
+func ms(v float64) string {
+	if v < 0 {
+		return "-"
 	}
-	return sb.String()
+	return fmt.Sprintf("%.2f", v)
+}
+
+func fig1Table(rows []Fig1Row) *Table {
+	return tabulate(rows, []string{"task", "#ops", "traditional(ms)", "vector-based(ms)", "improvement"}, func(r Fig1Row) []string {
+		return []string{r.Task, strconv.Itoa(r.Operators), ms(r.TraditionalMs), ms(r.VectorMs), fmt.Sprintf("%.1fx", r.Factor)}
+	})
 }
 
 // Table1Row is one column pair of Table I: the number of enumerated subplans
@@ -129,19 +131,14 @@ func (h *Harness) Table1() ([]Table1Row, error) {
 	return rows, nil
 }
 
-// RenderTable1 prints Table I.
-func RenderTable1(rows []Table1Row) string {
-	var sb strings.Builder
-	sb.WriteString("Table I: Number of enumerated subplans\n")
-	sb.WriteString("(#ops,#plats)  w pruning  w/o pruning\n")
-	for _, r := range rows {
+func table1Table(rows []Table1Row) *Table {
+	return tabulate(rows, []string{"(#ops,#plats)", "w pruning", "w/o pruning"}, func(r Table1Row) []string {
 		wo := fmt.Sprintf("%.0f", r.WithoutPruning)
 		if !r.Measured {
 			wo = fmt.Sprintf("%.0e (search space)", r.WithoutPruning)
 		}
-		fmt.Fprintf(&sb, "(%d,%d)%9s%11d  %s\n", r.Operators, r.Platforms, "", r.WithPruning, wo)
-	}
-	return sb.String()
+		return []string{fmt.Sprintf("(%d,%d)", r.Operators, r.Platforms), strconv.Itoa(r.WithPruning), wo}
+	})
 }
 
 // Fig9Row is one point of Figure 9: optimization latency of each optimizer.
@@ -155,46 +152,13 @@ type Fig9Row struct {
 }
 
 // Figure9a measures optimization latency for increasing operator counts on
-// two platforms: exhaustive vectorized enumeration, RHEEMix, Rheem-ML, and
-// Robopt (Figure 9a).
+// two platforms: exhaustive vectorized enumeration (up to 12 operators),
+// RHEEMix, Rheem-ML, and Robopt (Figure 9a).
 func (h *Harness) Figure9a() ([]Fig9Row, error) {
-	plats := platform.Subset(2)
-	avail := platform.UniformAvailability(2)
-	m := h.LatencyModel(plats)
 	var rows []Fig9Row
 	for _, nOps := range []int{5, 20, 40, 80} {
-		l := workload.Pipeline(nOps, 10*workload.GB)
-		row := Fig9Row{Operators: nOps, Platforms: 2, ExhaustiveMs: -1}
-		var err error
-		if nOps <= 12 {
-			ctx, err := core.NewContext(l, plats, avail)
-			if err != nil {
-				return nil, err
-			}
-			row.ExhaustiveMs, err = timeIt(reps, func() error {
-				_, err := ctx.OptimizeExhaustive(context.Background(), m, 0)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if row.RheemixMs, err = timeIt(reps, func() error {
-			_, err := h.RheemixOptimize(l, plats, avail)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if row.RheemMLMs, err = timeIt(reps, func() error {
-			_, err := h.RheemMLOptimizeWith(l, plats, avail, m)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if row.RoboptMs, err = timeIt(reps, func() error {
-			_, err := h.RoboptOptimizeWith(l, plats, avail, m)
-			return err
-		}); err != nil {
+		row, err := h.fig9Row(nOps, 2, nOps <= 12, true)
+		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -208,35 +172,8 @@ func (h *Harness) Figure9a() ([]Fig9Row, error) {
 func (h *Harness) Figure9bcd(nOps int) ([]Fig9Row, error) {
 	var rows []Fig9Row
 	for k := 2; k <= 5; k++ {
-		plats := platform.Subset(k)
-		avail := platform.UniformAvailability(k)
-		l := workload.Pipeline(nOps, 10*workload.GB)
-		m := h.LatencyModel(plats)
-		var err error
-		row := Fig9Row{Operators: nOps, Platforms: k, ExhaustiveMs: -1, RheemMLMs: -1}
-		if nOps <= 6 {
-			ctx, err := core.NewContext(l, plats, avail)
-			if err != nil {
-				return nil, err
-			}
-			row.ExhaustiveMs, err = timeIt(reps, func() error {
-				_, err := ctx.OptimizeExhaustive(context.Background(), m, 0)
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		if row.RheemixMs, err = timeIt(reps, func() error {
-			_, err := h.RheemixOptimize(l, plats, avail)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if row.RoboptMs, err = timeIt(reps, func() error {
-			_, err := h.RoboptOptimizeWith(l, plats, avail, m)
-			return err
-		}); err != nil {
+		row, err := h.fig9Row(nOps, k, nOps <= 6, false)
+		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
@@ -244,22 +181,43 @@ func (h *Harness) Figure9bcd(nOps int) ([]Fig9Row, error) {
 	return rows, nil
 }
 
-// RenderFig9 prints one Figure 9 panel.
-func RenderFig9(title string, rows []Fig9Row) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s\n", title)
-	sb.WriteString("#ops  #plats  exhaustive(ms)  rheemix(ms)  rheem-ml(ms)  robopt(ms)\n")
-	ms := func(v float64) string {
-		if v < 0 {
-			return "-"
+// fig9Row times the optimizers on an nOps-operator pipeline over k platforms;
+// RHEEMix and Robopt always, the exhaustive and Rheem-ML arms on request.
+func (h *Harness) fig9Row(nOps, k int, exhaustive, rheemML bool) (Fig9Row, error) {
+	plats := platform.Subset(k)
+	avail := platform.UniformAvailability(k)
+	l := workload.Pipeline(nOps, 10*workload.GB)
+	m := h.LatencyModel(plats)
+	ctx, err := core.NewContext(l, plats, avail)
+	if err != nil {
+		return Fig9Row{}, err
+	}
+	row := Fig9Row{Operators: nOps, Platforms: k, ExhaustiveMs: -1, RheemMLMs: -1}
+	arms := []struct {
+		run bool
+		ms  *float64
+		f   func() error
+	}{
+		{exhaustive, &row.ExhaustiveMs, func() error { _, err := ctx.OptimizeExhaustive(context.Background(), m, 0); return err }},
+		{true, &row.RheemixMs, func() error { _, err := h.RheemixOptimize(l, plats, avail); return err }},
+		{rheemML, &row.RheemMLMs, func() error { _, err := h.RheemMLOptimizeWith(l, plats, avail, m); return err }},
+		{true, &row.RoboptMs, func() error { _, err := h.RoboptOptimizeWith(l, plats, avail, m); return err }},
+	}
+	for _, a := range arms {
+		if !a.run {
+			continue
 		}
-		return fmt.Sprintf("%.2f", v)
+		if *a.ms, err = timeIt(reps, a.f); err != nil {
+			return Fig9Row{}, err
+		}
 	}
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%4d  %6d  %14s  %11s  %12s  %10s\n",
-			r.Operators, r.Platforms, ms(r.ExhaustiveMs), ms(r.RheemixMs), ms(r.RheemMLMs), ms(r.RoboptMs))
-	}
-	return sb.String()
+	return row, nil
+}
+
+func fig9Table(rows []Fig9Row) *Table {
+	return tabulate(rows, []string{"#ops", "#plats", "exhaustive(ms)", "rheemix(ms)", "rheem-ml(ms)", "robopt(ms)"}, func(r Fig9Row) []string {
+		return []string{strconv.Itoa(r.Operators), strconv.Itoa(r.Platforms), ms(r.ExhaustiveMs), ms(r.RheemixMs), ms(r.RheemMLMs), ms(r.RoboptMs)}
+	})
 }
 
 // Fig10Row is one point of Figure 10: enumeration-order latency for join
@@ -313,14 +271,9 @@ func (h *Harness) Figure10() ([]Fig10Row, error) {
 	return rows, nil
 }
 
-// RenderFig10 prints Figure 10.
-func RenderFig10(rows []Fig10Row) string {
-	var sb strings.Builder
-	sb.WriteString("Figure 10: Effectiveness of priority-based enumeration (join queries)\n")
-	sb.WriteString("#joins  #plats  priority(ms)  top-down(ms)  bottom-up(ms)  vectors created (p/t/b)\n")
-	for _, r := range rows {
-		fmt.Fprintf(&sb, "%6d  %6d  %12.2f  %12.2f  %13.2f  %d/%d/%d\n",
-			r.Joins, r.Platforms, r.PriorityMs, r.TopDownMs, r.BottomUpMs, r.Vectors[0], r.Vectors[1], r.Vectors[2])
-	}
-	return sb.String()
+func fig10Table(rows []Fig10Row) *Table {
+	return tabulate(rows, []string{"#joins", "#plats", "priority(ms)", "top-down(ms)", "bottom-up(ms)", "vectors created (p/t/b)"}, func(r Fig10Row) []string {
+		return []string{strconv.Itoa(r.Joins), strconv.Itoa(r.Platforms), ms(r.PriorityMs), ms(r.TopDownMs), ms(r.BottomUpMs),
+			fmt.Sprintf("%d/%d/%d", r.Vectors[0], r.Vectors[1], r.Vectors[2])}
+	})
 }

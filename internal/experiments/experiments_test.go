@@ -29,6 +29,16 @@ func harness(t *testing.T) *experiments.Harness {
 	return hns
 }
 
+// text renders tb with the text writer.
+func text(t *testing.T, tb *experiments.Table) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := tb.WriteText(&sb); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	return sb.String()
+}
+
 // perPlan runs optimize (which reports how many plans it enumerated) and
 // returns its heap allocations and allocated bytes per enumerated plan.
 func perPlan(optimize func() int) (allocs, bytes float64) {
@@ -100,9 +110,8 @@ func TestFigure1Shape(t *testing.T) {
 			t.Errorf("%d ops: %.0f bytes per plan vector, %.0f per subplan object", l.NumOps(), vecBytes, objBytes)
 		}
 	}
-	out := experiments.RenderFig1(rows)
-	if !strings.Contains(out, "WordCount") {
-		t.Errorf("render missing rows:\n%s", out)
+	if out := text(t, experiments.Fig1Table(rows)); !strings.Contains(out, "WordCount") {
+		t.Errorf("table missing rows:\n%s", out)
 	}
 }
 
@@ -126,7 +135,7 @@ func TestFigure2Shape(t *testing.T) {
 	if worse == 0 {
 		t.Error("simply-tuned model never hurt performance — Figure 2's effect is absent")
 	}
-	_ = experiments.RenderFig2(rows)
+	_ = experiments.Fig2Table(rows)
 }
 
 func TestTable1Shape(t *testing.T) {
@@ -160,11 +169,11 @@ func TestTable1Shape(t *testing.T) {
 	if ratio := float64(k5) / float64(k2); ratio > 700 { // ~ (5/2)^4 * slack, far below exponential
 		t.Errorf("pruned enumeration is not polynomial in k: ratio %g", ratio)
 	}
-	_ = experiments.RenderTable1(rows)
+	_ = experiments.Table1Table(rows)
 }
 
 func TestTable2MatchesCatalog(t *testing.T) {
-	rows := experiments.Table2()
+	rows := workload.Catalog()
 	if len(rows) != 8 {
 		t.Fatalf("rows = %d, want 8 (Table II)", len(rows))
 	}
@@ -181,9 +190,8 @@ func TestTable2MatchesCatalog(t *testing.T) {
 			t.Errorf("%s: built plan has %d operators, catalog declares %d", q.Name, l.NumOps(), q.Operators)
 		}
 	}
-	out := experiments.RenderTable2(rows)
-	if !strings.Contains(out, "CrocoPR") {
-		t.Errorf("render missing rows:\n%s", out)
+	if out := text(t, experiments.Table2Table(rows)); !strings.Contains(out, "CrocoPR") {
+		t.Errorf("table missing rows:\n%s", out)
 	}
 }
 
@@ -207,7 +215,7 @@ func TestFigure8InterpolationTracksActual(t *testing.T) {
 			t.Errorf("card %g: imputed %g vs actual %g (>25%% off)", r.Cardinality, r.Interpolated, r.Actual)
 		}
 	}
-	_ = experiments.RenderFig8(rows)
+	_ = experiments.Fig8Table(rows)
 }
 
 func TestFigure9aShape(t *testing.T) {
@@ -225,7 +233,7 @@ func TestFigure9aShape(t *testing.T) {
 	if last.RoboptMs >= last.RheemMLMs {
 		t.Errorf("80 ops: Robopt (%.2fms) not faster than Rheem-ML (%.2fms)", last.RoboptMs, last.RheemMLMs)
 	}
-	_ = experiments.RenderFig9("9a", rows)
+	_ = experiments.Fig9Table(rows)
 }
 
 func TestFigure10Shape(t *testing.T) {
@@ -252,7 +260,7 @@ func TestFigure10Shape(t *testing.T) {
 			}
 		}
 	}
-	_ = experiments.RenderFig10(rows)
+	_ = experiments.Fig10Table(rows)
 }
 
 func TestFigure11AndTable3(t *testing.T) {
@@ -317,8 +325,8 @@ func TestFigure11AndTable3(t *testing.T) {
 	if n > 0 && dev/n > 120 {
 		t.Errorf("Robopt mean deviation on completed picks = %.1fs", dev/n)
 	}
-	_ = experiments.RenderFig11(points)
-	_ = experiments.RenderTable3(rows)
+	_ = experiments.Fig11Table(points)
+	_ = experiments.Table3Table(rows)
 }
 
 func TestFigure12Shape(t *testing.T) {
@@ -340,7 +348,7 @@ func TestFigure12Shape(t *testing.T) {
 	if wins == 0 {
 		t.Error("Robopt never clearly beat RHEEMix in multi-platform mode")
 	}
-	_ = experiments.RenderFig12(rows)
+	_ = experiments.Fig12Table(rows)
 }
 
 func TestFigure13Shape(t *testing.T) {
@@ -351,7 +359,7 @@ func TestFigure13Shape(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want 2", len(rows))
 	}
-	_ = experiments.RenderFig13(rows)
+	_ = experiments.Fig13Table(rows)
 }
 
 func TestSinglePlatformChoiceErrors(t *testing.T) {

@@ -1,12 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section VII). Each experiment is a function returning typed
-// rows plus a Render method that prints them in the paper's format; the
-// cmd/benchharness binary and the top-level benchmarks drive them.
+// evaluation (Section VII). Each experiment is a Harness method returning
+// typed rows and a function turning those rows into a Table; All lists them,
+// and cmd/benchharness prints each Table as aligned text and as CSV.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -41,6 +42,11 @@ type Harness struct {
 	wellTuned *costmodel.Model
 	simply    *costmodel.Model
 	models    map[string]mlmodel.Model
+	fig11     struct {
+		once   sync.Once
+		points []Fig11Point
+		err    error
+	}
 }
 
 // NewHarness returns a harness over the default simulated cluster.
@@ -251,12 +257,7 @@ func (h *Harness) RoboptOptimize(l *plan.Logical, plats []platform.ID, avail *pl
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := core.NewContext(l, plats, avail)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Workers = h.Workers
-	return ctx.Optimize(context.Background(), m)
+	return h.RoboptOptimizeWith(l, plats, avail, m)
 }
 
 // RheemixOptimize runs the cost-based baseline on l.
@@ -266,25 +267,6 @@ func (h *Harness) RheemixOptimize(l *plan.Logical, plats []platform.ID, avail *p
 		Avail:  avail,
 		Plats:  plats,
 		Oracle: baselines.CostOracle{Plan: l, Model: h.WellTuned()},
-	}
-	return opt.Optimize()
-}
-
-// RheemMLOptimize runs the object-enumeration + ML baseline on l.
-func (h *Harness) RheemMLOptimize(l *plan.Logical, plats []platform.ID, avail *platform.Availability) (*baselines.Result, error) {
-	m, err := h.Model(plats, avail)
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := core.NewContext(l, plats, avail)
-	if err != nil {
-		return nil, err
-	}
-	opt := &baselines.Optimizer{
-		Plan:   l,
-		Avail:  avail,
-		Plats:  plats,
-		Oracle: baselines.MLOracle{Ctx: ctx, Model: m},
 	}
 	return opt.Optimize()
 }
@@ -299,23 +281,9 @@ func SinglePlatformChoice(l *plan.Logical, candidates []platform.ID, avail *plat
 	bestScore := 0.0
 	found := false
 	for _, p := range candidates {
-		ok := true
-		for _, o := range l.Ops {
-			if !avail.Has(o.Kind, p) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		assign := make([]platform.ID, l.NumOps())
-		for i := range assign {
-			assign[i] = p
-		}
-		x, err := plan.NewExecution(l, assign)
+		x, err := plan.AllOn(l, p, avail)
 		if err != nil {
-			return 0, err
+			continue // p cannot run the whole query
 		}
 		s, err := score(x)
 		if err != nil {
@@ -342,22 +310,12 @@ func (h *Harness) RoboptSingleScore(l *plan.Logical, plats []platform.ID, avail 
 	if err != nil {
 		return nil, err
 	}
-	return func(x *plan.Execution) (float64, error) {
-		assign := make([]uint8, len(x.Assign))
-		for i, p := range x.Assign {
-			pi := ctx.Schema.PlatIndex(p)
-			if pi < 0 {
-				return 0, fmt.Errorf("experiments: platform %s not in schema", p)
-			}
-			assign[i] = uint8(pi)
-		}
-		return m.Predict(ctx.VectorizeExecution(assign).F), nil
-	}, nil
+	return func(x *plan.Execution) (float64, error) { return ctx.PredictAssignment(m, x.Assign) }, nil
 }
 
-// CostSingleScore returns a scorer that rates all-on-p plans with a linear
+// costSingleScore returns a scorer that rates all-on-p plans with a linear
 // cost model.
-func CostSingleScore(m *costmodel.Model) func(*plan.Execution) (float64, error) {
+func costSingleScore(m *costmodel.Model) func(*plan.Execution) (float64, error) {
 	return func(x *plan.Execution) (float64, error) {
 		return m.EstimateExecution(x), nil
 	}
@@ -377,10 +335,6 @@ func timeIt(reps int, f func() error) (float64, error) {
 		}
 		times = append(times, time.Since(start))
 	}
-	for i := 1; i < len(times); i++ {
-		for j := i; j > 0 && times[j] < times[j-1]; j-- {
-			times[j], times[j-1] = times[j-1], times[j]
-		}
-	}
+	slices.Sort(times)
 	return float64(times[len(times)/2].Microseconds()) / 1000, nil
 }

@@ -63,6 +63,20 @@ func NewExecution(l *Logical, assign []platform.ID) (*Execution, error) {
 	return x, nil
 }
 
+// AllOn builds the execution plan that places every operator of l on
+// platform p (the paper's single-platform execution mode). It returns an
+// error when p does not implement every operator kind in the plan.
+func AllOn(l *Logical, p platform.ID, avail *platform.Availability) (*Execution, error) {
+	assign := make([]platform.ID, len(l.Ops))
+	for i, o := range l.Ops {
+		if !avail.Has(o.Kind, p) {
+			return nil, fmt.Errorf("plan: %s does not implement %s", p, o.Kind)
+		}
+		assign[i] = p
+	}
+	return NewExecution(l, assign)
+}
+
 // Validate checks that the assignment respects the availability matrix.
 func (x *Execution) Validate(avail *platform.Availability) error {
 	for _, o := range x.Logical.Ops {

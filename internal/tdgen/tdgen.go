@@ -13,6 +13,7 @@
 package tdgen
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -473,22 +474,10 @@ func (g *Generator) selectAssignments(mid *plan.Logical, ctx *core.Context) ([][
 			assigns = append(assigns, append([]uint8(nil), a...))
 		}
 	}
-	for pi := range g.cfg.Platforms {
-		ok := true
-		for _, o := range mid.Ops {
-			if !g.cfg.Avail.Has(o.Kind, g.cfg.Platforms[pi]) {
-				ok = false
-				break
-			}
+	for pi, p := range g.cfg.Platforms {
+		if _, err := plan.AllOn(mid, p, g.cfg.Avail); err == nil {
+			add(bytes.Repeat([]byte{uint8(pi)}, mid.NumOps()))
 		}
-		if !ok {
-			continue
-		}
-		a := make([]uint8, mid.NumOps())
-		for i := range a {
-			a[i] = uint8(pi)
-		}
-		add(a)
 	}
 	for _, j := range g.rng.Perm(len(final.Vectors)) {
 		if len(assigns) >= g.cfg.PlansPerTemplate {

@@ -424,28 +424,16 @@ func (o *Optimizer) OptimizeSinglePlatform(p *Plan) (*Result, error) {
 		return nil, err
 	}
 	var best *Result
-	for pi, pl := range o.platforms {
-		ok := true
-		for _, op := range p.Ops {
-			if !o.avail.Has(op.Kind, pl) {
-				ok = false
-				break
-			}
+	for _, pl := range o.platforms {
+		x, err := plan.AllOn(p, pl, o.avail)
+		if err != nil {
+			continue // pl cannot run the whole plan
 		}
-		if !ok {
-			continue
+		cost, err := ctx.PredictAssignment(o.model, x.Assign)
+		if err != nil {
+			return nil, err
 		}
-		assign := make([]uint8, p.NumOps())
-		for i := range assign {
-			assign[i] = uint8(pi)
-		}
-		v := ctx.VectorizeExecution(assign)
-		cost := o.model.Predict(v.F)
 		if best == nil || cost < best.PredictedRuntime {
-			x, err := ctx.Unvectorize(v)
-			if err != nil {
-				return nil, err
-			}
 			best = &Result{Execution: x, PredictedRuntime: cost}
 		}
 	}
@@ -462,16 +450,9 @@ func (o *Optimizer) PredictRuntime(p *Plan, assign []Platform) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
-	if len(assign) != p.NumOps() {
-		return 0, fmt.Errorf("robopt: assignment covers %d of %d operators", len(assign), p.NumOps())
+	est, err := ctx.PredictAssignment(o.model, assign)
+	if err != nil {
+		return 0, fmt.Errorf("robopt: %w", err)
 	}
-	cols := make([]uint8, len(assign))
-	for i, pl := range assign {
-		pi := ctx.Schema.PlatIndex(pl)
-		if pi < 0 {
-			return 0, fmt.Errorf("robopt: platform %s not in the optimizer's universe", pl)
-		}
-		cols[i] = uint8(pi)
-	}
-	return o.model.Predict(ctx.VectorizeExecution(cols).F), nil
+	return est, nil
 }
