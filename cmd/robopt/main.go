@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/mlmodel"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -104,7 +103,6 @@ func main() {
 
 	plats := platform.Subset(*nPlats)
 	avail := platform.DefaultAvailability().Restrict(plats)
-	h := experiments.NewHarness()
 
 	schema, err := core.NewSchema(plats)
 	if err != nil {
@@ -152,7 +150,7 @@ func main() {
 		}
 		// Hold out a slice so the saved artifact records honest metrics.
 		train, hold := ds.Split(0.15, 7)
-		if model, err = experiments.TrainOnDataset(train, false, 7); err != nil {
+		if model, err = tdgen.SizeFull.Fit(train, 0); err != nil {
 			log.Fatal(err)
 		}
 		trainRows = train.Len()
@@ -162,7 +160,8 @@ func main() {
 		}
 	} else {
 		logger.Info("no -train or -model given; generating training data and fitting a model (one-time)")
-		if model, err = h.Model(plats, avail); err != nil {
+		recipe := tdgen.Recipe{Platforms: plats, Avail: avail, Cluster: simulator.Default()}
+		if model, trainRows, err = recipe.Train(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -270,13 +269,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		p, err := experiments.SinglePlatformChoice(l, plats, avail, func(x *plan.Execution) (float64, error) {
+		var p platform.ID
+		p, x, _, err = plan.CheapestAllOn(l, plats, avail, func(x *plan.Execution) (float64, error) {
 			return ctx.PredictAssignment(model, x.Assign)
 		})
 		if err != nil {
-			log.Fatal(err)
-		}
-		if x, err = plan.AllOn(l, p, avail); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("chosen platform: %s\n", p)

@@ -102,7 +102,6 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/mlmodel"
 	"repro/internal/obs"
 	"repro/internal/peercache"
@@ -111,6 +110,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/simulator"
+	"repro/internal/tdgen"
 )
 
 func main() {
@@ -185,15 +185,14 @@ func main() {
 		}
 	}
 
+	// One recipe for the model trained at boot and the candidates the
+	// retrainer fits on execution feedback.
+	recipe := tdgen.Recipe{Platforms: plats, Avail: avail, Cluster: simulator.Default()}
+	if *quick {
+		recipe.Size = tdgen.SizeQuick
+	}
 	art, pin, err := bootArtifact(*modelPath, store, logger, func() (*registry.Artifact, error) {
-		fmt.Fprintln(os.Stderr, "roboptd: training a model on startup (pass -model or populate -model-dir to skip)")
-		h := experiments.NewHarness()
-		h.Quick = *quick
-		model, err := h.Model(plats, avail)
-		if err != nil {
-			return nil, err
-		}
-		return registry.New(model, schema.Len(), names, 0, mlmodel.Metrics{})
+		return trainArtifact(recipe, schema.Len(), names)
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -288,7 +287,7 @@ func main() {
 			Provider: provider,
 			Feedback: feedback,
 			Train: func(ds *mlmodel.Dataset) (mlmodel.Model, error) {
-				return experiments.TrainOnDataset(ds, *quick, 7)
+				return recipe.Size.Fit(ds, 0)
 			},
 			SchemaWidth: schema.Len(),
 			Platforms:   names,
@@ -396,6 +395,17 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("drained cleanly")
+}
+
+// trainArtifact is what boot falls back to: train the recipe's model and
+// describe it, rows fitted included (no holdout: every generated row trains).
+func trainArtifact(recipe tdgen.Recipe, schemaWidth int, platforms []string) (*registry.Artifact, error) {
+	fmt.Fprintln(os.Stderr, "roboptd: training a model on startup (pass -model or populate -model-dir to skip)")
+	model, rows, err := recipe.Train()
+	if err != nil {
+		return nil, err
+	}
+	return registry.New(model, schemaWidth, platforms, rows, mlmodel.Metrics{})
 }
 
 // bootArtifact resolves the artifact to serve at startup: an explicit -model

@@ -13,6 +13,8 @@ import (
 	"repro/internal/platform"
 	"repro/internal/registry"
 	"repro/internal/service"
+	"repro/internal/simulator"
+	"repro/internal/tdgen"
 )
 
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -187,5 +189,38 @@ func TestBootRejectsUnservableArtifact(t *testing.T) {
 	}
 	if _, _, err := bootArtifact(filepath.Join(t.TempDir(), "missing.json"), store, quiet, noTraining(t)); err == nil {
 		t.Error("a missing -model file was not an error")
+	}
+}
+
+// TestBootTrainRecordsRows: an artifact trained at boot says how many rows
+// its model was fitted on — the sum of its members' datasets — instead of 0.
+func TestBootTrainRecordsRows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model (~1 s)")
+	}
+	plats := platform.Subset(2)
+	recipe := tdgen.Recipe{
+		Size:      tdgen.SizeTiny,
+		Platforms: plats,
+		Avail:     platform.DefaultAvailability().Restrict(plats),
+		Cluster:   simulator.Default(),
+	}
+	art, pin, err := bootArtifact("", nil, quiet, func() (*registry.Artifact, error) {
+		return trainArtifact(recipe, core.MustSchema(plats).Len(), []string{"Java", "Spark"})
+	})
+	if err != nil || !pin {
+		t.Fatalf("bootArtifact: pin=%v err=%v", pin, err)
+	}
+	// SizeTiny has two members; Recipe.Train draws member i at offset 101·i.
+	want := 0
+	for _, offset := range []int64{0, 101} {
+		ds, err := recipe.Dataset(offset)
+		if err != nil {
+			t.Fatalf("Dataset(%d): %v", offset, err)
+		}
+		want += ds.Len()
+	}
+	if art.TrainingRows != want || want == 0 {
+		t.Errorf("TrainingRows = %d, want the %d rows the members were fitted on", art.TrainingRows, want)
 	}
 }

@@ -65,11 +65,9 @@ func main() {
 	// query to push down before moving the data to a parallel engine.
 	fmt.Println("\n=== Q3 with tables resident in Postgres (Fig. 13) ===")
 	pgAvail := robopt.DefaultAvailability().Only(robopt.TableSource, robopt.Postgres)
-	pgOpt, err := robopt.Train(func() robopt.TrainingOptions {
-		o := robopt.QuickTraining()
-		o.Avail = pgAvail
-		return o
-	}())
+	pgOpts := robopt.QuickTraining()
+	pgOpts.Avail = pgAvail
+	pgOpt, err := robopt.Train(pgOpts)
 	if err != nil {
 		log.Fatal(err)
 	}

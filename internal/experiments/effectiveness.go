@@ -5,6 +5,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/tdgen"
@@ -50,22 +51,15 @@ func (h *Harness) Figure2() ([]Fig2Row, error) {
 	avail := platform.DefaultAvailability()
 	var rows []Fig2Row
 	for _, cs := range cases {
-		well, err := SinglePlatformChoice(cs.l, singleModePlatforms, avail, costSingleScore(h.WellTuned()))
+		well, wellPlan, _, err := plan.CheapestAllOn(cs.l, singleModePlatforms, avail, costSingleScore(h.WellTuned()))
 		if err != nil {
 			return nil, err
 		}
-		simply, err := SinglePlatformChoice(cs.l, singleModePlatforms, avail, costSingleScore(h.SimplyTuned()))
+		simply, simplyPlan, _, err := plan.CheapestAllOn(cs.l, singleModePlatforms, avail, costSingleScore(h.SimplyTuned()))
 		if err != nil {
 			return nil, err
 		}
-		rw, err := h.Cluster.RunAllOn(cs.l, well, avail)
-		if err != nil {
-			return nil, err
-		}
-		rs, err := h.Cluster.RunAllOn(cs.l, simply, avail)
-		if err != nil {
-			return nil, err
-		}
+		rw, rs := h.Cluster.Run(wellPlan), h.Cluster.Run(simplyPlan)
 		rows = append(rows, Fig2Row{
 			Query: cs.name, Input: cs.input,
 			WellTunedSec: rw.Runtime, SimplySec: rs.Runtime,
@@ -140,6 +134,10 @@ func (h *Harness) Figure11() ([]Fig11Point, error) {
 func (h *Harness) figure11() ([]Fig11Point, error) {
 	avail := platform.DefaultAvailability()
 	plats := platform.All()
+	m, err := h.Model(plats, avail)
+	if err != nil {
+		return nil, err
+	}
 	var points []Fig11Point
 	for _, q := range workload.Catalog() {
 		sizes := fig11Sizes[q.Name]
@@ -164,16 +162,17 @@ func (h *Harness) figure11() ([]Fig11Point, error) {
 					pt.Fastest = p
 				}
 			}
-			var err error
-			pt.Rheemix, err = SinglePlatformChoice(l, singleModePlatforms, avail, costSingleScore(h.WellTuned()))
+			pt.Rheemix, _, _, err = plan.CheapestAllOn(l, singleModePlatforms, avail, costSingleScore(h.WellTuned()))
 			if err != nil {
 				return nil, err
 			}
-			score, err := h.RoboptSingleScore(l, plats, avail)
+			ctx, err := core.NewContext(l, plats, avail)
 			if err != nil {
 				return nil, err
 			}
-			pt.Robopt, err = SinglePlatformChoice(l, singleModePlatforms, avail, score)
+			pt.Robopt, _, _, err = plan.CheapestAllOn(l, singleModePlatforms, avail, func(x *plan.Execution) (float64, error) {
+				return ctx.PredictAssignment(m, x.Assign)
+			})
 			if err != nil {
 				return nil, err
 			}

@@ -364,7 +364,7 @@ func TestFigure13Shape(t *testing.T) {
 
 func TestSinglePlatformChoiceErrors(t *testing.T) {
 	l := workload.WordCount(workload.MB)
-	_, err := experiments.SinglePlatformChoice(l, []platform.ID{platform.Postgres},
+	_, _, _, err := plan.CheapestAllOn(l, []platform.ID{platform.Postgres},
 		platform.DefaultAvailability(),
 		func(*plan.Execution) (float64, error) { return 0, nil })
 	if err == nil {

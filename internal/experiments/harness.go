@@ -19,7 +19,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/simulator"
 	"repro/internal/tdgen"
-	"repro/internal/workload"
 )
 
 // Harness owns the shared experiment state: the simulated cluster, the
@@ -28,9 +27,9 @@ import (
 type Harness struct {
 	Cluster *simulator.Cluster
 
-	// Quick trades model quality for speed (smaller training set and
-	// forest); used by unit tests. The default replicates the paper's
-	// setup: pipeline/juncture/loop shapes, max 50 operators.
+	// Quick trains tdgen.SizeQuick instead of the paper's setup
+	// (tdgen.SizeFull: pipeline/juncture/loop shapes, max 50 operators):
+	// less model quality for speed. Unit tests and the benchmark set it.
 	Quick bool
 
 	// Workers sizes the enumeration worker pool of every Robopt run the
@@ -74,71 +73,22 @@ func (h *Harness) SimplyTuned() *costmodel.Model {
 	return h.simply
 }
 
-// GenerateTrainingData runs one TDGen draw for the given platform universe
-// and returns the labelled dataset (Section VII-A: pipeline/juncture/loop
-// shapes, max 50 operators, seeded with the evaluation workload's query
-// shapes). seedOffset varies the draw: independent offsets give the
-// independently generated member datasets the ensemble averages over. The
-// standalone entry point exists so other layers — the CLI's train-from-CSV
-// path, the serving stack's retraining loop — can obtain (or extend) the
-// exact dataset the harness trains on.
-func (h *Harness) GenerateTrainingData(plats []platform.ID, avail *platform.Availability, seedOffset int64) (*mlmodel.Dataset, error) {
-	cfg := tdgen.Config{
-		Shapes:            []tdgen.Shape{tdgen.ShapePipeline, tdgen.ShapeJuncture, tdgen.ShapeLoop},
-		MinOps:            4,
-		MaxOps:            50,
-		TemplatesPerShape: 24,
-		PlansPerTemplate:  14,
-		Profiles:          10,
-		Platforms:         plats,
-		Avail:             avail,
-		CardMax:           1e10,
-		Seed:              2020 + seedOffset,
-	}
-	// Generation option (i): seed TDGen with the evaluation workload's
-	// query shapes so generated plans resemble it (Section VI: "training
-	// data that resembles their query workload"). Sizes are drawn from
-	// each query's Table II range, not from the evaluation grid.
-	for _, q := range workload.Catalog() {
-		cfg.SeedQueries = append(cfg.SeedQueries, tdgen.SeedQuery{
-			Name:     q.Name,
-			MinBytes: q.MinBytes,
-			MaxBytes: q.MaxBytes,
-			Build:    q.Build,
-		})
-	}
+// recipe is the training recipe of this harness for a platform universe.
+func (h *Harness) recipe(plats []platform.ID, avail *platform.Availability) tdgen.Recipe {
+	r := tdgen.Recipe{Platforms: plats, Avail: avail, Cluster: h.Cluster}
 	if h.Quick {
-		cfg.TemplatesPerShape = 10
-		cfg.PlansPerTemplate = 8
-		cfg.Profiles = 8
-		cfg.MaxOps = 30
+		r.Size = tdgen.SizeQuick
 	}
-	ds, _, err := tdgen.New(cfg, h.Cluster).Generate()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: training data generation: %w", err)
-	}
-	return ds, nil
+	return r
 }
 
-// TrainOnDataset fits one model member on an explicit dataset with the
-// harness's reference configuration: gradient-boosted trees on log targets
-// (see DESIGN.md; the paper's "one can plug any regression algorithm" is the
-// extension point used here). It is the training path shared by
-// Harness.Model, the CLI's train-from-CSV mode, and the serving stack's
-// execution-feedback retrainer — all three fit the same family the same way,
-// only the dataset differs.
-func TrainOnDataset(ds *mlmodel.Dataset, quick bool, seed int64) (mlmodel.Model, error) {
-	gbm := mlmodel.GBMConfig{Trees: 300, MaxDepth: 6, LR: 0.1, MinLeaf: 5, Seed: seed, Parallel: true}
-	if quick {
-		gbm.Trees = 150
-		gbm.MaxDepth = 5
-	}
-	trainer := mlmodel.LogTargetTrainer{Inner: mlmodel.GBMTrainer{Config: gbm}}
-	m, err := trainer.Fit(ds)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: model training: %w", err)
-	}
-	return m, nil
+// GenerateTrainingData returns one TDGen draw of the harness's recipe for the
+// given platform universe (Section VII-A: pipeline/juncture/loop shapes, max
+// 50 operators, seeded with the evaluation workload's query shapes).
+// seedOffset varies the draw; 0 is the dataset ensemble member 0 is fitted
+// on, which is what the benchmark fixture reports the size of.
+func (h *Harness) GenerateTrainingData(plats []platform.ID, avail *platform.Availability, seedOffset int64) (*mlmodel.Dataset, error) {
+	return h.recipe(plats, avail).Dataset(seedOffset)
 }
 
 // Model returns the model trained for the given platform universe and
@@ -153,35 +103,19 @@ func (h *Harness) Model(plats []platform.ID, avail *platform.Availability) (mlmo
 	// restrict TableSource to Postgres but reuse the default model).
 	key := fmt.Sprintf("%v", plats)
 	h.mu.Lock()
-	if m, ok := h.models[key]; ok {
-		h.mu.Unlock()
+	m, ok := h.models[key]
+	h.mu.Unlock()
+	if ok {
 		return m, nil
 	}
-	h.mu.Unlock()
-
-	// Ensemble over independently generated training sets: TDGen's draws
-	// are a real source of run-to-run variance, and the optimizer's
-	// argmin over thousands of candidates amplifies single-model noise.
-	members := 3
-	if h.Quick {
-		members = 2
-	}
-	ensemble := mlmodel.Ensemble{}
-	for i := 0; i < members; i++ {
-		ds, err := h.GenerateTrainingData(plats, avail, int64(i)*101)
-		if err != nil {
-			return nil, err
-		}
-		m, err := TrainOnDataset(ds, h.Quick, 7+int64(i)*211)
-		if err != nil {
-			return nil, err
-		}
-		ensemble.Models = append(ensemble.Models, m)
+	m, _, err := h.recipe(plats, avail).Train()
+	if err != nil {
+		return nil, err
 	}
 	h.mu.Lock()
-	h.models[key] = ensemble
+	h.models[key] = m
 	h.mu.Unlock()
-	return ensemble, nil
+	return m, nil
 }
 
 // latencyModel is a deterministic lightweight linear scorer over plan
@@ -269,48 +203,6 @@ func (h *Harness) RheemixOptimize(l *plan.Logical, plats []platform.ID, avail *p
 		Oracle: baselines.CostOracle{Plan: l, Model: h.WellTuned()},
 	}
 	return opt.Optimize()
-}
-
-// SinglePlatformChoice emulates the paper's single-platform execution mode
-// (Section VII-C1): the optimizer must pick one platform for the whole
-// query. Each candidate's all-on-p plan is scored by the given scorer; the
-// cheapest is chosen.
-func SinglePlatformChoice(l *plan.Logical, candidates []platform.ID, avail *platform.Availability,
-	score func(*plan.Execution) (float64, error)) (platform.ID, error) {
-	best := platform.ID(0)
-	bestScore := 0.0
-	found := false
-	for _, p := range candidates {
-		x, err := plan.AllOn(l, p, avail)
-		if err != nil {
-			continue // p cannot run the whole query
-		}
-		s, err := score(x)
-		if err != nil {
-			return 0, err
-		}
-		if !found || s < bestScore {
-			best, bestScore, found = p, s, true
-		}
-	}
-	if !found {
-		return 0, fmt.Errorf("experiments: no platform can run the whole query")
-	}
-	return best, nil
-}
-
-// RoboptSingleScore returns a scorer that rates all-on-p plans with the ML
-// model over their plan vectors.
-func (h *Harness) RoboptSingleScore(l *plan.Logical, plats []platform.ID, avail *platform.Availability) (func(*plan.Execution) (float64, error), error) {
-	m, err := h.Model(plats, avail)
-	if err != nil {
-		return nil, err
-	}
-	ctx, err := core.NewContext(l, plats, avail)
-	if err != nil {
-		return nil, err
-	}
-	return func(x *plan.Execution) (float64, error) { return ctx.PredictAssignment(m, x.Assign) }, nil
 }
 
 // costSingleScore returns a scorer that rates all-on-p plans with a linear

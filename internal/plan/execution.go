@@ -77,6 +77,32 @@ func AllOn(l *Logical, p platform.ID, avail *platform.Availability) (*Execution,
 	return NewExecution(l, assign)
 }
 
+// CheapestAllOn picks one platform for the whole query (Section VII-C1's
+// single-platform mode): each candidate that implements every operator of l
+// gets its AllOn plan scored, and the lowest score wins, the earlier candidate
+// on a tie. It returns the winner, its plan and its score, or an error when
+// no candidate can run l.
+func CheapestAllOn(l *Logical, candidates []platform.ID, avail *platform.Availability,
+	score func(*Execution) (float64, error)) (best platform.ID, bestPlan *Execution, bestScore float64, err error) {
+	for _, p := range candidates {
+		x, err := AllOn(l, p, avail)
+		if err != nil {
+			continue // p cannot run the whole query
+		}
+		s, err := score(x)
+		if err != nil {
+			return 0, nil, 0, err
+		}
+		if bestPlan == nil || s < bestScore {
+			best, bestPlan, bestScore = p, x, s
+		}
+	}
+	if bestPlan == nil {
+		return 0, nil, 0, fmt.Errorf("plan: no candidate platform can run the whole query")
+	}
+	return best, bestPlan, bestScore, nil
+}
+
 // Validate checks that the assignment respects the availability matrix.
 func (x *Execution) Validate(avail *platform.Availability) error {
 	for _, o := range x.Logical.Ops {

@@ -11,22 +11,17 @@ import (
 )
 
 // Retrainer is the execution-feedback loop: it periodically fits a candidate
-// model on the buffered (plan vector, observed runtime) samples — optionally
-// mixed with a base TDGen dataset — evaluates both the candidate and the
-// active model on a held-out slice of the freshest feedback, and atomically
-// promotes the candidate only when its holdout error did not regress. This
-// is the paper's "re-train instead of re-calibrate" workflow running
-// unattended inside the serving process.
+// model on the buffered (plan vector, observed runtime) samples, evaluates
+// both the candidate and the active model on a held-out slice of the freshest
+// feedback, and atomically promotes the candidate only when its holdout error
+// did not regress. This is the paper's "re-train instead of re-calibrate"
+// workflow running unattended inside the serving process.
 type Retrainer struct {
 	Provider *Provider
 	Feedback *Feedback
-	// Train fits a candidate on the assembled dataset (e.g. the
-	// experiments harness trainer with an explicit dataset).
+	// Train fits a candidate on the assembled feedback (roboptd: one member
+	// of the training recipe, tdgen.Size.Fit).
 	Train func(*mlmodel.Dataset) (mlmodel.Model, error)
-	// Base is an optional generated dataset mixed into every retraining,
-	// anchoring the candidate where feedback is sparse. Nil retrains on
-	// feedback alone.
-	Base *mlmodel.Dataset
 	// MinSamples is the fewest buffered feedback samples worth retraining
 	// on (default 64).
 	MinSamples int
@@ -168,26 +163,16 @@ func (r *Retrainer) RetrainOnce(publish func(*Artifact) error) (out Outcome, err
 	}
 	start := time.Now()
 	m.Counter("retrain_total").Inc()
-	trainSet := freshTrain
-	if fbSeen.Len() > 0 || (r.Base != nil && r.Base.Len() > 0) {
-		trainSet = &mlmodel.Dataset{}
-		if r.Base != nil && r.Base.Len() > 0 {
-			trainSet = r.Base.Clone()
-		}
-		if err := trainSet.Merge(fbSeen); err != nil {
-			return Outcome{}, fmt.Errorf("registry: feedback does not compose with the base dataset: %w", err)
-		}
-		if err := trainSet.Merge(freshTrain); err != nil {
-			return Outcome{}, fmt.Errorf("registry: feedback does not compose with the base dataset: %w", err)
+	// The candidate trains on every row not held out, plus a second copy of
+	// the ones the serving model was least sure about.
+	dup := oversampleHighSpread(fb, spreads, fbSeen, freshTrain)
+	trainSet := fbSeen.Clone()
+	for _, part := range []*mlmodel.Dataset{freshTrain, dup} {
+		if err := trainSet.Merge(part); err != nil {
+			return Outcome{}, fmt.Errorf("registry: feedback rows do not compose: %w", err)
 		}
 	}
-	if dup := oversampleHighSpread(fb, spreads, fbSeen, freshTrain); dup.Len() > 0 {
-		if trainSet == freshTrain {
-			trainSet = freshTrain.Clone()
-		}
-		if err := trainSet.Merge(dup); err != nil {
-			return Outcome{}, fmt.Errorf("registry: oversampled feedback does not compose: %w", err)
-		}
+	if dup.Len() > 0 {
 		m.Counter("retrain_oversampled_total").Add(int64(dup.Len()))
 	}
 	cand, err := r.Train(trainSet)

@@ -278,22 +278,3 @@ func TestRetrainerConcurrentRetrainOnce(t *testing.T) {
 		t.Errorf("provider serves %q but the ACTIVE marker records %q", got, active)
 	}
 }
-
-// TestRetrainerBaseDataset: a base dataset is mixed into training and a
-// width mismatch between base and feedback is a hard error.
-func TestRetrainerBaseDataset(t *testing.T) {
-	r, fb, p := newRetrainer(t, badLinear(3), 512)
-	r.Base = synth(100, 3, 41, func(x []float64) float64 { return 4*x[0] - 2*x[1] + x[2] + 1 }, 0.05)
-	feed(t, fb, 100, 42)
-	out, err := r.RetrainOnce(publishTo(p, nil))
-	if err != nil || !out.Promoted {
-		t.Fatalf("base-augmented retrain: %+v, %v", out, err)
-	}
-
-	r2, fb2, p2 := newRetrainer(t, badLinear(3), 512)
-	r2.Base = synth(10, 5, 43, func(x []float64) float64 { return x[0] }, 0)
-	feed(t, fb2, 100, 44)
-	if _, err := r2.RetrainOnce(publishTo(p2, nil)); err == nil {
-		t.Error("width-mismatched base dataset accepted")
-	}
-}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/simulator"
+	"repro/internal/workload"
 )
 
 // Shape is a plan topology TDGen can generate (Section IV-A's four
@@ -95,16 +96,9 @@ type Config struct {
 	// seed query is instantiated across its dataset-size range and
 	// labelled over the same diverse assignment sets as the synthetic
 	// templates.
-	SeedQueries []SeedQuery
+	SeedQueries []workload.Query
 	// Seed makes generation deterministic.
 	Seed int64
-}
-
-// SeedQuery is one user-workload query TDGen mimics (option (i)).
-type SeedQuery struct {
-	Name               string
-	MinBytes, MaxBytes float64
-	Build              func(bytes float64) *plan.Logical
 }
 
 func (c Config) withDefaults() Config {
@@ -519,7 +513,7 @@ func (g *Generator) expandTemplate(tmpl *template, ds *mlmodel.Dataset, rep *Rep
 // workload query (generation option (i) of Section VI): the query's own
 // plan structure instantiated across its dataset-size range, labelled over
 // the same diverse assignment set as the synthetic templates.
-func (g *Generator) expandSeedQuery(q SeedQuery, ds *mlmodel.Dataset, rep *Report) error {
+func (g *Generator) expandSeedQuery(q workload.Query, ds *mlmodel.Dataset, rep *Report) error {
 	xs := ladder(q.MinBytes, q.MaxBytes, g.cfg.Profiles)
 	insts, err := g.instantiateLadder(func(bytes float64) (*plan.Logical, error) {
 		l := q.Build(bytes)

@@ -219,7 +219,7 @@ func TestGenerateSeedQueries(t *testing.T) {
 	cfg := smallConfig() // no shapes
 	cfg.Shapes = nil
 	cfg.TemplatesPerShape = 1
-	cfg.SeedQueries = []tdgen.SeedQuery{{
+	cfg.SeedQueries = []workload.Query{{
 		Name:     "wordcount",
 		MinBytes: 1e6,
 		MaxBytes: 1e9,
@@ -239,7 +239,7 @@ func TestGenerateSeedQueries(t *testing.T) {
 	}
 	// Invalid seed queries surface as errors.
 	bad := smallConfig(tdgen.ShapePipeline)
-	bad.SeedQueries = []tdgen.SeedQuery{{
+	bad.SeedQueries = []workload.Query{{
 		Name: "broken", MinBytes: 1e6, MaxBytes: 1e7,
 		Build: func(bytes float64) *plan.Logical { return &plan.Logical{} },
 	}}

@@ -38,6 +38,7 @@ import (
 	"repro/internal/platform"
 	"repro/internal/simulator"
 	"repro/internal/tdgen"
+	"repro/internal/workload"
 )
 
 // Re-exported core types. Downstream users interact with these through the
@@ -78,8 +79,9 @@ type (
 	// RunResult is the outcome of simulating an execution plan.
 	RunResult = simulator.Result
 	// SeedQuery is a user workload query the training data generator can
-	// mimic (TDGen generation option (i)).
-	SeedQuery = tdgen.SeedQuery
+	// mimic (TDGen generation option (i)): it reads Name, the MinBytes to
+	// MaxBytes dataset-size range and Build.
+	SeedQuery = workload.Query
 	// PlanCache caches optimization results keyed by a canonical
 	// structural fingerprint of the plan; see NewPlanCache and
 	// Optimizer.Cache.
@@ -153,7 +155,10 @@ func DefaultAvailability() *Availability { return platform.DefaultAvailability()
 // and evaluation.
 func DefaultCluster() *Cluster { return simulator.Default() }
 
-// TrainingOptions configures Train.
+// TrainingOptions configures Train: what the model is trained for. How large
+// the training run is comes from one table shared with the daemon and the
+// evaluation harness (DESIGN.md, "Training sizes"); the zero value trains the
+// paper's full size, QuickTraining the two-second one.
 type TrainingOptions struct {
 	// Platforms is the platform universe (default: all five).
 	Platforms []Platform
@@ -161,78 +166,17 @@ type TrainingOptions struct {
 	Avail *Availability
 	// Cluster executes the training jobs (default: DefaultCluster).
 	Cluster *Cluster
-	// MaxOps bounds the synthetic training plan sizes (default 50, as in
-	// the paper).
-	MaxOps int
-	// TemplatesPerShape, PlansPerTemplate and Profiles scale the training
-	// set (defaults 24, 14, 10).
-	TemplatesPerShape, PlansPerTemplate, Profiles int
-	// Trees and MaxDepth configure the boosted tree ensemble
-	// (defaults 300, 6).
-	Trees, MaxDepth int
-	// Seed makes training deterministic (default 2020).
-	Seed int64
-	// EnsembleMembers is the number of independently generated training
-	// sets (and models) averaged by the optimizer; more members cost
-	// proportionally more training time but stabilize plan ranking
-	// (default 3).
-	EnsembleMembers int
-	// SeedQueries optionally describes the expected workload; TDGen then
-	// also generates training plans resembling it (option (i) of the
-	// paper's Section VI). Off by default.
+	// SeedQueries describes the expected workload; TDGen then also generates
+	// training plans resembling it (option (i) of the paper's Section VI).
+	// Default: the paper's evaluation workload (Table II).
 	SeedQueries []SeedQuery
-}
 
-func (o TrainingOptions) withDefaults() TrainingOptions {
-	if len(o.Platforms) == 0 {
-		o.Platforms = platform.All()
-	}
-	if o.Avail == nil {
-		o.Avail = platform.DefaultAvailability()
-	}
-	if o.Cluster == nil {
-		o.Cluster = simulator.Default()
-	}
-	if o.MaxOps == 0 {
-		o.MaxOps = 50
-	}
-	if o.TemplatesPerShape == 0 {
-		o.TemplatesPerShape = 24
-	}
-	if o.PlansPerTemplate == 0 {
-		o.PlansPerTemplate = 14
-	}
-	if o.Profiles == 0 {
-		o.Profiles = 10
-	}
-	if o.Trees == 0 {
-		o.Trees = 300
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 6
-	}
-	if o.Seed == 0 {
-		o.Seed = 2020
-	}
-	if o.EnsembleMembers == 0 {
-		o.EnsembleMembers = 3
-	}
-	return o
+	size tdgen.Size
 }
 
 // QuickTraining returns options that train in a couple of seconds at reduced
 // model quality — intended for tests and examples.
-func QuickTraining() TrainingOptions {
-	return TrainingOptions{
-		MaxOps:            20,
-		TemplatesPerShape: 5,
-		PlansPerTemplate:  6,
-		Profiles:          6,
-		Trees:             80,
-		MaxDepth:          5,
-		EnsembleMembers:   2,
-	}
-}
+func QuickTraining() TrainingOptions { return TrainingOptions{size: tdgen.SizeTiny} }
 
 // Optimizer is a trained ML-based cross-platform query optimizer.
 type Optimizer struct {
@@ -284,42 +228,27 @@ func FingerprintPlan(p *Plan, platforms []Platform, avail *Availability, bandsPe
 // executions ("it took us only a couple of days of automatic training data
 // generation", Section VII-C).
 func Train(opts TrainingOptions) (*Optimizer, error) {
-	opts = opts.withDefaults()
-	cfg := tdgen.Config{
-		Shapes:            []tdgen.Shape{tdgen.ShapePipeline, tdgen.ShapeJuncture, tdgen.ShapeLoop},
-		MaxOps:            opts.MaxOps,
-		TemplatesPerShape: opts.TemplatesPerShape,
-		PlansPerTemplate:  opts.PlansPerTemplate,
-		Profiles:          opts.Profiles,
-		Platforms:         opts.Platforms,
-		Avail:             opts.Avail,
-		CardMax:           1e10,
-		SeedQueries:       opts.SeedQueries,
-		Seed:              opts.Seed,
+	r := tdgen.Recipe{
+		Size:        opts.size,
+		Platforms:   opts.Platforms,
+		Avail:       opts.Avail,
+		Cluster:     opts.Cluster,
+		SeedQueries: opts.SeedQueries,
 	}
-	ensemble := mlmodel.Ensemble{}
-	for i := 0; i < opts.EnsembleMembers; i++ {
-		memberCfg := cfg
-		memberCfg.Seed = cfg.Seed + int64(i)*101
-		ds, _, err := tdgen.New(memberCfg, opts.Cluster).Generate()
-		if err != nil {
-			return nil, fmt.Errorf("robopt: training data generation: %w", err)
-		}
-		trainer := mlmodel.LogTargetTrainer{Inner: mlmodel.GBMTrainer{Config: mlmodel.GBMConfig{
-			Trees:    opts.Trees,
-			MaxDepth: opts.MaxDepth,
-			LR:       0.1,
-			MinLeaf:  5,
-			Seed:     opts.Seed + 1 + int64(i)*211,
-			Parallel: true,
-		}}}
-		m, err := trainer.Fit(ds)
-		if err != nil {
-			return nil, fmt.Errorf("robopt: model training: %w", err)
-		}
-		ensemble.Models = append(ensemble.Models, m)
+	if len(r.Platforms) == 0 {
+		r.Platforms = platform.All()
 	}
-	return &Optimizer{model: ensemble, platforms: opts.Platforms, avail: opts.Avail}, nil
+	if r.Avail == nil {
+		r.Avail = platform.DefaultAvailability()
+	}
+	if r.Cluster == nil {
+		r.Cluster = simulator.Default()
+	}
+	model, _, err := r.Train()
+	if err != nil {
+		return nil, fmt.Errorf("robopt: %w", err)
+	}
+	return &Optimizer{model: model, platforms: r.Platforms, avail: r.Avail}, nil
 }
 
 // NewOptimizerWithModel wraps a pre-fitted model (any regression model
@@ -423,24 +352,13 @@ func (o *Optimizer) OptimizeSinglePlatform(p *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var best *Result
-	for _, pl := range o.platforms {
-		x, err := plan.AllOn(p, pl, o.avail)
-		if err != nil {
-			continue // pl cannot run the whole plan
-		}
-		cost, err := ctx.PredictAssignment(o.model, x.Assign)
-		if err != nil {
-			return nil, err
-		}
-		if best == nil || cost < best.PredictedRuntime {
-			best = &Result{Execution: x, PredictedRuntime: cost}
-		}
+	_, x, cost, err := plan.CheapestAllOn(p, o.platforms, o.avail, func(x *Execution) (float64, error) {
+		return ctx.PredictAssignment(o.model, x.Assign)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("robopt: %w", err)
 	}
-	if best == nil {
-		return nil, fmt.Errorf("robopt: no single platform can run the whole plan")
-	}
-	return best, nil
+	return &Result{Execution: x, PredictedRuntime: cost}, nil
 }
 
 // PredictRuntime returns the model's runtime estimate for an arbitrary
