@@ -51,8 +51,8 @@ type ReplicaStatus struct {
 	Shed         int64   `json:"shed"`
 	ShedRate     float64 `json:"shedRate"`
 
-	// BurnRates maps SLO window name to burn rate (slo_burn_rate_*
-	// gauges); Breached mirrors the replica's slo_breached gauge.
+	// BurnRates maps SLO window name to burn rate (the window label of the
+	// slo_burn_rate gauges); Breached mirrors the replica's slo_breached gauge.
 	BurnRates map[string]float64 `json:"burnRates,omitempty"`
 	Breached  bool               `json:"breached,omitempty"`
 }
@@ -114,11 +114,11 @@ func ScrapeReplica(ctx context.Context, client *http.Client, info registry.Repli
 	st.QueueDepth = mz.Gauges["admission_queue_depth"]
 	st.Breached = mz.Gauges["slo_breached"] > 0
 	for name, v := range mz.Gauges {
-		if w, ok := strings.CutPrefix(name, "slo_burn_rate_"); ok {
+		if w, ok := strings.CutPrefix(name, `slo_burn_rate{window="`); ok {
 			if st.BurnRates == nil {
 				st.BurnRates = map[string]float64{}
 			}
-			st.BurnRates[w] = v
+			st.BurnRates[strings.TrimSuffix(w, `"}`)] = v
 		}
 	}
 	return st

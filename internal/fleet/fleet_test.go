@@ -39,7 +39,7 @@ const healthyMetrics = `{
 	"gauges": {
 		"admission_queue_depth": 3,
 		"slo_breached": 0,
-		"slo_burn_rate_1m0s": 0.5, "slo_burn_rate_5m0s": 0.25
+		"slo_burn_rate{window=\"1m0s\"}": 0.5, "slo_burn_rate{window=\"5m0s\"}": 0.25
 	}
 }`
 

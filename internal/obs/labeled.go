@@ -1,30 +1,27 @@
 package obs
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
-// This file adds labeled metric families — CounterVec and HistogramVec — to
-// the registry. A vec is one metric family with a fixed label schema; each
-// distinct label-value combination is one series. Series are get-or-create
-// behind an RWMutex whose read path is the steady state (the set of label
-// values a server emits stabilizes within the first few requests), so
+// This file holds the one shape every metric has: a family — a fixed label
+// schema plus its series, keyed by the rendered label block. A plain Counter,
+// Gauge or Histogram is the one series of a family with no labels, and a
+// dimension is a label, never a suffix spelled into the name. Series are
+// get-or-create behind an RWMutex whose read path is the steady state (the set
+// of label values a server emits stabilizes within the first few requests), so
 // observation stays lock-cheap.
 //
-// Cardinality is bounded by construction: every vec caps its series count
-// (DefaultMaxSeries unless overridden) and folds observations beyond the cap
-// into a single overflow series whose label values are all "other". A
-// runaway label (say, a client-controlled string reaching a label position)
-// therefore degrades one metric family's resolution instead of growing the
-// registry without bound.
+// Cardinality is bounded by construction: every family caps its series count
+// at DefaultMaxSeries and folds observations beyond the cap into a single
+// overflow series whose label values are all "other". A runaway label (say, a
+// client-controlled string reaching a label position) therefore degrades one
+// metric family's resolution instead of growing the registry without bound.
 
-// DefaultMaxSeries is a vec's series cap when none is configured: past it,
-// new label-value combinations collapse into the overflow series.
+// DefaultMaxSeries is a family's series cap: past it, new label-value
+// combinations collapse into the overflow series.
 const DefaultMaxSeries = 64
 
-// overflowValue is the label value every position takes in a vec's overflow
-// series.
+// overflowValue is the label value every position takes in a family's
+// overflow series.
 const overflowValue = "other"
 
 // appendSeriesKey renders label names and values into the canonical
@@ -54,159 +51,131 @@ func appendSeriesKey(b []byte, labels, values []string) []byte {
 	return b
 }
 
-// CounterVec is a counter family partitioned by a fixed set of labels.
-type CounterVec struct {
-	name   string
+// family is one metric family of instruments T.
+type family[T any] struct {
 	labels []string
-	max    int
+	// one is the unlabeled family's only series (nil on a labeled family),
+	// so a plain lookup hands it out without rendering a key.
+	one *T
 
 	mu     sync.RWMutex
-	series map[string]*Counter
+	series map[string]*T // rendered label block → series; "" keys one
 }
 
-// With returns the counter for the given label values (one per label, in
-// declaration order), creating it on first use. Past the series cap the
-// overflow series is returned instead.
-func (v *CounterVec) With(values ...string) *Counter {
-	return lookupSeries(&v.mu, v.series, v.labels, values, v.max, func() *Counter { return &Counter{} })
-}
+// CounterVec is a counter family partitioned by a fixed set of labels.
+type CounterVec = family[Counter]
 
-// Labels returns the vec's label names in declaration order.
-func (v *CounterVec) Labels() []string { return v.labels }
-
-// snapshot copies the series map (rendered label block → value).
-func (v *CounterVec) snapshot() map[string]int64 {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]int64, len(v.series))
-	for k, c := range v.series {
-		out[k] = c.Load()
-	}
-	return out
-}
+// GaugeVec is a gauge family partitioned by a fixed set of labels.
+type GaugeVec = family[Gauge]
 
 // HistogramVec is a histogram family partitioned by a fixed set of labels.
 // Each series is a full Histogram, exemplars included.
-type HistogramVec struct {
-	name   string
-	labels []string
-	max    int
+type HistogramVec = family[Histogram]
 
-	mu     sync.RWMutex
-	series map[string]*Histogram
-}
-
-// With returns the histogram for the given label values, creating it on
-// first use. Past the series cap the overflow series is returned instead.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	return lookupSeries(&v.mu, v.series, v.labels, values, v.max, func() *Histogram { return &Histogram{} })
-}
-
-// Labels returns the vec's label names in declaration order.
-func (v *HistogramVec) Labels() []string { return v.labels }
-
-// snapshot copies the series map (rendered label block → histogram state).
-func (v *HistogramVec) snapshot() map[string]HistogramSnapshot {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]HistogramSnapshot, len(v.series))
-	for k, h := range v.series {
-		out[k] = h.Snapshot()
+func newFamily[T any](labels []string) *family[T] {
+	f := &family[T]{labels: append([]string(nil), labels...), series: map[string]*T{}}
+	if len(labels) == 0 {
+		f.one = new(T)
+		f.series[""] = f.one
 	}
-	return out
+	return f
 }
 
-// lookupSeries is the shared get-or-create path of both vec kinds: RLock
-// fast path, write path under the full lock, overflow series past the cap.
-// The steady state is a lookup of an existing series, which renders the key
-// into a stack buffer and allocates nothing; the key becomes a string only
-// when it names a new series.
-func lookupSeries[T any](mu *sync.RWMutex, series map[string]T, labels, values []string, max int, fresh func() T) T {
-	if len(values) != len(labels) {
-		panic("obs: label value count does not match the vec's label schema")
+// With returns the series for the given label values (one per label, in
+// declaration order), creating it on first use. Past the series cap the
+// overflow series is returned instead. The steady state is a lookup of an
+// existing series, which renders the key into a stack buffer and allocates
+// nothing; the key becomes a string only when it names a new series.
+func (f *family[T]) With(values ...string) *T {
+	if len(values) != len(f.labels) {
+		panic("obs: label value count does not match the family's label schema")
+	}
+	if f.one != nil {
+		return f.one
 	}
 	var buf [128]byte
-	key := appendSeriesKey(buf[:0], labels, values)
-	mu.RLock()
-	s, ok := series[string(key)]
-	mu.RUnlock()
+	key := appendSeriesKey(buf[:0], f.labels, values)
+	f.mu.RLock()
+	s, ok := f.series[string(key)]
+	f.mu.RUnlock()
 	if ok {
 		return s
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if s, ok = series[string(key)]; ok {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s, ok = f.series[string(key)]; ok {
 		return s
 	}
-	if len(series) >= max {
+	if len(f.series) >= DefaultMaxSeries {
 		// At capacity: fold into the overflow series (creating it counts
 		// against nothing — it is the permanent last slot).
-		over := make([]string, len(labels))
+		over := make([]string, len(f.labels))
 		for i := range over {
 			over[i] = overflowValue
 		}
-		key = appendSeriesKey(key[:0], labels, over)
-		if s, ok = series[string(key)]; ok {
+		key = appendSeriesKey(key[:0], f.labels, over)
+		if s, ok = f.series[string(key)]; ok {
 			return s
 		}
 	}
-	s = fresh()
-	series[string(key)] = s
+	s = new(T)
+	f.series[string(key)] = s
 	return s
 }
 
-// instrument is the shared get-or-create path of all five instrument kinds:
-// RLock fast path, re-check and fresh() under the full lock. byName selects
-// the registry's map for the kind. A nil registry registers nothing: every
-// call hands out a detached instrument that counts and observes like any
-// other, which is what makes a Metrics field optional without a guard at each
-// increment.
-func instrument[T any](r *Registry, name string, byName func() map[string]*T, fresh func() *T) *T {
+// lookup returns the family of one instrument kind (the registry map byKind
+// selects) registered under name, creating it with labels on first use. The
+// label schema is fixed at creation: a later lookup under another schema gets
+// the registered family, whose With then panics on the mismatch. A nil
+// registry registers nothing: every call hands out a detached family that
+// counts and observes like any other, which is what makes a Metrics field
+// optional without a guard at each increment.
+func lookup[T any](r *Registry, byKind func(*Registry) map[string]*family[T], name string, labels []string) *family[T] {
 	if r == nil {
-		return fresh()
+		return newFamily[T](labels)
 	}
 	r.mu.RLock()
-	v, ok := byName()[name]
+	f, ok := byKind(r)[name]
 	r.mu.RUnlock()
 	if ok {
-		return v
+		return f
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m := byName()
-	if v, ok = m[name]; ok {
-		return v
+	m := byKind(r)
+	if f, ok = m[name]; !ok {
+		f = newFamily[T](labels)
+		m[name] = f
 	}
-	v = fresh()
-	m[name] = v
-	return v
+	return f
 }
 
-// CounterVec returns the labeled counter family registered under name,
-// creating it on first use with the given label schema and the
-// DefaultMaxSeries cardinality bound. The label schema is fixed at creation;
-// later calls return the existing vec regardless of the labels passed.
-func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
-	return instrument(r, name, func() map[string]*CounterVec { return r.cvecs }, func() *CounterVec {
-		return &CounterVec{name: name, labels: append([]string(nil), labels...), max: DefaultMaxSeries, series: map[string]*Counter{}}
-	})
+// reading is one series' value at read time: its family's name, its rendered
+// label block ("" for the unlabeled series) and the value.
+type reading[V any] struct {
+	name, labels string
+	v            V
 }
 
-// HistogramVec returns the labeled histogram family registered under name,
-// creating it on first use with the given label schema and the
-// DefaultMaxSeries cardinality bound.
-func (r *Registry) HistogramVec(name string, labels ...string) *HistogramVec {
-	return instrument(r, name, func() map[string]*HistogramVec { return r.hvecs }, func() *HistogramVec {
-		return &HistogramVec{name: name, labels: append([]string(nil), labels...), max: DefaultMaxSeries, series: map[string]*Histogram{}}
-	})
-}
-
-// sortedSeriesKeys returns the keys of a series map in exposition order.
-func sortedSeriesKeys[T any](m map[string]T) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// key is the series' flat name: the family's, followed by the label block in
+// braces when there is one — the Snapshot key and the exposition sample name.
+func (s reading[V]) key() string {
+	if s.labels == "" {
+		return s.name
 	}
-	sort.Strings(keys)
-	return keys
+	return s.name + "{" + s.labels + "}"
+}
+
+// readAll reads every series of every family in fams through get, in no
+// particular order.
+func readAll[T, V any](fams map[string]*family[T], get func(*T) V) []reading[V] {
+	var out []reading[V]
+	for name, f := range fams {
+		f.mu.RLock()
+		for labels, s := range f.series {
+			out = append(out, reading[V]{name, labels, get(s)})
+		}
+		f.mu.RUnlock()
+	}
+	return out
 }

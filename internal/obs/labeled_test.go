@@ -3,10 +3,20 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// seriesOf reads a family's series through get, keyed by label block.
+func seriesOf[T, V any](f *family[T], get func(*T) V) map[string]V {
+	out := map[string]V{}
+	for _, s := range readAll(map[string]*family[T]{"": f}, get) {
+		out[s.labels] = s.v
+	}
+	return out
+}
 
 func TestCounterVecBasics(t *testing.T) {
 	r := NewRegistry()
@@ -14,7 +24,7 @@ func TestCounterVecBasics(t *testing.T) {
 	v.With("optimize", "ok").Add(2)
 	v.With("optimize", "ok").Inc()
 	v.With("batch", "shed").Inc()
-	snap := v.snapshot()
+	snap := seriesOf(v, (*Counter).Load)
 	if snap[`endpoint="optimize",outcome="ok"`] != 3 {
 		t.Errorf("optimize/ok = %d, want 3", snap[`endpoint="optimize",outcome="ok"`])
 	}
@@ -41,7 +51,7 @@ func TestVecCardinalityBound(t *testing.T) {
 	for i := 0; i < DefaultMaxSeries+50; i++ {
 		v.With(fmt.Sprintf("v%d", i)).Inc()
 	}
-	snap := v.snapshot()
+	snap := seriesOf(v, (*Counter).Load)
 	// The cap plus at most one overflow series.
 	if len(snap) > DefaultMaxSeries+1 {
 		t.Errorf("series count %d exceeds bound %d", len(snap), DefaultMaxSeries+1)
@@ -64,7 +74,7 @@ func TestHistogramVecExemplar(t *testing.T) {
 	v := r.HistogramVec("lat_ms", "endpoint")
 	v.With("optimize").ObserveExemplar(3, "deadbeefdeadbeefdeadbeefdeadbeef")
 	v.With("optimize").Observe(0.2)
-	snap := v.snapshot()
+	snap := seriesOf(v, (*Histogram).Snapshot)
 	hs := snap[`endpoint="optimize"`]
 	if hs.Count != 2 {
 		t.Fatalf("count = %d, want 2", hs.Count)
@@ -103,6 +113,132 @@ func TestVecLookupDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPlainLookupDoesNotAllocate: a plain instrument is the unlabeled
+// family's one series, handed out from a field — looking up an existing name
+// builds no key and allocates nothing, nor does finding an existing family.
+func TestPlainLookupDoesNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("hits").Inc()
+	r.Gauge("depth").Set(1)
+	r.Histogram("ms").Observe(1)
+	r.CounterVec("reqs", "endpoint", "outcome").With("optimize", "ok").Inc()
+	n := testing.AllocsPerRun(100, func() {
+		r.Counter("hits").Inc()
+		r.Gauge("depth").Add(1)
+		r.Histogram("ms").Observe(2)
+		r.CounterVec("reqs", "endpoint", "outcome").With("optimize", "ok").Inc()
+	})
+	if n != 0 {
+		t.Errorf("lookups of existing names allocate %.0f times", n)
+	}
+}
+
+func BenchmarkCounterLookup(b *testing.B) {
+	r := NewRegistry()
+	for i := 0; i < 60; i++ {
+		r.Counter(fmt.Sprintf("counter_%d_total", i))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Counter("counter_7_total").Inc()
+	}
+}
+
+// TestSchemaConflictPanics: one name is one family with one label schema. A
+// second lookup under another schema gets the registered family, and using it
+// panics instead of silently creating a second instrument under the name.
+func TestSchemaConflictPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		first  func(r *Registry)
+		second func(r *Registry)
+	}{
+		{"plain then vec", func(r *Registry) { r.Counter("x").Inc() }, func(r *Registry) { r.CounterVec("x", "endpoint").With("a") }},
+		{"vec then plain", func(r *Registry) { r.HistogramVec("x", "endpoint").With("a") }, func(r *Registry) { r.Histogram("x") }},
+		{"two vecs", func(r *Registry) { r.GaugeVec("x", "a", "b").With("1", "2") }, func(r *Registry) { r.GaugeVec("x", "c").With("3") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRegistry()
+			tc.first(r)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second schema for one name did not panic; snapshot %+v", r.Snapshot())
+				}
+			}()
+			tc.second(r)
+		})
+	}
+}
+
+// TestSnapshotMatchesExposition: Snapshot and WritePrometheus read one shape,
+// so they name the same series — plain, labeled, overflowed, gauge-family and
+// exemplar-carrying alike.
+func TestSnapshotMatchesExposition(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("requests_total").Add(3)
+	r.Gauge("queue_depth").Set(2)
+	r.Histogram("optimize_ms").Observe(5)
+	cv := r.CounterVec("served_total", "endpoint")
+	for i := 0; i < DefaultMaxSeries+3; i++ {
+		cv.With(fmt.Sprintf("e%d", i)).Inc()
+	}
+	r.GaugeVec("burn_rate", "window").With("1m0s").Set(0.5)
+	r.GaugeVec("burn_rate", "window").With("5m0s").Set(1.5)
+	hv := r.HistogramVec("latency_ms", "endpoint")
+	hv.With("optimize").ObserveExemplar(3, "4bf92f3577b34da6a3ce929d0e0e4736")
+	hv.With("batch").Observe(40)
+
+	snap := r.Snapshot()
+	keys := map[string]bool{}
+	for k := range snap.Counters {
+		keys[k] = true
+	}
+	for k := range snap.Gauges {
+		keys[k] = true
+	}
+	for k := range snap.Histograms {
+		keys[k] = true
+	}
+	if !keys[`served_total{endpoint="other"}`] {
+		t.Fatalf("overflow series missing from the snapshot")
+	}
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	le := regexp.MustCompile(`\{le="[^"]*"\}|,le="[^"]*"`)
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		series, _, _ := strings.Cut(line, " ")
+		series = le.ReplaceAllString(series, "")
+		i := strings.IndexByte(series, '{')
+		if i < 0 {
+			i = len(series)
+		}
+		name, block := series[:i], series[i:]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(name, suffix); ok {
+				if _, hist := snap.Histograms[base+block]; hist {
+					name = base
+				}
+			}
+		}
+		if !keys[name+block] {
+			t.Errorf("exposition sample %q (series %q) is not a snapshot key", line, name+block)
+		}
+		seen[name+block] = true
+	}
+	for k := range keys {
+		if !seen[k] {
+			t.Errorf("snapshot key %q is missing from the exposition", k)
+		}
+	}
+}
+
 func TestRegistrySnapshotIncludesLabeled(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("reqs", "endpoint").With("optimize").Add(4)
@@ -131,7 +267,7 @@ func TestVecConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	for _, c := range v.snapshot() {
+	for _, c := range seriesOf(v, (*Counter).Load) {
 		total += c
 	}
 	if total != 8000 {

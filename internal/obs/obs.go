@@ -11,7 +11,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,12 +77,12 @@ type Exemplar struct {
 }
 
 // Histogram is a fixed-layout exponential histogram. Observations and
-// snapshots are lock-free; the float64 sum is maintained with a CAS loop.
-// Each bucket optionally retains the exemplar of its most recent traced
-// observation (ObserveExemplar).
+// snapshots are lock-free; the float64 sum is a Gauge's CAS loop. There is no
+// separate count: the buckets are the count, so every number a read derives
+// agrees with the buckets it read. Each bucket optionally retains the
+// exemplar of its most recent traced observation (ObserveExemplar).
 type Histogram struct {
-	count     atomic.Int64
-	sumBits   atomic.Uint64
+	sum       Gauge
 	buckets   [numBuckets]atomic.Int64
 	exemplars [numBuckets]atomic.Pointer[Exemplar]
 }
@@ -105,14 +104,7 @@ func (h *Histogram) Observe(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, nw) {
-			break
-		}
-	}
+	h.sum.Add(v)
 	h.buckets[bucketOf(v)].Add(1)
 }
 
@@ -130,11 +122,23 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	h.exemplars[bucketOf(v)].Store(&Exemplar{Value: v, TraceID: traceID})
 }
 
+// load reads every bucket once and returns them with their total.
+func (h *Histogram) load() (b [numBuckets]int64, total int64) {
+	for i := range b {
+		b[i] = h.buckets[i].Load()
+		total += b[i]
+	}
+	return b, total
+}
+
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	_, n := h.load()
+	return n
+}
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts.
 // The estimator locates the bucket containing the rank ⌈q·count⌉ and
@@ -150,7 +154,12 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 // power-of-two scaled by the same interpolation. Returns 0 on an empty
 // histogram.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	b, n := h.load()
+	return quantile(&b, n, q)
+}
+
+// quantile is Quantile over one read of the buckets.
+func quantile(b *[numBuckets]int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -159,8 +168,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank = 1
 	}
 	var seen int64
-	for i := 0; i < numBuckets; i++ {
-		n := h.buckets[i].Load()
+	for i, n := range b {
 		if n > 0 && float64(seen+n) >= rank {
 			upper := math.Pow(2, float64(i))
 			lower := 0.0
@@ -196,43 +204,41 @@ type BucketOfHist struct {
 	Exemplar *Exemplar `json:"exemplar,omitempty"`
 }
 
-// Snapshot returns a consistent-enough copy for reporting (buckets are read
-// individually; exact cross-field consistency is not guaranteed under
-// concurrent writes, which is fine for monitoring).
+// Snapshot returns a copy for reporting. Count, the quantiles and the
+// cumulative buckets come from one read of the buckets, so the last bucket
+// always equals Count; Sum is read separately and may be off by the
+// observations that land in between, which is fine for monitoring.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{Count: h.Count(), Sum: h.Sum()}
+	b, total := h.load()
+	s := HistogramSnapshot{Count: total, Sum: h.Sum()}
 	if s.Count > 0 {
 		s.Avg = s.Sum / float64(s.Count)
 	}
-	s.P50, s.P90, s.P99 = h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99)
+	s.P50, s.P90, s.P99 = quantile(&b, total, 0.50), quantile(&b, total, 0.90), quantile(&b, total, 0.99)
 	var cum int64
-	for i := 0; i < numBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
+	for i, n := range b {
+		if n > 0 {
+			cum += n
+			s.Le = append(s.Le, BucketOfHist{Le: math.Pow(2, float64(i)), Count: cum, Exemplar: h.exemplars[i].Load()})
 		}
-		cum += n
-		s.Le = append(s.Le, BucketOfHist{Le: math.Pow(2, float64(i)), Count: cum, Exemplar: h.exemplars[i].Load()})
 	}
 	return s
 }
 
-// Registry is a named collection of counters and histograms. Lookups are
-// get-or-create and safe for concurrent use; names are stable identifiers
-// reported verbatim on /metricz.
+// Registry is a named collection of metric families, one map per instrument
+// kind (see labeled.go). Lookups are get-or-create and safe for concurrent
+// use; names are stable identifiers reported verbatim on /metricz.
 //
 // A nil *Registry is the registry of a component whose metrics nobody reads:
 // every lookup hands out a detached instrument that works but is registered
-// nowhere (see instrument), and Snapshot and WritePrometheus report nothing.
+// nowhere (see lookup), and Snapshot and WritePrometheus report nothing.
 // Two lookups of one name on a nil registry are therefore two instruments:
 // code that reads back what it counted resolves its handle once and keeps it.
 type Registry struct {
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	hists    map[string]*Histogram
-	gauges   map[string]*Gauge
-	cvecs    map[string]*CounterVec
-	hvecs    map[string]*HistogramVec
+	mu         sync.RWMutex
+	counters   map[string]*CounterVec
+	gauges     map[string]*GaugeVec
+	histograms map[string]*HistogramVec
 	// resolves, when set, reports whether a trace ID can still be looked
 	// up; snapshots drop the exemplars for which it cannot.
 	resolves func(traceID string) bool
@@ -241,29 +247,39 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
-		hists:    map[string]*Histogram{},
-		gauges:   map[string]*Gauge{},
-		cvecs:    map[string]*CounterVec{},
-		hvecs:    map[string]*HistogramVec{},
+		counters:   map[string]*CounterVec{},
+		gauges:     map[string]*GaugeVec{},
+		histograms: map[string]*HistogramVec{},
 	}
 }
 
-// Counter returns the counter registered under name, creating it on first
-// use.
-func (r *Registry) Counter(name string) *Counter {
-	return instrument(r, name, func() map[string]*Counter { return r.counters }, func() *Counter { return &Counter{} })
-}
+// Counter returns the counter registered under name — the one series of the
+// unlabeled family of that name — creating it on first use.
+func (r *Registry) Counter(name string) *Counter { return r.CounterVec(name).With() }
+
+// Gauge returns the gauge registered under name, creating it on first use.
+func (r *Registry) Gauge(name string) *Gauge { return r.GaugeVec(name).With() }
 
 // Histogram returns the histogram registered under name, creating it on
 // first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	return instrument(r, name, func() map[string]*Histogram { return r.hists }, func() *Histogram { return &Histogram{} })
+func (r *Registry) Histogram(name string) *Histogram { return r.HistogramVec(name).With() }
+
+// CounterVec returns the counter family registered under name, creating it on
+// first use with the given label schema.
+func (r *Registry) CounterVec(name string, labels ...string) *CounterVec {
+	return lookup(r, func(r *Registry) map[string]*CounterVec { return r.counters }, name, labels)
 }
 
-// Gauge returns the gauge registered under name, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	return instrument(r, name, func() map[string]*Gauge { return r.gauges }, func() *Gauge { return &Gauge{} })
+// GaugeVec returns the gauge family registered under name, creating it on
+// first use with the given label schema.
+func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
+	return lookup(r, func(r *Registry) map[string]*GaugeVec { return r.gauges }, name, labels)
+}
+
+// HistogramVec returns the histogram family registered under name, creating
+// it on first use with the given label schema.
+func (r *Registry) HistogramVec(name string, labels ...string) *HistogramVec {
+	return lookup(r, func(r *Registry) map[string]*HistogramVec { return r.histograms }, name, labels)
 }
 
 // ResolveExemplars makes Snapshot and WritePrometheus drop every exemplar
@@ -280,17 +296,24 @@ func (r *Registry) ResolveExemplars(resolves func(traceID string) bool) {
 	r.mu.Unlock()
 }
 
-// dropStale clears the exemplars of hs that no longer resolve. Callers hold
-// r.mu; hs.Le is the snapshot's own slice.
-func (r *Registry) dropStale(hs HistogramSnapshot) HistogramSnapshot {
+// read takes every series' reading, the one read path behind Snapshot and
+// WritePrometheus, and drops the exemplars that no longer resolve.
+func (r *Registry) read() (cs []reading[int64], gs []reading[float64], hs []reading[HistogramSnapshot]) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	cs = readAll(r.counters, (*Counter).Load)
+	gs = readAll(r.gauges, (*Gauge).Load)
+	hs = readAll(r.histograms, (*Histogram).Snapshot)
 	if r.resolves != nil {
-		for i, b := range hs.Le {
-			if b.Exemplar != nil && !r.resolves(b.Exemplar.TraceID) {
-				hs.Le[i].Exemplar = nil
+		for _, h := range hs {
+			for i, b := range h.v.Le {
+				if b.Exemplar != nil && !r.resolves(b.Exemplar.TraceID) {
+					h.v.Le[i].Exemplar = nil
+				}
 			}
 		}
 	}
-	return hs
+	return cs, gs, hs
 }
 
 // Snapshot is the JSON-ready state of a registry.
@@ -300,48 +323,24 @@ type Snapshot struct {
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 }
 
-// Snapshot captures every registered metric. Names are sorted into the maps
-// deterministically (Go maps marshal in sorted key order). Labeled series
-// appear under their full exposition name — `family{k="v",...}` — so JSON
-// consumers see one flat namespace.
+// Snapshot captures every registered metric (Go maps marshal in sorted key
+// order). Labeled series appear under their full exposition name —
+// `family{k="v",...}` — so JSON consumers see one flat namespace.
 func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		r = NewRegistry()
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	s := Snapshot{
-		Counters:   make(map[string]int64, len(r.counters)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+	cs, gs, hs := r.read()
+	return Snapshot{Counters: flatten(cs), Histograms: flatten(hs), Gauges: flatten(gs)}
+}
+
+// flatten keys readings by their flat series name.
+func flatten[V any](rs []reading[V]) map[string]V {
+	m := make(map[string]V, len(rs))
+	for _, s := range rs {
+		m[s.key()] = s.v
 	}
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.Counters[n] = r.counters[n].Load()
-	}
-	for n, v := range r.cvecs {
-		for key, val := range v.snapshot() {
-			s.Counters[n+"{"+key+"}"] = val
-		}
-	}
-	for n, h := range r.hists {
-		s.Histograms[n] = r.dropStale(h.Snapshot())
-	}
-	for n, v := range r.hvecs {
-		for key, hs := range v.snapshot() {
-			s.Histograms[n+"{"+key+"}"] = r.dropStale(hs)
-		}
-	}
-	if len(r.gauges) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges))
-		for n, g := range r.gauges {
-			s.Gauges[n] = g.Load()
-		}
-	}
-	return s
+	return m
 }
 
 // StageTimings records the wall-clock time one optimization spent in each

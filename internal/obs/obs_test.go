@@ -81,6 +81,40 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotConsistent: a snapshot taken while observations land
+// is still a histogram — its last cumulative bucket is its Count, which is
+// what the exposition prints as +Inf and _count. Count read apart from the
+// buckets let the buckets end above it.
+func TestHistogramSnapshotConsistent(t *testing.T) {
+	h := &obs.Histogram{}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(float64(i%1000 + g))
+				}
+			}
+		}(g)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for deadline := time.Now().Add(500 * time.Millisecond); time.Now().Before(deadline); {
+		s := h.Snapshot()
+		if len(s.Le) > 0 && s.Le[len(s.Le)-1].Count != s.Count {
+			t.Fatalf("last cumulative bucket %d != count %d", s.Le[len(s.Le)-1].Count, s.Count)
+		}
+	}
+}
+
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("requests_total").Add(3)

@@ -114,8 +114,6 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	broot.SetInt("members", int64(len(breq.Plans)))
 
 	m := s.Metrics()
-	m.Counter("batch_requests_total").Inc()
-	m.Counter("batch_members_total").Add(int64(len(breq.Plans)))
 	m.Histogram("batch_size").Observe(float64(len(breq.Plans)))
 
 	// Parse and fingerprint every member up front; duplicates point at the

@@ -116,10 +116,10 @@ func TestBatchEndpoint(t *testing.T) {
 
 	var snap obs.Snapshot
 	getJSON(t, ts.URL+"/metricz", &snap)
-	c := snap.Counters
-	if c["batch_requests_total"] != 2 || c["batch_members_total"] != 8 {
-		t.Fatalf("batch counters: requests=%d members=%d, want 2/8", c["batch_requests_total"], c["batch_members_total"])
+	if bs := snap.Histograms["batch_size"]; bs.Count != 2 || bs.Sum != 8 {
+		t.Fatalf("batch_size: count=%d sum=%g, want 2 batches of 8 members", bs.Count, bs.Sum)
 	}
+	c := snap.Counters
 	if c["batch_dedup_total"] != 1 || c["batch_member_errors_total"] != 2 {
 		t.Fatalf("batch counters: dedup=%d memberErrors=%d, want 1/2", c["batch_dedup_total"], c["batch_member_errors_total"])
 	}

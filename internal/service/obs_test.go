@@ -351,8 +351,8 @@ func TestSloz(t *testing.T) {
 		t.Errorf("slo_breached = %v, want 0", snap.Gauges["slo_breached"])
 	}
 	for _, w := range obs.DefaultSLOWindows {
-		if _, ok := snap.Gauges["slo_burn_rate_"+w.String()]; !ok {
-			t.Errorf("gauge slo_burn_rate_%s missing", w)
+		if _, ok := snap.Gauges[`slo_burn_rate{window="`+w.String()+`"}`]; !ok {
+			t.Errorf("gauge slo_burn_rate{window=%q} missing", w)
 		}
 	}
 }

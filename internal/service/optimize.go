@@ -644,7 +644,6 @@ func (s *Server) recordEnumeration(res *core.Result, stageMs map[string]float64)
 		m.Histogram("model_batch_rows").Observe(float64(res.Stats.ModelRows) / float64(res.Stats.ModelBatches))
 	}
 	m.Counter("model_batches_total").Add(int64(res.Stats.ModelBatches))
-	m.Counter("model_rows_total").Add(int64(res.Stats.ModelRows))
 	m.Counter("memo_hits_total").Add(int64(res.Stats.MemoHits))
 	m.Counter("interval_kept_total").Add(int64(res.Stats.IntervalKept))
 	m.Histogram("plan_spread").Observe(res.PredictedDist.Spread)
@@ -655,8 +654,9 @@ func (s *Server) recordEnumeration(res *core.Result, stageMs map[string]float64)
 	if res.Stats.Par.MaxQueueDepth > 0 {
 		m.Histogram("pool_queue_depth").Observe(float64(res.Stats.Par.MaxQueueDepth))
 	}
+	stages := m.HistogramVec("serving_stage_ms", "stage")
 	for stage, ms := range stageMs {
-		m.Histogram("stage_" + stage + "_ms").Observe(ms)
+		stages.With(stage).Observe(ms)
 	}
 }
 

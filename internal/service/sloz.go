@@ -12,9 +12,9 @@ import (
 // with traffic). A server without an SLO configured reports enabled=false.
 //
 // The same numbers are exported as gauges on /metricz (slo_objective_ms,
-// slo_target, slo_breached and one slo_burn_rate_<window> per window),
-// refreshed on each scrape, so dashboards and the loadgen -slo assertion
-// mode read the same state.
+// slo_target, slo_breached and the slo_burn_rate family, one series per
+// window label), refreshed on each scrape, so dashboards and the loadgen -slo
+// assertion mode read the same state.
 
 // SlozResponse is the JSON reply of GET /sloz.
 type SlozResponse struct {
@@ -45,7 +45,8 @@ func (s *Server) refreshSLOGauges() {
 		breached = 1
 	}
 	m.Gauge("slo_breached").Set(breached)
+	burn := m.GaugeVec("slo_burn_rate", "window")
 	for _, w := range snap.Windows {
-		m.Gauge("slo_burn_rate_" + w.Window).Set(w.BurnRate)
+		burn.With(w.Window).Set(w.BurnRate)
 	}
 }

@@ -453,7 +453,7 @@ grep -q '# {trace_id="' "$WORK/metricz2.prom" \
 EXEMPLAR_ID="$(grep -o 'trace_id="[0-9a-f]*"' "$WORK/metricz2.prom" | head -1 | cut -d'"' -f2)"
 curl -sf "$BASE/tracez?id=$EXEMPLAR_ID" >/dev/null \
   || die "exemplar trace $EXEMPLAR_ID not resolvable via /tracez"
-grep -q '^slo_burn_rate_' "$WORK/metricz2.prom" \
+grep -q '^slo_burn_rate{window=' "$WORK/metricz2.prom" \
   || die "exposition lacks slo_burn_rate gauges"
 
 say "loadgen -peer-compare: tier off vs on, same seed"
