@@ -132,12 +132,7 @@ func versionMix(versions map[string]int) string {
 // burnSummary is the replica's worst burn-rate window, or "-" without SLO
 // tracking.
 func burnSummary(st fleet.ReplicaStatus) string {
-	worst, window := 0.0, ""
-	for w, b := range st.BurnRates {
-		if b > worst || window == "" {
-			worst, window = b, w
-		}
-	}
+	window, worst := fleet.WorstBurn(st.BurnRates)
 	if window == "" {
 		return "-"
 	}

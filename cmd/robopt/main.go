@@ -270,9 +270,7 @@ func main() {
 			log.Fatal(err)
 		}
 		var p platform.ID
-		p, x, _, err = plan.CheapestAllOn(l, plats, avail, func(x *plan.Execution) (float64, error) {
-			return ctx.PredictAssignment(model, x.Assign)
-		})
+		p, x, _, err = ctx.CheapestAllOn(model, plats)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -146,7 +146,7 @@ func (o MLOracle) estimateBatch(sps []*SubPlan, out []float64) {
 		}
 		copy(X.Row(i), o.Ctx.VectorizeSubplan(assign).F)
 	}
-	mlmodel.Batcher(o.Model).PredictBatch(X, out[:len(sps)])
+	o.Model.PredictBatchDist(X, out[:len(sps)], nil, nil, nil)
 }
 
 // enumeration is an object-based plan enumeration: a scope and its subplan

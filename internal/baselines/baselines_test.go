@@ -11,6 +11,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/simulator"
+	"repro/internal/vecops"
 	"repro/internal/workload"
 )
 
@@ -164,6 +165,15 @@ func TestMLOracleMatchesDirectPrediction(t *testing.T) {
 type predictFunc func([]float64) float64
 
 func (f predictFunc) Predict(x []float64) float64 { return f(x) }
+
+func (f predictFunc) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = f(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
+	}
+}
 
 func TestCostOracleCountsStartupOncePerPlatform(t *testing.T) {
 	c := simulator.Default()

@@ -143,7 +143,7 @@ func BenchmarkPrune(b *testing.B) {
 // BenchmarkAblationBatch compares one merge+prune step of the enumeration on
 // the pre-batching scalar path (per-pair allocating Merge, one model call
 // per vector) against the batch path (merge into the worker scratch, one
-// PredictBatch over the product's feature matrix) at the scale of Figure
+// kernel call over the product's feature matrix) at the scale of Figure
 // 9a's 40-operator pipeline.
 func BenchmarkAblationBatch(b *testing.B) {
 	ctx := benchContext(b, 40, 2)
@@ -288,11 +288,14 @@ func (weightModel) Predict(f []float64) float64 {
 	return s
 }
 
-// PredictBatch scores each row with the same arithmetic as Predict, making
-// weightModel a native BatchCostModel for the benchmarks above.
-func (m weightModel) PredictBatch(X *vecops.Matrix, out []float64) {
+// PredictBatchDist scores each row with the same arithmetic as Predict, with
+// zero spread: a point-only model for the benchmarks above.
+func (m weightModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
 	for i := 0; i < X.Rows; i++ {
-		out[i] = m.Predict(X.Row(i))
+		mean[i] = m.Predict(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
 	}
 }
 
@@ -301,8 +304,8 @@ func (m weightModel) PredictBatch(X *vecops.Matrix, out []float64) {
 type distWeightModel struct{ weightModel }
 
 func (m distWeightModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
-	m.PredictBatch(X, mean)
-	for i := 0; i < X.Rows; i++ {
+	m.weightModel.PredictBatchDist(X, mean, nil, nil, nil)
+	for i := 0; spread != nil && i < X.Rows; i++ {
 		s := 0.01 * mean[i]
 		if s < 0 {
 			s = -s

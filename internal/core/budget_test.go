@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/simulator"
+	"repro/internal/vecops"
 	"repro/internal/workload"
 )
 
@@ -32,6 +33,10 @@ func (m slowModel) Predict(f []float64) float64 {
 	}
 	time.Sleep(m.d)
 	return m.inner.Predict(f)
+}
+
+func (m slowModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	pointKernel(m.Predict, X, mean, spread, lo, hi)
 }
 
 // slowPlanCtx returns a context whose Optimize run takes multiple seconds

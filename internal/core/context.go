@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/mlmodel"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/platform"
@@ -25,12 +26,10 @@ func ResolveWorkers(n int) int {
 // CostModel is the oracle m of the prune operation (Section IV-E): "it can
 // be a cost model, an ML model, or even a pricing catalogue". Robopt
 // instantiates it with an ML model trained to predict execution-plan
-// runtimes; the baselines plug in linear cost formulas.
-type CostModel interface {
-	// Predict estimates the runtime (seconds) of the execution (sub)plan
-	// represented by feature vector f.
-	Predict(f []float64) float64
-}
+// runtimes; the latency experiments plug in a linear scorer. It is
+// mlmodel.Model: the enumeration scores every vector through the model's one
+// kernel, PredictBatchDist (dist.go).
+type CostModel = mlmodel.Model
 
 // Stats counts the work performed during one enumeration. It backs Table I
 // (enumerated subplans) and the latency analyses of Figures 1, 9, 10, and is
@@ -144,8 +143,8 @@ type Context struct {
 	// schedule.go), and within a task merges and model invocations fan out
 	// the same way. 0 or 1 runs serially. Results are bit-identical either
 	// way — the schedule and reduction order are computed serially — but
-	// the cost model must be safe for concurrent Predict, PredictBatch and
-	// PredictBatchDist calls (all mlmodel models are).
+	// the cost model must be safe for concurrent Predict and PredictBatchDist
+	// calls (all mlmodel models are).
 	Workers int
 
 	// Budget bounds the work of one optimization run; the zero value is

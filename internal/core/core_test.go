@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/platform"
+	"repro/internal/vecops"
 	"repro/internal/workload"
 )
 
@@ -48,6 +49,24 @@ func (m linModel) Predict(f []float64) float64 {
 		s += m.w[i] * v
 	}
 	return s
+}
+
+// PredictBatchDist is the point-only kernel, written on the concrete type so
+// TestOptimizeAllocCeiling counts the enumeration's allocations, not a
+// fake's (the method value does not escape pointKernel).
+func (m linModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	pointKernel(m.Predict, X, mean, spread, lo, hi)
+}
+
+// pointKernel is the kernel of a point-only fake: predict per row, and zero
+// spread with lo = hi = mean when asked.
+func pointKernel(predict func([]float64) float64, X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = predict(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
+	}
 }
 
 // newCtx builds the suite's contexts with the store's poison hook armed: a

@@ -1,20 +1,18 @@
 package core
 
-import "repro/internal/vecops"
-
 // This file is the prediction contract of the enumeration. Every vector is
-// scored by the model's predictive distribution (mlmodel.BatchDistModel
-// satisfies DistBatchCostModel structurally; point-only models degrade to a
-// zero-spread one): Vector.Dist carries it, Vector.Cost is its selection
-// score mean + λ·spread, and the prune operation (pruneGroups) may keep
-// near-ties whose intervals overlap their group winner's. Context.Risk holds
-// the two knobs; its zero value — λ=0, keep one per group — is the paper's
-// point-estimate optimizer, run by the same code as every other setting.
+// scored by the model's predictive distribution, from the one kernel every
+// CostModel has (PredictBatchDist; a point-only model reports zero spread):
+// Vector.Dist carries it, Vector.Cost is its selection score mean + λ·spread,
+// and the prune operation (pruneGroups) may keep near-ties whose intervals
+// overlap their group winner's. Context.Risk holds the two knobs; its zero
+// value — λ=0, keep one per group — is the paper's point-estimate optimizer,
+// run by the same code as every other setting.
 
 // CostDist summarizes the model's predictive distribution for one plan
-// vector: the mean point estimate (bit-identical to the scalar prediction
-// path), a nonnegative spread (one standard deviation of the model's
-// uncertainty proxy), and a central interval [Lo, Hi] containing the mean.
+// vector: the mean point estimate (bit-identical to Predict), a nonnegative
+// spread (one standard deviation of the model's uncertainty proxy), and a
+// central interval [Lo, Hi] containing the mean.
 type CostDist struct {
 	Mean   float64 `json:"mean"`
 	Spread float64 `json:"spread"`
@@ -53,36 +51,4 @@ func (c *Context) score(d CostDist) float64 {
 		s += c.Risk.Lambda * d.Spread
 	}
 	return s
-}
-
-// DistBatchCostModel is a CostModel that predicts a whole feature matrix
-// with per-row uncertainty, filling the four parallel output slices.
-// mlmodel.BatchDistModel satisfies it structurally (mlmodel.Matrix aliases
-// vecops.Matrix), keeping core free of an mlmodel dependency. mean[i] must
-// be bit-identical to the point path's prediction for row i; implementations
-// must be safe for concurrent calls.
-type DistBatchCostModel interface {
-	CostModel
-	PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64)
-}
-
-// asBatchDist returns m as a DistBatchCostModel, degrading point-only models
-// to a zero-spread distribution (lo = hi = mean) so the enumeration works —
-// without uncertainty information — against any CostModel.
-func asBatchDist(m CostModel) DistBatchCostModel {
-	if dm, ok := m.(DistBatchCostModel); ok {
-		return dm
-	}
-	return pointBatchDist{asBatch(m)}
-}
-
-type pointBatchDist struct{ BatchCostModel }
-
-func (p pointBatchDist) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
-	p.PredictBatch(X, mean)
-	for i := 0; i < X.Rows; i++ {
-		spread[i] = 0
-		lo[i] = mean[i]
-		hi[i] = mean[i]
-	}
 }

@@ -99,7 +99,10 @@ func (m additiveDistModel) Predict(f []float64) float64 { return m.mean.Predict(
 func (m additiveDistModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
 	for i := 0; i < X.Rows; i++ {
 		mu, s := m.mean.Predict(X.Row(i)), m.spread.Predict(X.Row(i))
-		mean[i], spread[i], lo[i], hi[i] = mu, s, mu-1.645*s, mu+1.645*s
+		mean[i] = mu
+		if spread != nil {
+			spread[i], lo[i], hi[i] = s, mu-1.645*s, mu+1.645*s
+		}
 	}
 }
 

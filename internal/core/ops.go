@@ -634,3 +634,11 @@ func (c *Context) PredictAssignment(m CostModel, assign []platform.ID) (float64,
 	}
 	return m.Predict(c.VectorizeExecution(cols).F), nil
 }
+
+// CheapestAllOn is plan.CheapestAllOn over the plan with m's estimates as
+// the scores: the single-platform mode of Section VII-C1 under the model.
+func (c *Context) CheapestAllOn(m CostModel, candidates []platform.ID) (platform.ID, *plan.Execution, float64, error) {
+	return plan.CheapestAllOn(c.Plan, candidates, c.Avail, func(x *plan.Execution) (float64, error) {
+		return c.PredictAssignment(m, x.Assign)
+	})
+}

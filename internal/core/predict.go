@@ -25,34 +25,6 @@ func (c *Context) OptimizeProvider(ctx context.Context, mp ModelProvider) (*Resu
 	return c.Optimize(ctx, mp.ActiveModel())
 }
 
-// BatchCostModel is a CostModel that can predict a whole feature matrix in
-// one call, filling out[i] for row i. mlmodel.BatchModel satisfies it
-// structurally (mlmodel.Matrix is an alias of vecops.Matrix), keeping core
-// free of an mlmodel dependency. Implementations must be safe for
-// concurrent PredictBatch calls: the enumeration chunks one matrix across
-// workers.
-type BatchCostModel interface {
-	CostModel
-	PredictBatch(X *vecops.Matrix, out []float64)
-}
-
-// asBatch returns m as a BatchCostModel, wrapping scalar models with a
-// per-row loop so third-party CostModels keep working unchanged.
-func asBatch(m CostModel) BatchCostModel {
-	if bm, ok := m.(BatchCostModel); ok {
-		return bm
-	}
-	return scalarBatch{m}
-}
-
-type scalarBatch struct{ CostModel }
-
-func (b scalarBatch) PredictBatch(X *vecops.Matrix, out []float64) {
-	for i := 0; i < X.Rows; i++ {
-		out[i] = b.Predict(X.Row(i))
-	}
-}
-
 // features returns the flat row-major matrix of the unscored vectors of e,
 // listed in miss. When that is every vector and the enumeration carries its
 // feature matrix (the common case: predict runs right after the merge that
@@ -123,13 +95,12 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 		buf := sc.out[:4*len(miss)]
 		mean, spread := buf[:len(miss)], buf[len(miss):2*len(miss)]
 		lov, hiv := buf[2*len(miss):3*len(miss)], buf[3*len(miss):]
-		dm := asBatchDist(m)
 		err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(lo, hi int) {
 			// Sliced from a copy: a method call on X itself would take its
 			// address and move it to the heap, one allocation per batch.
 			sub := X
 			sub = sub.RowsView(lo, hi)
-			dm.PredictBatchDist(&sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
+			m.PredictBatchDist(&sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
 		})
 		if err != nil {
 			ok = false

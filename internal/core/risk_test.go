@@ -173,17 +173,13 @@ func (m riskyModel) Predict(f []float64) float64 {
 	return mean
 }
 
-func (m riskyModel) PredictBatch(X *vecops.Matrix, out []float64) {
-	for i := 0; i < X.Rows; i++ {
-		out[i] = m.Predict(X.Data[i*X.Cols : (i+1)*X.Cols])
-	}
-}
-
 func (m riskyModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
 	for i := 0; i < X.Rows; i++ {
-		mu, s := m.dist(X.Data[i*X.Cols : (i+1)*X.Cols])
-		mean[i], spread[i] = mu, s
-		lo[i], hi[i] = mu-1.645*s, mu+1.645*s
+		mu, s := m.dist(X.Row(i))
+		mean[i] = mu
+		if spread != nil {
+			spread[i], lo[i], hi[i] = s, mu-1.645*s, mu+1.645*s
+		}
 	}
 }
 

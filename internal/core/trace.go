@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/vecops"
 )
 
 // This file is the explainability layer of the optimizer: when a trace is
@@ -265,20 +266,23 @@ func (rt *RunTrace) finishSelection(e *Enumeration, best *Vector) {
 
 // recordContributions scores each operator's singleton subvector under the
 // winning assignment — the per-subvector cost decomposition of the chosen
-// plan. Runs only on traced runs (n extra scalar model calls).
+// plan. Runs only on traced runs — every serving request is one — so the n
+// batches of one share one row header and one output cell.
 func (rt *RunTrace) recordContributions(c *Context, m CostModel, best *Vector) {
+	X, cost := &vecops.Matrix{Rows: 1, Cols: c.Schema.Len()}, make([]float64, 1)
 	for _, o := range c.Plan.Ops {
 		col := best.Assign[o.ID]
 		if col == Unassigned {
 			continue
 		}
-		v := c.VectorizeSubplan(map[plan.OpID]uint8{o.ID: col})
+		X.Data = c.VectorizeSubplan(map[plan.OpID]uint8{o.ID: col}).F
+		m.PredictBatchDist(X, cost, nil, nil, nil)
 		rt.OpContribs = append(rt.OpContribs, OpContribution{
 			Op:       int(o.ID),
 			Name:     o.Name,
 			Kind:     o.Kind.String(),
 			Platform: rt.platformName(col),
-			Cost:     m.Predict(v.F),
+			Cost:     cost[0],
 		})
 	}
 }

@@ -170,9 +170,7 @@ func (h *Harness) figure11() ([]Fig11Point, error) {
 			if err != nil {
 				return nil, err
 			}
-			pt.Robopt, _, _, err = plan.CheapestAllOn(l, singleModePlatforms, avail, func(x *plan.Execution) (float64, error) {
-				return ctx.PredictAssignment(m, x.Assign)
-			})
+			pt.Robopt, _, _, err = ctx.CheapestAllOn(m, singleModePlatforms)
 			if err != nil {
 				return nil, err
 			}

@@ -130,11 +130,15 @@ func (m latencyModel) Predict(f []float64) float64 {
 	return s
 }
 
-// PredictBatch scores each row with the same arithmetic as Predict, making
-// the latency experiments exercise the enumeration's batched inference path.
-func (m latencyModel) PredictBatch(X *mlmodel.Matrix, out []float64) {
+// PredictBatchDist scores each row with Predict's arithmetic, so the latency
+// experiments exercise the enumeration's batched inference path. The model
+// is point-only: zero spread, lo = hi = mean.
+func (m latencyModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
 	for i := 0; i < X.Rows; i++ {
-		out[i] = m.Predict(X.Row(i))
+		mean[i] = m.Predict(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
 	}
 }
 

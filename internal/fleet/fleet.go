@@ -191,10 +191,8 @@ func Aggregate(statuses []ReplicaStatus) Rollup {
 		if st.Breached {
 			r.Breached++
 		}
-		for w, b := range st.BurnRates {
-			if b > r.MaxBurnRate {
-				r.MaxBurnRate, r.MaxBurnWindow = b, w
-			}
+		if w, b := WorstBurn(st.BurnRates); b > r.MaxBurnRate {
+			r.MaxBurnRate, r.MaxBurnWindow = b, w
 		}
 	}
 	if looked > 0 {
@@ -208,6 +206,21 @@ func Aggregate(statuses []ReplicaStatus) Rollup {
 		r.ModelVersions = nil
 	}
 	return r
+}
+
+// WorstBurn returns the window with the highest of a replica's burn rates,
+// and that rate. Equal rates go to the shortest window (1m0s before 5m0s
+// before 30m0s), so a quiet replica, all 0.00×, reports the same window on
+// every scrape. The window is "" when there are no rates.
+func WorstBurn(rates map[string]float64) (window string, rate float64) {
+	var shortest time.Duration
+	for w, b := range rates {
+		d, _ := time.ParseDuration(w)
+		if window == "" || b > rate || b == rate && (d < shortest || d == shortest && w < window) {
+			window, rate, shortest = w, b, d
+		}
+	}
+	return window, rate
 }
 
 // View is the complete fleet view: the rollup plus per-replica rows, the

@@ -149,6 +149,20 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
+// TestAggregateBurnTie: two windows tied at the maximum resolve to the
+// shorter one on every call, not to whichever map iteration reaches first.
+func TestAggregateBurnTie(t *testing.T) {
+	statuses := []fleet.ReplicaStatus{{ID: "a", BurnRates: map[string]float64{"1m0s": 2, "5m0s": 2}}}
+	for i := 0; i < 100; i++ {
+		if r := fleet.Aggregate(statuses); r.MaxBurnRate != 2 || r.MaxBurnWindow != "1m0s" {
+			t.Fatalf("call %d: maxBurn = %v@%s, want 2@1m0s", i, r.MaxBurnRate, r.MaxBurnWindow)
+		}
+	}
+	if w, b := fleet.WorstBurn(map[string]float64{"30m0s": 0, "5m0s": 0, "1m0s": 0}); w != "1m0s" || b != 0 {
+		t.Errorf("quiet replica: worst burn %v@%s, want 0@1m0s", b, w)
+	}
+}
+
 func TestAggregateEmpty(t *testing.T) {
 	r := fleet.Aggregate(nil)
 	if r.Replicas != 0 || r.CacheHitRate != 0 || r.ModelVersions != nil {

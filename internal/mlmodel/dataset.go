@@ -102,10 +102,20 @@ func (d *Dataset) Split(testFrac float64, seed int64) (train, test *Dataset) {
 	return train, test
 }
 
-// Model is a fitted regression model. It matches core.CostModel so any
-// model plugs directly into the optimizer's prune operation.
+// Model is a fitted regression model, and the oracle m of the optimizer's
+// prune operation: core.CostModel is this interface. PredictBatchDist is a
+// family's one prediction kernel; Predict is that kernel on a batch of one.
 type Model interface {
+	// Predict returns the estimate for feature vector x.
 	Predict(x []float64) float64
+	// PredictBatchDist fills mean[i] with the estimate for row i of X and,
+	// unless spread is nil, spread[i], lo[i] and hi[i] with its predictive
+	// distribution (dist.go). spread, lo and hi are either all nil — the
+	// cheap point path — or, like mean, all at least X.Rows long. mean is
+	// bit-identical either way, and to Predict. Implementations must be safe
+	// for concurrent calls (the enumeration chunks one matrix across workers),
+	// so per-call scratch lives on the stack or in a pool.
+	PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64)
 }
 
 // Trainer fits a Model on a dataset.

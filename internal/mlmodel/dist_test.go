@@ -9,6 +9,12 @@ import (
 	"repro/internal/vecops"
 )
 
+// batchTarget is a mildly nonlinear regression target exercising splits and
+// interactions in the tree families.
+func batchTarget(x []float64) float64 {
+	return 3*x[0] + x[1]*x[2] + math.Abs(x[3]-5) + 0.5*x[4]
+}
+
 // distFamilies fits one model of every family on a shared synthetic dataset.
 func distFamilies(t *testing.T, nf int) []struct {
 	name string
@@ -44,21 +50,21 @@ func distFamilies(t *testing.T, nf int) []struct {
 	}
 }
 
-// TestDistMeanBitParity is the distributional contract's core invariant: for
-// every family, PredictBatchDist's mean column is BIT-identical to
-// PredictBatch (the optimizer's λ=0 parity depends on it), spreads are
-// nonnegative and finite, and lo ≤ mean ≤ hi holds row-wise.
+// TestDistMeanBitParity is the one prediction contract, checked for every
+// family: Predict(row), the kernel's mean with nil spread columns and its mean
+// with them are bit-identical (the optimizer's λ=0 parity depends on it), the
+// spread is nonnegative and finite, and lo ≤ mean ≤ hi. All four columns are
+// bit-equal to the family's test-only reference (flat_test.go): the reference
+// walk for the tree families and their wrappers, and for the MLP its former
+// row-major forward pass, the one its hidden-unit-major kernel was checked
+// against. The batch sizes straddle the flat forest's four-row groups and its
+// blocks, which take different paths through the kernel.
 func TestDistMeanBitParity(t *testing.T) {
 	const nf = 8
 	rng := rand.New(rand.NewSource(42))
 	for _, fam := range distFamilies(t, nf) {
-		dm, ok := fam.m.(mlmodel.BatchDistModel)
-		if !ok {
-			t.Errorf("%s does not implement BatchDistModel natively", fam.name)
-			continue
-		}
-		bm := fam.m.(mlmodel.BatchModel)
-		for _, rows := range []int{0, 1, 5, 33, 128} {
+		ref := refFromArtifact(t, saveBytes(t, fam.m))
+		for _, rows := range []int{0, 1, 3, 4, 5, mlmodel.BlockRows, mlmodel.BlockRows + 1} {
 			X := vecops.NewMatrix(rows, nf)
 			for i := range X.Data {
 				X.Data[i] = rng.Float64() * 10
@@ -68,12 +74,13 @@ func TestDistMeanBitParity(t *testing.T) {
 			spread := make([]float64, rows)
 			lo := make([]float64, rows)
 			hi := make([]float64, rows)
-			bm.PredictBatch(X, point)
-			dm.PredictBatchDist(X, mean, spread, lo, hi)
+			fam.m.PredictBatchDist(X, point, nil, nil, nil)
+			fam.m.PredictBatchDist(X, mean, spread, lo, hi)
 			for i := 0; i < rows; i++ {
-				if mean[i] != point[i] {
-					t.Fatalf("%s rows=%d row %d: dist mean %v != point %v (must be bit-identical)",
-						fam.name, rows, i, mean[i], point[i])
+				x := X.Row(i)
+				if p := fam.m.Predict(x); !sameBits(p, point[i]) || !sameBits(p, mean[i]) {
+					t.Fatalf("%s rows=%d row %d: Predict %v, mean-only kernel %v, kernel %v (must be bit-identical)",
+						fam.name, rows, i, p, point[i], mean[i])
 				}
 				if spread[i] < 0 || math.IsNaN(spread[i]) || math.IsInf(spread[i], 0) {
 					t.Fatalf("%s rows=%d row %d: invalid spread %v", fam.name, rows, i, spread[i])
@@ -81,6 +88,11 @@ func TestDistMeanBitParity(t *testing.T) {
 				if lo[i] > mean[i] || hi[i] < mean[i] {
 					t.Fatalf("%s rows=%d row %d: interval [%v, %v] does not bracket mean %v",
 						fam.name, rows, i, lo[i], hi[i], mean[i])
+				}
+				wm, ws, wl, wh := ref.dist(x)
+				if !sameBits(mean[i], wm) || !sameBits(spread[i], ws) || !sameBits(lo[i], wl) || !sameBits(hi[i], wh) {
+					t.Fatalf("%s rows=%d row %d:\n kernel    (%v %v %v %v)\n reference (%v %v %v %v)",
+						fam.name, rows, i, mean[i], spread[i], lo[i], hi[i], wm, ws, wl, wh)
 				}
 			}
 		}
@@ -95,13 +107,7 @@ func TestDistPersistRoundTrip(t *testing.T) {
 	const nf = 8
 	rng := rand.New(rand.NewSource(11))
 	for _, fam := range distFamilies(t, nf) {
-		back := roundTrip(t, fam.m)
-		a := fam.m.(mlmodel.BatchDistModel)
-		b, ok := back.(mlmodel.BatchDistModel)
-		if !ok {
-			t.Errorf("%s: round-tripped model %T lost BatchDistModel", fam.name, back)
-			continue
-		}
+		a, b := fam.m, roundTrip(t, fam.m)
 		for trial := 0; trial < 10; trial++ {
 			x := make([]float64, nf)
 			for i := range x {
@@ -119,25 +125,40 @@ func TestDistPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDistBatcherPointOnly checks the adapter for point-only models: the
-// distribution collapses to the mean (zero spread, lo = hi = mean) and the
-// mean matches the scalar path.
-func TestDistBatcherPointOnly(t *testing.T) {
-	dm := mlmodel.DistBatcher(scalarOnly{})
+// TestEnsembleEmptyBatch: the zero-member ensemble predicts 0 on every path.
+func TestEnsembleEmptyBatch(t *testing.T) {
+	e := mlmodel.Ensemble{}
 	X := vecops.NewMatrix(3, 2)
-	copy(X.Data, []float64{1, 0, 2.5, 0, -4, 0})
-	mean := make([]float64, 3)
-	spread := make([]float64, 3)
-	lo := make([]float64, 3)
-	hi := make([]float64, 3)
-	dm.PredictBatchDist(X, mean, spread, lo, hi)
-	for i, want := range []float64{3, 6, -7} {
-		if mean[i] != want {
-			t.Errorf("row %d: mean %v, want %v", i, mean[i], want)
+	out := [][]float64{{7, 7, 7}, {7, 7, 7}, {7, 7, 7}, {7, 7, 7}}
+	e.PredictBatchDist(X, out[0], out[1], out[2], out[3])
+	for c, col := range out {
+		for i, v := range col {
+			if v != 0 {
+				t.Fatalf("column %d row %d = %v, want 0", c, i, v)
+			}
 		}
-		if spread[i] != 0 || lo[i] != mean[i] || hi[i] != mean[i] {
-			t.Errorf("row %d: point-only adapter leaked uncertainty: spread=%v lo=%v hi=%v",
-				i, spread[i], lo[i], hi[i])
-		}
+	}
+	if got := e.Predict(X.Row(0)); got != 0 {
+		t.Fatalf("Predict = %v, want 0", got)
+	}
+}
+
+// TestEnsembleIntervalHoldsMean: seven members predicting the same value v
+// average to one unit in the last place above v, so the member min/max alone
+// would not bracket the mean.
+func TestEnsembleIntervalHoldsMean(t *testing.T) {
+	v := 7.0 / 997
+	var e mlmodel.Ensemble
+	for i := 0; i < 7; i++ {
+		e.Models = append(e.Models, predictFunc(func([]float64) float64 { return v }))
+	}
+	X := vecops.NewMatrix(1, 1)
+	var mean, spread, lo, hi [1]float64
+	e.PredictBatchDist(X, mean[:], spread[:], lo[:], hi[:])
+	if mean[0] == v {
+		t.Fatalf("the average of seven %v rounded back to it; the test needs one that does not", v)
+	}
+	if lo[0] > mean[0] || hi[0] < mean[0] {
+		t.Fatalf("interval [%v, %v] does not bracket mean %v", lo[0], hi[0], mean[0])
 	}
 }

@@ -1,6 +1,10 @@
 package mlmodel
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync"
+)
 
 // Ensemble averages the predictions of independently trained models.
 // Training-data generation is itself randomized (TDGen draws templates,
@@ -14,15 +18,68 @@ type Ensemble struct {
 }
 
 // Predict returns the mean of the member predictions.
-func (e Ensemble) Predict(x []float64) float64 {
-	if len(e.Models) == 0 {
-		return 0
+func (e Ensemble) Predict(x []float64) float64 { return predictOne(e, x)[0] }
+
+// scratchPool recycles the kernel's per-call member buffer, the one scratch
+// that crosses an interface call and so cannot live on the stack.
+var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// PredictBatchDist averages the members' means in member order and, unless
+// spread is nil, folds their disagreement in the same pass: the population
+// std of the member predictions as the spread, their min and max (widened to
+// hold the mean) as the interval. An ensemble without members predicts 0.
+func (e Ensemble) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+	n := X.Rows
+	clear(mean[:n])
+	if spread != nil {
+		lo0, hi0 := math.Inf(1), math.Inf(-1) // folded down to the member min/max
+		if len(e.Models) == 0 {
+			lo0, hi0 = 0, 0
+		}
+		for i := 0; i < n; i++ {
+			spread[i], lo[i], hi[i] = 0, lo0, hi0
+		}
 	}
-	s := 0.0
+	if n == 0 || len(e.Models) == 0 {
+		return
+	}
+	buf := scratchPool.Get().(*[]float64)
+	defer scratchPool.Put(buf)
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	tmp := (*buf)[:n]
 	for _, m := range e.Models {
-		s += m.Predict(x)
+		m.PredictBatchDist(X, tmp, nil, nil, nil)
+		for i, p := range tmp {
+			mean[i] += p
+			if spread == nil {
+				continue
+			}
+			spread[i] += p * p
+			if p < lo[i] {
+				lo[i] = p
+			}
+			if p > hi[i] {
+				hi[i] = p
+			}
+		}
 	}
-	return s / float64(len(e.Models))
+	div := float64(len(e.Models))
+	for i := 0; i < n; i++ {
+		mean[i] /= div
+		if spread == nil {
+			continue
+		}
+		spread[i] = stdFromSums(mean[i], spread[i]/div)
+		// A rounded average of equal members can land a unit past them.
+		if lo[i] > mean[i] {
+			lo[i] = mean[i]
+		}
+		if hi[i] < mean[i] {
+			hi[i] = mean[i]
+		}
+	}
 }
 
 // SaveModel support: an ensemble serializes as its members.

@@ -9,8 +9,8 @@ import (
 // flatForest is the fitted form of Tree, Forest and GBM: every node of every
 // tree in one set of parallel slices, with no per-tree or per-node object.
 // The three families embed it and differ only in how the leaves a row reaches
-// fold into its prediction (kind, base, scale), so Predict, PredictBatch and
-// PredictBatchDist are written once, over one kernel (predict).
+// fold into its prediction (kind, base, scale), so their one kernel,
+// PredictBatchDist, is written once.
 //
 // A leaf points at itself with both children. That lets the kernel walk every
 // row of tree t exactly depth[t] steps with no "is this a leaf" test: a row
@@ -230,8 +230,9 @@ func (f *flatForest) finish(a *rowFold, tailFrom, i int, mean, spread []float64)
 	}
 }
 
-// predict is the one inference kernel of the tree families. It fills mean —
-// and spread, unless nil — for every row of X.
+// PredictBatchDist is the one inference kernel of the tree families. It fills
+// mean — and, unless spread is nil, the family's spread and the z-interval
+// around the mean — for every row of X.
 //
 // Full groups of four rows go tree-major, blockRows rows at a time: the
 // block's features and folds stay cached while each tree's nodes are read
@@ -239,7 +240,7 @@ func (f *flatForest) finish(a *rowFold, tailFrom, i int, mean, spread []float64)
 // The last one to three rows have no partners, so each walks four trees at a
 // time instead (a scalar Predict is this case). Either way every row meets
 // the trees in order. All scratch lives on the stack.
-func (f *flatForest) predict(X *Matrix, mean, spread []float64) {
+func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	trees := len(f.depth)
 	tailFrom := trees
 	if f.kind == boosted && spread != nil {
@@ -287,6 +288,7 @@ func (f *flatForest) predict(X *Matrix, mean, spread []float64) {
 		}
 		f.finish(&a, tailFrom, r, mean, spread)
 	}
+	zBounds(X.Rows, mean, spread, lo, hi)
 }
 
 // stdFromSums returns the population std given the mean and the mean of
@@ -300,18 +302,4 @@ func stdFromSums(mu, meanSq float64) float64 {
 }
 
 // Predict returns the estimate for feature vector x: a batch of one.
-func (f *flatForest) Predict(x []float64) float64 {
-	var out [1]float64
-	f.predict(&Matrix{Data: x, Rows: 1, Cols: len(x)}, out[:], nil)
-	return out[0]
-}
-
-// PredictBatch fills out[i] with the estimate for row i of X; it allocates nothing.
-func (f *flatForest) PredictBatch(X *Matrix, out []float64) { f.predict(X, out, nil) }
-
-// PredictBatchDist is PredictBatch (bit-identical means, from the same pass)
-// plus the family's spread and the z-interval around the mean.
-func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	f.predict(X, mean, spread)
-	zBounds(X.Rows, mean, spread, lo, hi)
-}
+func (f *flatForest) Predict(x []float64) float64 { return predictOne(f, x)[0] }

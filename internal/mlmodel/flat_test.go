@@ -147,11 +147,40 @@ func (e refEnsemble) dist(x []float64) (float64, float64, float64, float64) {
 	}
 	div := float64(len(e))
 	mean := s / div
+	if lo > mean {
+		lo = mean
+	}
+	if hi < mean {
+		hi = mean
+	}
 	return mean, refStd(mean, sq/div), lo, hi
 }
 
-// refOther is a family this PR did not touch (Linear, MLP): its own output.
-type refOther struct{ m mlmodel.BatchDistModel }
+// refMLP is the MLP's former row-major scalar forward pass: per row, each
+// hidden unit in turn. The hidden-unit-major kernel was checked against it.
+type refMLP struct {
+	W1          [][]float64
+	B1, W2      []float64
+	B2          float64
+	XMean, XStd []float64
+	YMean, YStd float64
+	ResidStd    float64
+}
+
+func (m refMLP) dist(x []float64) (float64, float64, float64, float64) {
+	h := 0.0
+	for j, wj := range m.W1 {
+		s := m.B1[j]
+		for i, w := range wj {
+			s += w * (x[i] - m.XMean[i]) / m.XStd[i]
+		}
+		h += m.W2[j] * math.Tanh(s)
+	}
+	return refInterval((h+m.B2)*m.YStd+m.YMean, m.ResidStd)
+}
+
+// refOther is a family without a reference here (Linear): its own output.
+type refOther struct{ m mlmodel.Model }
 
 func (o refOther) dist(x []float64) (float64, float64, float64, float64) {
 	X := vecops.Matrix{Data: x, Rows: 1, Cols: len(x)}
@@ -223,6 +252,10 @@ func refFromArtifact(t testing.TB, raw []byte) refModel {
 		}
 		decode(env.Payload, &gj)
 		return refGBM{base: gj.Base, lr: gj.LR, trees: refTrees(gj.Trees)}
+	case "mlp":
+		var mj refMLP
+		decode(env.Payload, &mj)
+		return mj
 	case "logtarget":
 		return refLogTarget{refFromArtifact(t, env.Payload)}
 	case "ensemble":
@@ -238,7 +271,7 @@ func refFromArtifact(t testing.TB, raw []byte) refModel {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		return refOther{mlmodel.DistBatcher(m)}
+		return refOther{m}
 	}
 }
 
@@ -358,7 +391,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // to the reference walk — at every batch size around the kernel's block and
 // lane boundaries, on rows with non-finite and signed-zero features, for
 // single-leaf trees and for artifacts that predate the spread field — and
-// PredictBatch and Predict return that same mean.
+// the kernel's mean-only call and Predict return that same mean.
 func TestKernelMatchesReferenceWalk(t *testing.T) {
 	d := synthDataset(400, 9, 17, batchTarget, 0.2)
 	for name, raw := range kernelFamilies(t, d) {
@@ -368,7 +401,6 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 			if err != nil {
 				t.Fatalf("LoadModel: %v", err)
 			}
-			bm, dm := mlmodel.Batcher(m), mlmodel.DistBatcher(m)
 			rng := rand.New(rand.NewSource(int64(len(name))))
 			for _, rows := range []int{0, 1, 3, 4, 5, 15, 16, 17, 33, 513} {
 				X := kernelRows(rng, d, rows)
@@ -377,8 +409,8 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 				spread := make([]float64, rows)
 				lo := make([]float64, rows)
 				hi := make([]float64, rows)
-				bm.PredictBatch(X, point)
-				dm.PredictBatchDist(X, mean, spread, lo, hi)
+				m.PredictBatchDist(X, point, nil, nil, nil)
+				m.PredictBatchDist(X, mean, spread, lo, hi)
 				for i := 0; i < rows; i++ {
 					x := X.Row(i)
 					wm, ws, wl, wh := ref.dist(x)
@@ -387,7 +419,7 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 							rows, i, x, mean[i], spread[i], lo[i], hi[i], wm, ws, wl, wh)
 					}
 					if !sameBits(point[i], wm) {
-						t.Fatalf("rows=%d row %d: PredictBatch %v, reference %v", rows, i, point[i], wm)
+						t.Fatalf("rows=%d row %d: mean-only kernel %v, reference %v", rows, i, point[i], wm)
 					}
 					if got := m.Predict(x); !sameBits(got, wm) {
 						t.Fatalf("rows=%d row %d: Predict %v, reference %v", rows, i, got, wm)
@@ -418,7 +450,7 @@ func TestSaveLoadSaveIsIdentity(t *testing.T) {
 
 // TestPredictBatchDoesNotAllocate: the kernel's scratch is on the stack, and
 // the one buffer an Ensemble needs per call is pooled, so scoring an
-// enumeration chunk allocates nothing.
+// enumeration chunk allocates nothing, with or without the spread columns.
 func TestPredictBatchDoesNotAllocate(t *testing.T) {
 	d := synthDataset(400, 9, 17, batchTarget, 0.2)
 	rng := rand.New(rand.NewSource(1))
@@ -430,12 +462,17 @@ func TestPredictBatchDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: LoadModel: %v", name, err)
 		}
-		bm := mlmodel.Batcher(m)
 		for _, rows := range []int{1, 16, 64} {
 			X := kernelRows(rng, d, rows)
-			out := make([]float64, rows)
-			if n := testing.AllocsPerRun(20, func() { bm.PredictBatch(X, out) }); n != 0 {
-				t.Errorf("%s: PredictBatch on %d rows allocates %v times", name, rows, n)
+			out := make([][]float64, 4)
+			for i := range out {
+				out[i] = make([]float64, rows)
+			}
+			if n := testing.AllocsPerRun(20, func() { m.PredictBatchDist(X, out[0], nil, nil, nil) }); n != 0 {
+				t.Errorf("%s: the mean-only kernel on %d rows allocates %v times", name, rows, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { m.PredictBatchDist(X, out[0], out[1], out[2], out[3]) }); n != 0 {
+				t.Errorf("%s: the kernel on %d rows allocates %v times", name, rows, n)
 			}
 		}
 	}
@@ -516,8 +553,9 @@ func TestLoadRejectsCraftedArtifacts(t *testing.T) {
 }
 
 // FuzzLoadModel: whatever the bytes, LoadModel returns an error or a model
-// that scores rows of its own feature width — through every entry point —
-// and comes back.
+// that honours the prediction contract on rows of its own feature width —
+// Predict, the kernel's mean-only call and its full call agree bit for bit,
+// and lo ≤ mean ≤ hi on every row without a NaN — and comes back.
 func FuzzLoadModel(f *testing.F) {
 	for _, c := range craftedArtifacts {
 		f.Add([]byte(c.raw))
@@ -540,13 +578,24 @@ func FuzzLoadModel(f *testing.F) {
 		for i := range X.Data {
 			X.Data[i] = float64(i%7) - 3
 		}
-		out := make([][]float64, 4)
-		for i := range out {
-			out[i] = make([]float64, rows)
+		point := make([]float64, rows)
+		mean := make([]float64, rows)
+		spread := make([]float64, rows)
+		lo := make([]float64, rows)
+		hi := make([]float64, rows)
+		m.PredictBatchDist(X, point, nil, nil, nil)
+		m.PredictBatchDist(X, mean, spread, lo, hi)
+		for i := 0; i < rows; i++ {
+			if p := m.Predict(X.Row(i)); !sameBits(p, point[i]) || !sameBits(p, mean[i]) {
+				t.Fatalf("row %d: Predict %v, mean-only kernel %v, kernel %v (must be bit-identical)", i, p, point[i], mean[i])
+			}
+			if math.IsNaN(mean[i]) || math.IsNaN(lo[i]) || math.IsNaN(hi[i]) {
+				continue
+			}
+			if lo[i] > mean[i] || hi[i] < mean[i] {
+				t.Fatalf("row %d: interval [%v, %v] does not bracket mean %v", i, lo[i], hi[i], mean[i])
+			}
 		}
-		mlmodel.Batcher(m).PredictBatch(X, out[0])
-		mlmodel.DistBatcher(m).PredictBatchDist(X, out[0], out[1], out[2], out[3])
-		m.Predict(X.Row(0))
 		if err := mlmodel.SaveModel(&bytes.Buffer{}, m); err != nil {
 			t.Fatalf("loaded model does not save: %v", err)
 		}
@@ -568,7 +617,7 @@ func BenchmarkForestKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("PredictBatch/%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				m.PredictBatch(X, out)
+				m.PredictBatchDist(X, out, nil, nil, nil)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 		})

@@ -22,8 +22,15 @@ type Linear struct {
 }
 
 // Predict returns w·x + b.
-func (l *Linear) Predict(x []float64) float64 {
-	return vecops.Dot(l.Weights, x) + l.Intercept
+func (l *Linear) Predict(x []float64) float64 { return predictOne(l, x)[0] }
+
+// PredictBatchDist is one vecops dot product per row, with the constant
+// residual spread.
+func (l *Linear) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = vecops.Dot(l.Weights, X.Row(i)) + l.Intercept
+	}
+	residBounds(X.Rows, l.ResidStd, mean, spread, lo, hi)
 }
 
 // LinearConfig controls the least-squares fit.

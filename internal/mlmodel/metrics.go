@@ -18,16 +18,15 @@ type Metrics struct {
 	N        int
 }
 
-// Evaluate scores model m on dataset d. Predictions run on the batch path:
-// the dataset rows are flattened into one Matrix and scored with a single
-// PredictBatch (scalar models go through the Batcher adapter).
+// Evaluate scores model m on dataset d: the dataset rows are flattened into
+// one Matrix and scored with a single point-path kernel call.
 func Evaluate(m Model, d *Dataset) Metrics {
 	n := d.Len()
 	if n == 0 {
 		return Metrics{}
 	}
 	pred := make([]float64, n)
-	Batcher(m).PredictBatch(vecops.MatrixFromRows(d.X, d.NumFeatures()), pred)
+	m.PredictBatchDist(vecops.MatrixFromRows(d.X, d.NumFeatures()), pred, nil, nil, nil)
 	var absSum, sqSum, yMean float64
 	for i := range pred {
 		e := pred[i] - d.Y[i]

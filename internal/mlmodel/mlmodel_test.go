@@ -246,6 +246,17 @@ type predictFunc func([]float64) float64
 
 func (f predictFunc) Predict(x []float64) float64 { return f(x) }
 
+// PredictBatchDist is a point-only kernel: f per row, and zero spread with
+// lo = hi = mean when asked.
+func (f predictFunc) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = f(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
+	}
+}
+
 // Property: forest predictions are bounded by the training target range
 // (each leaf predicts a mean of training targets).
 func TestQuickForestPredictionInRange(t *testing.T) {

@@ -49,16 +49,30 @@ type MLP struct {
 }
 
 // Predict returns the network's runtime estimate for x.
-func (m *MLP) Predict(x []float64) float64 {
-	h := 0.0
+func (m *MLP) Predict(x []float64) float64 { return predictOne(m, x)[0] }
+
+// PredictBatchDist evaluates the network hidden-unit-major: each hidden
+// unit's weight row is loaded once and applied to every row of X, each row
+// summing the hidden units in order. The spread is the constant residual one.
+func (m *MLP) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+	n := X.Rows
+	clear(mean[:n])
 	for j, wj := range m.w1 {
-		s := m.b1[j]
-		for i, w := range wj {
-			s += w * (x[i] - m.xMean[i]) / m.xStd[i]
+		w2j := m.w2[j]
+		b1j := m.b1[j]
+		for r := 0; r < n; r++ {
+			x := X.Row(r)
+			s := b1j
+			for i, w := range wj {
+				s += w * (x[i] - m.xMean[i]) / m.xStd[i]
+			}
+			mean[r] += w2j * math.Tanh(s)
 		}
-		h += m.w2[j] * math.Tanh(s)
 	}
-	return (h+m.b2)*m.yStd + m.yMean
+	for r := 0; r < n; r++ {
+		mean[r] = (mean[r]+m.b2)*m.yStd + m.yMean
+	}
+	residBounds(n, m.residStd, mean, spread, lo, hi)
 }
 
 // FitMLP trains the perceptron on d. Deterministic for a fixed seed.

@@ -26,11 +26,11 @@ func TestPersistMLP(t *testing.T) {
 	}
 	assertSamePredictions(t, m, back, ds)
 
-	// Batch/scalar parity on the reloaded model: PredictBatch over the whole
+	// Batch/scalar parity on the reloaded model: the kernel over the whole
 	// dataset must match row-by-row Predict bit for bit.
 	X := vecops.MatrixFromRows(ds.X, ds.NumFeatures())
 	got := make([]float64, ds.Len())
-	back.(*mlmodel.MLP).PredictBatch(X, got)
+	back.PredictBatchDist(X, got, nil, nil, nil)
 	for i := range got {
 		if want := back.Predict(ds.X[i]); got[i] != want {
 			t.Fatalf("batch/scalar mismatch at row %d: %g != %g", i, got[i], want)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/platform"
+	"repro/internal/vecops"
 	"repro/internal/workload"
 )
 
@@ -28,6 +29,15 @@ func (weightModel) Predict(f []float64) float64 {
 		s += v * float64(i%7)
 	}
 	return s
+}
+
+func (m weightModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = m.Predict(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
+	}
 }
 
 // servedPlans are cache entries as a replica holds them: serving plans (the

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/plan"
 	"repro/internal/platform"
+	"repro/internal/vecops"
 )
 
 // benchModel is a cheap deterministic cost oracle, the same arithmetic the
@@ -21,6 +22,15 @@ func (benchModel) Predict(f []float64) float64 {
 		s += v * float64(i%7)
 	}
 	return s
+}
+
+func (m benchModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = m.Predict(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
+	}
 }
 
 // benchPlan is a pipeline at Figure 9a's 40-operator scale.
@@ -70,7 +80,7 @@ func BenchmarkPlanCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, ok := c.Get(fp, "v1"); ok {
+			if _, ok := c.GetBand(fp, "v1", ""); ok {
 				b.Fatal("unexpected hit")
 			}
 			cp, err := FromResult(fp, canon, "v1", optimize())
@@ -100,7 +110,7 @@ func BenchmarkPlanCache(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cp, ok := c.Get(fp, "v1")
+			cp, ok := c.GetBand(fp, "v1", "")
 			if !ok {
 				b.Fatal("unexpected miss")
 			}
@@ -132,7 +142,7 @@ func BenchmarkPlanCache(b *testing.B) {
 						return
 					}
 					ready.Done()
-					cp, _, err := c.Do(context.Background(), fp, version, func() (*CachedPlan, error) {
+					cp, _, err := c.DoBand(context.Background(), fp, version, "", func() (*CachedPlan, error) {
 						ready.Wait()
 						return FromResult(fp, canon, version, optimize())
 					})

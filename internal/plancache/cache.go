@@ -340,13 +340,9 @@ func (c *Cache) ActiveVersion() string {
 // Generation returns the current invalidation generation.
 func (c *Cache) Generation() uint64 { return c.gen.Load() }
 
-// Get returns the cached plan for (fp, version) in the point-estimate (λ=0)
-// band, if present, current and unexpired, and marks it most recently used.
-func (c *Cache) Get(fp Fingerprint, version string) (*CachedPlan, bool) {
-	return c.GetBand(fp, version, "")
-}
-
-// GetBand is Get within an explicit risk band (see RiskBand).
+// GetBand returns the cached plan for (fp, version) in the given risk band
+// (see RiskBand; "" is the point-estimate λ=0 band), if present, current and
+// unexpired, and marks it most recently used.
 func (c *Cache) GetBand(fp Fingerprint, version, band string) (*CachedPlan, bool) {
 	sh := c.shardFor(fp)
 	k := key(fp, version, band)

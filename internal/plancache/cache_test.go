@@ -72,7 +72,7 @@ func TestCacheRoundTripAcrossRelabeling(t *testing.T) {
 	if !c.Put(cp) {
 		t.Fatal("Put rejected a fresh entry")
 	}
-	got, ok := c.Get(fp, "v1")
+	got, ok := c.GetBand(fp, "v1", "")
 	if !ok {
 		t.Fatal("Get missed a just-inserted entry")
 	}
@@ -158,10 +158,10 @@ func TestCacheEntryEviction(t *testing.T) {
 		t.Fatalf("evictions=%d inserts=%d, want 2/5", st.Evictions, st.Inserts)
 	}
 	// LRU order: 0 and 1 went cold first.
-	if _, ok := c.Get(fab(0, "v1", 4).Fingerprint, "v1"); ok {
+	if _, ok := c.GetBand(fab(0, "v1", 4).Fingerprint, "v1", ""); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
-	if _, ok := c.Get(fab(4, "v1", 4).Fingerprint, "v1"); !ok {
+	if _, ok := c.GetBand(fab(4, "v1", 4).Fingerprint, "v1", ""); !ok {
 		t.Fatal("newest entry was evicted")
 	}
 }
@@ -171,14 +171,14 @@ func TestCacheLRUTouchOnGet(t *testing.T) {
 	c.Put(fab(1, "v1", 4))
 	c.Put(fab(2, "v1", 4))
 	// Touch 1 so 2 becomes the cold tail, then insert 3.
-	if _, ok := c.Get(fab(1, "v1", 4).Fingerprint, "v1"); !ok {
+	if _, ok := c.GetBand(fab(1, "v1", 4).Fingerprint, "v1", ""); !ok {
 		t.Fatal("warm entry missing")
 	}
 	c.Put(fab(3, "v1", 4))
-	if _, ok := c.Get(fab(1, "v1", 4).Fingerprint, "v1"); !ok {
+	if _, ok := c.GetBand(fab(1, "v1", 4).Fingerprint, "v1", ""); !ok {
 		t.Fatal("recently used entry was evicted")
 	}
-	if _, ok := c.Get(fab(2, "v1", 4).Fingerprint, "v1"); ok {
+	if _, ok := c.GetBand(fab(2, "v1", 4).Fingerprint, "v1", ""); ok {
 		t.Fatal("cold entry survived")
 	}
 }
@@ -196,7 +196,7 @@ func TestCacheByteEviction(t *testing.T) {
 	if c.Bytes() != big(2).size() {
 		t.Fatalf("Bytes = %d, want one entry's size %d", c.Bytes(), big(2).size())
 	}
-	if _, ok := c.Get(big(2).Fingerprint, "v1"); !ok {
+	if _, ok := c.GetBand(big(2).Fingerprint, "v1", ""); !ok {
 		t.Fatal("newest entry should survive the byte eviction")
 	}
 	// A single entry over budget still stays: the cache never evicts the
@@ -213,7 +213,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	cp := fab(1, "v1", 4)
 	cp.CachedAt = time.Now().Add(-time.Second) // inserted long ago
 	c.Put(cp)
-	if _, ok := c.Get(cp.Fingerprint, "v1"); ok {
+	if _, ok := c.GetBand(cp.Fingerprint, "v1", ""); ok {
 		t.Fatal("expired entry served")
 	}
 	st := c.Snapshot()
@@ -225,7 +225,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	}
 	// A fresh entry under the same TTL serves fine.
 	c.Put(fab(2, "v1", 4))
-	if _, ok := c.Get(fab(2, "v1", 4).Fingerprint, "v1"); !ok {
+	if _, ok := c.GetBand(fab(2, "v1", 4).Fingerprint, "v1", ""); !ok {
 		t.Fatal("fresh entry missed")
 	}
 }
@@ -254,7 +254,7 @@ func TestCacheVersionInvalidation(t *testing.T) {
 	}
 
 	c.Put(fab(2, "v1", 4))
-	if _, ok := c.Get(fab(2, "v1", 4).Fingerprint, "v1"); !ok {
+	if _, ok := c.GetBand(fab(2, "v1", 4).Fingerprint, "v1", ""); !ok {
 		t.Fatal("active-version entry missed")
 	}
 	// A plan from a version that already lost the swap race is dropped.
@@ -272,7 +272,7 @@ func TestCacheVersionInvalidation(t *testing.T) {
 	if c.Generation() != gen+1 {
 		t.Fatalf("generation = %d, want %d", c.Generation(), gen+1)
 	}
-	if _, ok := c.Get(fab(2, "v1", 4).Fingerprint, "v1"); ok {
+	if _, ok := c.GetBand(fab(2, "v1", 4).Fingerprint, "v1", ""); ok {
 		t.Fatal("stale-generation entry served after the swap")
 	}
 	if st := c.Snapshot(); st.Invalidated != 2 || st.Bytes != 0 {
@@ -288,8 +288,8 @@ func TestCachePurgeAndSnapshot(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Put(fab(byte(i), "v1", 4))
 	}
-	c.Get(fab(0, "v1", 4).Fingerprint, "v1")
-	c.Get(fab(200, "v1", 4).Fingerprint, "v1") // miss
+	c.GetBand(fab(0, "v1", 4).Fingerprint, "v1", "")
+	c.GetBand(fab(200, "v1", 4).Fingerprint, "v1", "") // miss
 	st := c.Snapshot()
 	if st.Entries != 10 || st.Hits != 1 || st.Misses != 1 || st.Inserts != 10 {
 		t.Fatalf("snapshot = %+v", st)
@@ -331,7 +331,7 @@ func TestCacheConcurrent(t *testing.T) {
 				case 0:
 					c.Put(fab(b, c.ActiveVersion(), 4))
 				case 1:
-					c.Get(fab(b, "v1", 4).Fingerprint, "v1")
+					c.GetBand(fab(b, "v1", 4).Fingerprint, "v1", "")
 				case 2:
 					if i%40 == 2 {
 						c.Activate("v1") // no-op most of the time
@@ -380,14 +380,14 @@ func TestCacheStatsMatchRegistry(t *testing.T) {
 
 	c.Activate("v1")
 	c.Put(fab(1, "v1", 1))
-	if _, ok := c.Get(fpOf(1), "v1"); !ok {
+	if _, ok := c.GetBand(fpOf(1), "v1", ""); !ok {
 		t.Fatal("miss on a fresh entry")
 	}
-	c.Get(fpOf(9), "v1")          // miss
+	c.GetBand(fpOf(9), "v1", "")  // miss
 	c.Put(fab(2, "v1", 1))        // fills the shard
 	c.Put(fab(3, "v1", 1))        // evicts 1
 	c.Put(stale(4))               // evicts 2
-	c.Get(fpOf(4), "v1")          // expires 4, and is a miss
+	c.GetBand(fpOf(4), "v1", "")  // expires 4, and is a miss
 	c.Put(stale(5))               // fits: 4 is gone
 	c.PeekBand(fpOf(5), "v1", "") // expires 5; a peek is neither hit nor miss
 	c.Put(fab(6, "v0", 1))        // dropped: not the active version
@@ -397,13 +397,13 @@ func TestCacheStatsMatchRegistry(t *testing.T) {
 	followed := make(chan bool)
 	fn := func() (*CachedPlan, error) {
 		go func() {
-			_, collapsed, _ := c.Do(follower, fpOf(7), "v1", nil)
+			_, collapsed, _ := c.DoBand(follower, fpOf(7), "v1", "", nil)
 			followed <- collapsed
 		}()
 		<-follower.called
 		return fab(7, "v1", 1), nil
 	}
-	if _, collapsed, err := c.Do(context.Background(), fpOf(7), "v1", fn); collapsed || err != nil {
+	if _, collapsed, err := c.DoBand(context.Background(), fpOf(7), "v1", "", fn); collapsed || err != nil {
 		t.Fatalf("leader: collapsed=%v err=%v", collapsed, err)
 	}
 	if !<-followed {

@@ -33,7 +33,7 @@ func TestFillRemoteInstallsHit(t *testing.T) {
 		t.Fatalf("filler called %d times, want 1", f.calls)
 	}
 	// The entry is now a plain local hit.
-	if _, ok := c.Get(cp.Fingerprint, "v1"); !ok {
+	if _, ok := c.GetBand(cp.Fingerprint, "v1", ""); !ok {
 		t.Fatal("peer-filled entry not locally cached")
 	}
 	if s := c.Snapshot(); s.PeerFills != 1 {

@@ -51,7 +51,7 @@ func TestCacheRiskBandIsolation(t *testing.T) {
 		t.Fatal("Put rejected a fresh entry")
 	}
 
-	got, ok := c.Get(point.Fingerprint, "v1")
+	got, ok := c.GetBand(point.Fingerprint, "v1", "")
 	if !ok || got.RiskLambda != 0 {
 		t.Fatalf("legacy Get returned the wrong band: ok=%v λ=%g", ok, got.RiskLambda)
 	}

@@ -72,16 +72,12 @@ func (g *group) do(ctx context.Context, k string, fn func() (*CachedPlan, error)
 	}
 }
 
-// Do collapses concurrent computations of the same (fingerprint, version)
-// key in the point-estimate (λ=0) band: one caller runs fn, concurrent
-// identical callers share its result (see group.do for the deadline and
-// re-arm semantics). Followers are counted as collapsed requests.
-func (c *Cache) Do(ctx context.Context, fp Fingerprint, version string, fn func() (*CachedPlan, error)) (cp *CachedPlan, collapsed bool, err error) {
-	return c.DoBand(ctx, fp, version, "", fn)
-}
-
-// DoBand is Do within an explicit risk band (see RiskBand), so requests in
-// different λ bands never collapse into each other's computation.
+// DoBand collapses concurrent computations of the same (fingerprint,
+// version) key in one risk band (see RiskBand; "" is the point-estimate λ=0
+// band): one caller runs fn, concurrent identical callers share its result
+// (see group.do for the deadline and re-arm semantics). Followers are counted
+// as collapsed requests. Requests in different λ bands never collapse into
+// each other's computation.
 func (c *Cache) DoBand(ctx context.Context, fp Fingerprint, version, band string, fn func() (*CachedPlan, error)) (cp *CachedPlan, collapsed bool, err error) {
 	cp, collapsed, err = c.flight.do(ctx, key(fp, version, band), fn)
 	if collapsed && err == nil {

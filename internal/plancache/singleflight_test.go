@@ -27,7 +27,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	var leaderCollapsed bool
 	go func() {
 		defer close(leaderDone)
-		_, leaderCollapsed, _ = c.Do(context.Background(), fp, "v1", fn)
+		_, leaderCollapsed, _ = c.DoBand(context.Background(), fp, "v1", "", fn)
 	}()
 	<-started
 
@@ -38,7 +38,7 @@ func TestSingleflightCollapse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cp, fol, err := c.Do(context.Background(), fp, "v1", fn)
+			cp, fol, err := c.DoBand(context.Background(), fp, "v1", "", fn)
 			if err != nil {
 				t.Errorf("follower: %v", err)
 				return
@@ -92,7 +92,7 @@ func TestSingleflightLeaderCancelRearm(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(leaderCtx, fp, "v1", fn)
+		_, _, err := c.DoBand(leaderCtx, fp, "v1", "", fn)
 		leaderErr <- err
 	}()
 	<-started
@@ -102,7 +102,7 @@ func TestSingleflightLeaderCancelRearm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cp, _, err := c.Do(context.Background(), fp, "v1", fn)
+			cp, _, err := c.DoBand(context.Background(), fp, "v1", "", fn)
 			if err != nil {
 				t.Errorf("follower inherited the leader's fate: %v", err)
 				return
@@ -142,14 +142,14 @@ func TestSingleflightFollowerDeadline(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), fp, "v1", fn)
+		_, _, err := c.DoBand(context.Background(), fp, "v1", "", fn)
 		leaderDone <- err
 	}()
 	<-started
 
 	fctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	cp, fol, err := c.Do(fctx, fp, "v1", fn)
+	cp, fol, err := c.DoBand(fctx, fp, "v1", "", fn)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower error = %v, want DeadlineExceeded", err)
 	}
@@ -187,13 +187,13 @@ func TestSingleflightSharedError(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		c.Do(context.Background(), fp, "v1", fn)
+		c.DoBand(context.Background(), fp, "v1", "", fn)
 	}()
 	<-started
 
 	followerDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.Do(context.Background(), fp, "v1", fn)
+		_, _, err := c.DoBand(context.Background(), fp, "v1", "", fn)
 		followerDone <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -223,7 +223,7 @@ func TestSingleflightDistinctKeys(t *testing.T) {
 			if i%2 == 1 {
 				version = "v2"
 			}
-			_, fol, err := c.Do(context.Background(), fp, version, func() (*CachedPlan, error) {
+			_, fol, err := c.DoBand(context.Background(), fp, version, "", func() (*CachedPlan, error) {
 				runs.Add(1)
 				time.Sleep(20 * time.Millisecond)
 				return fab(byte(i), version, 4), nil

@@ -8,21 +8,17 @@ import (
 	"repro/internal/mlmodel"
 )
 
-// Snapshot is one immutable published model: the artifact plus the batch
-// view of its model. Requests resolve a snapshot once and use it for the
-// whole optimization, so every response can report exactly the version that
-// scored it even while swaps happen concurrently.
+// Snapshot is one immutable published model. Requests resolve a snapshot
+// once and use it for the whole optimization, so every response can report
+// exactly the version that scored it even while swaps happen concurrently.
 type Snapshot struct {
 	Artifact *Artifact
-	// Batch is the artifact's model lifted to the batch interface once, so
-	// the per-request path does no adapter allocation.
-	Batch mlmodel.BatchModel
 }
 
 // ActiveModel implements core.ModelProvider with a constant answer: a
 // resolved snapshot IS the model for the rest of the request, which is what
 // lets a response report exactly the version that scored it.
-func (s *Snapshot) ActiveModel() core.CostModel { return s.Batch }
+func (s *Snapshot) ActiveModel() core.CostModel { return s.Artifact.Model }
 
 // Version returns the snapshot's version label.
 func (s *Snapshot) Version() string {
@@ -49,7 +45,7 @@ func NewProvider(a *Artifact) (*Provider, error) {
 		return nil, fmt.Errorf("registry: provider needs an artifact with a model")
 	}
 	p := &Provider{}
-	p.p.Store(&Snapshot{Artifact: a, Batch: mlmodel.Batcher(a.Model)})
+	p.p.Store(&Snapshot{Artifact: a})
 	return p, nil
 }
 
@@ -59,7 +55,7 @@ func NewProvider(a *Artifact) (*Provider, error) {
 func StaticProvider(m mlmodel.Model, version string) *Provider {
 	a := &Artifact{Version: version, Family: mlmodel.FamilyName(m), Model: m}
 	p := &Provider{}
-	p.p.Store(&Snapshot{Artifact: a, Batch: mlmodel.Batcher(m)})
+	p.p.Store(&Snapshot{Artifact: a})
 	return p
 }
 
@@ -72,14 +68,10 @@ func (p *Provider) Swap(a *Artifact) (*Snapshot, error) {
 	if a == nil || a.Model == nil {
 		return nil, fmt.Errorf("registry: cannot swap in an artifact without a model")
 	}
-	old := p.p.Swap(&Snapshot{Artifact: a, Batch: mlmodel.Batcher(a.Model)})
+	old := p.p.Swap(&Snapshot{Artifact: a})
 	p.swaps.Add(1)
 	return old, nil
 }
 
 // Swaps returns how many times the active model has been replaced.
 func (p *Provider) Swaps() int64 { return p.swaps.Load() }
-
-// ActiveModel implements core.ModelProvider: the optimizer resolves the
-// active model once per run through this.
-func (p *Provider) ActiveModel() core.CostModel { return p.Get().Batch }

@@ -423,8 +423,8 @@ func TestProviderSwap(t *testing.T) {
 	if _, err := p.Swap(&registry.Artifact{}); err == nil {
 		t.Error("Swap accepted an artifact without a model")
 	}
-	// ActiveModel satisfies core.ModelProvider and scores like the model.
-	if got, want := p.ActiveModel().Predict(ds.X[0]), a2.Model.Predict(ds.X[0]); got != want {
+	// The snapshot satisfies core.ModelProvider and scores like the model.
+	if got, want := p.Get().ActiveModel().Predict(ds.X[0]), a2.Model.Predict(ds.X[0]); got != want {
 		t.Errorf("ActiveModel predict = %g, want %g", got, want)
 	}
 	sp := registry.StaticProvider(trainLinear(t, ds), "test-model")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mlmodel"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/service"
@@ -35,6 +36,10 @@ func (m gateModel) Predict(f []float64) float64 {
 	m.once.Do(func() { close(m.entered) })
 	<-m.gate
 	return sumModel{}.Predict(f)
+}
+
+func (m gateModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
+	pointKernel(m.Predict, X, mean, spread, lo, hi)
 }
 
 // TestAdmissionSaturationHTTP saturates a one-slot server with a burst and

@@ -39,17 +39,13 @@ func (m spreadModel) Predict(f []float64) float64 {
 	return mean
 }
 
-func (m spreadModel) PredictBatch(X *mlmodel.Matrix, out []float64) {
-	for i := 0; i < X.Rows; i++ {
-		out[i] = m.Predict(X.Data[i*X.Cols : (i+1)*X.Cols])
-	}
-}
-
 func (m spreadModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
 	for i := 0; i < X.Rows; i++ {
-		mu, s := m.dist(X.Data[i*X.Cols : (i+1)*X.Cols])
-		mean[i], spread[i] = mu, s
-		lo[i], hi[i] = mu-1.645*s, mu+1.645*s
+		mu, s := m.dist(X.Row(i))
+		mean[i] = mu
+		if spread != nil {
+			spread[i], lo[i], hi[i] = s, mu-1.645*s, mu+1.645*s
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mlmodel"
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/service"
@@ -27,6 +28,21 @@ func (sumModel) Predict(f []float64) float64 {
 		return 0
 	}
 	return s
+}
+
+func (m sumModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
+	pointKernel(m.Predict, X, mean, spread, lo, hi)
+}
+
+// pointKernel is the kernel of a point-only fake: predict per row, and zero
+// spread with lo = hi = mean when asked.
+func pointKernel(predict func([]float64) float64, X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = predict(X.Row(i))
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
+	}
 }
 
 func newTestServer() *httptest.Server {

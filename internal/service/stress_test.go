@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mlmodel"
 	"repro/internal/platform"
 	"repro/internal/service"
 	"repro/internal/simulator"
@@ -24,6 +25,10 @@ type slowSumModel struct{ d time.Duration }
 func (m slowSumModel) Predict(f []float64) float64 {
 	time.Sleep(m.d)
 	return sumModel{}.Predict(f)
+}
+
+func (m slowSumModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
+	pointKernel(m.Predict, X, mean, spread, lo, hi)
 }
 
 const stressMaxBody = 64 << 10

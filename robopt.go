@@ -61,15 +61,12 @@ type (
 	Availability = platform.Availability
 	// Stats counts the enumeration work of one optimization.
 	Stats = core.Stats
-	// Model is a fitted runtime-prediction model scoring one feature
-	// vector per call.
+	// Model is a fitted runtime-prediction model. Its one kernel,
+	// PredictBatchDist, scores a whole feature matrix with the predictive
+	// distribution of every row (the enumeration runs one such batch per
+	// prune step); Predict is that kernel on a batch of one.
 	Model = mlmodel.Model
-	// BatchModel is a Model that also scores a whole feature matrix in a
-	// single call. Models trained by Train satisfy it natively, and the
-	// enumeration detects it to run one batched inference per prune step
-	// instead of one model call per plan vector.
-	BatchModel = mlmodel.BatchModel
-	// Matrix is the flat row-major feature matrix BatchModel operates on.
+	// Matrix is the flat row-major feature matrix a Model's kernel scores.
 	Matrix = mlmodel.Matrix
 	// Budget bounds the work of one optimization run; exhausted budgets
 	// degrade the plan instead of failing (Result.Degraded).
@@ -251,10 +248,10 @@ func Train(opts TrainingOptions) (*Optimizer, error) {
 	return &Optimizer{model: model, platforms: r.Platforms, avail: r.Avail}, nil
 }
 
-// NewOptimizerWithModel wraps a pre-fitted model (any regression model
-// satisfying Predict([]float64) float64) as an optimizer. Models that also
-// implement BatchModel get batched inference inside the enumeration; plain
-// scalar models are adapted transparently.
+// NewOptimizerWithModel wraps a pre-fitted model as an optimizer. The model
+// implements both methods of Model; a point-only one fills only the mean
+// column when its kernel is given nil spread columns, and zero spread with
+// lo = hi = mean otherwise.
 func NewOptimizerWithModel(model Model, platforms []Platform, avail *Availability) *Optimizer {
 	return &Optimizer{model: model, platforms: platforms, avail: avail}
 }
@@ -352,9 +349,7 @@ func (o *Optimizer) OptimizeSinglePlatform(p *Plan) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, x, cost, err := plan.CheapestAllOn(p, o.platforms, o.avail, func(x *Execution) (float64, error) {
-		return ctx.PredictAssignment(o.model, x.Assign)
-	})
+	_, x, cost, err := ctx.CheapestAllOn(o.model, o.platforms)
 	if err != nil {
 		return nil, fmt.Errorf("robopt: %w", err)
 	}

@@ -149,6 +149,15 @@ type constModel float64
 
 func (c constModel) Predict([]float64) float64 { return float64(c) }
 
+func (c constModel) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+	for i := 0; i < X.Rows; i++ {
+		mean[i] = float64(c)
+		if spread != nil {
+			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+		}
+	}
+}
+
 func TestOptimizerPlanCache(t *testing.T) {
 	opt := NewOptimizerWithModel(constModel(7), AllPlatforms(), DefaultAvailability())
 	opt.Cache = NewPlanCache(PlanCacheConfig{})
