@@ -43,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -624,21 +625,16 @@ func statusKeys(in map[int]int64) map[string]int64 {
 	return out
 }
 
-// percentile returns the p-th percentile (0..1) of the samples, 0 when
+// percentile returns the nearest-rank p-th percentile (0..1) of the samples:
+// the smallest sample at least a fraction p of them do not exceed, 0 when
 // empty. The slice is sorted in place.
 func percentile(samples []float64, p float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	sort.Float64s(samples)
-	i := int(p*float64(len(samples))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(samples) {
-		i = len(samples) - 1
-	}
-	return samples[i]
+	i := int(math.Ceil(p*float64(len(samples)))) - 1
+	return samples[min(max(i, 0), len(samples)-1)]
 }
 
 // rate3 is n/d rounded to 3 decimals, 0 when d is 0.

@@ -31,13 +31,13 @@
 // and POST /cachez/purge administer it.
 //
 // With -peer-fill (requires -model-dir and the cache), replicas sharing the
-// store form a fleet-shared cache tier: a local miss first consults up to
-// -peer-hedge live peers over GET /peercache (per-probe -peer-timeout,
-// circuit breakers, memoized negatives) and installs a peer's entry instead
-// of re-enumerating; responses served this way carry X-Cache: peer. Misses
-// that stay cold claim the fingerprint in the shared store so exactly one
-// replica fleet-wide enumerates while the others poll the claimant;
-// ?nopeer=1 bypasses the tier per request.
+// store form a fleet-shared cache tier: a local miss first consults up to two
+// live peers over GET /peercache (the second after a 25 ms head start, each
+// probe bounded at 150 ms, circuit breakers, memoized negatives) and installs
+// a peer's entry instead of re-enumerating; responses served this way carry
+// X-Cache: peer. Misses that stay cold claim the fingerprint in the shared
+// store so exactly one replica fleet-wide enumerates while the others poll
+// the claimant (for at most 1 s); ?nopeer=1 bypasses the tier per request.
 //
 // # Running a replica fleet
 //
@@ -58,9 +58,10 @@
 // refused with 429 + Retry-After. Requests that queue behind a backlog past
 // -shed-threshold of the queue are served the degraded beam (the plan is
 // marked degraded with reason "load-shed") so overload drains instead of
-// compounding. POST /optimize/batch admits a whole plan slice as one unit,
-// deduplicates members by canonical fingerprint, and fans the remainder
-// across the enumeration pool.
+// compounding. POST /optimize/batch admits a whole plan slice of at most 64
+// members as one unit, deduplicates members by canonical fingerprint, and
+// fans the remainder across the enumeration pool. Request bodies are capped
+// at 8 MiB.
 //
 // # Observability
 //
@@ -126,7 +127,6 @@ func main() {
 		deadline    = flag.Duration("deadline", 30*time.Second, "default per-request optimization deadline (override per request with ?deadline_ms=)")
 		budgetVec   = flag.Int("budget-vectors", 0, "degrade enumeration after this many plan vectors (0 = unlimited)")
 		budgetMC    = flag.Int("budget-model-calls", 0, "degrade enumeration after this many cost-oracle feature rows (0 = unlimited)")
-		maxBody     = flag.Int64("max-body-bytes", service.DefaultMaxBodyBytes, "reject request bodies larger than this")
 		retrainIntv = flag.Duration("retrain-interval", 0, "retrain on execution feedback at this period (0 = disabled)")
 		feedbackCap = flag.Int("feedback-cap", registry.DefaultFeedbackCap, "execution-feedback buffer capacity")
 		traceSample = flag.Float64("trace-sample", 0.1, "probability of retaining an unremarkable request trace (slow/degraded/errored/?trace=1 requests are always retained)")
@@ -139,14 +139,11 @@ func main() {
 		cacheBytes  = flag.Int64("cache-bytes", plancache.DefaultMaxBytes, "plan cache capacity in accounted bytes")
 		cacheTTL    = flag.Duration("cache-ttl", 10*time.Minute, "plan cache entry time-to-live (0 = no expiry)")
 		peerFill    = flag.Bool("peer-fill", false, "on a local plan-cache miss, consult fleet peers over /peercache before enumerating (needs -model-dir and the cache)")
-		peerTimeout = flag.Duration("peer-timeout", peercache.DefaultTimeout, "per-peer probe timeout for peer-fill lookups")
-		peerHedge   = flag.Int("peer-hedge", peercache.DefaultHedge, "peers a cold lookup may consult concurrently (1 or 2)")
 		shutdownGr  = flag.Duration("shutdown-grace", 10*time.Second, "how long to drain in-flight requests after SIGINT/SIGTERM")
 		watchIntv   = flag.Duration("store-watch-interval", registry.DefaultWatchInterval, "poll -model-dir for promotions by other replicas at this period (0 = disabled)")
 		admitConc   = flag.Int("admit-concurrency", 0, "max concurrently optimizing request units (0 = 2x CPUs, negative = no admission control)")
 		admitQueue  = flag.Int("admit-queue", 0, "max request units waiting for an admission slot; beyond it requests get 429 (0 = 4x concurrency, negative = no queue)")
 		shedThresh  = flag.Float64("shed-threshold", service.DefaultShedFraction, "queue-occupancy fraction past which admitted requests are shed to the degraded beam (>= 1 disables shedding)")
-		batchMax    = flag.Int("batch-members", service.DefaultMaxBatchMembers, "max plans accepted by one POST /optimize/batch call")
 		sloLatency  = flag.Float64("slo-latency-ms", 500, "latency objective: a request slower than this burns SLO error budget (0 disables SLO tracking)")
 		sloTarget   = flag.Float64("slo-target", 0.99, "availability target: the fraction of requests that must meet the latency objective")
 		replicaID   = flag.String("replica-id", "", "fleet identity of this replica (default host:pid)")
@@ -212,8 +209,6 @@ func main() {
 		Workers:         *workers,
 		DefaultDeadline: *deadline,
 		Budget:          core.Budget{MaxVectors: *budgetVec, MaxModelCalls: *budgetMC},
-		MaxBodyBytes:    *maxBody,
-		MaxBatchMembers: *batchMax,
 		Tracer:          obs.NewTracer(*traceCap, *traceSample, *traceSlow),
 		Logger:          logger,
 		EnablePprof:     *pprofFlag,
@@ -331,8 +326,6 @@ func main() {
 			Peers: func() ([]registry.ReplicaInfo, error) {
 				return store.Replicas(registry.DefaultReplicaTTL)
 			},
-			Timeout: *peerTimeout,
-			Hedge:   *peerHedge,
 			Metrics: srv.Metrics(),
 		})
 		if err != nil {
@@ -341,8 +334,7 @@ func main() {
 		srv.PlanCache.SetRemoteFiller(filler)
 		srv.PeerFill = filler
 		srv.AdvertiseAddr = scrapeAddr
-		logger.Info("peer-fill enabled",
-			"timeout", *peerTimeout, "hedge", *peerHedge, "addr", scrapeAddr)
+		logger.Info("peer-fill enabled", "addr", scrapeAddr)
 	}
 
 	// The write timeout leaves headroom over the optimization deadline so a

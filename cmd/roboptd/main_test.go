@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"io"
 	"log/slog"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -18,6 +21,63 @@ import (
 )
 
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+// helpEnv makes the test binary run roboptd -h instead of its tests.
+const helpEnv = "ROBOPTD_TEST_HELP"
+
+var updateHelp = flag.Bool("update", false, "rewrite testdata/help.golden")
+
+func TestMain(m *testing.M) {
+	if os.Getenv(helpEnv) == "1" {
+		// A fresh flag set, so the usage lists roboptd's flags and none of
+		// the test binary's own.
+		flag.CommandLine = flag.NewFlagSet("roboptd", flag.ExitOnError)
+		os.Args = []string{"roboptd", "-h"}
+		main()
+		os.Exit(2) // -h exits from flag.Parse; reaching here is a failure
+	}
+	os.Exit(m.Run())
+}
+
+// TestHelpGolden pins roboptd's flag set: adding, removing or rewording a flag
+// shows up as a diff of testdata/help.golden (rewrite it with -update). The
+// flags removed once because no deployment set them must not come back in
+// the docs either.
+func TestHelpGolden(t *testing.T) {
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), helpEnv+"=1")
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("roboptd -h: %v\n%s", err, out.Bytes())
+	}
+	golden := filepath.Join("testdata", "help.golden")
+	if *updateHelp {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("roboptd -h differs from %s (rerun with -update and review the diff):\n%s", golden, out.Bytes())
+	}
+
+	removed := []string{"-peer-timeout", "-peer-hedge", "-max-body-bytes", "-batch-members"}
+	for _, doc := range []string{"main.go", "../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range removed {
+			if bytes.Contains(text, []byte(f)) {
+				t.Errorf("%s still names the removed flag %s", doc, f)
+			}
+		}
+	}
+}
 
 // noTraining is bootArtifact's train function in tests that must not reach it.
 func noTraining(t *testing.T) func() (*registry.Artifact, error) {

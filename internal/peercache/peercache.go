@@ -26,25 +26,26 @@ import (
 	"repro/internal/registry"
 )
 
-// Defaults for Config's zero values.
+// The lookup's fixed budgets. Tests in this package may shorten a Filler's
+// copies after New.
 const (
-	// DefaultTimeout bounds one probe to one peer. Peers answer from
-	// memory, so this is network budget, not compute budget.
-	DefaultTimeout = 150 * time.Millisecond
-	// DefaultHedgeDelay is how long the first probe runs alone before the
-	// lookup hedges to a second peer.
-	DefaultHedgeDelay = 25 * time.Millisecond
-	// DefaultHedge is how many peers one lookup may consult (max 2).
-	DefaultHedge = 2
-	// DefaultNegTTL memoizes a fleet-wide miss: equal-key lookups within
-	// the window skip the network entirely.
-	DefaultNegTTL = 2 * time.Second
-	// DefaultBreakerThreshold is how many consecutive failures open a
-	// peer's circuit breaker.
-	DefaultBreakerThreshold = 3
-	// DefaultBreakerCooldown is how long an open breaker keeps a peer out
-	// of rotation.
-	DefaultBreakerCooldown = 5 * time.Second
+	// probeTimeout bounds one probe to one peer. Peers answer from memory, so
+	// this is network budget, not compute budget.
+	probeTimeout = 150 * time.Millisecond
+	// hedgeDelay is how long the first probe runs alone before the lookup
+	// hedges to a second peer.
+	hedgeDelay = 25 * time.Millisecond
+	// hedgePeers is how many peers one lookup may consult.
+	hedgePeers = 2
+	// negTTL memoizes a fleet-wide miss: equal-key lookups within the window
+	// skip the network entirely.
+	negTTL = 2 * time.Second
+	// breakerThreshold is how many consecutive failures open a peer's circuit
+	// breaker.
+	breakerThreshold = 3
+	// breakerCooldown is how long an open breaker keeps a peer out of
+	// rotation.
+	breakerCooldown = 5 * time.Second
 )
 
 // maxEntryBytes bounds a /peercache response body; anything larger is a
@@ -53,23 +54,22 @@ const maxEntryBytes = 1 << 20
 
 var errEntryTooBig = fmt.Errorf("entry exceeds %d bytes", maxEntryBytes)
 
-// idleConnsPerPeer is how many idle connections the default client keeps to
+// idleConnsPerPeer is how many idle connections the probe client keeps to
 // one peer. A lookup holds at most one connection to a peer at a time, so this
 // is how many lookups can be in flight toward one peer, burst after burst,
 // without dialling again: twice the default admission concurrency of an
 // 8-CPU replica, where http.DefaultTransport would keep 2.
 const idleConnsPerPeer = 32
 
-// transport carries the probes of every Filler that is not given a client.
-// Peers are addresses the fleet's own replicas registered in the shared
-// store, so it takes no proxy from the environment; an entry is a kilobyte or
-// two, so it does not negotiate gzip; and it shares its connection pool with
-// nothing else in the process.
-var transport = &http.Transport{
+// client carries every Filler's probes. Peers are addresses the fleet's own
+// replicas registered in the shared store, so it takes no proxy from the
+// environment; an entry is a kilobyte or two, so it does not negotiate gzip;
+// and it shares its connection pool with nothing else in the process.
+var client = &http.Client{Transport: &http.Transport{
 	DisableCompression:  true,
 	MaxIdleConnsPerHost: idleConnsPerPeer,
 	IdleConnTimeout:     90 * time.Second,
-}
+}}
 
 // bodies recycles the buffers probes read response bodies into; a decoded
 // entry keeps no reference to its bytes.
@@ -80,8 +80,7 @@ var bodies = sync.Pool{New: func() any { return new([]byte) }}
 // (it is only a memo — losing it costs one extra probe per key).
 const negCacheCap = 8192
 
-// Config configures a Filler. The zero value gets sensible defaults, but
-// Peers must be set.
+// Config configures a Filler. Peers must be set.
 type Config struct {
 	// SelfID and SelfAddr identify this replica so it never probes itself.
 	SelfID   string
@@ -89,24 +88,6 @@ type Config struct {
 	// Peers lists the live fleet (typically registry.Store.Replicas
 	// under the default TTL). Called once per remote lookup.
 	Peers func() ([]registry.ReplicaInfo, error)
-	// Timeout bounds one probe to one peer (DefaultTimeout when 0).
-	Timeout time.Duration
-	// HedgeDelay is the head start the first probe gets before a second
-	// peer is consulted (DefaultHedgeDelay when 0).
-	HedgeDelay time.Duration
-	// Hedge is the number of peers one lookup may consult, clamped to
-	// [1, 2] (DefaultHedge when 0).
-	Hedge int
-	// NegTTL is the negative-result memo window (DefaultNegTTL when 0;
-	// negative to disable memoization).
-	NegTTL time.Duration
-	// BreakerThreshold and BreakerCooldown tune the per-peer circuit
-	// breaker (defaults when 0).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Client is the HTTP client probes go through (when nil, one over the
-	// package's own transport).
-	Client *http.Client
 	// Metrics, when set, holds the peer_fill_*_total counters. They are the
 	// filler's only ledger: New resolves each handle once and Snapshot reads
 	// the same counters back, so two fillers sharing one registry share its
@@ -127,6 +108,9 @@ type Filler struct {
 	cfg Config
 	rr  atomic.Uint64 // round-robin rotation over the peer list
 
+	// The package constants, copied so in-package tests can shorten them.
+	timeout, hedgeDelay, negTTL, breakerCooldown time.Duration
+
 	mu       sync.Mutex
 	neg      map[string]time.Time // key -> memo expiry
 	breakers map[string]*breaker  // peer addr -> breaker
@@ -141,37 +125,15 @@ func New(cfg Config) (*Filler, error) {
 	if cfg.Peers == nil {
 		return nil, fmt.Errorf("peercache: Config.Peers is required")
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.HedgeDelay <= 0 {
-		cfg.HedgeDelay = DefaultHedgeDelay
-	}
-	if cfg.Hedge <= 0 {
-		cfg.Hedge = DefaultHedge
-	}
-	if cfg.Hedge > 2 {
-		cfg.Hedge = 2
-	}
-	if cfg.NegTTL == 0 {
-		cfg.NegTTL = DefaultNegTTL
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: transport}
-	}
 	m := cfg.Metrics
 	return &Filler{
 		cfg: cfg, neg: map[string]time.Time{}, breakers: map[string]*breaker{},
-		hits:     m.Counter("peer_fill_hits_total"),
-		misses:   m.Counter("peer_fill_misses_total"),
-		errors:   m.Counter("peer_fill_errors_total"),
-		timeouts: m.Counter("peer_fill_timeouts_total"),
+		timeout: probeTimeout, hedgeDelay: hedgeDelay, negTTL: negTTL,
+		breakerCooldown: breakerCooldown,
+		hits:            m.Counter("peer_fill_hits_total"),
+		misses:          m.Counter("peer_fill_misses_total"),
+		errors:          m.Counter("peer_fill_errors_total"),
+		timeouts:        m.Counter("peer_fill_timeouts_total"),
 	}, nil
 }
 
@@ -181,16 +143,13 @@ func negKey(fp plancache.Fingerprint, version, band string) string {
 
 // negHit reports whether key's fleet-wide miss is memoized and fresh.
 func (f *Filler) negHit(key string) bool {
-	if f.cfg.NegTTL < 0 {
-		return false
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	exp, ok := f.neg[key]
 	if !ok {
 		return false
 	}
-	if time.Now().After(exp) {
+	if !time.Now().Before(exp) {
 		delete(f.neg, key)
 		return false
 	}
@@ -199,9 +158,6 @@ func (f *Filler) negHit(key string) bool {
 
 // memoizeMiss records a clean fleet-wide miss for key.
 func (f *Filler) memoizeMiss(key string) {
-	if f.cfg.NegTTL < 0 {
-		return
-	}
 	now := time.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -215,7 +171,7 @@ func (f *Filler) memoizeMiss(key string) {
 			f.neg = map[string]time.Time{}
 		}
 	}
-	f.neg[key] = now.Add(f.cfg.NegTTL)
+	f.neg[key] = now.Add(f.negTTL)
 }
 
 // Forget drops key's negative memo (call after installing the plan by
@@ -251,8 +207,8 @@ func (f *Filler) breakerResult(addr string, ok bool) {
 		f.breakers[addr] = b
 	}
 	b.fails++
-	if b.fails >= f.cfg.BreakerThreshold {
-		b.openUntil = time.Now().Add(f.cfg.BreakerCooldown)
+	if b.fails >= breakerThreshold {
+		b.openUntil = time.Now().Add(f.breakerCooldown)
 		b.fails = 0
 	}
 }
@@ -299,7 +255,7 @@ func (f *Filler) failed(err error) {
 
 // probe fetches (fp, version, band) from one peer. A 404 is a clean miss.
 func (f *Filler) probe(ctx context.Context, addr string, fp plancache.Fingerprint, version, band string) (*plancache.CachedPlan, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, f.timeout)
 	defer cancel()
 	u := "http://" + addr + "/peercache?fp=" + fp.String() +
 		"&version=" + url.QueryEscape(version) + "&band=" + url.QueryEscape(band)
@@ -307,7 +263,7 @@ func (f *Filler) probe(ctx context.Context, addr string, fp plancache.Fingerprin
 	if err != nil {
 		return nil, false, err
 	}
-	resp, err := f.cfg.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, false, err
 	}
@@ -380,10 +336,7 @@ func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, ba
 		return nil, nil
 	}
 	start := int(f.rr.Add(1)-1) % len(peers)
-	n := f.cfg.Hedge
-	if n > len(peers) {
-		n = len(peers)
-	}
+	n := min(hedgePeers, len(peers))
 	targets := make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		targets = append(targets, peers[(start+i)%len(peers)].Addr)
@@ -402,7 +355,7 @@ func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, ba
 	launched, outstanding := 1, 1
 	var hedgeC <-chan time.Time
 	if len(targets) > 1 {
-		t := time.NewTimer(f.cfg.HedgeDelay)
+		t := time.NewTimer(f.hedgeDelay)
 		defer t.Stop()
 		hedgeC = t.C
 	}

@@ -179,11 +179,8 @@ func TestFillHedgesToSecondPeer(t *testing.T) {
 	})
 	fast := peerServer(t, serveEntry(cp, "fast", nil))
 
-	f := newFiller(t, Config{
-		Peers:      staticPeers(slow, fast),
-		Timeout:    2 * time.Second,
-		HedgeDelay: 5 * time.Millisecond,
-	})
+	f := newFiller(t, Config{Peers: staticPeers(slow, fast)})
+	f.timeout, f.hedgeDelay = 2*time.Second, 5*time.Millisecond
 	// Round-robin starts at the first peer on the first call.
 	start := time.Now()
 	got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", "")
@@ -203,7 +200,7 @@ func TestFillMissMemoized(t *testing.T) {
 		probes.Add(1)
 		serve404(w, r)
 	})
-	f := newFiller(t, Config{Peers: staticPeers(addr), Hedge: 1, NegTTL: time.Minute})
+	f := newFiller(t, Config{Peers: staticPeers(addr)})
 	var fp plancache.Fingerprint
 	fp[0] = 8
 
@@ -243,23 +240,19 @@ func TestBreakerOpensAndCloses(t *testing.T) {
 		probes.Add(1)
 		http.Error(w, "boom", http.StatusInternalServerError)
 	})
-	f := newFiller(t, Config{
-		Peers:            staticPeers(bad),
-		Hedge:            1,
-		NegTTL:           -1, // misses must not mask the breaker behavior
-		BreakerThreshold: 2,
-		BreakerCooldown:  50 * time.Millisecond,
-	})
+	f := newFiller(t, Config{Peers: staticPeers(bad)})
+	f.negTTL = 0 // misses must not mask the breaker behavior
+	f.breakerCooldown = 50 * time.Millisecond
 	var fp plancache.Fingerprint
 
-	// Two failing lookups open the breaker.
-	for i := 0; i < 2; i++ {
+	// breakerThreshold failing lookups open the breaker.
+	for i := 0; i < breakerThreshold; i++ {
 		if _, err := f.Fill(context.Background(), fp, "v1", ""); err == nil {
 			t.Fatalf("Fill %d succeeded against a broken peer", i)
 		}
 	}
-	if s := f.Snapshot(); s.OpenBreakers != 1 || s.Errors != 2 {
-		t.Fatalf("stats = %+v, want open breaker after 2 errors", s)
+	if s := f.Snapshot(); s.OpenBreakers != 1 || s.Errors != breakerThreshold {
+		t.Fatalf("stats = %+v, want open breaker after %d errors", s, breakerThreshold)
 	}
 	// While open, the peer is skipped entirely: a lookup is a clean miss
 	// with no new probe.
@@ -289,11 +282,8 @@ func TestFillTimeoutClassified(t *testing.T) {
 		case <-r.Context().Done():
 		}
 	})
-	f := newFiller(t, Config{
-		Peers:   staticPeers(hang),
-		Hedge:   1,
-		Timeout: 20 * time.Millisecond,
-	})
+	f := newFiller(t, Config{Peers: staticPeers(hang)})
+	f.timeout = 20 * time.Millisecond
 	var fp plancache.Fingerprint
 	if _, err := f.Fill(context.Background(), fp, "v1", ""); err == nil {
 		t.Fatal("Fill succeeded against a hung peer")
@@ -329,7 +319,7 @@ func TestNewRequiresPeers(t *testing.T) {
 	}
 }
 
-// TestDefaultClientIsDirect: the default client takes no proxy from the
+// TestDefaultClientIsDirect: the probe client takes no proxy from the
 // environment and asks for no compression — peers are in-cluster addresses,
 // and an entry is a kilobyte or two.
 func TestDefaultClientIsDirect(t *testing.T) {
@@ -350,9 +340,9 @@ func TestDefaultClientIsDirect(t *testing.T) {
 	}
 	// Go never proxies a loopback address, so the fill above cannot tell:
 	// look at the transport itself.
-	tr, ok := f.cfg.Client.Transport.(*http.Transport)
+	tr, ok := client.Transport.(*http.Transport)
 	if !ok || tr.Proxy != nil {
-		t.Errorf("default client transport = %#v, want an http.Transport without a proxy", f.cfg.Client.Transport)
+		t.Errorf("probe client transport = %#v, want an http.Transport without a proxy", client.Transport)
 	}
 }
 
@@ -387,7 +377,8 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 	}
 	ts.Start()
 	t.Cleanup(ts.Close)
-	f := newFiller(t, Config{Peers: staticPeers(strings.TrimPrefix(ts.URL, "http://")), Hedge: 1, Timeout: 10 * time.Second})
+	f := newFiller(t, Config{Peers: staticPeers(strings.TrimPrefix(ts.URL, "http://"))})
+	f.timeout = 10 * time.Second
 
 	// The transport parks a connection after the probe has seen the end of
 	// its body, on a goroutine of its own: wait for that, not for Fill.
@@ -436,19 +427,24 @@ func TestOversizedBody(t *testing.T) {
 			}
 			w.Write(huge)
 		})
-		f := newFiller(t, Config{Peers: staticPeers(addr), Hedge: 1, BreakerThreshold: 1, Timeout: 10 * time.Second})
+		f := newFiller(t, Config{Peers: staticPeers(addr)})
+		f.timeout = 10 * time.Second
 		var fp plancache.Fingerprint
 		_, err := f.Fill(context.Background(), fp, "v1", "")
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("entry exceeds %d bytes", maxEntryBytes)) {
 			t.Errorf("%s: Fill error %v, want the size named", name, err)
 		}
-		if s := f.Snapshot(); s.Errors != 1 || s.Timeouts != 0 || s.OpenBreakers != 1 {
-			t.Errorf("%s: stats = %+v, want one error and an open breaker", name, s)
+		if s := f.Snapshot(); s.Errors != 1 || s.Timeouts != 0 {
+			t.Errorf("%s: stats = %+v, want one error", name, s)
+		}
+		if b := f.breakers[addr]; b == nil || b.fails != 1 {
+			t.Errorf("%s: breaker %+v, want the failure counted against the peer", name, b)
 		}
 	}
 	// A body of exactly the limit is read whole (and is then no entry).
 	addr := peerServer(t, func(w http.ResponseWriter, r *http.Request) { w.Write(huge[1:]) })
-	f := newFiller(t, Config{Peers: staticPeers(addr), Hedge: 1, Timeout: 10 * time.Second})
+	f := newFiller(t, Config{Peers: staticPeers(addr)})
+	f.timeout = 10 * time.Second
 	var fp plancache.Fingerprint
 	if _, err := f.Fill(context.Background(), fp, "v1", ""); err == nil || strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("Fill error %v on a body at the limit, want a decoding error", err)

@@ -397,7 +397,7 @@ func TestDecodeEntryUnknownField(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write([]byte(extra))
 	})
-	f := newFiller(t, Config{Peers: staticPeers(addr), BreakerThreshold: 1})
+	f := newFiller(t, Config{Peers: staticPeers(addr)})
 	c := plancache.New(plancache.Config{})
 	c.SetRemoteFiller(f)
 	got, ok := c.FillRemote(context.Background(), cp.Fingerprint, "v1", "")

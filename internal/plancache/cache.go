@@ -35,10 +35,6 @@ type Config struct {
 	// fingerprint prefix (0 means DefaultShards; rounded up to a power of
 	// two).
 	Shards int
-	// BandsPerDecade is the cardinality banding resolution fingerprints are
-	// computed with (0 means DefaultCardBands). Stored here so every caller
-	// of the same cache fingerprints identically.
-	BandsPerDecade int
 	// Metrics, when set, holds the plan_cache_* counters and the
 	// plan_cache_age_ms histogram. They are the cache's only ledger: New
 	// resolves each handle once and Snapshot reads the same counters back, so
@@ -231,9 +227,6 @@ func New(cfg Config) *Cache {
 		ns <<= 1
 	}
 	cfg.Shards = ns
-	if cfg.BandsPerDecade <= 0 {
-		cfg.BandsPerDecade = DefaultCardBands
-	}
 	m := cfg.Metrics
 	c := &Cache{
 		cfg: cfg, shardMask: uint32(ns - 1),
@@ -263,7 +256,7 @@ func New(cfg Config) *Cache {
 
 // BandsPerDecade returns the cardinality banding resolution callers must
 // fingerprint plans with to hit this cache.
-func (c *Cache) BandsPerDecade() int { return c.cfg.BandsPerDecade }
+func (c *Cache) BandsPerDecade() int { return cardBands }
 
 // TTL returns the configured entry time-to-live.
 func (c *Cache) TTL() time.Duration { return c.cfg.TTL }

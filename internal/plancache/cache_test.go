@@ -310,7 +310,7 @@ func TestCacheShardRounding(t *testing.T) {
 	if got := c.Snapshot().Shards; got != 8 {
 		t.Fatalf("shards = %d, want next power of two 8", got)
 	}
-	if c.BandsPerDecade() != DefaultCardBands {
+	if c.BandsPerDecade() != cardBands {
 		t.Fatalf("BandsPerDecade = %d", c.BandsPerDecade())
 	}
 }

@@ -48,12 +48,12 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // Short returns a 12-hex-character prefix, enough for logs and span attrs.
 func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
 
-// DefaultCardBands is the default cardinality banding resolution: four bands
+// cardBands is the cardinality banding resolution of every cache: four bands
 // per decade, i.e. band edges at 10^(k/4) ≈ ×1.78 steps. Plans whose source
 // cardinalities differ by less than a band share a fingerprint and therefore
 // a cached plan choice; see DESIGN.md deviation note 12 for why that is
 // sound under the simulator's cost regimes.
-const DefaultCardBands = 4
+const cardBands = 4
 
 // Canon is the canonical relabeling computed alongside a fingerprint: the
 // permutation between the plan's operator IDs and its canonical operator
@@ -97,7 +97,7 @@ func mix(h, v uint64) uint64 {
 // Compute canonicalizes l under the given platform universe and availability
 // matrix and returns its fingerprint together with the canonical operator
 // permutation. bands is the cardinality banding resolution in bands per
-// decade (0 means DefaultCardBands).
+// decade (0 means cardBands).
 //
 // The canonical order is a topological order with Weisfeiler-Leman-refined
 // label tie-breaking: operator labels start from local attributes (kind,
@@ -119,7 +119,7 @@ func Compute(l *plan.Logical, platforms []platform.ID, avail *platform.Availabil
 		return zero, nil, fmt.Errorf("plancache: fingerprint needs an availability matrix")
 	}
 	if bands <= 0 {
-		bands = DefaultCardBands
+		bands = cardBands
 	}
 	n := len(l.Ops)
 

@@ -93,31 +93,20 @@ func (s *Store) Claim(key, owner, addr string, ttl time.Duration) (acquired bool
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dir := filepath.Join(s.dir, claimsSubdir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(s.dir, claimsSubdir), 0o755); err != nil {
 		return false, nil, false, fmt.Errorf("registry: creating claims dir: %w", err)
 	}
 	now := time.Now()
 	c := ClaimInfo{Key: key, Owner: owner, Addr: addr, CreatedAt: now, ExpiresAt: now.Add(ttl)}
-	tmp, err := os.CreateTemp(dir, ".claim.tmp*")
-	if err != nil {
-		return false, nil, false, fmt.Errorf("registry: claim: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	enc := json.NewEncoder(tmp)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(c); err != nil {
-		tmp.Close()
-		return false, nil, false, fmt.Errorf("registry: claim: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return false, nil, false, fmt.Errorf("registry: claim: %w", err)
-	}
-	path := s.claimPath(key)
+	name, path := filepath.Join(claimsSubdir, ClaimFile(key)), s.claimPath(key)
 	// Two link attempts: the first decides claimed-vs-held; a second is
 	// allowed only after reaping a provably expired claim (takeover).
 	for attempt := 0; ; attempt++ {
-		err := os.Link(tmp.Name(), path)
+		err := s.writeFileLocked(name, os.Link, func(f *os.File) error {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			return enc.Encode(c)
+		})
 		if err == nil {
 			return true, nil, attempt > 0, nil
 		}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/mlmodel"
 )
 
 // Snapshot is one immutable published model. Requests resolve a snapshot
@@ -47,16 +46,6 @@ func NewProvider(a *Artifact) (*Provider, error) {
 	p := &Provider{}
 	p.p.Store(&Snapshot{Artifact: a})
 	return p, nil
-}
-
-// StaticProvider wraps a bare model (no artifact metadata) under the given
-// version label — the adapter for embedded or test servers that never touch
-// the store.
-func StaticProvider(m mlmodel.Model, version string) *Provider {
-	a := &Artifact{Version: version, Family: mlmodel.FamilyName(m), Model: m}
-	p := &Provider{}
-	p.p.Store(&Snapshot{Artifact: a})
-	return p
 }
 
 // Get returns the current snapshot. The result is never nil and never

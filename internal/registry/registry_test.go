@@ -427,9 +427,13 @@ func TestProviderSwap(t *testing.T) {
 	if got, want := p.Get().ActiveModel().Predict(ds.X[0]), a2.Model.Predict(ds.X[0]); got != want {
 		t.Errorf("ActiveModel predict = %g, want %g", got, want)
 	}
-	sp := registry.StaticProvider(trainLinear(t, ds), "test-model")
-	if sp.Get().Version() != "test-model" {
-		t.Errorf("static version = %q", sp.Get().Version())
+	// An artifact without a version label is served as "unversioned".
+	up, err := registry.NewProvider(&registry.Artifact{Model: a2.Model})
+	if err != nil {
+		t.Fatalf("NewProvider: %v", err)
+	}
+	if v := up.Get().Version(); v != "unversioned" {
+		t.Errorf("unlabeled version = %q", v)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,10 +15,10 @@ import (
 // parallelism (optimizations are CPU-bound but interleave model inference),
 // MaxQueue to four waiters per slot, and shedding starts at half a full
 // queue.
-const (
-	DefaultShedFraction = 0.5
-	DefaultRetryAfter   = time.Second
-)
+const DefaultShedFraction = 0.5
+
+// retryAfter is the Retry-After header value (seconds) sent with each 429.
+const retryAfter = "1"
 
 // admitOutcome is the admission layer's verdict for one request unit.
 type admitOutcome int
@@ -62,9 +61,6 @@ type Admission struct {
 	// to the degraded beam. Zero resolves to DefaultShedFraction; values
 	// ≥ 1 disable shedding short of a full queue.
 	ShedFraction float64
-	// RetryAfter is the hint sent in the Retry-After header with each 429.
-	// Zero resolves to DefaultRetryAfter.
-	RetryAfter time.Duration
 	// Metrics receives the admission counters; Server.Handler wires it to
 	// the server registry when nil.
 	Metrics *obs.Registry
@@ -104,16 +100,6 @@ func (a *Admission) shedAt() int {
 		f = DefaultShedFraction
 	}
 	return int(math.Ceil(f * float64(a.maxQueue())))
-}
-
-// retryAfterSeconds renders the Retry-After header value (whole seconds,
-// rounded up).
-func (a *Admission) retryAfterSeconds() string {
-	d := a.RetryAfter
-	if d <= 0 {
-		d = DefaultRetryAfter
-	}
-	return strconv.Itoa(int(math.Ceil(d.Seconds())))
 }
 
 // QueueDepth reports the currently waiting request units.

@@ -139,12 +139,6 @@ func TestAdmissionDefaults(t *testing.T) {
 	if got := (&Admission{MaxQueue: -1}).maxQueue(); got != 0 {
 		t.Fatalf("negative MaxQueue resolves to %d, want 0", got)
 	}
-	if got := a.retryAfterSeconds(); got != "1" {
-		t.Fatalf("default Retry-After = %q, want 1", got)
-	}
-	if got := (&Admission{RetryAfter: 2500 * time.Millisecond}).retryAfterSeconds(); got != "3" {
-		t.Fatalf("Retry-After rounds to %q, want 3", got)
-	}
 	// No queue at all: the second offer is refused outright.
 	nq := &Admission{MaxConcurrent: 1, MaxQueue: -1}
 	_, rel := nq.Acquire(context.Background())

@@ -49,7 +49,7 @@ func (m gateModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []fl
 // reconcile exactly with what the clients saw.
 func TestAdmissionSaturationHTTP(t *testing.T) {
 	s := &service.Server{
-		Model:     slowSumModel{d: 200 * time.Microsecond},
+		Provider:  modelProvider(slowSumModel{d: 200 * time.Microsecond}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Admission: &service.Admission{
@@ -58,7 +58,6 @@ func TestAdmissionSaturationHTTP(t *testing.T) {
 			// shedAt = ceil(0.01·3) = 1: every request that has to queue is
 			// shed, so the test is not timing-sensitive about which ones.
 			ShedFraction: 0.01,
-			RetryAfter:   7 * time.Second,
 		},
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -111,8 +110,8 @@ func TestAdmissionSaturationHTTP(t *testing.T) {
 			}
 		case http.StatusTooManyRequests:
 			rejected++
-			if r.retryAfter != "7" {
-				t.Fatalf("request %d: 429 Retry-After = %q, want 7", i, r.retryAfter)
+			if r.retryAfter != "1" {
+				t.Fatalf("request %d: 429 Retry-After = %q, want 1", i, r.retryAfter)
 			}
 		default:
 			t.Fatalf("request %d: unexpected status %d", i, r.status)
@@ -162,7 +161,7 @@ func TestAdmissionSaturationHTTP(t *testing.T) {
 func TestAdmissionQueueHonorsDeadline(t *testing.T) {
 	gm := newGateModel()
 	s := &service.Server{
-		Model:     gm,
+		Provider:  modelProvider(gm),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Admission: &service.Admission{MaxConcurrent: 1, MaxQueue: 2},

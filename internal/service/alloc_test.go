@@ -53,7 +53,7 @@ func warmServer(t testing.TB, body []byte) (h http.Handler, post func() *reusedW
 		t.Fatal(err)
 	}
 	s := &service.Server{
-		Model:           sumModel{},
+		Provider:        modelProvider(sumModel{}),
 		Platforms:       platform.Subset(3),
 		Avail:           platform.UniformAvailability(3),
 		Cluster:         simulator.Default(),

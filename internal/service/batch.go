@@ -11,9 +11,8 @@ import (
 	"repro/internal/plancache"
 )
 
-// DefaultMaxBatchMembers caps POST /optimize/batch when
-// Server.MaxBatchMembers is unset.
-const DefaultMaxBatchMembers = 64
+// maxBatchMembers caps the plans accepted by one POST /optimize/batch call.
+const maxBatchMembers = 64
 
 // BatchRequest is the body of POST /optimize/batch: a slice of JSON logical
 // plans, each in the same format POST /optimize accepts.
@@ -61,13 +60,6 @@ type BatchResponse struct {
 	Results []BatchMemberResult `json:"results"`
 }
 
-func (s *Server) maxBatchMembers() int {
-	if s.MaxBatchMembers > 0 {
-		return s.MaxBatchMembers
-	}
-	return DefaultMaxBatchMembers
-}
-
 // batchMember is one plan of a batch on its way to a result: q is nil when
 // the plan did not parse, out is set once the member is served.
 type batchMember struct {
@@ -91,9 +83,9 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		if len(breq.Plans) == 0 {
 			return errors.New("service: batch carries no plans")
 		}
-		if limit := s.maxBatchMembers(); len(breq.Plans) > limit {
+		if len(breq.Plans) > maxBatchMembers {
 			return &statusError{http.StatusRequestEntityTooLarge,
-				fmt.Errorf("service: batch of %d plans exceeds the member limit of %d", len(breq.Plans), limit)}
+				fmt.Errorf("service: batch of %d plans exceeds the member limit of %d", len(breq.Plans), maxBatchMembers)}
 		}
 		return nil
 	})

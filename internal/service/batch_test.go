@@ -53,11 +53,10 @@ func postBatch(t *testing.T, url string, plans []json.RawMessage) (*http.Respons
 // the cache sweep, and member failures are isolated to their slot.
 func TestBatchEndpoint(t *testing.T) {
 	s := &service.Server{
-		Model:           sumModel{},
-		Platforms:       platform.Subset(3),
-		Avail:           platform.UniformAvailability(3),
-		Cluster:         simulator.Default(),
-		MaxBatchMembers: 4,
+		Provider:  modelProvider(sumModel{}),
+		Platforms: platform.Subset(3),
+		Avail:     platform.UniformAvailability(3),
+		Cluster:   simulator.Default(),
 	}
 	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
 	ts := httptest.NewServer(s.Handler())
@@ -127,10 +126,9 @@ func TestBatchEndpoint(t *testing.T) {
 
 func TestBatchEndpointRejections(t *testing.T) {
 	s := &service.Server{
-		Model:           sumModel{},
-		Platforms:       platform.Subset(3),
-		Avail:           platform.UniformAvailability(3),
-		MaxBatchMembers: 2,
+		Provider:  modelProvider(sumModel{}),
+		Platforms: platform.Subset(3),
+		Avail:     platform.UniformAvailability(3),
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -149,7 +147,10 @@ func TestBatchEndpointRejections(t *testing.T) {
 		t.Fatalf("empty batch status %d, want 400", resp.StatusCode)
 	}
 
-	over := []json.RawMessage{example, example, example}
+	over := make([]json.RawMessage, service.MaxBatchMembers+1)
+	for i := range over {
+		over[i] = example
+	}
 	if resp, _, _ := postBatch(t, ts.URL, over); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch status %d, want 413", resp.StatusCode)
 	}

@@ -23,7 +23,7 @@ import (
 // metric registry, the way roboptd configures it.
 func newCachedServer(cfg plancache.Config) (*service.Server, *httptest.Server) {
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Cluster:   simulator.Default(),
@@ -157,7 +157,7 @@ func TestCacheNocacheBypass(t *testing.T) {
 // in-flight leader or hit after it published).
 func TestCacheConcurrentIdentical(t *testing.T) {
 	s := &service.Server{
-		Model:     slowSumModel{d: 100 * time.Microsecond},
+		Provider:  modelProvider(slowSumModel{d: 100 * time.Microsecond}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Cluster:   simulator.Default(),
@@ -277,7 +277,7 @@ func TestCachePromoteInvalidates(t *testing.T) {
 // vectorize/enumerate/prune spans, because none of that ran.
 func TestCacheHitTrace(t *testing.T) {
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Tracer:    obs.NewTracer(16, 1, 0),

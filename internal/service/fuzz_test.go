@@ -17,7 +17,6 @@ import (
 )
 
 const (
-	fuzzMaxBody  = 128 << 10
 	fuzzDeadline = 2 * time.Second
 )
 
@@ -65,10 +64,9 @@ func FuzzOptimizeBody(f *testing.F) {
 	}
 
 	s := &service.Server{
-		Model:           sumModel{},
+		Provider:        modelProvider(sumModel{}),
 		Platforms:       platform.Subset(3),
 		Avail:           platform.UniformAvailability(3),
-		MaxBodyBytes:    fuzzMaxBody,
 		DefaultDeadline: fuzzDeadline,
 	}
 	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
@@ -95,7 +93,7 @@ func FuzzOptimizeBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := post(t, "/optimize", body, http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity)
-		if len(body) > fuzzMaxBody && w.Code != http.StatusRequestEntityTooLarge {
+		if len(body) > service.MaxBodyBytes && w.Code != http.StatusRequestEntityTooLarge {
 			t.Fatalf("a %d-byte body got status %d, want 413", len(body), w.Code)
 		}
 
@@ -122,16 +120,15 @@ func FuzzOptimizeBody(f *testing.F) {
 // (TestReadBodyWrapsMaxBytesError checks the error chain).
 func TestOversizedBodyIs413(t *testing.T) {
 	s := &service.Server{
-		Model:        sumModel{},
-		Platforms:    platform.Subset(3),
-		Avail:        platform.UniformAvailability(3),
-		MaxBodyBytes: 1 << 10,
+		Provider:  modelProvider(sumModel{}),
+		Platforms: platform.Subset(3),
+		Avail:     platform.UniformAvailability(3),
 	}
 	h := s.Handler()
 	for name, body := range map[string][]byte{
-		"all braces":      bytes.Repeat([]byte("{"), 2<<10),
-		"garbage":         append([]byte("{nope"), bytes.Repeat([]byte(" "), 2<<10)...),
-		"endless in list": append([]byte(`{"operators":[{"id":0,"kind":"Map","in":[`), bytes.Repeat([]byte("0,"), 1<<10)...),
+		"all braces":      bytes.Repeat([]byte("{"), service.MaxBodyBytes+1),
+		"garbage":         append([]byte("{nope"), bytes.Repeat([]byte(" "), service.MaxBodyBytes)...),
+		"endless in list": append([]byte(`{"operators":[{"id":0,"kind":"Map","in":[`), bytes.Repeat([]byte("0,"), service.MaxBodyBytes/2)...),
 	} {
 		for _, path := range []string{"/optimize", "/optimize/batch"} {
 			w := httptest.NewRecorder()

@@ -48,10 +48,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	resp := ReadyzResponse{}
 	if s.unready.Load() {
 		resp.Reason = "draining"
-	} else if p := s.provider(); p == nil {
+	} else if s.Provider == nil {
 		resp.Reason = "no model configured"
 	} else {
-		snap := p.Get()
+		snap := s.Provider.Get()
 		resp.ModelVersion = snap.Version()
 		if width, err := s.schemaWidth(); err != nil {
 			resp.Reason = err.Error()
@@ -132,7 +132,7 @@ func (s *Server) followStore() func() {
 		var resp SwapResponse
 		active, err := s.ModelStore.ActiveVersion()
 		if err == nil {
-			if active == "" || active == s.provider().Get().Version() {
+			if active == "" || active == s.Provider.Get().Version() {
 				return
 			}
 			resp, err = s.SyncStore()
@@ -159,7 +159,7 @@ func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) 
 	if s.ModelStore == nil {
 		return nil, errors.New("service: no model store configured (-model-dir)")
 	}
-	if s.provider() == nil {
+	if s.Provider == nil {
 		return nil, errors.New("service: no model configured")
 	}
 	if interval <= 0 {

@@ -80,7 +80,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request, reqID string) {
-	p := s.provider()
+	p := s.Provider
 	if p == nil {
 		s.fail(w, reqID, http.StatusServiceUnavailable, errors.New("service: no model configured"))
 		return
@@ -129,7 +129,7 @@ func (s *Server) publish(art *registry.Artifact, pin bool) (SwapResponse, error)
 	if err := art.Validate(width, len(s.Platforms)); err != nil {
 		return SwapResponse{}, err
 	}
-	p := s.provider()
+	p := s.Provider
 	if p == nil {
 		return SwapResponse{}, errors.New("service: no model configured")
 	}

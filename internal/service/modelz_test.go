@@ -304,7 +304,7 @@ func TestModelzPromotePinsFallback(t *testing.T) {
 	}
 }
 
-// TestModelVersionUnversioned: a legacy Model-field server still works and
+// TestModelVersionUnversioned: a server whose artifact has no version label
 // labels responses "unversioned".
 func TestModelVersionUnversioned(t *testing.T) {
 	ts := newTestServer()

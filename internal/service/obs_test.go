@@ -29,7 +29,7 @@ const (
 func newObsServer(t *testing.T) (*service.Server, *httptest.Server) {
 	t.Helper()
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Tracer:    obs.NewTracer(16, 1, 0),
@@ -153,7 +153,7 @@ func TestTraceparentMalformed(t *testing.T) {
 // unsampled traceparent is subject to normal retention.
 func TestTraceparentForcesRetention(t *testing.T) {
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Tracer:    obs.NewTracer(8, 0, 0), // sample rate 0: keep nothing voluntarily
@@ -546,7 +546,7 @@ func TestMetriczDropsEvictedExemplars(t *testing.T) {
 // admission configuration and the replica identity.
 func TestStatzObservability(t *testing.T) {
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Tracer:    obs.NewTracer(8, 1, 0),

@@ -310,7 +310,7 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, p *reqParams)
 	}
 	switch outcome, rel := s.Admission.Acquire(ctx); outcome {
 	case admitRejected:
-		w.Header().Set("Retry-After", s.Admission.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfter)
 		s.reject(w, p, &optimizeOut{status: http.StatusTooManyRequests,
 			err: errors.New("service: admission queue full, retry later")})
 	case admitCanceled:
@@ -378,7 +378,7 @@ func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage
 	}
 	var body []byte
 	if err == nil {
-		body, err = readBody(http.MaxBytesReader(w, r.Body, s.maxBody()), r.ContentLength)
+		body, err = readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	}
 	if err == nil {
 		err = decode(body)
@@ -430,8 +430,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // milliseconds.
 func (s *Server) unit(p *reqParams, l *plan.Logical) *optimizeReq {
 	q := &optimizeReq{reqParams: *p, l: l, band: plancache.RiskBand(p.lambda)}
-	if mp := s.provider(); mp != nil {
-		q.snap = mp.Get()
+	if s.Provider != nil {
+		q.snap = s.Provider.Get()
 		q.version = q.snap.Version()
 	}
 	if q.snap != nil && s.PlanCache != nil && !p.nocache {

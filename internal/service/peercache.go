@@ -26,9 +26,9 @@ import (
 //     waiter degrades to a local enumeration, so a sick claimant can slow
 //     a request but never wedge it.
 
-// DefaultClaimWait bounds how long a request waits behind another
-// replica's fleet-singleflight claim before enumerating locally anyway.
-const DefaultClaimWait = 1 * time.Second
+// claimWait bounds how long a request waits behind another replica's
+// fleet-singleflight claim before enumerating locally anyway.
+const claimWait = 1 * time.Second
 
 // claimPollInterval is how often a waiter polls the claim holder.
 const claimPollInterval = 20 * time.Millisecond
@@ -61,19 +61,11 @@ func (s *Server) claimOrWait(ctx context.Context, fp plancache.Fingerprint, vers
 	}
 	m := s.Metrics()
 	key := ClaimKey(fp, version, band)
-	ttl := s.ClaimTTL
-	if ttl <= 0 {
-		ttl = registry.DefaultClaimTTL
-	}
-	wait := s.ClaimWait
-	if wait <= 0 {
-		wait = DefaultClaimWait
-	}
-	wctx, cancel := context.WithTimeout(ctx, wait)
+	wctx, cancel := context.WithTimeout(ctx, claimWait)
 	defer cancel()
 	waited := false
 	for {
-		acquired, holder, takeover, err := st.Claim(key, s.ReplicaID, s.AdvertiseAddr, ttl)
+		acquired, holder, takeover, err := st.Claim(key, s.ReplicaID, s.AdvertiseAddr, registry.DefaultClaimTTL)
 		if err != nil {
 			// A broken claims directory must never stall serving.
 			return nil, nil

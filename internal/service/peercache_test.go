@@ -59,10 +59,7 @@ func newPeerReplica(t *testing.T, dir, id string) (*service.Server, *httptest.Se
 		SelfID:   id,
 		SelfAddr: addr,
 		Peers:    func() ([]registry.ReplicaInfo, error) { return st.Replicas(0) },
-		// Memoized negatives would make the probe sequence timing-dependent
-		// across test steps; the memo has its own unit tests.
-		NegTTL:  -1,
-		Metrics: s.Metrics(),
+		Metrics:  s.Metrics(),
 	})
 	if err != nil {
 		t.Fatalf("peercache.New: %v", err)
@@ -233,8 +230,7 @@ func TestPeerFillBypass(t *testing.T) {
 func TestFleetSingleflightWait(t *testing.T) {
 	dir := seedPeerStore(t)
 	srvA, tsA := newPeerReplica(t, dir, "ra")
-	srvB, tsB := newPeerReplica(t, dir, "rb")
-	srvB.ClaimWait = 5 * time.Second
+	_, tsB := newPeerReplica(t, dir, "rb")
 	body := planJSON(t)
 
 	// Plant a live claim owned by a "ghost" whose advertised address is A:
@@ -316,10 +312,8 @@ func TestFleetSingleflightTakeover(t *testing.T) {
 // protocol serializes the replicas.
 func TestFleetSingleflightSingleEnumeration(t *testing.T) {
 	dir := seedPeerStore(t)
-	srvA, tsA := newPeerReplica(t, dir, "ra")
-	srvB, tsB := newPeerReplica(t, dir, "rb")
-	srvA.ClaimWait = 5 * time.Second
-	srvB.ClaimWait = 5 * time.Second
+	_, tsA := newPeerReplica(t, dir, "ra")
+	_, tsB := newPeerReplica(t, dir, "rb")
 	body := planJSON(t)
 
 	urls := []string{tsA.URL, tsB.URL, tsA.URL, tsB.URL, tsA.URL, tsB.URL}
@@ -424,7 +418,7 @@ func TestPeerFillModelSwapRace(t *testing.T) {
 // and an entry that format cannot carry is a 500 with the usual error body,
 // not an empty 200.
 func TestPeercacheEndpointBody(t *testing.T) {
-	s := &service.Server{Model: sumModel{}, Platforms: platform.Subset(3), Avail: platform.UniformAvailability(3), ReplicaID: "ra"}
+	s := &service.Server{Provider: modelProvider(sumModel{}), Platforms: platform.Subset(3), Avail: platform.UniformAvailability(3), ReplicaID: "ra"}
 	s.PlanCache = plancache.New(plancache.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

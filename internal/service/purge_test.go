@@ -21,7 +21,7 @@ import (
 func TestPurgeDuringSingleflight(t *testing.T) {
 	gm := newGateModel()
 	s := &service.Server{
-		Model:     gm,
+		Provider:  modelProvider(gm),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 	}

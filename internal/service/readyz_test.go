@@ -29,7 +29,7 @@ func getReadyz(t *testing.T, url string) (int, service.ReadyzResponse) {
 // healthz stays 200 throughout — liveness is not readiness.
 func TestReadyz(t *testing.T) {
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 	}

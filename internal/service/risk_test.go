@@ -51,7 +51,7 @@ func (m spreadModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []
 
 func newRiskServer(cache *plancache.Cache) *httptest.Server {
 	s := &service.Server{
-		Model:     spreadModel{},
+		Provider:  modelProvider(spreadModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Cluster:   simulator.Default(),

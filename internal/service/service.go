@@ -111,7 +111,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mlmodel"
 	"repro/internal/obs"
 	"repro/internal/peercache"
 	"repro/internal/plancache"
@@ -120,19 +119,17 @@ import (
 	"repro/internal/simulator"
 )
 
-// DefaultMaxBodyBytes caps request bodies when Server.MaxBodyBytes is unset.
-const DefaultMaxBodyBytes = 8 << 20
+// maxBodyBytes caps the request body size; oversized plans are rejected with
+// 413 before parsing.
+const maxBodyBytes = 8 << 20
 
 // Server handles optimization requests. The model is resolved per request
 // through a registry.Provider so a retrained or reloaded artifact can be
-// hot-swapped under live traffic; the legacy Model field still works for
-// embedded and test servers and is wrapped in a static provider on first use.
+// hot-swapped under live traffic.
 type Server struct {
-	// Model is the fixed model of provider-less servers. Ignored when
-	// Provider is set.
-	Model mlmodel.Model
 	// Provider publishes the active model; each request resolves one
-	// immutable snapshot from it and reports that snapshot's version.
+	// immutable snapshot from it and reports that snapshot's version. It must
+	// be set before the first optimize request.
 	Provider *registry.Provider
 	// ModelStore, when set, backs POST /modelz/reload and
 	// POST /modelz/promote with persisted artifact versions, and is what
@@ -163,12 +160,6 @@ type Server struct {
 	// set to 80% of the time the request has left when it starts, so
 	// requests degrade gracefully before the hard deadline kills them.
 	Budget core.Budget
-	// MaxBodyBytes caps the request body size; oversized plans are
-	// rejected with 413 before parsing. Zero means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
-	// MaxBatchMembers caps the plans accepted by one POST /optimize/batch
-	// call. Zero means DefaultMaxBatchMembers.
-	MaxBatchMembers int
 	// Admission, when set, bounds the optimize endpoints: at most
 	// MaxConcurrent requests optimize at once, at most MaxQueue wait, the
 	// rest are refused with 429 + Retry-After, and queued requests admitted
@@ -211,13 +202,6 @@ type Server struct {
 	// singleflight claim files — the address waiters poll for the claimed
 	// enumeration's result. Usually the fleet registration address.
 	AdvertiseAddr string
-	// ClaimTTL stamps fleet-singleflight claims: a claim older than this is
-	// treated as crashed and taken over (registry.DefaultClaimTTL when 0).
-	ClaimTTL time.Duration
-	// ClaimWait bounds how long a request waits behind another replica's
-	// claim before degrading to a local enumeration (DefaultClaimWait
-	// when 0).
-	ClaimWait time.Duration
 	// SLO, when set, tracks the serving latency objective and its
 	// multi-window error-budget burn rate, exposed on GET /sloz and as
 	// slo_* gauges on /metricz. Nil disables SLO tracking.
@@ -232,8 +216,6 @@ type Server struct {
 	reqSeq  atomic.Int64
 	mOnce   sync.Once
 	metrics *obs.Registry
-	pOnce   sync.Once
-	staticP *registry.Provider
 	// adminMu serializes every publish (see modelz.go) and /cachez/purge; the
 	// /optimize path never takes it.
 	adminMu sync.Mutex
@@ -262,21 +244,6 @@ func (s *Server) workers() int { return core.ResolveWorkers(s.Workers) }
 // nextReqID mints the next request identifier.
 func (s *Server) nextReqID() string {
 	return fmt.Sprintf("r%08d", s.reqSeq.Add(1))
-}
-
-// provider returns the model provider requests resolve snapshots from:
-// Provider when configured, otherwise Model wrapped in a static provider
-// once. Model must be set before the first request if Provider is nil.
-func (s *Server) provider() *registry.Provider {
-	if s.Provider != nil {
-		return s.Provider
-	}
-	s.pOnce.Do(func() {
-		if s.Model != nil {
-			s.staticP = registry.StaticProvider(s.Model, "")
-		}
-	})
-	return s.staticP
 }
 
 // OptimizeResponse is the JSON reply of POST /optimize (and of each member
@@ -417,13 +384,6 @@ func (s *Server) admin(mux *http.ServeMux, usage string, h func(w http.ResponseW
 		}
 		h(w, r, reqID)
 	})
-}
-
-func (s *Server) maxBody() int64 {
-	if s.MaxBodyBytes > 0 {
-		return s.MaxBodyBytes
-	}
-	return DefaultMaxBodyBytes
 }
 
 // fail writes an error reply as JSON. It counts nothing: the optimize

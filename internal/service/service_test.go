@@ -11,6 +11,7 @@ import (
 	"repro/internal/mlmodel"
 	"repro/internal/plan"
 	"repro/internal/platform"
+	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/simulator"
 	"repro/internal/workload"
@@ -45,9 +46,18 @@ func pointKernel(predict func([]float64) float64, X *mlmodel.Matrix, mean, sprea
 	}
 }
 
+// modelProvider serves m as the one, unversioned model of a test server.
+func modelProvider(m mlmodel.Model) *registry.Provider {
+	p, err := registry.NewProvider(&registry.Artifact{Model: m})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func newTestServer() *httptest.Server {
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Cluster:   simulator.Default(),

@@ -55,7 +55,7 @@ func TestAnswerSources(t *testing.T) {
 	}
 	traced := func(t *testing.T, cache bool) *httptest.Server {
 		s := &service.Server{
-			Model:     sumModel{},
+			Provider:  modelProvider(sumModel{}),
 			Platforms: platform.Subset(3),
 			Avail:     platform.UniformAvailability(3),
 			Tracer:    obs.NewTracer(16, 1, 0),
@@ -104,7 +104,7 @@ func TestAnswerSources(t *testing.T) {
 		{name: "collapsed", cache: "collapsed", link: "singleflight-leader", label: "collapsed", setup: func(t *testing.T) func() served {
 			gm := newGateModel()
 			s := &service.Server{
-				Model:     gm,
+				Provider:  modelProvider(gm),
 				Platforms: platform.Subset(3),
 				Avail:     platform.UniformAvailability(3),
 				Tracer:    obs.NewTracer(16, 1, 0),
@@ -221,7 +221,7 @@ func TestAnswerSources(t *testing.T) {
 func TestUnrunnablePlanIs400(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		s := &service.Server{
-			Model:     sumModel{},
+			Provider:  modelProvider(sumModel{}),
 			Platforms: platform.Subset(3),
 			Avail:     platform.NewAvailability(),
 		}

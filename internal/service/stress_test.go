@@ -31,15 +31,12 @@ func (m slowSumModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi [
 	pointKernel(m.Predict, X, mean, spread, lo, hi)
 }
 
-const stressMaxBody = 64 << 10
-
 func newStressServer() *httptest.Server {
 	s := &service.Server{
-		Model:        slowSumModel{d: 500 * time.Microsecond},
-		Platforms:    platform.Subset(3),
-		Avail:        platform.UniformAvailability(3),
-		Cluster:      simulator.Default(),
-		MaxBodyBytes: stressMaxBody,
+		Provider:  modelProvider(slowSumModel{d: 500 * time.Microsecond}),
+		Platforms: platform.Subset(3),
+		Avail:     platform.UniformAvailability(3),
+		Cluster:   simulator.Default(),
 	}
 	return httptest.NewServer(s.Handler())
 }
@@ -51,14 +48,15 @@ func newStressServer() *httptest.Server {
 func oversizedBody() []byte {
 	var b bytes.Buffer
 	b.WriteString(`{"avgTupleBytes": `)
-	b.Write(bytes.Repeat([]byte("1"), 2*stressMaxBody))
+	b.Write(bytes.Repeat([]byte("1"), service.MaxBodyBytes))
 	b.WriteString(`}`)
 	return b.Bytes()
 }
 
 // TestStressConcurrentMixedRequests hammers the server with 64 goroutines,
 // each sending one request of every kind — valid, malformed, oversized, and
-// valid-with-1ms-deadline — then checks that every response carried the
+// valid-with-1ms-deadline; at most four oversized bodies are in flight at
+// once, since each makes the server buffer the 8 MiB limit — then checks that every response carried the
 // expected status with a well-formed body and that the ledger's totals add
 // up exactly. Run with -race this doubles as the data-race check on the
 // handler's counters and metric registry.
@@ -75,6 +73,7 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 	errs := make(chan error, goroutines*4)
 	var mu sync.Mutex
 	seenIDs := map[string]bool{}
+	bigSlots := make(chan struct{}, 4)
 
 	post := func(path string, body []byte) (*http.Response, []byte, error) {
 		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(body))
@@ -143,12 +142,15 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 			} else if err := checkError("malformed", resp, body, http.StatusBadRequest); err != nil {
 				errs <- err
 			}
-			// Oversized body: 413.
+			// Oversized body: 413. The server buffers up to the 8 MiB limit
+			// before refusing, so only a few are in flight at once.
+			bigSlots <- struct{}{}
 			if resp, body, err := post("/optimize", oversized); err != nil {
 				errs <- err
 			} else if err := checkError("oversized", resp, body, http.StatusRequestEntityTooLarge); err != nil {
 				errs <- err
 			}
+			<-bigSlots
 			// Valid plan with a 1ms deadline: the slow model cannot finish
 			// a single prune pass in time, so 503 with a JSON error body.
 			if resp, body, err := post("/optimize?deadline_ms=1", valid); err != nil {

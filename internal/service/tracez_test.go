@@ -18,7 +18,7 @@ import (
 // newTracedServer is newTestServer with a tracer retaining every request.
 func newTracedServer() (*service.Server, *httptest.Server) {
 	s := &service.Server{
-		Model:     sumModel{},
+		Provider:  modelProvider(sumModel{}),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Tracer:    obs.NewTracer(8, 1, 0),
@@ -250,7 +250,7 @@ func TestPprofGating(t *testing.T) {
 	}
 
 	s := &service.Server{
-		Model:       sumModel{},
+		Provider:    modelProvider(sumModel{}),
 		Platforms:   platform.Subset(2),
 		Avail:       platform.UniformAvailability(2),
 		EnablePprof: true,

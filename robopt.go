@@ -212,10 +212,10 @@ func NewPlanCache(cfg PlanCacheConfig) *PlanCache { return plancache.New(cfg) }
 
 // FingerprintPlan returns the canonical structural fingerprint of p under
 // the given platform universe and availability matrix, with source
-// cardinalities bucketed into bandsPerDecade log-scale bands per decade
-// (0 means the default of 4).
-func FingerprintPlan(p *Plan, platforms []Platform, avail *Availability, bandsPerDecade int) (PlanFingerprint, error) {
-	fp, _, err := plancache.Compute(p, platforms, avail, bandsPerDecade)
+// cardinalities bucketed into four log-scale bands per decade, as the plan
+// cache keys them.
+func FingerprintPlan(p *Plan, platforms []Platform, avail *Availability) (PlanFingerprint, error) {
+	fp, _, err := plancache.Compute(p, platforms, avail, 0)
 	return fp, err
 }
 

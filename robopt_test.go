@@ -204,18 +204,18 @@ func TestOptimizerPlanCache(t *testing.T) {
 	}
 
 	// FingerprintPlan is stable and sensitive the same way.
-	fp1, err := FingerprintPlan(p, AllPlatforms(), DefaultAvailability(), 0)
+	fp1, err := FingerprintPlan(p, AllPlatforms(), DefaultAvailability())
 	if err != nil {
 		t.Fatalf("FingerprintPlan: %v", err)
 	}
-	fp2, err := FingerprintPlan(buildWordCount(t), AllPlatforms(), DefaultAvailability(), 0)
+	fp2, err := FingerprintPlan(buildWordCount(t), AllPlatforms(), DefaultAvailability())
 	if err != nil {
 		t.Fatalf("FingerprintPlan: %v", err)
 	}
 	if fp1 != fp2 {
 		t.Error("equal plans fingerprint differently")
 	}
-	fp3, err := FingerprintPlan(other, AllPlatforms(), DefaultAvailability(), 0)
+	fp3, err := FingerprintPlan(other, AllPlatforms(), DefaultAvailability())
 	if err != nil {
 		t.Fatalf("FingerprintPlan: %v", err)
 	}
