@@ -1,0 +1,95 @@
+package robopt
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// designRef matches a cross-reference into DESIGN.md's numbered list —
+// "deviation 13", "note 18", "deviations 11 and 13" — across a line break.
+var designRef = regexp.MustCompile(`(?i)\b(?:deviations?|notes?)\s+#?(\d+(?:\s*(?:,|and|or|–|-)\s*\d+)*)`)
+
+// designItems returns the numbers of the items in DESIGN.md's "Deviations
+// and engineering notes" section.
+func designItems(t *testing.T) map[int]bool {
+	t.Helper()
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), "\n## Deviations and engineering notes\n")
+	if !ok {
+		t.Fatal(`DESIGN.md has no "## Deviations and engineering notes" section`)
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	items := map[int]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^(\d+)\. `).FindAllStringSubmatch(section, -1) {
+		n, _ := strconv.Atoi(m[1])
+		items[n] = true
+	}
+	if len(items) == 0 {
+		t.Fatal("DESIGN.md's deviations section lists no numbered items")
+	}
+	return items
+}
+
+// TestDesignReferencesResolve: every "deviation N" or "note N" in README.md,
+// EXPERIMENTS.md, DESIGN.md and the comments of this module's Go files names
+// an item of DESIGN.md's numbered "Deviations and engineering notes" list, so
+// renumbering or deleting an item cannot leave a reference dangling. bench/
+// is a module of its own and is not read.
+func TestDesignReferencesResolve(t *testing.T) {
+	items := designItems(t)
+	digits := regexp.MustCompile(`\d+`)
+	check := func(where, text string) {
+		for _, m := range designRef.FindAllStringSubmatch(text, -1) {
+			for _, d := range digits.FindAllString(m[1], -1) {
+				if n, _ := strconv.Atoi(d); !items[n] {
+					t.Errorf("%s: %q names no item of DESIGN.md's deviations list", where, m[0])
+				}
+			}
+		}
+	}
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, para := range strings.Split(string(raw), "\n\n") {
+			check(doc+" paragraph "+strconv.Itoa(i+1), para)
+		}
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			check(fset.Position(cg.Pos()).String(), cg.Text())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -60,8 +59,9 @@ type Result struct {
 	// valid, executable plan). Mirrors Stats.Degraded.
 	Degraded bool
 	Stats    Stats
-	// Trace is the run's span tree and pruning audit trail, recorded only
-	// when Context.Trace was set; Explain derives the explainability
+	// Trace is the run's pruning audit trail, recorded only when
+	// Context.Trace was set (the span tree is in that trace, whose optimize
+	// span carries this same audit); Explain derives the explainability
 	// report from it. Nil on untraced runs.
 	Trace *RunTrace
 }
@@ -109,7 +109,6 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 	if c.rt != nil {
 		c.rt.finishSelection(final, best)
 		c.rt.recordContributions(c, m, best)
-		c.root.SetFloat("predicted", best.Cost)
 	}
 	start := time.Now()
 	uspan := c.span(c.root, "unvectorize")
@@ -243,8 +242,7 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 	vspan := c.span(c.root, "vectorize")
 	abstract := c.Vectorize()
 	vspan.End()
-	sspan := c.span(c.root, "split")
-	sspan.SetInt("singletons", int64(abstract.Scope.Count())).End()
+	c.span(c.root, "split").End()
 	st.Timings.Vectorize += time.Since(start)
 	enumStart := time.Now()
 	espan := c.span(c.root, "enumerate")
@@ -257,8 +255,12 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 	for id := abstract.Scope.Next(0); id >= 0; id = abstract.Scope.Next(id + 1) {
 		f.add(c.enumerateSingleton(id, st))
 	}
-	espan.SetInt("vectors", int64(st.VectorsCreated)).End()
+	espan.End()
 	st.Timings.Enumerate += time.Since(enumStart)
+	if c.rt != nil && n > 1 {
+		// Every concatenation joins two live enumerations into one.
+		c.rt.reserve(n - 1)
+	}
 
 	degraded := false
 	// Lines 6-17: concatenate by priority until one enumeration remains,
@@ -273,19 +275,11 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 			// one weakly-connected component.
 			return nil, fmt.Errorf("core: plan is not weakly connected; enumeration cannot converge")
 		}
-		round := st.Par.Rounds
+		rspan := c.span(c.root, "round").SetInt("round", int64(st.Par.Rounds))
 		st.Par.Rounds++
 		st.Par.Tasks += len(tasks)
-		var rspan *obs.Span
-		if c.rt != nil {
-			rspan = c.span(c.root, "round")
-			rspan.SetInt("round", int64(round)).SetInt("tasks", int64(len(tasks)))
-			for _, t := range tasks {
-				t.rt = &RunTrace{Spans: c.Trace, Platforms: c.rt.Platforms, intervals: c.rt.intervals}
-				t.span = c.Trace.StartSpan(rspan, "task")
-				t.span.SetInt("scope", int64(t.node.e.Scope.Count())).
-					SetInt("children", int64(len(t.children)))
-			}
+		for _, t := range tasks {
+			t.span = c.span(rspan, "task")
 		}
 		base := *st
 		c.runRound(ctx, pr, tasks, degraded, start, base, st)
@@ -297,7 +291,8 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		}
 		// Deterministic reduction: the consumed enumerations leave the
 		// frontier and the task results join it in task-selection order,
-		// with their stats and audit records.
+		// with their stats (their audit records are already in their steps'
+		// slots).
 		live := f.nodes[:0]
 		for _, nd := range f.nodes {
 			if !nd.claimed {
@@ -309,9 +304,6 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 			st.merge(&t.st)
 			if t.st.Degraded {
 				degraded = true
-			}
-			if c.rt != nil {
-				c.rt.Prunes = append(c.rt.Prunes, t.rt.Prunes...)
 			}
 			f.add(t.result)
 		}

@@ -153,12 +153,13 @@ type Context struct {
 	Budget Budget
 
 	// Trace, when set, makes Optimize/OptimizeOpts record a span tree (one
-	// span per algebra operation: vectorize, split, enumerate, merge,
-	// prune, infer, unvectorize) plus a typed pruning audit trail into the
-	// trace, attached to Result.Trace and consumable via Result.Explain.
-	// When nil — the default — the instrumented paths reduce to one nil
-	// check each, so untraced runs stay at full speed. Like the other
-	// per-run fields it must not be swapped mid-run.
+	// timed span per algebra operation: vectorize, split, enumerate, merge,
+	// prune, unvectorize, grouped into scheduler rounds and tasks) plus a
+	// typed pruning audit trail, which hangs on the run's optimize span and
+	// on Result.Trace and is consumable via Result.Explain. When nil — the
+	// default — the instrumented paths reduce to one nil check each, so
+	// untraced runs stay at full speed. Like the other per-run fields it
+	// must not be swapped mid-run.
 	Trace *obs.Trace
 
 	// TraceParent, when set alongside Trace, parents the run's root span
@@ -190,16 +191,13 @@ type Context struct {
 	// Context (see vecStore.poison).
 	poison bool
 
-	// Per-run tracing state, live only while Trace is set: the run's audit
-	// collector, the root span, the span adopted as parent by nested infer
-	// spans, and the in-flight prune audit record. A scheduled task records
-	// into a collector and under a span of its own (runTask installs them
-	// on the Context that executes it: this one when the round runs inline,
-	// a pool worker's copy otherwise), folded back in at the round barrier.
-	rt      *RunTrace
-	root    *obs.Span
-	curSpan *obs.Span
-	curRec  *PruneRecord
+	// Per-run tracing state, live only while Trace is set: the run's audit,
+	// its root span, and the prune audit record in flight on the goroutine
+	// driving this Context (a pool worker's copy has its own, see
+	// workerContext).
+	rt     *RunTrace
+	root   *obs.Span
+	curRec *PruneRecord
 }
 
 // span opens a child span of parent when this run is traced; the returned
@@ -211,27 +209,27 @@ func (c *Context) span(parent *obs.Span, name string) *obs.Span {
 	return c.Trace.StartSpan(parent, name)
 }
 
-// beginRunTrace arms per-run tracing when a Trace is attached, returning the
-// run's root span (nil otherwise). endRunTrace must run before the entry
-// point returns.
-func (c *Context) beginRunTrace() *obs.Span {
-	c.rt, c.root, c.curSpan, c.curRec = nil, nil, nil, nil
+// beginRunTrace arms per-run tracing when a Trace is attached. endRunTrace
+// must run before the entry point returns.
+func (c *Context) beginRunTrace() {
+	c.rt, c.root, c.curRec = nil, nil, nil
 	if c.Trace == nil {
-		return nil
+		return
 	}
 	c.rt = c.newRunTrace()
 	c.root = c.Trace.StartSpan(c.TraceParent, "optimize")
 	c.root.SetInt("ops", int64(c.Plan.NumOps()))
 	c.root.SetFloat("searchSpace", c.SearchSpaceSize())
-	return c.root
 }
 
-// endRunTrace closes the root span, stamps the run's outcome onto it, and
-// clears the transient tracing state. Returns the collected audit (nil on
-// untraced runs) for attachment to the Result.
+// endRunTrace stamps the run's summary onto the root span, hangs the audit
+// on it, closes it, and clears the transient tracing state. Returns the
+// audit (nil on untraced runs) for attachment to the Result.
 func (c *Context) endRunTrace(st *Stats, err error) *RunTrace {
 	rt := c.rt
 	if rt != nil {
+		rt.seal()
+		c.root.Detail = rt
 		c.root.SetInt("vectorsCreated", int64(st.VectorsCreated))
 		c.root.SetInt("pruned", int64(st.Pruned))
 		c.root.SetInt("modelRows", int64(st.ModelRows))
@@ -247,12 +245,11 @@ func (c *Context) endRunTrace(st *Stats, err error) *RunTrace {
 			c.root.SetStr("degradeReason", st.DegradeReason)
 		}
 		if err != nil {
-			c.root.SetStr("error", err.Error())
 			c.Trace.SetError(err.Error())
 		}
 		c.root.End()
 	}
-	c.rt, c.root, c.curSpan, c.curRec = nil, nil, nil, nil
+	c.rt, c.root, c.curRec = nil, nil, nil
 	return rt
 }
 

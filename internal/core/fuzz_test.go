@@ -21,7 +21,7 @@ import (
 //   - the optimizer returns a plan, never panics and never errors without
 //     cancellation;
 //   - every pruning-audit record shrinks or preserves the enumeration
-//     (vectors_out ≤ vectors_in);
+//     (VectorsOut ≤ VectorsIn);
 //   - the selected plan is executable: one assignment per operator, each
 //     assignment drawn from that operator's admissible platforms, and a
 //     conversion on exactly the edges whose endpoints changed platform.

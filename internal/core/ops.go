@@ -231,26 +231,32 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 // vector per available execution operator, in rows of the run's store.
 func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	o := c.Plan.Op(id)
-	s := c.Schema
 	scope := plan.NewBitset(c.Plan.NumOps())
 	scope.Set(id)
 	e := &Enumeration{Scope: scope, Boundary: c.boundaryOf(scope, nil), Vectors: c.store.take(len(c.alternatives[id]))}
 	for vi, pi := range c.alternatives[id] {
 		v := e.Vectors[vi]
 		*v = Vector{F: v.F, Assign: v.Assign}
-		clear(v.F)
 		for i := range v.Assign {
 			v.Assign[i] = Unassigned
 		}
 		v.Assign[id] = pi
-		c.addSingletonStructure(v.F, o)
-		c.addPlatformChoice(v.F, o, int(pi))
-		v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
+		c.singletonRow(v.F, o, pi)
 		if st != nil {
 			st.VectorsCreated++
 		}
 	}
 	return e
+}
+
+// singletonRow overwrites f with the feature row of operator o alone on
+// platform column pi — the row its singleton enumeration holds for that
+// choice, and what VectorizeSubplan builds for the one-operator subplan.
+func (c *Context) singletonRow(f []float64, o *plan.Operator, pi uint8) {
+	clear(f)
+	c.addSingletonStructure(f, o)
+	c.addPlatformChoice(f, o, int(pi))
+	f[c.Schema.DatasetCell()] = c.Plan.AvgTupleBytes
 }
 
 // Unvectorize translates a complete plan vector back into an executable

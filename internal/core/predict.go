@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/vecops"
 )
 
@@ -65,14 +64,6 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 		return true
 	}
 	start := time.Now()
-	var ispan *obs.Span
-	if c.rt != nil {
-		parent := c.curSpan
-		if parent == nil {
-			parent = c.root
-		}
-		ispan = c.Trace.StartSpan(parent, "infer")
-	}
 	// Scored pass (serial, so hit counts are deterministic for any Workers).
 	sc := c.work()
 	sc.miss = sc.miss[:0]
@@ -123,18 +114,9 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 			st.MemoHits += hits
 		}
 	}
-	if ispan != nil {
-		ispan.SetInt("rows", int64(len(miss))).SetInt("memoHits", int64(hits))
-		if !ok {
-			ispan.SetBool("cancelled", true)
-		}
-		ispan.End()
-	}
-	if ok {
-		if rec := c.curRec; rec != nil {
-			rec.ModelRows += len(miss)
-			rec.MemoHits += hits
-		}
+	if rec := c.curRec; rec != nil && ok {
+		rec.ModelRows += len(miss)
+		rec.MemoHits += hits
 	}
 	return ok
 }

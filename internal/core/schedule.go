@@ -35,8 +35,7 @@ type boundaryTask struct {
 	// independent of execution interleaving.
 	stepBase int
 
-	rt     *RunTrace // task-local audit collector (traced runs only)
-	span   *obs.Span
+	span   *obs.Span // traced runs only
 	result *Enumeration
 	st     Stats
 	err    error
@@ -104,15 +103,16 @@ func (c *Context) selectRound(f *frontier, order OrderPolicy) []*boundaryTask {
 }
 
 // workerContext returns a shallow copy of c for one pool worker: the
-// precomputed read-only plan state is shared, while what a task mutates —
-// the scratch, and the audit collector and span parent runTask installs per
-// task — is the worker's own, so concurrent tasks never synchronize on it.
+// precomputed read-only plan state and the run's audit are shared (each task
+// writes only the audit slots of its own steps), while what a task mutates —
+// the scratch and the prune record in flight — is the worker's own, so
+// concurrent tasks never synchronize on it.
 func (c *Context) workerContext(sc *scratch) *Context {
 	wc := new(Context)
 	*wc = *c
 	wc.Workers = 1
 	wc.scratch = sc
-	wc.curRec, wc.curSpan = nil, nil
+	wc.curRec = nil
 	return wc
 }
 
@@ -139,11 +139,9 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 		if len(tasks) > st.Par.MaxQueueDepth {
 			st.Par.MaxQueueDepth = len(tasks)
 		}
-		rt, root := c.rt, c.root
 		for _, t := range tasks {
 			c.runTask(ctx, pr, t, degraded, start, base)
 		}
-		c.rt, c.root = rt, root
 		return
 	}
 	queues := make([][]*boundaryTask, workers)
@@ -210,7 +208,6 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 // copied into store rows, while the rows of the two inputs go back to the
 // store — so workers contend on nothing but the store's free list.
 func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degraded bool, start time.Time, base Stats) {
-	tc.rt, tc.root = t.rt, t.span
 	st := &t.st
 	budget := tc.Budget
 	deg := degraded
@@ -221,7 +218,6 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 			return
 		}
 		step := t.stepBase + ci
-		wasDeg := deg
 		if !deg {
 			// The projected concatenation size trips the budget before the
 			// cartesian product is materialized, so a single adversarial
@@ -246,14 +242,8 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		pairs := len(left) * len(right)
 		info := tc.MergeInfo(cur, child.e)
 		merged := tc.scratch.product(tc.store, cur.Scope.Union(child.e.Scope), pairs)
-		mspan := tc.span(tc.root, "merge")
-		mspan.SetInt("step", int64(step)).SetInt("left", int64(len(left))).
-			SetInt("right", int64(len(right))).SetInt("pairs", int64(pairs))
-		if deg && !wasDeg {
-			// The budget tripped on this very concatenation: the audit
-			// trail marks where the run left the lossless regime.
-			mspan.SetStr("budgetExhausted", st.DegradeReason)
-		}
+		mspan := tc.span(t.span, "merge").SetInt("step", int64(step)).
+			SetInt("left", int64(len(left))).SetInt("right", int64(len(right)))
 		mergeStart := time.Now()
 		// Merge is a pure function of its two inputs, so the cartesian
 		// product (pair i is left[i/len(right)] × right[i%len(right)]) fans
@@ -277,22 +267,16 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		st.VectorsCreated += pairs
 		merged.Boundary = tc.boundaryOf(merged.Scope, nil)
 		st.observe(len(merged.Vectors))
-		pspan := tc.span(tc.root, "prune")
+		pspan := tc.span(t.span, "prune").SetInt("step", int64(step))
 		if tc.rt != nil {
-			tc.curRec = tc.rt.beginPrune(step, merged)
-			tc.curRec.Degraded = deg
-			tc.curSpan = pspan
+			tc.curRec = tc.rt.beginPrune(step, merged, deg)
 		}
 		pruneStart := time.Now()
 		pr.Prune(ctx, tc, merged, st)
 		st.Timings.Prune += time.Since(pruneStart)
-		if tc.rt != nil {
-			rec := tc.curRec
-			tc.rt.endPrune(rec, merged, deg)
-			pspan.SetInt("step", int64(step)).SetInt("vectors_in", int64(rec.VectorsIn)).
-				SetInt("vectors_out", int64(rec.VectorsOut)).SetInt("model_rows", int64(rec.ModelRows)).
-				SetInt("memo_hits", int64(rec.MemoHits))
-			tc.curRec, tc.curSpan = nil, nil
+		if tc.curRec != nil {
+			tc.rt.endPrune(tc.curRec, merged)
+			tc.curRec = nil
 		}
 		pspan.End()
 		if err := ctx.Err(); err != nil {
@@ -306,7 +290,6 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 	}
 	t.result = cur
 	if t.span != nil {
-		t.st.Timings.Annotate(t.span)
 		t.span.SetInt("worker", int64(t.worker))
 		if t.stolen {
 			t.span.SetBool("stolen", true)

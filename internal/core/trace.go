@@ -2,33 +2,31 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/vecops"
 )
 
 // This file is the explainability layer of the optimizer: when a trace is
 // attached to the Context (Context.Trace), every Optimize/OptimizeOpts run
-// records, besides the obs span tree, a typed pruning audit trail — which
-// subplan enumerations were pruned, by what predicted boundary costs, how
-// many vectors were already scored, and where the budget degraded the run. The
-// audit rides on Result.Trace and backs Result.Explain, the human-readable
-// account of why the winning platform assignment beat its alternatives.
+// records a typed pruning audit trail — which subplan enumerations were
+// pruned, by what predicted boundary costs, how many vectors were already
+// scored, and where the budget degraded the run. Each fact is written once,
+// here: the spans of the run carry only their durations and the step, round
+// and worker numbers that join them to these records. The audit rides on the
+// run's optimize span (Span.Detail) and on Result.Trace, and backs
+// Result.Explain, the human-readable account of why the winning platform
+// assignment beat its alternatives.
 
-// RunTrace is the optional per-run trace attached to Result by OptimizeOpts
-// when Context.Trace is set. Spans is the wall-clock span tree (one span per
-// algebra operation); the remaining fields are the typed pruning audit the
-// span attributes are derived from.
+// RunTrace is the pruning audit of one run, attached to Result and to the
+// run's optimize span by OptimizeOpts when Context.Trace is set.
 type RunTrace struct {
-	// Spans is the span tree recorded through the obs tracer.
-	Spans *obs.Trace `json:"spans"`
 	// Platforms maps schema platform columns to platform names, making the
 	// audit records self-contained.
 	Platforms []string `json:"platforms"`
-	// Prunes is the pruning audit trail, one record per prune invocation of
-	// the enumeration, in execution order.
+	// Prunes is the pruning audit trail, one record per concatenation of the
+	// enumeration, in step order.
 	Prunes []*PruneRecord `json:"prunes"`
 	// Final describes the last enumeration's winner and runner-up.
 	Final *FinalSelection `json:"final,omitempty"`
@@ -42,6 +40,9 @@ type RunTrace struct {
 	// report predictive intervals in the audit, so a point-estimate run's
 	// audit reads (and marshals) as it did before vectors carried them.
 	intervals bool
+	// recs backs Prunes: record i is step i's, written by whichever task the
+	// schedule handed that step (see reserve).
+	recs []PruneRecord
 }
 
 // PruneRecord audits one prune invocation: the enumeration's size before and
@@ -171,7 +172,25 @@ func (c *Context) newRunTrace() *RunTrace {
 	for i, p := range c.Schema.Platforms {
 		names[i] = p.String()
 	}
-	return &RunTrace{Spans: c.Trace, Platforms: names, intervals: c.Risk != Risk{}}
+	return &RunTrace{Platforms: names, intervals: c.Risk != Risk{}}
+}
+
+// reserve sizes the audit for an enumeration of steps concatenations. The
+// schedule numbers the steps when it hands them out, so each task writes its
+// records straight into their slots and concurrent tasks never touch the
+// same one.
+func (rt *RunTrace) reserve(steps int) {
+	rt.recs = make([]PruneRecord, steps)
+	rt.Prunes = make([]*PruneRecord, steps)
+}
+
+// seal drops the slots of steps that never ran (a cancelled or failed run)
+// and lets go of the in-flight state the records no longer need.
+func (rt *RunTrace) seal() {
+	rt.Prunes = slices.DeleteFunc(rt.Prunes, func(rec *PruneRecord) bool { return rec == nil })
+	for _, rec := range rt.Prunes {
+		rec.prunedAssign = nil
+	}
 }
 
 // reports tells whether the audit shows d's interval: on runs that asked for
@@ -188,26 +207,28 @@ func (rt *RunTrace) platformName(col uint8) string {
 	return "?"
 }
 
-// beginPrune opens a new audit record for a prune over e.
-func (rt *RunTrace) beginPrune(step int, e *Enumeration) *PruneRecord {
-	rec := &PruneRecord{
+// beginPrune opens the audit record of concatenation step, a prune over e,
+// in the slot reserve set aside for it.
+func (rt *RunTrace) beginPrune(step int, e *Enumeration, degraded bool) *PruneRecord {
+	rec := &rt.recs[step]
+	*rec = PruneRecord{
 		Step:      step,
 		ScopeSize: e.Scope.Count(),
+		Boundary:  make([]int, len(e.Boundary)),
 		VectorsIn: len(e.Vectors),
+		Degraded:  degraded,
 	}
-	rec.Boundary = make([]int, len(e.Boundary))
 	for i, id := range e.Boundary {
 		rec.Boundary[i] = int(id)
 	}
-	rt.Prunes = append(rt.Prunes, rec)
+	rt.Prunes[step] = rec
 	return rec
 }
 
 // endPrune closes the record after the pruner ran: survivor census and the
 // resolved best pruned alternative.
-func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration, degraded bool) {
+func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration) {
 	rec.VectorsOut = len(e.Vectors)
-	rec.Degraded = degraded
 	for i, v := range e.Vectors {
 		if i == 0 || v.Cost < rec.BestCost {
 			rec.BestCost = v.Cost
@@ -219,17 +240,19 @@ func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration, degraded bool) {
 	if rec.hasPruned && rec.survivorSlot < len(e.Vectors) {
 		survivor := e.Vectors[rec.survivorSlot]
 		alt := &PrunedAlternative{
-			Cost:         rec.prunedCost,
-			SurvivorCost: survivor.Cost,
-			Margin:       rec.prunedCost - survivor.Cost,
+			Cost:           rec.prunedCost,
+			SurvivorCost:   survivor.Cost,
+			Margin:         rec.prunedCost - survivor.Cost,
+			BoundaryAssign: make([]string, len(rec.Boundary)),
+			SurvivorAssign: make([]string, len(rec.Boundary)),
 		}
 		if rt.reports(rec.prunedDist) || rt.reports(survivor.Dist) {
 			alt.Lo, alt.Hi = rec.prunedDist.Lo, rec.prunedDist.Hi
 			alt.SurvivorLo, alt.SurvivorHi = survivor.Dist.Lo, survivor.Dist.Hi
 		}
-		for _, id := range rec.Boundary {
-			alt.BoundaryAssign = append(alt.BoundaryAssign, rt.platformName(rec.prunedAssign[id]))
-			alt.SurvivorAssign = append(alt.SurvivorAssign, rt.platformName(survivor.Assign[id]))
+		for i, id := range rec.Boundary {
+			alt.BoundaryAssign[i] = rt.platformName(rec.prunedAssign[id])
+			alt.SurvivorAssign[i] = rt.platformName(survivor.Assign[id])
 		}
 		rec.BestPruned = alt
 	}
@@ -252,12 +275,12 @@ func (rt *RunTrace) finishSelection(e *Enumeration, best *Vector) {
 		}
 	}
 	if runner != nil {
-		alt := &AlternativePlan{Cost: runner.Cost, Margin: runner.Cost - best.Cost}
+		alt := &AlternativePlan{Cost: runner.Cost, Margin: runner.Cost - best.Cost, Assign: make([]string, len(runner.Assign))}
 		if rt.reports(runner.Dist) {
 			alt.Lo, alt.Hi = runner.Dist.Lo, runner.Dist.Hi
 		}
-		for _, a := range runner.Assign {
-			alt.Assign = append(alt.Assign, rt.platformName(a))
+		for i, a := range runner.Assign {
+			alt.Assign[i] = rt.platformName(a)
 		}
 		sel.RunnerUp = alt
 	}
@@ -267,15 +290,18 @@ func (rt *RunTrace) finishSelection(e *Enumeration, best *Vector) {
 // recordContributions scores each operator's singleton subvector under the
 // winning assignment — the per-subvector cost decomposition of the chosen
 // plan. Runs only on traced runs — every serving request is one — so the n
-// batches of one share one row header and one output cell.
+// batches of one share one row, rebuilt in place per operator, and one
+// output cell.
 func (rt *RunTrace) recordContributions(c *Context, m CostModel, best *Vector) {
-	X, cost := &vecops.Matrix{Rows: 1, Cols: c.Schema.Len()}, make([]float64, 1)
+	cols := c.Schema.Len()
+	X, cost := &vecops.Matrix{Data: make([]float64, cols), Rows: 1, Cols: cols}, make([]float64, 1)
+	rt.OpContribs = make([]OpContribution, 0, len(c.Plan.Ops))
 	for _, o := range c.Plan.Ops {
 		col := best.Assign[o.ID]
 		if col == Unassigned {
 			continue
 		}
-		X.Data = c.VectorizeSubplan(map[plan.OpID]uint8{o.ID: col}).F
+		c.singletonRow(X.Data, o, col)
 		m.PredictBatchDist(X, cost, nil, nil, nil)
 		rt.OpContribs = append(rt.OpContribs, OpContribution{
 			Op:       int(o.ID),

@@ -2,18 +2,24 @@ package core_test
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/vecops"
 	"repro/internal/workload"
 )
 
-// tracedRun optimizes a pipeline workload with a one-shot trace attached and
-// returns the result (whose Trace is the audit under test).
-func tracedRun(t *testing.T, nOps, nPlats int) *core.Result {
+// tracedRun optimizes l over nPlats platforms on workers goroutines with a
+// one-shot trace attached and returns the result (whose Trace is the audit
+// under test) and the finished trace's snapshot.
+func tracedRun(t *testing.T, l *plan.Logical, nPlats, workers int) (*core.Result, obs.TraceSnapshot) {
 	t.Helper()
-	ctx := newCtx(t, workload.Pipeline(nOps, 1e6), nPlats)
+	ctx := newCtx(t, l, nPlats)
+	ctx.Workers = workers
 	m := newLinModel(ctx.Schema.Len(), 7)
 	ctx.Trace = obs.NewTrace("test-run")
 	res, err := ctx.Optimize(context.Background(), m)
@@ -23,34 +29,27 @@ func tracedRun(t *testing.T, nOps, nPlats int) *core.Result {
 	if res.Trace == nil {
 		t.Fatal("traced run returned no RunTrace")
 	}
-	return res
+	ctx.Trace.End()
+	return res, ctx.Trace.Snapshot()
 }
 
-// TestTracedOptimizeSpanCoverage asserts the span tree covers all seven
-// algebra operations plus the scheduler's round/task grouping under one
-// root — vectorize/split/enumerate/unvectorize and the round spans hang off
-// the root, task spans off rounds, merge/prune spans off tasks — with prune
-// spans whose attributes are consistent (vectors_out never exceeds
-// vectors_in).
+// TestTracedOptimizeSpanCoverage asserts the span tree covers the algebra
+// operations plus the scheduler's round/task grouping under one root —
+// vectorize/split/enumerate/unvectorize and the round spans hang off the
+// root, task spans off rounds, merge/prune spans off tasks.
 func TestTracedOptimizeSpanCoverage(t *testing.T) {
-	res := tracedRun(t, 8, 3)
-	res.Trace.Spans.End()
-	snap := res.Trace.Spans.Snapshot()
+	_, snap := tracedRun(t, workload.Pipeline(8, 1e6), 3, 1)
 
 	seen := map[string]int{}
 	nameOf := map[int]string{}
-	var rootID int = -2
 	for _, s := range snap.Spans {
 		seen[s.Name]++
 		nameOf[s.ID] = s.Name
-		if s.Name == "optimize" {
-			if s.Parent != -1 {
-				t.Errorf("optimize span has parent %d", s.Parent)
-			}
-			rootID = s.ID
+		if s.Name == "optimize" && s.Parent != -1 {
+			t.Errorf("optimize span has parent %d", s.Parent)
 		}
 	}
-	for _, want := range []string{"optimize", "vectorize", "enumerate", "split", "round", "task", "merge", "prune", "infer", "unvectorize"} {
+	for _, want := range []string{"optimize", "vectorize", "enumerate", "split", "round", "task", "merge", "prune", "unvectorize"} {
 		if seen[want] == 0 {
 			t.Errorf("span %q missing from trace (have %v)", want, seen)
 		}
@@ -67,26 +66,122 @@ func TestTracedOptimizeSpanCoverage(t *testing.T) {
 	}
 	for _, s := range snap.Spans {
 		if want, ok := wantParent[s.Name]; ok {
-			if s.Name != "round" && s.Name != "task" && s.Parent == rootID && want == "optimize" {
-				continue
-			}
 			if got := nameOf[s.Parent]; got != want {
 				t.Errorf("span %s parented to %q (id %d), want %q", s.Name, got, s.Parent, want)
 			}
 		}
-		if s.Name == "task" {
-			if _, ok := s.Attrs["worker"].(int64); !ok {
-				t.Errorf("task span lacks a worker attribute: %v", s.Attrs)
+	}
+}
+
+// TestTracedSpanVocabulary pins what a traced run writes where: every fact
+// about an enumeration step lives in its PruneRecord, so a span carries its
+// duration and only the identifiers that join it to the records, and the
+// optimize span carries the run summary and the audit itself. Pipelines, join
+// trees and random DAGs, serial and on a pool.
+func TestTracedSpanVocabulary(t *testing.T) {
+	allowed := map[string][]string{
+		"optimize":    {"ops", "searchSpace", "vectorsCreated", "pruned", "modelRows", "memoHits", "rounds", "tasks", "steals", "maxQueueDepth", "degraded", "degradeReason"},
+		"vectorize":   nil,
+		"split":       nil,
+		"enumerate":   nil,
+		"round":       {"round"},
+		"task":        {"worker", "stolen"},
+		"merge":       {"step", "left", "right"},
+		"prune":       {"step"},
+		"unvectorize": nil,
+	}
+	required := map[string][]string{
+		"round": {"round"},
+		"task":  {"worker"},
+		"merge": {"step", "left", "right"},
+		"prune": {"step"},
+	}
+	plans := map[string]*plan.Logical{
+		"pipeline": workload.Pipeline(12, 1e8),
+		"jointree": workload.JoinTree(4, 1e8),
+		"dag":      workload.RandomDAG(16, 1e8, 5),
+	}
+	for name, l := range plans {
+		for _, workers := range []int{1, 4} {
+			res, snap := tracedRun(t, l, 3, workers)
+			var pruneSteps, mergeSteps []int
+			for _, s := range snap.Spans {
+				keys, known := allowed[s.Name]
+				if !known {
+					t.Errorf("%s/w%d: unexpected span %q", name, workers, s.Name)
+					continue
+				}
+				for k := range s.Attrs {
+					if !slices.Contains(keys, k) {
+						t.Errorf("%s/w%d: %s span carries %q", name, workers, s.Name, k)
+					}
+				}
+				for _, k := range required[s.Name] {
+					if _, ok := s.Attrs[k]; !ok {
+						t.Errorf("%s/w%d: %s span lacks %q", name, workers, s.Name, k)
+					}
+				}
+				if s.Detail != nil && s.Name != "optimize" {
+					t.Errorf("%s/w%d: %s span carries a detail", name, workers, s.Name)
+				}
+				switch s.Name {
+				case "prune":
+					pruneSteps = append(pruneSteps, int(s.Attrs["step"].(int64)))
+				case "merge":
+					mergeSteps = append(mergeSteps, int(s.Attrs["step"].(int64)))
+				case "optimize":
+					if s.Detail != res.Trace {
+						t.Errorf("%s/w%d: optimize span detail is %T, want the run's audit", name, workers, s.Detail)
+					}
+				}
+			}
+			var recSteps []int
+			for i, rec := range res.Trace.Prunes {
+				if rec.Step != i {
+					t.Errorf("%s/w%d: record %d is step %d", name, workers, i, rec.Step)
+				}
+				recSteps = append(recSteps, rec.Step)
+			}
+			slices.Sort(pruneSteps)
+			slices.Sort(mergeSteps)
+			if !slices.Equal(pruneSteps, recSteps) || !slices.Equal(mergeSteps, recSteps) {
+				t.Errorf("%s/w%d: prune span steps %v, merge span steps %v, audit steps %v",
+					name, workers, pruneSteps, mergeSteps, recSteps)
+			}
+			if want := l.NumOps() - 1; len(recSteps) != want {
+				t.Errorf("%s/w%d: %d audit records for %d concatenations", name, workers, len(recSteps), want)
 			}
 		}
-		if s.Name == "prune" {
-			in, iok := s.Attrs["vectors_in"].(int64)
-			out, ook := s.Attrs["vectors_out"].(int64)
-			if !iok || !ook {
-				t.Fatalf("prune span lacks vector attrs: %v", s.Attrs)
-			}
-			if out > in {
-				t.Errorf("prune span grew the enumeration: %d -> %d", in, out)
+	}
+}
+
+// TestOpContribsMatchSubplanVectors checks the per-operator contributions,
+// built in one reused row, bit for bit against the model's score of
+// VectorizeSubplan's one-operator subplan for every operator of a pipeline,
+// a join tree and a random DAG.
+func TestOpContribsMatchSubplanVectors(t *testing.T) {
+	for name, l := range map[string]*plan.Logical{
+		"pipeline": workload.Pipeline(10, 1e8),
+		"jointree": workload.JoinTree(3, 1e8),
+		"dag":      workload.RandomDAG(14, 1e8, 9),
+	} {
+		ctx := newCtx(t, l, 3)
+		m := newLinModel(ctx.Schema.Len(), 11)
+		ctx.Trace = obs.NewTrace(name)
+		res, err := ctx.Optimize(context.Background(), m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Trace.OpContribs) != l.NumOps() {
+			t.Fatalf("%s: %d contributions for %d operators", name, len(res.Trace.OpContribs), l.NumOps())
+		}
+		cost := make([]float64, 1)
+		for _, oc := range res.Trace.OpContribs {
+			id := plan.OpID(oc.Op)
+			ref := ctx.VectorizeSubplan(map[plan.OpID]uint8{id: res.Vector.Assign[id]})
+			m.PredictBatchDist(&vecops.Matrix{Data: ref.F, Rows: 1, Cols: len(ref.F)}, cost, nil, nil, nil)
+			if math.Float64bits(oc.Cost) != math.Float64bits(cost[0]) {
+				t.Errorf("%s: op %d contributes %v, its subplan vector scores %v", name, oc.Op, oc.Cost, cost[0])
 			}
 		}
 	}
@@ -97,7 +192,7 @@ func TestTracedOptimizeSpanCoverage(t *testing.T) {
 // by exactly one prune record, and the per-record inference tallies sum to
 // the run totals.
 func TestPruneAuditMatchesStats(t *testing.T) {
-	res := tracedRun(t, 9, 3)
+	res, _ := tracedRun(t, workload.Pipeline(9, 1e6), 3, 1)
 	if res.Degraded {
 		t.Fatal("unbudgeted run degraded")
 	}
@@ -185,7 +280,7 @@ func TestTracingDoesNotChangeTheAnswer(t *testing.T) {
 // platform of every operator (matching the execution plan exactly), the
 // runner-up plan, and only boundaries that discarded something.
 func TestExplainReport(t *testing.T) {
-	res := tracedRun(t, 8, 3)
+	res, _ := tracedRun(t, workload.Pipeline(8, 1e6), 3, 1)
 	ex, err := res.Explain()
 	if err != nil {
 		t.Fatal(err)

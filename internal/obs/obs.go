@@ -377,23 +377,6 @@ func (t StageTimings) Total() time.Duration {
 	return t.Vectorize + t.Enumerate + t.Merge + t.Prune + t.Unvectorize
 }
 
-// Annotate attaches the non-zero stage timings to s as per-stage
-// millisecond attributes ("mergeMs", "pruneMs", ...). Nil-safe through the
-// span's own setters, so callers can annotate unconditionally.
-func (t StageTimings) Annotate(s *Span) {
-	set := func(key string, d time.Duration) {
-		if d > 0 {
-			s.SetFloat(key, float64(d.Microseconds())/1000)
-		}
-	}
-	set("vectorizeMs", t.Vectorize)
-	set("enumerateMs", t.Enumerate)
-	set("mergeMs", t.Merge)
-	set("pruneMs", t.Prune)
-	set("unvectorizeMs", t.Unvectorize)
-	set("inferMs", t.Infer)
-}
-
 // Milliseconds renders the timings as a stage→ms map for JSON replies.
 func (t StageTimings) Milliseconds() map[string]float64 {
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,6 +40,10 @@ type Span struct {
 	Start    time.Time
 	Duration time.Duration
 	Attrs    []Attr
+	// Detail is an optional structured record the span's snapshot renders
+	// as-is — the optimizer hangs its pruning audit on the optimize span.
+	// It must marshal to JSON and stay unchanged once the span has ended.
+	Detail any
 }
 
 // SetInt attaches an integer attribute. Returns s for chaining.
@@ -199,6 +202,7 @@ type SpanSnapshot struct {
 	StartMs    float64        `json:"startMs"`
 	DurationMs float64        `json:"durationMs"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
+	Detail     any            `json:"detail,omitempty"`
 }
 
 func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -226,6 +230,7 @@ func (t *Trace) Snapshot() TraceSnapshot {
 			Name:       s.Name,
 			StartMs:    durMs(s.Start.Sub(t.Start)),
 			DurationMs: durMs(s.Duration),
+			Detail:     s.Detail,
 		}
 		if len(s.Attrs) > 0 {
 			ss.Attrs = make(map[string]any, len(s.Attrs))
@@ -238,21 +243,18 @@ func (t *Trace) Snapshot() TraceSnapshot {
 	return snap
 }
 
-// MarshalJSON renders the trace as its snapshot, so a *Trace can be embedded
-// directly in JSON replies.
-func (t *Trace) MarshalJSON() ([]byte, error) {
-	return json.Marshal(t.Snapshot())
-}
-
 // DefaultTraceCap is the ring capacity of NewTracer when 0 is passed.
 const DefaultTraceCap = 128
 
 // Tracer retains recent traces in a bounded lock-free ring. Every run on a
-// traced server records a trace (recording is cheap: a handful of spans and
-// audit records per run); retention is decided at Finish, when the run's
-// outcome is known — notable traces (explicitly requested, errored, degraded
-// or slower than SlowThreshold) are always retained, the rest with
-// probability SampleRate. A nil *Tracer no-ops everywhere.
+// traced server records a trace. Measured on cold misses of serving-shaped
+// plans (12–40 operators, one enumeration worker), recording adds about 260
+// allocations to the 632 an untraced request makes, and a retained trace
+// holds about 20 kB at five platforms (TestColdMissAllocCeiling pins the
+// former). Retention is decided at Finish, when the run's outcome is known —
+// notable traces (explicitly requested, errored, degraded or slower than
+// SlowThreshold) are always retained, the rest with probability SampleRate.
+// A nil *Tracer no-ops everywhere.
 type Tracer struct {
 	sample float64
 	slow   time.Duration

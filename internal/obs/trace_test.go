@@ -15,6 +15,7 @@ func TestSpanTree(t *testing.T) {
 	grand.End()
 	child.End()
 	root.SetStr("plan", "example")
+	root.Detail = []int{1, 2}
 	root.End()
 	tr.End()
 
@@ -39,6 +40,9 @@ func TestSpanTree(t *testing.T) {
 	}
 	if got := snap.Spans[2].Attrs["x"]; got != 1.5 {
 		t.Errorf("x attr = %v", got)
+	}
+	if got, ok := snap.Spans[0].Detail.([]int); !ok || len(got) != 2 || snap.Spans[1].Detail != nil {
+		t.Errorf("details = %v, %v; want the root's record only", snap.Spans[0].Detail, snap.Spans[1].Detail)
 	}
 	if snap.Spans[1].DurationMs < 0 || snap.DurationMs < 0 {
 		t.Errorf("negative durations: %v %v", snap.Spans[1].DurationMs, snap.DurationMs)

@@ -43,10 +43,10 @@ type reusedBody struct{ bytes.Reader }
 
 func (*reusedBody) Close() error { return nil }
 
-// warmServer is a server wired the way cmd/roboptd wires one — tracer, SLO,
-// admission, request log (discarded), default deadline — with a plan cache
-// that already holds the plan of body.
-func warmServer(t testing.TB, body []byte) (h http.Handler, post func() *reusedWriter) {
+// roboptdServer is a server wired the way cmd/roboptd wires one — tracer,
+// SLO, admission, request log (discarded), default deadline — over a plan
+// cache configured by cache, serving on one enumeration worker.
+func roboptdServer(t testing.TB, cache plancache.Config) http.Handler {
 	t.Helper()
 	logger, err := obs.NewLogger(io.Discard, "info", "text", "roboptd")
 	if err != nil {
@@ -62,26 +62,42 @@ func warmServer(t testing.TB, body []byte) (h http.Handler, post func() *reusedW
 		Logger:          logger,
 		SLO:             obs.NewSLO(500, 0.99),
 		Admission:       &service.Admission{ShedFraction: service.DefaultShedFraction},
+		Workers:         1,
 	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
-	h = s.Handler()
+	cache.Metrics = s.Metrics()
+	s.PlanCache = plancache.New(cache)
+	return s.Handler()
+}
+
+// poster returns a function that POSTs body to h's /optimize through one
+// reused request, writer and body reader.
+func poster(t testing.TB, h http.Handler) (post func(body []byte) *reusedWriter) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, "/optimize", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := &reusedWriter{hdr: http.Header{}}
 	var rb reusedBody
-	post = func() *reusedWriter {
+	return func(body []byte) *reusedWriter {
 		w.reset()
 		rb.Reset(body)
 		req.Body = &rb
 		h.ServeHTTP(w, req)
 		return w
 	}
+}
+
+// warmServer is roboptdServer with a plan cache that already holds the plan
+// of body.
+func warmServer(t testing.TB, body []byte) (post func() *reusedWriter) {
+	t.Helper()
+	postTo := poster(t, roboptdServer(t, plancache.Config{}))
+	post = func() *reusedWriter { return postTo(body) }
 	if w := post(); w.code != http.StatusOK || w.hdr.Get("X-Cache") != "miss" {
 		t.Fatalf("cold request: status %d, X-Cache %q: %s", w.code, w.hdr.Get("X-Cache"), w.buf.Bytes())
 	}
-	return h, post
+	return post
 }
 
 // TestWarmHitAllocCeiling pins what a cache hit allocates end to end — body
@@ -97,7 +113,7 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, post := warmServer(t, body)
+	post := warmServer(t, body)
 	allocs := testing.AllocsPerRun(200, func() {
 		if w := post(); w.code != http.StatusOK || w.hdr.Get("X-Cache") != "hit" {
 			t.Fatalf("status %d, X-Cache %q", w.code, w.hdr.Get("X-Cache"))
@@ -108,4 +124,44 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 		t.Errorf("a warm hit allocates %.0f times, ceiling %d", allocs, ceiling)
 	}
 	t.Logf("warm hit of Pipeline(20): %.0f allocations", allocs)
+}
+
+// TestColdMissAllocCeiling pins what a cold miss allocates end to end on a
+// traced server — body read, decode, fingerprint, cache miss, enumeration
+// with its pruning audit, cache write, respond, account, encode — averaged
+// over serving-shaped plans (pipelines, join trees and random DAGs) that
+// evict each other from a one-entry cache. Spans carry durations and join
+// keys only and every step's counts are written once, into its PruneRecord:
+// 893 allocations measured. When the merge, prune and infer spans each
+// repeated those counts the same set took 1265. The ceiling is about 10 %
+// above the measured mean.
+func TestColdMissAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	var bodies [][]byte
+	for _, l := range []*plan.Logical{
+		workload.Pipeline(12, 1e8), workload.Pipeline(20, 1e10), workload.Pipeline(40, 1e8),
+		workload.JoinTree(3, 1e8), workload.JoinTree(5, 1e10),
+		workload.RandomDAG(14, 1e9, 1), workload.RandomDAG(14, 1e9, 2), workload.RandomDAG(14, 1e9, 3),
+	} {
+		body, err := plan.MarshalJSONPlan(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	post := poster(t, roboptdServer(t, plancache.Config{Shards: 1, MaxEntries: 1}))
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, body := range bodies {
+			if w := post(body); w.code != http.StatusOK || w.hdr.Get("X-Cache") != "miss" {
+				t.Fatalf("status %d, X-Cache %q: %s", w.code, w.hdr.Get("X-Cache"), w.buf.Bytes())
+			}
+		}
+	}) / float64(len(bodies))
+	const ceiling = 980
+	if allocs > ceiling {
+		t.Errorf("a cold miss allocates %.0f times on average, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("cold miss, mean over %d serving-shaped plans: %.0f allocations", len(bodies), allocs)
 }

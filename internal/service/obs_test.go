@@ -113,7 +113,7 @@ func TestTraceparentOptimize(t *testing.T) {
 	for _, sp := range snap.Spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"optimize", "enumerate", "infer"} {
+	for _, want := range []string{"optimize", "enumerate", "prune"} {
 		if !names[want] {
 			t.Errorf("span %q missing from propagated trace", want)
 		}

@@ -559,15 +559,17 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 			PoolQueueDepth: res.Stats.Par.MaxQueueDepth,
 		}
 		resp.StageMs = res.Stats.Timings.Milliseconds()
-		if q.wantTrace {
-			resp.Trace = res.Trace
-		}
 	} else {
 		cp := a.cp
 		resp.PredictedRuntimeSec, dist, resp.RiskLambda = cp.Predicted, cp.PredictedDist, cp.RiskLambda
 		resp.ServedModelVersion = cp.ModelVersion
 		resp.CachedAt = cp.CachedAt.UTC().Format(time.RFC3339Nano)
 		resp.StageMs = map[string]float64{}
+	}
+	if q.wantTrace {
+		// closeTrace has finished the trace: nothing writes to it any more.
+		snap := q.tr.Snapshot()
+		resp.Trace = &snap
 	}
 	resp.PredictedLoSec, resp.PredictedHiSec, resp.PredictedSpreadSec = dist.Lo, dist.Hi, dist.Spread
 	for i, p := range x.Assign {

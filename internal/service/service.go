@@ -41,8 +41,8 @@
 //     pruning keeps near-ties with overlapping predictive intervals; 0, the
 //     default, is the point-estimate optimizer), simulate=1 (also run the
 //     chosen plan on the simulated cluster), trace=1 (force-retain the
-//     request's trace and inline its span tree and pruning audit trail in
-//     the response) and nopeer=1 (skip the shared cache tier for this
+//     request's trace and inline it in the response as the document GET
+//     /tracez?id= serves) and nopeer=1 (skip the shared cache tier for this
 //     request: no peer probe, no fleet-singleflight claim).
 //   - POST /optimize/batch — optimize a slice of plans as one admission
 //     unit: members are deduplicated by canonical fingerprint before any
@@ -292,10 +292,12 @@ type OptimizeResponse struct {
 	// caller sent a traceparent header, the request ID otherwise. Retained
 	// traces resolve via GET /tracez?id=<TraceID>. Empty on untraced runs.
 	TraceID string `json:"traceId,omitempty"`
-	// Trace inlines the run's span tree and pruning audit trail when the
-	// request asked for it with ?trace=1. Cache hits carry no audit trail
-	// — the enumeration never ran.
-	Trace *core.RunTrace `json:"trace,omitempty"`
+	// Trace inlines the request's finished trace when it asked for one with
+	// ?trace=1: the document GET /tracez?id=<TraceID> serves, whatever tier
+	// answered. An enumeration's optimize span carries the pruning audit
+	// trail as its detail; a cache answer is one cache span and a link to
+	// the trace that produced the plan.
+	Trace *obs.TraceSnapshot `json:"trace,omitempty"`
 	// CachedAt timestamps the cache entry that served this response
 	// (RFC 3339; present on cache hits and collapsed requests only).
 	CachedAt string `json:"cachedAt,omitempty"`

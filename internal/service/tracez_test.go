@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/service"
 )
@@ -26,6 +27,27 @@ func newTracedServer() (*service.Server, *httptest.Server) {
 	return s, httptest.NewServer(s.Handler())
 }
 
+// optimizeAudit returns the pruning audit the optimize span of snap carries
+// (nil when the trace has no optimize span).
+func optimizeAudit(t *testing.T, snap obs.TraceSnapshot) *core.RunTrace {
+	t.Helper()
+	for _, s := range snap.Spans {
+		if s.Name != "optimize" {
+			continue
+		}
+		raw, err := json.Marshal(s.Detail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rt core.RunTrace
+		if err := json.Unmarshal(raw, &rt); err != nil {
+			t.Fatalf("optimize span detail %s: %v", raw, err)
+		}
+		return &rt
+	}
+	return nil
+}
+
 func TestOptimizeTraceInline(t *testing.T) {
 	_, ts := newTracedServer()
 	defer ts.Close()
@@ -38,30 +60,23 @@ func TestOptimizeTraceInline(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The wire shape of the inline trace: obs.Trace marshals as its
-	// snapshot, so clients (and this test) decode spans as a TraceSnapshot.
-	var out struct {
-		service.OptimizeResponse
-		Trace *struct {
-			Spans  obs.TraceSnapshot   `json:"spans"`
-			Prunes []*core.PruneRecord `json:"prunes"`
-		} `json:"trace"`
-	}
-	if err := json.Unmarshal(body, &out); err != nil {
+	var out service.OptimizeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Trace == nil {
 		t.Fatal("?trace=1 returned no inline trace")
 	}
-	if len(out.Trace.Prunes) == 0 {
-		t.Fatal("inline trace has no pruning audit records")
+	snap := *out.Trace
+	if snap.ID != out.RequestID || snap.Retained != "forced" {
+		t.Errorf("trace ID %q retained %q, want %q forced", snap.ID, snap.Retained, out.RequestID)
+	}
+	audit := optimizeAudit(t, snap)
+	if audit == nil || len(audit.Prunes) == 0 {
+		t.Fatal("inline trace's optimize span carries no pruning audit records")
 	}
 	pruned := 0
-	for _, rec := range out.Trace.Prunes {
+	for _, rec := range audit.Prunes {
 		if rec.VectorsOut > rec.VectorsIn {
 			t.Errorf("step %d: vectors %d -> %d", rec.Step, rec.VectorsIn, rec.VectorsOut)
 		}
@@ -70,17 +85,50 @@ func TestOptimizeTraceInline(t *testing.T) {
 	if pruned != out.Stats.Pruned {
 		t.Errorf("inline audit accounts for %d pruned, stats say %d", pruned, out.Stats.Pruned)
 	}
-	snap := out.Trace.Spans
-	if snap.ID != out.RequestID {
-		t.Errorf("trace ID %q != request ID %q", snap.ID, out.RequestID)
-	}
 	names := map[string]bool{}
 	for _, s := range snap.Spans {
 		names[s.Name] = true
 	}
-	for _, want := range []string{"optimize", "vectorize", "enumerate", "split", "merge", "prune", "infer", "unvectorize"} {
+	for _, want := range []string{"optimize", "vectorize", "enumerate", "split", "merge", "prune", "unvectorize"} {
 		if !names[want] {
 			t.Errorf("span %q missing from inline trace", want)
+		}
+	}
+}
+
+// TestTraceInlineIsTracez: the trace ?trace=1 inlines is byte for byte the
+// document GET /tracez?id= serves for the same request, for an enumeration
+// and for a cache hit.
+func TestTraceInlineIsTracez(t *testing.T) {
+	s, ts := newTracedServer()
+	defer ts.Close()
+	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	body := planJSON(t)
+	for _, want := range []string{"miss", "hit"} {
+		resp, err := http.Post(ts.URL+"/optimize?trace=1", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			RequestID string          `json:"requestId"`
+			Trace     json.RawMessage `json:"trace"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Header.Get("X-Cache"); got != want {
+			t.Fatalf("X-Cache = %q, want %q", got, want)
+		}
+		tz, err := http.Get(ts.URL + "/tracez?id=" + out.RequestID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retained, _ := io.ReadAll(tz.Body)
+		tz.Body.Close()
+		if !bytes.Equal(out.Trace, bytes.TrimSpace(retained)) {
+			t.Errorf("%s: ?trace=1 inlined\n%s\n/tracez serves\n%s", want, out.Trace, retained)
 		}
 	}
 }
@@ -187,14 +235,15 @@ func TestTraceOnTracerlessServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out struct {
-		Trace *core.RunTrace `json:"trace"`
-	}
+	var out service.OptimizeResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Trace == nil || len(out.Trace.Prunes) == 0 {
-		t.Fatal("tracerless ?trace=1 returned no usable trace")
+	if out.Trace == nil || out.Trace.DurationMs <= 0 {
+		t.Fatal("tracerless ?trace=1 returned no finished trace")
+	}
+	if audit := optimizeAudit(t, *out.Trace); audit == nil || len(audit.Prunes) == 0 {
+		t.Fatal("tracerless ?trace=1 returned no pruning audit")
 	}
 }
 

@@ -176,29 +176,49 @@ curl -sf "$BASE/metricz" > "$WORK/metricz2.json"
   || die "plan_interval_width histogram not observed"
 
 say "tracing an optimization and reading it back from /tracez"
-# nocache=1: a cache hit is a one-span trace with no pruning audit.
+# inline_is_tracez NAME — the trace ?trace=1 inlined in $WORK/NAME.json is
+# the document /tracez?id=<requestId> serves (JSON equality).
+inline_is_tracez() {
+  local id
+  id="$(jget "$WORK/$1.json" "d['requestId']")"
+  curl -sf "$BASE/tracez?id=$id" > "$WORK/$1-tracez.json" \
+    || die "/tracez?id=$id did not return the forced trace"
+  python3 - "$WORK/$1.json" "$WORK/$1-tracez.json" <<'PY' \
+    || die "$1: ?trace=1 inlined a different trace than /tracez serves"
+import json, sys
+inline = json.load(open(sys.argv[1]))["trace"]
+assert inline == json.load(open(sys.argv[2])), "inline trace differs from /tracez"
+PY
+}
+# nocache=1: the enumeration runs, so the optimize span carries the audit.
 curl -sf -XPOST --data-binary @"$WORK/query.json" \
   "$BASE/optimize?trace=1&nocache=1" > "$WORK/traced.json"
-TRACE_ID="$(jget "$WORK/traced.json" "d['requestId']")"
-[ "$(jget "$WORK/traced.json" "len(d['trace']['prunes']) > 0")" = "True" ] \
-  || die "?trace=1 response carries no pruning audit"
-curl -sf "$BASE/tracez?id=$TRACE_ID" > "$WORK/trace.json"
-[ "$(jget "$WORK/trace.json" "d['id']")" = "$TRACE_ID" ] \
-  || die "/tracez?id= did not return the forced trace"
-# Every prune span must shrink (or keep) the enumeration: vectors_out <= in.
-python3 - "$WORK/trace.json" <<'PY' || die "prune span vector accounting inconsistent"
+inline_is_tracez traced
+# Every pruning audit record shrinks (or keeps) the enumeration, and the prune
+# spans name exactly the audit's steps.
+python3 - "$WORK/traced-tracez.json" <<'PY' || die "pruning audit inconsistent"
 import json, sys
 spans = json.load(open(sys.argv[1]))["spans"]
-prunes = [s for s in spans if s["name"] == "prune"]
-assert prunes, "no prune spans in the retained trace"
-for s in prunes:
-    a = s.get("attrs", {})
-    assert a["vectors_out"] <= a["vectors_in"], f"prune grew: {a}"
+roots = [s for s in spans if s["name"] == "optimize"]
+assert len(roots) == 1, f"optimize spans: {len(roots)}"
+prunes = roots[0]["detail"]["prunes"]
+assert prunes, "no pruning audit on the optimize span"
+for r in prunes:
+    assert r["vectorsOut"] <= r["vectorsIn"], f"prune grew: {r}"
+steps = sorted(s["attrs"]["step"] for s in spans if s["name"] == "prune")
+assert steps == [r["step"] for r in prunes], f"prune spans {steps} vs audit"
 names = {s["name"] for s in spans}
 missing = {"optimize", "vectorize", "enumerate", "split",
-           "merge", "prune", "infer", "unvectorize"} - names
+           "merge", "prune", "unvectorize"} - names
 assert not missing, f"missing spans: {missing}"
 PY
+# A cache hit inlines its own one-span trace the same way.
+curl -sf -XPOST --data-binary @"$WORK/query.json" "$BASE/optimize" >/dev/null
+curl -sf -D "$WORK/traced-hit.h" -XPOST --data-binary @"$WORK/query.json" \
+  "$BASE/optimize?trace=1" > "$WORK/traced-hit.json"
+grep -qi '^x-cache: hit' "$WORK/traced-hit.h" \
+  || die "repeated ?trace=1 request was not a cache hit"
+inline_is_tracez traced-hit
 
 say "scraping /metricz in prometheus format"
 curl -sf "$BASE/metricz?format=prometheus" > "$WORK/metricz.prom"
