@@ -57,8 +57,8 @@ func distFamilies(t *testing.T, nf int) []struct {
 // bit-equal to the family's test-only reference (flat_test.go): the reference
 // walk for the tree families and their wrappers, and for the MLP its former
 // row-major forward pass, the one its hidden-unit-major kernel was checked
-// against. The batch sizes straddle the flat forest's four-row groups and its
-// blocks, which take different paths through the kernel.
+// against. The batch sizes straddle the flat forest's row block: one row, a
+// partial block, a full one and one row past it.
 func TestDistMeanBitParity(t *testing.T) {
 	const nf = 8
 	rng := rand.New(rand.NewSource(42))

@@ -1,5 +1,5 @@
 package mlmodel
 
-// BlockRows is the flat forest kernel's block size: batch sizes around it and
-// around its four-row groups take different paths through the kernel.
+// BlockRows is the flat forest kernel's block size: batch sizes around it fill
+// a block partly, exactly, or spill into the next one.
 const BlockRows = blockRows

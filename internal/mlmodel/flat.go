@@ -7,18 +7,15 @@ import (
 )
 
 // flatForest is the fitted form of Tree, Forest and GBM: every node of every
-// tree in one set of parallel slices, with no per-tree or per-node object.
-// The three families embed it and differ only in how the leaves a row reaches
-// fold into its prediction (kind, base, scale), so their one kernel,
-// PredictBatchDist, is written once.
+// tree in one slice, with no per-tree object. The three families embed it and
+// differ only in how the leaves a row reaches fold into its prediction (kind,
+// base, scale), so their one kernel, PredictBatchDist, is written once.
 //
-// A leaf points at itself with both children. That lets the kernel walk every
-// row of tree t exactly depth[t] steps with no "is this a leaf" test: a row
+// A leaf points at itself with both children. That lets the kernel walk a row
+// any number of steps past a tree's depth with no "is this a leaf" test: a row
 // that arrives early keeps stepping onto the same leaf.
 type flatForest struct {
-	feat   []int32   // split feature; 0 on a leaf, whose compare is then harmless
-	thr    []float64 // a row goes left when x[feat] <= thr
-	kids   []int32   // kids[2i], kids[2i+1]: left and right child of node i
+	nodes  []node    // what a walk reads: one load per step
 	value  []float64 // mean training target of the node; the estimate at a leaf
 	spread []float64 // std of the node's training targets; entries past its end are 0
 	root   []int32   // root of tree t; its nodes run up to the next tree's root
@@ -27,6 +24,14 @@ type flatForest struct {
 	kind  leafFold
 	base  float64 // boosted: the estimate before the first round
 	scale float64 // boosted: the learning rate; bagged: 1/trees
+}
+
+// node is one split, or a leaf pointing at itself: the 24 bytes a walk step
+// reads, packed so a step costs one cache line rather than three arrays.
+type node struct {
+	thr  float64  // a row goes left when x[feat] <= thr
+	feat int32    // split feature; 0 on a leaf, whose compare is then harmless
+	kids [2]int32 // left and right child
 }
 
 // leafFold says how a family folds the leaves one row reaches, in tree order.
@@ -48,6 +53,11 @@ const (
 	// folds stay cached, enough that a tree's nodes are read once per block.
 	blockRows = 16
 
+	// lockstepTrees is how many trees a block walks at once (walk's lanes):
+	// enough that one row alone keeps the processor busy, few enough that a
+	// forest's last group wastes little on lanes with no tree.
+	lockstepTrees = 8
+
 	// gbmTailWindow is the number of trailing boosting rounds whose partial
 	// sums form the GBM's virtual ensemble.
 	gbmTailWindow = 16
@@ -56,17 +66,14 @@ const (
 // leaf appends a leaf to the tree under construction and returns its index.
 func (f *flatForest) leaf(value float64) int32 {
 	i := int32(len(f.value))
-	f.feat = append(f.feat, 0)
-	f.thr = append(f.thr, 0)
-	f.kids = append(f.kids, i, i)
+	f.nodes = append(f.nodes, node{kids: [2]int32{i, i}})
 	f.value = append(f.value, value)
 	return i
 }
 
 // split turns leaf i into an internal node.
 func (f *flatForest) split(i, feat int32, thr float64, left, right int32) {
-	f.feat[i], f.thr[i] = feat, thr
-	f.kids[2*i], f.kids[2*i+1] = left, right
+	f.nodes[i] = node{thr: thr, feat: feat, kids: [2]int32{left, right}}
 }
 
 // endTree closes the nodes appended since lo, the tree's root, as one tree
@@ -78,7 +85,7 @@ func (f *flatForest) endTree(lo int32) error {
 	level := make([]int32, hi-lo) // longest path from the root to each node
 	deepest := int32(0)
 	for i := lo; i < hi; i++ {
-		l, r := f.kids[2*i], f.kids[2*i+1]
+		l, r := f.nodes[i].kids[0], f.nodes[i].kids[1]
 		if l == i {
 			continue
 		}
@@ -99,11 +106,11 @@ func (f *flatForest) endTree(lo int32) error {
 func (f *flatForest) graft(g *flatForest) {
 	off := int32(len(f.value))
 	f.appendSpread(g.spread)
-	f.feat = append(f.feat, g.feat...)
-	f.thr = append(f.thr, g.thr...)
 	f.value = append(f.value, g.value...)
-	for _, k := range g.kids {
-		f.kids = append(f.kids, off+k)
+	for _, nd := range g.nodes {
+		nd.kids[0] += off
+		nd.kids[1] += off
+		f.nodes = append(f.nodes, nd)
 	}
 	for _, r := range g.root {
 		f.root = append(f.root, off+r)
@@ -130,9 +137,9 @@ func (f *flatForest) spreadAt(i int32) float64 {
 // width returns max split-feature index + 1 over the forest's nodes.
 func (f *flatForest) width() int {
 	w := 0
-	for i, ft := range f.feat {
-		if f.kids[2*i] != int32(i) && int(ft) >= w {
-			w = int(ft) + 1
+	for i, nd := range f.nodes {
+		if nd.kids[0] != int32(i) && int(nd.feat) >= w {
+			w = int(nd.feat) + 1
 		}
 	}
 	return w
@@ -147,38 +154,37 @@ func (f *flatForest) NumNodes() int { return len(f.value) }
 // step moves one level down from node a for feature row x. The comparison is
 // literally x[feat] <= thr, so NaN and ±Inf features go where the textbook
 // walk sends them; the compiler turns the 0/1 choice into a flag-set rather
-// than a jump, which keeps the walk free of unpredictable branches. Indexing
-// unsigned spares a sign extension per load, 7% of the kernel's time.
-func (f *flatForest) step(x []float64, a int32) int32 {
-	i, right := uint32(a), uint32(1)
-	if x[uint32(f.feat[i])] <= f.thr[i] {
+// than a jump, which keeps the walk free of unpredictable branches, and the
+// mask spares the child's bounds check. Indexing unsigned spares a sign
+// extension per load.
+func step(nodes []node, x []float64, a int32) int32 {
+	n := &nodes[uint32(a)]
+	right := uint32(1)
+	if x[uint32(n.feat)] <= n.thr {
 		right = 0
 	}
-	return f.kids[2*i+right]
+	return n.kids[right&1]
 }
 
-// walk4 advances four independent walks k levels at once, walk i standing on
-// node at[i] and reading features from x[i]. One walk is a chain of dependent
-// loads (node, feature, child); four interleaved keep the processor busy while
-// each waits. Extra levels are harmless: a walk that has reached its leaf
-// stays there.
-func (f *flatForest) walk4(x *[4][]float64, at *[4]int32, k int32) {
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	a0, a1, a2, a3 := at[0], at[1], at[2], at[3]
-	for ; k > 0; k-- {
-		a0 = f.step(x0, a0)
-		a1 = f.step(x1, a1)
-		a2 = f.step(x2, a2)
-		a3 = f.step(x3, a3)
+// walk advances every walk of at d levels, row r's lanes reading features
+// from rows[r]: each level, every row steps once in every lane before any
+// walk goes deeper, so the steps of one level are all independent. The eight
+// lanes are written out: as a loop over them the kernel is half again slower.
+func walk(nodes []node, rows [][]float64, at [][lockstepTrees]int32, d int32) {
+	for ; d > 0; d-- {
+		for r, x := range rows {
+			a := &at[r]
+			a[0], a[1], a[2], a[3] = step(nodes, x, a[0]), step(nodes, x, a[1]), step(nodes, x, a[2]), step(nodes, x, a[3])
+			a[4], a[5], a[6], a[7] = step(nodes, x, a[4]), step(nodes, x, a[5]), step(nodes, x, a[6]), step(nodes, x, a[7])
+		}
 	}
-	at[0], at[1], at[2], at[3] = a0, a1, a2, a3
 }
 
 // leafOf walks x down tree t alone.
 func (f *flatForest) leafOf(t int, x []float64) int32 {
 	a := f.root[t]
 	for k := f.depth[t]; k > 0; k-- {
-		a = f.step(x, a)
+		a = step(f.nodes, x, a)
 	}
 	return a
 }
@@ -195,7 +201,7 @@ type rowFold struct {
 // round by round; Σ leaf, scaled at the end), so a row's estimate depends on
 // neither the batch it arrives in nor on whether spread was asked for.
 // tailFrom is the first boosting round whose partial sum feeds the spread.
-func (f *flatForest) fold(a *rowFold, t int, leaf int32, tailFrom int) {
+func (f *flatForest) fold(a rowFold, t int, leaf int32, tailFrom int) rowFold {
 	v := f.value[leaf]
 	switch f.kind {
 	case single:
@@ -210,10 +216,11 @@ func (f *flatForest) fold(a *rowFold, t int, leaf int32, tailFrom int) {
 			a.s2 += a.sum * a.sum
 		}
 	}
+	return a
 }
 
 // finish writes a row's fold over all trees out as row i's mean and spread.
-func (f *flatForest) finish(a *rowFold, tailFrom, i int, mean, spread []float64) {
+func (f *flatForest) finish(a rowFold, tailFrom, i int, mean, spread []float64) {
 	m, s := a.sum, a.s1
 	switch f.kind {
 	case bagged:
@@ -234,12 +241,14 @@ func (f *flatForest) finish(a *rowFold, tailFrom, i int, mean, spread []float64)
 // mean — and, unless spread is nil, the family's spread and the z-interval
 // around the mean — for every row of X.
 //
-// Full groups of four rows go tree-major, blockRows rows at a time: the
-// block's features and folds stay cached while each tree's nodes are read
-// once per block, and the four rows of a group are the four walks of walk4.
-// The last one to three rows have no partners, so each walks four trees at a
-// time instead (a scalar Predict is this case). Either way every row meets
-// the trees in order. All scratch lives on the stack.
+// Rows go blockRows at a time through all trees, lockstepTrees trees at a
+// time: every row of the block advances one level in all of the group's trees
+// before any walk goes deeper, so even a single row has lockstepTrees
+// independent chains of dependent loads (node, feature, child) in flight, and
+// a full block blockRows times as many. The walk runs to the group's deepest
+// tree; shallower walks idle on their leaves. The leaves are then folded per
+// row in tree order. A scalar Predict, a partial block and a full one all take
+// this one path, and all scratch lives on the stack.
 func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	trees := len(f.depth)
 	tailFrom := trees
@@ -247,46 +256,36 @@ func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64)
 		tailFrom = max(trees-gbmTailWindow, 0)
 	}
 	var (
-		rows  [blockRows / 4][4][]float64
+		rows  [blockRows][]float64
+		at    [blockRows][lockstepTrees]int32
 		folds [blockRows]rowFold
 	)
-	grouped := X.Rows &^ 3
-	for lo := 0; lo < grouped; lo += blockRows {
-		n := min(blockRows, grouped-lo)
+	for first := 0; first < X.Rows; first += blockRows {
+		n := min(blockRows, X.Rows-first)
 		for r := 0; r < n; r++ {
-			rows[r/4][r%4] = X.Row(lo + r)
+			rows[r] = X.Row(first + r)
 			folds[r] = rowFold{sum: f.base}
 		}
-		for t, d := range f.depth {
-			root := f.root[t]
-			for r := 0; r < n; r += 4 {
-				at := [4]int32{root, root, root, root}
-				f.walk4(&rows[r/4], &at, d)
-				for i, leaf := range at {
-					f.fold(&folds[r+i], t, leaf, tailFrom)
+		for t := 0; t < trees; t += lockstepTrees {
+			g := min(lockstepTrees, trees-t)
+			var start [lockstepTrees]int32 // a lane with no tree walks tree 0, never folded
+			copy(start[:], f.root[t:t+g])
+			d := slices.Max(f.depth[t : t+g])
+			for r := 0; r < n; r++ {
+				at[r] = start
+			}
+			walk(f.nodes, rows[:n], at[:n], d)
+			for r := 0; r < n; r++ {
+				a := folds[r]
+				for j, leaf := range at[r][:g] {
+					a = f.fold(a, t+j, leaf, tailFrom)
 				}
+				folds[r] = a
 			}
 		}
 		for r := 0; r < n; r++ {
-			f.finish(&folds[r], tailFrom, lo+r, mean, spread)
+			f.finish(folds[r], tailFrom, first+r, mean, spread)
 		}
-	}
-	for r := grouped; r < X.Rows; r++ {
-		x := X.Row(r)
-		x4 := [4][]float64{x, x, x, x}
-		a := rowFold{sum: f.base}
-		t := 0
-		for ; t+4 <= trees; t += 4 {
-			at := [4]int32(f.root[t : t+4])
-			f.walk4(&x4, &at, max(f.depth[t], f.depth[t+1], f.depth[t+2], f.depth[t+3]))
-			for i, leaf := range at {
-				f.fold(&a, t+i, leaf, tailFrom)
-			}
-		}
-		for ; t < trees; t++ {
-			f.fold(&a, t, f.leafOf(t, x), tailFrom)
-		}
-		f.finish(&a, tailFrom, r, mean, spread)
 	}
 	zBounds(X.Rows, mean, spread, lo, hi)
 }

@@ -345,6 +345,10 @@ func kernelFamilies(t testing.TB, d *mlmodel.Dataset) map[string][]byte {
 	}
 	forest := fit(mlmodel.ForestTrainer{Config: mlmodel.ForestConfig{Trees: 12, Seed: 3}})
 	gbm := fit(gbmCfg(40, 5, 5))
+	odd := fit(gbmCfg(7, 4, 8))
+	if n := odd.(*mlmodel.GBM).NumTrees(); n != 7 {
+		t.Fatalf("7-round fit stopped after %d rounds", n)
+	}
 	log1 := fit(mlmodel.LogTargetTrainer{Inner: gbmCfg(30, 4, 9)})
 	log2 := fit(mlmodel.LogTargetTrainer{Inner: gbmCfg(30, 4, 10)})
 	return map[string][]byte{
@@ -355,6 +359,8 @@ func kernelFamilies(t testing.TB, d *mlmodel.Dataset) map[string][]byte {
 		"forest/legacy":   withoutSpread(t, saveBytes(t, forest)),
 		"gbm":             saveBytes(t, gbm),
 		"gbm/short":       saveBytes(t, fit(gbmCfg(5, 3, 6))), // fewer rounds than the spread's tail window
+		"gbm/odd":         saveBytes(t, odd),                  // a last lockstep group with a lane left empty
+		"gbm/ragged":      raggedArtifact(t),
 		"gbm/no-rounds":   []byte(`{"type":"gbm","payload":{"base":1.5,"lr":0.1,"trees":null}}`),
 		"logtarget":       saveBytes(t, log1),
 		"logtarget/bag":   saveBytes(t, fit(mlmodel.LogTargetTrainer{Inner: mlmodel.ForestTrainer{Config: mlmodel.ForestConfig{Trees: 5, Seed: 2}}})),
@@ -362,6 +368,41 @@ func kernelFamilies(t testing.TB, d *mlmodel.Dataset) map[string][]byte {
 		"ensemble/mixed":  saveBytes(t, mlmodel.Ensemble{Models: []mlmodel.Model{gbm, fit(mlmodel.LinearTrainer{}), forest}}),
 		"ensemble/nested": saveBytes(t, mlmodel.Ensemble{Models: []mlmodel.Model{mlmodel.Ensemble{Models: []mlmodel.Model{tree, gbm}}, log1}}),
 	}
+}
+
+// raggedArtifact is a hand-made GBM whose four trees are 0, 1, 2 and 9 levels
+// deep: one lockstep group in which walks reach their leaves at four
+// different levels and keep stepping in place until the deepest one is done.
+func raggedArtifact(t testing.TB) []byte {
+	t.Helper()
+	var chain treeJSON // split i sends x[i%4] <= 1 to a leaf and the rest on to split i+1
+	node := func(feature int32, threshold float64, left, right int32, value float64) {
+		chain.Feature = append(chain.Feature, feature)
+		chain.Threshold = append(chain.Threshold, threshold)
+		chain.Left = append(chain.Left, left)
+		chain.Right = append(chain.Right, right)
+		chain.Value = append(chain.Value, value)
+	}
+	for i := int32(0); i < 9; i++ {
+		node(i%4, 1, 2*i+1, 2*i+2, 0)
+		node(-1, 0, 0, 0, float64(i))
+	}
+	node(-1, 0, 0, 0, 9)
+	trees := []treeJSON{
+		{Feature: []int32{-1}, Threshold: []float64{0}, Left: []int32{0}, Right: []int32{0}, Value: []float64{0.5}},
+		{Feature: []int32{2, -1, -1}, Threshold: []float64{5, 0, 0}, Left: []int32{1, 0, 0}, Right: []int32{2, 0, 0}, Value: []float64{0, -1, 1}},
+		{Feature: []int32{0, 1, -1, -1, -1}, Threshold: []float64{3, 6, 0, 0, 0}, Left: []int32{1, 2, 0, 0, 0}, Right: []int32{4, 3, 0, 0, 0}, Value: []float64{0, 0, 1, 2, 3}},
+		chain,
+	}
+	payload, err := json.Marshal(map[string]any{"base": 1.5, "lr": 0.1, "trees": trees})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(envelopeJSON{Type: "gbm", Payload: payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // kernelRows draws rows that sit on split thresholds as often as beside them:
@@ -388,10 +429,11 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 // TestKernelMatchesReferenceWalk is the kernel's contract: for every tree
 // family, and the wrappers over them, mean, spread, lo and hi are bit-equal
-// to the reference walk — at every batch size around the kernel's block and
-// lane boundaries, on rows with non-finite and signed-zero features, for
-// single-leaf trees and for artifacts that predate the spread field — and
-// the kernel's mean-only call and Predict return that same mean.
+// to the reference walk — at batch sizes around the kernel's row block, for
+// tree counts that leave lanes of its last lockstep group empty and for a group
+// whose trees end at different depths, on rows with non-finite and signed-zero
+// features, for single-leaf trees and for artifacts that predate the spread
+// field — and the kernel's mean-only call and Predict return that same mean.
 func TestKernelMatchesReferenceWalk(t *testing.T) {
 	d := synthDataset(400, 9, 17, batchTarget, 0.2)
 	for name, raw := range kernelFamilies(t, d) {
@@ -402,7 +444,7 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 				t.Fatalf("LoadModel: %v", err)
 			}
 			rng := rand.New(rand.NewSource(int64(len(name))))
-			for _, rows := range []int{0, 1, 3, 4, 5, 15, 16, 17, 33, 513} {
+			for _, rows := range []int{0, 1, 2, 3, 4, 5, 9, 15, 16, 17, 33, 513} {
 				X := kernelRows(rng, d, rows)
 				point := make([]float64, rows)
 				mean := make([]float64, rows)
@@ -435,7 +477,7 @@ func TestKernelMatchesReferenceWalk(t *testing.T) {
 func TestSaveLoadSaveIsIdentity(t *testing.T) {
 	d := synthDataset(400, 9, 17, batchTarget, 0.2)
 	for name, raw := range kernelFamilies(t, d) {
-		if strings.Contains(name, "legacy") || name == "gbm/no-rounds" {
+		if strings.Contains(name, "legacy") || name == "gbm/no-rounds" || name == "gbm/ragged" {
 			continue // hand-made files: not in SaveModel's formatting to begin with
 		}
 		m, err := mlmodel.LoadModel(bytes.NewReader(raw))
@@ -462,7 +504,7 @@ func TestPredictBatchDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: LoadModel: %v", name, err)
 		}
-		for _, rows := range []int{1, 16, 64} {
+		for _, rows := range []int{1, 9, 16, 64} {
 			X := kernelRows(rng, d, rows)
 			out := make([][]float64, 4)
 			for i := range out {
@@ -573,7 +615,7 @@ func FuzzLoadModel(f *testing.F) {
 		if w > 1<<12 {
 			t.Skip("wider than any plan vector")
 		}
-		const rows = 5
+		const rows = mlmodel.BlockRows + 1 // a full row block, then a partial one
 		X := vecops.NewMatrix(rows, w)
 		for i := range X.Data {
 			X.Data[i] = float64(i%7) - 3
@@ -603,7 +645,8 @@ func FuzzLoadModel(f *testing.F) {
 }
 
 // BenchmarkForestKernel scores plan-vector-shaped input (399 wide) with a
-// serving-sized GBM, at the enumeration's chunk size and at a large batch.
+// serving-sized GBM: one row (a scalar Predict), the enumeration's most common
+// chunk (9 rows), one full block and a large batch.
 func BenchmarkForestKernel(b *testing.B) {
 	const nf = 399
 	d := synthDataset(2000, nf, 1, func(x []float64) float64 { return x[0]*x[7] + x[100] + x[250]*x[398] }, 0.1)
@@ -611,7 +654,7 @@ func BenchmarkForestKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, rows := range []int{16, 512} {
+	for _, rows := range []int{1, 9, 16, 512} {
 		X := kernelRows(rand.New(rand.NewSource(2)), d, rows)
 		out := make([]float64, rows)
 		b.Run(fmt.Sprintf("PredictBatch/%d", rows), func(b *testing.B) {

@@ -48,17 +48,17 @@ func (f *flatForest) treeJSON(t int) treeJSON {
 		Spread:    make([]float64, n),
 	}
 	for i := lo; i < hi; i++ {
-		j := i - lo
-		tj.Threshold[j] = f.thr[i]
+		j, nd := i-lo, f.nodes[i]
+		tj.Threshold[j] = nd.thr
 		tj.Value[j] = f.value[i]
 		tj.Spread[j] = f.spreadAt(i)
-		if f.kids[2*i] == i {
+		if nd.kids[0] == i {
 			tj.Feature[j] = -1
 			continue
 		}
-		tj.Feature[j] = f.feat[i]
-		tj.Left[j] = f.kids[2*i] - lo
-		tj.Right[j] = f.kids[2*i+1] - lo
+		tj.Feature[j] = nd.feat
+		tj.Left[j] = nd.kids[0] - lo
+		tj.Right[j] = nd.kids[1] - lo
 	}
 	return tj
 }
@@ -72,7 +72,7 @@ func (f *flatForest) treesJSON() []treeJSON {
 	return out
 }
 
-// addTree appends the tree tj describes, straight into the flat slices. An
+// addTree appends the tree tj describes, straight into the flat form. An
 // artifact is untrusted: a split whose child does not come after it inside
 // the tree could loop a walk forever, so it is refused here, at load.
 func (f *flatForest) addTree(tj treeJSON) error {
@@ -90,7 +90,7 @@ func (f *flatForest) addTree(tj treeJSON) error {
 	f.appendSpread(tj.Spread)
 	for i := 0; i < n; i++ {
 		at := f.leaf(tj.Value[i])
-		f.thr[at] = tj.Threshold[i]
+		f.nodes[at].thr = tj.Threshold[i]
 		if tj.Feature[i] < 0 {
 			continue
 		}
