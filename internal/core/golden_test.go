@@ -59,12 +59,62 @@ var scorePruneGolden = map[string]string{
 	"dag60/ensemble": "66b971244c754a9eb735d3f96305adf188c81a20eccd76e3c40b4738eeee145a",
 }
 
-// goldenRun hashes one traced optimization into h.
-func goldenRun(t *testing.T, h io.Writer, l *plan.Logical, m core.CostModel, risk core.Risk, property bool, workers int) {
+// decisionGolden holds, per corpus DAG and model family, a SHA-256 over what
+// the optimizations decide and nothing about how much model work deciding
+// took: plan bytes, Predicted, PredictedDist, VectorsCreated, Merges, Pruned,
+// IntervalKept, PeakEnumSize, Degraded, and each audit step's VectorsIn,
+// VectorsOut and BestPruned. It covers scorePruneGolden's configurations plus
+// two degraded budgets (ForceDegraded, and a MaxVectors cap that trips
+// mid-run) under both Risks and both pruners at Workers ∈ {1, 8}. Recorded at
+// commit 43e5275, while pruning still scored every vector it saw: a change
+// that only moves model work (which vectors are scored, when, in how many
+// batches) must pass it unedited.
+var decisionGolden = map[string]string{
+	"dag20/tree":     "8bb93e55414e498e7f5f3f5b4070a7d339755b957e37948e06490f2927fba8c6",
+	"dag20/forest":   "8936f402c87aa3b98a57a61ff5aa33696ff4fa89993e3208660b97eadbecec01",
+	"dag20/gbm":      "4cc2cd298b44f1101575a5e10c6b53c712b622a4607d21381b84e6b2b4c103c7",
+	"dag20/linear":   "7c0d9542d7256c7ba28ee8682023912b6bc75211664325c65d44cc5a316beb4b",
+	"dag20/mlp":      "93b45b384696491561707b1c6389ed475fc7f2783936a965eb5f027410e70bf7",
+	"dag20/ensemble": "65d4be450e7ab12fa386eca405233ccfec4e0678cf452f9ed582c979e79cbbaf",
+	"dag33/tree":     "8b9c88e7a7e8b620bf12e8cd39ce4ce9e4ee7f993a45f250eaa1a756776becd5",
+	"dag33/forest":   "d88e2def8bcc0a9a4dc5cd27f6730e530e863d953dfd9e7b6949dd191e56501c",
+	"dag33/gbm":      "3afc1b2f1569932a46372716118fb4716e41ddbaca4959d4da4c6d5e64510566",
+	"dag33/linear":   "114bfc3fed56c0fb5fc6ecc8433933519f005ddefc2dceea9082ce3f92bcd8a5",
+	"dag33/mlp":      "11e6397bc69bb77e7bb8cd89da5ba6499447f668c66b8278d4a8f0ffd297de74",
+	"dag33/ensemble": "b12c8956d93be43a34029d74a717689a5bda9f9a92cd6678da3d69e823a9ffbb",
+	"dag47/tree":     "f81d5d4c82b620dbf3b83ebb08da005af59c3e9c7ea81ae396e76213a81521a2",
+	"dag47/forest":   "fbf6cca68a89f2c27bdb940ac48b27c3dcf9da17b3f23af9b924737c9580f5a0",
+	"dag47/gbm":      "f786faf5e988f6e2580955be941deca8d6547f5aed2527c75e8d63938d5ccb10",
+	"dag47/linear":   "1d9bc093f3fd5051a7ff388c1f3c5b083009b468fab686b392372a456dbda95c",
+	"dag47/mlp":      "fc2bb382feb84e853754641e1b94ef0646f012b7120da433fccee13c03e879d4",
+	"dag47/ensemble": "41044e87f5087ec8618241c9397480372a6cf76c97af5b9106923006570ef72a",
+	"dag60/tree":     "77431aacadd81943d1fe46d60a56f32cccbe3df119aefd2a940e02027e50d561",
+	"dag60/forest":   "a57d3c3dd10f5edf61af55649b30838e334379b0fa3e0e84bcc7f158c44db6d5",
+	"dag60/gbm":      "fd395f22f7922a133aedeca1401f3e2ced9ff1d76bbaec53baa2ffa363da9649",
+	"dag60/linear":   "1469f922ba2006f04acbff2289cbd2c5eb0c933e754e75245506ee9c5446edb2",
+	"dag60/mlp":      "aadb86111a93779c02c6b873137f110d4843e62daa05590e619127deadc5c19e",
+	"dag60/ensemble": "1e4da48f3bde81bbdbd2501e2486cf777bc5eb5a42c2a7d9e2b1b677c1c5e4e0",
+}
+
+// goldenBudgets are the degraded configurations of decisionGolden, by name.
+// The MaxVectors cap trips after the first few concatenations of each corpus
+// DAG (checked in goldenRun).
+var goldenBudgets = []struct {
+	name   string
+	budget core.Budget
+}{
+	{"shed", core.Budget{ForceDegraded: true}},
+	{"max-vectors", core.Budget{MaxVectors: 400}},
+}
+
+// goldenRun hashes one traced optimization into h (scorePruneGolden) and its
+// decisions into d (decisionGolden).
+func goldenRun(t *testing.T, h, d io.Writer, l *plan.Logical, m core.CostModel, risk core.Risk, property bool, workers int, budget core.Budget) {
 	t.Helper()
 	ctx := newCtx(t, l, 3)
 	ctx.Workers = workers
 	ctx.Risk = risk
+	ctx.Budget = budget
 	ctx.Trace = obs.NewTrace("golden")
 	var pr core.Pruner = core.BoundaryPruner{Model: m}
 	if property {
@@ -72,16 +122,28 @@ func goldenRun(t *testing.T, h io.Writer, l *plan.Logical, m core.CostModel, ris
 	}
 	res, err := ctx.OptimizeOpts(context.Background(), m, pr, core.OrderPriority)
 	if err != nil {
-		t.Fatalf("Optimize (risk=%+v property=%v workers=%d): %v", risk, property, workers, err)
+		t.Fatalf("Optimize (risk=%+v property=%v workers=%d budget=%+v): %v", risk, property, workers, budget, err)
 	}
+	if budget.Active() && (!res.Degraded || res.Trace.Prunes[0].Degraded != budget.ForceDegraded) {
+		t.Fatalf("budget %+v: degraded %v, first step degraded %v", budget, res.Degraded, res.Trace.Prunes[0].Degraded)
+	}
+	both := io.MultiWriter(h, d)
 	for _, p := range res.Execution.Assign {
-		h.Write([]byte{byte(p)})
+		both.Write([]byte{byte(p)})
 	}
-	d := res.PredictedDist
-	for _, f := range []float64{res.Predicted, d.Mean, d.Spread, d.Lo, d.Hi} {
-		binary.Write(h, binary.LittleEndian, math.Float64bits(f))
+	pd := res.PredictedDist
+	for _, f := range []float64{res.Predicted, pd.Mean, pd.Spread, pd.Lo, pd.Hi} {
+		binary.Write(both, binary.LittleEndian, math.Float64bits(f))
 	}
 	st := res.Stats.Counters()
+	fmt.Fprintf(d, "%d %d %d %d %d %v\n", st.VectorsCreated, st.Merges, st.Pruned, st.IntervalKept, st.PeakEnumSize, st.Degraded)
+	for _, rec := range res.Trace.Prunes {
+		bp, err := json.Marshal(rec.BestPruned)
+		if err != nil {
+			t.Fatalf("marshal best pruned: %v", err)
+		}
+		fmt.Fprintf(d, "%d %d %s\n", rec.VectorsIn, rec.VectorsOut, bp)
+	}
 	fmt.Fprintf(h, "%d %d %d %d %d %d %d %d %v %q %d %d\n", st.VectorsCreated, st.Merges, st.ModelBatches,
 		st.ModelRows, st.MemoHits, st.Pruned, st.IntervalKept, st.PeakEnumSize, st.Degraded, st.DegradeReason,
 		st.Par.Rounds, st.Par.Tasks)
@@ -124,7 +186,7 @@ func TestScorePruneGolden(t *testing.T) {
 				m := families[fam]
 				t.Run(fam, func(t *testing.T) {
 					t.Parallel()
-					all := sha256.New()
+					all, decided := sha256.New(), sha256.New()
 					for _, risk := range risks {
 						for _, property := range []bool{false, true} {
 							// Near-ties in switch-count groups compound: on the
@@ -145,8 +207,11 @@ func TestScorePruneGolden(t *testing.T) {
 								if workers == 2 && (cs.nOps > 33 || (risk.KeepOverlap && property)) {
 									continue
 								}
-								one := sha256.New()
-								goldenRun(t, one, l, m, risk, property, workers)
+								one, dec := sha256.New(), io.Discard
+								if workers != 2 {
+									dec = decided
+								}
+								goldenRun(t, one, dec, l, m, risk, property, workers, core.Budget{})
 								sum := one.Sum(nil)
 								// Per-configuration digests localize a mismatch
 								// when diffed (-v) against a known-good build.
@@ -162,11 +227,19 @@ func TestScorePruneGolden(t *testing.T) {
 								}
 								all.Write(sum)
 							}
+							for _, b := range goldenBudgets {
+								for _, workers := range []int{1, 8} {
+									goldenRun(t, io.Discard, decided, l, m, risk, property, workers, b.budget)
+								}
+							}
 						}
 					}
 					key := cs.name + "/" + fam
 					if got := hex.EncodeToString(all.Sum(nil)); got != scorePruneGolden[key] {
 						t.Errorf("%s: digest %s, recorded %s", key, got, scorePruneGolden[key])
+					}
+					if got := hex.EncodeToString(decided.Sum(nil)); got != decisionGolden[key] {
+						t.Errorf("%s: decision digest %s, recorded %s", key, got, decisionGolden[key])
 					}
 				})
 			}
