@@ -13,9 +13,10 @@ import (
 // TestOptimizeAllocCeiling pins what one cold optimization of Figure 9a's
 // 40-operator pipeline (two platforms, linear model, serial) may allocate:
 // context construction, enumeration and unvectorization together. The run
-// measures 945 allocations / 338 kB. The allocation ceiling sits ten above:
-// scoring through an adapter boxed once per model batch took 984. The byte
-// ceiling sits ~12 % above. Before products were merged into a reused scratch
+// measures 898 allocations / 335 kB. The allocation ceiling sits ten above:
+// a matrix view moved to the heap per model batch took 945, scoring through
+// an adapter boxed once per batch 984. The byte ceiling sits ~12 % above.
+// Before products were merged into a reused scratch
 // the same run took 3074 allocations / 1658 kB, three quarters of the bytes in
 // one zeroed matrix per concatenation. A regression past either ceiling is the
 // enumeration allocating per product, per batch or per plan again.
@@ -24,7 +25,7 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
-		maxAllocs = 955
+		maxAllocs = 908
 		maxBytes  = 380 << 10
 	)
 	l := workload.Pipeline(40, 1e9)

@@ -174,9 +174,9 @@ func BenchmarkAblationBatch(b *testing.B) {
 				merged.Vectors = append(merged.Vectors, ctx.Merge(left.Vectors[j/nr], right.Vectors[j%nr], info, nil))
 			}
 			for _, v := range merged.Vectors {
-				v.Cost = model.Predict(v.F)
+				v.Cost, v.scored = model.Predict(v.F), true
 			}
-			ctx.pruneGroups(merged, nil, nil)
+			ctx.pruneGroups(context.Background(), model, merged, nil, nil)
 		}
 	})
 	b.Run("PredictBatch", func(b *testing.B) {

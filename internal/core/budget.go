@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 	"time"
 )
@@ -20,8 +21,8 @@ import (
 // the graceful half of the latency contract; the hard half is the
 // context.Context deadline, which cancels the run outright.
 //
-// In degraded mode vectors are ranked by Vector.Cost as last set by the
-// pruner (BoundaryPruner and PropertyPruner predict every vector they see);
+// In degraded mode vectors are ranked by their cost under the pruner's model
+// (BoundaryPruner, PropertyPruner), scored first if no prune needed them;
 // with a cost-free pruner the truncation falls back to insertion order,
 // which stays deterministic.
 type Budget struct {
@@ -105,10 +106,24 @@ func truncateCheapest(e *Enumeration, n int, st *Stats) {
 	e.Vectors = e.Vectors[:n]
 }
 
-// truncate is truncateCheapest to the degraded beam for an enumeration that
-// lives in the run's store: the rows of the vectors it drops are released.
-func (c *Context) truncate(e *Enumeration, st *Stats) {
-	all := e.Vectors
-	truncateCheapest(e, c.Budget.cap(), st)
-	c.store.release(all[len(e.Vectors):])
+// truncate is truncateCheapest to the degraded beam, ranked by pr's model, for
+// an enumeration in the run's store: the rows of dropped vectors are released.
+func (c *Context) truncate(ctx context.Context, pr Pruner, e *Enumeration, st *Stats) {
+	if all := e.Vectors; len(all) > c.Budget.cap() {
+		c.rank(ctx, pr, e, st)
+		truncateCheapest(e, c.Budget.cap(), st)
+		c.store.release(all[len(e.Vectors):])
+	}
+}
+
+// rank scores the unscored vectors of e for a degraded beam with a cost-driven
+// pruner's model (a cost-free pruner's all cost 0). If ctx is cancelled, costs
+// stay partial and the run is abandoned at its next check.
+func (c *Context) rank(ctx context.Context, pr Pruner, e *Enumeration, st *Stats) {
+	switch p := pr.(type) {
+	case BoundaryPruner:
+		c.predictEnum(ctx, p.Model, e, st)
+	case PropertyPruner:
+		c.predictEnum(ctx, p.Model, e, st)
+	}
 }

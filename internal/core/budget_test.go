@@ -169,18 +169,26 @@ func assignBytes(r *core.Result) []byte {
 	return out
 }
 
-// TestBudgetMaxModelCallsDegrades exercises the model-call dimension.
+// TestBudgetMaxModelCallsDegrades exercises the model-call dimension: the
+// cap trips, and the run sends the model fewer rows than an unbudgeted one.
 func TestBudgetMaxModelCallsDegrades(t *testing.T) {
 	l := workload.Pipeline(12, 1e7)
 	ctx := newCtx(t, l, 3)
-	ctx.Budget = core.Budget{MaxModelCalls: 20}
 	m := newAdditiveLinModel(ctx.Schema, 5)
+	free, err := ctx.Optimize(context.Background(), m)
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	ctx.Budget = core.Budget{MaxModelCalls: 20}
 	res, err := ctx.Optimize(context.Background(), m)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
 	if !res.Degraded || res.Stats.DegradeReason != "max-model-calls" {
 		t.Fatalf("Degraded = %v reason %q, want degraded via max-model-calls", res.Degraded, res.Stats.DegradeReason)
+	}
+	if res.Stats.ModelRows >= free.Stats.ModelRows {
+		t.Errorf("capped run sent %d rows, unbudgeted %d", res.Stats.ModelRows, free.Stats.ModelRows)
 	}
 	run := simulator.Default().Run(res.Execution)
 	if run.Label() == "" {

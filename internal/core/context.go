@@ -180,6 +180,7 @@ type Context struct {
 	depth        []int         // per op: longest path from a source
 	adjacency    [][]plan.OpID // per op: all neighbours (in and out)
 	effIters     []float64     // per op: loop iterations (1 outside loops)
+	live         []colSpan     // the columns a vector of the plan can set (mergeInto)
 
 	// Per-run enumeration memory (store.go): the vector store of the run in
 	// progress (or last finished, while its result may still be read) and
@@ -187,9 +188,9 @@ type Context struct {
 	// caller's Context, the executing worker's on a pool worker's copy.
 	store   *vecStore
 	scratch *scratch
-	// poison arms the store's test-only poison hook for runs on this
-	// Context (see vecStore.poison).
-	poison bool
+	// poison, the plan's live columns once tests set it, arms the store's
+	// poison hook for runs on this Context (see vecStore.poison).
+	poison []colSpan
 
 	// Per-run tracing state, live only while Trace is set: the run's audit,
 	// its root span, and the prune audit record in flight on the goroutine
@@ -276,6 +277,7 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 		depth:        make([]int, n),
 		adjacency:    make([][]plan.OpID, n),
 		effIters:     make([]float64, n),
+		live:         s.liveColumns(l),
 	}
 	firstInLoop := map[int]plan.OpID{}
 	for _, o := range l.Ops {

@@ -296,14 +296,22 @@ func floatsEqual(a, b []float64) bool {
 // TestMergeTreeIndependence: merging singleton vectors in any random binary
 // tree order yields exactly the same vector as the one-pass
 // VectorizeExecution — the associativity the paper's merge semantics
-// require.
+// require. Merge writes only the plan's live columns, so the plans include
+// one of three operator kinds, whose blocks are few and far apart.
 func TestMergeTreeIndependence(t *testing.T) {
+	few := plan.NewBuilder(100)
+	head := few.Source(platform.TextFileSource, "src", 1e5)
+	for i := 0; i < 6; i++ {
+		head = few.Add(platform.Map, "map", platform.Linear, 0.9, head)
+	}
+	few.Add(platform.CollectionSink, "sink", platform.Logarithmic, 1, head)
 	plans := []*plan.Logical{
 		workload.RunningExample(),
 		workload.Pipeline(9, 1e7),
 		workload.JoinTree(2, 1e7),
 		workload.Kmeans(1e7, workload.DefaultKmeans),
 		workload.RandomDAG(12, 1e7, 7),
+		few.MustBuild(),
 	}
 	rng := rand.New(rand.NewSource(42))
 	for pi, l := range plans {

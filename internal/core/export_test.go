@@ -3,9 +3,10 @@ package core
 // PoisonFreed arms the vector store's poison hook for every later run on c:
 // rows returned to the free list, the worker scratch before each product and
 // the whole store when an Optimize* run ends are overwritten with NaN
-// features and costs and out-of-range platform columns, so a read of freed
-// or stale memory cannot produce a plausible plan.
-func (c *Context) PoisonFreed() { c.poison = true }
+// features (in the plan's live columns; the rest stays 0) and costs and
+// out-of-range platform columns, so a read of freed or stale memory cannot
+// produce a plausible plan.
+func (c *Context) PoisonFreed() { c.poison = c.live }
 
 // LiveRows is the number of store rows of the run in progress (or last
 // finished by EnumerateFull or Enumerate) that are not on the free list.
@@ -14,3 +15,36 @@ func (c *Context) LiveRows() int { return c.store.rows - len(c.store.free) }
 // PruneBlock is the number of model calls between two cancellation checks of
 // the scoring loop.
 const PruneBlock = pruneBlock
+
+// DeadCells walks the feature rows of the run in progress (or last finished
+// by EnumerateFull or Enumerate) — every store chunk, which the store lists
+// only with the poison hook armed, and every worker's scratch — and returns
+// how many of their cells lie outside the plan's live columns and how many
+// of those are not exactly 0.
+func (c *Context) DeadCells() (cells, nonzero int) {
+	dead := func(f []float64) {
+		for _, x := range f {
+			cells++
+			if x != 0 {
+				nonzero++
+			}
+		}
+	}
+	walk := func(f []float64) {
+		for row := 0; row < len(f); row += c.store.cols {
+			from := row
+			for _, sp := range c.live {
+				dead(f[from : row+sp.lo])
+				from = row + sp.hi
+			}
+			dead(f[from : row+c.store.cols])
+		}
+	}
+	for _, ch := range c.store.chunks {
+		walk(ch.F)
+	}
+	for _, sc := range c.store.workers {
+		walk(sc.data)
+	}
+	return cells, nonzero
+}

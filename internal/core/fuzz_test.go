@@ -24,7 +24,9 @@ import (
 //     (VectorsOut ≤ VectorsIn);
 //   - the selected plan is executable: one assignment per operator, each
 //     assignment drawn from that operator's admissible platforms, and a
-//     conversion on exactly the edges whose endpoints changed platform.
+//     conversion on exactly the edges whose endpoints changed platform;
+//   - every store and scratch row of the same enumeration is exactly 0
+//     outside the plan's live columns, the only ones merge writes.
 //
 // Tiny budgets are the interesting corner: they flip the run into degraded
 // beam mode mid-enumeration, which must truncate — not corrupt — the result.
@@ -76,6 +78,14 @@ func FuzzEnumerate(f *testing.F) {
 		}
 		if switches != len(res.Execution.Conversions) {
 			t.Errorf("%d platform switches but %d conversions", switches, len(res.Execution.Conversions))
+		}
+		// Optimize drops its rows when it returns; the same enumeration run
+		// again keeps them for inspection.
+		if _, err := ctx.EnumerateFull(context.Background(), core.BoundaryPruner{Model: m}, core.OrderPriority, nil); err != nil {
+			t.Fatalf("EnumerateFull: %v", err)
+		}
+		if cells, nonzero := ctx.DeadCells(); nonzero != 0 {
+			t.Errorf("%d of %d cells outside the live columns are not 0", nonzero, cells)
 		}
 	})
 }

@@ -28,35 +28,38 @@ import (
 // pruning code; they pin that the one routine which replaced both reproduces
 // the old observation order exactly (tree families produce many exactly-equal
 // costs, so the audit's "cheapest discard, first observed wins" and the
-// near-tie order both depend on it). Every run has the vector store's poison
-// hook armed (newCtx), so a vector read after its row was recycled is a
-// digest mismatch too. Re-record only for a change that means to alter a
-// decision, and say which in the commit.
+// near-tie order both depend on it). They were re-recorded once when pruning
+// stopped scoring vectors alone in their group: that moved ModelRows,
+// ModelBatches, MemoHits and the audit's bestCost/worstCost, and no decision
+// (decisionGolden, recorded before, still passes). Every run has the vector
+// store's poison hook armed (newCtx), so a vector read after its row was
+// recycled is a digest mismatch too. Re-record only for a change that means
+// to alter a decision or the model work, and say which in the commit.
 var scorePruneGolden = map[string]string{
-	"dag20/tree":     "f941b934d752aacbedd76fd2c1f48aa5fa1910260eff31645e9d5445937a23bc",
-	"dag20/forest":   "853a35b0139c0f9f9fa551120bfefc6f12d5fdfb2d94401468f3bd6933995bc5",
-	"dag20/gbm":      "d0ddd0c1f73b4f4ba1a9c5869acff6a668f34f657692afa3a45c44e8ef41f82c",
-	"dag20/linear":   "559e7f4e33197a7af29ee576204a6ef13ff7305bf731f1473118a20d832781a8",
-	"dag20/mlp":      "9825804bfdb192d6c0dbb29c0372ddb151bcdcb59cd5a4135a9fea0f450a96c2",
-	"dag20/ensemble": "99f355a91c25d02331bce3bb29e2ad0585bea89c47b45b9cb28cdae43efc52a8",
-	"dag33/tree":     "58e29a077c9784fc9d9025d3fa5f4377b430f7e19d39abecc01a6c8e66110e6d",
-	"dag33/forest":   "1657d657da9465dc813edc42ff9567332869c1bbb8375171f96337014e80bbd5",
-	"dag33/gbm":      "67f579aa62c78d66e9bf80577055090efb08d2bfa029a63809e186b16de4fea8",
-	"dag33/linear":   "9d5733e76cea77ad2fc6b2da2822e171b255b52135c8705a37ac38a0c6e4e1a3",
-	"dag33/mlp":      "c3faa8d1902576acc0ffe05d09da41cc8a770b9db6512e9b965f54b29e6cc175",
-	"dag33/ensemble": "4d72919595f7b693dff4ec635550d974ebbf6d1398c170fc684a526e1b33eeef",
-	"dag47/tree":     "1770a064a7194a2f75088c297a983e46eac49450731f7bb76ac52e81a2fdf4e2",
-	"dag47/forest":   "fd7f4b430cd1069d37d5c2b212e28d2439db77f771d96b609bce1faf14a7a000",
-	"dag47/gbm":      "081e1ad8c653dc59be2de8f7a8fec5be141c5daf91031453a305114f48eab9d4",
-	"dag47/linear":   "b8a8ff60243b82624154777595cf29970f1749bfe674f34709587bee8731ce33",
-	"dag47/mlp":      "b3b3c60e8fb836b0750c7c9305b55bd75560967e452e7f2fc02ed165ccb01f8c",
-	"dag47/ensemble": "a1745c798e9bb411bd341b70e82bbcaf1e7cd9add31f740ee1c9eee747c7b626",
-	"dag60/tree":     "73cc1dc0e67b6bfbbb3191a5d58fffe48718e591b04ab97ebd892f4e560b3a4b",
-	"dag60/forest":   "ae2c9f07062b72afd00f1072d602667db91e9d1cbec15a6b6e32f767ccf29f3d",
-	"dag60/gbm":      "8320bf5a25637b5da496b3096ce2f68f2adc343c96f297784f9ecd0f0b05a86a",
-	"dag60/linear":   "94699e3bb8b6276d6f53ad70a139b0094a495eb2b909ac54fec8ed117266c071",
-	"dag60/mlp":      "3f281d78d25497b293312d99cc060b717e7a2c69f8f37494ecfb10e920eb7dfc",
-	"dag60/ensemble": "66b971244c754a9eb735d3f96305adf188c81a20eccd76e3c40b4738eeee145a",
+	"dag20/tree":     "aa654b51424f42a2979b4f63115007ae1af179cc1e4eb0d2f5e268ae0cb95dc3",
+	"dag20/forest":   "c0cf002178eea33219c173a81b0846d546a296d4a23e0a3ea206bbca7090b204",
+	"dag20/gbm":      "96cb772c7c068685942197a69c87a1d787852b3462ca23046a097000e7a1dbfc",
+	"dag20/linear":   "0fbf388846a7843319c8e4d9d6bba3794fa79415f632dbb4a8824e653fb978cb",
+	"dag20/mlp":      "89e01407a7f3ab6d35288121afef30360077f9d4376b823dc2a43a865b2fa25b",
+	"dag20/ensemble": "0129fbcb365075e2ccfbe15b8445ce359656ff6107e62b71fbcb4007681c0c68",
+	"dag33/tree":     "9d5a39b3486343259a2549b3bf56954b93ee4ecc36ce888e303ffd52dd44de17",
+	"dag33/forest":   "40a39dac5e418d7abb8a73ab88b7084d4bb9ab1d6710e1004ee717815a390252",
+	"dag33/gbm":      "a1e335df6cc86e6e29792fa7366f69c861742301277725bc3c7463330f80c5d7",
+	"dag33/linear":   "2dc141656636e87549149fa9d4377035cf00a06abe973a9f09b0c5319b94ce2e",
+	"dag33/mlp":      "15b6325ff3e34114e96aa0c0d634b923d02f387ced68542d5fc6d3de2f42a7da",
+	"dag33/ensemble": "cbce2b4359c99f5e8a648f2fbe6ab425c578e32f99683fa461ae1ce7a5358a9a",
+	"dag47/tree":     "abd52daa1d342c43b4a6a8b5d27cd6a45a192f627d25bf41bce06a25a4f8075c",
+	"dag47/forest":   "7deb9b036937b734cfd0d2ea05ed8c77d11733adae9e97471c39b224a4603756",
+	"dag47/gbm":      "b1859e2247b0590e30fbe4174ab55fb2db51aaa142d8b1a330c0cc23a564073c",
+	"dag47/linear":   "284018420be8b7e72448e8a841262b740a77fa7e2b97b7794e771d814696c512",
+	"dag47/mlp":      "4293f22feed327dd1909f03c650f4212c444417e2956d1d57457297c0d189699",
+	"dag47/ensemble": "550824c2c47704354d466013daa3dff462227ba1d4c23b846919f03fe472d623",
+	"dag60/tree":     "880405a5663217acafd54cf7ec213417ccf4efed66e8e41d637d6c07378c09ca",
+	"dag60/forest":   "2e852186176a4a41de797b0e7b8c6bfc14287c4993085f48a79ea7130c429d2f",
+	"dag60/gbm":      "c666fd3944f6da6ca2370242216688b439269cb8ea5307f96bd23a62223c6702",
+	"dag60/linear":   "330bfd02992153381e9a506f278f365e0292a9a17891377739b2dd1ed26ac369",
+	"dag60/mlp":      "d3b92d27153ccbbd220dbb98917a1a0a4920869a90c479303ea507fb9b1aa750",
+	"dag60/ensemble": "38a0aea9878d2c66f3718f37d1910d325753e1025a860840abf37573acc0d378",
 }
 
 // decisionGolden holds, per corpus DAG and model family, a SHA-256 over what
@@ -96,16 +99,10 @@ var decisionGolden = map[string]string{
 	"dag60/ensemble": "1e4da48f3bde81bbdbd2501e2486cf777bc5eb5a42c2a7d9e2b1b677c1c5e4e0",
 }
 
-// goldenBudgets are the degraded configurations of decisionGolden, by name.
-// The MaxVectors cap trips after the first few concatenations of each corpus
-// DAG (checked in goldenRun).
-var goldenBudgets = []struct {
-	name   string
-	budget core.Budget
-}{
-	{"shed", core.Budget{ForceDegraded: true}},
-	{"max-vectors", core.Budget{MaxVectors: 400}},
-}
+// goldenBudgets are the degraded configurations of decisionGolden. The
+// MaxVectors cap trips after the first few concatenations of each corpus DAG
+// (checked in goldenRun).
+var goldenBudgets = []core.Budget{{ForceDegraded: true}, {MaxVectors: 400}}
 
 // goldenRun hashes one traced optimization into h (scorePruneGolden) and its
 // decisions into d (decisionGolden).
@@ -229,7 +226,7 @@ func TestScorePruneGolden(t *testing.T) {
 							}
 							for _, b := range goldenBudgets {
 								for _, workers := range []int{1, 8} {
-									goldenRun(t, io.Discard, decided, l, m, risk, property, workers, b.budget)
+									goldenRun(t, io.Discard, decided, l, m, risk, property, workers, b)
 								}
 							}
 						}

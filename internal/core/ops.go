@@ -102,6 +102,18 @@ func (c *Context) convCard(e plan.Edge) float64 {
 	return card
 }
 
+// addConversion records in f the conversion edge e needs when its endpoints
+// run on platform columns pa and pb, if they differ.
+func (c *Context) addConversion(f []float64, e plan.Edge, pa, pb uint8) {
+	if s := c.Schema; pa != pb {
+		card := c.convCard(e)
+		f[s.MovePlatformCell(int(pa))]++
+		f[s.MovePlatformCell(int(pb))]++
+		f[s.MoveInCardCell()] += card
+		f[s.MoveOutCardCell()] += card
+	}
+}
+
 // totalFuses counts dataflow edges whose endpoints are both linear: each
 // such edge fuses two pipeline segments into one.
 func (c *Context) totalFuses() int {
@@ -291,17 +303,18 @@ func (c *Context) Unvectorize(v *Vector) (*plan.Execution, error) {
 
 // MergeCtx precomputes the plan-structure information shared by every merge
 // of vectors from two fixed enumerations: the dataflow edges crossing the
-// two scopes and how many of them fuse pipeline segments. Conversion
-// features depend on the per-pair platform choices and are computed inside
-// Merge itself.
+// two scopes, how many of them fuse pipeline segments, and the second scope.
+// Conversion features depend on the per-pair platform choices and are
+// computed inside Merge itself.
 type MergeCtx struct {
 	Crossing []plan.Edge
 	Fuses    int
+	right    plan.Bitset
 }
 
-// MergeInfo builds the MergeCtx for concatenating enumerations a and b.
+// MergeInfo builds the MergeCtx for Merge(v1, v2) with v1 from a, v2 from b.
 func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
-	info := &MergeCtx{Crossing: c.crossingEdges(a.Scope, b.Scope)}
+	info := &MergeCtx{Crossing: c.crossingEdges(a.Scope, b.Scope), right: b.Scope}
 	for _, e := range info.Crossing {
 		if c.linear[e.From] && c.linear[e.To] {
 			info.Fuses++
@@ -327,20 +340,17 @@ func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
 
 // mergeInto is Merge writing into a pre-allocated vector (a scratch or store
 // row on the enumeration fast path). out.F and out.Assign must have the
-// schema and plan widths; every cell is overwritten, whatever it held.
+// schema and plan widths. Only the plan's live columns are written, so out.F
+// must be zero outside them, as every row of a run is from allocation on.
 func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
-	s := c.Schema
 	out.Cost, out.Dist, out.scored = 0, CostDist{}, false
-	vecops.Add(out.F, v1.F, v2.F)
-	out.F[TopoPipeline] -= float64(info.Fuses)
-	// The dataset cell and the per-platform peak-bytes cells merge by max,
-	// not by sum.
-	d := s.DatasetCell()
-	out.F[d] = v1.F[d]
-	if v2.F[d] > out.F[d] {
-		out.F[d] = v2.F[d]
+	for _, sp := range c.live {
+		vecops.Add(out.F[sp.lo:sp.hi], v1.F[sp.lo:sp.hi], v2.F[sp.lo:sp.hi])
 	}
-	lo, hi := s.maxMergedRange()
+	out.F[TopoPipeline] -= float64(info.Fuses)
+	// The per-platform peak-bytes cells and the dataset cell merge by max,
+	// not by sum.
+	lo, hi := c.Schema.maxMergedRange()
 	for i := lo; i < hi; i++ {
 		out.F[i] = v1.F[i]
 		if v2.F[i] > out.F[i] {
@@ -348,20 +358,11 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 		}
 	}
 	copy(out.Assign, v1.Assign)
-	for i, a := range v2.Assign {
-		if a != Unassigned {
-			out.Assign[i] = a
-		}
+	for id := info.right.Next(0); id >= 0; id = info.right.Next(id + 1) {
+		out.Assign[id] = v2.Assign[id]
 	}
 	for _, e := range info.Crossing {
-		pa, pb := out.Assign[e.From], out.Assign[e.To]
-		if pa != pb {
-			card := c.convCard(e)
-			out.F[s.MovePlatformCell(int(pa))]++
-			out.F[s.MovePlatformCell(int(pb))]++
-			out.F[s.MoveInCardCell()] += card
-			out.F[s.MoveOutCardCell()] += card
-		}
+		c.addConversion(out.F, e, out.Assign[e.From], out.Assign[e.To])
 	}
 	if st != nil {
 		st.Merges++
@@ -399,15 +400,12 @@ type BoundaryPruner struct {
 	Model CostModel
 }
 
-// Prune applies boundary pruning to e using the model as the cost oracle.
-// The whole enumeration is scored with one batched model invocation (vectors
-// already scored excepted; see predictEnum) and survivors carry their
-// predicted cost in Vector.Cost. A cancelled ctx returns early without
-// pruning; the caller is expected to abandon the enumeration.
+// Prune applies boundary pruning to e using the model as the cost oracle:
+// the vectors it compares are scored with one batched model invocation (see
+// pruneGroups). A cancelled ctx returns early without pruning; the caller is
+// expected to abandon the enumeration.
 func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
-	if c.predictEnum(ctx, p.Model, e, st) {
-		c.pruneGroups(e, st, nil)
-	}
+	c.pruneGroups(ctx, p.Model, e, st, nil)
 }
 
 // groupKey identifies a pruning group within one enumeration: the pruning
@@ -416,44 +414,30 @@ func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, s
 type groupKey struct{ foot, prop uint64 }
 
 // pruneGroups is the prune operation itself (Section IV-E), shared by every
-// cost-driven pruner; costs must already be set. Vectors group by pruning
-// footprint refined by the keys of props ("interesting properties", Section
-// V); per group the lowest-cost vector wins, ties to the earliest. Without
-// Risk.KeepOverlap that is Definition 2: one survivor per group, in group
-// first-seen order. With it, up to overlapKept-1 further members whose
-// predictive interval overlaps their winner's survive behind it, cheapest
-// first — insurance against the model misordering plans it cannot separate.
-// Extra survivors only widen the enumeration Lemma 1 reasons about, so the
-// winner-per-footprint guarantee holds for either setting. Everything here
-// is a function of the vectors' order and costs alone, hence identical for
-// any Workers.
+// cost-driven pruner. Vectors group by pruning footprint refined by the keys
+// of props ("interesting properties", Section V); per group the lowest-cost
+// vector wins, ties to the earliest. Without Risk.KeepOverlap that is
+// Definition 2: one survivor per group, in group first-seen order. With it,
+// up to overlapKept-1 further members whose predictive interval overlaps
+// their winner's survive behind it, cheapest first — insurance against the
+// model misordering plans it cannot separate. Extra survivors only widen the
+// enumeration Lemma 1 reasons about, so the winner-per-footprint guarantee
+// holds for either setting. Everything here is a function of the vectors'
+// order and costs alone, hence identical for any Workers.
+//
+// Three passes: number the groups; score with m the unscored members of
+// groups of two or more (a vector alone in its group survives whatever it
+// costs: GetOptimal or a degraded beam scores it if they read it, a later
+// prune sees only new rows); settle. A cancelled ctx leaves e unpruned.
 //
 // A group that keeps no near-ties settles each loss as it happens, so that
-// case allocates nothing (the group map is the worker scratch's, cleared per
-// prune) — it runs after every concatenation of every request. Otherwise no
-// member's fate is known before its group's winner is final, and all of them
-// wait.
-func (c *Context) pruneGroups(e *Enumeration, st *Stats, props []Property) {
+// case allocates nothing (the bookkeeping is the worker scratch's) — it runs
+// after every concatenation of every request. Otherwise no member's fate is
+// known before its group's winner is final, and all of them wait.
+func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, st *Stats, props []Property) {
 	if len(e.Vectors) <= 1 {
 		return
 	}
-	e.mat = nil
-	nearTies := 0
-	if c.Risk.KeepOverlap {
-		nearTies = overlapKept - 1
-	}
-	rec := c.curRec
-	discard := func(v *Vector, survivorSlot int) {
-		if st != nil {
-			st.Pruned++
-		}
-		rec.observeDiscard(v, survivorSlot)
-	}
-	type member struct {
-		v     *Vector
-		group int
-	}
-	var waiting []member
 	var wide map[string]uint64
 	sc := c.work()
 	if sc.groups == nil {
@@ -461,7 +445,7 @@ func (c *Context) pruneGroups(e *Enumeration, st *Stats, props []Property) {
 	}
 	groups := sc.groups
 	clear(groups)
-	kept := e.Vectors[:0]
+	sc.group, sc.size = sc.group[:0], sc.size[:0]
 	for _, v := range e.Vectors {
 		foot, sfoot, packed := footprintKey(v.Assign, e.Boundary)
 		if !packed {
@@ -484,14 +468,52 @@ func (c *Context) pruneGroups(e *Enumeration, st *Stats, props []Property) {
 		}
 		g, seen := groups[k]
 		if !seen {
-			g = len(kept)
+			g = len(sc.size)
 			groups[k] = g
-			kept = append(kept, v)
+			sc.size = append(sc.size, 0)
 		}
+		sc.size[g]++
+		sc.group = append(sc.group, g)
+	}
+	sc.miss = sc.miss[:0]
+	hits := 0
+	for i, v := range e.Vectors {
+		if contested := sc.size[sc.group[i]] >= 2; contested && v.scored {
+			hits++
+		} else if contested {
+			sc.miss = append(sc.miss, i)
+		}
+	}
+	if !c.predict(ctx, m, e, hits, st) {
+		return
+	}
+	e.mat = nil
+	nearTies := 0
+	if c.Risk.KeepOverlap {
+		nearTies = overlapKept - 1
+	}
+	rec := c.curRec
+	discard := func(v *Vector, survivorSlot int) {
+		if st != nil {
+			st.Pruned++
+		}
+		rec.observeDiscard(v, survivorSlot)
+	}
+	type member struct {
+		v     *Vector
+		group int
+	}
+	var waiting []member
+	// Groups are numbered in first-seen order: group g's first member finds g kept.
+	kept := e.Vectors[:0]
+	for i, v := range e.Vectors {
+		g := sc.group[i]
 		switch {
 		case nearTies > 0:
 			waiting = append(waiting, member{v, g})
-		case seen:
+		case g == len(kept):
+			kept = append(kept, v)
+		default:
 			if v.Cost < kept[g].Cost {
 				v, kept[g] = kept[g], v
 			}
@@ -576,10 +598,10 @@ func (NoPruner) Prune(context.Context, *Context, *Enumeration, *Stats) {}
 // GetOptimal predicts the runtime of every vector in e and returns the one
 // with the lowest prediction (Algorithm 1, line 18). Ties resolve to the
 // earliest vector for determinism. Prediction goes through the same batched
-// helper as the pruners (after a pruned run, every survivor is already
-// scored, so the final selection costs no model work at all). A nil return
-// means the enumeration was empty or ctx was cancelled mid-batch; the caller
-// distinguishes the two via ctx.Err().
+// helper as the pruners, and only vectors not scored yet are sent: after a
+// pruned run, those are the survivors the last prune had nothing to compare
+// with. A nil return means the enumeration was empty or ctx was cancelled
+// mid-batch; the caller distinguishes the two via ctx.Err().
 func (c *Context) GetOptimal(ctx context.Context, e *Enumeration, m CostModel, st *Stats) *Vector {
 	if len(e.Vectors) == 0 {
 		return nil
@@ -610,14 +632,7 @@ func (c *Context) VectorizeExecution(assign []uint8) *Vector {
 	}
 	v.F[TopoPipeline] -= float64(c.totalFuses())
 	for _, e := range c.edges {
-		pa, pb := assign[e.From], assign[e.To]
-		if pa != pb {
-			card := c.convCard(e)
-			v.F[s.MovePlatformCell(int(pa))]++
-			v.F[s.MovePlatformCell(int(pb))]++
-			v.F[s.MoveInCardCell()] += card
-			v.F[s.MoveOutCardCell()] += card
-		}
+		c.addConversion(v.F, e, assign[e.From], assign[e.To])
 	}
 	v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
 	return v

@@ -8,10 +8,11 @@ import (
 // parallelFor splits [0, n) into contiguous chunks and runs fn on each chunk
 // from its own goroutine. With workers ≤ 1 (or a small n) it runs inline.
 // Chunks are contiguous so callers can write into pre-sized result slices
-// without synchronization and with deterministic placement.
-func parallelFor(n, workers int, fn func(lo, hi int)) {
+// without synchronization and with deterministic placement. fn also gets the
+// chunk's index, below max(workers, 1): concurrent calls never share one.
+func parallelFor(n, workers int, fn func(chunk, lo, hi int)) {
 	if workers <= 1 || n < 64 {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	if workers > n {
@@ -27,7 +28,7 @@ func parallelFor(n, workers int, fn func(lo, hi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo, hi)
+			fn(lo/chunk, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -41,7 +42,7 @@ func parallelFor(n, workers int, fn func(lo, hi int)) {
 // partially-filled result slice as invalid. A context that can never be
 // cancelled (Done() == nil, e.g. context.Background()) takes the unchecked
 // fast path with zero per-block overhead.
-func parallelForCtx(ctx context.Context, n, workers, block int, fn func(lo, hi int)) error {
+func parallelForCtx(ctx context.Context, n, workers, block int, fn func(chunk, lo, hi int)) error {
 	if ctx == nil || ctx.Done() == nil {
 		parallelFor(n, workers, fn)
 		return nil
@@ -49,7 +50,7 @@ func parallelForCtx(ctx context.Context, n, workers, block int, fn func(lo, hi i
 	if block <= 0 {
 		block = 256
 	}
-	parallelFor(n, workers, func(lo, hi int) {
+	parallelFor(n, workers, func(chunk, lo, hi int) {
 		for b := lo; b < hi; b += block {
 			if ctx.Err() != nil {
 				return
@@ -58,7 +59,7 @@ func parallelForCtx(ctx context.Context, n, workers, block int, fn func(lo, hi i
 			if e > hi {
 				e = hi
 			}
-			fn(b, e)
+			fn(chunk, b, e)
 		}
 	})
 	return ctx.Err()

@@ -24,18 +24,15 @@ func (c *Context) OptimizeProvider(ctx context.Context, mp ModelProvider) (*Resu
 	return c.Optimize(ctx, mp.ActiveModel())
 }
 
-// features returns the flat row-major matrix of the unscored vectors of e,
-// listed in miss. When that is every vector and the enumeration carries its
-// feature matrix (the common case: predict runs right after the merge that
-// laid the rows out), it is that matrix itself; otherwise — some vectors were
-// already scored, pruning dropped or reordered rows, or the enumeration was
-// assembled by hand — the rows are gathered into the scratch. Returned by
-// value so that predictEnum's chunk closure captures it without an
-// allocation.
+// features returns the flat row-major matrix of the vectors of e listed in
+// miss: a view of the enumeration's feature matrix when it has one and they
+// are consecutive (the common case: a product just merged, its groups all
+// contested), otherwise their rows gathered into the scratch. Returned by
+// value so that predict's chunk closure captures it without an allocation.
 func (sc *scratch) features(e *Enumeration, cols int) vecops.Matrix {
 	n := len(sc.miss)
-	if e.mat != nil && n == e.mat.Rows && n == len(e.Vectors) {
-		return *e.mat
+	if e.mat != nil && sc.miss[n-1]-sc.miss[0] == n-1 {
+		return e.mat.RowsView(sc.miss[0], sc.miss[n-1]+1)
 	}
 	if cap(sc.gather) < n*cols {
 		sc.gather = make([]float64, n*cols)
@@ -47,35 +44,33 @@ func (sc *scratch) features(e *Enumeration, cols int) vecops.Matrix {
 	return m
 }
 
-// predictEnum sets Vector.Dist to the model's predictive distribution and
-// Vector.Cost to its selection score (Context.score) for every vector of e
-// through one batched model invocation, and is the single
-// prediction/accounting path shared by BoundaryPruner, PropertyPruner and
-// GetOptimal. Vectors that already carry this run's prediction are not sent
-// again (Stats.MemoHits); the rest form one flat matrix scored by a single
-// logical PredictBatchDist (Stats.ModelBatches/ModelRows), chunked across
-// workers via parallelForCtx in pruneBlock-sized blocks so cancellation
-// latency stays bounded by one block of model work. Returns false when ctx
-// was cancelled mid-batch; costs are then partial and the caller must abandon
-// the enumeration.
+// predictEnum scores every vector of e not scored yet (see predict).
 func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, st *Stats) bool {
-	n := len(e.Vectors)
-	if n == 0 {
-		return true
-	}
-	start := time.Now()
-	// Scored pass (serial, so hit counts are deterministic for any Workers).
 	sc := c.work()
 	sc.miss = sc.miss[:0]
 	for i, v := range e.Vectors {
-		if v.scored {
-			v.Cost = c.score(v.Dist)
-		} else {
+		if !v.scored {
 			sc.miss = append(sc.miss, i)
 		}
 	}
+	return c.predict(ctx, m, e, len(e.Vectors)-len(sc.miss), st)
+}
+
+// predict sets Vector.Dist to the model's predictive distribution and
+// Vector.Cost to its selection score (Context.score) for the vectors of e
+// listed in the scratch's miss through one batched model invocation, and is
+// the single prediction/accounting path shared by pruneGroups and
+// predictEnum. hits counts the vectors the caller needed and found already
+// scored (Stats.MemoHits); the listed ones form one flat matrix scored by a
+// single logical PredictBatchDist (Stats.ModelBatches/ModelRows), chunked
+// across workers via parallelForCtx in pruneBlock-sized blocks so
+// cancellation latency stays bounded by one block of model work. Returns
+// false when ctx was cancelled mid-batch; costs are then partial and the
+// caller must abandon the enumeration.
+func (c *Context) predict(ctx context.Context, m CostModel, e *Enumeration, hits int, st *Stats) bool {
+	start := time.Now()
+	sc := c.work()
 	miss := sc.miss
-	hits := n - len(miss)
 	ok := true
 	if len(miss) > 0 {
 		X := sc.features(e, c.Schema.Len())
@@ -86,12 +81,15 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 		buf := sc.out[:4*len(miss)]
 		mean, spread := buf[:len(miss)], buf[len(miss):2*len(miss)]
 		lov, hiv := buf[2*len(miss):3*len(miss)], buf[3*len(miss):]
-		err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(lo, hi int) {
-			// Sliced from a copy: a method call on X itself would take its
-			// address and move it to the heap, one allocation per batch.
-			sub := X
-			sub = sub.RowsView(lo, hi)
-			m.PredictBatchDist(&sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
+		// The model's matrix argument escapes: views live in the scratch.
+		if len(sc.views) < max(c.Workers, 1) {
+			sc.views = make([]vecops.Matrix, max(c.Workers, 1))
+		}
+		err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(chunk, lo, hi int) {
+			sub := &sc.views[chunk]
+			*sub = X
+			*sub = sub.RowsView(lo, hi)
+			m.PredictBatchDist(sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
 		})
 		if err != nil {
 			ok = false

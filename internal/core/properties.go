@@ -82,11 +82,9 @@ type PropertyPruner struct {
 	Properties []Property
 }
 
-// Prune implements Pruner: BoundaryPruner's score-then-prune with the
-// properties refining the groups, so with none the two are the same
-// operation. Like it, it returns early without pruning when cancelled.
+// Prune implements Pruner: BoundaryPruner's prune with the properties
+// refining the groups, so with none the two are the same operation. Like it,
+// it returns early without pruning when cancelled.
 func (p PropertyPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
-	if c.predictEnum(ctx, p.Model, e, st) {
-		c.pruneGroups(e, st, p.Properties)
-	}
+	c.pruneGroups(ctx, p.Model, e, st, p.Properties)
 }

@@ -235,8 +235,8 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 			}
 		}
 		if deg {
-			tc.truncate(cur, st)
-			tc.truncate(child.e, st)
+			tc.truncate(ctx, pr, cur, st)
+			tc.truncate(ctx, pr, child.e, st)
 		}
 		left, right := cur.Vectors, child.e.Vectors
 		pairs := len(left) * len(right)
@@ -249,7 +249,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		// product (pair i is left[i/len(right)] × right[i%len(right)]) fans
 		// out across workers writing into disjoint scratch rows; chunked
 		// writes keep the vector order deterministic.
-		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, func(lo, hi int) {
+		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				tc.mergeInto(merged.Vectors[i], left[i/len(right)], right[i%len(right)], info, nil)
 			}
@@ -273,6 +273,9 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		}
 		pruneStart := time.Now()
 		pr.Prune(ctx, tc, merged, st)
+		if deg { // the beam below ranks every survivor
+			tc.rank(ctx, pr, merged, st)
+		}
 		st.Timings.Prune += time.Since(pruneStart)
 		if tc.curRec != nil {
 			tc.rt.endPrune(tc.curRec, merged)

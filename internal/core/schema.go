@@ -13,6 +13,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/plan"
 	"repro/internal/platform"
 )
 
@@ -219,13 +220,36 @@ func (s *Schema) IOBytesCell(pi int) int { return s.loadOff + 3*len(s.Platforms)
 // a sum — and it is the direct driver of single-node out-of-memory failures.
 func (s *Schema) MaxBytesCell(pi int) int { return s.loadOff + 4*len(s.Platforms) + pi }
 
-// maxMergedLo/Hi bound the cell range that merges by max instead of sum.
+// maxMergedRange bounds the cells that merge by max instead of sum: the
+// per-platform peak bytes and the dataset cell right after them.
 func (s *Schema) maxMergedRange() (lo, hi int) {
-	return s.MaxBytesCell(0), s.MaxBytesCell(len(s.Platforms)-1) + 1
+	return s.MaxBytesCell(0), s.DatasetCell() + 1
 }
 
 // DatasetCell returns the index of the average-tuple-size cell.
 func (s *Schema) DatasetCell() int { return s.dataOff }
+
+// colSpan is the column range [lo, hi) of a plan vector.
+type colSpan struct{ lo, hi int }
+
+// liveColumns returns the ascending column ranges a vector of l can set: the
+// topology cells, the block of each operator kind l contains (adjacent ones
+// coalesced), and the movement, load and dataset tail. The rest is zero.
+func (s *Schema) liveColumns(l *plan.Logical) []colSpan {
+	var used [platform.KindCount]bool
+	for _, o := range l.Ops {
+		used[o.Kind] = true
+	}
+	spans := append(make([]colSpan, 0, len(s.Kinds)+2), colSpan{0, topoCells})
+	for _, k := range s.Kinds {
+		if lo := s.opOff(k); used[k] && spans[len(spans)-1].hi == lo {
+			spans[len(spans)-1].hi += s.opBlock
+		} else if used[k] {
+			spans = append(spans, colSpan{lo, lo + s.opBlock})
+		}
+	}
+	return append(spans, colSpan{s.moveOff, s.length})
+}
 
 // Conversions returns the number of conversion operators encoded in feature
 // vector f: every platform switch contributes one instance on each side.

@@ -1,0 +1,198 @@
+package core_test
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/vecops"
+	"repro/internal/workload"
+)
+
+// rowCounter wraps a cost model and counts the feature rows it is sent.
+type rowCounter struct {
+	core.CostModel
+	rows *atomic.Int64
+}
+
+func (m rowCounter) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	m.rows.Add(int64(X.Rows))
+	m.CostModel.PredictBatchDist(X, mean, spread, lo, hi)
+}
+
+// contestedLog wraps a pruner and checks every prune of a serial run against
+// its own grouping of the enumeration (the boundary operators' platforms and
+// the property keys): the model must be sent exactly the vectors that share
+// their group with another — merged rows are new, so none is scored yet.
+type contestedLog struct {
+	t     *testing.T
+	name  string
+	inner core.Pruner
+	props []core.Property
+	rows  *atomic.Int64
+	// sent and uncontested total the rows the prunes sent and the vectors
+	// they left unscored.
+	sent, uncontested int
+}
+
+func (l *contestedLog) Prune(ctx context.Context, c *core.Context, e *core.Enumeration, st *core.Stats) {
+	keys := make([]string, len(e.Vectors))
+	size := map[string]int{}
+	for i, v := range e.Vectors {
+		var k []byte
+		for _, id := range e.Boundary {
+			k = append(k, v.Assign[id])
+		}
+		for _, p := range l.props {
+			k = binary.LittleEndian.AppendUint64(k, p.Key(c, v))
+		}
+		keys[i] = string(k)
+		size[keys[i]]++
+	}
+	want := 0
+	for _, k := range keys {
+		if size[k] >= 2 {
+			want++
+		}
+	}
+	before := l.rows.Load()
+	l.inner.Prune(ctx, c, e, st)
+	got := int(l.rows.Load() - before)
+	if got != want {
+		l.t.Errorf("%s: scope %v: prune sent %d rows, %d of %d vectors share their group", l.name, e.Scope, got, want, len(keys))
+	}
+	l.sent += got
+	l.uncontested += len(keys) - want
+}
+
+// TestOnlyContestedVectorsAreScored: a prune sends the model exactly the
+// vectors it compares, under both Risks (near-ties kept or not) and with a
+// property refining the groups, and the final selection sends only the
+// survivors no prune scored. Every row the model sees is counted in
+// Stats.ModelRows, and the runs do leave vectors unscored.
+func TestOnlyContestedVectorsAreScored(t *testing.T) {
+	plans := map[string]*plan.Logical{
+		"pipeline": workload.Pipeline(16, 1e8),
+		"jointree": workload.JoinTree(3, 1e8),
+		"dag":      workload.RandomDAG(24, 1e8, 211),
+	}
+	for name, l := range plans {
+		for _, risk := range []core.Risk{{}, {Lambda: 0.5, KeepOverlap: true}} {
+			for _, property := range []bool{false, true} {
+				ctx := newCtx(t, l, 3)
+				ctx.Risk = risk
+				rows := new(atomic.Int64)
+				m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
+				log := &contestedLog{t: t, name: fmt.Sprintf("%s risk=%+v property=%v", name, risk, property), rows: rows}
+				log.inner = core.BoundaryPruner{Model: m}
+				if property {
+					log.props = []core.Property{core.SwitchCountProperty{}}
+					log.inner = core.PropertyPruner{Model: m, Properties: log.props}
+				}
+				res, err := ctx.OptimizeOpts(context.Background(), m, log, core.OrderPriority)
+				if err != nil {
+					t.Fatalf("%s: %v", log.name, err)
+				}
+				if got := int(rows.Load()); got != res.Stats.ModelRows {
+					t.Errorf("%s: model saw %d rows, Stats.ModelRows %d", log.name, got, res.Stats.ModelRows)
+				}
+				if final := res.Stats.ModelRows - log.sent; final > log.uncontested {
+					t.Errorf("%s: final selection sent %d rows, prunes left %d vectors unscored", log.name, final, log.uncontested)
+				}
+				if name != "pipeline" && log.uncontested == 0 {
+					t.Errorf("%s: every vector shared its group; the test exercises nothing", log.name)
+				}
+			}
+		}
+	}
+}
+
+// TestDegradedStepsScoreEveryVector: a degraded step ranks its product by
+// predicted cost, so it scores every vector it merged — from the first step
+// under ForceDegraded, from the trip on under a vector cap. The run is
+// traced, and each step's record carries the rows sent on its behalf.
+func TestDegradedStepsScoreEveryVector(t *testing.T) {
+	l := workload.RandomDAG(24, 1e8, 211)
+	for _, budget := range []core.Budget{{ForceDegraded: true}, {MaxVectors: 400}} {
+		for _, property := range []bool{false, true} {
+			ctx := newCtx(t, l, 3)
+			ctx.Budget = budget
+			ctx.Trace = obs.NewTrace("degraded")
+			rows := new(atomic.Int64)
+			m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
+			var pr core.Pruner = core.BoundaryPruner{Model: m}
+			if property {
+				pr = core.PropertyPruner{Model: m, Properties: []core.Property{core.SwitchCountProperty{}}}
+			}
+			res, err := ctx.OptimizeOpts(context.Background(), m, pr, core.OrderPriority)
+			if err != nil {
+				t.Fatalf("budget %+v: %v", budget, err)
+			}
+			degraded := 0
+			for _, rec := range res.Trace.Prunes {
+				if !rec.Degraded {
+					continue
+				}
+				degraded++
+				if rec.ModelRows != rec.VectorsIn {
+					t.Errorf("budget %+v property=%v: degraded step %d sent %d of its %d vectors",
+						budget, property, rec.Step, rec.ModelRows, rec.VectorsIn)
+				}
+			}
+			if degraded == 0 || (degraded == len(res.Trace.Prunes)) != budget.ForceDegraded {
+				t.Errorf("budget %+v: %d of %d steps degraded", budget, degraded, len(res.Trace.Prunes))
+			}
+			// A traced run also scores one row per operator for the audit's
+			// per-operator contributions, outside the enumeration's counts.
+			if got := int(rows.Load()); got != res.Stats.ModelRows+l.NumOps() {
+				t.Errorf("budget %+v: model saw %d rows, Stats.ModelRows %d", budget, got, res.Stats.ModelRows)
+			}
+		}
+	}
+}
+
+// TestRowsZeroOutsideLiveColumns: merge writes only the columns a vector of
+// the plan can set, which is sound only while every store and scratch row is
+// exactly 0 everywhere else. Plans using a few of the operator kinds, with the
+// poison hook armed (which overwrites live columns only), pruned, exhaustive
+// and degraded, serial and pooled.
+func TestRowsZeroOutsideLiveColumns(t *testing.T) {
+	for name, l := range map[string]*plan.Logical{
+		"pipeline": workload.Pipeline(20, 1e8),
+		"jointree": workload.JoinTree(4, 1e8),
+		"dag":      workload.RandomDAG(24, 1e8, 5),
+	} {
+		for _, workers := range []int{1, 4} {
+			for _, budget := range []core.Budget{{}, {MaxVectors: 300}} {
+				ctx := newCtx(t, l, 3)
+				ctx.Workers = workers
+				ctx.Budget = budget
+				m := newLinModel(ctx.Schema.Len(), 3)
+				if _, err := ctx.EnumerateFull(context.Background(), core.BoundaryPruner{Model: m}, core.OrderPriority, nil); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				cells, nonzero := ctx.DeadCells()
+				if cells == 0 || nonzero != 0 {
+					t.Errorf("%s workers=%d budget=%+v: %d of %d cells outside the live columns are not 0",
+						name, workers, budget, nonzero, cells)
+				}
+			}
+		}
+		ctx := newCtx(t, l, 2)
+		prefix := plan.NewBitset(l.NumOps())
+		for id := plan.OpID(0); id < 8; id++ {
+			prefix.Set(id)
+		}
+		if _, err := ctx.Enumerate(context.Background(), &core.Abstract{Scope: prefix}, 0, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cells, nonzero := ctx.DeadCells(); cells == 0 || nonzero != 0 {
+			t.Errorf("%s exhaustive: %d of %d cells outside the live columns are not 0", name, nonzero, cells)
+		}
+	}
+}

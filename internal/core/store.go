@@ -38,13 +38,13 @@ type vecStore struct {
 	rows int
 	// workers holds the scratch of each pool worker, by worker index.
 	workers []*scratch
-	// poison makes release overwrite every freed row (NaN features and
-	// costs, poisonAssign assignments), product overwrite the scratch before
-	// it is filled and endRun overwrite every chunk, so that tests turn a
-	// read of freed or stale memory into a NaN cost or an out-of-range
-	// platform instead of a plausible plan. Set from Context.poison, which
-	// only tests set; chunks lists the blocks to overwrite at endRun.
-	poison bool
+	// poison (Context.poison, set only by tests) is the plan's live columns:
+	// release overwrites them in every freed row (NaN features and costs,
+	// poisonAssign assignments), product in the scratch before it is filled
+	// and endRun in every chunk, so that tests turn a read of freed or stale
+	// memory into a NaN cost or an out-of-range platform instead of a
+	// plausible plan. chunks lists the blocks to overwrite at endRun.
+	poison []colSpan
 	chunks []Vector
 }
 
@@ -62,8 +62,8 @@ func (c *Context) beginRun(rows int) {
 // (Optimize* clone the winning vector out first).
 func (c *Context) endRun() {
 	if c.store != nil {
-		for i := range c.store.chunks {
-			c.store.chunks[i].poison()
+		for _, ch := range c.store.chunks {
+			c.store.poisonRows(ch.F, ch.Assign)
 		}
 	}
 	c.store, c.scratch = nil, nil
@@ -107,7 +107,7 @@ func (s *vecStore) block(n int) ([]*Vector, vecops.Matrix) {
 	wireRows(out, make([]Vector, n), f, a, s.cols, s.nOps)
 	s.mu.Lock()
 	s.rows += n
-	if s.poison {
+	if s.poison != nil {
 		s.chunks = append(s.chunks, Vector{F: f, Assign: a})
 	}
 	s.mu.Unlock()
@@ -132,9 +132,11 @@ func (s *vecStore) take(n int) []*Vector {
 // release puts the rows of a consumed enumeration on the free list. The
 // caller must hold no other reference to them.
 func (s *vecStore) release(vs []*Vector) {
-	if s.poison {
+	if s.poison != nil {
+		nan := math.NaN()
 		for _, v := range vs {
-			v.poison()
+			s.poisonRows(v.F, v.Assign)
+			v.Cost, v.Dist, v.scored = nan, CostDist{Mean: nan, Spread: nan, Lo: nan, Hi: nan}, false
 		}
 	}
 	s.mu.Lock()
@@ -142,23 +144,27 @@ func (s *vecStore) release(vs []*Vector) {
 	s.mu.Unlock()
 }
 
-// poison overwrites v with values no live vector holds.
-func (v *Vector) poison() {
+// poisonRows overwrites the live columns of the feature rows in f and every
+// assignment in a with values no live vector holds.
+func (s *vecStore) poisonRows(f []float64, a []uint8) {
 	nan := math.NaN()
-	for i := range v.F {
-		v.F[i] = nan
+	for row := 0; row < len(f); row += s.cols {
+		for _, sp := range s.poison {
+			for i := row + sp.lo; i < row+sp.hi; i++ {
+				f[i] = nan
+			}
+		}
 	}
-	for i := range v.Assign {
-		v.Assign[i] = poisonAssign
+	for i := range a {
+		a[i] = poisonAssign
 	}
-	v.Cost, v.Dist, v.scored = nan, CostDist{Mean: nan, Spread: nan, Lo: nan, Hi: nan}, false
 }
 
 // scratch is one worker's workspace, reused by every concatenation and prune
 // the worker runs: the rows a cartesian product is merged into, and the
-// bookkeeping of predictEnum and pruneGroups. It grows to the largest product
-// the worker has seen and is never cleared — mergeInto overwrites every cell
-// of every row it is given.
+// bookkeeping of predict and pruneGroups. It grows to the largest product the
+// worker has seen and is never cleared — mergeInto overwrites every live cell
+// of every row it is given, and the other cells are zero from allocation on.
 type scratch struct {
 	enum   Enumeration
 	mat    vecops.Matrix
@@ -167,15 +173,18 @@ type scratch struct {
 	vecs   []Vector
 	ptrs   []*Vector
 
-	miss   []int            // predictEnum: indices of the unscored vectors
-	out    []float64        // predictEnum: the four output columns
-	gather []float64        // predictEnum: feature rows of vectors with no matrix
-	groups map[groupKey]int // pruneGroups: group → slot in the kept prefix
+	miss   []int            // predict: indices of the vectors to score
+	out    []float64        // predict: the four output columns
+	gather []float64        // predict: feature rows not contiguous in a matrix
+	views  []vecops.Matrix  // predict: each parallel chunk's view of the rows
+	groups map[groupKey]int // pruneGroups: group → its number, in first-seen order
+	group  []int            // pruneGroups: each vector's group
+	size   []int            // pruneGroups: each group's member count
 }
 
 // product returns the worker's scratch enumeration resized to n vectors of
-// s's widths over scope, every row's contents undefined: the destination of a
-// concatenation. It is valid until the worker's next product.
+// s's widths over scope, every row's live cells undefined: the destination of
+// a concatenation. It is valid until the worker's next product.
 func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 	if n > len(sc.vecs) {
 		size := max(n, 2*len(sc.vecs))
@@ -184,8 +193,8 @@ func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 		sc.vecs = make([]Vector, size)
 		sc.ptrs = make([]*Vector, size)
 	}
-	if s.poison {
-		(&Vector{F: sc.data, Assign: sc.assign}).poison()
+	if s.poison != nil {
+		s.poisonRows(sc.data, sc.assign)
 	}
 	// Pruning compacts ptrs in place, so they are rewired per product.
 	wireRows(sc.ptrs, sc.vecs[:n], sc.data, sc.assign, s.cols, s.nOps)

@@ -40,13 +40,7 @@ func (c *Context) VectorizeSubplan(assign map[plan.OpID]uint8) *Vector {
 		if c.linear[e.From] && c.linear[e.To] {
 			v.F[TopoPipeline]--
 		}
-		if pa != pb {
-			card := c.convCard(e)
-			v.F[s.MovePlatformCell(int(pa))]++
-			v.F[s.MovePlatformCell(int(pb))]++
-			v.F[s.MoveInCardCell()] += card
-			v.F[s.MoveOutCardCell()] += card
-		}
+		c.addConversion(v.F, e, pa, pb)
 	}
 	v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
 	return v

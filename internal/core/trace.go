@@ -46,7 +46,7 @@ type RunTrace struct {
 }
 
 // PruneRecord audits one prune invocation: the enumeration's size before and
-// after, the inference spent on it, the predicted-cost range of the
+// after, the inference spent on it, the predicted-cost range of the scored
 // survivors, and the best pruned alternative (the discarded vector with the
 // lowest predicted cost) against the survivor that beat it.
 type PruneRecord struct {
@@ -64,9 +64,10 @@ type PruneRecord struct {
 	// to the cost oracle and those that arrived already scored.
 	ModelRows int `json:"modelRows"`
 	MemoHits  int `json:"memoHits"`
-	// BestCost and WorstCost bound the surviving vectors' predicted costs.
-	BestCost  float64 `json:"bestCost"`
-	WorstCost float64 `json:"worstCost"`
+	// BestCost and WorstCost bound the scored survivors' predicted costs
+	// (zero, and omitted, if the step scored none).
+	BestCost  float64 `json:"bestCost,omitempty"`
+	WorstCost float64 `json:"worstCost,omitempty"`
 	// Degraded marks prunes that ran after the budget was exhausted (the
 	// enumeration is additionally truncated to the degraded beam around
 	// them).
@@ -229,13 +230,15 @@ func (rt *RunTrace) beginPrune(step int, e *Enumeration, degraded bool) *PruneRe
 // resolved best pruned alternative.
 func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration) {
 	rec.VectorsOut = len(e.Vectors)
-	for i, v := range e.Vectors {
-		if i == 0 || v.Cost < rec.BestCost {
+	first := true
+	for _, v := range e.Vectors {
+		if v.scored && (first || v.Cost < rec.BestCost) {
 			rec.BestCost = v.Cost
 		}
-		if i == 0 || v.Cost > rec.WorstCost {
+		if v.scored && (first || v.Cost > rec.WorstCost) {
 			rec.WorstCost = v.Cost
 		}
+		first = first && !v.scored
 	}
 	if rec.hasPruned && rec.survivorSlot < len(e.Vectors) {
 		survivor := e.Vectors[rec.survivorSlot]

@@ -132,9 +132,10 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 // over serving-shaped plans (pipelines, join trees and random DAGs) that
 // evict each other from a one-entry cache. Spans carry durations and join
 // keys only and every step's counts are written once, into its PruneRecord:
-// 893 allocations measured. When the merge, prune and infer spans each
-// repeated those counts the same set took 1265. The ceiling is about 10 %
-// above the measured mean.
+// 853 allocations measured. It was 893 while every 16-row scoring chunk moved
+// its matrix view to the heap, and 1265 when the merge, prune and infer spans
+// each repeated those counts. The ceiling keeps the 87 of headroom it had at
+// 893.
 func TestColdMissAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -159,7 +160,7 @@ func TestColdMissAllocCeiling(t *testing.T) {
 			}
 		}
 	}) / float64(len(bodies))
-	const ceiling = 980
+	const ceiling = 940
 	if allocs > ceiling {
 		t.Errorf("a cold miss allocates %.0f times on average, ceiling %d", allocs, ceiling)
 	}
