@@ -193,28 +193,6 @@ func TestVectorizeAbstractAlternatives(t *testing.T) {
 	}
 }
 
-func TestSplitDisjointCoverage(t *testing.T) {
-	l := workload.RunningExample()
-	ctx := newCtx(t, l, 2)
-	parts := ctx.Split(ctx.Vectorize())
-	if len(parts) != l.NumOps() {
-		t.Fatalf("split into %d parts, want %d", len(parts), l.NumOps())
-	}
-	union := plan.NewBitset(l.NumOps())
-	for _, p := range parts {
-		if p.Scope.Count() != 1 {
-			t.Fatalf("split part covers %d ops, want 1", p.Scope.Count())
-		}
-		if union.Intersects(p.Scope) {
-			t.Fatal("split parts are not disjoint")
-		}
-		union.UnionInto(p.Scope)
-	}
-	if !union.Equal(fullScope(l)) {
-		t.Fatal("split parts do not cover the plan")
-	}
-}
-
 func TestEnumerateCountsAreExhaustive(t *testing.T) {
 	l := workload.Pipeline(5, 1e6)
 	for k := 2; k <= 4; k++ {

@@ -137,18 +137,18 @@ func (l *survivorLog) Prune(ctx context.Context, c *core.Context, e *core.Enumer
 
 // FuzzPruneLossless is Lemma 1 as a fuzz target, for the one prune routine
 // under every setting it serves: on random small DAGs with an additive
-// oracle, pruned enumeration — boundary or property groups, keeping one
-// vector per group or the near-ties too, any λ, any traversal order, any
+// oracle, pruned enumeration — keeping one vector per footprint or the
+// near-ties too, any λ, any traversal order, any
 // worker count — selects a plan scoring exactly what exhaustive enumeration
 // finds. And keeping near-ties only ever adds: for every scope both runs
 // pruned, the KeepOverlap survivors include every keep-one survivor (each
 // group's winner is the group's true optimum, whatever else rides along).
 func FuzzPruneLossless(f *testing.F) {
-	f.Add(int64(1), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0), false)
-	f.Add(int64(59), uint8(9), uint8(1), uint8(3), uint8(2), uint8(0), true)
-	f.Add(int64(-8), uint8(7), uint8(1), uint8(7), uint8(3), uint8(3), false)
-	f.Add(int64(307), uint8(8), uint8(0), uint8(1), uint8(1), uint8(2), true)
-	f.Fuzz(func(t *testing.T, seed int64, nOpsRaw, nPlatsRaw, workersRaw, lambdaRaw, orderRaw uint8, property bool) {
+	f.Add(int64(1), uint8(4), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(59), uint8(9), uint8(1), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(-8), uint8(7), uint8(1), uint8(7), uint8(3), uint8(3))
+	f.Add(int64(307), uint8(8), uint8(0), uint8(1), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nOpsRaw, nPlatsRaw, workersRaw, lambdaRaw, orderRaw uint8) {
 		nOps := int(nOpsRaw)%6 + 4
 		nPlats := int(nPlatsRaw)%2 + 2
 		workers := int(workersRaw)%8 + 1
@@ -169,18 +169,14 @@ func FuzzPruneLossless(f *testing.F) {
 		}
 		var logs [2]*survivorLog
 		for i, keepOverlap := range []bool{false, true} {
-			var inner core.Pruner = core.BoundaryPruner{Model: m}
-			if property {
-				inner = core.PropertyPruner{Model: m, Properties: []core.Property{core.SwitchCountProperty{}}}
-			}
-			logs[i] = &survivorLog{inner: inner, byScope: map[string]map[string]bool{}}
+			logs[i] = &survivorLog{inner: core.BoundaryPruner{Model: m}, byScope: map[string]map[string]bool{}}
 			res, err := newContext(keepOverlap).OptimizeOpts(context.Background(), m, logs[i], order)
 			if err != nil {
 				t.Fatalf("OptimizeOpts (keepOverlap=%v): %v", keepOverlap, err)
 			}
 			if diff := math.Abs(res.Predicted - full.Predicted); diff > 1e-9*math.Max(1, math.Abs(full.Predicted)) {
-				t.Errorf("keepOverlap=%v λ=%g property=%v order=%s workers=%d: pruned optimum %.17g, exhaustive %.17g",
-					keepOverlap, lambda, property, order, workers, res.Predicted, full.Predicted)
+				t.Errorf("keepOverlap=%v λ=%g order=%d workers=%d: pruned optimum %.17g, exhaustive %.17g",
+					keepOverlap, lambda, order, workers, res.Predicted, full.Predicted)
 			}
 		}
 		for scope, point := range logs[0].byScope {

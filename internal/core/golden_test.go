@@ -21,45 +21,46 @@ import (
 // scorePruneGolden holds, per corpus DAG and model family, a SHA-256 over
 // everything one optimization decides — plan bytes, Predicted, PredictedDist,
 // the deterministic counters, the JSON pruning audit and the final selection
-// — across Risk ∈ {zero, {0.5, KeepOverlap}} × {BoundaryPruner,
-// PropertyPruner{SwitchCountProperty}} × Workers ∈ {1, 8} (on dag47 and
-// dag60 without KeepOverlap × PropertyPruner, see below). The digests were
-// recorded at commit 1bf30d6, when λ=0 and λ>0 still ran separate scoring and
-// pruning code; they pin that the one routine which replaced both reproduces
+// — across Risk ∈ {zero, {0.5, KeepOverlap}} × Workers ∈ {1, 8} under
+// BoundaryPruner. The digests were first recorded at commit 1bf30d6, when
+// λ=0 and λ>0 still ran separate scoring and pruning code; they pin that the
+// one routine which replaced both reproduces
 // the old observation order exactly (tree families produce many exactly-equal
 // costs, so the audit's "cheapest discard, first observed wins" and the
 // near-tie order both depend on it). They were re-recorded once when pruning
 // stopped scoring vectors alone in their group: that moved ModelRows,
 // ModelBatches, MemoHits and the audit's bestCost/worstCost, and no decision
-// (decisionGolden, recorded before, still passes). Every run has the vector
-// store's poison hook armed (newCtx), so a vector read after its row was
-// recycled is a digest mismatch too. Re-record only for a change that means
+// (decisionGolden, recorded before, still passes). Both tables were
+// re-recorded at commit eb48ae0 when the PropertyPruner configurations left
+// them, with no code change: what remains hashes the BoundaryPruner runs
+// alone. Every run has the vector store's poison hook armed (newCtx), so a
+// vector read after its row was recycled is a digest mismatch too. Re-record only for a change that means
 // to alter a decision or the model work, and say which in the commit.
 var scorePruneGolden = map[string]string{
-	"dag20/tree":     "aa654b51424f42a2979b4f63115007ae1af179cc1e4eb0d2f5e268ae0cb95dc3",
-	"dag20/forest":   "c0cf002178eea33219c173a81b0846d546a296d4a23e0a3ea206bbca7090b204",
-	"dag20/gbm":      "96cb772c7c068685942197a69c87a1d787852b3462ca23046a097000e7a1dbfc",
-	"dag20/linear":   "0fbf388846a7843319c8e4d9d6bba3794fa79415f632dbb4a8824e653fb978cb",
-	"dag20/mlp":      "89e01407a7f3ab6d35288121afef30360077f9d4376b823dc2a43a865b2fa25b",
-	"dag20/ensemble": "0129fbcb365075e2ccfbe15b8445ce359656ff6107e62b71fbcb4007681c0c68",
-	"dag33/tree":     "9d5a39b3486343259a2549b3bf56954b93ee4ecc36ce888e303ffd52dd44de17",
-	"dag33/forest":   "40a39dac5e418d7abb8a73ab88b7084d4bb9ab1d6710e1004ee717815a390252",
-	"dag33/gbm":      "a1e335df6cc86e6e29792fa7366f69c861742301277725bc3c7463330f80c5d7",
-	"dag33/linear":   "2dc141656636e87549149fa9d4377035cf00a06abe973a9f09b0c5319b94ce2e",
-	"dag33/mlp":      "15b6325ff3e34114e96aa0c0d634b923d02f387ced68542d5fc6d3de2f42a7da",
-	"dag33/ensemble": "cbce2b4359c99f5e8a648f2fbe6ab425c578e32f99683fa461ae1ce7a5358a9a",
-	"dag47/tree":     "abd52daa1d342c43b4a6a8b5d27cd6a45a192f627d25bf41bce06a25a4f8075c",
-	"dag47/forest":   "7deb9b036937b734cfd0d2ea05ed8c77d11733adae9e97471c39b224a4603756",
-	"dag47/gbm":      "b1859e2247b0590e30fbe4174ab55fb2db51aaa142d8b1a330c0cc23a564073c",
-	"dag47/linear":   "284018420be8b7e72448e8a841262b740a77fa7e2b97b7794e771d814696c512",
-	"dag47/mlp":      "4293f22feed327dd1909f03c650f4212c444417e2956d1d57457297c0d189699",
-	"dag47/ensemble": "550824c2c47704354d466013daa3dff462227ba1d4c23b846919f03fe472d623",
-	"dag60/tree":     "880405a5663217acafd54cf7ec213417ccf4efed66e8e41d637d6c07378c09ca",
-	"dag60/forest":   "2e852186176a4a41de797b0e7b8c6bfc14287c4993085f48a79ea7130c429d2f",
-	"dag60/gbm":      "c666fd3944f6da6ca2370242216688b439269cb8ea5307f96bd23a62223c6702",
-	"dag60/linear":   "330bfd02992153381e9a506f278f365e0292a9a17891377739b2dd1ed26ac369",
-	"dag60/mlp":      "d3b92d27153ccbbd220dbb98917a1a0a4920869a90c479303ea507fb9b1aa750",
-	"dag60/ensemble": "38a0aea9878d2c66f3718f37d1910d325753e1025a860840abf37573acc0d378",
+	"dag20/tree":     "b150e917483d5b19f3874bf48c22dd68f271b69fc5b7d8e65189aca965bf9ed2",
+	"dag20/forest":   "ae3aa6c0164f3bec701d20a36b812c9fa1d35aef5efd2846af16b780e5dc0565",
+	"dag20/gbm":      "8af845665f727e68abf3e7a9b17122d7dd1669fd2759cd59e74c0e00d1918249",
+	"dag20/linear":   "104534e4855e191fbe1ffe5bf8d04ca5fc4af54066d32c433d42393fad5b2ef5",
+	"dag20/mlp":      "e6afdd3cce016be73c9ff4f4a0dbeb498e46d89a3881473761f5070f94f01ad5",
+	"dag20/ensemble": "f05442f62e9133ed4ed662173e43bcbc27e36cfd343e31993d8d4aee96cb93fe",
+	"dag33/tree":     "69601b5e722ebd23d2b39647f4048cc643623f13d6c24434897832bdaa0ad13b",
+	"dag33/forest":   "24e544c0b179c9417f7c9955f255d644c74c764e0a02f0bf66ff0148deec5b0e",
+	"dag33/gbm":      "8a1031b0adefc0c9515ffc281580f800a5954209b4c67bda95bc97bd22f98cf6",
+	"dag33/linear":   "c07ad228e519e811d22643d26f35789e89479da9e723d14961f7e072713a3d0a",
+	"dag33/mlp":      "1a4f359c56a2d17f3462360b5026d1e1c0b6ade73ba83dd4d1cf968679a15242",
+	"dag33/ensemble": "4504dbbed15aef78312464d48d8cb27bf7031aea313dd0ecc7394d4bc8d7d93d",
+	"dag47/tree":     "428860a9e7e1393180ab071545b7f4c748acaa7120b8b5d148cfc97cf0bfe697",
+	"dag47/forest":   "15ebd8b6e82a38e13e15343d3fbb9d6d20216185dae63f8557be654b1d3ea990",
+	"dag47/gbm":      "e6fd2d275e0f682bd8ec9f1ace2bcbe1e0263dc0ab98da2bd0b34834fae088bf",
+	"dag47/linear":   "1bc649f41bd8cdbb0f131262f04240abf00e41d8993755ae4b9647774b5522ed",
+	"dag47/mlp":      "aa883af3fe90c7d5286ccbba239880d06b11accc4305cc7073b7a94fee88a878",
+	"dag47/ensemble": "c29a484d799c08ac509abafc143b662176a4230517ea2b2a9aaa5f6b7d7a908c",
+	"dag60/tree":     "c4868d266f7f2037fe01cb368bda4bc7005bc296349ad43b15ea52fe54a0e900",
+	"dag60/forest":   "203226391b888ddb9447c946ecbf236f94a4f469a94f18e012a9da67f9f684da",
+	"dag60/gbm":      "d47a84edb1059579758203d377b71da8ab23bb73708e28b4fa806c2515ff833c",
+	"dag60/linear":   "6f3f8b9fa05afbe2bbcf3270f9ce4551aa67ab94093ea1c6539ac26c0cd67107",
+	"dag60/mlp":      "dddc86fccb1e863beb484f8beb41caa3b81a08138ea2220f4d7fd2d3adc171cc",
+	"dag60/ensemble": "b66889382d7fd0f1dc0bfc41b96ab62929811c3faa44fc03d5d384c4e4493b6f",
 }
 
 // decisionGolden holds, per corpus DAG and model family, a SHA-256 over what
@@ -68,35 +69,36 @@ var scorePruneGolden = map[string]string{
 // IntervalKept, PeakEnumSize, Degraded, and each audit step's VectorsIn,
 // VectorsOut and BestPruned. It covers scorePruneGolden's configurations plus
 // two degraded budgets (ForceDegraded, and a MaxVectors cap that trips
-// mid-run) under both Risks and both pruners at Workers ∈ {1, 8}. Recorded at
-// commit 43e5275, while pruning still scored every vector it saw: a change
+// mid-run) under both Risks at Workers ∈ {1, 8}. First recorded at commit
+// 43e5275, while pruning still scored every vector it saw, and re-recorded
+// with scorePruneGolden at eb48ae0 without the PropertyPruner runs: a change
 // that only moves model work (which vectors are scored, when, in how many
 // batches) must pass it unedited.
 var decisionGolden = map[string]string{
-	"dag20/tree":     "8bb93e55414e498e7f5f3f5b4070a7d339755b957e37948e06490f2927fba8c6",
-	"dag20/forest":   "8936f402c87aa3b98a57a61ff5aa33696ff4fa89993e3208660b97eadbecec01",
-	"dag20/gbm":      "4cc2cd298b44f1101575a5e10c6b53c712b622a4607d21381b84e6b2b4c103c7",
-	"dag20/linear":   "7c0d9542d7256c7ba28ee8682023912b6bc75211664325c65d44cc5a316beb4b",
-	"dag20/mlp":      "93b45b384696491561707b1c6389ed475fc7f2783936a965eb5f027410e70bf7",
-	"dag20/ensemble": "65d4be450e7ab12fa386eca405233ccfec4e0678cf452f9ed582c979e79cbbaf",
-	"dag33/tree":     "8b9c88e7a7e8b620bf12e8cd39ce4ce9e4ee7f993a45f250eaa1a756776becd5",
-	"dag33/forest":   "d88e2def8bcc0a9a4dc5cd27f6730e530e863d953dfd9e7b6949dd191e56501c",
-	"dag33/gbm":      "3afc1b2f1569932a46372716118fb4716e41ddbaca4959d4da4c6d5e64510566",
-	"dag33/linear":   "114bfc3fed56c0fb5fc6ecc8433933519f005ddefc2dceea9082ce3f92bcd8a5",
-	"dag33/mlp":      "11e6397bc69bb77e7bb8cd89da5ba6499447f668c66b8278d4a8f0ffd297de74",
-	"dag33/ensemble": "b12c8956d93be43a34029d74a717689a5bda9f9a92cd6678da3d69e823a9ffbb",
-	"dag47/tree":     "f81d5d4c82b620dbf3b83ebb08da005af59c3e9c7ea81ae396e76213a81521a2",
-	"dag47/forest":   "fbf6cca68a89f2c27bdb940ac48b27c3dcf9da17b3f23af9b924737c9580f5a0",
-	"dag47/gbm":      "f786faf5e988f6e2580955be941deca8d6547f5aed2527c75e8d63938d5ccb10",
-	"dag47/linear":   "1d9bc093f3fd5051a7ff388c1f3c5b083009b468fab686b392372a456dbda95c",
-	"dag47/mlp":      "fc2bb382feb84e853754641e1b94ef0646f012b7120da433fccee13c03e879d4",
-	"dag47/ensemble": "41044e87f5087ec8618241c9397480372a6cf76c97af5b9106923006570ef72a",
-	"dag60/tree":     "77431aacadd81943d1fe46d60a56f32cccbe3df119aefd2a940e02027e50d561",
-	"dag60/forest":   "a57d3c3dd10f5edf61af55649b30838e334379b0fa3e0e84bcc7f158c44db6d5",
-	"dag60/gbm":      "fd395f22f7922a133aedeca1401f3e2ced9ff1d76bbaec53baa2ffa363da9649",
-	"dag60/linear":   "1469f922ba2006f04acbff2289cbd2c5eb0c933e754e75245506ee9c5446edb2",
-	"dag60/mlp":      "aadb86111a93779c02c6b873137f110d4843e62daa05590e619127deadc5c19e",
-	"dag60/ensemble": "1e4da48f3bde81bbdbd2501e2486cf777bc5eb5a42c2a7d9e2b1b677c1c5e4e0",
+	"dag20/tree":     "c729950d32d998e308256a114f9b9dc43ddc6d4ac4b616fe4378b9efde10da1c",
+	"dag20/forest":   "063ad9bd9615319e9d45f3dfdd42a38ae094bef9a82b0b03c626f1cc4069cbf5",
+	"dag20/gbm":      "a2561e09885b80f5cdfc8cee8e54ed5ff1b2345f55730b8759c4408aa7ee2c46",
+	"dag20/linear":   "da45e0cf127a5d7a7b7ffb5f2fe3111fa715e76a4456b4e5ad9a9ecf2196c5b5",
+	"dag20/mlp":      "558112f8f6f35a2a799dcebee3533716d511d508175e6a09d6d50b27cc788402",
+	"dag20/ensemble": "99d2362f6bb347bf49294b3edd408f88960913752ed5914bbc91d2e5f04b99b7",
+	"dag33/tree":     "fe2b7c66d0fdf071291675b11186552d63189b0b678e9805a1012d62774d86b5",
+	"dag33/forest":   "732a9b5ffcdd53c8e9e950aefca4a463b7ccd507fef7d1462d24d13b5003d418",
+	"dag33/gbm":      "046097b9e2608a9dbda89b6cdef12abd6515dd2cbde53b9bff1e616837e09fab",
+	"dag33/linear":   "7677b2533fe640885f2ebc1cf52fd3bda2b3940d57b0517bf7b9f59218dfb309",
+	"dag33/mlp":      "0a1f1a3f779b1ae455421c1f15607857add7fbcae28237319183a3b921e6df3b",
+	"dag33/ensemble": "44d2ed776162cc69d6fedea9cf3dc0520163b20529da2ff1a073dac5595c4eef",
+	"dag47/tree":     "a7e8955bd411ebe6bf017f04fb84f4a407c544eaf73206ffd214e9e133be4e77",
+	"dag47/forest":   "076bb8f647ee886ef2ec8c8df53e6627f7e24184493a4321a77765d722cf8ca3",
+	"dag47/gbm":      "e231fe31a79efbb1001793d3029d8ff82be5bd3e83fb9a91005a30333ad914ba",
+	"dag47/linear":   "80255bac10d42de6d82a9ed8ce8ebdd43faf46f766f7286232b45d73d88b1a20",
+	"dag47/mlp":      "05685fb79fd64aa697df727f6f949cb31965d9755e64786f2f96d4973967d3af",
+	"dag47/ensemble": "2bc099c19aa6cb6422be415c60d2a78fb8cd0fe9df839c390fc765284439f795",
+	"dag60/tree":     "c81b6f20a0e21a47dcb1a271f278feb44d918c41d45bed0538ea7e614d921df1",
+	"dag60/forest":   "63be27337fafcf2c6801908db785de193fd9927db677097ecf95d3e0b9902c25",
+	"dag60/gbm":      "7dfa3a1e73f0c73bcd1eb53ef981e6d29eb55bd829a8e8351f10ed9d3c179ab7",
+	"dag60/linear":   "90e8e0df48ec8deea245794e139f9dfdd81e77e80310a5708d067e21fee496e9",
+	"dag60/mlp":      "baf982aa67f4f34ea3b7a379ae5683847c812de31d1049ab9fed6c7619a12ce8",
+	"dag60/ensemble": "889fc8691126dde18ee4205c88328143ce8154eff9157d27ae3b3066c0ff2d85",
 }
 
 // goldenBudgets are the degraded configurations of decisionGolden. The
@@ -106,22 +108,18 @@ var goldenBudgets = []core.Budget{{ForceDegraded: true}, {MaxVectors: 400}}
 
 // goldenRun hashes one traced optimization into h (scorePruneGolden) and its
 // decisions into d (decisionGolden).
-func goldenRun(t *testing.T, h, d io.Writer, l *plan.Logical, m core.CostModel, risk core.Risk, property bool, workers int, budget core.Budget) {
+func goldenRun(t *testing.T, h, d io.Writer, l *plan.Logical, m core.CostModel, risk core.Risk, workers int, budget core.Budget) {
 	t.Helper()
 	ctx := newCtx(t, l, 3)
 	ctx.Workers = workers
 	ctx.Risk = risk
 	ctx.Budget = budget
 	ctx.Trace = obs.NewTrace("golden")
-	var pr core.Pruner = core.BoundaryPruner{Model: m}
-	if property {
-		pr = core.PropertyPruner{Model: m, Properties: []core.Property{core.SwitchCountProperty{}}}
-	}
-	res, err := ctx.OptimizeOpts(context.Background(), m, pr, core.OrderPriority)
+	res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, core.OrderPriority)
 	if err != nil {
-		t.Fatalf("Optimize (risk=%+v property=%v workers=%d budget=%+v): %v", risk, property, workers, budget, err)
+		t.Fatalf("Optimize (risk=%+v workers=%d budget=%+v): %v", risk, workers, budget, err)
 	}
-	if budget.Active() && (!res.Degraded || res.Trace.Prunes[0].Degraded != budget.ForceDegraded) {
+	if budget != (core.Budget{}) && (!res.Degraded || res.Trace.Prunes[0].Degraded != budget.ForceDegraded) {
 		t.Fatalf("budget %+v: degraded %v, first step degraded %v", budget, res.Degraded, res.Trace.Prunes[0].Degraded)
 	}
 	both := io.MultiWriter(h, d)
@@ -185,49 +183,38 @@ func TestScorePruneGolden(t *testing.T) {
 					t.Parallel()
 					all, decided := sha256.New(), sha256.New()
 					for _, risk := range risks {
-						for _, property := range []bool{false, true} {
-							// Near-ties in switch-count groups compound: on the
-							// two large DAGs that corner peaks at 300k-vector
-							// enumerations (6 GB resident, more than a 16 GB
-							// host has under -race). It was compared once, when
-							// the paths were unified, and stays on the small two.
-							if risk.KeepOverlap && property && cs.nOps > 33 {
+						var serial []byte
+						for _, workers := range []int{1, 2, 8} {
+							// Workers=2 joined after the digests were first
+							// recorded: it must match Workers=1 and stays out of
+							// them, on the small two DAGs only (Workers=8
+							// already covers the large two).
+							if workers == 2 && cs.nOps > 33 {
 								continue
 							}
-							var serial []byte
-							for _, workers := range []int{1, 2, 8} {
-								// Workers=2 joined after the digests were
-								// recorded: it must match Workers=1 and stays
-								// out of them, on the small two DAGs only and
-								// off the near-tie corner, a quarter of this
-								// test's time that Workers=8 already covers.
-								if workers == 2 && (cs.nOps > 33 || (risk.KeepOverlap && property)) {
-									continue
-								}
-								one, dec := sha256.New(), io.Discard
-								if workers != 2 {
-									dec = decided
-								}
-								goldenRun(t, one, dec, l, m, risk, property, workers, core.Budget{})
-								sum := one.Sum(nil)
-								// Per-configuration digests localize a mismatch
-								// when diffed (-v) against a known-good build.
-								t.Logf("risk=%+v property=%v workers=%d: %x", risk, property, workers, sum[:8])
-								if workers == 2 {
-									if !bytes.Equal(sum, serial) {
-										t.Errorf("risk=%+v property=%v: workers=2 digest %x, workers=1 %x", risk, property, sum[:8], serial[:8])
-									}
-									continue
-								}
-								if workers == 1 {
-									serial = sum
-								}
-								all.Write(sum)
+							one, dec := sha256.New(), io.Discard
+							if workers != 2 {
+								dec = decided
 							}
-							for _, b := range goldenBudgets {
-								for _, workers := range []int{1, 8} {
-									goldenRun(t, io.Discard, decided, l, m, risk, property, workers, b)
+							goldenRun(t, one, dec, l, m, risk, workers, core.Budget{})
+							sum := one.Sum(nil)
+							// Per-configuration digests localize a mismatch when
+							// diffed (-v) against a known-good build.
+							t.Logf("risk=%+v workers=%d: %x", risk, workers, sum[:8])
+							if workers == 2 {
+								if !bytes.Equal(sum, serial) {
+									t.Errorf("risk=%+v: workers=2 digest %x, workers=1 %x", risk, sum[:8], serial[:8])
 								}
+								continue
+							}
+							if workers == 1 {
+								serial = sum
+							}
+							all.Write(sum)
+						}
+						for _, b := range goldenBudgets {
+							for _, workers := range []int{1, 8} {
+								goldenRun(t, io.Discard, decided, l, m, risk, workers, b)
 							}
 						}
 					}

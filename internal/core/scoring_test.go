@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -26,14 +25,13 @@ func (m rowCounter) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []fl
 }
 
 // contestedLog wraps a pruner and checks every prune of a serial run against
-// its own grouping of the enumeration (the boundary operators' platforms and
-// the property keys): the model must be sent exactly the vectors that share
+// its own grouping of the enumeration (the boundary operators' platforms): the
+// model must be sent exactly the vectors that share
 // their group with another — merged rows are new, so none is scored yet.
 type contestedLog struct {
 	t     *testing.T
 	name  string
 	inner core.Pruner
-	props []core.Property
 	rows  *atomic.Int64
 	// sent and uncontested total the rows the prunes sent and the vectors
 	// they left unscored.
@@ -47,9 +45,6 @@ func (l *contestedLog) Prune(ctx context.Context, c *core.Context, e *core.Enume
 		var k []byte
 		for _, id := range e.Boundary {
 			k = append(k, v.Assign[id])
-		}
-		for _, p := range l.props {
-			k = binary.LittleEndian.AppendUint64(k, p.Key(c, v))
 		}
 		keys[i] = string(k)
 		size[keys[i]]++
@@ -71,8 +66,8 @@ func (l *contestedLog) Prune(ctx context.Context, c *core.Context, e *core.Enume
 }
 
 // TestOnlyContestedVectorsAreScored: a prune sends the model exactly the
-// vectors it compares, under both Risks (near-ties kept or not) and with a
-// property refining the groups, and the final selection sends only the
+// vectors it compares, under both Risks (near-ties kept or not), and the final
+// selection sends only the
 // survivors no prune scored. Every row the model sees is counted in
 // Stats.ModelRows, and the runs do leave vectors unscored.
 func TestOnlyContestedVectorsAreScored(t *testing.T) {
@@ -83,30 +78,23 @@ func TestOnlyContestedVectorsAreScored(t *testing.T) {
 	}
 	for name, l := range plans {
 		for _, risk := range []core.Risk{{}, {Lambda: 0.5, KeepOverlap: true}} {
-			for _, property := range []bool{false, true} {
-				ctx := newCtx(t, l, 3)
-				ctx.Risk = risk
-				rows := new(atomic.Int64)
-				m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
-				log := &contestedLog{t: t, name: fmt.Sprintf("%s risk=%+v property=%v", name, risk, property), rows: rows}
-				log.inner = core.BoundaryPruner{Model: m}
-				if property {
-					log.props = []core.Property{core.SwitchCountProperty{}}
-					log.inner = core.PropertyPruner{Model: m, Properties: log.props}
-				}
-				res, err := ctx.OptimizeOpts(context.Background(), m, log, core.OrderPriority)
-				if err != nil {
-					t.Fatalf("%s: %v", log.name, err)
-				}
-				if got := int(rows.Load()); got != res.Stats.ModelRows {
-					t.Errorf("%s: model saw %d rows, Stats.ModelRows %d", log.name, got, res.Stats.ModelRows)
-				}
-				if final := res.Stats.ModelRows - log.sent; final > log.uncontested {
-					t.Errorf("%s: final selection sent %d rows, prunes left %d vectors unscored", log.name, final, log.uncontested)
-				}
-				if name != "pipeline" && log.uncontested == 0 {
-					t.Errorf("%s: every vector shared its group; the test exercises nothing", log.name)
-				}
+			ctx := newCtx(t, l, 3)
+			ctx.Risk = risk
+			rows := new(atomic.Int64)
+			m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
+			log := &contestedLog{t: t, name: fmt.Sprintf("%s risk=%+v", name, risk), inner: core.BoundaryPruner{Model: m}, rows: rows}
+			res, err := ctx.OptimizeOpts(context.Background(), m, log, core.OrderPriority)
+			if err != nil {
+				t.Fatalf("%s: %v", log.name, err)
+			}
+			if got := int(rows.Load()); got != res.Stats.ModelRows {
+				t.Errorf("%s: model saw %d rows, Stats.ModelRows %d", log.name, got, res.Stats.ModelRows)
+			}
+			if final := res.Stats.ModelRows - log.sent; final > log.uncontested {
+				t.Errorf("%s: final selection sent %d rows, prunes left %d vectors unscored", log.name, final, log.uncontested)
+			}
+			if name != "pipeline" && log.uncontested == 0 {
+				t.Errorf("%s: every vector shared its group; the test exercises nothing", log.name)
 			}
 		}
 	}
@@ -119,39 +107,33 @@ func TestOnlyContestedVectorsAreScored(t *testing.T) {
 func TestDegradedStepsScoreEveryVector(t *testing.T) {
 	l := workload.RandomDAG(24, 1e8, 211)
 	for _, budget := range []core.Budget{{ForceDegraded: true}, {MaxVectors: 400}} {
-		for _, property := range []bool{false, true} {
-			ctx := newCtx(t, l, 3)
-			ctx.Budget = budget
-			ctx.Trace = obs.NewTrace("degraded")
-			rows := new(atomic.Int64)
-			m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
-			var pr core.Pruner = core.BoundaryPruner{Model: m}
-			if property {
-				pr = core.PropertyPruner{Model: m, Properties: []core.Property{core.SwitchCountProperty{}}}
+		ctx := newCtx(t, l, 3)
+		ctx.Budget = budget
+		ctx.Trace = obs.NewTrace("degraded")
+		rows := new(atomic.Int64)
+		m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
+		res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, core.OrderPriority)
+		if err != nil {
+			t.Fatalf("budget %+v: %v", budget, err)
+		}
+		degraded := 0
+		for _, rec := range res.Trace.Prunes {
+			if !rec.Degraded {
+				continue
 			}
-			res, err := ctx.OptimizeOpts(context.Background(), m, pr, core.OrderPriority)
-			if err != nil {
-				t.Fatalf("budget %+v: %v", budget, err)
+			degraded++
+			if rec.ModelRows != rec.VectorsIn {
+				t.Errorf("budget %+v: degraded step %d sent %d of its %d vectors",
+					budget, rec.Step, rec.ModelRows, rec.VectorsIn)
 			}
-			degraded := 0
-			for _, rec := range res.Trace.Prunes {
-				if !rec.Degraded {
-					continue
-				}
-				degraded++
-				if rec.ModelRows != rec.VectorsIn {
-					t.Errorf("budget %+v property=%v: degraded step %d sent %d of its %d vectors",
-						budget, property, rec.Step, rec.ModelRows, rec.VectorsIn)
-				}
-			}
-			if degraded == 0 || (degraded == len(res.Trace.Prunes)) != budget.ForceDegraded {
-				t.Errorf("budget %+v: %d of %d steps degraded", budget, degraded, len(res.Trace.Prunes))
-			}
-			// A traced run also scores one row per operator for the audit's
-			// per-operator contributions, outside the enumeration's counts.
-			if got := int(rows.Load()); got != res.Stats.ModelRows+l.NumOps() {
-				t.Errorf("budget %+v: model saw %d rows, Stats.ModelRows %d", budget, got, res.Stats.ModelRows)
-			}
+		}
+		if degraded == 0 || (degraded == len(res.Trace.Prunes)) != budget.ForceDegraded {
+			t.Errorf("budget %+v: %d of %d steps degraded", budget, degraded, len(res.Trace.Prunes))
+		}
+		// A traced run also scores one row per operator for the audit's
+		// per-operator contributions, outside the enumeration's counts.
+		if got := int(rows.Load()); got != res.Stats.ModelRows+l.NumOps() {
+			t.Errorf("budget %+v: model saw %d rows, Stats.ModelRows %d", budget, got, res.Stats.ModelRows)
 		}
 	}
 }

@@ -64,7 +64,6 @@ func TestStoreReturnsRows(t *testing.T) {
 		budget core.Budget
 	}{
 		{"boundary", core.BoundaryPruner{Model: m}, core.Budget{}},
-		{"property", core.PropertyPruner{Model: m, Properties: []core.Property{core.SwitchCountProperty{}}}, core.Budget{}},
 		{"switch", core.SwitchPruner{Beta: 2, MaxVectors: 40}, core.Budget{}},
 		{"switch-degraded", core.SwitchPruner{Beta: 3}, core.Budget{MaxVectors: 300, DegradedCap: 5}},
 		{"budget-trip", core.BoundaryPruner{Model: m}, core.Budget{MaxVectors: 400}},
