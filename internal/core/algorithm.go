@@ -22,24 +22,11 @@ const (
 	// enumeration resulting from concatenating a node with its children,
 	// |V| × Π|Vc| (Definition 3). It maximizes the pruning effect.
 	OrderPriority OrderPolicy = iota
-	// OrderTopDown concatenates sink-most enumerations first.
+	// OrderTopDown concatenates sink-most enumerations first (Figure 10).
 	OrderTopDown
-	// OrderBottomUp concatenates source-most enumerations first.
+	// OrderBottomUp concatenates source-most enumerations first (Figure 10).
 	OrderBottomUp
 )
-
-// String names the policy.
-func (o OrderPolicy) String() string {
-	switch o {
-	case OrderPriority:
-		return "priority"
-	case OrderTopDown:
-		return "top-down"
-	case OrderBottomUp:
-		return "bottom-up"
-	}
-	return fmt.Sprintf("OrderPolicy(%d)", int(o))
-}
 
 // Result is the outcome of one optimization run.
 type Result struct {
@@ -128,7 +115,8 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 // pruning (the "Exhaustive enumeration" baseline of Figure 9a) and returns
 // the optimal plan w.r.t. the model. maxVectors bounds the enumeration (an
 // error, not degradation — the exhaustive baseline has no meaningful
-// degraded result); 0 means unlimited. ctx cancels the run.
+// degraded result); 0 means unlimited. ctx cancels the run. Figure 9a's
+// exhaustive baseline and the benchmark's Lemma 1 probe run it.
 func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVectors int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -237,8 +225,9 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		return nil, fmt.Errorf("core: empty plan")
 	}
 	// Lines 2-5: split into singletons, enumerate each, set priorities. The
-	// split is a walk over the abstract vector's scope: a singleton's rows
-	// are built from the operator, not from its abstract vector (Split).
+	// split (operation 4) is a walk over the abstract vector's scope: a
+	// singleton's rows are built from the operator, not from an abstract
+	// vector of its own.
 	vspan := c.span(c.root, "vectorize")
 	abstract := c.Vectorize()
 	vspan.End()

@@ -176,7 +176,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 			for _, v := range merged.Vectors {
 				v.Cost, v.scored = model.Predict(v.F), true
 			}
-			ctx.pruneGroups(context.Background(), model, merged, nil, nil)
+			ctx.pruneGroups(context.Background(), model, merged, nil)
 		}
 	})
 	b.Run("PredictBatch", func(b *testing.B) {

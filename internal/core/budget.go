@@ -4,6 +4,8 @@ import (
 	"context"
 	"sort"
 	"time"
+
+	"repro/internal/platform"
 )
 
 // Budget bounds the work of one optimization run. The enumeration of
@@ -14,17 +16,16 @@ import (
 //
 // Exhausting a budget dimension does not abort the run. Instead the
 // enumeration switches into degraded mode: every remaining enumeration is
-// additionally truncated to the DegradedCap cheapest vectors after pruning
+// additionally truncated to the degradedCap cheapest vectors after pruning
 // (and before each concatenation), which collapses the remaining search to a
 // near-greedy walk with a small beam. The run then completes quickly and
 // returns a valid, executable plan flagged Degraded in Result/Stats. This is
 // the graceful half of the latency contract; the hard half is the
 // context.Context deadline, which cancels the run outright.
 //
-// In degraded mode vectors are ranked by their cost under the pruner's model
-// (BoundaryPruner, PropertyPruner), scored first if no prune needed them;
-// with a cost-free pruner the truncation falls back to insertion order,
-// which stays deterministic.
+// In degraded mode vectors are ranked by their cost under BoundaryPruner's
+// model, scored first if no prune needed them; with a cost-free pruner the
+// truncation falls back to insertion order, which stays deterministic.
 type Budget struct {
 	// MaxVectors bounds the plan vectors materialized over the whole run
 	// (Stats.VectorsCreated, counting projected concatenation sizes before
@@ -40,11 +41,8 @@ type Budget struct {
 	// the start of EnumerateFull. Unlike a context deadline it degrades
 	// instead of cancelling. 0 means unlimited.
 	SoftDeadline time.Duration
-	// DegradedCap is the number of vectors each enumeration keeps once the
-	// budget is exhausted. 0 means the default of 8.
-	DegradedCap int
 	// ForceDegraded starts the run already degraded: every enumeration is
-	// truncated to the DegradedCap beam from the first concatenation on, so
+	// truncated to the degraded beam from the first concatenation on, so
 	// the run costs a small, bounded amount of work regardless of the plan.
 	// This is the serving layer's load-shedding mode — under admission
 	// pressure a request is answered with the beam's best-effort plan
@@ -56,18 +54,14 @@ type Budget struct {
 // ForceDegraded rather than by exhausting a budget dimension mid-run.
 const ShedReason = "load-shed"
 
-// Active reports whether any budget dimension is set.
-func (b Budget) Active() bool {
-	return b.MaxVectors > 0 || b.MaxModelCalls > 0 || b.SoftDeadline > 0 || b.ForceDegraded
-}
+// degradedCap is the degraded-mode beam width: the number of vectors each
+// enumeration keeps once the budget is exhausted.
+const degradedCap = 8
 
-// cap returns the degraded-mode beam width.
-func (b Budget) cap() int {
-	if b.DegradedCap > 0 {
-		return b.DegradedCap
-	}
-	return 8
-}
+// The beam is at least as wide as the platform universe, so it never
+// truncates a singleton enumeration (one vector per available platform):
+// the conversion does not compile once degradedCap drops below it.
+const _ = uint(degradedCap - platform.NumPlatforms)
 
 // exhausted returns the name of the first exhausted budget dimension, or ""
 // while the run is within budget. projected is the size of the concatenation
@@ -89,11 +83,11 @@ func (b Budget) exhausted(st *Stats, start time.Time, projected int) string {
 	return ""
 }
 
-// truncateCheapest keeps the n cheapest vectors of e (stable on cost ties,
-// so the result is deterministic for any Workers setting) and counts the
-// discarded rest as pruned.
-func truncateCheapest(e *Enumeration, n int, st *Stats) {
-	if len(e.Vectors) <= n {
+// truncateCheapest keeps the degradedCap cheapest vectors of e (stable on
+// cost ties, so the result is deterministic for any Workers setting) and
+// counts the discarded rest as pruned.
+func truncateCheapest(e *Enumeration, st *Stats) {
+	if len(e.Vectors) <= degradedCap {
 		return
 	}
 	e.mat = nil
@@ -101,29 +95,26 @@ func truncateCheapest(e *Enumeration, n int, st *Stats) {
 		return e.Vectors[i].Cost < e.Vectors[j].Cost
 	})
 	if st != nil {
-		st.Pruned += len(e.Vectors) - n
+		st.Pruned += len(e.Vectors) - degradedCap
 	}
-	e.Vectors = e.Vectors[:n]
+	e.Vectors = e.Vectors[:degradedCap]
 }
 
-// truncate is truncateCheapest to the degraded beam, ranked by pr's model, for
-// an enumeration in the run's store: the rows of dropped vectors are released.
+// truncate is truncateCheapest, ranked by pr's model, for an enumeration in
+// the run's store: the rows of dropped vectors are released.
 func (c *Context) truncate(ctx context.Context, pr Pruner, e *Enumeration, st *Stats) {
-	if all := e.Vectors; len(all) > c.Budget.cap() {
+	if all := e.Vectors; len(all) > degradedCap {
 		c.rank(ctx, pr, e, st)
-		truncateCheapest(e, c.Budget.cap(), st)
+		truncateCheapest(e, st)
 		c.store.release(all[len(e.Vectors):])
 	}
 }
 
-// rank scores the unscored vectors of e for a degraded beam with a cost-driven
-// pruner's model (a cost-free pruner's all cost 0). If ctx is cancelled, costs
-// stay partial and the run is abandoned at its next check.
+// rank scores the unscored vectors of e for a degraded beam with
+// BoundaryPruner's model (a cost-free pruner's all cost 0). If ctx is
+// cancelled, costs stay partial and the run is abandoned at its next check.
 func (c *Context) rank(ctx context.Context, pr Pruner, e *Enumeration, st *Stats) {
-	switch p := pr.(type) {
-	case BoundaryPruner:
-		c.predictEnum(ctx, p.Model, e, st)
-	case PropertyPruner:
+	if p, ok := pr.(BoundaryPruner); ok {
 		c.predictEnum(ctx, p.Model, e, st)
 	}
 }

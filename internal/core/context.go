@@ -325,7 +325,8 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 }
 
 // Alternatives returns the schema platform columns available for operator
-// id. The slice must not be modified.
+// id. The slice must not be modified. TDGen and the benchmark's prediction
+// probes draw assignments from it.
 func (c *Context) Alternatives(id plan.OpID) []uint8 { return c.alternatives[id] }
 
 // SearchSpaceSize returns the number of complete execution plans (the

@@ -36,7 +36,7 @@ func newLinModel(n int, seed int64) linModel {
 // is strictly additive across merges.
 func newAdditiveLinModel(s *core.Schema, seed int64) linModel {
 	m := newLinModel(s.Len(), seed)
-	for pi := 0; pi < s.NumPlatforms(); pi++ {
+	for pi := 0; pi < len(s.Platforms); pi++ {
 		m.w[s.MaxBytesCell(pi)] = 0
 	}
 	m.w[s.DatasetCell()] = 0
@@ -100,7 +100,7 @@ func TestSchemaLayout(t *testing.T) {
 	record(core.TopoLoop, "loop")
 	for _, k := range s.Kinds {
 		record(s.OpTotalCell(k), "total")
-		for pi := 0; pi < s.NumPlatforms(); pi++ {
+		for pi := 0; pi < len(s.Platforms); pi++ {
 			record(s.OpPlatformCell(k, pi), "perPlat")
 		}
 		for topo := 0; topo < 4; topo++ {
@@ -109,17 +109,17 @@ func TestSchemaLayout(t *testing.T) {
 		record(s.OpUDFCell(k), "udf")
 		record(s.OpInCardCell(k), "inCard")
 		record(s.OpOutCardCell(k), "outCard")
-		for pi := 0; pi < s.NumPlatforms(); pi++ {
+		for pi := 0; pi < len(s.Platforms); pi++ {
 			record(s.OpPlatInCardCell(k, pi), "platInCard")
 			record(s.OpPlatOutCardCell(k, pi), "platOutCard")
 		}
 	}
-	for pi := 0; pi < s.NumPlatforms(); pi++ {
+	for pi := 0; pi < len(s.Platforms); pi++ {
 		record(s.MovePlatformCell(pi), "move")
 	}
 	record(s.MoveInCardCell(), "moveIn")
 	record(s.MoveOutCardCell(), "moveOut")
-	for pi := 0; pi < s.NumPlatforms(); pi++ {
+	for pi := 0; pi < len(s.Platforms); pi++ {
 		record(s.LoadCell(pi), "load")
 		record(s.ShuffleLoadCell(pi), "shuffleLoad")
 		record(s.PlatOpsCell(pi), "platOps")
@@ -202,8 +202,8 @@ func TestEnumerateCountsAreExhaustive(t *testing.T) {
 			t.Fatalf("Enumerate: %v", err)
 		}
 		want := math.Pow(float64(k), float64(l.NumOps()))
-		if float64(e.Size()) != want {
-			t.Errorf("k=%d: enumerated %d plans, want %g", k, e.Size(), want)
+		if float64(len(e.Vectors)) != want {
+			t.Errorf("k=%d: enumerated %d plans, want %g", k, len(e.Vectors), want)
 		}
 		if got := ctx.SearchSpaceSize(); got != want {
 			t.Errorf("SearchSpaceSize = %g, want %g", got, want)
@@ -534,12 +534,12 @@ func TestWideBoundaryStringFootprint(t *testing.T) {
 	if len(e.Boundary) != branches {
 		t.Fatalf("boundary = %d ops, want %d", len(e.Boundary), branches)
 	}
-	before := e.Size()
+	before := len(e.Vectors)
 	m := newLinModel(ctx.Schema.Len(), 1)
 	core.BoundaryPruner{Model: m}.Prune(context.Background(), ctx, e, nil)
 	// The boundary ops are distinct per vector, so nothing can prune.
-	if e.Size() != before {
-		t.Fatalf("pruned an all-boundary enumeration: %d -> %d", before, e.Size())
+	if len(e.Vectors) != before {
+		t.Fatalf("pruned an all-boundary enumeration: %d -> %d", before, len(e.Vectors))
 	}
 }
 
@@ -562,8 +562,8 @@ func TestSwitchPruner(t *testing.T) {
 	}
 	// Cap pruning.
 	core.SwitchPruner{Beta: 3, MaxVectors: 5}.Prune(context.Background(), ctx, e, &st)
-	if e.Size() > 5 {
-		t.Fatalf("cap ignored: %d vectors", e.Size())
+	if len(e.Vectors) > 5 {
+		t.Fatalf("cap ignored: %d vectors", len(e.Vectors))
 	}
 }
 

@@ -1,5 +1,13 @@
 package core
 
+// Merge is the merge operation (operation 6) into a new vector: mergeInto
+// without a scratch or store row to write into, for the merge-algebra tests.
+func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
+	out := &Vector{F: make([]float64, c.Schema.Len()), Assign: make([]uint8, len(v1.Assign))}
+	c.mergeInto(out, v1, v2, info, st)
+	return out
+}
+
 // PoisonFreed arms the vector store's poison hook for every later run on c:
 // rows returned to the free list, the worker scratch before each product and
 // the whole store when an Optimize* run ends are overwritten with NaN

@@ -61,7 +61,7 @@ func FuzzEnumerate(f *testing.F) {
 		for i, p := range res.Execution.Assign {
 			ok := false
 			for _, alt := range ctx.Alternatives(plan.OpID(i)) {
-				if ctx.Schema.Platform(int(alt)) == p {
+				if ctx.Schema.Platforms[alt] == p {
 					ok = true
 					break
 				}

@@ -32,9 +32,6 @@ type Enumeration struct {
 	mat *vecops.Matrix
 }
 
-// Size returns the number of plan vectors in the enumeration.
-func (e *Enumeration) Size() int { return len(e.Vectors) }
-
 // ---------------------------------------------------------------------------
 // Core operations (Section IV-C)
 // ---------------------------------------------------------------------------
@@ -159,38 +156,13 @@ func (c *Context) addSingletonStructure(f []float64, o *plan.Operator) {
 	f[s.OpOutCardCell(o.Kind)] += o.OutputCard * iters
 }
 
-// Split divides an abstract plan vector into singleton abstract vectors, one
-// per operator in its scope (operation 4). The results are pair-wise
-// disjoint and their union covers the input scope, which renders the
-// enumeration parallelizable and is the entry point of Algorithm 1 (line 2).
-func (c *Context) Split(a *Abstract) []*Abstract {
-	ids := a.Scope.IDs()
-	out := make([]*Abstract, 0, len(ids))
-	s := c.Schema
-	for _, id := range ids {
-		o := c.Plan.Op(id)
-		sa := &Abstract{F: make([]float64, s.Len()), Scope: plan.NewBitset(c.Plan.NumOps())}
-		sa.Scope.Set(id)
-		c.addSingletonStructure(sa.F, o)
-		for _, pi := range c.alternatives[id] {
-			if len(c.alternatives[id]) == 1 {
-				sa.F[s.OpPlatformCell(o.Kind, int(pi))]++
-			} else {
-				sa.F[s.OpPlatformCell(o.Kind, int(pi))] = -1
-			}
-		}
-		sa.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
-		out = append(out, sa)
-	}
-	return out
-}
-
 // Enumerate instantiates an abstract plan vector into the plan vector
 // enumeration of all its concrete execution alternatives (operation 2). For
 // a singleton scope this yields one vector per available platform; for
 // larger scopes it takes the cartesian product of the operators'
 // alternatives, i.e. the exhaustive enumeration of the subplan. maxVectors
-// guards against accidental exponential blow-ups: 0 means unlimited. ctx
+// guards against accidental exponential blow-ups: 0 means unlimited. It is
+// the exhaustive baseline's enumeration (OptimizeExhaustive, Figure 9a). ctx
 // cancels the enumeration (checked between merges, every mergeBlock pairs);
 // nil means context.Background(). The returned enumeration is valid until the
 // next run on this Context (see Enumeration).
@@ -281,7 +253,7 @@ func (c *Context) Unvectorize(v *Vector) (*plan.Execution, error) {
 		if a == Unassigned {
 			return nil, fmt.Errorf("core: vector does not cover operator %d", i)
 		}
-		assign[i] = c.Schema.Platform(int(a))
+		assign[i] = c.Schema.Platforms[a]
 	}
 	x, err := plan.NewExecution(c.Plan, assign)
 	if err != nil {
@@ -305,14 +277,14 @@ func (c *Context) Unvectorize(v *Vector) (*plan.Execution, error) {
 // of vectors from two fixed enumerations: the dataflow edges crossing the
 // two scopes, how many of them fuse pipeline segments, and the second scope.
 // Conversion features depend on the per-pair platform choices and are
-// computed inside Merge itself.
+// computed inside the merge itself.
 type MergeCtx struct {
 	Crossing []plan.Edge
 	Fuses    int
 	right    plan.Bitset
 }
 
-// MergeInfo builds the MergeCtx for Merge(v1, v2) with v1 from a, v2 from b.
+// MergeInfo builds the MergeCtx for merging v1 from a with v2 from b.
 func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
 	info := &MergeCtx{Crossing: c.crossingEdges(a.Scope, b.Scope), right: b.Scope}
 	for _, e := range info.Crossing {
@@ -323,25 +295,18 @@ func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
 	return info
 }
 
-// Merge concatenates two plan vectors into the vector of the combined
-// subplan (operation 6). Feature blocks are added cell-wise with two
-// exceptions mandated by the paper: the pipeline topology cell fuses when
-// the subplans concatenate linearly ("when concatenating two pipeline
-// subplans the resulted plan is still a single pipeline"), and the input
-// tuple size keeps the maximum. Conversion features are added for every
-// crossing edge whose endpoints run on different platforms. Merge is
-// commutative and, across any merge tree over disjoint scopes, associative:
-// every crossing edge is accounted exactly once.
-func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
-	out := &Vector{F: make([]float64, c.Schema.Len()), Assign: make([]uint8, len(v1.Assign))}
-	c.mergeInto(out, v1, v2, info, st)
-	return out
-}
-
-// mergeInto is Merge writing into a pre-allocated vector (a scratch or store
-// row on the enumeration fast path). out.F and out.Assign must have the
-// schema and plan widths. Only the plan's live columns are written, so out.F
-// must be zero outside them, as every row of a run is from allocation on.
+// mergeInto concatenates two plan vectors into the vector of the combined
+// subplan (operation 6), writing into a pre-allocated vector (a scratch or
+// store row). Feature blocks are added cell-wise with two exceptions mandated
+// by the paper: the pipeline topology cell fuses when the subplans
+// concatenate linearly ("when concatenating two pipeline subplans the
+// resulted plan is still a single pipeline"), and the input tuple size keeps
+// the maximum. Conversion features are added for every crossing edge whose
+// endpoints run on different platforms. Merging is commutative and, across
+// any merge tree over disjoint scopes, associative: every crossing edge is
+// accounted exactly once. out.F and out.Assign must have the schema and plan
+// widths. Only the plan's live columns are written, so out.F must be zero
+// outside them, as every row of a run is from allocation on.
 func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 	out.Cost, out.Dist, out.scored = 0, CostDist{}, false
 	for _, sp := range c.live {
@@ -376,9 +341,9 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 
 // Pruner reduces a plan vector enumeration in place (operation 7). Distinct
 // pruning policies (the boundary pruning of the optimizer, the
-// platform-switch pruning of TDGen) implement this interface, which is how
-// the paper's "fine-granular operations" let the same Algorithm 1 serve both
-// uses.
+// platform-switch pruning of TDGen, none at all for Table I's unpruned
+// counts) implement this interface, which is how the paper's "fine-granular
+// operations" let the same Algorithm 1 serve every use.
 //
 // ctx carries the run's cancellation: pruners that invoke the cost oracle
 // must check it cooperatively (model calls dominate enumeration latency) and
@@ -405,19 +370,13 @@ type BoundaryPruner struct {
 // pruneGroups). A cancelled ctx returns early without pruning; the caller is
 // expected to abandon the enumeration.
 func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
-	c.pruneGroups(ctx, p.Model, e, st, nil)
+	c.pruneGroups(ctx, p.Model, e, st)
 }
 
-// groupKey identifies a pruning group within one enumeration: the pruning
-// footprint (packed, or past 16 boundary operators the number pruneGroups
-// gave its string form) refined by the mixed property keys.
-type groupKey struct{ foot, prop uint64 }
-
-// pruneGroups is the prune operation itself (Section IV-E), shared by every
-// cost-driven pruner. Vectors group by pruning footprint refined by the keys
-// of props ("interesting properties", Section V); per group the lowest-cost
-// vector wins, ties to the earliest. Without Risk.KeepOverlap that is
-// Definition 2: one survivor per group, in group first-seen order. With it,
+// pruneGroups is the prune operation itself (Section IV-E). Vectors group by
+// pruning footprint; per group the lowest-cost vector wins, ties to the
+// earliest. Without Risk.KeepOverlap that is Definition 2: one survivor per
+// group, in group first-seen order. With it,
 // up to overlapKept-1 further members whose predictive interval overlaps
 // their winner's survive behind it, cheapest first — insurance against the
 // model misordering plans it cannot separate. Extra survivors only widen the
@@ -434,14 +393,14 @@ type groupKey struct{ foot, prop uint64 }
 // case allocates nothing (the bookkeeping is the worker scratch's) — it runs
 // after every concatenation of every request. Otherwise no member's fate is
 // known before its group's winner is final, and all of them wait.
-func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, st *Stats, props []Property) {
+func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, st *Stats) {
 	if len(e.Vectors) <= 1 {
 		return
 	}
 	var wide map[string]uint64
-	sc := c.work()
+	sc := c.scratch
 	if sc.groups == nil {
-		sc.groups = make(map[groupKey]int)
+		sc.groups = make(map[uint64]int)
 	}
 	groups := sc.groups
 	clear(groups)
@@ -449,8 +408,9 @@ func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, 
 	for _, v := range e.Vectors {
 		foot, sfoot, packed := footprintKey(v.Assign, e.Boundary)
 		if !packed {
-			// The boundary, hence packed, is the enumeration's: numbering
-			// the string footprints cannot collide with a packed one.
+			// The boundary, hence packed, is the enumeration's: its vectors
+			// are all packed or all numbered, so the two key spaces never
+			// meet in one group map.
 			id, ok := wide[sfoot]
 			if !ok {
 				if wide == nil {
@@ -461,15 +421,10 @@ func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, 
 			}
 			foot = id
 		}
-		k := groupKey{foot: foot}
-		for _, pr := range props {
-			// Mix the property keys order-sensitively.
-			k.prop = k.prop*0x9e3779b97f4a7c15 + pr.Key(c, v) + 0x7f4a7c15
-		}
-		g, seen := groups[k]
+		g, seen := groups[foot]
 		if !seen {
 			g = len(sc.size)
-			groups[k] = g
+			groups[foot] = g
 			sc.size = append(sc.size, 0)
 		}
 		sc.size[g]++
@@ -559,7 +514,8 @@ func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, 
 // plans with more than Beta platform switches ("very unlikely to be an
 // optimal execution plan in practice") and, when MaxVectors > 0, keep at
 // most that many vectors, preferring fewer switches; ties resolve by
-// insertion order to stay deterministic.
+// insertion order to stay deterministic. TDGen's plan enumeration
+// (internal/tdgen) runs it.
 type SwitchPruner struct {
 	Beta       int
 	MaxVectors int
@@ -589,7 +545,8 @@ func (p SwitchPruner) Prune(_ context.Context, c *Context, e *Enumeration, st *S
 	e.Vectors = kept
 }
 
-// NoPruner keeps every vector (the exhaustive enumeration of Figure 9a).
+// NoPruner keeps every vector: Table I's enumeration without pruning
+// (internal/experiments) runs it.
 type NoPruner struct{}
 
 // Prune is a no-op.
@@ -622,7 +579,9 @@ func (c *Context) GetOptimal(ctx context.Context, e *Enumeration, m CostModel, s
 // execution plan given its per-operator platform columns. It is
 // definitionally equal to merging all singleton vectors (property-tested)
 // and is what the Rheem-ML baseline must do from scratch on every model
-// invocation — the overhead Robopt's design eliminates.
+// invocation — the overhead Robopt's design eliminates. TDGen labels its
+// plans with it, and the benchmark's prediction probes build their rows
+// with it.
 func (c *Context) VectorizeExecution(assign []uint8) *Vector {
 	s := c.Schema
 	v := &Vector{F: make([]float64, s.Len()), Assign: append([]uint8(nil), assign...)}
@@ -640,7 +599,8 @@ func (c *Context) VectorizeExecution(assign []uint8) *Vector {
 
 // PredictAssignment returns m's runtime estimate for an explicit platform
 // assignment of the plan (one platform per operator, in ID order): platform
-// IDs to schema columns, VectorizeExecution, Predict.
+// IDs to schema columns, VectorizeExecution, Predict. The facade's
+// PredictRuntime calls it, and CheapestAllOn through it.
 func (c *Context) PredictAssignment(m CostModel, assign []platform.ID) (float64, error) {
 	if len(assign) != c.Plan.NumOps() {
 		return 0, fmt.Errorf("assignment covers %d of %d operators", len(assign), c.Plan.NumOps())
@@ -657,7 +617,8 @@ func (c *Context) PredictAssignment(m CostModel, assign []platform.ID) (float64,
 }
 
 // CheapestAllOn is plan.CheapestAllOn over the plan with m's estimates as
-// the scores: the single-platform mode of Section VII-C1 under the model.
+// the scores: the single-platform mode of Section VII-C1 under the model,
+// which the facade, robopt -mode single and Figure 12 run.
 func (c *Context) CheapestAllOn(m CostModel, candidates []platform.ID) (platform.ID, *plan.Execution, float64, error) {
 	return plan.CheapestAllOn(c.Plan, candidates, c.Avail, func(x *plan.Execution) (float64, error) {
 		return c.PredictAssignment(m, x.Assign)

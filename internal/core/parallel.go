@@ -47,9 +47,6 @@ func parallelForCtx(ctx context.Context, n, workers, block int, fn func(chunk, l
 		parallelFor(n, workers, fn)
 		return nil
 	}
-	if block <= 0 {
-		block = 256
-	}
 	parallelFor(n, workers, func(chunk, lo, hi int) {
 		for b := lo; b < hi; b += block {
 			if ctx.Err() != nil {

@@ -19,7 +19,8 @@ type ModelProvider interface {
 
 // OptimizeProvider is Optimize with the model resolved from mp when the run
 // starts: the returned plan is scored entirely by that one model snapshot,
-// even if the provider hot-swaps mid-run.
+// even if the provider hot-swaps mid-run. The service's enumerate tier and
+// the benchmark's traced replay run it.
 func (c *Context) OptimizeProvider(ctx context.Context, mp ModelProvider) (*Result, error) {
 	return c.Optimize(ctx, mp.ActiveModel())
 }
@@ -46,7 +47,7 @@ func (sc *scratch) features(e *Enumeration, cols int) vecops.Matrix {
 
 // predictEnum scores every vector of e not scored yet (see predict).
 func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, st *Stats) bool {
-	sc := c.work()
+	sc := c.scratch
 	sc.miss = sc.miss[:0]
 	for i, v := range e.Vectors {
 		if !v.scored {
@@ -69,7 +70,7 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 // caller must abandon the enumeration.
 func (c *Context) predict(ctx context.Context, m CostModel, e *Enumeration, hits int, st *Stats) bool {
 	start := time.Now()
-	sc := c.work()
+	sc := c.scratch
 	miss := sc.miss
 	ok := true
 	if len(miss) > 0 {

@@ -36,7 +36,7 @@ func TestQuickUnvectorizeRoundTrip(t *testing.T) {
 			return false
 		}
 		for i, a := range assign {
-			if x.Assign[i] != ctx.Schema.Platform(int(a)) {
+			if x.Assign[i] != ctx.Schema.Platforms[a] {
 				return false
 			}
 		}
@@ -98,7 +98,7 @@ func TestQuickPruneSubset(t *testing.T) {
 			return false
 		}
 		m := newAdditiveLinModel(ctx.Schema, seed)
-		before := e.Size()
+		before := len(e.Vectors)
 		minBefore := 0.0
 		for i, v := range e.Vectors {
 			c := m.Predict(v.F)
@@ -107,7 +107,7 @@ func TestQuickPruneSubset(t *testing.T) {
 			}
 		}
 		core.BoundaryPruner{Model: m}.Prune(context.Background(), ctx, e, nil)
-		if e.Size() > before {
+		if len(e.Vectors) > before {
 			return false
 		}
 		minAfter := 0.0

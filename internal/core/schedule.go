@@ -287,7 +287,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 			return
 		}
 		if deg {
-			truncateCheapest(merged, budget.cap(), st)
+			truncateCheapest(merged, st)
 		}
 		cur = tc.keep(merged)
 	}

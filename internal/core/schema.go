@@ -112,15 +112,9 @@ func MustSchema(platforms []platform.ID) *Schema {
 // Len returns the plan-vector length under this schema.
 func (s *Schema) Len() int { return s.length }
 
-// NumPlatforms returns the size of the platform universe.
-func (s *Schema) NumPlatforms() int { return len(s.Platforms) }
-
 // PlatIndex returns the feature column of platform p, or -1 if p is not in
 // the schema.
 func (s *Schema) PlatIndex(p platform.ID) int { return int(s.platIndex[p]) }
-
-// Platform returns the platform at feature column i.
-func (s *Schema) Platform(i int) platform.ID { return s.Platforms[i] }
 
 // Offsets into an operator-kind block.
 const (
@@ -253,6 +247,7 @@ func (s *Schema) liveColumns(l *plan.Logical) []colSpan {
 
 // Conversions returns the number of conversion operators encoded in feature
 // vector f: every platform switch contributes one instance on each side.
+// SwitchPruner (TDGen's β rule) counts with it.
 func (s *Schema) Conversions(f []float64) int {
 	sum := 0.0
 	for i := 0; i < len(s.Platforms); i++ {

@@ -69,15 +69,6 @@ func (c *Context) endRun() {
 	c.store, c.scratch = nil, nil
 }
 
-// work returns the scratch of the goroutine driving c, creating one for
-// prune and predict calls made outside any run (hand-assembled enumerations).
-func (c *Context) work() *scratch {
-	if c.scratch == nil {
-		c.scratch = new(scratch)
-	}
-	return c.scratch
-}
-
 // worker returns pool worker i's scratch, created on first use. Only the
 // scheduling goroutine calls it (between rounds).
 func (s *vecStore) worker(i int) *scratch {
@@ -173,13 +164,13 @@ type scratch struct {
 	vecs   []Vector
 	ptrs   []*Vector
 
-	miss   []int            // predict: indices of the vectors to score
-	out    []float64        // predict: the four output columns
-	gather []float64        // predict: feature rows not contiguous in a matrix
-	views  []vecops.Matrix  // predict: each parallel chunk's view of the rows
-	groups map[groupKey]int // pruneGroups: group → its number, in first-seen order
-	group  []int            // pruneGroups: each vector's group
-	size   []int            // pruneGroups: each group's member count
+	miss   []int           // predict: indices of the vectors to score
+	out    []float64       // predict: the four output columns
+	gather []float64       // predict: feature rows not contiguous in a matrix
+	views  []vecops.Matrix // predict: each parallel chunk's view of the rows
+	groups map[uint64]int  // pruneGroups: footprint → its group number, in first-seen order
+	group  []int           // pruneGroups: each vector's group
+	size   []int           // pruneGroups: each group's member count
 }
 
 // product returns the worker's scratch enumeration resized to n vectors of

@@ -65,9 +65,9 @@ func TestStoreReturnsRows(t *testing.T) {
 	}{
 		{"boundary", core.BoundaryPruner{Model: m}, core.Budget{}},
 		{"switch", core.SwitchPruner{Beta: 2, MaxVectors: 40}, core.Budget{}},
-		{"switch-degraded", core.SwitchPruner{Beta: 3}, core.Budget{MaxVectors: 300, DegradedCap: 5}},
+		{"switch-degraded", core.SwitchPruner{Beta: 3}, core.Budget{MaxVectors: 300}},
 		{"budget-trip", core.BoundaryPruner{Model: m}, core.Budget{MaxVectors: 400}},
-		{"load-shed", core.BoundaryPruner{Model: m}, core.Budget{ForceDegraded: true, DegradedCap: 3}},
+		{"load-shed", core.BoundaryPruner{Model: m}, core.Budget{ForceDegraded: true}},
 	}
 	for _, cs := range cases {
 		for _, workers := range []int{1, 8} {
@@ -79,7 +79,7 @@ func TestStoreReturnsRows(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", cs.name, workers, err)
 			}
-			if st.Degraded != cs.budget.Active() {
+			if st.Degraded != (cs.budget != core.Budget{}) {
 				t.Errorf("%s workers=%d: degraded = %v", cs.name, workers, st.Degraded)
 			}
 			if live := ctx.LiveRows(); live != len(final.Vectors) {

@@ -158,7 +158,8 @@ type AlternativePlan struct {
 }
 
 // OpContribution is the predicted runtime of one operator's singleton
-// subvector under the winning assignment.
+// subvector under the winning assignment: an entry of the audit's
+// opContribs and of the explanation's operators.
 type OpContribution struct {
 	Op       int     `json:"op"`
 	Name     string  `json:"name"`
@@ -337,19 +338,9 @@ type Explanation struct {
 	IntervalKept    int              `json:"intervalKept,omitempty"`
 	Degraded        bool             `json:"degraded,omitempty"`
 	DegradeReason   string           `json:"degradeReason,omitempty"`
-	Operators       []OperatorChoice `json:"operators"`
+	Operators       []OpContribution `json:"operators"`
 	Final           *FinalSelection  `json:"final,omitempty"`
 	Boundaries      []*PruneRecord   `json:"boundaries,omitempty"`
-}
-
-// OperatorChoice is one operator's winning platform with its singleton cost
-// contribution.
-type OperatorChoice struct {
-	Op           int     `json:"op"`
-	Name         string  `json:"name"`
-	Kind         string  `json:"kind"`
-	Platform     string  `json:"platform"`
-	Contribution float64 `json:"contributionSec"`
 }
 
 // Explain derives the explainability report from the run's trace. Returns an
@@ -364,21 +355,13 @@ func (r *Result) Explain() (*Explanation, error) {
 		IntervalKept:  r.Stats.IntervalKept,
 		Degraded:      r.Degraded,
 		DegradeReason: r.Stats.DegradeReason,
+		Operators:     r.Trace.OpContribs,
 		Final:         r.Trace.Final,
 	}
 	if r.PredictedDist.Spread != 0 {
 		ex.PredictedLo = r.PredictedDist.Lo
 		ex.PredictedHi = r.PredictedDist.Hi
 		ex.PredictedSpread = r.PredictedDist.Spread
-	}
-	for _, oc := range r.Trace.OpContribs {
-		ex.Operators = append(ex.Operators, OperatorChoice{
-			Op:           oc.Op,
-			Name:         oc.Name,
-			Kind:         oc.Kind,
-			Platform:     oc.Platform,
-			Contribution: oc.Cost,
-		})
 	}
 	// Only boundaries that actually discarded something make the report;
 	// the full trail stays on r.Trace.Prunes.
@@ -411,7 +394,7 @@ func (ex *Explanation) String() string {
 	sb.WriteString("operator platform choices (singleton cost contribution):\n")
 	for _, oc := range ex.Operators {
 		fmt.Fprintf(&sb, "  op %-3d %-24s -> %-10s (%.4gs)\n", oc.Op,
-			fmt.Sprintf("%s [%s]", oc.Name, oc.Kind), oc.Platform, oc.Contribution)
+			fmt.Sprintf("%s [%s]", oc.Name, oc.Kind), oc.Platform, oc.Cost)
 	}
 	if ex.Final != nil {
 		fmt.Fprintf(&sb, "final selection: best of %d complete plans at %.4gs predicted\n",

@@ -295,8 +295,8 @@ func TestExplainReport(t *testing.T) {
 		if want := res.Execution.Assign[oc.Op].String(); oc.Platform != want {
 			t.Errorf("op %d: explanation says %s, plan says %s", oc.Op, oc.Platform, want)
 		}
-		if oc.Contribution < 0 {
-			t.Errorf("op %d: negative contribution %g", oc.Op, oc.Contribution)
+		if oc.Cost < 0 {
+			t.Errorf("op %d: negative contribution %g", oc.Op, oc.Cost)
 		}
 	}
 	if ex.Final == nil {

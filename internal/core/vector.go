@@ -45,17 +45,6 @@ func (v *Vector) clone() *Vector {
 	return &w
 }
 
-// Scope returns the set of operators the vector covers.
-func (v *Vector) Scope(n int) plan.Bitset {
-	b := plan.NewBitset(n)
-	for i, a := range v.Assign {
-		if a != Unassigned {
-			b.Set(plan.OpID(i))
-		}
-	}
-	return b
-}
-
 // Abstract is an abstract plan vector: the output of Vectorize (Section
 // IV-C(1)). It fixes the plan-structure features but leaves the per-platform
 // instantiation open, marking alternative cells with -1.
