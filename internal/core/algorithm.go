@@ -77,6 +77,7 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 	}
 	var st Stats
 	c.beginRunTrace()
+	c.bind(m)
 	defer c.endRun()
 	final, err := c.EnumerateFull(ctx, pr, order, &st)
 	if err != nil {
@@ -107,8 +108,8 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 		return nil, err
 	}
 	rt := c.endRunTrace(&st, nil)
-	// The winner is cloned out of the run's store, which is dropped here.
-	return &Result{Execution: x, Vector: best.clone(), Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Degraded: st.Degraded, Stats: st, Trace: rt}, nil
+	// The winner is expanded out of the run's store, which is dropped here.
+	return &Result{Execution: x, Vector: c.wide(best), Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Degraded: st.Degraded, Stats: st, Trace: rt}, nil
 }
 
 // OptimizeExhaustive enumerates the complete search space Ω_p without
@@ -122,6 +123,7 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 		ctx = context.Background()
 	}
 	var st Stats
+	c.bind(m)
 	defer c.endRun()
 	e, err := c.Enumerate(ctx, c.Vectorize(), maxVectors, &st)
 	if err != nil {
@@ -135,7 +137,7 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Execution: x, Vector: best.clone(), Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Stats: st}, nil
+	return &Result{Execution: x, Vector: c.wide(best), Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Stats: st}, nil
 }
 
 // ---------------------------------------------------------------------------

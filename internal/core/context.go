@@ -101,20 +101,12 @@ func (s *Stats) merge(t *Stats) {
 	s.MemoHits += t.MemoHits
 	s.Pruned += t.Pruned
 	s.IntervalKept += t.IntervalKept
-	if t.PeakEnumSize > s.PeakEnumSize {
-		s.PeakEnumSize = t.PeakEnumSize
-	}
+	s.PeakEnumSize = max(s.PeakEnumSize, t.PeakEnumSize)
 	if t.Degraded && !s.Degraded {
 		s.Degraded = true
 		s.DegradeReason = t.DegradeReason
 	}
 	s.Timings.Add(t.Timings)
-}
-
-func (s *Stats) observe(size int) {
-	if size > s.PeakEnumSize {
-		s.PeakEnumSize = size
-	}
 }
 
 // topoClass classifies an operator's local structure for the
@@ -180,7 +172,11 @@ type Context struct {
 	depth        []int         // per op: longest path from a source
 	adjacency    [][]plan.OpID // per op: all neighbours (in and out)
 	effIters     []float64     // per op: loop iterations (1 outside loops)
-	live         []colSpan     // the columns a vector of the plan can set (mergeInto)
+	// The run's rows hold only the columns a vector of the plan can set:
+	// live, concatenated, width cells, the movement block and the tail after
+	// it from moveAt on. A vector leaving the run is expanded (wide).
+	live          []colSpan
+	width, moveAt int
 
 	// Per-run enumeration memory (store.go): the vector store of the run in
 	// progress (or last finished, while its result may still be read) and
@@ -188,9 +184,12 @@ type Context struct {
 	// caller's Context, the executing worker's on a pool worker's copy.
 	store   *vecStore
 	scratch *scratch
-	// poison, the plan's live columns once tests set it, arms the store's
-	// poison hook for runs on this Context (see vecStore.poison).
-	poison []colSpan
+	// model is the run's cost model and spec its specialisation to the
+	// run's rows, when it has one (bind).
+	model, spec CostModel
+	// poison, once tests set it, arms the store's poison hook for runs on
+	// this Context (see vecStore.poison).
+	poison bool
 
 	// Per-run tracing state, live only while Trace is set: the run's audit,
 	// its root span, and the prune audit record in flight on the goroutine
@@ -279,6 +278,10 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 		effIters:     make([]float64, n),
 		live:         s.liveColumns(l),
 	}
+	for _, sp := range c.live {
+		c.width += sp.hi - sp.lo
+	}
+	c.moveAt = c.width - (s.length - s.moveOff) // the tail is the last span
 	firstInLoop := map[int]plan.OpID{}
 	for _, o := range l.Ops {
 		var alts []uint8
@@ -313,13 +316,9 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 		c.loopHead[head] = true
 	}
 	for _, id := range l.TopoOrder() {
-		d := 0
 		for _, p := range l.Ops[id].In {
-			if c.depth[p]+1 > d {
-				d = c.depth[p] + 1
-			}
+			c.depth[id] = max(c.depth[id], c.depth[p]+1)
 		}
-		c.depth[id] = d
 	}
 	return c, nil
 }
@@ -355,10 +354,27 @@ func (c *Context) boundaryOf(scope plan.Bitset, out []plan.OpID) []plan.OpID {
 	return out
 }
 
-// crossingEdges returns the dataflow edges with one endpoint in a and the
-// other in b (either direction).
-func (c *Context) crossingEdges(a, b plan.Bitset) []plan.Edge {
-	var out []plan.Edge
+// compact writes the live columns of the Schema-width row wide into dst, a
+// row of the run.
+func (c *Context) compact(dst, wide []float64) {
+	off := 0
+	for _, sp := range c.live {
+		off += copy(dst[off:], wide[sp.lo:sp.hi])
+	}
+}
+
+// expand writes f, a row of the run, into the live columns of the
+// Schema-width row dst, one copy per span; the other cells are left alone.
+func (c *Context) expand(dst, f []float64) {
+	off := 0
+	for _, sp := range c.live {
+		off += copy(dst[sp.lo:sp.hi], f[off:])
+	}
+}
+
+// crossingEdges appends to out the dataflow edges with one endpoint in a and
+// the other in b (either direction).
+func (c *Context) crossingEdges(a, b plan.Bitset, out []plan.Edge) []plan.Edge {
 	for _, e := range c.edges {
 		if (a.Has(e.From) && b.Has(e.To)) || (b.Has(e.From) && a.Has(e.To)) {
 			out = append(out, e)

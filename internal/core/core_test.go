@@ -235,12 +235,11 @@ func TestMergeCommutative(t *testing.T) {
 	if errA != nil || errB != nil {
 		t.Fatalf("singleton enumerate: %v %v", errA, errB)
 	}
-	infoAB := ctx.MergeInfo(a, b)
-	infoBA := ctx.MergeInfo(b, a)
+	// A MergeCtx lives in the worker scratch until the next MergeInfo.
 	for _, va := range a.Vectors {
 		for _, vb := range b.Vectors {
-			m1 := ctx.Merge(va, vb, infoAB, nil)
-			m2 := ctx.Merge(vb, va, infoBA, nil)
+			m1 := ctx.Merge(va, vb, ctx.MergeInfo(a, b), nil)
+			m2 := ctx.Merge(vb, va, ctx.MergeInfo(b, a), nil)
 			if !floatsEqual(m1.F, m2.F) {
 				t.Fatalf("merge not commutative:\n%v\n%v", m1, m2)
 			}
@@ -274,8 +273,8 @@ func floatsEqual(a, b []float64) bool {
 // TestMergeTreeIndependence: merging singleton vectors in any random binary
 // tree order yields exactly the same vector as the one-pass
 // VectorizeExecution — the associativity the paper's merge semantics
-// require. Merge writes only the plan's live columns, so the plans include
-// one of three operator kinds, whose blocks are few and far apart.
+// require. The run's rows hold only the plan's live columns, so the plans
+// include one of three operator kinds, whose blocks are few and far apart.
 func TestMergeTreeIndependence(t *testing.T) {
 	few := plan.NewBuilder(100)
 	head := few.Source(platform.TextFileSource, "src", 1e5)
@@ -338,13 +337,13 @@ func TestMergeTreeIndependence(t *testing.T) {
 				items[i] = item{e, merged}
 				items = append(items[:j], items[j+1:]...)
 			}
-			got := items[0].v
+			got := ctx.Wide(items[0].v)
 			// Cardinality sums accumulate in different orders across
 			// merge trees, so compare with float tolerance.
-			for c := range got.F {
-				diff := math.Abs(got.F[c] - want.F[c])
+			for c := range got {
+				diff := math.Abs(got[c] - want.F[c])
 				if diff > 1e-9*math.Abs(want.F[c])+1e-12 {
-					t.Fatalf("plan %d trial %d: cell %d = %g, want %g", pi, trial, c, got.F[c], want.F[c])
+					t.Fatalf("plan %d trial %d: cell %d = %g, want %g", pi, trial, c, got[c], want.F[c])
 				}
 			}
 		}
@@ -553,7 +552,7 @@ func TestSwitchPruner(t *testing.T) {
 	var st core.Stats
 	core.SwitchPruner{Beta: 1}.Prune(context.Background(), ctx, e, &st)
 	for _, v := range e.Vectors {
-		if got := ctx.Schema.Conversions(v.F); got > 1 {
+		if got := ctx.Schema.Conversions(ctx.Wide(v)[ctx.Schema.MovePlatformCell(0):]); got > 1 {
 			t.Fatalf("vector with %d switches survived β=1", got)
 		}
 	}

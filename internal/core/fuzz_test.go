@@ -2,14 +2,18 @@ package core_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/platform"
 	"repro/internal/vecops"
 	"repro/internal/workload"
 )
@@ -25,8 +29,11 @@ import (
 //   - the selected plan is executable: one assignment per operator, each
 //     assignment drawn from that operator's admissible platforms, and a
 //     conversion on exactly the edges whose endpoints changed platform;
-//   - every store and scratch row of the same enumeration is exactly 0
-//     outside the plan's live columns, the only ones merge writes.
+//   - scoring the run's rows in place changes nothing: the latency
+//     experiments' scorer, which specialises itself to the plan's live
+//     columns, and the same scorer behind a wrapper without Specialize, sent
+//     rows expanded to the Schema, give bit-identical plans, Predicted,
+//     Counters() and audit JSON.
 //
 // Tiny budgets are the interesting corner: they flip the run into degraded
 // beam mode mid-enumeration, which must truncate — not corrupt — the result.
@@ -40,15 +47,31 @@ func FuzzEnumerate(f *testing.F) {
 		nPlats := int(nPlatsRaw)%3 + 2
 		workers := int(workersRaw)%8 + 1
 		l := workload.RandomDAG(nOps, 1e7, seed)
-		ctx := newCtx(t, l, nPlats)
-		ctx.Workers = workers
-		ctx.Budget = core.Budget{MaxVectors: int(maxVec % 300), MaxModelCalls: int(maxMC % 1024)}
-		ctx.Trace = obs.NewTrace("fuzz")
-		m := newAdditiveLinModel(ctx.Schema, seed+11)
-		res, err := ctx.Optimize(context.Background(), m)
-		if err != nil {
-			t.Fatalf("Optimize failed (nOps=%d nPlats=%d workers=%d budget=%+v): %v",
-				nOps, nPlats, workers, ctx.Budget, err)
+		budget := core.Budget{MaxVectors: int(maxVec % 300), MaxModelCalls: int(maxMC % 1024)}
+		m := experiments.NewHarness().LatencyModel(platform.Subset(nPlats))
+		run := func(m core.CostModel) (*core.Result, string) {
+			ctx := newCtx(t, l, nPlats)
+			ctx.Workers = workers
+			ctx.Budget = budget
+			ctx.Trace = obs.NewTrace("fuzz")
+			res, err := ctx.Optimize(context.Background(), m)
+			if err != nil {
+				t.Fatalf("Optimize failed (nOps=%d nPlats=%d workers=%d budget=%+v): %v",
+					nOps, nPlats, workers, budget, err)
+			}
+			audit, err := json.Marshal(res.Trace)
+			if err != nil {
+				t.Fatalf("marshal audit: %v", err)
+			}
+			return res, string(audit)
+		}
+		res, audit := run(m)
+		wide, wideAudit := run(unspecialized{m})
+		if !slices.Equal(res.Execution.Assign, wide.Execution.Assign) ||
+			math.Float64bits(res.Predicted) != math.Float64bits(wide.Predicted) ||
+			res.Stats.Counters() != wide.Stats.Counters() || audit != wideAudit {
+			t.Errorf("compact and expanded rows disagree: predicted %v / %v, counters %+v / %+v",
+				res.Predicted, wide.Predicted, res.Stats.Counters(), wide.Stats.Counters())
 		}
 		for _, rec := range res.Trace.Prunes {
 			if rec.VectorsOut > rec.VectorsIn {
@@ -58,6 +81,7 @@ func FuzzEnumerate(f *testing.F) {
 		if got := len(res.Execution.Assign); got != l.NumOps() {
 			t.Fatalf("plan assigns %d operators, logical plan has %d", got, l.NumOps())
 		}
+		ctx := newCtx(t, l, nPlats)
 		for i, p := range res.Execution.Assign {
 			ok := false
 			for _, alt := range ctx.Alternatives(plan.OpID(i)) {
@@ -79,16 +103,12 @@ func FuzzEnumerate(f *testing.F) {
 		if switches != len(res.Execution.Conversions) {
 			t.Errorf("%d platform switches but %d conversions", switches, len(res.Execution.Conversions))
 		}
-		// Optimize drops its rows when it returns; the same enumeration run
-		// again keeps them for inspection.
-		if _, err := ctx.EnumerateFull(context.Background(), core.BoundaryPruner{Model: m}, core.OrderPriority, nil); err != nil {
-			t.Fatalf("EnumerateFull: %v", err)
-		}
-		if cells, nonzero := ctx.DeadCells(); nonzero != 0 {
-			t.Errorf("%d of %d cells outside the live columns are not 0", nonzero, cells)
-		}
 	})
 }
+
+// unspecialized hides every method of the model but the two of CostModel, so
+// the run sends it rows expanded to the Schema.
+type unspecialized struct{ core.CostModel }
 
 // additiveDistModel is the additive oracle with an additive uncertainty: the
 // spread is a second nonnegative linear function of the same cells, so every

@@ -99,15 +99,15 @@ func (c *Context) convCard(e plan.Edge) float64 {
 	return card
 }
 
-// addConversion records in f the conversion edge e needs when its endpoints
-// run on platform columns pa and pb, if they differ.
-func (c *Context) addConversion(f []float64, e plan.Edge, pa, pb uint8) {
-	if s := c.Schema; pa != pb {
+// addConversion records in move, a row's movement block, the conversion edge
+// e needs when its endpoints run on platform columns pa and pb, if they differ.
+func (c *Context) addConversion(move []float64, e plan.Edge, pa, pb uint8) {
+	if p := len(c.Schema.Platforms); pa != pb {
 		card := c.convCard(e)
-		f[s.MovePlatformCell(int(pa))]++
-		f[s.MovePlatformCell(int(pb))]++
-		f[s.MoveInCardCell()] += card
-		f[s.MoveOutCardCell()] += card
+		move[pa]++
+		move[pb]++
+		move[p] += card
+		move[p+1] += card
 	}
 }
 
@@ -205,19 +205,21 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 		merged.Boundary = c.boundaryOf(merged.Scope, nil)
 		e = merged
 		if st != nil {
-			st.observe(len(e.Vectors))
+			st.PeakEnumSize = max(st.PeakEnumSize, len(e.Vectors))
 		}
 	}
 	return e, nil
 }
 
 // enumerateSingleton returns the enumeration of a single operator: one plan
-// vector per available execution operator, in rows of the run's store.
+// vector per available execution operator, in rows of the run's store. Each
+// row is built at the Schema's width in the scratch and compacted.
 func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	o := c.Plan.Op(id)
 	scope := plan.NewBitset(c.Plan.NumOps())
 	scope.Set(id)
 	e := &Enumeration{Scope: scope, Boundary: c.boundaryOf(scope, nil), Vectors: c.store.take(len(c.alternatives[id]))}
+	row := grow(&c.scratch.wide, c.Schema.Len())
 	for vi, pi := range c.alternatives[id] {
 		v := e.Vectors[vi]
 		*v = Vector{F: v.F, Assign: v.Assign}
@@ -225,7 +227,8 @@ func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 			v.Assign[i] = Unassigned
 		}
 		v.Assign[id] = pi
-		c.singletonRow(v.F, o, pi)
+		c.singletonRow(row, o, pi)
+		c.compact(v.F, row)
 		if st != nil {
 			st.VectorsCreated++
 		}
@@ -284,9 +287,11 @@ type MergeCtx struct {
 	right    plan.Bitset
 }
 
-// MergeInfo builds the MergeCtx for merging v1 from a with v2 from b.
+// MergeInfo builds the MergeCtx for merging v1 from a with v2 from b in the
+// worker scratch: it is valid until the worker's next concatenation.
 func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
-	info := &MergeCtx{Crossing: c.crossingEdges(a.Scope, b.Scope), right: b.Scope}
+	info := &c.scratch.info
+	*info = MergeCtx{Crossing: c.crossingEdges(a.Scope, b.Scope, info.Crossing[:0]), right: b.Scope}
 	for _, e := range info.Crossing {
 		if c.linear[e.From] && c.linear[e.To] {
 			info.Fuses++
@@ -304,19 +309,16 @@ func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
 // the maximum. Conversion features are added for every crossing edge whose
 // endpoints run on different platforms. Merging is commutative and, across
 // any merge tree over disjoint scopes, associative: every crossing edge is
-// accounted exactly once. out.F and out.Assign must have the schema and plan
-// widths. Only the plan's live columns are written, so out.F must be zero
-// outside them, as every row of a run is from allocation on.
+// accounted exactly once. The three vectors are rows of the run: out.F and
+// out.Assign must have the run's and the plan's widths.
 func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 	out.Cost, out.Dist, out.scored = 0, CostDist{}, false
-	for _, sp := range c.live {
-		vecops.Add(out.F[sp.lo:sp.hi], v1.F[sp.lo:sp.hi], v2.F[sp.lo:sp.hi])
-	}
+	vecops.Add(out.F, v1.F, v2.F)
 	out.F[TopoPipeline] -= float64(info.Fuses)
 	// The per-platform peak-bytes cells and the dataset cell merge by max,
 	// not by sum.
 	lo, hi := c.Schema.maxMergedRange()
-	for i := lo; i < hi; i++ {
+	for i := c.moveAt + lo; i < c.moveAt+hi; i++ {
 		out.F[i] = v1.F[i]
 		if v2.F[i] > out.F[i] {
 			out.F[i] = v2.F[i]
@@ -326,8 +328,9 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 	for id := info.right.Next(0); id >= 0; id = info.right.Next(id + 1) {
 		out.Assign[id] = v2.Assign[id]
 	}
+	move := out.F[c.moveAt:]
 	for _, e := range info.Crossing {
-		c.addConversion(out.F, e, out.Assign[e.From], out.Assign[e.To])
+		c.addConversion(move, e, out.Assign[e.From], out.Assign[e.To])
 	}
 	if st != nil {
 		st.Merges++
@@ -527,7 +530,7 @@ func (p SwitchPruner) Prune(_ context.Context, c *Context, e *Enumeration, st *S
 	e.mat = nil
 	kept := e.Vectors[:0]
 	for _, v := range e.Vectors {
-		if c.Schema.Conversions(v.F) <= p.Beta {
+		if c.Schema.Conversions(v.F[c.moveAt:]) <= p.Beta {
 			kept = append(kept, v)
 		} else if st != nil {
 			st.Pruned++
@@ -535,7 +538,7 @@ func (p SwitchPruner) Prune(_ context.Context, c *Context, e *Enumeration, st *S
 	}
 	if p.MaxVectors > 0 && len(kept) > p.MaxVectors {
 		sort.SliceStable(kept, func(i, j int) bool {
-			return c.Schema.Conversions(kept[i].F) < c.Schema.Conversions(kept[j].F)
+			return c.Schema.Conversions(kept[i].F[c.moveAt:]) < c.Schema.Conversions(kept[j].F[c.moveAt:])
 		})
 		if st != nil {
 			st.Pruned += len(kept) - p.MaxVectors
@@ -591,7 +594,7 @@ func (c *Context) VectorizeExecution(assign []uint8) *Vector {
 	}
 	v.F[TopoPipeline] -= float64(c.totalFuses())
 	for _, e := range c.edges {
-		c.addConversion(v.F, e, assign[e.From], assign[e.To])
+		c.addConversion(v.F[s.moveOff:], e, assign[e.From], assign[e.To])
 	}
 	v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
 	return v

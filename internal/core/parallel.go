@@ -15,16 +15,11 @@ func parallelFor(n, workers int, fn func(chunk, lo, hi int)) {
 		fn(0, 0, n)
 		return
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -52,11 +47,7 @@ func parallelForCtx(ctx context.Context, n, workers, block int, fn func(chunk, l
 			if ctx.Err() != nil {
 				return
 			}
-			e := b + block
-			if e > hi {
-				e = hi
-			}
-			fn(chunk, b, e)
+			fn(chunk, b, min(b+block, hi))
 		}
 	})
 	return ctx.Err()

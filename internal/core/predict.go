@@ -25,20 +25,52 @@ func (c *Context) OptimizeProvider(ctx context.Context, mp ModelProvider) (*Resu
 	return c.Optimize(ctx, mp.ActiveModel())
 }
 
+// bind makes m the run's model. A model with a method Specialize(cols []int)
+// CostModel scores the run's rows in place: it is asked once, and on a row of
+// schema columns cols[0], cols[1], … the model it returns must be
+// bit-identical to m on the Schema-width row that is 0 elsewhere. m must then
+// be comparable (a pointer, typically): predict compares models with it, and
+// sends every other model expanded rows.
+func (c *Context) bind(m CostModel) {
+	if sp, ok := m.(interface{ Specialize(cols []int) CostModel }); ok {
+		cols := make([]int, 0, c.width)
+		for _, span := range c.live {
+			for col := span.lo; col < span.hi; col++ {
+				cols = append(cols, col)
+			}
+		}
+		c.model, c.spec = m, sp.Specialize(cols)
+	}
+}
+
+// grow returns (*buf)[:n], reallocated (zeroed) when *buf is too short.
+func grow(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
+}
+
 // features returns the flat row-major matrix of the vectors of e listed in
-// miss: a view of the enumeration's feature matrix when it has one and they
-// are consecutive (the common case: a product just merged, its groups all
-// contested), otherwise their rows gathered into the scratch. Returned by
-// value so that predict's chunk closure captures it without an allocation.
-func (sc *scratch) features(e *Enumeration, cols int) vecops.Matrix {
+// the scratch's miss: wide, their rows expanded into the scratch; otherwise a
+// view of the enumeration's feature matrix when it has one and they are
+// consecutive (the common case: a product just merged, its groups all
+// contested), else their rows gathered into the scratch. Returned by value so
+// that predict's chunk closure captures it without an allocation.
+func (c *Context) features(e *Enumeration, wide bool) vecops.Matrix {
+	sc := c.scratch
 	n := len(sc.miss)
+	if wide {
+		m := vecops.Matrix{Data: grow(&sc.wide, n*c.Schema.Len()), Rows: n, Cols: c.Schema.Len()}
+		for k, i := range sc.miss {
+			c.expand(m.Row(k), e.Vectors[i].F)
+		}
+		return m
+	}
 	if e.mat != nil && sc.miss[n-1]-sc.miss[0] == n-1 {
 		return e.mat.RowsView(sc.miss[0], sc.miss[n-1]+1)
 	}
-	if cap(sc.gather) < n*cols {
-		sc.gather = make([]float64, n*cols)
-	}
-	m := vecops.Matrix{Data: sc.gather[:n*cols], Rows: n, Cols: cols}
+	m := vecops.Matrix{Data: grow(&sc.gather, n*c.width), Rows: n, Cols: c.width}
 	for k, i := range sc.miss {
 		copy(m.Row(k), e.Vectors[i].F)
 	}
@@ -62,9 +94,9 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 // listed in the scratch's miss through one batched model invocation, and is
 // the single prediction/accounting path shared by pruneGroups and
 // predictEnum. hits counts the vectors the caller needed and found already
-// scored (Stats.MemoHits); the listed ones form one flat matrix scored by a
-// single logical PredictBatchDist (Stats.ModelBatches/ModelRows), chunked
-// across workers via parallelForCtx in pruneBlock-sized blocks so
+// scored (Stats.MemoHits); the listed ones form one flat matrix (see bind)
+// scored by a single logical PredictBatchDist (Stats.ModelBatches/ModelRows),
+// chunked across workers via parallelForCtx in pruneBlock-sized blocks so
 // cancellation latency stays bounded by one block of model work. Returns
 // false when ctx was cancelled mid-batch; costs are then partial and the
 // caller must abandon the enumeration.
@@ -74,12 +106,13 @@ func (c *Context) predict(ctx context.Context, m CostModel, e *Enumeration, hits
 	miss := sc.miss
 	ok := true
 	if len(miss) > 0 {
-		X := sc.features(e, c.Schema.Len())
-		// The four output columns share one buffer, the scratch's.
-		if cap(sc.out) < 4*len(miss) {
-			sc.out = make([]float64, 4*len(miss))
+		model, wide := m, true
+		if c.spec != nil && m == c.model {
+			model, wide = c.spec, false
 		}
-		buf := sc.out[:4*len(miss)]
+		X := c.features(e, wide)
+		// The four output columns share one buffer, the scratch's.
+		buf := grow(&sc.out, 4*len(miss))
 		mean, spread := buf[:len(miss)], buf[len(miss):2*len(miss)]
 		lov, hiv := buf[2*len(miss):3*len(miss)], buf[3*len(miss):]
 		// The model's matrix argument escapes: views live in the scratch.
@@ -90,7 +123,7 @@ func (c *Context) predict(ctx context.Context, m CostModel, e *Enumeration, hits
 			sub := &sc.views[chunk]
 			*sub = X
 			*sub = sub.RowsView(lo, hi)
-			m.PredictBatchDist(sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
+			model.PredictBatchDist(sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
 		})
 		if err != nil {
 			ok = false

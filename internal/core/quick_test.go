@@ -46,7 +46,7 @@ func TestQuickUnvectorizeRoundTrip(t *testing.T) {
 				switches++
 			}
 		}
-		return switches == len(x.Conversions) && switches == ctx.Schema.Conversions(v.F)
+		return switches == len(x.Conversions) && switches == ctx.Schema.Conversions(v.F[ctx.Schema.MovePlatformCell(0):])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestQuickPruneSubset(t *testing.T) {
 		before := len(e.Vectors)
 		minBefore := 0.0
 		for i, v := range e.Vectors {
-			c := m.Predict(v.F)
+			c := m.Predict(ctx.Wide(v))
 			if i == 0 || c < minBefore {
 				minBefore = c
 			}

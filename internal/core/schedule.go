@@ -127,18 +127,13 @@ func (c *Context) workerContext(sc *scratch) *Context {
 // soft deadline is re-checked by every task before each concatenation, so a
 // wall-clock trip stops the pool within one concatenation per worker.
 func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask, degraded bool, start time.Time, base Stats, st *Stats) {
-	workers := c.Workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(c.Workers, len(tasks))
 	if workers <= 1 {
 		// Inline path, on c itself: either the run is serial or the round
 		// has a single task, which keeps the full intra-enumeration
 		// parallelism (merges and model batches still fan out) — that is
 		// where the work concentrates in the final rounds.
-		if len(tasks) > st.Par.MaxQueueDepth {
-			st.Par.MaxQueueDepth = len(tasks)
-		}
+		st.Par.MaxQueueDepth = max(st.Par.MaxQueueDepth, len(tasks))
 		for _, t := range tasks {
 			c.runTask(ctx, pr, t, degraded, start, base)
 		}
@@ -151,9 +146,7 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 		queues[w] = append(queues[w], t)
 	}
 	for _, q := range queues {
-		if len(q) > st.Par.MaxQueueDepth {
-			st.Par.MaxQueueDepth = len(q)
-		}
+		st.Par.MaxQueueDepth = max(st.Par.MaxQueueDepth, len(q))
 	}
 	var mu sync.Mutex
 	steals := 0
@@ -266,7 +259,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		st.Merges += pairs
 		st.VectorsCreated += pairs
 		merged.Boundary = tc.boundaryOf(merged.Scope, nil)
-		st.observe(len(merged.Vectors))
+		st.PeakEnumSize = max(st.PeakEnumSize, len(merged.Vectors))
 		pspan := tc.span(t.span, "prune").SetInt("step", int64(step))
 		if tc.rt != nil {
 			tc.curRec = tc.rt.beginPrune(step, merged, deg)

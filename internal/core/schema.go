@@ -214,10 +214,10 @@ func (s *Schema) IOBytesCell(pi int) int { return s.loadOff + 3*len(s.Platforms)
 // a sum — and it is the direct driver of single-node out-of-memory failures.
 func (s *Schema) MaxBytesCell(pi int) int { return s.loadOff + 4*len(s.Platforms) + pi }
 
-// maxMergedRange bounds the cells that merge by max instead of sum: the
-// per-platform peak bytes and the dataset cell right after them.
+// maxMergedRange bounds, from the movement block on, the cells that merge by
+// max instead of sum: the per-platform peak bytes and the dataset cell.
 func (s *Schema) maxMergedRange() (lo, hi int) {
-	return s.MaxBytesCell(0), s.DatasetCell() + 1
+	return s.MaxBytesCell(0) - s.moveOff, s.DatasetCell() + 1 - s.moveOff
 }
 
 // DatasetCell returns the index of the average-tuple-size cell.
@@ -228,7 +228,8 @@ type colSpan struct{ lo, hi int }
 
 // liveColumns returns the ascending column ranges a vector of l can set: the
 // topology cells, the block of each operator kind l contains (adjacent ones
-// coalesced), and the movement, load and dataset tail. The rest is zero.
+// coalesced), and the movement, load and dataset tail. The rest is zero, so
+// the enumeration's rows hold these spans only, concatenated (Context.live).
 func (s *Schema) liveColumns(l *plan.Logical) []colSpan {
 	var used [platform.KindCount]bool
 	for _, o := range l.Ops {
@@ -245,13 +246,13 @@ func (s *Schema) liveColumns(l *plan.Logical) []colSpan {
 	return append(spans, colSpan{s.moveOff, s.length})
 }
 
-// Conversions returns the number of conversion operators encoded in feature
-// vector f: every platform switch contributes one instance on each side.
-// SwitchPruner (TDGen's β rule) counts with it.
-func (s *Schema) Conversions(f []float64) int {
+// Conversions returns the number of conversion operators in move, a plan
+// vector from MovePlatformCell(0) on: every platform switch contributes one
+// instance on each side. SwitchPruner (TDGen's β rule) counts with it.
+func (s *Schema) Conversions(move []float64) int {
 	sum := 0.0
-	for i := 0; i < len(s.Platforms); i++ {
-		sum += f[s.moveOff+i]
+	for _, n := range move[:len(s.Platforms)] {
+		sum += n
 	}
 	return int(sum) / 2
 }

@@ -137,44 +137,3 @@ func TestDegradedStepsScoreEveryVector(t *testing.T) {
 		}
 	}
 }
-
-// TestRowsZeroOutsideLiveColumns: merge writes only the columns a vector of
-// the plan can set, which is sound only while every store and scratch row is
-// exactly 0 everywhere else. Plans using a few of the operator kinds, with the
-// poison hook armed (which overwrites live columns only), pruned, exhaustive
-// and degraded, serial and pooled.
-func TestRowsZeroOutsideLiveColumns(t *testing.T) {
-	for name, l := range map[string]*plan.Logical{
-		"pipeline": workload.Pipeline(20, 1e8),
-		"jointree": workload.JoinTree(4, 1e8),
-		"dag":      workload.RandomDAG(24, 1e8, 5),
-	} {
-		for _, workers := range []int{1, 4} {
-			for _, budget := range []core.Budget{{}, {MaxVectors: 300}} {
-				ctx := newCtx(t, l, 3)
-				ctx.Workers = workers
-				ctx.Budget = budget
-				m := newLinModel(ctx.Schema.Len(), 3)
-				if _, err := ctx.EnumerateFull(context.Background(), core.BoundaryPruner{Model: m}, core.OrderPriority, nil); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				cells, nonzero := ctx.DeadCells()
-				if cells == 0 || nonzero != 0 {
-					t.Errorf("%s workers=%d budget=%+v: %d of %d cells outside the live columns are not 0",
-						name, workers, budget, nonzero, cells)
-				}
-			}
-		}
-		ctx := newCtx(t, l, 2)
-		prefix := plan.NewBitset(l.NumOps())
-		for id := plan.OpID(0); id < 8; id++ {
-			prefix.Set(id)
-		}
-		if _, err := ctx.Enumerate(context.Background(), &core.Abstract{Scope: prefix}, 0, nil); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if cells, nonzero := ctx.DeadCells(); cells == 0 || nonzero != 0 {
-			t.Errorf("%s exhaustive: %d of %d cells outside the live columns are not 0", name, nonzero, cells)
-		}
-	}
-}

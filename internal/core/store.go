@@ -25,11 +25,11 @@ import (
 // assignment: no platform column, and not Unassigned either.
 const poisonAssign uint8 = 0xFE
 
-// vecStore holds the plan vectors of one run as rows — a feature block, an
-// assignment block and the Vector headers, three allocations per chunk of
-// rows — and recycles the rows of consumed enumerations. Tasks of one round
-// take and release concurrently, hence the lock (held for slice bookkeeping
-// only, twice per concatenation).
+// vecStore holds the plan vectors of one run as rows of the run's width — a
+// feature block, an assignment block and the Vector headers, three
+// allocations per chunk of rows — and recycles the rows of consumed
+// enumerations. Tasks of one round take and release concurrently, hence the
+// lock (held for slice bookkeeping only, twice per concatenation).
 type vecStore struct {
 	mu         sync.Mutex
 	cols, nOps int
@@ -38,13 +38,13 @@ type vecStore struct {
 	rows int
 	// workers holds the scratch of each pool worker, by worker index.
 	workers []*scratch
-	// poison (Context.poison, set only by tests) is the plan's live columns:
-	// release overwrites them in every freed row (NaN features and costs,
-	// poisonAssign assignments), product in the scratch before it is filled
-	// and endRun in every chunk, so that tests turn a read of freed or stale
-	// memory into a NaN cost or an out-of-range platform instead of a
-	// plausible plan. chunks lists the blocks to overwrite at endRun.
-	poison []colSpan
+	// poison (Context.poison, set only by tests): release overwrites every
+	// freed row (NaN features and costs, poisonAssign assignments), product
+	// the scratch before it is filled and endRun every chunk, so that tests
+	// turn a read of freed or stale memory into a NaN cost or an out-of-range
+	// platform instead of a plausible plan. chunks lists the blocks to
+	// overwrite at endRun.
+	poison bool
 	chunks []Vector
 }
 
@@ -53,20 +53,20 @@ type vecStore struct {
 // returned keeps its own store alive and intact, but callers are only
 // promised it until here.
 func (c *Context) beginRun(rows int) {
-	c.store = &vecStore{cols: c.Schema.Len(), nOps: c.Plan.NumOps(), poison: c.poison}
+	c.store = &vecStore{cols: c.width, nOps: c.Plan.NumOps(), poison: c.poison}
 	c.store.free, _ = c.store.block(rows)
 	c.scratch = c.store.worker(0)
 }
 
-// endRun drops the run's memory once nothing of it is referenced any more
-// (Optimize* clone the winning vector out first).
+// endRun drops the run's memory and model once nothing of it is referenced
+// any more (Optimize* expand the winning vector out first).
 func (c *Context) endRun() {
 	if c.store != nil {
 		for _, ch := range c.store.chunks {
-			c.store.poisonRows(ch.F, ch.Assign)
+			poisonRows(ch.F, ch.Assign)
 		}
 	}
-	c.store, c.scratch = nil, nil
+	c.store, c.scratch, c.model, c.spec = nil, nil, nil, nil
 }
 
 // worker returns pool worker i's scratch, created on first use. Only the
@@ -98,7 +98,7 @@ func (s *vecStore) block(n int) ([]*Vector, vecops.Matrix) {
 	wireRows(out, make([]Vector, n), f, a, s.cols, s.nOps)
 	s.mu.Lock()
 	s.rows += n
-	if s.poison != nil {
+	if s.poison {
 		s.chunks = append(s.chunks, Vector{F: f, Assign: a})
 	}
 	s.mu.Unlock()
@@ -123,10 +123,10 @@ func (s *vecStore) take(n int) []*Vector {
 // release puts the rows of a consumed enumeration on the free list. The
 // caller must hold no other reference to them.
 func (s *vecStore) release(vs []*Vector) {
-	if s.poison != nil {
+	if s.poison {
 		nan := math.NaN()
 		for _, v := range vs {
-			s.poisonRows(v.F, v.Assign)
+			poisonRows(v.F, v.Assign)
 			v.Cost, v.Dist, v.scored = nan, CostDist{Mean: nan, Spread: nan, Lo: nan, Hi: nan}, false
 		}
 	}
@@ -135,16 +135,12 @@ func (s *vecStore) release(vs []*Vector) {
 	s.mu.Unlock()
 }
 
-// poisonRows overwrites the live columns of the feature rows in f and every
-// assignment in a with values no live vector holds.
-func (s *vecStore) poisonRows(f []float64, a []uint8) {
+// poisonRows overwrites every feature in f and every assignment in a with
+// values no live vector holds.
+func poisonRows(f []float64, a []uint8) {
 	nan := math.NaN()
-	for row := 0; row < len(f); row += s.cols {
-		for _, sp := range s.poison {
-			for i := row + sp.lo; i < row+sp.hi; i++ {
-				f[i] = nan
-			}
-		}
+	for i := range f {
+		f[i] = nan
 	}
 	for i := range a {
 		a[i] = poisonAssign
@@ -153,9 +149,9 @@ func (s *vecStore) poisonRows(f []float64, a []uint8) {
 
 // scratch is one worker's workspace, reused by every concatenation and prune
 // the worker runs: the rows a cartesian product is merged into, and the
-// bookkeeping of predict and pruneGroups. It grows to the largest product the
-// worker has seen and is never cleared — mergeInto overwrites every live cell
-// of every row it is given, and the other cells are zero from allocation on.
+// bookkeeping of MergeInfo, predict and pruneGroups. It grows to the largest
+// product the worker has seen and is never cleared — mergeInto overwrites
+// every cell of every row it is given.
 type scratch struct {
 	enum   Enumeration
 	mat    vecops.Matrix
@@ -163,10 +159,12 @@ type scratch struct {
 	assign []uint8
 	vecs   []Vector
 	ptrs   []*Vector
+	info   MergeCtx // MergeInfo: the concatenation in flight
 
 	miss   []int           // predict: indices of the vectors to score
 	out    []float64       // predict: the four output columns
 	gather []float64       // predict: feature rows not contiguous in a matrix
+	wide   []float64       // predict, enumerateSingleton: Schema-width rows, 0 outside Context.live
 	views  []vecops.Matrix // predict: each parallel chunk's view of the rows
 	groups map[uint64]int  // pruneGroups: footprint → its group number, in first-seen order
 	group  []int           // pruneGroups: each vector's group
@@ -174,8 +172,8 @@ type scratch struct {
 }
 
 // product returns the worker's scratch enumeration resized to n vectors of
-// s's widths over scope, every row's live cells undefined: the destination of
-// a concatenation. It is valid until the worker's next product.
+// s's widths over scope, every row undefined: the destination of a
+// concatenation. It is valid until the worker's next product.
 func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 	if n > len(sc.vecs) {
 		size := max(n, 2*len(sc.vecs))
@@ -184,8 +182,8 @@ func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 		sc.vecs = make([]Vector, size)
 		sc.ptrs = make([]*Vector, size)
 	}
-	if s.poison != nil {
-		s.poisonRows(sc.data, sc.assign)
+	if s.poison {
+		poisonRows(sc.data, sc.assign)
 	}
 	// Pruning compacts ptrs in place, so they are rewired per product.
 	wireRows(sc.ptrs, sc.vecs[:n], sc.data, sc.assign, s.cols, s.nOps)

@@ -87,7 +87,7 @@ func TestStoreReturnsRows(t *testing.T) {
 					cs.name, workers, live, len(final.Vectors))
 			}
 			for i, v := range final.Vectors {
-				if c := firstDiff(v.F, ctx.VectorizeExecution(v.Assign).F); c >= 0 || math.IsNaN(v.Cost) {
+				if c := firstDiff(ctx.Wide(v), ctx.VectorizeExecution(v.Assign).F); c >= 0 || math.IsNaN(v.Cost) {
 					t.Fatalf("%s workers=%d: final vector %d is not its assignment's vector (cell %d, cost %g)",
 						cs.name, workers, i, c, v.Cost)
 				}

@@ -40,7 +40,7 @@ func (c *Context) VectorizeSubplan(assign map[plan.OpID]uint8) *Vector {
 		if c.linear[e.From] && c.linear[e.To] {
 			v.F[TopoPipeline]--
 		}
-		c.addConversion(v.F, e, pa, pb)
+		c.addConversion(v.F[s.moveOff:], e, pa, pb)
 	}
 	v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
 	return v

@@ -37,10 +37,12 @@ type Vector struct {
 	scored bool
 }
 
-// clone returns a copy of v that shares no memory with it.
-func (v *Vector) clone() *Vector {
+// wide returns a copy of v, a vector of the run, that shares no memory with
+// it and holds its features at the Schema's width: what a Result carries out.
+func (c *Context) wide(v *Vector) *Vector {
 	w := *v
-	w.F = append([]float64(nil), v.F...)
+	w.F = make([]float64, c.Schema.Len())
+	c.expand(w.F, v.F)
 	w.Assign = append([]uint8(nil), v.Assign...)
 	return &w
 }

@@ -142,6 +142,19 @@ func (m latencyModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi [
 	}
 }
 
+// Specialize returns the scorer of rows that hold only the columns cols, in
+// that order: the weights of those columns. Its sum is Predict's less the
+// terms of the other columns, which are exactly 0 on a plan vector (positive
+// weights, nonnegative cells), so it is bit-identical to Predict on the row
+// expanded with zeros.
+func (m latencyModel) Specialize(cols []int) mlmodel.Model {
+	w := make([]float64, len(cols))
+	for i, col := range cols {
+		w[i] = m.w[col]
+	}
+	return latencyModel{w}
+}
+
 // LatencyModel returns the fixed lightweight model used by the latency
 // experiments (Figures 1, 9 and 10). In the paper, invoking the ML model
 // took only ~10% of optimization time, so those experiments measure the
@@ -160,7 +173,8 @@ func (h *Harness) LatencyModel(plats []platform.ID) core.CostModel {
 		x ^= x << 17
 		w[i] = 1e-9 + float64(x%1000)/1000
 	}
-	return latencyModel{w}
+	// A pointer: the enumeration compares models with the one it specialised.
+	return &latencyModel{w}
 }
 
 // RoboptOptimizeWith runs Robopt's enumeration with an explicit cost model.

@@ -132,7 +132,8 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 // over serving-shaped plans (pipelines, join trees and random DAGs) that
 // evict each other from a one-entry cache. Spans carry durations and join
 // keys only and every step's counts are written once, into its PruneRecord:
-// 853 allocations measured. It was 893 while every 16-row scoring chunk moved
+// 819 allocations measured. It was 853 while every concatenation allocated
+// its MergeCtx and crossing edges, 893 while every 16-row scoring chunk moved
 // its matrix view to the heap, and 1265 when the merge, prune and infer spans
 // each repeated those counts. The ceiling keeps the 87 of headroom it had at
 // 893.
@@ -160,7 +161,7 @@ func TestColdMissAllocCeiling(t *testing.T) {
 			}
 		}
 	}) / float64(len(bodies))
-	const ceiling = 940
+	const ceiling = 906
 	if allocs > ceiling {
 		t.Errorf("a cold miss allocates %.0f times on average, ceiling %d", allocs, ceiling)
 	}
