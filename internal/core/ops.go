@@ -600,23 +600,34 @@ func (c *Context) VectorizeExecution(assign []uint8) *Vector {
 	return v
 }
 
-// PredictAssignment returns m's runtime estimate for an explicit platform
-// assignment of the plan (one platform per operator, in ID order): platform
-// IDs to schema columns, VectorizeExecution, Predict. The facade's
-// PredictRuntime calls it, and CheapestAllOn through it.
-func (c *Context) PredictAssignment(m CostModel, assign []platform.ID) (float64, error) {
+// VectorizeAssignment is VectorizeExecution for an explicit platform
+// assignment of the plan (one platform per operator, in ID order), mapping
+// platform IDs to schema columns first. PredictAssignment scores through it,
+// and the service labels execution feedback with it.
+func (c *Context) VectorizeAssignment(assign []platform.ID) (*Vector, error) {
 	if len(assign) != c.Plan.NumOps() {
-		return 0, fmt.Errorf("assignment covers %d of %d operators", len(assign), c.Plan.NumOps())
+		return nil, fmt.Errorf("assignment covers %d of %d operators", len(assign), c.Plan.NumOps())
 	}
 	cols := make([]uint8, len(assign))
 	for i, p := range assign {
 		pi := c.Schema.PlatIndex(p)
 		if pi < 0 {
-			return 0, fmt.Errorf("platform %s not in the optimizer's universe", p)
+			return nil, fmt.Errorf("platform %s not in the optimizer's universe", p)
 		}
 		cols[i] = uint8(pi)
 	}
-	return m.Predict(c.VectorizeExecution(cols).F), nil
+	return c.VectorizeExecution(cols), nil
+}
+
+// PredictAssignment returns m's runtime estimate for an explicit platform
+// assignment of the plan. The facade's PredictRuntime calls it, and
+// CheapestAllOn through it.
+func (c *Context) PredictAssignment(m CostModel, assign []platform.ID) (float64, error) {
+	v, err := c.VectorizeAssignment(assign)
+	if err != nil {
+		return 0, err
+	}
+	return m.Predict(v.F), nil
 }
 
 // CheapestAllOn is plan.CheapestAllOn over the plan with m's estimates as

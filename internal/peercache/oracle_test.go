@@ -12,8 +12,10 @@ import (
 )
 
 // The oracle: the /peercache wire format as the tagged struct encoding/json
-// wrote and read before the hand codec replaced it, kept verbatim as what the
-// differential tests compare AppendEntry and DecodeEntry against.
+// wrote and read before the hand codec replaced it, kept as what the
+// differential tests compare AppendEntry and DecodeEntry against. The one
+// change since is the field the format dropped, vectorF: encoding/json ignores
+// the key now, just as DecodeEntry skips it.
 
 type Entry struct {
 	Fingerprint  string        `json:"fingerprint"`
@@ -23,7 +25,6 @@ type Entry struct {
 	Dist         core.CostDist `json:"dist"`
 	CachedAt     time.Time     `json:"cachedAt"`
 	AssignCanon  []int         `json:"assignCanon"`
-	VectorF      []float64     `json:"vectorF,omitempty"`
 	TraceID      string        `json:"traceId,omitempty"`
 	Replica      string        `json:"replica,omitempty"`
 }
@@ -38,7 +39,6 @@ func FromCached(cp *plancache.CachedPlan, replica string) *Entry {
 		Dist:         cp.PredictedDist,
 		CachedAt:     cp.CachedAt,
 		AssignCanon:  make([]int, len(cp.AssignCanon)),
-		VectorF:      cp.VectorF,
 		TraceID:      cp.TraceID,
 		Replica:      replica,
 	}
@@ -71,7 +71,6 @@ func (e *Entry) ToCached() (*plancache.CachedPlan, error) {
 		PredictedDist: e.Dist,
 		CachedAt:      e.CachedAt,
 		AssignCanon:   make([]uint8, len(e.AssignCanon)),
-		VectorF:       e.VectorF,
 		TraceID:       e.TraceID,
 	}
 	if cp.CachedAt.IsZero() {

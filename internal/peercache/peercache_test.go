@@ -34,7 +34,6 @@ func testPlan(b byte, version string) *plancache.CachedPlan {
 		},
 		CachedAt:    time.Now(),
 		AssignCanon: []uint8{0, 1, 2},
-		VectorF:     []float64{1, 2, 3},
 		TraceID:     "trace-origin",
 	}
 }

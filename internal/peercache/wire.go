@@ -1,7 +1,6 @@
 package peercache
 
 import (
-	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -28,16 +27,18 @@ import (
 //	                  the entry ages (and TTL-expires) alike across the fleet
 //	 "assignCanon":   canonical operator index → platform column, as ints (a
 //	                  byte string would travel as base64)
-//	 "vectorF":       the plan's feature vector; absent when empty
 //	 "traceId":       the origin enumeration's trace, when retained; the
 //	                  requester links it as "peer-fill"
 //	 "replica":       the answering replica's ID (diagnostics only)}
 //
 // The enumeration counters of the originating run are deliberately not sent: a
 // peer-filled hit reports zero enumeration work of its own, like a local hit.
+// Nor is the plan's feature vector: it is a function of the requester's own
+// plan and the assignment, so the requester vectorizes what it serves. Older
+// builds also wrote it, as "vectorF"; it is skipped like any unknown key, and
+// those builds install an entry without one and take no feedback from it.
 //
-// Both directions are written by hand, because an entry is mostly a dense
-// float array that is only forwarded. AppendEntry writes the bytes
+// Both directions are written by hand. AppendEntry writes the bytes
 // encoding/json wrote when the format was a tagged struct, and DecodeEntry
 // accepts what encoding/json accepted into that struct — the struct survives
 // in the tests as the oracle for both — so replicas of either kind
@@ -46,7 +47,7 @@ import (
 // entryKeys and distKeys are the keys of an entry and of its "dist", in wire
 // order.
 var (
-	entryKeys = [...]string{"fingerprint", "modelVersion", "predicted", "riskLambda", "dist", "cachedAt", "assignCanon", "vectorF", "traceId", "replica"}
+	entryKeys = [...]string{"fingerprint", "modelVersion", "predicted", "riskLambda", "dist", "cachedAt", "assignCanon", "traceId", "replica"}
 	distKeys  = [...]string{"mean", "spread", "lo", "hi"}
 )
 
@@ -70,11 +71,9 @@ func parseFingerprint(s []byte) (plancache.Fingerprint, error) {
 // number, a timestamp outside RFC 3339.
 func AppendEntry(dst []byte, cp *plancache.CachedPlan, replica string) ([]byte, error) {
 	d := cp.PredictedDist
-	for _, fs := range [...][]float64{{cp.Predicted, cp.RiskLambda, d.Mean, d.Spread, d.Lo, d.Hi}, cp.VectorF} {
-		for _, f := range fs {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return dst, fmt.Errorf("peercache: entry %s carries the number %v", cp.Fingerprint, f)
-			}
+	for _, f := range [...]float64{cp.Predicted, cp.RiskLambda, d.Mean, d.Spread, d.Lo, d.Hi} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return dst, fmt.Errorf("peercache: entry %s carries the number %v", cp.Fingerprint, f)
 		}
 	}
 	_, offset := cp.CachedAt.Zone()
@@ -110,16 +109,6 @@ func AppendEntry(dst []byte, cp *plancache.CachedPlan, replica string) ([]byte, 
 		dst = strconv.AppendUint(dst, uint64(col), 10)
 	}
 	dst = append(dst, ']')
-	if len(cp.VectorF) > 0 {
-		dst = append(dst, `,"vectorF":[`...)
-		for i, f := range cp.VectorF {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendFloat(dst, f)
-		}
-		dst = append(dst, ']')
-	}
 	if cp.TraceID != "" {
 		dst = append(dst, `,"traceId":`...)
 		dst = appendString(dst, cp.TraceID)
@@ -161,10 +150,6 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// maxPresize caps how many elements an array is sized for from its unparsed
-// bytes; a longer one grows as it is read.
-const maxPresize = 4096
-
 // DecodeEntry parses one wire entry into an installable cache entry and
 // validates it. The caller (Cache.InstallRemote) separately enforces that the
 // entry matches the key it asked for.
@@ -182,7 +167,7 @@ func DecodeEntry(data []byte) (*plancache.CachedPlan, error) {
 	var (
 		cp     = &plancache.CachedPlan{}
 		fp     []byte
-		colBuf [64]int // wider than uint8: a column is range-checked once no later value can replace it
+		colBuf [64]int // wider than uint8: a column is range-checked once no later value can replace it; a longer plan grows it
 		cols   = colBuf[:0]
 	)
 	err := d.object(entryKeys[:], 1, func(k int) (err error) {
@@ -214,9 +199,7 @@ func DecodeEntry(data []byte) (*plancache.CachedPlan, error) {
 				}
 			}
 		case "assignCanon":
-			cols, err = array(&d, cols, d.Int)
-		case "vectorF":
-			cp.VectorF, err = array(&d, cp.VectorF, d.Float)
+			cols, err = d.ints(cols)
 		case "traceId":
 			err = d.str(&cp.TraceID)
 		case "replica":
@@ -320,23 +303,18 @@ func (d *entryDecoder) float(dst *float64) error {
 	return err
 }
 
-// array parses a list of numbers, or null, the way encoding/json fills a
+// ints parses a list of integers, or null, the way encoding/json fills a
 // slice v it already holds: null makes it nil, an empty list makes it empty,
 // and a list is written over the old elements, so that a null element keeps
 // what an earlier list under the same key left at its position.
-func array[T any](d *entryDecoder, v []T, elem func() (T, error)) ([]T, error) {
+func (d *entryDecoder) ints(v []int) ([]int, error) {
 	if d.Null() {
 		return nil, nil
 	}
 	if err := d.Open('['); err != nil {
 		return nil, err
 	}
-	if v = v[:0]; cap(v) == 0 {
-		// The commas of a list of numbers count its elements: size it once.
-		if end := bytes.IndexByte(d.Data[d.Pos:], ']'); end > 0 {
-			v = make([]T, 0, min(bytes.Count(d.Data[d.Pos:d.Pos+end], []byte{','})+1, maxPresize))
-		}
-	}
+	v = v[:0]
 	for i := 0; ; i++ {
 		ok, err := d.More(i == 0, ']')
 		if err != nil {
@@ -346,20 +324,19 @@ func array[T any](d *entryDecoder, v []T, elem func() (T, error)) ([]T, error) {
 			break
 		}
 		if i == cap(v) {
-			var zero T
-			v = append(v, zero)
+			v = append(v, 0)
 		} else {
 			v = v[:i+1]
 		}
 		if d.Null() {
 			continue
 		}
-		if v[i], err = elem(); err != nil {
+		if v[i], err = d.Int(); err != nil {
 			return nil, err
 		}
 	}
 	if len(v) == 0 {
-		v = []T{}
+		v = []int{}
 	}
 	return v, nil
 }

@@ -43,8 +43,16 @@ func (m weightModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []f
 // servedPlans are cache entries as a replica holds them: serving plans (the
 // catalog, synthetic pipelines, join trees and random DAGs the benchmark's
 // working set is drawn from), optimized, fingerprinted and converted by
-// plancache.FromResult, so that their feature vectors are real ones.
+// plancache.FromResult, so that their assignments and predictions are real
+// ones.
 func servedPlans(t testing.TB) []*plancache.CachedPlan {
+	cps, _ := servedPlansWithVectors(t)
+	return cps
+}
+
+// servedPlansWithVectors is servedPlans plus each plan's feature vector, the
+// "vectorF" older builds sent along.
+func servedPlansWithVectors(t testing.TB) ([]*plancache.CachedPlan, [][]float64) {
 	t.Helper()
 	plats, avail := platform.Subset(3), platform.UniformAvailability(3)
 	plans := []*plan.Logical{workload.RunningExample(), workload.Pipeline(12, 1e8), workload.Pipeline(40, 1e10), workload.JoinTree(3, 1e9)}
@@ -54,7 +62,10 @@ func servedPlans(t testing.TB) []*plancache.CachedPlan {
 	for seed := int64(1); seed <= 4; seed++ {
 		plans = append(plans, workload.RandomDAG(14, 1e9, seed))
 	}
-	var out []*plancache.CachedPlan
+	var (
+		out  []*plancache.CachedPlan
+		vecs [][]float64
+	)
 	for i, l := range plans {
 		cctx, err := core.NewContext(l, plats, avail)
 		if err != nil {
@@ -77,9 +88,9 @@ func servedPlans(t testing.TB) []*plancache.CachedPlan {
 		if i%3 == 0 {
 			cp.RiskLambda = 0.5
 		}
-		out = append(out, cp)
+		out, vecs = append(out, cp), append(vecs, res.Vector.F)
 	}
-	return out
+	return out, vecs
 }
 
 // checkEncode is the encode half of the differential: AppendEntry writes the
@@ -112,19 +123,11 @@ func TestAppendEntryMatchesJSON(t *testing.T) {
 	edge := map[string]func(cp *plancache.CachedPlan){
 		"plain": func(cp *plancache.CachedPlan) {},
 		"floats": func(cp *plancache.CachedPlan) {
-			cp.VectorF = []float64{
-				0, math.Copysign(0, -1), 1, -1, 0.1, 1e21, 9.999999999999999e20, -1e21, 1e-6, 1e-7, 9.999999999999999e-7,
-				-1e-7, 1e-10, 1.5e-10, 1e100, 1.7976931348623157e308, 5e-324, 2.2250738585072014e-308, 1e-320,
-				1 << 53, 1<<53 - 1, 1<<53 + 2, -(1 << 53), 1 << 62, 1e15, 999999999999999, 123456789012345680, -5, -100, 7.5,
-				0.000001234, 100, 1e20, 3.14159, 1.0 / 3,
-			}
 			cp.Predicted, cp.PredictedDist = 1e-7, core.CostDist{Mean: 1e21, Spread: math.Copysign(0, -1), Lo: -5e-324, Hi: 1 << 53}
 		},
 		"riskLambda non-zero":   func(cp *plancache.CachedPlan) { cp.RiskLambda = 0.25 },
 		"riskLambda tiny":       func(cp *plancache.CachedPlan) { cp.RiskLambda = 1e-9 },
 		"riskLambda minus zero": func(cp *plancache.CachedPlan) { cp.RiskLambda = math.Copysign(0, -1) },
-		"vectorF empty":         func(cp *plancache.CachedPlan) { cp.VectorF = []float64{} },
-		"vectorF absent":        func(cp *plancache.CachedPlan) { cp.VectorF = nil },
 		"assignment empty":      func(cp *plancache.CachedPlan) { cp.AssignCanon = nil },
 		"assignment wide":       func(cp *plancache.CachedPlan) { cp.AssignCanon = []uint8{0, 9, 10, 99, 100, 255} },
 		"traceId absent":        func(cp *plancache.CachedPlan) { cp.TraceID = "" },
@@ -151,9 +154,21 @@ func TestAppendEntryMatchesJSON(t *testing.T) {
 		"cachedAt zone -24h": func(cp *plancache.CachedPlan) {
 			cp.CachedAt = time.Date(2026, 1, 1, 0, 0, 0, 0, time.FixedZone("x", -24*3600))
 		},
-		"NaN in the vector": func(cp *plancache.CachedPlan) { cp.VectorF[1] = math.NaN() },
-		"Inf predicted":     func(cp *plancache.CachedPlan) { cp.Predicted = math.Inf(1) },
-		"-Inf in dist":      func(cp *plancache.CachedPlan) { cp.PredictedDist.Lo = math.Inf(-1) },
+		"NaN risk":      func(cp *plancache.CachedPlan) { cp.RiskLambda = math.NaN() },
+		"Inf predicted": func(cp *plancache.CachedPlan) { cp.Predicted = math.Inf(1) },
+		"-Inf in dist":  func(cp *plancache.CachedPlan) { cp.PredictedDist.Lo = math.Inf(-1) },
+	}
+	// Every number of the entry goes through one float writer: its corners,
+	// each in every float field.
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1e21, 9.999999999999999e20, -1e21, 1e-6, 1e-7, 9.999999999999999e-7,
+		-1e-7, 1e-10, 1.5e-10, 1e100, 1.7976931348623157e308, 5e-324, 2.2250738585072014e-308, 1e-320,
+		1 << 53, 1<<53 - 1, 1<<53 + 2, -(1 << 53), 1 << 62, 1e15, 999999999999999, 123456789012345680, -5, -100, 7.5,
+		0.000001234, 100, 1e20, 3.14159, 1.0 / 3,
+	} {
+		edge[fmt.Sprintf("float %v", f)] = func(cp *plancache.CachedPlan) {
+			cp.Predicted, cp.RiskLambda, cp.PredictedDist = f, f, core.CostDist{Mean: f, Spread: f, Lo: f, Hi: f}
+		}
 	}
 	for name, mutate := range edge {
 		for _, replica := range []string{"", "replica-a", `r<"é">`} {
@@ -196,15 +211,6 @@ func TestAppendEntryMatchesJSON(t *testing.T) {
 		rng.Read(cp.AssignCanon)
 		if rng.Intn(2) == 0 {
 			cp.RiskLambda = randFloat()
-		}
-		if n := rng.Intn(200); n > 0 {
-			cp.VectorF = make([]float64, n)
-			for j := range cp.VectorF {
-				// Mostly finite, or few entries would get past the first check.
-				if cp.VectorF[j] = randFloat(); n > 20 && rng.Intn(4) > 0 {
-					cp.VectorF[j] = rng.Float64()
-				}
-			}
 		}
 		checkEncode(t, fmt.Sprintf("random entry %d", i), cp, randString())
 	}
@@ -250,16 +256,15 @@ var quirks = map[string]string{
 	"repeated scalars":       `{` + seedFP + `,"modelVersion":"v1","modelVersion":"v2","predicted":1,"predicted":2,"assignCanon":[0]}`,
 	"repeated then null":     `{` + seedFP + `,"modelVersion":"v1","modelVersion":null,"predicted":1,"predicted":null,"cachedAt":"2026-10-01T12:00:00Z","cachedAt":null,"assignCanon":[0]}`,
 	"repeated dist merges":   `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"dist":{"mean":1,"lo":2},"dist":{"lo":3,"hi":4},"dist":null}`,
-	"repeated list shorter":  `{` + seedFP + `,"modelVersion":"v1","assignCanon":[5,6,7],"assignCanon":[1],"vectorF":[1,2,3],"vectorF":[9]}`,
-	"null keeps old element": `{` + seedFP + `,"modelVersion":"v1","assignCanon":[5,6,7],"assignCanon":[null,1],"vectorF":[1,2,3],"vectorF":[null],"vectorF":[null,null,null,null]}`,
+	"repeated list shorter":  `{` + seedFP + `,"modelVersion":"v1","assignCanon":[5,6,7],"assignCanon":[1]}`,
+	"null keeps old element": `{` + seedFP + `,"modelVersion":"v1","assignCanon":[5,6,7],"assignCanon":[null,1]}`,
+	"null past old length":   `{` + seedFP + `,"modelVersion":"v1","assignCanon":[5,6,7],"assignCanon":[1],"assignCanon":[null,null,null,null]}`,
 	"bad column replaced":    `{` + seedFP + `,"modelVersion":"v1","assignCanon":[300,-1],"assignCanon":[1,2]}`,
 	"bad column kept":        `{` + seedFP + `,"modelVersion":"v1","assignCanon":[300,1],"assignCanon":[null,2]}`,
 	"bad fingerprint later":  `{"fingerprint":"zz",` + seedFP + `,"modelVersion":"v1","assignCanon":[0]}`,
-	"null lists":             `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"vectorF":[1],"vectorF":null}`,
 	"null assignment":        `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"assignCanon":null}`,
 	"null after list reuse":  `{` + seedFP + `,"modelVersion":"v1","assignCanon":[7,8],"assignCanon":null,"assignCanon":[null,null]}`,
-	"empty lists":            `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"vectorF":[1,2],"vectorF":[],"vectorF":[null]}`,
-	"empty vector":           `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"vectorF":[ ]}`,
+	"empty then list":        `{` + seedFP + `,"modelVersion":"v1","assignCanon":[3,4],"assignCanon":[ ],"assignCanon":[null]}`,
 	"unknown keys":           `{"x":1,"y":[1,[2,{"a":null}],"s"],"z":{"fingerprint":"no","q":[]},` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"dist":{"mean":1,"median":[{}]},"w":true,"v":false,"u":null,"t":"\u00e9"}`,
 	"malformed unknown":      `{"x":[1,],` + seedFP + `,"modelVersion":"v1","assignCanon":[0]}`,
 	"malformed literal":      `{"x":nul,` + seedFP + `,"modelVersion":"v1","assignCanon":[0]}`,
@@ -271,8 +276,8 @@ var quirks = map[string]string{
 	"minus zero column":      `{` + seedFP + `,"modelVersion":"v1","assignCanon":[-0]}`,
 	"huge column":            `{` + seedFP + `,"modelVersion":"v1","assignCanon":[99999999999999999999]}`,
 	"huge float":             `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"predicted":1e999}`,
-	"tiny float":             `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"predicted":1e-999,"vectorF":[-0,1E+2,0.5e-7]}`,
-	"integers":               `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"vectorF":[0,7,10,999999999999999,1000000000000000,9007199254740993,18446744073709551616,-0,-7,7.0,7e0]}`,
+	"tiny float":             `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"predicted":1e-999,"dist":{"mean":-0,"spread":1E+2,"lo":0.5e-7}}`,
+	"integers":               `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"predicted":999999999999999,"riskLambda":1000000000000000,"dist":{"mean":9007199254740993,"spread":18446744073709551616,"lo":-0,"hi":7e0}}`,
 	"nested list":            `{` + seedFP + `,"modelVersion":"v1","assignCanon":[[0]]}`,
 	"object for a list":      `{` + seedFP + `,"modelVersion":"v1","assignCanon":{}}`,
 	"list for dist":          `{` + seedFP + `,"modelVersion":"v1","assignCanon":[0],"dist":[]}`,
@@ -322,15 +327,84 @@ func TestDecodeEntryQuirks(t *testing.T) {
 	if want := []uint8{5, 1}; !reflect.DeepEqual(cp.AssignCanon, want) {
 		t.Errorf("assignment %v, want %v", cp.AssignCanon, want)
 	}
-	if want := []float64{1, 2, 3, 0}; !reflect.DeepEqual(cp.VectorF, want) {
-		t.Errorf("vector %v, want %v", cp.VectorF, want)
+	cp, err = DecodeEntry([]byte(quirks["null past old length"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint8{1, 6, 7, 0}; !reflect.DeepEqual(cp.AssignCanon, want) {
+		t.Errorf("assignment %v, want %v", cp.AssignCanon, want)
+	}
+}
+
+// legacyVectors are "vectorF" values as older builds wrote them, and what
+// encoding/json used to make of the odd ones; DecodeEntry skips them all.
+var legacyVectors = map[string]string{
+	"floats":            `[-0,1E+2,0.5e-7,1e-7,1e21]`,
+	"integers":          `[0,7,10,999999999999999,1000000000000000,9007199254740993,18446744073709551616,-0,-7,7.0,7e0]`,
+	"empty":             `[ ]`,
+	"null":              `null`,
+	"null elements":     `[null,1,null]`,
+	"out of range":      `[1e999]`,
+	"not a list":        `{"a":[1,2]}`,
+	"repeated":          `[1,2,3],"vectorF":[9],"vectorF":null,"vectorF":[]`,
+	"folded key":        `[1],"VECTORF":[2],"vectorſ":[3]`,
+	"string for a list": `"1,2"`,
+}
+
+// withVector is body as an older replica wrote it: with a "vectorF" after
+// the assignment.
+func withVector(body []byte, vector string) []byte {
+	at := bytes.Index(body, []byte(`],"`)) + 1 // the end of "assignCanon":[…]
+	return []byte(string(body[:at]) + `,"vectorF":` + vector + string(body[at:]))
+}
+
+// TestDecodeEntryLegacyVector: an entry from an older replica, which still
+// sends the plan's feature vector as "vectorF", installs exactly as the same
+// body without the key.
+func TestDecodeEntryLegacyVector(t *testing.T) {
+	check := func(name string, body, legacy []byte) {
+		t.Helper()
+		want, err := DecodeEntry(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := DecodeEntry(legacy)
+		if err != nil {
+			t.Fatalf("%s: legacy body refused: %v\n%s", name, err, legacy)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: legacy body decodes to %+v, want %+v", name, got, want)
+		}
+		checkDecode(t, legacy)
+	}
+	cps, vecs := servedPlansWithVectors(t)
+	for i, cp := range cps {
+		body, err := AppendEntry(nil, cp, "replica-a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vector := []byte{'['}
+		for j, f := range vecs[i] {
+			if j > 0 {
+				vector = append(vector, ',')
+			}
+			vector = appendFloat(vector, f)
+		}
+		check(fmt.Sprintf("served plan %d", i), body, withVector(body, string(vector)+"]"))
+	}
+	body, err := AppendEntry(nil, testPlan(7, "v3"), "replica-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vector := range legacyVectors {
+		check(name, body, withVector(body, vector))
 	}
 }
 
 // FuzzDecodeEntry is the differential fuzz of DecodeEntry against the oracle,
 // in both directions: a body is an entry to both or to neither, the same
 // entry, and neither panics. The seeds are real wire bodies, which must all
-// be accepted, and the quirks.
+// be accepted, the quirks, and bodies as older replicas wrote them.
 func FuzzDecodeEntry(f *testing.F) {
 	real := map[string]bool{}
 	for i, cp := range servedPlans(f) {
@@ -343,6 +417,13 @@ func FuzzDecodeEntry(f *testing.F) {
 	}
 	for _, body := range quirks {
 		f.Add([]byte(body))
+	}
+	legacy, err := AppendEntry(nil, testPlan(7, "v3"), "replica-a")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, vector := range legacyVectors {
+		f.Add(withVector(legacy, vector))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if ok := checkDecode(t, body); !ok && real[string(body)] {
@@ -404,7 +485,7 @@ func TestDecodeEntryUnknownField(t *testing.T) {
 	if !ok {
 		t.Fatalf("entry with unknown keys not installed: %+v", f.Snapshot())
 	}
-	if !reflect.DeepEqual(got.VectorF, cp.VectorF) || got.TraceID != cp.TraceID {
+	if !reflect.DeepEqual(got.AssignCanon, cp.AssignCanon) || got.TraceID != cp.TraceID {
 		t.Fatalf("installed %+v, want %+v", got, cp)
 	}
 	if s := f.Snapshot(); s.Hits != 1 || s.Errors != 0 || s.OpenBreakers != 0 {
@@ -413,8 +494,9 @@ func TestDecodeEntryUnknownField(t *testing.T) {
 }
 
 // TestEntryCodecAllocCeiling pins what a peer fill pays the codec for its
-// largest serving plan. Through encoding/json it was 7 allocations to encode
-// and 33 to decode.
+// largest serving plan, and that the entry is a few hundred bytes: no
+// feature vector travels. Through encoding/json, vector included, it was 7
+// allocations to encode and 33 to decode.
 func TestEntryCodecAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -442,10 +524,13 @@ func TestEntryCodecAllocCeiling(t *testing.T) {
 	if encode > 0 {
 		t.Errorf("encoding into a reused buffer allocates %.0f times, ceiling 0", encode)
 	}
-	if decode > 6 {
-		t.Errorf("decoding allocates %.0f times, ceiling 6", decode)
+	if decode > 4 {
+		t.Errorf("decoding allocates %.0f times, ceiling 4", decode)
 	}
-	t.Logf("%d operators, %d features, %d bytes: encode %.0f, decode %.0f allocations", len(cp.AssignCanon), len(cp.VectorF), len(buf), encode, decode)
+	if len(buf) >= 512 {
+		t.Errorf("the entry is %d bytes on the wire, ceiling 512", len(buf))
+	}
+	t.Logf("%d operators, %d bytes: encode %.0f, decode %.0f allocations", len(cp.AssignCanon), len(buf), encode, decode)
 }
 
 // BenchmarkEntryCodec times both directions over the served entries, the

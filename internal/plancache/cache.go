@@ -46,7 +46,9 @@ type Config struct {
 // CachedPlan is one cached optimization result: everything needed to serve
 // an equal-fingerprint request without re-running the enumeration. Platform
 // assignments are stored in canonical operator order (see Canon), so they
-// remap onto any requester's operator IDs.
+// remap onto any requester's operator IDs. No plan vector is kept: it is a
+// function of the requesting plan and the assignment, so whoever needs one
+// (execution feedback) vectorizes the plan it served.
 type CachedPlan struct {
 	Fingerprint Fingerprint
 	// ModelVersion is the model artifact version that produced the plan;
@@ -67,9 +69,6 @@ type CachedPlan struct {
 	// AssignCanon maps canonical operator index to the chosen platform
 	// column (the schema's platform order).
 	AssignCanon []uint8
-	// VectorF is the chosen plan's feature vector, preserved so cache hits
-	// can still contribute execution feedback.
-	VectorF []float64
 	// Stats are the enumeration counters of the run that produced the
 	// plan (for inspection; hits report zero work of their own).
 	Stats core.Stats
@@ -83,7 +82,7 @@ type CachedPlan struct {
 // size is the entry's byte accounting: the slices plus a fixed overhead for
 // the struct, key and list bookkeeping.
 func (cp *CachedPlan) size() int64 {
-	return int64(len(cp.AssignCanon)) + int64(8*len(cp.VectorF)) + int64(len(cp.TraceID)) + 256
+	return int64(len(cp.AssignCanon)) + int64(len(cp.TraceID)) + 256
 }
 
 // FromResult converts a finished optimization into a cacheable plan, storing
@@ -103,7 +102,6 @@ func FromResult(fp Fingerprint, canon *Canon, modelVersion string, res *core.Res
 		PredictedDist: res.PredictedDist,
 		CachedAt:      time.Now(),
 		AssignCanon:   make([]uint8, canon.NumOps()),
-		VectorF:       append([]float64(nil), res.Vector.F...),
 		Stats:         res.Stats.Counters(),
 	}
 	for id, ci := range canon.Perm {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/platform"
+	"repro/internal/workload"
 )
 
 // resultFor fabricates a finished optimization for l: a deterministic but
@@ -34,9 +35,10 @@ func resultFor(t *testing.T, l *plan.Logical, plats []platform.ID) *core.Result 
 	}
 }
 
-// fab builds a hand-crafted cache entry with a fabricated fingerprint, for
-// capacity and invalidation tests that do not need a real plan.
-func fab(b byte, version string, vecLen int) *CachedPlan {
+// fab builds a hand-crafted cache entry with a fabricated fingerprint and an
+// ops-operator assignment, for capacity and invalidation tests that do not
+// need a real plan.
+func fab(b byte, version string, ops int) *CachedPlan {
 	var fp Fingerprint
 	fp[0] = b
 	return &CachedPlan{
@@ -44,8 +46,7 @@ func fab(b byte, version string, vecLen int) *CachedPlan {
 		ModelVersion: version,
 		Predicted:    float64(b),
 		CachedAt:     time.Now(),
-		AssignCanon:  []uint8{0, 1},
-		VectorF:      make([]float64, vecLen),
+		AssignCanon:  make([]uint8, ops),
 	}
 }
 
@@ -61,7 +62,7 @@ func TestCacheRoundTripAcrossRelabeling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Predicted != res.Predicted || len(cp.VectorF) != len(res.Vector.F) {
+	if cp.Predicted != res.Predicted {
 		t.Fatalf("cached plan lost data: %+v", cp)
 	}
 	if cp.Stats.ModelRows != 5 {
@@ -184,10 +185,10 @@ func TestCacheLRUTouchOnGet(t *testing.T) {
 }
 
 func TestCacheByteEviction(t *testing.T) {
-	// Each entry accounts 2 + 8*100 + 256 = 1058 bytes; the per-shard floor
-	// is 1024, so a second entry always pushes the first out.
+	// Each entry accounts 800 + 256 = 1056 bytes; the per-shard floor is
+	// 1024, so a second entry always pushes the first out.
 	c := New(Config{MaxEntries: 100, MaxBytes: 1, Shards: 1})
-	big := func(b byte) *CachedPlan { return fab(b, "v1", 100) }
+	big := func(b byte) *CachedPlan { return fab(b, "v1", 800) }
 	c.Put(big(1))
 	c.Put(big(2))
 	if c.Len() != 1 {
@@ -202,9 +203,53 @@ func TestCacheByteEviction(t *testing.T) {
 	// A single entry over budget still stays: the cache never evicts the
 	// entry it just admitted.
 	c.Purge()
-	c.Put(fab(9, "v1", 500))
+	c.Put(fab(9, "v1", 2000))
 	if c.Len() != 1 {
 		t.Fatal("an oversized lone entry should be admitted")
+	}
+}
+
+// TestEntrySizeIgnoresSchemaWidth: an entry accounts for its assignment, not
+// for the plan vector of the run that produced it, so a 40-operator entry
+// stays a few hundred bytes (≈ 3.5 kB when the vector was kept).
+func TestEntrySizeIgnoresSchemaWidth(t *testing.T) {
+	plats, avail := platform.Subset(3), platform.UniformAvailability(3)
+	l := workload.Pipeline(40, 1e10)
+	fp, canon, err := Compute(l, plats, avail, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, err := core.NewContext(l, plats, avail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := make([]platform.ID, len(l.Ops))
+	for i := range assign {
+		assign[i] = plats[i%len(plats)]
+	}
+	x, err := plan.NewExecution(l, assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := cctx.VectorizeAssignment(assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizeWith := func(v *core.Vector) int64 {
+		t.Helper()
+		cp, err := FromResult(fp, canon, "v1", &core.Result{Execution: x, Vector: v, Predicted: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.TraceID = "0123456789abcdef0123456789abcdef"
+		return cp.size()
+	}
+	size := sizeWith(v)
+	if size >= 512 {
+		t.Errorf("a 40-operator entry accounts %d bytes, ceiling 512", size)
+	}
+	if wide := sizeWith(&core.Vector{F: make([]float64, 10*len(v.F)), Assign: v.Assign}); wide != size {
+		t.Errorf("a 10× wider schema accounts %d bytes, want %d", wide, size)
 	}
 }
 

@@ -494,7 +494,7 @@ func (s *Server) finish(ctx context.Context, q *optimizeReq, a answer, err error
 	out := &optimizeOut{src: a.src, cp: a.cp, shed: q.shed && a.res != nil, retained: s.closeTrace(q, a)}
 	var run *simulator.Result
 	out.resp, run = s.respond(q, a, x)
-	s.record(q, a, out, run)
+	s.record(q, a, x, out, run)
 	s.account(&q.reqParams, out)
 	return out
 }
@@ -594,26 +594,29 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 // record keeps what only a served plan has to tell: execution feedback, the
 // model version that scored it, its latency among the successes, the
 // enumeration's work when one ran and the fleet tier's share of a peer fill.
-func (s *Server) record(q *optimizeReq, a answer, out *optimizeOut, run *simulator.Result) {
+func (s *Server) record(q *optimizeReq, a answer, x *plan.Execution, out *optimizeOut, run *simulator.Result) {
 	m := s.Metrics()
-	// Execution feedback: the chosen plan's vector paired with its observed
-	// runtime feeds the retraining loop — cached answers included, through
-	// the vector the cache kept — tagged with the model's predictive spread
-	// so retraining can prioritize the plans the model was least certain
-	// about. Failed runs carry no usable runtime label and are skipped.
+	// Execution feedback: the served plan's vector paired with its observed
+	// runtime feeds the retraining loop, tagged with the model's predictive
+	// spread so retraining can prioritize the plans the model was least
+	// certain about. Every source takes one path: the vector is rebuilt from
+	// this unit's own plan and the assignment it was served, so a cached plan
+	// shared through cardinality banding carries the requester's
+	// cardinalities, not those of the plan that filled the entry. Failed runs
+	// carry no usable runtime label and are skipped.
 	if run != nil && s.Feedback != nil && !run.Failed() {
-		var vec []float64
-		if a.cp != nil {
-			vec = a.cp.VectorF
-		} else if a.res.Vector != nil {
-			vec = a.res.Vector.F
+		cctx, err := core.NewContext(q.l, s.Platforms, s.Avail)
+		var v *core.Vector
+		if err == nil {
+			v, err = cctx.VectorizeAssignment(x.Assign)
 		}
-		if len(vec) > 0 {
-			if err := s.Feedback.AddWithSpread(vec, run.Runtime, out.resp.PredictedSpreadSec); err != nil {
-				m.Counter("feedback_rejected_total").Inc()
-			} else {
-				m.Counter("feedback_samples_total").Inc()
-			}
+		if err == nil {
+			err = s.Feedback.AddWithSpread(v.F, run.Runtime, out.resp.PredictedSpreadSec)
+		}
+		if err != nil {
+			m.Counter("feedback_rejected_total").Inc()
+		} else {
+			m.Counter("feedback_samples_total").Inc()
 		}
 	}
 	m.CounterVec("serving_model_requests_total", "version").With(out.resp.ModelVersion).Inc()

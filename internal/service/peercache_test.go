@@ -25,7 +25,7 @@ import (
 // its own store handle over dir, its own plan cache, a peer-fill client
 // discovering peers through the store, and a registration so the other
 // replicas can discover it. The tracer retains everything, so origin
-// traces are always linkable.
+// traces are always linkable, and ?simulate=1 lands execution feedback.
 func newPeerReplica(t *testing.T, dir, id string) (*service.Server, *httptest.Server) {
 	t.Helper()
 	st, err := registry.OpenStore(dir)
@@ -43,6 +43,7 @@ func newPeerReplica(t *testing.T, dir, id string) (*service.Server, *httptest.Se
 	s := &service.Server{
 		Provider:   p,
 		ModelStore: st,
+		Feedback:   registry.NewFeedback(16),
 		Platforms:  platform.Subset(3),
 		Avail:      platform.UniformAvailability(3),
 		Cluster:    simulator.Default(),
@@ -422,7 +423,7 @@ func TestPeercacheEndpointBody(t *testing.T) {
 	s.PlanCache = plancache.New(plancache.Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	good := &plancache.CachedPlan{ModelVersion: "v1", Predicted: 1.5, CachedAt: time.Now(), AssignCanon: []uint8{0, 2}, VectorF: []float64{1e-7, 2}}
+	good := &plancache.CachedPlan{ModelVersion: "v1", Predicted: 1.5, CachedAt: time.Now(), AssignCanon: []uint8{0, 2}}
 	bad := &plancache.CachedPlan{ModelVersion: "v1", Predicted: math.NaN(), CachedAt: time.Now(), AssignCanon: []uint8{1}}
 	good.Fingerprint[0], bad.Fingerprint[0] = 1, 2
 	s.PlanCache.Put(good)
@@ -448,7 +449,7 @@ func TestPeercacheEndpointBody(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(body, want) {
 		t.Errorf("hit = %d %s, want 200 %s", code, body, want)
 	}
-	if cp, err := peercache.DecodeEntry(body); err != nil || cp.Predicted != 1.5 || len(cp.VectorF) != 2 {
+	if cp, err := peercache.DecodeEntry(body); err != nil || cp.Predicted != 1.5 || len(cp.AssignCanon) != 2 {
 		t.Errorf("DecodeEntry(%s) = %+v, %v", body, cp, err)
 	}
 	if code, body := get(bad); code != http.StatusInternalServerError || !bytes.Contains(body, []byte(`"error"`)) {

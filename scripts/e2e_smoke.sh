@@ -33,7 +33,7 @@ die()  { echo "FAIL: $*" >&2; exit 1; }
 jget() { python3 -c "import json,sys; d=json.load(open('$1')); print($2)"; }
 
 say "building binaries"
-go build -o "$WORK" ./cmd/tdgen ./cmd/robopt ./cmd/roboptd ./cmd/loadgen ./cmd/obsctl
+go build -o "$WORK" ./cmd/tdgen ./cmd/robopt ./cmd/roboptd ./cmd/loadgen ./cmd/obsctl ./scripts/planfp
 
 say "checking -version output"
 # Substitution (not a pipe): grep -q exiting early would SIGPIPE the binary
@@ -312,11 +312,26 @@ curl -sf "$BASE_B/tracez?id=$B_TRACE" > "$WORK/peer-trace.json"
 [ "$(jget "$WORK/peer-trace.json" "any(l['reason'] == 'peer-fill' and l['traceId'] == '$A_TRACE' for l in d.get('links', []))")" = "True" ] \
   || die "peer-fill trace link missing or not pointing at A's trace: $(cat "$WORK/peer-trace.json")"
 
-say "the peer-filled entry is now a plain local hit on B"
+say "the peer-filled entry is now a plain local hit on B, and lands feedback"
+feedback_b() {
+  curl -sf "$BASE_B/metricz" > "$WORK/feedback-b.json"
+  jget "$WORK/feedback-b.json" "d['counters'].get('feedback_samples_total', 0)"
+}
+FEEDBACK_BEFORE="$(feedback_b)"
 curl -sf -D "$WORK/peer-b2.h" -o /dev/null -XPOST --data-binary @"$WORK/query2.json" \
-  "$BASE_B/optimize"
+  "$BASE_B/optimize?simulate=1"
 grep -qi '^x-cache: hit' "$WORK/peer-b2.h" \
   || die "peer-filled entry was not installed in B's local cache"
+[ "$(feedback_b)" = "$((FEEDBACK_BEFORE + 1))" ] \
+  || die "a simulated local hit on B did not land exactly one feedback sample"
+
+say "A's /peercache entry carries the assignment and no feature vector"
+FP="$("$WORK/planfp" -platforms 3 < "$WORK/query2.json")"
+PEER_VERSION="$(jget "$WORK/peer-a.json" "d['modelVersion']")"
+curl -sf "$BASE/peercache?fp=$FP&version=$PEER_VERSION&band=" > "$WORK/peer-entry.json" \
+  || die "A has no /peercache entry for fingerprint $FP"
+[ "$(jget "$WORK/peer-entry.json" "'assignCanon' in d and 'vectorF' not in d")" = "True" ] \
+  || die "A's /peercache entry is not assignment-only: $(cat "$WORK/peer-entry.json")"
 
 say "checking shared-tier metrics and /cachez on both replicas"
 curl -sf "$BASE_B/metricz" > "$WORK/peer-metricz-b.json"
