@@ -185,8 +185,10 @@ type Context struct {
 	store   *vecStore
 	scratch *scratch
 	// model is the run's cost model and spec its specialisation to the
-	// run's rows, when it has one (bind).
+	// run's rows, when it has one (bind; both nil otherwise); modelEq
+	// reports that model's value can be compared with == (isRun).
 	model, spec CostModel
+	modelEq     bool
 	// poison, once tests set it, arms the store's poison hook for runs on
 	// this Context (see vecStore.poison).
 	poison bool

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/mlmodel"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/platform"
@@ -29,11 +30,13 @@ import (
 //   - the selected plan is executable: one assignment per operator, each
 //     assignment drawn from that operator's admissible platforms, and a
 //     conversion on exactly the edges whose endpoints changed platform;
-//   - scoring the run's rows in place changes nothing: the latency
-//     experiments' scorer, which specialises itself to the plan's live
-//     columns, and the same scorer behind a wrapper without Specialize, sent
-//     rows expanded to the Schema, give bit-identical plans, Predicted,
-//     Counters() and audit JSON.
+//   - scoring the run's rows in place changes nothing: for the latency
+//     experiments' scorer and for a small fitted model of the served shape
+//     (an Ensemble of LogTarget(GBM), whose forests gather the cells their
+//     splits read), the model specialised to the plan's live columns and the
+//     same model behind a wrapper without Specialize, sent rows expanded to
+//     the Schema, give bit-identical plans, Predicted, Counters() and audit
+//     JSON.
 //
 // Tiny budgets are the interesting corner: they flip the run into degraded
 // beam mode mid-enumeration, which must truncate — not corrupt — the result.
@@ -48,7 +51,7 @@ func FuzzEnumerate(f *testing.F) {
 		workers := int(workersRaw)%8 + 1
 		l := workload.RandomDAG(nOps, 1e7, seed)
 		budget := core.Budget{MaxVectors: int(maxVec % 300), MaxModelCalls: int(maxMC % 1024)}
-		m := experiments.NewHarness().LatencyModel(platform.Subset(nPlats))
+		latency := experiments.NewHarness().LatencyModel(platform.Subset(nPlats))
 		run := func(m core.CostModel) (*core.Result, string) {
 			ctx := newCtx(t, l, nPlats)
 			ctx.Workers = workers
@@ -65,13 +68,19 @@ func FuzzEnumerate(f *testing.F) {
 			}
 			return res, string(audit)
 		}
-		res, audit := run(m)
-		wide, wideAudit := run(unspecialized{m})
-		if !slices.Equal(res.Execution.Assign, wide.Execution.Assign) ||
-			math.Float64bits(res.Predicted) != math.Float64bits(wide.Predicted) ||
-			res.Stats.Counters() != wide.Stats.Counters() || audit != wideAudit {
-			t.Errorf("compact and expanded rows disagree: predicted %v / %v, counters %+v / %+v",
-				res.Predicted, wide.Predicted, res.Stats.Counters(), wide.Stats.Counters())
+		var res *core.Result
+		for _, m := range []core.CostModel{latency, fittedEnsemble(t, nPlats)} {
+			got, audit := run(m)
+			wide, wideAudit := run(unspecialized{m})
+			if !slices.Equal(got.Execution.Assign, wide.Execution.Assign) ||
+				math.Float64bits(got.Predicted) != math.Float64bits(wide.Predicted) ||
+				got.Stats.Counters() != wide.Stats.Counters() || audit != wideAudit {
+				t.Errorf("%s: compact and expanded rows disagree: predicted %v / %v, counters %+v / %+v",
+					mlmodel.FamilyName(m), got.Predicted, wide.Predicted, got.Stats.Counters(), wide.Stats.Counters())
+			}
+			if res == nil {
+				res = got
+			}
 		}
 		for _, rec := range res.Trace.Prunes {
 			if rec.VectorsOut > rec.VectorsIn {

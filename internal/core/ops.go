@@ -219,7 +219,7 @@ func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	scope := plan.NewBitset(c.Plan.NumOps())
 	scope.Set(id)
 	e := &Enumeration{Scope: scope, Boundary: c.boundaryOf(scope, nil), Vectors: c.store.take(len(c.alternatives[id]))}
-	row := grow(&c.scratch.wide, c.Schema.Len())
+	row := grow(&c.scratch.row, c.Schema.Len())
 	for vi, pi := range c.alternatives[id] {
 		v := e.Vectors[vi]
 		*v = Vector{F: v.F, Assign: v.Assign}

@@ -11,7 +11,7 @@ import (
 // without synchronization and with deterministic placement. fn also gets the
 // chunk's index, below max(workers, 1): concurrent calls never share one.
 func parallelFor(n, workers int, fn func(chunk, lo, hi int)) {
-	if workers <= 1 || n < 64 {
+	if inline(n, workers) {
 		fn(0, 0, n)
 		return
 	}
@@ -29,6 +29,9 @@ func parallelFor(n, workers int, fn func(chunk, lo, hi int)) {
 	wg.Wait()
 }
 
+// inline reports whether parallelFor runs n items on workers in the caller.
+func inline(n, workers int) bool { return workers <= 1 || n < 64 }
+
 // parallelForCtx is parallelFor with cooperative cancellation: every worker
 // walks its chunk in blocks of at most `block` items and re-checks ctx
 // between blocks, so a cancelled context stops the loop within one block of
@@ -36,19 +39,28 @@ func parallelFor(n, workers int, fn func(chunk, lo, hi int)) {
 // when the context was cancelled — the caller must then treat any
 // partially-filled result slice as invalid. A context that can never be
 // cancelled (Done() == nil, e.g. context.Background()) takes the unchecked
-// fast path with zero per-block overhead.
+// fast path with zero per-block overhead. A loop run in the caller wraps fn
+// in nothing, so it allocates nothing of its own.
 func parallelForCtx(ctx context.Context, n, workers, block int, fn func(chunk, lo, hi int)) error {
 	if ctx == nil || ctx.Done() == nil {
 		parallelFor(n, workers, fn)
 		return nil
 	}
-	parallelFor(n, workers, func(chunk, lo, hi int) {
-		for b := lo; b < hi; b += block {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(chunk, b, min(b+block, hi))
-		}
-	})
+	if inline(n, workers) {
+		inBlocks(ctx, block, fn, 0, 0, n)
+	} else {
+		parallelFor(n, workers, func(chunk, lo, hi int) { inBlocks(ctx, block, fn, chunk, lo, hi) })
+	}
 	return ctx.Err()
+}
+
+// inBlocks runs fn over chunk [lo, hi) in blocks of at most block items,
+// until ctx is done.
+func inBlocks(ctx context.Context, block int, fn func(chunk, lo, hi int), chunk, lo, hi int) {
+	for b := lo; b < hi; b += block {
+		if ctx.Err() != nil {
+			return
+		}
+		fn(chunk, b, min(b+block, hi))
+	}
 }

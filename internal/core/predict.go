@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"time"
 
+	"repro/internal/mlmodel"
 	"repro/internal/vecops"
 )
 
@@ -27,10 +29,11 @@ func (c *Context) OptimizeProvider(ctx context.Context, mp ModelProvider) (*Resu
 
 // bind makes m the run's model. A model with a method Specialize(cols []int)
 // CostModel scores the run's rows in place: it is asked once, and on a row of
-// schema columns cols[0], cols[1], … the model it returns must be
-// bit-identical to m on the Schema-width row that is 0 elsewhere. m must then
-// be comparable (a pointer, typically): predict compares models with it, and
-// sends every other model expanded rows.
+// schema columns cols[0] < cols[1] < … the model it returns must be
+// bit-identical to m on the Schema-width row that is 0 elsewhere. It may
+// return nil (an ensemble with a member that cannot specialise): m then gets
+// rows expanded to the Schema, as does every model that is not the run's
+// (isRun).
 func (c *Context) bind(m CostModel) {
 	if sp, ok := m.(interface{ Specialize(cols []int) CostModel }); ok {
 		cols := make([]int, 0, c.width)
@@ -39,8 +42,33 @@ func (c *Context) bind(m CostModel) {
 				cols = append(cols, col)
 			}
 		}
-		c.model, c.spec = m, sp.Specialize(cols)
+		if spec := sp.Specialize(cols); spec != nil {
+			c.model, c.spec = m, spec
+			c.modelEq = reflect.ValueOf(m).Comparable()
+		}
 	}
+}
+
+// isRun reports whether m is the run's model, by identity: a value whose type
+// has no == is never compared, as that panics. An mlmodel.Ensemble (a slice
+// of members) is the run's when it holds the run's member slice itself; any
+// other model only when bind found the run's model comparable, for then
+// m == c.model cannot panic, whatever m is.
+func (c *Context) isRun(m CostModel) bool {
+	if run, ok := c.model.(mlmodel.Ensemble); ok {
+		e, ok := m.(mlmodel.Ensemble)
+		return ok && len(e.Models) == len(run.Models) && (len(e.Models) == 0 || &e.Models[0] == &run.Models[0])
+	}
+	return c.modelEq && m == c.model
+}
+
+// specFor returns the run's specialised model when m is the run's model and
+// it has one (bind), else nil: m then scores rows expanded to the Schema.
+func (c *Context) specFor(m CostModel) CostModel {
+	if c.spec == nil || !c.isRun(m) {
+		return nil
+	}
+	return c.spec
 }
 
 // grow returns (*buf)[:n], reallocated (zeroed) when *buf is too short.
@@ -52,21 +80,14 @@ func grow(buf *[]float64, n int) []float64 {
 }
 
 // features returns the flat row-major matrix of the vectors of e listed in
-// the scratch's miss: wide, their rows expanded into the scratch; otherwise a
-// view of the enumeration's feature matrix when it has one and they are
-// consecutive (the common case: a product just merged, its groups all
-// contested), else their rows gathered into the scratch. Returned by value so
-// that predict's chunk closure captures it without an allocation.
-func (c *Context) features(e *Enumeration, wide bool) vecops.Matrix {
+// the scratch's miss, as rows of the run: a view of the enumeration's feature
+// matrix when it has one and they are consecutive (the common case: a product
+// just merged, its groups all contested), else their rows gathered into the
+// scratch. Returned by value so that predict's chunk closure captures it
+// without an allocation.
+func (c *Context) features(e *Enumeration) vecops.Matrix {
 	sc := c.scratch
 	n := len(sc.miss)
-	if wide {
-		m := vecops.Matrix{Data: grow(&sc.wide, n*c.Schema.Len()), Rows: n, Cols: c.Schema.Len()}
-		for k, i := range sc.miss {
-			c.expand(m.Row(k), e.Vectors[i].F)
-		}
-		return m
-	}
 	if e.mat != nil && sc.miss[n-1]-sc.miss[0] == n-1 {
 		return e.mat.RowsView(sc.miss[0], sc.miss[n-1]+1)
 	}
@@ -75,6 +96,36 @@ func (c *Context) features(e *Enumeration, wide bool) vecops.Matrix {
 		copy(m.Row(k), e.Vectors[i].F)
 	}
 	return m
+}
+
+// wideRows returns parallel chunk i's buffer of pruneBlock Schema-width rows
+// (scratch.wide), the most a model without the run's specialisation is given
+// at once, with room for n of them.
+func (sc *scratch) wideRows(i, n, cols int) vecops.Matrix {
+	if sc.wide[i] == nil {
+		sc.wide[i] = make([]float64, pruneBlock*cols)
+	}
+	return vecops.Matrix{Data: sc.wide[i][:n*cols], Rows: n, Cols: cols}
+}
+
+// chunks readies the scratch for up to workers parallel chunks: a matrix
+// header each (the model's matrix argument escapes, so views live here) and,
+// when wide, a slot for each chunk's buffer of expanded rows.
+func (sc *scratch) chunks(workers int, wide bool) {
+	workers = max(workers, 1)
+	if len(sc.views) < workers {
+		sc.views = make([]vecops.Matrix, workers)
+	}
+	if wide && len(sc.wide) < workers {
+		sc.wide = make([][]float64, workers)
+	}
+}
+
+// scoreRows has model score *sub as rows [lo, hi) of a batch of n, into the
+// four output columns the scratch's out holds (mean, spread, lo, hi; n each).
+func (sc *scratch) scoreRows(model CostModel, sub *vecops.Matrix, n, lo, hi int) {
+	out := sc.out
+	model.PredictBatchDist(sub, out[lo:hi], out[n+lo:n+hi], out[2*n+lo:2*n+hi], out[3*n+lo:3*n+hi])
 }
 
 // predictEnum scores every vector of e not scored yet (see predict).
@@ -94,10 +145,13 @@ func (c *Context) predictEnum(ctx context.Context, m CostModel, e *Enumeration, 
 // listed in the scratch's miss through one batched model invocation, and is
 // the single prediction/accounting path shared by pruneGroups and
 // predictEnum. hits counts the vectors the caller needed and found already
-// scored (Stats.MemoHits); the listed ones form one flat matrix (see bind)
-// scored by a single logical PredictBatchDist (Stats.ModelBatches/ModelRows),
-// chunked across workers via parallelForCtx in pruneBlock-sized blocks so
-// cancellation latency stays bounded by one block of model work. Returns
+// scored (Stats.MemoHits); the listed ones are scored by a single logical
+// PredictBatchDist (Stats.ModelBatches/ModelRows), chunked across workers via
+// parallelForCtx in pruneBlock-sized blocks so cancellation latency stays
+// bounded by one block of model work. The run's specialised model (bind)
+// reads them as one flat matrix of the run's rows; any other model gets them
+// expanded to the Schema's width, pruneBlock rows per call at most, so its
+// buffer stays one block per worker whatever the batch. Returns
 // false when ctx was cancelled mid-batch; costs are then partial and the
 // caller must abandon the enumeration.
 func (c *Context) predict(ctx context.Context, m CostModel, e *Enumeration, hits int, st *Stats) bool {
@@ -106,31 +160,39 @@ func (c *Context) predict(ctx context.Context, m CostModel, e *Enumeration, hits
 	miss := sc.miss
 	ok := true
 	if len(miss) > 0 {
-		model, wide := m, true
-		if c.spec != nil && m == c.model {
-			model, wide = c.spec, false
+		spec := c.specFor(m)
+		var X vecops.Matrix
+		if spec != nil {
+			X = c.features(e)
 		}
-		X := c.features(e, wide)
 		// The four output columns share one buffer, the scratch's.
-		buf := grow(&sc.out, 4*len(miss))
-		mean, spread := buf[:len(miss)], buf[len(miss):2*len(miss)]
-		lov, hiv := buf[2*len(miss):3*len(miss)], buf[3*len(miss):]
-		// The model's matrix argument escapes: views live in the scratch.
-		if len(sc.views) < max(c.Workers, 1) {
-			sc.views = make([]vecops.Matrix, max(c.Workers, 1))
-		}
-		err := parallelForCtx(ctx, len(miss), c.Workers, pruneBlock, func(chunk, lo, hi int) {
+		n := len(miss)
+		out := grow(&sc.out, 4*n)
+		sc.chunks(c.Workers, spec == nil)
+		err := parallelForCtx(ctx, n, c.Workers, pruneBlock, func(chunk, lo, hi int) {
 			sub := &sc.views[chunk]
-			*sub = X
-			*sub = sub.RowsView(lo, hi)
-			model.PredictBatchDist(sub, mean[lo:hi], spread[lo:hi], lov[lo:hi], hiv[lo:hi])
+			if spec != nil {
+				*sub = X
+				*sub = sub.RowsView(lo, hi)
+				sc.scoreRows(spec, sub, n, lo, hi)
+				return
+			}
+			// Expanded rows, at most pruneBlock at a time in the chunk's buffer.
+			for b := lo; b < hi; b += pruneBlock {
+				end := min(b+pruneBlock, hi)
+				*sub = sc.wideRows(chunk, end-b, c.Schema.Len())
+				for k, i := range sc.miss[b:end] {
+					c.expand(sub.Row(k), e.Vectors[i].F)
+				}
+				sc.scoreRows(m, sub, n, b, end)
+			}
 		})
 		if err != nil {
 			ok = false
 		} else {
 			for k, i := range miss {
 				v := e.Vectors[i]
-				v.Dist = CostDist{Mean: mean[k], Spread: spread[k], Lo: lov[k], Hi: hiv[k]}
+				v.Dist = CostDist{Mean: out[k], Spread: out[n+k], Lo: out[2*n+k], Hi: out[3*n+k]}
 				v.Cost = c.score(v.Dist)
 				v.scored = true
 			}

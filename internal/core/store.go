@@ -163,9 +163,10 @@ type scratch struct {
 
 	miss   []int           // predict: indices of the vectors to score
 	out    []float64       // predict: the four output columns
-	gather []float64       // predict: feature rows not contiguous in a matrix
-	wide   []float64       // predict, enumerateSingleton: Schema-width rows, 0 outside Context.live
-	views  []vecops.Matrix // predict: each parallel chunk's view of the rows
+	gather []float64       // predict, recordContributions: rows of the run not contiguous in a matrix
+	row    []float64       // enumerateSingleton, recordContributions: one Schema-width row
+	wide   [][]float64     // predict, recordContributions: per chunk, pruneBlock Schema-width rows, 0 outside Context.live
+	views  []vecops.Matrix // predict, recordContributions: each parallel chunk's view of the rows
 	groups map[uint64]int  // pruneGroups: footprint → its group number, in first-seen order
 	group  []int           // pruneGroups: each vector's group
 	size   []int           // pruneGroups: each group's member count

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/platform"
 	"repro/internal/vecops"
 	"repro/internal/workload"
 )
@@ -156,32 +157,41 @@ func TestTracedSpanVocabulary(t *testing.T) {
 }
 
 // TestOpContribsMatchSubplanVectors checks the per-operator contributions,
-// built in one reused row, bit for bit against the model's score of
-// VectorizeSubplan's one-operator subplan for every operator of a pipeline,
-// a join tree and a random DAG.
+// scored as one batch, bit for bit against the model's score of
+// VectorizeSubplan's one-operator subplan alone, for every operator of a
+// pipeline longer than a pruning block, a join tree and a random DAG: under a
+// model without Specialize (rows expanded a pruning block at a time), the
+// served shape (its specialisation reads compact rows) and the same model
+// behind a wrapper without Specialize.
 func TestOpContribsMatchSubplanVectors(t *testing.T) {
+	fitted := fittedEnsemble(t, 3)
 	for name, l := range map[string]*plan.Logical{
-		"pipeline": workload.Pipeline(10, 1e8),
+		"pipeline": workload.Pipeline(40, 1e8),
 		"jointree": workload.JoinTree(3, 1e8),
 		"dag":      workload.RandomDAG(14, 1e8, 9),
 	} {
-		ctx := newCtx(t, l, 3)
-		m := newLinModel(ctx.Schema.Len(), 11)
-		ctx.Trace = obs.NewTrace(name)
-		res, err := ctx.Optimize(context.Background(), m)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(res.Trace.OpContribs) != l.NumOps() {
-			t.Fatalf("%s: %d contributions for %d operators", name, len(res.Trace.OpContribs), l.NumOps())
-		}
-		cost := make([]float64, 1)
-		for _, oc := range res.Trace.OpContribs {
-			id := plan.OpID(oc.Op)
-			ref := ctx.VectorizeSubplan(map[plan.OpID]uint8{id: res.Vector.Assign[id]})
-			m.PredictBatchDist(&vecops.Matrix{Data: ref.F, Rows: 1, Cols: len(ref.F)}, cost, nil, nil, nil)
-			if math.Float64bits(oc.Cost) != math.Float64bits(cost[0]) {
-				t.Errorf("%s: op %d contributes %v, its subplan vector scores %v", name, oc.Op, oc.Cost, cost[0])
+		for mname, m := range map[string]core.CostModel{
+			"linear":                 newLinModel(core.MustSchema(platform.Subset(3)).Len(), 11),
+			"ensemble":               fitted,
+			"ensemble/unspecialized": unspecialized{fitted},
+		} {
+			ctx := newCtx(t, l, 3)
+			ctx.Trace = obs.NewTrace(name)
+			res, err := ctx.Optimize(context.Background(), m)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, mname, err)
+			}
+			if len(res.Trace.OpContribs) != l.NumOps() {
+				t.Fatalf("%s/%s: %d contributions for %d operators", name, mname, len(res.Trace.OpContribs), l.NumOps())
+			}
+			cost := make([]float64, 1)
+			for _, oc := range res.Trace.OpContribs {
+				id := plan.OpID(oc.Op)
+				ref := ctx.VectorizeSubplan(map[plan.OpID]uint8{id: res.Vector.Assign[id]})
+				m.PredictBatchDist(&vecops.Matrix{Data: ref.F, Rows: 1, Cols: len(ref.F)}, cost, nil, nil, nil)
+				if math.Float64bits(oc.Cost) != math.Float64bits(cost[0]) {
+					t.Errorf("%s/%s: op %d contributes %v, its subplan vector scores %v", name, mname, oc.Op, oc.Cost, cost[0])
+				}
 			}
 		}
 	}

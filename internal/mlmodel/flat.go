@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // flatForest is the fitted form of Tree, Forest and GBM: every node of every
@@ -14,8 +15,16 @@ import (
 // A leaf points at itself with both children. That lets the kernel walk a row
 // any number of steps past a tree's depth with no "is this a leaf" test: a row
 // that arrives early keeps stepping onto the same leaf.
+//
+// A split names its feature by its index into cols, the ascending list of the
+// features the forest's splits read (about half of a plan vector's cells for
+// a served GBM). The kernel gathers just those cells of each row into a dense
+// window and walks the window, so one kernel scores a row of any layout that
+// says where each used feature sits: a Schema-width row through cols itself,
+// a row holding only some columns through a Specialize map.
 type flatForest struct {
 	nodes  []node    // what a walk reads: one load per step
+	cols   []int32   // Schema column of used feature j; ascending
 	value  []float64 // mean training target of the node; the estimate at a leaf
 	spread []float64 // std of the node's training targets; entries past its end are 0
 	root   []int32   // root of tree t; its nodes run up to the next tree's root
@@ -30,7 +39,7 @@ type flatForest struct {
 // reads, packed so a step costs one cache line rather than three arrays.
 type node struct {
 	thr  float64  // a row goes left when x[feat] <= thr
-	feat int32    // split feature; 0 on a leaf, whose compare is then harmless
+	feat int32    // split feature: index into cols (a Schema column while building); 0 on a leaf, whose compare is harmless
 	kids [2]int32 // left and right child
 }
 
@@ -102,12 +111,36 @@ func (f *flatForest) endTree(lo int32) error {
 	return nil
 }
 
-// graft appends the finished trees of g to f.
+// indexFeatures turns the splits' features, Schema columns while the trees
+// are built, into indices into cols, which it fills. Builders and loaders call
+// it once, when the last tree is in; the nodes are rewritten in place.
+func (f *flatForest) indexFeatures() {
+	var used []int32
+	for i, nd := range f.nodes {
+		if nd.kids[0] != int32(i) {
+			used = append(used, nd.feat)
+		}
+	}
+	slices.Sort(used)
+	f.cols = slices.Clone(slices.Compact(used))
+	for i := range f.nodes {
+		if nd := &f.nodes[i]; nd.kids[0] != int32(i) {
+			j, _ := slices.BinarySearch(f.cols, nd.feat)
+			nd.feat = int32(j)
+		}
+	}
+}
+
+// graft appends the finished trees of g to f, a forest still being built:
+// their features go back to Schema columns.
 func (f *flatForest) graft(g *flatForest) {
 	off := int32(len(f.value))
 	f.appendSpread(g.spread)
 	f.value = append(f.value, g.value...)
-	for _, nd := range g.nodes {
+	for i, nd := range g.nodes {
+		if nd.kids[0] != int32(i) {
+			nd.feat = g.cols[nd.feat]
+		}
 		nd.kids[0] += off
 		nd.kids[1] += off
 		f.nodes = append(f.nodes, nd)
@@ -134,15 +167,12 @@ func (f *flatForest) spreadAt(i int32) float64 {
 	return 0
 }
 
-// width returns max split-feature index + 1 over the forest's nodes.
+// width returns the largest Schema column a split reads, plus one.
 func (f *flatForest) width() int {
-	w := 0
-	for i, nd := range f.nodes {
-		if nd.kids[0] != int32(i) && int(nd.feat) >= w {
-			w = int(nd.feat) + 1
-		}
+	if len(f.cols) == 0 {
+		return 0
 	}
-	return w
+	return int(f.cols[len(f.cols)-1]) + 1
 }
 
 // NumTrees returns the number of trees (boosting rounds, for a GBM).
@@ -180,7 +210,8 @@ func walk(nodes []node, rows [][]float64, at [][lockstepTrees]int32, d int32) {
 	}
 }
 
-// leafOf walks x down tree t alone.
+// leafOf walks x down tree t alone, while the forest is built: its splits
+// still read Schema columns of x.
 func (f *flatForest) leafOf(t int, x []float64) int32 {
 	a := f.root[t]
 	for k := f.depth[t]; k > 0; k-- {
@@ -239,17 +270,25 @@ func (f *flatForest) finish(a rowFold, tailFrom, i int, mean, spread []float64) 
 
 // PredictBatchDist is the one inference kernel of the tree families. It fills
 // mean — and, unless spread is nil, the family's spread and the z-interval
-// around the mean — for every row of X.
+// around the mean — for every row of X, a Schema-width row.
+func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+	f.predict(X, f.cols, mean, spread, lo, hi)
+}
+
+// predict is the kernel. src[j] is the column of X that holds used feature j
+// (cols[j]), or -1 where the row does not hold it and the cell is 0.
 //
 // Rows go blockRows at a time through all trees, lockstepTrees trees at a
-// time: every row of the block advances one level in all of the group's trees
+// time. A block's used features are first gathered into a dense window, one
+// row of len(src) cells per row of the block, and the walks read the window.
+// Every row of the block then advances one level in all of the group's trees
 // before any walk goes deeper, so even a single row has lockstepTrees
 // independent chains of dependent loads (node, feature, child) in flight, and
 // a full block blockRows times as many. The walk runs to the group's deepest
 // tree; shallower walks idle on their leaves. The leaves are then folded per
 // row in tree order. A scalar Predict, a partial block and a full one all take
-// this one path, and all scratch lives on the stack.
-func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+// this one path; the window is the one scratch off the stack (takeWindow).
+func (f *flatForest) predict(X *Matrix, src []int32, mean, spread, lo, hi []float64) {
 	trees := len(f.depth)
 	tailFrom := trees
 	if f.kind == boosted && spread != nil {
@@ -259,11 +298,18 @@ func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64)
 		rows  [blockRows][]float64
 		at    [blockRows][lockstepTrees]int32
 		folds [blockRows]rowFold
+		win   []float64
 	)
+	k := len(src)
+	if k > 0 && X.Rows > 0 {
+		win = takeWindow(blockRows * k)
+		defer putWindow(win)
+	}
 	for first := 0; first < X.Rows; first += blockRows {
 		n := min(blockRows, X.Rows-first)
 		for r := 0; r < n; r++ {
-			rows[r] = X.Row(first + r)
+			rows[r] = win[r*k : (r+1)*k : (r+1)*k]
+			gather(rows[r], X.Row(first+r), src)
 			folds[r] = rowFold{sum: f.base}
 		}
 		for t := 0; t < trees; t += lockstepTrees {
@@ -289,6 +335,89 @@ func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64)
 	}
 	zBounds(X.Rows, mean, spread, lo, hi)
 }
+
+// gather writes into w the cells of row x that used features src name:
+// x[src[j]], or 0 where src[j] is -1.
+func gather(w, x []float64, src []int32) {
+	w = w[:len(src)]
+	for j, s := range src {
+		v := 0.0
+		if s >= 0 {
+			v = x[s]
+		}
+		w[j] = v
+	}
+}
+
+// windows holds the kernel's spare feature windows: a stack under a lock
+// rather than a sync.Pool, whose items die with every other collection (and
+// at random under the race detector), so that the kernel allocates a window
+// only when more calls are in flight than ever before.
+var windows struct {
+	sync.Mutex
+	free [][]float64
+}
+
+// takeWindow returns a spare window of at least n cells, or a new one.
+func takeWindow(n int) []float64 {
+	var w []float64
+	windows.Lock()
+	if k := len(windows.free); k > 0 {
+		w = windows.free[k-1]
+		windows.free = windows.free[:k-1]
+	}
+	windows.Unlock()
+	if cap(w) < n {
+		w = make([]float64, n)
+	}
+	return w[:n]
+}
+
+// putWindow gives w back for the next call.
+func putWindow(w []float64) {
+	windows.Lock()
+	windows.free = append(windows.free, w)
+	windows.Unlock()
+}
+
+// Specialize returns the forest as a scorer of rows that hold only the Schema
+// columns cols, ascending (as an enumeration's live columns are), in that
+// order: bit-identical to PredictBatchDist on the Schema-width row that holds
+// the same cells and 0 in every other column. It shares the forest's nodes
+// and owns one entry per used feature: where the row holds it, or that it
+// does not (a feature the row lacks reads 0).
+func (f *flatForest) Specialize(cols []int) Model {
+	if !slices.IsSorted(cols) {
+		panic("mlmodel: Specialize needs ascending columns")
+	}
+	src := make([]int32, len(f.cols))
+	p := 0
+	for j, c := range f.cols {
+		for p < len(cols) && cols[p] < int(c) {
+			p++
+		}
+		src[j] = -1
+		if p < len(cols) && cols[p] == int(c) {
+			src[j] = int32(p)
+		}
+	}
+	return &compactForest{f, src}
+}
+
+// compactForest is a flat forest specialised to rows of some Schema columns
+// (flatForest.Specialize): the forest's kernel, reading through src.
+type compactForest struct {
+	f   *flatForest
+	src []int32
+}
+
+// PredictBatchDist is the forest's kernel on rows of the specialised columns.
+func (c *compactForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
+	c.f.predict(X, c.src, mean, spread, lo, hi)
+}
+
+// Predict returns the estimate for x, a row of the specialised columns.
+func (c *compactForest) Predict(x []float64) float64 { return predictOne(c, x)[0] }
 
 // stdFromSums returns the population std given the mean and the mean of
 // squares, clamping the rounding-induced negative variance to zero.

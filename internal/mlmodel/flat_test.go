@@ -646,7 +646,9 @@ func FuzzLoadModel(f *testing.F) {
 
 // BenchmarkForestKernel scores plan-vector-shaped input (399 wide) with a
 // serving-sized GBM: one row (a scalar Predict), the enumeration's most common
-// chunk (9 rows), one full block and a large batch.
+// chunk (9 rows), one full block and a large batch. The Compact cases score
+// the same cells through the GBM specialised to rows that hold every other
+// column, as an enumeration's rows hold only its plan's live columns.
 func BenchmarkForestKernel(b *testing.B) {
 	const nf = 399
 	d := synthDataset(2000, nf, 1, func(x []float64) float64 { return x[0]*x[7] + x[100] + x[250]*x[398] }, 0.1)
@@ -654,15 +656,32 @@ func BenchmarkForestKernel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var cols []int
+	for c := 0; c < nf; c += 2 {
+		cols = append(cols, c)
+	}
+	spec := m.Specialize(cols)
 	for _, rows := range []int{1, 9, 16, 512} {
 		X := kernelRows(rand.New(rand.NewSource(2)), d, rows)
-		out := make([]float64, rows)
-		b.Run(fmt.Sprintf("PredictBatch/%d", rows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.PredictBatchDist(X, out, nil, nil, nil)
+		C := vecops.NewMatrix(rows, len(cols))
+		for r := 0; r < rows; r++ {
+			for p, c := range cols {
+				C.Row(r)[p] = X.Row(r)[c]
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-		})
+		}
+		out := make([]float64, rows)
+		for _, c := range []struct {
+			name string
+			m    mlmodel.Model
+			X    *vecops.Matrix
+		}{{"PredictBatch", m, X}, {"Compact", spec, C}} {
+			b.Run(fmt.Sprintf("%s/%d", c.name, rows), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.m.PredictBatchDist(c.X, out, nil, nil, nil)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
 	}
 }

@@ -47,6 +47,7 @@ func newForest(trees []*Tree) *Forest {
 	for _, t := range trees {
 		f.graft(&t.flatForest)
 	}
+	f.indexFeatures()
 	return f
 }
 

@@ -349,6 +349,7 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 			pred[i] += cfg.LR * g.value[g.leafOf(round, d.X[i])]
 		}
 	}
+	g.indexFeatures()
 	return g, nil
 }
 

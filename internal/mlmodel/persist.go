@@ -56,7 +56,7 @@ func (f *flatForest) treeJSON(t int) treeJSON {
 			tj.Feature[j] = -1
 			continue
 		}
-		tj.Feature[j] = nd.feat
+		tj.Feature[j] = f.cols[nd.feat]
 		tj.Left[j] = nd.kids[0] - lo
 		tj.Right[j] = nd.kids[1] - lo
 	}
@@ -103,13 +103,15 @@ func (f *flatForest) addTree(tj treeJSON) error {
 	return f.endTree(off)
 }
 
-// addTrees appends every tree of tjs, in order.
+// addTrees appends every tree of tjs, in order, and indexes the features
+// their splits read: f is then complete.
 func (f *flatForest) addTrees(tjs []treeJSON) error {
 	for _, tj := range tjs {
 		if err := f.addTree(tj); err != nil {
 			return err
 		}
 	}
+	f.indexFeatures()
 	return nil
 }
 
@@ -279,7 +281,7 @@ func fromEnvelope(env *modelEnvelope) (Model, error) {
 			return nil, err
 		}
 		t := &Tree{flatForest{kind: single}}
-		return t, t.addTree(tj)
+		return t, t.addTrees([]treeJSON{tj})
 	case "ensemble":
 		return ensembleFromEnvelope(env.Payload)
 	case "logtarget":

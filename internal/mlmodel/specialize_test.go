@@ -1,0 +1,261 @@
+package mlmodel_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/mlmodel"
+	"repro/internal/vecops"
+)
+
+// specializer is what the enumeration asks its model for: a scorer of rows
+// that hold only some Schema columns.
+type specializer interface {
+	Specialize(cols []int) mlmodel.Model
+}
+
+// oddCells are the cells a row may hold that a split compares unusually:
+// non-finite, signed zeros and negatives.
+var oddCells = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -1, -2.5, 1, 2.5}
+
+// liveColumns draws an ascending subset of [0, nf) as a specialisation's
+// columns.
+func liveColumns(rng *rand.Rand, nf int) []int {
+	var cols []int
+	for c := 0; c < nf; c++ {
+		if rng.Intn(2) == 0 {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
+
+// compactRows draws rows cells of the live columns cols and returns them with
+// the same rows expanded to nf columns, 0 in every other one.
+func compactRows(rng *rand.Rand, rows, nf int, cols []int) (compact, wide *vecops.Matrix) {
+	compact, wide = vecops.NewMatrix(rows, len(cols)), vecops.NewMatrix(rows, nf)
+	for r := 0; r < rows; r++ {
+		for p, c := range cols {
+			v := rng.Float64()*12 - 3
+			if rng.Intn(4) == 0 {
+				v = oddCells[rng.Intn(len(oddCells))]
+			}
+			compact.Row(r)[p] = v
+			wide.Row(r)[c] = v
+		}
+	}
+	return compact, wide
+}
+
+// checkSpecialized scores the rows of both layouts, mean-only and in full,
+// and fails on the first bit that differs.
+func checkSpecialized(t testing.TB, name string, m, spec mlmodel.Model, compact, wide *vecops.Matrix) {
+	t.Helper()
+	n := compact.Rows
+	col := func() []float64 { return make([]float64, n) }
+	wm, ws, wl, wh, wp := col(), col(), col(), col(), col()
+	cm, cs, cl, ch, cp := col(), col(), col(), col(), col()
+	m.PredictBatchDist(wide, wm, ws, wl, wh)
+	m.PredictBatchDist(wide, wp, nil, nil, nil)
+	spec.PredictBatchDist(compact, cm, cs, cl, ch)
+	spec.PredictBatchDist(compact, cp, nil, nil, nil)
+	for i := 0; i < n; i++ {
+		if !sameBits(cm[i], wm[i]) || !sameBits(cs[i], ws[i]) || !sameBits(cl[i], wl[i]) || !sameBits(ch[i], wh[i]) {
+			t.Fatalf("%s row %d %v:\n compact  (%v %v %v %v)\n expanded (%v %v %v %v)",
+				name, i, compact.Row(i), cm[i], cs[i], cl[i], ch[i], wm[i], ws[i], wl[i], wh[i])
+		}
+		if !sameBits(cp[i], wp[i]) || !sameBits(cp[i], wm[i]) {
+			t.Fatalf("%s row %d: mean-only compact %v, expanded %v, full %v", name, i, cp[i], wp[i], wm[i])
+		}
+		if got := spec.Predict(compact.Row(i)); !sameBits(got, wm[i]) {
+			t.Fatalf("%s row %d: Predict on the compact row %v, expanded %v", name, i, got, wm[i])
+		}
+	}
+}
+
+// randomTree is a random tree over nf features, up to depth levels deep, in
+// the builders' layout (a node, then its left subtree, then its right one):
+// thresholds negative, zero of either sign or positive.
+func randomTree(rng *rand.Rand, nf, depth int) treeJSON {
+	var tj treeJSON
+	var grow func(d int) int32
+	grow = func(d int) int32 {
+		i := int32(len(tj.Feature))
+		tj.Feature = append(tj.Feature, -1)
+		tj.Threshold = append(tj.Threshold, 0)
+		tj.Left = append(tj.Left, 0)
+		tj.Right = append(tj.Right, 0)
+		tj.Value = append(tj.Value, rng.NormFloat64())
+		tj.Spread = append(tj.Spread, rng.Float64())
+		if d == 0 || rng.Intn(4) == 0 {
+			return i
+		}
+		tj.Feature[i] = int32(rng.Intn(nf))
+		tj.Threshold[i] = oddCells[3+rng.Intn(len(oddCells)-3)] + float64(rng.Intn(3))*rng.NormFloat64()
+		l := grow(d - 1)
+		r := grow(d - 1)
+		tj.Left[i], tj.Right[i] = l, r
+		return i
+	}
+	grow(depth)
+	return tj
+}
+
+// randomArtifact is a random model of the tree families over nf features:
+// a tree, a forest or a GBM, bare, under LogTarget or in an Ensemble. depth 0
+// gives a model with no splits.
+func randomArtifact(t testing.TB, rng *rand.Rand, nf, depth int, kind uint8) []byte {
+	t.Helper()
+	env := func(typ string, payload any) json.RawMessage {
+		p, err := json.Marshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(envelopeJSON{Type: typ, Payload: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	trees := func() []treeJSON {
+		out := make([]treeJSON, 1+rng.Intn(20))
+		for i := range out {
+			out[i] = randomTree(rng, nf, depth)
+		}
+		return out
+	}
+	var leaf func(k uint8) json.RawMessage
+	leaf = func(k uint8) json.RawMessage {
+		switch k % 5 {
+		case 0:
+			return env("tree", randomTree(rng, nf, depth))
+		case 1:
+			return env("forest", map[string]any{"trees": trees()})
+		case 2:
+			return env("gbm", map[string]any{"base": rng.NormFloat64(), "lr": 0.1, "trees": trees()})
+		case 3:
+			return env("logtarget", leaf(2))
+		default:
+			return env("ensemble", []json.RawMessage{leaf(3), leaf(3), leaf(uint8(rng.Intn(4)))})
+		}
+	}
+	return leaf(kind)
+}
+
+// TestSpecializeMatchesExpandedRows is Specialize's contract for the tree
+// families and the wrappers over them: on rows of a random subset of the
+// columns, the specialised model is bit-identical to the
+// model on the same rows expanded with zeros — mean, spread, lo, hi, the
+// mean-only call and Predict — at batch sizes around the kernel's row block.
+// A family that reads every column (Linear, MLP), or an ensemble holding one,
+// has no specialisation.
+func TestSpecializeMatchesExpandedRows(t *testing.T) {
+	const nf = 9
+	d := synthDataset(400, nf, 17, batchTarget, 0.2)
+	models := kernelFamilies(t, d)
+	rng := rand.New(rand.NewSource(5))
+	for kind := uint8(0); kind < 5; kind++ {
+		models[fmt.Sprint("random/", kind)] = randomArtifact(t, rng, nf, 6, kind)
+		models[fmt.Sprint("random/no-splits/", kind)] = randomArtifact(t, rng, nf, 0, kind)
+	}
+	models["linear"] = saveBytes(t, &mlmodel.Linear{Weights: make([]float64, nf)})
+	for name, raw := range models {
+		m, err := mlmodel.LoadModel(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: LoadModel: %v", name, err)
+		}
+		sp, ok := m.(specializer)
+		if name == "linear" {
+			if ok {
+				t.Fatalf("linear has a Specialize")
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("%s (%s) has no Specialize", name, mlmodel.FamilyName(m))
+		}
+		for trial := 0; trial < 20; trial++ {
+			cols := liveColumns(rng, nf)
+			spec := sp.Specialize(cols)
+			if name == "ensemble/mixed" {
+				if spec != nil {
+					t.Fatalf("an ensemble with a linear member specialised")
+				}
+				break
+			}
+			for _, rows := range []int{1, 2, 9, 16, 17, 40} {
+				compact, wide := compactRows(rng, rows, nf, cols)
+				checkSpecialized(t, name, m, spec, compact, wide)
+			}
+		}
+	}
+}
+
+// TestSpecializedKernelDoesNotAllocate: the specialisation reads through its
+// map with the forest's own kernel, which allocates nothing.
+func TestSpecializedKernelDoesNotAllocate(t *testing.T) {
+	d := synthDataset(400, 9, 17, batchTarget, 0.2)
+	rng := rand.New(rand.NewSource(2))
+	for name, raw := range kernelFamilies(t, d) {
+		if raceEnabled && strings.HasPrefix(name, "ensemble") {
+			continue
+		}
+		m, err := mlmodel.LoadModel(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: LoadModel: %v", name, err)
+		}
+		cols := liveColumns(rng, 9)
+		spec := m.(specializer).Specialize(cols)
+		if spec == nil {
+			continue
+		}
+		compact, _ := compactRows(rng, 16, 9, cols)
+		out := make([][]float64, 4)
+		for i := range out {
+			out[i] = make([]float64, 16)
+		}
+		if n := testing.AllocsPerRun(20, func() { spec.PredictBatchDist(compact, out[0], out[1], out[2], out[3]) }); n != 0 {
+			t.Errorf("%s: the specialised kernel allocates %v times", name, n)
+		}
+	}
+}
+
+// FuzzSpecialize: for any random model of the tree families (kind picks the
+// family and wrapper, depth 0 a model with no splits), any subset of its
+// columns and any cells, the specialised model scores the
+// compact rows bit-identically to the model on the expanded rows.
+func FuzzSpecialize(f *testing.F) {
+	f.Add(int64(1), uint8(9), uint8(0), uint8(5))
+	f.Add(int64(2), uint8(4), uint8(1), uint8(3))
+	f.Add(int64(3), uint8(12), uint8(2), uint8(7))
+	f.Add(int64(4), uint8(6), uint8(3), uint8(4))
+	f.Add(int64(5), uint8(9), uint8(4), uint8(5))
+	f.Add(int64(6), uint8(3), uint8(4), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, nfRaw, kind, depthRaw uint8) {
+		nf := int(nfRaw)%16 + 1
+		depth := int(depthRaw) % 9
+		rng := rand.New(rand.NewSource(seed))
+		raw := randomArtifact(t, rng, nf, depth, kind)
+		m, err := mlmodel.LoadModel(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("LoadModel of a generated model: %v", err)
+		}
+		cols := liveColumns(rng, nf)
+		spec := m.(specializer).Specialize(cols)
+		if spec == nil {
+			t.Fatalf("%s did not specialise", mlmodel.FamilyName(m))
+		}
+		compact, wide := compactRows(rng, mlmodel.BlockRows+1+rng.Intn(20), nf, cols)
+		checkSpecialized(t, mlmodel.FamilyName(m), m, spec, compact, wide)
+		// Splits index the forest's used features in memory, but an artifact
+		// names Schema columns: the model saves as the file it was loaded from.
+		if saved := bytes.TrimSuffix(saveBytes(t, m), []byte("\n")); !bytes.Equal(saved, raw) {
+			t.Fatalf("SaveModel(LoadModel(x)) differs from x:\n%s\n%s", saved, raw)
+		}
+	})
+}

@@ -81,6 +81,7 @@ func FitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	if err := t.endTree(b.build(&t.flatForest, idx, 0)); err != nil {
 		return nil, err
 	}
+	t.indexFeatures()
 	return t, nil
 }
 
