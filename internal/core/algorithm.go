@@ -64,7 +64,7 @@ type Result struct {
 // Budget additionally bounds work with graceful degradation instead of an
 // error; see Budget.
 func (c *Context) Optimize(ctx context.Context, m CostModel) (*Result, error) {
-	return c.OptimizeOpts(ctx, m, BoundaryPruner{Model: m}, OrderPriority)
+	return c.OptimizeOpts(ctx, m, BoundaryPruner{}, OrderPriority)
 }
 
 // OptimizeOpts runs Algorithm 1 with an explicit pruner and traversal order,
@@ -84,7 +84,7 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 		c.endRunTrace(&st, err)
 		return nil, err
 	}
-	best := c.GetOptimal(ctx, final, m, &st)
+	best := c.getOptimal(ctx, final, &st)
 	if err := ctx.Err(); err != nil {
 		c.endRunTrace(&st, err)
 		return nil, err
@@ -96,7 +96,7 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 	}
 	if c.rt != nil {
 		c.rt.finishSelection(final, best)
-		c.rt.recordContributions(c, m, best)
+		c.rt.recordContributions(c, best)
 	}
 	start := time.Now()
 	uspan := c.span(c.root, "unvectorize")
@@ -129,7 +129,7 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	if err != nil {
 		return nil, err
 	}
-	best := c.GetOptimal(ctx, e, m, &st)
+	best := c.getOptimal(ctx, e, &st)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -209,6 +209,9 @@ const (
 // is set instead of returning an error. Count caps are rebased at each round
 // barrier — a trip on one task degrades all tasks from the next round on —
 // so degraded runs also stay deterministic across worker counts.
+//
+// A BoundaryPruner scores with the run's model, so it prunes only inside
+// Optimize or OptimizeOpts, which bind one; model-free pruners run anywhere.
 //
 // The returned enumeration lives in the run's vector store and is valid until
 // the next run (EnumerateFull, Enumerate or Optimize*) on this Context.

@@ -128,6 +128,7 @@ func BenchmarkPrune(b *testing.B) {
 	orig := make([]*Vector, len(e.Vectors))
 	copy(orig, e.Vectors)
 	mat := e.mat
+	ctx.bind(model)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Restore the enumeration as Enumerate laid it out, unscored:
@@ -136,7 +137,7 @@ func BenchmarkPrune(b *testing.B) {
 		for _, v := range e.Vectors {
 			v.scored = false
 		}
-		BoundaryPruner{Model: model}.Prune(context.Background(), ctx, e, nil)
+		BoundaryPruner{}.Prune(context.Background(), ctx, e, nil)
 	}
 }
 
@@ -164,6 +165,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 	info := ctx.MergeInfo(left, right)
 	scope := left.Scope.Union(right.Scope)
 	boundary := ctx.boundaryOf(scope, nil)
+	ctx.bind(model)
 
 	b.Run("ScalarPredict", func(b *testing.B) {
 		b.ReportAllocs()
@@ -176,7 +178,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 			for _, v := range merged.Vectors {
 				v.Cost, v.scored = model.Predict(v.F), true
 			}
-			ctx.pruneGroups(context.Background(), model, merged, nil)
+			ctx.pruneGroups(context.Background(), merged, nil)
 		}
 	})
 	b.Run("PredictBatch", func(b *testing.B) {
@@ -187,7 +189,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 			for j, v := range merged.Vectors {
 				ctx.mergeInto(v, left.Vectors[j/nr], right.Vectors[j%nr], info, nil)
 			}
-			BoundaryPruner{Model: model}.Prune(context.Background(), ctx, merged, nil)
+			BoundaryPruner{}.Prune(context.Background(), ctx, merged, nil)
 		}
 	})
 }

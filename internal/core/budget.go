@@ -23,9 +23,10 @@ import (
 // the graceful half of the latency contract; the hard half is the
 // context.Context deadline, which cancels the run outright.
 //
-// In degraded mode vectors are ranked by their cost under BoundaryPruner's
-// model, scored first if no prune needed them; with a cost-free pruner the
-// truncation falls back to insertion order, which stays deterministic.
+// In degraded mode a BoundaryPruner's vectors are ranked by their cost under
+// the run's model, scored first if no prune needed them; with a cost-free
+// pruner the truncation falls back to insertion order, which stays
+// deterministic.
 type Budget struct {
 	// MaxVectors bounds the plan vectors materialized over the whole run
 	// (Stats.VectorsCreated, counting projected concatenation sizes before
@@ -100,8 +101,8 @@ func truncateCheapest(e *Enumeration, st *Stats) {
 	e.Vectors = e.Vectors[:degradedCap]
 }
 
-// truncate is truncateCheapest, ranked by pr's model, for an enumeration in
-// the run's store: the rows of dropped vectors are released.
+// truncate is truncateCheapest, ranked by the run's model, for an enumeration
+// in the run's store: the rows of dropped vectors are released.
 func (c *Context) truncate(ctx context.Context, pr Pruner, e *Enumeration, st *Stats) {
 	if all := e.Vectors; len(all) > degradedCap {
 		c.rank(ctx, pr, e, st)
@@ -110,11 +111,11 @@ func (c *Context) truncate(ctx context.Context, pr Pruner, e *Enumeration, st *S
 	}
 }
 
-// rank scores the unscored vectors of e for a degraded beam with
-// BoundaryPruner's model (a cost-free pruner's all cost 0). If ctx is
-// cancelled, costs stay partial and the run is abandoned at its next check.
+// rank scores the unscored vectors of e for a degraded beam with the run's
+// model when pr is a BoundaryPruner (a cost-free pruner's all cost 0). If ctx
+// is cancelled, costs stay partial and the run is abandoned at its next check.
 func (c *Context) rank(ctx context.Context, pr Pruner, e *Enumeration, st *Stats) {
-	if p, ok := pr.(BoundaryPruner); ok {
-		c.predictEnum(ctx, p.Model, e, st)
+	if _, ok := pr.(BoundaryPruner); ok {
+		c.predictEnum(ctx, e, st)
 	}
 }

@@ -184,11 +184,8 @@ type Context struct {
 	// caller's Context, the executing worker's on a pool worker's copy.
 	store   *vecStore
 	scratch *scratch
-	// model is the run's cost model and spec its specialisation to the
-	// run's rows, when it has one (bind; both nil otherwise); modelEq
-	// reports that model's value can be compared with == (isRun).
-	model, spec CostModel
-	modelEq     bool
+	// spec is the run's cost model specialised to the run's rows (bind).
+	spec CostModel
 	// poison, once tests set it, arms the store's poison hook for runs on
 	// this Context (see vecStore.poison).
 	poison bool

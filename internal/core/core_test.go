@@ -397,7 +397,7 @@ func TestAllOrdersFindOptimal(t *testing.T) {
 	m := newAdditiveLinModel(ctx.Schema, 99)
 	var costs []float64
 	for _, order := range []core.OrderPolicy{core.OrderPriority, core.OrderTopDown, core.OrderBottomUp} {
-		res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, order)
+		res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{}, order)
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
@@ -534,8 +534,8 @@ func TestWideBoundaryStringFootprint(t *testing.T) {
 		t.Fatalf("boundary = %d ops, want %d", len(e.Boundary), branches)
 	}
 	before := len(e.Vectors)
-	m := newLinModel(ctx.Schema.Len(), 1)
-	core.BoundaryPruner{Model: m}.Prune(context.Background(), ctx, e, nil)
+	ctx.Bind(newLinModel(ctx.Schema.Len(), 1))
+	core.BoundaryPruner{}.Prune(context.Background(), ctx, e, nil)
 	// The boundary ops are distinct per vector, so nothing can prune.
 	if len(e.Vectors) != before {
 		t.Fatalf("pruned an all-boundary enumeration: %d -> %d", before, len(e.Vectors))
@@ -630,7 +630,7 @@ func TestStatsCountModelCalls(t *testing.T) {
 	if res.Stats.ModelRows < res.Stats.ModelBatches {
 		t.Fatalf("ModelRows %d < ModelBatches %d", res.Stats.ModelRows, res.Stats.ModelBatches)
 	}
-	// The final GetOptimal is handed vectors the last prune already
+	// The final getOptimal is handed vectors the last prune already
 	// scored: at least the surviving one must count as a hit, not go to
 	// the model again.
 	if res.Stats.MemoHits == 0 {

@@ -13,6 +13,10 @@ func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
 // the row VectorizeExecution builds and a model without Specialize scores.
 func (c *Context) Wide(v *Vector) []float64 { return c.wide(v).F }
 
+// Bind makes m the model of c's next prune outside Optimize*: the hook for
+// tests that prune an enumeration they built themselves.
+func (c *Context) Bind(m CostModel) { c.bind(m) }
+
 // PoisonFreed arms the vector store's poison hook for every later run on c:
 // rows returned to the free list, the worker scratch before each product and
 // the whole store when an Optimize* run ends are overwritten with NaN

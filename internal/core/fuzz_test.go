@@ -33,10 +33,10 @@ import (
 //   - scoring the run's rows in place changes nothing: for the latency
 //     experiments' scorer and for a small fitted model of the served shape
 //     (an Ensemble of LogTarget(GBM), whose forests gather the cells their
-//     splits read), the model specialised to the plan's live columns and the
-//     same model behind a wrapper without Specialize, sent rows expanded to
-//     the Schema, give bit-identical plans, Predicted, Counters() and audit
-//     JSON.
+//     splits read), the model's own specialisation to the plan's live
+//     columns and mlmodel.Specialize's expanding fallback for the same model
+//     behind a wrapper without Specialize give bit-identical plans,
+//     Predicted, Counters() and audit JSON.
 //
 // Tiny budgets are the interesting corner: they flip the run into degraded
 // beam mode mid-enumeration, which must truncate — not corrupt — the result.
@@ -116,7 +116,7 @@ func FuzzEnumerate(f *testing.F) {
 }
 
 // unspecialized hides every method of the model but the two of CostModel, so
-// the run sends it rows expanded to the Schema.
+// the run scores it through mlmodel.Specialize's expanding fallback.
 type unspecialized struct{ core.CostModel }
 
 // additiveDistModel is the additive oracle with an additive uncertainty: the
@@ -198,7 +198,7 @@ func FuzzPruneLossless(f *testing.F) {
 		}
 		var logs [2]*survivorLog
 		for i, keepOverlap := range []bool{false, true} {
-			logs[i] = &survivorLog{inner: core.BoundaryPruner{Model: m}, byScope: map[string]map[string]bool{}}
+			logs[i] = &survivorLog{inner: core.BoundaryPruner{}, byScope: map[string]map[string]bool{}}
 			res, err := newContext(keepOverlap).OptimizeOpts(context.Background(), m, logs[i], order)
 			if err != nil {
 				t.Fatalf("OptimizeOpts (keepOverlap=%v): %v", keepOverlap, err)

@@ -115,7 +115,7 @@ func goldenRun(t *testing.T, h, d io.Writer, l *plan.Logical, m core.CostModel, 
 	ctx.Risk = risk
 	ctx.Budget = budget
 	ctx.Trace = obs.NewTrace("golden")
-	res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, core.OrderPriority)
+	res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{}, core.OrderPriority)
 	if err != nil {
 		t.Fatalf("Optimize (risk=%+v workers=%d budget=%+v): %v", risk, workers, budget, err)
 	}

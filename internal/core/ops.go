@@ -364,16 +364,14 @@ type Pruner interface {
 // near-ties; see pruneGroups). It reduces the pipeline search space from
 // O(k^n) to O(n·k²) (Lemma 1) and never discards a subplan contained in the
 // optimal plan.
-type BoundaryPruner struct {
-	Model CostModel
-}
+type BoundaryPruner struct{}
 
-// Prune applies boundary pruning to e using the model as the cost oracle:
-// the vectors it compares are scored with one batched model invocation (see
-// pruneGroups). A cancelled ctx returns early without pruning; the caller is
-// expected to abandon the enumeration.
-func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
-	c.pruneGroups(ctx, p.Model, e, st)
+// Prune applies boundary pruning to e using the run's model as the cost
+// oracle: the vectors it compares are scored with one batched model
+// invocation (see pruneGroups). A cancelled ctx returns early without
+// pruning; the caller is expected to abandon the enumeration.
+func (BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, st *Stats) {
+	c.pruneGroups(ctx, e, st)
 }
 
 // pruneGroups is the prune operation itself (Section IV-E). Vectors group by
@@ -387,16 +385,16 @@ func (p BoundaryPruner) Prune(ctx context.Context, c *Context, e *Enumeration, s
 // holds for either setting. Everything here is a function of the vectors'
 // order and costs alone, hence identical for any Workers.
 //
-// Three passes: number the groups; score with m the unscored members of
+// Three passes: number the groups; score the unscored members of
 // groups of two or more (a vector alone in its group survives whatever it
-// costs: GetOptimal or a degraded beam scores it if they read it, a later
+// costs: getOptimal or a degraded beam scores it if they read it, a later
 // prune sees only new rows); settle. A cancelled ctx leaves e unpruned.
 //
 // A group that keeps no near-ties settles each loss as it happens, so that
 // case allocates nothing (the bookkeeping is the worker scratch's) — it runs
 // after every concatenation of every request. Otherwise no member's fate is
 // known before its group's winner is final, and all of them wait.
-func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, st *Stats) {
+func (c *Context) pruneGroups(ctx context.Context, e *Enumeration, st *Stats) {
 	if len(e.Vectors) <= 1 {
 		return
 	}
@@ -442,7 +440,7 @@ func (c *Context) pruneGroups(ctx context.Context, m CostModel, e *Enumeration, 
 			sc.miss = append(sc.miss, i)
 		}
 	}
-	if !c.predict(ctx, m, e, hits, st) {
+	if !c.predict(ctx, e, hits, st) {
 		return
 	}
 	e.mat = nil
@@ -555,18 +553,18 @@ type NoPruner struct{}
 // Prune is a no-op.
 func (NoPruner) Prune(context.Context, *Context, *Enumeration, *Stats) {}
 
-// GetOptimal predicts the runtime of every vector in e and returns the one
+// getOptimal predicts the runtime of every vector in e and returns the one
 // with the lowest prediction (Algorithm 1, line 18). Ties resolve to the
 // earliest vector for determinism. Prediction goes through the same batched
 // helper as the pruners, and only vectors not scored yet are sent: after a
 // pruned run, those are the survivors the last prune had nothing to compare
 // with. A nil return means the enumeration was empty or ctx was cancelled
 // mid-batch; the caller distinguishes the two via ctx.Err().
-func (c *Context) GetOptimal(ctx context.Context, e *Enumeration, m CostModel, st *Stats) *Vector {
+func (c *Context) getOptimal(ctx context.Context, e *Enumeration, st *Stats) *Vector {
 	if len(e.Vectors) == 0 {
 		return nil
 	}
-	if !c.predictEnum(ctx, m, e, st) {
+	if !c.predictEnum(ctx, e, st) {
 		return nil
 	}
 	best := e.Vectors[0]

@@ -106,7 +106,8 @@ func TestQuickPruneSubset(t *testing.T) {
 				minBefore = c
 			}
 		}
-		core.BoundaryPruner{Model: m}.Prune(context.Background(), ctx, e, nil)
+		ctx.Bind(m)
+		core.BoundaryPruner{}.Prune(context.Background(), ctx, e, nil)
 		if len(e.Vectors) > before {
 			return false
 		}

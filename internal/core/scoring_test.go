@@ -82,7 +82,7 @@ func TestOnlyContestedVectorsAreScored(t *testing.T) {
 			ctx.Risk = risk
 			rows := new(atomic.Int64)
 			m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
-			log := &contestedLog{t: t, name: fmt.Sprintf("%s risk=%+v", name, risk), inner: core.BoundaryPruner{Model: m}, rows: rows}
+			log := &contestedLog{t: t, name: fmt.Sprintf("%s risk=%+v", name, risk), inner: core.BoundaryPruner{}, rows: rows}
 			res, err := ctx.OptimizeOpts(context.Background(), m, log, core.OrderPriority)
 			if err != nil {
 				t.Fatalf("%s: %v", log.name, err)
@@ -112,7 +112,7 @@ func TestDegradedStepsScoreEveryVector(t *testing.T) {
 		ctx.Trace = obs.NewTrace("degraded")
 		rows := new(atomic.Int64)
 		m := rowCounter{newAdditiveDistModel(ctx.Schema, 5), rows}
-		res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, core.OrderPriority)
+		res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{}, core.OrderPriority)
 		if err != nil {
 			t.Fatalf("budget %+v: %v", budget, err)
 		}

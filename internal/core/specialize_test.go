@@ -60,12 +60,14 @@ func fittedEnsemble(t testing.TB, nPlats int) core.CostModel {
 	return m.(core.CostModel)
 }
 
-// rowLog records the matrices a model is handed: how many calls, at which
-// widths, and the most rows in one call. Workers call concurrently.
+// rowLog records the matrices a model is handed: how many calls at which
+// widths, the most rows in one call, and the rows of all of them. Workers
+// call concurrently.
 type rowLog struct {
 	mu      sync.Mutex
 	widths  map[int]int
 	maxRows int
+	rows    int
 }
 
 func (l *rowLog) add(X *mlmodel.Matrix) {
@@ -76,9 +78,12 @@ func (l *rowLog) add(X *mlmodel.Matrix) {
 	}
 	l.widths[X.Cols]++
 	l.maxRows = max(l.maxRows, X.Rows)
+	l.rows += X.Rows
 }
 
-// logged is inner with every matrix it scores recorded in log.
+// logged is inner with every matrix it scores recorded in log. It has no
+// Specialize, so a run scores it through mlmodel.Specialize's expanding
+// fallback.
 type logged struct {
 	inner core.CostModel
 	log   *rowLog
@@ -91,58 +96,79 @@ func (m logged) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float
 	m.inner.PredictBatchDist(X, mean, spread, lo, hi)
 }
 
-// specLogged is logged with inner's Specialize, whose model records into
-// compact.
+// specLogged is logged with inner's own Specialize, whose model records into
+// compact; cols counts the columns it was last asked for and asked how often.
 type specLogged struct {
 	logged
 	compact *rowLog
+	cols    *int
+	asked   *int
 }
 
 func (m specLogged) Specialize(cols []int) mlmodel.Model {
+	*m.cols, *m.asked = len(cols), *m.asked+1
 	spec := m.inner.(interface{ Specialize([]int) mlmodel.Model }).Specialize(cols)
 	return logged{spec, m.compact}
 }
 
-// TestPrunerEnsembleIsNotTheRunModel: models are told apart by identity, never
-// by ==, which panics on two Ensemble values. A BoundaryPruner holding an
-// Ensemble other than the run's gets rows expanded to the Schema, at most one
-// pruning block per call, while the run's model (GetOptimal, the per-operator
-// contributions) reads compact rows; a pruner holding the run's Ensemble
-// itself reads compact rows too.
-func TestPrunerEnsembleIsNotTheRunModel(t *testing.T) {
-	fitted := fittedEnsemble(t, 3)
+// kernelBlock is mlmodel's kernel block (blockRows): the most rows a model
+// without Specialize is handed in one call.
+const kernelBlock = 16
+
+// TestOneScorerPerRun: a run binds one scorer, and every row it scores goes
+// through it — pruning, the degraded beam's ranking, the final selection and
+// the per-operator contributions alike. The run's model is an Ensemble of a
+// member with its own Specialize and one without: the first is asked once and
+// is handed only rows of the run's width, the second only Schema-width rows,
+// at most one kernel block per call. Traced (so the contributions are
+// scored) on two workers, with and without a forced degraded beam.
+func TestOneScorerPerRun(t *testing.T) {
+	gbm := fittedEnsemble(t, 3).(mlmodel.Ensemble).Models[0].(mlmodel.LogTarget).Inner
 	l := workload.Pipeline(30, 1e9)
-	for _, samePruner := range []bool{false, true} {
-		var runWide, runCompact, foreign rowLog
-		run := mlmodel.Ensemble{Models: []mlmodel.Model{specLogged{logged{fitted, &runWide}, &runCompact}}}
-		var pruner core.CostModel = mlmodel.Ensemble{Models: []mlmodel.Model{logged{fitted, &foreign}}}
-		if samePruner {
-			pruner = run
-		}
+	for _, force := range []bool{false, true} {
+		var native, nativeCompact, fallback rowLog
+		var cols, asked int
+		run := mlmodel.Ensemble{Models: []mlmodel.Model{
+			mlmodel.LogTarget{Inner: specLogged{logged{gbm, &native}, &nativeCompact, &cols, &asked}},
+			mlmodel.LogTarget{Inner: logged{gbm, &fallback}},
+		}}
 		ctx := newCtx(t, l, 3)
-		ctx.Trace = obs.NewTrace("pruner")
+		ctx.Trace = obs.NewTrace("scorer")
 		ctx.Workers = 2
-		if _, err := ctx.OptimizeOpts(context.Background(), run, core.BoundaryPruner{Model: pruner}, core.OrderPriority); err != nil {
-			t.Fatalf("OptimizeOpts: %v", err)
+		ctx.Budget.ForceDegraded = force
+		res, err := ctx.Optimize(context.Background(), run)
+		if err != nil {
+			t.Fatalf("force=%v: Optimize: %v", force, err)
+		}
+		if res.Degraded != force {
+			t.Fatalf("force=%v: the run is degraded=%v", force, res.Degraded)
 		}
 		wide := ctx.Schema.Len()
-		if len(runWide.widths) != 0 {
-			t.Errorf("samePruner=%v: the run's model got expanded rows: %v", samePruner, runWide.widths)
+		if asked != 1 || cols == 0 || cols >= wide {
+			t.Errorf("force=%v: Specialize asked %d times, last for %d of %d columns", force, asked, cols, wide)
 		}
-		if len(runCompact.widths) != 1 || runCompact.widths[wide] != 0 {
-			t.Errorf("samePruner=%v: the run's model got rows of widths %v, want one width below %d", samePruner, runCompact.widths, wide)
+		if len(native.widths) != 0 {
+			t.Errorf("force=%v: the specialising member got unspecialised calls: %v", force, native.widths)
 		}
-		if samePruner {
-			if len(foreign.widths) != 0 {
-				t.Errorf("the foreign model scored rows in a run it was not part of")
+		if len(nativeCompact.widths) != 1 || nativeCompact.widths[cols] == 0 {
+			t.Errorf("force=%v: the specialising member got rows of widths %v, want %d", force, nativeCompact.widths, cols)
+		}
+		if len(fallback.widths) != 1 || fallback.widths[wide] == 0 {
+			t.Errorf("force=%v: the other member got rows of widths %v, want %d", force, fallback.widths, wide)
+		}
+		if fallback.maxRows > kernelBlock {
+			t.Errorf("force=%v: the other member got %d rows in one call, at most %d", force, fallback.maxRows, kernelBlock)
+		}
+		// Each member scores every row of the run once: the ones the prunes,
+		// the beam and the final selection ask for, and one per operator.
+		want := res.Stats.ModelRows + len(res.Trace.OpContribs)
+		if len(res.Trace.OpContribs) == 0 {
+			t.Errorf("force=%v: no per-operator contributions", force)
+		}
+		for name, log := range map[string]*rowLog{"specialising": &nativeCompact, "other": &fallback} {
+			if log.rows != want {
+				t.Errorf("force=%v: the %s member scored %d rows, want %d", force, name, log.rows, want)
 			}
-			continue
-		}
-		if len(foreign.widths) != 1 || foreign.widths[wide] == 0 {
-			t.Errorf("the pruner's ensemble got rows of widths %v, want %d", foreign.widths, wide)
-		}
-		if foreign.maxRows > core.PruneBlock {
-			t.Errorf("the pruner's ensemble got %d expanded rows in one call, at most %d", foreign.maxRows, core.PruneBlock)
 		}
 	}
 }

@@ -66,7 +66,7 @@ func (c *Context) endRun() {
 			poisonRows(ch.F, ch.Assign)
 		}
 	}
-	c.store, c.scratch, c.model, c.spec = nil, nil, nil, nil
+	c.store, c.scratch, c.spec = nil, nil, nil
 }
 
 // worker returns pool worker i's scratch, created on first use. Only the
@@ -165,7 +165,6 @@ type scratch struct {
 	out    []float64       // predict: the four output columns
 	gather []float64       // predict, recordContributions: rows of the run not contiguous in a matrix
 	row    []float64       // enumerateSingleton, recordContributions: one Schema-width row
-	wide   [][]float64     // predict, recordContributions: per chunk, pruneBlock Schema-width rows, 0 outside Context.live
 	views  []vecops.Matrix // predict, recordContributions: each parallel chunk's view of the rows
 	groups map[uint64]int  // pruneGroups: footprint → its group number, in first-seen order
 	group  []int           // pruneGroups: each vector's group

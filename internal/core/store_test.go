@@ -63,17 +63,18 @@ func TestStoreReturnsRows(t *testing.T) {
 		pruner core.Pruner
 		budget core.Budget
 	}{
-		{"boundary", core.BoundaryPruner{Model: m}, core.Budget{}},
+		{"boundary", core.BoundaryPruner{}, core.Budget{}},
 		{"switch", core.SwitchPruner{Beta: 2, MaxVectors: 40}, core.Budget{}},
 		{"switch-degraded", core.SwitchPruner{Beta: 3}, core.Budget{MaxVectors: 300}},
-		{"budget-trip", core.BoundaryPruner{Model: m}, core.Budget{MaxVectors: 400}},
-		{"load-shed", core.BoundaryPruner{Model: m}, core.Budget{ForceDegraded: true}},
+		{"budget-trip", core.BoundaryPruner{}, core.Budget{MaxVectors: 400}},
+		{"load-shed", core.BoundaryPruner{}, core.Budget{ForceDegraded: true}},
 	}
 	for _, cs := range cases {
 		for _, workers := range []int{1, 8} {
 			ctx := newCtx(t, l, 3)
 			ctx.Workers = workers
 			ctx.Budget = cs.budget
+			ctx.Bind(m)
 			var st core.Stats
 			final, err := ctx.EnumerateFull(context.Background(), cs.pruner, core.OrderPriority, &st)
 			if err != nil {

@@ -295,11 +295,10 @@ func (rt *RunTrace) finishSelection(e *Enumeration, best *Vector) {
 // recordContributions scores each operator's singleton subvector under the
 // winning assignment — the per-subvector cost decomposition of the chosen
 // plan. Runs only on traced runs — every serving request is one — so the n
-// rows go to the model as one batch, rows of the run through the run's
-// specialised model (bind) when it has one, else expanded to the Schema
-// pruneBlock at a time as predict sends them. Either way each cost is
-// bit-identical to the row scored alone: no kernel depends on its batch.
-func (rt *RunTrace) recordContributions(c *Context, m CostModel, best *Vector) {
+// rows go to the run's specialised model (bind) as one batch of rows of the
+// run, each cost bit-identical to the row scored alone: no kernel depends on
+// its batch.
+func (rt *RunTrace) recordContributions(c *Context, best *Vector) {
 	rt.OpContribs = make([]OpContribution, 0, len(c.Plan.Ops))
 	for _, o := range c.Plan.Ops {
 		if col := best.Assign[o.ID]; col != Unassigned {
@@ -315,34 +314,18 @@ func (rt *RunTrace) recordContributions(c *Context, m CostModel, best *Vector) {
 	if n == 0 {
 		return
 	}
-	sc, cols := c.scratch, c.Schema.Len()
-	// singleton writes operator k's row at the Schema's width into dst.
-	singleton := func(dst []float64, k int) {
-		o := c.Plan.Op(plan.OpID(rt.OpContribs[k].Op))
-		c.singletonRow(dst, o, best.Assign[o.ID])
-	}
+	sc := c.scratch
 	cost := grow(&sc.out, n)
-	spec := c.specFor(m)
-	sc.chunks(1, spec == nil)
+	sc.chunks(1)
 	X := &sc.views[0]
-	if spec != nil {
-		*X = vecops.Matrix{Data: grow(&sc.gather, n*c.width), Rows: n, Cols: c.width}
-		row := grow(&sc.row, cols)
-		for k := 0; k < n; k++ {
-			singleton(row, k)
-			c.compact(X.Row(k), row)
-		}
-		spec.PredictBatchDist(X, cost, nil, nil, nil)
-	} else {
-		for lo := 0; lo < n; lo += pruneBlock {
-			hi := min(lo+pruneBlock, n)
-			*X = sc.wideRows(0, hi-lo, cols)
-			for k := lo; k < hi; k++ {
-				singleton(X.Row(k-lo), k)
-			}
-			m.PredictBatchDist(X, cost[lo:hi], nil, nil, nil)
-		}
+	*X = vecops.Matrix{Data: grow(&sc.gather, n*c.width), Rows: n, Cols: c.width}
+	row := grow(&sc.row, c.Schema.Len())
+	for k := range rt.OpContribs {
+		o := c.Plan.Op(plan.OpID(rt.OpContribs[k].Op))
+		c.singletonRow(row, o, best.Assign[o.ID])
+		c.compact(X.Row(k), row)
 	}
+	c.spec.PredictBatchDist(X, cost, nil, nil, nil)
 	for k := range rt.OpContribs {
 		rt.OpContribs[k].Cost = cost[k]
 	}

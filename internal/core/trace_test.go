@@ -159,8 +159,8 @@ func TestTracedSpanVocabulary(t *testing.T) {
 // TestOpContribsMatchSubplanVectors checks the per-operator contributions,
 // scored as one batch, bit for bit against the model's score of
 // VectorizeSubplan's one-operator subplan alone, for every operator of a
-// pipeline longer than a pruning block, a join tree and a random DAG: under a
-// model without Specialize (rows expanded a pruning block at a time), the
+// pipeline longer than a kernel block, a join tree and a random DAG: under a
+// model without Specialize (rows expanded a kernel block at a time), the
 // served shape (its specialisation reads compact rows) and the same model
 // behind a wrapper without Specialize.
 func TestOpContribsMatchSubplanVectors(t *testing.T) {
@@ -230,7 +230,7 @@ func TestPruneAuditMatchesStats(t *testing.T) {
 	if pruned != res.Stats.Pruned {
 		t.Errorf("audit accounts for %d pruned vectors, Stats.Pruned = %d", pruned, res.Stats.Pruned)
 	}
-	// GetOptimal's final scoring runs outside any prune record, so the audit
+	// getOptimal's final scoring runs outside any prune record, so the audit
 	// totals are bounded by (not equal to) the run totals.
 	if rows > res.Stats.ModelRows {
 		t.Errorf("audit model rows %d exceed Stats.ModelRows %d", rows, res.Stats.ModelRows)

@@ -21,7 +21,7 @@ type Vector struct {
 	Assign []uint8
 
 	// Cost caches the vector's latest selection score (set by Prune and
-	// GetOptimal): the model's runtime prediction, risk-adjusted to
+	// getOptimal): the model's runtime prediction, risk-adjusted to
 	// mean + λ·spread when the run's Risk.Lambda is nonzero.
 	Cost float64
 
@@ -32,7 +32,7 @@ type Vector struct {
 
 	// scored records that Cost and Dist are the cost oracle's answer for
 	// this vector rather than their zero values: a scored vector re-entering
-	// predictEnum (the survivors of the last prune, at GetOptimal) is
+	// predictEnum (the survivors of the last prune, at getOptimal) is
 	// counted as a memo hit and not sent to the model again.
 	scored bool
 }

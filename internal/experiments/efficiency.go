@@ -255,7 +255,7 @@ func (h *Harness) Figure10() ([]Fig10Row, error) {
 			ms := []*float64{&row.PriorityMs, &row.TopDownMs, &row.BottomUpMs}
 			for i, order := range []core.OrderPolicy{core.OrderPriority, core.OrderTopDown, core.OrderBottomUp} {
 				*ms[i], err = timeIt(reps, func() error {
-					res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{Model: m}, order)
+					res, err := ctx.OptimizeOpts(context.Background(), m, core.BoundaryPruner{}, order)
 					if err == nil {
 						row.Vectors[i], row.ModelRows[i] = res.Stats.VectorsCreated, res.Stats.ModelRows
 					}

@@ -82,29 +82,6 @@ func (e Ensemble) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	}
 }
 
-// Specialize returns the average of the members' specialisations to rows of
-// the Schema columns cols (see flatForest.Specialize), or nil unless every
-// member has one.
-func (e Ensemble) Specialize(cols []int) Model {
-	members := make([]Model, len(e.Models))
-	for i, m := range e.Models {
-		if members[i] = specialize(m, cols); members[i] == nil {
-			return nil
-		}
-	}
-	return Ensemble{Models: members}
-}
-
-// specialize returns m's specialisation to rows of the Schema columns cols,
-// or nil when it has none: the families without one (Linear, MLP) read every
-// column anyway.
-func specialize(m Model, cols []int) Model {
-	if sp, ok := m.(interface{ Specialize(cols []int) Model }); ok {
-		return sp.Specialize(cols)
-	}
-	return nil
-}
-
 // SaveModel support: an ensemble serializes as its members.
 func ensembleEnvelope(e Ensemble) (*modelEnvelope, error) {
 	var members []*modelEnvelope

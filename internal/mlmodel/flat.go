@@ -302,8 +302,9 @@ func (f *flatForest) predict(X *Matrix, src []int32, mean, spread, lo, hi []floa
 	)
 	k := len(src)
 	if k > 0 && X.Rows > 0 {
-		win = takeWindow(blockRows * k)
-		defer putWindow(win)
+		w := takeWindow(blockRows * k)
+		defer putWindow(w)
+		win = w.data
 	}
 	for first := 0; first < X.Rows; first += blockRows {
 		n := min(blockRows, X.Rows-first)
@@ -349,32 +350,43 @@ func gather(w, x []float64, src []int32) {
 	}
 }
 
-// windows holds the kernel's spare feature windows: a stack under a lock
-// rather than a sync.Pool, whose items die with every other collection (and
-// at random under the race detector), so that the kernel allocates a window
-// only when more calls are in flight than ever before.
+// window is a kernel's scratch: cells, and a header for a matrix over them
+// that a kernel hands to a model (an interface call, so the matrix escapes).
+type window struct {
+	data []float64
+	m    Matrix
+}
+
+// windows holds the kernels' spare windows: a stack under a lock rather than
+// a sync.Pool, whose items die with every other collection (and at random
+// under the race detector), so that a kernel allocates a window only when
+// more calls are in flight than ever before.
 var windows struct {
 	sync.Mutex
-	free [][]float64
+	free []*window
 }
 
 // takeWindow returns a spare window of at least n cells, or a new one.
-func takeWindow(n int) []float64 {
-	var w []float64
+func takeWindow(n int) *window {
+	var w *window
 	windows.Lock()
 	if k := len(windows.free); k > 0 {
 		w = windows.free[k-1]
 		windows.free = windows.free[:k-1]
 	}
 	windows.Unlock()
-	if cap(w) < n {
-		w = make([]float64, n)
+	if w == nil {
+		w = new(window)
 	}
-	return w[:n]
+	if cap(w.data) < n {
+		w.data = make([]float64, n)
+	}
+	w.data = w.data[:n]
+	return w
 }
 
 // putWindow gives w back for the next call.
-func putWindow(w []float64) {
+func putWindow(w *window) {
 	windows.Lock()
 	windows.free = append(windows.free, w)
 	windows.Unlock()

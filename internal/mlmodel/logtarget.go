@@ -41,17 +41,6 @@ func (m LogTarget) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	}
 }
 
-// Specialize returns the wrapper around the inner model's specialisation to
-// rows of the Schema columns cols (see flatForest.Specialize), or nil when
-// the inner model has none.
-func (m LogTarget) Specialize(cols []int) Model {
-	inner := specialize(m.Inner, cols)
-	if inner == nil {
-		return nil
-	}
-	return LogTarget{Inner: inner}
-}
-
 // expm1Clamp maps a log-space estimate back to seconds, clamped to be
 // nonnegative.
 func expm1Clamp(v float64) float64 {

@@ -13,12 +13,6 @@ import (
 	"repro/internal/vecops"
 )
 
-// specializer is what the enumeration asks its model for: a scorer of rows
-// that hold only some Schema columns.
-type specializer interface {
-	Specialize(cols []int) mlmodel.Model
-}
-
 // oddCells are the cells a row may hold that a split compares unusually:
 // non-finite, signed zeros and negatives.
 var oddCells = []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, -1, -2.5, 1, 2.5}
@@ -106,9 +100,33 @@ func randomTree(rng *rand.Rand, nf, depth int) treeJSON {
 	return tj
 }
 
-// randomArtifact is a random model of the tree families over nf features:
-// a tree, a forest or a GBM, bare, under LogTarget or in an Ensemble. depth 0
-// gives a model with no splits.
+// linearJSON and mlpJSON are the artifact payloads of Linear and MLP, their
+// fields in SaveModel's order.
+type linearJSON struct {
+	Weights   []float64 `json:"weights"`
+	Intercept float64   `json:"intercept"`
+	ResidStd  float64   `json:"residStd,omitempty"`
+}
+
+type mlpJSON struct {
+	W1       [][]float64 `json:"w1"`
+	B1       []float64   `json:"b1"`
+	W2       []float64   `json:"w2"`
+	B2       float64     `json:"b2"`
+	XMean    []float64   `json:"xMean"`
+	XStd     []float64   `json:"xStd"`
+	YMean    float64     `json:"yMean"`
+	YStd     float64     `json:"yStd"`
+	ResidStd float64     `json:"residStd,omitempty"`
+}
+
+// randomKinds is the number of kinds randomArtifact draws from.
+const randomKinds = 8
+
+// randomArtifact is a random model over nf features: a tree, a forest or a
+// GBM, bare, under LogTarget or in an Ensemble; a Linear or an MLP, which read
+// every column; or an ensemble mixing the two sorts. depth 0 gives the tree
+// families no splits.
 func randomArtifact(t testing.TB, rng *rand.Rand, nf, depth int, kind uint8) []byte {
 	t.Helper()
 	env := func(typ string, payload any) json.RawMessage {
@@ -129,9 +147,16 @@ func randomArtifact(t testing.TB, rng *rand.Rand, nf, depth int, kind uint8) []b
 		}
 		return out
 	}
+	normals := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = rng.NormFloat64()
+		}
+		return out
+	}
 	var leaf func(k uint8) json.RawMessage
 	leaf = func(k uint8) json.RawMessage {
-		switch k % 5 {
+		switch k % randomKinds {
 		case 0:
 			return env("tree", randomTree(rng, nf, depth))
 		case 1:
@@ -140,54 +165,58 @@ func randomArtifact(t testing.TB, rng *rand.Rand, nf, depth int, kind uint8) []b
 			return env("gbm", map[string]any{"base": rng.NormFloat64(), "lr": 0.1, "trees": trees()})
 		case 3:
 			return env("logtarget", leaf(2))
-		default:
+		case 4:
 			return env("ensemble", []json.RawMessage{leaf(3), leaf(3), leaf(uint8(rng.Intn(4)))})
+		case 5:
+			return env("linear", linearJSON{Weights: normals(nf), Intercept: rng.NormFloat64(), ResidStd: rng.Float64()})
+		case 6:
+			h := 1 + rng.Intn(4)
+			m := mlpJSON{B1: normals(h), W2: normals(h), B2: rng.NormFloat64(), XMean: normals(nf),
+				YMean: rng.NormFloat64(), YStd: 0.5 + rng.Float64(), ResidStd: rng.Float64()}
+			for j := 0; j < h; j++ {
+				m.W1 = append(m.W1, normals(nf))
+			}
+			for i := 0; i < nf; i++ {
+				m.XStd = append(m.XStd, 0.5+rng.Float64())
+			}
+			return env("mlp", m)
+		default:
+			return env("ensemble", []json.RawMessage{leaf(2), leaf(5), env("logtarget", leaf(6))})
 		}
 	}
 	return leaf(kind)
 }
 
-// TestSpecializeMatchesExpandedRows is Specialize's contract for the tree
-// families and the wrappers over them: on rows of a random subset of the
-// columns, the specialised model is bit-identical to the
-// model on the same rows expanded with zeros — mean, spread, lo, hi, the
-// mean-only call and Predict — at batch sizes around the kernel's row block.
-// A family that reads every column (Linear, MLP), or an ensemble holding one,
-// has no specialisation.
+// TestSpecializeMatchesExpandedRows is mlmodel.Specialize's contract for
+// every family and the wrappers over them: on rows of a random subset of the
+// columns, the specialised model is bit-identical to the model on the same
+// rows expanded with zeros — mean, spread, lo, hi, the mean-only call and
+// Predict — at batch sizes around the kernel's row block. The tree families
+// read the rows in place; Linear and MLP, which read every column, get them
+// expanded, and so does the linear member of a mixed ensemble.
 func TestSpecializeMatchesExpandedRows(t *testing.T) {
 	const nf = 9
 	d := synthDataset(400, nf, 17, batchTarget, 0.2)
 	models := kernelFamilies(t, d)
 	rng := rand.New(rand.NewSource(5))
-	for kind := uint8(0); kind < 5; kind++ {
+	for kind := uint8(0); kind < randomKinds; kind++ {
 		models[fmt.Sprint("random/", kind)] = randomArtifact(t, rng, nf, 6, kind)
 		models[fmt.Sprint("random/no-splits/", kind)] = randomArtifact(t, rng, nf, 0, kind)
 	}
 	models["linear"] = saveBytes(t, &mlmodel.Linear{Weights: make([]float64, nf)})
+	mlp, err := mlmodel.MLPTrainer{Config: mlmodel.MLPConfig{Hidden: 8, Epochs: 10, Seed: 7}}.Fit(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models["mlp"] = saveBytes(t, mlp)
 	for name, raw := range models {
 		m, err := mlmodel.LoadModel(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("%s: LoadModel: %v", name, err)
 		}
-		sp, ok := m.(specializer)
-		if name == "linear" {
-			if ok {
-				t.Fatalf("linear has a Specialize")
-			}
-			continue
-		}
-		if !ok {
-			t.Fatalf("%s (%s) has no Specialize", name, mlmodel.FamilyName(m))
-		}
 		for trial := 0; trial < 20; trial++ {
 			cols := liveColumns(rng, nf)
-			spec := sp.Specialize(cols)
-			if name == "ensemble/mixed" {
-				if spec != nil {
-					t.Fatalf("an ensemble with a linear member specialised")
-				}
-				break
-			}
+			spec := mlmodel.Specialize(m, cols, nf)
 			for _, rows := range []int{1, 2, 9, 16, 17, 40} {
 				compact, wide := compactRows(rng, rows, nf, cols)
 				checkSpecialized(t, name, m, spec, compact, wide)
@@ -196,12 +225,17 @@ func TestSpecializeMatchesExpandedRows(t *testing.T) {
 	}
 }
 
-// TestSpecializedKernelDoesNotAllocate: the specialisation reads through its
-// map with the forest's own kernel, which allocates nothing.
+// TestSpecializedKernelDoesNotAllocate: a specialisation reads through its
+// map with the forest's own kernel, and the fallback of the families that
+// read every column expands rows into a window off the kernels' stack:
+// neither allocates.
 func TestSpecializedKernelDoesNotAllocate(t *testing.T) {
 	d := synthDataset(400, 9, 17, batchTarget, 0.2)
 	rng := rand.New(rand.NewSource(2))
-	for name, raw := range kernelFamilies(t, d) {
+	models := kernelFamilies(t, d)
+	models["linear"] = saveBytes(t, &mlmodel.Linear{Weights: make([]float64, 9)})
+	models["mlp"] = randomArtifact(t, rng, 9, 0, 6)
+	for name, raw := range models {
 		if raceEnabled && strings.HasPrefix(name, "ensemble") {
 			continue
 		}
@@ -210,14 +244,11 @@ func TestSpecializedKernelDoesNotAllocate(t *testing.T) {
 			t.Fatalf("%s: LoadModel: %v", name, err)
 		}
 		cols := liveColumns(rng, 9)
-		spec := m.(specializer).Specialize(cols)
-		if spec == nil {
-			continue
-		}
-		compact, _ := compactRows(rng, 16, 9, cols)
+		spec := mlmodel.Specialize(m, cols, 9)
+		compact, _ := compactRows(rng, 40, 9, cols)
 		out := make([][]float64, 4)
 		for i := range out {
-			out[i] = make([]float64, 16)
+			out[i] = make([]float64, 40)
 		}
 		if n := testing.AllocsPerRun(20, func() { spec.PredictBatchDist(compact, out[0], out[1], out[2], out[3]) }); n != 0 {
 			t.Errorf("%s: the specialised kernel allocates %v times", name, n)
@@ -225,10 +256,11 @@ func TestSpecializedKernelDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzSpecialize: for any random model of the tree families (kind picks the
-// family and wrapper, depth 0 a model with no splits), any subset of its
-// columns and any cells, the specialised model scores the
-// compact rows bit-identically to the model on the expanded rows.
+// FuzzSpecialize: for any random model (kind picks the family and wrapper,
+// the tree families, Linear, MLP and a mixed ensemble; depth 0 a tree model
+// with no splits), any subset of its columns, any cells and batches either
+// side of the kernel's row block, the specialised model scores the compact
+// rows bit-identically to the model on the expanded rows.
 func FuzzSpecialize(f *testing.F) {
 	f.Add(int64(1), uint8(9), uint8(0), uint8(5))
 	f.Add(int64(2), uint8(4), uint8(1), uint8(3))
@@ -236,6 +268,9 @@ func FuzzSpecialize(f *testing.F) {
 	f.Add(int64(4), uint8(6), uint8(3), uint8(4))
 	f.Add(int64(5), uint8(9), uint8(4), uint8(5))
 	f.Add(int64(6), uint8(3), uint8(4), uint8(0))
+	f.Add(int64(7), uint8(11), uint8(5), uint8(2))
+	f.Add(int64(8), uint8(5), uint8(6), uint8(3))
+	f.Add(int64(9), uint8(15), uint8(7), uint8(6))
 	f.Fuzz(func(t *testing.T, seed int64, nfRaw, kind, depthRaw uint8) {
 		nf := int(nfRaw)%16 + 1
 		depth := int(depthRaw) % 9
@@ -246,11 +281,8 @@ func FuzzSpecialize(f *testing.F) {
 			t.Fatalf("LoadModel of a generated model: %v", err)
 		}
 		cols := liveColumns(rng, nf)
-		spec := m.(specializer).Specialize(cols)
-		if spec == nil {
-			t.Fatalf("%s did not specialise", mlmodel.FamilyName(m))
-		}
-		compact, wide := compactRows(rng, mlmodel.BlockRows+1+rng.Intn(20), nf, cols)
+		spec := mlmodel.Specialize(m, cols, nf)
+		compact, wide := compactRows(rng, 1+rng.Intn(3*mlmodel.BlockRows), nf, cols)
 		checkSpecialized(t, mlmodel.FamilyName(m), m, spec, compact, wide)
 		// Splits index the forest's used features in memory, but an artifact
 		// names Schema columns: the model saves as the file it was loaded from.
