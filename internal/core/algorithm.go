@@ -158,7 +158,11 @@ type enumNode struct {
 
 // frontier is the serial state of the schedule: the live enumerations, the
 // live enumeration that owns each operator, the counters numbering nodes and
-// concatenations in selection order, and selectRound's buffers.
+// concatenations in selection order, and selectRound's buffers. Its memory is
+// sized from the plan once per run: a run adds at most 2n−1 nodes (n
+// singletons and one per task) and hands out at most n−1 tasks (each does at
+// least one of the n−1 concatenations), and the children lists of one round
+// name at most one node per dataflow edge.
 type frontier struct {
 	nodes     []*enumNode
 	owner     []*enumNode
@@ -166,12 +170,34 @@ type frontier struct {
 	ordered   []*enumNode
 	union     plan.Bitset
 	boundary  []plan.OpID
+
+	slab  []enumNode     // node seq lives in slab[seq]
+	kids  []*enumNode    // this round's children lists
+	tasks []boundaryTask // task i of the run is tasks[i]
+	ntask int
+	pool  *pool // parallel rounds (runRound)
+}
+
+// newFrontier sizes the schedule's state for the n-operator plan of c.
+func (c *Context) newFrontier(n int) *frontier {
+	ptrs := make([]*enumNode, 3*n+len(c.edges))
+	return &frontier{
+		nodes:    ptrs[:0:n],
+		owner:    ptrs[n : 2*n : 2*n],
+		ordered:  ptrs[2*n : 2*n : 3*n],
+		kids:     ptrs[3*n : 3*n],
+		union:    plan.NewBitset(n),
+		boundary: make([]plan.OpID, 0, n),
+		slab:     make([]enumNode, 2*n-1),
+		tasks:    make([]boundaryTask, n-1),
+	}
 }
 
 // add appends the live enumeration e to the frontier as the owner of its
 // scope's operators.
 func (f *frontier) add(e *Enumeration) {
-	node := &enumNode{e: e, seq: f.seq}
+	node := &f.slab[f.seq]
+	*node = enumNode{e: e, seq: f.seq}
 	f.seq++
 	for id := e.Scope.Next(0); id >= 0; id = e.Scope.Next(id + 1) {
 		f.owner[id] = node
@@ -240,12 +266,8 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 	st.Timings.Vectorize += time.Since(start)
 	enumStart := time.Now()
 	espan := c.span(c.root, "enumerate")
-	rows := 0
-	for _, alts := range c.alternatives {
-		rows += len(alts)
-	}
-	c.beginRun(rows)
-	f := &frontier{nodes: make([]*enumNode, 0, n), owner: make([]*enumNode, n), union: plan.NewBitset(n)}
+	c.beginRun(len(c.alts))
+	f := c.newFrontier(n)
 	for id := abstract.Scope.Next(0); id >= 0; id = abstract.Scope.Next(id + 1) {
 		f.add(c.enumerateSingleton(id, st))
 	}
@@ -272,15 +294,15 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		rspan := c.span(c.root, "round").SetInt("round", int64(st.Par.Rounds))
 		st.Par.Rounds++
 		st.Par.Tasks += len(tasks)
-		for _, t := range tasks {
-			t.span = c.span(rspan, "task")
+		for i := range tasks {
+			tasks[i].span = c.span(rspan, "task")
 		}
 		base := *st
-		c.runRound(ctx, pr, tasks, degraded, start, base, st)
+		c.runRound(ctx, f, pr, tasks, degraded, start, base, st)
 		rspan.End()
-		for _, t := range tasks {
-			if t.err != nil {
-				return nil, t.err
+		for i := range tasks {
+			if err := tasks[i].err; err != nil {
+				return nil, err
 			}
 		}
 		// Deterministic reduction: the consumed enumerations leave the
@@ -294,7 +316,8 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 			}
 		}
 		f.nodes = live
-		for _, t := range tasks {
+		for i := range tasks {
+			t := &tasks[i]
 			st.merge(&t.st)
 			if t.st.Degraded {
 				degraded = true
@@ -311,16 +334,17 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 // get their sequence in scope-ID order, merged nodes in creation order).
 func (c *Context) childrenOf(node *enumNode, owner []*enumNode, out []*enumNode) []*enumNode {
 	scope := node.e.Scope
+	base := len(out)
 	for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
 		for _, nb := range c.Plan.Op(id).Out {
 			o := owner[nb]
-			if o == node || slices.Contains(out, o) {
+			if o == node || slices.Contains(out[base:], o) {
 				continue
 			}
 			// A node has a handful of children: insertion keeps them sorted.
 			i := len(out)
 			out = append(out, o)
-			for ; i > 0 && out[i-1].seq > o.seq; i-- {
+			for ; i > base && out[i-1].seq > o.seq; i-- {
 				out[i] = out[i-1]
 			}
 			out[i] = o
@@ -349,14 +373,14 @@ func (c *Context) setPriority(node *enumNode, order OrderPolicy, f *frontier) {
 		// Sink-most first: priority grows with dataflow depth.
 		d := math.Inf(-1)
 		for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
-			d = math.Max(d, float64(c.depth[id]))
+			d = math.Max(d, float64(c.ops[id].depth))
 		}
 		node.prio = d
 	case OrderBottomUp:
 		// Source-most first: priority shrinks with dataflow depth.
 		d := math.Inf(1)
 		for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
-			d = math.Min(d, float64(c.depth[id]))
+			d = math.Min(d, float64(c.ops[id].depth))
 		}
 		node.prio = -d
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/workload"
 )
@@ -13,7 +14,13 @@ import (
 // TestOptimizeAllocCeiling pins what one cold optimization of Figure 9a's
 // 40-operator pipeline (two platforms, linear model, serial) may allocate:
 // context construction, enumeration and unvectorization together. The run
-// measures 823 allocations / 178 kB; its model has no Specialize, so
+// measures 69 allocations / 175 kB: its bookkeeping (enumeration slots and
+// scopes, vector headers, boundary lists, frontier nodes, children lists,
+// tasks, NewContext's per-operator tables) comes in blocks sized from the
+// plan, and its parallel loop bodies are bound once per worker. The ceilings
+// keep the headroom they had over the 823 allocations / 178 kB it took while
+// each of those was an object per enumeration step, eleven allocations and
+// 45 kB. Its model has no Specialize, so
 // mlmodel.Specialize expands its rows one kernel block per call into a window
 // off the kernels' shared stack. It was 824 / 225 kB while the run kept a
 // buffer of expanded rows per worker, and 237 kB while one matrix of expanded
@@ -32,8 +39,8 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const (
-		maxAllocs = 834
-		maxBytes  = 223 << 10
+		maxAllocs = 80
+		maxBytes  = 220 << 10
 	)
 	l := workload.Pipeline(40, 1e9)
 	plats := platform.Subset(2)
@@ -65,5 +72,46 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 	}
 	if bytes > maxBytes {
 		t.Errorf("%d bytes per optimization, ceiling %d", bytes, maxBytes)
+	}
+}
+
+// TestOptimizeAllocsIndependentOfPlanSize pins that a run allocates its
+// bookkeeping in blocks sized from the plan, not per enumeration step: a cold
+// optimization of an 80-operator pipeline may make at most maxDiff more
+// allocations than one of a 20-operator pipeline (linear model, serial),
+// untraced and traced. Untraced, the two counts are equal; traced, the span
+// chunks, the attribute block and the audit's boundary lists and platform
+// names each grow geometrically, which is 4 more at 80 operators. While
+// every enumeration, scope, boundary, child list, task, span and attribute
+// was its own object, the 80-operator run made hundreds more.
+func TestOptimizeAllocsIndependentOfPlanSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const maxDiff = 8
+	plats := platform.Subset(2)
+	avail := platform.DefaultAvailability().Restrict(plats)
+	m := newLinModel(core.MustSchema(plats).Len(), 1)
+	allocs := func(n int, traced bool) float64 {
+		l := workload.Pipeline(n, 1e9)
+		return testing.AllocsPerRun(10, func() {
+			ctx, err := core.NewContext(l, plats, avail)
+			if err != nil {
+				t.Fatalf("NewContext: %v", err)
+			}
+			if traced {
+				ctx.Trace = obs.NewTrace("size")
+			}
+			if _, err := ctx.Optimize(context.Background(), m); err != nil {
+				t.Fatalf("Optimize: %v", err)
+			}
+		})
+	}
+	for _, traced := range []bool{false, true} {
+		small, large := allocs(20, traced), allocs(80, traced)
+		t.Logf("traced=%v: Pipeline(20) %.0f allocations, Pipeline(80) %.0f", traced, small, large)
+		if large-small > maxDiff {
+			t.Errorf("traced=%v: Pipeline(80) makes %.0f allocations, Pipeline(20) %.0f: more than %d apart", traced, large, small, maxDiff)
+		}
 	}
 }

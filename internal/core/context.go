@@ -119,6 +119,15 @@ const (
 	classReplicate
 )
 
+// opInfo is what a Context precomputes about one operator.
+type opInfo struct {
+	iters    float64 // loop iterations (1 outside loops)
+	depth    int     // longest path from a source
+	class    topoClass
+	loopHead bool // counts the loop topology once
+	linear   bool // pipeline-fusable
+}
+
 // Context precomputes everything one optimization run needs about a logical
 // plan: the schema, per-operator platform alternatives, edge lists, topology
 // classes and loop heads. A Context is cheap enough to build per query and
@@ -164,14 +173,12 @@ type Context struct {
 	// The zero value is the paper's point-estimate optimizer.
 	Risk Risk
 
-	alternatives [][]uint8     // per op: schema platform columns available
-	edges        []plan.Edge   // all dataflow edges
-	opClass      []topoClass   // per op
-	loopHead     []bool        // per op: counts the loop topology once
-	linear       []bool        // per op: pipeline-fusable
-	depth        []int         // per op: longest path from a source
-	adjacency    [][]plan.OpID // per op: all neighbours (in and out)
-	effIters     []float64     // per op: loop iterations (1 outside loops)
+	alts   []uint8     // schema platform columns available, per op (Alternatives)
+	altOff []int32     // op id's alternatives are alts[altOff[id]:altOff[id+1]]
+	edges  []plan.Edge // all dataflow edges
+	ops    []opInfo    // per op
+	adj    []plan.OpID // all neighbours (in and out), per op
+	adjOff []int32     // op id's neighbours are adj[adjOff[id]:adjOff[id+1]]
 	// The run's rows hold only the columns a vector of the plan can set:
 	// live, concatenated, width cells, the movement block and the tail after
 	// it from moveAt on. A vector leaving the run is expanded (wide).
@@ -228,7 +235,7 @@ func (c *Context) endRunTrace(st *Stats, err error) *RunTrace {
 	rt := c.rt
 	if rt != nil {
 		rt.seal()
-		c.root.Detail = rt
+		c.root.SetDetail(rt)
 		c.root.SetInt("vectorsCreated", int64(st.VectorsCreated))
 		c.root.SetInt("pruned", int64(st.Pruned))
 		c.root.SetInt("modelRows", int64(st.ModelRows))
@@ -263,60 +270,68 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 		return nil, err
 	}
 	n := l.NumOps()
-	c := &Context{
-		Plan:         l,
-		Schema:       s,
-		Avail:        avail,
-		alternatives: make([][]uint8, n),
-		edges:        l.Edges(),
-		opClass:      make([]topoClass, n),
-		loopHead:     make([]bool, n),
-		linear:       make([]bool, n),
-		depth:        make([]int, n),
-		adjacency:    make([][]plan.OpID, n),
-		effIters:     make([]float64, n),
-		live:         s.liveColumns(l),
+	edges := 0
+	for _, o := range l.Ops {
+		edges += len(o.Out)
 	}
+	// The per-operator tables are flat: one array each, operator id's
+	// entries at [off[id], off[id+1]).
+	c := &Context{
+		Plan:   l,
+		Schema: s,
+		Avail:  avail,
+		alts:   make([]uint8, 0, n*len(s.Platforms)),
+		edges:  make([]plan.Edge, 0, edges),
+		ops:    make([]opInfo, n),
+		adj:    make([]plan.OpID, 0, 2*edges),
+		live:   s.liveColumns(l),
+	}
+	offs := make([]int32, 2*(n+1))
+	c.altOff, c.adjOff = offs[:n+1:n+1], offs[n+1:]
 	for _, sp := range c.live {
 		c.width += sp.hi - sp.lo
 	}
 	c.moveAt = c.width - (s.length - s.moveOff) // the tail is the last span
 	firstInLoop := map[int]plan.OpID{}
-	for _, o := range l.Ops {
-		var alts []uint8
+	for id, o := range l.Ops {
 		for pi, p := range s.Platforms {
 			if avail.Has(o.Kind, p) {
-				alts = append(alts, uint8(pi))
+				c.alts = append(c.alts, uint8(pi))
 			}
 		}
-		if len(alts) == 0 {
+		if len(c.alts) == int(c.altOff[id]) {
 			return nil, fmt.Errorf("core: operator %d (%s) has no execution operator on platforms %v", o.ID, o.Kind, platforms)
 		}
-		c.alternatives[o.ID] = alts
+		c.altOff[id+1] = int32(len(c.alts))
+		op := &c.ops[id]
 		switch {
 		case len(o.In) >= 2:
-			c.opClass[o.ID] = classJuncture
+			op.class = classJuncture
 		case len(o.Out) >= 2:
-			c.opClass[o.ID] = classReplicate
+			op.class = classReplicate
 		default:
-			c.opClass[o.ID] = classPipeline
+			op.class = classPipeline
 		}
-		c.linear[o.ID] = o.IsBoundaryLinear()
-		c.effIters[o.ID] = 1
+		op.linear = o.IsBoundaryLinear()
+		op.iters = 1
 		if o.LoopID != 0 {
 			if head, ok := firstInLoop[o.LoopID]; !ok || o.ID < head {
 				firstInLoop[o.LoopID] = o.ID
 			}
-			c.effIters[o.ID] = float64(l.Loops[o.LoopID])
+			op.iters = float64(l.Loops[o.LoopID])
 		}
-		c.adjacency[o.ID] = append(append([]plan.OpID(nil), o.In...), o.Out...)
+		for _, to := range o.Out {
+			c.edges = append(c.edges, plan.Edge{From: o.ID, To: to})
+		}
+		c.adj = append(append(c.adj, o.In...), o.Out...)
+		c.adjOff[id+1] = int32(len(c.adj))
 	}
 	for _, head := range firstInLoop {
-		c.loopHead[head] = true
+		c.ops[head].loopHead = true
 	}
 	for _, id := range l.TopoOrder() {
 		for _, p := range l.Ops[id].In {
-			c.depth[id] = max(c.depth[id], c.depth[p]+1)
+			c.ops[id].depth = max(c.ops[id].depth, c.ops[p].depth+1)
 		}
 	}
 	return c, nil
@@ -325,15 +340,15 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 // Alternatives returns the schema platform columns available for operator
 // id. The slice must not be modified. TDGen and the benchmark's prediction
 // probes draw assignments from it.
-func (c *Context) Alternatives(id plan.OpID) []uint8 { return c.alternatives[id] }
+func (c *Context) Alternatives(id plan.OpID) []uint8 { return c.alts[c.altOff[id]:c.altOff[id+1]] }
 
 // SearchSpaceSize returns the number of complete execution plans (the
 // |Ω_p| = Π k_i of the plan enumeration problem), saturating at +Inf-like
 // large values via float64.
 func (c *Context) SearchSpaceSize() float64 {
 	size := 1.0
-	for _, alts := range c.alternatives {
-		size *= float64(len(alts))
+	for id := range c.ops {
+		size *= float64(len(c.Alternatives(plan.OpID(id))))
 	}
 	return size
 }
@@ -343,7 +358,7 @@ func (c *Context) SearchSpaceSize() float64 {
 // operators of Definition 2).
 func (c *Context) boundaryOf(scope plan.Bitset, out []plan.OpID) []plan.OpID {
 	for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
-		for _, nb := range c.adjacency[id] {
+		for _, nb := range c.adj[c.adjOff[id]:c.adjOff[id+1]] {
 			if !scope.Has(nb) {
 				out = append(out, id)
 				break
@@ -351,6 +366,14 @@ func (c *Context) boundaryOf(scope plan.Bitset, out []plan.OpID) []plan.OpID {
 		}
 	}
 	return out
+}
+
+// boundary returns the boundary operators of scope (boundaryOf) in a list of
+// the worker's own, valid until the run ends.
+func (c *Context) boundary(scope plan.Bitset) []plan.OpID {
+	sc := c.scratch
+	sc.bound = c.boundaryOf(scope, sc.bound[:0])
+	return append(sc.bounds.take(len(sc.bound))[:0], sc.bound...)
 }
 
 // compact writes the live columns of the Schema-width row wide into dst, a

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/plan"
@@ -46,8 +47,9 @@ func (c *Context) Vectorize() *Abstract {
 	for _, o := range c.Plan.Ops {
 		a.Scope.Set(o.ID)
 		c.addSingletonStructure(a.F, o)
-		for _, pi := range c.alternatives[o.ID] {
-			if len(c.alternatives[o.ID]) == 1 {
+		alts := c.Alternatives(o.ID)
+		for _, pi := range alts {
+			if len(alts) == 1 {
 				a.F[s.OpPlatformCell(o.Kind, int(pi))]++
 			} else {
 				a.F[s.OpPlatformCell(o.Kind, int(pi))] = -1
@@ -66,7 +68,7 @@ func (c *Context) Vectorize() *Abstract {
 func (c *Context) addPlatformChoice(f []float64, o *plan.Operator, pi int) {
 	s := c.Schema
 	f[s.OpPlatformCell(o.Kind, pi)]++
-	iters := c.effIters[o.ID]
+	iters := c.ops[o.ID].iters
 	f[s.OpPlatInCardCell(o.Kind, pi)] += o.InputCard * iters
 	f[s.OpPlatOutCardCell(o.Kind, pi)] += o.OutputCard * iters
 	f[s.LoadCell(pi)] += o.InputCard * o.UDF.CostFactor() * iters
@@ -93,7 +95,7 @@ func (c *Context) addPlatformChoice(f []float64, o *plan.Operator, pi int) {
 // repeats every iteration, so the moved tuples multiply accordingly.
 func (c *Context) convCard(e plan.Edge) float64 {
 	card := c.Plan.EdgeCard(e)
-	if it := c.effIters[e.From]; it > 1 && c.effIters[e.To] > 1 {
+	if it := c.ops[e.From].iters; it > 1 && c.ops[e.To].iters > 1 {
 		card *= it
 	}
 	return card
@@ -116,7 +118,7 @@ func (c *Context) addConversion(move []float64, e plan.Edge, pa, pb uint8) {
 func (c *Context) totalFuses() int {
 	fuses := 0
 	for _, e := range c.edges {
-		if c.linear[e.From] && c.linear[e.To] {
+		if c.ops[e.From].linear && c.ops[e.To].linear {
 			fuses++
 		}
 	}
@@ -128,7 +130,7 @@ func (c *Context) totalFuses() int {
 // complexity and cardinalities.
 func (c *Context) addSingletonStructure(f []float64, o *plan.Operator) {
 	s := c.Schema
-	switch c.opClass[o.ID] {
+	switch c.ops[o.ID].class {
 	case classJuncture:
 		f[TopoJuncture]++
 		f[s.OpInTopologyCell(o.Kind, TopoJuncture)]++
@@ -141,7 +143,7 @@ func (c *Context) addSingletonStructure(f []float64, o *plan.Operator) {
 	}
 	if o.LoopID != 0 {
 		f[s.OpInTopologyCell(o.Kind, TopoLoop)]++
-		if c.loopHead[o.ID] {
+		if c.ops[o.ID].loopHead {
 			f[TopoLoop]++
 		}
 	}
@@ -151,7 +153,7 @@ func (c *Context) addSingletonStructure(f []float64, o *plan.Operator) {
 	// whole execution: in-loop operators run once per iteration, so their
 	// per-pass cardinality is multiplied by the loop's iteration count.
 	// This is how iteration counts enter the plan vector at all.
-	iters := c.effIters[o.ID]
+	iters := c.ops[o.ID].iters
 	f[s.OpInCardCell(o.Kind)] += o.InputCard * iters
 	f[s.OpOutCardCell(o.Kind)] += o.OutputCard * iters
 }
@@ -177,7 +179,7 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 	}
 	c.beginRun(0)
 	e := c.enumerateSingleton(ids[0], st)
-	for _, id := range ids[1:] {
+	for step, id := range ids[1:] {
 		if err := check(); err != nil {
 			return nil, err
 		}
@@ -190,8 +192,12 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 		info := c.MergeInfo(e, next)
 		// Every vector survives, so the product is merged straight into
 		// store rows.
-		rows, mat := c.store.block(pairs)
-		merged := &Enumeration{Scope: e.Scope.Union(next.Scope), Vectors: rows, mat: &mat}
+		merged := c.store.enum(c.Plan.NumOps() + step)
+		copy(merged.Scope, e.Scope)
+		merged.Scope.UnionInto(next.Scope)
+		merged.Vectors = make([]*Vector, pairs)
+		mat := c.store.block(merged.Vectors)
+		merged.mat = &mat
 		for i, v := range merged.Vectors {
 			if i%mergeBlock == 0 {
 				if err := check(); err != nil {
@@ -202,7 +208,7 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 		}
 		c.store.release(e.Vectors)
 		c.store.release(next.Vectors)
-		merged.Boundary = c.boundaryOf(merged.Scope, nil)
+		merged.Boundary = c.boundary(merged.Scope)
 		e = merged
 		if st != nil {
 			st.PeakEnumSize = max(st.PeakEnumSize, len(e.Vectors))
@@ -216,11 +222,12 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 // row is built at the Schema's width in the scratch and compacted.
 func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	o := c.Plan.Op(id)
-	scope := plan.NewBitset(c.Plan.NumOps())
-	scope.Set(id)
-	e := &Enumeration{Scope: scope, Boundary: c.boundaryOf(scope, nil), Vectors: c.store.take(len(c.alternatives[id]))}
+	alts := c.Alternatives(id)
+	e := c.store.enum(int(id))
+	e.Scope.Set(id)
+	e.Boundary, e.Vectors = c.boundary(e.Scope), c.store.take(len(alts))
 	row := grow(&c.scratch.row, c.Schema.Len())
-	for vi, pi := range c.alternatives[id] {
+	for vi, pi := range alts {
 		v := e.Vectors[vi]
 		*v = Vector{F: v.F, Assign: v.Assign}
 		for i := range v.Assign {
@@ -293,7 +300,7 @@ func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
 	info := &c.scratch.info
 	*info = MergeCtx{Crossing: c.crossingEdges(a.Scope, b.Scope, info.Crossing[:0]), right: b.Scope}
 	for _, e := range info.Crossing {
-		if c.linear[e.From] && c.linear[e.To] {
+		if c.ops[e.From].linear && c.ops[e.To].linear {
 			info.Fuses++
 		}
 	}
@@ -401,7 +408,11 @@ func (c *Context) pruneGroups(ctx context.Context, e *Enumeration, st *Stats) {
 	var wide map[string]uint64
 	sc := c.scratch
 	if sc.groups == nil {
-		sc.groups = make(map[uint64]int)
+		// Sized once per worker and run, from the plan's singleton rows.
+		rows := len(c.alts)
+		sc.groups = make(map[uint64]int, rows)
+		sc.group, sc.size = make([]int, 0, rows), make([]int, 0, rows)
+		sc.miss = slices.Grow(sc.miss, rows)
 	}
 	groups := sc.groups
 	clear(groups)
@@ -453,7 +464,9 @@ func (c *Context) pruneGroups(ctx context.Context, e *Enumeration, st *Stats) {
 		if st != nil {
 			st.Pruned++
 		}
-		rec.observeDiscard(v, survivorSlot)
+		if rec != nil {
+			sc.pruned.observe(v, survivorSlot)
+		}
 	}
 	type member struct {
 		v     *Vector

@@ -50,8 +50,7 @@ func grow(buf *[]float64, n int) []float64 {
 // the scratch's miss, as rows of the run: a view of the enumeration's feature
 // matrix when it has one and they are consecutive (the common case: a product
 // just merged, its groups all contested), else their rows gathered into the
-// scratch. Returned by value so that predict's chunk closure captures it
-// without an allocation.
+// scratch.
 func (c *Context) features(e *Enumeration) vecops.Matrix {
 	sc := c.scratch
 	n := len(sc.miss)
@@ -78,6 +77,15 @@ func (sc *scratch) chunks(workers int) {
 func (sc *scratch) scoreRows(model CostModel, sub *vecops.Matrix, n, lo, hi int) {
 	out := sc.out
 	model.PredictBatchDist(sub, out[lo:hi], out[n+lo:n+hi], out[2*n+lo:2*n+hi], out[3*n+lo:3*n+hi])
+}
+
+// scoreChunk scores rows [lo, hi) of the batch in flight (scratch.scoring)
+// through parallel chunk chunk's matrix view.
+func (sc *scratch) scoreChunk(chunk, lo, hi int) {
+	b := &sc.scoring
+	sub := &sc.views[chunk]
+	*sub = b.x.RowsView(lo, hi)
+	sc.scoreRows(b.model, sub, b.n, lo, hi)
 }
 
 // predictEnum scores every vector of e not scored yet (see predict).
@@ -115,12 +123,8 @@ func (c *Context) predict(ctx context.Context, e *Enumeration, hits int, st *Sta
 		n := len(miss)
 		out := grow(&sc.out, 4*n)
 		sc.chunks(c.Workers)
-		err := parallelForCtx(ctx, n, c.Workers, pruneBlock, func(chunk, lo, hi int) {
-			sub := &sc.views[chunk]
-			*sub = X
-			*sub = sub.RowsView(lo, hi)
-			sc.scoreRows(c.spec, sub, n, lo, hi)
-		})
+		sc.scoring.model, sc.scoring.x, sc.scoring.n = c.spec, X, n
+		err := parallelForCtx(ctx, n, c.Workers, pruneBlock, sc.scoreFn)
 		if err != nil {
 			ok = false
 		} else {

@@ -63,12 +63,15 @@ type boundaryTask struct {
 // boundaries while join lattices close their input holes before the chain
 // concatenations run. The node with the minimum tie is always admissible,
 // so every round selects at least one task.
-func (c *Context) selectRound(f *frontier, order OrderPolicy) []*boundaryTask {
+func (c *Context) selectRound(f *frontier, order OrderPolicy) []boundaryTask {
 	// Children, priorities and ties are computed once per live node, from
 	// the frontier as the last barrier left it.
 	minTie := -1
+	f.kids = f.kids[:0]
 	for _, nd := range f.nodes {
-		nd.children = c.childrenOf(nd, f.owner, nd.children[:0])
+		from := len(f.kids)
+		f.kids = c.childrenOf(nd, f.owner, f.kids)
+		nd.children = f.kids[from:len(f.kids):len(f.kids)]
 		c.setPriority(nd, order, f)
 		if len(nd.children) > 0 && (minTie < 0 || nd.tie < minTie) {
 			minTie = nd.tie
@@ -84,7 +87,7 @@ func (c *Context) selectRound(f *frontier, order OrderPolicy) []*boundaryTask {
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
-	var tasks []*boundaryTask
+	first := f.ntask
 	for _, nd := range f.ordered {
 		if len(nd.children) == 0 || nd.claimed || nd.tie > minTie+1 {
 			continue
@@ -96,24 +99,82 @@ func (c *Context) selectRound(f *frontier, order OrderPolicy) []*boundaryTask {
 		for _, ch := range nd.children {
 			ch.claimed = true
 		}
-		tasks = append(tasks, &boundaryTask{node: nd, children: nd.children, stepBase: f.step})
+		f.tasks[f.ntask] = boundaryTask{node: nd, children: nd.children, stepBase: f.step}
+		f.ntask++
 		f.step += len(nd.children)
 	}
-	return tasks
+	return f.tasks[first:f.ntask]
 }
 
-// workerContext returns a shallow copy of c for one pool worker: the
-// precomputed read-only plan state and the run's audit are shared (each task
-// writes only the audit slots of its own steps), while what a task mutates —
-// the scratch and the prune record in flight — is the worker's own, so
-// concurrent tasks never synchronize on it.
+// workerContext returns pool worker sc's shallow copy of c, made on the
+// worker's first parallel round of the run: the precomputed read-only plan
+// state and the run's audit are shared (each task writes only the audit
+// slots of its own steps), while what a task mutates — the scratch and the
+// prune record in flight — is the worker's own, so concurrent tasks never
+// synchronize on it.
 func (c *Context) workerContext(sc *scratch) *Context {
-	wc := new(Context)
-	*wc = *c
-	wc.Workers = 1
-	wc.scratch = sc
-	wc.curRec = nil
-	return wc
+	if sc.wc == nil {
+		sc.wc = new(Context)
+		*sc.wc = *c
+		sc.wc.Workers = 1
+		sc.wc.scratch = sc
+		sc.wc.curRec = nil
+	}
+	return sc.wc
+}
+
+// pool is the state of one parallel round, kept on the frontier and reused
+// by every round of the run: the round's tasks and parameters, and the
+// per-worker queues they are dealt into. Queue w holds the tasks w,
+// w+workers, w+2·workers, … of the round, of which positions [head, tail)
+// are still queued.
+type pool struct {
+	mu     sync.Mutex
+	wg     sync.WaitGroup
+	tasks  []boundaryTask
+	queues []struct{ head, tail int }
+	steals int
+
+	ctx      context.Context
+	pr       Pruner
+	degraded bool
+	start    time.Time
+	base     Stats
+}
+
+// next hands worker self its next task: the head of its own queue, else the
+// tail of the deepest other queue (a steal), else nil.
+func (p *pool) next(self int) *boundaryTask {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	workers := len(p.queues)
+	if q := &p.queues[self]; q.head < q.tail {
+		q.head++
+		return &p.tasks[self+(q.head-1)*workers]
+	}
+	victim, depth := -1, 0
+	for i, q := range p.queues {
+		if i != self && q.tail-q.head > depth {
+			victim, depth = i, q.tail-q.head
+		}
+	}
+	if victim < 0 {
+		return nil
+	}
+	q := &p.queues[victim]
+	q.tail--
+	t := &p.tasks[victim+q.tail*workers]
+	p.steals++
+	t.worker = self
+	t.stolen = true
+	return t
+}
+
+// work runs worker self's tasks on wc until no queue holds any.
+func (p *pool) work(self int, wc *Context) {
+	for t := p.next(self); t != nil; t = p.next(self) {
+		wc.runTask(p.ctx, p.pr, t, p.degraded, p.start, p.base)
+	}
 }
 
 // runRound executes the round's tasks. With one task (or one worker) it runs
@@ -126,7 +187,7 @@ func (c *Context) workerContext(sc *scratch) *Context {
 // interleaving) — it degrades every task of the *next* round instead. The
 // soft deadline is re-checked by every task before each concatenation, so a
 // wall-clock trip stops the pool within one concatenation per worker.
-func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask, degraded bool, start time.Time, base Stats, st *Stats) {
+func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []boundaryTask, degraded bool, start time.Time, base Stats, st *Stats) {
 	workers := min(c.Workers, len(tasks))
 	if workers <= 1 {
 		// Inline path, on c itself: either the run is serial or the round
@@ -134,63 +195,37 @@ func (c *Context) runRound(ctx context.Context, pr Pruner, tasks []*boundaryTask
 		// parallelism (merges and model batches still fan out) — that is
 		// where the work concentrates in the final rounds.
 		st.Par.MaxQueueDepth = max(st.Par.MaxQueueDepth, len(tasks))
-		for _, t := range tasks {
-			c.runTask(ctx, pr, t, degraded, start, base)
+		for i := range tasks {
+			c.runTask(ctx, pr, &tasks[i], degraded, start, base)
 		}
 		return
 	}
-	queues := make([][]*boundaryTask, workers)
-	for i, t := range tasks {
-		w := i % workers
-		t.worker = w
-		queues[w] = append(queues[w], t)
+	if f.pool == nil {
+		f.pool = new(pool)
 	}
-	for _, q := range queues {
-		st.Par.MaxQueueDepth = max(st.Par.MaxQueueDepth, len(q))
-	}
-	var mu sync.Mutex
-	steals := 0
-	next := func(self int) *boundaryTask {
-		mu.Lock()
-		defer mu.Unlock()
-		if q := queues[self]; len(q) > 0 {
-			t := q[0]
-			queues[self] = q[1:]
-			return t
+	p := f.pool
+	p.tasks, p.steals = tasks, 0
+	p.ctx, p.pr, p.degraded, p.start, p.base = ctx, pr, degraded, start, base
+	p.queues = slices.Grow(p.queues[:0], workers)[:workers]
+	for w := range p.queues {
+		p.queues[w].head, p.queues[w].tail = 0, (len(tasks)-w+workers-1)/workers
+		for i := w; i < len(tasks); i += workers {
+			tasks[i].worker = w
 		}
-		victim, depth := -1, 0
-		for i, q := range queues {
-			if i != self && len(q) > depth {
-				victim, depth = i, len(q)
-			}
-		}
-		if victim < 0 {
-			return nil
-		}
-		q := queues[victim]
-		t := q[len(q)-1]
-		queues[victim] = q[:len(q)-1]
-		steals++
-		t.worker = self
-		t.stolen = true
-		return t
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int, wc *Context) {
-			defer wg.Done()
-			for {
-				t := next(self)
-				if t == nil {
-					return
-				}
-				wc.runTask(ctx, pr, t, degraded, start, base)
-			}
-		}(w, c.workerContext(c.store.worker(w)))
+	st.Par.MaxQueueDepth = max(st.Par.MaxQueueDepth, p.queues[0].tail)
+	// Worker 0 runs on the calling goroutine.
+	for w := 1; w < workers; w++ {
+		wc := c.workerContext(c.store.worker(w))
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.work(w, wc)
+		}()
 	}
-	wg.Wait()
-	st.Par.Steals += steals
+	p.work(0, c.workerContext(c.store.worker(0)))
+	p.wg.Wait()
+	st.Par.Steals += p.steals
 }
 
 // runTask concatenates the task's enumeration with each of its children in
@@ -233,8 +268,11 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		}
 		left, right := cur.Vectors, child.e.Vectors
 		pairs := len(left) * len(right)
-		info := tc.MergeInfo(cur, child.e)
-		merged := tc.scratch.product(tc.store, cur.Scope.Union(child.e.Scope), pairs)
+		sc := tc.scratch
+		out := tc.store.enum(tc.Plan.NumOps() + step)
+		copy(out.Scope, cur.Scope)
+		out.Scope.UnionInto(child.e.Scope)
+		merged := sc.product(tc.store, out.Scope, pairs)
 		mspan := tc.span(t.span, "merge").SetInt("step", int64(step)).
 			SetInt("left", int64(len(left))).SetInt("right", int64(len(right)))
 		mergeStart := time.Now()
@@ -242,11 +280,9 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		// product (pair i is left[i/len(right)] × right[i%len(right)]) fans
 		// out across workers writing into disjoint scratch rows; chunked
 		// writes keep the vector order deterministic.
-		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tc.mergeInto(merged.Vectors[i], left[i/len(right)], right[i%len(right)], info, nil)
-			}
-		})
+		sc.merging.c, sc.merging.out, sc.merging.left, sc.merging.right = tc, merged, left, right
+		sc.merging.info = tc.MergeInfo(cur, child.e)
+		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, sc.mergeFn)
 		st.Timings.Merge += time.Since(mergeStart)
 		mspan.End()
 		if err != nil {
@@ -258,11 +294,11 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		tc.store.release(right)
 		st.Merges += pairs
 		st.VectorsCreated += pairs
-		merged.Boundary = tc.boundaryOf(merged.Scope, nil)
+		merged.Boundary = tc.boundary(merged.Scope)
 		st.PeakEnumSize = max(st.PeakEnumSize, len(merged.Vectors))
 		pspan := tc.span(t.span, "prune").SetInt("step", int64(step))
 		if tc.rt != nil {
-			tc.curRec = tc.rt.beginPrune(step, merged, deg)
+			tc.curRec = tc.rt.beginPrune(step, merged, deg, &sc.pruned)
 		}
 		pruneStart := time.Now()
 		pr.Prune(ctx, tc, merged, st)
@@ -271,7 +307,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		}
 		st.Timings.Prune += time.Since(pruneStart)
 		if tc.curRec != nil {
-			tc.rt.endPrune(tc.curRec, merged)
+			tc.rt.endPrune(tc.curRec, merged, &sc.pruned)
 			tc.curRec = nil
 		}
 		pspan.End()
@@ -282,7 +318,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		if deg {
 			truncateCheapest(merged, st)
 		}
-		cur = tc.keep(merged)
+		cur = tc.keep(merged, out)
 	}
 	t.result = cur
 	if t.span != nil {

@@ -17,9 +17,37 @@ import (
 // memory is therefore bounded by the frontier (the sum of the live
 // enumerations' sizes), not by the number of vectors the run ever formed.
 //
-// Both die with the run. Nothing here is pooled across runs or requests: a
-// package-level pool would keep its chunks alive through the next collection
-// and show up as resident heap between requests (see DESIGN.md).
+// The run's bookkeeping is allocated the same way, in a few blocks sized from
+// the plan rather than one object per enumeration step: a run of n operators
+// makes exactly n singleton enumerations and n−1 concatenations, so the store
+// holds 2n−1 enumeration slots with their scope words (and the frontier 2n−1
+// nodes and n−1 tasks), while the vector headers of every enumeration and
+// each worker's boundary lists are carved from blocks that grow
+// geometrically and never move.
+//
+// All of it dies with the run. Nothing here is pooled across runs or
+// requests: a package-level pool would keep its chunks alive through the next
+// collection and show up as resident heap between requests (see DESIGN.md).
+
+// slab hands out slices of fresh elements carved from chunks that are never
+// moved or reused, so a slice it returns stays valid as long as the slab.
+// next is the size of the next chunk (at least the request that needs it);
+// every chunk allocated doubles it.
+type slab[T any] struct {
+	free []T
+	next int
+}
+
+// take returns n fresh (zero) elements.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.free = make([]T, max(n, s.next))
+		s.next = 2 * len(s.free)
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
 
 // poisonAssign is what the test-only poison hook writes over a freed row's
 // assignment: no platform column, and not Unassigned either.
@@ -34,8 +62,15 @@ type vecStore struct {
 	mu         sync.Mutex
 	cols, nOps int
 	free       []*Vector
+	// ptrs holds the Vectors slices of the run's enumerations (under mu).
+	ptrs slab[*Vector]
 	// rows counts the rows allocated so far, free or not.
 	rows int
+	// enums are the run's 2n−1 enumeration slots (see enum) and scopes their
+	// scope words, words per slot.
+	enums  []Enumeration
+	scopes []uint64
+	words  int
 	// workers holds the scratch of each pool worker, by worker index.
 	workers []*scratch
 	// poison (Context.poison, set only by tests): release overwrites every
@@ -53,8 +88,15 @@ type vecStore struct {
 // returned keeps its own store alive and intact, but callers are only
 // promised it until here.
 func (c *Context) beginRun(rows int) {
-	c.store = &vecStore{cols: c.width, nOps: c.Plan.NumOps(), poison: c.poison}
-	c.store.free, _ = c.store.block(rows)
+	n := c.Plan.NumOps()
+	words := len(plan.NewBitset(n))
+	c.store = &vecStore{
+		cols: c.width, nOps: n, poison: c.poison,
+		ptrs:  slab[*Vector]{next: 2 * rows},
+		enums: make([]Enumeration, 2*n-1), scopes: make([]uint64, (2*n-1)*words), words: words,
+	}
+	c.store.free = make([]*Vector, rows)
+	c.store.block(c.store.free)
 	c.scratch = c.store.worker(0)
 }
 
@@ -69,11 +111,25 @@ func (c *Context) endRun() {
 	c.store, c.scratch, c.spec = nil, nil, nil
 }
 
+// enum returns enumeration slot k of the run, empty over a cleared scope.
+// Slot id holds operator id's singleton and slot n+step what concatenation
+// step keeps, so the slots of one run never collide and concurrent tasks
+// never share one.
+func (s *vecStore) enum(k int) *Enumeration {
+	scope := plan.Bitset(s.scopes[k*s.words : (k+1)*s.words : (k+1)*s.words])
+	clear(scope)
+	e := &s.enums[k]
+	*e = Enumeration{Scope: scope}
+	return e
+}
+
 // worker returns pool worker i's scratch, created on first use. Only the
 // scheduling goroutine calls it (between rounds).
 func (s *vecStore) worker(i int) *scratch {
 	for len(s.workers) <= i {
-		s.workers = append(s.workers, new(scratch))
+		sc := &scratch{bounds: slab[plan.OpID]{next: 2 * s.nOps}}
+		sc.mergeFn, sc.scoreFn = sc.mergeRows, sc.scoreChunk
+		s.workers = append(s.workers, sc)
 	}
 	return s.workers[i]
 }
@@ -88,34 +144,34 @@ func wireRows(dst []*Vector, vecs []Vector, f []float64, a []uint8, cols, nOps i
 	}
 }
 
-// block allocates a chunk of n new rows, contiguous and in order, and returns
-// them with the matrix over their feature blocks: the layout of an
+// block wires dst to a chunk of len(dst) new rows, contiguous and in order,
+// and returns the matrix over their feature blocks: the layout of an
 // enumeration whose every vector survives (Enumerate), scored later without
 // a copy.
-func (s *vecStore) block(n int) ([]*Vector, vecops.Matrix) {
-	out := make([]*Vector, n)
+func (s *vecStore) block(dst []*Vector) vecops.Matrix {
+	n := len(dst)
 	f, a := make([]float64, n*s.cols), make([]uint8, n*s.nOps)
-	wireRows(out, make([]Vector, n), f, a, s.cols, s.nOps)
+	wireRows(dst, make([]Vector, n), f, a, s.cols, s.nOps)
 	s.mu.Lock()
 	s.rows += n
 	if s.poison {
 		s.chunks = append(s.chunks, Vector{F: f, Assign: a})
 	}
 	s.mu.Unlock()
-	return out, vecops.Matrix{Data: f, Rows: n, Cols: s.cols}
+	return vecops.Matrix{Data: f, Rows: n, Cols: s.cols}
 }
 
 // take returns n rows with arbitrary contents: recycled ones, and a new
 // chunk for however many the free list is short of.
 func (s *vecStore) take(n int) []*Vector {
 	s.mu.Lock()
+	out := s.ptrs.take(n)
 	k := min(n, len(s.free))
-	out := append(make([]*Vector, 0, n), s.free[len(s.free)-k:]...)
+	copy(out, s.free[len(s.free)-k:])
 	s.free = s.free[:len(s.free)-k]
 	s.mu.Unlock()
 	if k < n {
-		fresh, _ := s.block(n - k)
-		out = append(out, fresh...)
+		s.block(out[k:])
 	}
 	return out
 }
@@ -169,6 +225,31 @@ type scratch struct {
 	groups map[uint64]int  // pruneGroups: footprint → its group number, in first-seen order
 	group  []int           // pruneGroups: each vector's group
 	size   []int           // pruneGroups: each group's member count
+
+	// bounds holds the boundary lists of the enumerations this worker
+	// creates, bound the list boundary computes before carving its copy.
+	bounds slab[plan.OpID]
+	bound  []plan.OpID
+	// The two parallel loop bodies, bound once per worker and run: merging
+	// the product pairs of merging (runTask), scoring the rows of scoring
+	// (predict).
+	mergeFn, scoreFn func(chunk, lo, hi int)
+	merging          struct {
+		c           *Context
+		out         *Enumeration
+		left, right []*Vector
+		info        *MergeCtx
+	}
+	scoring struct {
+		model CostModel
+		x     vecops.Matrix
+		n     int
+	}
+	// pruned is the in-flight best pruned alternative of the audited prune
+	// this worker runs (observeDiscard), resolved by endPrune.
+	pruned prunedState
+	// wc is this worker's Context in the run's pool rounds (workerContext).
+	wc *Context
 }
 
 // product returns the worker's scratch enumeration resized to n vectors of
@@ -192,11 +273,21 @@ func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 	return &sc.enum
 }
 
+// mergeRows merges pairs [lo, hi) of the product in flight into its rows:
+// pair i is left[i/len(right)] × right[i%len(right)].
+func (sc *scratch) mergeRows(_, lo, hi int) {
+	m := &sc.merging
+	nr := len(m.right)
+	for i := lo; i < hi; i++ {
+		m.c.mergeInto(m.out.Vectors[i], m.left[i/nr], m.right[i%nr], m.info, nil)
+	}
+}
+
 // keep copies the vectors of e — what pruning left of a scratch product —
-// into store rows and returns them as an enumeration of their own, which
-// takes over e's scope and boundary.
-func (c *Context) keep(e *Enumeration) *Enumeration {
-	out := &Enumeration{Scope: e.Scope, Boundary: e.Boundary, Vectors: c.store.take(len(e.Vectors))}
+// into store rows of out, the enumeration slot the concatenation fills,
+// whose scope e already shares, and hands it e's boundary.
+func (c *Context) keep(e, out *Enumeration) *Enumeration {
+	out.Boundary, out.Vectors = e.Boundary, c.store.take(len(e.Vectors))
 	for i, v := range e.Vectors {
 		w := out.Vectors[i]
 		copy(w.F, v.F)

@@ -37,7 +37,7 @@ func (c *Context) VectorizeSubplan(assign map[plan.OpID]uint8) *Vector {
 		if !ok1 || !ok2 {
 			continue
 		}
-		if c.linear[e.From] && c.linear[e.To] {
+		if c.ops[e.From].linear && c.ops[e.To].linear {
 			v.F[TopoPipeline]--
 		}
 		c.addConversion(v.F[s.moveOff:], e, pa, pb)

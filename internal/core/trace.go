@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/plan"
 	"repro/internal/vecops"
@@ -16,7 +17,7 @@ import (
 // scored, and where the budget degraded the run. Each fact is written once,
 // here: the spans of the run carry only their durations and the step, round
 // and worker numbers that join them to these records. The audit rides on the
-// run's optimize span (Span.Detail) and on Result.Trace, and backs
+// run's optimize span (Span.SetDetail) and on Result.Trace, and backs
 // Result.Explain, the human-readable account of why the winning platform
 // assignment beat its alternatives.
 
@@ -41,9 +42,15 @@ type RunTrace struct {
 	// report predictive intervals in the audit, so a point-estimate run's
 	// audit reads (and marshals) as it did before vectors carried them.
 	intervals bool
-	// recs backs Prunes: record i is step i's, written by whichever task the
-	// schedule handed that step (see reserve).
+	// recs backs Prunes and alts the records' BestPruned: slot i is step
+	// i's, written by whichever task the schedule handed that step (see
+	// reserve). ints and strs hold the records' boundary lists and platform
+	// names, carved under mu by concurrent tasks.
 	recs []PruneRecord
+	alts []PrunedAlternative
+	mu   sync.Mutex
+	ints slab[int]
+	strs slab[string]
 }
 
 // PruneRecord audits one prune invocation: the enumeration's size before and
@@ -80,14 +87,6 @@ type PruneRecord struct {
 	// BestPruned is the best pruned alternative at this boundary, absent
 	// when the prune discarded nothing.
 	BestPruned *PrunedAlternative `json:"bestPruned,omitempty"`
-
-	// in-flight tracking for the best pruned alternative (resolved into
-	// BestPruned when the prune completes).
-	prunedCost   float64
-	prunedDist   CostDist
-	prunedAssign []uint8
-	survivorSlot int
-	hasPruned    bool
 }
 
 // PrunedAlternative describes the cheapest vector a prune discarded and the
@@ -113,20 +112,27 @@ type PrunedAlternative struct {
 	SurvivorAssign []string `json:"survivorAssign,omitempty"`
 }
 
-// observeDiscard feeds one pruning decision into the record: of the two
-// same-group vectors, discarded lost to the current occupant of slot in the
-// kept slice. Cheap enough to sit on the prune hot path only when auditing
-// (callers pass a nil record otherwise).
-func (rec *PruneRecord) observeDiscard(discarded *Vector, slot int) {
-	if rec == nil {
-		return
-	}
-	if !rec.hasPruned || discarded.Cost < rec.prunedCost {
-		rec.hasPruned = true
-		rec.prunedCost = discarded.Cost
-		rec.prunedDist = discarded.Dist
-		rec.prunedAssign = append(rec.prunedAssign[:0], discarded.Assign...)
-		rec.survivorSlot = slot
+// prunedState tracks the best pruned alternative of the audited prune in
+// flight on one worker, resolved into PruneRecord.BestPruned when the prune
+// completes (endPrune).
+type prunedState struct {
+	cost   float64
+	dist   CostDist
+	assign []uint8
+	slot   int
+	has    bool
+}
+
+// observe feeds one pruning decision into the state: of the two same-group
+// vectors, discarded lost to the current occupant of slot in the kept slice.
+// Cheap enough to sit on the prune hot path only when auditing.
+func (p *prunedState) observe(discarded *Vector, slot int) {
+	if !p.has || discarded.Cost < p.cost {
+		p.has = true
+		p.cost = discarded.Cost
+		p.dist = discarded.Dist
+		p.assign = append(p.assign[:0], discarded.Assign...)
+		p.slot = slot
 	}
 }
 
@@ -181,19 +187,36 @@ func (c *Context) newRunTrace() *RunTrace {
 // reserve sizes the audit for an enumeration of steps concatenations. The
 // schedule numbers the steps when it hands them out, so each task writes its
 // records straight into their slots and concurrent tasks never touch the
-// same one.
+// same one. The boundary lists and platform names come from blocks that
+// start at one entry per step (two names) and double when outgrown.
 func (rt *RunTrace) reserve(steps int) {
 	rt.recs = make([]PruneRecord, steps)
 	rt.Prunes = make([]*PruneRecord, steps)
+	rt.alts = make([]PrunedAlternative, steps)
+	rt.ints.next, rt.strs.next = steps, 2*steps
 }
 
-// seal drops the slots of steps that never ran (a cancelled or failed run)
-// and lets go of the in-flight state the records no longer need.
+// seal drops the slots of steps that never ran (a cancelled or failed run).
 func (rt *RunTrace) seal() {
 	rt.Prunes = slices.DeleteFunc(rt.Prunes, func(rec *PruneRecord) bool { return rec == nil })
-	for _, rec := range rt.Prunes {
-		rec.prunedAssign = nil
+}
+
+// boundaryList returns n entries of the audit's own for a record's boundary,
+// non-nil so that an empty boundary marshals as [].
+func (rt *RunTrace) boundaryList(n int) []int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if n == 0 {
+		return []int{}
 	}
+	return rt.ints.take(n)
+}
+
+// names returns n platform names of the audit's own.
+func (rt *RunTrace) names(n int) []string {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.strs.take(n)
 }
 
 // reports tells whether the audit shows d's interval: on runs that asked for
@@ -211,26 +234,28 @@ func (rt *RunTrace) platformName(col uint8) string {
 }
 
 // beginPrune opens the audit record of concatenation step, a prune over e,
-// in the slot reserve set aside for it.
-func (rt *RunTrace) beginPrune(step int, e *Enumeration, degraded bool) *PruneRecord {
+// in the slot reserve set aside for it, and clears the worker's in-flight
+// state p.
+func (rt *RunTrace) beginPrune(step int, e *Enumeration, degraded bool, p *prunedState) *PruneRecord {
 	rec := &rt.recs[step]
 	*rec = PruneRecord{
 		Step:      step,
 		ScopeSize: e.Scope.Count(),
-		Boundary:  make([]int, len(e.Boundary)),
+		Boundary:  rt.boundaryList(len(e.Boundary)),
 		VectorsIn: len(e.Vectors),
 		Degraded:  degraded,
 	}
 	for i, id := range e.Boundary {
 		rec.Boundary[i] = int(id)
 	}
+	p.has = false
 	rt.Prunes[step] = rec
 	return rec
 }
 
 // endPrune closes the record after the pruner ran: survivor census and the
-// resolved best pruned alternative.
-func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration) {
+// best pruned alternative p resolved.
+func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration, p *prunedState) {
 	rec.VectorsOut = len(e.Vectors)
 	first := true
 	for _, v := range e.Vectors {
@@ -242,21 +267,24 @@ func (rt *RunTrace) endPrune(rec *PruneRecord, e *Enumeration) {
 		}
 		first = first && !v.scored
 	}
-	if rec.hasPruned && rec.survivorSlot < len(e.Vectors) {
-		survivor := e.Vectors[rec.survivorSlot]
-		alt := &PrunedAlternative{
-			Cost:           rec.prunedCost,
+	if p.has && p.slot < len(e.Vectors) {
+		survivor := e.Vectors[p.slot]
+		nb := len(rec.Boundary)
+		names := rt.names(2 * nb)
+		alt := &rt.alts[rec.Step]
+		*alt = PrunedAlternative{
+			Cost:           p.cost,
 			SurvivorCost:   survivor.Cost,
-			Margin:         rec.prunedCost - survivor.Cost,
-			BoundaryAssign: make([]string, len(rec.Boundary)),
-			SurvivorAssign: make([]string, len(rec.Boundary)),
+			Margin:         p.cost - survivor.Cost,
+			BoundaryAssign: names[:nb:nb],
+			SurvivorAssign: names[nb:],
 		}
-		if rt.reports(rec.prunedDist) || rt.reports(survivor.Dist) {
-			alt.Lo, alt.Hi = rec.prunedDist.Lo, rec.prunedDist.Hi
+		if rt.reports(p.dist) || rt.reports(survivor.Dist) {
+			alt.Lo, alt.Hi = p.dist.Lo, p.dist.Hi
 			alt.SurvivorLo, alt.SurvivorHi = survivor.Dist.Lo, survivor.Dist.Hi
 		}
 		for i, id := range rec.Boundary {
-			alt.BoundaryAssign[i] = rt.platformName(rec.prunedAssign[id])
+			alt.BoundaryAssign[i] = rt.platformName(p.assign[id])
 			alt.SurvivorAssign[i] = rt.platformName(survivor.Assign[id])
 		}
 		rec.BestPruned = alt

@@ -173,8 +173,7 @@ func (h *Harness) LatencyModel(plats []platform.ID) core.CostModel {
 		x ^= x << 17
 		w[i] = 1e-9 + float64(x%1000)/1000
 	}
-	// A pointer: the enumeration compares models with the one it specialised.
-	return &latencyModel{w}
+	return latencyModel{w}
 }
 
 // RoboptOptimizeWith runs Robopt's enumeration with an explicit cost model.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -17,69 +18,103 @@ import (
 // *Tracer) turns every method below into a nil-check-and-return, so
 // instrumented hot paths pay one predictable branch per call site.
 
-// Attr is one typed span attribute. Value is constrained by the typed
-// setters to string, int64, float64 or bool, so snapshots marshal to JSON
-// without surprises.
-type Attr struct {
-	Key   string
-	Value any
+// Span is one timed operation inside a trace. Spans form a tree (the root
+// span's parent is -1). A span is created by Trace.StartSpan, annotated with
+// the typed setters, and closed with End; all methods are nil-receiver-safe
+// no-ops so disabled tracing costs one branch.
+//
+// A span lives in its trace's span chunks, which never move, so the pointer
+// StartSpan returns stays valid for the trace's lifetime. The setters go
+// through the trace's lock; End does not, so one goroutine at a time owns a
+// span, and snapshots must only be taken after the trace is finished (the
+// Tracer's ring only ever holds finished traces).
+type Span struct {
+	t          *Trace
+	name       string
+	start, dur time.Duration // start is the offset from the trace's start
+	id, parent int32
 }
 
-// Span is one timed operation inside a trace. Spans form a tree via Parent
-// (the root span has Parent -1). A span is created by Trace.StartSpan,
-// annotated with the typed setters, and closed with End; all methods are
-// nil-receiver-safe no-ops so disabled tracing costs one branch.
-//
-// A span's fields are written by the goroutine that created it; snapshots
-// must only be taken after the trace is finished (the Tracer's ring only
-// ever holds finished traces).
-type Span struct {
-	ID       int
-	Parent   int
-	Name     string
-	Start    time.Time
-	Duration time.Duration
-	Attrs    []Attr
-	// Detail is an optional structured record the span's snapshot renders
-	// as-is — the optimizer hangs its pruning audit on the optimize span.
-	// It must marshal to JSON and stay unchanged once the span has ended.
-	Detail any
+// attrKind tags the value of an attribute record.
+type attrKind uint8
+
+const (
+	attrInt attrKind = iota
+	attrFloat
+	attrBool
+	attrStr
+)
+
+// attr is one typed span attribute in its trace's attribute block: the key,
+// the span it belongs to, and the value's bits — the int64, the float64's
+// IEEE bits, 0 or 1, or the index of a string value in the trace's strs.
+// Nothing is boxed until a snapshot renders it.
+type attr struct {
+	key  string
+	bits uint64
+	span int32
+	kind attrKind
+}
+
+// spanDetail is a structured record hung on a span (Span.SetDetail).
+type spanDetail struct {
+	span int32
+	v    any
+}
+
+// set appends one attribute record to s's trace. Returns s for chaining.
+func (s *Span) set(key string, kind attrKind, bits uint64, str string) *Span {
+	if s == nil {
+		return nil
+	}
+	t := s.t
+	t.mu.Lock()
+	if kind == attrStr {
+		if t.strs == nil {
+			t.strs = make([]string, 0, firstAttrs)
+		}
+		bits = uint64(len(t.strs))
+		t.strs = append(t.strs, str)
+	}
+	if t.attrs == nil {
+		t.attrs = make([]attr, 0, firstAttrs)
+	}
+	t.attrs = append(t.attrs, attr{key: key, bits: bits, span: s.id, kind: kind})
+	t.mu.Unlock()
+	return s
 }
 
 // SetInt attaches an integer attribute. Returns s for chaining.
-func (s *Span) SetInt(key string, v int64) *Span {
-	if s == nil {
-		return nil
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: v})
-	return s
-}
+func (s *Span) SetInt(key string, v int64) *Span { return s.set(key, attrInt, uint64(v), "") }
 
 // SetFloat attaches a float attribute. Returns s for chaining.
 func (s *Span) SetFloat(key string, v float64) *Span {
-	if s == nil {
-		return nil
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: v})
-	return s
+	return s.set(key, attrFloat, math.Float64bits(v), "")
 }
 
 // SetStr attaches a string attribute. Returns s for chaining.
-func (s *Span) SetStr(key, v string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: v})
-	return s
-}
+func (s *Span) SetStr(key, v string) *Span { return s.set(key, attrStr, 0, v) }
 
 // SetBool attaches a boolean attribute. Returns s for chaining.
 func (s *Span) SetBool(key string, v bool) *Span {
-	if s == nil {
-		return nil
+	var bits uint64
+	if v {
+		bits = 1
 	}
-	s.Attrs = append(s.Attrs, Attr{Key: key, Value: v})
-	return s
+	return s.set(key, attrBool, bits, "")
+}
+
+// SetDetail hangs a structured record on the span, which its snapshot
+// renders as-is — the optimizer hangs its pruning audit on the optimize span.
+// It must marshal to JSON and stay unchanged once the span has ended.
+func (s *Span) SetDetail(v any) {
+	if s == nil {
+		return
+	}
+	s.t.mu.Lock()
+	m := s.t.ensureMore()
+	m.details = append(m.details, spanDetail{span: s.id, v: v})
+	s.t.mu.Unlock()
 }
 
 // End closes the span, fixing its duration.
@@ -87,7 +122,7 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.Duration = time.Since(s.Start)
+	s.dur = time.Since(s.t.Start) - s.start
 }
 
 // TraceLink references another trace this one is causally tied to without
@@ -117,11 +152,37 @@ type Trace struct {
 	// Error records the run's failure when it had one.
 	Error string
 
-	mu    sync.Mutex
-	spans []*Span
+	// mu guards everything below: spans and attributes are added by every
+	// goroutine of a parallel run.
+	mu sync.Mutex
+	// Spans live in chunks that are never reallocated, so a *Span stays
+	// valid: the first span in the trace itself (a cache hit's trace has that
+	// one span), the others in more.
+	first Span
+	more  *moreSpans
+	attrs []attr
+	strs  []string // the values of string attributes
 	links []TraceLink
 	seq   uint64 // ring insertion order, set by Tracer.Finish
 }
+
+// moreSpans is what a trace of more than one span holds besides its first:
+// spans 1, 2, … in chunks, chunk k holding firstSpanChunk<<k spans, and the
+// spans' detail records.
+type moreSpans struct {
+	n       int32 // spans in chunks
+	chunks  [][]Span
+	details []spanDetail
+}
+
+// Block sizes of a trace. A traced cold optimization records a few dozen
+// spans and about twice as many attributes; the chunk list is sized for
+// firstSpanChunk·(2^spanChunks − 1) spans before it regrows.
+const (
+	firstSpanChunk = 4
+	spanChunks     = 6
+	firstAttrs     = 4
+)
 
 // NewTrace starts a new trace. Use a Tracer for sampling and retention; a
 // bare NewTrace is for one-shot uses (CLI runs, forced request traces on
@@ -136,16 +197,41 @@ func (t *Trace) StartSpan(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
 	}
-	p := -1
+	p := int32(-1)
 	if parent != nil {
-		p = parent.ID
+		p = parent.id
 	}
-	s := &Span{Parent: p, Name: name, Start: time.Now()}
+	start := time.Since(t.Start)
 	t.mu.Lock()
-	s.ID = len(t.spans)
-	t.spans = append(t.spans, s)
+	s := t.newSpan()
+	*s = Span{t: t, name: name, start: start, id: s.id, parent: p}
 	t.mu.Unlock()
 	return s
+}
+
+// newSpan returns the slot of the next span, its id set. t.mu must be held.
+func (t *Trace) newSpan() *Span {
+	if t.first.t == nil {
+		return &t.first
+	}
+	m := t.ensureMore()
+	if k := len(m.chunks); k == 0 || len(m.chunks[k-1]) == cap(m.chunks[k-1]) {
+		m.chunks = append(m.chunks, make([]Span, 0, firstSpanChunk<<k))
+	}
+	last := &m.chunks[len(m.chunks)-1]
+	*last = (*last)[:len(*last)+1]
+	m.n++
+	s := &(*last)[len(*last)-1]
+	s.id = m.n
+	return s
+}
+
+// ensureMore returns t.more, allocated on first use. t.mu must be held.
+func (t *Trace) ensureMore() *moreSpans {
+	if t.more == nil {
+		t.more = &moreSpans{chunks: make([][]Span, 0, spanChunks)}
+	}
+	return t.more
 }
 
 // End closes the trace, fixing its total duration. Idempotent enough for
@@ -219,28 +305,57 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		Error:      t.Error,
 	}
 	t.mu.Lock()
-	spans := append([]*Span(nil), t.spans...)
+	defer t.mu.Unlock()
 	snap.Links = append([]TraceLink(nil), t.links...)
-	t.mu.Unlock()
-	snap.Spans = make([]SpanSnapshot, len(spans))
-	for i, s := range spans {
-		ss := SpanSnapshot{
-			ID:         s.ID,
-			Parent:     s.Parent,
-			Name:       s.Name,
-			StartMs:    durMs(s.Start.Sub(t.Start)),
-			DurationMs: durMs(s.Duration),
-			Detail:     s.Detail,
+	if t.first.t == nil {
+		snap.Spans = []SpanSnapshot{}
+		return snap
+	}
+	m := t.more
+	if m == nil {
+		m = &moreSpans{}
+	}
+	snap.Spans = make([]SpanSnapshot, 1+m.n)
+	t.first.snapshot(&snap.Spans[0])
+	i := 1
+	for _, ch := range m.chunks {
+		for k := range ch {
+			ch[k].snapshot(&snap.Spans[i])
+			i++
 		}
-		if len(s.Attrs) > 0 {
-			ss.Attrs = make(map[string]any, len(s.Attrs))
-			for _, a := range s.Attrs {
-				ss.Attrs[a.Key] = a.Value
-			}
+	}
+	// Records are in write order, so a repeated key's last write wins.
+	for _, a := range t.attrs {
+		ss := &snap.Spans[a.span]
+		if ss.Attrs == nil {
+			ss.Attrs = make(map[string]any)
 		}
-		snap.Spans[i] = ss
+		switch a.kind {
+		case attrInt:
+			ss.Attrs[a.key] = int64(a.bits)
+		case attrFloat:
+			ss.Attrs[a.key] = math.Float64frombits(a.bits)
+		case attrBool:
+			ss.Attrs[a.key] = a.bits != 0
+		default:
+			ss.Attrs[a.key] = t.strs[a.bits]
+		}
+	}
+	for _, d := range m.details {
+		snap.Spans[d.span].Detail = d.v
 	}
 	return snap
+}
+
+// snapshot renders s's own fields into ss.
+func (s *Span) snapshot(ss *SpanSnapshot) {
+	*ss = SpanSnapshot{
+		ID:         int(s.id),
+		Parent:     int(s.parent),
+		Name:       s.name,
+		StartMs:    durMs(s.start),
+		DurationMs: durMs(s.dur),
+	}
 }
 
 // DefaultTraceCap is the ring capacity of NewTracer when 0 is passed.
@@ -248,10 +363,10 @@ const DefaultTraceCap = 128
 
 // Tracer retains recent traces in a bounded lock-free ring. Every run on a
 // traced server records a trace. Measured on cold misses of serving-shaped
-// plans (12–40 operators, one enumeration worker), recording adds about 260
-// allocations to the 632 an untraced request makes, and a retained trace
-// holds about 20 kB at five platforms (TestColdMissAllocCeiling pins the
-// former). Retention is decided at Finish, when the run's outcome is known —
+// plans (12–40 operators, one enumeration worker), recording adds about 26
+// allocations to the 143 an untraced request makes (TestColdMissAllocCeiling
+// pins the sum); while every span and attribute was an object of its own it
+// added about 260, and a retained trace held 5–20 % more than it does now. Retention is decided at Finish, when the run's outcome is known —
 // notable traces (explicitly requested, errored, degraded or slower than
 // SlowThreshold) are always retained, the rest with probability SampleRate.
 // A nil *Tracer no-ops everywhere.

@@ -1,7 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +20,7 @@ func TestSpanTree(t *testing.T) {
 	grand.End()
 	child.End()
 	root.SetStr("plan", "example")
-	root.Detail = []int{1, 2}
+	root.SetDetail([]int{1, 2})
 	root.End()
 	tr.End()
 
@@ -211,5 +216,174 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 	if got := len(tracer.Recent(0)); got > 8 {
 		t.Fatalf("ring overflow: %d traces", got)
+	}
+}
+
+// TestSnapshotGolden pins what a finished trace marshals to, byte for byte:
+// testdata/snapshot.golden.json was recorded while every span was its own
+// object holding a slice of boxed attributes. The trace covers int64 (small,
+// large and negative), float64, bool and string attributes, a key written
+// twice (the last write wins), a span without attributes, a detail record, a
+// link, an error, and more spans than the first two span chunks hold. Clock
+// readings are replaced by fixed values before marshalling.
+func TestSnapshotGolden(t *testing.T) {
+	tr := NewTrace("4bf92f3577b34da6a3ce929d0e0e4736")
+	tr.RequestID = "req-7"
+	root := tr.StartSpan(nil, "optimize")
+	root.SetInt("ops", 12).SetFloat("searchSpace", 531441).SetInt("big", 1<<40).SetInt("neg", -3)
+	var spans []*Span
+	for i := 0; i < 14; i++ {
+		spans = append(spans, tr.StartSpan(root, fmt.Sprintf("step%d", i)))
+	}
+	for i, sp := range spans {
+		switch i % 4 {
+		case 0:
+			sp.SetInt("step", int64(i)).SetInt("step", int64(10*i))
+		case 1:
+			sp.SetFloat("ratio", float64(i)/3).SetBool("stolen", i%2 == 1)
+		case 2:
+			sp.SetStr("result", "hit").SetStr("result", fmt.Sprint("miss", i))
+		}
+		sp.End()
+	}
+	root.SetBool("degraded", true).SetStr("degradeReason", "max-vectors")
+	root.SetDetail(map[string]any{"prunes": []int{1, 2}, "final": "x"})
+	root.End()
+	tr.AddLink("0af7651916cd43dd8448eb211c80319c", "cache-origin")
+	tr.SetError("boom")
+	tr.End()
+
+	snap := tr.Snapshot()
+	snap.Start = time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
+	snap.DurationMs = 1.5
+	for i := range snap.Spans {
+		snap.Spans[i].StartMs, snap.Spans[i].DurationMs = float64(i), 0.25
+	}
+	got, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "snapshot.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.TrimSpace(want)) {
+		t.Errorf("snapshot marshals to\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestSpanPointersSurviveChunks checks that spans taken before several span
+// chunks filled up still read and write their own slots: every span is
+// annotated and closed only after all of them were started, a few
+// milliseconds later, so a close written anywhere but the span's slot
+// leaves a zero duration.
+func TestSpanPointersSurviveChunks(t *testing.T) {
+	const n = 300 // the first span, then chunks of 4, 8, …, 128 and part of 256
+	tr := NewTrace("chunks")
+	spans := make([]*Span, n)
+	for i := range spans {
+		var parent *Span
+		if i > 0 {
+			parent = spans[(i-1)/2]
+		}
+		spans[i] = tr.StartSpan(parent, fmt.Sprintf("s%d", i))
+	}
+	const wait = 2 * time.Millisecond
+	time.Sleep(wait)
+	for i := n - 1; i >= 0; i-- {
+		spans[i].SetInt("i", int64(i)).SetStr("name", fmt.Sprintf("s%d", i))
+		spans[i].End()
+	}
+	tr.End()
+	snap := tr.Snapshot()
+	if len(snap.Spans) != n {
+		t.Fatalf("%d spans, want %d", len(snap.Spans), n)
+	}
+	for i, ss := range snap.Spans {
+		wantParent := -1
+		if i > 0 {
+			wantParent = (i - 1) / 2
+		}
+		name := fmt.Sprintf("s%d", i)
+		if ss.ID != i || ss.Parent != wantParent || ss.Name != name || ss.DurationMs < durMs(wait) ||
+			ss.Attrs["i"] != int64(i) || ss.Attrs["name"] != name || len(ss.Attrs) != 2 {
+			t.Fatalf("span %d = %+v", i, ss)
+		}
+	}
+}
+
+// TestSpanConcurrentWriters starts and annotates spans of one trace from
+// four goroutines at once, as the workers of a parallel enumeration do (CI
+// runs it under the race detector at -cpu 1,2,4).
+func TestSpanConcurrentWriters(t *testing.T) {
+	const goroutines, each = 4, 200
+	tr := NewTrace("concurrent")
+	root := tr.StartSpan(nil, "optimize")
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				sp := tr.StartSpan(root, fmt.Sprintf("g%d", g))
+				sp.SetInt("i", int64(i)).SetFloat("f", float64(i)/2).SetBool("odd", i%2 == 1).SetStr("g", fmt.Sprint(g))
+				sp.End()
+			}
+		}(g)
+	}
+	wg.Wait()
+	root.End()
+	tr.End()
+	snap := tr.Snapshot()
+	if len(snap.Spans) != 1+goroutines*each {
+		t.Fatalf("%d spans, want %d", len(snap.Spans), 1+goroutines*each)
+	}
+	seen := map[string]int{}
+	for _, ss := range snap.Spans[1:] {
+		i, _ := ss.Attrs["i"].(int64)
+		if ss.Parent != 0 || ss.Attrs["g"] != ss.Name[1:] || ss.Attrs["f"] != float64(i)/2 || ss.Attrs["odd"] != (i%2 == 1) {
+			t.Fatalf("span %d = %+v", ss.ID, ss)
+		}
+		if int(i) != seen[ss.Name] {
+			t.Fatalf("span %d: %s's spans out of order: i = %d, want %d", ss.ID, ss.Name, i, seen[ss.Name])
+		}
+		seen[ss.Name]++
+	}
+}
+
+// TestOneSpanTraceAllocs pins what a cache hit's trace costs: one span with
+// four attributes, three of them strings, is the trace itself, its attribute
+// block and its string values — three allocations, 432 bytes. While every
+// span was its own object holding a slice of boxed attributes it was ten.
+func TestOneSpanTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		maxAllocs = 3
+		maxBytes  = 432
+	)
+	run := func() {
+		tr := NewTrace("4bf92f3577b34da6a3ce929d0e0e4736")
+		sp := tr.StartSpan(nil, "cache")
+		sp.SetStr("result", "hit").SetStr("fingerprint", "9f0b062d30b1").SetStr("modelVersion", "v1").SetFloat("age_ms", 12.5)
+		sp.End()
+		tr.End()
+	}
+	allocs := testing.AllocsPerRun(100, run)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("one span, four attributes: %.0f allocations, %d bytes", allocs, bytes)
+	if allocs > maxAllocs {
+		t.Errorf("%.0f allocations, ceiling %d", allocs, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%d bytes, ceiling %d", bytes, maxBytes)
 	}
 }
