@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -297,7 +298,11 @@ loop:
 			// — the slowest-request report below links straight to
 			// /tracez?id=. (rng is only touched on this dispatch goroutine.)
 			traceID := fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64())
-			header := traceparent(traceID, rng.Uint64(), cfg.traceForce)
+			header := obs.TraceParent{
+				TraceID:  traceID,
+				ParentID: fmt.Sprintf("%016x", rng.Uint64()),
+				Sampled:  cfg.traceForce,
+			}.String()
 			inflight.Add(1)
 			wg.Add(1)
 			go func(replica int, target string, body []byte, traceID, header string) {
@@ -468,15 +473,6 @@ func recordSlowest(have []slowRequest, n int, r slowRequest) []slowRequest {
 		have[minIdx] = r
 	}
 	return have
-}
-
-// traceparent renders a W3C trace-context header for one request.
-func traceparent(traceID string, spanRand uint64, forced bool) string {
-	flags := "00"
-	if forced {
-		flags = "01"
-	}
-	return fmt.Sprintf("00-%s-%016x-%s", traceID, spanRand, flags)
 }
 
 func cacheNote(c string) string {

@@ -13,8 +13,7 @@
 // zero-tuning workflow); with -train, the model is fitted on the given CSV
 // (as produced by the tdgen command). -save-model writes a versioned model
 // artifact (schema width, platform set, holdout metrics, content hash) that
-// roboptd serves directly; -model accepts both artifacts and legacy bare
-// model files.
+// roboptd serves directly, and -model loads one.
 package main
 
 import (
@@ -64,6 +63,11 @@ func main() {
 		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
+	if err := platform.CheckCount(*nPlats); err != nil {
+		log.Printf("-platforms: %v", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *version {
 		fmt.Println(buildinfo.String("robopt"))
 		fmt.Printf("workers: %d (from -workers %d; 0 resolves to runtime.GOMAXPROCS)\n",
@@ -113,10 +117,8 @@ func main() {
 		names[i] = p.String()
 	}
 
-	// The model travels as a versioned artifact: loading accepts artifact
-	// files and legacy bare envelopes alike, and a loaded artifact is
-	// validated against the configured platform universe before it scores
-	// anything.
+	// The model travels as a versioned artifact, validated against the
+	// configured platform universe before it scores anything.
 	var model mlmodel.Model
 	trainRows := 0
 	var holdout mlmodel.Metrics
@@ -125,7 +127,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		art, err := registry.ReadAny(mf)
+		art, err := registry.Read(mf)
 		if closeErr := mf.Close(); err == nil {
 			err = closeErr
 		}

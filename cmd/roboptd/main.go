@@ -7,6 +7,9 @@
 //	curl -XPOST -d @query.json 'localhost:8080/optimize?simulate=1'
 //
 // Without -model, a model is trained on startup (one-time, prints progress).
+// The flags are the settings a deployment varies; the rest is fixed: a 30 s
+// request deadline (?deadline_ms= overrides it), GOMAXPROCS enumeration
+// workers, a 10 s drain on SIGINT/SIGTERM, and the limits below.
 //
 // # Model lifecycle
 //
@@ -23,18 +26,18 @@
 // # Plan cache
 //
 // Repeated structurally identical plans are served from a fingerprint-keyed
-// plan cache (-cache-entries/-cache-bytes/-cache-ttl) instead of re-running
-// the enumeration; concurrent identical requests collapse into one run.
-// Entries are keyed by model version, and publishing a new one
+// plan cache (4096 entries, 64 MiB accounted, 10 min time-to-live) instead of
+// re-running the enumeration; concurrent identical requests collapse into one
+// run. Entries are keyed by model version, and publishing a new one
 // flash-invalidates plans scored by the outgoing model. Responses carry an
 // X-Cache header; ?nocache=1 bypasses the cache per request; GET /cachez
 // and POST /cachez/purge administer it.
 //
-// With -peer-fill (requires -model-dir and the cache), replicas sharing the
-// store form a fleet-shared cache tier: a local miss first consults up to two
-// live peers over GET /peercache (the second after a 25 ms head start, each
-// probe bounded at 150 ms, circuit breakers, memoized negatives) and installs
-// a peer's entry instead of re-enumerating; responses served this way carry
+// With -peer-fill (requires -model-dir), replicas sharing the store form a
+// fleet-shared cache tier: a local miss first consults up to two live peers
+// over GET /peercache (the second after a 25 ms head start, each probe
+// bounded at 150 ms, circuit breakers, memoized negatives) and installs a
+// peer's entry instead of re-enumerating; responses served this way carry
 // X-Cache: peer. Misses that stay cold claim the fingerprint in the shared
 // store so exactly one replica fleet-wide enumerates while the others poll
 // the claimant (for at most 1 s); ?nopeer=1 bypasses the tier per request.
@@ -53,32 +56,32 @@
 // # Admission control
 //
 // The optimize endpoints sit behind a bounded admission layer: at most
-// -admit-concurrency request units optimize at once, at most -admit-queue
-// wait for a slot (honoring their deadlines), and everything beyond that is
+// 2× GOMAXPROCS request units optimize at once, at most 4× that many wait
+// for a slot (honoring their deadlines), and everything beyond that is
 // refused with 429 + Retry-After. Requests that queue behind a backlog past
-// -shed-threshold of the queue are served the degraded beam (the plan is
-// marked degraded with reason "load-shed") so overload drains instead of
-// compounding. POST /optimize/batch admits a whole plan slice of at most 64
-// members as one unit, deduplicates members by canonical fingerprint, and
-// fans the remainder across the enumeration pool. Request bodies are capped
-// at 8 MiB.
+// half the queue are served the degraded beam (the plan is marked degraded
+// with reason "load-shed") so overload drains instead of compounding. POST
+// /optimize/batch admits a whole plan slice of at most 64 members as one
+// unit, deduplicates members by canonical fingerprint, and fans the
+// remainder across the enumeration pool. Request bodies are capped at 8 MiB.
 //
 // # Observability
 //
 // Each request records a span trace keyed by its request ID — or by the
 // caller's W3C trace ID when the request carries a traceparent header, whose
-// sampled flag forces retention like ?trace=1. Notable traces (slow,
-// degraded, errored, or forced) are always retained for GET /tracez,
-// unremarkable ones at the -trace-sample rate. /metricz serves Prometheus
-// text exposition with ?format=prometheus (labeled serving series carry
-// exemplar trace IDs resolvable via /tracez), -pprof mounts net/http/pprof
-// under /debug/pprof/, and -log-level/-log-format control the structured
-// (log/slog) request and retraining logs.
+// sampled flag forces retention like ?trace=1. Notable traces (slower than
+// 1 s, degraded, errored, or forced) are always retained for GET /tracez,
+// unremarkable ones at a 10 % rate, in a ring of the 128 most recent.
+// /metricz serves Prometheus text exposition with ?format=prometheus
+// (labeled serving series carry exemplar trace IDs resolvable via /tracez),
+// -pprof mounts net/http/pprof under /debug/pprof/, and
+// -log-level/-log-format control the structured (log/slog) request and
+// retraining logs.
 //
-// With -slo-latency-ms/-slo-target, every request feeds a rolling
-// multi-window SLO tracker: GET /sloz reports each window's error-budget
-// burn rate and the combined breach verdict, and the same numbers export as
-// slo_* gauges on /metricz.
+// Every request feeds a rolling multi-window SLO tracker (objective: 99 % of
+// requests within 500 ms): GET /sloz reports each window's error-budget burn
+// rate and the combined breach verdict, and the same numbers export as slo_*
+// gauges on /metricz.
 //
 // Replicas sharing a -model-dir also register themselves in it
 // (-replica-id/-advertise/-fleet-heartbeat): GET /fleetz on any replica —
@@ -92,6 +95,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -114,57 +118,111 @@ import (
 	"repro/internal/tdgen"
 )
 
+// The settings no deployment varies, at what their flags defaulted to and
+// what bench/serving.go's replicas run with: the default request deadline,
+// with headroom to still write a degraded or timed-out response; the
+// probability of retaining an unremarkable trace, and the latency from which
+// a trace is always retained; the latency objective and the share of
+// requests that must meet it; the plan-cache entry lifetime; the drain after
+// SIGINT/SIGTERM. The cache's capacity, the trace ring and the admission
+// limits are their packages' zero-value defaults.
+const (
+	deadline      = 30 * time.Second
+	writeTimeout  = deadline + 30*time.Second
+	traceSample   = 0.1
+	traceSlow     = time.Second
+	sloLatencyMs  = 500
+	sloTarget     = 0.99
+	cacheTTL      = 10 * time.Minute
+	shutdownGrace = 10 * time.Second
+)
+
+// config is roboptd's command line: the settings a deployment varies.
+type config struct {
+	addr, advertise, replicaID string
+	model, modelDir            string
+	logLevel, logFormat        string
+	platforms                  int
+	feedbackCap                int
+	budget                     core.Budget
+	retrainInterval            time.Duration
+	watchInterval              time.Duration
+	fleetHeartbeat             time.Duration
+	quick, pprof, peerFill     bool
+	version                    bool
+}
+
+// parseConfig parses args, the command line without the program name, and
+// checks the settings. A bad flag or setting prints the error and the usage
+// to out; -h prints the usage and returns flag.ErrHelp.
+func parseConfig(args []string, out io.Writer) (config, error) {
+	fs := flag.NewFlagSet("roboptd", flag.ContinueOnError)
+	fs.SetOutput(out)
+	var c config
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.model, "model", "", "load a saved model artifact (otherwise use -model-dir's active version, or train on startup)")
+	fs.StringVar(&c.modelDir, "model-dir", "", "artifact store directory backing /modelz/reload and /modelz/promote")
+	fs.IntVar(&c.platforms, "platforms", platform.NumPlatforms, "number of platforms (2-5)")
+	fs.BoolVar(&c.quick, "quick", false, "train a small model on startup (fast, less faithful)")
+	fs.IntVar(&c.budget.MaxVectors, "budget-vectors", 0, "degrade enumeration after this many plan vectors (0 = unlimited)")
+	fs.IntVar(&c.budget.MaxModelCalls, "budget-model-calls", 0, "degrade enumeration after this many cost-oracle feature rows (0 = unlimited)")
+	fs.DurationVar(&c.retrainInterval, "retrain-interval", 0, "retrain on execution feedback at this period (0 = disabled)")
+	fs.IntVar(&c.feedbackCap, "feedback-cap", registry.DefaultFeedbackCap, "execution-feedback buffer capacity")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
+	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug, info, warn or error")
+	fs.StringVar(&c.logFormat, "log-format", "text", "log format: text or json")
+	fs.BoolVar(&c.peerFill, "peer-fill", false, "on a local plan-cache miss, consult fleet peers over /peercache before enumerating (needs -model-dir)")
+	fs.DurationVar(&c.watchInterval, "store-watch-interval", registry.DefaultWatchInterval, "poll -model-dir for promotions by other replicas at this period (0 = disabled)")
+	fs.StringVar(&c.replicaID, "replica-id", "", "fleet identity of this replica (default host:pid)")
+	fs.StringVar(&c.advertise, "advertise", "", "address other replicas scrape this one at (default -addr, with the hostname filled in)")
+	fs.DurationVar(&c.fleetHeartbeat, "fleet-heartbeat", 5*time.Second, "re-register in the shared -model-dir fleet at this period (0 disables registration)")
+	fs.BoolVar(&c.version, "version", false, "print build information and exit")
+	err := fs.Parse(args)
+	if err == nil {
+		if err = c.check(); err != nil {
+			fmt.Fprintln(out, err)
+			fs.Usage()
+		}
+	}
+	return c, err
+}
+
+// check refuses the settings roboptd cannot run with.
+func (c *config) check() error {
+	if err := platform.CheckCount(c.platforms); err != nil {
+		return fmt.Errorf("-platforms: %w", err)
+	}
+	if _, err := obs.NewLogger(io.Discard, c.logLevel, c.logFormat, ""); err != nil {
+		return err
+	}
+	if c.peerFill && c.modelDir == "" {
+		return errors.New("-peer-fill needs -model-dir (peers and claim files live in the shared store)")
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("roboptd: ")
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		modelPath   = flag.String("model", "", "load a saved model artifact (otherwise use -model-dir's active version, or train on startup)")
-		modelDir    = flag.String("model-dir", "", "artifact store directory backing /modelz/reload and /modelz/promote")
-		nPlats      = flag.Int("platforms", platform.NumPlatforms, "number of platforms (2-5)")
-		quick       = flag.Bool("quick", false, "train a small model on startup (fast, less faithful)")
-		workers     = flag.Int("workers", 0, "enumeration parallelism (0 = all CPUs, runtime.GOMAXPROCS)")
-		deadline    = flag.Duration("deadline", 30*time.Second, "default per-request optimization deadline (override per request with ?deadline_ms=)")
-		budgetVec   = flag.Int("budget-vectors", 0, "degrade enumeration after this many plan vectors (0 = unlimited)")
-		budgetMC    = flag.Int("budget-model-calls", 0, "degrade enumeration after this many cost-oracle feature rows (0 = unlimited)")
-		retrainIntv = flag.Duration("retrain-interval", 0, "retrain on execution feedback at this period (0 = disabled)")
-		feedbackCap = flag.Int("feedback-cap", registry.DefaultFeedbackCap, "execution-feedback buffer capacity")
-		traceSample = flag.Float64("trace-sample", 0.1, "probability of retaining an unremarkable request trace (slow/degraded/errored/?trace=1 requests are always retained)")
-		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCap, "how many recent traces GET /tracez retains")
-		traceSlow   = flag.Duration("trace-slow", time.Second, "always retain traces of requests at least this slow (0 = disabled)")
-		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn or error")
-		logFormat   = flag.String("log-format", "text", "log format: text or json")
-		cacheSize   = flag.Int("cache-entries", plancache.DefaultMaxEntries, "plan cache capacity in entries (0 disables the cache)")
-		cacheBytes  = flag.Int64("cache-bytes", plancache.DefaultMaxBytes, "plan cache capacity in accounted bytes")
-		cacheTTL    = flag.Duration("cache-ttl", 10*time.Minute, "plan cache entry time-to-live (0 = no expiry)")
-		peerFill    = flag.Bool("peer-fill", false, "on a local plan-cache miss, consult fleet peers over /peercache before enumerating (needs -model-dir and the cache)")
-		shutdownGr  = flag.Duration("shutdown-grace", 10*time.Second, "how long to drain in-flight requests after SIGINT/SIGTERM")
-		watchIntv   = flag.Duration("store-watch-interval", registry.DefaultWatchInterval, "poll -model-dir for promotions by other replicas at this period (0 = disabled)")
-		admitConc   = flag.Int("admit-concurrency", 0, "max concurrently optimizing request units (0 = 2x CPUs, negative = no admission control)")
-		admitQueue  = flag.Int("admit-queue", 0, "max request units waiting for an admission slot; beyond it requests get 429 (0 = 4x concurrency, negative = no queue)")
-		shedThresh  = flag.Float64("shed-threshold", service.DefaultShedFraction, "queue-occupancy fraction past which admitted requests are shed to the degraded beam (>= 1 disables shedding)")
-		sloLatency  = flag.Float64("slo-latency-ms", 500, "latency objective: a request slower than this burns SLO error budget (0 disables SLO tracking)")
-		sloTarget   = flag.Float64("slo-target", 0.99, "availability target: the fraction of requests that must meet the latency objective")
-		replicaID   = flag.String("replica-id", "", "fleet identity of this replica (default host:pid)")
-		advertise   = flag.String("advertise", "", "address other replicas scrape this one at (default -addr, with the hostname filled in)")
-		fleetHB     = flag.Duration("fleet-heartbeat", 5*time.Second, "re-register in the shared -model-dir fleet at this period (0 disables registration)")
-		showVersion = flag.Bool("version", false, "print build information and exit")
-	)
-	flag.Parse()
-	if *showVersion {
+	cfg, err := parseConfig(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if cfg.version {
 		fmt.Println(buildinfo.String("roboptd"))
-		fmt.Printf("workers: %d (from -workers %d; 0 resolves to runtime.GOMAXPROCS)\n",
-			core.ResolveWorkers(*workers), *workers)
+		fmt.Printf("workers: %d (runtime.GOMAXPROCS)\n", core.ResolveWorkers(0))
 		return
 	}
 
-	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat, "roboptd")
+	logger, err := obs.NewLogger(os.Stderr, cfg.logLevel, cfg.logFormat, "roboptd")
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	plats := platform.Subset(*nPlats)
+	plats := platform.Subset(cfg.platforms)
 	avail := platform.DefaultAvailability().Restrict(plats)
 	schema, err := core.NewSchema(plats)
 	if err != nil {
@@ -176,8 +234,8 @@ func main() {
 	}
 
 	var store *registry.Store
-	if *modelDir != "" {
-		if store, err = registry.OpenStore(*modelDir); err != nil {
+	if cfg.modelDir != "" {
+		if store, err = registry.OpenStore(cfg.modelDir); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -185,10 +243,10 @@ func main() {
 	// One recipe for the model trained at boot and the candidates the
 	// retrainer fits on execution feedback.
 	recipe := tdgen.Recipe{Platforms: plats, Avail: avail, Cluster: simulator.Default()}
-	if *quick {
+	if cfg.quick {
 		recipe.Size = tdgen.SizeQuick
 	}
-	art, pin, err := bootArtifact(*modelPath, store, logger, func() (*registry.Artifact, error) {
+	art, pin, err := bootArtifact(cfg.model, store, logger, func() (*registry.Artifact, error) {
 		return trainArtifact(recipe, schema.Len(), names)
 	})
 	if err != nil {
@@ -198,7 +256,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	feedback := registry.NewFeedback(*feedbackCap)
+	feedback := registry.NewFeedback(cfg.feedbackCap)
 	srv := &service.Server{
 		Provider:        provider,
 		ModelStore:      store,
@@ -206,17 +264,15 @@ func main() {
 		Platforms:       plats,
 		Avail:           avail,
 		Cluster:         simulator.Default(),
-		Workers:         *workers,
-		DefaultDeadline: *deadline,
-		Budget:          core.Budget{MaxVectors: *budgetVec, MaxModelCalls: *budgetMC},
-		Tracer:          obs.NewTracer(*traceCap, *traceSample, *traceSlow),
+		DefaultDeadline: deadline,
+		Budget:          cfg.budget,
+		Tracer:          obs.NewTracer(obs.DefaultTraceCap, traceSample, traceSlow),
 		Logger:          logger,
-		EnablePprof:     *pprofFlag,
+		SLO:             obs.NewSLO(sloLatencyMs, sloTarget),
+		Admission:       &service.Admission{ShedFraction: service.DefaultShedFraction},
+		EnablePprof:     cfg.pprof,
 	}
-	if *sloLatency > 0 {
-		srv.SLO = obs.NewSLO(*sloLatency, *sloTarget)
-		logger.Info("slo tracking enabled", "objectiveMs", *sloLatency, "target", *sloTarget)
-	}
+	srv.PlanCache = plancache.New(plancache.Config{TTL: cacheTTL, Metrics: srv.Metrics()})
 	// The defaults of -replica-id (host:pid) and of the address other replicas
 	// reach this one at (-advertise, else -addr with the host filled in): the
 	// fleet registration record and, with -peer-fill, the owner address in
@@ -225,36 +281,16 @@ func main() {
 	if host == "" {
 		host = "localhost"
 	}
-	srv.ReplicaID = *replicaID
+	srv.ReplicaID = cfg.replicaID
 	if srv.ReplicaID == "" {
 		srv.ReplicaID = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	scrapeAddr := *advertise
+	scrapeAddr := cfg.advertise
 	if scrapeAddr == "" {
-		scrapeAddr = *addr
+		scrapeAddr = cfg.addr
 	}
 	if strings.HasPrefix(scrapeAddr, ":") {
 		scrapeAddr = host + scrapeAddr
-	}
-	if *admitConc >= 0 {
-		srv.Admission = &service.Admission{
-			MaxConcurrent: *admitConc,
-			MaxQueue:      *admitQueue,
-			ShedFraction:  *shedThresh,
-		}
-		logger.Info("admission control enabled",
-			"concurrency", *admitConc, "queue", *admitQueue, "shedThreshold", *shedThresh)
-	}
-
-	if *cacheSize > 0 {
-		cache := plancache.New(plancache.Config{
-			MaxEntries: *cacheSize,
-			MaxBytes:   *cacheBytes,
-			TTL:        *cacheTTL,
-			Metrics:    srv.Metrics(),
-		})
-		srv.PlanCache = cache
-		logger.Info("plan cache enabled", "entries", *cacheSize, "bytes", *cacheBytes, "ttl", *cacheTTL)
 	}
 
 	// The boot artifact becomes the served version the way every later one
@@ -277,7 +313,7 @@ func main() {
 		loops = append(loops, done)
 	}
 
-	if *retrainIntv > 0 {
+	if cfg.retrainInterval > 0 {
 		srv.Retrainer = &registry.Retrainer{
 			Provider: provider,
 			Feedback: feedback,
@@ -289,37 +325,31 @@ func main() {
 			Metrics:     srv.Metrics(),
 			Logger:      logger,
 		}
-		started(srv.StartRetrainLoop(rootCtx, *retrainIntv))
-		logger.Info("retraining enabled", "interval", *retrainIntv, "feedbackCap", feedback.Cap())
+		started(srv.StartRetrainLoop(rootCtx, cfg.retrainInterval))
+		logger.Info("retraining enabled", "interval", cfg.retrainInterval, "feedbackCap", feedback.Cap())
 	}
 
 	// Store follower: converge on whatever another replica, an operator or a
 	// retrainer makes ACTIVE. This replica's own promotions already match.
-	if store != nil && *watchIntv > 0 {
-		started(srv.StartStoreWatcher(rootCtx, *watchIntv))
-		logger.Info("store follower enabled", "dir", *modelDir, "interval", *watchIntv)
+	if store != nil && cfg.watchInterval > 0 {
+		started(srv.StartStoreWatcher(rootCtx, cfg.watchInterval))
+		logger.Info("store follower enabled", "dir", cfg.modelDir, "interval", cfg.watchInterval)
 	}
 
 	// Fleet registration: heartbeat this replica's scrape address into the
 	// shared store so GET /fleetz and obsctl discover it. The loop
 	// deregisters when rootCtx is cancelled, i.e. before the drain finishes,
 	// so a clean shutdown leaves no stale record behind.
-	if store != nil && *fleetHB > 0 {
-		started(srv.RegisterReplicaLoop(rootCtx, scrapeAddr, *fleetHB))
+	if store != nil && cfg.fleetHeartbeat > 0 {
+		started(srv.RegisterReplicaLoop(rootCtx, scrapeAddr, cfg.fleetHeartbeat))
 		logger.Info("fleet registration enabled",
-			"replicaId", srv.ReplicaID, "addr", scrapeAddr, "heartbeat", *fleetHB)
+			"replicaId", srv.ReplicaID, "addr", scrapeAddr, "heartbeat", cfg.fleetHeartbeat)
 	}
 
 	// Peer-fill: turn the per-process plan cache into a fleet-shared tier.
 	// Peers are the other replicas registered in the shared store; the claim
 	// files that serialize cold enumerations fleet-wide live there too.
-	if *peerFill {
-		switch {
-		case store == nil:
-			log.Fatal("-peer-fill needs -model-dir (peers and claim files live in the shared store)")
-		case srv.PlanCache == nil:
-			log.Fatal("-peer-fill needs the plan cache (-cache-entries > 0)")
-		}
+	if cfg.peerFill {
 		filler, err := peercache.New(peercache.Config{
 			SelfID:   srv.ReplicaID,
 			SelfAddr: scrapeAddr,
@@ -337,25 +367,22 @@ func main() {
 		logger.Info("peer-fill enabled", "addr", scrapeAddr)
 	}
 
-	// The write timeout leaves headroom over the optimization deadline so a
-	// degraded-or-timed-out response can still be written; the read timeout
-	// bounds slow-loris plan uploads.
+	// The read timeout bounds slow-loris plan uploads.
 	hs := &http.Server{
-		Addr:              *addr,
+		Addr:              cfg.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
-		WriteTimeout:      *deadline + 30*time.Second,
+		WriteTimeout:      writeTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
 	logger.Info("serving",
-		"addr", *addr,
+		"addr", cfg.addr,
 		"endpoints", "POST /optimize, POST /optimize/batch, GET /healthz, GET /readyz, GET /statz, GET /metricz, GET /tracez, GET /sloz, GET /fleetz, GET /modelz, GET /cachez",
 		"model", art.Version,
-		"workers", core.ResolveWorkers(*workers),
-		"deadline", *deadline,
-		"traceSample", *traceSample,
-		"pprof", *pprofFlag,
+		"workers", core.ResolveWorkers(0),
+		"deadline", deadline,
+		"pprof", cfg.pprof,
 		"version", buildinfo.Version())
 
 	serveErr := make(chan error, 1)
@@ -367,15 +394,15 @@ func main() {
 	}
 
 	// Graceful drain: stop accepting connections, give in-flight requests
-	// -shutdown-grace to finish, and wait for the background loops (already
+	// shutdownGrace to finish, and wait for the background loops (already
 	// cancelled via rootCtx) to wind down. A second signal kills the
 	// process the default way because stop() restored default handling.
 	stop()
 	// Flip readiness first so a load balancer polling /readyz stops routing
 	// new traffic here while in-flight requests drain.
 	srv.SetReady(false)
-	logger.Info("shutdown signal received; draining", "grace", *shutdownGr)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *shutdownGr)
+	logger.Info("shutdown signal received; draining", "grace", shutdownGrace)
+	drainCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
 	drainErr := hs.Shutdown(drainCtx)
 	for _, done := range loops {
@@ -411,7 +438,7 @@ func bootArtifact(modelPath string, store *registry.Store, logger *slog.Logger, 
 			return nil, false, err
 		}
 		defer f.Close()
-		if art, err = registry.ReadAny(f); err != nil {
+		if art, err = registry.Read(f); err != nil {
 			return nil, false, err
 		}
 		logger.Info("model loaded", "version", art.Version, "path", modelPath)

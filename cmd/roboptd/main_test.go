@@ -2,13 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"log/slog"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"regexp"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mlmodel"
@@ -22,34 +24,18 @@ import (
 
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// helpEnv makes the test binary run roboptd -h instead of its tests.
-const helpEnv = "ROBOPTD_TEST_HELP"
-
 var updateHelp = flag.Bool("update", false, "rewrite testdata/help.golden")
-
-func TestMain(m *testing.M) {
-	if os.Getenv(helpEnv) == "1" {
-		// A fresh flag set, so the usage lists roboptd's flags and none of
-		// the test binary's own.
-		flag.CommandLine = flag.NewFlagSet("roboptd", flag.ExitOnError)
-		os.Args = []string{"roboptd", "-h"}
-		main()
-		os.Exit(2) // -h exits from flag.Parse; reaching here is a failure
-	}
-	os.Exit(m.Run())
-}
 
 // TestHelpGolden pins roboptd's flag set: adding, removing or rewording a flag
 // shows up as a diff of testdata/help.golden (rewrite it with -update). The
-// flags removed once because no deployment set them must not come back in
-// the docs either.
+// flags removed because no deployment set them must not come back in the
+// docs either. Other commands keep some of those names (robopt -workers and
+// -deadline, benchharness -workers, loadgen -slo-latency-ms and -slo-target),
+// so for them only a line that names roboptd counts.
 func TestHelpGolden(t *testing.T) {
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), helpEnv+"=1")
 	var out bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &out, &out
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("roboptd -h: %v\n%s", err, out.Bytes())
+	if _, err := parseConfig([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("roboptd -h: %v, want flag.ErrHelp\n%s", err, out.Bytes())
 	}
 	golden := filepath.Join("testdata", "help.golden")
 	if *updateHelp {
@@ -65,7 +51,11 @@ func TestHelpGolden(t *testing.T) {
 		t.Errorf("roboptd -h differs from %s (rerun with -update and review the diff):\n%s", golden, out.Bytes())
 	}
 
-	removed := []string{"-peer-timeout", "-peer-hedge", "-max-body-bytes", "-batch-members"}
+	removed := []string{"-peer-timeout", "-peer-hedge", "-max-body-bytes", "-batch-members",
+		"-trace-sample", "-trace-cap", "-trace-slow", "-admit-concurrency", "-admit-queue",
+		"-shed-threshold", "-cache-entries", "-cache-bytes", "-cache-ttl", "-shutdown-grace"}
+	// The whole flag name: -deadline, not loadgen's -deadline-ms.
+	shared := regexp.MustCompile(`-(workers|deadline|slo-latency-ms|slo-target)([^\w-]|$)`)
 	for _, doc := range []string{"main.go", "../../README.md", "../../.claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -76,6 +66,51 @@ func TestHelpGolden(t *testing.T) {
 				t.Errorf("%s still names the removed flag %s", doc, f)
 			}
 		}
+		for i, line := range bytes.Split(text, []byte("\n")) {
+			if bytes.Contains(line, []byte("roboptd")) && shared.Match(line) {
+				t.Errorf("%s:%d names a removed roboptd flag: %s", doc, i+1, line)
+			}
+		}
+	}
+}
+
+// TestParseConfig: the default command line gives the settings bench/serving.go
+// boots its replicas with, and each setting roboptd cannot run with is refused
+// with the usage.
+func TestParseConfig(t *testing.T) {
+	c, err := parseConfig(nil, io.Discard)
+	if err != nil {
+		t.Fatalf("default config refused: %v", err)
+	}
+	// What bench/serving.go's boot writes out: the feedback buffer, the
+	// deadline, the tracer, the SLO and the cache TTL. The admission layer and
+	// the cache's capacity are zero values there and here.
+	if c.feedbackCap != registry.DefaultFeedbackCap || deadline != 30*time.Second ||
+		traceSample != 0.1 || traceSlow != time.Second ||
+		sloLatencyMs != 500 || sloTarget != 0.99 || cacheTTL != 10*time.Minute {
+		t.Errorf("defaults drifted from the benchmark's replicas: feedbackCap %d, deadline %v, trace %g/%v, SLO %d ms/%g, cache TTL %v",
+			c.feedbackCap, deadline, traceSample, traceSlow, sloLatencyMs, sloTarget, cacheTTL)
+	}
+	if c.platforms != platform.NumPlatforms || c.budget != (core.Budget{}) || c.peerFill || c.addr != ":8080" {
+		t.Errorf("default config %+v", c)
+	}
+
+	for _, args := range [][]string{
+		{"-platforms", "1"},
+		{"-platforms", "6"},
+		{"-log-level", "loud"},
+		{"-log-format", "xml"},
+		{"-peer-fill"},
+	} {
+		var out bytes.Buffer
+		if _, err := parseConfig(args, &out); err == nil {
+			t.Errorf("%v accepted", args)
+		} else if !bytes.Contains(out.Bytes(), []byte("Usage of roboptd")) {
+			t.Errorf("%v: refused without the usage:\n%s", args, out.Bytes())
+		}
+	}
+	if _, err := parseConfig([]string{"-peer-fill", "-model-dir", "store", "-platforms", "2"}, io.Discard); err != nil {
+		t.Errorf("-peer-fill with -model-dir refused: %v", err)
 	}
 }
 

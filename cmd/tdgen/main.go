@@ -42,6 +42,11 @@ func main() {
 		mergeCSV   = flag.String("merge", "", "comma-separated CSVs to merge into the output as well")
 	)
 	flag.Parse()
+	if err := platform.CheckCount(*nPlats); err != nil {
+		log.Printf("-platforms: %v", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var shapes []tdgen.Shape
 	for _, name := range strings.Split(*shapesFlag, ",") {
@@ -51,6 +56,7 @@ func main() {
 		}
 		shapes = append(shapes, s)
 	}
+	plats := platform.Subset(*nPlats)
 	cfg := tdgen.Config{
 		Shapes:            shapes,
 		MaxOps:            *maxOps,
@@ -58,8 +64,8 @@ func main() {
 		PlansPerTemplate:  *plansPer,
 		Profiles:          *profiles,
 		Beta:              *beta,
-		Platforms:         platform.Subset(*nPlats),
-		Avail:             platform.DefaultAvailability().Restrict(platform.Subset(*nPlats)),
+		Platforms:         plats,
+		Avail:             platform.DefaultAvailability().Restrict(plats),
 		CardMax:           1e10,
 		Seed:              *seed,
 	}

@@ -58,11 +58,6 @@ func (tp TraceParent) String() string {
 	return fmt.Sprintf("00-%s-%s-%s", tp.TraceID, tp.ParentID, flags)
 }
 
-// FormatTraceParent renders a version-00 traceparent header from raw IDs.
-func FormatTraceParent(traceID, parentID string, sampled bool) string {
-	return TraceParent{TraceID: traceID, ParentID: parentID, Sampled: sampled}.String()
-}
-
 func isLowerHex(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]

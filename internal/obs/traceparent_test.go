@@ -47,13 +47,6 @@ func TestParseTraceParentRejects(t *testing.T) {
 	}
 }
 
-func TestFormatTraceParent(t *testing.T) {
-	got := FormatTraceParent("4bf92f3577b34da6a3ce929d0e0e4736", "00f067aa0ba902b7", false)
-	if got != "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00" {
-		t.Errorf("formatted %q", got)
-	}
-}
-
 func TestTraceLinksAndRequestID(t *testing.T) {
 	tr := NewTrace("4bf92f3577b34da6a3ce929d0e0e4736")
 	tr.RequestID = "req-42"

@@ -71,6 +71,16 @@ func Subset(n int) []ID {
 	return All()[:n]
 }
 
+// CheckCount refuses a platform count the commands' -platforms flag cannot
+// take: a deployment optimizes over 2 to NumPlatforms platforms, the first n
+// of Subset.
+func CheckCount(n int) error {
+	if n < 2 || n > NumPlatforms {
+		return fmt.Errorf("platform count %d out of range [2,%d]", n, NumPlatforms)
+	}
+	return nil
+}
+
 // Complexity classifies the CPU complexity of an operator's UDF
 // (Section IV-A, operator features). The paper assumes four classes.
 type Complexity uint8

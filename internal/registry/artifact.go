@@ -32,14 +32,13 @@ import (
 // content hash for integrity and change detection.
 type Artifact struct {
 	// Version is the store-assigned identifier ("v1", "v2", ...); empty
-	// until the artifact is saved into a Store. Legacy bare-model files
-	// loaded through ReadAny get a "legacy-<hash8>" version.
+	// until the artifact is saved into a Store.
 	Version string `json:"version,omitempty"`
 	// Family names the model family, e.g. "ensemble(logtarget(gbm)×3)".
 	Family string `json:"family"`
 	// FeatureWidth is the plan-vector length the model was trained on
-	// (core.Schema.Len() of the training universe). 0 means unknown
-	// (legacy models whose family does not record its input width).
+	// (core.Schema.Len() of the training universe). A file that leaves it
+	// 0 gets the width Read recovers from the model.
 	FeatureWidth int `json:"featureWidth"`
 	// WidthExact reports whether FeatureWidth is exact or only a lower
 	// bound recovered from a tree model's split indices.
@@ -62,8 +61,8 @@ type Artifact struct {
 }
 
 // artifactFile is the on-disk layout: metadata next to the raw mlmodel
-// envelope. The top-level "artifact" key distinguishes this format from a
-// legacy bare model envelope (whose top-level keys are "type"/"payload").
+// envelope. A bare mlmodel envelope (top-level "type"/"payload") is not an
+// artifact file, and Read refuses it.
 type artifactFile struct {
 	Artifact *Artifact       `json:"artifact"`
 	Model    json.RawMessage `json:"model"`
@@ -188,51 +187,12 @@ func Read(r io.Reader) (*Artifact, error) {
 	return a, nil
 }
 
-// ReadAny reads either an artifact file or a legacy bare mlmodel envelope.
-// Legacy models are wrapped in a best-effort artifact: family and feature
-// width are recovered from the model itself, the version is derived from the
-// content hash, and platform provenance is unknown (empty).
-func ReadAny(r io.Reader) (*Artifact, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("registry: reading model file: %w", err)
-	}
-	var probe struct {
-		Artifact json.RawMessage `json:"artifact"`
-	}
-	if err := json.Unmarshal(data, &probe); err == nil && len(probe.Artifact) > 0 {
-		return Read(bytes.NewReader(data))
-	}
-	m, err := mlmodel.LoadModel(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	w, exact := mlmodel.FeatureWidth(m)
-	// Hash the canonical re-serialized payload — the same bytes Write emits
-	// and Read verifies — never the raw file, whose formatting (SaveModel's
-	// trailing newline, whitespace) would make Store.Save followed by
-	// Store.Load fail the integrity check on every boot-saved legacy model.
-	raw, err := modelBytes(m)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(raw)
-	return &Artifact{
-		Version:      "legacy-" + hex.EncodeToString(sum[:4]),
-		Family:       mlmodel.FamilyName(m),
-		FeatureWidth: w,
-		WidthExact:   exact,
-		Hash:         hex.EncodeToString(sum[:]),
-		Model:        m,
-	}, nil
-}
-
 // Validate checks the artifact against a serving configuration: the schema's
 // plan-vector width and platform count. It fails fast on any mismatch that
 // would make the model silently score garbage — an exact width that differs,
 // a width lower bound that exceeds the schema, or a recorded platform set of
-// the wrong size. Unknown metadata (legacy artifacts) passes only the checks
-// it can support.
+// the wrong size. Metadata a file left out (no platform list) passes only the
+// checks it can support.
 func (a *Artifact) Validate(schemaWidth, numPlatforms int) error {
 	if a.Model == nil {
 		return fmt.Errorf("registry: artifact %s carries no model", a.Version)

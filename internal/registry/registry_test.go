@@ -79,67 +79,28 @@ func TestArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadAnyLegacyModel(t *testing.T) {
-	ds := synth(80, 3, 2, func(x []float64) float64 { return x[1] }, 0)
-	m := trainLinear(t, ds)
+// TestBareModelRefused: a bare mlmodel envelope, SaveModel's output without
+// the artifact metadata around it, is not an artifact file. Read refuses it,
+// and Store.Load refuses one copied into a store with Read's error.
+func TestBareModelRefused(t *testing.T) {
 	var buf bytes.Buffer
-	if err := mlmodel.SaveModel(&buf, m); err != nil {
+	if err := mlmodel.SaveModel(&buf, splitArtifact(t, 5).Model); err != nil {
 		t.Fatalf("SaveModel: %v", err)
 	}
-	art, err := registry.ReadAny(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadAny: %v", err)
+	_, readErr := registry.Read(bytes.NewReader(buf.Bytes()))
+	if readErr == nil || !strings.Contains(readErr.Error(), "not an artifact file") {
+		t.Fatalf("Read(bare envelope) = %v, want a not-an-artifact-file error", readErr)
 	}
-	if !strings.HasPrefix(art.Version, "legacy-") {
-		t.Errorf("legacy version = %q", art.Version)
-	}
-	if art.FeatureWidth != 3 || !art.WidthExact {
-		t.Errorf("legacy width = (%d, %v), want (3, true)", art.FeatureWidth, art.WidthExact)
-	}
-	// And an artifact file read through ReadAny still round-trips.
-	full, err := registry.New(m, 3, nil, ds.Len(), mlmodel.Metrics{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	buf.Reset()
-	if err := full.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if back, err := registry.ReadAny(bytes.NewReader(buf.Bytes())); err != nil || back.Hash != full.Hash {
-		t.Errorf("ReadAny(artifact) = %v, hash match %v", err, back != nil && back.Hash == full.Hash)
-	}
-}
-
-// TestLegacyModelStoreRoundTrip guards the roboptd boot path with a legacy
-// bare-model file: ReadAny must hash the canonical payload (what Write emits
-// and Read verifies), not the raw file bytes — otherwise saving the boot
-// artifact into a store produces versions that fail the integrity check on
-// every later Load, breaking /modelz/reload and restarts.
-func TestLegacyModelStoreRoundTrip(t *testing.T) {
-	ds := synth(80, 3, 6, func(x []float64) float64 { return x[0] + 2*x[2] }, 0)
-	m := trainLinear(t, ds)
-	var buf bytes.Buffer
-	if err := mlmodel.SaveModel(&buf, m); err != nil {
-		t.Fatalf("SaveModel: %v", err)
-	}
-	art, err := registry.ReadAny(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadAny: %v", err)
-	}
-	st, err := registry.OpenStore(t.TempDir())
+	dir := t.TempDir()
+	st, err := registry.OpenStore(dir)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
-	v, err := st.Save(art)
-	if err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, "v1.json"), buf.Bytes(), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
-	back, err := st.Load(v)
-	if err != nil {
-		t.Fatalf("Load after saving a legacy model: %v", err)
-	}
-	if back.Hash != art.Hash {
-		t.Errorf("hash changed across the store round-trip: %q != %q", back.Hash, art.Hash)
+	if _, err := st.Load("v1"); err == nil || !strings.Contains(err.Error(), readErr.Error()) {
+		t.Errorf("Store.Load(bare envelope) = %v, want Read's error %q", err, readErr)
 	}
 }
 
@@ -333,20 +294,6 @@ func TestStoreAdopt(t *testing.T) {
 	foreign := splitArtifact(t, 2)
 	foreign.Version = "v1"
 	adopt(foreign, "v2", 3)
-	// A legacy bare model copied in as v<N>.json records no hash; the artifact
-	// Load makes of it still adopts its own name.
-	var buf bytes.Buffer
-	if err := mlmodel.SaveModel(&buf, splitArtifact(t, 5).Model); err != nil {
-		t.Fatalf("SaveModel: %v", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "v9.json"), buf.Bytes(), 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	v9, err := st.Load("v9")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	adopt(v9, "v9", 4)
 }
 
 func TestFeedbackRing(t *testing.T) {

@@ -200,7 +200,7 @@ func (s *Store) Load(version string) (*Artifact, error) {
 		return nil, fmt.Errorf("registry: version %s: %w", version, err)
 	}
 	defer f.Close()
-	a, err := ReadAny(f)
+	a, err := Read(f)
 	if err != nil {
 		return nil, fmt.Errorf("registry: version %s: %w", version, err)
 	}

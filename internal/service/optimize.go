@@ -140,16 +140,20 @@ func statusOf(err error, fallback int) int {
 	return fallback
 }
 
+// maxDeadlineMs is the longest ?deadline_ms= a time.Duration can hold.
+const maxDeadlineMs = int64(math.MaxInt64 / time.Millisecond)
+
 // deadline resolves the effective deadline of a request: ?deadline_ms= wins
-// over the server default. A malformed or non-positive value is an error.
+// over the server default. A malformed, non-positive or overflowing value is
+// an error.
 func (s *Server) deadline(qs url.Values) (time.Duration, error) {
 	q := qs.Get("deadline_ms")
 	if q == "" {
 		return s.DefaultDeadline, nil
 	}
-	ms, err := strconv.Atoi(q)
-	if err != nil || ms <= 0 {
-		return 0, fmt.Errorf("service: deadline_ms must be a positive integer, got %q", q)
+	ms, err := strconv.ParseInt(q, 10, 64)
+	if err != nil || ms <= 0 || ms > maxDeadlineMs {
+		return 0, fmt.Errorf("service: deadline_ms must be an integer in [1,%d], got %q", maxDeadlineMs, q)
 	}
 	return time.Duration(ms) * time.Millisecond, nil
 }

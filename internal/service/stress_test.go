@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,14 +190,19 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 func TestDeadlineQueryValidation(t *testing.T) {
 	ts := newStressServer()
 	defer ts.Close()
-	for _, q := range []string{"deadline_ms=abc", "deadline_ms=0", "deadline_ms=-5"} {
-		resp, err := http.Post(ts.URL+"/optimize?"+q, "application/json", strings.NewReader("{}"))
-		if err != nil {
-			t.Fatalf("POST: %v", err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", q, resp.StatusCode)
+	valid := planJSON(t)
+	batch := []byte(`{"plans":[` + string(valid) + `]}`)
+	// 9300000000000 ms is about 295 years: time.Duration wraps it negative.
+	for _, q := range []string{"deadline_ms=abc", "deadline_ms=0", "deadline_ms=-5", "deadline_ms=9300000000000"} {
+		for path, body := range map[string][]byte{"/optimize": valid, "/optimize/batch": batch} {
+			resp, err := http.Post(ts.URL+path+"?"+q, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s?%s: status = %d, want 400", path, q, resp.StatusCode)
+			}
 		}
 	}
 }

@@ -43,27 +43,6 @@ func AddInPlace(a, b []float64) {
 	}
 }
 
-// MaxInPlace stores max(a[i], b[i]) into a.
-func MaxInPlace(a, b []float64) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	_ = b[n-1]
-	for i := 0; i < n; i++ {
-		if b[i] > a[i] {
-			a[i] = b[i]
-		}
-	}
-}
-
-// Scale multiplies every element of a by s.
-func Scale(a []float64, s float64) {
-	for i := range a {
-		a[i] *= s
-	}
-}
-
 // Sum returns the sum of the elements of a.
 func Sum(a []float64) float64 {
 	var s0, s1, s2, s3 float64
@@ -102,22 +81,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// MinIndex returns the index of the smallest element of a, or -1 for an
-// empty slice. Ties resolve to the lowest index, keeping plan selection
-// deterministic.
-func MinIndex(a []float64) int {
-	if len(a) == 0 {
-		return -1
-	}
-	idx, best := 0, a[0]
-	for i := 1; i < len(a); i++ {
-		if a[i] < best {
-			idx, best = i, a[i]
-		}
-	}
-	return idx
 }
 
 // Equal reports whether a and b hold identical values.

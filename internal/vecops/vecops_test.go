@@ -50,19 +50,6 @@ func TestAddInPlace(t *testing.T) {
 	}
 }
 
-func TestMaxInPlace(t *testing.T) {
-	a := []float64{1, 5, -2, 0}
-	b := []float64{3, 2, -1, 0}
-	vecops.MaxInPlace(a, b)
-	want := []float64{3, 5, -1, 0}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("MaxInPlace[%d] = %g, want %g", i, a[i], want[i])
-		}
-	}
-	vecops.MaxInPlace(nil, nil) // must not panic
-}
-
 func TestSumDot(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	if got := vecops.Sum(a); got != 15 {
@@ -77,30 +64,6 @@ func TestSumDot(t *testing.T) {
 	}
 	if got := vecops.Sum(nil); got != 0 {
 		t.Errorf("Sum(nil) = %g, want 0", got)
-	}
-}
-
-func TestScale(t *testing.T) {
-	a := []float64{1, -2, 3}
-	vecops.Scale(a, -2)
-	want := []float64{-2, 4, -6}
-	for i := range want {
-		if a[i] != want[i] {
-			t.Fatalf("Scale[%d] = %g", i, a[i])
-		}
-	}
-}
-
-func TestMinIndex(t *testing.T) {
-	if got := vecops.MinIndex(nil); got != -1 {
-		t.Errorf("MinIndex(nil) = %d, want -1", got)
-	}
-	if got := vecops.MinIndex([]float64{3, 1, 2}); got != 1 {
-		t.Errorf("MinIndex = %d, want 1", got)
-	}
-	// Ties resolve to the lowest index.
-	if got := vecops.MinIndex([]float64{2, 1, 1}); got != 1 {
-		t.Errorf("MinIndex tie = %d, want 1", got)
 	}
 }
 

@@ -56,6 +56,19 @@ say "training two model artifacts"
 "$WORK/robopt" -plan "$WORK/query.json" -train "$WORK/train2.csv" \
   -save-model "$WORK/artifact2.json" -platforms 3 -simulate=false >/dev/null
 
+say "refusing settings the commands cannot run with"
+# refused CMD ARGS... — exit 2 with the usage, never a panic.
+refused() {
+  local rc=0 out
+  out=$("$@" 2>&1) || rc=$?
+  [ "$rc" = 2 ] || die "$* exited $rc, want 2: $out"
+  grep -q 'Usage of' <<<"$out" || die "$* printed no usage: $out"
+  ! grep -q 'panic:' <<<"$out" || die "$* panicked: $out"
+}
+refused "$WORK/roboptd" -cache-ttl 1m
+refused "$WORK/roboptd" -platforms 9
+refused "$WORK/robopt" -platforms 9 -plan "$WORK/query.json"
+
 say "starting roboptd with the artifact store"
 "$WORK/roboptd" -addr "127.0.0.1:$PORT" -model "$WORK/artifact.json" \
   -model-dir "$WORK/store" -platforms 3 -feedback-cap 128 \

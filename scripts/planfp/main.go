@@ -25,6 +25,11 @@ func main() {
 	log.SetPrefix("planfp: ")
 	nPlats := flag.Int("platforms", platform.NumPlatforms, "number of platforms (2-5), as given to roboptd")
 	flag.Parse()
+	if err := platform.CheckCount(*nPlats); err != nil {
+		log.Printf("-platforms: %v", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	body, err := io.ReadAll(os.Stdin)
 	if err != nil {
 		log.Fatal(err)
