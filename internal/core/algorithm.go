@@ -78,7 +78,7 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 	var st Stats
 	c.beginRunTrace()
 	c.bind(m)
-	defer c.endRun()
+	defer c.endRun(true)
 	final, err := c.EnumerateFull(ctx, pr, order, &st)
 	if err != nil {
 		c.endRunTrace(&st, err)
@@ -108,7 +108,8 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 		return nil, err
 	}
 	rt := c.endRunTrace(&st, nil)
-	// The winner is expanded out of the run's store, which is dropped here.
+	// The winner is expanded out of the run's store: endRun drops the store
+	// and hands its memory on.
 	return &Result{Execution: x, Vector: c.wide(best), Predicted: best.Cost, PredictedDist: best.Dist, Risk: c.Risk, Degraded: st.Degraded, Stats: st, Trace: rt}, nil
 }
 
@@ -124,7 +125,7 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	}
 	var st Stats
 	c.bind(m)
-	defer c.endRun()
+	defer c.endRun(false)
 	e, err := c.Enumerate(ctx, c.Vectorize(), maxVectors, &st)
 	if err != nil {
 		return nil, err

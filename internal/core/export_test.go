@@ -1,5 +1,7 @@
 package core
 
+import "weak"
+
 // Merge is the merge operation (operation 6) into a new vector: mergeInto
 // without a scratch or store row to write into, for the merge-algebra tests.
 // Its inputs and its result are rows of the run (see Wide).
@@ -19,9 +21,9 @@ func (c *Context) Bind(m CostModel) { c.bind(m) }
 
 // PoisonFreed arms the vector store's poison hook for every later run on c:
 // rows returned to the free list, the worker scratch before each product and
-// the whole store when an Optimize* run ends are overwritten with NaN
-// features and costs and out-of-range platform columns, so a read of freed or
-// stale memory cannot produce a plausible plan.
+// every row of the run when an Optimize* run ends are overwritten with NaN
+// features and costs and out-of-range platform columns, so a read of freed,
+// stale or handed-back memory cannot produce a plausible plan.
 func (c *Context) PoisonFreed() { c.poison = true }
 
 // LiveRows is the number of store rows of the run in progress (or last
@@ -31,3 +33,47 @@ func (c *Context) LiveRows() int { return c.store.rows - len(c.store.free) }
 // PruneBlock is the number of model calls between two cancellation checks of
 // the scoring loop.
 const PruneBlock = pruneBlock
+
+// DropSpareMemory empties the stack of finished runs' memory, so the next
+// run starts on new memory: what a run allocates when the collector has just
+// reclaimed everything.
+func DropSpareMemory() {
+	spares.Lock()
+	clear(spares.stack)
+	spares.stack = spares.stack[:0]
+	spares.Unlock()
+}
+
+// SpareMemory returns a probe for every finished run's memory on the spare
+// stack that the collector has not reclaimed yet, and for each chunk of it a
+// run would carve again: the first and the last chunk of every slab. A probe
+// holds its object weakly and reports whether the object is still alive.
+func SpareMemory() []func() bool {
+	spares.Lock()
+	defer spares.Unlock()
+	var probes []func() bool
+	for _, p := range spares.stack {
+		m := p.Value()
+		if m == nil {
+			continue
+		}
+		probes = append(probes, probe(m),
+			probeSlice(m.feats.first), probeSlice(m.assign.first), probeSlice(m.hdrs.first), probeSlice(m.ptrs.first),
+			probeSlice(m.feats.last), probeSlice(m.assign.last), probeSlice(m.hdrs.last), probeSlice(m.ptrs.last))
+	}
+	return probes
+}
+
+// probe holds p weakly.
+func probe[T any](p *T) func() bool {
+	w := weak.Make(p)
+	return func() bool { return w.Value() != nil }
+}
+
+// probeSlice holds the block behind s weakly (nothing, when s has none).
+func probeSlice[S ~[]E, E any](s S) func() bool {
+	if cap(s) == 0 {
+		return func() bool { return false }
+	}
+	return probe(&s[:1][0])
+}

@@ -190,14 +190,15 @@ func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st
 			return nil, fmt.Errorf("core: enumeration exceeds %d vectors", maxVectors)
 		}
 		info := c.MergeInfo(e, next)
-		// Every vector survives, so the product is merged straight into
-		// store rows.
+		// Every vector survives, so the product is merged straight into a
+		// block of store rows, listed in a slice off the run's memory. Its
+		// matrix header is the scratch's: each step overwrites the one
+		// before, whose rows it releases, and no product is made here.
 		merged := c.store.enum(c.Plan.NumOps() + step)
 		copy(merged.Scope, e.Scope)
 		merged.Scope.UnionInto(next.Scope)
-		merged.Vectors = make([]*Vector, pairs)
-		mat := c.store.block(merged.Vectors)
-		merged.mat = &mat
+		merged.Vectors, c.scratch.mat = c.store.fresh(pairs)
+		merged.mat = &c.scratch.mat
 		for i, v := range merged.Vectors {
 			if i%mergeBlock == 0 {
 				if err := check(); err != nil {
@@ -226,7 +227,7 @@ func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	e := c.store.enum(int(id))
 	e.Scope.Set(id)
 	e.Boundary, e.Vectors = c.boundary(e.Scope), c.store.take(len(alts))
-	row := grow(&c.scratch.row, c.Schema.Len())
+	row := c.store.floats(&c.scratch.row, c.Schema.Len())
 	for vi, pi := range alts {
 		v := e.Vectors[vi]
 		*v = Vector{F: v.F, Assign: v.Assign}

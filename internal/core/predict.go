@@ -38,14 +38,6 @@ func (c *Context) bind(m CostModel) {
 	c.spec = mlmodel.Specialize(m, cols, c.Schema.Len())
 }
 
-// grow returns (*buf)[:n], reallocated (zeroed) when *buf is too short.
-func grow(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
-}
-
 // features returns the flat row-major matrix of the vectors of e listed in
 // the scratch's miss, as rows of the run: a view of the enumeration's feature
 // matrix when it has one and they are consecutive (the common case: a product
@@ -57,7 +49,7 @@ func (c *Context) features(e *Enumeration) vecops.Matrix {
 	if e.mat != nil && sc.miss[n-1]-sc.miss[0] == n-1 {
 		return e.mat.RowsView(sc.miss[0], sc.miss[n-1]+1)
 	}
-	m := vecops.Matrix{Data: grow(&sc.gather, n*c.width), Rows: n, Cols: c.width}
+	m := vecops.Matrix{Data: c.store.floats(&sc.gather, n*c.width), Rows: n, Cols: c.width}
 	for k, i := range sc.miss {
 		copy(m.Row(k), e.Vectors[i].F)
 	}
@@ -121,7 +113,7 @@ func (c *Context) predict(ctx context.Context, e *Enumeration, hits int, st *Sta
 		X := c.features(e)
 		// The four output columns share one buffer, the scratch's.
 		n := len(miss)
-		out := grow(&sc.out, 4*n)
+		out := c.store.floats(&sc.out, 4*n)
 		sc.chunks(c.Workers)
 		sc.scoring.model, sc.scoring.x, sc.scoring.n = c.spec, X, n
 		err := parallelForCtx(ctx, n, c.Workers, pruneBlock, sc.scoreFn)

@@ -1,0 +1,178 @@
+package core_test
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/plan"
+	"repro/internal/platform"
+	"repro/internal/vecops"
+	"repro/internal/workload"
+)
+
+// TestRunMemoryIsReclaimed: a finished run's memory is held only weakly. The
+// test keeps everything an Optimize hands out (the Result, its Execution, its
+// RunTrace and the Context, traced and untraced, serial and pooled), collects
+// once, and requires every block of every spare run memory to be gone: a
+// block the caller can still reach would stay resident between requests,
+// which is what the benchmark's heap_live_mb reads.
+func TestRunMemoryIsReclaimed(t *testing.T) {
+	l := workload.RandomDAG(24, 1e8, 5)
+	ctx := newCtx(t, l, 3)
+	m := newLinModel(ctx.Schema.Len(), 3)
+	core.DropSpareMemory()
+	var kept []*core.Result
+	for i, traced := range []bool{false, true, false, true} {
+		ctx.Workers = 1 + i%2*3
+		ctx.Trace = nil
+		if traced {
+			ctx.Trace = obs.NewTrace("reclaim")
+		}
+		res, err := ctx.Optimize(context.Background(), m)
+		if err != nil {
+			t.Fatalf("Optimize: %v", err)
+		}
+		kept = append(kept, res)
+	}
+	probes := core.SpareMemory()
+	if len(probes) == 0 {
+		t.Fatal("no finished run's memory is on the spare stack")
+	}
+	if !probes[0]() {
+		t.Fatal("the spare run memory is gone before any collection")
+	}
+	runtime.GC()
+	for i, alive := range probes {
+		if alive() {
+			t.Errorf("probe %d: a finished run's memory survived a collection", i)
+		}
+	}
+	for _, res := range kept {
+		if res.Execution == nil || res.Vector == nil {
+			t.Fatal("a kept result lost its plan")
+		}
+		if res.Trace != nil {
+			if _, err := res.Explain(); err != nil {
+				t.Fatalf("Explain: %v", err)
+			}
+		}
+	}
+	runtime.KeepAlive(ctx)
+}
+
+// cancelAfter is a cost model that cancels its run on its calls-th kernel call.
+type cancelAfter struct {
+	core.CostModel
+	calls  int64
+	n      *atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (m cancelAfter) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
+	if m.n.Add(1) == m.calls {
+		m.cancel()
+	}
+	m.CostModel.PredictBatchDist(X, mean, spread, lo, hi)
+}
+
+// reuseJob is one optimization of TestRunMemoryReuse.
+type reuseJob struct {
+	l       *plan.Logical
+	plats   int
+	workers int
+	model   core.CostModel
+}
+
+// runReuseJob runs job traced on a fresh Context and fingerprints what it
+// decided; with cancelAt > 0 the run is cancelled at that model call. ok is
+// false when the cancellation stopped the run.
+func runReuseJob(t *testing.T, job reuseJob, cancelAt int64) (fp string, ok bool) {
+	ctx := newCtx(t, job.l, job.plats)
+	ctx.Workers = job.workers
+	ctx.Trace = obs.NewTrace("reuse")
+	run := context.Background()
+	m := job.model
+	if cancelAt > 0 {
+		var cancel context.CancelFunc
+		run, cancel = context.WithCancel(run)
+		defer cancel()
+		m = cancelAfter{CostModel: m, calls: cancelAt, n: new(atomic.Int64), cancel: cancel}
+	}
+	res, err := ctx.Optimize(run, m)
+	if err != nil {
+		if cancelAt > 0 && errors.Is(err, context.Canceled) {
+			return "", false
+		}
+		t.Errorf("Optimize (%d platforms, %d workers): %v", job.plats, job.workers, err)
+		return "", false
+	}
+	audit, err := json.Marshal(res.Trace)
+	if err != nil {
+		t.Errorf("marshal audit: %v", err)
+	}
+	return fmt.Sprintf("%v|%v|%+v|%s", res.Execution.Assign, res.Predicted, res.Stats.Counters(), audit), true
+}
+
+// TestRunMemoryReuse: a run that takes over a finished run's memory decides
+// exactly what it would on new memory. Goroutines run a mix of plans over 2
+// to 5 platforms, so consecutive runs on one memory change row width, plan
+// size and worker count, and some runs are cancelled mid-enumeration, with
+// the poison hook armed. Every completed run must match, bit for bit, the
+// same optimization run alone on new memory: plan, Predicted, Counters() and
+// the audit JSON.
+func TestRunMemoryReuse(t *testing.T) {
+	var jobs []reuseJob
+	for i, plats := range []int{2, 3, 4, 5} {
+		for _, l := range []*plan.Logical{
+			workload.Pipeline(12+8*i, 1e9),
+			workload.JoinTree(3+i%2, 1e8),
+			workload.RandomDAG(16+4*i, 1e8, int64(31+i)),
+		} {
+			m := newLinModel(core.MustSchema(platform.Subset(plats)).Len(), int64(plats))
+			for _, workers := range []int{1, 4} {
+				jobs = append(jobs, reuseJob{l: l, plats: plats, workers: workers, model: m})
+			}
+		}
+	}
+	want := make([]string, len(jobs))
+	for i, job := range jobs {
+		core.DropSpareMemory()
+		want[i], _ = runReuseJob(t, job, 0)
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	var cancelled atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for _, i := range rng.Perm(len(jobs)) {
+				cancelAt := int64(0)
+				if rng.Intn(4) == 0 {
+					cancelAt = 1 + rng.Int63n(40)
+				}
+				got, ok := runReuseJob(t, jobs[i], cancelAt)
+				if !ok {
+					cancelled.Add(1)
+				} else if got != want[i] {
+					t.Errorf("job %d (%d platforms, %d workers, cancel at %d): the run on reused memory decided differently from the run on new memory",
+						i, jobs[i].plats, jobs[i].workers, cancelAt)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if cancelled.Load() == 0 {
+		t.Error("no run was cancelled mid-enumeration")
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"weak"
 
 	"repro/internal/plan"
 	"repro/internal/vecops"
@@ -21,50 +22,133 @@ import (
 // the plan rather than one object per enumeration step: a run of n operators
 // makes exactly n singleton enumerations and n−1 concatenations, so the store
 // holds 2n−1 enumeration slots with their scope words (and the frontier 2n−1
-// nodes and n−1 tasks), while the vector headers of every enumeration and
-// each worker's boundary lists are carved from blocks that grow
-// geometrically and never move.
+// nodes and n−1 tasks), while each worker's boundary lists are carved from a
+// block that grows geometrically and never moves. The bookkeeping dies with
+// the run.
 //
-// All of it dies with the run. Nothing here is pooled across runs or
-// requests: a package-level pool would keep its chunks alive through the next
-// collection and show up as resident heap between requests (see DESIGN.md).
+// The rows do not. Every row of the run — the store's features, assignments
+// and Vector headers, the Vectors slices of its enumerations, and each
+// worker's product rows and scoring buffers — is carved from one runMem, the
+// bulk of what a run allocates in bytes, and Optimize* hand that back as they
+// return (endRun) onto a package-level stack of weak pointers. The next run
+// to start takes it over (beginRun) and carves it again at its own widths. A
+// weak pointer keeps nothing alive, so the first collection after a run
+// reclaims its runMem as if it had been dropped: what a run reuses is garbage
+// the collector has not swept yet, and resident heap after a collection is
+// what it would be without reuse (see DESIGN.md). A runMem is four slabs, so
+// a run that finds none spare makes a handful of allocations more than one
+// that does, whatever the plan: allocation counts barely depend on when the
+// collector ran. Nothing that outlives the run is carved from it: not the
+// Result, not the RunTrace or the spans, not NewContext's tables.
 
-// slab hands out slices of fresh elements carved from chunks that are never
-// moved or reused, so a slice it returns stays valid as long as the slab.
-// next is the size of the next chunk (at least the request that needs it);
-// every chunk allocated doubles it.
+// slab hands out slices carved from chunks that never move, so a slice it
+// returns stays valid until the slab is reset. A chunk holds the request that
+// needs it, next elements when next is set (the first chunk of a slab or of
+// a run, see reset) and a quarter of what was taken before it, so a growing
+// slab allocates a number of chunks logarithmic in what it hands out.
 type slab[T any] struct {
 	free []T
 	next int
+	// first is the chunk reset hands out again and last the latest one
+	// allocated; used counts the elements taken since the last reset.
+	first, last []T
+	used        int
 }
 
-// take returns n fresh (zero) elements.
+// take returns n elements: zero in a chunk carved for the first time, what
+// an earlier run left there in a chunk carved again.
 func (s *slab[T]) take(n int) []T {
 	if len(s.free) < n {
-		s.free = make([]T, max(n, s.next))
-		s.next = 2 * len(s.free)
+		s.free = make([]T, max(n, s.next, s.used/4))
+		s.next = 0
+		s.last = s.free
+		if s.first == nil {
+			s.first = s.free
+		}
 	}
+	s.used += n
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
+}
+
+// reset starts a new run on s, which expects to take at least n elements;
+// nothing s handed out before is valid any more. The run carves a single
+// chunk again, the first or the last one, when that holds n and everything
+// the last run took; otherwise its first chunk is allocated at that size. So
+// a run allocates only what no run before it on the memory needed: the
+// memory keeps the size of the largest run it served until the collector
+// reclaims it.
+func (s *slab[T]) reset(n int) {
+	if n = max(n, s.used); len(s.first) < n {
+		s.first = nil
+		if len(s.last) >= n {
+			s.first = s.last
+		}
+	}
+	s.free, s.last, s.used, s.next = s.first, s.first, 0, 0
+	if s.first == nil {
+		s.next = n
+	}
+}
+
+// runMem is the memory a run carves its rows from, and what a finished
+// Optimize* run hands on to the next (see the top of this file): the
+// features, assignments and Vector headers of every row, store and scratch
+// alike, and the Vectors slices that list them. It is only ever used under
+// the lock of the vecStore that holds it.
+type runMem struct {
+	feats  slab[float64]
+	assign slab[uint8]
+	hdrs   slab[Vector]
+	ptrs   slab[*Vector]
+}
+
+// spares holds the runMem of finished runs, weakly: a collection reclaims
+// whatever no run has taken over since it was handed back.
+var spares struct {
+	sync.Mutex
+	stack []weak.Pointer[runMem]
+}
+
+// takeMem returns the runMem a finished run handed back most recently that
+// the collector has not reclaimed, or a new one.
+func takeMem() *runMem {
+	spares.Lock()
+	defer spares.Unlock()
+	for k := len(spares.stack); k > 0; k-- {
+		m := spares.stack[k-1].Value()
+		spares.stack = spares.stack[:k-1]
+		if m != nil {
+			return m
+		}
+	}
+	return new(runMem)
+}
+
+// handBack puts m, which nothing references any more, on the spare stack.
+func (m *runMem) handBack() {
+	p := weak.Make(m)
+	spares.Lock()
+	spares.stack = append(spares.stack, p)
+	spares.Unlock()
 }
 
 // poisonAssign is what the test-only poison hook writes over a freed row's
 // assignment: no platform column, and not Unassigned either.
 const poisonAssign uint8 = 0xFE
 
-// vecStore holds the plan vectors of one run as rows of the run's width — a
-// feature block, an assignment block and the Vector headers, three
-// allocations per chunk of rows — and recycles the rows of consumed
-// enumerations. Tasks of one round take and release concurrently, hence the
-// lock (held for slice bookkeeping only, twice per concatenation).
+// vecStore holds the plan vectors of one run as rows of the run's width,
+// carved from its runMem, and recycles the rows of consumed enumerations.
+// Tasks of one round take and release concurrently, and workers carve their
+// scratch from the same runMem, hence the lock (held for slice bookkeeping
+// only, twice per concatenation).
 type vecStore struct {
 	mu         sync.Mutex
+	mem        *runMem
 	cols, nOps int
 	free       []*Vector
-	// ptrs holds the Vectors slices of the run's enumerations (under mu).
-	ptrs slab[*Vector]
-	// rows counts the rows allocated so far, free or not.
+	// rows counts the rows carved so far, free or not.
 	rows int
 	// enums are the run's 2n−1 enumeration slots (see enum) and scopes their
 	// scope words, words per slot.
@@ -75,24 +159,32 @@ type vecStore struct {
 	workers []*scratch
 	// poison (Context.poison, set only by tests): release overwrites every
 	// freed row (NaN features and costs, poisonAssign assignments), product
-	// the scratch before it is filled and endRun every chunk, so that tests
-	// turn a read of freed or stale memory into a NaN cost or an out-of-range
-	// platform instead of a plausible plan. chunks lists the blocks to
-	// overwrite at endRun.
+	// the scratch before it is filled and endRun every row the run carved, so
+	// that tests turn a read of freed, stale or handed-back memory into a NaN
+	// cost or an out-of-range platform instead of a plausible plan. chunks
+	// lists the blocks of rows to overwrite at endRun.
 	poison bool
 	chunks []Vector
 }
 
-// beginRun gives c a fresh store, its free list seeded with one chunk of
-// rows vectors, and the scratch of worker 0. Whatever the previous run on c
-// returned keeps its own store alive and intact, but callers are only
-// promised it until here.
+// beginRun gives c a new store over a runMem — a finished run's when the
+// collector has not reclaimed it yet, else a new one — its free list seeded
+// with rows rows, and the scratch of worker 0. Whatever the previous run on c
+// returned keeps its own store and runMem alive and intact (only Optimize*
+// hand theirs on), but callers are only promised it until here.
 func (c *Context) beginRun(rows int) {
 	n := c.Plan.NumOps()
 	words := len(plan.NewBitset(n))
+	// A run carves about half as many rows again as its singletons take, for
+	// its workers' products and the survivors the free list is short of, so
+	// a run on new memory mostly fits in one chunk per slab.
+	m, carve := takeMem(), rows+rows/2
+	m.feats.reset(carve * c.width)
+	m.assign.reset(carve * n)
+	m.hdrs.reset(carve)
+	m.ptrs.reset(4 * rows)
 	c.store = &vecStore{
-		cols: c.width, nOps: n, poison: c.poison,
-		ptrs:  slab[*Vector]{next: 2 * rows},
+		mem: m, cols: c.width, nOps: n, poison: c.poison,
 		enums: make([]Enumeration, 2*n-1), scopes: make([]uint64, (2*n-1)*words), words: words,
 	}
 	c.store.free = make([]*Vector, rows)
@@ -100,12 +192,19 @@ func (c *Context) beginRun(rows int) {
 	c.scratch = c.store.worker(0)
 }
 
-// endRun drops the run's memory and model once nothing of it is referenced
-// any more (Optimize* expand the winning vector out first).
-func (c *Context) endRun() {
-	if c.store != nil {
-		for _, ch := range c.store.chunks {
+// endRun ends a run once nothing of its store is referenced any more
+// (Optimize* expand the winning vector out first) and drops its model. With
+// handBack, the run's runMem goes on the spare stack for the next run: the
+// pool has joined by then, so no worker still writes to it. OptimizeExhaustive
+// drops its runMem instead, since a run that never recycles a row would hand
+// on a memory sized for its whole search space.
+func (c *Context) endRun(handBack bool) {
+	if s := c.store; s != nil {
+		for _, ch := range s.chunks {
 			poisonRows(ch.F, ch.Assign)
+		}
+		if handBack {
+			s.mem.handBack()
 		}
 	}
 	c.store, c.scratch, c.spec = nil, nil, nil
@@ -127,11 +226,23 @@ func (s *vecStore) enum(k int) *Enumeration {
 // scheduling goroutine calls it (between rounds).
 func (s *vecStore) worker(i int) *scratch {
 	for len(s.workers) <= i {
-		sc := &scratch{bounds: slab[plan.OpID]{next: 2 * s.nOps}}
+		sc := &scratch{bounds: slab[plan.OpID]{next: 4 * s.nOps}, bound: make([]plan.OpID, 0, s.nOps)}
 		sc.mergeFn, sc.scoreFn = sc.mergeRows, sc.scoreChunk
 		s.workers = append(s.workers, sc)
 	}
 	return s.workers[i]
+}
+
+// floats returns (*buf)[:n], carved anew from the run's memory (at least
+// twice its old capacity) when *buf is too short: a scratch buffer whose
+// every cell the caller overwrites before reading it.
+func (s *vecStore) floats(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		s.mu.Lock()
+		*buf = s.mem.feats.take(max(n, 2*cap(*buf)))
+		s.mu.Unlock()
+	}
+	return (*buf)[:n]
 }
 
 // wireRows points dst[i] at vecs[i] and vecs[i] at row i of the two blocks.
@@ -144,32 +255,39 @@ func wireRows(dst []*Vector, vecs []Vector, f []float64, a []uint8, cols, nOps i
 	}
 }
 
-// block wires dst to a chunk of len(dst) new rows, contiguous and in order,
-// and returns the matrix over their feature blocks: the layout of an
-// enumeration whose every vector survives (Enumerate), scored later without
-// a copy.
+// block wires dst to len(dst) new rows, contiguous and in order, and returns
+// the matrix over their features: the layout of an enumeration whose every
+// vector survives (Enumerate), scored later without a copy. The caller holds
+// mu, or runs alone.
 func (s *vecStore) block(dst []*Vector) vecops.Matrix {
 	n := len(dst)
-	f, a := make([]float64, n*s.cols), make([]uint8, n*s.nOps)
-	wireRows(dst, make([]Vector, n), f, a, s.cols, s.nOps)
-	s.mu.Lock()
+	f, a := s.mem.feats.take(n*s.cols), s.mem.assign.take(n*s.nOps)
+	wireRows(dst, s.mem.hdrs.take(n), f, a, s.cols, s.nOps)
 	s.rows += n
 	if s.poison {
 		s.chunks = append(s.chunks, Vector{F: f, Assign: a})
 	}
-	s.mu.Unlock()
 	return vecops.Matrix{Data: f, Rows: n, Cols: s.cols}
 }
 
-// take returns n rows with arbitrary contents: recycled ones, and a new
-// chunk for however many the free list is short of.
+// fresh returns n new rows, contiguous and in order, in a Vectors slice of
+// the run's, and the matrix over their features (see block).
+func (s *vecStore) fresh(n int) ([]*Vector, vecops.Matrix) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	vs := s.mem.ptrs.take(n)
+	return vs, s.block(vs)
+}
+
+// take returns n rows with arbitrary contents: recycled ones, and new ones
+// for however many the free list is short of.
 func (s *vecStore) take(n int) []*Vector {
 	s.mu.Lock()
-	out := s.ptrs.take(n)
+	defer s.mu.Unlock()
+	out := s.mem.ptrs.take(n)
 	k := min(n, len(s.free))
 	copy(out, s.free[len(s.free)-k:])
 	s.free = s.free[:len(s.free)-k]
-	s.mu.Unlock()
 	if k < n {
 		s.block(out[k:])
 	}
@@ -204,10 +322,11 @@ func poisonRows(f []float64, a []uint8) {
 }
 
 // scratch is one worker's workspace, reused by every concatenation and prune
-// the worker runs: the rows a cartesian product is merged into, and the
-// bookkeeping of MergeInfo, predict and pruneGroups. It grows to the largest
-// product the worker has seen and is never cleared — mergeInto overwrites
-// every cell of every row it is given.
+// the worker runs in the run: the rows a cartesian product is merged into,
+// and the bookkeeping of MergeInfo, predict and pruneGroups. Its rows and
+// float buffers are carved from the run's memory; each grows to the largest
+// request the worker has seen in the run and is never cleared — mergeInto
+// overwrites every cell of every row it is given.
 type scratch struct {
 	enum   Enumeration
 	mat    vecops.Matrix
@@ -258,10 +377,10 @@ type scratch struct {
 func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 	if n > len(sc.vecs) {
 		size := max(n, 2*len(sc.vecs))
-		sc.data = make([]float64, size*s.cols)
-		sc.assign = make([]uint8, size*s.nOps)
-		sc.vecs = make([]Vector, size)
-		sc.ptrs = make([]*Vector, size)
+		s.mu.Lock()
+		sc.data, sc.assign = s.mem.feats.take(size*s.cols), s.mem.assign.take(size*s.nOps)
+		sc.vecs, sc.ptrs = s.mem.hdrs.take(size), s.mem.ptrs.take(size)
+		s.mu.Unlock()
 	}
 	if s.poison {
 		poisonRows(sc.data, sc.assign)

@@ -343,11 +343,11 @@ func (rt *RunTrace) recordContributions(c *Context, best *Vector) {
 		return
 	}
 	sc := c.scratch
-	cost := grow(&sc.out, n)
+	cost := c.store.floats(&sc.out, n)
 	sc.chunks(1)
 	X := &sc.views[0]
-	*X = vecops.Matrix{Data: grow(&sc.gather, n*c.width), Rows: n, Cols: c.width}
-	row := grow(&sc.row, c.Schema.Len())
+	*X = vecops.Matrix{Data: c.store.floats(&sc.gather, n*c.width), Rows: n, Cols: c.width}
+	row := c.store.floats(&sc.row, c.Schema.Len())
 	for k := range rt.OpContribs {
 		o := c.Plan.Op(plan.OpID(rt.OpContribs[k].Op))
 		c.singletonRow(row, o, best.Assign[o.ID])
