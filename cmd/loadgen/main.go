@@ -33,7 +33,7 @@
 // section of the summary name trace IDs retrievable from the server via
 // /tracez?id= — the p99-chasing loop in EXPERIMENTS.md. With -slo, the run
 // ends by scraping each replica's /sloz and exits 1 on any breach (or
-// unreachable/SLO-less replica); -slo-latency-ms with -slo-target adds a
+// unreachable replica); -slo-latency-ms with -slo-target adds a
 // client-side assertion over this run's own latencies.
 package main
 
@@ -189,9 +189,6 @@ func main() {
 			switch {
 			case sz.Err != "":
 				log.Printf("slo: %s unreachable: %s", sz.Replica, sz.Err)
-				failed = true
-			case !sz.Enabled:
-				log.Printf("slo: %s has no SLO configured (roboptd -slo-latency-ms)", sz.Replica)
 				failed = true
 			case sz.Breached:
 				log.Printf("slo: BREACH on %s (objective %.0fms target %.3f): %s",
@@ -486,7 +483,6 @@ func cacheNote(c string) string {
 type slozResult struct {
 	Replica     string       `json:"replica"`
 	Err         string       `json:"err,omitempty"`
-	Enabled     bool         `json:"enabled"`
 	ObjectiveMs float64      `json:"objectiveMs"`
 	Target      float64      `json:"target"`
 	Breached    bool         `json:"breached"`

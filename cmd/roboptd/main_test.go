@@ -176,6 +176,7 @@ func boot(t *testing.T, modelPath string, store *registry.Store) (*service.Serve
 		ModelStore: store,
 		Platforms:  platform.Subset(3),
 		Avail:      platform.UniformAvailability(3),
+		Logger:     quiet,
 	}
 	srv.PlanCache = plancache.New(plancache.Config{Metrics: srv.Metrics()})
 	_, err = srv.Publish(art, pin)

@@ -93,3 +93,26 @@ func TestDesignReferencesResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// docBudgets caps each big document at its size when the budget was set,
+// rounded up to the next 1 000 bytes: a doc grows only by cutting elsewhere
+// or by raising its line here, in review.
+var docBudgets = map[string]int64{
+	"README.md":      45_000,
+	"DESIGN.md":      77_000,
+	"EXPERIMENTS.md": 70_000,
+}
+
+// TestDocBudgets: README.md, DESIGN.md and EXPERIMENTS.md stay within their
+// byte budgets.
+func TestDocBudgets(t *testing.T) {
+	for doc, budget := range docBudgets {
+		fi, err := os.Stat(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > budget {
+			t.Errorf("%s is %d bytes, over its budget of %d", doc, fi.Size(), budget)
+		}
+	}
+}

@@ -115,7 +115,7 @@ func TestObjectAndVectorEnumerationsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewContext: %v", err)
 		}
-		e, err := ctx.Enumerate(context.Background(), ctx.Vectorize(), 0, nil)
+		e, err := ctx.Enumerate(context.Background(), plan.FullBitset(l.NumOps()), 0, nil)
 		if err != nil {
 			t.Fatalf("Enumerate: %v", err)
 		}

@@ -126,7 +126,7 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 	var st Stats
 	c.bind(m)
 	defer c.endRun(false)
-	e, err := c.Enumerate(ctx, c.Vectorize(), maxVectors, &st)
+	e, err := c.Enumerate(ctx, plan.FullBitset(c.Plan.NumOps()), maxVectors, &st)
 	if err != nil {
 		return nil, err
 	}
@@ -217,8 +217,8 @@ const (
 
 // EnumerateFull runs the priority-based plan enumeration (Algorithm 1) and
 // returns the final plan vector enumeration covering the whole plan. It
-// vectorizes and splits the plan into singleton abstract vectors, enumerates
-// each, and concatenates enumerations in priority order, pruning after every
+// splits the plan into singleton operators, enumerates each, and
+// concatenates enumerations in priority order, pruning after every
 // child concatenation.
 //
 // Concatenations are scheduled in rounds over a worker pool (see
@@ -257,19 +257,16 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		return nil, fmt.Errorf("core: empty plan")
 	}
 	// Lines 2-5: split into singletons, enumerate each, set priorities. The
-	// split (operation 4) is a walk over the abstract vector's scope: a
-	// singleton's rows are built from the operator, not from an abstract
-	// vector of its own.
-	vspan := c.span(c.root, "vectorize")
-	abstract := c.Vectorize()
-	vspan.End()
+	// split (operation 4) is a walk over the operator IDs: a singleton's rows
+	// are built from the operator, so no abstract plan vector is needed.
+	c.span(c.root, "vectorize").End()
 	c.span(c.root, "split").End()
 	st.Timings.Vectorize += time.Since(start)
 	enumStart := time.Now()
 	espan := c.span(c.root, "enumerate")
 	c.beginRun(len(c.alts))
 	f := c.newFrontier(n)
-	for id := abstract.Scope.Next(0); id >= 0; id = abstract.Scope.Next(id + 1) {
+	for id := range plan.OpID(n) {
 		f.add(c.enumerateSingleton(id, st))
 	}
 	espan.End()

@@ -121,7 +121,7 @@ func BenchmarkVectorizeSubplan(b *testing.B) {
 func BenchmarkPrune(b *testing.B) {
 	ctx := benchContext(b, 8, 3)
 	model := weightModel{}
-	e, err := ctx.Enumerate(context.Background(), ctx.Vectorize(), 0, nil)
+	e, err := ctx.Enumerate(context.Background(), plan.FullBitset(ctx.Plan.NumOps()), 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func BenchmarkAblationBatch(b *testing.B) {
 	for id := plan.OpID(0); id < 11; id++ {
 		prefix.Set(id)
 	}
-	left, err := ctx.Enumerate(context.Background(), &Abstract{Scope: prefix}, 0, nil)
+	left, err := ctx.Enumerate(context.Background(), prefix, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -152,44 +152,17 @@ func TestVectorizeTopologyMatchesAnalyze(t *testing.T) {
 		workload.Kmeans(1e8, workload.DefaultKmeans),
 	} {
 		ctx := newCtx(t, l, 2)
-		a := ctx.Vectorize()
+		f := ctx.VectorizeExecution(make([]uint8, l.NumOps())).F
 		topo := l.AnalyzeTopology()
-		if got := a.F[core.TopoPipeline]; got != float64(topo.Pipelines) {
+		if got := f[core.TopoPipeline]; got != float64(topo.Pipelines) {
 			t.Errorf("%d-op plan: pipeline cell = %g, want %d", l.NumOps(), got, topo.Pipelines)
 		}
-		if got := a.F[core.TopoJuncture]; got != float64(topo.Junctures) {
+		if got := f[core.TopoJuncture]; got != float64(topo.Junctures) {
 			t.Errorf("juncture cell = %g, want %d", got, topo.Junctures)
 		}
-		if got := a.F[core.TopoLoop]; got != float64(topo.Loops) {
+		if got := f[core.TopoLoop]; got != float64(topo.Loops) {
 			t.Errorf("loop cell = %g, want %d", got, topo.Loops)
 		}
-		if !a.Scope.Equal(fullScope(l)) {
-			t.Errorf("abstract scope = %v, want all ops", a.Scope)
-		}
-	}
-}
-
-func fullScope(l *plan.Logical) plan.Bitset {
-	b := plan.NewBitset(l.NumOps())
-	for _, o := range l.Ops {
-		b.Set(o.ID)
-	}
-	return b
-}
-
-func TestVectorizeAbstractAlternatives(t *testing.T) {
-	l := workload.RunningExample()
-	ctx := newCtx(t, l, 2)
-	a := ctx.Vectorize()
-	s := ctx.Schema
-	// Filter appears twice with two platform alternatives: cells are -1.
-	for pi := 0; pi < 2; pi++ {
-		if got := a.F[s.OpPlatformCell(platform.Filter, pi)]; got != -1 {
-			t.Errorf("abstract Filter platform cell %d = %g, want -1", pi, got)
-		}
-	}
-	if got := a.F[s.OpTotalCell(platform.Filter)]; got != 2 {
-		t.Errorf("Filter total = %g, want 2", got)
 	}
 }
 
@@ -197,7 +170,7 @@ func TestEnumerateCountsAreExhaustive(t *testing.T) {
 	l := workload.Pipeline(5, 1e6)
 	for k := 2; k <= 4; k++ {
 		ctx := newCtx(t, l, k)
-		e, err := ctx.Enumerate(context.Background(), ctx.Vectorize(), 0, nil)
+		e, err := ctx.Enumerate(context.Background(), plan.FullBitset(l.NumOps()), 0, nil)
 		if err != nil {
 			t.Fatalf("Enumerate: %v", err)
 		}
@@ -214,7 +187,7 @@ func TestEnumerateCountsAreExhaustive(t *testing.T) {
 func TestEnumerateRespectsCap(t *testing.T) {
 	l := workload.Pipeline(10, 1e6)
 	ctx := newCtx(t, l, 3)
-	if _, err := ctx.Enumerate(context.Background(), ctx.Vectorize(), 100, nil); err == nil {
+	if _, err := ctx.Enumerate(context.Background(), plan.FullBitset(l.NumOps()), 100, nil); err == nil {
 		t.Fatal("Enumerate ignored maxVectors")
 	}
 }
@@ -230,8 +203,8 @@ func TestMergeCommutative(t *testing.T) {
 	}
 	_ = full
 	// Rebuild two adjacent singleton enumerations and merge both ways.
-	a, errA := ctx.Enumerate(context.Background(), scopedAbstract(l, 0), 0, nil)
-	b, errB := ctx.Enumerate(context.Background(), scopedAbstract(l, 1), 0, nil)
+	a, errA := ctx.Enumerate(context.Background(), singletonScope(l, 0), 0, nil)
+	b, errB := ctx.Enumerate(context.Background(), singletonScope(l, 1), 0, nil)
 	if errA != nil || errB != nil {
 		t.Fatalf("singleton enumerate: %v %v", errA, errB)
 	}
@@ -252,10 +225,10 @@ func TestMergeCommutative(t *testing.T) {
 	}
 }
 
-func scopedAbstract(l *plan.Logical, id plan.OpID) *core.Abstract {
+func singletonScope(l *plan.Logical, id plan.OpID) plan.Bitset {
 	sc := plan.NewBitset(l.NumOps())
 	sc.Set(id)
-	return &core.Abstract{Scope: sc}
+	return sc
 }
 
 func floatsEqual(a, b []float64) bool {
@@ -309,7 +282,7 @@ func TestMergeTreeIndependence(t *testing.T) {
 			}
 			var items []item
 			for i := 0; i < l.NumOps(); i++ {
-				e, err := ctx.Enumerate(context.Background(), scopedAbstract(l, plan.OpID(i)), 0, nil)
+				e, err := ctx.Enumerate(context.Background(), singletonScope(l, plan.OpID(i)), 0, nil)
 				if err != nil {
 					t.Fatalf("enumerate: %v", err)
 				}
@@ -526,7 +499,7 @@ func TestWideBoundaryStringFootprint(t *testing.T) {
 	for _, s := range sources {
 		sc.Set(s)
 	}
-	e, err := ctx.Enumerate(context.Background(), &core.Abstract{Scope: sc}, 0, nil)
+	e, err := ctx.Enumerate(context.Background(), sc, 0, nil)
 	if err != nil {
 		t.Fatalf("Enumerate: %v", err)
 	}
@@ -545,7 +518,7 @@ func TestWideBoundaryStringFootprint(t *testing.T) {
 func TestSwitchPruner(t *testing.T) {
 	l := workload.Pipeline(6, 1e6)
 	ctx := newCtx(t, l, 3)
-	e, err := ctx.Enumerate(context.Background(), ctx.Vectorize(), 0, nil)
+	e, err := ctx.Enumerate(context.Background(), plan.FullBitset(l.NumOps()), 0, nil)
 	if err != nil {
 		t.Fatalf("Enumerate: %v", err)
 	}

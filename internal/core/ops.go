@@ -37,32 +37,6 @@ type Enumeration struct {
 // Core operations (Section IV-C)
 // ---------------------------------------------------------------------------
 
-// Vectorize transforms the logical plan into an abstract plan vector
-// (operation 1): structure features are fixed, and for every operator kind
-// with more than one execution alternative the per-platform cells hold -1,
-// indicating the open choice.
-func (c *Context) Vectorize() *Abstract {
-	s := c.Schema
-	a := &Abstract{F: make([]float64, s.Len()), Scope: plan.NewBitset(c.Plan.NumOps())}
-	for _, o := range c.Plan.Ops {
-		a.Scope.Set(o.ID)
-		c.addSingletonStructure(a.F, o)
-		alts := c.Alternatives(o.ID)
-		for _, pi := range alts {
-			if len(alts) == 1 {
-				a.F[s.OpPlatformCell(o.Kind, int(pi))]++
-			} else {
-				a.F[s.OpPlatformCell(o.Kind, int(pi))] = -1
-			}
-		}
-	}
-	// Fuse pipeline segments exactly as the merge operation will, so the
-	// abstract structure matches the merged concrete vectors.
-	a.F[TopoPipeline] -= float64(c.totalFuses())
-	a.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
-	return a
-}
-
 // addPlatformChoice records operator o running on platform column pi:
 // the per-platform instance cell of its kind plus the platform-load cells.
 func (c *Context) addPlatformChoice(f []float64, o *plan.Operator, pi int) {
@@ -158,8 +132,8 @@ func (c *Context) addSingletonStructure(f []float64, o *plan.Operator) {
 	f[s.OpOutCardCell(o.Kind)] += o.OutputCard * iters
 }
 
-// Enumerate instantiates an abstract plan vector into the plan vector
-// enumeration of all its concrete execution alternatives (operation 2). For
+// Enumerate instantiates the operators of scope into the plan vector
+// enumeration of all their concrete execution alternatives (operation 2). For
 // a singleton scope this yields one vector per available platform; for
 // larger scopes it takes the cartesian product of the operators'
 // alternatives, i.e. the exhaustive enumeration of the subplan. maxVectors
@@ -168,8 +142,8 @@ func (c *Context) addSingletonStructure(f []float64, o *plan.Operator) {
 // cancels the enumeration (checked between merges, every mergeBlock pairs);
 // nil means context.Background(). The returned enumeration is valid until the
 // next run on this Context (see Enumeration).
-func (c *Context) Enumerate(ctx context.Context, a *Abstract, maxVectors int, st *Stats) (*Enumeration, error) {
-	ids := a.Scope.IDs()
+func (c *Context) Enumerate(ctx context.Context, scope plan.Bitset, maxVectors int, st *Stats) (*Enumeration, error) {
+	ids := scope.IDs()
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("core: cannot enumerate an empty scope")
 	}

@@ -65,7 +65,7 @@ func TestQuickVectorNonNegative(t *testing.T) {
 		}
 		// RandomDAG sizes are approximate; no cap — 2 platforms keep
 		// the exhaustive enumeration small enough.
-		e, err := ctx.Enumerate(context.Background(), ctx.Vectorize(), 0, nil)
+		e, err := ctx.Enumerate(context.Background(), plan.FullBitset(l.NumOps()), 0, nil)
 		if err != nil {
 			return false
 		}
@@ -93,7 +93,7 @@ func TestQuickPruneSubset(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		e, err := ctx.Enumerate(context.Background(), ctx.Vectorize(), 0, nil)
+		e, err := ctx.Enumerate(context.Background(), plan.FullBitset(l.NumOps()), 0, nil)
 		if err != nil {
 			return false
 		}

@@ -3,7 +3,8 @@
 //
 // The entire enumeration runs on plan vectors — flat []float64 feature
 // arrays (Fig. 5) — manipulated through a small algebra of operations:
-// Vectorize, Enumerate, Unvectorize (core operations, Section IV-C), Split,
+// Enumerate, Unvectorize (core operations, Section IV-C; Vectorize's abstract
+// vector is implicit in the operator IDs a run walks), Split,
 // Iterate, Merge (auxiliary operations, Section IV-D), and Prune (the
 // lossless boundary pruning of Section IV-E). On top of the algebra sits the
 // priority-based enumeration algorithm (Algorithm 1, Section V), which

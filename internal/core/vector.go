@@ -47,14 +47,6 @@ func (c *Context) wide(v *Vector) *Vector {
 	return &w
 }
 
-// Abstract is an abstract plan vector: the output of Vectorize (Section
-// IV-C(1)). It fixes the plan-structure features but leaves the per-platform
-// instantiation open, marking alternative cells with -1.
-type Abstract struct {
-	F     []float64
-	Scope plan.Bitset
-}
-
 // footprintKey computes the pruning-footprint key of an assignment over the
 // given boundary operators (Section IV-E, Fig. 7). Two vectors in the same
 // enumeration have equal keys iff they employ the same platform for every

@@ -78,27 +78,17 @@ func NewSLOClock(objectiveMs, target float64, windows []time.Duration, now func(
 
 // ObjectiveMs returns the latency objective in milliseconds.
 func (s *SLO) ObjectiveMs() float64 {
-	if s == nil {
-		return 0
-	}
 	return s.objectiveMs
 }
 
 // Target returns the availability target (fraction of good requests).
 func (s *SLO) Target() float64 {
-	if s == nil {
-		return 0
-	}
 	return s.target
 }
 
 // Record counts one request: good when it succeeded and met the latency
-// objective. Nil-safe so servers without an SLO configured skip tracking
-// with one branch.
+// objective.
 func (s *SLO) Record(latencyMs float64, ok bool) {
-	if s == nil {
-		return
-	}
 	sec := s.now().Unix()
 	good := ok && latencyMs <= s.objectiveMs
 	s.mu.Lock()
@@ -138,9 +128,6 @@ type SLOSnapshot struct {
 
 // Snapshot reports every window's burn rate and the combined breach verdict.
 func (s *SLO) Snapshot() SLOSnapshot {
-	if s == nil {
-		return SLOSnapshot{}
-	}
 	nowSec := s.now().Unix()
 	snap := SLOSnapshot{
 		ObjectiveMs: s.objectiveMs,

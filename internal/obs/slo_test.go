@@ -112,14 +112,6 @@ func TestSLOSlotReuse(t *testing.T) {
 	}
 }
 
-func TestSLONilSafe(t *testing.T) {
-	var s *SLO
-	s.Record(1, true)
-	if s.Snapshot().Breached || s.ObjectiveMs() != 0 || s.Target() != 0 {
-		t.Error("nil SLO must no-op")
-	}
-}
-
 func TestSLOTargetClamp(t *testing.T) {
 	s := NewSLO(100, 1.5)
 	if s.Target() > 0.9999 {

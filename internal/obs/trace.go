@@ -14,9 +14,9 @@ import (
 // slow, degraded, errored or explicitly requested — are always retained;
 // unremarkable runs are retained with a configurable probability).
 //
-// The fast path when tracing is disabled is strict: a nil *Trace (and a nil
-// *Tracer) turns every method below into a nil-check-and-return, so
-// instrumented hot paths pay one predictable branch per call site.
+// The fast path when tracing is disabled is strict: a nil *Trace turns every
+// method below into a nil-check-and-return, so instrumented hot paths (core's
+// untraced library runs) pay one predictable branch per call site.
 
 // Span is one timed operation inside a trace. Spans form a tree (the root
 // span's parent is -1). A span is created by Trace.StartSpan, annotated with
@@ -369,7 +369,6 @@ const DefaultTraceCap = 128
 // added about 260, and a retained trace held 5–20 % more than it does now. Retention is decided at Finish, when the run's outcome is known —
 // notable traces (explicitly requested, errored, degraded or slower than
 // SlowThreshold) are always retained, the rest with probability SampleRate.
-// A nil *Tracer no-ops everywhere.
 type Tracer struct {
 	sample float64
 	slow   time.Duration
@@ -406,25 +405,16 @@ func NewTracer(capacity int, sample float64, slow time.Duration) *Tracer {
 
 // SampleRate returns the configured probabilistic retention rate.
 func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
 	return t.sample
 }
 
 // Cap returns the ring capacity.
 func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
 	return len(t.slots)
 }
 
 // Occupancy returns how many ring slots currently hold a retained trace.
 func (t *Tracer) Occupancy() int {
-	if t == nil {
-		return 0
-	}
 	n := 0
 	for i := range t.slots {
 		if t.slots[i].Load() != nil {
@@ -436,28 +426,16 @@ func (t *Tracer) Occupancy() int {
 
 // Retained and Dropped count Finish decisions.
 func (t *Tracer) Retained() int64 {
-	if t == nil {
-		return 0
-	}
 	return t.retained.Load()
 }
 
 // Dropped counts traces Finish decided not to retain.
 func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
 	return t.dropped.Load()
 }
 
-// Start begins a new trace. Returns nil (the strict no-op path) on a nil
-// tracer.
-func (t *Tracer) Start(id string) *Trace {
-	if t == nil {
-		return nil
-	}
-	return NewTrace(id)
-}
+// Start begins a new trace.
+func (t *Tracer) Start(id string) *Trace { return NewTrace(id) }
 
 // rand returns a uniform float64 in [0,1) from a lock-free xorshift64 state.
 func (t *Tracer) rand() float64 {
@@ -476,17 +454,12 @@ func (t *Tracer) rand() float64 {
 // Finish closes tr and decides retention: forced traces and notable ones
 // (non-empty notable reason, recorded error, duration ≥ the slow threshold)
 // are always retained; others are kept with probability SampleRate. Returns
-// whether the trace entered the ring. Nil-safe on both receiver and trace; a
-// nil tracer still closes the trace so a forced, ringless trace reports its
-// duration.
+// whether the trace entered the ring. Nil-safe on the trace.
 func (t *Tracer) Finish(tr *Trace, forced bool, notable string) bool {
 	if tr == nil {
 		return false
 	}
 	tr.End()
-	if t == nil {
-		return false
-	}
 	reason := ""
 	switch {
 	case forced:
@@ -514,9 +487,6 @@ func (t *Tracer) Finish(tr *Trace, forced bool, notable string) bool {
 
 // Recent returns up to n retained traces, newest first (n <= 0 means all).
 func (t *Tracer) Recent(n int) []*Trace {
-	if t == nil {
-		return nil
-	}
 	out := make([]*Trace, 0, len(t.slots))
 	for i := range t.slots {
 		if tr := t.slots[i].Load(); tr != nil {
@@ -535,9 +505,6 @@ func (t *Tracer) Recent(n int) []*Trace {
 // either its propagated trace ID or its local request ID, so both handles
 // printed by clients resolve.
 func (t *Tracer) Get(id string) *Trace {
-	if t == nil {
-		return nil
-	}
 	var best *Trace
 	for i := range t.slots {
 		if tr := t.slots[i].Load(); tr != nil && (tr.ID == id || tr.RequestID == id) {

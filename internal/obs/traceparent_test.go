@@ -82,8 +82,4 @@ func TestTracerOccupancy(t *testing.T) {
 	if tr.Occupancy() != 2 {
 		t.Errorf("occupancy = %d, want 2", tr.Occupancy())
 	}
-	var nilTracer *Tracer
-	if nilTracer.Occupancy() != 0 {
-		t.Error("nil tracer occupancy should be 0")
-	}
 }

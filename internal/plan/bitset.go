@@ -17,6 +17,16 @@ func NewBitset(n int) Bitset {
 	return make(Bitset, (n+63)/64)
 }
 
+// FullBitset returns the set of every ID in [0, n): the scope of a whole
+// n-operator plan.
+func FullBitset(n int) Bitset {
+	b := NewBitset(n)
+	for id := range OpID(n) {
+		b.Set(id)
+	}
+	return b
+}
+
 // Clone returns a copy of b.
 func (b Bitset) Clone() Bitset {
 	out := make(Bitset, len(b))

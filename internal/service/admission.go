@@ -47,8 +47,8 @@ const (
 // serves its degraded beam, trading plan quality for drain rate before any
 // request has to be refused.
 //
-// The zero value is not usable directly; leave Server.Admission nil to
-// admit everything immediately.
+// The zero value admits 2×GOMAXPROCS request units and queues 4× that many;
+// a Server cannot run without one.
 type Admission struct {
 	// MaxConcurrent caps concurrently optimizing request units. Zero or
 	// negative resolves to 2×GOMAXPROCS.

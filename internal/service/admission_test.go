@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mlmodel"
 	"repro/internal/obs"
-	"repro/internal/platform"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -48,17 +47,13 @@ func (m gateModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []fl
 // and 429s with a Retry-After hint — and that the admission counters
 // reconcile exactly with what the clients saw.
 func TestAdmissionSaturationHTTP(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(slowSumModel{d: 200 * time.Microsecond}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Admission: &service.Admission{
-			MaxConcurrent: 1,
-			MaxQueue:      3,
-			// shedAt = ceil(0.01·3) = 1: every request that has to queue is
-			// shed, so the test is not timing-sensitive about which ones.
-			ShedFraction: 0.01,
-		},
+	s := newServer(modelProvider(slowSumModel{d: 200 * time.Microsecond}))
+	s.Admission = &service.Admission{
+		MaxConcurrent: 1,
+		MaxQueue:      3,
+		// shedAt = ceil(0.01·3) = 1: every request that has to queue is
+		// shed, so the test is not timing-sensitive about which ones.
+		ShedFraction: 0.01,
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -77,7 +72,7 @@ func TestAdmissionSaturationHTTP(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/optimize?nocache=1", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Errorf("request %d: %v", i, err)
 				return
@@ -160,12 +155,8 @@ func TestAdmissionSaturationHTTP(t *testing.T) {
 // it waits for a slot is dequeued as a 503, not optimized late.
 func TestAdmissionQueueHonorsDeadline(t *testing.T) {
 	gm := newGateModel()
-	s := &service.Server{
-		Provider:  modelProvider(gm),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Admission: &service.Admission{MaxConcurrent: 1, MaxQueue: 2},
-	}
+	s := newServer(modelProvider(gm))
+	s.Admission = &service.Admission{MaxConcurrent: 1, MaxQueue: 2}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body := planJSON(t)

@@ -2,19 +2,14 @@ package service_test
 
 import (
 	"bytes"
-	"io"
 	"net/http"
 	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/plancache"
-	"repro/internal/platform"
-	"repro/internal/service"
-	"repro/internal/simulator"
 	"repro/internal/workload"
 )
 
@@ -45,27 +40,13 @@ type reusedBody struct{ bytes.Reader }
 
 func (*reusedBody) Close() error { return nil }
 
-// roboptdServer is a server wired the way cmd/roboptd wires one — tracer,
-// SLO, admission, request log (discarded), default deadline — over a plan
+// roboptdServer is newServer with roboptd's default deadline, over a plan
 // cache configured by cache, serving on one enumeration worker.
 func roboptdServer(t testing.TB, cache plancache.Config) http.Handler {
 	t.Helper()
-	logger, err := obs.NewLogger(io.Discard, "info", "text", "roboptd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &service.Server{
-		Provider:        modelProvider(sumModel{}),
-		Platforms:       platform.Subset(3),
-		Avail:           platform.UniformAvailability(3),
-		Cluster:         simulator.Default(),
-		DefaultDeadline: 30 * time.Second,
-		Tracer:          obs.NewTracer(obs.DefaultTraceCap, 0.1, time.Second),
-		Logger:          logger,
-		SLO:             obs.NewSLO(500, 0.99),
-		Admission:       &service.Admission{ShedFraction: service.DefaultShedFraction},
-		Workers:         1,
-	}
+	s := newServer(modelProvider(sumModel{}))
+	s.DefaultDeadline = 30 * time.Second
+	s.Workers = 1
 	cache.Metrics = s.Metrics()
 	s.PlanCache = plancache.New(cache)
 	return s.Handler()
@@ -106,8 +87,9 @@ func warmServer(t testing.TB, body []byte) (post func() *reusedWriter) {
 // read, decode, fingerprint, cache read, materialize, respond, account,
 // encode — for a 20-operator pipeline. The reflection-based plan decoder
 // alone used to allocate more than the whole request does now. It measures
-// 49: its one-span trace is three allocations, not the ten it was while a
-// span and each attribute were objects of their own (56 then). The ceiling
+// 48 (49 while the reply was boxed by value for its encoder): its one-span
+// trace is three allocations, not the ten it was while a span and each
+// attribute were objects of their own (56 then). The ceiling
 // keeps the 8 of headroom it had over 56.
 func TestWarmHitAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -136,13 +118,14 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 // over serving-shaped plans (pipelines, join trees and random DAGs) that
 // evict each other from a one-entry cache, in two cases. Reused, the
 // collector is off for the measurement, so each request's enumeration takes
-// over the rows of the one before: 142 allocations and 67 kB measured,
+// over the rows of the one before: 138 allocations and 64 kB measured,
 // ceilings 265 / 116 kB, the headroom of the fresh case. Fresh, a collection
-// runs before every request, so each enumeration starts on new memory: 162
-// allocations and 337 kB measured, where runs that dropped their rows took
-// 178 / 305 kB measured the same way (170 / 303 kB without the collections):
-// the rows come in fewer, larger chunks. Its ceilings are the ones it had
-// then, and the story below is that case's.
+// runs before every request, so each enumeration starts on new memory: 158
+// allocations and 333 kB measured (162 / 337 kB while every run built the
+// abstract plan vector and the reply was boxed by value), where runs that
+// dropped their rows took 178 / 305 kB measured the same way (170 / 303 kB
+// without the collections): the rows come in fewer, larger chunks. Its
+// ceilings are the ones it had then, and the story below is that case's.
 // Spans carry durations and join keys only and every step's counts are
 // written once, into its PruneRecord: 26 of the allocations are the trace's.
 // The run's bookkeeping and its trace come in blocks sized from the plan —

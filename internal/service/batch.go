@@ -101,7 +101,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	// child span per plan, so the fan-out reads as a single tree. A
 	// propagated traceparent names the trace; its sampled flag forces
 	// retention, exactly like ?trace=1 on /optimize.
-	btr := s.startTrace(&p, p.remoteSampled)
+	btr := s.startTrace(&p)
 	broot := btr.StartSpan(nil, "batch")
 	broot.SetInt("members", int64(len(breq.Plans)))
 
@@ -213,7 +213,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = BatchMemberResult{Plan: &out.resp, Cache: sources[out.src].xcache}
 	}
 	resp.TotalMs = sinceMs(p.start)
-	resp.TraceID = traceIDOf(btr)
+	resp.TraceID = btr.ID
 
 	// Close the shared trace once the whole fan-out is accounted for; a
 	// batch with any degraded member is notable, like a degraded single
@@ -229,5 +229,5 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		notable = "degraded"
 	}
 	s.Tracer.Finish(btr, p.remoteSampled, notable)
-	s.writeJSON(w, resp)
+	s.send(w, &p, &resp)
 }

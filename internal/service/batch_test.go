@@ -11,9 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/plancache"
-	"repro/internal/platform"
 	"repro/internal/service"
-	"repro/internal/simulator"
 	"repro/internal/workload"
 )
 
@@ -26,13 +24,15 @@ func marshalPlan(t *testing.T, l *plan.Logical) json.RawMessage {
 	return data
 }
 
-func postBatch(t *testing.T, url string, plans []json.RawMessage) (*http.Response, service.BatchResponse, []byte) {
+// postBatch POSTs plans to base's /optimize/batch, with the query string
+// query ("" for none).
+func postBatch(t *testing.T, base, query string, plans []json.RawMessage) (*http.Response, service.BatchResponse, []byte) {
 	t.Helper()
 	body, err := json.Marshal(service.BatchRequest{Plans: plans})
 	if err != nil {
 		t.Fatalf("marshal batch: %v", err)
 	}
-	resp, err := http.Post(url+"/optimize/batch", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/optimize/batch"+query, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /optimize/batch: %v", err)
 	}
@@ -52,13 +52,7 @@ func postBatch(t *testing.T, url string, plans []json.RawMessage) (*http.Respons
 // members ride their leader's plan, a second identical batch is served from
 // the cache sweep, and member failures are isolated to their slot.
 func TestBatchEndpoint(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Cluster:   simulator.Default(),
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(modelProvider(sumModel{}))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -67,7 +61,7 @@ func TestBatchEndpoint(t *testing.T) {
 	malformed := json.RawMessage(`{"ops": "not-a-plan"}`)
 	plans := []json.RawMessage{example, example, pipeline, malformed}
 
-	resp, out, raw := postBatch(t, ts.URL, plans)
+	resp, out, raw := postBatch(t, ts.URL, "", plans)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d (%.300s)", resp.StatusCode, raw)
 	}
@@ -100,7 +94,7 @@ func TestBatchEndpoint(t *testing.T) {
 
 	// The same batch again: the cache sweep answers every fingerprinted
 	// member (the duplicate included) before any enumeration.
-	resp2, out2, raw2 := postBatch(t, ts.URL, plans)
+	resp2, out2, raw2 := postBatch(t, ts.URL, "", plans)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("second batch status %d (%.300s)", resp2.StatusCode, raw2)
 	}
@@ -125,11 +119,7 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 func TestBatchEndpointRejections(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-	}
+	s := newServer(modelProvider(sumModel{}))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	example := marshalPlan(t, workload.RunningExample())
@@ -143,7 +133,7 @@ func TestBatchEndpointRejections(t *testing.T) {
 		t.Fatalf("GET status %d, want 405", resp.StatusCode)
 	}
 
-	if resp, _, _ := postBatch(t, ts.URL, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp, _, _ := postBatch(t, ts.URL, "", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch status %d, want 400", resp.StatusCode)
 	}
 
@@ -151,16 +141,16 @@ func TestBatchEndpointRejections(t *testing.T) {
 	for i := range over {
 		over[i] = example
 	}
-	if resp, _, _ := postBatch(t, ts.URL, over); resp.StatusCode != http.StatusRequestEntityTooLarge {
+	if resp, _, _ := postBatch(t, ts.URL, "", over); resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch status %d, want 413", resp.StatusCode)
 	}
 
-	// Without a plan cache the batch still serves every member — it just
-	// cannot dedup, so both copies enumerate.
-	if resp, out, raw := postBatch(t, ts.URL, []json.RawMessage{example, example}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("cacheless batch status %d (%.300s)", resp.StatusCode, raw)
+	// Past the cache (?nocache=1) the batch still serves every member — it
+	// just cannot dedup, so both copies enumerate.
+	if resp, out, raw := postBatch(t, ts.URL, "?nocache=1", []json.RawMessage{example, example}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("nocache batch status %d (%.300s)", resp.StatusCode, raw)
 	} else if out.Deduped != 0 || out.Errors != 0 || out.Results[0].Plan == nil || out.Results[1].Plan == nil {
-		t.Fatalf("cacheless batch = %+v", out)
+		t.Fatalf("nocache batch = %+v", out)
 	}
 }
 
@@ -174,7 +164,7 @@ func TestBatchLooksEachMemberUpOnce(t *testing.T) {
 	plans := []json.RawMessage{example, example, marshalPlan(t, workload.Pipeline(6, 1e9))}
 
 	for _, want := range []struct{ hits, misses int64 }{{0, 3}, {3, 3}} {
-		if resp, _, raw := postBatch(t, ts.URL, plans); resp.StatusCode != http.StatusOK {
+		if resp, _, raw := postBatch(t, ts.URL, "", plans); resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch status %d (%.300s)", resp.StatusCode, raw)
 		}
 		var cz struct {

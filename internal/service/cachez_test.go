@@ -16,18 +16,11 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/service"
-	"repro/internal/simulator"
 )
 
-// newCachedServer is newTestServer plus a plan cache wired to the server's
-// metric registry, the way roboptd configures it.
+// newCachedServer is newServer with its plan cache configured by cfg.
 func newCachedServer(cfg plancache.Config) (*service.Server, *httptest.Server) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Cluster:   simulator.Default(),
-	}
+	s := newServer(modelProvider(sumModel{}))
 	cfg.Metrics = s.Metrics()
 	s.PlanCache = plancache.New(cfg)
 	return s, httptest.NewServer(s.Handler())
@@ -68,7 +61,7 @@ func planPayload(t *testing.T, raw []byte) []byte {
 	}
 	for _, k := range []string{
 		"requestId", "optimizationMs", "stats", "stageMs", "cachedAt",
-		"servedModelVersion", "simulatedRuntimeSec", "simulatedLabel", "trace",
+		"servedModelVersion", "simulatedRuntimeSec", "simulatedLabel", "trace", "traceId",
 	} {
 		delete(m, k)
 	}
@@ -156,13 +149,7 @@ func TestCacheNocacheBypass(t *testing.T) {
 // serve most of them without their own enumeration (collapsed onto the
 // in-flight leader or hit after it published).
 func TestCacheConcurrentIdentical(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(slowSumModel{d: 100 * time.Microsecond}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Cluster:   simulator.Default(),
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(modelProvider(slowSumModel{d: 100 * time.Microsecond}))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -276,13 +263,8 @@ func TestCachePromoteInvalidates(t *testing.T) {
 // TestCacheHitTrace: a cache hit's trace is a single "cache" span — no
 // vectorize/enumerate/prune spans, because none of that ran.
 func TestCacheHitTrace(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Tracer:    obs.NewTracer(16, 1, 0),
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(modelProvider(sumModel{}))
+	s.Tracer = obs.NewTracer(16, 1, 0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -323,24 +305,7 @@ func TestCacheHitTrace(t *testing.T) {
 }
 
 func TestCachezEndpoints(t *testing.T) {
-	// Without a cache: enabled=false, purge conflicts.
-	plain := newTestServer()
-	defer plain.Close()
-	var off service.CachezResponse
-	getJSON(t, plain.URL+"/cachez", &off)
-	if off.Enabled {
-		t.Fatal("cacheless server reports an enabled cache")
-	}
-	resp, err := http.Post(plain.URL+"/cachez/purge", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("purge without a cache: status %d, want 409", resp.StatusCode)
-	}
-
-	// With a cache: stats and purge.
+	// Stats and purge.
 	_, ts := newCachedServer(plancache.Config{})
 	defer ts.Close()
 	body := planJSON(t)
@@ -349,8 +314,8 @@ func TestCachezEndpoints(t *testing.T) {
 
 	var on service.CachezResponse
 	getJSON(t, ts.URL+"/cachez", &on)
-	if !on.Enabled {
-		t.Fatal("cache not reported enabled")
+	if on.Stats == nil {
+		t.Fatal("cachez reports no cache stats")
 	}
 	var purged service.PurgeResponse
 	postJSON(t, ts.URL+"/cachez/purge", http.StatusOK, &purged)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/registry"
 	"repro/internal/service"
-	"repro/internal/simulator"
 	"repro/internal/workload"
 )
 
@@ -96,14 +95,8 @@ func TestFeedbackVectorizesServedPlan(t *testing.T) {
 	body1, body2 := marshalPlan(t, first), marshalPlan(t, second)
 
 	t.Run("local hit", func(t *testing.T) {
-		s := &service.Server{
-			Provider:  modelProvider(sumModel{}),
-			Feedback:  registry.NewFeedback(8),
-			Platforms: platform.Subset(3),
-			Avail:     platform.UniformAvailability(3),
-			Cluster:   simulator.Default(),
-		}
-		s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+		s := newServer(modelProvider(sumModel{}))
+		s.Feedback = registry.NewFeedback(8)
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 

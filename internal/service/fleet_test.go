@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/plancache"
-	"repro/internal/platform"
 	"repro/internal/registry"
 	"repro/internal/service"
-	"repro/internal/simulator"
 )
 
 // newReplica builds one fleet member over a shared store directory: its own
@@ -31,14 +28,8 @@ func newReplica(t *testing.T, dir string) (*service.Server, *httptest.Server) {
 	if err != nil {
 		t.Fatalf("NewProvider: %v", err)
 	}
-	s := &service.Server{
-		Provider:   p,
-		ModelStore: st,
-		Platforms:  platform.Subset(3),
-		Avail:      platform.UniformAvailability(3),
-		Cluster:    simulator.Default(),
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(p)
+	s.ModelStore = st
 	s.PlanCache.Activate(art.Version)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)

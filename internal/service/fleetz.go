@@ -67,7 +67,7 @@ func (s *Server) RegisterReplicaLoop(ctx context.Context, addr string, interval 
 		return nil, err
 	}
 	warn := func(msg string, err error) {
-		if err != nil && s.Logger != nil {
+		if err != nil {
 			s.Logger.Warn(msg, "replicaId", s.ReplicaID, "err", err.Error())
 		}
 	}

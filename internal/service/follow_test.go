@@ -166,7 +166,7 @@ func TestFollowStoreFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts, st := newLifecycleServer(t)
 			defer ts.Close()
-			addCacheAndRetrainer(t, s)
+			addRetrainer(t, s)
 			f := &follower{t: t, s: s, st: st}
 			s.Logger = slog.New(slog.NewTextHandler(&f.logs, nil))
 			f.tick = s.FollowStore()

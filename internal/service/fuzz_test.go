@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/plan"
-	"repro/internal/plancache"
-	"repro/internal/platform"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -63,13 +61,8 @@ func FuzzOptimizeBody(f *testing.F) {
 		f.Add(body)
 	}
 
-	s := &service.Server{
-		Provider:        modelProvider(sumModel{}),
-		Platforms:       platform.Subset(3),
-		Avail:           platform.UniformAvailability(3),
-		DefaultDeadline: fuzzDeadline,
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(modelProvider(sumModel{}))
+	s.DefaultDeadline = fuzzDeadline
 	h := s.Handler()
 	post := func(t *testing.T, path string, body []byte, allowed ...int) *httptest.ResponseRecorder {
 		t.Helper()
@@ -119,11 +112,7 @@ func FuzzOptimizeBody(f *testing.F) {
 // a plan, with net/http's "request body too large" in the message
 // (TestReadBodyWrapsMaxBytesError checks the error chain).
 func TestOversizedBodyIs413(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-	}
+	s := newServer(modelProvider(sumModel{}))
 	h := s.Handler()
 	for name, body := range map[string][]byte{
 		"all braces":      bytes.Repeat([]byte("{"), service.MaxBodyBytes+1),

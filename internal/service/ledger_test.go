@@ -164,3 +164,22 @@ func TestLostResponseIsAFailure(t *testing.T) {
 		t.Errorf("the computed plan is in %d ok series, want 1", got)
 	}
 }
+
+// TestLostBatchReplyIsAFailure: a batch reply that could not be written is
+// counted like a lost /optimize reply — one failure, one encode failure, and
+// no second request beside the members already served.
+func TestLostBatchReplyIsAFailure(t *testing.T) {
+	s, ts := newObsServer(t)
+	body := []byte(`{"plans":[` + string(planJSON(t)) + `]}`)
+	req := httptest.NewRequest(http.MethodPost, "/optimize/batch", bytes.NewReader(body))
+	s.Handler().ServeHTTP(brokenWriter{hdr: http.Header{}}, req)
+
+	c := checkLedger(t, ts.URL)
+	if c["requests_total"] != 1 || c["failures_total"] != 1 || c["encode_failures_total"] != 1 {
+		t.Errorf("requests_total = %d, failures_total = %d, encode_failures_total = %d, want 1 each",
+			c["requests_total"], c["failures_total"], c["encode_failures_total"])
+	}
+	if got := c[`serving_requests_total{endpoint="batch",outcome="ok",cache="miss"}`]; got != 1 {
+		t.Errorf("the computed member is in %d ok series, want 1", got)
+	}
+}

@@ -26,8 +26,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ReadyzResponse is the JSON reply of GET /readyz.
 type ReadyzResponse struct {
 	Ready bool `json:"ready"`
-	// Reason explains a 503 ("draining", "no model configured", or the
-	// artifact validation error).
+	// Reason explains a 503 ("draining" or the artifact validation error).
 	Reason string `json:"reason,omitempty"`
 	// ModelVersion is the version this replica currently serves.
 	ModelVersion string `json:"modelVersion,omitempty"`
@@ -48,8 +47,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	resp := ReadyzResponse{}
 	if s.unready.Load() {
 		resp.Reason = "draining"
-	} else if s.Provider == nil {
-		resp.Reason = "no model configured"
 	} else {
 		snap := s.Provider.Get()
 		resp.ModelVersion = snap.Version()
@@ -140,7 +137,7 @@ func (s *Server) followStore() func() {
 		switch {
 		case err != nil:
 			m.Counter("store_watch_errors_total").Inc()
-			if s.Logger != nil && err.Error() != warned {
+			if err.Error() != warned {
 				warned = err.Error()
 				s.Logger.Warn("store follower: sync failed", "active", active, "err", warned)
 			}
@@ -159,9 +156,6 @@ func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) 
 	if s.ModelStore == nil {
 		return nil, errors.New("service: no model store configured (-model-dir)")
 	}
-	if s.Provider == nil {
-		return nil, errors.New("service: no model configured")
-	}
 	if interval <= 0 {
 		interval = registry.DefaultWatchInterval
 	}
@@ -173,6 +167,7 @@ func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) 
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	snap := s.Metrics().Snapshot()
+	a, t := s.Admission, s.Tracer
 	lastError := ""
 	if msg := s.lastError.Load(); msg != nil {
 		lastError = *msg
@@ -190,24 +185,20 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		"ready":            !s.unready.Load(),
 		"buildVersion":     buildinfo.Version(),
 		"goVersion":        buildinfo.GoVersion(),
-	}
-	if a := s.Admission; a != nil {
-		out["admission"] = map[string]any{
+		"admission": map[string]any{
 			"maxConcurrent": a.maxConcurrent(),
 			"maxQueue":      a.maxQueue(),
 			"inFlight":      a.inFlight(),
 			"queueDepth":    a.QueueDepth(),
 			"shedThreshold": a.shedAt(),
-		}
-	}
-	if t := s.Tracer; t != nil {
-		out["tracer"] = map[string]any{
+		},
+		"tracer": map[string]any{
 			"cap":        t.Cap(),
 			"occupancy":  t.Occupancy(),
 			"retained":   t.Retained(),
 			"dropped":    t.Dropped(),
 			"sampleRate": t.SampleRate(),
-		}
+		},
 	}
 	if s.ReplicaID != "" {
 		out["replicaId"] = s.ReplicaID

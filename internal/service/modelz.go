@@ -38,8 +38,8 @@ type ModelzResponse struct {
 	Swaps int64 `json:"swaps"`
 	// Store reports the persisted versions when a model store is configured.
 	Store *ModelzStoreJSON `json:"store,omitempty"`
-	// Feedback reports the execution-feedback buffer when one is configured.
-	Feedback *ModelzFeedbackJSON `json:"feedback,omitempty"`
+	// Feedback reports the execution-feedback buffer.
+	Feedback *ModelzFeedbackJSON `json:"feedback"`
 	// Retrainer reports whether a background retraining loop is configured.
 	Retrainer bool `json:"retrainer"`
 }
@@ -81,12 +81,16 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 
 func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request, reqID string) {
 	p := s.Provider
-	if p == nil {
-		s.fail(w, reqID, http.StatusServiceUnavailable, errors.New("service: no model configured"))
-		return
+	resp := ModelzResponse{
+		Active: p.Get().Artifact,
+		Swaps:  p.Swaps(),
+		Feedback: &ModelzFeedbackJSON{
+			Len:   s.Feedback.Len(),
+			Cap:   s.Feedback.Cap(),
+			Total: s.Feedback.Total(),
+		},
+		Retrainer: s.Retrainer != nil,
 	}
-	snap := p.Get()
-	resp := ModelzResponse{Active: snap.Artifact, Swaps: p.Swaps(), Retrainer: s.Retrainer != nil}
 	if s.ModelStore != nil {
 		versions, err := s.ModelStore.Versions()
 		if err != nil {
@@ -95,13 +99,6 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request, reqID stri
 		}
 		active, _ := s.ModelStore.ActiveVersion()
 		resp.Store = &ModelzStoreJSON{Versions: versions, Active: active}
-	}
-	if s.Feedback != nil {
-		resp.Feedback = &ModelzFeedbackJSON{
-			Len:   s.Feedback.Len(),
-			Cap:   s.Feedback.Cap(),
-			Total: s.Feedback.Total(),
-		}
 	}
 	s.writeJSON(w, resp)
 }
@@ -130,9 +127,6 @@ func (s *Server) publish(art *registry.Artifact, pin bool) (SwapResponse, error)
 		return SwapResponse{}, err
 	}
 	p := s.Provider
-	if p == nil {
-		return SwapResponse{}, errors.New("service: no model configured")
-	}
 	if pin && s.ModelStore != nil {
 		v, err := s.ModelStore.Adopt(art)
 		if err == nil {
@@ -150,14 +144,10 @@ func (s *Server) publish(art *registry.Artifact, pin bool) (SwapResponse, error)
 		}
 		resp = SwapResponse{Swapped: true, Version: art.Version, Previous: cur.Version()}
 	}
-	if s.PlanCache != nil {
-		s.PlanCache.Activate(p.Get().Version())
-	}
+	s.PlanCache.Activate(p.Get().Version())
 	if resp.Swapped {
 		s.Metrics().Counter("model_swaps_total").Inc()
-		if s.Logger != nil {
-			s.Logger.Info("model published", "version", resp.Version, "previous", resp.Previous, "pinned", pin)
-		}
+		s.Logger.Info("model published", "version", resp.Version, "previous", resp.Previous, "pinned", pin)
 	}
 	return resp, nil
 }
@@ -246,10 +236,6 @@ func (s *Server) handleModelzRetrain(w http.ResponseWriter, r *http.Request, req
 }
 
 func (s *Server) handleModelzFeedback(w http.ResponseWriter, r *http.Request, reqID string) {
-	if s.Feedback == nil {
-		s.fail(w, reqID, http.StatusConflict, errors.New("service: no feedback buffer configured"))
-		return
-	}
 	ds := s.Feedback.Dataset()
 	w.Header().Set("Content-Type", "text/csv")
 	for i := 0; i < ds.Len(); i++ {

@@ -21,11 +21,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/mlmodel"
 	"repro/internal/obs"
-	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/registry"
 	"repro/internal/service"
-	"repro/internal/simulator"
 )
 
 // testWidth is the plan-vector width of the 3-platform test universe.
@@ -91,14 +89,9 @@ func newLifecycleServer(t *testing.T) (*service.Server, *httptest.Server, *regis
 	if err != nil {
 		t.Fatalf("NewProvider: %v", err)
 	}
-	s := &service.Server{
-		Provider:   p,
-		ModelStore: st,
-		Feedback:   registry.NewFeedback(16),
-		Platforms:  platform.Subset(3),
-		Avail:      platform.UniformAvailability(3),
-		Cluster:    simulator.Default(),
-	}
+	s := newServer(p)
+	s.ModelStore = st
+	s.Feedback = registry.NewFeedback(16)
 	return s, httptest.NewServer(s.Handler()), st
 }
 
@@ -285,12 +278,8 @@ func TestModelzPromotePinsFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProvider: %v", err)
 	}
-	s := &service.Server{
-		Provider:   p,
-		ModelStore: st,
-		Platforms:  platform.Subset(3),
-		Avail:      platform.UniformAvailability(3),
-	}
+	s := newServer(p)
+	s.ModelStore = st
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -344,14 +333,9 @@ func TestModelzRetrainEndpoint(t *testing.T) {
 		t.Fatalf("NewProvider: %v", err)
 	}
 	fb := registry.NewFeedback(256)
-	s := &service.Server{
-		Provider:   p,
-		ModelStore: st,
-		Feedback:   fb,
-		Platforms:  platform.Subset(3),
-		Avail:      platform.UniformAvailability(3),
-		Cluster:    simulator.Default(),
-	}
+	s := newServer(p)
+	s.ModelStore = st
+	s.Feedback = fb
 	s.Retrainer = &registry.Retrainer{
 		Provider:    p,
 		Feedback:    fb,
@@ -419,14 +403,12 @@ func feedLaw(t *testing.T, fb *registry.Feedback, width int, scale float64, n, r
 	}
 }
 
-// addCacheAndRetrainer gives a lifecycle server the rest of a deployment — a
-// plan cache and a retrainer on a feedback buffer large enough to retrain
-// from — and boots it the way roboptd boots on an artifact read from the
-// store: published unpinned. Nothing else wires the three together.
-func addCacheAndRetrainer(t *testing.T, s *service.Server) {
+// addRetrainer gives a lifecycle server a retrainer on a feedback buffer
+// large enough to retrain from, and boots it the way roboptd boots on an
+// artifact read from the store: published unpinned.
+func addRetrainer(t *testing.T, s *service.Server) {
 	t.Helper()
 	s.Feedback = registry.NewFeedback(1024)
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
 	s.Retrainer = &registry.Retrainer{
 		Provider:    s.Provider,
 		Feedback:    s.Feedback,
@@ -552,13 +534,8 @@ func TestPublishEntryPoints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewProvider: %v", err)
 			}
-			s := &service.Server{
-				Provider:   p,
-				ModelStore: st,
-				Platforms:  platform.Subset(3),
-				Avail:      platform.UniformAvailability(3),
-			}
-			s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+			s := newServer(p)
+			s.ModelStore = st
 			ts := httptest.NewServer(s.Handler())
 			t.Cleanup(ts.Close)
 			if sw, err := s.Publish(art, true); err != nil || sw.Swapped || sw.Version != "v3" {
@@ -625,7 +602,7 @@ func TestPublishEntryPoints(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts, st := newLifecycleServer(t)
 			defer ts.Close()
-			addCacheAndRetrainer(t, s)
+			addRetrainer(t, s)
 			body := planJSON(t)
 			postPlan(t, ts.URL+"/optimize", body)
 			if resp, _, _ := postPlan(t, ts.URL+"/optimize", body); resp.Header.Get("X-Cache") != "hit" {
@@ -656,7 +633,7 @@ func TestRetrainPromotionKeepsCaching(t *testing.T) {
 				if !withStore {
 					s.ModelStore, st = nil, nil
 				}
-				addCacheAndRetrainer(t, s)
+				addRetrainer(t, s)
 				body := planJSON(t)
 				postPlan(t, ts.URL+"/optimize", body)
 
@@ -684,7 +661,7 @@ func TestRetrainPromotionKeepsCaching(t *testing.T) {
 func TestPromoteMarkerFailure(t *testing.T) {
 	s, ts, st := newLifecycleServer(t)
 	defer ts.Close()
-	addCacheAndRetrainer(t, s)
+	addRetrainer(t, s)
 	body := planJSON(t)
 	postPlan(t, ts.URL+"/optimize", body)
 
@@ -734,12 +711,10 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewProvider: %v", err)
 	}
-	s := &service.Server{
-		Provider:  p,
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-	}
-	addCacheAndRetrainer(t, s)
+	s := newServer(p)
+	addRetrainer(t, s)
+	// Room for the whole burst: this test checks labels, not refusals.
+	s.Admission = &service.Admission{MaxConcurrent: 256}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	client := ts.Client()

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/plancache"
-	"repro/internal/platform"
 	"repro/internal/service"
 )
 
@@ -28,14 +26,8 @@ const (
 // request, plan cache, and an SLO tracker — the shape roboptd runs with.
 func newObsServer(t *testing.T) (*service.Server, *httptest.Server) {
 	t.Helper()
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Tracer:    obs.NewTracer(16, 1, 0),
-		SLO:       obs.NewSLO(500, 0.99),
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(modelProvider(sumModel{}))
+	s.Tracer = obs.NewTracer(16, 1, 0)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -152,12 +144,8 @@ func TestTraceparentMalformed(t *testing.T) {
 // tracer that samples nothing still retains the trace ("forced"), while an
 // unsampled traceparent is subject to normal retention.
 func TestTraceparentForcesRetention(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Tracer:    obs.NewTracer(8, 0, 0), // sample rate 0: keep nothing voluntarily
-	}
+	s := newServer(modelProvider(sumModel{}))
+	s.Tracer = obs.NewTracer(8, 0, 0) // sample rate 0: keep nothing voluntarily
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -318,11 +306,8 @@ func TestSloz(t *testing.T) {
 		postTraced(t, ts.URL+"/optimize", "", planJSON(t), &out)
 	}
 
-	var sloz service.SlozResponse
+	var sloz obs.SLOSnapshot
 	getJSON(t, ts.URL+"/sloz", &sloz)
-	if !sloz.Enabled {
-		t.Fatal("sloz reports disabled on a server with an SLO")
-	}
 	if sloz.ObjectiveMs != 500 || sloz.Target != 0.99 {
 		t.Errorf("objective=%v target=%v, want 500/0.99", sloz.ObjectiveMs, sloz.Target)
 	}
@@ -365,7 +350,7 @@ func TestSLOIgnoresPreAdmissionRejections(t *testing.T) {
 	_, ts := newObsServer(t)
 	var out service.OptimizeResponse
 	postTraced(t, ts.URL+"/optimize", "", planJSON(t), &out)
-	var before service.SlozResponse
+	var before obs.SLOSnapshot
 	getJSON(t, ts.URL+"/sloz", &before)
 
 	good := string(planJSON(t))
@@ -398,7 +383,7 @@ func TestSLOIgnoresPreAdmissionRejections(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var after service.SlozResponse
+	var after obs.SLOSnapshot
 	getJSON(t, ts.URL+"/sloz", &after)
 	for i, w := range after.Windows {
 		if want := before.Windows[i].Total + 1; w.Total != want || w.Good != want {
@@ -411,18 +396,6 @@ func TestSLOIgnoresPreAdmissionRejections(t *testing.T) {
 	}
 	if got := c[`serving_requests_total{endpoint="optimize",outcome="405",cache="none"}`]; got != 20 {
 		t.Errorf(`serving_requests_total{endpoint="optimize",outcome="405"} = %d, want 20`, got)
-	}
-}
-
-// TestSlozDisabled: a server without an SLO answers /sloz with
-// enabled=false rather than erroring.
-func TestSlozDisabled(t *testing.T) {
-	ts := newTestServer()
-	defer ts.Close()
-	var sloz service.SlozResponse
-	getJSON(t, ts.URL+"/sloz", &sloz)
-	if sloz.Enabled || len(sloz.Windows) != 0 {
-		t.Errorf("SLO-less sloz = %+v", sloz)
 	}
 }
 
@@ -545,14 +518,10 @@ func TestMetriczDropsEvictedExemplars(t *testing.T) {
 // TestStatzObservability: /statz surfaces the tracer ring state, the
 // admission configuration and the replica identity.
 func TestStatzObservability(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Tracer:    obs.NewTracer(8, 1, 0),
-		ReplicaID: "r1",
-		Admission: &service.Admission{MaxConcurrent: 2, MaxQueue: 4},
-	}
+	s := newServer(modelProvider(sumModel{}))
+	s.Tracer = obs.NewTracer(8, 1, 0)
+	s.ReplicaID = "r1"
+	s.Admission = &service.Admission{MaxConcurrent: 2, MaxQueue: 4}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	var out service.OptimizeResponse

@@ -58,13 +58,11 @@ type optimizeReq struct {
 	wantTrace bool
 	// snap is the one immutable model snapshot of the whole request:
 	// concurrent hot-swaps affect later requests, never this one, and the
-	// response's modelVersion is exactly the model that scored the plan. Nil
-	// when no model is configured.
+	// response's modelVersion is exactly the model that scored the plan.
 	snap    *registry.Snapshot
 	version string
 	// (fp, version, band) is the cache key. A nil canon means the cache is
-	// not in play: none configured, ?nocache=1, or a plan the fingerprinter
-	// rejects.
+	// not in play: ?nocache=1, or a plan the fingerprinter rejects.
 	fp    plancache.Fingerprint
 	canon *plancache.Canon
 	band  string
@@ -186,33 +184,17 @@ func traceContext(w http.ResponseWriter, r *http.Request) (traceID string, sampl
 	return tp.TraceID, tp.Sampled
 }
 
-// traceIDOf returns tr's ID, or "" for an untraced run.
-func traceIDOf(tr *obs.Trace) string {
-	if tr == nil {
-		return ""
-	}
-	return tr.ID
-}
-
 // startTrace opens the trace of one call. The request ID doubles as the
 // trace ID unless the caller propagated a W3C traceparent, in which case the
 // remote trace ID names the trace (retrievable via /tracez?id=<remote id>)
-// and RequestID keeps the local join key. A configured tracer records every
-// call and decides retention at the end (tail-based sampling); force (set by
-// ?trace=1 or a sampled traceparent) gets a one-shot trace even without a
-// tracer, living only in the response.
-func (s *Server) startTrace(p *reqParams, force bool) *obs.Trace {
-	tid := p.id
-	if p.traceID != "" {
-		tid = p.traceID
+// and RequestID keeps the local join key. Every call is recorded; the tracer
+// decides retention at the end (tail-based sampling).
+func (s *Server) startTrace(p *reqParams) *obs.Trace {
+	if p.traceID == "" {
+		return s.Tracer.Start(p.id)
 	}
-	tr := s.Tracer.Start(tid)
-	if tr == nil && force {
-		tr = obs.NewTrace(tid)
-	}
-	if tr != nil && p.traceID != "" {
-		tr.RequestID = p.id
-	}
+	tr := s.Tracer.Start(p.traceID)
+	tr.RequestID = p.id
 	return tr
 }
 
@@ -273,28 +255,24 @@ func (s *Server) account(p *reqParams, out *optimizeOut) {
 	if !out.early {
 		s.SLO.Record(ms, out.err == nil)
 	}
-	switch {
-	case s.Logger == nil:
-		return
-	case out.err != nil:
+	if out.err != nil {
 		s.Logger.Error("optimize failed",
 			"requestId", p.id,
 			"status", out.status,
 			"ms", ms,
 			"modelVersion", out.resp.ModelVersion,
 			"err", out.err.Error())
-	default:
-		s.Logger.Info("optimize",
-			"requestId", p.id,
-			"status", http.StatusOK,
-			"ms", ms,
-			"modelVersion", out.resp.ModelVersion,
-			"cache", sources[out.src].label,
-			"degraded", out.resp.Degraded,
-			"shed", out.shed,
-			"traced", out.resp.TraceID != "",
-			"predictedSec", out.resp.PredictedRuntimeSec)
+		return
 	}
+	s.Logger.Info("optimize",
+		"requestId", p.id,
+		"status", http.StatusOK,
+		"ms", ms,
+		"modelVersion", out.resp.ModelVersion,
+		"cache", sources[out.src].label,
+		"degraded", out.resp.Degraded,
+		"shed", out.shed,
+		"predictedSec", out.resp.PredictedRuntimeSec)
 }
 
 // reject accounts a call that ends before any plan is looked at and writes
@@ -306,12 +284,9 @@ func (s *Server) reject(w http.ResponseWriter, p *reqParams, out *optimizeOut) {
 
 // admit runs the admission layer for one call (a single request or a whole
 // batch). ok=false means the call was refused and the response is already
-// written; otherwise the caller must invoke release (when non-nil) once the
-// call finishes, and shed tells it to serve the degraded beam.
+// written; otherwise the caller must invoke release once the call finishes,
+// and shed tells it to serve the degraded beam.
 func (s *Server) admit(ctx context.Context, w http.ResponseWriter, p *reqParams) (shed bool, release func(), ok bool) {
-	if s.Admission == nil {
-		return false, nil, true
-	}
 	switch outcome, rel := s.Admission.Acquire(ctx); outcome {
 	case admitRejected:
 		w.Header().Set("Retry-After", retryAfter)
@@ -419,7 +394,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	q := s.unit(&p, l)
 	q.wantTrace = r.URL.Query().Get("trace") == "1"
-	q.tr = s.startTrace(&p, q.wantTrace || p.remoteSampled)
+	q.tr = s.startTrace(&p)
 	out := s.serve(ctx, q, 0)
 	if out.err != nil {
 		s.fail(w, p.id, out.status, out.err)
@@ -429,16 +404,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 // unit builds the request unit for one plan of a call: it pins the model
-// snapshot and, when a cache is in play, fingerprints the plan — the
-// canonical hash is a few microseconds against the enumeration's
-// milliseconds.
+// snapshot and, unless ?nocache=1, fingerprints the plan — the canonical
+// hash is a few microseconds against the enumeration's milliseconds.
 func (s *Server) unit(p *reqParams, l *plan.Logical) *optimizeReq {
-	q := &optimizeReq{reqParams: *p, l: l, band: plancache.RiskBand(p.lambda)}
-	if s.Provider != nil {
-		q.snap = s.Provider.Get()
-		q.version = q.snap.Version()
-	}
-	if q.snap != nil && s.PlanCache != nil && !p.nocache {
+	q := &optimizeReq{reqParams: *p, l: l, band: plancache.RiskBand(p.lambda), snap: s.Provider.Get()}
+	q.version = q.snap.Version()
+	if !p.nocache {
 		if fp, canon, err := plancache.Compute(l, s.Platforms, s.Avail, s.PlanCache.BandsPerDecade()); err == nil {
 			q.fp, q.canon = fp, canon
 		}
@@ -449,9 +420,6 @@ func (s *Server) unit(p *reqParams, l *plan.Logical) *optimizeReq {
 // serve is the one answer path: resolve the unit through the tier list from
 // tier index from on, then respond and account.
 func (s *Server) serve(ctx context.Context, q *optimizeReq, from int) *optimizeOut {
-	if q.snap == nil {
-		return s.failed(q, http.StatusServiceUnavailable, errors.New("service: no model configured"))
-	}
 	a, err := s.resolve(ctx, q, from)
 	return s.finish(ctx, q, a, err)
 }
@@ -520,7 +488,7 @@ func (s *Server) closeTrace(q *optimizeReq, a answer) (retained bool) {
 		sp.SetStr("modelVersion", cp.ModelVersion)
 		sp.SetFloat("age_ms", sinceMs(cp.CachedAt))
 		sp.End()
-		if cp.TraceID != "" && cp.TraceID != traceIDOf(q.tr) {
+		if cp.TraceID != "" && cp.TraceID != q.tr.ID {
 			q.tr.AddLink(cp.TraceID, sources[a.src].link)
 		}
 	} else if a.res.Degraded {
@@ -542,7 +510,7 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 		ModelVersion:   q.version,
 		Assignments:    make([]string, len(x.Assign)),
 		OptimizationMs: sinceMs(q.start),
-		TraceID:        traceIDOf(q.tr),
+		TraceID:        q.tr.ID,
 	}
 	var dist core.CostDist
 	if res := a.res; res != nil {
@@ -587,7 +555,7 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 			Tuples:   conv.Card,
 		})
 	}
-	if q.simulate && s.Cluster != nil {
+	if q.simulate {
 		r := s.Cluster.Run(x)
 		resp.SimulatedRuntimeSec, resp.SimulatedLabel = r.Runtime, r.Label()
 		run = &r
@@ -608,7 +576,7 @@ func (s *Server) record(q *optimizeReq, a answer, x *plan.Execution, out *optimi
 	// shared through cardinality banding carries the requester's
 	// cardinalities, not those of the plan that filled the entry. Failed runs
 	// carry no usable runtime label and are skipped.
-	if run != nil && s.Feedback != nil && !run.Failed() {
+	if run != nil && !run.Failed() {
 		cctx, err := core.NewContext(q.l, s.Platforms, s.Avail)
 		var v *core.Vector
 		if err == nil {
@@ -669,15 +637,21 @@ func (s *Server) recordEnumeration(res *core.Result, stageMs map[string]float64)
 	}
 }
 
-// writeResponse writes a successful request unit's reply. An encoding
-// failure (usually a dropped connection) is a failed request, not just a
-// note: the plan was computed but the client will not see it.
+// writeResponse writes a successful request unit's reply.
 func (s *Server) writeResponse(w http.ResponseWriter, p *reqParams, out *optimizeOut) {
 	if xc := sources[out.src].xcache; xc != "" {
 		w.Header().Set("X-Cache", xc)
 	}
+	s.send(w, p, &out.resp)
+}
+
+// send writes the JSON reply of an accounted call, a single request's or a
+// whole batch's. An encoding failure (usually a dropped connection) is a
+// failed request, not just a note: the plans were computed but the client
+// will not see them.
+func (s *Server) send(w http.ResponseWriter, p *reqParams, reply any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(out.resp); err != nil {
+	if err := json.NewEncoder(w).Encode(reply); err != nil {
 		s.account(p, &optimizeOut{err: err, lost: true})
 	}
 }

@@ -45,7 +45,7 @@ func TestParallelStressModelSwap(t *testing.T) {
 	s, ts, st := newLifecycleServer(t)
 	defer ts.Close()
 	s.Workers = 8
-	addCacheAndRetrainer(t, s)
+	addRetrainer(t, s)
 	watchCtx, stopWatcher := context.WithCancel(context.Background())
 	defer stopWatcher()
 	watcherDone, err := s.StartStoreWatcher(watchCtx, time.Millisecond)

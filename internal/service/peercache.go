@@ -138,10 +138,6 @@ var entryBufs = sync.Pool{New: func() any { return new([]byte) }}
 // endpoint of the shared cache tier (see internal/peercache for the
 // client side and the body format).
 func (s *Server) handlePeercache(w http.ResponseWriter, r *http.Request, reqID string) {
-	if s.PlanCache == nil {
-		s.fail(w, reqID, http.StatusNotFound, errors.New("service: no plan cache configured (-cache-entries)"))
-		return
-	}
 	qs := r.URL.Query()
 	fp, err := peercache.ParseFingerprint(qs.Get("fp"))
 	if err != nil {

@@ -15,10 +15,8 @@ import (
 	"repro/internal/peercache"
 	"repro/internal/plan"
 	"repro/internal/plancache"
-	"repro/internal/platform"
 	"repro/internal/registry"
 	"repro/internal/service"
-	"repro/internal/simulator"
 )
 
 // newPeerReplica builds one fleet member with the shared cache tier wired:
@@ -40,17 +38,11 @@ func newPeerReplica(t *testing.T, dir, id string) (*service.Server, *httptest.Se
 	if err != nil {
 		t.Fatalf("NewProvider: %v", err)
 	}
-	s := &service.Server{
-		Provider:   p,
-		ModelStore: st,
-		Feedback:   registry.NewFeedback(16),
-		Platforms:  platform.Subset(3),
-		Avail:      platform.UniformAvailability(3),
-		Cluster:    simulator.Default(),
-		Tracer:     obs.NewTracer(64, 1, 0),
-		ReplicaID:  id,
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(p)
+	s.ModelStore = st
+	s.Feedback = registry.NewFeedback(16)
+	s.Tracer = obs.NewTracer(64, 1, 0)
+	s.ReplicaID = id
 	s.PlanCache.Activate(art.Version)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -178,8 +170,7 @@ func TestPeerFillServesFromPeer(t *testing.T) {
 		t.Fatalf("plan_cache_peer_fills_total = %d, want 1", mz.Counters["plan_cache_peer_fills_total"])
 	}
 	var cz struct {
-		Enabled bool `json:"enabled"`
-		Stats   struct {
+		Stats struct {
 			PeerFills int64 `json:"peerFills"`
 		} `json:"stats"`
 		PeerFill *peercache.Stats `json:"peerFill"`
@@ -419,8 +410,8 @@ func TestPeerFillModelSwapRace(t *testing.T) {
 // and an entry that format cannot carry is a 500 with the usual error body,
 // not an empty 200.
 func TestPeercacheEndpointBody(t *testing.T) {
-	s := &service.Server{Provider: modelProvider(sumModel{}), Platforms: platform.Subset(3), Avail: platform.UniformAvailability(3), ReplicaID: "ra"}
-	s.PlanCache = plancache.New(plancache.Config{})
+	s := newServer(modelProvider(sumModel{}))
+	s.ReplicaID = "ra"
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	good := &plancache.CachedPlan{ModelVersion: "v1", Predicted: 1.5, CachedAt: time.Now(), AssignCanon: []uint8{0, 2}}

@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/plancache"
-	"repro/internal/platform"
 	"repro/internal/service"
 )
 
@@ -20,12 +18,7 @@ import (
 // with a full plan, and the purge returns without waiting on either.
 func TestPurgeDuringSingleflight(t *testing.T) {
 	gm := newGateModel()
-	s := &service.Server{
-		Provider:  modelProvider(gm),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-	}
-	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	s := newServer(modelProvider(gm))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	body := planJSON(t)

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"repro/internal/platform"
 	"repro/internal/service"
 )
 
@@ -28,11 +27,7 @@ func getReadyz(t *testing.T, url string) (int, service.ReadyzResponse) {
 // by default (static models validate leniently), 503 while draining, and
 // healthz stays 200 throughout — liveness is not readiness.
 func TestReadyz(t *testing.T) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-	}
+	s := newServer(modelProvider(sumModel{}))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -62,18 +57,5 @@ func TestReadyz(t *testing.T) {
 	s.SetReady(true)
 	if code, out = getReadyz(t, ts.URL); code != http.StatusOK || !out.Ready {
 		t.Fatalf("un-drained readyz = %d %+v", code, out)
-	}
-}
-
-func TestReadyzNoModel(t *testing.T) {
-	s := &service.Server{
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	code, out := getReadyz(t, ts.URL)
-	if code != http.StatusServiceUnavailable || out.Ready || out.Reason != "no model configured" {
-		t.Fatalf("modelless readyz = %d %+v", code, out)
 	}
 }

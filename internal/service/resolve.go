@@ -219,7 +219,7 @@ func (s *Server) enumerate(ctx context.Context, q *optimizeReq) (answer, error) 
 	// A result that cannot be canonicalized is still a successful
 	// optimization: serve it, cache nothing.
 	if cp, err := plancache.FromResult(q.fp, q.canon, q.version, res); err == nil {
-		cp.TraceID = traceIDOf(q.tr)
+		cp.TraceID = q.tr.ID
 		a.cp = cp
 		// Degraded plans are budget artifacts of one moment, not the
 		// enumeration optimum — never cache them.

@@ -9,10 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/mlmodel"
-	"repro/internal/plancache"
-	"repro/internal/platform"
 	"repro/internal/service"
-	"repro/internal/simulator"
 )
 
 // spreadModel is a deterministic dist-capable oracle: nearly flat means (so
@@ -49,15 +46,8 @@ func (m spreadModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []
 	}
 }
 
-func newRiskServer(cache *plancache.Cache) *httptest.Server {
-	s := &service.Server{
-		Provider:  modelProvider(spreadModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Cluster:   simulator.Default(),
-		PlanCache: cache,
-	}
-	return httptest.NewServer(s.Handler())
+func newRiskServer() *httptest.Server {
+	return httptest.NewServer(newServer(modelProvider(spreadModel{})).Handler())
 }
 
 func optimizeOnce(t *testing.T, url string) (service.OptimizeResponse, string) {
@@ -81,7 +71,7 @@ func optimizeOnce(t *testing.T, url string) (service.OptimizeResponse, string) {
 // response surfaces the predictive interval and the effective λ, the interval
 // brackets the point estimate, and overlap pruning reports kept near-ties.
 func TestOptimizeRiskLambda(t *testing.T) {
-	ts := newRiskServer(nil)
+	ts := newRiskServer()
 	defer ts.Close()
 
 	out, _ := optimizeOnce(t, ts.URL+"/optimize?risk_lambda=0.5")
@@ -111,7 +101,7 @@ func TestOptimizeRiskLambda(t *testing.T) {
 
 // TestOptimizeRiskLambdaValidation rejects malformed λ values with 400.
 func TestOptimizeRiskLambdaValidation(t *testing.T) {
-	ts := newRiskServer(nil)
+	ts := newRiskServer()
 	defer ts.Close()
 	for _, bad := range []string{"abc", "-1", "NaN", "Inf"} {
 		resp, err := http.Post(ts.URL+"/optimize?risk_lambda="+bad, "application/json", bytes.NewReader(planJSON(t)))
@@ -129,7 +119,7 @@ func TestOptimizeRiskLambdaValidation(t *testing.T) {
 // in different λ bands never share entries, a repeat in the same band hits,
 // and the hit response echoes the λ the cached plan was optimized under.
 func TestOptimizeRiskLambdaCache(t *testing.T) {
-	ts := newRiskServer(plancache.New(plancache.Config{}))
+	ts := newRiskServer()
 	defer ts.Close()
 
 	_, how := optimizeOnce(t, ts.URL+"/optimize?risk_lambda=0.5")

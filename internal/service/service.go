@@ -60,8 +60,7 @@
 //     ?format=prometheus serves the Prometheus text exposition instead.
 //   - GET /tracez — recent retained traces, newest first; ?id= for one
 //     (see tracez.go). Accepts both request IDs and W3C trace IDs.
-//   - GET /sloz — rolling multi-window SLO burn rates when the server has
-//     an SLO configured (see sloz.go).
+//   - GET /sloz — rolling multi-window SLO burn rates (see sloz.go).
 //   - GET /fleetz — the merged fleet view scraped from every replica
 //     registered in the shared artifact store (see fleetz.go).
 //   - GET /modelz, POST /modelz/reload, POST /modelz/promote,
@@ -105,6 +104,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,26 +126,30 @@ const maxBodyBytes = 8 << 20
 // Server handles optimization requests. The model is resolved per request
 // through a registry.Provider so a retrained or reloaded artifact can be
 // hot-swapped under live traffic.
+//
+// A replica always runs every serving layer: Provider, PlanCache, Admission,
+// Tracer, SLO, Logger, Cluster and Feedback are required, and Handler panics
+// naming the first one missing. PeerFill, ModelStore, Retrainer, Budget and
+// EnablePprof are the optional ones, the settings a deployment varies.
 type Server struct {
 	// Provider publishes the active model; each request resolves one
-	// immutable snapshot from it and reports that snapshot's version. It must
-	// be set before the first optimize request.
+	// immutable snapshot from it and reports that snapshot's version.
 	Provider *registry.Provider
 	// ModelStore, when set, backs POST /modelz/reload and
 	// POST /modelz/promote with persisted artifact versions, and is what
 	// StartStoreWatcher follows.
 	ModelStore *registry.Store
-	// Feedback, when set, receives one (plan vector, observed runtime)
-	// sample per /optimize?simulate=1 request whose simulated run succeeded
-	// — the execution-feedback stream the retraining loop learns from.
+	// Feedback receives one (plan vector, observed runtime) sample per
+	// /optimize?simulate=1 request whose simulated run succeeded — the
+	// execution-feedback stream the retraining loop learns from.
 	Feedback *registry.Feedback
 	// Retrainer, when set, backs POST /modelz/retrain and is reported by
 	// GET /modelz.
 	Retrainer *registry.Retrainer
 	Platforms []platform.ID
 	Avail     *platform.Availability
-	// Cluster, when set, lets /optimize?simulate=1 report the simulated
-	// runtime of the chosen plan.
+	// Cluster runs the chosen plan for /optimize?simulate=1 and reports its
+	// simulated runtime.
 	Cluster *simulator.Cluster
 	// Workers sizes the enumeration worker pool. Zero or negative resolves
 	// to runtime.GOMAXPROCS(0) (core.ResolveWorkers); the resolved value is
@@ -160,23 +164,19 @@ type Server struct {
 	// set to 80% of the time the request has left when it starts, so
 	// requests degrade gracefully before the hard deadline kills them.
 	Budget core.Budget
-	// Admission, when set, bounds the optimize endpoints: at most
-	// MaxConcurrent requests optimize at once, at most MaxQueue wait, the
-	// rest are refused with 429 + Retry-After, and queued requests admitted
-	// under pressure are shed to the degraded beam instead of served in
-	// full. Nil admits everything immediately (embedded and test servers).
+	// Admission bounds the optimize endpoints: at most MaxConcurrent
+	// requests optimize at once, at most MaxQueue wait, the rest are refused
+	// with 429 + Retry-After, and queued requests admitted under pressure are
+	// shed to the degraded beam instead of served in full.
 	Admission *Admission
-	// Tracer, when set, records a span tree per /optimize request and
-	// retains notable ones for GET /tracez. The request ID doubles as the
-	// trace ID, so traces join against logs and response bodies. Nil
-	// disables tracing except for explicit ?trace=1 requests, which get a
-	// one-shot trace inlined in the response but retained nowhere.
+	// Tracer records a span tree per optimize call and retains notable ones
+	// for GET /tracez. The request ID doubles as the trace ID, so traces join
+	// against logs and response bodies.
 	Tracer *obs.Tracer
-	// Logger, when set, receives one structured record per request
-	// (requestId, status, latency, degradation, model version). Nil means
-	// no request logging.
+	// Logger receives one structured record per request (requestId, status,
+	// latency, degradation, model version) and the model lifecycle's.
 	Logger *slog.Logger
-	// PlanCache, when set, serves structurally repeated plans from a
+	// PlanCache serves structurally repeated plans from a
 	// fingerprint-keyed cache instead of re-running the enumeration, and
 	// collapses concurrent identical requests into one run. Entries are
 	// keyed (fingerprint, modelVersion); publish (modelz.go) activates the
@@ -186,7 +186,7 @@ type Server struct {
 	// ?nocache=1 bypasses the cache for one request. GET /cachez inspects
 	// it and POST /cachez/purge empties it (see cachez.go).
 	PlanCache *plancache.Cache
-	// PeerFill, when set alongside PlanCache, turns the plan cache into a
+	// PeerFill, when set, turns the plan cache into a
 	// fleet-shared tier: a local miss consults peer replicas (discovered
 	// through the shared store's heartbeat records) over GET /peercache and
 	// installs a peer's entry before falling back to enumeration, and —
@@ -202,9 +202,9 @@ type Server struct {
 	// singleflight claim files — the address waiters poll for the claimed
 	// enumeration's result. Usually the fleet registration address.
 	AdvertiseAddr string
-	// SLO, when set, tracks the serving latency objective and its
-	// multi-window error-budget burn rate, exposed on GET /sloz and as
-	// slo_* gauges on /metricz. Nil disables SLO tracking.
+	// SLO tracks the serving latency objective and its multi-window
+	// error-budget burn rate, exposed on GET /sloz and as slo_* gauges on
+	// /metricz.
 	SLO *obs.SLO
 	// ReplicaID names this replica in the fleet (roboptd -replica-id). It
 	// is reported by /fleetz and used as the shared-store registration key.
@@ -290,7 +290,7 @@ type OptimizeResponse struct {
 	OptimizationMs float64 `json:"optimizationMs"`
 	// TraceID names the request's trace: the remote W3C trace ID when the
 	// caller sent a traceparent header, the request ID otherwise. Retained
-	// traces resolve via GET /tracez?id=<TraceID>. Empty on untraced runs.
+	// traces resolve via GET /tracez?id=<TraceID>.
 	TraceID string `json:"traceId,omitempty"`
 	// Trace inlines the request's finished trace when it asked for one with
 	// ?trace=1: the document GET /tracez?id=<TraceID> serves, whatever tier
@@ -341,10 +341,21 @@ type ErrorResponse struct {
 	RequestID string `json:"requestId"`
 }
 
+// required names the Server fields a replica cannot serve without.
+var required = [...]string{"Provider", "PlanCache", "Admission", "Tracer", "SLO", "Logger", "Cluster", "Feedback"}
+
 // Handler returns the HTTP handler serving the endpoint families documented
-// in the package comment.
+// in the package comment. It panics, naming the field, when a required layer
+// is missing, so a misconfigured embedder fails at start-up and not on its
+// first request.
 func (s *Server) Handler() http.Handler {
-	if s.Admission != nil && s.Admission.Metrics == nil {
+	v := reflect.ValueOf(s).Elem()
+	for _, name := range required {
+		if v.FieldByName(name).IsNil() {
+			panic("service: Server." + name + " is required")
+		}
+	}
+	if s.Admission.Metrics == nil {
 		s.Admission.Metrics = s.Metrics()
 	}
 	mux := http.NewServeMux()

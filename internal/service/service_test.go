@@ -3,13 +3,19 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mlmodel"
+	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/registry"
 	"repro/internal/service"
@@ -55,14 +61,45 @@ func modelProvider(m mlmodel.Model) *registry.Provider {
 	return p
 }
 
-func newTestServer() *httptest.Server {
+// newServer wires a test server the way roboptd does: every required layer —
+// plan cache, admission, tracer, SLO, a discarding request log, the simulator
+// and a feedback buffer — with roboptd's settings, serving p over three
+// uniformly available platforms. Tests set or replace fields before Handler.
+func newServer(p *registry.Provider) *service.Server {
 	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
+		Provider:  p,
+		Feedback:  registry.NewFeedback(registry.DefaultFeedbackCap),
 		Platforms: platform.Subset(3),
 		Avail:     platform.UniformAvailability(3),
 		Cluster:   simulator.Default(),
+		Tracer:    obs.NewTracer(obs.DefaultTraceCap, 0.1, time.Second),
+		Logger:    slog.New(slog.NewTextHandler(io.Discard, nil)),
+		SLO:       obs.NewSLO(500, 0.99),
+		Admission: &service.Admission{ShedFraction: service.DefaultShedFraction},
 	}
-	return httptest.NewServer(s.Handler())
+	s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+	return s
+}
+
+func newTestServer() *httptest.Server {
+	return httptest.NewServer(newServer(modelProvider(sumModel{})).Handler())
+}
+
+// TestHandlerRequiresEveryLayer: Handler refuses a server missing a required
+// layer, naming the field, before it serves anything.
+func TestHandlerRequiresEveryLayer(t *testing.T) {
+	for _, name := range []string{"Provider", "PlanCache", "Admission", "Tracer", "SLO", "Logger", "Cluster", "Feedback"} {
+		s := newServer(modelProvider(sumModel{}))
+		reflect.ValueOf(s).Elem().FieldByName(name).SetZero()
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "Server."+name+" ") {
+					t.Errorf("without %s: Handler panicked with %q, want the field named", name, msg)
+				}
+			}()
+			s.Handler()
+		}()
+	}
 }
 
 func planJSON(t *testing.T) []byte {

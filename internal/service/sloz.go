@@ -1,41 +1,25 @@
 package service
 
-import (
-	"net/http"
-
-	"repro/internal/obs"
-)
+import "net/http"
 
 // GET /sloz is the SLO inspection surface: the configured latency objective
 // and availability target, every rolling window's traffic and error-budget
 // burn rate, and the combined breach verdict (burn rate > 1 in every window
-// with traffic). A server without an SLO configured reports enabled=false.
+// with traffic).
 //
 // The same numbers are exported as gauges on /metricz (slo_objective_ms,
 // slo_target, slo_breached and the slo_burn_rate family, one series per
 // window label), refreshed on each scrape, so dashboards and the loadgen -slo
 // assertion mode read the same state.
 
-// SlozResponse is the JSON reply of GET /sloz.
-type SlozResponse struct {
-	Enabled bool `json:"enabled"`
-	obs.SLOSnapshot
-}
-
+// handleSloz replies with the SLO's obs.SLOSnapshot.
 func (s *Server) handleSloz(w http.ResponseWriter, r *http.Request, reqID string) {
-	resp := SlozResponse{Enabled: s.SLO != nil}
-	if s.SLO != nil {
-		resp.SLOSnapshot = s.SLO.Snapshot()
-	}
-	s.writeJSON(w, resp)
+	s.writeJSON(w, s.SLO.Snapshot())
 }
 
 // refreshSLOGauges republishes the SLO state as gauges so /metricz scrapes
 // carry the burn rates without a second poll of /sloz.
 func (s *Server) refreshSLOGauges() {
-	if s.SLO == nil {
-		return
-	}
 	snap := s.SLO.Snapshot()
 	m := s.Metrics()
 	m.Gauge("slo_objective_ms").Set(snap.ObjectiveMs)

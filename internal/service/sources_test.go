@@ -53,16 +53,9 @@ func TestAnswerSources(t *testing.T) {
 		}
 		return sv
 	}
-	traced := func(t *testing.T, cache bool) *httptest.Server {
-		s := &service.Server{
-			Provider:  modelProvider(sumModel{}),
-			Platforms: platform.Subset(3),
-			Avail:     platform.UniformAvailability(3),
-			Tracer:    obs.NewTracer(16, 1, 0),
-		}
-		if cache {
-			s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
-		}
+	traced := func(t *testing.T) *httptest.Server {
+		s := newServer(modelProvider(sumModel{}))
+		s.Tracer = obs.NewTracer(16, 1, 0)
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		return ts
@@ -85,7 +78,7 @@ func TestAnswerSources(t *testing.T) {
 		setup func(t *testing.T) func() served
 	}{
 		{name: "miss", cache: "miss", label: "miss", setup: func(t *testing.T) func() served {
-			ts := traced(t, true)
+			ts := traced(t)
 			return func() served {
 				sv := post(t, ts.URL+"/optimize")
 				sv.base = ts.URL
@@ -93,7 +86,7 @@ func TestAnswerSources(t *testing.T) {
 			}
 		}},
 		{name: "hit", cache: "hit", link: "cache-origin", label: "hit", setup: func(t *testing.T) func() served {
-			ts := traced(t, true)
+			ts := traced(t)
 			origin := post(t, ts.URL+"/optimize").traceID
 			return func() served {
 				sv := post(t, ts.URL+"/optimize")
@@ -103,13 +96,8 @@ func TestAnswerSources(t *testing.T) {
 		}},
 		{name: "collapsed", cache: "collapsed", link: "singleflight-leader", label: "collapsed", setup: func(t *testing.T) func() served {
 			gm := newGateModel()
-			s := &service.Server{
-				Provider:  modelProvider(gm),
-				Platforms: platform.Subset(3),
-				Avail:     platform.UniformAvailability(3),
-				Tracer:    obs.NewTracer(16, 1, 0),
-			}
-			s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
+			s := newServer(modelProvider(gm))
+			s.Tracer = obs.NewTracer(16, 1, 0)
 			ts := httptest.NewServer(s.Handler())
 			t.Cleanup(ts.Close)
 			return func() served {
@@ -162,7 +150,7 @@ func TestAnswerSources(t *testing.T) {
 			// not the batch's own and the duplicate's link is observable.
 			base, origin := fleet(t)
 			return func() served {
-				_, out, raw := postBatch(t, base, []json.RawMessage{body, body})
+				_, out, raw := postBatch(t, base, "", []json.RawMessage{body, body})
 				if len(out.Results) != 2 || out.Results[1].Plan == nil {
 					t.Fatalf("batch: %.300s", raw)
 				}
@@ -171,9 +159,9 @@ func TestAnswerSources(t *testing.T) {
 			}
 		}},
 		{name: "cache off", cache: "", label: "none", setup: func(t *testing.T) func() served {
-			ts := traced(t, false)
+			ts := traced(t)
 			return func() served {
-				sv := post(t, ts.URL+"/optimize")
+				sv := post(t, ts.URL+"/optimize?nocache=1")
 				sv.base = ts.URL
 				return sv
 			}
@@ -216,27 +204,21 @@ func TestAnswerSources(t *testing.T) {
 }
 
 // TestUnrunnablePlanIs400: a well-formed plan with an operator no
-// configured platform implements is the client's error, whether or not a
+// configured platform implements is the client's error, whether or not the
 // cache sits in front of the enumeration that discovers it.
 func TestUnrunnablePlanIs400(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		s := &service.Server{
-			Provider:  modelProvider(sumModel{}),
-			Platforms: platform.Subset(3),
-			Avail:     platform.NewAvailability(),
-		}
-		if cached {
-			s.PlanCache = plancache.New(plancache.Config{Metrics: s.Metrics()})
-		}
+	for _, query := range []string{"?nocache=1", ""} {
+		s := newServer(modelProvider(sumModel{}))
+		s.Avail = platform.NewAvailability()
 		ts := httptest.NewServer(s.Handler())
-		resp, err := http.Post(ts.URL+"/optimize", "application/json", bytes.NewReader(planJSON(t)))
+		resp, err := http.Post(ts.URL+"/optimize"+query, "application/json", bytes.NewReader(planJSON(t)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 		ts.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("cached=%v: status %d, want 400", cached, resp.StatusCode)
+			t.Errorf("%q: status %d, want 400", query, resp.StatusCode)
 		}
 	}
 }

@@ -12,9 +12,7 @@ import (
 	"time"
 
 	"repro/internal/mlmodel"
-	"repro/internal/platform"
 	"repro/internal/service"
-	"repro/internal/simulator"
 )
 
 // slowSumModel adds a per-call latency to sumModel, so a 1ms request
@@ -30,13 +28,11 @@ func (m slowSumModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi [
 	pointKernel(m.Predict, X, mean, spread, lo, hi)
 }
 
+// newStressServer serves a slow model with admission room for every request
+// of a stress burst: these tests count request outcomes, not refusals.
 func newStressServer() *httptest.Server {
-	s := &service.Server{
-		Provider:  modelProvider(slowSumModel{d: 500 * time.Microsecond}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Cluster:   simulator.Default(),
-	}
+	s := newServer(modelProvider(slowSumModel{d: 500 * time.Microsecond}))
+	s.Admission = &service.Admission{MaxConcurrent: 256}
 	return httptest.NewServer(s.Handler())
 }
 
@@ -118,8 +114,9 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Valid plan, no deadline: 200 with a full response.
-			resp, body, err := post("/optimize", valid)
+			// Valid plan, no deadline: 200 with a full response from an
+			// enumeration of its own.
+			resp, body, err := post("/optimize?nocache=1", valid)
 			if err == nil {
 				if resp.StatusCode != http.StatusOK {
 					err = fmt.Errorf("valid: status = %d (body %.120q)", resp.StatusCode, body)
@@ -152,7 +149,7 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 			<-bigSlots
 			// Valid plan with a 1ms deadline: the slow model cannot finish
 			// a single prune pass in time, so 503 with a JSON error body.
-			if resp, body, err := post("/optimize?deadline_ms=1", valid); err != nil {
+			if resp, body, err := post("/optimize?nocache=1&deadline_ms=1", valid); err != nil {
 				errs <- err
 			} else if err := checkError("deadline", resp, body, http.StatusServiceUnavailable); err != nil {
 				errs <- err

@@ -18,13 +18,10 @@ import (
 //
 // Traces enter the ring per the tracer's retention policy: forced
 // (?trace=1), errored, degraded and slow runs always, others at the
-// configured sample rate. A server without a Tracer reports enabled=false
-// and an empty list.
+// configured sample rate.
 
 // TracezResponse is the JSON reply of GET /tracez.
 type TracezResponse struct {
-	// Enabled reports whether the server retains traces at all.
-	Enabled bool `json:"enabled"`
 	// SampleRate is the probabilistic retention rate for unremarkable runs.
 	SampleRate float64 `json:"sampleRate"`
 	// Retained and Dropped count the tracer's retention decisions.
@@ -54,7 +51,6 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request, reqID stri
 		n = v
 	}
 	resp := TracezResponse{
-		Enabled:    s.Tracer != nil,
 		SampleRate: s.Tracer.SampleRate(),
 		Retained:   s.Tracer.Retained(),
 		Dropped:    s.Tracer.Dropped(),

@@ -18,12 +18,8 @@ import (
 
 // newTracedServer is newTestServer with a tracer retaining every request.
 func newTracedServer() (*service.Server, *httptest.Server) {
-	s := &service.Server{
-		Provider:  modelProvider(sumModel{}),
-		Platforms: platform.Subset(3),
-		Avail:     platform.UniformAvailability(3),
-		Tracer:    obs.NewTracer(8, 1, 0),
-	}
+	s := newServer(modelProvider(sumModel{}))
+	s.Tracer = obs.NewTracer(8, 1, 0)
 	return s, httptest.NewServer(s.Handler())
 }
 
@@ -175,8 +171,8 @@ func TestTracezListAndGet(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
-	if !list.Enabled || list.SampleRate != 1 {
-		t.Errorf("enabled=%v sampleRate=%v", list.Enabled, list.SampleRate)
+	if list.SampleRate != 1 {
+		t.Errorf("sampleRate=%v", list.SampleRate)
 	}
 	if list.Retained != 2 || len(list.Traces) != 2 {
 		t.Fatalf("retained=%d traces=%d, want 2/2", list.Retained, len(list.Traces))
@@ -208,26 +204,9 @@ func TestTracezListAndGet(t *testing.T) {
 	}
 }
 
-func TestTracezDisabled(t *testing.T) {
-	ts := newTestServer() // no Tracer
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/tracez")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var list service.TracezResponse
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if list.Enabled || len(list.Traces) != 0 {
-		t.Errorf("tracerless server reports enabled=%v with %d traces", list.Enabled, len(list.Traces))
-	}
-}
-
-// TestTraceOnTracerlessServer: ?trace=1 must still inline a one-shot trace
-// even when the server retains nothing.
-func TestTraceOnTracerlessServer(t *testing.T) {
+// TestTraceInlineCarriesAudit: ?trace=1 inlines the finished trace, with the
+// pruning audit as the optimize span's detail.
+func TestTraceInlineCarriesAudit(t *testing.T) {
 	ts := newTestServer()
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/optimize?trace=1", "application/json", bytes.NewReader(planJSON(t)))
@@ -240,10 +219,10 @@ func TestTraceOnTracerlessServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Trace == nil || out.Trace.DurationMs <= 0 {
-		t.Fatal("tracerless ?trace=1 returned no finished trace")
+		t.Fatal("?trace=1 returned no finished trace")
 	}
 	if audit := optimizeAudit(t, *out.Trace); audit == nil || len(audit.Prunes) == 0 {
-		t.Fatal("tracerless ?trace=1 returned no pruning audit")
+		t.Fatal("?trace=1 returned no pruning audit")
 	}
 }
 
@@ -298,12 +277,10 @@ func TestPprofGating(t *testing.T) {
 		t.Fatalf("pprof reachable while disabled: status %d", resp.StatusCode)
 	}
 
-	s := &service.Server{
-		Provider:    modelProvider(sumModel{}),
-		Platforms:   platform.Subset(2),
-		Avail:       platform.UniformAvailability(2),
-		EnablePprof: true,
-	}
+	s := newServer(modelProvider(sumModel{}))
+	s.Platforms = platform.Subset(2)
+	s.Avail = platform.UniformAvailability(2)
+	s.EnablePprof = true
 	on := httptest.NewServer(s.Handler())
 	defer on.Close()
 	resp, err = http.Get(on.URL + "/debug/pprof/")

@@ -116,8 +116,8 @@ PY
 
 say "inspecting /cachez"
 curl -sf "$BASE/cachez" > "$WORK/cachez.json"
-[ "$(jget "$WORK/cachez.json" "d['enabled']")" = "True" ] \
-  || die "/cachez reports the cache disabled"
+[ "$(jget "$WORK/cachez.json" "isinstance(d.get('stats'), dict)")" = "True" ] \
+  || die "/cachez carries no cache stats"
 [ "$(jget "$WORK/cachez.json" "d['stats']['hits'] >= 1")" = "True" ] \
   || die "/cachez shows no hits"
 [ "$(jget "$WORK/cachez.json" "d['stats']['activeVersion']")" = "v1" ] \
@@ -432,8 +432,8 @@ PY
 
 say "checking /sloz burn-rate windows"
 curl -sf "$BASE/sloz" > "$WORK/sloz.json"
-[ "$(jget "$WORK/sloz.json" "d['enabled']")" = "True" ] \
-  || die "/sloz reports SLO tracking disabled"
+[ "$(jget "$WORK/sloz.json" "len(d.get('windows') or []) > 0")" = "True" ] \
+  || die "/sloz reports no SLO windows"
 [ "$(jget "$WORK/sloz.json" "len(d['windows']) >= 2")" = "True" ] \
   || die "/sloz reports fewer than 2 rolling windows"
 [ "$(jget "$WORK/sloz.json" "all(w['total'] > 0 for w in d['windows'])")" = "True" ] \
