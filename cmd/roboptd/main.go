@@ -38,9 +38,9 @@
 // over GET /peercache (the second after a 25 ms head start, each probe
 // bounded at 150 ms, circuit breakers, memoized negatives) and installs a
 // peer's entry instead of re-enumerating; responses served this way carry
-// X-Cache: peer. Misses that stay cold claim the fingerprint in the shared
-// store so exactly one replica fleet-wide enumerates while the others poll
-// the claimant (for at most 1 s); ?nopeer=1 bypasses the tier per request.
+// X-Cache: peer. A miss that stays cold is enumerated locally, so a key cold
+// fleet-wide is enumerated at most once per replica; ?nopeer=1 bypasses the
+// tier per request.
 //
 // # Running a replica fleet
 //
@@ -196,7 +196,7 @@ func (c *config) check() error {
 		return err
 	}
 	if c.peerFill && c.modelDir == "" {
-		return errors.New("-peer-fill needs -model-dir (peers and claim files live in the shared store)")
+		return errors.New("-peer-fill needs -model-dir (peers are discovered through the shared store)")
 	}
 	return nil
 }
@@ -275,8 +275,8 @@ func main() {
 	srv.PlanCache = plancache.New(plancache.Config{TTL: cacheTTL, Metrics: srv.Metrics()})
 	// The defaults of -replica-id (host:pid) and of the address other replicas
 	// reach this one at (-advertise, else -addr with the host filled in): the
-	// fleet registration record and, with -peer-fill, the owner address in
-	// shared-store claim files that waiting replicas poll.
+	// fleet registration record, and the address -peer-fill leaves out of
+	// its own probes.
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "localhost"
@@ -347,8 +347,7 @@ func main() {
 	}
 
 	// Peer-fill: turn the per-process plan cache into a fleet-shared tier.
-	// Peers are the other replicas registered in the shared store; the claim
-	// files that serialize cold enumerations fleet-wide live there too.
+	// Peers are the other replicas registered in the shared store.
 	if cfg.peerFill {
 		filler, err := peercache.New(peercache.Config{
 			SelfID:   srv.ReplicaID,
@@ -363,7 +362,6 @@ func main() {
 		}
 		srv.PlanCache.SetRemoteFiller(filler)
 		srv.PeerFill = filler
-		srv.AdvertiseAddr = scrapeAddr
 		logger.Info("peer-fill enabled", "addr", scrapeAddr)
 	}
 

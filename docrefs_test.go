@@ -94,17 +94,19 @@ func TestDesignReferencesResolve(t *testing.T) {
 	}
 }
 
-// docBudgets caps each big document at its size when the budget was set,
-// rounded up to the next 1 000 bytes: a doc grows only by cutting elsewhere
-// or by raising its line here, in review.
+// docBudgets caps each big document: README, DESIGN and EXPERIMENTS at their
+// size when the budget was set, rounded up to the next 1 000 bytes, and
+// CHANGES.md with room for its next entries. A doc grows only by cutting
+// elsewhere or by raising its line here, in review.
 var docBudgets = map[string]int64{
 	"README.md":      45_000,
 	"DESIGN.md":      77_000,
 	"EXPERIMENTS.md": 70_000,
+	"CHANGES.md":     64_000,
 }
 
-// TestDocBudgets: README.md, DESIGN.md and EXPERIMENTS.md stay within their
-// byte budgets.
+// TestDocBudgets: README.md, DESIGN.md, EXPERIMENTS.md and CHANGES.md stay
+// within their byte budgets.
 func TestDocBudgets(t *testing.T) {
 	for doc, budget := range docBudgets {
 		fi, err := os.Stat(doc)

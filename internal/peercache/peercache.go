@@ -174,14 +174,6 @@ func (f *Filler) memoizeMiss(key string) {
 	f.neg[key] = now.Add(f.negTTL)
 }
 
-// Forget drops key's negative memo (call after installing the plan by
-// other means, e.g. a local enumeration finishing).
-func (f *Filler) Forget(fp plancache.Fingerprint, version, band string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.neg, negKey(fp, version, band))
-}
-
 // breakerOpen reports whether addr's circuit is open right now.
 func (f *Filler) breakerOpen(addr string, now time.Time) bool {
 	f.mu.Lock()
@@ -402,22 +394,6 @@ func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, ba
 		return nil, nil
 	}
 	return nil, firstErr
-}
-
-// FetchFrom fetches (fp, version, band) from one explicit peer — the
-// fleet-singleflight wait path polling a claim holder. It bypasses the
-// breaker, rotation and negative memo: the claim names exactly one
-// authoritative address. (nil, nil) is a miss (holder not done yet).
-func (f *Filler) FetchFrom(ctx context.Context, addr string, fp plancache.Fingerprint, version, band string) (*plancache.CachedPlan, error) {
-	cp, miss, err := f.probe(ctx, addr, fp, version, band)
-	if err != nil {
-		f.failed(err)
-		return nil, err
-	}
-	if miss {
-		return nil, nil
-	}
-	return cp, nil
 }
 
 // Stats is the filler's point-in-time view, surfaced under /cachez.

@@ -221,14 +221,6 @@ func TestFillMissMemoized(t *testing.T) {
 	if probes.Load() != 2 {
 		t.Fatalf("banded lookup reused the memo: %d probes", probes.Load())
 	}
-	// Forget drops the memo.
-	f.Forget(fp, "v1", "")
-	if _, err := f.Fill(context.Background(), fp, "v1", ""); err != nil {
-		t.Fatalf("post-Forget Fill: %v", err)
-	}
-	if probes.Load() != 3 {
-		t.Fatalf("Forget did not drop the memo: %d probes", probes.Load())
-	}
 }
 
 // TestBreakerOpensAndCloses: consecutive failures take a peer out of
@@ -289,26 +281,6 @@ func TestFillTimeoutClassified(t *testing.T) {
 	}
 	if s := f.Snapshot(); s.Timeouts != 1 || s.Errors != 0 {
 		t.Fatalf("stats = %+v, want the failure classified as a timeout", s)
-	}
-}
-
-func TestFetchFrom(t *testing.T) {
-	cp := testPlan(9, "v1")
-	addr := peerServer(t, serveEntry(cp, "holder", nil))
-	missAddr := peerServer(t, http.HandlerFunc(serve404))
-	f := newFiller(t, Config{Peers: staticPeers()})
-
-	got, err := f.FetchFrom(context.Background(), addr, cp.Fingerprint, "v1", "")
-	if err != nil || got == nil || got.Fingerprint != cp.Fingerprint {
-		t.Fatalf("FetchFrom = (%v, %v), want the entry", got, err)
-	}
-	// A 404 from the explicit holder is (nil, nil): not done yet.
-	if got, err := f.FetchFrom(context.Background(), missAddr, cp.Fingerprint, "v1", ""); err != nil || got != nil {
-		t.Fatalf("FetchFrom miss = (%v, %v), want (nil, nil)", got, err)
-	}
-	// An unreachable holder is an error.
-	if _, err := f.FetchFrom(context.Background(), "127.0.0.1:1", cp.Fingerprint, "v1", ""); err == nil {
-		t.Fatal("FetchFrom against a dead address succeeded")
 	}
 }
 

@@ -151,7 +151,7 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // DecodeEntry parses one wire entry into an installable cache entry and
-// validates it. The caller (Cache.InstallRemote) separately enforces that the
+// validates it. The caller (Cache.FillRemote) separately enforces that the
 // entry matches the key it asked for.
 //
 // It reads what encoding/json read into the tagged struct this format was: a

@@ -432,6 +432,13 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
+// entryFiller is a remote tier that answers every lookup with one entry.
+type entryFiller struct{ cp *plancache.CachedPlan }
+
+func (f entryFiller) Fill(context.Context, plancache.Fingerprint, string, string) (*plancache.CachedPlan, error) {
+	return f.cp, nil
+}
+
 // TestWireRoundTrip: an entry survives the wire, and installs under its key.
 func TestWireRoundTrip(t *testing.T) {
 	for _, cp := range append(servedPlans(t), testPlan(7, "v3")) {
@@ -454,7 +461,8 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("round trip lost data:\n got  %+v\n want %+v", got, &want)
 		}
 		c := plancache.New(plancache.Config{})
-		if _, ok := c.InstallRemote(got, cp.Fingerprint, cp.ModelVersion, plancache.RiskBand(cp.RiskLambda)); !ok {
+		c.SetRemoteFiller(entryFiller{got})
+		if _, ok := c.FillRemote(context.Background(), cp.Fingerprint, cp.ModelVersion, plancache.RiskBand(cp.RiskLambda)); !ok {
 			t.Fatalf("decoded entry refused under its own key")
 		}
 	}

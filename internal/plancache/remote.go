@@ -57,18 +57,6 @@ func (c *Cache) FillRemote(ctx context.Context, fp Fingerprint, version, band st
 	if err != nil || cp == nil {
 		return nil, false
 	}
-	return c.InstallRemote(cp, fp, version, band)
-}
-
-// InstallRemote validates and installs a remotely fetched entry (the tail
-// of FillRemote, also used by the fleet-singleflight wait path, which
-// fetches from an explicit claim holder instead of going through the
-// filler). Returns (cp, true) only when the entry passed both guards and
-// was handed to Put.
-func (c *Cache) InstallRemote(cp *CachedPlan, fp Fingerprint, version, band string) (*CachedPlan, bool) {
-	if cp == nil {
-		return nil, false
-	}
 	// A peer answering with the wrong key is a protocol violation; refuse
 	// the entry rather than poisoning the local cache.
 	if cp.Fingerprint != fp || cp.ModelVersion != version || RiskBand(cp.RiskLambda) != band {

@@ -78,25 +78,30 @@ func TestInstallRemoteGuards(t *testing.T) {
 	c := New(Config{})
 	c.Activate("v2")
 	cp := fab(1, "v2", 3)
+	install := func(cp *CachedPlan, fp Fingerprint, version, band string) bool {
+		c.SetRemoteFiller(&fakeFiller{cp: cp})
+		_, ok := c.FillRemote(context.Background(), fp, version, band)
+		return ok
+	}
 
 	// Wrong fingerprint.
 	var other Fingerprint
 	other[0] = 99
-	if _, ok := c.InstallRemote(cp, other, "v2", ""); ok {
+	if install(cp, other, "v2", "") {
 		t.Fatal("installed an entry under a mismatched fingerprint")
 	}
 	// Wrong version relative to the request.
-	if _, ok := c.InstallRemote(cp, cp.Fingerprint, "v1", ""); ok {
+	if install(cp, cp.Fingerprint, "v1", "") {
 		t.Fatal("installed an entry under a mismatched version")
 	}
 	// Wrong band: fab entries have RiskLambda 0, i.e. band "".
-	if _, ok := c.InstallRemote(cp, cp.Fingerprint, "v2", "b1"); ok {
+	if install(cp, cp.Fingerprint, "v2", "b1") {
 		t.Fatal("installed an entry under a mismatched band")
 	}
 	// Version matches the request but not the active version: the cache
 	// hot-swapped while the peer lookup was in flight.
 	stale := fab(2, "v1", 3)
-	if _, ok := c.InstallRemote(stale, stale.Fingerprint, "v1", ""); ok {
+	if install(stale, stale.Fingerprint, "v1", "") {
 		t.Fatal("installed an entry from a version the cache no longer serves")
 	}
 	if s := c.Snapshot(); s.Dropped != 4 {
@@ -107,7 +112,7 @@ func TestInstallRemoteGuards(t *testing.T) {
 	}
 
 	// The happy path still installs.
-	if _, ok := c.InstallRemote(cp, cp.Fingerprint, "v2", ""); !ok {
+	if !install(cp, cp.Fingerprint, "v2", "") {
 		t.Fatal("valid install refused")
 	}
 }

@@ -10,37 +10,31 @@ import (
 	"time"
 )
 
-// Fleet-level singleflight rides on the artifact store the same way replica
-// discovery does: before a cold enumeration, a replica claims the plan's
-// cache key by creating a small TTL-stamped JSON file under the store's
-// claims/ subdirectory. Creation is atomic and exclusive — the content is
-// written to a temp file and then hard-linked to the claim path, so the
-// link either installs a fully-written record or fails with EEXIST; there
-// is no window where a peer can observe a half-written claim. Exactly one
-// replica per fingerprint wins the link and enumerates; the others poll the
-// winner's peercache endpoint. A claim from a crashed replica ages out by
-// its ExpiresAt stamp, at which point any contender may remove it and take
-// over. Clean completion releases the claim immediately.
+// Claims: a small TTL-stamped JSON file per key under the store's claims/
+// subdirectory, created atomically and exclusively — the content is written
+// to a temp file and then hard-linked to the claim path, so the link either
+// installs a fully-written record or fails with EEXIST. A claim whose
+// ExpiresAt has passed may be reaped by the next contender.
+//
+// No serving path calls this file. It lives on only for the frozen bench
+// module's registry.claim_us probe and goes when that module is unfrozen
+// (ROADMAP item 7).
 
-// claimsSubdir is the store subdirectory holding one file per in-flight
-// claim. versionsLocked skips directories, so artifact listing is
-// unaffected.
+// claimsSubdir is the store subdirectory holding one file per claim.
+// versionsLocked skips directories, so artifact listing is unaffected.
 const claimsSubdir = "claims"
 
 // DefaultClaimTTL is how long a claim outlives its creation before
-// contenders may treat the owner as crashed and take over. It bounds the
-// worst-case wait behind a dead claimant, so it should comfortably exceed
-// one enumeration but stay small against the serving deadline.
+// contenders may treat the owner as crashed and take over.
 const DefaultClaimTTL = 10 * time.Second
 
 // ClaimInfo is one claim file's record.
 type ClaimInfo struct {
-	// Key is the claimed cache key (fingerprint + model version + band).
+	// Key is the claimed key.
 	Key string `json:"key"`
 	// Owner is the claiming replica's ID.
 	Owner string `json:"owner"`
-	// Addr is the claiming replica's advertised address; contenders poll
-	// its /peercache endpoint for the enumeration result.
+	// Addr is the claiming replica's advertised address.
 	Addr string `json:"addr"`
 	// CreatedAt is when the claim was taken.
 	CreatedAt time.Time `json:"createdAt"`
@@ -48,17 +42,14 @@ type ClaimInfo struct {
 	ExpiresAt time.Time `json:"expiresAt"`
 }
 
-// Expired reports whether the claim is past its ExpiresAt stamp.
-func (c *ClaimInfo) Expired(now time.Time) bool { return now.After(c.ExpiresAt) }
+// expired reports whether the claim is past its ExpiresAt stamp.
+func (c *ClaimInfo) expired(now time.Time) bool { return now.After(c.ExpiresAt) }
 
-// ClaimFile renders the on-disk filename for a claim key, flattening
-// separators so a hostile key cannot escape the subdirectory. Exported so
-// tooling (e2e smoke) can locate a specific claim.
-func ClaimFile(key string) string { return replicaFile(key) }
-
-// claimPath is the absolute path of key's claim file.
-func (s *Store) claimPath(key string) string {
-	return filepath.Join(s.dir, claimsSubdir, ClaimFile(key))
+// claimPath is key's claim file relative to the store root, its name
+// flattened like a replica record's so a hostile key cannot escape the
+// subdirectory.
+func claimPath(key string) string {
+	return filepath.Join(claimsSubdir, replicaFile(key))
 }
 
 // readClaim parses the claim file at path; a missing, half-written or
@@ -75,14 +66,13 @@ func readClaim(path string) *ClaimInfo {
 	return &c
 }
 
-// Claim attempts to take the fleet-singleflight claim on key for owner.
-// ttl (DefaultClaimTTL when <= 0) stamps the expiry. The result is one of:
+// Claim attempts to take the claim on key for owner. ttl (DefaultClaimTTL
+// when <= 0) stamps the expiry. The result is one of:
 //
-//   - acquired=true: the caller holds the claim and must enumerate, then
-//     ReleaseClaim. takeover=true additionally means an expired claim from
-//     a crashed replica was reaped on the way in.
-//   - acquired=false, holder != nil: another live replica holds the claim;
-//     poll holder.Addr for the result.
+//   - acquired=true: the caller holds the claim until ReleaseClaim.
+//     takeover=true additionally means an expired claim was reaped on the
+//     way in.
+//   - acquired=false, holder != nil: another live owner holds the claim.
 //   - acquired=false, holder == nil only alongside a non-nil error.
 func (s *Store) Claim(key, owner, addr string, ttl time.Duration) (acquired bool, holder *ClaimInfo, takeover bool, err error) {
 	if key == "" || owner == "" {
@@ -98,7 +88,8 @@ func (s *Store) Claim(key, owner, addr string, ttl time.Duration) (acquired bool
 	}
 	now := time.Now()
 	c := ClaimInfo{Key: key, Owner: owner, Addr: addr, CreatedAt: now, ExpiresAt: now.Add(ttl)}
-	name, path := filepath.Join(claimsSubdir, ClaimFile(key)), s.claimPath(key)
+	name := claimPath(key)
+	path := filepath.Join(s.dir, name)
 	// Two link attempts: the first decides claimed-vs-held; a second is
 	// allowed only after reaping a provably expired claim (takeover).
 	for attempt := 0; ; attempt++ {
@@ -114,7 +105,7 @@ func (s *Store) Claim(key, owner, addr string, ttl time.Duration) (acquired bool
 			return false, nil, false, fmt.Errorf("registry: claim: %w", err)
 		}
 		cur := readClaim(path)
-		if cur != nil && !cur.Expired(time.Now()) {
+		if cur != nil && !cur.expired(time.Now()) {
 			return false, cur, false, nil
 		}
 		if attempt > 0 {
@@ -125,20 +116,13 @@ func (s *Store) Claim(key, owner, addr string, ttl time.Duration) (acquired bool
 			}
 			return false, nil, false, fmt.Errorf("registry: claim on %s: persistent link race", key)
 		}
-		// Expired (or unreadable) claim from a crashed replica: reap it and
-		// retry the link once. A concurrent reaper removing the same file is
-		// fine — the retry settles who actually took over.
+		// Expired (or unreadable) claim: reap it and retry the link once. A
+		// concurrent reaper removing the same file is fine — the retry
+		// settles who actually took over.
 		if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) {
 			return false, nil, false, fmt.Errorf("registry: claim takeover: %w", rmErr)
 		}
 	}
-}
-
-// LoadClaim returns key's current claim record, or nil when unclaimed.
-func (s *Store) LoadClaim(key string) (*ClaimInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return readClaim(s.claimPath(key)), nil
 }
 
 // ReleaseClaim removes key's claim if owner still holds it. Releasing an
@@ -147,7 +131,7 @@ func (s *Store) LoadClaim(key string) (*ClaimInfo, error) {
 func (s *Store) ReleaseClaim(key, owner string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	path := s.claimPath(key)
+	path := filepath.Join(s.dir, claimPath(key))
 	cur := readClaim(path)
 	if cur == nil || cur.Owner != owner {
 		return nil

@@ -1,6 +1,7 @@
 package registry_test
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,27 +11,49 @@ import (
 	"repro/internal/registry"
 )
 
+// loadClaim reads the one claim file under st's claims/ directory: nil
+// when there is none, a test failure when there are several.
+func loadClaim(t *testing.T, st *registry.Store) *registry.ClaimInfo {
+	t.Helper()
+	entries, err := os.ReadDir(filepath.Join(st.Dir(), "claims"))
+	if os.IsNotExist(err) || err == nil && len(entries) == 0 {
+		return nil
+	}
+	if err != nil || len(entries) != 1 || entries[0].IsDir() {
+		t.Fatalf("claims dir = %v, %v; want at most one flat file", entries, err)
+	}
+	raw, err := os.ReadFile(filepath.Join(st.Dir(), "claims", entries[0].Name()))
+	if err != nil {
+		t.Fatalf("reading claim: %v", err)
+	}
+	var c registry.ClaimInfo
+	if err := json.Unmarshal(raw, &c); err != nil {
+		t.Fatalf("claim file %s: %v", raw, err)
+	}
+	return &c
+}
+
 func TestClaimLifecycle(t *testing.T) {
 	st := openFleetStore(t)
 
 	// Nothing claimed yet.
-	if c, err := st.LoadClaim("k"); err != nil || c != nil {
-		t.Fatalf("LoadClaim on empty store = %v, %v", c, err)
+	if c := loadClaim(t, st); c != nil {
+		t.Fatalf("claim on empty store = %+v", c)
 	}
 
 	acquired, holder, takeover, err := st.Claim("k", "a", "a:8080", time.Minute)
 	if err != nil || !acquired || holder != nil || takeover {
 		t.Fatalf("first claim = (%v, %v, %v, %v), want clean acquire", acquired, holder, takeover, err)
 	}
-	c, err := st.LoadClaim("k")
-	if err != nil || c == nil || c.Owner != "a" || c.Addr != "a:8080" || c.Key != "k" {
-		t.Fatalf("LoadClaim after acquire = %+v, %v", c, err)
+	c := loadClaim(t, st)
+	if c == nil || c.Owner != "a" || c.Addr != "a:8080" || c.Key != "k" {
+		t.Fatalf("claim after acquire = %+v", c)
 	}
 	if !c.ExpiresAt.After(c.CreatedAt) {
 		t.Fatalf("claim expiry %v not after creation %v", c.ExpiresAt, c.CreatedAt)
 	}
 
-	// A live claim repels contenders and names the holder to poll.
+	// A live claim repels contenders and names the holder.
 	acquired, holder, _, err = st.Claim("k", "b", "b:8080", time.Minute)
 	if err != nil || acquired || holder == nil || holder.Owner != "a" || holder.Addr != "a:8080" {
 		t.Fatalf("contended claim = (%v, %+v, %v), want held by a", acquired, holder, err)
@@ -40,7 +63,7 @@ func TestClaimLifecycle(t *testing.T) {
 	if err := st.ReleaseClaim("k", "b"); err != nil {
 		t.Fatalf("foreign release: %v", err)
 	}
-	if c, _ := st.LoadClaim("k"); c == nil || c.Owner != "a" {
+	if c := loadClaim(t, st); c == nil || c.Owner != "a" {
 		t.Fatalf("claim after foreign release = %+v, want still held by a", c)
 	}
 
@@ -48,7 +71,7 @@ func TestClaimLifecycle(t *testing.T) {
 	if err := st.ReleaseClaim("k", "a"); err != nil {
 		t.Fatalf("release: %v", err)
 	}
-	if c, _ := st.LoadClaim("k"); c != nil {
+	if c := loadClaim(t, st); c != nil {
 		t.Fatalf("claim after release = %+v, want gone", c)
 	}
 	if acquired, _, takeover, err = st.Claim("k", "b", "b:8080", time.Minute); err != nil || !acquired || takeover {
@@ -73,7 +96,7 @@ func TestClaimTakeover(t *testing.T) {
 	if err != nil || !acquired || !takeover {
 		t.Fatalf("takeover = (%v, %+v, %v, %v), want acquired takeover", acquired, holder, takeover, err)
 	}
-	if c, _ := st.LoadClaim("k"); c == nil || c.Owner != "live" {
+	if c := loadClaim(t, st); c == nil || c.Owner != "live" {
 		t.Fatalf("claim after takeover = %+v, want owned by live", c)
 	}
 }
@@ -88,9 +111,9 @@ func TestClaimValidation(t *testing.T) {
 	}
 }
 
-// TestClaimFileSanitized: a claim key carrying path separators cannot
+// TestClaimPathSanitized: a claim key carrying path separators cannot
 // escape the claims subdirectory.
-func TestClaimFileSanitized(t *testing.T) {
+func TestClaimPathSanitized(t *testing.T) {
 	dir := t.TempDir()
 	st, err := registry.OpenStore(dir)
 	if err != nil {
@@ -107,8 +130,11 @@ func TestClaimFileSanitized(t *testing.T) {
 	if len(entries) != 1 || entries[0].IsDir() {
 		t.Fatalf("claims dir entries = %v, want one flat file", entries)
 	}
-	if entries[0].Name() != registry.ClaimFile(key) {
-		t.Fatalf("claim file %q, want %q", entries[0].Name(), registry.ClaimFile(key))
+	if want := "abc_def_.._.._escape.json"; entries[0].Name() != want {
+		t.Fatalf("claim file %q, want %q", entries[0].Name(), want)
+	}
+	if c := loadClaim(t, st); c == nil || c.Key != key {
+		t.Fatalf("sanitized claim = %+v, want key %q", c, key)
 	}
 	// The claims subdirectory is invisible to artifact listing, like
 	// replicas/.
@@ -119,10 +145,17 @@ func TestClaimFileSanitized(t *testing.T) {
 	if len(versions) != 0 {
 		t.Fatalf("artifact versions = %v, want none after a claim", versions)
 	}
+	// Release finds the sanitized file again.
+	if err := st.ReleaseClaim(key, "a"); err != nil {
+		t.Fatalf("ReleaseClaim: %v", err)
+	}
+	if c := loadClaim(t, st); c != nil {
+		t.Fatalf("claim after release = %+v, want gone", c)
+	}
 }
 
 // TestClaimExclusive: many concurrent contenders on one key produce exactly
-// one winner — the singleflight property the serving path relies on.
+// one winner.
 func TestClaimExclusive(t *testing.T) {
 	st := openFleetStore(t)
 	const n = 16
@@ -151,6 +184,9 @@ func TestClaimExclusive(t *testing.T) {
 	}
 	if len(won) != 1 {
 		t.Fatalf("claim winners = %v, want exactly one", won)
+	}
+	if c := loadClaim(t, st); c == nil || c.Owner != won[0] {
+		t.Fatalf("claim file = %+v, want owned by the winner %s", c, won[0])
 	}
 }
 

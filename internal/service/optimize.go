@@ -35,8 +35,8 @@ type reqParams struct {
 	lambda   float64
 	simulate bool
 	nocache  bool
-	// nopeer bypasses the fleet-shared tiers (peer probe and fleet claim)
-	// for this request, mirroring what nocache does for the local cache.
+	// nopeer bypasses the peer probe for this request, mirroring what
+	// nocache does for the local cache.
 	nopeer bool
 	// traceID is the W3C trace ID propagated by the caller's traceparent
 	// header; empty means the request ID doubles as the trace ID.
@@ -78,12 +78,9 @@ type optimizeReq struct {
 	// workers overrides the server's enumeration parallelism when positive
 	// (batch members share the pool across the fan-out).
 	workers int
-	// fleetStart/peerMs time the fleet tiers; peerMs is set only when one of
-	// them answered and feeds peer_fill_ms{outcome="hit"}. release gives up
-	// the fleet claim the claim tier won, once the enumeration is published.
-	fleetStart time.Time
-	peerMs     float64
-	release    func()
+	// peerMs is how long the peer probe took to answer; it is set only on
+	// a peer fill and feeds peer_fill_ms{outcome="hit"}.
+	peerMs float64
 }
 
 // optimizeOut is the outcome of one request unit, and what account enters in
@@ -565,7 +562,7 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 
 // record keeps what only a served plan has to tell: execution feedback, the
 // model version that scored it, its latency among the successes, the
-// enumeration's work when one ran and the fleet tier's share of a peer fill.
+// enumeration's work when one ran and the peer tier's share of a peer fill.
 func (s *Server) record(q *optimizeReq, a answer, x *plan.Execution, out *optimizeOut, run *simulator.Result) {
 	m := s.Metrics()
 	// Execution feedback: the served plan's vector paired with its observed
@@ -601,7 +598,7 @@ func (s *Server) record(q *optimizeReq, a answer, x *plan.Execution, out *optimi
 	}
 }
 
-// peerFillMs is the fleet tiers' latency histogram for one outcome: "hit"
+// peerFillMs is the peer tier's latency histogram for one outcome: "hit"
 // when a peer's entry answered (observed with the served unit's exemplar),
 // "miss" when the probe round came back empty.
 func (s *Server) peerFillMs(outcome string) *obs.Histogram {

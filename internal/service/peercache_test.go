@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/peercache"
-	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/registry"
 	"repro/internal/service"
@@ -47,7 +47,6 @@ func newPeerReplica(t *testing.T, dir, id string) (*service.Server, *httptest.Se
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	addr := strings.TrimPrefix(ts.URL, "http://")
-	s.AdvertiseAddr = addr
 	filler, err := peercache.New(peercache.Config{
 		SelfID:   id,
 		SelfAddr: addr,
@@ -85,21 +84,6 @@ func seedPeerStore(t *testing.T) string {
 		t.Fatalf("Activate: %v", err)
 	}
 	return dir
-}
-
-// testClaimKey computes the fleet-singleflight claim key the serving path
-// uses for the running-example plan at version/band.
-func testClaimKey(t *testing.T, s *service.Server, body []byte, version, band string) (plancache.Fingerprint, string) {
-	t.Helper()
-	l, err := plan.UnmarshalJSONPlan(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("UnmarshalJSONPlan: %v", err)
-	}
-	fp, _, err := plancache.Compute(l, s.Platforms, s.Avail, s.PlanCache.BandsPerDecade())
-	if err != nil {
-		t.Fatalf("Compute: %v", err)
-	}
-	return fp, service.ClaimKey(fp, version, band)
 }
 
 // TestPeerFillServesFromPeer is the tentpole acceptance path: replica A
@@ -194,7 +178,7 @@ func TestPeerFillServesFromPeer(t *testing.T) {
 }
 
 // TestPeerFillBypass: ?nopeer=1 keeps a request off the tier entirely — no
-// probes, no claims, a plain local enumeration.
+// probes, a plain local enumeration.
 func TestPeerFillBypass(t *testing.T) {
 	dir := seedPeerStore(t)
 	_, tsA := newPeerReplica(t, dir, "ra")
@@ -209,130 +193,78 @@ func TestPeerFillBypass(t *testing.T) {
 	if s := srvB.PeerFill.Snapshot(); s.Hits != 0 || s.Misses != 0 {
 		t.Fatalf("nopeer request still touched the tier: %+v", s)
 	}
-	var mz obs.Snapshot
-	getJSON(t, tsB.URL+"/metricz", &mz)
-	if mz.Counters["fleet_singleflight_claims_total"] != 0 {
-		t.Fatalf("nopeer request took a claim: %d", mz.Counters["fleet_singleflight_claims_total"])
-	}
 }
 
-// TestFleetSingleflightWait: a replica that loses the claim race polls the
-// claim holder and serves the holder's result as a peer fill instead of
-// enumerating.
-func TestFleetSingleflightWait(t *testing.T) {
-	dir := seedPeerStore(t)
-	srvA, tsA := newPeerReplica(t, dir, "ra")
-	_, tsB := newPeerReplica(t, dir, "rb")
-	body := planJSON(t)
-
-	// Plant a live claim owned by a "ghost" whose advertised address is A:
-	// B must wait behind it and poll A for the result.
-	_, key := testClaimKey(t, srvA, body, "v1", "")
-	addrA := strings.TrimPrefix(tsA.URL, "http://")
-	if acquired, _, _, err := srvA.ModelStore.Claim(key, "ghost", addrA, time.Minute); err != nil || !acquired {
-		t.Fatalf("planting claim: %v (acquired=%v)", err, acquired)
-	}
-
-	done := make(chan struct{})
-	var respB *http.Response
-	var gotB service.OptimizeResponse
-	go func() {
-		defer close(done)
-		respB, gotB, _ = postPlan(t, tsB.URL+"/optimize", body)
-	}()
-
-	// Let B reach the wait loop, then publish the result on A. The nopeer
-	// bypass keeps A itself from queueing behind the ghost claim.
-	time.Sleep(150 * time.Millisecond)
-	_, first, _ := postPlan(t, tsA.URL+"/optimize?nopeer=1", body)
-
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("B never finished waiting on the claim")
-	}
-	if respB.Header.Get("X-Cache") != "peer" {
-		t.Fatalf("waiter X-Cache = %q, want peer", respB.Header.Get("X-Cache"))
-	}
-	if gotB.PredictedRuntimeSec != first.PredictedRuntimeSec {
-		t.Fatalf("waiter prediction %g != holder's %g", gotB.PredictedRuntimeSec, first.PredictedRuntimeSec)
-	}
-	var mz obs.Snapshot
-	getJSON(t, tsB.URL+"/metricz", &mz)
-	if mz.Counters["fleet_singleflight_waits_total"] < 1 {
-		t.Fatalf("fleet_singleflight_waits_total = %d, want >= 1", mz.Counters["fleet_singleflight_waits_total"])
-	}
-	if mz.Counters["fleet_singleflight_claims_total"] != 0 {
-		t.Fatalf("waiter took a claim of its own: %d", mz.Counters["fleet_singleflight_claims_total"])
-	}
-}
-
-// TestFleetSingleflightTakeover: a claim whose owner crashed (TTL lapsed)
-// is reaped by the next cold request, which then enumerates normally.
-func TestFleetSingleflightTakeover(t *testing.T) {
-	dir := seedPeerStore(t)
-	srvB, tsB := newPeerReplica(t, dir, "rb")
-	body := planJSON(t)
-
-	_, key := testClaimKey(t, srvB, body, "v1", "")
-	if acquired, _, _, err := srvB.ModelStore.Claim(key, "crashed", "127.0.0.1:1", time.Millisecond); err != nil || !acquired {
-		t.Fatalf("planting claim: %v (acquired=%v)", err, acquired)
-	}
-	time.Sleep(10 * time.Millisecond)
-
-	resp, _, _ := postPlan(t, tsB.URL+"/optimize", body)
-	if resp.Header.Get("X-Cache") != "miss" {
-		t.Fatalf("takeover X-Cache = %q, want miss (own enumeration)", resp.Header.Get("X-Cache"))
-	}
-	var mz obs.Snapshot
-	getJSON(t, tsB.URL+"/metricz", &mz)
-	if mz.Counters["fleet_singleflight_takeovers_total"] != 1 {
-		t.Fatalf("fleet_singleflight_takeovers_total = %d, want 1", mz.Counters["fleet_singleflight_takeovers_total"])
-	}
-	if mz.Counters["fleet_singleflight_claims_total"] != 1 {
-		t.Fatalf("fleet_singleflight_claims_total = %d, want 1", mz.Counters["fleet_singleflight_claims_total"])
-	}
-	// The claim was released after the entry was published.
-	if c, _ := srvB.ModelStore.LoadClaim(key); c != nil {
-		t.Fatalf("claim still present after the takeover enumeration: %+v", c)
-	}
-}
-
-// TestFleetSingleflightSingleEnumeration: a cold fingerprint hit
-// concurrently across both replicas enumerates exactly once fleet-wide —
-// in-process singleflight collapses same-replica duplicates, the claim
-// protocol serializes the replicas.
-func TestFleetSingleflightSingleEnumeration(t *testing.T) {
+// TestConcurrentColdKeyAcrossReplicas: a cold fingerprint hit concurrently
+// across two replicas enumerates at most once per replica — the in-process
+// singleflight collapses same-replica duplicates, and a replica that misses
+// while its peer is still enumerating enumerates for itself — and every
+// answer, whichever tier gave it, is byte-equal to a fresh enumeration.
+func TestConcurrentColdKeyAcrossReplicas(t *testing.T) {
 	dir := seedPeerStore(t)
 	_, tsA := newPeerReplica(t, dir, "ra")
 	_, tsB := newPeerReplica(t, dir, "rb")
 	body := planJSON(t)
+	planOf := func(r service.OptimizeResponse) string {
+		b, err := json.Marshal(struct {
+			A []string
+			C []service.ConversionJSON
+			P float64
+		}{r.Assignments, r.Conversions, r.PredictedRuntimeSec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	_, fresh, _ := postPlan(t, tsA.URL+"/optimize?nocache=1&nopeer=1", body)
+	want := planOf(fresh)
 
 	urls := []string{tsA.URL, tsB.URL, tsA.URL, tsB.URL, tsA.URL, tsB.URL}
 	dispositions := make([]string, len(urls))
+	bodies := make([][]byte, len(urls))
 	var wg sync.WaitGroup
 	for i, u := range urls {
 		wg.Add(1)
 		go func(i int, u string) {
 			defer wg.Done()
-			resp, _, _ := postPlan(t, u+"/optimize", body)
+			resp, err := http.Post(u+"/optimize", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
 			dispositions[i] = resp.Header.Get("X-Cache")
+			if bodies[i], err = io.ReadAll(resp.Body); err != nil {
+				t.Error(err)
+			}
 		}(i, u)
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
 
-	misses := 0
-	for _, d := range dispositions {
+	misses := map[string]int{}
+	for i, d := range dispositions {
 		switch d {
 		case "miss":
-			misses++
+			misses[urls[i]]++
 		case "hit", "collapsed", "peer":
 		default:
 			t.Fatalf("unexpected X-Cache %q in %v", d, dispositions)
 		}
+		var got service.OptimizeResponse
+		if err := json.Unmarshal(bodies[i], &got); err != nil {
+			t.Fatalf("answer %d: %v (%.200s)", i, err, bodies[i])
+		}
+		if p := planOf(got); p != want {
+			t.Fatalf("answer %d (%s) = %s, want the fresh enumeration's %s", i, d, p, want)
+		}
 	}
-	if misses != 1 {
-		t.Fatalf("dispositions = %v: %d enumerations, want exactly 1 fleet-wide", dispositions, misses)
+	for u, n := range misses {
+		if n > 1 {
+			t.Fatalf("dispositions = %v: %d enumerations on %s, want at most 1 per replica", dispositions, n, u)
+		}
 	}
 }
 

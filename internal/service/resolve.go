@@ -18,7 +18,7 @@ const (
 	srcHit                     // this replica's plan cache
 	srcCollapsed               // a concurrent identical request's enumeration
 	srcDedup                   // an earlier member of the same batch
-	srcPeer                    // a peer replica's cache: probed, or awaited behind its fleet claim
+	srcPeer                    // a peer replica's cache, probed over /peercache
 )
 
 // sources is the one place a source is spelled for the outside: the X-Cache
@@ -59,7 +59,6 @@ var tiers = [...]struct {
 	{try: (*Server).localTier},
 	{try: (*Server).dedupTier},
 	{try: (*Server).peerTier, lead: true},
-	{try: (*Server).claimTier, lead: true},
 	{try: (*Server).enumerate, lead: true},
 }
 
@@ -123,41 +122,19 @@ func (s *Server) dedupTier(_ context.Context, q *optimizeReq) (answer, error) {
 	return answer{src: srcDedup, cp: cp}, nil
 }
 
-// fleet reports whether q may consult the fleet-shared tiers: they need a
-// cache key, skip shed requests (whose beam is never published) and honor
-// ?nopeer=1.
-func (s *Server) fleet(q *optimizeReq) bool {
-	return s.PeerFill != nil && q.canon != nil && !q.shed && !q.nopeer
-}
-
 // peerTier asks the fleet's replicas for their entry; a hit is installed in
-// the local cache on the way.
+// the local cache on the way. It needs a cache key, skips shed requests
+// (whose beam is never published) and honors ?nopeer=1.
 func (s *Server) peerTier(ctx context.Context, q *optimizeReq) (answer, error) {
-	if !s.fleet(q) {
+	if s.PeerFill == nil || q.canon == nil || q.shed || q.nopeer {
 		return answer{}, nil
 	}
-	q.fleetStart = time.Now()
+	start := time.Now()
 	cp, ok := s.PlanCache.FillRemote(ctx, q.fp, q.version, q.band)
 	if ok {
-		q.peerMs = sinceMs(q.fleetStart)
+		q.peerMs = sinceMs(start)
 	} else {
-		s.peerFillMs("miss").Observe(sinceMs(q.fleetStart))
-	}
-	return answer{src: srcPeer, cp: cp}, nil
-}
-
-// claimTier runs the fleet singleflight for a key that is cold fleet-wide:
-// exactly one replica claims it in the shared store and enumerates while the
-// others wait on the claimant (see claimOrWait). Winning the claim answers
-// nothing — the enumerate tier runs next and gives the claim up.
-func (s *Server) claimTier(ctx context.Context, q *optimizeReq) (answer, error) {
-	if !s.fleet(q) {
-		return answer{}, nil
-	}
-	cp, release := s.claimOrWait(ctx, q.fp, q.version, q.band)
-	q.release = release
-	if cp != nil {
-		q.peerMs = sinceMs(q.fleetStart)
+		s.peerFillMs("miss").Observe(sinceMs(start))
 	}
 	return answer{src: srcPeer, cp: cp}, nil
 }
@@ -167,9 +144,9 @@ func (s *Server) budget(ctx context.Context, shed bool) core.Budget {
 	b := s.Budget
 	if dl, ok := ctx.Deadline(); ok && b.SoftDeadline == 0 {
 		// Degrade at 80% of the time the request has left — not of its
-		// nominal deadline, part of which the admission queue, a peer probe
-		// or a fleet-claim wait may already have spent — so it has slack to
-		// finish its best-effort plan before the hard cutoff.
+		// nominal deadline, part of which the admission queue or a peer
+		// probe may already have spent — so it has slack to finish its
+		// best-effort plan before the hard cutoff.
 		b.SoftDeadline = time.Until(dl) * 4 / 5
 	}
 	if shed {
@@ -182,14 +159,6 @@ func (s *Server) budget(ctx context.Context, shed bool) core.Budget {
 // enumerate is the last tier: the full vector-algebra enumeration, published
 // to the plan cache when the request has a cache key.
 func (s *Server) enumerate(ctx context.Context, q *optimizeReq) (answer, error) {
-	if release := q.release; release != nil {
-		// We hold the fleet claim: release it only after the result is
-		// published to the local cache, so a waiter observing the release
-		// always finds the entry (or learns the run failed and contends
-		// anew).
-		q.release = nil
-		defer release()
-	}
 	cctx, err := core.NewContext(q.l, s.Platforms, s.Avail)
 	if err != nil {
 		// The decoded plan is well-formed but no configured platform can

@@ -13,9 +13,9 @@
 // one answer path:
 //
 //	resolve  (resolve.go)  — walk one ordered list of tiers: local plan
-//	         cache → batch dedup → peer probe → fleet claim → enumerate and
-//	         publish; the last three run under an in-process singleflight
-//	         that collapses concurrent identical requests into one walk
+//	         cache → batch dedup → peer probe → enumerate and publish; the
+//	         last two run under an in-process singleflight that collapses
+//	         concurrent identical requests into one walk
 //	respond  (optimize.go) — build the reply from the fresh result or the
 //	         rematerialized cached plan
 //	record   (optimize.go) — execution feedback and the served plan's metrics
@@ -43,7 +43,7 @@
 //     chosen plan on the simulated cluster), trace=1 (force-retain the
 //     request's trace and inline it in the response as the document GET
 //     /tracez?id= serves) and nopeer=1 (skip the shared cache tier for this
-//     request: no peer probe, no fleet-singleflight claim).
+//     request: no peer probe).
 //   - POST /optimize/batch — optimize a slice of plans as one admission
 //     unit: members are deduplicated by canonical fingerprint before any
 //     enumeration runs and distinct members fan out across the enumeration
@@ -186,21 +186,20 @@ type Server struct {
 	// ?nocache=1 bypasses the cache for one request. GET /cachez inspects
 	// it and POST /cachez/purge empties it (see cachez.go).
 	PlanCache *plancache.Cache
-	// PeerFill, when set, turns the plan cache into a
-	// fleet-shared tier: a local miss consults peer replicas (discovered
-	// through the shared store's heartbeat records) over GET /peercache and
-	// installs a peer's entry before falling back to enumeration, and —
-	// when ModelStore and ReplicaID are also set — a cold enumeration is
-	// preceded by a fleet-singleflight claim in the shared store so only
-	// one replica in the fleet enumerates a cold fingerprint. Responses
-	// served from a peer carry X-Cache: peer and link the origin
-	// enumeration's trace with reason "peer-fill". Nil keeps the serving
-	// path byte-identical to a fleet-unaware server; ?nopeer=1 bypasses the
-	// tier for one request.
+	// PeerFill, when set, turns the plan cache into a fleet-shared tier: a
+	// local miss consults peer replicas (discovered through the shared
+	// store's heartbeat records) over GET /peercache and installs a peer's
+	// entry before falling back to enumeration. A key cold fleet-wide is
+	// enumerated by each replica that misses it, once per replica thanks to
+	// the in-process singleflight. Responses served from a peer carry
+	// X-Cache: peer and link the origin enumeration's trace with reason
+	// "peer-fill". Nil keeps the serving path byte-identical to a
+	// fleet-unaware server; ?nopeer=1 bypasses the tier for one request.
 	PeerFill *peercache.Filler
-	// AdvertiseAddr is this replica's address as recorded in fleet
-	// singleflight claim files — the address waiters poll for the claimed
-	// enumeration's result. Usually the fleet registration address.
+	// AdvertiseAddr is this replica's advertised address.
+	//
+	// Deprecated: nothing reads it; it stays only so that existing callers
+	// still compile.
 	AdvertiseAddr string
 	// SLO tracks the serving latency objective and its multi-window
 	// error-budget burn rate, exposed on GET /sloz and as slo_* gauges on

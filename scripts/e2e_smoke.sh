@@ -355,19 +355,33 @@ curl -sf "$BASE_B/metricz" > "$WORK/peer-metricz-b.json"
 curl -sf "$BASE/metricz" > "$WORK/peer-metricz-a.json"
 [ "$(jget "$WORK/peer-metricz-a.json" "d['counters']['peer_serve_total'] >= 1")" = "True" ] \
   || die "peer_serve_total not incremented on A"
-[ "$(jget "$WORK/peer-metricz-a.json" "d['counters']['fleet_singleflight_claims_total'] >= 1")" = "True" ] \
-  || die "fleet_singleflight_claims_total never moved: cold misses ran unclaimed"
 curl -sf "$BASE_B/cachez" > "$WORK/peer-cachez.json"
 [ "$(jget "$WORK/peer-cachez.json" "d['stats']['peerFills'] >= 1")" = "True" ] \
   || die "/cachez on B reports no peer fills"
 [ "$(jget "$WORK/peer-cachez.json" "d['peerFill']['hits'] >= 1")" = "True" ] \
   || die "/cachez on B carries no peerFill block"
 
-say "claim files were created and reaped"
-[ -d "$WORK/store/claims" ] \
-  || die "no claims/ directory in the store: fleet singleflight never claimed"
-[ -z "$(find "$WORK/store/claims" -name '*.json' -print -quit)" ] \
-  || die "stale claim files left behind: $(ls "$WORK/store/claims")"
+say "one cold plan posted to both replicas at once: same plan, no claim files"
+python3 - "$WORK/query.json" > "$WORK/query4.json" <<'PY'
+import json, sys
+q = json.load(open(sys.argv[1]))
+for op in q["operators"]:
+    if "card" in op:
+        op["card"] *= 1000
+print(json.dumps(q))
+PY
+curl -sf -XPOST --data-binary @"$WORK/query4.json" "$BASE/optimize" > "$WORK/cold-a.json" &
+COLD_A=$!
+curl -sf -XPOST --data-binary @"$WORK/query4.json" "$BASE_B/optimize" > "$WORK/cold-b.json" \
+  || die "concurrent cold plan failed on replica B"
+wait "$COLD_A" || die "concurrent cold plan failed on replica A"
+python3 - "$WORK/cold-a.json" "$WORK/cold-b.json" <<'PY' || die "the replicas answered one cold plan differently"
+import json, sys
+a, b = (json.load(open(f)) for f in sys.argv[1:3])
+assert a["assignments"] == b["assignments"], "assignments differ"
+PY
+[ ! -e "$WORK/store/claims" ] \
+  || die "a replica wrote claim files: $(ls "$WORK/store/claims")"
 
 say "?nopeer=1 bypasses the tier"
 python3 - "$WORK/query.json" > "$WORK/query3.json" <<'PY'
