@@ -19,22 +19,15 @@
 // other shapes are structurally constant and cache-hot after one request
 // each per model version.
 //
-// With -peer-compare, the same workload runs twice against a peer-fill
-// fleet: once with the shared cache tier bypassed per request (?nopeer=1)
-// and once with it active, purging every replica's plan cache before each
-// phase so both start cold. The two phase summaries land side by side
-// under "peerCompare" in the output, and each phase tallies the X-Cache
-// disposition of every response — "peer" counts plans installed from
-// another replica's cache instead of re-enumerated. Both phases replay the
-// identical seeded request sequence, so the only variable is the tier.
+// The summary tallies the X-Cache disposition of every OK response: "peer"
+// counts plans installed from another replica's cache instead of
+// re-enumerated. A replica's own counts and SLO state are on its /metricz.
 //
 // Every request carries a client-minted W3C traceparent (sampled when
 // -trace-force is set), so the -slowest report and the "slowestRequests"
 // section of the summary name trace IDs retrievable from the server via
-// /tracez?id= — the p99-chasing loop in EXPERIMENTS.md. With -slo, the run
-// ends by scraping each replica's /sloz and exits 1 on any breach (or
-// unreachable replica); -slo-latency-ms with -slo-target adds a
-// client-side assertion over this run's own latencies.
+// /tracez?id= — the p99-chasing loop in EXPERIMENTS.md. The run exits 1
+// when no request succeeded.
 package main
 
 import (
@@ -46,6 +39,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"os"
 	"sort"
 	"strconv"
@@ -70,17 +64,12 @@ func main() {
 		mixF        = flag.String("mix", "example=2,pipeline=1,jointree=1,random=2", "weighted plan mix: name=weight[,name=weight...]; names: example, pipeline, jointree, random")
 		distinct    = flag.Int("distinct", 16, "distinct random-plan variants (higher = colder plan cache)")
 		deadlineMS  = flag.Int("deadline-ms", 0, "per-request ?deadline_ms= (0 = server default)")
-		riskLambda  = flag.Float64("risk-lambda", 0, "per-request ?risk_lambda=")
 		maxInflight = flag.Int("max-inflight", 512, "client-side cap on in-flight requests; arrivals beyond it are counted as skipped, not sent")
 		timeout     = flag.Duration("timeout", 60*time.Second, "per-request client timeout")
 		outPath     = flag.String("out", "BENCH_serving.json", "write the JSON summary here")
 		seed        = flag.Int64("seed", 1, "seed for the plan mix and random plans")
 		traceForce  = flag.Bool("trace-force", false, "set the traceparent sampled flag, forcing the server to retain every request's trace")
 		slowestN    = flag.Int("slowest", 8, "how many of the slowest requests to report with their trace IDs (0 disables)")
-		peerCompare = flag.Bool("peer-compare", false, "run the workload twice — peer-fill bypassed (?nopeer=1) then active — purging caches before each phase, and report both summaries")
-		sloAssert   = flag.Bool("slo", false, "after the run, scrape each replica's /sloz and exit 1 if any reports an SLO breach")
-		sloLatency  = flag.Float64("slo-latency-ms", 0, "client-side SLO assertion: with -slo-target, exit 1 unless this fraction of sent requests completed OK within this latency")
-		sloTarget   = flag.Float64("slo-target", 0, "client-side SLO assertion target fraction (see -slo-latency-ms)")
 		showVersion = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
@@ -88,12 +77,9 @@ func main() {
 		fmt.Println(buildinfo.String("loadgen"))
 		return
 	}
-	replicas := strings.Split(*replicasF, ",")
-	for i := range replicas {
-		replicas[i] = strings.TrimRight(strings.TrimSpace(replicas[i]), "/")
-	}
-	if len(replicas) == 0 || replicas[0] == "" {
-		log.Fatal("-replicas must name at least one base URL")
+	replicas, err := parseReplicas(*replicasF)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *rate <= 0 {
 		log.Fatal("-rate must be positive")
@@ -103,10 +89,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	query := url(*deadlineMS, *riskLambda)
+	query := ""
+	if *deadlineMS > 0 {
+		query = "?deadline_ms=" + strconv.Itoa(*deadlineMS)
+	}
 
-	client := &http.Client{Timeout: *timeout}
-	cfg := runConfig{
+	res := run(runConfig{
 		replicas:    replicas,
 		rate:        *rate,
 		duration:    *duration,
@@ -116,58 +104,18 @@ func main() {
 		seed:        *seed,
 		traceForce:  *traceForce,
 		slowestN:    *slowestN,
-		client:      client,
+		client:      &http.Client{Timeout: *timeout},
+	})
+	res.summary["config"] = map[string]any{
+		"replicas":   replicas,
+		"rateRps":    *rate,
+		"durationMs": duration.Milliseconds(),
+		"mix":        names,
+		"distinct":   *distinct,
+		"deadlineMs": *deadlineMS,
+		"seed":       *seed,
 	}
-	configSection := map[string]any{
-		"replicas":    replicas,
-		"rateRps":     *rate,
-		"durationMs":  duration.Milliseconds(),
-		"mix":         names,
-		"distinct":    *distinct,
-		"deadlineMs":  *deadlineMS,
-		"riskLambda":  *riskLambda,
-		"seed":        *seed,
-		"peerCompare": *peerCompare,
-	}
-
-	var summary map[string]any
-	var res runResult
-	failed := false
-	if *peerCompare {
-		// Same seed, same request sequence, cold cache both times: the only
-		// difference between the phases is whether a miss may be served by a
-		// peer instead of a local enumeration.
-		offCfg := cfg
-		offCfg.query = addParam(query, "nopeer=1")
-		purgeCaches(client, replicas)
-		log.Printf("peer-compare phase 1/2: peer-fill bypassed (?nopeer=1)")
-		off := run(offCfg)
-		purgeCaches(client, replicas)
-		log.Printf("peer-compare phase 2/2: peer-fill active")
-		on := run(cfg)
-		res = on
-		summary = map[string]any{
-			"config": configSection,
-			"peerCompare": map[string]any{
-				"off": off.summary,
-				"on":  on.summary,
-			},
-		}
-		log.Printf("peer-compare: enumerations %d -> %d, peer-served %d (%.0f%% of ok), p99 %.1fms -> %.1fms",
-			off.cache["miss"], on.cache["miss"], on.cache["peer"],
-			100*rate3(on.cache["peer"], on.ok),
-			percentile(off.latencies, 0.99), percentile(on.latencies, 0.99))
-		failed = off.ok == 0 || on.ok == 0
-	} else {
-		res = run(cfg)
-		summary = res.summary
-		summary["config"] = configSection
-		failed = res.ok == 0
-	}
-	if *sloAssert {
-		summary["sloz"] = scrapeSloz(client, replicas)
-	}
-	data, err := json.MarshalIndent(summary, "", "  ")
+	data, err := json.MarshalIndent(res.summary, "", "  ")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -180,50 +128,28 @@ func main() {
 		log.Printf("slow: %.1fms trace %s (%s/tracez?id=%s)%s",
 			s.Ms, s.TraceID, s.Replica, s.TraceID, cacheNote(s.Cache))
 	}
-
-	// SLO assertions: the server-side verdict comes from each replica's
-	// multi-window burn tracker via /sloz; the client-side one from this
-	// run's own latency observations (the peer-on phase under -peer-compare).
-	if *sloAssert {
-		for _, sz := range scrapeSloz(client, replicas) {
-			switch {
-			case sz.Err != "":
-				log.Printf("slo: %s unreachable: %s", sz.Replica, sz.Err)
-				failed = true
-			case sz.Breached:
-				log.Printf("slo: BREACH on %s (objective %.0fms target %.3f): %s",
-					sz.Replica, sz.ObjectiveMs, sz.Target, burnString(sz.Windows))
-				failed = true
-			default:
-				log.Printf("slo: %s ok: %s", sz.Replica, burnString(sz.Windows))
-			}
-		}
-	}
-	if *sloLatency > 0 && *sloTarget > 0 {
-		within := int64(0)
-		for _, ms := range res.latencies {
-			if ms <= *sloLatency {
-				within++
-			}
-		}
-		achieved := 0.0
-		if res.sent > 0 {
-			achieved = float64(within) / float64(res.sent)
-		}
-		if achieved < *sloTarget {
-			log.Printf("slo: CLIENT BREACH: %.4f of sent requests completed within %.0fms, target %.4f",
-				achieved, *sloLatency, *sloTarget)
-			failed = true
-		} else {
-			log.Printf("slo: client-side ok: %.4f within %.0fms (target %.4f)", achieved, *sloLatency, *sloTarget)
-		}
-	}
-	if failed {
+	if res.ok == 0 {
 		os.Exit(1)
 	}
 }
 
-// runConfig parameterizes one open-loop load phase.
+// parseReplicas splits -replicas into base URLs without a trailing slash.
+// Every entry must be an http:// or https:// URL with a host: an empty entry
+// or a bare host:port would take its share of the load and fail all of it.
+func parseReplicas(list string) ([]string, error) {
+	replicas := strings.Split(list, ",")
+	for i, r := range replicas {
+		r = strings.TrimRight(strings.TrimSpace(r), "/")
+		u, err := url.Parse(r)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("-replicas entry %d is %q, want an http:// or https:// base URL", i+1, r)
+		}
+		replicas[i] = r
+	}
+	return replicas, nil
+}
+
+// runConfig parameterizes the open-loop run.
 type runConfig struct {
 	replicas    []string
 	rate        float64
@@ -237,15 +163,11 @@ type runConfig struct {
 	client      *http.Client
 }
 
-// runResult carries one phase's summary plus the raw tallies the caller
-// needs for logging, comparison and SLO assertions.
+// runResult carries the run's summary plus what main logs and exits on.
 type runResult struct {
-	summary   map[string]any
-	latencies []float64
-	cache     map[string]int64
-	sent      int64
-	ok        int64
-	slowest   []slowRequest
+	summary map[string]any
+	ok      int64
+	slowest []slowRequest
 }
 
 // run offers the configured load and tallies the responses. Each call
@@ -410,39 +332,7 @@ loop:
 		ok, sent, float64(ok)/elapsed.Seconds(),
 		percentile(latencies, 0.5), percentile(latencies, 0.99),
 		100*rate3(cache["hit"]+cache["collapsed"], ok), cache["peer"], shed, rejected)
-	return runResult{
-		summary:   summary,
-		latencies: latencies,
-		cache:     cache,
-		sent:      sent,
-		ok:        ok,
-		slowest:   slowest,
-	}
-}
-
-// purgeCaches empties every replica's plan cache so a compare phase starts
-// cold. A failed purge is reported, not fatal: a replica without a cache
-// answers 409 and contributes nothing to the comparison anyway.
-func purgeCaches(client *http.Client, replicas []string) {
-	for _, base := range replicas {
-		resp, err := client.Post(base+"/cachez/purge", "application/json", nil)
-		if err != nil {
-			log.Printf("purge %s: %v", base, err)
-			continue
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			log.Printf("purge %s: status %d", base, resp.StatusCode)
-		}
-	}
-}
-
-// addParam appends one query parameter to an already-rendered query string.
-func addParam(query, param string) string {
-	if query == "" {
-		return "?" + param
-	}
-	return query + "&" + param
+	return runResult{summary: summary, ok: ok, slowest: slowest}
 }
 
 // slowRequest is one of the run's slowest OK responses, with the trace ID
@@ -477,54 +367,6 @@ func cacheNote(c string) string {
 		return ""
 	}
 	return " cache=" + c
-}
-
-// slozResult is one replica's /sloz reply, tagged with its origin.
-type slozResult struct {
-	Replica     string       `json:"replica"`
-	Err         string       `json:"err,omitempty"`
-	ObjectiveMs float64      `json:"objectiveMs"`
-	Target      float64      `json:"target"`
-	Breached    bool         `json:"breached"`
-	Windows     []slozWindow `json:"windows,omitempty"`
-}
-
-type slozWindow struct {
-	Window   string  `json:"window"`
-	Total    int64   `json:"total"`
-	BurnRate float64 `json:"burnRate"`
-}
-
-// scrapeSloz reads every replica's SLO state after the run.
-func scrapeSloz(client *http.Client, replicas []string) []slozResult {
-	out := make([]slozResult, 0, len(replicas))
-	for _, base := range replicas {
-		sz := slozResult{Replica: base}
-		resp, err := client.Get(base + "/sloz")
-		if err != nil {
-			sz.Err = err.Error()
-			out = append(out, sz)
-			continue
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&sz); err != nil {
-			sz.Err = err.Error()
-		}
-		resp.Body.Close()
-		out = append(out, sz)
-	}
-	return out
-}
-
-// burnString renders the window burn rates compactly for the log line.
-func burnString(windows []slozWindow) string {
-	parts := make([]string, 0, len(windows))
-	for _, w := range windows {
-		parts = append(parts, fmt.Sprintf("%s %.2fx/%d", w.Window, w.BurnRate, w.Total))
-	}
-	if len(parts) == 0 {
-		return "no windows"
-	}
-	return strings.Join(parts, ", ")
 }
 
 // planMix parses "name=weight,..." into a weighted pool of marshaled plan
@@ -590,21 +432,6 @@ func planMix(mix string, distinct int, seed int64) ([][]byte, []string, error) {
 		return nil, nil, fmt.Errorf("loadgen: the plan mix %q selects no plans", mix)
 	}
 	return bodies, names, nil
-}
-
-// url renders the shared query string of every request.
-func url(deadlineMS int, lambda float64) string {
-	var parts []string
-	if deadlineMS > 0 {
-		parts = append(parts, "deadline_ms="+strconv.Itoa(deadlineMS))
-	}
-	if lambda > 0 {
-		parts = append(parts, "risk_lambda="+strconv.FormatFloat(lambda, 'g', -1, 64))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return "?" + strings.Join(parts, "&")
 }
 
 // statusKeys renders the status histogram with string keys so the JSON is

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestPercentileNearestRank: percentile is the nearest-rank estimator, the
 // sample at rank ⌈p·n⌉ of the sorted input.
@@ -26,6 +29,43 @@ func TestPercentileNearestRank(t *testing.T) {
 	} {
 		if got := percentile(c.samples, c.p); got != c.want {
 			t.Errorf("%s: percentile(p=%g) = %g, want %g", c.name, c.p, got, c.want)
+		}
+	}
+}
+
+// TestParseReplicas: every -replicas entry must be an http(s) base URL with a
+// host. An empty entry anywhere in the list, or a bare host:port, is refused
+// before the run instead of failing its share of the load.
+func TestParseReplicas(t *testing.T) {
+	for _, c := range []struct {
+		list string
+		want []string // nil: refused
+	}{
+		{"http://localhost:8080", []string{"http://localhost:8080"}},
+		{" http://a:1/ , https://b:2 ", []string{"http://a:1", "https://b:2"}},
+		{"http://a:1,http://b:2,http://c:3", []string{"http://a:1", "http://b:2", "http://c:3"}},
+		{"", nil},
+		{",http://a:1", nil},
+		{"http://a:1,,http://b:2", nil},
+		{"http://a:1,", nil},
+		{"localhost:8080", nil},
+		{"http://a:1,localhost:8081", nil},
+		{"ftp://a:1", nil},
+		{"http://", nil},
+	} {
+		got, err := parseReplicas(c.list)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("parseReplicas(%q) = %q, want an error", c.list, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("parseReplicas(%q): %v", c.list, err)
+			continue
+		}
+		if strings.Join(got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("parseReplicas(%q) = %q, want %q", c.list, got, c.want)
 		}
 	}
 }

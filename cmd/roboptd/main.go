@@ -79,9 +79,8 @@
 // retraining logs.
 //
 // Every request feeds a rolling multi-window SLO tracker (objective: 99 % of
-// requests within 500 ms): GET /sloz reports each window's error-budget burn
-// rate and the combined breach verdict, and the same numbers export as slo_*
-// gauges on /metricz.
+// requests within 500 ms): the slo_* gauges on /metricz report each window's
+// error-budget burn rate and the combined breach verdict.
 //
 // Replicas sharing a -model-dir also register themselves in it
 // (-replica-id/-advertise/-fleet-heartbeat): GET /fleetz on any replica —
@@ -376,7 +375,7 @@ func main() {
 	}
 	logger.Info("serving",
 		"addr", cfg.addr,
-		"endpoints", "POST /optimize, POST /optimize/batch, GET /healthz, GET /readyz, GET /statz, GET /metricz, GET /tracez, GET /sloz, GET /fleetz, GET /modelz, GET /cachez",
+		"endpoints", "POST /optimize, POST /optimize/batch, GET /healthz, GET /readyz, GET /statz, GET /metricz, GET /tracez, GET /fleetz, GET /modelz, GET /cachez",
 		"model", art.Version,
 		"workers", core.ResolveWorkers(0),
 		"deadline", deadline,

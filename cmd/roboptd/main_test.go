@@ -30,8 +30,8 @@ var updateHelp = flag.Bool("update", false, "rewrite testdata/help.golden")
 // shows up as a diff of testdata/help.golden (rewrite it with -update). The
 // flags removed because no deployment set them must not come back in the
 // docs either. Other commands keep some of those names (robopt -workers and
-// -deadline, benchharness -workers, loadgen -slo-latency-ms and -slo-target),
-// so for them only a line that names roboptd counts.
+// -deadline, benchharness -workers), so for them only a line that names
+// roboptd counts.
 func TestHelpGolden(t *testing.T) {
 	var out bytes.Buffer
 	if _, err := parseConfig([]string{"-h"}, &out); !errors.Is(err, flag.ErrHelp) {
@@ -53,9 +53,10 @@ func TestHelpGolden(t *testing.T) {
 
 	removed := []string{"-peer-timeout", "-peer-hedge", "-max-body-bytes", "-batch-members",
 		"-trace-sample", "-trace-cap", "-trace-slow", "-admit-concurrency", "-admit-queue",
-		"-shed-threshold", "-cache-entries", "-cache-bytes", "-cache-ttl", "-shutdown-grace"}
+		"-shed-threshold", "-cache-entries", "-cache-bytes", "-cache-ttl", "-shutdown-grace",
+		"-slo-latency-ms", "-slo-target"}
 	// The whole flag name: -deadline, not loadgen's -deadline-ms.
-	shared := regexp.MustCompile(`-(workers|deadline|slo-latency-ms|slo-target)([^\w-]|$)`)
+	shared := regexp.MustCompile(`-(workers|deadline)([^\w-]|$)`)
 	for _, doc := range []string{"main.go", "../../README.md", "../../.claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

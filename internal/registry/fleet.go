@@ -33,7 +33,7 @@ type ReplicaInfo struct {
 	// ID names the replica (roboptd -replica-id; defaults to host:pid).
 	ID string `json:"id"`
 	// Addr is the replica's advertised listen address ("host:port"),
-	// scrapeable for /metricz, /readyz, /sloz.
+	// scrapeable for /metricz and /readyz.
 	Addr string `json:"addr"`
 	// StartedAt is when the replica began serving.
 	StartedAt time.Time `json:"startedAt"`

@@ -137,15 +137,9 @@ func TestAdmissionSaturationHTTP(t *testing.T) {
 	}
 
 	var statz struct {
-		Requests int64 `json:"requests"`
-		Shed     int64 `json:"shed"`
-		Rejected int64 `json:"rejected"`
-		Workers  int   `json:"workers"`
+		Workers int `json:"workers"`
 	}
 	getJSON(t, ts.URL+"/statz", &statz)
-	if statz.Shed != shed || statz.Rejected != rejected {
-		t.Fatalf("statz shed=%d rejected=%d, want %d/%d", statz.Shed, statz.Rejected, shed, rejected)
-	}
 	if statz.Workers <= 0 {
 		t.Fatalf("statz workers = %d, want the resolved (positive) pool size", statz.Workers)
 	}

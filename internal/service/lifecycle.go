@@ -162,29 +162,22 @@ func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) 
 	return every(ctx, interval, s.followStore(), nil), nil
 }
 
-// handleStatz serves the short summary: a view of the registry behind
-// /metricz under /statz's own key names, plus configuration and occupancy.
+// handleStatz serves what /metricz cannot hold: the replica's identity,
+// build, readiness and last error, and the admission and tracer
+// configuration and occupancy. The request counts are on /metricz only.
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	snap := s.Metrics().Snapshot()
 	a, t := s.Admission, s.Tracer
 	lastError := ""
 	if msg := s.lastError.Load(); msg != nil {
 		lastError = *msg
 	}
 	out := map[string]any{
-		"requests":         snap.Counters["requests_total"],
-		"failures":         snap.Counters["failures_total"],
-		"deadlineExceeded": snap.Counters["deadline_exceeded_total"],
-		"degraded":         snap.Counters["degraded_total"],
-		"shed":             snap.Counters["shed_total"],
-		"rejected":         snap.Counters["admission_rejected_total"],
-		"avgMs":            snap.Histograms["optimize_ms"].Avg,
-		"lastError":        lastError,
-		"workers":          s.workers(),
-		"ready":            !s.unready.Load(),
-		"buildVersion":     buildinfo.Version(),
-		"goVersion":        buildinfo.GoVersion(),
+		"lastError":    lastError,
+		"workers":      s.workers(),
+		"ready":        !s.unready.Load(),
+		"buildVersion": buildinfo.Version(),
+		"goVersion":    buildinfo.GoVersion(),
 		"admission": map[string]any{
 			"maxConcurrent": a.maxConcurrent(),
 			"maxQueue":      a.maxQueue(),
@@ -219,4 +212,24 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(s.Metrics().Snapshot())
+}
+
+// refreshSLOGauges publishes the SLO state as the slo_* gauges of /metricz,
+// the one place it is read: the objective, the target, the breach verdict
+// (burn rate > 1 in every window with traffic) and one slo_burn_rate series
+// per rolling window.
+func (s *Server) refreshSLOGauges() {
+	snap := s.SLO.Snapshot()
+	m := s.Metrics()
+	m.Gauge("slo_objective_ms").Set(snap.ObjectiveMs)
+	m.Gauge("slo_target").Set(snap.Target)
+	breached := 0.0
+	if snap.Breached {
+		breached = 1
+	}
+	m.Gauge("slo_breached").Set(breached)
+	burn := m.GaugeVec("slo_burn_rate", "window")
+	for _, w := range snap.Windows {
+		burn.With(w.Window).Set(w.BurnRate)
+	}
 }

@@ -296,34 +296,14 @@ func TestCacheHitLinksOriginTrace(t *testing.T) {
 	}
 }
 
-// TestSloz covers the SLO surface: /sloz reports the objective, every
-// window's traffic, and the burn verdict; /metricz republishes the same
-// state as gauges.
+// TestSloz covers the SLO surface, the slo_* gauges of /metricz: the
+// objective, the target, the burn verdict and one burn rate per rolling
+// window, each window having seen the run's traffic. GET /sloz is gone.
 func TestSloz(t *testing.T) {
-	_, ts := newObsServer(t)
+	s, ts := newObsServer(t)
 	for i := 0; i < 3; i++ {
 		var out service.OptimizeResponse
 		postTraced(t, ts.URL+"/optimize", "", planJSON(t), &out)
-	}
-
-	var sloz obs.SLOSnapshot
-	getJSON(t, ts.URL+"/sloz", &sloz)
-	if sloz.ObjectiveMs != 500 || sloz.Target != 0.99 {
-		t.Errorf("objective=%v target=%v, want 500/0.99", sloz.ObjectiveMs, sloz.Target)
-	}
-	if len(sloz.Windows) != len(obs.DefaultSLOWindows) {
-		t.Fatalf("windows = %d, want %d", len(sloz.Windows), len(obs.DefaultSLOWindows))
-	}
-	for _, w := range sloz.Windows {
-		if w.Total != 3 || w.Good != 3 {
-			t.Errorf("window %s total=%d good=%d, want 3/3", w.Window, w.Total, w.Good)
-		}
-		if w.BurnRate != 0 {
-			t.Errorf("window %s burn rate %v on an all-good run", w.Window, w.BurnRate)
-		}
-	}
-	if sloz.Breached {
-		t.Error("breached on an all-good run")
 	}
 
 	var snap obs.Snapshot
@@ -333,25 +313,45 @@ func TestSloz(t *testing.T) {
 			snap.Gauges["slo_objective_ms"], snap.Gauges["slo_target"])
 	}
 	if snap.Gauges["slo_breached"] != 0 {
-		t.Errorf("slo_breached = %v, want 0", snap.Gauges["slo_breached"])
+		t.Errorf("slo_breached = %v on an all-good run, want 0", snap.Gauges["slo_breached"])
 	}
 	for _, w := range obs.DefaultSLOWindows {
-		if _, ok := snap.Gauges[`slo_burn_rate{window="`+w.String()+`"}`]; !ok {
+		burn, ok := snap.Gauges[`slo_burn_rate{window="`+w.String()+`"}`]
+		if !ok {
 			t.Errorf("gauge slo_burn_rate{window=%q} missing", w)
+		} else if burn != 0 {
+			t.Errorf("window %s burn rate %v on an all-good run", w, burn)
 		}
+	}
+	windows := s.SLO.Snapshot().Windows
+	if len(windows) != len(obs.DefaultSLOWindows) {
+		t.Fatalf("windows = %d, want %d", len(windows), len(obs.DefaultSLOWindows))
+	}
+	for _, w := range windows {
+		if w.Total != 3 || w.Good != 3 {
+			t.Errorf("window %s total=%d good=%d, want 3/3", w.Window, w.Total, w.Good)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/sloz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /sloz: status %d, want 404", resp.StatusCode)
 	}
 }
 
 // TestSLOIgnoresPreAdmissionRejections: a call turned away before admission
 // (405, 400, 413) and a batch member that does not parse are counted and timed
 // like any response, but they say nothing about the service: a burst of
-// malformed bodies leaves every /sloz window where it was.
+// malformed bodies leaves every SLO window where it was.
 func TestSLOIgnoresPreAdmissionRejections(t *testing.T) {
-	_, ts := newObsServer(t)
+	s, ts := newObsServer(t)
 	var out service.OptimizeResponse
 	postTraced(t, ts.URL+"/optimize", "", planJSON(t), &out)
-	var before obs.SLOSnapshot
-	getJSON(t, ts.URL+"/sloz", &before)
+	before := s.SLO.Snapshot()
 
 	good := string(planJSON(t))
 	for i := 0; i < 20; i++ {
@@ -383,9 +383,7 @@ func TestSLOIgnoresPreAdmissionRejections(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	var after obs.SLOSnapshot
-	getJSON(t, ts.URL+"/sloz", &after)
-	for i, w := range after.Windows {
+	for i, w := range s.SLO.Snapshot().Windows {
 		if want := before.Windows[i].Total + 1; w.Total != want || w.Good != want {
 			t.Errorf("window %s total=%d good=%d after the burst, want %d/%d", w.Window, w.Total, w.Good, want, want)
 		}
@@ -516,7 +514,8 @@ func TestMetriczDropsEvictedExemplars(t *testing.T) {
 }
 
 // TestStatzObservability: /statz surfaces the tracer ring state, the
-// admission configuration and the replica identity.
+// admission configuration and the replica identity, and none of the request
+// counts, which /metricz alone holds.
 func TestStatzObservability(t *testing.T) {
 	s := newServer(modelProvider(sumModel{}))
 	s.Tracer = obs.NewTracer(8, 1, 0)
@@ -556,5 +555,12 @@ func TestStatzObservability(t *testing.T) {
 	}
 	if statz.Tracer.Retained != 1 || statz.Tracer.Occupancy != 1 {
 		t.Errorf("tracer retained=%d occupancy=%d, want 1/1", statz.Tracer.Retained, statz.Tracer.Occupancy)
+	}
+	var keys map[string]any
+	getJSON(t, ts.URL+"/statz", &keys)
+	for _, k := range []string{"requests", "failures", "deadlineExceeded", "degraded", "shed", "rejected", "avgMs"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("/statz carries %q, a count /metricz already exports", k)
+		}
 	}
 }

@@ -221,8 +221,8 @@ func sinceMs(start time.Time) float64 {
 // shed_total, serving_requests_total by endpoint/outcome/answering source,
 // serving_latency_ms by endpoint (with the retained trace as the bucket's
 // exemplar), the SLO's good/bad tally (a shed response is a success —
-// degraded quality, not an error) and the request log. /statz, /fleetz and
-// /sloz are views of what this wrote. A response that was accounted and then
+// degraded quality, not an error) and the request log. /metricz and /fleetz
+// are views of what this wrote. A response that was accounted and then
 // failed to encode comes back as out.lost and adds only the failure.
 func (s *Server) account(p *reqParams, out *optimizeOut) {
 	m := s.Metrics()

@@ -53,14 +53,13 @@
 //   - GET /readyz — readiness probe: 200 only while the replica holds a
 //     servable model artifact and is not draining; a load balancer fronting
 //     N replicas gates traffic on this.
-//   - GET /statz — the short summary: the request counters of /metricz under
-//     its own key names, plus the resolved worker count and
-//     admission/readiness state.
-//   - GET /metricz — full metrics snapshot (see Metrics below);
+//   - GET /statz — what /metricz cannot hold: the replica ID, build,
+//     readiness, last error, worker count, and the admission and tracer
+//     configuration and occupancy.
+//   - GET /metricz — every count and the SLO state (see Metrics below);
 //     ?format=prometheus serves the Prometheus text exposition instead.
 //   - GET /tracez — recent retained traces, newest first; ?id= for one
 //     (see tracez.go). Accepts both request IDs and W3C trace IDs.
-//   - GET /sloz — rolling multi-window SLO burn rates (see sloz.go).
 //   - GET /fleetz — the merged fleet view scraped from every replica
 //     registered in the shared artifact store (see fleetz.go).
 //   - GET /modelz, POST /modelz/reload, POST /modelz/promote,
@@ -93,8 +92,10 @@
 // deadline_exceeded_total, shed_total, serving_requests_total,
 // serving_latency_ms, the SLO and the request log; the plan cache and the
 // peer-fill client likewise keep one registered counter per number they
-// report. /statz, /cachez and /fleetz are views: they read those instruments
-// and keep no tally of their own. An admin endpoint's error reply is not an
+// report. /cachez and /fleetz are views: they read those instruments and keep
+// no tally of their own. The SLO is read only as the slo_* gauges, recomputed
+// on each scrape: the objective, the target, the breach verdict and one burn
+// rate per rolling window. An admin endpoint's error reply is not an
 // optimize request and touches none of them.
 package service
 
@@ -202,8 +203,7 @@ type Server struct {
 	// still compile.
 	AdvertiseAddr string
 	// SLO tracks the serving latency objective and its multi-window
-	// error-budget burn rate, exposed on GET /sloz and as slo_* gauges on
-	// /metricz.
+	// error-budget burn rate, exposed as the slo_* gauges of /metricz.
 	SLO *obs.SLO
 	// ReplicaID names this replica in the fleet (roboptd -replica-id). It
 	// is reported by /fleetz and used as the shared-store registration key.
@@ -343,10 +343,10 @@ type ErrorResponse struct {
 // required names the Server fields a replica cannot serve without.
 var required = [...]string{"Provider", "PlanCache", "Admission", "Tracer", "SLO", "Logger", "Cluster", "Feedback"}
 
-// Handler returns the HTTP handler serving the endpoint families documented
-// in the package comment. It panics, naming the field, when a required layer
-// is missing, so a misconfigured embedder fails at start-up and not on its
-// first request.
+// Handler returns the HTTP handler serving the routes documented in the
+// package comment. It panics, naming the field, when a required layer is
+// missing, so a misconfigured embedder fails at start-up and not on its first
+// request.
 func (s *Server) Handler() http.Handler {
 	v := reflect.ValueOf(s).Elem()
 	for _, name := range required {
@@ -358,36 +358,47 @@ func (s *Server) Handler() http.Handler {
 		s.Admission.Metrics = s.Metrics()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/optimize", s.handleOptimize)
-	mux.HandleFunc("/optimize/batch", s.handleOptimizeBatch)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/statz", s.handleStatz)
-	mux.HandleFunc("/metricz", s.handleMetricz)
-	s.admin(mux, "GET /modelz", s.handleModelz)
-	s.admin(mux, "POST /modelz/reload", s.handleModelzReload)
-	s.admin(mux, "POST /modelz/promote?version=vN", s.handleModelzPromote)
-	s.admin(mux, "POST /modelz/retrain", s.handleModelzRetrain)
-	s.admin(mux, "GET /modelz/feedback", s.handleModelzFeedback)
-	s.admin(mux, "GET /tracez", s.handleTracez)
-	s.admin(mux, "GET /sloz", s.handleSloz)
-	s.admin(mux, "GET /fleetz", s.handleFleetz)
-	s.admin(mux, "GET /cachez", s.handleCachez)
-	s.admin(mux, "POST /cachez/purge", s.handleCachezPurge)
-	s.admin(mux, "GET /peercache?fp=&version=&band=", s.handlePeercache)
-	s.registerPprof(mux)
+	for path, h := range s.routes() {
+		mux.HandleFunc(path, h)
+	}
 	return mux
 }
 
-// admin mounts h at usage's path ("POST /modelz/promote?version=vN" is the
+// routes maps every path Handler mounts to its handler. The package
+// comment's # Endpoints section names the same paths, and a test holds the
+// two equal.
+func (s *Server) routes() map[string]http.HandlerFunc {
+	routes := map[string]http.HandlerFunc{
+		"/optimize":       s.handleOptimize,
+		"/optimize/batch": s.handleOptimizeBatch,
+		"/healthz":        s.handleHealthz,
+		"/readyz":         s.handleReadyz,
+		"/statz":          s.handleStatz,
+		"/metricz":        s.handleMetricz,
+	}
+	s.admin(routes, "GET /modelz", s.handleModelz)
+	s.admin(routes, "POST /modelz/reload", s.handleModelzReload)
+	s.admin(routes, "POST /modelz/promote?version=vN", s.handleModelzPromote)
+	s.admin(routes, "POST /modelz/retrain", s.handleModelzRetrain)
+	s.admin(routes, "GET /modelz/feedback", s.handleModelzFeedback)
+	s.admin(routes, "GET /tracez", s.handleTracez)
+	s.admin(routes, "GET /fleetz", s.handleFleetz)
+	s.admin(routes, "GET /cachez", s.handleCachez)
+	s.admin(routes, "POST /cachez/purge", s.handleCachezPurge)
+	s.admin(routes, "GET /peercache?fp=&version=&band=", s.handlePeercache)
+	s.registerPprof(routes)
+	return routes
+}
+
+// admin routes h at usage's path ("POST /modelz/promote?version=vN" is the
 // method, the path and a hint of the query) behind the prologue the admin
 // endpoints share: mint the request ID, send it as X-Request-Id, and answer
 // any other method with a 405 whose error is usage. The path goes to the mux
 // bare, so the 405 is this package's ErrorResponse and not the mux's text.
-func (s *Server) admin(mux *http.ServeMux, usage string, h func(w http.ResponseWriter, r *http.Request, reqID string)) {
+func (s *Server) admin(routes map[string]http.HandlerFunc, usage string, h func(w http.ResponseWriter, r *http.Request, reqID string)) {
 	method, target, _ := strings.Cut(usage, " ")
 	path, _, _ := strings.Cut(target, "?")
-	mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+	routes[path] = func(w http.ResponseWriter, r *http.Request) {
 		reqID := s.nextReqID()
 		w.Header().Set("X-Request-Id", reqID)
 		if r.Method != method {
@@ -395,7 +406,7 @@ func (s *Server) admin(mux *http.ServeMux, usage string, h func(w http.ResponseW
 			return
 		}
 		h(w, r, reqID)
-	})
+	}
 }
 
 // fail writes an error reply as JSON. It counts nothing: the optimize

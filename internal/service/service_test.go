@@ -187,19 +187,12 @@ func TestHealthAndStats(t *testing.T) {
 	}
 	bad.Body.Close()
 
-	st, err := http.Get(ts.URL + "/statz")
-	if err != nil {
-		t.Fatalf("statz: %v", err)
+	var snap obs.Snapshot
+	getJSON(t, ts.URL+"/metricz", &snap)
+	if got := snap.Counters["requests_total"]; got != 2 {
+		t.Errorf("requests_total = %d, want 2", got)
 	}
-	defer st.Body.Close()
-	var stats map[string]any
-	if err := json.NewDecoder(st.Body).Decode(&stats); err != nil {
-		t.Fatalf("decode statz: %v", err)
-	}
-	if stats["requests"].(float64) != 2 {
-		t.Errorf("requests = %v, want 2", stats["requests"])
-	}
-	if stats["failures"].(float64) != 1 {
-		t.Errorf("failures = %v, want 1", stats["failures"])
+	if got := snap.Counters["failures_total"]; got != 1 {
+		t.Errorf("failures_total = %d, want 1", got)
 	}
 }

@@ -165,8 +165,8 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Every response was entered in the ledger once: the plain counters, the
-	// labeled series and /statz are readings of the same instruments.
+	// Every response was entered in the ledger once: the plain counters and
+	// the labeled series are readings of the same instruments.
 	c := checkLedger(t, ts.URL)
 	for name, want := range map[string]int64{
 		"requests_total":          4 * goroutines,

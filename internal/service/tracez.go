@@ -62,16 +62,16 @@ func (s *Server) handleTracez(w http.ResponseWriter, r *http.Request, reqID stri
 	s.writeJSON(w, resp)
 }
 
-// registerPprof mounts net/http/pprof under /debug/pprof/ when the server
+// registerPprof routes net/http/pprof under /debug/pprof/ when the server
 // opts in (roboptd -pprof). Off by default: the profiling surface exposes
 // heap and CPU internals and belongs behind an explicit flag.
-func (s *Server) registerPprof(mux *http.ServeMux) {
+func (s *Server) registerPprof(routes map[string]http.HandlerFunc) {
 	if !s.EnablePprof {
 		return
 	}
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	routes["/debug/pprof/"] = pprof.Index
+	routes["/debug/pprof/cmdline"] = pprof.Cmdline
+	routes["/debug/pprof/profile"] = pprof.Profile
+	routes["/debug/pprof/symbol"] = pprof.Symbol
+	routes["/debug/pprof/trace"] = pprof.Trace
 }

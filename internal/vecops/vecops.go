@@ -24,43 +24,6 @@ func Add(dst, a, b []float64) {
 	}
 }
 
-// AddInPlace stores a[i]+b[i] into a.
-func AddInPlace(a, b []float64) {
-	n := len(a)
-	if n == 0 {
-		return
-	}
-	_ = b[n-1]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		a[i] += b[i]
-		a[i+1] += b[i+1]
-		a[i+2] += b[i+2]
-		a[i+3] += b[i+3]
-	}
-	for ; i < n; i++ {
-		a[i] += b[i]
-	}
-}
-
-// Sum returns the sum of the elements of a.
-func Sum(a []float64) float64 {
-	var s0, s1, s2, s3 float64
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i]
-		s1 += a[i+1]
-		s2 += a[i+2]
-		s3 += a[i+3]
-	}
-	s := s0 + s1 + s2 + s3
-	for ; i < n; i++ {
-		s += a[i]
-	}
-	return s
-}
-
 // Dot returns the inner product of a and b, which must have equal length.
 func Dot(a, b []float64) float64 {
 	n := len(a)

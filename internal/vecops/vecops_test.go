@@ -35,35 +35,14 @@ func TestAddMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestAddInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{0, 1, 5, 100, 301} {
-		a, b := randSlice(rng, n), randSlice(rng, n)
-		want := make([]float64, n)
-		vecops.AddNaive(want, a, b)
-		vecops.AddInPlace(a, b)
-		for i := range want {
-			if a[i] != want[i] {
-				t.Fatalf("n=%d: AddInPlace[%d] = %g, want %g", n, i, a[i], want[i])
-			}
-		}
-	}
-}
-
-func TestSumDot(t *testing.T) {
+func TestDot(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
-	if got := vecops.Sum(a); got != 15 {
-		t.Errorf("Sum = %g, want 15", got)
-	}
 	b := []float64{2, 2, 2, 2, 2}
 	if got := vecops.Dot(a, b); got != 30 {
 		t.Errorf("Dot = %g, want 30", got)
 	}
 	if got := vecops.Dot(nil, nil); got != 0 {
 		t.Errorf("Dot(nil) = %g, want 0", got)
-	}
-	if got := vecops.Sum(nil); got != 0 {
-		t.Errorf("Sum(nil) = %g, want 0", got)
 	}
 }
 
@@ -76,27 +55,6 @@ func TestEqual(t *testing.T) {
 	}
 	if vecops.Equal([]float64{1, 3}, []float64{1, 2}) {
 		t.Error("Equal accepted different values")
-	}
-}
-
-// Property: Sum(Add(a,b)) == Sum(a) + Sum(b) up to float tolerance.
-func TestQuickSumAdditive(t *testing.T) {
-	f := func(xs []float64) bool {
-		for i, v := range xs {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
-				xs[i] = 1
-			}
-		}
-		dst := make([]float64, len(xs))
-		if len(xs) > 0 {
-			vecops.Add(dst, xs, xs)
-		}
-		lhs := vecops.Sum(dst)
-		rhs := 2 * vecops.Sum(xs)
-		return math.Abs(lhs-rhs) <= 1e-9*(math.Abs(rhs)+1)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
