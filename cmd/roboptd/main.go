@@ -18,10 +18,10 @@
 // file-backed store, and the admin endpoints GET /modelz, POST /modelz/reload
 // and POST /modelz/promote manage which version serves. Each
 // /optimize?simulate=1 response feeds its (plan vector, observed runtime)
-// pair into a bounded feedback buffer (-feedback-cap); with
-// -retrain-interval > 0, a background loop periodically retrains on that
-// feedback and promotes the candidate only when its holdout error does not
-// regress.
+// pair into a bounded feedback buffer (-feedback-cap), which GET
+// /modelz/feedback exports as a training CSV. Retraining is offline: merge
+// the export into TDGen data (tdgen -merge), train and save an artifact
+// (robopt -train -save-model), and promote it into the store.
 //
 // # Plan cache
 //
@@ -47,8 +47,8 @@
 // N roboptd processes pointed at one shared -model-dir behave as a
 // converging fleet: each replica compares the store's ACTIVE marker with the
 // version it serves every -store-watch-interval and hot-swaps in what the
-// marker names, whoever moved it — another replica, an operator, a background
-// retrainer; a sync that fails is retried on the next tick. Promote once,
+// marker names, whoever moved it — another replica or an operator; a sync
+// that fails is retried on the next tick. Promote once,
 // converge everywhere, no restarts. GET /healthz is the liveness probe and
 // GET /readyz the readiness probe (503 while draining or without a servable
 // artifact), so a load balancer can gate traffic per replica.
@@ -76,7 +76,7 @@
 // (labeled serving series carry exemplar trace IDs resolvable via /tracez),
 // -pprof mounts net/http/pprof under /debug/pprof/, and
 // -log-level/-log-format control the structured (log/slog) request and
-// retraining logs.
+// lifecycle logs.
 //
 // Every request feeds a rolling multi-window SLO tracker (objective: 99 % of
 // requests within 500 ms): the slo_* gauges on /metricz report each window's
@@ -144,7 +144,6 @@ type config struct {
 	platforms                  int
 	feedbackCap                int
 	budget                     core.Budget
-	retrainInterval            time.Duration
 	watchInterval              time.Duration
 	fleetHeartbeat             time.Duration
 	quick, pprof, peerFill     bool
@@ -165,7 +164,6 @@ func parseConfig(args []string, out io.Writer) (config, error) {
 	fs.BoolVar(&c.quick, "quick", false, "train a small model on startup (fast, less faithful)")
 	fs.IntVar(&c.budget.MaxVectors, "budget-vectors", 0, "degrade enumeration after this many plan vectors (0 = unlimited)")
 	fs.IntVar(&c.budget.MaxModelCalls, "budget-model-calls", 0, "degrade enumeration after this many cost-oracle feature rows (0 = unlimited)")
-	fs.DurationVar(&c.retrainInterval, "retrain-interval", 0, "retrain on execution feedback at this period (0 = disabled)")
 	fs.IntVar(&c.feedbackCap, "feedback-cap", registry.DefaultFeedbackCap, "execution-feedback buffer capacity")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug, info, warn or error")
@@ -193,6 +191,15 @@ func (c *config) check() error {
 	}
 	if _, err := obs.NewLogger(io.Discard, c.logLevel, c.logFormat, ""); err != nil {
 		return err
+	}
+	if c.feedbackCap < 1 {
+		return fmt.Errorf("-feedback-cap %d: the buffer needs room for at least one sample", c.feedbackCap)
+	}
+	if c.budget.MaxVectors < 0 {
+		return fmt.Errorf("-budget-vectors %d: must not be negative (0 = unlimited)", c.budget.MaxVectors)
+	}
+	if c.budget.MaxModelCalls < 0 {
+		return fmt.Errorf("-budget-model-calls %d: must not be negative (0 = unlimited)", c.budget.MaxModelCalls)
 	}
 	if c.peerFill && c.modelDir == "" {
 		return errors.New("-peer-fill needs -model-dir (peers are discovered through the shared store)")
@@ -239,8 +246,6 @@ func main() {
 		}
 	}
 
-	// One recipe for the model trained at boot and the candidates the
-	// retrainer fits on execution feedback.
 	recipe := tdgen.Recipe{Platforms: plats, Avail: avail, Cluster: simulator.Default()}
 	if cfg.quick {
 		recipe.Size = tdgen.SizeQuick
@@ -255,11 +260,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	feedback := registry.NewFeedback(cfg.feedbackCap)
 	srv := &service.Server{
 		Provider:        provider,
 		ModelStore:      store,
-		Feedback:        feedback,
+		Feedback:        registry.NewFeedback(cfg.feedbackCap),
 		Platforms:       plats,
 		Avail:           avail,
 		Cluster:         simulator.Default(),
@@ -312,24 +316,8 @@ func main() {
 		loops = append(loops, done)
 	}
 
-	if cfg.retrainInterval > 0 {
-		srv.Retrainer = &registry.Retrainer{
-			Provider: provider,
-			Feedback: feedback,
-			Train: func(ds *mlmodel.Dataset) (mlmodel.Model, error) {
-				return recipe.Size.Fit(ds, 0)
-			},
-			SchemaWidth: schema.Len(),
-			Platforms:   names,
-			Metrics:     srv.Metrics(),
-			Logger:      logger,
-		}
-		started(srv.StartRetrainLoop(rootCtx, cfg.retrainInterval))
-		logger.Info("retraining enabled", "interval", cfg.retrainInterval, "feedbackCap", feedback.Cap())
-	}
-
-	// Store follower: converge on whatever another replica, an operator or a
-	// retrainer makes ACTIVE. This replica's own promotions already match.
+	// Store follower: converge on whatever another replica or an operator
+	// makes ACTIVE. This replica's own promotions already match.
 	if store != nil && cfg.watchInterval > 0 {
 		started(srv.StartStoreWatcher(rootCtx, cfg.watchInterval))
 		logger.Info("store follower enabled", "dir", cfg.modelDir, "interval", cfg.watchInterval)

@@ -54,7 +54,7 @@ func TestHelpGolden(t *testing.T) {
 	removed := []string{"-peer-timeout", "-peer-hedge", "-max-body-bytes", "-batch-members",
 		"-trace-sample", "-trace-cap", "-trace-slow", "-admit-concurrency", "-admit-queue",
 		"-shed-threshold", "-cache-entries", "-cache-bytes", "-cache-ttl", "-shutdown-grace",
-		"-slo-latency-ms", "-slo-target"}
+		"-slo-latency-ms", "-slo-target", "-retrain-interval"}
 	// The whole flag name: -deadline, not loadgen's -deadline-ms.
 	shared := regexp.MustCompile(`-(workers|deadline)([^\w-]|$)`)
 	for _, doc := range []string{"main.go", "../../README.md", "../../.claude/skills/verify/SKILL.md"} {
@@ -102,6 +102,10 @@ func TestParseConfig(t *testing.T) {
 		{"-log-level", "loud"},
 		{"-log-format", "xml"},
 		{"-peer-fill"},
+		{"-feedback-cap", "0"},
+		{"-feedback-cap", "-5"},
+		{"-budget-vectors", "-1"},
+		{"-budget-model-calls", "-3"},
 	} {
 		var out bytes.Buffer
 		if _, err := parseConfig(args, &out); err == nil {

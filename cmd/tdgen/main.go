@@ -10,6 +10,7 @@
 //	tdgen -shapes pipeline,juncture,loop -max-ops 50 -templates 16 -o train.csv
 //	tdgen -seed 2021 -o train.csv -append       # grow an existing dataset
 //	tdgen -o all.csv -merge extra1.csv,extra2.csv
+//	tdgen -o next.csv -merge fb.csv             # fold in a roboptd GET /modelz/feedback export
 package main
 
 import (

@@ -54,15 +54,6 @@ func (d *Dataset) Merge(other *Dataset) error {
 	return nil
 }
 
-// Clone returns a deep copy of d's row and label slices (the feature rows
-// themselves are shared).
-func (d *Dataset) Clone() *Dataset {
-	return &Dataset{
-		X: append([][]float64(nil), d.X...),
-		Y: append([]float64(nil), d.Y...),
-	}
-}
-
 // Validate checks rectangularity and finiteness.
 func (d *Dataset) Validate() error {
 	if len(d.X) != len(d.Y) {

@@ -2,7 +2,6 @@ package mlmodel_test
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 
@@ -134,19 +133,6 @@ func TestDatasetMerge(t *testing.T) {
 	empty := &mlmodel.Dataset{}
 	if err := empty.Merge(wide); err != nil || empty.NumFeatures() != 3 {
 		t.Errorf("merge into empty: err=%v width=%d", err, empty.NumFeatures())
-	}
-}
-
-func TestDatasetClone(t *testing.T) {
-	d := &mlmodel.Dataset{}
-	d.Append([]float64{1}, 2)
-	c := d.Clone()
-	d.Append([]float64{3}, 4)
-	if c.Len() != 1 || d.Len() != 2 {
-		t.Fatalf("clone aliases the original: %d/%d", c.Len(), d.Len())
-	}
-	if math.Abs(c.Y[0]-2) > 0 {
-		t.Fatalf("clone label wrong")
 	}
 }
 

@@ -1,16 +1,15 @@
 // Package registry is the model lifecycle layer of the serving stack: it
 // wraps trained mlmodel models in versioned artifacts with deployment
 // metadata, stores them on disk, publishes the active one through an
-// atomically hot-swappable provider, and retrains from execution feedback
-// in the background.
+// atomically hot-swappable provider, and buffers execution feedback.
 //
 // The paper's operational claim (Section VI) is that cheap training data
 // frees the optimizer from hand-tuned cost models: instead of re-calibrating
 // coefficients when the cluster drifts, one simply re-trains on fresh
-// executions. This package is the machinery that makes that claim live in a
-// long-running service — train → save → serve → feedback → retrain →
-// promote — with a no-regression gate so a retrained model only replaces the
-// active one when its holdout error did not get worse.
+// executions. Here that is an offline step — export the feedback buffer,
+// merge it into TDGen data, train and save an artifact, then promote it into
+// the store — because a model fitted on the served plans alone chose slower
+// plans than the model it replaced (DESIGN.md deviation 10).
 package registry
 
 import (

@@ -7,20 +7,18 @@ import (
 	"repro/internal/mlmodel"
 )
 
-// Feedback is the bounded buffer of execution outcomes the retraining loop
-// learns from: each sample is one (plan vector, observed runtime) pair
-// produced by actually running a chosen plan. The buffer is a ring — once
-// full, new samples overwrite the oldest, so the retrainer always sees the
-// most recent execution behaviour (exactly what matters when the cluster
-// drifts away from the training distribution).
+// Feedback is the bounded buffer of execution outcomes a replica has
+// observed: each sample is one (plan vector, observed runtime) pair produced
+// by actually running a chosen plan. The buffer is a ring — once full, new
+// samples overwrite the oldest, so it always holds the most recent execution
+// behaviour. GET /modelz/feedback exports it for offline retraining.
 type Feedback struct {
-	mu     sync.Mutex
-	x      [][]float64
-	y      []float64
-	spread []float64 // model's predictive spread when the plan was chosen
-	next   int       // ring write position
-	total  int64     // samples ever added
-	cap    int
+	mu    sync.Mutex
+	x     [][]float64
+	y     []float64
+	next  int   // ring write position
+	total int64 // samples ever added
+	cap   int
 }
 
 // DefaultFeedbackCap bounds the buffer when no capacity is given.
@@ -40,16 +38,8 @@ func (f *Feedback) Cap() int { return f.cap }
 
 // Add records one observed execution. The vector is copied, so callers may
 // reuse their slice. Width-inconsistent samples are rejected: they would
-// poison every later retraining.
+// make the exported dataset unreadable.
 func (f *Feedback) Add(x []float64, y float64) error {
-	return f.AddWithSpread(x, y, 0)
-}
-
-// AddWithSpread is Add carrying the model's predictive spread for the plan
-// at selection time. The retrainer oversamples high-spread rows — the plans
-// the model was least certain about — when assembling its training set, so
-// uncertain regions of the feature space get learned first.
-func (f *Feedback) AddWithSpread(x []float64, y, spread float64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.x) > 0 && len(x) != len(f.x[0]) {
@@ -60,11 +50,9 @@ func (f *Feedback) AddWithSpread(x []float64, y, spread float64) error {
 	if len(f.x) < f.cap {
 		f.x = append(f.x, row)
 		f.y = append(f.y, y)
-		f.spread = append(f.spread, spread)
 	} else {
 		f.x[f.next] = row
 		f.y[f.next] = y
-		f.spread[f.next] = spread
 		f.next = (f.next + 1) % f.cap
 	}
 	f.total++
@@ -78,8 +66,7 @@ func (f *Feedback) Len() int {
 	return len(f.x)
 }
 
-// Total returns the number of samples ever added (including overwritten
-// ones) — the retrainer's freshness signal.
+// Total returns the number of samples ever added, overwritten ones included.
 func (f *Feedback) Total() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -90,29 +77,10 @@ func (f *Feedback) Total() int64 {
 // training dataset, oldest first (rows are shared, the containers are
 // copies).
 func (f *Feedback) Dataset() *mlmodel.Dataset {
-	ds, _ := f.Snapshot()
-	return ds
-}
-
-// Snapshot returns a point-in-time copy of the buffered samples in
-// insertion order (oldest first) together with the sequence number of the
-// first returned row: row i carries sequence firstSeq+i, and sequences
-// count every Add since the buffer was created (Total - Len for the oldest
-// surviving row). The retrainer uses sequences to tell which rows the
-// active model could already have trained on.
-func (f *Feedback) Snapshot() (ds *mlmodel.Dataset, firstSeq int64) {
-	ds, _, firstSeq = f.SnapshotSpreads()
-	return ds, firstSeq
-}
-
-// SnapshotSpreads is Snapshot also returning the per-row predictive spreads
-// (index-aligned with the dataset rows; zero for samples added without one).
-func (f *Feedback) SnapshotSpreads() (ds *mlmodel.Dataset, spreads []float64, firstSeq int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n := len(f.x)
-	ds = &mlmodel.Dataset{X: make([][]float64, 0, n), Y: make([]float64, 0, n)}
-	spreads = make([]float64, 0, n)
+	ds := &mlmodel.Dataset{X: make([][]float64, 0, n), Y: make([]float64, 0, n)}
 	for i := 0; i < n; i++ {
 		j := i
 		if n == f.cap {
@@ -121,7 +89,6 @@ func (f *Feedback) SnapshotSpreads() (ds *mlmodel.Dataset, spreads []float64, fi
 		}
 		ds.X = append(ds.X, f.x[j])
 		ds.Y = append(ds.Y, f.y[j])
-		spreads = append(spreads, f.spread[j])
 	}
-	return ds, spreads, f.total - int64(n)
+	return ds
 }

@@ -29,7 +29,7 @@ func (s *Snapshot) Version() string {
 
 // Provider publishes the active model to the serving path through a single
 // atomic pointer: readers (one Load per request) never block, and Swap
-// makes a retrained or reloaded artifact visible to all subsequent requests
+// makes a promoted or reloaded artifact visible to all subsequent requests
 // at once — the hot-swap primitive of the model lifecycle. In-flight
 // requests keep the snapshot they resolved; there are no torn reads because
 // snapshots are immutable.

@@ -203,7 +203,7 @@ func TestStoreLifecycle(t *testing.T) {
 }
 
 // TestStoreSaveConcurrentHandles: two Store handles on one directory — two
-// replicas retraining at once — never get the same version name, and each name
+// processes saving at once — never get the same version name, and each name
 // loads the payload its Save wrote. The process mutex cannot order them; the
 // exclusive install does.
 func TestStoreSaveConcurrentHandles(t *testing.T) {
@@ -299,30 +299,25 @@ func TestStoreAdopt(t *testing.T) {
 func TestFeedbackRing(t *testing.T) {
 	f := registry.NewFeedback(3)
 	for i := 0; i < 5; i++ {
-		if err := f.Add([]float64{float64(i)}, float64(i)); err != nil {
+		if err := f.Add([]float64{float64(i), 10 * float64(i)}, float64(i)); err != nil {
 			t.Fatalf("Add: %v", err)
 		}
 	}
 	if f.Len() != 3 || f.Total() != 5 {
 		t.Fatalf("len=%d total=%d, want 3/5", f.Len(), f.Total())
 	}
+	// The ring keeps the 3 newest samples, oldest first across the
+	// wraparound, each row still paired with its own label.
 	ds := f.Dataset()
-	seen := map[float64]bool{}
-	for _, y := range ds.Y {
-		seen[y] = true
+	if fmt.Sprint(ds.Y) != "[2 3 4]" {
+		t.Fatalf("Dataset labels = %v, want [2 3 4]", ds.Y)
 	}
-	// The ring keeps the 3 newest samples (2, 3, 4).
-	for _, want := range []float64{2, 3, 4} {
-		if !seen[want] {
-			t.Fatalf("ring lost newest sample %g: %v", want, ds.Y)
+	for i, x := range ds.X {
+		if x[0] != ds.Y[i] || x[1] != 10*ds.Y[i] {
+			t.Errorf("row %d = %v carries label %g", i, x, ds.Y[i])
 		}
 	}
-	// Snapshot returns them oldest-first with the right sequence base.
-	snap, firstSeq := f.Snapshot()
-	if firstSeq != 2 || fmt.Sprint(snap.Y) != "[2 3 4]" {
-		t.Fatalf("Snapshot = %v at seq %d, want [2 3 4] at 2", snap.Y, firstSeq)
-	}
-	if err := f.Add([]float64{1, 2}, 0); err == nil {
+	if err := f.Add([]float64{1, 2, 3}, 0); err == nil {
 		t.Error("Add accepted a width-inconsistent sample")
 	}
 }

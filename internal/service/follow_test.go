@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"log/slog"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,11 +14,12 @@ import (
 )
 
 // follower is one replica following its store, ticked by hand: the server of
-// newLifecycleServer (store v1, v2; ACTIVE v1; serving v1) with a plan cache
-// and a retrainer, and a logger the warn lines are counted from.
+// newLifecycleServer (store v1, v2; ACTIVE v1; serving v1) with a plan cache,
+// its address, and a logger the warn lines are counted from.
 type follower struct {
 	t    *testing.T
 	s    *service.Server
+	base string
 	st   *registry.Store
 	tick func()
 	logs bytes.Buffer
@@ -141,10 +143,12 @@ func TestFollowStoreFaults(t *testing.T) {
 		// The replica's own promotion moved ACTIVE and the provider together:
 		// the ticks after it neither swap again nor read the artifact, which
 		// is unreadable by then.
-		{"this replica's own retrain promotion", func(f *follower) {
-			feedLaw(f.t, f.s.Feedback, testWidth(f.t), 8, 64, 0)
-			if out, err := f.s.Retrain(); err != nil || !out.Promoted || out.Version != "v3" {
-				f.t.Fatalf("Retrain = %+v, %v", out, err)
+		{"this replica's own promotion", func(f *follower) {
+			f.save(newArtifact(f.t, testWidth(f.t), 4), "v3")
+			var sw service.SwapResponse
+			postJSON(f.t, f.base+"/modelz/promote?version=v3", http.StatusOK, &sw)
+			if !sw.Swapped || sw.Version != "v3" {
+				f.t.Fatalf("promote = %+v", sw)
 			}
 			if err := os.WriteFile(filepath.Join(f.st.Dir(), "v3.json"), []byte("{"), 0o644); err != nil {
 				f.t.Fatalf("WriteFile: %v", err)
@@ -166,8 +170,8 @@ func TestFollowStoreFaults(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts, st := newLifecycleServer(t)
 			defer ts.Close()
-			addRetrainer(t, s)
-			f := &follower{t: t, s: s, st: st}
+			bootPublish(t, s)
+			f := &follower{t: t, s: s, base: ts.URL, st: st}
 			s.Logger = slog.New(slog.NewTextHandler(&f.logs, nil))
 			f.tick = s.FollowStore()
 			tc.run(f)

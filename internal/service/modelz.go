@@ -1,16 +1,13 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/registry"
+	"repro/internal/tdgen"
 )
 
 // The /modelz endpoint family is the model lifecycle's admin surface:
@@ -21,13 +18,13 @@ import (
 //     hot-swap it in if it differs from the served one.
 //   - POST /modelz/promote  — ?version=vN: mark a stored version active and
 //     hot-swap it in.
-//   - POST /modelz/retrain  — run one retraining attempt synchronously and
-//     report its outcome (the background loop's step, on demand).
-//   - GET  /modelz/feedback — the buffered execution-feedback samples as CSV.
+//   - GET  /modelz/feedback — the buffered execution-feedback samples as
+//     the training CSV tdgen and robopt read (header f0..fN-1,runtime).
 //
-// Every way the served version changes — these three POSTs, the store follower,
-// the background retrain loop and roboptd's boot — is a call of one routine,
-// publish, made under the one admin mutex. /optimize never takes that mutex:
+// Every way the served version changes — these two POSTs, the store follower
+// and roboptd's boot — is a call of one routine, publish, made under the one
+// admin mutex. A retrained model arrives the way any artifact does: trained
+// offline, saved to the store, promoted. /optimize never takes that mutex:
 // requests read the provider's atomic pointer only.
 
 // ModelzResponse is the JSON reply of GET /modelz.
@@ -40,8 +37,6 @@ type ModelzResponse struct {
 	Store *ModelzStoreJSON `json:"store,omitempty"`
 	// Feedback reports the execution-feedback buffer.
 	Feedback *ModelzFeedbackJSON `json:"feedback"`
-	// Retrainer reports whether a background retraining loop is configured.
-	Retrainer bool `json:"retrainer"`
 }
 
 // ModelzStoreJSON summarizes the artifact store in GET /modelz.
@@ -89,7 +84,6 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request, reqID stri
 			Cap:   s.Feedback.Cap(),
 			Total: s.Feedback.Total(),
 		},
-		Retrainer: s.Retrainer != nil,
 	}
 	if s.ModelStore != nil {
 		versions, err := s.ModelStore.Versions()
@@ -163,34 +157,6 @@ func (s *Server) Publish(art *registry.Artifact, pin bool) (SwapResponse, error)
 	return s.publish(art, pin)
 }
 
-// Retrain runs one retraining attempt under the admin lock; a candidate that
-// passes the retrainer's gate is published pinned. It is the step behind
-// POST /modelz/retrain and StartRetrainLoop.
-func (s *Server) Retrain() (registry.Outcome, error) {
-	if s.Retrainer == nil {
-		return registry.Outcome{}, &statusError{http.StatusConflict, errors.New("service: no retrainer configured (-retrain-interval)")}
-	}
-	s.adminMu.Lock()
-	defer s.adminMu.Unlock()
-	return s.Retrainer.RetrainOnce(func(art *registry.Artifact) error {
-		_, err := s.publish(art, true)
-		return err
-	})
-}
-
-// StartRetrainLoop runs Retrain every interval (≤ 0 means one minute) until
-// ctx is done; the retrainer logs each attempt, and a failed one does not stop
-// the loop. The returned channel closes when the loop's goroutine has exited.
-func (s *Server) StartRetrainLoop(ctx context.Context, interval time.Duration) (<-chan struct{}, error) {
-	if s.Retrainer == nil {
-		return nil, errors.New("service: no retrainer configured (-retrain-interval)")
-	}
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	return every(ctx, interval, func() { _, _ = s.Retrain() }, nil), nil
-}
-
 func (s *Server) handleModelzReload(w http.ResponseWriter, r *http.Request, reqID string) {
 	resp, err := s.SyncStore()
 	if err != nil {
@@ -226,22 +192,7 @@ func (s *Server) handleModelzPromote(w http.ResponseWriter, r *http.Request, req
 	s.writeJSON(w, resp)
 }
 
-func (s *Server) handleModelzRetrain(w http.ResponseWriter, r *http.Request, reqID string) {
-	out, err := s.Retrain()
-	if err != nil {
-		s.fail(w, reqID, statusOf(err, http.StatusInternalServerError), err)
-		return
-	}
-	s.writeJSON(w, out)
-}
-
 func (s *Server) handleModelzFeedback(w http.ResponseWriter, r *http.Request, reqID string) {
-	ds := s.Feedback.Dataset()
 	w.Header().Set("Content-Type", "text/csv")
-	for i := 0; i < ds.Len(); i++ {
-		for _, x := range ds.X[i] {
-			fmt.Fprintf(w, "%s,", strconv.FormatFloat(x, 'g', -1, 64))
-		}
-		fmt.Fprintln(w, strconv.FormatFloat(ds.Y[i], 'g', -1, 64))
-	}
+	_ = tdgen.WriteCSV(w, s.Feedback.Dataset())
 }

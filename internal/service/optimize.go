@@ -566,9 +566,7 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 func (s *Server) record(q *optimizeReq, a answer, x *plan.Execution, out *optimizeOut, run *simulator.Result) {
 	m := s.Metrics()
 	// Execution feedback: the served plan's vector paired with its observed
-	// runtime feeds the retraining loop, tagged with the model's predictive
-	// spread so retraining can prioritize the plans the model was least
-	// certain about. Every source takes one path: the vector is rebuilt from
+	// runtime. Every source takes one path: the vector is rebuilt from
 	// this unit's own plan and the assignment it was served, so a cached plan
 	// shared through cardinality banding carries the requester's
 	// cardinalities, not those of the plan that filled the entry. Failed runs
@@ -580,7 +578,7 @@ func (s *Server) record(q *optimizeReq, a answer, x *plan.Execution, out *optimi
 			v, err = cctx.VectorizeAssignment(x.Assign)
 		}
 		if err == nil {
-			err = s.Feedback.AddWithSpread(v.F, run.Runtime, out.resp.PredictedSpreadSec)
+			err = s.Feedback.Add(v.F, run.Runtime)
 		}
 		if err != nil {
 			m.Counter("feedback_rejected_total").Inc()

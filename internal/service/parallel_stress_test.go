@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/mlmodel"
 	"repro/internal/plan"
+	"repro/internal/registry"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -32,7 +34,7 @@ func dagJSON(t *testing.T, nOps int, seed int64) []byte {
 // parallel enumeration inside the live service: 8 concurrent optimize
 // requests, each enumerated on an 8-worker pool, race against every way a
 // version is published — a promoter flipping the active model between v1 and
-// v2, reloads, retrains that promote new versions, the store watcher — and an
+// v2, reloads, promotions of freshly saved versions, the store watcher — and an
 // admin purging the plan cache. The scaled test models make correctness
 // observable per response — under version vN (N ≤ 2) the prediction for a
 // plan is exactly N x its v1 prediction — so any torn read between the
@@ -45,7 +47,7 @@ func TestParallelStressModelSwap(t *testing.T) {
 	s, ts, st := newLifecycleServer(t)
 	defer ts.Close()
 	s.Workers = 8
-	addRetrainer(t, s)
+	bootPublish(t, s)
 	watchCtx, stopWatcher := context.WithCancel(context.Background())
 	defer stopWatcher()
 	watcherDone, err := s.StartStoreWatcher(watchCtx, time.Millisecond)
@@ -74,6 +76,7 @@ func TestParallelStressModelSwap(t *testing.T) {
 		base[i] = out.PredictedRuntimeSec
 	}
 	scale := map[string]float64{"v1": 1, "v2": 2}
+	width := testWidth(t)
 
 	const workers = 8
 	const iters = 20
@@ -96,8 +99,17 @@ func TestParallelStressModelSwap(t *testing.T) {
 			case 3:
 				path = "/modelz/reload"
 			case 5:
-				feedLaw(t, s.Feedback, testWidth(t), float64(int(8)<<(i/6%2)), 64, i)
-				path = "/modelz/retrain"
+				// A version no request has been served by yet.
+				art, err := registry.New(scaledLinear(width, float64(3+i)), width, platformNames(3), 0, mlmodel.Metrics{})
+				v := ""
+				if err == nil {
+					v, err = st.Save(art)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				path = "/modelz/promote?version=" + v
 			}
 			resp, err := http.Post(ts.URL+path, "application/json", nil)
 			if err != nil {
@@ -152,8 +164,8 @@ func TestParallelStressModelSwap(t *testing.T) {
 					errs <- err
 					continue
 				}
-				// Versions past v2 are retrained models: no known scale, so the
-				// label check below is all there is.
+				// Versions past v2 are the promoter's fresh saves: no exact
+				// scale, so the label check below is all there is.
 				if want := scale[out.ModelVersion] * base[pi]; want != 0 && out.PredictedRuntimeSec != want {
 					errs <- fmt.Errorf("plan %d: version %s predicted %v, want %v — response paired with the wrong model",
 						pi, out.ModelVersion, out.PredictedRuntimeSec, want)

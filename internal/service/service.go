@@ -29,7 +29,7 @@
 // version its store names ACTIVE, and every, the one shape of the server's
 // background loops; batch.go the slice-at-a-time endpoint. A model
 // version becomes the served one through one routine, publish (modelz.go),
-// whichever of boot, promote, reload, the follower or a retrain asks.
+// whichever of boot, promote, reload or the follower asks.
 //
 // # Endpoints
 //
@@ -63,8 +63,8 @@
 //   - GET /fleetz — the merged fleet view scraped from every replica
 //     registered in the shared artifact store (see fleetz.go).
 //   - GET /modelz, POST /modelz/reload, POST /modelz/promote,
-//     POST /modelz/retrain, GET /modelz/feedback — the model lifecycle admin
-//     surface (see modelz.go).
+//     GET /modelz/feedback — the model lifecycle admin surface (see
+//     modelz.go).
 //   - GET /cachez, POST /cachez/purge — the plan cache admin surface
 //     (see cachez.go); with peer fill enabled, /cachez also reports the
 //     shared-tier counters.
@@ -125,12 +125,12 @@ import (
 const maxBodyBytes = 8 << 20
 
 // Server handles optimization requests. The model is resolved per request
-// through a registry.Provider so a retrained or reloaded artifact can be
+// through a registry.Provider so a promoted or reloaded artifact can be
 // hot-swapped under live traffic.
 //
 // A replica always runs every serving layer: Provider, PlanCache, Admission,
 // Tracer, SLO, Logger, Cluster and Feedback are required, and Handler panics
-// naming the first one missing. PeerFill, ModelStore, Retrainer, Budget and
+// naming the first one missing. PeerFill, ModelStore, Budget and
 // EnablePprof are the optional ones, the settings a deployment varies.
 type Server struct {
 	// Provider publishes the active model; each request resolves one
@@ -142,11 +142,9 @@ type Server struct {
 	ModelStore *registry.Store
 	// Feedback receives one (plan vector, observed runtime) sample per
 	// /optimize?simulate=1 request whose simulated run succeeded — the
-	// execution-feedback stream the retraining loop learns from.
-	Feedback *registry.Feedback
-	// Retrainer, when set, backs POST /modelz/retrain and is reported by
-	// GET /modelz.
-	Retrainer *registry.Retrainer
+	// execution-feedback stream GET /modelz/feedback exports for offline
+	// retraining.
+	Feedback  *registry.Feedback
 	Platforms []platform.ID
 	Avail     *platform.Availability
 	// Cluster runs the chosen plan for /optimize?simulate=1 and reports its
@@ -379,7 +377,6 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 	s.admin(routes, "GET /modelz", s.handleModelz)
 	s.admin(routes, "POST /modelz/reload", s.handleModelzReload)
 	s.admin(routes, "POST /modelz/promote?version=vN", s.handleModelzPromote)
-	s.admin(routes, "POST /modelz/retrain", s.handleModelzRetrain)
 	s.admin(routes, "GET /modelz/feedback", s.handleModelzFeedback)
 	s.admin(routes, "GET /tracez", s.handleTracez)
 	s.admin(routes, "GET /fleetz", s.handleFleetz)

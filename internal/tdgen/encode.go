@@ -37,7 +37,9 @@ func WriteCSV(w io.Writer, ds *mlmodel.Dataset) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a dataset written by WriteCSV.
+// ReadCSV reads a dataset written by WriteCSV: the first row is the header
+// and is skipped, so a file without one would lose its first sample. A
+// header with no rows is refused, not read as an empty dataset.
 func ReadCSV(r io.Reader) (*mlmodel.Dataset, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -46,6 +48,9 @@ func ReadCSV(r io.Reader) (*mlmodel.Dataset, error) {
 	}
 	if len(rows) < 1 {
 		return nil, fmt.Errorf("tdgen: empty CSV")
+	}
+	if len(rows) < 2 {
+		return nil, fmt.Errorf("tdgen: CSV has a header and no rows")
 	}
 	ds := &mlmodel.Dataset{}
 	for ri, row := range rows[1:] {

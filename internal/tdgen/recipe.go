@@ -76,7 +76,7 @@ func (r Recipe) Dataset(seedOffset int64) (*mlmodel.Dataset, error) {
 // Fit trains one ensemble member on ds: gradient-boosted trees on log targets
 // (DESIGN.md; the paper's "one can plug any regression algorithm" is the
 // extension point). It is also how a model is fitted on data the recipe did
-// not draw — a tdgen CSV, the daemon's execution feedback — with offset 0.
+// not draw — a tdgen CSV, merged feedback exports included — with offset 0.
 func (s Size) Fit(ds *mlmodel.Dataset, seedOffset int64) (mlmodel.Model, error) {
 	return mlmodel.LogTargetTrainer{Inner: mlmodel.GBMTrainer{Config: mlmodel.GBMConfig{
 		Trees:    sizes[s].trees,

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mlmodel"
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/simulator"
@@ -286,5 +287,16 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	}
 	if _, err := tdgen.ReadCSV(bytes.NewBufferString("f0,runtime\n1,nope\n")); err == nil {
 		t.Error("accepted non-numeric label")
+	}
+	// A header and no rows: what WriteCSV writes for an empty dataset, and
+	// what a one-row file without a header reads as.
+	var empty bytes.Buffer
+	if err := tdgen.WriteCSV(&empty, &mlmodel.Dataset{}); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	for _, in := range []string{"f0,runtime\n", empty.String(), "0.5,2\n"} {
+		if ds, err := tdgen.ReadCSV(bytes.NewBufferString(in)); err == nil {
+			t.Errorf("ReadCSV(%q) = %d rows, no error; want a header-only file refused", in, ds.Len())
+		}
 	}
 }

@@ -66,6 +66,7 @@ refused() {
   ! grep -q 'panic:' <<<"$out" || die "$* panicked: $out"
 }
 refused "$WORK/roboptd" -cache-ttl 1m
+refused "$WORK/roboptd" -retrain-interval 1m
 refused "$WORK/roboptd" -platforms 9
 refused "$WORK/robopt" -platforms 9 -plan "$WORK/query.json"
 
@@ -165,6 +166,18 @@ curl -sf "$BASE/modelz" > "$WORK/modelz.json"
   || die "/modelz does not report v2 active"
 [ "$(jget "$WORK/modelz.json" "d['store']['active']")" = "v2" ] \
   || die "store ACTIVE marker not moved to v2"
+[ "$(jget "$WORK/modelz.json" "'retrainer' in d")" = "False" ] \
+  || die "/modelz still reports a retrainer"
+[ "$(curl -s -o /dev/null -w '%{http_code}' -XPOST "$BASE/modelz/retrain")" = "404" ] \
+  || die "POST /modelz/retrain is still mounted"
+
+say "the feedback export merges offline without losing a row"
+curl -sf "$BASE/modelz/feedback" > "$WORK/feedback.csv"
+FB_LEN="$(jget "$WORK/modelz.json" "d['feedback']['len']")"
+"$WORK/tdgen" -templates 1 -plans 2 -profiles 2 -max-ops 6 -platforms 3 \
+  -o "$WORK/merged.csv" -merge "$WORK/feedback.csv" 2> "$WORK/merge.log"
+grep -q "; $FB_LEN rows merged in)" "$WORK/merge.log" \
+  || die "tdgen -merge did not read the $FB_LEN exported rows: $(cat "$WORK/merge.log")"
 
 say "optimizing risk-aware (?risk_lambda=0.5) and checking the interval"
 curl -sf -D "$WORK/risk.h" -XPOST --data-binary @"$WORK/query.json" \
