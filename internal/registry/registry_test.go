@@ -322,6 +322,30 @@ func TestFeedbackRing(t *testing.T) {
 	}
 }
 
+// TestFeedbackSpreadRing: a stream spread over several wraps of the ring
+// keeps the newest cap samples, oldest first, each row with its own label,
+// whichever slot the write position stopped at.
+func TestFeedbackSpreadRing(t *testing.T) {
+	f := registry.NewFeedback(4)
+	for i := 0; i < 11; i++ {
+		if err := f.Add([]float64{float64(i), 0, 0}, float64(i)); err != nil {
+			t.Fatalf("Add: %v", err)
+		}
+	}
+	if f.Len() != 4 || f.Total() != 11 {
+		t.Fatalf("len=%d total=%d, want 4/11", f.Len(), f.Total())
+	}
+	ds := f.Dataset()
+	if fmt.Sprint(ds.Y) != "[7 8 9 10]" {
+		t.Fatalf("Dataset labels = %v, want [7 8 9 10]", ds.Y)
+	}
+	for i, x := range ds.X {
+		if x[0] != ds.Y[i] {
+			t.Errorf("row %d = %v carries label %g", i, x, ds.Y[i])
+		}
+	}
+}
+
 func TestFeedbackConcurrent(t *testing.T) {
 	f := registry.NewFeedback(64)
 	var wg sync.WaitGroup
