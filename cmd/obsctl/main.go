@@ -1,7 +1,7 @@
-// Command obsctl renders the fleet observability view from the command
-// line: it discovers the replicas registered in a shared -model-dir, scrapes
-// each one's /readyz and /metricz, and prints the merged view — the same
-// data GET /fleetz serves, without needing a live replica to ask.
+// Command obsctl is the fleet observability view: it discovers the replicas
+// registered in a shared -model-dir, scrapes each one's /readyz and
+// /metricz, and prints the merged view. It needs only the store, not a live
+// replica to ask; no replica serves this view itself.
 //
 //	obsctl -model-dir /var/lib/robopt/models
 //	obsctl -model-dir ./models -json | jq .fleet

@@ -15,13 +15,13 @@
 //
 // The served model is a versioned artifact behind an atomically hot-swappable
 // provider. With -model-dir, artifacts are persisted to (and loadable from) a
-// file-backed store, and the admin endpoints GET /modelz, POST /modelz/reload
-// and POST /modelz/promote manage which version serves. Each
-// /optimize?simulate=1 response feeds its (plan vector, observed runtime)
-// pair into a bounded feedback buffer (-feedback-cap), which GET
-// /modelz/feedback exports as a training CSV. Retraining is offline: merge
-// the export into TDGen data (tdgen -merge), train and save an artifact
-// (robopt -train -save-model), and promote it into the store.
+// file-backed store, GET /modelz reports which version serves and POST
+// /modelz/promote changes it. Each /optimize?simulate=1 response feeds its
+// (plan vector, observed runtime) pair into a bounded feedback buffer
+// (-feedback-cap), which GET /modelz/feedback exports as a training CSV.
+// Retraining is offline: merge the export into TDGen data (tdgen -merge),
+// train and save an artifact (robopt -train -save-model), and promote it
+// into the store.
 //
 // # Plan cache
 //
@@ -46,12 +46,13 @@
 //
 // N roboptd processes pointed at one shared -model-dir behave as a
 // converging fleet: each replica compares the store's ACTIVE marker with the
-// version it serves every -store-watch-interval and hot-swaps in what the
-// marker names, whoever moved it — another replica or an operator; a sync
-// that fails is retried on the next tick. Promote once,
-// converge everywhere, no restarts. GET /healthz is the liveness probe and
-// GET /readyz the readiness probe (503 while draining or without a servable
-// artifact), so a load balancer can gate traffic per replica.
+// version it serves every 2 s (registry.DefaultWatchInterval) and hot-swaps
+// in what the marker names, whoever moved it — another replica or an
+// operator; a sync that fails is retried on the next tick. Promote once,
+// converge everywhere within one tick, no restarts. GET /healthz is the
+// liveness probe and GET /readyz the readiness probe (503 while draining or
+// without a servable artifact), so a load balancer can gate traffic per
+// replica.
 //
 // # Admission control
 //
@@ -83,10 +84,9 @@
 // error-budget burn rate and the combined breach verdict.
 //
 // Replicas sharing a -model-dir also register themselves in it
-// (-replica-id/-advertise/-fleet-heartbeat): GET /fleetz on any replica —
-// or the obsctl command — scrapes every registered replica and merges the
-// fleet view (readiness, model-version convergence, cache hit rate, shed
-// rate, worst SLO burn).
+// (-replica-id/-advertise), heartbeating every 5 s: the obsctl command
+// scrapes every registered replica and merges the fleet view (readiness,
+// model-version convergence, cache hit rate, shed rate, worst SLO burn).
 package main
 
 import (
@@ -123,8 +123,10 @@ import (
 // probability of retaining an unremarkable trace, and the latency from which
 // a trace is always retained; the latency objective and the share of
 // requests that must meet it; the plan-cache entry lifetime; the drain after
-// SIGINT/SIGTERM. The cache's capacity, the trace ring and the admission
-// limits are their packages' zero-value defaults.
+// SIGINT/SIGTERM; the period at which a -model-dir replica renews its fleet
+// registration. The cache's capacity, the trace ring and the admission
+// limits are their packages' zero-value defaults, and the store follower
+// ticks at registry.DefaultWatchInterval.
 const (
 	deadline      = 30 * time.Second
 	writeTimeout  = deadline + 30*time.Second
@@ -134,6 +136,7 @@ const (
 	sloTarget     = 0.99
 	cacheTTL      = 10 * time.Minute
 	shutdownGrace = 10 * time.Second
+	heartbeat     = 5 * time.Second
 )
 
 // config is roboptd's command line: the settings a deployment varies.
@@ -144,8 +147,6 @@ type config struct {
 	platforms                  int
 	feedbackCap                int
 	budget                     core.Budget
-	watchInterval              time.Duration
-	fleetHeartbeat             time.Duration
 	quick, pprof, peerFill     bool
 	version                    bool
 }
@@ -159,7 +160,7 @@ func parseConfig(args []string, out io.Writer) (config, error) {
 	var c config
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&c.model, "model", "", "load a saved model artifact (otherwise use -model-dir's active version, or train on startup)")
-	fs.StringVar(&c.modelDir, "model-dir", "", "artifact store directory backing /modelz/reload and /modelz/promote")
+	fs.StringVar(&c.modelDir, "model-dir", "", "shared artifact store: /modelz/promote writes it, the store follower converges on its ACTIVE version, replicas register in it")
 	fs.IntVar(&c.platforms, "platforms", platform.NumPlatforms, "number of platforms (2-5)")
 	fs.BoolVar(&c.quick, "quick", false, "train a small model on startup (fast, less faithful)")
 	fs.IntVar(&c.budget.MaxVectors, "budget-vectors", 0, "degrade enumeration after this many plan vectors (0 = unlimited)")
@@ -169,10 +170,8 @@ func parseConfig(args []string, out io.Writer) (config, error) {
 	fs.StringVar(&c.logLevel, "log-level", "info", "log level: debug, info, warn or error")
 	fs.StringVar(&c.logFormat, "log-format", "text", "log format: text or json")
 	fs.BoolVar(&c.peerFill, "peer-fill", false, "on a local plan-cache miss, consult fleet peers over /peercache before enumerating (needs -model-dir)")
-	fs.DurationVar(&c.watchInterval, "store-watch-interval", registry.DefaultWatchInterval, "poll -model-dir for promotions by other replicas at this period (0 = disabled)")
 	fs.StringVar(&c.replicaID, "replica-id", "", "fleet identity of this replica (default host:pid)")
 	fs.StringVar(&c.advertise, "advertise", "", "address other replicas scrape this one at (default -addr, with the hostname filled in)")
-	fs.DurationVar(&c.fleetHeartbeat, "fleet-heartbeat", 5*time.Second, "re-register in the shared -model-dir fleet at this period (0 disables registration)")
 	fs.BoolVar(&c.version, "version", false, "print build information and exit")
 	err := fs.Parse(args)
 	if err == nil {
@@ -316,21 +315,17 @@ func main() {
 		loops = append(loops, done)
 	}
 
-	// Store follower: converge on whatever another replica or an operator
-	// makes ACTIVE. This replica's own promotions already match.
-	if store != nil && cfg.watchInterval > 0 {
-		started(srv.StartStoreWatcher(rootCtx, cfg.watchInterval))
-		logger.Info("store follower enabled", "dir", cfg.modelDir, "interval", cfg.watchInterval)
-	}
-
-	// Fleet registration: heartbeat this replica's scrape address into the
-	// shared store so GET /fleetz and obsctl discover it. The loop
-	// deregisters when rootCtx is cancelled, i.e. before the drain finishes,
-	// so a clean shutdown leaves no stale record behind.
-	if store != nil && cfg.fleetHeartbeat > 0 {
-		started(srv.RegisterReplicaLoop(rootCtx, scrapeAddr, cfg.fleetHeartbeat))
-		logger.Info("fleet registration enabled",
-			"replicaId", srv.ReplicaID, "addr", scrapeAddr, "heartbeat", cfg.fleetHeartbeat)
+	// With a store: follow it, converging on whatever another replica or an
+	// operator makes ACTIVE (this replica's own promotions already match),
+	// and heartbeat this replica's scrape address into it so peer fill and
+	// obsctl discover it. The registration loop deregisters when rootCtx is
+	// cancelled, i.e. before the drain finishes, so a clean shutdown leaves
+	// no stale record behind.
+	if store != nil {
+		started(srv.StartStoreWatcher(rootCtx, registry.DefaultWatchInterval))
+		started(srv.RegisterReplicaLoop(rootCtx, scrapeAddr, heartbeat))
+		logger.Info("following the store and registered in it", "dir", cfg.modelDir,
+			"interval", registry.DefaultWatchInterval, "replicaId", srv.ReplicaID, "addr", scrapeAddr, "heartbeat", heartbeat)
 	}
 
 	// Peer-fill: turn the per-process plan cache into a fleet-shared tier.
@@ -363,7 +358,6 @@ func main() {
 	}
 	logger.Info("serving",
 		"addr", cfg.addr,
-		"endpoints", "POST /optimize, POST /optimize/batch, GET /healthz, GET /readyz, GET /statz, GET /metricz, GET /tracez, GET /fleetz, GET /modelz, GET /cachez",
 		"model", art.Version,
 		"workers", core.ResolveWorkers(0),
 		"deadline", deadline,

@@ -54,7 +54,7 @@ func TestHelpGolden(t *testing.T) {
 	removed := []string{"-peer-timeout", "-peer-hedge", "-max-body-bytes", "-batch-members",
 		"-trace-sample", "-trace-cap", "-trace-slow", "-admit-concurrency", "-admit-queue",
 		"-shed-threshold", "-cache-entries", "-cache-bytes", "-cache-ttl", "-shutdown-grace",
-		"-slo-latency-ms", "-slo-target", "-retrain-interval"}
+		"-slo-latency-ms", "-slo-target", "-retrain-interval", "-store-watch-interval", "-fleet-heartbeat"}
 	// The whole flag name: -deadline, not loadgen's -deadline-ms.
 	shared := regexp.MustCompile(`-(workers|deadline)([^\w-]|$)`)
 	for _, doc := range []string{"main.go", "../../README.md", "../../.claude/skills/verify/SKILL.md"} {
@@ -76,21 +76,22 @@ func TestHelpGolden(t *testing.T) {
 }
 
 // TestParseConfig: the default command line gives the settings bench/serving.go
-// boots its replicas with, and each setting roboptd cannot run with is refused
-// with the usage.
+// boots its replicas with, and each setting roboptd cannot run with, and each
+// removed flag, is refused with the usage (main exits 2 on it).
 func TestParseConfig(t *testing.T) {
 	c, err := parseConfig(nil, io.Discard)
 	if err != nil {
 		t.Fatalf("default config refused: %v", err)
 	}
 	// What bench/serving.go's boot writes out: the feedback buffer, the
-	// deadline, the tracer, the SLO and the cache TTL. The admission layer and
+	// deadline, the tracer, the SLO, the cache TTL and the registration
+	// heartbeat. The admission layer and
 	// the cache's capacity are zero values there and here.
 	if c.feedbackCap != registry.DefaultFeedbackCap || deadline != 30*time.Second ||
 		traceSample != 0.1 || traceSlow != time.Second ||
-		sloLatencyMs != 500 || sloTarget != 0.99 || cacheTTL != 10*time.Minute {
-		t.Errorf("defaults drifted from the benchmark's replicas: feedbackCap %d, deadline %v, trace %g/%v, SLO %d ms/%g, cache TTL %v",
-			c.feedbackCap, deadline, traceSample, traceSlow, sloLatencyMs, sloTarget, cacheTTL)
+		sloLatencyMs != 500 || sloTarget != 0.99 || cacheTTL != 10*time.Minute || heartbeat != 5*time.Second {
+		t.Errorf("defaults drifted from the benchmark's replicas: feedbackCap %d, deadline %v, trace %g/%v, SLO %d ms/%g, cache TTL %v, heartbeat %v",
+			c.feedbackCap, deadline, traceSample, traceSlow, sloLatencyMs, sloTarget, cacheTTL, heartbeat)
 	}
 	if c.platforms != platform.NumPlatforms || c.budget != (core.Budget{}) || c.peerFill || c.addr != ":8080" {
 		t.Errorf("default config %+v", c)
@@ -106,6 +107,10 @@ func TestParseConfig(t *testing.T) {
 		{"-feedback-cap", "-5"},
 		{"-budget-vectors", "-1"},
 		{"-budget-model-calls", "-3"},
+		// Removed: a -model-dir replica always follows its store and
+		// always registers in it.
+		{"-store-watch-interval", "1s"},
+		{"-fleet-heartbeat", "1s"},
 	} {
 		var out bytes.Buffer
 		if _, err := parseConfig(args, &out); err == nil {
@@ -267,8 +272,9 @@ func TestBootSameFileReusesVersion(t *testing.T) {
 		if len(versions) != 1 || active != "v1" {
 			t.Fatalf("boot %d: versions %v, ACTIVE %q; want [v1], v1", restart, versions, active)
 		}
-		if got := srv.Provider.Get().Version(); got != "v1" || srv.Provider.Swaps() != 0 {
-			t.Errorf("boot %d: serving %q after %d swaps, want v1 after none", restart, got, srv.Provider.Swaps())
+		swaps := srv.Metrics().Snapshot().Counters["model_swaps_total"]
+		if got := srv.Provider.Get().Version(); got != "v1" || swaps != 0 {
+			t.Errorf("boot %d: serving %q after %d swaps, want v1 after none", restart, got, swaps)
 		}
 	}
 }

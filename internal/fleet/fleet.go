@@ -2,9 +2,8 @@
 // observability view: it scrapes each replica's /readyz and /metricz,
 // distills the per-replica health signals an operator actually pages on
 // (readiness, model version, cache hit rate, queue depth, shed rate, SLO
-// burn), and rolls them up fleet-wide. Both GET /fleetz on any replica and
-// the obsctl CLI render this same view, so the dashboard, the API and the
-// terminal never disagree about what the fleet looks like.
+// burn), and rolls them up fleet-wide. The obsctl command renders this view,
+// as a table or as JSON; no serving replica scrapes its peers for it.
 package fleet
 
 import (
@@ -57,8 +56,8 @@ type ReplicaStatus struct {
 	Breached  bool               `json:"breached,omitempty"`
 }
 
-// readyzReply is the subset of the service's /readyz body the scraper needs
-// (declared locally: the service package imports this one).
+// readyzReply is the subset of the service's /readyz body the scraper needs,
+// declared locally so that obsctl does not link the serving stack.
 type readyzReply struct {
 	Ready        bool   `json:"ready"`
 	Reason       string `json:"reason,omitempty"`
@@ -223,8 +222,8 @@ func WorstBurn(rates map[string]float64) (window string, rate float64) {
 	return window, rate
 }
 
-// View is the complete fleet view: the rollup plus per-replica rows, the
-// JSON body of GET /fleetz and the data behind obsctl's table.
+// View is the complete fleet view: the rollup plus per-replica rows, what
+// obsctl -json prints and the data behind obsctl's table.
 type View struct {
 	ScrapedAt time.Time       `json:"scrapedAt"`
 	Fleet     Rollup          `json:"fleet"`
@@ -232,7 +231,7 @@ type View struct {
 }
 
 // Collect discovers the live replicas in store, scrapes them and aggregates
-// — the one-call form both /fleetz and obsctl use.
+// — the one-call form obsctl uses.
 func Collect(ctx context.Context, store *registry.Store, ttl time.Duration, client *http.Client) (View, error) {
 	replicas, err := store.Replicas(ttl)
 	if err != nil {

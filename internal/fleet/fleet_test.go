@@ -201,7 +201,7 @@ func TestCollect(t *testing.T) {
 		t.Errorf("rows = %v, want sorted [a b down]", ids)
 	}
 
-	// The view is what /fleetz serializes; it must round-trip as JSON.
+	// The view is what obsctl -json prints; it must round-trip as JSON.
 	raw, err := json.Marshal(view)
 	if err != nil {
 		t.Fatalf("marshal view: %v", err)

@@ -13,12 +13,11 @@ import (
 // samples overwrite the oldest, so it always holds the most recent execution
 // behaviour. GET /modelz/feedback exports it for offline retraining.
 type Feedback struct {
-	mu    sync.Mutex
-	x     [][]float64
-	y     []float64
-	next  int   // ring write position
-	total int64 // samples ever added
-	cap   int
+	mu   sync.Mutex
+	x    [][]float64
+	y    []float64
+	next int // ring write position
+	cap  int
 }
 
 // DefaultFeedbackCap bounds the buffer when no capacity is given.
@@ -55,7 +54,6 @@ func (f *Feedback) Add(x []float64, y float64) error {
 		f.y[f.next] = y
 		f.next = (f.next + 1) % f.cap
 	}
-	f.total++
 	return nil
 }
 
@@ -64,13 +62,6 @@ func (f *Feedback) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.x)
-}
-
-// Total returns the number of samples ever added, overwritten ones included.
-func (f *Feedback) Total() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.total
 }
 
 // Dataset returns a point-in-time copy of the buffered samples as a

@@ -29,13 +29,12 @@ func (s *Snapshot) Version() string {
 
 // Provider publishes the active model to the serving path through a single
 // atomic pointer: readers (one Load per request) never block, and Swap
-// makes a promoted or reloaded artifact visible to all subsequent requests
+// makes a promoted or followed artifact visible to all subsequent requests
 // at once — the hot-swap primitive of the model lifecycle. In-flight
 // requests keep the snapshot they resolved; there are no torn reads because
 // snapshots are immutable.
 type Provider struct {
-	p     atomic.Pointer[Snapshot]
-	swaps atomic.Int64
+	p atomic.Pointer[Snapshot]
 }
 
 // NewProvider returns a provider serving a.
@@ -57,10 +56,5 @@ func (p *Provider) Swap(a *Artifact) (*Snapshot, error) {
 	if a == nil || a.Model == nil {
 		return nil, fmt.Errorf("registry: cannot swap in an artifact without a model")
 	}
-	old := p.p.Swap(&Snapshot{Artifact: a})
-	p.swaps.Add(1)
-	return old, nil
+	return p.p.Swap(&Snapshot{Artifact: a}), nil
 }
-
-// Swaps returns how many times the active model has been replaced.
-func (p *Provider) Swaps() int64 { return p.swaps.Load() }

@@ -38,7 +38,8 @@ type Store struct {
 const activeMarker = "ACTIVE"
 
 // DefaultWatchInterval is how often a replica compares the ACTIVE marker with
-// the version it serves when the caller does not pick a period.
+// the version it serves: roboptd's fixed store-follower period, and the
+// period of a follower started without one.
 const DefaultWatchInterval = 2 * time.Second
 
 // OpenStore opens (creating if needed) the artifact store at dir.

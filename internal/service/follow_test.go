@@ -157,7 +157,7 @@ func TestFollowStoreFaults(t *testing.T) {
 			f.expect("v3", 0, 0, 0)
 		}},
 		// No marker is nothing to follow: the newest-version fallback is for
-		// boot and POST /modelz/reload, not for a tick.
+		// boot, not for a tick.
 		{"versions but no marker", func(f *follower) {
 			if err := os.Remove(filepath.Join(f.st.Dir(), "ACTIVE")); err != nil {
 				f.t.Fatalf("Remove: %v", err)

@@ -13,9 +13,11 @@ import (
 )
 
 // The lifecycle layer makes one process fleet-capable: /healthz and /readyz
-// are the probes a load balancer gates traffic on, and the store follower
+// are the probes a load balancer gates traffic on, the store follower
 // converges every replica sharing a -model-dir onto the version the store
-// names ACTIVE without a restart or an explicit admin call per replica.
+// names ACTIVE without a restart or an admin call per replica, and the
+// registration loop keeps the replica discoverable in that store for peer
+// fill and obsctl.
 
 // handleHealthz is the liveness probe: the process is up and serving HTTP.
 // It says nothing about whether the replica can optimize — that is /readyz.
@@ -70,15 +72,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// SyncStore re-reads the store's active artifact and publishes it unpinned
-// (the marker is what it follows) — POST /modelz/reload, and a store follower
-// tick that found ACTIVE naming another version. The read happens under the
-// admin lock too, so what it read cannot be published over a promotion made
-// in between.
-func (s *Server) SyncStore() (SwapResponse, error) {
-	if s.ModelStore == nil {
-		return SwapResponse{}, errors.New("service: no model store configured (-model-dir)")
-	}
+// syncStore re-reads the store's active artifact and publishes it unpinned
+// (the marker is what it follows): the store follower's step when a tick
+// found ACTIVE naming another version. The read happens under the admin lock
+// too, so what it read cannot be published over a promotion made in between.
+func (s *Server) syncStore() (SwapResponse, error) {
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
 	art, err := s.ModelStore.LoadActive()
@@ -116,7 +114,7 @@ func every(ctx context.Context, interval time.Duration, step, stop func()) <-cha
 }
 
 // followStore returns one tick of the store follower: read the ACTIVE marker
-// and, unless it is unset or names the version already served, SyncStore. The
+// and, unless it is unset or names the version already served, syncStore. The
 // rule compares instead of remembering what it saw last, so a sync that failed
 // (the marker visible before its artifact, an artifact this replica cannot
 // serve) is tried again on the next tick, and the replica's own promotions
@@ -132,7 +130,7 @@ func (s *Server) followStore() func() {
 			if active == "" || active == s.Provider.Get().Version() {
 				return
 			}
-			resp, err = s.SyncStore()
+			resp, err = s.syncStore()
 		}
 		switch {
 		case err != nil:
@@ -160,6 +158,36 @@ func (s *Server) StartStoreWatcher(ctx context.Context, interval time.Duration) 
 		interval = registry.DefaultWatchInterval
 	}
 	return every(ctx, interval, s.followStore(), nil), nil
+}
+
+// RegisterReplicaLoop registers this replica in the shared store and
+// heartbeats until ctx is done, then deregisters. interval <= 0 means a
+// fifth of registry.DefaultReplicaTTL. The returned channel closes after
+// deregistration, so a draining server can wait for its record to vanish
+// before the listener closes.
+func (s *Server) RegisterReplicaLoop(ctx context.Context, addr string, interval time.Duration) (<-chan struct{}, error) {
+	if s.ModelStore == nil {
+		return nil, errors.New("service: no model store configured (-model-dir)")
+	}
+	if s.ReplicaID == "" {
+		return nil, errors.New("service: replica registration needs Server.ReplicaID")
+	}
+	if interval <= 0 {
+		interval = registry.DefaultReplicaTTL / 5
+	}
+	info := registry.ReplicaInfo{ID: s.ReplicaID, Addr: addr, StartedAt: time.Now()}
+	if err := s.ModelStore.RegisterReplica(info); err != nil {
+		return nil, err
+	}
+	warn := func(msg string, err error) {
+		if err != nil {
+			s.Logger.Warn(msg, "replicaId", s.ReplicaID, "err", err.Error())
+		}
+	}
+	return every(ctx, interval,
+		func() { warn("replica heartbeat failed", s.ModelStore.RegisterReplica(info)) },
+		func() { warn("replica deregistration failed", s.ModelStore.DeregisterReplica(s.ReplicaID)) },
+	), nil
 }
 
 // handleStatz serves what /metricz cannot hold: the replica's identity,

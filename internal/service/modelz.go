@@ -12,30 +12,30 @@ import (
 
 // The /modelz endpoint family is the model lifecycle's admin surface:
 //
-//   - GET  /modelz          — active artifact metadata, swap count, feedback
-//     buffer state and store versions.
-//   - POST /modelz/reload   — re-read the store's active artifact and
-//     hot-swap it in if it differs from the served one.
+//   - GET  /modelz          — active artifact metadata, feedback buffer
+//     occupancy and store versions.
 //   - POST /modelz/promote  — ?version=vN: mark a stored version active and
 //     hot-swap it in.
 //   - GET  /modelz/feedback — the buffered execution-feedback samples as
 //     the training CSV tdgen and robopt read (header f0..fN-1,runtime).
 //
-// Every way the served version changes — these two POSTs, the store follower
-// and roboptd's boot — is a call of one routine, publish, made under the one
-// admin mutex. A retrained model arrives the way any artifact does: trained
-// offline, saved to the store, promoted. /optimize never takes that mutex:
-// requests read the provider's atomic pointer only.
+// Every way the served version changes — promote, the store follower and
+// roboptd's boot — is a call of one routine, publish, made under the one
+// admin mutex. A replica picks up a version another process made ACTIVE
+// through its follower (lifecycle.go); there is no admin call for it. A
+// retrained model arrives the way any artifact does: trained offline, saved
+// to the store, promoted. /optimize never takes that mutex: requests read
+// the provider's atomic pointer only.
 
-// ModelzResponse is the JSON reply of GET /modelz.
+// ModelzResponse is the JSON reply of GET /modelz: state, not counts. How
+// often the model was swapped and how many feedback samples arrived are
+// /metricz's model_swaps_total and feedback_samples_total.
 type ModelzResponse struct {
 	// Active is the served artifact's metadata (its model is not included).
 	Active *registry.Artifact `json:"active"`
-	// Swaps counts hot-swaps since the provider was created.
-	Swaps int64 `json:"swaps"`
 	// Store reports the persisted versions when a model store is configured.
 	Store *ModelzStoreJSON `json:"store,omitempty"`
-	// Feedback reports the execution-feedback buffer.
+	// Feedback reports the execution-feedback buffer's occupancy.
 	Feedback *ModelzFeedbackJSON `json:"feedback"`
 }
 
@@ -47,12 +47,11 @@ type ModelzStoreJSON struct {
 
 // ModelzFeedbackJSON summarizes the feedback buffer in GET /modelz.
 type ModelzFeedbackJSON struct {
-	Len   int   `json:"len"`
-	Cap   int   `json:"cap"`
-	Total int64 `json:"total"`
+	Len int `json:"len"`
+	Cap int `json:"cap"`
 }
 
-// SwapResponse is the JSON reply of POST /modelz/reload and /modelz/promote.
+// SwapResponse is the JSON reply of POST /modelz/promote.
 type SwapResponse struct {
 	Swapped  bool   `json:"swapped"`
 	Version  string `json:"version"`
@@ -75,15 +74,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 }
 
 func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request, reqID string) {
-	p := s.Provider
 	resp := ModelzResponse{
-		Active: p.Get().Artifact,
-		Swaps:  p.Swaps(),
-		Feedback: &ModelzFeedbackJSON{
-			Len:   s.Feedback.Len(),
-			Cap:   s.Feedback.Cap(),
-			Total: s.Feedback.Total(),
-		},
+		Active:   s.Provider.Get().Artifact,
+		Feedback: &ModelzFeedbackJSON{Len: s.Feedback.Len(), Cap: s.Feedback.Cap()},
 	}
 	if s.ModelStore != nil {
 		versions, err := s.ModelStore.Versions()
@@ -155,15 +148,6 @@ func (s *Server) Publish(art *registry.Artifact, pin bool) (SwapResponse, error)
 	s.adminMu.Lock()
 	defer s.adminMu.Unlock()
 	return s.publish(art, pin)
-}
-
-func (s *Server) handleModelzReload(w http.ResponseWriter, r *http.Request, reqID string) {
-	resp, err := s.SyncStore()
-	if err != nil {
-		s.fail(w, reqID, http.StatusConflict, err)
-		return
-	}
-	s.writeJSON(w, resp)
 }
 
 func (s *Server) handleModelzPromote(w http.ResponseWriter, r *http.Request, reqID string) {

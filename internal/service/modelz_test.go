@@ -131,14 +131,15 @@ func postJSON(t *testing.T, url string, wantStatus int, out any) {
 }
 
 // TestModelzLifecycle drives the admin surface end to end: inspect, promote,
-// reload, label optimize responses, and capture execution feedback.
+// follow a marker moved behind the server's back, label optimize responses,
+// and capture execution feedback.
 func TestModelzLifecycle(t *testing.T) {
 	s, ts, st := newLifecycleServer(t)
 	defer ts.Close()
 
 	var mz service.ModelzResponse
 	getJSON(t, ts.URL+"/modelz", &mz)
-	if mz.Active.Version != "v1" || mz.Swaps != 0 {
+	if mz.Active.Version != "v1" || counter(t, ts.URL, "model_swaps_total") != 0 {
 		t.Fatalf("initial modelz = %+v", mz)
 	}
 	if mz.Store == nil || fmt.Sprint(mz.Store.Versions) != "[v1 v2]" || mz.Store.Active != "v1" {
@@ -189,28 +190,30 @@ func TestModelzLifecycle(t *testing.T) {
 		t.Fatalf("predicted = %g, want exactly 2×%g", out2.PredictedRuntimeSec, base.PredictedRuntimeSec)
 	}
 
-	// Reload with the served version already active: a no-op.
-	postJSON(t, ts.URL+"/modelz/reload", http.StatusOK, &sw)
-	if sw.Swapped || sw.Version != "v2" {
-		t.Fatalf("idempotent reload = %+v", sw)
+	// A follower tick with the served version already active: a no-op.
+	tick := s.FollowStore()
+	tick()
+	if got := s.Provider.Get().Version(); got != "v2" || counter(t, ts.URL, "store_watch_swaps_total") != 0 {
+		t.Fatalf("idempotent tick: serving %q after %d follower swaps", got, counter(t, ts.URL, "store_watch_swaps_total"))
 	}
-	// Move ACTIVE behind the server's back; reload picks it up.
+	// Move ACTIVE behind the server's back; the next tick picks it up.
 	if err := st.Activate("v1"); err != nil {
 		t.Fatalf("Activate: %v", err)
 	}
-	postJSON(t, ts.URL+"/modelz/reload", http.StatusOK, &sw)
-	if !sw.Swapped || sw.Version != "v1" || sw.Previous != "v2" {
-		t.Fatalf("reload after external activate = %+v", sw)
+	tick()
+	if got := s.Provider.Get().Version(); got != "v1" || counter(t, ts.URL, "store_watch_swaps_total") != 1 {
+		t.Fatalf("tick after external activate: serving %q after %d follower swaps", got, counter(t, ts.URL, "store_watch_swaps_total"))
 	}
 
-	// Feedback: two simulate requests captured, visible in /modelz and in
-	// the export, which the offline tools read back bit for bit.
+	// Feedback: two simulate requests captured, visible in /modelz and
+	// /metricz and in the export, which the offline tools read back bit for
+	// bit.
 	getJSON(t, ts.URL+"/modelz", &mz)
-	if mz.Feedback.Len != 2 || mz.Feedback.Total != 2 {
-		t.Fatalf("feedback after 2 simulate requests = %+v", mz.Feedback)
+	if mz.Feedback.Len != 2 || counter(t, ts.URL, "feedback_samples_total") != 2 {
+		t.Fatalf("feedback after 2 simulate requests = %+v, %d samples counted", mz.Feedback, counter(t, ts.URL, "feedback_samples_total"))
 	}
-	if mz.Swaps != 2 {
-		t.Errorf("swaps = %d, want 2", mz.Swaps)
+	if n := counter(t, ts.URL, "model_swaps_total"); n != 2 {
+		t.Errorf("model_swaps_total = %d, want 2", n)
 	}
 	fb, err := http.Get(ts.URL + "/modelz/feedback")
 	if err != nil {
@@ -228,17 +231,22 @@ func TestModelzLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET modelz: %v", err)
 	}
-	var keys map[string]json.RawMessage
+	// State only: the counts are /metricz's, read above.
+	var keys struct {
+		Retrainer, Swaps json.RawMessage
+		Feedback         map[string]json.RawMessage
+	}
 	err = json.NewDecoder(raw.Body).Decode(&keys)
 	raw.Body.Close()
-	if _, ok := keys["retrainer"]; err != nil || ok {
-		t.Errorf("GET /modelz keys = %v (%v), want no retrainer", keys, err)
+	if _, total := keys.Feedback["total"]; err != nil || keys.Retrainer != nil || keys.Swaps != nil || total {
+		t.Errorf("GET /modelz = %+v (%v), want no retrainer, swaps or feedback.total", keys, err)
 	}
 
 	// Error paths: unknown version, missing version, wrong methods.
 	postJSON(t, ts.URL+"/modelz/promote?version=v9", http.StatusNotFound, nil)
 	postJSON(t, ts.URL+"/modelz/promote", http.StatusBadRequest, nil)
 	postJSON(t, ts.URL+"/modelz/retrain", http.StatusNotFound, nil)
+	postJSON(t, ts.URL+"/modelz/reload", http.StatusNotFound, nil)
 	postJSON(t, ts.URL+"/modelz", http.StatusMethodNotAllowed, nil)
 }
 
@@ -257,7 +265,7 @@ func TestModelzValidatesOnSwap(t *testing.T) {
 	postJSON(t, ts.URL+"/modelz/promote?version=v3", http.StatusConflict, nil)
 	var mz service.ModelzResponse
 	getJSON(t, ts.URL+"/modelz", &mz)
-	if mz.Active.Version != "v1" || mz.Swaps != 0 {
+	if mz.Active.Version != "v1" || counter(t, ts.URL, "model_swaps_total") != 0 {
 		t.Fatalf("failed promote changed the served model: %+v", mz)
 	}
 }
@@ -376,23 +384,24 @@ func checkPublished(t *testing.T, s *service.Server, base string, st *registry.S
 			t.Fatalf("Load(%s): %v", want, err)
 		}
 	}
-	swaps, gen, counted := s.Provider.Swaps(), s.PlanCache.Generation(), counter(t, base, "model_swaps_total")
+	served, gen, counted := s.Provider.Get(), s.PlanCache.Generation(), counter(t, base, "model_swaps_total")
 	sw, err := s.Publish(again, st != nil)
 	if err != nil || sw.Swapped || sw.Version != want {
 		t.Errorf("re-publishing the served payload = %+v, %v; want a no-op at %s", sw, err, want)
 	}
-	if s.Provider.Swaps() != swaps || s.PlanCache.Generation() != gen || counter(t, base, "model_swaps_total") != counted {
-		t.Errorf("re-publishing the served payload bumped something: swaps %d→%d, generation %d→%d, model_swaps_total %d→%d",
-			swaps, s.Provider.Swaps(), gen, s.PlanCache.Generation(), counted, counter(t, base, "model_swaps_total"))
+	if s.Provider.Get() != served || s.PlanCache.Generation() != gen || counter(t, base, "model_swaps_total") != counted {
+		t.Errorf("re-publishing the served payload bumped something: snapshot replaced %v, generation %d→%d, model_swaps_total %d→%d",
+			s.Provider.Get() != served, gen, s.PlanCache.Generation(), counted, counter(t, base, "model_swaps_total"))
 	}
 }
 
 // TestPublishEntryPoints is the one table behind fleet invariant 1 ("never
-// serve a plan scored by a non-active model"): boot, promote, reload and a
-// store watcher tick each leave the same post-conditions, because each is a call of the one
-// publish routine. Every row starts from a server serving v1 (store: v1, v2;
-// ACTIVE v1) with one plan cached under v1; act drives one entry point and
-// returns the server it left serving want.
+// serve a plan scored by a non-active model"): boot, promote, one follower
+// tick and the running store watcher each leave the same post-conditions,
+// because each is a call of the one publish routine. Every row starts from a
+// server serving v1 (store: v1, v2; ACTIVE v1) with one plan cached under
+// v1; act drives one entry point and returns the server it left serving
+// want.
 func TestPublishEntryPoints(t *testing.T) {
 	type act func(t *testing.T, s *service.Server, ts *httptest.Server, st *registry.Store) (*service.Server, *httptest.Server)
 	for _, tc := range []struct {
@@ -428,14 +437,15 @@ func TestPublishEntryPoints(t *testing.T) {
 			}
 			return s, ts
 		}},
-		{"reload", "v2", 1, func(t *testing.T, s *service.Server, ts *httptest.Server, st *registry.Store) (*service.Server, *httptest.Server) {
+		// Another process moves ACTIVE; one follower tick, driven by hand,
+		// converges on it.
+		{"follower tick", "v2", 1, func(t *testing.T, s *service.Server, ts *httptest.Server, st *registry.Store) (*service.Server, *httptest.Server) {
 			if err := st.Activate("v2"); err != nil {
 				t.Fatalf("Activate: %v", err)
 			}
-			var sw service.SwapResponse
-			postJSON(t, ts.URL+"/modelz/reload", http.StatusOK, &sw)
-			if !sw.Swapped || sw.Version != "v2" || sw.Previous != "v1" {
-				t.Fatalf("reload = %+v", sw)
+			s.FollowStore()()
+			if n := counter(t, ts.URL, "store_watch_swaps_total"); n != 1 {
+				t.Fatalf("store_watch_swaps_total = %d after one tick, want 1", n)
 			}
 			return s, ts
 		}},
@@ -504,8 +514,8 @@ func TestPromoteMarkerFailure(t *testing.T) {
 
 	var mz service.ModelzResponse
 	getJSON(t, ts.URL+"/modelz", &mz)
-	if mz.Active.Version != "v1" || mz.Swaps != 0 {
-		t.Errorf("failed promote changed the served model: active %s, swaps %d", mz.Active.Version, mz.Swaps)
+	if mz.Active.Version != "v1" {
+		t.Errorf("failed promote changed the served model: active %s", mz.Active.Version)
 	}
 	if got := s.PlanCache.ActiveVersion(); got != "v1" {
 		t.Errorf("failed promote moved the plan cache to %q", got)
@@ -645,13 +655,14 @@ func TestStressHotSwapUnderLoad(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if p.Swaps() < 2 {
-		t.Errorf("swapper only swapped %d times", p.Swaps())
+	swaps := s.Metrics().Snapshot().Counters["model_swaps_total"]
+	if swaps < 2 {
+		t.Errorf("swapper only swapped %d times", swaps)
 	}
 	if versionSeen["v4"] == 0 {
 		t.Error("no response was scored by v4: the load never raced its publish")
 	}
-	t.Logf("responses: %v, swaps=%d", versionSeen, p.Swaps())
+	t.Logf("responses: %v, swaps=%d", versionSeen, swaps)
 	if n := versionSeen["v1"] + versionSeen["v2"] + versionSeen["v4"]; n != goroutines*perG {
 		t.Errorf("accounted responses = %d, want %d", n, goroutines*perG)
 	}

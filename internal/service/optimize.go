@@ -221,8 +221,8 @@ func sinceMs(start time.Time) float64 {
 // shed_total, serving_requests_total by endpoint/outcome/answering source,
 // serving_latency_ms by endpoint (with the retained trace as the bucket's
 // exemplar), the SLO's good/bad tally (a shed response is a success —
-// degraded quality, not an error) and the request log. /metricz and /fleetz
-// are views of what this wrote. A response that was accounted and then
+// degraded quality, not an error) and the request log. /metricz, and
+// obsctl's fleet view scraped from it, are views of what this wrote. A response that was accounted and then
 // failed to encode comes back as out.lost and adds only the failure.
 func (s *Server) account(p *reqParams, out *optimizeOut) {
 	m := s.Metrics()
@@ -553,8 +553,13 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 		})
 	}
 	if q.simulate {
+		// A failed run's Runtime is +Inf (OOM), which JSON cannot encode:
+		// the label alone names the failure.
 		r := s.Cluster.Run(x)
-		resp.SimulatedRuntimeSec, resp.SimulatedLabel = r.Runtime, r.Label()
+		resp.SimulatedLabel = r.Label()
+		if !r.Failed() {
+			resp.SimulatedRuntimeSec = r.Runtime
+		}
 		run = &r
 	}
 	return resp, run

@@ -34,8 +34,9 @@ func dagJSON(t *testing.T, nOps int, seed int64) []byte {
 // parallel enumeration inside the live service: 8 concurrent optimize
 // requests, each enumerated on an 8-worker pool, race against every way a
 // version is published — a promoter flipping the active model between v1 and
-// v2, reloads, promotions of freshly saved versions, the store watcher — and an
-// admin purging the plan cache. The scaled test models make correctness
+// v2, follower ticks after another process moved ACTIVE, promotions of
+// freshly saved versions, the running store watcher — and an admin purging
+// the plan cache. The scaled test models make correctness
 // observable per response — under version vN (N ≤ 2) the prediction for a
 // plan is exactly N x its v1 prediction — so any torn read between the
 // enumeration, the model snapshot and the cache shows up as a
@@ -85,6 +86,7 @@ func TestParallelStressModelSwap(t *testing.T) {
 
 	stop := make(chan struct{})
 	promoterDone := make(chan struct{})
+	tick := s.FollowStore()
 	go func() {
 		defer close(promoterDone)
 		versions := []string{"v2", "v1"}
@@ -97,7 +99,15 @@ func TestParallelStressModelSwap(t *testing.T) {
 			path := "/modelz/promote?version=" + versions[i%2]
 			switch i % 6 {
 			case 3:
-				path = "/modelz/reload"
+				// Another process moves ACTIVE; a follower tick, racing the
+				// running watcher's, converges on it.
+				if err := st.Activate(versions[i%2]); err != nil {
+					errs <- err
+					return
+				}
+				tick()
+				time.Sleep(time.Millisecond)
+				continue
 			case 5:
 				// A version no request has been served by yet.
 				art, err := registry.New(scaledLinear(width, float64(3+i)), width, platformNames(3), 0, mlmodel.Metrics{})

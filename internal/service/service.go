@@ -26,10 +26,13 @@
 //
 // lifecycle.go holds the probe endpoints (/healthz, /readyz, /statz,
 // /metricz), the store follower that converges a replica fleet onto the
-// version its store names ACTIVE, and every, the one shape of the server's
+// version its store names ACTIVE, the registration loop that keeps a replica
+// discoverable in that store, and every, the one shape of the server's
 // background loops; batch.go the slice-at-a-time endpoint. A model
 // version becomes the served one through one routine, publish (modelz.go),
-// whichever of boot, promote, reload or the follower asks.
+// whichever of boot, promote or the follower asks. The merged fleet view is
+// not a route: obsctl scrapes every registered replica's /readyz and
+// /metricz (internal/fleet), so a serving replica never scrapes its peers.
 //
 // # Endpoints
 //
@@ -60,11 +63,8 @@
 //     ?format=prometheus serves the Prometheus text exposition instead.
 //   - GET /tracez — recent retained traces, newest first; ?id= for one
 //     (see tracez.go). Accepts both request IDs and W3C trace IDs.
-//   - GET /fleetz — the merged fleet view scraped from every replica
-//     registered in the shared artifact store (see fleetz.go).
-//   - GET /modelz, POST /modelz/reload, POST /modelz/promote,
-//     GET /modelz/feedback — the model lifecycle admin surface (see
-//     modelz.go).
+//   - GET /modelz, POST /modelz/promote, GET /modelz/feedback — the model
+//     lifecycle admin surface (see modelz.go).
 //   - GET /cachez, POST /cachez/purge — the plan cache admin surface
 //     (see cachez.go); with peer fill enabled, /cachez also reports the
 //     shared-tier counters.
@@ -92,10 +92,10 @@
 // deadline_exceeded_total, shed_total, serving_requests_total,
 // serving_latency_ms, the SLO and the request log; the plan cache and the
 // peer-fill client likewise keep one registered counter per number they
-// report. /cachez and /fleetz are views: they read those instruments and keep
-// no tally of their own. The SLO is read only as the slo_* gauges, recomputed
-// on each scrape: the objective, the target, the breach verdict and one burn
-// rate per rolling window. An admin endpoint's error reply is not an
+// report. /cachez is a view: it reads those instruments and keeps no tally
+// of its own. The SLO is read only as the slo_* gauges, recomputed on each
+// scrape: the objective, the target, the breach verdict and one burn rate
+// per rolling window. An admin endpoint's error reply is not an
 // optimize request and touches none of them.
 package service
 
@@ -125,7 +125,7 @@ import (
 const maxBodyBytes = 8 << 20
 
 // Server handles optimization requests. The model is resolved per request
-// through a registry.Provider so a promoted or reloaded artifact can be
+// through a registry.Provider so a promoted or followed artifact can be
 // hot-swapped under live traffic.
 //
 // A replica always runs every serving layer: Provider, PlanCache, Admission,
@@ -136,9 +136,9 @@ type Server struct {
 	// Provider publishes the active model; each request resolves one
 	// immutable snapshot from it and reports that snapshot's version.
 	Provider *registry.Provider
-	// ModelStore, when set, backs POST /modelz/reload and
-	// POST /modelz/promote with persisted artifact versions, and is what
-	// StartStoreWatcher follows.
+	// ModelStore, when set, backs POST /modelz/promote with persisted
+	// artifact versions, is what StartStoreWatcher follows and is where
+	// RegisterReplicaLoop registers the replica.
 	ModelStore *registry.Store
 	// Feedback receives one (plan vector, observed runtime) sample per
 	// /optimize?simulate=1 request whose simulated run succeeded — the
@@ -203,8 +203,8 @@ type Server struct {
 	// SLO tracks the serving latency objective and its multi-window
 	// error-budget burn rate, exposed as the slo_* gauges of /metricz.
 	SLO *obs.SLO
-	// ReplicaID names this replica in the fleet (roboptd -replica-id). It
-	// is reported by /fleetz and used as the shared-store registration key.
+	// ReplicaID names this replica in the fleet (roboptd -replica-id): the
+	// shared-store registration key, and its row in obsctl's fleet view.
 	ReplicaID string
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (roboptd
 	// -pprof). Off by default.
@@ -269,8 +269,8 @@ type OptimizeResponse struct {
 	// request's λ, or — on cache hits — the λ the cached plan was optimized
 	// under (same band, not necessarily the same float).
 	RiskLambda float64 `json:"riskLambda,omitempty"`
-	// SimulatedRuntimeSec is filled when simulate=1 and a cluster is
-	// configured; OOM/aborted runs surface via SimulatedLabel.
+	// SimulatedRuntimeSec is filled when simulate=1 and the simulated run
+	// completed; an OOM or aborted run surfaces via SimulatedLabel only.
 	SimulatedRuntimeSec float64 `json:"simulatedRuntimeSec,omitempty"`
 	SimulatedLabel      string  `json:"simulatedLabel,omitempty"`
 	// Degraded reports that the enumeration budget (or the soft deadline)
@@ -375,11 +375,9 @@ func (s *Server) routes() map[string]http.HandlerFunc {
 		"/metricz":        s.handleMetricz,
 	}
 	s.admin(routes, "GET /modelz", s.handleModelz)
-	s.admin(routes, "POST /modelz/reload", s.handleModelzReload)
 	s.admin(routes, "POST /modelz/promote?version=vN", s.handleModelzPromote)
 	s.admin(routes, "GET /modelz/feedback", s.handleModelzFeedback)
 	s.admin(routes, "GET /tracez", s.handleTracez)
-	s.admin(routes, "GET /fleetz", s.handleFleetz)
 	s.admin(routes, "GET /cachez", s.handleCachez)
 	s.admin(routes, "POST /cachez/purge", s.handleCachezPurge)
 	s.admin(routes, "GET /peercache?fp=&version=&band=", s.handlePeercache)

@@ -2,11 +2,13 @@
 # End-to-end model lifecycle smoke test:
 #
 #   tdgen → robopt -train/-save-model → roboptd -model/-model-dir →
-#   POST /optimize → promote a copied-in artifact → POST /modelz/reload
+#   POST /optimize → promote a copied-in artifact → a second replica
+#   converges through its store follower → obsctl -json fleet view
 #
 # Asserts that the served plan is non-degraded, that every response is
-# labeled with the model version that scored it, and that promoting a new
-# artifact bumps the served version. Run from the repository root:
+# labeled with the model version that scored it, that promoting a new
+# artifact bumps the served version on every replica sharing the store, and
+# that obsctl sees both replicas. Run from the repository root:
 #
 #   ./scripts/e2e_smoke.sh
 set -euo pipefail
@@ -67,13 +69,15 @@ refused() {
 }
 refused "$WORK/roboptd" -cache-ttl 1m
 refused "$WORK/roboptd" -retrain-interval 1m
+refused "$WORK/roboptd" -store-watch-interval 1s
+refused "$WORK/roboptd" -fleet-heartbeat 1s
 refused "$WORK/roboptd" -platforms 9
 refused "$WORK/robopt" -platforms 9 -plan "$WORK/query.json"
 
 say "starting roboptd with the artifact store"
 "$WORK/roboptd" -addr "127.0.0.1:$PORT" -model "$WORK/artifact.json" \
   -model-dir "$WORK/store" -platforms 3 -feedback-cap 128 \
-  -replica-id smoke-a -fleet-heartbeat 1s -peer-fill \
+  -replica-id smoke-a -peer-fill \
   > "$WORK/roboptd.log" 2>&1 &
 DAEMON_PID=$!
 for i in $(seq 1 50); do
@@ -140,10 +144,11 @@ curl -sf -D "$WORK/resp2.h" -XPOST --data-binary @"$WORK/query.json" \
 grep -qi '^x-cache: miss' "$WORK/resp2.h" \
   || die "promote did not invalidate the cached v1 plan (stale hit)"
 
-say "reload is idempotent once v2 is active"
-curl -sf -XPOST "$BASE/modelz/reload" > "$WORK/reload.json"
-[ "$(jget "$WORK/reload.json" "d['swapped']")" = "False" ] \
-  || die "reload re-swapped the active version: $(cat "$WORK/reload.json")"
+say "the store follower and obsctl are the only paths: /modelz/reload and /fleetz are gone"
+for path in modelz/reload fleetz; do
+  [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/$path")" = "404" ] \
+    || die "/$path is still mounted"
+done
 
 say "checking lifecycle metrics"
 curl -sf "$BASE/metricz" > "$WORK/metricz.json"
@@ -265,8 +270,7 @@ say "pprof stays off by default"
 
 say "starting replica B over the same model store"
 "$WORK/roboptd" -addr "127.0.0.1:$PORT_B" -model-dir "$WORK/store" \
-  -platforms 3 -store-watch-interval 200ms \
-  -replica-id smoke-b -fleet-heartbeat 1s -peer-fill \
+  -platforms 3 -replica-id smoke-b -peer-fill \
   > "$WORK/replica-b.log" 2>&1 &
 REPLICA_PID=$!
 for i in $(seq 1 50); do
@@ -284,6 +288,8 @@ curl -s "$BASE_B/readyz" > "$WORK/readyz-b.json"
 
 say "promoting v1 on replica A; replica B must converge without a restart"
 curl -sf -XPOST "$BASE/modelz/promote?version=v1" >/dev/null
+# B's follower ticks every 2 s (registry.DefaultWatchInterval); 50 polls
+# 0.2 s apart wait up to 10 s, five ticks.
 CONVERGED=""
 for i in $(seq 1 50); do
   curl -s "$BASE_B/readyz" > "$WORK/readyz-b2.json"
@@ -470,22 +476,23 @@ curl -sf "$BASE/metricz" > "$WORK/metricz-slo.json"
 [ "$(curl -s -o /dev/null -w '%{http_code}' "$BASE/sloz")" = "404" ] \
   || die "GET /sloz is still mounted"
 
-say "both replicas appear in the merged /fleetz view"
-curl -sf "$BASE/fleetz" > "$WORK/fleetz.json"
-[ "$(jget "$WORK/fleetz.json" "d['fleet']['replicas']")" = "2" ] \
-  || die "/fleetz does not see both replicas: $(cat "$WORK/fleetz.json")"
-[ "$(jget "$WORK/fleetz.json" "d['fleet']['ready']")" = "2" ] \
-  || die "/fleetz reports unready replicas"
-[ "$(jget "$WORK/fleetz.json" "sorted(r['id'] for r in d['replicas'])")" = "['smoke-a', 'smoke-b']" ] \
-  || die "/fleetz replica IDs wrong: $(cat "$WORK/fleetz.json")"
-[ "$(jget "$WORK/fleetz.json" "all(r['modelVersion'] == 'v1' for r in d['replicas'])")" = "True" ] \
-  || die "/fleetz replicas not converged on v1"
-[ "$(jget "$WORK/fleetz.json" "any(r['cacheHits'] > 0 for r in d['replicas'])")" = "True" ] \
-  || die "/fleetz shows no cache traffic"
-[ "$(jget "$WORK/fleetz.json" "d['fleet']['peerFillRate'] > 0")" = "True" ] \
-  || die "/fleetz fleet view reports no peer-fill traffic"
+say "both replicas appear in obsctl's merged fleet view"
+"$WORK/obsctl" -model-dir "$WORK/store" -json > "$WORK/fleet.json" \
+  || die "obsctl -json exited nonzero: $(cat "$WORK/fleet.json")"
+[ "$(jget "$WORK/fleet.json" "d['fleet']['replicas']")" = "2" ] \
+  || die "obsctl does not see both replicas: $(cat "$WORK/fleet.json")"
+[ "$(jget "$WORK/fleet.json" "d['fleet']['ready']")" = "2" ] \
+  || die "obsctl reports unready replicas"
+[ "$(jget "$WORK/fleet.json" "sorted(r['id'] for r in d['replicas'])")" = "['smoke-a', 'smoke-b']" ] \
+  || die "obsctl replica IDs wrong: $(cat "$WORK/fleet.json")"
+[ "$(jget "$WORK/fleet.json" "all(r['modelVersion'] == 'v1' for r in d['replicas'])")" = "True" ] \
+  || die "obsctl replicas not converged on v1"
+[ "$(jget "$WORK/fleet.json" "any(r['cacheHits'] > 0 for r in d['replicas'])")" = "True" ] \
+  || die "obsctl shows no cache traffic"
+[ "$(jget "$WORK/fleet.json" "d['fleet']['peerFillRate'] > 0")" = "True" ] \
+  || die "obsctl fleet view reports no peer-fill traffic"
 
-say "obsctl renders the same fleet from the store"
+say "obsctl renders the same fleet as a table"
 "$WORK/obsctl" -model-dir "$WORK/store" > "$WORK/obsctl.txt" \
   || die "obsctl exited nonzero: $(cat "$WORK/obsctl.txt")"
 grep -q "smoke-a" "$WORK/obsctl.txt" && grep -q "smoke-b" "$WORK/obsctl.txt" \
