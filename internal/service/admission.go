@@ -102,8 +102,8 @@ func (a *Admission) shedAt() int {
 	return int(math.Ceil(f * float64(a.maxQueue())))
 }
 
-// QueueDepth reports the currently waiting request units.
-func (a *Admission) QueueDepth() int { return int(a.queued.Load()) }
+// queueDepth reports the currently waiting request units.
+func (a *Admission) queueDepth() int { return int(a.queued.Load()) }
 
 // inFlight reports the currently admitted request units.
 func (a *Admission) inFlight() int {

@@ -12,9 +12,9 @@ import (
 func waitDepth(t *testing.T, a *Admission, n int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for a.QueueDepth() != n {
+	for a.queueDepth() != n {
 		if time.Now().After(deadline) {
-			t.Fatalf("queue depth never reached %d (at %d)", n, a.QueueDepth())
+			t.Fatalf("queue depth never reached %d (at %d)", n, a.queueDepth())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -105,8 +105,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	broot := btr.StartSpan(nil, "batch")
 	broot.SetInt("members", int64(len(breq.Plans)))
 
-	m := s.Metrics()
-	m.Histogram("batch_size").Observe(float64(len(breq.Plans)))
+	s.Metrics().Histogram("batch_size").Observe(float64(len(breq.Plans)))
 
 	// Parse and fingerprint every member up front; duplicates point at the
 	// first member with their fingerprint (the leader) and never enumerate.
@@ -196,7 +195,6 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		out := members[i].out
 		if out.err != nil {
 			resp.Errors++
-			m.Counter("batch_member_errors_total").Inc()
 			resp.Results[i] = BatchMemberResult{Error: out.err.Error()}
 			continue
 		}
@@ -205,7 +203,6 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 			resp.CacheHits++
 		case srcDedup:
 			resp.Deduped++
-			m.Counter("batch_dedup_total").Inc()
 		}
 		if out.resp.Degraded {
 			degraded++

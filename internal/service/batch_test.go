@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -107,14 +108,51 @@ func TestBatchEndpoint(t *testing.T) {
 		}
 	}
 
+	// A single cold request and a single hit: with the batches above, every
+	// path that records a served plan has run.
+	if r, _, _ := postPlan(t, ts.URL+"/optimize", marshalPlan(t, workload.Pipeline(4, 1e6))); r.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("single cold request: X-Cache %q, want miss", r.Header.Get("X-Cache"))
+	}
+	if r, _, _ := postPlan(t, ts.URL+"/optimize", example); r.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("single repeat: X-Cache %q, want hit", r.Header.Get("X-Cache"))
+	}
+
 	var snap obs.Snapshot
 	getJSON(t, ts.URL+"/metricz", &snap)
+	// Series that would copy another series or a field every reply carries
+	// are not exported.
+	copies := map[string]bool{
+		"optimize_ms": true, "batch_dedup_total": true, "batch_member_errors_total": true,
+		"model_batches_total": true, "model_batch_rows": true, "memo_hits_total": true,
+		"interval_kept_total": true, "plan_spread": true, "plan_interval_width": true,
+		"pool_rounds_total": true, "pool_tasks_total": true, "pool_steals_total": true,
+		"pool_queue_depth": true,
+	}
+	var names []string
+	for name := range snap.Counters {
+		names = append(names, name)
+	}
+	for name := range snap.Histograms {
+		names = append(names, name)
+	}
+	for name := range snap.Gauges {
+		names = append(names, name)
+	}
+	for _, name := range names {
+		if family, _, _ := strings.Cut(name, "{"); copies[family] {
+			t.Errorf("/metricz exports %s, a copy of another series or of a reply field", name)
+		}
+	}
 	if bs := snap.Histograms["batch_size"]; bs.Count != 2 || bs.Sum != 8 {
 		t.Fatalf("batch_size: count=%d sum=%g, want 2 batches of 8 members", bs.Count, bs.Sum)
 	}
+	// Each member is one serving_requests_total sample: the duplicate under
+	// cache="dedup", the malformed member (once per batch) under its status.
 	c := snap.Counters
-	if c["batch_dedup_total"] != 1 || c["batch_member_errors_total"] != 2 {
-		t.Fatalf("batch counters: dedup=%d memberErrors=%d, want 1/2", c["batch_dedup_total"], c["batch_member_errors_total"])
+	dedup := servingSum(c, `endpoint="batch"`, `cache="dedup"`)
+	memberErrors := servingSum(c, `endpoint="batch"`, `outcome="400"`)
+	if dedup != 1 || memberErrors != 2 {
+		t.Fatalf("batch members: dedup=%d memberErrors=%d, want 1/2", dedup, memberErrors)
 	}
 }
 

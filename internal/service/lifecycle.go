@@ -210,7 +210,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 			"maxConcurrent": a.maxConcurrent(),
 			"maxQueue":      a.maxQueue(),
 			"inFlight":      a.inFlight(),
-			"queueDepth":    a.QueueDepth(),
 			"shedThreshold": a.shedAt(),
 		},
 		"tracer": map[string]any{

@@ -563,4 +563,9 @@ func TestStatzObservability(t *testing.T) {
 			t.Errorf("/statz carries %q, a count /metricz already exports", k)
 		}
 	}
+	if adm, _ := keys["admission"].(map[string]any); adm == nil {
+		t.Error("/statz has no admission object")
+	} else if _, ok := adm["queueDepth"]; ok {
+		t.Error("/statz admission carries queueDepth, a copy of the admission_queue_depth gauge")
+	}
 }

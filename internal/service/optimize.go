@@ -592,7 +592,6 @@ func (s *Server) record(q *optimizeReq, a answer, x *plan.Execution, out *optimi
 		}
 	}
 	m.CounterVec("serving_model_requests_total", "version").With(out.resp.ModelVersion).Inc()
-	m.Histogram("optimize_ms").Observe(out.resp.OptimizationMs)
 	if a.res != nil {
 		s.recordEnumeration(a.res, out.resp.StageMs)
 	}
@@ -617,20 +616,6 @@ func (s *Server) recordEnumeration(res *core.Result, stageMs map[string]float64)
 	}
 	m.Histogram("vectors_created").Observe(float64(res.Stats.VectorsCreated))
 	m.Histogram("model_rows").Observe(float64(res.Stats.ModelRows))
-	if res.Stats.ModelBatches > 0 {
-		m.Histogram("model_batch_rows").Observe(float64(res.Stats.ModelRows) / float64(res.Stats.ModelBatches))
-	}
-	m.Counter("model_batches_total").Add(int64(res.Stats.ModelBatches))
-	m.Counter("memo_hits_total").Add(int64(res.Stats.MemoHits))
-	m.Counter("interval_kept_total").Add(int64(res.Stats.IntervalKept))
-	m.Histogram("plan_spread").Observe(res.PredictedDist.Spread)
-	m.Histogram("plan_interval_width").Observe(res.PredictedDist.Hi - res.PredictedDist.Lo)
-	m.Counter("pool_rounds_total").Add(int64(res.Stats.Par.Rounds))
-	m.Counter("pool_tasks_total").Add(int64(res.Stats.Par.Tasks))
-	m.Counter("pool_steals_total").Add(int64(res.Stats.Par.Steals))
-	if res.Stats.Par.MaxQueueDepth > 0 {
-		m.Histogram("pool_queue_depth").Observe(float64(res.Stats.Par.MaxQueueDepth))
-	}
 	stages := m.HistogramVec("serving_stage_ms", "stage")
 	for stage, ms := range stageMs {
 		stages.With(stage).Observe(ms)

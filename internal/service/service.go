@@ -92,8 +92,10 @@
 // deadline_exceeded_total, shed_total, serving_requests_total,
 // serving_latency_ms, the SLO and the request log; the plan cache and the
 // peer-fill client likewise keep one registered counter per number they
-// report. /cachez is a view: it reads those instruments and keeps no tally
-// of its own. The SLO is read only as the slo_* gauges, recomputed on each
+// report. A fact every reply already carries (a request's model batches,
+// memo hits, interval survivors, spread and pool work) is not also a series.
+// /cachez is a view: it reads those instruments and keeps no tally of its
+// own. The SLO is read only as the slo_* gauges, recomputed on each
 // scrape: the objective, the target, the breach verdict and one burn rate
 // per rolling window. An admin endpoint's error reply is not an
 // optimize request and touches none of them.

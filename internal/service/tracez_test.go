@@ -245,8 +245,8 @@ func TestMetriczPrometheus(t *testing.T) {
 	text := string(body)
 	for _, want := range []string{
 		"# TYPE requests_total counter\nrequests_total 1\n",
-		"# TYPE optimize_ms histogram\n",
-		`optimize_ms_bucket{le="+Inf"} 1`,
+		"# TYPE serving_latency_ms histogram\n",
+		`serving_latency_ms_bucket{endpoint="optimize",le="+Inf"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

@@ -34,7 +34,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mlmodel"
 	"repro/internal/plan"
-	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/simulator"
 	"repro/internal/tdgen"
@@ -79,15 +78,6 @@ type (
 	// mimic (TDGen generation option (i)): it reads Name, the MinBytes to
 	// MaxBytes dataset-size range and Build.
 	SeedQuery = workload.Query
-	// PlanCache caches optimization results keyed by a canonical
-	// structural fingerprint of the plan; see NewPlanCache and
-	// Optimizer.Cache.
-	PlanCache = plancache.Cache
-	// PlanCacheConfig configures a PlanCache (capacity, TTL, sharding,
-	// cardinality banding).
-	PlanCacheConfig = plancache.Config
-	// PlanFingerprint is the canonical structural hash of a plan.
-	PlanFingerprint = plancache.Fingerprint
 	// CostDist is the model's runtime prediction as a distribution: the
 	// point estimate (mean), a dispersion proxy (spread), and a central
 	// 90% interval [lo, hi]. Point-only models report zero spread with
@@ -191,32 +181,12 @@ type Optimizer struct {
 	// degrades gracefully and flags Result.Degraded instead of erroring.
 	Budget Budget
 
-	// Cache, when set, serves structurally repeated plans without
-	// re-running the enumeration (Result.FromCache reports a hit). Share
-	// one cache across optimizers only if they use the same platform
-	// universe and availability matrix.
-	Cache *PlanCache
-
 	// RiskLambda makes plan selection risk-aware: candidates are scored by
 	// predicted mean + RiskLambda·spread, and boundary pruning keeps
 	// near-tie vectors whose prediction intervals overlap the per-footprint
 	// winner's. 0 (the default) reproduces point-estimate optimization
-	// bit-for-bit. Cached plans are keyed per λ band, so optimizers with
-	// different RiskLambda values can safely share one Cache.
+	// bit-for-bit.
 	RiskLambda float64
-}
-
-// NewPlanCache returns a bounded plan cache for Optimizer.Cache (and for
-// embedded service.Server instances).
-func NewPlanCache(cfg PlanCacheConfig) *PlanCache { return plancache.New(cfg) }
-
-// FingerprintPlan returns the canonical structural fingerprint of p under
-// the given platform universe and availability matrix, with source
-// cardinalities bucketed into four log-scale bands per decade, as the plan
-// cache keys them.
-func FingerprintPlan(p *Plan, platforms []Platform, avail *Availability) (PlanFingerprint, error) {
-	fp, _, err := plancache.Compute(p, platforms, avail, 0)
-	return fp, err
 }
 
 // Train generates training data with TDGen on the simulated cluster, fits
@@ -267,18 +237,13 @@ type Result struct {
 	// lo = hi = mean when the model offers no uncertainty signal.
 	PredictedDist CostDist
 	// RiskLambda is the λ the plan was optimized under (the optimizer's
-	// RiskLambda, or — on cache hits — the λ of the request that produced
-	// the cached plan, which shares the same λ band).
+	// RiskLambda).
 	RiskLambda float64
 	// Degraded reports that the optimizer's Budget was exhausted and the
 	// plan is best-effort rather than enumeration-optimal.
 	Degraded bool
-	// Stats counts the enumeration work performed. Zero when the result
-	// came from the cache.
+	// Stats counts the enumeration work performed.
 	Stats Stats
-	// FromCache reports that the plan was served from Optimizer.Cache
-	// without running the enumeration.
-	FromCache bool
 }
 
 // Optimize returns the cheapest execution plan for the logical plan
@@ -304,33 +269,9 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, p *Plan) (*Result, erro
 	if o.RiskLambda != 0 {
 		c.Risk = core.Risk{Lambda: o.RiskLambda, KeepOverlap: true}
 	}
-	var (
-		fp    PlanFingerprint
-		canon *plancache.Canon
-	)
-	if o.Cache != nil {
-		if fp, canon, err = plancache.Compute(p, o.platforms, o.avail, o.Cache.BandsPerDecade()); err == nil {
-			if cp, ok := o.Cache.GetBand(fp, o.Cache.ActiveVersion(), plancache.RiskBand(o.RiskLambda)); ok {
-				if x, merr := cp.Materialize(p, canon, o.platforms); merr == nil {
-					return &Result{
-						Execution:        x,
-						PredictedRuntime: cp.Predicted,
-						PredictedDist:    cp.PredictedDist,
-						RiskLambda:       cp.RiskLambda,
-						FromCache:        true,
-					}, nil
-				}
-			}
-		}
-	}
 	res, err := c.Optimize(ctx, o.model)
 	if err != nil {
 		return nil, err
-	}
-	if o.Cache != nil && canon != nil && !res.Degraded {
-		if cp, cerr := plancache.FromResult(fp, canon, o.Cache.ActiveVersion(), res); cerr == nil {
-			o.Cache.Put(cp)
-		}
 	}
 	return &Result{
 		Execution:        res.Execution,

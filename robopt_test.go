@@ -157,69 +157,3 @@ func (c constModel) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) 
 		}
 	}
 }
-
-func TestOptimizerPlanCache(t *testing.T) {
-	opt := NewOptimizerWithModel(constModel(7), AllPlatforms(), DefaultAvailability())
-	opt.Cache = NewPlanCache(PlanCacheConfig{})
-	p := buildWordCount(t)
-
-	cold, err := opt.Optimize(p)
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
-	if cold.FromCache {
-		t.Fatal("first optimization claims a cache hit")
-	}
-	warm, err := opt.Optimize(p)
-	if err != nil {
-		t.Fatalf("warm Optimize: %v", err)
-	}
-	if !warm.FromCache {
-		t.Fatal("repeated plan not served from the cache")
-	}
-	if warm.Stats.VectorsCreated != 0 {
-		t.Error("cache hit reports enumeration work")
-	}
-	if warm.PredictedRuntime != cold.PredictedRuntime {
-		t.Errorf("hit prediction %g != cold %g", warm.PredictedRuntime, cold.PredictedRuntime)
-	}
-	for i, pl := range cold.Execution.Assign {
-		if warm.Execution.Assign[i] != pl {
-			t.Fatalf("op %d: hit assigns %v, cold %v", i, warm.Execution.Assign[i], pl)
-		}
-	}
-	if err := warm.Execution.Validate(DefaultAvailability()); err != nil {
-		t.Fatalf("cached plan invalid: %v", err)
-	}
-
-	// A structurally different plan is a miss.
-	other := buildWordCount(t)
-	other.SourceCards[0] *= 100
-	res, err := opt.Optimize(other)
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
-	if res.FromCache {
-		t.Fatal("different cardinality decade served from the cache")
-	}
-
-	// FingerprintPlan is stable and sensitive the same way.
-	fp1, err := FingerprintPlan(p, AllPlatforms(), DefaultAvailability())
-	if err != nil {
-		t.Fatalf("FingerprintPlan: %v", err)
-	}
-	fp2, err := FingerprintPlan(buildWordCount(t), AllPlatforms(), DefaultAvailability())
-	if err != nil {
-		t.Fatalf("FingerprintPlan: %v", err)
-	}
-	if fp1 != fp2 {
-		t.Error("equal plans fingerprint differently")
-	}
-	fp3, err := FingerprintPlan(other, AllPlatforms(), DefaultAvailability())
-	if err != nil {
-		t.Fatalf("FingerprintPlan: %v", err)
-	}
-	if fp1 == fp3 {
-		t.Error("different plans share a fingerprint")
-	}
-}
