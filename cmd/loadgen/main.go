@@ -41,6 +41,8 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -115,6 +117,7 @@ func main() {
 		"deadlineMs": *deadlineMS,
 		"seed":       *seed,
 	}
+	stamp(res.summary, os.Args, time.Now())
 	data, err := json.MarshalIndent(res.summary, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -130,6 +133,31 @@ func main() {
 	}
 	if res.ok == 0 {
 		os.Exit(1)
+	}
+}
+
+// stamp records in summary where the run came from: when it ended (UTC, RFC
+// 3339), the command line that re-runs it (args, the program by its base
+// name, an argument with a space or a quote quoted) and the host it ran on.
+// The setup of the replicas and any note are the two fields of environment
+// left to add by hand.
+func stamp(summary map[string]any, args []string, now time.Time) {
+	cmd := make([]string, len(args))
+	for i, a := range args {
+		switch {
+		case i == 0:
+			a = filepath.Base(a)
+		case a == "" || strings.ContainsAny(a, " \t\"'"):
+			a = strconv.Quote(a)
+		}
+		cmd[i] = a
+	}
+	summary["generated"] = now.UTC().Format(time.RFC3339)
+	summary["command"] = strings.Join(cmd, " ")
+	summary["environment"] = map[string]any{
+		"goos":   runtime.GOOS,
+		"goarch": runtime.GOARCH,
+		"vcpus":  runtime.NumCPU(),
 	}
 }
 

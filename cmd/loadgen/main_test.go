@@ -1,8 +1,11 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestPercentileNearestRank: percentile is the nearest-rank estimator, the
@@ -67,5 +70,39 @@ func TestParseReplicas(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(c.want, " ") {
 			t.Errorf("parseReplicas(%q) = %q, want %q", c.list, got, c.want)
 		}
+	}
+}
+
+// TestStampRecordsProvenance: the -out summary carries, in the keys the
+// committed BENCH_serving.json uses, when the run ended (UTC, RFC 3339), the
+// command that re-runs it and the host's GOOS, GOARCH and CPU count.
+func TestStampRecordsProvenance(t *testing.T) {
+	summary := map[string]any{"ok": 1}
+	now := time.Date(2026, 10, 18, 7, 30, 5, 0, time.FixedZone("CEST", 2*3600))
+	stamp(summary, []string{"/tmp/go-build1/exe/loadgen", "-rate", "40", "-mix", "example=2, random=1", "-out", "BENCH_serving.json"}, now)
+	raw, err := json.Marshal(summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Generated   string `json:"generated"`
+		Command     string `json:"command"`
+		Environment struct {
+			GOOS   string `json:"goos"`
+			GOARCH string `json:"goarch"`
+			VCPUs  int    `json:"vcpus"`
+		} `json:"environment"`
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Generated != "2026-10-18T05:30:05Z" {
+		t.Errorf("generated = %q, want the end of the run in UTC, RFC 3339", got.Generated)
+	}
+	if want := `loadgen -rate 40 -mix "example=2, random=1" -out BENCH_serving.json`; got.Command != want {
+		t.Errorf("command = %q, want %q", got.Command, want)
+	}
+	if e := got.Environment; e.GOOS != runtime.GOOS || e.GOARCH != runtime.GOARCH || e.VCPUs != runtime.NumCPU() {
+		t.Errorf("environment = %+v, want %s/%s with %d vcpus", e, runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
 	}
 }

@@ -14,21 +14,24 @@ import (
 //
 // A leaf points at itself with both children. That lets the kernel walk a row
 // any number of steps past a tree's depth with no "is this a leaf" test: a row
-// that arrives early keeps stepping onto the same leaf.
+// that arrives early keeps stepping onto the same leaf. A leaf's threshold,
+// which no walk needs, holds what the fold adds for it (indexFeatures), so
+// the fold reads the node the walk has just loaded.
 //
 // A split names its feature by its index into cols, the ascending list of the
 // features the forest's splits read (about half of a plan vector's cells for
 // a served GBM). The kernel gathers just those cells of each row into a dense
 // window and walks the window, so one kernel scores a row of any layout that
-// says where each used feature sits: a Schema-width row through cols itself,
-// a row holding only some columns through a Specialize map.
+// lists where the used features it holds sit: a Schema-width row through
+// wide, a row holding only some columns through a Specialize list.
 type flatForest struct {
-	nodes  []node    // what a walk reads: one load per step
-	cols   []int32   // Schema column of used feature j; ascending
-	value  []float64 // mean training target of the node; the estimate at a leaf
-	spread []float64 // std of the node's training targets; entries past its end are 0
-	root   []int32   // root of tree t; its nodes run up to the next tree's root
-	depth  []int32   // edges on the longest root-to-leaf path of tree t
+	nodes  []node       // what a walk reads: one load per step
+	cols   []int32      // Schema column of used feature j; ascending
+	wide   []gatherPair // the gather of a Schema-width row: feature j from column cols[j]
+	value  []float64    // mean training target of the node; the estimate at a leaf
+	spread []float64    // std of the node's training targets; entries past its end are 0
+	root   []int32      // root of tree t; its nodes run up to the next tree's root
+	depth  []int32      // edges on the longest root-to-leaf path of tree t
 
 	kind  leafFold
 	base  float64 // boosted: the estimate before the first round
@@ -38,7 +41,7 @@ type flatForest struct {
 // node is one split, or a leaf pointing at itself: the 24 bytes a walk step
 // reads, packed so a step costs one cache line rather than three arrays.
 type node struct {
-	thr  float64  // a row goes left when x[feat] <= thr
+	thr  float64  // a row goes left when x[feat] <= thr; a leaf's fold term once the forest is complete
 	feat int32    // split feature: index into cols (a Schema column while building); 0 on a leaf, whose compare is harmless
 	kids [2]int32 // left and right child
 }
@@ -70,6 +73,10 @@ const (
 	// gbmTailWindow is the number of trailing boosting rounds whose partial
 	// sums form the GBM's virtual ensemble.
 	gbmTailWindow = 16
+
+	// maxColumns bounds the Schema columns a split reads, so that a gather
+	// pair holds a window slot and a row column in 16 bits each.
+	maxColumns = 1 << 16
 )
 
 // leaf appends a leaf to the tree under construction and returns its index.
@@ -98,6 +105,9 @@ func (f *flatForest) endTree(lo int32) error {
 		if l == i {
 			continue
 		}
+		if c := f.nodes[i].feat; c >= maxColumns {
+			return fmt.Errorf("mlmodel: a split reads column %d, limit %d", c, maxColumns-1)
+		}
 		d := level[i-lo] + 1
 		level[l-lo] = max(level[l-lo], d)
 		level[r-lo] = max(level[r-lo], d)
@@ -111,9 +121,13 @@ func (f *flatForest) endTree(lo int32) error {
 	return nil
 }
 
-// indexFeatures turns the splits' features, Schema columns while the trees
-// are built, into indices into cols, which it fills. Builders and loaders call
-// it once, when the last tree is in; the nodes are rewritten in place.
+// indexFeatures completes the forest. It turns the splits' features, Schema
+// columns while the trees are built, into indices into cols, which it fills,
+// and lists them as the gather of a Schema-width row (wide). It writes each
+// leaf's fold term into the leaf's threshold: the leaf's value, times the
+// learning rate for a GBM, rounded once, so every call adds the same product.
+// Builders and loaders call it once, when the last tree is in; the nodes are
+// rewritten in place.
 func (f *flatForest) indexFeatures() {
 	var used []int32
 	for i, nd := range f.nodes {
@@ -124,10 +138,20 @@ func (f *flatForest) indexFeatures() {
 	slices.Sort(used)
 	f.cols = slices.Clone(slices.Compact(used))
 	for i := range f.nodes {
-		if nd := &f.nodes[i]; nd.kids[0] != int32(i) {
-			j, _ := slices.BinarySearch(f.cols, nd.feat)
-			nd.feat = int32(j)
+		nd := &f.nodes[i]
+		if nd.kids[0] == int32(i) {
+			nd.thr = f.value[i]
+			if f.kind == boosted {
+				nd.thr = f.scale * f.value[i]
+			}
+			continue
 		}
+		j, _ := slices.BinarySearch(f.cols, nd.feat)
+		nd.feat = int32(j)
+	}
+	f.wide = make([]gatherPair, len(f.cols))
+	for j, c := range f.cols {
+		f.wide[j] = gatherPair{slot: uint16(j), col: uint16(c)}
 	}
 }
 
@@ -232,8 +256,9 @@ type rowFold struct {
 // round by round; Σ leaf, scaled at the end), so a row's estimate depends on
 // neither the batch it arrives in nor on whether spread was asked for.
 // tailFrom is the first boosting round whose partial sum feeds the spread.
+// v is the leaf's fold term, its threshold: what predict's mean-only fold adds.
 func (f *flatForest) fold(a rowFold, t int, leaf int32, tailFrom int) rowFold {
-	v := f.value[leaf]
+	v := f.nodes[uint32(leaf)].thr
 	switch f.kind {
 	case single:
 		a.sum, a.s1 = v, f.spreadAt(leaf)
@@ -241,7 +266,7 @@ func (f *flatForest) fold(a rowFold, t int, leaf int32, tailFrom int) rowFold {
 		a.sum += v
 		a.s1 += v * v
 	case boosted:
-		a.sum += f.scale * v
+		a.sum += v
 		if t >= tailFrom {
 			a.s1 += a.sum
 			a.s2 += a.sum * a.sum
@@ -272,45 +297,53 @@ func (f *flatForest) finish(a rowFold, tailFrom, i int, mean, spread []float64) 
 // mean — and, unless spread is nil, the family's spread and the z-interval
 // around the mean — for every row of X, a Schema-width row.
 func (f *flatForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	f.predict(X, f.cols, mean, spread, lo, hi)
+	f.predict(X, f.wide, mean, spread, lo, hi)
 }
 
-// predict is the kernel. src[j] is the column of X that holds used feature j
-// (cols[j]), or -1 where the row does not hold it and the cell is 0.
+// predict is the kernel. pairs lists, in ascending slot order, the used
+// features a row of X holds: feature slot (cols[slot]) is the row's cell col.
+// A used feature the row does not hold reads 0.
 //
 // Rows go blockRows at a time through all trees, lockstepTrees trees at a
 // time. A block's used features are first gathered into a dense window, one
-// row of len(src) cells per row of the block, and the walks read the window.
+// row of len(cols) cells per row of the block, and the walks read the window;
+// the slots no pair writes are zeroed once per call.
 // Every row of the block then advances one level in all of the group's trees
 // before any walk goes deeper, so even a single row has lockstepTrees
 // independent chains of dependent loads (node, feature, child) in flight, and
 // a full block blockRows times as many. The walk runs to the group's deepest
 // tree; shallower walks idle on their leaves. The leaves are then folded per
-// row in tree order. A scalar Predict, a partial block and a full one all take
-// this one path; the window is the one scratch off the stack (takeWindow).
-func (f *flatForest) predict(X *Matrix, src []int32, mean, spread, lo, hi []float64) {
+// row in tree order: a mean-only call of a GBM or a Forest (every call an
+// Ensemble makes of its members) just adds the leaves' terms. A scalar
+// Predict, a partial block and a full one all take this one path; the window
+// is the one scratch off the stack (takeWindow).
+func (f *flatForest) predict(X *Matrix, pairs []gatherPair, mean, spread, lo, hi []float64) {
 	trees := len(f.depth)
 	tailFrom := trees
 	if f.kind == boosted && spread != nil {
 		tailFrom = max(trees-gbmTailWindow, 0)
 	}
+	sumOnly := spread == nil && f.kind != single
 	var (
 		rows  [blockRows][]float64
 		at    [blockRows][lockstepTrees]int32
 		folds [blockRows]rowFold
 		win   []float64
 	)
-	k := len(src)
+	k := len(f.cols)
 	if k > 0 && X.Rows > 0 {
 		w := takeWindow(blockRows * k)
 		defer putWindow(w)
 		win = w.data
+		if len(pairs) < k {
+			clear(win[:min(blockRows, X.Rows)*k])
+		}
 	}
 	for first := 0; first < X.Rows; first += blockRows {
 		n := min(blockRows, X.Rows-first)
 		for r := 0; r < n; r++ {
 			rows[r] = win[r*k : (r+1)*k : (r+1)*k]
-			gather(rows[r], X.Row(first+r), src)
+			gather(rows[r], X.Row(first+r), pairs)
 			folds[r] = rowFold{sum: f.base}
 		}
 		for t := 0; t < trees; t += lockstepTrees {
@@ -323,6 +356,14 @@ func (f *flatForest) predict(X *Matrix, src []int32, mean, spread, lo, hi []floa
 			}
 			walk(f.nodes, rows[:n], at[:n], d)
 			for r := 0; r < n; r++ {
+				if sumOnly {
+					s := folds[r].sum
+					for _, leaf := range at[r][:g] {
+						s += f.nodes[uint32(leaf)].thr
+					}
+					folds[r].sum = s
+					continue
+				}
 				a := folds[r]
 				for j, leaf := range at[r][:g] {
 					a = f.fold(a, t+j, leaf, tailFrom)
@@ -337,16 +378,14 @@ func (f *flatForest) predict(X *Matrix, src []int32, mean, spread, lo, hi []floa
 	zBounds(X.Rows, mean, spread, lo, hi)
 }
 
-// gather writes into w the cells of row x that used features src name:
-// x[src[j]], or 0 where src[j] is -1.
-func gather(w, x []float64, src []int32) {
-	w = w[:len(src)]
-	for j, s := range src {
-		v := 0.0
-		if s >= 0 {
-			v = x[s]
-		}
-		w[j] = v
+// gatherPair says that window slot slot takes the row's cell col.
+type gatherPair struct{ slot, col uint16 }
+
+// gather copies into w the cells of row x that pairs name; it writes no other
+// slot.
+func gather(w, x []float64, pairs []gatherPair) {
+	for _, p := range pairs {
+		w[p.slot] = x[p.col]
 	}
 }
 
@@ -393,39 +432,41 @@ func putWindow(w *window) {
 }
 
 // Specialize returns the forest as a scorer of rows that hold only the Schema
-// columns cols, ascending (as an enumeration's live columns are), in that
-// order: bit-identical to PredictBatchDist on the Schema-width row that holds
-// the same cells and 0 in every other column. It shares the forest's nodes
-// and owns one entry per used feature: where the row holds it, or that it
-// does not (a feature the row lacks reads 0).
+// columns cols, ascending and distinct (as an enumeration's live columns
+// are), in that order: bit-identical to PredictBatchDist on the Schema-width
+// row that holds the same cells and 0 in every other column. It shares the
+// forest's nodes and owns the gather pairs of the used features the row
+// holds; a feature the row lacks reads 0. A row column p holds Schema column
+// cols[p] >= p, so it fits a pair wherever the column does.
 func (f *flatForest) Specialize(cols []int) Model {
-	if !slices.IsSorted(cols) {
-		panic("mlmodel: Specialize needs ascending columns")
+	for p, c := range cols {
+		if c < 0 || p > 0 && c <= cols[p-1] {
+			panic("mlmodel: Specialize needs ascending, distinct, non-negative columns")
+		}
 	}
-	src := make([]int32, len(f.cols))
+	pairs := make([]gatherPair, 0, len(f.cols))
 	p := 0
 	for j, c := range f.cols {
 		for p < len(cols) && cols[p] < int(c) {
 			p++
 		}
-		src[j] = -1
 		if p < len(cols) && cols[p] == int(c) {
-			src[j] = int32(p)
+			pairs = append(pairs, gatherPair{slot: uint16(j), col: uint16(p)})
 		}
 	}
-	return &compactForest{f, src}
+	return &compactForest{f, pairs}
 }
 
 // compactForest is a flat forest specialised to rows of some Schema columns
-// (flatForest.Specialize): the forest's kernel, reading through src.
+// (flatForest.Specialize): the forest's kernel, gathering through pairs.
 type compactForest struct {
-	f   *flatForest
-	src []int32
+	f     *flatForest
+	pairs []gatherPair
 }
 
 // PredictBatchDist is the forest's kernel on rows of the specialised columns.
 func (c *compactForest) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
-	c.f.predict(X, c.src, mean, spread, lo, hi)
+	c.f.predict(X, c.pairs, mean, spread, lo, hi)
 }
 
 // Predict returns the estimate for x, a row of the specialised columns.

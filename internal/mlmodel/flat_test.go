@@ -557,6 +557,7 @@ var craftedArtifacts = []struct {
 	{"child past the end", treeArtifact("0,-1,-1", "1,0,0", "3,0,0"), "out-of-range children"},
 	{"negative child", treeArtifact("0,-1,-1", "-1,0,0", "2,0,0"), "out-of-range children"},
 	{"deeper than the cap", chainArtifact(1025), "levels deep"},
+	{"split past the column limit", treeArtifact("65536,-1,-1", "1,0,0", "2,0,0"), "reads column 65536"},
 	{"no nodes", `{"type":"tree","payload":{"feature":[],"threshold":[],"left":[],"right":[],"value":[]}}`, "empty tree"},
 	{"ragged arrays", `{"type":"tree","payload":{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"value":[]}}`, "inconsistent tree arrays"},
 	{"ragged spread", `{"type":"tree","payload":{"feature":[-1],"threshold":[0],"left":[0],"right":[0],"value":[1],"spread":[1,2]}}`, "inconsistent tree spread"},
@@ -648,19 +649,29 @@ func FuzzLoadModel(f *testing.F) {
 // serving-sized GBM: one row (a scalar Predict), the enumeration's most common
 // chunk (9 rows), one full block and a large batch. The Compact cases score
 // the same cells through the GBM specialised to rows that hold every other
-// column, as an enumeration's rows hold only its plan's live columns.
+// column, as an enumeration's rows hold only its plan's live columns. The
+// Ensemble cases score them through the served shape, an Ensemble of two
+// LogTarget(GBM) members specialised the same way: the path an enumeration's
+// model batches take.
 func BenchmarkForestKernel(b *testing.B) {
 	const nf = 399
 	d := synthDataset(2000, nf, 1, func(x []float64) float64 { return x[0]*x[7] + x[100] + x[250]*x[398] }, 0.1)
-	m, err := mlmodel.FitGBM(d, mlmodel.GBMConfig{Trees: 150, MaxDepth: 5, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
+	fit := func(seed int64) *mlmodel.GBM {
+		m, err := mlmodel.FitGBM(d, mlmodel.GBMConfig{Trees: 150, MaxDepth: 5, Seed: seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
 	}
+	m := fit(1)
 	var cols []int
 	for c := 0; c < nf; c += 2 {
 		cols = append(cols, c)
 	}
 	spec := m.Specialize(cols)
+	served := mlmodel.Specialize(mlmodel.Ensemble{Models: []mlmodel.Model{
+		mlmodel.LogTarget{Inner: m}, mlmodel.LogTarget{Inner: fit(2)},
+	}}, cols, nf)
 	for _, rows := range []int{1, 9, 16, 512} {
 		X := kernelRows(rand.New(rand.NewSource(2)), d, rows)
 		C := vecops.NewMatrix(rows, len(cols))
@@ -670,11 +681,19 @@ func BenchmarkForestKernel(b *testing.B) {
 			}
 		}
 		out := make([]float64, rows)
-		for _, c := range []struct {
+		cases := []struct {
 			name string
 			m    mlmodel.Model
 			X    *vecops.Matrix
-		}{{"PredictBatch", m, X}, {"Compact", spec, C}} {
+		}{{"PredictBatch", m, X}, {"Compact", spec, C}}
+		if rows >= mlmodel.BlockRows {
+			cases = append(cases, struct {
+				name string
+				m    mlmodel.Model
+				X    *vecops.Matrix
+			}{"Ensemble", served, C})
+		}
+		for _, c := range cases {
 			b.Run(fmt.Sprintf("%s/%d", c.name, rows), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

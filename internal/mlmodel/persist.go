@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Model serialization: a tagged JSON envelope so a trained model can be
@@ -32,7 +33,8 @@ type treeJSON struct {
 }
 
 // treeJSON returns tree t in the artifact's per-tree layout: node indices
-// relative to the tree, a leaf as feature -1 with zero children.
+// relative to the tree, a leaf as feature -1 with zero children and a zero
+// threshold (in memory a leaf's threshold holds its fold term).
 func (f *flatForest) treeJSON(t int) treeJSON {
 	lo, hi := f.root[t], int32(len(f.value))
 	if t+1 < len(f.root) {
@@ -49,13 +51,13 @@ func (f *flatForest) treeJSON(t int) treeJSON {
 	}
 	for i := lo; i < hi; i++ {
 		j, nd := i-lo, f.nodes[i]
-		tj.Threshold[j] = nd.thr
 		tj.Value[j] = f.value[i]
 		tj.Spread[j] = f.spreadAt(i)
 		if nd.kids[0] == i {
 			tj.Feature[j] = -1
 			continue
 		}
+		tj.Threshold[j] = nd.thr
 		tj.Feature[j] = f.cols[nd.feat]
 		tj.Left[j] = nd.kids[0] - lo
 		tj.Right[j] = nd.kids[1] - lo
@@ -74,7 +76,9 @@ func (f *flatForest) treesJSON() []treeJSON {
 
 // addTree appends the tree tj describes, straight into the flat form. An
 // artifact is untrusted: a split whose child does not come after it inside
-// the tree could loop a walk forever, so it is refused here, at load.
+// the tree could loop a walk forever, so it is refused here, at load. So is a
+// leaf with a threshold other than 0, which no builder writes: the slot is the
+// leaf's fold term in memory, and the file would not save back as it loaded.
 func (f *flatForest) addTree(tj treeJSON) error {
 	n := len(tj.Feature)
 	if len(tj.Threshold) != n || len(tj.Left) != n || len(tj.Right) != n || len(tj.Value) != n {
@@ -90,8 +94,10 @@ func (f *flatForest) addTree(tj treeJSON) error {
 	f.appendSpread(tj.Spread)
 	for i := 0; i < n; i++ {
 		at := f.leaf(tj.Value[i])
-		f.nodes[at].thr = tj.Threshold[i]
 		if tj.Feature[i] < 0 {
+			if math.Float64bits(tj.Threshold[i]) != 0 {
+				return fmt.Errorf("mlmodel: tree leaf %d has threshold %v (a leaf's must be 0)", i, tj.Threshold[i])
+			}
 			continue
 		}
 		l, r := tj.Left[i], tj.Right[i]

@@ -117,3 +117,31 @@ func TestPersistRejectsUnknown(t *testing.T) {
 		t.Error("LoadModel accepted a tree with out-of-range children")
 	}
 }
+
+// TestLoadRejectsLeafThreshold: a leaf's threshold slot holds its fold term in
+// memory, and every builder writes it as 0, so an artifact with any other
+// leaf threshold (−0 included) is refused, bare or inside a GBM, rather than
+// loaded as a file that would not save back as it was read.
+func TestLoadRejectsLeafThreshold(t *testing.T) {
+	tree := func(leafThr string) string {
+		return `{"feature":[0,-1,-1],"threshold":[1,0,` + leafThr + `],"left":[1,0,0],"right":[2,0,0],"value":[0,1,2]}`
+	}
+	for _, thr := range []string{"1", "-0", "1e-300"} {
+		for _, raw := range []string{
+			`{"type":"tree","payload":` + tree(thr) + `}`,
+			`{"type":"gbm","payload":{"base":0,"lr":0.1,"trees":[` + tree("0") + `,` + tree(thr) + `]}}`,
+		} {
+			_, err := mlmodel.LoadModel(strings.NewReader(raw))
+			if err == nil || !strings.Contains(err.Error(), "leaf 2 has threshold") {
+				t.Errorf("leaf threshold %s: LoadModel error = %v, want a leaf-threshold refusal", thr, err)
+			}
+		}
+	}
+	m, err := mlmodel.LoadModel(strings.NewReader(`{"type":"tree","payload":` + tree("0") + `}`))
+	if err != nil {
+		t.Fatalf("LoadModel refused a tree whose leaves have threshold 0: %v", err)
+	}
+	if got := m.Predict([]float64{1}); got != 1 {
+		t.Errorf("Predict = %v, want 1", got)
+	}
+}

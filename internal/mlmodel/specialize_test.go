@@ -225,6 +225,55 @@ func TestSpecializeMatchesExpandedRows(t *testing.T) {
 	}
 }
 
+// TestSpecializeReusesWindowWithAbsentColumns: the kernel's window is a spare
+// off a stack, and a specialisation gathers only the used features its rows
+// hold, so the slots of the features they lack must be zeroed before it walks.
+// A specialisation that holds every used column first leaves each slot of the
+// spare window set; the next call takes the same window, through one that
+// lacks half the columns, and must still score its rows bit-equal to the
+// expanded ones — mean-only and in full, in one block and across blocks.
+func TestSpecializeReusesWindowWithAbsentColumns(t *testing.T) {
+	const nf = 9
+	d := synthDataset(400, nf, 17, batchTarget, 0.2)
+	m, err := mlmodel.FitGBM(d, mlmodel.GBMConfig{Trees: 40, MaxDepth: 5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all, some []int
+	for c := 0; c < nf; c++ {
+		all = append(all, c)
+		if c%2 == 0 {
+			some = append(some, c)
+		}
+	}
+	full, part := mlmodel.Specialize(m, all, nf), mlmodel.Specialize(m, some, nf)
+	rng := rand.New(rand.NewSource(3))
+	for _, rows := range []int{1, 9, mlmodel.BlockRows, 2*mlmodel.BlockRows + 1} {
+		held, _ := compactRows(rng, mlmodel.BlockRows, nf, all)
+		compact, wide := compactRows(rng, rows, nf, some)
+		col := func() []float64 { return make([]float64, rows) }
+		wm, ws, wl, wh := col(), col(), col(), col()
+		m.PredictBatchDist(wide, wm, ws, wl, wh)
+		scratch := make([]float64, mlmodel.BlockRows)
+		for _, mode := range []string{"mean-only", "full"} {
+			full.PredictBatchDist(held, scratch, nil, nil, nil) // every slot of the spare window set
+			cm, cs, cl, ch := col(), col(), col(), col()
+			if mode == "full" {
+				part.PredictBatchDist(compact, cm, cs, cl, ch)
+			} else {
+				part.PredictBatchDist(compact, cm, nil, nil, nil)
+				cs, cl, ch = ws, wl, wh
+			}
+			for i := 0; i < rows; i++ {
+				if !sameBits(cm[i], wm[i]) || !sameBits(cs[i], ws[i]) || !sameBits(cl[i], wl[i]) || !sameBits(ch[i], wh[i]) {
+					t.Fatalf("%d rows, %s, row %d on a reused window: (%v %v %v %v), expanded rows (%v %v %v %v)",
+						rows, mode, i, cm[i], cs[i], cl[i], ch[i], wm[i], ws[i], wl[i], wh[i])
+				}
+			}
+		}
+	}
+}
+
 // TestSpecializedKernelDoesNotAllocate: a specialisation reads through its
 // map with the forest's own kernel, and the fallback of the families that
 // read every column expands rows into a window off the kernels' stack:
