@@ -36,6 +36,9 @@ type ReplicaStatus struct {
 	ReadyReason  string `json:"readyReason,omitempty"`
 	ModelVersion string `json:"modelVersion,omitempty"`
 
+	// Requests counts optimize responses (Σ serving_requests_total);
+	// Failures those with an error outcome, plus replies lost on their way
+	// to the client (encode_failures_total).
 	Requests     int64   `json:"requests"`
 	Failures     int64   `json:"failures"`
 	CacheHits    int64   `json:"cacheHits"`
@@ -97,8 +100,20 @@ func ScrapeReplica(ctx context.Context, client *http.Client, info registry.Repli
 		st.Err = fmt.Sprintf("metricz: %v", err)
 		return st
 	}
-	st.Requests = mz.Counters["requests_total"]
-	st.Failures = mz.Counters["failures_total"]
+	// Every optimize response is in one serving_requests_total series; a
+	// failure is one whose outcome is neither ok nor shed, or a reply lost
+	// on its way to the client.
+	for name, n := range mz.Counters {
+		labels, ok := strings.CutPrefix(name, "serving_requests_total{")
+		if !ok {
+			continue
+		}
+		st.Requests += n
+		if !strings.Contains(labels, `outcome="ok"`) && !strings.Contains(labels, `outcome="shed"`) {
+			st.Failures += n
+		}
+	}
+	st.Failures += mz.Counters["encode_failures_total"]
 	st.CacheHits = mz.Counters["plan_cache_hits_total"]
 	st.CacheMisses = mz.Counters["plan_cache_misses_total"]
 	st.PeerFills = mz.Counters["plan_cache_peer_fills_total"]

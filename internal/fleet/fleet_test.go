@@ -32,7 +32,12 @@ func fakeReplica(t *testing.T, readyz, metricz string) string {
 
 const healthyMetrics = `{
 	"counters": {
-		"requests_total": 100, "failures_total": 2,
+		"serving_requests_total{endpoint=\"optimize\",outcome=\"ok\",cache=\"hit\"}": 30,
+		"serving_requests_total{endpoint=\"optimize\",outcome=\"ok\",cache=\"miss\"}": 59,
+		"serving_requests_total{endpoint=\"batch\",outcome=\"ok\",cache=\"dedup\"}": 5,
+		"serving_requests_total{endpoint=\"optimize\",outcome=\"shed\",cache=\"miss\"}": 5,
+		"serving_requests_total{endpoint=\"optimize\",outcome=\"400\",cache=\"none\"}": 1,
+		"encode_failures_total": 1,
 		"plan_cache_hits_total": 30, "plan_cache_misses_total": 70,
 		"shed_total": 5
 	},

@@ -1,18 +1,23 @@
 // Package jsonlex is the lexical layer of the repository's hand-written JSON
-// decoders: the plan grammar (internal/plan) and the /peercache entry codec
-// (internal/peercache). It knows tokens — brackets, separators, strings,
-// numbers, the three literals — and nothing of any grammar: which keys an
-// object takes, whether an unknown one is an error or skipped, and what null
-// means are the caller's rules.
+// codecs: the plan grammar (internal/plan), the /peercache entry codec
+// (internal/peercache) and the /optimize reply (internal/service). It knows
+// tokens — brackets, separators, strings, numbers, the three literals — and
+// nothing of any grammar: which keys an object takes, whether an unknown one
+// is an error or skipped, and what null means are the caller's rules.
 //
-// What it accepts as a token is what encoding/json accepts; the differential
-// fuzz tests of both callers hold it to that.
+// What it accepts as a token is what encoding/json accepts, and what its
+// appenders write is what encoding/json writes; the differential fuzz tests
+// of the callers hold it to both.
 package jsonlex
 
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"strconv"
+	"sync"
+	"unicode/utf8"
 )
 
 // maxDepth is how many objects and arrays may be open at once, as in
@@ -34,13 +39,25 @@ func (s *Scanner) Errorf(format string, args ...any) error {
 	return fmt.Errorf(s.What+": "+format+" at offset %d", append(args, s.Pos)...)
 }
 
+// space marks the bytes JSON counts as whitespace, and strStop the bytes a
+// string scan must stop at and look: the closing quote, a backslash, a
+// control byte or the start of a multi-byte sequence. One load classifies a
+// byte where a chain of comparisons did.
+var space, strStop = func() (space, stop [256]bool) {
+	for _, c := range " \t\n\r" {
+		space[c] = true
+	}
+	for c := range stop {
+		stop[c] = c == '"' || c == '\\' || c < ' ' || c >= utf8.RuneSelf
+	}
+	return space, stop
+}()
+
 // SkipSpace moves the cursor past JSON whitespace.
 func (s *Scanner) SkipSpace() {
 	i := s.Pos
-	for ; i < len(s.Data); i++ {
-		if c := s.Data[i]; c != ' ' && c != '\n' && c != '\t' && c != '\r' {
-			break
-		}
+	for i < len(s.Data) && space[s.Data[i]] {
+		i++
 	}
 	s.Pos = i
 }
@@ -118,28 +135,35 @@ func (s *Scanner) Str() ([]byte, error) {
 	if s.SkipSpace(); s.Peek() != '"' {
 		return nil, s.Errorf("expected a string")
 	}
-	plain := true
-	for i := s.Pos + 1; i < len(s.Data); i++ {
+	start, i := s.Pos+1, s.Pos+1
+	for i < len(s.Data) && !strStop[s.Data[i]] {
+		i++
+	}
+	if i < len(s.Data) && s.Data[i] == '"' {
+		s.Pos = i + 1
+		return s.Data[start:i], nil
+	}
+	return s.escapedStr(i)
+}
+
+// escapedStr finishes Str from i, the first byte of the literal that is not
+// plain ASCII.
+func (s *Scanner) escapedStr(i int) ([]byte, error) {
+	for ; i < len(s.Data); i++ {
 		switch c := s.Data[i]; {
 		case c == '"':
 			lit := s.Data[s.Pos : i+1]
 			s.Pos = i + 1
-			if plain {
-				return lit[1 : len(lit)-1], nil
-			}
 			var str string
 			if err := json.Unmarshal(lit, &str); err != nil {
 				return nil, fmt.Errorf("%s: %w", s.What, err)
 			}
 			return []byte(str), nil
 		case c == '\\':
-			plain = false
 			i++ // whatever is escaped, it does not end the literal
 		case c < ' ':
 			s.Pos = i
 			return nil, s.Errorf("control character in string")
-		case c >= 0x80:
-			plain = false
 		}
 	}
 	s.Pos = len(s.Data)
@@ -148,11 +172,12 @@ func (s *Scanner) Str() ([]byte, error) {
 
 // digits consumes a run of decimal digits and reports whether there was one.
 func (s *Scanner) digits() bool {
-	start := s.Pos
-	for c := s.Peek(); '0' <= c && c <= '9'; c = s.Peek() {
-		s.Pos++
+	start, i := s.Pos, s.Pos
+	for i < len(s.Data) && '0' <= s.Data[i] && s.Data[i] <= '9' {
+		i++
 	}
-	return s.Pos > start
+	s.Pos = i
+	return i > start
 }
 
 // number scans a JSON number literal:
@@ -184,11 +209,38 @@ func (s *Scanner) number() ([]byte, error) {
 	return s.Data[start:s.Pos], nil
 }
 
+// integer reads lit, a number literal, when it is an integer of at most
+// maxDigits digits, which an int64 holds without an overflow check.
+func integer(lit []byte, maxDigits int) (int64, bool) {
+	digits := lit
+	if lit[0] == '-' {
+		digits = lit[1:]
+	}
+	if len(digits) > maxDigits {
+		return 0, false
+	}
+	var v int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if lit[0] == '-' {
+		v = -v
+	}
+	return v, true
+}
+
 // Float parses a number that fits a float64.
 func (s *Scanner) Float() (float64, error) {
 	lit, err := s.number()
 	if err != nil {
 		return 0, err
+	}
+	// Up to 15 digits an integer is exactly a float64; -0 is not an integer.
+	if v, ok := integer(lit, 15); ok && (v != 0 || lit[0] != '-') {
+		return float64(v), nil
 	}
 	v, err := strconv.ParseFloat(string(lit), 64)
 	if err != nil {
@@ -202,6 +254,9 @@ func (s *Scanner) Int() (int, error) {
 	lit, err := s.number()
 	if err != nil {
 		return 0, err
+	}
+	if v, ok := integer(lit, 18); ok && int64(int(v)) == v {
+		return int(v), nil
 	}
 	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
 	if err != nil {
@@ -272,6 +327,161 @@ func (s *Scanner) Skip(depth int) error {
 				break
 			}
 			owed = owed[:len(owed)-1]
+		}
+	}
+}
+
+// AppendFloat appends a finite f the way encoding/json writes a float64: the
+// shortest digits that read back as f, in ES6's choice between plain and
+// exponent form, the exponent without a leading zero. A NaN or an infinity
+// has no JSON form; the caller refuses it first.
+func AppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// htmlUnsafe marks the printable ASCII bytes encoding/json escapes by
+// default, beside the quote and the backslash, so that a reply is safe to
+// embed in HTML.
+var htmlUnsafe = [256]bool{'<': true, '>': true, '&': true}
+
+const hexDigits = "0123456789abcdef"
+
+// AppendString appends s as a JSON string, escaped as encoding/json escapes
+// it by default: the quote, the backslash and control bytes (\b, \f, \n, \r
+// and \t short, the rest as \u00XX), '<', '>' and '&' as \u003c, \u003e and
+// \u0026, U+2028 and U+2029 as \u2028 and \u2029, and each byte of an
+// invalid UTF-8 sequence as \ufffd.
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if !strStop[c] && !htmlUnsafe[c] {
+			i++
+			continue
+		}
+		if c < utf8.RuneSelf {
+			dst = append(dst, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// Buffer holds one JSON text on its way in or out: a plan body or a peer's
+// cache entry being read and parsed, or a reply being appended and written.
+// Buffers come off a stack under a lock rather than a sync.Pool, whose items
+// die with every other collection, so that a steady stream of requests
+// allocates none and what a request allocates does not depend on when the
+// collector last ran.
+type Buffer struct {
+	B []byte
+}
+
+const (
+	// newBufferBytes is a new buffer's size: a typical plan body or reply.
+	newBufferBytes = 4 << 10
+	// maxKeptBufferBytes is the largest buffer PutBuffer keeps; one an
+	// outsized body or reply grew past it is left to the collector.
+	maxKeptBufferBytes = 64 << 10
+	// maxSpareBuffers is how many buffers the stack keeps. Bodies are read
+	// before admission, so a burst of connections can hold any number at
+	// once; past this many the rest are left to the collector, and the
+	// stack never pins more than 16 MiB.
+	maxSpareBuffers = 256
+)
+
+var buffers struct {
+	sync.Mutex
+	free []*Buffer
+}
+
+// TakeBuffer returns an empty spare buffer, or a new one.
+func TakeBuffer() *Buffer {
+	var b *Buffer
+	buffers.Lock()
+	if k := len(buffers.free); k > 0 {
+		b = buffers.free[k-1]
+		buffers.free = buffers.free[:k-1]
+	}
+	buffers.Unlock()
+	if b == nil {
+		b = &Buffer{B: make([]byte, 0, newBufferBytes)}
+	}
+	b.B = b.B[:0]
+	return b
+}
+
+// PutBuffer gives b back for the next TakeBuffer. Nothing may refer into b.B
+// afterwards: the next taker overwrites it.
+func PutBuffer(b *Buffer) {
+	if cap(b.B) > maxKeptBufferBytes {
+		return
+	}
+	buffers.Lock()
+	if len(buffers.free) < maxSpareBuffers {
+		buffers.free = append(buffers.free, b)
+	}
+	buffers.Unlock()
+}
+
+// ReadAll replaces b's contents with r read to its end, growing b as the
+// text does.
+func (b *Buffer) ReadAll(r io.Reader) error {
+	b.B = b.B[:0]
+	for {
+		if len(b.B) == cap(b.B) {
+			b.B = append(b.B, 0)[:len(b.B)]
+		}
+		n, err := r.Read(b.B[len(b.B):cap(b.B)])
+		b.B = b.B[:len(b.B)+n]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
 		}
 	}
 }

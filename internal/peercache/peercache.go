@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonlex"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/registry"
@@ -70,10 +71,6 @@ var client = &http.Client{Transport: &http.Transport{
 	MaxIdleConnsPerHost: idleConnsPerPeer,
 	IdleConnTimeout:     90 * time.Second,
 }}
-
-// bodies recycles the buffers probes read response bodies into; a decoded
-// entry keeps no reference to its bytes.
-var bodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // negCacheCap bounds the negative-result memo; past it, expired entries
 // are swept and, if the memo is still over cap, it is cleared outright
@@ -262,13 +259,14 @@ func (f *Filler) probe(ctx context.Context, addr string, fp plancache.Fingerprin
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		buf := bodies.Get().(*[]byte)
-		defer bodies.Put(buf)
-		*buf, err = readBody((*buf)[:0], resp.Body, resp.ContentLength)
+		// A decoded entry keeps no reference to its bytes.
+		buf := jsonlex.TakeBuffer()
+		defer jsonlex.PutBuffer(buf)
+		buf.B, err = readBody(buf.B, resp.Body, resp.ContentLength)
 		if err != nil {
 			return nil, false, fmt.Errorf("peer %s: %w", addr, err)
 		}
-		cp, err := DecodeEntry(*buf)
+		cp, err := DecodeEntry(buf.B)
 		if err != nil {
 			return nil, false, fmt.Errorf("peer %s: %w", addr, err)
 		}

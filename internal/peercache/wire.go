@@ -2,13 +2,11 @@ package peercache
 
 import (
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"time"
-	"unicode/utf8"
 
 	"repro/internal/jsonlex"
 	"repro/internal/plancache"
@@ -84,21 +82,21 @@ func AppendEntry(dst []byte, cp *plancache.CachedPlan, replica string) ([]byte, 
 	dst = append(dst, `{"fingerprint":"`...)
 	dst = hex.AppendEncode(dst, cp.Fingerprint[:])
 	dst = append(dst, `","modelVersion":`...)
-	dst = appendString(dst, cp.ModelVersion)
+	dst = jsonlex.AppendString(dst, cp.ModelVersion)
 	dst = append(dst, `,"predicted":`...)
-	dst = appendFloat(dst, cp.Predicted)
+	dst = jsonlex.AppendFloat(dst, cp.Predicted)
 	if cp.RiskLambda != 0 {
 		dst = append(dst, `,"riskLambda":`...)
-		dst = appendFloat(dst, cp.RiskLambda)
+		dst = jsonlex.AppendFloat(dst, cp.RiskLambda)
 	}
 	dst = append(dst, `,"dist":{"mean":`...)
-	dst = appendFloat(dst, d.Mean)
+	dst = jsonlex.AppendFloat(dst, d.Mean)
 	dst = append(dst, `,"spread":`...)
-	dst = appendFloat(dst, d.Spread)
+	dst = jsonlex.AppendFloat(dst, d.Spread)
 	dst = append(dst, `,"lo":`...)
-	dst = appendFloat(dst, d.Lo)
+	dst = jsonlex.AppendFloat(dst, d.Lo)
 	dst = append(dst, `,"hi":`...)
-	dst = appendFloat(dst, d.Hi)
+	dst = jsonlex.AppendFloat(dst, d.Hi)
 	dst = append(dst, `},"cachedAt":"`...)
 	dst = cp.CachedAt.AppendFormat(dst, time.RFC3339Nano)
 	dst = append(dst, `","assignCanon":[`...)
@@ -111,43 +109,13 @@ func AppendEntry(dst []byte, cp *plancache.CachedPlan, replica string) ([]byte, 
 	dst = append(dst, ']')
 	if cp.TraceID != "" {
 		dst = append(dst, `,"traceId":`...)
-		dst = appendString(dst, cp.TraceID)
+		dst = jsonlex.AppendString(dst, cp.TraceID)
 	}
 	if replica != "" {
 		dst = append(dst, `,"replica":`...)
-		dst = appendString(dst, replica)
+		dst = jsonlex.AppendString(dst, replica)
 	}
 	return append(dst, '}', '\n'), nil
-}
-
-// appendFloat appends a finite f the way encoding/json does: the shortest
-// digits that read back as f, in ES6's choice between plain and exponent
-// form, the exponent without a leading zero.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1] // e-07 → e-7
-		dst = dst[:n-1]
-	}
-	return dst
-}
-
-// appendString appends s as a JSON string. Identifiers are printable ASCII;
-// anything encoding/json would escape is left to encoding/json.
-func appendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(dst, quoted...)
-		}
-	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
 }
 
 // DecodeEntry parses one wire entry into an installable cache entry and

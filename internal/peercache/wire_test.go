@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jsonlex"
 	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/platform"
@@ -388,7 +389,7 @@ func TestDecodeEntryLegacyVector(t *testing.T) {
 			if j > 0 {
 				vector = append(vector, ',')
 			}
-			vector = appendFloat(vector, f)
+			vector = jsonlex.AppendFloat(vector, f)
 		}
 		check(fmt.Sprintf("served plan %d", i), body, withVector(body, string(vector)+"]"))
 	}

@@ -411,7 +411,9 @@ func TestDecodeNoAmplification(t *testing.T) {
 }
 
 // TestDecodeAllocCeiling pins what the hit path pays to decode its largest
-// serving plan. At the reflection decoder it was 340 allocations.
+// serving plan: 9 allocations, 10 while UnmarshalJSONPlan read the body into
+// a new bytes.Buffer; the ceiling keeps its headroom of 10. At the reflection
+// decoder it was 340 allocations.
 func TestDecodeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -427,10 +429,66 @@ func TestDecodeAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 20 {
-		t.Errorf("decoding Pipeline(40) allocates %.0f times, ceiling 20", allocs)
+	if allocs > 19 {
+		t.Errorf("decoding Pipeline(40) allocates %.0f times, ceiling 19", allocs)
 	}
 	t.Logf("Pipeline(40): %d bytes, %.0f allocations", len(body), allocs)
+}
+
+// TestDecodedPlanOwnsItsBytes: a decoded plan refers to nothing in the body
+// it came from. The service reads bodies into buffers it reuses as soon as
+// the decoder returns, so a name or number still read out of the body would
+// change under the plan. Every name, kind, UDF, number, input list and loop
+// of a plan decoded from a buffer that is then overwritten must equal those
+// of the same body decoded from bytes nobody touches.
+func TestDecodedPlanOwnsItsBytes(t *testing.T) {
+	bodies := corpus(t)
+	bodies["threeLoops"] = []byte(threeLoops)
+	bodies["escapedNames"] = []byte(`{"avgTupleBytes":12.5,"operators":[
+ {"id":0,"kind":"TextFileSource","name":"na\u00efve \"src\"","card":123456789},
+ {"id":1,"kind":"Map","name":"caf\u00e9","udf":"Quadratic","selectivity":0.75,"in":[0],"loop":4},
+ {"id":2,"kind":"CollectionSink","name":"sink","in":[1]}],"loops":[{"id":4,"iterations":11}]}`)
+	for name, body := range bodies {
+		buf := bytes.Clone(body)
+		got, err := plan.DecodeJSONPlan(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range buf {
+			buf[i] = '#'
+		}
+		want, err := plan.DecodeJSONPlan(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the plan changed when its body buffer was overwritten", name)
+		}
+		gotEnc, err := plan.MarshalJSONPlan(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantEnc, err := plan.MarshalJSONPlan(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotEnc, wantEnc) {
+			t.Fatalf("%s: the plan encodes differently once its body buffer was overwritten:\n%s\n%s", name, gotEnc, wantEnc)
+		}
+	}
+	l, err := plan.DecodeJSONPlan(bodies["escapedNames"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{`naïve "src"`, "café", "sink"} {
+		if got := l.Op(plan.OpID(i)).Name; got != want {
+			t.Errorf("op %d named %q, want %q", i, got, want)
+		}
+	}
+	if l.SourceCards[0] != 123456789 || l.AvgTupleBytes != 12.5 || l.Op(1).Selectivity != 0.75 || l.Op(1).UDF != platform.Quadratic || l.Loops[1] != 11 {
+		t.Errorf("numbers decoded wrong: card %v, avgTupleBytes %v, selectivity %v, udf %v, loops %v",
+			l.SourceCards[0], l.AvgTupleBytes, l.Op(1).Selectivity, l.Op(1).UDF, l.Loops)
+	}
 }
 
 // FuzzDecodePlan is the differential fuzz of the hand decoder against the

@@ -64,38 +64,64 @@ func MarshalJSONPlan(l *Logical) ([]byte, error) {
 	return json.MarshalIndent(jp, "", "  ")
 }
 
-// UnmarshalJSONPlan reads r to its end and decodes it with DecodeJSONPlan.
+// UnmarshalJSONPlan reads r to its end, into a buffer off jsonlex's stack,
+// and decodes it with DecodeJSONPlan.
 func UnmarshalJSONPlan(r io.Reader) (*Logical, error) {
-	// A reader that knows how much it holds (bytes.Reader, strings.Reader,
-	// bytes.Buffer) is read in one piece.
-	var buf bytes.Buffer
-	if s, ok := r.(interface{ Len() int }); ok {
-		buf.Grow(s.Len() + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
+	buf := jsonlex.TakeBuffer()
+	defer jsonlex.PutBuffer(buf)
+	if err := buf.ReadAll(r); err != nil {
 		return nil, fmt.Errorf("plan: decoding JSON plan: %w", err)
 	}
-	return DecodeJSONPlan(buf.Bytes())
+	return DecodeJSONPlan(buf.B)
 }
 
-// kindByName and udfByName resolve the names the wire format uses; indexing
-// them with string(b) for a byte slice b does not allocate. maxFanIn is the
+// kinds and udfs resolve the names the wire format uses. maxFanIn is the
 // largest input arity of any kind: a longer "in" list cannot validate, so the
 // decoder stops reading one there rather than buffer whatever a body sends.
 var (
-	kindByName = map[string]platform.Kind{}
-	udfByName  = map[string]platform.Complexity{}
-	maxFanIn   int
+	kinds, udfs nameTable
+	maxFanIn    int
 )
 
 func init() {
 	for _, k := range platform.AllKinds() {
-		kindByName[k.String()] = k
+		kinds.add(k.String(), uint8(k))
 		maxFanIn = max(maxFanIn, platform.ArityOf(k).In)
 	}
 	for c := platform.Logarithmic; c <= platform.SuperQuadratic; c++ {
-		udfByName[c.String()] = c
+		udfs.add(c.String(), uint8(c))
 	}
+}
+
+// nameTable resolves the names of a small enumeration to their values
+// without hashing: names are bucketed by length, and a lookup compares the
+// name with the few of its length (at most four kinds share one).
+type nameTable struct {
+	byLen [][]namedValue
+}
+
+type namedValue struct {
+	name  string
+	value uint8
+}
+
+func (t *nameTable) add(name string, value uint8) {
+	for len(t.byLen) <= len(name) {
+		t.byLen = append(t.byLen, nil)
+	}
+	t.byLen[len(name)] = append(t.byLen[len(name)], namedValue{name, value})
+}
+
+// lookup returns the value of name, and whether the table has it.
+func (t *nameTable) lookup(name []byte) (uint8, bool) {
+	if len(name) < len(t.byLen) {
+		for _, e := range t.byLen[len(name)] {
+			if string(name) == e.name {
+				return e.value, true
+			}
+		}
+	}
+	return 0, false
 }
 
 // maxSlabHint caps how many operators the decoder sizes the Builder's slabs
@@ -113,6 +139,9 @@ const maxSlabHint = 64
 // order and any JSON whitespace, and nothing else: keys are matched
 // exact-case, an unknown or repeated key is an error, so is null in place of
 // a value, and so is anything but whitespace after the closing brace.
+//
+// The plan keeps no reference into data (names are copied, kinds and numbers
+// resolved), so the caller may reuse data once it returns.
 func DecodeJSONPlan(data []byte) (*Logical, error) {
 	d := decoder{
 		Scanner: jsonlex.Scanner{Data: data, What: "plan: decoding JSON plan"},
@@ -228,16 +257,18 @@ func (d *decoder) operator(i int) error {
 	if id != i {
 		return fmt.Errorf("plan: operator at position %d declares id %d; ids must be dense and ordered", i, id)
 	}
-	k, ok := kindByName[string(kind)]
+	kv, ok := kinds.lookup(kind)
 	if !ok {
 		_, err := platform.KindByName(string(kind))
 		return err
 	}
-	c := platform.Linear
+	k, c := platform.Kind(kv), platform.Linear
 	if len(udf) > 0 {
-		if c, ok = udfByName[string(udf)]; !ok {
+		cv, ok := udfs.lookup(udf)
+		if !ok {
 			return fmt.Errorf("plan: operator %d has unknown UDF complexity %q", i, udf)
 		}
+		c = platform.Complexity(cv)
 	}
 	if sel == 0 {
 		sel = 1

@@ -46,7 +46,11 @@ type Fingerprint [sha256.Size]byte
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
 // Short returns a 12-hex-character prefix, enough for logs and span attrs.
-func (f Fingerprint) Short() string { return hex.EncodeToString(f[:6]) }
+func (f Fingerprint) Short() string {
+	var b [12]byte
+	hex.Encode(b[:], f[:6])
+	return string(b[:])
+}
 
 // cardBands is the cardinality banding resolution of every cache: four bands
 // per decade, i.e. band edges at 10^(k/4) ≈ ×1.78 steps. Plans whose source

@@ -87,10 +87,13 @@ func warmServer(t testing.TB, body []byte) (post func() *reusedWriter) {
 // read, decode, fingerprint, cache read, materialize, respond, account,
 // encode — for a 20-operator pipeline. The reflection-based plan decoder
 // alone used to allocate more than the whole request does now. It measures
-// 48 (49 while the reply was boxed by value for its encoder): its one-span
+// 37: 48 while the body was read into a new bytes.Buffer, the reply went
+// through encoding/json, the request log boxed its values, a hit's empty
+// stage map was made anew and the traceparent lookup canonicalized its key
+// (49 while the reply was boxed by value for its encoder); its one-span
 // trace is three allocations, not the ten it was while a span and each
-// attribute were objects of their own (56 then). The ceiling
-// keeps the 8 of headroom it had over 56.
+// attribute were objects of their own (56 then). The ceiling keeps the 9 of
+// headroom it had over 48.
 func TestWarmHitAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -105,7 +108,7 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 			t.Fatalf("status %d, X-Cache %q", w.code, w.hdr.Get("X-Cache"))
 		}
 	})
-	const ceiling = 57
+	const ceiling = 46
 	if allocs > ceiling {
 		t.Errorf("a warm hit allocates %.0f times, ceiling %d", allocs, ceiling)
 	}
@@ -118,14 +121,19 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 // over serving-shaped plans (pipelines, join trees and random DAGs) that
 // evict each other from a one-entry cache, in two cases. Reused, the
 // collector is off for the measurement, so each request's enumeration takes
-// over the rows of the one before: 138 allocations and 64 kB measured,
-// ceilings 265 / 116 kB, the headroom of the fresh case. Fresh, a collection
-// runs before every request, so each enumeration starts on new memory: 158
-// allocations and 333 kB measured (162 / 337 kB while every run built the
-// abstract plan vector and the reply was boxed by value), where runs that
-// dropped their rows took 178 / 305 kB measured the same way (170 / 303 kB
-// without the collections): the rows come in fewer, larger chunks. Its
-// ceilings are the ones it had then, and the story below is that case's.
+// over the rows of the one before: 116 allocations and 57 kB measured (138 /
+// 63 kB before bodies and replies lived in reused buffers and the reply and
+// the request log stopped going through reflection and boxing), ceilings 243
+// / 110 kB, the headroom of the fresh case. Fresh, a collection runs before
+// every request, so each enumeration starts on new memory: 134 allocations
+// and 326 kB measured (158 / 334 kB before the same change; its buffers
+// outlive collections, being on a free stack and not in a sync.Pool; 162 /
+// 337 kB while every run built the abstract plan vector and the reply was
+// boxed by value), where runs that dropped their rows took 178 / 305 kB
+// measured the same way (170 / 303 kB without the collections): the rows
+// come in fewer, larger chunks. Its ceilings are the ones it had then less
+// the buffers' saving (24 allocations, 8 kB), and the story below is that
+// case's.
 // Spans carry durations and join keys only and every step's counts are
 // written once, into its PruneRecord: 26 of the allocations are the trace's.
 // The run's bookkeeping and its trace come in blocks sized from the plan —
@@ -175,8 +183,8 @@ func TestColdMissAllocCeiling(t *testing.T) {
 		ceiling   float64
 		byteLimit uint64
 	}{
-		{"fresh", false, 293, 352 << 10},
-		{"reused", true, 265, 116 << 10},
+		{"fresh", false, 269, 344 << 10},
+		{"reused", true, 243, 110 << 10},
 	} {
 		round := func() {
 			for _, body := range bodies {

@@ -226,5 +226,8 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 		notable = "degraded"
 	}
 	s.Tracer.Finish(btr, p.remoteSampled, notable)
-	s.send(w, &p, &resp)
+	s.send(w, &p, func(dst []byte) ([]byte, error) {
+		js, err := json.Marshal(&resp)
+		return append(dst, js...), err
+	})
 }

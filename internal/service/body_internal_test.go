@@ -10,22 +10,33 @@ import (
 )
 
 // TestReadBodyWrapsMaxBytesError: the body read keeps net/http's
-// *MaxBytesError in the chain, which is what statusOf turns into a 413,
-// whether or not the request declared its length.
+// *MaxBytesError in the chain, which is what statusOf turns into a 413, and
+// an oversized body never reaches the decoder.
 func TestReadBodyWrapsMaxBytesError(t *testing.T) {
-	for _, declared := range []int64{-1, 0, 10, 1 << 40} {
-		body := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader("0123456789")), 4)
-		_, err := readBody(body, declared)
+	for _, size := range []int{5, 10, 5 << 10, 100 << 10} {
+		body := http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(strings.Repeat("x", size))), 4)
+		err := readBody(body, func([]byte) error {
+			t.Fatalf("%d-byte body: an oversized body was decoded", size)
+			return nil
+		})
 		var tooLarge *http.MaxBytesError
 		if !errors.As(err, &tooLarge) || tooLarge.Limit != 4 {
-			t.Errorf("Content-Length %d: err = %v, want a wrapped *http.MaxBytesError", declared, err)
+			t.Errorf("%d-byte body: err = %v, want a wrapped *http.MaxBytesError", size, err)
 		}
 		if got := statusOf(err, http.StatusBadRequest); got != http.StatusRequestEntityTooLarge {
-			t.Errorf("Content-Length %d: status %d, want 413", declared, got)
+			t.Errorf("%d-byte body: status %d, want 413", size, got)
 		}
 	}
-	got, err := readBody(strings.NewReader("0123456789"), 3) // an understated length only costs a regrowth
-	if err != nil || string(got) != "0123456789" {
-		t.Errorf("readBody = %q, %v", got, err)
+	// Bodies larger than a new buffer grow it; each decode sees its own body
+	// whole, whatever the buffer held before.
+	for _, want := range []string{strings.Repeat("a", 10<<10), "0123456789", "", strings.Repeat("b", 70<<10), "xyz"} {
+		var got string
+		err := readBody(strings.NewReader(want), func(b []byte) error {
+			got = string(b)
+			return nil
+		})
+		if err != nil || got != want {
+			t.Errorf("readBody of %d bytes = %d bytes, %v", len(want), len(got), err)
+		}
 	}
 }

@@ -1,12 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/url"
@@ -14,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jsonlex"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/plancache"
@@ -38,6 +38,9 @@ type reqParams struct {
 	// nopeer bypasses the peer probe for this request, mirroring what
 	// nocache does for the local cache.
 	nopeer bool
+	// trace is ?trace=1: POST /optimize retains the request's trace and
+	// inlines it in the reply. A batch does not take it.
+	trace bool
 	// traceID is the W3C trace ID propagated by the caller's traceparent
 	// header; empty means the request ID doubles as the trace ID.
 	// remoteSampled mirrors the header's sampled flag: the caller asked for
@@ -173,7 +176,13 @@ func riskLambda(qs url.Values) (float64, error) {
 // /tracez?id=<traceID> — and echoes the header on the response so the
 // caller sees its context was honored.
 func traceContext(w http.ResponseWriter, r *http.Request) (traceID string, sampled bool) {
-	tp, ok := obs.ParseTraceParent(r.Header.Get("traceparent"))
+	// The canonical key: a header lookup under any other spelling
+	// canonicalizes it first, on every request.
+	h := r.Header.Get("Traceparent")
+	if h == "" {
+		return "", false
+	}
+	tp, ok := obs.ParseTraceParent(h)
 	if !ok {
 		return "", false
 	}
@@ -216,18 +225,18 @@ func sinceMs(start time.Time) float64 {
 // Every response — a call prelude turned away (405, 400, 413), one admission
 // refused (429, 503), a unit that failed, a batch member that did not parse,
 // a plan served in full or shed — passes through here exactly once and
-// increments one instrument per fact: requests_total, failures_total,
-// deadline_exceeded_total (the deadline or the connection ran out),
-// shed_total, serving_requests_total by endpoint/outcome/answering source,
-// serving_latency_ms by endpoint (with the retained trace as the bucket's
-// exemplar), the SLO's good/bad tally (a shed response is a success —
-// degraded quality, not an error) and the request log. /metricz, and
-// obsctl's fleet view scraped from it, are views of what this wrote. A response that was accounted and then
-// failed to encode comes back as out.lost and adds only the failure.
+// increments one instrument per fact: serving_requests_total by
+// endpoint/outcome/answering source, deadline_exceeded_total (the deadline
+// or the connection ran out), shed_total, serving_latency_ms by endpoint
+// (with the retained trace as the bucket's exemplar), the SLO's good/bad
+// tally (a shed response is a success — degraded quality, not an error) and
+// the request log, whose values go in as typed attributes, unboxed. /metricz,
+// and obsctl's fleet view scraped from it, are views of what this wrote. A
+// response that was accounted and then failed to encode comes back as
+// out.lost and adds only encode_failures_total.
 func (s *Server) account(p *reqParams, out *optimizeOut) {
 	m := s.Metrics()
 	if out.err != nil {
-		m.Counter("failures_total").Inc()
 		msg := out.err.Error()
 		s.lastError.Store(&msg)
 	}
@@ -235,7 +244,6 @@ func (s *Server) account(p *reqParams, out *optimizeOut) {
 		m.Counter("encode_failures_total").Inc()
 		return
 	}
-	m.Counter("requests_total").Inc()
 	ms, outcome := out.resp.OptimizationMs, "ok"
 	switch {
 	case out.err != nil:
@@ -253,23 +261,23 @@ func (s *Server) account(p *reqParams, out *optimizeOut) {
 		s.SLO.Record(ms, out.err == nil)
 	}
 	if out.err != nil {
-		s.Logger.Error("optimize failed",
-			"requestId", p.id,
-			"status", out.status,
-			"ms", ms,
-			"modelVersion", out.resp.ModelVersion,
-			"err", out.err.Error())
+		s.Logger.LogAttrs(context.Background(), slog.LevelError, "optimize failed",
+			slog.String("requestId", p.id),
+			slog.Int("status", out.status),
+			slog.Float64("ms", ms),
+			slog.String("modelVersion", out.resp.ModelVersion),
+			slog.String("err", out.err.Error()))
 		return
 	}
-	s.Logger.Info("optimize",
-		"requestId", p.id,
-		"status", http.StatusOK,
-		"ms", ms,
-		"modelVersion", out.resp.ModelVersion,
-		"cache", sources[out.src].label,
-		"degraded", out.resp.Degraded,
-		"shed", out.shed,
-		"predictedSec", out.resp.PredictedRuntimeSec)
+	s.Logger.LogAttrs(context.Background(), slog.LevelInfo, "optimize",
+		slog.String("requestId", p.id),
+		slog.Int("status", http.StatusOK),
+		slog.Float64("ms", ms),
+		slog.String("modelVersion", out.resp.ModelVersion),
+		slog.String("cache", sources[out.src].label),
+		slog.Bool("degraded", out.resp.Degraded),
+		slog.Bool("shed", out.shed),
+		slog.Float64("predictedSec", out.resp.PredictedRuntimeSec))
 }
 
 // reject accounts a call that ends before any plan is looked at and writes
@@ -314,26 +322,20 @@ func (l lease) done() {
 	}
 }
 
-// readBody reads a request body to its end; the plan decoder works on the
-// whole body at once. The buffer starts at the declared Content-Length —
-// capped, since nothing has arrived yet to back the claim — or, undeclared,
-// at the few kilobytes a typical plan takes, and grows as the body does.
-func readBody(body io.Reader, contentLength int64) ([]byte, error) {
-	const typical, maxDeclared = 4 << 10, 64 << 10
-	var buf bytes.Buffer
-	if contentLength > 0 {
-		buf.Grow(int(min(contentLength, maxDeclared)) + bytes.MinRead)
-	} else {
-		buf.Grow(typical)
+// readBody reads a request body to its end, into a buffer off jsonlex's
+// stack, and hands it to decode whole; the buffer goes back to the stack when
+// decode returns, so decode must keep no reference into the body.
+func readBody(body io.Reader, decode func(body []byte) error) error {
+	buf := jsonlex.TakeBuffer()
+	defer jsonlex.PutBuffer(buf)
+	if err := buf.ReadAll(body); err != nil {
+		return fmt.Errorf("service: reading the request body: %w", err)
 	}
-	if _, err := buf.ReadFrom(body); err != nil {
-		return nil, fmt.Errorf("service: reading the request body: %w", err)
-	}
-	return buf.Bytes(), nil
+	return decode(buf.B)
 }
 
 // prelude is everything both optimize endpoints do before a plan enters
-// the answer path: method check, ?deadline_ms= and ?risk_lambda=, the body
+// the answer path: method check, the query string (parsed once), the body
 // read under the size limit (413 when oversized, whatever it holds; decode
 // parses it), the deadline context, traceparent and admission. The deadline context is
 // created before admission so time spent in the queue counts against the
@@ -352,12 +354,8 @@ func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage
 	if p.deadline, err = s.deadline(qs); err == nil {
 		p.lambda, err = riskLambda(qs)
 	}
-	var body []byte
 	if err == nil {
-		body, err = readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
-	}
-	if err == nil {
-		err = decode(body)
+		err = readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), decode)
 	}
 	if err != nil {
 		s.reject(w, &p, &optimizeOut{status: statusOf(err, http.StatusBadRequest), err: err, early: true})
@@ -366,6 +364,7 @@ func (s *Server) prelude(w http.ResponseWriter, r *http.Request, endpoint, usage
 	p.simulate = qs.Get("simulate") == "1"
 	p.nocache = qs.Get("nocache") == "1"
 	p.nopeer = qs.Get("nopeer") == "1"
+	p.trace = qs.Get("trace") == "1"
 
 	ctx = r.Context()
 	if p.deadline > 0 {
@@ -390,7 +389,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer ls.done()
 
 	q := s.unit(&p, l)
-	q.wantTrace = r.URL.Query().Get("trace") == "1"
+	q.wantTrace = p.trace
 	q.tr = s.startTrace(&p)
 	out := s.serve(ctx, q, 0)
 	if out.err != nil {
@@ -533,7 +532,7 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 		resp.PredictedRuntimeSec, dist, resp.RiskLambda = cp.Predicted, cp.PredictedDist, cp.RiskLambda
 		resp.ServedModelVersion = cp.ModelVersion
 		resp.CachedAt = cp.CachedAt.UTC().Format(time.RFC3339Nano)
-		resp.StageMs = map[string]float64{}
+		resp.StageMs = noStages
 	}
 	if q.wantTrace {
 		// closeTrace has finished the trace: nothing writes to it any more.
@@ -564,6 +563,10 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 	}
 	return resp, run
 }
+
+// noStages is the stage breakdown of every answer no enumeration of its own
+// produced: empty, shared, and never written.
+var noStages = map[string]float64{}
 
 // record keeps what only a served plan has to tell: execution feedback, the
 // model version that scored it, its latency among the successes, the
@@ -627,16 +630,24 @@ func (s *Server) writeResponse(w http.ResponseWriter, p *reqParams, out *optimiz
 	if xc := sources[out.src].xcache; xc != "" {
 		w.Header().Set("X-Cache", xc)
 	}
-	s.send(w, p, &out.resp)
+	s.send(w, p, out.resp.AppendJSON)
 }
 
 // send writes the JSON reply of an accounted call, a single request's or a
-// whole batch's. An encoding failure (usually a dropped connection) is a
-// failed request, not just a note: the plans were computed but the client
-// will not see them.
-func (s *Server) send(w http.ResponseWriter, p *reqParams, reply any) {
+// whole batch's, which appendReply appends to a buffer off jsonlex's stack;
+// the reply ends in a newline, as encoding/json's Encoder ends one. An
+// encoding failure (usually a dropped connection) is a failed request, not
+// just a note: the plans were computed but the client will not see them.
+func (s *Server) send(w http.ResponseWriter, p *reqParams, appendReply func(dst []byte) ([]byte, error)) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(reply); err != nil {
+	buf := jsonlex.TakeBuffer()
+	defer jsonlex.PutBuffer(buf)
+	var err error
+	if buf.B, err = appendReply(buf.B); err == nil {
+		buf.B = append(buf.B, '\n')
+		_, err = w.Write(buf.B)
+	}
+	if err != nil {
 		s.account(p, &optimizeOut{err: err, lost: true})
 	}
 }

@@ -3,8 +3,8 @@ package service
 import (
 	"errors"
 	"net/http"
-	"sync"
 
+	"repro/internal/jsonlex"
 	"repro/internal/peercache"
 )
 
@@ -16,9 +16,6 @@ import (
 
 // errPeerMiss is the body of a /peercache 404: an expected answer, not a fault.
 var errPeerMiss = errors.New("peercache: miss")
-
-// entryBufs recycles the buffers /peercache hits are encoded into.
-var entryBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // handlePeercache serves GET /peercache?fp=&version=&band= — the wire
 // endpoint of the shared cache tier (see internal/peercache for the
@@ -40,14 +37,14 @@ func (s *Server) handlePeercache(w http.ResponseWriter, r *http.Request, reqID s
 		s.fail(w, reqID, http.StatusNotFound, errPeerMiss)
 		return
 	}
-	buf := entryBufs.Get().(*[]byte)
-	defer entryBufs.Put(buf)
-	*buf, err = peercache.AppendEntry((*buf)[:0], cp, s.ReplicaID)
+	buf := jsonlex.TakeBuffer()
+	defer jsonlex.PutBuffer(buf)
+	buf.B, err = peercache.AppendEntry(buf.B, cp, s.ReplicaID)
 	if err != nil {
 		s.fail(w, reqID, http.StatusInternalServerError, err)
 		return
 	}
 	s.Metrics().Counter("peer_serve_total").Inc()
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(*buf) // the peer hanging up is its own affair
+	_, _ = w.Write(buf.B) // the peer hanging up is its own affair
 }

@@ -20,6 +20,16 @@
 //	         rematerialized cached plan
 //	record   (optimize.go) — execution feedback and the served plan's metrics
 //	account  (optimize.go) — the ledger: counters, labeled series, SLO, log
+//	send     (optimize.go) — append the reply (reply.go) and write it
+//
+// A cache hit does little besides parsing the plan and writing the reply, so
+// neither goes through encoding/json's reflection: the plan decoder is
+// hand-written (internal/plan), and so is the reply encoder,
+// OptimizeResponse.AppendJSON, which writes the bytes encoding/json wrote
+// for the tagged struct (FuzzReplyEncoding holds the two equal). Request
+// bodies and replies live in buffers reused from a free stack
+// (jsonlex.TakeBuffer), and the request log takes typed attributes, so a hit
+// allocates little beyond its plan.
 //
 // One table in resolve.go maps the source that answered to its X-Cache
 // value, trace-link reason and serving_requests_total cache label.
@@ -88,7 +98,7 @@
 // and scripts/metrics_lint.sh keeps it in step with the code. The accounting
 // rule behind it: one routine, one instrument per event. Every response of
 // the two optimize endpoints passes through account (optimize.go) exactly
-// once, and account is the only writer of requests_total, failures_total,
+// once, and account is the only writer of
 // deadline_exceeded_total, shed_total, serving_requests_total,
 // serving_latency_ms, the SLO and the request log; the plan cache and the
 // peer-fill client likewise keep one registered counter per number they

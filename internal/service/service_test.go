@@ -187,12 +187,11 @@ func TestHealthAndStats(t *testing.T) {
 	}
 	bad.Body.Close()
 
-	var snap obs.Snapshot
-	getJSON(t, ts.URL+"/metricz", &snap)
-	if got := snap.Counters["requests_total"]; got != 2 {
-		t.Errorf("requests_total = %d, want 2", got)
+	c := checkLedger(t, ts.URL)
+	if got := servingSum(c); got != 2 {
+		t.Errorf("Σ serving_requests_total = %d, want 2", got)
 	}
-	if got := snap.Counters["failures_total"]; got != 1 {
-		t.Errorf("failures_total = %d, want 1", got)
+	if got := servingFailed(c); got != 1 {
+		t.Errorf("failed requests = %d, want 1", got)
 	}
 }

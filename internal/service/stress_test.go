@@ -168,9 +168,10 @@ func TestStressConcurrentMixedRequests(t *testing.T) {
 	// Every response was entered in the ledger once: the plain counters and
 	// the labeled series are readings of the same instruments.
 	c := checkLedger(t, ts.URL)
+	if servingSum(c) != 4*goroutines || servingFailed(c) != 3*goroutines {
+		t.Errorf("requests = %d, failed = %d, want %d and %d", servingSum(c), servingFailed(c), 4*goroutines, 3*goroutines)
+	}
 	for name, want := range map[string]int64{
-		"requests_total":          4 * goroutines,
-		"failures_total":          3 * goroutines,
 		"deadline_exceeded_total": goroutines,
 		`serving_requests_total{endpoint="optimize",outcome="ok",cache="none"}`:  goroutines,
 		`serving_requests_total{endpoint="optimize",outcome="400",cache="none"}`: goroutines,

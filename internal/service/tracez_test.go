@@ -244,7 +244,7 @@ func TestMetriczPrometheus(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
 	for _, want := range []string{
-		"# TYPE requests_total counter\nrequests_total 1\n",
+		"# TYPE plan_cache_misses_total counter\nplan_cache_misses_total 1\n",
 		"# TYPE serving_latency_ms histogram\n",
 		`serving_latency_ms_bucket{endpoint="optimize",le="+Inf"} 1`,
 	} {

@@ -260,10 +260,10 @@ inline_is_tracez traced-hit
 
 say "scraping /metricz in prometheus format"
 curl -sf "$BASE/metricz?format=prometheus" > "$WORK/metricz.prom"
-grep -q '^# TYPE requests_total counter$' "$WORK/metricz.prom" \
-  || die "prometheus exposition lacks requests_total TYPE line"
-grep -Eq '^requests_total [0-9]+$' "$WORK/metricz.prom" \
-  || die "prometheus exposition lacks a requests_total sample"
+grep -q '^# TYPE serving_requests_total counter$' "$WORK/metricz.prom" \
+  || die "prometheus exposition lacks serving_requests_total TYPE line"
+grep -Eq '^serving_requests_total\{endpoint="optimize",outcome="ok",cache="[a-z]+"\} [0-9]+$' "$WORK/metricz.prom" \
+  || die "prometheus exposition lacks a serving_requests_total sample"
 grep -q '^serving_latency_ms_bucket{endpoint="optimize",le="+Inf"}' "$WORK/metricz.prom" \
   || die "prometheus exposition lacks the serving_latency_ms +Inf bucket"
 grep -Eq '^plan_cache_hits_total [0-9]+$' "$WORK/metricz.prom" \
