@@ -5,7 +5,6 @@ package robopt
 // medians included, come from cmd/benchharness (internal/experiments.All).
 
 import (
-	"strconv"
 	"testing"
 
 	"repro/internal/mlmodel"
@@ -17,18 +16,12 @@ import (
 // BenchmarkAblationModel compares the prediction cost of the three model
 // families the paper tried (random forest, linear regression, MLP).
 func BenchmarkAblationModel(b *testing.B) {
-	cluster := simulator.Default()
-	cfg := tdgen.Config{
-		Shapes:            []tdgen.Shape{tdgen.ShapePipeline, tdgen.ShapeLoop},
-		MaxOps:            16,
-		TemplatesPerShape: 4,
-		PlansPerTemplate:  5,
-		Profiles:          5,
-		Platforms:         platform.Subset(3),
-		Avail:             platform.UniformAvailability(3),
-		Seed:              1,
-	}
-	ds, _, err := tdgen.New(cfg, cluster).Generate()
+	ds, err := tdgen.Recipe{
+		Size:      tdgen.SizeTiny,
+		Platforms: platform.Subset(3),
+		Avail:     platform.UniformAvailability(3),
+		Cluster:   simulator.Default(),
+	}.Dataset(0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -50,32 +43,6 @@ func BenchmarkAblationModel(b *testing.B) {
 		b.Run(mc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.Predict(x)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBeta measures TDGen's plan enumeration with and without
-// the platform-switch pruning.
-func BenchmarkAblationBeta(b *testing.B) {
-	cluster := simulator.Default()
-	for _, beta := range []int{1, 3, 100} {
-		cfg := tdgen.Config{
-			Shapes:            []tdgen.Shape{tdgen.ShapePipeline},
-			MaxOps:            10,
-			TemplatesPerShape: 2,
-			PlansPerTemplate:  6,
-			Profiles:          4,
-			Beta:              beta,
-			Platforms:         platform.Subset(3),
-			Avail:             platform.UniformAvailability(3),
-			Seed:              4,
-		}
-		b.Run("beta="+strconv.Itoa(beta), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := tdgen.New(cfg, cluster).Generate(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

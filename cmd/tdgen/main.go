@@ -1,22 +1,26 @@
-// Command tdgen generates training data for the ML-based optimizer: it
-// creates synthetic query plans of the requested shapes, enumerates
-// execution plans with the platform-switch pruning, runs a subset on the
-// simulated cluster, imputes the rest by piecewise degree-5 polynomial
-// interpolation (Section VI of the paper), and writes the labelled plan
-// vectors as CSV.
+// Command tdgen generates training data for the ML-based optimizer: it draws
+// the training recipe's TDGen dataset (tdgen.Recipe, DESIGN.md deviation 20)
+// — synthetic pipeline, juncture and loop plans plus the Table II queries,
+// execution plans under the platform-switch pruning, a subset run on the
+// simulated cluster and the rest imputed by piecewise degree-5 polynomial
+// interpolation (Section VI of the paper) — and writes the labelled plan
+// vectors as CSV. -seed 0 at a size is the dataset member 0 of that size's
+// model is fitted on; member i draws at 101·i.
 //
 // Usage:
 //
-//	tdgen -shapes pipeline,juncture,loop -max-ops 50 -templates 16 -o train.csv
-//	tdgen -seed 2021 -o train.csv -append       # grow an existing dataset
+//	tdgen -o train.csv                          # the full recipe
+//	tdgen -size tiny -platforms 3 -o train.csv  # a small draw for plumbing
+//	tdgen -seed 1 -o train.csv -append          # grow an existing dataset
 //	tdgen -o all.csv -merge extra1.csv,extra2.csv
 //	tdgen -o next.csv -merge fb.csv             # fold in a roboptd GET /modelz/feedback export
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
@@ -26,102 +30,94 @@ import (
 	"repro/internal/tdgen"
 )
 
+var sizeNames = map[string]tdgen.Size{"full": tdgen.SizeFull, "quick": tdgen.SizeQuick, "tiny": tdgen.SizeTiny}
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tdgen: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it returns 2 with the usage for a command line it
+// refuses, and 1 when the draw or a file fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tdgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		shapesFlag = flag.String("shapes", "pipeline,juncture,loop", "comma-separated plan shapes (pipeline,juncture,replicate,loop)")
-		maxOps     = flag.Int("max-ops", 50, "maximum operators per synthetic plan")
-		templates  = flag.Int("templates", 16, "templates per shape")
-		plansPer   = flag.Int("plans", 12, "execution plans kept per template")
-		profiles   = flag.Int("profiles", 10, "input-cardinality profiles per plan")
-		beta       = flag.Int("beta", 3, "platform-switch pruning threshold")
-		nPlats     = flag.Int("platforms", platform.NumPlatforms, "number of platforms (2-5)")
-		seed       = flag.Int64("seed", 2020, "generation seed")
-		out        = flag.String("o", "-", "output CSV path ('-' for stdout)")
-		appendTo   = flag.Bool("append", false, "merge the generated rows into an existing -o CSV instead of overwriting it")
-		mergeCSV   = flag.String("merge", "", "comma-separated CSVs to merge into the output as well")
+		size     = fs.String("size", "full", "recipe size: full, quick or tiny")
+		nPlats   = fs.Int("platforms", platform.NumPlatforms, "number of platforms (2-5)")
+		seed     = fs.Int64("seed", 0, "recipe seed offset; member i of a trained ensemble draws at 101*i")
+		out      = fs.String("o", "-", "output CSV path ('-' for stdout)")
+		appendTo = fs.Bool("append", false, "merge the generated rows into an existing -o CSV instead of overwriting it")
+		mergeCSV = fs.String("merge", "", "comma-separated CSVs to merge into the output as well")
 	)
-	flag.Parse()
-	if err := platform.CheckCount(*nPlats); err != nil {
-		log.Printf("-platforms: %v", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	var shapes []tdgen.Shape
-	for _, name := range strings.Split(*shapesFlag, ",") {
-		s, err := tdgen.ShapeByName(strings.TrimSpace(name))
-		if err != nil {
-			log.Fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		shapes = append(shapes, s)
+		return 2
 	}
-	plats := platform.Subset(*nPlats)
-	cfg := tdgen.Config{
-		Shapes:            shapes,
-		MaxOps:            *maxOps,
-		TemplatesPerShape: *templates,
-		PlansPerTemplate:  *plansPer,
-		Profiles:          *profiles,
-		Beta:              *beta,
-		Platforms:         plats,
-		Avail:             platform.DefaultAvailability().Restrict(plats),
-		CardMax:           1e10,
-		Seed:              *seed,
+	refuse := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "tdgen: "+format+"\n", a...)
+		fs.Usage()
+		return 2
 	}
-	ds, rep, err := tdgen.New(cfg, simulator.Default()).Generate()
-	if err != nil {
-		log.Fatal(err)
+	sz, ok := sizeNames[*size]
+	if !ok {
+		return refuse("-size %q: want full, quick or tiny", *size)
+	}
+	if err := platform.CheckCount(*nPlats); err != nil {
+		return refuse("-platforms: %v", err)
+	}
+	if *appendTo && *out == "-" {
+		return refuse("-append needs an -o file to append to")
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "tdgen: %v\n", err)
+		return 1
 	}
 
-	// Dataset growth: -append folds the freshly generated rows into an
-	// existing output CSV, and -merge folds in further CSVs — so a training
-	// set can be grown incrementally across runs (different seeds, shapes or
-	// platform mixes) instead of regenerated from scratch. Merging enforces
-	// a consistent plan-vector width: rows from a different platform
-	// universe cannot be silently mixed in.
-	merged := 0
-	if *appendTo && *out != "-" {
+	plats := platform.Subset(*nPlats)
+	recipe := tdgen.Recipe{Size: sz, Platforms: plats, Avail: platform.DefaultAvailability().Restrict(plats), Cluster: simulator.Default()}
+	ds, err := recipe.Dataset(*seed)
+	if err != nil {
+		return fail(err)
+	}
+	drawn := ds.Len()
+
+	// Dataset growth: -append folds the freshly generated rows into the
+	// existing output CSV, and -merge folds in further CSVs, so a training
+	// set can be grown across runs (other seeds or sizes) instead of
+	// regenerated. Merging enforces a consistent plan-vector width: rows from
+	// a different platform universe cannot be silently mixed in.
+	if *appendTo {
 		if prev, err := readCSVFile(*out); err == nil {
 			if err := prev.Merge(ds); err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
-			merged += prev.Len() - ds.Len()
 			ds = prev
 		} else if !os.IsNotExist(err) {
-			log.Fatal(err)
+			return fail(err)
 		}
 	}
 	for _, path := range splitNonEmpty(*mergeCSV) {
 		other, err := readCSVFile(path)
 		if err != nil {
-			log.Fatal(err)
+			return fail(err)
 		}
 		if err := ds.Merge(other); err != nil {
-			log.Fatalf("merging %s: %v", path, err)
+			return fail(fmt.Errorf("merging %s: %w", path, err))
 		}
-		merged += other.Len()
 	}
 
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		w = f
+	if *out == "-" {
+		err = tdgen.WriteCSV(stdout, ds)
+	} else {
+		err = writeCSVFile(*out, ds)
 	}
-	if err := tdgen.WriteCSV(w, ds); err != nil {
-		log.Fatal(err)
+	if err != nil {
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "generated %d rows (%d logical plans, %d execution plans, %d executed, %d imputed, %d failed, %d subplan rows; %d rows merged in)\n",
-		ds.Len()-merged, rep.LogicalPlans, rep.ExecutionPlans, rep.Executed, rep.Imputed, rep.Failed, rep.SubplanRows, merged)
+	fmt.Fprintf(stderr, "generated %d rows (%s draw, seed offset %d; %d rows merged in)\n", drawn, *size, *seed, ds.Len()-drawn)
+	return 0
 }
 
 // readCSVFile loads one labelled training CSV.
@@ -132,6 +128,19 @@ func readCSVFile(path string) (*mlmodel.Dataset, error) {
 	}
 	defer f.Close()
 	return tdgen.ReadCSV(f)
+}
+
+// writeCSVFile writes ds to path, replacing what was there.
+func writeCSVFile(path string, ds *mlmodel.Dataset) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tdgen.WriteCSV(f, ds); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // splitNonEmpty splits a comma-separated list, dropping empty entries.

@@ -1,9 +1,9 @@
 // Training-data example: a walkthrough of TDGen (Section VI of the paper).
-// It generates synthetic query plans, executes a subset of the resulting
-// jobs on the simulated cluster, imputes the remaining runtimes with
-// piecewise degree-5 polynomial interpolation, trains the random forest,
-// and reports held-out accuracy — including the rank correlation that
-// actually matters for plan selection.
+// It draws the quick training recipe's dataset — synthetic query plans, a
+// subset of the resulting jobs executed on the simulated cluster, the
+// remaining runtimes imputed with piecewise degree-5 polynomial
+// interpolation — trains the random forest, and reports held-out accuracy,
+// including the rank correlation that actually matters for plan selection.
 package main
 
 import (
@@ -18,31 +18,19 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	cluster := simulator.Default()
-	cfg := tdgen.Config{
-		Shapes:            []tdgen.Shape{tdgen.ShapePipeline, tdgen.ShapeJuncture, tdgen.ShapeLoop},
-		MaxOps:            30,
-		TemplatesPerShape: 10,
-		PlansPerTemplate:  10,
-		Profiles:          8,
-		Platforms:         platform.All(),
-		Avail:             platform.DefaultAvailability(),
-		CardMax:           1e9,
-		Seed:              42,
+	recipe := tdgen.Recipe{
+		Size:      tdgen.SizeQuick,
+		Platforms: platform.All(),
+		Avail:     platform.DefaultAvailability(),
+		Cluster:   simulator.Default(),
 	}
 
 	fmt.Println("generating training data (job generation + log generation)...")
-	ds, rep, err := tdgen.New(cfg, cluster).Generate()
+	ds, err := recipe.Dataset(0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  logical plans:     %d\n", rep.LogicalPlans)
-	fmt.Printf("  execution plans:   %d (β=%d platform-switch pruning)\n", rep.ExecutionPlans, 3)
-	fmt.Printf("  jobs labelled:     %d\n", rep.Jobs)
-	fmt.Printf("  actually executed: %d (Jr)\n", rep.Executed)
-	fmt.Printf("  imputed by interpolation: %d (Ji)\n", rep.Imputed)
-	fmt.Printf("  failed (OOM/abort):%d\n", rep.Failed)
-	fmt.Printf("  subplan log rows:  %d\n", rep.SubplanRows)
+	fmt.Printf("  labelled rows: %d (whole plans and their prefix subplans, β=3 platform-switch pruning)\n", ds.Len())
 
 	train, test := ds.Split(0.2, 1)
 	fmt.Printf("\ntraining a %d-tree random forest on %d rows...\n", 60, train.Len())

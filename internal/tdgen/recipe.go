@@ -23,18 +23,24 @@ const (
 // trains through it, so a changed number there moves every serving
 // benchmark's plan_quality_x.
 var sizes = [...]struct {
-	maxOps, templates, plans, profiles int // one TDGen draw
-	trees, depth                       int // one member's boosted trees
-	members                            int // independently drawn and fitted
+	draw             // one TDGen draw
+	trees, depth int // one member's boosted trees
+	members      int // independently drawn and fitted
 }{
-	SizeFull:  {50, 24, 14, 10, 300, 6, 3},
-	SizeQuick: {30, 10, 8, 8, 150, 5, 2},
-	SizeTiny:  {20, 5, 6, 6, 80, 5, 2},
+	SizeFull:  {draw{50, 24, 14, 10}, 300, 6, 3},
+	SizeQuick: {draw{30, 10, 8, 8}, 150, 5, 2},
+	SizeTiny:  {draw{20, 5, 6, 6}, 80, 5, 2},
 }
 
+// draw is the part of a size row one TDGen draw reads: the largest template,
+// the templates per shape, the execution plans kept per logical plan (and as
+// many uniform negatives), and the cardinality profiles per plan.
+type draw struct{ maxOps, templates, plans, profiles int }
+
 // Recipe is everything that decides which model gets trained: a size and the
-// deployment it is trained for. The facade, the experiment harness, robopt and
-// roboptd all train through it, so the same Recipe gives the same model
+// deployment it is trained for. It is the one way to configure a TDGen draw:
+// the facade, the experiment harness, robopt and roboptd train through it and
+// the tdgen command draws through it, so the same Recipe gives the same model
 // everywhere.
 type Recipe struct {
 	Size      Size
@@ -51,22 +57,10 @@ type Recipe struct {
 // Dataset runs one TDGen draw. seedOffset varies it: Train gives every
 // ensemble member its own offset, and 0 is member 0's dataset.
 func (r Recipe) Dataset(seedOffset int64) (*mlmodel.Dataset, error) {
-	sz := sizes[r.Size]
-	cfg := Config{
-		MaxOps:            sz.maxOps,
-		TemplatesPerShape: sz.templates,
-		PlansPerTemplate:  sz.plans,
-		Profiles:          sz.profiles,
-		Platforms:         r.Platforms,
-		Avail:             r.Avail,
-		CardMax:           1e10,
-		SeedQueries:       r.SeedQueries,
-		Seed:              2020 + seedOffset,
+	if len(r.SeedQueries) == 0 {
+		r.SeedQueries = workload.Catalog()
 	}
-	if len(cfg.SeedQueries) == 0 {
-		cfg.SeedQueries = workload.Catalog()
-	}
-	ds, _, err := New(cfg, r.Cluster).Generate()
+	ds, _, err := newGenerator(r, sizes[r.Size].draw, 2020+seedOffset).generate()
 	if err != nil {
 		return nil, fmt.Errorf("tdgen: training data generation: %w", err)
 	}

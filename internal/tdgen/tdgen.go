@@ -1,10 +1,11 @@
 // Package tdgen implements TDGen, the scalable training data generator of
-// Section VI. It creates synthetic logical plans of the requested shapes
-// (pipeline, juncture, replicate, loop), enumerates execution plans for them
-// with the platform-switch (β) pruning, instantiates each with configuration
-// profiles (input cardinalities, tuple widths, UDF complexities,
-// selectivities), executes only a subset of the resulting jobs, and imputes
-// the runtime of the rest via piecewise degree-5 polynomial interpolation.
+// Section VI, and Recipe is how a draw is configured. It creates synthetic
+// logical plans of three shapes (pipeline, juncture, loop), enumerates
+// execution plans for them with the platform-switch (β) pruning, instantiates
+// each with configuration profiles (input cardinalities, tuple widths, UDF
+// complexities, selectivities), executes only a subset of the resulting jobs,
+// and imputes the runtime of the rest via piecewise degree-5 polynomial
+// interpolation.
 //
 // In the paper the execution step takes days on a real cluster and the
 // interpolation is what makes generation tractable; here execution is a
@@ -27,116 +28,28 @@ import (
 	"repro/internal/workload"
 )
 
-// Shape is a plan topology TDGen can generate (Section IV-A's four
-// representative topologies).
-type Shape int
-
-// The four template shapes.
+// The values every draw shares; the recipe's size row fills in the rest.
 const (
-	ShapePipeline Shape = iota
-	ShapeJuncture
-	ShapeReplicate
-	ShapeLoop
+	minOps = 4 // the smallest template
+	// beta is the platform-switch pruning threshold of Section VI-A.
+	beta = 3
+	// Templates draw their input cardinality log-uniformly from
+	// [cardMin, cardMax].
+	cardMin, cardMax = 1e3, 1e10
 )
 
-var shapeNames = [...]string{"pipeline", "juncture", "replicate", "loop"}
+// shape is a plan topology of Section IV-A. TDGen draws the three the paper
+// built its evaluation model from (Section VII-A), in this order.
+type shape int
 
-// String names the shape.
-func (s Shape) String() string {
-	if int(s) < len(shapeNames) && s >= 0 {
-		return shapeNames[s]
-	}
-	return fmt.Sprintf("Shape(%d)", int(s))
-}
+const (
+	pipeline shape = iota
+	juncture
+	loop
+)
 
-// ShapeByName parses a shape name.
-func ShapeByName(name string) (Shape, error) {
-	for i, n := range shapeNames {
-		if n == name {
-			return Shape(i), nil
-		}
-	}
-	return 0, fmt.Errorf("tdgen: unknown shape %q", name)
-}
-
-// Config controls generation.
-type Config struct {
-	// Shapes to generate; defaults to pipeline, juncture and loop — the
-	// three the paper used to build its evaluation model (Section VII-A).
-	Shapes []Shape
-	// MinOps/MaxOps bound the template sizes; the paper used MaxOps 50.
-	MinOps, MaxOps int
-	// TemplatesPerShape is the number of logical plan templates per shape.
-	TemplatesPerShape int
-	// PlansPerTemplate caps the execution plans kept per logical plan.
-	PlansPerTemplate int
-	// RandomPlans adds uniformly random platform assignments per template
-	// on top of the enumerated ones. The enumerator's β-pruned survivors
-	// are all *plausible* plans; uniform sampling also covers the
-	// implausible region (e.g. scattering operators over many platforms),
-	// so the model learns to price it instead of regressing it toward the
-	// mean — which would otherwise make bad plans look attractive to the
-	// argmin. Defaults to PlansPerTemplate.
-	RandomPlans int
-	// Profiles is the number of input-cardinality points per execution
-	// plan (the configuration profiles of Section VI-A).
-	Profiles int
-	// Beta is the platform-switch pruning threshold (default 3).
-	Beta int
-	// Platforms and Avail define the execution-operator universe.
-	Platforms []platform.ID
-	Avail     *platform.Availability
-	// CardRange is the log-uniform input cardinality range
-	// [CardMin, CardMax]; defaults to [1e3, 5e7].
-	CardMin, CardMax float64
-	// SeedQueries optionally provides a real query workload for TDGen to
-	// resemble — generation option (i) of Section VI ("users can provide
-	// their real query workload and let the generator create a specified
-	// number of training data that resembles their query workload"). Each
-	// seed query is instantiated across its dataset-size range and
-	// labelled over the same diverse assignment sets as the synthetic
-	// templates.
-	SeedQueries []workload.Query
-	// Seed makes generation deterministic.
-	Seed int64
-}
-
-func (c Config) withDefaults() Config {
-	if len(c.Shapes) == 0 {
-		c.Shapes = []Shape{ShapePipeline, ShapeJuncture, ShapeLoop}
-	}
-	if c.MinOps <= 0 {
-		c.MinOps = 4
-	}
-	if c.MaxOps <= 0 {
-		c.MaxOps = 50
-	}
-	if c.TemplatesPerShape <= 0 {
-		c.TemplatesPerShape = 8
-	}
-	if c.PlansPerTemplate <= 0 {
-		c.PlansPerTemplate = 12
-	}
-	if c.RandomPlans <= 0 {
-		c.RandomPlans = c.PlansPerTemplate
-	}
-	if c.Profiles <= 0 {
-		c.Profiles = 10
-	}
-	if c.Beta <= 0 {
-		c.Beta = 3
-	}
-	if c.CardMin <= 0 {
-		c.CardMin = 1e3
-	}
-	if c.CardMax <= 0 {
-		c.CardMax = 5e7
-	}
-	return c
-}
-
-// Report summarizes one generation run.
-type Report struct {
+// report summarizes one draw.
+type report struct {
 	LogicalPlans   int
 	ExecutionPlans int
 	Jobs           int // total labelled whole-plan training rows
@@ -146,17 +59,15 @@ type Report struct {
 	SubplanRows    int // prefix-subplan rows derived from execution logs
 }
 
-// Generator produces training datasets.
-type Generator struct {
-	cfg     Config
-	cluster *simulator.Cluster
-	rng     *rand.Rand
+// generator runs one draw: r's deployment and seed queries at the size row d.
+type generator struct {
+	r   Recipe
+	d   draw
+	rng *rand.Rand
 }
 
-// New returns a generator over the given simulated cluster.
-func New(cfg Config, cluster *simulator.Cluster) *Generator {
-	cfg = cfg.withDefaults()
-	return &Generator{cfg: cfg, cluster: cluster, rng: rand.New(rand.NewSource(cfg.Seed))}
+func newGenerator(r Recipe, d draw, seed int64) *generator {
+	return &generator{r: r, d: d, rng: rand.New(rand.NewSource(seed))}
 }
 
 // opSpec is one templated operator before cardinality instantiation.
@@ -170,27 +81,26 @@ type opSpec struct {
 
 // template is a synthetic logical plan shape with free input cardinality.
 type template struct {
-	shape      Shape
 	ops        []opSpec
 	iterations int
 	tupleBytes float64
 }
 
-// Generate runs the two TDGen phases — job generation and log generation —
+// generate runs the two TDGen phases — job generation and log generation —
 // and returns the labelled training dataset.
-func (g *Generator) Generate() (*mlmodel.Dataset, Report, error) {
-	var rep Report
+func (g *generator) generate() (*mlmodel.Dataset, report, error) {
+	var rep report
 	ds := &mlmodel.Dataset{}
-	for _, shape := range g.cfg.Shapes {
-		for t := 0; t < g.cfg.TemplatesPerShape; t++ {
-			tmpl := g.makeTemplate(shape)
+	for s := pipeline; s <= loop; s++ {
+		for t := 0; t < g.d.templates; t++ {
+			tmpl := g.makeTemplate(s)
 			rep.LogicalPlans++
 			if err := g.expandTemplate(tmpl, ds, &rep); err != nil {
 				return nil, rep, err
 			}
 		}
 	}
-	for _, q := range g.cfg.SeedQueries {
+	for _, q := range g.r.SeedQueries {
 		rep.LogicalPlans++
 		if err := g.expandSeedQuery(q, ds, &rep); err != nil {
 			return nil, rep, err
@@ -224,7 +134,7 @@ var complexityPool = []platform.Complexity{
 	platform.SuperQuadratic,
 }
 
-func (g *Generator) randUnary() opSpec {
+func (g *generator) randUnary() opSpec {
 	k := unaryPool[g.rng.Intn(len(unaryPool))]
 	sel := 0.2 + 0.8*g.rng.Float64()
 	switch k {
@@ -238,13 +148,13 @@ func (g *Generator) randUnary() opSpec {
 	return opSpec{kind: k, udf: complexityPool[g.rng.Intn(len(complexityPool))], sel: sel}
 }
 
-func (g *Generator) randSize() int {
-	return g.cfg.MinOps + g.rng.Intn(g.cfg.MaxOps-g.cfg.MinOps+1)
+func (g *generator) randSize() int {
+	return minOps + g.rng.Intn(g.d.maxOps-minOps+1)
 }
 
 // makeTemplate builds one synthetic logical plan template of the shape.
-func (g *Generator) makeTemplate(shape Shape) *template {
-	t := &template{shape: shape, tupleBytes: float64(8 * (1 + g.rng.Intn(64)))}
+func (g *generator) makeTemplate(s shape) *template {
+	t := &template{tupleBytes: float64(8 * (1 + g.rng.Intn(64)))}
 	size := g.randSize()
 	addSrc := func() int {
 		t.ops = append(t.ops, opSpec{kind: sourcePool[g.rng.Intn(len(sourcePool))], udf: platform.Logarithmic, sel: 1})
@@ -261,15 +171,15 @@ func (g *Generator) makeTemplate(shape Shape) *template {
 		t.ops = append(t.ops, opSpec{kind: platform.CollectionSink, udf: platform.Logarithmic, sel: 1, in: []int{in}})
 	}
 
-	switch shape {
-	case ShapePipeline:
+	switch s {
+	case pipeline:
 		cur := addSrc()
 		for len(t.ops) < size-1 {
 			cur = addUnary(cur, false)
 		}
 		addSink(cur)
 
-	case ShapeJuncture:
+	case juncture:
 		// Two branches joined, then a tail.
 		if size < 6 {
 			size = 6
@@ -290,29 +200,7 @@ func (g *Generator) makeTemplate(shape Shape) *template {
 		}
 		addSink(cur)
 
-	case ShapeReplicate:
-		if size < 7 {
-			size = 7
-		}
-		cur := addSrc()
-		pre := (size - 5) / 3
-		for i := 0; i < pre; i++ {
-			cur = addUnary(cur, false)
-		}
-		t.ops = append(t.ops, opSpec{kind: platform.Replicate, udf: platform.Logarithmic, sel: 1, in: []int{cur}})
-		rep := len(t.ops) - 1
-		a, b := rep, rep
-		tail := (size - len(t.ops) - 2) / 2
-		for i := 0; i < tail; i++ {
-			a = addUnary(a, false)
-		}
-		for i := 0; i < tail; i++ {
-			b = addUnary(b, false)
-		}
-		addSink(a)
-		addSink(b)
-
-	case ShapeLoop:
+	case loop:
 		if size < 7 {
 			size = 7
 		}
@@ -386,7 +274,7 @@ func (t *template) instantiate(card float64) (*plan.Logical, error) {
 // executed job, labelled from the simulator's per-operator and
 // per-conversion breakdown (the execution log). Prefixes at 1/4, 1/2 and 3/4
 // of the plan are emitted.
-func (g *Generator) emitPrefixRows(ctx *core.Context, x *plan.Execution, res simulator.Result, assign []uint8, ds *mlmodel.Dataset) int {
+func (g *generator) emitPrefixRows(ctx *core.Context, x *plan.Execution, res simulator.Result, assign []uint8, ds *mlmodel.Dataset) int {
 	l := ctx.Plan
 	order := l.TopoOrder()
 	n := len(order)
@@ -408,7 +296,7 @@ func (g *Generator) emitPrefixRows(ctx *core.Context, x *plan.Execution, res sim
 			p := x.Assign[id]
 			if !platSeen[p] {
 				platSeen[p] = true
-				label += g.cluster.Specs[p].Startup
+				label += g.r.Cluster.Specs[p].Startup
 			}
 		}
 		for ci, conv := range x.Conversions {
@@ -431,14 +319,14 @@ type planInstance struct {
 }
 
 // instantiateLadder materializes the plan at every ladder point.
-func (g *Generator) instantiateLadder(build func(x float64) (*plan.Logical, error), xs []float64) ([]planInstance, error) {
+func (g *generator) instantiateLadder(build func(x float64) (*plan.Logical, error), xs []float64) ([]planInstance, error) {
 	insts := make([]planInstance, len(xs))
 	for i, x := range xs {
 		l, err := build(x)
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := core.NewContext(l, g.cfg.Platforms, g.cfg.Avail)
+		ctx, err := core.NewContext(l, g.r.Platforms, g.r.Avail)
 		if err != nil {
 			return nil, err
 		}
@@ -453,13 +341,14 @@ func (g *Generator) instantiateLadder(build func(x float64) (*plan.Logical, erro
 // random assignments (negative samples pricing the implausible region).
 // Diversity within one structure at equal cardinality is what teaches the
 // model to *rank* a query's alternatives, not just to scale with input size.
-func (g *Generator) selectAssignments(mid *plan.Logical, ctx *core.Context) ([][]uint8, error) {
+// The first bounded assignments, anchors and sample, have at most β switches.
+func (g *generator) selectAssignments(mid *plan.Logical, ctx *core.Context) (assigns [][]uint8, bounded int, err error) {
 	var st core.Stats
-	final, err := ctx.EnumerateFull(context.Background(), core.SwitchPruner{Beta: g.cfg.Beta, MaxVectors: 4 * g.cfg.PlansPerTemplate}, core.OrderPriority, &st)
+	final, err := ctx.EnumerateFull(context.Background(), core.SwitchPruner{Beta: beta, MaxVectors: 4 * g.d.plans}, core.OrderPriority, &st)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	assigns := make([][]uint8, 0, g.cfg.PlansPerTemplate+g.cfg.RandomPlans)
+	assigns = make([][]uint8, 0, 2*g.d.plans)
 	seen := map[string]bool{}
 	add := func(a []uint8) {
 		key := string(a)
@@ -468,18 +357,19 @@ func (g *Generator) selectAssignments(mid *plan.Logical, ctx *core.Context) ([][
 			assigns = append(assigns, append([]uint8(nil), a...))
 		}
 	}
-	for pi, p := range g.cfg.Platforms {
-		if _, err := plan.AllOn(mid, p, g.cfg.Avail); err == nil {
+	for pi, p := range g.r.Platforms {
+		if _, err := plan.AllOn(mid, p, g.r.Avail); err == nil {
 			add(bytes.Repeat([]byte{uint8(pi)}, mid.NumOps()))
 		}
 	}
 	for _, j := range g.rng.Perm(len(final.Vectors)) {
-		if len(assigns) >= g.cfg.PlansPerTemplate {
+		if len(assigns) >= g.d.plans {
 			break
 		}
 		add(final.Vectors[j].Assign)
 	}
-	for i := 0; i < g.cfg.RandomPlans; i++ {
+	bounded = len(assigns)
+	for i := 0; i < g.d.plans; i++ {
 		a := make([]uint8, mid.NumOps())
 		for j := range a {
 			alts := ctx.Alternatives(plan.OpID(j))
@@ -487,21 +377,21 @@ func (g *Generator) selectAssignments(mid *plan.Logical, ctx *core.Context) ([][
 		}
 		add(a)
 	}
-	return assigns, nil
+	return assigns, bounded, nil
 }
 
 // expandTemplate enumerates execution plans for the template, instantiates
 // the cardinality profiles, executes the Jr subset, interpolates the rest,
 // and appends the labelled vectors to ds.
-func (g *Generator) expandTemplate(tmpl *template, ds *mlmodel.Dataset, rep *Report) error {
+func (g *generator) expandTemplate(tmpl *template, ds *mlmodel.Dataset, rep *report) error {
 	// Cardinality ladder: log-spaced profiles.
-	cards := ladder(g.cfg.CardMin, g.cfg.CardMax, g.cfg.Profiles)
+	cards := ladder(cardMin, cardMax, g.d.profiles)
 	insts, err := g.instantiateLadder(tmpl.instantiate, cards)
 	if err != nil {
 		return err
 	}
 	mid := insts[len(insts)/2]
-	assigns, err := g.selectAssignments(mid.l, mid.ctx)
+	assigns, _, err := g.selectAssignments(mid.l, mid.ctx)
 	if err != nil {
 		return err
 	}
@@ -513,8 +403,8 @@ func (g *Generator) expandTemplate(tmpl *template, ds *mlmodel.Dataset, rep *Rep
 // workload query (generation option (i) of Section VI): the query's own
 // plan structure instantiated across its dataset-size range, labelled over
 // the same diverse assignment set as the synthetic templates.
-func (g *Generator) expandSeedQuery(q workload.Query, ds *mlmodel.Dataset, rep *Report) error {
-	xs := ladder(q.MinBytes, q.MaxBytes, g.cfg.Profiles)
+func (g *generator) expandSeedQuery(q workload.Query, ds *mlmodel.Dataset, rep *report) error {
+	xs := ladder(q.MinBytes, q.MaxBytes, g.d.profiles)
 	insts, err := g.instantiateLadder(func(bytes float64) (*plan.Logical, error) {
 		l := q.Build(bytes)
 		if err := l.Validate(); err != nil {
@@ -526,7 +416,7 @@ func (g *Generator) expandSeedQuery(q workload.Query, ds *mlmodel.Dataset, rep *
 		return err
 	}
 	mid := insts[len(insts)/2]
-	assigns, err := g.selectAssignments(mid.l, mid.ctx)
+	assigns, _, err := g.selectAssignments(mid.l, mid.ctx)
 	if err != nil {
 		return err
 	}
@@ -551,7 +441,7 @@ func ladder(lo, hi float64, n int) []float64 {
 // labelJobs runs phase 2 (log generation) for one plan structure: for every
 // assignment, execute the Jr subset of the ladder, impute the rest via
 // piecewise degree-5 interpolation, and append the labelled plan vectors.
-func (g *Generator) labelJobs(insts []planInstance, xs []float64, assigns [][]uint8, ds *mlmodel.Dataset, rep *Report) error {
+func (g *generator) labelJobs(insts []planInstance, xs []float64, assigns [][]uint8, ds *mlmodel.Dataset, rep *report) error {
 	for _, assign := range assigns {
 		// Jr = all small profiles plus every other larger one
 		// (Section VI-B: "all the jobs with small input cardinalities,
@@ -568,7 +458,7 @@ func (g *Generator) labelJobs(insts []planInstance, xs []float64, assigns [][]ui
 			if err != nil {
 				return err
 			}
-			res := g.cluster.Run(x)
+			res := g.r.Cluster.Run(x)
 			if !res.Failed() {
 				// The per-operator execution log also labels
 				// partial plans: the prune operation scores
@@ -581,10 +471,10 @@ func (g *Generator) labelJobs(insts []planInstance, xs []float64, assigns [][]ui
 				// Failures are labelled with a large penalty so
 				// the model learns to avoid the plan; they are
 				// excluded from interpolation support.
-				rt = 2 * g.cluster.Timeout
+				rt = 2 * g.r.Cluster.Timeout
 				rep.Failed++
 			} else if res.TimedOut {
-				rt = g.cluster.Timeout
+				rt = g.r.Cluster.Timeout
 				rep.Failed++
 			} else {
 				runXs = append(runXs, xs[i])
@@ -617,7 +507,7 @@ func (g *Generator) labelJobs(insts []planInstance, xs []float64, assigns [][]ui
 					// No imputed runtime can plausibly exceed
 					// the failure penalty; clamp polynomial
 					// overshoot.
-					if max := 2 * g.cluster.Timeout; rt > max {
+					if max := 2 * g.r.Cluster.Timeout; rt > max {
 						rt = max
 					}
 					runtimes[i] = rt

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/mlmodel"
 	"repro/internal/plan"
 	"repro/internal/platform"
@@ -106,43 +107,24 @@ func TestInterpolatorNonnegative(t *testing.T) {
 	}
 }
 
-func TestShapeNames(t *testing.T) {
-	for _, s := range []tdgen.Shape{tdgen.ShapePipeline, tdgen.ShapeJuncture, tdgen.ShapeReplicate, tdgen.ShapeLoop} {
-		got, err := tdgen.ShapeByName(s.String())
-		if err != nil || got != s {
-			t.Errorf("round trip %v failed: %v %v", s, got, err)
-		}
-	}
-	if _, err := tdgen.ShapeByName("nope"); err == nil {
-		t.Error("ShapeByName accepted an unknown name")
-	}
-}
-
-func smallConfig(shapes ...tdgen.Shape) tdgen.Config {
-	return tdgen.Config{
-		Shapes:            shapes,
-		MinOps:            4,
-		MaxOps:            12,
-		TemplatesPerShape: 3,
-		PlansPerTemplate:  4,
-		Profiles:          6,
-		Platforms:         platform.Subset(3),
-		Avail:             platform.UniformAvailability(3),
-		Seed:              11,
-	}
+// small is the deployment the generator tests draw for; Draw and Bounded take
+// the size row (max ops, templates per shape, plans, profiles) and seed.
+var small = tdgen.Recipe{
+	Platforms: platform.Subset(3),
+	Avail:     platform.UniformAvailability(3),
+	Cluster:   simulator.Default(),
 }
 
 func TestGenerateProducesValidDataset(t *testing.T) {
-	g := tdgen.New(smallConfig(tdgen.ShapePipeline, tdgen.ShapeJuncture, tdgen.ShapeReplicate, tdgen.ShapeLoop), simulator.Default())
-	ds, rep, err := g.Generate()
+	ds, rep, err := tdgen.Draw(small, 12, 3, 4, 6, 11)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Draw: %v", err)
 	}
 	if err := ds.Validate(); err != nil {
 		t.Fatalf("dataset invalid: %v", err)
 	}
-	if rep.LogicalPlans != 12 {
-		t.Errorf("logical plans = %d, want 12", rep.LogicalPlans)
+	if rep.LogicalPlans != 9 {
+		t.Errorf("logical plans = %d, want 9 (three shapes × three templates)", rep.LogicalPlans)
 	}
 	if rep.Jobs == 0 || rep.Executed == 0 || rep.Imputed == 0 {
 		t.Errorf("report looks empty: %+v", rep)
@@ -161,11 +143,10 @@ func TestGenerateProducesValidDataset(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	cfg := smallConfig(tdgen.ShapeLoop)
-	a, _, err1 := tdgen.New(cfg, simulator.Default()).Generate()
-	b, _, err2 := tdgen.New(cfg, simulator.Default()).Generate()
+	a, _, err1 := tdgen.Draw(small, 12, 1, 4, 6, 11)
+	b, _, err2 := tdgen.Draw(small, 12, 1, 4, 6, 11)
 	if err1 != nil || err2 != nil {
-		t.Fatalf("Generate: %v %v", err1, err2)
+		t.Fatalf("Draw: %v %v", err1, err2)
 	}
 	if a.Len() != b.Len() {
 		t.Fatalf("row counts differ: %d vs %d", a.Len(), b.Len())
@@ -177,36 +158,45 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateRespectsBeta: the plans TDGen keeps as plausible — the
+// single-platform anchors and the sample of the β-pruned enumeration — switch
+// platforms at most β = 3 times. The uniform negatives that follow them are
+// unbounded on purpose, so they are not checked. The enumeration keeps its
+// 4 × plans fewest-switch members, so only a sample large next to an 8-operator
+// plan's assignment space reaches the bound: at these sizes β = 4 fails.
 func TestGenerateRespectsBeta(t *testing.T) {
-	cfg := smallConfig(tdgen.ShapePipeline)
-	cfg.Beta = 1
-	// With β=1 every training plan has at most one platform switch; the
-	// movement instance cells (2 per conversion) bound the check.
-	ds, _, err := tdgen.New(cfg, simulator.Default()).Generate()
+	sels, err := tdgen.Bounded(small, 8, 3, 60, 11)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Bounded: %v", err)
 	}
-	if ds.Len() == 0 {
-		t.Fatal("empty dataset")
+	switched := 0
+	for i, sel := range sels {
+		for _, a := range sel.Assigns {
+			x, err := sel.Ctx.Unvectorize(&core.Vector{Assign: a})
+			if err != nil {
+				t.Fatalf("plan %d: Unvectorize(%v): %v", i, a, err)
+			}
+			if n := len(x.Conversions); n > 3 {
+				t.Errorf("plan %d: assignment %v switches platforms %d times, want at most β = 3", i, a, n)
+			} else if n > 0 {
+				switched++
+			}
+		}
+	}
+	if len(sels) != 9 || switched == 0 {
+		t.Fatalf("%d plans, %d bounded assignments that switch at all; the check saw nothing", len(sels), switched)
 	}
 }
 
 func TestGenerateIncludesSinglePlatformAnchors(t *testing.T) {
 	// The training set must contain, for every template, the all-on-one-
 	// platform execution plans: they anchor the per-platform cost regimes
-	// the model ranks against. Detect them via the movement cells: a
-	// single-platform plan has zero conversion instances.
-	cfg := smallConfig(tdgen.ShapePipeline)
-	cfg.TemplatesPerShape = 2
-	ds, rep, err := tdgen.New(cfg, simulator.Default()).Generate()
+	// the model ranks against. With 3 platforms and 4 plans per template at
+	// least 3 plans per template are the anchors.
+	ds, rep, err := tdgen.Draw(small, 12, 2, 4, 6, 11)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Draw: %v", err)
 	}
-	// Expect at least #platforms single-platform jobs per template per
-	// profile: count rows whose movement block is all zero. The schema
-	// offsets are internal, so approximate: rows with no cell equal to a
-	// half-integer... instead rely on the report: with 3 platforms and
-	// PlansPerTemplate=4 at least 3 plans per template are the anchors.
 	if rep.ExecutionPlans < rep.LogicalPlans*3 {
 		t.Errorf("only %d execution plans over %d templates; single-platform anchors missing",
 			rep.ExecutionPlans, rep.LogicalPlans)
@@ -217,43 +207,39 @@ func TestGenerateIncludesSinglePlatformAnchors(t *testing.T) {
 }
 
 func TestGenerateSeedQueries(t *testing.T) {
-	cfg := smallConfig() // no shapes
-	cfg.Shapes = nil
-	cfg.TemplatesPerShape = 1
-	cfg.SeedQueries = []workload.Query{{
+	seeded := small
+	seeded.SeedQueries = []workload.Query{{
 		Name:     "wordcount",
 		MinBytes: 1e6,
 		MaxBytes: 1e9,
 		Build:    workload.WordCount,
 	}}
-	ds, rep, err := tdgen.New(cfg, simulator.Default()).Generate()
+	ds, rep, err := tdgen.Draw(seeded, 12, 1, 4, 6, 11)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Draw: %v", err)
 	}
-	// Shapes default when empty, so both synthetic and seeded plans are
-	// generated; the seed query adds one more logical plan.
-	if rep.LogicalPlans < 2 {
-		t.Fatalf("logical plans = %d, want synthetic + seeded", rep.LogicalPlans)
+	// One template per shape, and the seed query adds one more logical plan.
+	if rep.LogicalPlans != 4 {
+		t.Fatalf("logical plans = %d, want 3 synthetic + 1 seeded", rep.LogicalPlans)
 	}
 	if ds.Len() == 0 || rep.Jobs == 0 {
 		t.Fatal("seeded generation produced no rows")
 	}
 	// Invalid seed queries surface as errors.
-	bad := smallConfig(tdgen.ShapePipeline)
+	bad := small
 	bad.SeedQueries = []workload.Query{{
 		Name: "broken", MinBytes: 1e6, MaxBytes: 1e7,
 		Build: func(bytes float64) *plan.Logical { return &plan.Logical{} },
 	}}
-	if _, _, err := tdgen.New(bad, simulator.Default()).Generate(); err == nil {
-		t.Fatal("Generate accepted a seed query producing empty plans")
+	if _, _, err := tdgen.Draw(bad, 12, 1, 4, 6, 11); err == nil {
+		t.Fatal("Draw accepted a seed query producing empty plans")
 	}
 }
 
 func TestCSVRoundTrip(t *testing.T) {
-	g := tdgen.New(smallConfig(tdgen.ShapePipeline), simulator.Default())
-	ds, _, err := g.Generate()
+	ds, _, err := tdgen.Draw(small, 12, 1, 4, 6, 11)
 	if err != nil {
-		t.Fatalf("Generate: %v", err)
+		t.Fatalf("Draw: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := tdgen.WriteCSV(&buf, ds); err != nil {

@@ -44,12 +44,9 @@ grep -q '^robopt ' <<<"$("$WORK/robopt" -version)" || die "robopt -version"
 grep -q '^roboptd ' <<<"$("$WORK/roboptd" -version)" || die "roboptd -version"
 
 say "generating training data (two draws, second appended)"
-"$WORK/tdgen" -templates 2 -plans 4 -profiles 4 -max-ops 12 -platforms 3 \
-  -o "$WORK/train.csv" 2>/dev/null
-"$WORK/tdgen" -templates 2 -plans 4 -profiles 4 -max-ops 12 -platforms 3 \
-  -seed 2021 -o "$WORK/train.csv" -append 2>/dev/null
-"$WORK/tdgen" -templates 2 -plans 4 -profiles 4 -max-ops 12 -platforms 3 \
-  -seed 2030 -o "$WORK/train2.csv" 2>/dev/null
+"$WORK/tdgen" -size tiny -platforms 3 -o "$WORK/train.csv" 2>/dev/null
+"$WORK/tdgen" -size tiny -platforms 3 -seed 1 -o "$WORK/train.csv" -append 2>/dev/null
+"$WORK/tdgen" -size tiny -platforms 3 -seed 2 -o "$WORK/train2.csv" 2>/dev/null
 
 say "training two model artifacts"
 "$WORK/robopt" -print-example-plan > "$WORK/query.json"
@@ -73,6 +70,8 @@ refused "$WORK/roboptd" -store-watch-interval 1s
 refused "$WORK/roboptd" -fleet-heartbeat 1s
 refused "$WORK/roboptd" -platforms 9
 refused "$WORK/robopt" -platforms 9 -plan "$WORK/query.json"
+refused "$WORK/tdgen" -templates 2
+refused "$WORK/tdgen" -append
 
 say "starting roboptd with the artifact store"
 "$WORK/roboptd" -addr "127.0.0.1:$PORT" -model "$WORK/artifact.json" \
@@ -179,7 +178,7 @@ curl -sf "$BASE/modelz" > "$WORK/modelz.json"
 say "the feedback export merges offline without losing a row"
 curl -sf "$BASE/modelz/feedback" > "$WORK/feedback.csv"
 FB_LEN="$(jget "$WORK/modelz.json" "d['feedback']['len']")"
-"$WORK/tdgen" -templates 1 -plans 2 -profiles 2 -max-ops 6 -platforms 3 \
+"$WORK/tdgen" -size tiny -platforms 3 \
   -o "$WORK/merged.csv" -merge "$WORK/feedback.csv" 2> "$WORK/merge.log"
 grep -q "; $FB_LEN rows merged in)" "$WORK/merge.log" \
   || die "tdgen -merge did not read the $FB_LEN exported rows: $(cat "$WORK/merge.log")"
