@@ -161,9 +161,9 @@ type enumNode struct {
 // live enumeration that owns each operator, the counters numbering nodes and
 // concatenations in selection order, and selectRound's buffers. Its memory is
 // sized from the plan once per run: a run adds at most 2n−1 nodes (n
-// singletons and one per task) and hands out at most n−1 tasks (each does at
-// least one of the n−1 concatenations), and the children lists of one round
-// name at most one node per dataflow edge.
+// singletons and one per task), a round hands out at most n/2 tasks (they
+// are disjoint and each consumes at least two live nodes), and the children
+// lists of one round name at most one node per dataflow edge.
 type frontier struct {
 	nodes     []*enumNode
 	owner     []*enumNode
@@ -174,9 +174,8 @@ type frontier struct {
 
 	slab  []enumNode     // node seq lives in slab[seq]
 	kids  []*enumNode    // this round's children lists
-	tasks []boundaryTask // task i of the run is tasks[i]
-	ntask int
-	pool  *pool // parallel rounds (runRound)
+	tasks []boundaryTask // this round's tasks, in selection order
+	pool  *pool          // parallel rounds (runRound)
 }
 
 // newFrontier sizes the schedule's state for the n-operator plan of c.
@@ -190,7 +189,7 @@ func (c *Context) newFrontier(n int) *frontier {
 		union:    plan.NewBitset(n),
 		boundary: make([]plan.OpID, 0, n),
 		slab:     make([]enumNode, 2*n-1),
-		tasks:    make([]boundaryTask, n-1),
+		tasks:    make([]boundaryTask, 0, n/2+1),
 	}
 }
 

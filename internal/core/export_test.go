@@ -77,3 +77,27 @@ func probeSlice[S ~[]E, E any](s S) func() bool {
 	}
 	return probe(&s[:1][0])
 }
+
+// FootTable is pruneGroups' footprint table, for the tests that drive it
+// directly: Reset starts a prune, Group numbers a packed footprint.
+type FootTable struct{ t footTable }
+
+func (f *FootTable) Reset()                       { f.t.reset() }
+func (f *FootTable) Group(key uint64) (int, bool) { return f.t.group(key) }
+
+// Slots is the table's size and Home a key's first probe slot at that size.
+func (f *FootTable) Slots() int          { return len(f.t.slots) }
+func (f *FootTable) Home(key uint64) int { return f.t.home(key) }
+
+// SetGeneration sets the generation the table is at, as if that many prunes
+// had reset it; LiveSlots counts the slots that read as live at it.
+func (f *FootTable) SetGeneration(g uint32) { f.t.gen = g }
+func (f *FootTable) LiveSlots() int {
+	live := 0
+	for _, s := range f.t.slots {
+		if s.gen == f.t.gen {
+			live++
+		}
+	}
+	return live
+}

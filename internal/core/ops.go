@@ -380,38 +380,34 @@ func (c *Context) pruneGroups(ctx context.Context, e *Enumeration, st *Stats) {
 	if len(e.Vectors) <= 1 {
 		return
 	}
-	var wide map[string]uint64
+	var wide map[string]int
 	sc := c.scratch
-	if sc.groups == nil {
+	if sc.group == nil {
 		// Sized once per worker and run, from the plan's singleton rows.
 		rows := len(c.alts)
-		sc.groups = make(map[uint64]int, rows)
 		sc.group, sc.size = make([]int, 0, rows), make([]int, 0, rows)
 		sc.miss = slices.Grow(sc.miss, rows)
 	}
-	groups := sc.groups
-	clear(groups)
+	sc.foot.reset()
 	sc.group, sc.size = sc.group[:0], sc.size[:0]
 	for _, v := range e.Vectors {
-		foot, sfoot, packed := footprintKey(v.Assign, e.Boundary)
-		if !packed {
+		var g int
+		var seen bool
+		if foot, sfoot, packed := footprintKey(v.Assign, e.Boundary); packed {
+			g, seen = sc.foot.group(foot)
+		} else {
 			// The boundary, hence packed, is the enumeration's: its vectors
-			// are all packed or all numbered, so the two key spaces never
-			// meet in one group map.
-			id, ok := wide[sfoot]
-			if !ok {
+			// are all packed or all keyed by string, numbered in first-seen
+			// order here as the table numbers packed keys.
+			if g, seen = wide[sfoot]; !seen {
 				if wide == nil {
-					wide = make(map[string]uint64)
+					wide = make(map[string]int)
 				}
-				id = uint64(len(wide))
-				wide[sfoot] = id
+				g = len(wide)
+				wide[sfoot] = g
 			}
-			foot = id
 		}
-		g, seen := groups[foot]
 		if !seen {
-			g = len(sc.size)
-			groups[foot] = g
 			sc.size = append(sc.size, 0)
 		}
 		sc.size[g]++

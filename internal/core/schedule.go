@@ -87,7 +87,7 @@ func (c *Context) selectRound(f *frontier, order OrderPolicy) []boundaryTask {
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
-	first := f.ntask
+	f.tasks = f.tasks[:0]
 	for _, nd := range f.ordered {
 		if len(nd.children) == 0 || nd.claimed || nd.tie > minTie+1 {
 			continue
@@ -99,11 +99,10 @@ func (c *Context) selectRound(f *frontier, order OrderPolicy) []boundaryTask {
 		for _, ch := range nd.children {
 			ch.claimed = true
 		}
-		f.tasks[f.ntask] = boundaryTask{node: nd, children: nd.children, stepBase: f.step}
-		f.ntask++
+		f.tasks = append(f.tasks, boundaryTask{node: nd, children: nd.children, stepBase: f.step})
 		f.step += len(nd.children)
 	}
-	return f.tasks[first:f.ntask]
+	return f.tasks
 }
 
 // workerContext returns pool worker sc's shallow copy of c, made on the

@@ -22,7 +22,7 @@ import (
 // the plan rather than one object per enumeration step: a run of n operators
 // makes exactly n singleton enumerations and n−1 concatenations, so the store
 // holds 2n−1 enumeration slots with their scope words (and the frontier 2n−1
-// nodes and n−1 tasks), while each worker's boundary lists are carved from a
+// nodes and one round's tasks), while each worker's boundary lists are carved from a
 // block that grows geometrically and never moves. The bookkeeping dies with
 // the run.
 //
@@ -326,7 +326,8 @@ func poisonRows(f []float64, a []uint8) {
 // and the bookkeeping of MergeInfo, predict and pruneGroups. Its rows and
 // float buffers are carved from the run's memory; each grows to the largest
 // request the worker has seen in the run and is never cleared — mergeInto
-// overwrites every cell of every row it is given.
+// overwrites every cell of every row it is given. The footprint table is the
+// worker's own for the run: a prune resets it with one increment.
 type scratch struct {
 	enum   Enumeration
 	mat    vecops.Matrix
@@ -341,7 +342,7 @@ type scratch struct {
 	gather []float64       // predict, recordContributions: rows of the run not contiguous in a matrix
 	row    []float64       // enumerateSingleton, recordContributions: one Schema-width row
 	views  []vecops.Matrix // predict, recordContributions: each parallel chunk's view of the rows
-	groups map[uint64]int  // pruneGroups: footprint → its group number, in first-seen order
+	foot   footTable       // pruneGroups: packed footprint → its group number, in first-seen order
 	group  []int           // pruneGroups: each vector's group
 	size   []int           // pruneGroups: each group's member count
 

@@ -68,3 +68,81 @@ func footprintKey(assign []uint8, boundary []plan.OpID) (uint64, string, bool) {
 	}
 	return 0, sb.String(), false
 }
+
+// footTable numbers the packed footprints of one prune in first-seen order,
+// as a map from footprint to group number would, in an open-addressed table
+// (linear probing) whose slots carry the generation that wrote them: a slot
+// is live only at the table's current generation, so a prune resets the
+// table with one increment instead of clearing it. The table starts at
+// footSlots slots and doubles when its groups fill half of it, so a probe
+// always ends on a free slot and the table is sized by the most groups one
+// prune of the run has formed, not by its vectors.
+type footTable struct {
+	slots []footSlot
+	gen   uint32
+	shift uint8 // 64 − log2(len(slots)): a key's home slot is its hash's top bits
+	n     int   // groups numbered since reset
+}
+
+type footSlot struct {
+	key   uint64
+	gen   uint32
+	group int32
+}
+
+const footSlots = 16
+
+// reset starts a new prune: every slot reads free.
+func (t *footTable) reset() {
+	if t.slots == nil {
+		t.slots, t.shift = make([]footSlot, footSlots), 64-4
+	}
+	t.n = 0
+	if t.gen++; t.gen == 0 {
+		// The counter wrapped: a never-written slot reads as live at
+		// generation 0, and one written 2³² prunes ago at its old one.
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
+// group returns key's group number; a key not seen since reset is numbered
+// next, with seen false.
+func (t *footTable) group(key uint64) (g int, seen bool) {
+	mask := len(t.slots) - 1
+	for i := t.home(key); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			if 2*(t.n+1) > len(t.slots) {
+				t.grow()
+				return t.group(key)
+			}
+			*s = footSlot{key: key, gen: t.gen, group: int32(t.n)}
+			t.n++
+			return t.n - 1, false
+		}
+		if s.key == key {
+			return int(s.group), true
+		}
+	}
+}
+
+// home is key's first probe slot (Fibonacci hashing).
+func (t *footTable) home(key uint64) int { return int((key * 0x9E3779B97F4A7C15) >> t.shift) }
+
+// grow doubles the table and moves the live slots into it.
+func (t *footTable) grow() {
+	old := t.slots
+	t.slots, t.shift = make([]footSlot, 2*len(old)), t.shift-1
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.gen != t.gen {
+			continue
+		}
+		i := t.home(s.key)
+		for t.slots[i].gen == t.gen {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}

@@ -65,14 +65,16 @@ type Admission struct {
 	// the server registry when nil.
 	Metrics *obs.Registry
 
-	once   sync.Once
-	slots  chan struct{}
-	queued atomic.Int64
+	once    sync.Once
+	slots   chan struct{}
+	release func() // frees one slot; every admitted unit gets this one func
+	queued  atomic.Int64
 }
 
 func (a *Admission) init() {
 	a.once.Do(func() {
 		a.slots = make(chan struct{}, a.maxConcurrent())
+		a.release = func() { <-a.slots }
 	})
 }
 
@@ -111,17 +113,17 @@ func (a *Admission) inFlight() int {
 	return len(a.slots)
 }
 
-// Acquire admits one request unit. The returned release func must be called
-// exactly once when the outcome is admitOK or admitShed; it is nil for
-// admitRejected and admitCanceled. The four outcome counters partition
+// Acquire admits one request unit. The returned release func frees one slot
+// and must be called exactly once when the outcome is admitOK or admitShed
+// (the service's lease guards that); it is nil for admitRejected and
+// admitCanceled. The four outcome counters partition
 // admission_offered_total: offered = admitted + shed + rejected + canceled.
 func (a *Admission) Acquire(ctx context.Context) (admitOutcome, func()) {
 	a.init()
 	m := a.Metrics
 	m.Counter("admission_offered_total").Inc()
 	admitted := m.Counter("admission_admitted_total")
-	var relOnce sync.Once
-	release := func() { relOnce.Do(func() { <-a.slots }) }
+	release := a.release
 
 	// Fast path: a free slot means no pressure — admit in full.
 	select {

@@ -147,3 +147,27 @@ func TestAdmissionDefaults(t *testing.T) {
 		t.Fatalf("queue-less saturated Acquire = %v, want admitRejected", o)
 	}
 }
+
+// TestLeaseDoneReleasesOnce pins that a lease frees its admission slot
+// exactly once: Acquire hands every admitted unit the same release func, so
+// a second done must not take another call's slot.
+func TestLeaseDoneReleasesOnce(t *testing.T) {
+	a := &Admission{MaxConcurrent: 2, MaxQueue: -1}
+	var ls [2]lease
+	for i := range ls {
+		o, rel := a.Acquire(context.Background())
+		if o != admitOK || rel == nil {
+			t.Fatalf("Acquire %d = %v, want admitOK with release", i, o)
+		}
+		ls[i].release = rel
+	}
+	ls[0].done()
+	ls[0].done()
+	if got := a.inFlight(); got != 1 {
+		t.Fatalf("after one lease was done twice, %d slots are held, want 1", got)
+	}
+	ls[1].done()
+	if got := a.inFlight(); got != 0 {
+		t.Fatalf("after both leases were done, %d slots are held, want 0", got)
+	}
+}

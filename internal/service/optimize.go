@@ -307,15 +307,17 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, p *reqParams)
 }
 
 // lease is what a call admitted by prelude holds until it finishes: its
-// admission slot and its deadline context.
+// admission slot and its deadline context. done gives the slot back once,
+// however often it is called.
 type lease struct {
 	release func()
 	cancel  context.CancelFunc
 }
 
-func (l lease) done() {
+func (l *lease) done() {
 	if l.release != nil {
 		l.release()
+		l.release = nil
 	}
 	if l.cancel != nil {
 		l.cancel()
