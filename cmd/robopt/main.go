@@ -22,8 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
-
 	"time"
 
 	"repro/internal/buildinfo"
@@ -63,19 +63,39 @@ func main() {
 		version   = flag.Bool("version", false, "print build information and exit")
 	)
 	flag.Parse()
-	if err := platform.CheckCount(*nPlats); err != nil {
-		log.Printf("-platforms: %v", err)
+	// Settings the run cannot use are refused here, before any plan,
+	// model or training data is read.
+	refuse := func(format string, args ...any) {
+		log.Printf(format, args...)
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := platform.CheckCount(*nPlats); err != nil {
+		refuse("-platforms: %v", err)
+	}
+	if *mode != "multi" && *mode != "single" {
+		refuse("-mode %q: want multi or single", *mode)
+	}
+	if *explain != "" && *explain != "text" && *explain != "json" {
+		refuse("-explain %q: want text or json", *explain)
+	}
+	if *riskL < 0 || math.IsInf(*riskL, 0) || math.IsNaN(*riskL) {
+		refuse("-risk-lambda %g: want a finite value >= 0", *riskL)
+	}
+	if *budgetVec < 0 {
+		refuse("-budget-vectors %d: must not be negative (0 = unlimited)", *budgetVec)
+	}
+	if *budgetMC < 0 {
+		refuse("-budget-model-calls %d: must not be negative (0 = unlimited)", *budgetMC)
+	}
+	if *deadline < 0 {
+		refuse("-deadline %v: must not be negative (0 = none)", *deadline)
 	}
 	if *version {
 		fmt.Println(buildinfo.String("robopt"))
 		fmt.Printf("workers: %d (from -workers %d; 0 resolves to runtime.GOMAXPROCS)\n",
 			core.ResolveWorkers(*workers), *workers)
 		return
-	}
-	if *explain != "" && *explain != "text" && *explain != "json" {
-		log.Fatalf("-explain must be text or json, got %q", *explain)
 	}
 	logger, err := obs.NewLogger(os.Stderr, *logLevel, *logFormat, "robopt")
 	if err != nil {
@@ -202,9 +222,6 @@ func main() {
 		}
 		ctx.Workers = core.ResolveWorkers(*workers)
 		ctx.Budget = core.Budget{MaxVectors: *budgetVec, MaxModelCalls: *budgetMC}
-		if *riskL < 0 {
-			log.Fatalf("-risk-lambda must be >= 0, got %g", *riskL)
-		}
 		if *riskL != 0 {
 			ctx.Risk = core.Risk{Lambda: *riskL, KeepOverlap: true}
 		}
@@ -277,8 +294,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("chosen platform: %s\n", p)
-	default:
-		log.Fatalf("unknown -mode %q (want multi or single)", *mode)
 	}
 
 	fmt.Printf("execution plan (%s):\n%s", x.PlatformLabel(), x)

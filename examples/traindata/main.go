@@ -35,7 +35,7 @@ func main() {
 	train, test := ds.Split(0.2, 1)
 	fmt.Printf("\ntraining a %d-tree random forest on %d rows...\n", 60, train.Len())
 	trainer := mlmodel.LogTargetTrainer{Inner: mlmodel.ForestTrainer{Config: mlmodel.ForestConfig{
-		Trees: 60, MaxDepth: 18, Seed: 7, Parallel: true,
+		Trees: 60, MaxDepth: 18, Seed: 7,
 	}}}
 	model, err := trainer.Fit(train)
 	if err != nil {

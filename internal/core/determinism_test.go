@@ -55,7 +55,7 @@ func fitFamilies(t *testing.T, width int, seed int64) map[string]core.CostModel 
 	if err != nil {
 		t.Fatalf("FitGBM: %v", err)
 	}
-	lin, err := mlmodel.FitLinear(ds, mlmodel.LinearConfig{})
+	lin, err := mlmodel.FitLinear(ds)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}

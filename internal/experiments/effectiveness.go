@@ -418,11 +418,11 @@ func (h *Harness) Figure8() ([]Fig8Row, error) {
 		}
 		actual[i] = r.Runtime
 		if training[i] {
-			xs = append(xs, math.Log(card))
-			ys = append(ys, math.Log1p(r.Runtime))
+			xs = append(xs, card)
+			ys = append(ys, r.Runtime)
 		}
 	}
-	interp, err := newLogInterp(xs, ys)
+	interp, err := tdgen.NewImputer(xs, ys)
 	if err != nil {
 		return nil, err
 	}
@@ -446,20 +446,4 @@ func fig8Table(rows []Fig8Row) *Table {
 		}
 		return []string{fmt.Sprintf("%.3g", r.Cardinality), fmt.Sprintf("%.2f", r.Actual), fmt.Sprintf("%.2f", r.Interpolated), mark}
 	})
-}
-
-// newLogInterp builds a log-log degree-5 interpolator over pre-transformed
-// points and returns an evaluator in raw coordinates.
-func newLogInterp(logXs, logYs []float64) (func(card float64) float64, error) {
-	in, err := tdgen.NewInterpolator(logXs, logYs)
-	if err != nil {
-		return nil, err
-	}
-	return func(card float64) float64 {
-		y := math.Expm1(in.At(math.Log(card)))
-		if y < 0 {
-			return 0
-		}
-		return y
-	}, nil
 }

@@ -1,36 +1,23 @@
 package mlmodel
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // ForestConfig controls random-forest training.
 type ForestConfig struct {
-	Trees       int   // number of trees (default 50)
-	MaxDepth    int   // per-tree depth cap (default 16)
-	MinLeaf     int   // per-tree minimum leaf size (default 2)
-	MaxFeatures int   // features per split; 0 means NumFeatures/3, min 1
-	Seed        int64 // master seed; tree i uses Seed + i deterministically
-	Parallel    bool  // fit trees across GOMAXPROCS goroutines
+	Trees    int   // number of trees (default 50)
+	MaxDepth int   // per-tree depth cap (default 16)
+	Seed     int64 // master seed; tree i uses Seed + i deterministically
 }
 
-func (c ForestConfig) withDefaults(numFeatures int) ForestConfig {
+// forestMinLeaf is every tree's minimum leaf size.
+const forestMinLeaf = 2
+
+func (c ForestConfig) withDefaults() ForestConfig {
 	if c.Trees <= 0 {
 		c.Trees = 50
 	}
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 16
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 2
-	}
-	if c.MaxFeatures <= 0 {
-		c.MaxFeatures = numFeatures / 3
-		if c.MaxFeatures < 1 {
-			c.MaxFeatures = 1
-		}
 	}
 	return c
 }
@@ -52,9 +39,9 @@ func newForest(trees []*Tree) *Forest {
 }
 
 // FitForest trains a random forest on d: each tree sees a bootstrap sample
-// of the rows and a random MaxFeatures-subset of features per split.
-// Training is deterministic for a fixed Seed regardless of Parallel, because
-// every tree derives its own generator from Seed+i.
+// of the rows and a random third of the features (at least one) per split.
+// The trees are fitted concurrently; the forest is the same at any
+// GOMAXPROCS, because every tree derives its own generator from Seed+i.
 func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -62,10 +49,11 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("mlmodel: cannot fit a forest on an empty dataset")
 	}
-	cfg = cfg.withDefaults(d.NumFeatures())
+	cfg = cfg.withDefaults()
+	maxFeatures := max(d.NumFeatures()/3, 1)
 	trees := make([]*Tree, cfg.Trees)
-
-	fitOne := func(i int) error {
+	errs := make([]error, cfg.Trees)
+	fanOut(cfg.Trees, func(i int) {
 		rng := newRng(cfg.Seed + int64(i)*7919)
 		boot := &Dataset{X: make([][]float64, d.Len()), Y: make([]float64, d.Len())}
 		for j := range boot.X {
@@ -73,60 +61,17 @@ func FitForest(d *Dataset, cfg ForestConfig) (*Forest, error) {
 			boot.X[j] = d.X[k]
 			boot.Y[j] = d.Y[k]
 		}
-		t, err := FitTree(boot, TreeConfig{
+		trees[i], errs[i] = FitTree(boot, TreeConfig{
 			MaxDepth:    cfg.MaxDepth,
-			MinLeaf:     cfg.MinLeaf,
-			MaxFeatures: cfg.MaxFeatures,
+			MinLeaf:     forestMinLeaf,
+			MaxFeatures: maxFeatures,
 			Seed:        cfg.Seed + int64(i)*104729,
 		})
+	})
+	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
-		trees[i] = t
-		return nil
-	}
-
-	if !cfg.Parallel {
-		for i := 0; i < cfg.Trees; i++ {
-			if err := fitOne(i); err != nil {
-				return nil, err
-			}
-		}
-		return newForest(trees), nil
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.Trees {
-		workers = cfg.Trees
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		ferr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fitOne(i); err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.Trees; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if ferr != nil {
-		return nil, ferr
 	}
 	return newForest(trees), nil
 }

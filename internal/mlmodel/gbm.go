@@ -5,24 +5,21 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 )
 
 // GBMConfig controls gradient-boosted regression trees.
 type GBMConfig struct {
-	Trees     int     // boosting rounds (default 200)
-	MaxDepth  int     // per-tree depth (default 6)
-	LR        float64 // shrinkage (default 0.1)
-	MinLeaf   int     // minimum samples per leaf (default 5)
-	Subsample float64 // row fraction per round (default 0.8)
-	MaxBins   int     // histogram bins per feature (default 128, max 255)
-	Seed      int64
-	// Parallel splits the per-feature histogram work across
-	// GOMAXPROCS goroutines. The result is identical to the sequential
-	// fit: ties between equal-gain splits always resolve to the lowest
-	// feature index.
-	Parallel bool
+	Trees    int     // boosting rounds (default 200)
+	MaxDepth int     // per-tree depth (default 6)
+	LR       float64 // shrinkage (default 0.1)
+	MinLeaf  int     // minimum samples per leaf (default 5)
+	Seed     int64
 }
+
+const (
+	gbmSubsample = 0.8 // row fraction each round's tree is fitted on
+	gbmMaxBins   = 128 // histogram bins per feature (at most 255: codes are uint8)
+)
 
 func (c GBMConfig) withDefaults() GBMConfig {
 	if c.Trees <= 0 {
@@ -37,12 +34,6 @@ func (c GBMConfig) withDefaults() GBMConfig {
 	if c.MinLeaf <= 0 {
 		c.MinLeaf = 5
 	}
-	if c.Subsample <= 0 || c.Subsample > 1 {
-		c.Subsample = 0.8
-	}
-	if c.MaxBins <= 1 || c.MaxBins > 255 {
-		c.MaxBins = 128
-	}
 	return c
 }
 
@@ -53,7 +44,7 @@ func (c GBMConfig) withDefaults() GBMConfig {
 // cardinality) are absorbed; bagged forests average those effects away into
 // wide leaves, which plan *ranking* cannot tolerate. Split finding uses
 // quantile histograms (the LightGBM approach): features are quantized to at
-// most MaxBins bins once per fit, making a split scan O(rows + bins) per
+// most gbmMaxBins bins once per fit, making a split scan O(rows + bins) per
 // feature instead of O(rows log rows). The estimate is the training mean
 // plus lr·tree(x) round by round; the predictive spread is the std of the
 // last gbmTailWindow partial sums — a model still moving in its final rounds
@@ -64,11 +55,11 @@ type GBM struct{ flatForest }
 // points. bin b covers values in (edges[b-1], edges[b]]; values above the
 // last edge land in the final bin.
 type binner struct {
-	// edges[f] holds ascending upper cut points; len ≤ MaxBins-1.
+	// edges[f] holds ascending upper cut points; len ≤ gbmMaxBins-1.
 	edges [][]float64
 }
 
-func newBinner(d *Dataset, maxBins int) *binner {
+func newBinner(d *Dataset) *binner {
 	nf := d.NumFeatures()
 	b := &binner{edges: make([][]float64, nf)}
 	vals := make([]float64, 0, d.Len())
@@ -95,7 +86,7 @@ func newBinner(d *Dataset, maxBins int) *binner {
 		if anyZero && vals[0] > 0 {
 			edges = append(edges, 0)
 		}
-		cuts := maxBins - len(edges)
+		cuts := gbmMaxBins - len(edges)
 		for q := 1; q < cuts; q++ {
 			v := vals[q*(len(vals)-1)/cuts]
 			if len(edges) == 0 || v > edges[len(edges)-1] {
@@ -147,9 +138,8 @@ type histBuilder struct {
 	codes  [][]uint8
 	bins   *binner
 	resid  []float64
-	nBins  int
-	sumBuf []float64 // nBins scratch
-	cntBuf []int32   // nBins scratch
+	sumBuf []float64 // gbmMaxBins scratch
+	cntBuf []int32   // gbmMaxBins scratch
 }
 
 // build grows the subtree over rows and returns its node index in t.
@@ -193,46 +183,30 @@ type splitCandidate struct {
 }
 
 // bestSplit finds the (feature, bin) maximizing the gain
-// sumL²/nL + sumR²/nR − sumTotal²/n over all histogram splits.
+// sumL²/nL + sumR²/nR − sumTotal²/n over all histogram splits. A node with
+// fewer than 32 features or 1024 rows is scanned in place; a larger one is
+// cut into GOMAXPROCS feature chunks scanned concurrently. The split is the
+// same either way: within a chunk and across chunks, strictly greater gain
+// wins and equal gains resolve to the lowest feature index.
 func (hb *histBuilder) bestSplit(rows []int32, total float64) (int, uint8, bool) {
 	nf := len(hb.codes)
-	if !hb.cfg.Parallel || nf < 32 || len(rows) < 1024 {
+	if nf < 32 || len(rows) < 1024 {
 		c := hb.scanFeatures(rows, total, 0, nf, hb.sumBuf, hb.cntBuf)
 		return c.feat, c.bin, c.ok
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nf {
-		workers = nf
-	}
-	results := make([]splitCandidate, workers)
-	var wg sync.WaitGroup
-	chunk := (nf + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > nf {
-			hi = nf
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			sums := make([]float64, hb.nBins)
-			cnts := make([]int32, hb.nBins)
-			results[w] = hb.scanFeatures(rows, total, lo, hi, sums, cnts)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	procs := runtime.GOMAXPROCS(0)
+	size := (nf + procs - 1) / procs
+	results := make([]splitCandidate, (nf+size-1)/size)
+	fanOut(len(results), func(w int) {
+		lo := w * size
+		results[w] = hb.scanFeatures(rows, total, lo, min(lo+size, nf),
+			make([]float64, gbmMaxBins), make([]int32, gbmMaxBins))
+	})
 	best := splitCandidate{gain: 1e-12}
 	for _, c := range results {
-		if !c.ok {
-			continue
-		}
-		// Deterministic reduction: strictly greater gain wins; equal
-		// gains resolve to the lowest feature index.
-		if !best.ok || c.gain > best.gain || (c.gain == best.gain && c.feat < best.feat) {
+		// Chunks come in feature order, so keeping the first of equal
+		// gains keeps the lowest feature index.
+		if c.gain > best.gain {
 			best = c
 		}
 	}
@@ -298,7 +272,7 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 	}
 	g.base /= float64(n)
 
-	bins := newBinner(d, cfg.MaxBins)
+	bins := newBinner(d)
 	codes := bins.quantize(d)
 
 	pred := make([]float64, n)
@@ -307,7 +281,7 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 	}
 	resid := make([]float64, n)
 	rng := newRng(cfg.Seed)
-	sampleSize := int(cfg.Subsample * float64(n))
+	sampleSize := int(gbmSubsample * float64(n))
 	if sampleSize < 1 {
 		sampleSize = 1
 	}
@@ -316,9 +290,8 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 		codes:  codes,
 		bins:   bins,
 		resid:  resid,
-		nBins:  cfg.MaxBins,
-		sumBuf: make([]float64, cfg.MaxBins),
-		cntBuf: make([]int32, cfg.MaxBins),
+		sumBuf: make([]float64, gbmMaxBins),
+		cntBuf: make([]int32, gbmMaxBins),
 	}
 	rows := make([]int32, 0, n)
 	for round := 0; round < cfg.Trees; round++ {

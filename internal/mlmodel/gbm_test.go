@@ -1,7 +1,10 @@
 package mlmodel_test
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mlmodel"
@@ -55,8 +58,8 @@ func TestGBMResolvesSecondaryEffect(t *testing.T) {
 
 func TestGBMDeterministic(t *testing.T) {
 	ds := synthDataset(300, 4, 23, func(x []float64) float64 { return x[0] - 2*x[2] }, 1)
-	a, err1 := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 30, Seed: 11, Subsample: 0.7})
-	b, err2 := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 30, Seed: 11, Subsample: 0.7})
+	a, err1 := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 30, Seed: 11})
+	b, err2 := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 30, Seed: 11})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("FitGBM: %v %v", err1, err2)
 	}
@@ -69,22 +72,47 @@ func TestGBMDeterministic(t *testing.T) {
 	}
 }
 
-func TestGBMParallelMatchesSequential(t *testing.T) {
-	// The parallel split search must produce the identical model.
-	ds := synthDataset(600, 40, 29, func(x []float64) float64 {
-		return 3*x[0] - x[7]*x[12] + 2*x[39]
-	}, 0.5)
-	seq, err1 := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 25, MaxDepth: 5, Seed: 13})
-	par, err2 := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 25, MaxDepth: 5, Seed: 13, Parallel: true})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("FitGBM: %v %v", err1, err2)
+// fitBytesAt returns the SaveModel bytes of fit run at GOMAXPROCS procs.
+func fitBytesAt(t *testing.T, procs int, fit func() (mlmodel.Model, error)) []byte {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	m, err := fit()
+	if err != nil {
+		t.Fatalf("fit at GOMAXPROCS %d: %v", procs, err)
 	}
-	for i := 0; i < 50; i++ {
-		x := ds.X[i]
-		if seq.Predict(x) != par.Predict(x) {
-			t.Fatalf("parallel fit differs from sequential at row %d", i)
+	return saveBytes(t, m)
+}
+
+// requireSameAtAnyProcs fails unless fit gives the same artifact at
+// GOMAXPROCS 1 as at the ambient value (at least 2).
+func requireSameAtAnyProcs(t *testing.T, fit func() (mlmodel.Model, error)) {
+	t.Helper()
+	procs := max(runtime.GOMAXPROCS(0), 2)
+	if one, many := fitBytesAt(t, 1, fit), fitBytesAt(t, procs, fit); !bytes.Equal(one, many) {
+		t.Fatalf("the fit at GOMAXPROCS %d differs from the one at GOMAXPROCS 1", procs)
+	}
+}
+
+func TestGBMFitSameAtAnyGOMAXPROCS(t *testing.T) {
+	// 6 000 rows × 40 features: every node of at least 1 024 sampled rows,
+	// the root's children and grandchildren too, cuts the features into one
+	// chunk per GOMAXPROCS and scans the chunks concurrently. Column 25
+	// copies column 5, which puts equal-gain ties in different chunks at
+	// every GOMAXPROCS ≥ 2 (the lower index must win); column 39, in the
+	// last chunk, carries signal of its own.
+	rng := rand.New(rand.NewSource(29))
+	ds := &mlmodel.Dataset{}
+	for range 6000 {
+		x := make([]float64, 40)
+		for j := range x {
+			x[j] = float64(rng.Intn(16))
 		}
+		x[25] = x[5]
+		ds.Append(x, 4*x[5]+3*x[39]+rng.NormFloat64())
 	}
+	requireSameAtAnyProcs(t, func() (mlmodel.Model, error) {
+		return mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 8, MaxDepth: 4, Seed: 13})
+	})
 }
 
 func TestGBMEmptyDataset(t *testing.T) {
@@ -139,7 +167,7 @@ func TestGBMQuantizationMonotone(t *testing.T) {
 		x := float64(i)
 		ds.Append([]float64{x}, x*2)
 	}
-	g, err := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 150, MaxDepth: 4, Seed: 8, Subsample: 1})
+	g, err := mlmodel.FitGBM(ds, mlmodel.GBMConfig{Trees: 150, MaxDepth: 4, Seed: 8})
 	if err != nil {
 		t.Fatalf("FitGBM: %v", err)
 	}

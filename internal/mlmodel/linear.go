@@ -33,25 +33,19 @@ func (l *Linear) PredictBatchDist(X *Matrix, mean, spread, lo, hi []float64) {
 	residBounds(X.Rows, l.ResidStd, mean, spread, lo, hi)
 }
 
-// LinearConfig controls the least-squares fit.
-type LinearConfig struct {
-	// Ridge is the L2 regularization strength added to the normal
-	// equations' diagonal; it also guarantees solvability for collinear
-	// features (plan vectors have many). Default 1e-6.
-	Ridge float64
-}
+// ridge is the L2 regularization strength added to the normal equations'
+// diagonal; it also guarantees solvability for collinear features (plan
+// vectors have many).
+const ridge = 1e-6
 
 // FitLinear fits OLS/ridge regression via the normal equations
 // (XᵀX + λI)w = XᵀY solved by Gaussian elimination with partial pivoting.
-func FitLinear(d *Dataset, cfg LinearConfig) (*Linear, error) {
+func FitLinear(d *Dataset) (*Linear, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("mlmodel: cannot fit linear regression on an empty dataset")
-	}
-	if cfg.Ridge <= 0 {
-		cfg.Ridge = 1e-6
 	}
 	nf := d.NumFeatures()
 	dim := nf + 1 // augmented with the intercept column
@@ -90,7 +84,7 @@ func FitLinear(d *Dataset, cfg LinearConfig) (*Linear, error) {
 			a[i][j] = a[j][i]
 		}
 		if i < nf {
-			a[i][i] += cfg.Ridge * (1 + a[i][i])
+			a[i][i] += ridge * (1 + a[i][i])
 		}
 	}
 
@@ -149,7 +143,7 @@ func solveGauss(a [][]float64) ([]float64, error) {
 }
 
 // LinearTrainer adapts FitLinear to the Trainer interface.
-type LinearTrainer struct{ Config LinearConfig }
+type LinearTrainer struct{}
 
 // Fit trains a linear model on d.
-func (t LinearTrainer) Fit(d *Dataset) (Model, error) { return FitLinear(d, t.Config) }
+func (LinearTrainer) Fit(d *Dataset) (Model, error) { return FitLinear(d) }

@@ -106,7 +106,7 @@ func TestTreeEmptyDataset(t *testing.T) {
 	if _, err := mlmodel.FitForest(&mlmodel.Dataset{}, mlmodel.ForestConfig{}); err == nil {
 		t.Fatal("FitForest accepted an empty dataset")
 	}
-	if _, err := mlmodel.FitLinear(&mlmodel.Dataset{}, mlmodel.LinearConfig{}); err == nil {
+	if _, err := mlmodel.FitLinear(&mlmodel.Dataset{}); err == nil {
 		t.Fatal("FitLinear accepted an empty dataset")
 	}
 	if _, err := mlmodel.FitMLP(&mlmodel.Dataset{}, mlmodel.MLPConfig{}); err == nil {
@@ -131,32 +131,17 @@ func TestForestBeatsSingleTreeOnNoisy(t *testing.T) {
 	}
 }
 
-func TestForestDeterministicAcrossParallel(t *testing.T) {
+func TestForestFitSameAtAnyGOMAXPROCS(t *testing.T) {
 	ds := synthDataset(300, 3, 6, func(x []float64) float64 { return x[0] * x[1] }, 1)
-	seq, err := mlmodel.FitForest(ds, mlmodel.ForestConfig{Trees: 16, Seed: 9, Parallel: false})
-	if err != nil {
-		t.Fatalf("FitForest: %v", err)
-	}
-	par, err := mlmodel.FitForest(ds, mlmodel.ForestConfig{Trees: 16, Seed: 9, Parallel: true})
-	if err != nil {
-		t.Fatalf("FitForest parallel: %v", err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	for i := 0; i < 50; i++ {
-		x := []float64{rng.Float64() * 10, rng.Float64() * 10, rng.Float64() * 10}
-		if seq.Predict(x) != par.Predict(x) {
-			t.Fatal("parallel fit differs from sequential fit for the same seed")
-		}
-	}
-	if seq.NumTrees() != 16 {
-		t.Errorf("NumTrees = %d, want 16", seq.NumTrees())
-	}
+	requireSameAtAnyProcs(t, func() (mlmodel.Model, error) {
+		return mlmodel.FitForest(ds, mlmodel.ForestConfig{Trees: 16, Seed: 9})
+	})
 }
 
 func TestLinearRecoversCoefficients(t *testing.T) {
 	// y = 2x0 - 3x1 + 7, exactly.
 	ds := synthDataset(200, 2, 11, func(x []float64) float64 { return 2*x[0] - 3*x[1] + 7 }, 0)
-	lin, err := mlmodel.FitLinear(ds, mlmodel.LinearConfig{})
+	lin, err := mlmodel.FitLinear(ds)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -176,7 +161,7 @@ func TestLinearHandlesCollinearFeatures(t *testing.T) {
 		v := rng.Float64() * 10
 		ds.Append([]float64{v, v}, 4*v+1)
 	}
-	lin, err := mlmodel.FitLinear(ds, mlmodel.LinearConfig{})
+	lin, err := mlmodel.FitLinear(ds)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}

@@ -7,12 +7,13 @@ import (
 
 // MLPConfig controls the multilayer-perceptron fit.
 type MLPConfig struct {
-	Hidden    int     // hidden units (default 32)
-	Epochs    int     // passes over the data (default 60)
-	BatchSize int     // minibatch size (default 32)
-	LR        float64 // learning rate (default 0.01)
-	Seed      int64
+	Hidden int // hidden units (default 32)
+	Epochs int // passes over the data (default 60)
+	Seed   int64
 }
+
+// mlpLR is the SGD learning rate.
+const mlpLR = 0.01
 
 func (c MLPConfig) withDefaults() MLPConfig {
 	if c.Hidden <= 0 {
@@ -21,17 +22,11 @@ func (c MLPConfig) withDefaults() MLPConfig {
 	if c.Epochs <= 0 {
 		c.Epochs = 60
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 32
-	}
-	if c.LR <= 0 {
-		c.LR = 0.01
-	}
 	return c
 }
 
 // MLP is a one-hidden-layer perceptron with tanh activation, trained by
-// minibatch SGD on standardized inputs and targets. It is the "neural
+// per-example SGD on standardized inputs and targets. It is the "neural
 // network" alternative of Section VII-A.
 type MLP struct {
 	w1 [][]float64 // hidden × in
@@ -175,18 +170,17 @@ func FitMLP(d *Dataset, cfg MLPConfig) (*MLP, error) {
 			}
 			// Backward (squared loss).
 			g := out - ys[r]
-			lr := cfg.LR
 			for j, hj := range hidden {
 				gw2 := g * hj
 				gh := g * m.w2[j] * (1 - hj*hj)
-				m.w2[j] -= lr * gw2
-				m.b1[j] -= lr * gh
+				m.w2[j] -= mlpLR * gw2
+				m.b1[j] -= mlpLR * gh
 				wj := m.w1[j]
 				for i, xi := range x {
-					wj[i] -= lr * gh * xi
+					wj[i] -= mlpLR * gh * xi
 				}
 			}
-			m.b2 -= lr * g
+			m.b2 -= mlpLR * g
 		}
 	}
 	var ss float64

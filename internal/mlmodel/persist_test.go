@@ -50,7 +50,7 @@ func TestPersistForest(t *testing.T) {
 
 func TestPersistLinearAndLogTarget(t *testing.T) {
 	ds := synthDataset(100, 2, 33, func(x []float64) float64 { return 2*x[0] + 1 }, 0)
-	lin, err := mlmodel.FitLinear(ds, mlmodel.LinearConfig{})
+	lin, err := mlmodel.FitLinear(ds)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}

@@ -3,17 +3,22 @@ package mlmodel
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // TreeConfig controls CART regression-tree induction.
 type TreeConfig struct {
 	MaxDepth    int // 0 means as deep as the fitted form allows (maxTreeDepth)
 	MinLeaf     int // minimum samples per leaf (default 1)
-	MinSplit    int // minimum samples to attempt a split (default 2)
 	MaxFeatures int // features considered per split; 0 means all
 	Seed        int64
 }
+
+// treeMinSplit is the fewest samples a node needs for a split to be tried.
+const treeMinSplit = 2
 
 func (c TreeConfig) withDefaults() TreeConfig {
 	if c.MaxDepth <= 0 || c.MaxDepth > maxTreeDepth {
@@ -21,9 +26,6 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	}
 	if c.MinLeaf < 1 {
 		c.MinLeaf = 1
-	}
-	if c.MinSplit < 2 {
-		c.MinSplit = 2
 	}
 	return c
 }
@@ -63,6 +65,25 @@ func (r *rngSource) next() uint64 {
 // intn returns a uniform value in [0, n).
 func (r *rngSource) intn(n int) int { return int(r.next() % uint64(n)) }
 
+// fanOut runs job(0), …, job(n−1) on up to GOMAXPROCS goroutines and returns
+// when all have finished. Job i writes only slot i of what the caller
+// collects, so the result does not depend on how the jobs were scheduled.
+func fanOut(n int, job func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				job(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // FitTree fits a CART regression tree on d.
 func FitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 	if err := d.Validate(); err != nil {
@@ -90,7 +111,7 @@ func (b *treeBuilder) build(t *flatForest, idx []int, depth int) int32 {
 	mu := mean(b.d.Y, idx)
 	node := t.leaf(mu)
 	t.spread = append(t.spread, stddev(b.d.Y, idx, mu))
-	if len(idx) < b.cfg.MinSplit || depth >= b.cfg.MaxDepth || constantTarget(b.d.Y, idx) {
+	if len(idx) < treeMinSplit || depth >= b.cfg.MaxDepth || constantTarget(b.d.Y, idx) {
 		return node
 	}
 	feat, thr, ok := b.bestSplit(idx)

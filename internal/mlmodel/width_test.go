@@ -62,7 +62,7 @@ func TestPersistMLPRejectsInconsistent(t *testing.T) {
 func TestFeatureWidth(t *testing.T) {
 	ds := synthDataset(200, 6, 37, func(x []float64) float64 { return x[0] + 2*x[5] }, 0.1)
 
-	lin, err := mlmodel.FitLinear(ds, mlmodel.LinearConfig{})
+	lin, err := mlmodel.FitLinear(ds)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}

@@ -31,7 +31,7 @@ func synth(n, nf int, seed int64, f func([]float64) float64, noise float64) *mlm
 
 func trainLinear(t *testing.T, ds *mlmodel.Dataset) mlmodel.Model {
 	t.Helper()
-	m, err := mlmodel.FitLinear(ds, mlmodel.LinearConfig{})
+	m, err := mlmodel.FitLinear(ds)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}

@@ -5,6 +5,10 @@ import (
 	"repro/internal/mlmodel"
 )
 
+// NewInterpolator builds the piecewise degree-5 interpolator NewImputer fits
+// in log-log space.
+var NewInterpolator = newInterpolator
+
 // Draw runs one draw of r at a size row the test chooses and the given seed,
 // over exactly r's seed queries: Dataset adds Table II's when r names none,
 // Draw adds nothing.

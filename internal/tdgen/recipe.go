@@ -78,7 +78,6 @@ func (s Size) Fit(ds *mlmodel.Dataset, seedOffset int64) (mlmodel.Model, error) 
 		LR:       0.1,
 		MinLeaf:  5,
 		Seed:     7 + seedOffset,
-		Parallel: true,
 	}}}.Fit(ds)
 }
 

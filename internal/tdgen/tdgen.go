@@ -485,32 +485,16 @@ func (g *generator) labelJobs(insts []planInstance, xs []float64, assigns [][]ui
 			rep.Executed++
 		}
 		if len(runXs) > 0 {
-			// Interpolate in log-log space: the ladder is log-spaced
-			// over many orders of magnitude, where a degree-5
-			// polynomial in raw coordinates oscillates wildly
-			// (Runge); runtime-vs-size is close to a power law,
-			// i.e. nearly linear in log-log, where the paper's
-			// piecewise degree-5 interpolation is stable.
-			lx := make([]float64, len(runXs))
-			ly := make([]float64, len(runYs))
-			for i := range runXs {
-				lx[i] = math.Log(runXs[i])
-				ly[i] = math.Log1p(runYs[i])
-			}
-			interp, err := NewInterpolator(lx, ly)
+			impute, err := NewImputer(runXs, runYs)
 			if err != nil {
 				return err
 			}
 			for i := range xs {
 				if !executed[i] {
-					rt := math.Expm1(interp.At(math.Log(xs[i])))
 					// No imputed runtime can plausibly exceed
 					// the failure penalty; clamp polynomial
 					// overshoot.
-					if max := 2 * g.r.Cluster.Timeout; rt > max {
-						rt = max
-					}
-					runtimes[i] = rt
+					runtimes[i] = min(impute(xs[i]), 2*g.r.Cluster.Timeout)
 					executed[i] = true
 					rep.Imputed++
 				}

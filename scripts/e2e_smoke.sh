@@ -70,6 +70,12 @@ refused "$WORK/roboptd" -store-watch-interval 1s
 refused "$WORK/roboptd" -fleet-heartbeat 1s
 refused "$WORK/roboptd" -platforms 9
 refused "$WORK/robopt" -platforms 9 -plan "$WORK/query.json"
+refused "$WORK/robopt" -mode bogus -plan "$WORK/query.json"
+refused "$WORK/robopt" -explain xml -plan "$WORK/query.json"
+refused "$WORK/robopt" -risk-lambda -1 -plan "$WORK/query.json"
+refused "$WORK/robopt" -budget-vectors -5 -plan "$WORK/query.json"
+refused "$WORK/robopt" -budget-model-calls -1 -plan "$WORK/query.json"
+refused "$WORK/robopt" -deadline -1s -plan "$WORK/query.json"
 refused "$WORK/tdgen" -templates 2
 refused "$WORK/tdgen" -append
 
