@@ -13,8 +13,9 @@ import (
 	"repro/internal/tdgen"
 )
 
-// BenchmarkAblationModel compares the prediction cost of the three model
-// families the paper tried (random forest, linear regression, MLP).
+// BenchmarkAblationModel compares the prediction cost of four model families:
+// the boosted trees the recipe fits and the three the paper tried (random
+// forest, linear regression, MLP).
 func BenchmarkAblationModel(b *testing.B) {
 	ds, err := tdgen.Recipe{
 		Size:      tdgen.SizeTiny,

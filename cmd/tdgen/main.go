@@ -1,7 +1,7 @@
 // Command tdgen generates training data for the ML-based optimizer: it draws
 // the training recipe's TDGen dataset (tdgen.Recipe, DESIGN.md deviation 20)
 // — synthetic pipeline, juncture and loop plans plus the Table II queries,
-// execution plans under the platform-switch pruning, a subset run on the
+// execution plans drawn within β platform switches, a subset run on the
 // simulated cluster and the rest imputed by piecewise degree-5 polynomial
 // interpolation (Section VI of the paper) — and writes the labelled plan
 // vectors as CSV. -seed 0 at a size is the dataset member 0 of that size's

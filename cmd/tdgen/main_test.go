@@ -19,8 +19,8 @@ import (
 // replaced are refused with the usage, and no doc names them.
 func TestQuickDrawPinned(t *testing.T) {
 	const (
-		wantRows = 11691
-		wantSHA  = "d6dacc8c38bbd3fa2cddebf0bbfb4c2b8819f44fd35fe4213585de1213df1176"
+		wantRows = 11747
+		wantSHA  = "88460ad764a87729489107eebafa30392d5b66a54a749b4d044383e024ae77be"
 	)
 	path := filepath.Join(t.TempDir(), "quick.csv")
 	var stderr bytes.Buffer

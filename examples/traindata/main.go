@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  labelled rows: %d (whole plans and their prefix subplans, β=3 platform-switch pruning)\n", ds.Len())
+	fmt.Printf("  labelled rows: %d (whole plans and their prefix subplans, at most β=3 platform switches)\n", ds.Len())
 
 	train, test := ds.Split(0.2, 1)
 	fmt.Printf("\ntraining a %d-tree random forest on %d rows...\n", 60, train.Len())

@@ -251,10 +251,8 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		st = new(Stats)
 	}
 	start := time.Now()
+	// NewContext validated the plan, so it has operators.
 	n := c.Plan.NumOps()
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty plan")
-	}
 	// Lines 2-5: split into singletons, enumerate each, set priorities. The
 	// split (operation 4) is a walk over the operator IDs: a singleton's rows
 	// are built from the operator, so no abstract plan vector is needed.

@@ -515,30 +515,6 @@ func TestWideBoundaryStringFootprint(t *testing.T) {
 	}
 }
 
-func TestSwitchPruner(t *testing.T) {
-	l := workload.Pipeline(6, 1e6)
-	ctx := newCtx(t, l, 3)
-	e, err := ctx.Enumerate(context.Background(), plan.FullBitset(l.NumOps()), 0, nil)
-	if err != nil {
-		t.Fatalf("Enumerate: %v", err)
-	}
-	var st core.Stats
-	core.SwitchPruner{Beta: 1}.Prune(context.Background(), ctx, e, &st)
-	for _, v := range e.Vectors {
-		if got := ctx.Schema.Conversions(ctx.Wide(v)[ctx.Schema.MovePlatformCell(0):]); got > 1 {
-			t.Fatalf("vector with %d switches survived β=1", got)
-		}
-	}
-	if st.Pruned == 0 {
-		t.Error("β pruning removed nothing")
-	}
-	// Cap pruning.
-	core.SwitchPruner{Beta: 3, MaxVectors: 5}.Prune(context.Background(), ctx, e, &st)
-	if len(e.Vectors) > 5 {
-		t.Fatalf("cap ignored: %d vectors", len(e.Vectors))
-	}
-}
-
 func TestVectorizeSubplanMatchesExecutionOnFullScope(t *testing.T) {
 	l := workload.RunningExample()
 	ctx := newCtx(t, l, 3)

@@ -325,10 +325,10 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 // ---------------------------------------------------------------------------
 
 // Pruner reduces a plan vector enumeration in place (operation 7). Distinct
-// pruning policies (the boundary pruning of the optimizer, the
-// platform-switch pruning of TDGen, none at all for Table I's unpruned
-// counts) implement this interface, which is how the paper's "fine-granular
-// operations" let the same Algorithm 1 serve every use.
+// pruning policies (the boundary pruning of the optimizer, none at all for
+// Table I's unpruned counts) implement this interface, which is how the
+// paper's "fine-granular operations" let the same Algorithm 1 serve every
+// use.
 //
 // ctx carries the run's cancellation: pruners that invoke the cost oracle
 // must check it cooperatively (model calls dominate enumeration latency) and
@@ -491,41 +491,6 @@ func (c *Context) pruneGroups(ctx context.Context, e *Enumeration, st *Stats) {
 				}
 			}
 		}
-	}
-	e.Vectors = kept
-}
-
-// SwitchPruner implements TDGen's pruning heuristic (Section VI-A): discard
-// plans with more than Beta platform switches ("very unlikely to be an
-// optimal execution plan in practice") and, when MaxVectors > 0, keep at
-// most that many vectors, preferring fewer switches; ties resolve by
-// insertion order to stay deterministic. TDGen's plan enumeration
-// (internal/tdgen) runs it.
-type SwitchPruner struct {
-	Beta       int
-	MaxVectors int
-}
-
-// Prune applies the platform-switch pruning to e. It never invokes a cost
-// oracle, so ctx is unused.
-func (p SwitchPruner) Prune(_ context.Context, c *Context, e *Enumeration, st *Stats) {
-	e.mat = nil
-	kept := e.Vectors[:0]
-	for _, v := range e.Vectors {
-		if c.Schema.Conversions(v.F[c.moveAt:]) <= p.Beta {
-			kept = append(kept, v)
-		} else if st != nil {
-			st.Pruned++
-		}
-	}
-	if p.MaxVectors > 0 && len(kept) > p.MaxVectors {
-		sort.SliceStable(kept, func(i, j int) bool {
-			return c.Schema.Conversions(kept[i].F[c.moveAt:]) < c.Schema.Conversions(kept[j].F[c.moveAt:])
-		})
-		if st != nil {
-			st.Pruned += len(kept) - p.MaxVectors
-		}
-		kept = kept[:p.MaxVectors]
 	}
 	e.Vectors = kept
 }

@@ -46,7 +46,12 @@ func TestQuickUnvectorizeRoundTrip(t *testing.T) {
 				switches++
 			}
 		}
-		return switches == len(x.Conversions) && switches == ctx.Schema.Conversions(v.F[ctx.Schema.MovePlatformCell(0):])
+		// Every switch puts one conversion instance on each side.
+		moves := 0.0
+		for _, n := range v.F[ctx.Schema.MovePlatformCell(0):][:len(ctx.Schema.Platforms)] {
+			moves += n
+		}
+		return switches == len(x.Conversions) && 2*float64(switches) == moves
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

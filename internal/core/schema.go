@@ -246,14 +246,3 @@ func (s *Schema) liveColumns(l *plan.Logical) []colSpan {
 	}
 	return append(spans, colSpan{s.moveOff, s.length})
 }
-
-// Conversions returns the number of conversion operators in move, a plan
-// vector from MovePlatformCell(0) on: every platform switch contributes one
-// instance on each side. SwitchPruner (TDGen's β rule) counts with it.
-func (s *Schema) Conversions(move []float64) int {
-	sum := 0.0
-	for _, n := range move[:len(s.Platforms)] {
-		sum += n
-	}
-	return int(sum) / 2
-}

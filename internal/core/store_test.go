@@ -53,8 +53,8 @@ func TestResultVectorOutlivesRun(t *testing.T) {
 // holds exactly the final vectors' rows — every consumed input and every
 // vector the degraded beam dropped, before or after a merge, went back on the
 // free list once, and none of the survivors did. The configurations cover
-// the cost-driven pruners, TDGen's model-free ones and both ways into
-// degraded mode, serial and pooled.
+// the cost-driven pruner, the model-free one and both ways into degraded
+// mode, serial and pooled.
 func TestStoreReturnsRows(t *testing.T) {
 	l := workload.RandomDAG(24, 1e8, 211)
 	m := newLinModel(newCtx(t, l, 3).Schema.Len(), 9)
@@ -64,8 +64,7 @@ func TestStoreReturnsRows(t *testing.T) {
 		budget core.Budget
 	}{
 		{"boundary", core.BoundaryPruner{}, core.Budget{}},
-		{"switch", core.SwitchPruner{Beta: 2, MaxVectors: 40}, core.Budget{}},
-		{"switch-degraded", core.SwitchPruner{Beta: 3}, core.Budget{MaxVectors: 300}},
+		{"unpruned-degraded", core.NoPruner{}, core.Budget{MaxVectors: 300}},
 		{"budget-trip", core.BoundaryPruner{}, core.Budget{MaxVectors: 400}},
 		{"load-shed", core.BoundaryPruner{}, core.Budget{ForceDegraded: true}},
 	}

@@ -183,7 +183,7 @@ func (b *Builder) logical(validate bool) (*Logical, error) {
 		l.propagate(o)
 	}
 	if validate {
-		if err := l.checkLoops(); err != nil {
+		if err := l.checkPlan(); err != nil {
 			return nil, err
 		}
 	}

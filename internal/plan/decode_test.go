@@ -236,7 +236,6 @@ func TestDecodeNarrowings(t *testing.T) {
 		"null for a string":         `{"operators":[{"id":0,"kind":"TextFileSource","name":null,"card":10},` + sink + `]}`,
 		"null for a list":           `{"operators":[` + src + `,` + sink + `],"loops":null}`,
 		"null for an element":       `{"operators":[` + src + `,{"id":1,"kind":"CollectionSink","in":[null]}]}`,
-		"null for the plan":         `null`,
 		"duplicate top-level key":   `{"avgTupleBytes":1,"operators":[` + src + `,` + sink + `],"avgTupleBytes":2}`,
 		"duplicate operator key":    `{"operators":[{"id":0,"id":0,"kind":"TextFileSource","card":10},` + sink + `]}`,
 		"duplicate loop key":        `{"operators":[` + src + `,` + sink + `],"loops":[{"id":1,"id":1,"iterations":2}]}`,

@@ -188,9 +188,9 @@ func (l *Logical) topoOrder() (order []OpID, ok bool) {
 	return order, len(order) == len(l.Ops)
 }
 
-// Validate checks structural well-formedness: arity compliance, matching
-// In/Out adjacency, acyclicity, valid complexities and selectivities, and
-// source cardinalities for every source.
+// Validate checks structural well-formedness: at least one operator, arity
+// compliance, matching In/Out adjacency, acyclicity, valid complexities and
+// selectivities, and source cardinalities for every source.
 func (l *Logical) Validate() error {
 	for i, o := range l.Ops {
 		if err := l.checkOp(i, o); err != nil {
@@ -202,7 +202,7 @@ func (l *Logical) Validate() error {
 	if _, ok := l.topoOrder(); !ok {
 		return fmt.Errorf("plan: dataflow graph contains a cycle")
 	}
-	return l.checkLoops()
+	return l.checkPlan()
 }
 
 // checkOp checks the operator at index i: identity, kind, arity, UDF,
@@ -259,8 +259,12 @@ func (l *Logical) checkOp(i int, o *Operator) error {
 	return nil
 }
 
-// checkLoops checks that every loop region runs at least once.
-func (l *Logical) checkLoops() error {
+// checkPlan checks what no single operator shows: the plan has operators,
+// and every loop region runs at least once.
+func (l *Logical) checkPlan() error {
+	if len(l.Ops) == 0 {
+		return fmt.Errorf("plan: no operators")
+	}
 	for id, it := range l.Loops {
 		if it < 1 {
 			return fmt.Errorf("plan: loop %d has %d iterations", id, it)

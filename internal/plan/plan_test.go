@@ -171,6 +171,20 @@ func TestValidateRejectsBadLoop(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsEmptyPlan: a plan with no operators has nothing to
+// optimize, so every check refuses it, the decoder's too.
+func TestValidateRejectsEmptyPlan(t *testing.T) {
+	if err := (&plan.Logical{}).Validate(); err == nil {
+		t.Error("Validate accepted a plan with no operators")
+	}
+	if _, err := plan.NewBuilder(64).Build(); err == nil {
+		t.Error("Build accepted a plan with no operators")
+	}
+	if _, err := plan.DecodeJSONPlan([]byte(`{"operators":[]}`)); err == nil {
+		t.Error("DecodeJSONPlan accepted a plan with no operators")
+	}
+}
+
 func TestExecutionConversions(t *testing.T) {
 	l := buildExample(t)
 	// Assign Fig. 3b: transactions side on Spark, customer side on Java

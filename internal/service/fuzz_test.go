@@ -47,7 +47,7 @@ func FuzzOptimizeBody(f *testing.F) {
 		// unknown kinds and fields
 		`{"operators":[{"id":0,"kind":"Teleport","card":1}]}`,
 		`{"operators":[{"id":0,"kind":"TextFileSource","card":1,"colour":"red"}]}`,
-		// valid, but nothing can run it: no source
+		// no operators: refused before admission
 		`{"operators":[]}`,
 		`{`, `null`, ``,
 	} {

@@ -165,6 +165,26 @@ func TestOptimizeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsEmptyPlan: a plan with no operators is refused by the
+// decoder, a 400 before admission, not a 422 from the enumerator.
+func TestOptimizeRejectsEmptyPlan(t *testing.T) {
+	ts := newTestServer()
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/optimize", "application/json", strings.NewReader(`{"operators":[]}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("empty plan: status %d, want 400", resp.StatusCode)
+	}
+	var snap obs.Snapshot
+	getJSON(t, ts.URL+"/metricz", &snap)
+	if n := snap.Counters["admission_offered_total"]; n != 0 {
+		t.Fatalf("admission_offered_total = %d, want 0: the empty plan reached admission", n)
+	}
+}
+
 func TestHealthAndStats(t *testing.T) {
 	ts := newTestServer()
 	defer ts.Close()

@@ -34,11 +34,8 @@ func Bounded(r Recipe, maxOps, templates, plans int, seed int64) ([]Selection, e
 			if err != nil {
 				return nil, err
 			}
-			assigns, bounded, err := g.selectAssignments(insts[0].l, insts[0].ctx)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Selection{insts[0].ctx, assigns[:bounded]})
+			assigns, bounded := g.selectAssignments(insts[0])
+			out = append(out, Selection{insts[0], assigns[:bounded]})
 		}
 	}
 	return out, nil

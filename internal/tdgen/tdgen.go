@@ -1,8 +1,8 @@
 // Package tdgen implements TDGen, the scalable training data generator of
 // Section VI, and Recipe is how a draw is configured. It creates synthetic
-// logical plans of three shapes (pipeline, juncture, loop), enumerates
-// execution plans for them with the platform-switch (β) pruning, instantiates
-// each with configuration profiles (input cardinalities, tuple widths, UDF
+// logical plans of three shapes (pipeline, juncture, loop), draws execution
+// plans for them with at most β platform switches, instantiates each with
+// configuration profiles (input cardinalities, tuple widths, UDF
 // complexities, selectivities), executes only a subset of the resulting jobs,
 // and imputes the runtime of the rest via piecewise degree-5 polynomial
 // interpolation.
@@ -15,7 +15,6 @@ package tdgen
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,13 +24,12 @@ import (
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/simulator"
-	"repro/internal/workload"
 )
 
 // The values every draw shares; the recipe's size row fills in the rest.
 const (
 	minOps = 4 // the smallest template
-	// beta is the platform-switch pruning threshold of Section VI-A.
+	// beta bounds the platform switches of a plausible plan (Section VI-A).
 	beta = 3
 	// Templates draw their input cardinality log-uniformly from
 	// [cardMin, cardMax].
@@ -91,19 +89,22 @@ type template struct {
 func (g *generator) generate() (*mlmodel.Dataset, report, error) {
 	var rep report
 	ds := &mlmodel.Dataset{}
+	cards := ladder(cardMin, cardMax, g.d.profiles)
 	for s := pipeline; s <= loop; s++ {
 		for t := 0; t < g.d.templates; t++ {
-			tmpl := g.makeTemplate(s)
 			rep.LogicalPlans++
-			if err := g.expandTemplate(tmpl, ds, &rep); err != nil {
+			if err := g.expand(g.makeTemplate(s).instantiate, cards, ds, &rep); err != nil {
 				return nil, rep, err
 			}
 		}
 	}
+	// A seed query (generation option (i) of Section VI) is labelled over
+	// its own dataset-size range.
 	for _, q := range g.r.SeedQueries {
 		rep.LogicalPlans++
-		if err := g.expandSeedQuery(q, ds, &rep); err != nil {
-			return nil, rep, err
+		build := func(bytes float64) (*plan.Logical, error) { return q.Build(bytes), nil }
+		if err := g.expand(build, ladder(q.MinBytes, q.MaxBytes, g.d.profiles), ds, &rep); err != nil {
+			return nil, rep, fmt.Errorf("tdgen: seed query %s: %w", q.Name, err)
 		}
 	}
 	if err := ds.Validate(); err != nil {
@@ -311,115 +312,115 @@ func (g *generator) emitPrefixRows(ctx *core.Context, x *plan.Execution, res sim
 	return emitted
 }
 
-// planInstance pairs one profile's instantiated plan with its optimization
-// context.
-type planInstance struct {
-	l   *plan.Logical
-	ctx *core.Context
-}
-
-// instantiateLadder materializes the plan at every ladder point.
-func (g *generator) instantiateLadder(build func(x float64) (*plan.Logical, error), xs []float64) ([]planInstance, error) {
-	insts := make([]planInstance, len(xs))
+// instantiateLadder materializes the plan at every ladder point and returns
+// each instance's optimization context.
+func (g *generator) instantiateLadder(build func(x float64) (*plan.Logical, error), xs []float64) ([]*core.Context, error) {
+	insts := make([]*core.Context, len(xs))
 	for i, x := range xs {
 		l, err := build(x)
 		if err != nil {
 			return nil, err
 		}
-		ctx, err := core.NewContext(l, g.r.Platforms, g.r.Avail)
-		if err != nil {
+		if insts[i], err = core.NewContext(l, g.r.Platforms, g.r.Avail); err != nil {
 			return nil, err
 		}
-		insts[i] = planInstance{l, ctx}
 	}
 	return insts, nil
 }
 
 // selectAssignments picks the execution plans labelled for one plan
 // structure: every single-platform plan (they anchor the per-platform cost
-// regimes), a random sample of the β-pruned enumeration, and uniformly
+// regimes), random plans within β switches (drawBounded), and uniformly
 // random assignments (negative samples pricing the implausible region).
 // Diversity within one structure at equal cardinality is what teaches the
 // model to *rank* a query's alternatives, not just to scale with input size.
-// The first bounded assignments, anchors and sample, have at most β switches.
-func (g *generator) selectAssignments(mid *plan.Logical, ctx *core.Context) (assigns [][]uint8, bounded int, err error) {
-	var st core.Stats
-	final, err := ctx.EnumerateFull(context.Background(), core.SwitchPruner{Beta: beta, MaxVectors: 4 * g.d.plans}, core.OrderPriority, &st)
-	if err != nil {
-		return nil, 0, err
-	}
+// The first bounded assignments, anchors and draws, have at most β switches.
+func (g *generator) selectAssignments(ctx *core.Context) (assigns [][]uint8, bounded int) {
+	n := ctx.Plan.NumOps()
 	assigns = make([][]uint8, 0, 2*g.d.plans)
 	seen := map[string]bool{}
 	add := func(a []uint8) {
 		key := string(a)
 		if !seen[key] {
 			seen[key] = true
-			assigns = append(assigns, append([]uint8(nil), a...))
+			assigns = append(assigns, a)
 		}
 	}
 	for pi, p := range g.r.Platforms {
-		if _, err := plan.AllOn(mid, p, g.r.Avail); err == nil {
-			add(bytes.Repeat([]byte{uint8(pi)}, mid.NumOps()))
+		if _, err := plan.AllOn(ctx.Plan, p, g.r.Avail); err == nil {
+			add(bytes.Repeat([]byte{uint8(pi)}, n))
 		}
 	}
-	for _, j := range g.rng.Perm(len(final.Vectors)) {
-		if len(assigns) >= g.d.plans {
-			break
+	for i := 0; i < 4*g.d.plans && len(assigns) < g.d.plans; i++ {
+		if a, ok := g.drawBounded(ctx); ok {
+			add(a)
 		}
-		add(final.Vectors[j].Assign)
 	}
 	bounded = len(assigns)
 	for i := 0; i < g.d.plans; i++ {
-		a := make([]uint8, mid.NumOps())
+		a := make([]uint8, n)
 		for j := range a {
 			alts := ctx.Alternatives(plan.OpID(j))
 			a[j] = alts[g.rng.Intn(len(alts))]
 		}
 		add(a)
 	}
-	return assigns, bounded, nil
+	return assigns, bounded
 }
 
-// expandTemplate enumerates execution plans for the template, instantiates
-// the cardinality profiles, executes the Jr subset, interpolates the rest,
-// and appends the labelled vectors to ds.
-func (g *generator) expandTemplate(tmpl *template, ds *mlmodel.Dataset, rep *report) error {
-	// Cardinality ladder: log-spaced profiles.
-	cards := ladder(cardMin, cardMax, g.d.profiles)
-	insts, err := g.instantiateLadder(tmpl.instantiate, cards)
-	if err != nil {
-		return err
-	}
-	mid := insts[len(insts)/2]
-	assigns, _, err := g.selectAssignments(mid.l, mid.ctx)
-	if err != nil {
-		return err
-	}
-	rep.ExecutionPlans += len(assigns)
-	return g.labelJobs(insts, cards, assigns, ds, rep)
-}
-
-// expandSeedQuery generates training data that resembles one user-provided
-// workload query (generation option (i) of Section VI): the query's own
-// plan structure instantiated across its dataset-size range, labelled over
-// the same diverse assignment set as the synthetic templates.
-func (g *generator) expandSeedQuery(q workload.Query, ds *mlmodel.Dataset, rep *report) error {
-	xs := ladder(q.MinBytes, q.MaxBytes, g.d.profiles)
-	insts, err := g.instantiateLadder(func(bytes float64) (*plan.Logical, error) {
-		l := q.Build(bytes)
-		if err := l.Validate(); err != nil {
-			return nil, fmt.Errorf("tdgen: seed query %s: %w", q.Name, err)
+// drawBounded draws one assignment with at most β platform switches
+// (Section VI-A). It draws a switch budget s in [1, β] and walks the plan in
+// topological order: a source takes any of its platforms, and the other
+// operators pick the s that switch by selection sampling, so the switches
+// fall uniformly across the plan. A switching operator leaves its first
+// input's platform, any other stays on it; either takes any of its platforms
+// when none qualifies. ok is false when the plan ends with more than β
+// switching edges: a join's second input, or an operator that cannot run on
+// its input's platform, can add switches the budget did not count.
+func (g *generator) drawBounded(ctx *core.Context) (a []uint8, ok bool) {
+	l := ctx.Plan
+	a = make([]uint8, l.NumOps())
+	switches := 1 + g.rng.Intn(beta)
+	left := l.NumOps() - len(l.Sources())
+	var pick []uint8
+	for _, id := range l.TopoOrder() {
+		alts := ctx.Alternatives(id)
+		in := l.Op(id).In
+		if len(in) == 0 {
+			a[id] = alts[g.rng.Intn(len(alts))]
+			continue
 		}
-		return l, nil
-	}, xs)
+		switching := g.rng.Intn(left) < switches
+		left--
+		if switching {
+			switches--
+		}
+		pick = pick[:0]
+		for _, p := range alts {
+			if (p != a[in[0]]) == switching {
+				pick = append(pick, p)
+			}
+		}
+		from := pick
+		if len(from) == 0 {
+			from = alts
+		}
+		a[id] = from[g.rng.Intn(len(from))]
+	}
+	x, err := ctx.Unvectorize(&core.Vector{Assign: a})
+	return a, err == nil && len(x.Conversions) <= beta
+}
+
+// expand labels one plan structure: it instantiates build at every point of
+// the profile ladder xs, selects the execution plans at the middle one,
+// executes the Jr subset, interpolates the rest, and appends the labelled
+// vectors to ds.
+func (g *generator) expand(build func(x float64) (*plan.Logical, error), xs []float64, ds *mlmodel.Dataset, rep *report) error {
+	insts, err := g.instantiateLadder(build, xs)
 	if err != nil {
 		return err
 	}
-	mid := insts[len(insts)/2]
-	assigns, _, err := g.selectAssignments(mid.l, mid.ctx)
-	if err != nil {
-		return err
-	}
+	assigns, _ := g.selectAssignments(insts[len(insts)/2])
 	rep.ExecutionPlans += len(assigns)
 	return g.labelJobs(insts, xs, assigns, ds, rep)
 }
@@ -441,7 +442,7 @@ func ladder(lo, hi float64, n int) []float64 {
 // labelJobs runs phase 2 (log generation) for one plan structure: for every
 // assignment, execute the Jr subset of the ladder, impute the rest via
 // piecewise degree-5 interpolation, and append the labelled plan vectors.
-func (g *generator) labelJobs(insts []planInstance, xs []float64, assigns [][]uint8, ds *mlmodel.Dataset, rep *report) error {
+func (g *generator) labelJobs(insts []*core.Context, xs []float64, assigns [][]uint8, ds *mlmodel.Dataset, rep *report) error {
 	for _, assign := range assigns {
 		// Jr = all small profiles plus every other larger one
 		// (Section VI-B: "all the jobs with small input cardinalities,
@@ -454,7 +455,7 @@ func (g *generator) labelJobs(insts []planInstance, xs []float64, assigns [][]ui
 			if !small && (i-len(xs)/3)%2 == 1 && i != len(xs)-1 {
 				continue // imputed later
 			}
-			x, err := insts[i].ctx.Unvectorize(&core.Vector{F: nil, Assign: assign})
+			x, err := insts[i].Unvectorize(&core.Vector{F: nil, Assign: assign})
 			if err != nil {
 				return err
 			}
@@ -464,7 +465,7 @@ func (g *generator) labelJobs(insts []planInstance, xs []float64, assigns [][]ui
 				// partial plans: the prune operation scores
 				// subplan vectors during enumeration, so the
 				// model must see them at training time.
-				rep.SubplanRows += g.emitPrefixRows(insts[i].ctx, x, res, assign, ds)
+				rep.SubplanRows += g.emitPrefixRows(insts[i], x, res, assign, ds)
 			}
 			rt := res.Runtime
 			if res.OOM {
@@ -504,7 +505,7 @@ func (g *generator) labelJobs(insts []planInstance, xs []float64, assigns [][]ui
 			if !executed[i] {
 				continue // no interpolation support: drop the job
 			}
-			v := insts[i].ctx.VectorizeExecution(assign)
+			v := insts[i].VectorizeExecution(assign)
 			ds.Append(v.F, runtimes[i])
 			rep.Jobs++
 		}

@@ -188,6 +188,36 @@ func TestGenerateRespectsBeta(t *testing.T) {
 	}
 }
 
+// TestBoundedReachesBeta: β decides something. At the quick row's template
+// size and plan count, the bounded assignments switch platforms every number
+// of times from 1 to β = 3, so the sample is not just the least-switching
+// plans.
+func TestBoundedReachesBeta(t *testing.T) {
+	sels, err := tdgen.Bounded(small, 30, 3, 8, 11)
+	if err != nil {
+		t.Fatalf("Bounded: %v", err)
+	}
+	var bySwitches [4]int
+	for i, sel := range sels {
+		for _, a := range sel.Assigns {
+			x, err := sel.Ctx.Unvectorize(&core.Vector{Assign: a})
+			if err != nil {
+				t.Fatalf("plan %d: Unvectorize(%v): %v", i, a, err)
+			}
+			if n := len(x.Conversions); n >= len(bySwitches) {
+				t.Fatalf("plan %d: assignment %v switches platforms %d times, want at most β = 3", i, a, n)
+			} else {
+				bySwitches[n]++
+			}
+		}
+	}
+	for n := 1; n < len(bySwitches); n++ {
+		if bySwitches[n] == 0 {
+			t.Errorf("no bounded assignment switches %d times (counts by switches %v)", n, bySwitches)
+		}
+	}
+}
+
 func TestGenerateIncludesSinglePlatformAnchors(t *testing.T) {
 	// The training set must contain, for every template, the all-on-one-
 	// platform execution plans: they anchor the per-platform cost regimes

@@ -250,6 +250,40 @@ func TestInternalSurface(t *testing.T) {
 	}
 }
 
+// TestTDGenDrawsWithoutEnumerator: TDGen draws its β-bounded plans itself,
+// so the training set does not move when the enumerator's scheduling or
+// pruning does. No non-test file of internal/tdgen may call Enumerate,
+// EnumerateFull or an Optimize* method.
+func TestTDGenDrawsWithoutEnumerator(t *testing.T) {
+	fset := token.NewFileSet()
+	files, err := filepath.Glob("internal/tdgen/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if name := sel.Sel.Name; name == "Enumerate" || name == "EnumerateFull" || strings.HasPrefix(name, "Optimize") {
+					t.Errorf("%s: tdgen calls %s; draw the plans in tdgen instead", fset.Position(sel.Pos()), name)
+				}
+			}
+			return true
+		})
+	}
+	if parsed == 0 {
+		t.Fatal("no non-test file under internal/tdgen: the guard checked nothing")
+	}
+}
+
 // recvName is the type name of a method receiver: T for T, *T and T[P].
 func recvName(e ast.Expr) string {
 	switch e := e.(type) {
