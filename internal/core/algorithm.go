@@ -98,11 +98,11 @@ func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, orde
 		c.rt.finishSelection(final, best)
 		c.rt.recordContributions(c, best)
 	}
-	start := time.Now()
+	lap := time.Since(c.clock)
 	uspan := c.span(c.root, "unvectorize")
 	x, err := c.Unvectorize(best)
 	uspan.End()
-	st.Timings.Unvectorize += time.Since(start)
+	st.Timings.Unvectorize += time.Since(c.clock) - lap
 	if err != nil {
 		c.endRunTrace(&st, err)
 		return nil, err
@@ -170,7 +170,6 @@ type frontier struct {
 	seq, step int
 	ordered   []*enumNode
 	union     plan.Bitset
-	boundary  []plan.OpID
 
 	slab  []enumNode     // node seq lives in slab[seq]
 	kids  []*enumNode    // this round's children lists
@@ -182,14 +181,13 @@ type frontier struct {
 func (c *Context) newFrontier(n int) *frontier {
 	ptrs := make([]*enumNode, 3*n+len(c.edges))
 	return &frontier{
-		nodes:    ptrs[:0:n],
-		owner:    ptrs[n : 2*n : 2*n],
-		ordered:  ptrs[2*n : 2*n : 3*n],
-		kids:     ptrs[3*n : 3*n],
-		union:    plan.NewBitset(n),
-		boundary: make([]plan.OpID, 0, n),
-		slab:     make([]enumNode, 2*n-1),
-		tasks:    make([]boundaryTask, 0, n/2+1),
+		nodes:   ptrs[:0:n],
+		owner:   ptrs[n : 2*n : 2*n],
+		ordered: ptrs[2*n : 2*n : 3*n],
+		kids:    ptrs[3*n : 3*n],
+		union:   plan.NewBitset(n),
+		slab:    make([]enumNode, 2*n-1),
+		tasks:   make([]boundaryTask, 0, n/2+1),
 	}
 }
 
@@ -250,7 +248,7 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		// not want them.
 		st = new(Stats)
 	}
-	start := time.Now()
+	c.clock = time.Now()
 	// NewContext validated the plan, so it has operators.
 	n := c.Plan.NumOps()
 	// Lines 2-5: split into singletons, enumerate each, set priorities. The
@@ -258,8 +256,8 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 	// are built from the operator, so no abstract plan vector is needed.
 	c.span(c.root, "vectorize").End()
 	c.span(c.root, "split").End()
-	st.Timings.Vectorize += time.Since(start)
-	enumStart := time.Now()
+	lap := time.Since(c.clock)
+	st.Timings.Vectorize += lap
 	espan := c.span(c.root, "enumerate")
 	c.beginRun(len(c.alts))
 	f := c.newFrontier(n)
@@ -267,7 +265,7 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		f.add(c.enumerateSingleton(id, st))
 	}
 	espan.End()
-	st.Timings.Enumerate += time.Since(enumStart)
+	st.Timings.Enumerate += time.Since(c.clock) - lap
 	if c.rt != nil && n > 1 {
 		// Every concatenation joins two live enumerations into one.
 		c.rt.reserve(n - 1)
@@ -293,7 +291,7 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 			tasks[i].span = c.span(rspan, "task")
 		}
 		base := *st
-		c.runRound(ctx, f, pr, tasks, degraded, start, base, st)
+		c.runRound(ctx, f, pr, tasks, degraded, base, st)
 		rspan.End()
 		for i := range tasks {
 			if err := tasks[i].err; err != nil {
@@ -326,11 +324,12 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 // childrenOf returns, appended to out, the distinct enumerations
 // downstream-adjacent to node (owners of consumers of node's operators),
 // ordered by ascending insertion sequence number for determinism (singletons
-// get their sequence in scope-ID order, merged nodes in creation order).
+// get their sequence in scope-ID order, merged nodes in creation order). An
+// operator with a consumer outside node's scope is on its boundary, so only
+// the boundary is walked.
 func (c *Context) childrenOf(node *enumNode, owner []*enumNode, out []*enumNode) []*enumNode {
-	scope := node.e.Scope
 	base := len(out)
-	for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
+	for _, id := range node.e.Boundary {
 		for _, nb := range c.Plan.Op(id).Out {
 			o := owner[nb]
 			if o == node || slices.Contains(out[base:], o) {
@@ -379,11 +378,27 @@ func (c *Context) setPriority(node *enumNode, order OrderPolicy, f *frontier) {
 		}
 		node.prio = -d
 	}
-	// Tie-break: fewer new boundary operators (Section V-B).
+	// Tie-break: fewer new boundary operators (Section V-B). An operator on
+	// the boundary of the union is on its own enumeration's boundary, and
+	// the scopes are disjoint, so the boundaries are counted, not the union.
 	copy(f.union, scope)
 	for _, ch := range node.children {
 		f.union.UnionInto(ch.e.Scope)
 	}
-	f.boundary = c.boundaryOf(f.union, f.boundary[:0])
-	node.tie = len(f.boundary)
+	node.tie = c.outerCount(node.e.Boundary, f.union)
+	for _, ch := range node.children {
+		node.tie += c.outerCount(ch.e.Boundary, f.union)
+	}
+}
+
+// outerCount counts the operators of ids adjacent to at least one operator
+// outside scope.
+func (c *Context) outerCount(ids []plan.OpID, scope plan.Bitset) int {
+	n := 0
+	for _, id := range ids {
+		if c.exposed(id, scope) {
+			n++
+		}
+	}
+	return n
 }

@@ -222,12 +222,28 @@ func BenchmarkParallelEnumeration(b *testing.B) {
 // ledger's core.parallel_speedup_x tracks the ratio). Two shapes at Figure 9a's 40-operator scale: a
 // pipeline, whose rounds fan many independent boundary tasks across the
 // pool, and a multi-branch DAG, where the boundary-tie guard serializes the
-// hole-closing join merges and stresses work stealing instead.
+// hole-closing join merges and stresses work stealing instead. A third case
+// is the benchmark's paper-fig9 setting, serial whatever GOMAXPROCS is: the
+// 80-operator pipeline on two platforms, where the time goes to the
+// concatenations' arithmetic and bookkeeping rather than to the pool.
 func BenchmarkParallelEnumerate(b *testing.B) {
 	m := weightModel{}
 	b.Run("pipeline40x2", func(b *testing.B) {
 		ctx := benchContext(b, 40, 2)
 		ctx.Workers = runtime.GOMAXPROCS(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctx.Optimize(context.Background(), m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pipeline80x2serial", func(b *testing.B) {
+		ctx, err := NewContext(workload.Pipeline(80, 1e9), platform.Subset(2), platform.DefaultAvailability())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx.Workers = 1
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := ctx.Optimize(context.Background(), m); err != nil {

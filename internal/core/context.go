@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"time"
 
 	"repro/internal/mlmodel"
 	"repro/internal/obs"
@@ -193,6 +194,11 @@ type Context struct {
 	scratch *scratch
 	// spec is the run's cost model specialised to the run's rows (bind).
 	spec CostModel
+	// clock is the origin of the run's stage clock, set when EnumerateFull or
+	// Enumerate starts: a stage is timed as the difference of two
+	// time.Since(clock) readings, one monotonic read per stage boundary, and
+	// adjacent stages share the reading between them.
+	clock time.Time
 	// poison, once tests set it, arms the store's poison hook for runs on
 	// this Context (see vecStore.poison).
 	poison bool
@@ -358,18 +364,27 @@ func (c *Context) SearchSpaceSize() float64 {
 // operators of Definition 2).
 func (c *Context) boundaryOf(scope plan.Bitset, out []plan.OpID) []plan.OpID {
 	for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
-		for _, nb := range c.adj[c.adjOff[id]:c.adjOff[id+1]] {
-			if !scope.Has(nb) {
-				out = append(out, id)
-				break
-			}
+		if c.exposed(id, scope) {
+			out = append(out, id)
 		}
 	}
 	return out
 }
 
+// exposed reports whether operator id is adjacent to an operator outside
+// scope.
+func (c *Context) exposed(id plan.OpID, scope plan.Bitset) bool {
+	for _, nb := range c.adj[c.adjOff[id]:c.adjOff[id+1]] {
+		if !scope.Has(nb) {
+			return true
+		}
+	}
+	return false
+}
+
 // boundary returns the boundary operators of scope (boundaryOf) in a list of
-// the worker's own, valid until the run ends.
+// the worker's own, valid until the run ends. Only a singleton's is computed
+// from its scope: a concatenation's comes from its inputs' (MergeInfo).
 func (c *Context) boundary(scope plan.Bitset) []plan.OpID {
 	sc := c.scratch
 	sc.bound = c.boundaryOf(scope, sc.bound[:0])
@@ -392,15 +407,4 @@ func (c *Context) expand(dst, f []float64) {
 	for _, sp := range c.live {
 		off += copy(dst[sp.lo:sp.hi], f[off:])
 	}
-}
-
-// crossingEdges appends to out the dataflow edges with one endpoint in a and
-// the other in b (either direction).
-func (c *Context) crossingEdges(a, b plan.Bitset, out []plan.Edge) []plan.Edge {
-	for _, e := range c.edges {
-		if (a.Has(e.From) && b.Has(e.To)) || (b.Has(e.From) && a.Has(e.To)) {
-			out = append(out, e)
-		}
-	}
-	return out
 }

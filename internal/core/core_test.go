@@ -304,8 +304,9 @@ func TestMergeTreeIndependence(t *testing.T) {
 				info := ctx.MergeInfo(items[i].e, items[j].e)
 				merged := ctx.Merge(items[i].v, items[j].v, info, nil)
 				e := &core.Enumeration{
-					Scope:   items[i].e.Scope.Union(items[j].e.Scope),
-					Vectors: []*core.Vector{merged},
+					Scope:    items[i].e.Scope.Union(items[j].e.Scope),
+					Boundary: info.Boundary(),
+					Vectors:  []*core.Vector{merged},
 				}
 				items[i] = item{e, merged}
 				items = append(items[:j], items[j+1:]...)

@@ -1,6 +1,10 @@
 package core
 
-import "weak"
+import (
+	"weak"
+
+	"repro/internal/plan"
+)
 
 // Merge is the merge operation (operation 6) into a new vector: mergeInto
 // without a scratch or store row to write into, for the merge-algebra tests.
@@ -10,6 +14,11 @@ func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
 	c.mergeInto(out, v1, v2, info, st)
 	return out
 }
+
+// Boundary is the boundary of the merged scope (MergeInfo derives it from
+// the two inputs' boundaries): what a test that concatenates enumerations by
+// hand gives the enumeration it builds, so that MergeInfo can read it.
+func (m *MergeCtx) Boundary() []plan.OpID { return m.boundary }
 
 // Wide returns the features of v, a vector of the run, at the Schema's width:
 // the row VectorizeExecution builds and a model without Specialize scores.

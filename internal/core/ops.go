@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"repro/internal/plan"
 	"repro/internal/platform"
@@ -151,6 +153,7 @@ func (c *Context) Enumerate(ctx context.Context, scope plan.Bitset, maxVectors i
 	if ctx != nil && ctx.Done() != nil {
 		check = ctx.Err
 	}
+	c.clock = time.Now()
 	c.beginRun(0)
 	e := c.enumerateSingleton(ids[0], st)
 	for step, id := range ids[1:] {
@@ -183,7 +186,7 @@ func (c *Context) Enumerate(ctx context.Context, scope plan.Bitset, maxVectors i
 		}
 		c.store.release(e.Vectors)
 		c.store.release(next.Vectors)
-		merged.Boundary = c.boundary(merged.Scope)
+		merged.Boundary = info.boundary
 		e = merged
 		if st != nil {
 			st.PeakEnumSize = max(st.PeakEnumSize, len(e.Vectors))
@@ -260,25 +263,54 @@ func (c *Context) Unvectorize(v *Vector) (*plan.Execution, error) {
 
 // MergeCtx precomputes the plan-structure information shared by every merge
 // of vectors from two fixed enumerations: the dataflow edges crossing the
-// two scopes, how many of them fuse pipeline segments, and the second scope.
-// Conversion features depend on the per-pair platform choices and are
-// computed inside the merge itself.
+// two scopes (in the order of c.edges), how many of them fuse pipeline
+// segments, and the boundary of the merged scope. Conversion features depend
+// on the per-pair platform choices and are computed inside the merge itself.
 type MergeCtx struct {
 	Crossing []plan.Edge
 	Fuses    int
-	right    plan.Bitset
+	boundary []plan.OpID
 }
 
 // MergeInfo builds the MergeCtx for merging v1 from a with v2 from b in the
-// worker scratch: it is valid until the worker's next concatenation.
+// worker scratch: it is valid until the worker's next concatenation, and its
+// boundary list until the run ends. It reads the two enumerations'
+// boundaries, not their scopes or the plan's edges: an edge crossing the
+// scopes joins a boundary operator of each, and an operator on the merged
+// boundary is on its own scope's. The two ascending lists merge into one, so
+// the crossing edges come out by source in Out order, as c.edges lists them,
+// and the merged boundary ascending.
 func (c *Context) MergeInfo(a, b *Enumeration) *MergeCtx {
-	info := &c.scratch.info
-	*info = MergeCtx{Crossing: c.crossingEdges(a.Scope, b.Scope, info.Crossing[:0]), right: b.Scope}
-	for _, e := range info.Crossing {
-		if c.ops[e.From].linear && c.ops[e.To].linear {
-			info.Fuses++
+	sc := c.scratch
+	info := &sc.info
+	*info = MergeCtx{Crossing: info.Crossing[:0]}
+	sc.bound = sc.bound[:0]
+	ba, bb := a.Boundary, b.Boundary
+	for len(ba) > 0 || len(bb) > 0 {
+		var id plan.OpID
+		own, other := a.Scope, b.Scope
+		if len(bb) == 0 || len(ba) > 0 && ba[0] < bb[0] {
+			id, ba = ba[0], ba[1:]
+		} else {
+			id, bb = bb[0], bb[1:]
+			own, other = other, own
+		}
+		for _, to := range c.Plan.Op(id).Out {
+			if other.Has(to) {
+				info.Crossing = append(info.Crossing, plan.Edge{From: id, To: to})
+				if c.ops[id].linear && c.ops[to].linear {
+					info.Fuses++
+				}
+			}
+		}
+		for _, nb := range c.adj[c.adjOff[id]:c.adjOff[id+1]] {
+			if !own.Has(nb) && !other.Has(nb) {
+				sc.bound = append(sc.bound, id)
+				break
+			}
 		}
 	}
+	info.boundary = append(sc.bounds.take(len(sc.bound))[:0], sc.bound...)
 	return info
 }
 
@@ -306,10 +338,7 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 			out.F[i] = v2.F[i]
 		}
 	}
-	copy(out.Assign, v1.Assign)
-	for id := info.right.Next(0); id >= 0; id = info.right.Next(id + 1) {
-		out.Assign[id] = v2.Assign[id]
-	}
+	andAssign(out.Assign, v1.Assign, v2.Assign)
 	move := out.F[c.moveAt:]
 	for _, e := range info.Crossing {
 		c.addConversion(move, e, out.Assign[e.From], out.Assign[e.To])
@@ -317,6 +346,23 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 	if st != nil {
 		st.Merges++
 		st.VectorsCreated++
+	}
+}
+
+// andAssign stores a[i]&b[i] into out, eight operators per word: the
+// assignments of two vectors over disjoint scopes, each Unassigned (all ones)
+// outside its own, AND to the choices of both and Unassigned elsewhere. All
+// three slices must have equal length.
+func andAssign(out, a, b []uint8) {
+	n := len(out)
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		le := binary.LittleEndian
+		le.PutUint64(out[i:i+8:i+8], le.Uint64(a[i:i+8:i+8])&le.Uint64(b[i:i+8:i+8]))
+	}
+	for ; i < n; i++ {
+		out[i] = a[i] & b[i]
 	}
 }
 

@@ -105,7 +105,7 @@ func (c *Context) predictEnum(ctx context.Context, e *Enumeration, st *Stats) bo
 // false when ctx was cancelled mid-batch; costs are then partial and the
 // caller must abandon the enumeration.
 func (c *Context) predict(ctx context.Context, e *Enumeration, hits int, st *Stats) bool {
-	start := time.Now()
+	lap := time.Since(c.clock)
 	sc := c.scratch
 	miss := sc.miss
 	ok := true
@@ -129,7 +129,7 @@ func (c *Context) predict(ctx context.Context, e *Enumeration, hits int, st *Sta
 		}
 	}
 	if st != nil {
-		st.Timings.Infer += time.Since(start)
+		st.Timings.Infer += time.Since(c.clock) - lap
 		if ok {
 			if len(miss) > 0 {
 				st.ModelBatches++

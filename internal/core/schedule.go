@@ -137,7 +137,6 @@ type pool struct {
 	ctx      context.Context
 	pr       Pruner
 	degraded bool
-	start    time.Time
 	base     Stats
 }
 
@@ -172,7 +171,7 @@ func (p *pool) next(self int) *boundaryTask {
 // work runs worker self's tasks on wc until no queue holds any.
 func (p *pool) work(self int, wc *Context) {
 	for t := p.next(self); t != nil; t = p.next(self) {
-		wc.runTask(p.ctx, p.pr, t, p.degraded, p.start, p.base)
+		wc.runTask(p.ctx, p.pr, t, p.degraded, p.base)
 	}
 }
 
@@ -186,7 +185,7 @@ func (p *pool) work(self int, wc *Context) {
 // interleaving) — it degrades every task of the *next* round instead. The
 // soft deadline is re-checked by every task before each concatenation, so a
 // wall-clock trip stops the pool within one concatenation per worker.
-func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []boundaryTask, degraded bool, start time.Time, base Stats, st *Stats) {
+func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []boundaryTask, degraded bool, base Stats, st *Stats) {
 	workers := min(c.Workers, len(tasks))
 	if workers <= 1 {
 		// Inline path, on c itself: either the run is serial or the round
@@ -195,7 +194,7 @@ func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []
 		// where the work concentrates in the final rounds.
 		st.Par.MaxQueueDepth = max(st.Par.MaxQueueDepth, len(tasks))
 		for i := range tasks {
-			c.runTask(ctx, pr, &tasks[i], degraded, start, base)
+			c.runTask(ctx, pr, &tasks[i], degraded, base)
 		}
 		return
 	}
@@ -204,7 +203,7 @@ func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []
 	}
 	p := f.pool
 	p.tasks, p.steals = tasks, 0
-	p.ctx, p.pr, p.degraded, p.start, p.base = ctx, pr, degraded, start, base
+	p.ctx, p.pr, p.degraded, p.base = ctx, pr, degraded, base
 	p.queues = slices.Grow(p.queues[:0], workers)[:workers]
 	for w := range p.queues {
 		p.queues[w].head, p.queues[w].tail = 0, (len(tasks)-w+workers-1)/workers
@@ -233,12 +232,16 @@ func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []
 // own when the round runs inline, a pool worker's copy otherwise): each
 // product is merged into its scratch, pruned there, and what survives is
 // copied into store rows, while the rows of the two inputs go back to the
-// store — so workers contend on nothing but the store's free list.
-func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degraded bool, start time.Time, base Stats) {
+// store — so workers contend on nothing but the store's free list. The
+// loop's stage clock (Context.clock) is cut twice per concatenation, after
+// the merge and after the prune, so Timings.Merge and Timings.Prune cover
+// all of it.
+func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degraded bool, base Stats) {
 	st := &t.st
 	budget := tc.Budget
 	deg := degraded
 	cur := t.node.e
+	lap := time.Since(tc.clock)
 	for ci, child := range t.children {
 		if err := ctx.Err(); err != nil {
 			t.err = err
@@ -255,7 +258,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 				VectorsCreated: base.VectorsCreated + st.VectorsCreated,
 				ModelRows:      base.ModelRows + st.ModelRows,
 			}
-			if reason := budget.exhausted(&probe, start, projected); reason != "" {
+			if reason := budget.exhausted(&probe, tc.clock, projected); reason != "" {
 				deg = true
 				st.Degraded = true
 				st.DegradeReason = reason
@@ -274,15 +277,14 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		merged := sc.product(tc.store, out.Scope, pairs)
 		mspan := tc.span(t.span, "merge").SetInt("step", int64(step)).
 			SetInt("left", int64(len(left))).SetInt("right", int64(len(right)))
-		mergeStart := time.Now()
 		// Merge is a pure function of its two inputs, so the cartesian
 		// product (pair i is left[i/len(right)] × right[i%len(right)]) fans
 		// out across workers writing into disjoint scratch rows; chunked
 		// writes keep the vector order deterministic.
+		info := tc.MergeInfo(cur, child.e)
 		sc.merging.c, sc.merging.out, sc.merging.left, sc.merging.right = tc, merged, left, right
-		sc.merging.info = tc.MergeInfo(cur, child.e)
+		sc.merging.info = info
 		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, sc.mergeFn)
-		st.Timings.Merge += time.Since(mergeStart)
 		mspan.End()
 		if err != nil {
 			t.err = err
@@ -293,18 +295,19 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		tc.store.release(right)
 		st.Merges += pairs
 		st.VectorsCreated += pairs
-		merged.Boundary = tc.boundary(merged.Scope)
+		merged.Boundary = info.boundary
 		st.PeakEnumSize = max(st.PeakEnumSize, len(merged.Vectors))
+		cut := time.Since(tc.clock)
+		st.Timings.Merge += cut - lap
+		lap = cut
 		pspan := tc.span(t.span, "prune").SetInt("step", int64(step))
 		if tc.rt != nil {
 			tc.curRec = tc.rt.beginPrune(step, merged, deg, &sc.pruned)
 		}
-		pruneStart := time.Now()
 		pr.Prune(ctx, tc, merged, st)
 		if deg { // the beam below ranks every survivor
 			tc.rank(ctx, pr, merged, st)
 		}
-		st.Timings.Prune += time.Since(pruneStart)
 		if tc.curRec != nil {
 			tc.rt.endPrune(tc.curRec, merged, &sc.pruned)
 			tc.curRec = nil
@@ -318,6 +321,9 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 			truncateCheapest(merged, st)
 		}
 		cur = tc.keep(merged, out)
+		cut = time.Since(tc.clock)
+		st.Timings.Prune += cut - lap
+		lap = cut
 	}
 	t.result = cur
 	if t.span != nil {

@@ -347,7 +347,8 @@ type scratch struct {
 	size   []int           // pruneGroups: each group's member count
 
 	// bounds holds the boundary lists of the enumerations this worker
-	// creates, bound the list boundary computes before carving its copy.
+	// creates, bound the list boundary and MergeInfo compute before carving
+	// its copy.
 	bounds slab[plan.OpID]
 	bound  []plan.OpID
 	// The two parallel loop bodies, bound once per worker and run: merging

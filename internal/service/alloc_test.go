@@ -122,15 +122,17 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 // over serving-shaped plans (pipelines, join trees and random DAGs) that
 // evict each other from a one-entry cache, in two cases. Reused, the
 // collector is off for the measurement, so each request's enumeration takes
-// over the rows of the one before: 113 allocations and 54 kB measured (116 /
-// 57 kB while admission made a release func per request, pruning numbered its
-// groups in a Go map and the frontier carved a task slot per concatenation;
-// 138 / 63 kB before bodies and replies lived in reused buffers and the reply
+// over the rows of the one before: 111 allocations and 54 kB measured (113 /
+// 54 kB while the frontier held a buffer for the tie's walk over the union
+// of scopes; 116 / 57 kB while admission made a release func per request,
+// pruning numbered its groups in a Go map and the frontier carved a task
+// slot per concatenation; 138 / 63 kB before bodies and replies lived in reused buffers and the reply
 // and the request log stopped going through reflection and boxing), ceilings
 // 240 / 107 kB, the headroom of the fresh case. Fresh, a collection runs
-// before every request, so each enumeration starts on new memory: 131
-// allocations and 323 kB measured (134 / 326 kB before the same change, 158 /
-// 334 kB before the buffers, which outlive collections, being on a free stack
+// before every request, so each enumeration starts on new memory: 129
+// allocations and 322 kB measured (131 / 323 kB before the frontier lost that
+// buffer, 134 / 326 kB before the release-func, map and task-slot changes,
+// 158 / 334 kB before the buffers, which outlive collections, being on a free stack
 // and not in a sync.Pool; 162 / 337 kB while every run built the abstract
 // plan vector and the reply was boxed by value), where runs that dropped their rows took 178 / 305 kB
 // measured the same way (170 / 303 kB without the collections): the rows
