@@ -145,8 +145,13 @@ func (c *Context) OptimizeExhaustive(ctx context.Context, m CostModel, maxVector
 // Algorithm 1: priority-based plan enumeration
 // ---------------------------------------------------------------------------
 
+// enumNode is one of a run's 2n−1 enumeration slots (vecStore.enum): the
+// enumeration, its node of the frontier while it is live, and the task it
+// heads in a round that selects it. A node is always some slot's
+// enumeration, and a round's task is keyed by the node that heads it, so the
+// three share one record, carved with the run's memory.
 type enumNode struct {
-	e    *Enumeration
+	e    Enumeration
 	prio float64
 	tie  int // fewer new boundary operators wins on equal priority
 	seq  int // insertion order breaks remaining ties
@@ -155,13 +160,14 @@ type enumNode struct {
 	// node some task of the round consumes; selectRound computes both.
 	children []*enumNode
 	claimed  bool
+	boundaryTask
 }
 
 // frontier is the serial state of the schedule: the live enumerations, the
-// live enumeration that owns each operator, the counters numbering nodes and
-// concatenations in selection order, and selectRound's buffers. Its memory is
-// sized from the plan once per run: a run adds at most 2n−1 nodes (n
-// singletons and one per task), a round hands out at most n/2 tasks (they
+// live enumeration that owns each boundary operator, the counters numbering
+// nodes and concatenations in selection order, and selectRound's buffers.
+// Its lists are carved from the run's memory once per run (frontierRefs): a
+// run has at most n live nodes, a round hands out at most n/2 tasks (they
 // are disjoint and each consumes at least two live nodes), and the children
 // lists of one round name at most one node per dataflow edge.
 type frontier struct {
@@ -171,36 +177,42 @@ type frontier struct {
 	ordered   []*enumNode
 	union     plan.Bitset
 
-	slab  []enumNode     // node seq lives in slab[seq]
-	kids  []*enumNode    // this round's children lists
-	tasks []boundaryTask // this round's tasks, in selection order
-	pool  *pool          // parallel rounds (runRound)
+	kids  []*enumNode // this round's children lists
+	tasks []*enumNode // this round's task heads, in selection order
+	pool  *pool       // parallel rounds (runRound)
 }
 
-// newFrontier sizes the schedule's state for the n-operator plan of c.
+// frontierRefs is the number of node references the frontier of an
+// n-operator plan with the given number of dataflow edges carves.
+func frontierRefs(n, edges int) int { return 3*n + edges + n/2 + 1 }
+
+// newFrontier returns the run's schedule state, sized for the n-operator
+// plan of c. It runs before the run's first round, alone on the run's
+// memory.
 func (c *Context) newFrontier(n int) *frontier {
-	ptrs := make([]*enumNode, 3*n+len(c.edges))
-	return &frontier{
-		nodes:   ptrs[:0:n],
-		owner:   ptrs[n : 2*n : 2*n],
-		ordered: ptrs[2*n : 2*n : 3*n],
-		kids:    ptrs[3*n : 3*n],
-		union:   plan.NewBitset(n),
-		slab:    make([]enumNode, 2*n-1),
-		tasks:   make([]boundaryTask, 0, n/2+1),
+	s := c.store
+	refs := s.mem.refs.take(frontierRefs(n, len(c.edges)))
+	s.front = frontier{
+		nodes:   refs[:0:n],
+		owner:   refs[n : 2*n : 2*n],
+		ordered: refs[2*n : 2*n : 3*n],
+		kids:    refs[3*n : 3*n : 3*n+len(c.edges)],
+		tasks:   refs[3*n+len(c.edges) : 3*n+len(c.edges)],
+		union:   s.scopes[len(s.scopes)-s.words:],
 	}
+	return &s.front
 }
 
-// add appends the live enumeration e to the frontier as the owner of its
-// scope's operators.
-func (f *frontier) add(e *Enumeration) {
-	node := &f.slab[f.seq]
-	*node = enumNode{e: e, seq: f.seq}
+// add appends the live enumeration of slot nd to the frontier as the owner
+// of its boundary operators: those are the only ones childrenOf looks up.
+// selectRound sets the node's other fields before it reads them.
+func (f *frontier) add(nd *enumNode) {
+	nd.seq, nd.claimed = f.seq, false
 	f.seq++
-	for id := e.Scope.Next(0); id >= 0; id = e.Scope.Next(id + 1) {
-		f.owner[id] = node
+	for _, id := range nd.e.Boundary {
+		f.owner[id] = nd
 	}
-	f.nodes = append(f.nodes, node)
+	f.nodes = append(f.nodes, nd)
 }
 
 // mergeBlock and pruneBlock are the cooperative-cancellation granularities
@@ -262,7 +274,8 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 	c.beginRun(len(c.alts))
 	f := c.newFrontier(n)
 	for id := range plan.OpID(n) {
-		f.add(c.enumerateSingleton(id, st))
+		c.enumerateSingleton(id, st)
+		f.add(&c.store.nodes[id])
 	}
 	espan.End()
 	st.Timings.Enumerate += time.Since(c.clock) - lap
@@ -287,21 +300,21 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 		rspan := c.span(c.root, "round").SetInt("round", int64(st.Par.Rounds))
 		st.Par.Rounds++
 		st.Par.Tasks += len(tasks)
-		for i := range tasks {
-			tasks[i].span = c.span(rspan, "task")
+		for _, t := range tasks {
+			t.span = c.span(rspan, "task")
 		}
 		base := *st
 		c.runRound(ctx, f, pr, tasks, degraded, base, st)
 		rspan.End()
-		for i := range tasks {
-			if err := tasks[i].err; err != nil {
-				return nil, err
+		for _, t := range tasks {
+			if t.err != nil {
+				return nil, t.err
 			}
 		}
 		// Deterministic reduction: the consumed enumerations leave the
 		// frontier and the task results join it in task-selection order,
 		// with their stats (their audit records are already in their steps'
-		// slots).
+		// slots). A task's result is the slot of its last step.
 		live := f.nodes[:0]
 		for _, nd := range f.nodes {
 			if !nd.claimed {
@@ -309,16 +322,15 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 			}
 		}
 		f.nodes = live
-		for i := range tasks {
-			t := &tasks[i]
+		for _, t := range tasks {
 			st.merge(&t.st)
 			if t.st.Degraded {
 				degraded = true
 			}
-			f.add(t.result)
+			f.add(&c.store.nodes[n+t.stepBase+len(t.children)-1])
 		}
 	}
-	return f.nodes[0].e, nil
+	return &f.nodes[0].e, nil
 }
 
 // childrenOf returns, appended to out, the distinct enumerations
@@ -326,13 +338,18 @@ func (c *Context) EnumerateFull(ctx context.Context, pr Pruner, order OrderPolic
 // ordered by ascending insertion sequence number for determinism (singletons
 // get their sequence in scope-ID order, merged nodes in creation order). An
 // operator with a consumer outside node's scope is on its boundary, so only
-// the boundary is walked.
+// the boundary is walked, and such a consumer is on its own enumeration's
+// boundary, so owner holds its owner (see frontier.add).
 func (c *Context) childrenOf(node *enumNode, owner []*enumNode, out []*enumNode) []*enumNode {
 	base := len(out)
+	scope := node.e.Scope
 	for _, id := range node.e.Boundary {
 		for _, nb := range c.Plan.Op(id).Out {
+			if scope.Has(nb) {
+				continue
+			}
 			o := owner[nb]
-			if o == node || slices.Contains(out[base:], o) {
+			if slices.Contains(out[base:], o) {
 				continue
 			}
 			// A node has a handful of children: insertion keeps them sorted.

@@ -15,11 +15,17 @@ import (
 // TestOptimizeAllocCeiling pins what one cold optimization of Figure 9a's
 // 40-operator pipeline (two platforms, linear model, serial) may allocate:
 // context construction, enumeration and unvectorization together, in two
-// cases (measureRuns). On reused memory — the rows of the run before, which
-// the collector has not reclaimed yet — the run measures 44 allocations /
-// 34 kB: its bookkeeping, NewContext's tables, the bound model, the Result
-// and its plan. Its ceilings, 55 / 79 kB, keep the headroom the fresh case
-// has. On fresh memory it measures 50 allocations / 181 kB. Both cases took
+// cases (measureRuns). On reused memory — the rows and bookkeeping of the run
+// before, which the collector has not reclaimed yet — the run measures 35
+// allocations / 13 kB: NewContext's tables, the scope words, the worker
+// scratch, the bound model, the Result and its plan. Its ceilings, 46 /
+// 58 kB, keep the headroom they had when it measured 44 / 34 kB with ceilings
+// 55 / 79 kB, while its store, frontier, enumeration slots, frontier nodes,
+// node lists, tasks and free list were its own rather than carved from the
+// reused memory (and NewContext ran Kahn's algorithm twice, 2 allocations).
+// On fresh memory it measures 43 allocations / 193 kB, 12 kB more than its
+// separate blocks took, since each of the 2n−1 slots now holds a node and a
+// task beside its enumeration. Both cases took
 // 2 allocations more (46, 52) while the frontier held a buffer for the tie's
 // walk over the union of scopes (newFrontier, then too big to inline, put
 // the frontier itself on the heap), 2 allocations and 6 kB more than that
@@ -31,10 +37,14 @@ import (
 // memory it took 69 / 175 kB before runs handed their rows on (the rows now
 // come in one chunk per slab, a third larger than the singletons need, rather
 // than a block per shortfall); its ceilings are the ones it had then, less
-// those 7 allocations and 9 kB, and the story below is that case's. The two cases may differ by at most 8 allocations
-// (6 measured: the runMem, its weak pointer's handle and the first chunk of
-// each of its four slabs), so that how many runs found their memory
-// reclaimed barely moves a workload's allocation count.
+// those 7 allocations and 9 kB, and less the 7 allocations the bookkeeping's
+// blocks and NewContext's second pass took, and the story below is that
+// case's. The two cases may differ by at
+// most 8 allocations (8 measured: the runMem, its weak pointer's handle and
+// the first chunk of each of its six slabs), so that how many runs found
+// their memory reclaimed barely moves a workload's allocation count;
+// TestRunMemoryMixedSizes holds the same rule over the benchmark's mix of
+// plan sizes.
 // The run's bookkeeping (enumeration slots and
 // scopes, vector headers, boundary lists, frontier nodes, children lists,
 // tasks, NewContext's per-operator tables) comes in blocks sized from the
@@ -81,8 +91,8 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 		maxAllocs float64
 		maxBytes  uint64
 	}{
-		{"fresh", false, 73, 211 << 10},
-		{"reused", true, 55, 79 << 10},
+		{"fresh", false, 66, 211 << 10},
+		{"reused", true, 46, 58 << 10},
 	} {
 		allocs, bytes := measureRuns(20, cs.reuse, run)
 		counts = append(counts, allocs)
@@ -134,8 +144,10 @@ func measureRuns(runs int, reuse bool, run func()) (allocs float64, bytes uint64
 // Untraced, the 80-operator run makes no more allocations than the
 // 20-operator one; traced, the span chunks, the attribute block and the
 // audit's boundary lists and platform names each grow geometrically, which
-// is 1 more at 80 operators on fresh memory and 3 on reused memory (4 when
-// runs dropped their rows), with ceilings 8 and 7. While
+// is 3 more at 80 operators on fresh and on reused memory (4 on reused
+// memory when runs dropped their rows; 1 on fresh memory while the
+// 20-operator run outgrew its first chunk of features), with ceilings 8 and
+// 7. While
 // every enumeration, scope, boundary, child list, task, span and attribute
 // was its own object, the 80-operator run made hundreds more.
 func TestOptimizeAllocsIndependentOfPlanSize(t *testing.T) {

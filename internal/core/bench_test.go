@@ -7,6 +7,7 @@ package core
 
 import (
 	"context"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -265,6 +266,39 @@ func BenchmarkParallelEnumerate(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkOptimizeMix is the benchmark's paper-fig9 mix in one loop: a
+// serial cold optimization (NewContext and Optimize) of Pipeline(20), (40)
+// or (80) over two platforms per iteration, in the order the benchmark
+// shuffles them into with seed 1. Runs take over each other's memory as they
+// do there, so the reported allocations per run are what the ledger's
+// allocs_per_op reads, less its harness.
+func BenchmarkOptimizeMix(b *testing.B) {
+	sizes := []int{20, 40, 80}
+	plats := platform.Subset(2)
+	avail := platform.DefaultAvailability().Restrict(plats)
+	var plans []*plan.Logical
+	for _, n := range sizes {
+		plans = append(plans, workload.Pipeline(n, 1e9))
+	}
+	order := make([]int, 120)
+	for i := range order {
+		order[i] = i % len(sizes)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	m := weightModel{}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ctx, err := NewContext(plans[order[i%len(order)]], plats, avail)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx.Workers = 1
+		if _, err := ctx.Optimize(context.Background(), m); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkRiskPrune measures what keeping near-ties costs at Figure 9a's

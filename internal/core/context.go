@@ -272,7 +272,8 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 	if err != nil {
 		return nil, err
 	}
-	if err := l.Validate(); err != nil {
+	order, err := l.ValidOrder()
+	if err != nil {
 		return nil, err
 	}
 	n := l.NumOps()
@@ -335,7 +336,7 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 	for _, head := range firstInLoop {
 		c.ops[head].loopHead = true
 	}
-	for _, id := range l.TopoOrder() {
+	for _, id := range order {
 		for _, p := range l.Ops[id].In {
 			c.ops[id].depth = max(c.ops[id].depth, c.ops[p].depth+1)
 		}

@@ -68,7 +68,9 @@ func SpareMemory() []func() bool {
 		}
 		probes = append(probes, probe(m),
 			probeSlice(m.feats.first), probeSlice(m.assign.first), probeSlice(m.hdrs.first), probeSlice(m.ptrs.first),
-			probeSlice(m.feats.last), probeSlice(m.assign.last), probeSlice(m.hdrs.last), probeSlice(m.ptrs.last))
+			probeSlice(m.nodes.first), probeSlice(m.refs.first),
+			probeSlice(m.feats.last), probeSlice(m.assign.last), probeSlice(m.hdrs.last), probeSlice(m.ptrs.last),
+			probeSlice(m.nodes.last), probeSlice(m.refs.last))
 	}
 	return probes
 }

@@ -40,14 +40,19 @@ func boundaryByScope(c *Context, scope plan.Bitset) []plan.OpID {
 	return out
 }
 
-// childrenByScope lists the owners of the consumers of node's operators,
-// node aside, by ascending sequence number.
-func childrenByScope(node *enumNode, owner []*enumNode, l *plan.Logical) []*enumNode {
+// childrenByScope lists the owners of the consumers of node's operators
+// outside its scope, found among the live nodes, by ascending sequence
+// number.
+func childrenByScope(node *enumNode, live []*enumNode, l *plan.Logical) []*enumNode {
 	var out []*enumNode
 	scope := node.e.Scope
 	for id := scope.Next(0); id >= 0; id = scope.Next(id + 1) {
 		for _, nb := range l.Op(id).Out {
-			if o := owner[nb]; o != node && !slices.Contains(out, o) {
+			if scope.Has(nb) {
+				continue
+			}
+			i := slices.IndexFunc(live, func(o *enumNode) bool { return o.e.Scope.Has(nb) })
+			if o := live[i]; !slices.Contains(out, o) {
 				out = append(out, o)
 			}
 		}
@@ -59,8 +64,8 @@ func childrenByScope(node *enumNode, owner []*enumNode, l *plan.Logical) []*enum
 // TestBoundaryBookkeeping merges disjoint enumerations in random orders and
 // checks, at every step, what the enumeration derives from its inputs'
 // boundaries — MergeInfo's crossing edges (content and order), fuses and
-// merged boundary, every live node's children and tie — against the scope
-// walks above.
+// merged boundary, the frontier's owner of every live boundary operator,
+// every live node's children and tie — against the scope walks above.
 func TestBoundaryBookkeeping(t *testing.T) {
 	type named struct {
 		name string
@@ -90,27 +95,28 @@ func TestBoundaryBookkeeping(t *testing.T) {
 }
 
 // checkMergeOrder merges c's singleton enumerations pairwise in a random
-// order until one remains, checking the bookkeeping before every merge.
+// order until one remains, each into the run's slot for its step, checking
+// the bookkeeping before every merge.
 func checkMergeOrder(t *testing.T, name string, c *Context, rng *rand.Rand) {
 	t.Helper()
 	n := c.Plan.NumOps()
 	c.beginRun(len(c.alts))
 	defer c.endRun(false)
-	var live []*Enumeration
+	var live []*enumNode
 	for id := range plan.OpID(n) {
 		e := c.enumerateSingleton(id, nil)
 		if want := boundaryByScope(c, e.Scope); !slices.Equal(e.Boundary, want) {
 			t.Fatalf("%s: singleton %d boundary %v, want %v", name, id, e.Boundary, want)
 		}
-		live = append(live, e)
+		live = append(live, &c.store.nodes[id])
 	}
-	for len(live) > 1 {
+	for step := 0; len(live) > 1; step++ {
 		checkFrontier(t, name, c, live)
 		i, j := rng.Intn(len(live)), rng.Intn(len(live)-1)
 		if j >= i {
 			j++
 		}
-		a, b := live[i], live[j]
+		a, b := &live[i].e, &live[j].e
 		info := c.MergeInfo(a, b)
 		if want := crossingByScope(c, a.Scope, b.Scope); !slices.Equal(info.Crossing, want) {
 			t.Fatalf("%s: crossing %v × %v = %v, want %v", name, a.Scope, b.Scope, info.Crossing, want)
@@ -124,26 +130,36 @@ func checkMergeOrder(t *testing.T, name string, c *Context, rng *rand.Rand) {
 		if info.Fuses != fuses {
 			t.Fatalf("%s: fuses %d, want %d", name, info.Fuses, fuses)
 		}
-		merged := &Enumeration{Scope: a.Scope.Union(b.Scope), Boundary: info.boundary}
+		merged := c.store.enum(n + step)
+		copy(merged.Scope, a.Scope)
+		merged.Scope.UnionInto(b.Scope)
+		merged.Boundary = info.boundary
 		if want := boundaryByScope(c, merged.Scope); !slices.Equal(merged.Boundary, want) {
 			t.Fatalf("%s: merged boundary of %v = %v, want %v", name, merged.Scope, merged.Boundary, want)
 		}
-		live[i] = merged
+		live[i] = &c.store.nodes[n+step]
 		live = slices.Delete(live, j, j+1)
 	}
 }
 
-// checkFrontier lays live out as a frontier and checks every node's
-// children and tie.
-func checkFrontier(t *testing.T, name string, c *Context, live []*Enumeration) {
+// checkFrontier lays live out as a frontier and checks the owner of every
+// boundary operator and every node's children and tie.
+func checkFrontier(t *testing.T, name string, c *Context, live []*enumNode) {
 	t.Helper()
 	f := c.newFrontier(c.Plan.NumOps())
-	for _, e := range live {
-		f.add(e)
+	for _, nd := range live {
+		f.add(nd)
+	}
+	for _, nd := range f.nodes {
+		for _, id := range nd.e.Boundary {
+			if f.owner[id] != nd {
+				t.Fatalf("%s: boundary operator %d of %v is not owned by its enumeration", name, id, nd.e.Scope)
+			}
+		}
 	}
 	for _, nd := range f.nodes {
 		nd.children = c.childrenOf(nd, f.owner, nil)
-		if want := childrenByScope(nd, f.owner, c.Plan); !slices.Equal(nd.children, want) {
+		if want := childrenByScope(nd, live, c.Plan); !slices.Equal(nd.children, want) {
 			t.Fatalf("%s: children of %v differ from the scope walk", name, nd.e.Scope)
 		}
 		c.setPriority(nd, OrderPriority, f)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,5 +175,85 @@ func TestRunMemoryReuse(t *testing.T) {
 	wg.Wait()
 	if cancelled.Load() == 0 {
 		t.Error("no run was cancelled mid-enumeration")
+	}
+}
+
+// TestRunMemoryMixedSizes replays the benchmark's paper-fig9 mix: 120
+// serial optimizations of Pipeline(20), (40) and (80) over two platforms, in
+// the order the benchmark shuffles them into with seed 1. It replays it with
+// every run on new memory (DropSpareMemory first), on the memory of the run
+// before, and on that memory with the poison hook armed. Every run must pick
+// the same plan all three ways. Outside the race detector, which changes
+// allocation counts, a run of each size may make at most 8 allocations more
+// on new memory than on reused memory: what TestOptimizeAllocCeiling allows
+// one size run alone, held here while the memory a run takes over was sized
+// by a run of another size.
+func TestRunMemoryMixedSizes(t *testing.T) {
+	sizes := []int{20, 40, 80}
+	plats := platform.Subset(2)
+	avail := platform.DefaultAvailability().Restrict(plats)
+	m := newLinModel(core.MustSchema(plats).Len(), 1)
+	order := make([]int, 120)
+	for i := range order {
+		order[i] = i % len(sizes)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	var plans []*plan.Logical
+	for _, n := range sizes {
+		plans = append(plans, workload.Pipeline(n, 1e9))
+	}
+	// replay runs the mix once and returns every run's plan and, per size,
+	// the allocations of a run on average.
+	replay := func(reuse, poison bool) (picked []string, allocs []float64) {
+		mallocs := make([]uint64, len(sizes))
+		var before, after runtime.MemStats
+		for _, k := range order {
+			ctx, err := core.NewContext(plans[k], plats, avail)
+			if err != nil {
+				t.Fatalf("NewContext: %v", err)
+			}
+			if poison {
+				ctx.PoisonFreed()
+			}
+			if !reuse {
+				core.DropSpareMemory()
+			}
+			runtime.ReadMemStats(&before)
+			res, err := ctx.Optimize(context.Background(), m)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("Pipeline(%d): %v", sizes[k], err)
+			}
+			mallocs[k] += after.Mallocs - before.Mallocs
+			picked = append(picked, fmt.Sprintf("%v|%v", res.Execution.Assign, res.Predicted))
+		}
+		for _, n := range mallocs {
+			allocs = append(allocs, float64(n)/float64(len(order)/len(sizes)))
+		}
+		return picked, allocs
+	}
+	// As testing.AllocsPerRun does, count on one P, with the collector off
+	// (see measureRuns) and after a first replay: on new memory it grows the
+	// spare stack, on reused memory it sizes the memory for the largest run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	replay(false, false)
+	runtime.GC()
+	fresh, freshAllocs := replay(false, false)
+	runtime.GC()
+	replay(true, false)
+	reused, reusedAllocs := replay(true, false)
+	poisoned, _ := replay(true, true)
+	for i, k := range order {
+		if reused[i] != fresh[i] || poisoned[i] != fresh[i] {
+			t.Fatalf("run %d, Pipeline(%d): new memory picked %s, reused memory %s, poisoned reused memory %s",
+				i, sizes[k], fresh[i], reused[i], poisoned[i])
+		}
+	}
+	for k, n := range sizes {
+		t.Logf("Pipeline(%d): %.1f allocations on new memory, %.1f on reused memory", n, freshAllocs[k], reusedAllocs[k])
+		if d := freshAllocs[k] - reusedAllocs[k]; !raceEnabled && d > 8 {
+			t.Errorf("Pipeline(%d): a run on new memory makes %.1f allocations more than one on reused memory, at most 8", n, d)
+		}
 	}
 }

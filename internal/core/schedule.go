@@ -23,20 +23,19 @@ import (
 
 // boundaryTask is one unit of scheduled work: concatenate an enumeration with
 // all of its current downstream children, pruning after each concatenation
-// (the per-child body of Algorithm 1's main loop). Tasks selected for one
+// (the per-child body of Algorithm 1's main loop). A task lives in the
+// enumNode it heads, whose children it consumes. Tasks selected for one
 // round are pairwise disjoint, so they share no enumerations and can run on
 // any worker. All result fields are written by the executing worker and read
-// only after the round barrier.
+// only after the round barrier; the task's result is the enumeration slot of
+// its last step.
 type boundaryTask struct {
-	node     *enumNode
-	children []*enumNode
 	// stepBase is the audit step number of the task's first concatenation,
 	// pre-assigned at selection time so the PruneRecord sequence is
 	// independent of execution interleaving.
 	stepBase int
 
 	span   *obs.Span // traced runs only
-	result *Enumeration
 	st     Stats
 	err    error
 	worker int
@@ -63,7 +62,7 @@ type boundaryTask struct {
 // boundaries while join lattices close their input holes before the chain
 // concatenations run. The node with the minimum tie is always admissible,
 // so every round selects at least one task.
-func (c *Context) selectRound(f *frontier, order OrderPolicy) []boundaryTask {
+func (c *Context) selectRound(f *frontier, order OrderPolicy) []*enumNode {
 	// Children, priorities and ties are computed once per live node, from
 	// the frontier as the last barrier left it.
 	minTie := -1
@@ -99,7 +98,8 @@ func (c *Context) selectRound(f *frontier, order OrderPolicy) []boundaryTask {
 		for _, ch := range nd.children {
 			ch.claimed = true
 		}
-		f.tasks = append(f.tasks, boundaryTask{node: nd, children: nd.children, stepBase: f.step})
+		nd.boundaryTask = boundaryTask{stepBase: f.step}
+		f.tasks = append(f.tasks, nd)
 		f.step += len(nd.children)
 	}
 	return f.tasks
@@ -130,7 +130,7 @@ func (c *Context) workerContext(sc *scratch) *Context {
 type pool struct {
 	mu     sync.Mutex
 	wg     sync.WaitGroup
-	tasks  []boundaryTask
+	tasks  []*enumNode
 	queues []struct{ head, tail int }
 	steals int
 
@@ -142,13 +142,13 @@ type pool struct {
 
 // next hands worker self its next task: the head of its own queue, else the
 // tail of the deepest other queue (a steal), else nil.
-func (p *pool) next(self int) *boundaryTask {
+func (p *pool) next(self int) *enumNode {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	workers := len(p.queues)
 	if q := &p.queues[self]; q.head < q.tail {
 		q.head++
-		return &p.tasks[self+(q.head-1)*workers]
+		return p.tasks[self+(q.head-1)*workers]
 	}
 	victim, depth := -1, 0
 	for i, q := range p.queues {
@@ -161,7 +161,7 @@ func (p *pool) next(self int) *boundaryTask {
 	}
 	q := &p.queues[victim]
 	q.tail--
-	t := &p.tasks[victim+q.tail*workers]
+	t := p.tasks[victim+q.tail*workers]
 	p.steals++
 	t.worker = self
 	t.stolen = true
@@ -185,7 +185,7 @@ func (p *pool) work(self int, wc *Context) {
 // interleaving) — it degrades every task of the *next* round instead. The
 // soft deadline is re-checked by every task before each concatenation, so a
 // wall-clock trip stops the pool within one concatenation per worker.
-func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []boundaryTask, degraded bool, base Stats, st *Stats) {
+func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []*enumNode, degraded bool, base Stats, st *Stats) {
 	workers := min(c.Workers, len(tasks))
 	if workers <= 1 {
 		// Inline path, on c itself: either the run is serial or the round
@@ -193,8 +193,8 @@ func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []
 		// parallelism (merges and model batches still fan out) — that is
 		// where the work concentrates in the final rounds.
 		st.Par.MaxQueueDepth = max(st.Par.MaxQueueDepth, len(tasks))
-		for i := range tasks {
-			c.runTask(ctx, pr, &tasks[i], degraded, base)
+		for _, t := range tasks {
+			c.runTask(ctx, pr, t, degraded, base)
 		}
 		return
 	}
@@ -236,11 +236,11 @@ func (c *Context) runRound(ctx context.Context, f *frontier, pr Pruner, tasks []
 // loop's stage clock (Context.clock) is cut twice per concatenation, after
 // the merge and after the prune, so Timings.Merge and Timings.Prune cover
 // all of it.
-func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degraded bool, base Stats) {
+func (tc *Context) runTask(ctx context.Context, pr Pruner, t *enumNode, degraded bool, base Stats) {
 	st := &t.st
 	budget := tc.Budget
 	deg := degraded
-	cur := t.node.e
+	cur := &t.e
 	lap := time.Since(tc.clock)
 	for ci, child := range t.children {
 		if err := ctx.Err(); err != nil {
@@ -266,7 +266,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		}
 		if deg {
 			tc.truncate(ctx, pr, cur, st)
-			tc.truncate(ctx, pr, child.e, st)
+			tc.truncate(ctx, pr, &child.e, st)
 		}
 		left, right := cur.Vectors, child.e.Vectors
 		pairs := len(left) * len(right)
@@ -281,7 +281,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		// product (pair i is left[i/len(right)] × right[i%len(right)]) fans
 		// out across workers writing into disjoint scratch rows; chunked
 		// writes keep the vector order deterministic.
-		info := tc.MergeInfo(cur, child.e)
+		info := tc.MergeInfo(cur, &child.e)
 		sc.merging.c, sc.merging.out, sc.merging.left, sc.merging.right = tc, merged, left, right
 		sc.merging.info = info
 		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, sc.mergeFn)
@@ -325,7 +325,6 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *boundaryTask, degr
 		st.Timings.Prune += cut - lap
 		lap = cut
 	}
-	t.result = cur
 	if t.span != nil {
 		t.span.SetInt("worker", int64(t.worker))
 		if t.stolen {

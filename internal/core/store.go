@@ -18,28 +18,30 @@ import (
 // memory is therefore bounded by the frontier (the sum of the live
 // enumerations' sizes), not by the number of vectors the run ever formed.
 //
-// The run's bookkeeping is allocated the same way, in a few blocks sized from
-// the plan rather than one object per enumeration step: a run of n operators
-// makes exactly n singleton enumerations and n−1 concatenations, so the store
-// holds 2n−1 enumeration slots with their scope words (and the frontier 2n−1
-// nodes and one round's tasks), while each worker's boundary lists are carved from a
-// block that grows geometrically and never moves. The bookkeeping dies with
-// the run.
+// The run's bookkeeping comes from the same memory, in blocks sized from the
+// plan rather than one object per enumeration step: a run of n operators
+// makes exactly n singleton enumerations and n−1 concatenations, so it holds
+// 2n−1 enumeration slots (enumNode: the enumeration beside its frontier node
+// and the task it heads in a round) and one block of node references for the
+// frontier's lists and the round's tasks; the store and its frontier live
+// there too. Only its scope words and each worker's scratch (its boundary
+// lists, its footprint table) are the run's own.
 //
-// The rows do not. Every row of the run — the store's features, assignments
-// and Vector headers, the Vectors slices of its enumerations, and each
-// worker's product rows and scoring buffers — is carved from one runMem, the
-// bulk of what a run allocates in bytes, and Optimize* hand that back as they
-// return (endRun) onto a package-level stack of weak pointers. The next run
-// to start takes it over (beginRun) and carves it again at its own widths. A
-// weak pointer keeps nothing alive, so the first collection after a run
-// reclaims its runMem as if it had been dropped: what a run reuses is garbage
-// the collector has not swept yet, and resident heap after a collection is
-// what it would be without reuse (see DESIGN.md). A runMem is four slabs, so
-// a run that finds none spare makes a handful of allocations more than one
-// that does, whatever the plan: allocation counts barely depend on when the
-// collector ran. Nothing that outlives the run is carved from it: not the
-// Result, not the RunTrace or the spans, not NewContext's tables.
+// Every row of the run — the store's features, assignments and Vector
+// headers, the Vectors slices of its enumerations and its free list, and
+// each worker's product rows and scoring buffers — and that bookkeeping are
+// carved from one runMem, the bulk of what a run allocates in bytes, and
+// Optimize* hand it back as they return (endRun) onto a package-level stack
+// of weak pointers. The next run to start takes it over (beginRun) and
+// carves it again at its own widths. A weak pointer keeps nothing alive, so
+// the first collection after a run reclaims its runMem as if it had been
+// dropped: what a run reuses is garbage the collector has not swept yet, and
+// resident heap after a collection is what it would be without reuse (see
+// DESIGN.md). A runMem is six slabs, so a run that finds none spare makes a
+// handful of allocations more than one that does, whatever the plan:
+// allocation counts barely depend on when the collector ran. Nothing that
+// outlives the run is carved from it: not the Result, not the RunTrace or
+// the spans, not NewContext's tables.
 
 // slab hands out slices carved from chunks that never move, so a slice it
 // returns stays valid until the slab is reset. A chunk holds the request that
@@ -92,16 +94,22 @@ func (s *slab[T]) reset(n int) {
 	}
 }
 
-// runMem is the memory a run carves its rows from, and what a finished
-// Optimize* run hands on to the next (see the top of this file): the
-// features, assignments and Vector headers of every row, store and scratch
-// alike, and the Vectors slices that list them. It is only ever used under
-// the lock of the vecStore that holds it.
+// runMem is the memory a run carves its rows and its bookkeeping from, and
+// what a finished Optimize* run hands on to the next (see the top of this
+// file): the features, assignments and Vector headers of every row, store
+// and scratch alike, the Vectors slices that list them, the enumeration
+// slots and the frontier's node references, and the run's store itself. Its
+// slabs are carved under the store's lock, or by the run alone before its
+// first round.
 type runMem struct {
 	feats  slab[float64]
 	assign slab[uint8]
 	hdrs   slab[Vector]
 	ptrs   slab[*Vector]
+	nodes  slab[enumNode]
+	refs   slab[*enumNode]
+	// store is the vector store of the run on this memory.
+	store vecStore
 }
 
 // spares holds the runMem of finished runs, weakly: a collection reclaims
@@ -150,47 +158,64 @@ type vecStore struct {
 	free       []*Vector
 	// rows counts the rows carved so far, free or not.
 	rows int
-	// enums are the run's 2n−1 enumeration slots (see enum) and scopes their
-	// scope words, words per slot.
-	enums  []Enumeration
+	// nodes are the run's 2n−1 enumeration slots (see enum) and scopes their
+	// scope words, words per slot, then the frontier's union.
+	nodes  []enumNode
 	scopes []uint64
 	words  int
+	// front is the run's schedule state (newFrontier).
+	front frontier
 	// workers holds the scratch of each pool worker, by worker index.
 	workers []*scratch
 	// poison (Context.poison, set only by tests): release overwrites every
 	// freed row (NaN features and costs, poisonAssign assignments), product
 	// the scratch before it is filled and endRun every row the run carved, so
 	// that tests turn a read of freed, stale or handed-back memory into a NaN
-	// cost or an out-of-range platform instead of a plausible plan. chunks
-	// lists the blocks of rows to overwrite at endRun.
+	// cost or an out-of-range platform instead of a plausible plan; endRun
+	// also overwrites the enumeration slots (NaN priorities, claimed nodes,
+	// no vectors, full scopes), so that a slot read before it is filled
+	// again decides something else. chunks lists the blocks of rows to
+	// overwrite at endRun.
 	poison bool
 	chunks []Vector
 }
 
 // beginRun gives c a new store over a runMem — a finished run's when the
-// collector has not reclaimed it yet, else a new one — its free list seeded
-// with rows rows, and the scratch of worker 0. Whatever the previous run on c
-// returned keeps its own store and runMem alive and intact (only Optimize*
-// hand theirs on), but callers are only promised it until here.
+// collector has not reclaimed it yet, else a new one — its enumeration slots,
+// its free list seeded with rows rows, and the scratch of worker 0. Whatever
+// the previous run on c returned keeps its own store and runMem alive and
+// intact (only Optimize* hand theirs on), but callers are only promised it
+// until here.
 func (c *Context) beginRun(rows int) {
 	n := c.Plan.NumOps()
 	words := len(plan.NewBitset(n))
 	// A run carves about half as many rows again as its singletons take, for
-	// its workers' products and the survivors the free list is short of, so
-	// a run on new memory mostly fits in one chunk per slab.
-	m, carve := takeMem(), rows+rows/2
+	// its workers' products and the survivors the free list is short of, and
+	// at least minSpareRows: a worker's products grow to the largest one the
+	// plan makes, which does not shrink with the plan. So a run on new
+	// memory mostly fits in one chunk per slab.
+	m, carve := takeMem(), rows+max(rows/2, minSpareRows)
 	m.feats.reset(carve * c.width)
 	m.assign.reset(carve * n)
 	m.hdrs.reset(carve)
-	m.ptrs.reset(4 * rows)
-	c.store = &vecStore{
+	m.ptrs.reset(4*rows + carve)
+	m.nodes.reset(2*n - 1)
+	m.refs.reset(frontierRefs(n, len(c.edges)))
+	m.store = vecStore{
 		mem: m, cols: c.width, nOps: n, poison: c.poison,
-		enums: make([]Enumeration, 2*n-1), scopes: make([]uint64, (2*n-1)*words), words: words,
+		nodes: m.nodes.take(2*n - 1), scopes: make([]uint64, 2*n*words), words: words,
 	}
-	c.store.free = make([]*Vector, rows)
+	c.store = &m.store
+	// The free list never holds more rows than the store carved: carve
+	// covers it unless the survivors outgrow the estimate (see release).
+	c.store.free = m.ptrs.take(carve)[:rows]
 	c.store.block(c.store.free)
 	c.scratch = c.store.worker(0)
 }
+
+// minSpareRows is the fewest rows a run carves beyond its singletons' (see
+// beginRun): a two-platform pipeline's products alone take 28.
+const minSpareRows = 32
 
 // endRun ends a run once nothing of its store is referenced any more
 // (Optimize* expand the winning vector out first) and drops its model. With
@@ -200,8 +225,17 @@ func (c *Context) beginRun(rows int) {
 // on a memory sized for its whole search space.
 func (c *Context) endRun(handBack bool) {
 	if s := c.store; s != nil {
-		for _, ch := range s.chunks {
-			poisonRows(ch.F, ch.Assign)
+		if s.poison {
+			for _, ch := range s.chunks {
+				poisonRows(ch.F, ch.Assign)
+			}
+			for i := range s.nodes {
+				nd := &s.nodes[i]
+				nd.prio, nd.claimed, nd.e.Vectors = math.NaN(), true, nil
+			}
+			for i := range s.scopes {
+				s.scopes[i] = math.MaxUint64
+			}
 		}
 		if handBack {
 			s.mem.handBack()
@@ -217,7 +251,7 @@ func (c *Context) endRun(handBack bool) {
 func (s *vecStore) enum(k int) *Enumeration {
 	scope := plan.Bitset(s.scopes[k*s.words : (k+1)*s.words : (k+1)*s.words])
 	clear(scope)
-	e := &s.enums[k]
+	e := &s.nodes[k].e
 	*e = Enumeration{Scope: scope}
 	return e
 }
@@ -305,6 +339,12 @@ func (s *vecStore) release(vs []*Vector) {
 		}
 	}
 	s.mu.Lock()
+	if n := len(s.free) + len(vs); n > cap(s.free) {
+		// More rows than the run was expected to carve: the list moves to a
+		// longer slice of the run's memory.
+		free := s.mem.ptrs.take(max(n, 2*cap(s.free)))
+		s.free = free[:copy(free, s.free)]
+	}
 	s.free = append(s.free, vs...)
 	s.mu.Unlock()
 }
@@ -383,12 +423,18 @@ func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 		sc.data, sc.assign = s.mem.feats.take(size*s.cols), s.mem.assign.take(size*s.nOps)
 		sc.vecs, sc.ptrs = s.mem.hdrs.take(size), s.mem.ptrs.take(size)
 		s.mu.Unlock()
+		// A row's headers never change, so they are wired once per carve.
+		wireRows(sc.ptrs, sc.vecs, sc.data, sc.assign, s.cols, s.nOps)
+	} else {
+		// Pruning compacts ptrs in place and a degraded rank reorders them,
+		// so the pointer list is rewired per product.
+		for i := range sc.ptrs[:n] {
+			sc.ptrs[i] = &sc.vecs[i]
+		}
 	}
 	if s.poison {
 		poisonRows(sc.data, sc.assign)
 	}
-	// Pruning compacts ptrs in place, so they are rewired per product.
-	wireRows(sc.ptrs, sc.vecs[:n], sc.data, sc.assign, s.cols, s.nOps)
 	sc.mat = vecops.Matrix{Data: sc.data[:n*s.cols], Rows: n, Cols: s.cols}
 	sc.enum = Enumeration{Scope: scope, Vectors: sc.ptrs[:n], mat: &sc.mat}
 	return &sc.enum

@@ -192,17 +192,29 @@ func (l *Logical) topoOrder() (order []OpID, ok bool) {
 // compliance, matching In/Out adjacency, acyclicity, valid complexities and
 // selectivities, and source cardinalities for every source.
 func (l *Logical) Validate() error {
+	_, err := l.ValidOrder()
+	return err
+}
+
+// ValidOrder validates l as Validate does and returns the topological order
+// of the dataflow (TopoOrder's) that its acyclicity check computed, so a
+// caller that needs both walks the graph once.
+func (l *Logical) ValidOrder() ([]OpID, error) {
 	for i, o := range l.Ops {
 		if err := l.checkOp(i, o); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	// Acyclicity: a topological order must cover every operator. (A plan a
 	// Builder made is acyclic by construction, so Build skips this.)
-	if _, ok := l.topoOrder(); !ok {
-		return fmt.Errorf("plan: dataflow graph contains a cycle")
+	order, ok := l.topoOrder()
+	if !ok {
+		return nil, fmt.Errorf("plan: dataflow graph contains a cycle")
 	}
-	return l.checkPlan()
+	if err := l.checkPlan(); err != nil {
+		return nil, err
+	}
+	return order, nil
 }
 
 // checkOp checks the operator at index i: identity, kind, arity, UDF,

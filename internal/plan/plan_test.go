@@ -2,6 +2,7 @@ package plan_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -267,5 +268,20 @@ func TestTopoOrderRespectsEdges(t *testing.T) {
 		if pos[e.From] >= pos[e.To] {
 			t.Fatalf("edge %v violates topo order", e)
 		}
+	}
+	if valid, err := l.ValidOrder(); err != nil || !slices.Equal(valid, order) {
+		t.Fatalf("ValidOrder = %v, %v; want TopoOrder's %v", valid, err, order)
+	}
+}
+
+// TestValidOrderRejectsCycle: two maps feeding each other pass every
+// per-operator check, so only the topological order can refuse them.
+func TestValidOrderRejectsCycle(t *testing.T) {
+	l := &plan.Logical{Ops: []*plan.Operator{
+		{ID: 0, Kind: platform.Map, UDF: platform.Linear, Selectivity: 1, In: []plan.OpID{1}, Out: []plan.OpID{1}},
+		{ID: 1, Kind: platform.Map, UDF: platform.Linear, Selectivity: 1, In: []plan.OpID{0}, Out: []plan.OpID{0}},
+	}}
+	if order, err := l.ValidOrder(); err == nil || !strings.Contains(err.Error(), "cycle") || order != nil {
+		t.Fatalf("ValidOrder on a cycle = %v, %v; want no order and the cycle error", order, err)
 	}
 }
