@@ -16,55 +16,22 @@ import (
 // 40-operator pipeline (two platforms, linear model, serial) may allocate:
 // context construction, enumeration and unvectorization together, in two
 // cases (measureRuns). On reused memory — the rows and bookkeeping of the run
-// before, which the collector has not reclaimed yet — the run measures 35
-// allocations / 13 kB: NewContext's tables, the scope words, the worker
-// scratch, the bound model, the Result and its plan. Its ceilings, 46 /
-// 58 kB, keep the headroom they had when it measured 44 / 34 kB with ceilings
-// 55 / 79 kB, while its store, frontier, enumeration slots, frontier nodes,
-// node lists, tasks and free list were its own rather than carved from the
-// reused memory (and NewContext ran Kahn's algorithm twice, 2 allocations).
-// On fresh memory it measures 43 allocations / 193 kB, 12 kB more than its
-// separate blocks took, since each of the 2n−1 slots now holds a node and a
-// task beside its enumeration. Both cases took
-// 2 allocations more (46, 52) while the frontier held a buffer for the tie's
-// walk over the union of scopes (newFrontier, then too big to inline, put
-// the frontier itself on the heap), 2 allocations and 6 kB more than that
-// (48 / 40 kB, 54 / 188 kB) while pruning numbered its groups in a Go map
-// and the frontier carved a task slot per concatenation rather than one
-// round's, and 3 allocations and 3 kB more before that while every run
-// built an abstract plan vector only to walk its scope; the allocation
-// ceilings came down by as much each time. On fresh
-// memory it took 69 / 175 kB before runs handed their rows on (the rows now
-// come in one chunk per slab, a third larger than the singletons need, rather
-// than a block per shortfall); its ceilings are the ones it had then, less
-// those 7 allocations and 9 kB, and less the 7 allocations the bookkeeping's
-// blocks and NewContext's second pass took, and the story below is that
-// case's. The two cases may differ by at
-// most 8 allocations (8 measured: the runMem, its weak pointer's handle and
-// the first chunk of each of its six slabs), so that how many runs found
-// their memory reclaimed barely moves a workload's allocation count;
-// TestRunMemoryMixedSizes holds the same rule over the benchmark's mix of
-// plan sizes.
-// The run's bookkeeping (enumeration slots and
-// scopes, vector headers, boundary lists, frontier nodes, children lists,
-// tasks, NewContext's per-operator tables) comes in blocks sized from the
-// plan, and its parallel loop bodies are bound once per worker. The ceilings
-// keep the headroom they had over the 823 allocations / 178 kB it took while
-// each of those was an object per enumeration step, eleven allocations and
-// 45 kB. Its model has no Specialize, so
-// mlmodel.Specialize expands its rows one kernel block per call into a window
-// off the kernels' shared stack. It was 824 / 225 kB while the run kept a
-// buffer of expanded rows per worker, and 237 kB while one matrix of expanded
-// rows covered each whole batch. The allocation ceiling sits eleven above: a
-// matrix view moved to the heap per model batch took 945, scoring through an
-// adapter boxed once per batch 984. The byte ceiling keeps the 45 kB of
-// headroom it had over the 237 kB.
-// With rows at the Schema's width instead of the plan's live width, and a
-// MergeCtx allocated per concatenation, the run took 898 / 335 kB.
-// Before products were merged into a reused scratch
-// the same run took 3074 allocations / 1658 kB, three quarters of the bytes in
-// one zeroed matrix per concatenation. A regression past either ceiling is the
-// enumeration allocating per product, per batch or per plan again.
+// before, which the collector has not reclaimed yet — it measures 34
+// allocations / 13 kB: NewContext's tables, the run's live cells, the scope
+// words, the worker scratch, the bound model, the Result and its plan
+// (ceilings 45 / 58 kB). On fresh memory it measures 42 allocations / 160 kB
+// (ceilings 65 / 178 kB). The two cases may differ by at most 8 allocations
+// (8 measured: the runMem, its weak pointer's handle and the first chunk of
+// each of its six slabs), so that how many runs found their memory reclaimed
+// barely moves a workload's allocation count; TestRunMemoryMixedSizes holds
+// the same rule over the benchmark's mix of plan sizes. A run's rows hold
+// only the plan's live cells, its bookkeeping comes in blocks sized from the
+// plan, its parallel loop bodies are bound once per worker, and its model,
+// which has no Specialize, gets its rows expanded one kernel block per call
+// into a window off the kernels' shared stack. A regression past either
+// ceiling is the enumeration allocating per product, per batch or per plan
+// again, or its rows growing wider than the cells a plan can set; git log
+// has the history of these figures.
 func TestOptimizeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -91,8 +58,8 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 		maxAllocs float64
 		maxBytes  uint64
 	}{
-		{"fresh", false, 66, 211 << 10},
-		{"reused", true, 46, 58 << 10},
+		{"fresh", false, 65, 178 << 10},
+		{"reused", true, 45, 58 << 10},
 	} {
 		allocs, bytes := measureRuns(20, cs.reuse, run)
 		counts = append(counts, allocs)

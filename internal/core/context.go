@@ -180,11 +180,12 @@ type Context struct {
 	ops    []opInfo    // per op
 	adj    []plan.OpID // all neighbours (in and out), per op
 	adjOff []int32     // op id's neighbours are adj[adjOff[id]:adjOff[id+1]]
-	// The run's rows hold only the columns a vector of the plan can set:
-	// live, concatenated, width cells, the movement block and the tail after
-	// it from moveAt on. A vector leaving the run is expanded (wide).
-	live          []colSpan
-	width, moveAt int
+	// The run's rows hold only the Schema columns a vector of the plan can
+	// set, live (ascending, liveCells; len(live) cells), the movement block
+	// and the tail after it from moveAt on. The Context's first run sets them
+	// (layout). A vector leaving the run is expanded (wide).
+	live   []int
+	moveAt int
 
 	// Per-run enumeration memory (store.go): the vector store of the run in
 	// progress (or last finished, while its result may still be read) and
@@ -291,14 +292,9 @@ func NewContext(l *plan.Logical, platforms []platform.ID, avail *platform.Availa
 		edges:  make([]plan.Edge, 0, edges),
 		ops:    make([]opInfo, n),
 		adj:    make([]plan.OpID, 0, 2*edges),
-		live:   s.liveColumns(l),
 	}
 	offs := make([]int32, 2*(n+1))
 	c.altOff, c.adjOff = offs[:n+1:n+1], offs[n+1:]
-	for _, sp := range c.live {
-		c.width += sp.hi - sp.lo
-	}
-	c.moveAt = c.width - (s.length - s.moveOff) // the tail is the last span
 	firstInLoop := map[int]plan.OpID{}
 	for id, o := range l.Ops {
 		for pi, p := range s.Platforms {
@@ -392,20 +388,21 @@ func (c *Context) boundary(scope plan.Bitset) []plan.OpID {
 	return append(sc.bounds.take(len(sc.bound))[:0], sc.bound...)
 }
 
-// compact writes the live columns of the Schema-width row wide into dst, a
-// row of the run.
-func (c *Context) compact(dst, wide []float64) {
-	off := 0
-	for _, sp := range c.live {
-		off += copy(dst[off:], wide[sp.lo:sp.hi])
+// layout sets the run's row layout (live, moveAt) when the Context's first
+// run binds its model or starts: a Context that never enumerates (TDGen's,
+// PredictAssignment's) never computes it.
+func (c *Context) layout() {
+	if c.live == nil {
+		c.live = c.liveCells()
+		c.moveAt = len(c.live) - (c.Schema.length - c.Schema.moveOff)
 	}
 }
 
 // expand writes f, a row of the run, into the live columns of the
-// Schema-width row dst, one copy per span; the other cells are left alone.
+// Schema-width row dst; the other cells are left alone.
 func (c *Context) expand(dst, f []float64) {
-	off := 0
-	for _, sp := range c.live {
-		off += copy(dst[sp.lo:sp.hi], f[off:])
+	for p, col := range c.live[:c.moveAt] {
+		dst[col] = f[p]
 	}
+	copy(dst[c.Schema.moveOff:], f[c.moveAt:])
 }

@@ -10,7 +10,7 @@ import (
 // without a scratch or store row to write into, for the merge-algebra tests.
 // Its inputs and its result are rows of the run (see Wide).
 func (c *Context) Merge(v1, v2 *Vector, info *MergeCtx, st *Stats) *Vector {
-	out := &Vector{F: make([]float64, c.width), Assign: make([]uint8, len(v1.Assign))}
+	out := &Vector{F: make([]float64, len(c.live)), Assign: make([]uint8, len(v1.Assign))}
 	c.mergeInto(out, v1, v2, info, st)
 	return out
 }
@@ -111,4 +111,10 @@ func (f *FootTable) LiveSlots() int {
 		}
 	}
 	return live
+}
+
+// LiveCells returns the Schema columns the rows of c's runs hold, ascending.
+func (c *Context) LiveCells() []int {
+	c.layout()
+	return c.live
 }

@@ -36,7 +36,11 @@ import (
 //     splits read), the model's own specialisation to the plan's live
 //     columns and mlmodel.Specialize's expanding fallback for the same model
 //     behind a wrapper without Specialize give bit-identical plans,
-//     Predicted, Counters() and audit JSON.
+//     Predicted, Counters() and audit JSON;
+//   - the winner's Result.Vector, expanded from the run's rows, is the plan
+//     vector VectorizeExecution builds for its assignment (within
+//     firstDiff's tolerance): the compact-vs-expanded comparison cannot see a
+//     cell the run's rows drop, since both sides are built from them.
 //
 // Tiny budgets are the interesting corner: they flip the run into degraded
 // beam mode mid-enumeration, which must truncate — not corrupt — the result.
@@ -69,6 +73,7 @@ func FuzzEnumerate(f *testing.F) {
 			return res, string(audit)
 		}
 		var res *core.Result
+		ctx := newCtx(t, l, nPlats)
 		for _, m := range []core.CostModel{latency, fittedEnsemble(t, nPlats)} {
 			got, audit := run(m)
 			wide, wideAudit := run(unspecialized{m})
@@ -77,6 +82,10 @@ func FuzzEnumerate(f *testing.F) {
 				got.Stats.Counters() != wide.Stats.Counters() || audit != wideAudit {
 				t.Errorf("%s: compact and expanded rows disagree: predicted %v / %v, counters %+v / %+v",
 					mlmodel.FamilyName(m), got.Predicted, wide.Predicted, got.Stats.Counters(), wide.Stats.Counters())
+			}
+			want := ctx.VectorizeExecution(got.Vector.Assign).F
+			if c := firstDiff(got.Vector.F, want); c >= 0 {
+				t.Errorf("%s: the winner's cell %d reads %v, its plan vector %v", mlmodel.FamilyName(m), c, got.Vector.F[c], want[c])
 			}
 			if res == nil {
 				res = got
@@ -90,7 +99,6 @@ func FuzzEnumerate(f *testing.F) {
 		if got := len(res.Execution.Assign); got != l.NumOps() {
 			t.Fatalf("plan assigns %d operators, logical plan has %d", got, l.NumOps())
 		}
-		ctx := newCtx(t, l, nPlats)
 		for i, p := range res.Execution.Assign {
 			ok := false
 			for _, alt := range ctx.Alternatives(plan.OpID(i)) {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -39,30 +41,52 @@ type Enumeration struct {
 // Core operations (Section IV-C)
 // ---------------------------------------------------------------------------
 
+// opCells is a row as one operator's features see it: the adders below write
+// only its topology cells, the block of the operator's kind (from Schema
+// column blkAt) and the tail from the movement block (Schema column tailAt)
+// on. The three parts may lie in different buffers, so that a singleton is
+// built straight into a row of the run (singletonRow).
+type opCells struct {
+	topo, blk, tail []float64
+	blkAt, tailAt   int
+}
+
+// cellsOf returns the parts of f, a Schema-width row, that an operator of
+// kind k writes.
+func (s *Schema) cellsOf(f []float64, k platform.Kind) opCells {
+	at := s.opOff(k)
+	return opCells{topo: f[:topoCells], blk: f[at : at+s.opBlock], tail: f[s.moveOff:], blkAt: at, tailAt: s.moveOff}
+}
+
+// blkCell and tailCell return the cell of Schema column col, which lies in
+// the kind's block or in the tail.
+func (r *opCells) blkCell(col int) *float64  { return &r.blk[col-r.blkAt] }
+func (r *opCells) tailCell(col int) *float64 { return &r.tail[col-r.tailAt] }
+
 // addPlatformChoice records operator o running on platform column pi:
 // the per-platform instance cell of its kind plus the platform-load cells.
-func (c *Context) addPlatformChoice(f []float64, o *plan.Operator, pi int) {
+func (c *Context) addPlatformChoice(r *opCells, o *plan.Operator, pi int) {
 	s := c.Schema
-	f[s.OpPlatformCell(o.Kind, pi)]++
+	*r.blkCell(s.OpPlatformCell(o.Kind, pi))++
 	iters := c.ops[o.ID].iters
-	f[s.OpPlatInCardCell(o.Kind, pi)] += o.InputCard * iters
-	f[s.OpPlatOutCardCell(o.Kind, pi)] += o.OutputCard * iters
-	f[s.LoadCell(pi)] += o.InputCard * o.UDF.CostFactor() * iters
-	f[s.PlatOpsCell(pi)]++
+	*r.blkCell(s.OpPlatInCardCell(o.Kind, pi)) += o.InputCard * iters
+	*r.blkCell(s.OpPlatOutCardCell(o.Kind, pi)) += o.OutputCard * iters
+	*r.tailCell(s.LoadCell(pi)) += o.InputCard * o.UDF.CostFactor() * iters
+	*r.tailCell(s.PlatOpsCell(pi))++
 	if o.Kind.IsShuffling() {
-		f[s.ShuffleLoadCell(pi)] += o.InputCard * iters
+		*r.tailCell(s.ShuffleLoadCell(pi)) += o.InputCard * iters
 	}
 	if o.Kind.IsSource() {
-		f[s.IOBytesCell(pi)] += o.OutputCard * c.Plan.AvgTupleBytes
+		*r.tailCell(s.IOBytesCell(pi)) += o.OutputCard * c.Plan.AvgTupleBytes
 	} else if o.Kind.IsSink() {
-		f[s.IOBytesCell(pi)] += o.InputCard * c.Plan.AvgTupleBytes
+		*r.tailCell(s.IOBytesCell(pi)) += o.InputCard * c.Plan.AvgTupleBytes
 	}
 	card := o.InputCard
 	if o.OutputCard > card {
 		card = o.OutputCard
 	}
-	if bytes := card * c.Plan.AvgTupleBytes; bytes > f[s.MaxBytesCell(pi)] {
-		f[s.MaxBytesCell(pi)] = bytes
+	if bytes, peak := card*c.Plan.AvgTupleBytes, r.tailCell(s.MaxBytesCell(pi)); bytes > *peak {
+		*peak = bytes
 	}
 }
 
@@ -102,36 +126,88 @@ func (c *Context) totalFuses() int {
 }
 
 // addSingletonStructure adds operator o's platform-independent feature
-// contribution to f: topology counts, kind totals, topology membership, UDF
+// contribution to r: topology counts, kind totals, topology membership, UDF
 // complexity and cardinalities.
-func (c *Context) addSingletonStructure(f []float64, o *plan.Operator) {
+func (c *Context) addSingletonStructure(r *opCells, o *plan.Operator) {
 	s := c.Schema
 	switch c.ops[o.ID].class {
 	case classJuncture:
-		f[TopoJuncture]++
-		f[s.OpInTopologyCell(o.Kind, TopoJuncture)]++
+		r.topo[TopoJuncture]++
+		*r.blkCell(s.OpInTopologyCell(o.Kind, TopoJuncture))++
 	case classReplicate:
-		f[TopoReplicate]++
-		f[s.OpInTopologyCell(o.Kind, TopoReplicate)]++
+		r.topo[TopoReplicate]++
+		*r.blkCell(s.OpInTopologyCell(o.Kind, TopoReplicate))++
 	default:
-		f[TopoPipeline]++
-		f[s.OpInTopologyCell(o.Kind, TopoPipeline)]++
+		r.topo[TopoPipeline]++
+		*r.blkCell(s.OpInTopologyCell(o.Kind, TopoPipeline))++
 	}
 	if o.LoopID != 0 {
-		f[s.OpInTopologyCell(o.Kind, TopoLoop)]++
+		*r.blkCell(s.OpInTopologyCell(o.Kind, TopoLoop))++
 		if c.ops[o.ID].loopHead {
-			f[TopoLoop]++
+			r.topo[TopoLoop]++
 		}
 	}
-	f[s.OpTotalCell(o.Kind)]++
-	f[s.OpUDFCell(o.Kind)] += o.UDF.Weight()
+	*r.blkCell(s.OpTotalCell(o.Kind))++
+	*r.blkCell(s.OpUDFCell(o.Kind)) += o.UDF.Weight()
 	// Cardinality cells record the tuples the operator processes over the
 	// whole execution: in-loop operators run once per iteration, so their
 	// per-pass cardinality is multiplied by the loop's iteration count.
 	// This is how iteration counts enter the plan vector at all.
 	iters := c.ops[o.ID].iters
-	f[s.OpInCardCell(o.Kind)] += o.InputCard * iters
-	f[s.OpOutCardCell(o.Kind)] += o.OutputCard * iters
+	*r.blkCell(s.OpInCardCell(o.Kind)) += o.InputCard * iters
+	*r.blkCell(s.OpOutCardCell(o.Kind)) += o.OutputCard * iters
+}
+
+// liveCells returns the Schema columns a row of the run holds, ascending: a
+// cell below the movement block is live iff some singleton row of the plan
+// sets it non-zero, and TopoPipeline and the whole tail from the movement
+// block on are live. No vector of the plan sets a cell outside them, since a
+// merge sums or maxes its inputs' cells and otherwise writes only
+// TopoPipeline and the movement block. The adders build each operator's
+// topology cells and kind block in a buffer on the stack, its structure and
+// every platform choice at once: below the movement block they write
+// disjoint cells, so the buffer is non-zero exactly where one of the
+// operator's singleton rows is.
+func (c *Context) liveCells() []int {
+	s := c.Schema
+	var buf [topoCells + maxOpBlock + maxTail]float64
+	head := buf[:topoCells+s.opBlock] // the topology cells, then the block
+	topo := uint64(1) << TopoPipeline
+	var blocks [platform.KindCount]uint64 // bit j: cell j of the kind's block
+	r := opCells{topo: head[:topoCells], blk: head[topoCells:], tail: buf[len(head):], tailAt: s.moveOff}
+	for _, o := range c.Plan.Ops {
+		r.blkAt = s.opOff(o.Kind)
+		clear(head)
+		c.addSingletonStructure(&r, o)
+		for _, pi := range c.Alternatives(o.ID) {
+			c.addPlatformChoice(&r, o, int(pi))
+		}
+		var set uint64
+		for j, x := range head {
+			if x != 0 {
+				set |= 1 << j
+			}
+		}
+		topo |= set & (1<<topoCells - 1)
+		blocks[o.Kind] |= set >> topoCells
+	}
+	n := bits.OnesCount64(topo) + s.length - s.moveOff
+	for _, b := range blocks {
+		n += bits.OnesCount64(b)
+	}
+	live := make([]int, 0, n)
+	for b := topo; b != 0; b &= b - 1 {
+		live = append(live, bits.TrailingZeros64(b))
+	}
+	for _, k := range s.Kinds {
+		for b := blocks[k]; b != 0; b &= b - 1 {
+			live = append(live, s.opOff(k)+bits.TrailingZeros64(b))
+		}
+	}
+	for col := s.moveOff; col < s.length; col++ {
+		live = append(live, col)
+	}
+	return live
 }
 
 // Enumerate instantiates the operators of scope into the plan vector
@@ -196,39 +272,65 @@ func (c *Context) Enumerate(ctx context.Context, scope plan.Bitset, maxVectors i
 }
 
 // enumerateSingleton returns the enumeration of a single operator: one plan
-// vector per available execution operator, in rows of the run's store. Each
-// row is built at the Schema's width in the scratch and compacted.
+// vector per available execution operator, in rows of the run's store, each
+// written at the run's width (singletonRow).
 func (c *Context) enumerateSingleton(id plan.OpID, st *Stats) *Enumeration {
 	o := c.Plan.Op(id)
 	alts := c.Alternatives(id)
 	e := c.store.enum(int(id))
 	e.Scope.Set(id)
 	e.Boundary, e.Vectors = c.boundary(e.Scope), c.store.take(len(alts))
-	row := c.store.floats(&c.scratch.row, c.Schema.Len())
 	for vi, pi := range alts {
 		v := e.Vectors[vi]
-		*v = Vector{F: v.F, Assign: v.Assign}
-		for i := range v.Assign {
-			v.Assign[i] = Unassigned
-		}
+		v.Cost, v.Dist, v.scored = 0, CostDist{}, false
+		unassign(v.Assign)
 		v.Assign[id] = pi
-		c.singletonRow(row, o, pi)
-		c.compact(v.F, row)
-		if st != nil {
-			st.VectorsCreated++
-		}
+		c.singletonRow(v.F, o, pi)
+	}
+	if st != nil {
+		st.VectorsCreated += len(alts)
 	}
 	return e
 }
 
-// singletonRow overwrites f with the feature row of operator o alone on
-// platform column pi — the row its singleton enumeration holds for that
-// choice, and what VectorizeSubplan builds for the one-operator subplan.
-func (c *Context) singletonRow(f []float64, o *plan.Operator, pi uint8) {
-	clear(f)
-	c.addSingletonStructure(f, o)
-	c.addPlatformChoice(f, o, int(pi))
-	f[c.Schema.DatasetCell()] = c.Plan.AvgTupleBytes
+// unassign sets every entry of a to Unassigned, eight operators per word
+// (see andAssign).
+func unassign(a []uint8) {
+	i := 0
+	for ; i+8 <= len(a); i += 8 {
+		binary.LittleEndian.PutUint64(a[i:i+8:i+8], math.MaxUint64)
+	}
+	for ; i < len(a); i++ {
+		a[i] = Unassigned
+	}
+}
+
+// singletonRow overwrites dst, a row of the run, with the feature row of
+// operator o alone on platform column pi — the row its singleton enumeration
+// holds for that choice, and the live cells of what VectorizeSubplan builds
+// for the one-operator subplan. The adders write the tail in place and the
+// topology cells and the kind's block into a buffer, whose live cells are
+// scattered into dst; every other cell of dst is 0.
+func (c *Context) singletonRow(dst []float64, o *plan.Operator, pi uint8) {
+	s := c.Schema
+	var buf [topoCells + maxOpBlock]float64
+	at := s.opOff(o.Kind)
+	var r opCells // filled field by field: a composite literal is built aside and copied
+	r.topo, r.blk, r.tail = buf[:topoCells], buf[topoCells:topoCells+s.opBlock], dst[c.moveAt:]
+	r.blkAt, r.tailAt = at, s.moveOff
+	clear(dst)
+	c.addSingletonStructure(&r, o)
+	c.addPlatformChoice(&r, o, int(pi))
+	*r.tailCell(s.DatasetCell()) = c.Plan.AvgTupleBytes
+	live := c.live
+	p := 0
+	for ; live[p] < topoCells; p++ {
+		dst[p] = r.topo[live[p]]
+	}
+	p, _ = slices.BinarySearch(live[:c.moveAt], at)
+	for ; p < c.moveAt && live[p] < at+s.opBlock; p++ {
+		dst[p] = r.blk[live[p]-at]
+	}
 }
 
 // Unvectorize translates a complete plan vector back into an executable
@@ -582,8 +684,9 @@ func (c *Context) VectorizeExecution(assign []uint8) *Vector {
 	s := c.Schema
 	v := &Vector{F: make([]float64, s.Len()), Assign: append([]uint8(nil), assign...)}
 	for _, o := range c.Plan.Ops {
-		c.addSingletonStructure(v.F, o)
-		c.addPlatformChoice(v.F, o, int(assign[o.ID]))
+		r := s.cellsOf(v.F, o.Kind)
+		c.addSingletonStructure(&r, o)
+		c.addPlatformChoice(&r, o, int(assign[o.ID]))
 	}
 	v.F[TopoPipeline] -= float64(c.totalFuses())
 	for _, e := range c.edges {

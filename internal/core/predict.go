@@ -29,13 +29,8 @@ func (c *Context) OptimizeProvider(ctx context.Context, mp ModelProvider) (*Resu
 // bind makes m the run's model: every row of the run is scored by its
 // specialisation to the run's live columns (mlmodel.Specialize), asked once.
 func (c *Context) bind(m CostModel) {
-	cols := make([]int, 0, c.width)
-	for _, span := range c.live {
-		for col := span.lo; col < span.hi; col++ {
-			cols = append(cols, col)
-		}
-	}
-	c.spec = mlmodel.Specialize(m, cols, c.Schema.Len())
+	c.layout()
+	c.spec = mlmodel.Specialize(m, c.live, c.Schema.Len())
 }
 
 // features returns the flat row-major matrix of the vectors of e listed in
@@ -49,7 +44,8 @@ func (c *Context) features(e *Enumeration) vecops.Matrix {
 	if e.mat != nil && sc.miss[n-1]-sc.miss[0] == n-1 {
 		return e.mat.RowsView(sc.miss[0], sc.miss[n-1]+1)
 	}
-	m := vecops.Matrix{Data: c.store.floats(&sc.gather, n*c.width), Rows: n, Cols: c.width}
+	w := len(c.live)
+	m := vecops.Matrix{Data: c.store.floats(&sc.gather, n*w), Rows: n, Cols: w}
 	for k, i := range sc.miss {
 		copy(m.Row(k), e.Vectors[i].F)
 	}

@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/plan"
 	"repro/internal/platform"
 )
 
@@ -34,6 +33,12 @@ const (
 	opFixedCells   = 8 // total + 4 topology-membership + udf + inCard + outCard
 	moveFixedCells = 2 // movement inputCardSum, outputCardSum
 	datasetCells   = 1 // average input tuple size in bytes
+
+	// maxPlatforms bounds a Schema's platforms: pruning footprints pack a
+	// platform index into 4 bits.
+	maxPlatforms = 15
+	maxOpBlock   = opFixedCells + 3*maxPlatforms
+	maxTail      = 6*maxPlatforms + moveFixedCells + datasetCells // from the movement block on
 )
 
 // Indices of the topology cells.
@@ -69,9 +74,8 @@ func NewSchema(platforms []platform.ID) (*Schema, error) {
 	if len(platforms) == 0 {
 		return nil, fmt.Errorf("core: schema needs at least one platform")
 	}
-	if len(platforms) > 15 {
-		// Pruning footprints pack a platform index into 4 bits.
-		return nil, fmt.Errorf("core: schema supports at most 15 platforms, got %d", len(platforms))
+	if len(platforms) > maxPlatforms {
+		return nil, fmt.Errorf("core: schema supports at most %d platforms, got %d", maxPlatforms, len(platforms))
 	}
 	s := &Schema{
 		Platforms: append([]platform.ID(nil), platforms...),
@@ -223,26 +227,3 @@ func (s *Schema) maxMergedRange() (lo, hi int) {
 
 // DatasetCell returns the index of the average-tuple-size cell.
 func (s *Schema) DatasetCell() int { return s.dataOff }
-
-// colSpan is the column range [lo, hi) of a plan vector.
-type colSpan struct{ lo, hi int }
-
-// liveColumns returns the ascending column ranges a vector of l can set: the
-// topology cells, the block of each operator kind l contains (adjacent ones
-// coalesced), and the movement, load and dataset tail. The rest is zero, so
-// the enumeration's rows hold these spans only, concatenated (Context.live).
-func (s *Schema) liveColumns(l *plan.Logical) []colSpan {
-	var used [platform.KindCount]bool
-	for _, o := range l.Ops {
-		used[o.Kind] = true
-	}
-	spans := append(make([]colSpan, 0, len(s.Kinds)+2), colSpan{0, topoCells})
-	for _, k := range s.Kinds {
-		if lo := s.opOff(k); used[k] && spans[len(spans)-1].hi == lo {
-			spans[len(spans)-1].hi += s.opBlock
-		} else if used[k] {
-			spans = append(spans, colSpan{lo, lo + s.opBlock})
-		}
-	}
-	return append(spans, colSpan{s.moveOff, s.length})
-}

@@ -187,7 +187,8 @@ type vecStore struct {
 // intact (only Optimize* hand theirs on), but callers are only promised it
 // until here.
 func (c *Context) beginRun(rows int) {
-	n := c.Plan.NumOps()
+	c.layout()
+	n, width := c.Plan.NumOps(), len(c.live)
 	words := len(plan.NewBitset(n))
 	// A run carves about half as many rows again as its singletons take, for
 	// its workers' products and the survivors the free list is short of, and
@@ -195,14 +196,14 @@ func (c *Context) beginRun(rows int) {
 	// plan makes, which does not shrink with the plan. So a run on new
 	// memory mostly fits in one chunk per slab.
 	m, carve := takeMem(), rows+max(rows/2, minSpareRows)
-	m.feats.reset(carve * c.width)
+	m.feats.reset(carve * width)
 	m.assign.reset(carve * n)
 	m.hdrs.reset(carve)
 	m.ptrs.reset(4*rows + carve)
 	m.nodes.reset(2*n - 1)
 	m.refs.reset(frontierRefs(n, len(c.edges)))
 	m.store = vecStore{
-		mem: m, cols: c.width, nOps: n, poison: c.poison,
+		mem: m, cols: width, nOps: n, poison: c.poison,
 		nodes: m.nodes.take(2*n - 1), scopes: make([]uint64, 2*n*words), words: words,
 	}
 	c.store = &m.store
@@ -380,7 +381,6 @@ type scratch struct {
 	miss   []int           // predict: indices of the vectors to score
 	out    []float64       // predict: the four output columns
 	gather []float64       // predict, recordContributions: rows of the run not contiguous in a matrix
-	row    []float64       // enumerateSingleton, recordContributions: one Schema-width row
 	views  []vecops.Matrix // predict, recordContributions: each parallel chunk's view of the rows
 	foot   footTable       // pruneGroups: packed footprint → its group number, in first-seen order
 	group  []int           // pruneGroups: each vector's group

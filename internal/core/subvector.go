@@ -27,8 +27,9 @@ func (c *Context) VectorizeSubplan(assign map[plan.OpID]uint8) *Vector {
 		if !ok {
 			continue
 		}
-		c.addSingletonStructure(v.F, o)
-		c.addPlatformChoice(v.F, o, int(pi))
+		r := s.cellsOf(v.F, o.Kind)
+		c.addSingletonStructure(&r, o)
+		c.addPlatformChoice(&r, o, int(pi))
 		v.Assign[o.ID] = pi
 	}
 	for _, e := range c.edges {

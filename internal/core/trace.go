@@ -346,12 +346,11 @@ func (rt *RunTrace) recordContributions(c *Context, best *Vector) {
 	cost := c.store.floats(&sc.out, n)
 	sc.chunks(1)
 	X := &sc.views[0]
-	*X = vecops.Matrix{Data: c.store.floats(&sc.gather, n*c.width), Rows: n, Cols: c.width}
-	row := c.store.floats(&sc.row, c.Schema.Len())
+	w := len(c.live)
+	*X = vecops.Matrix{Data: c.store.floats(&sc.gather, n*w), Rows: n, Cols: w}
 	for k := range rt.OpContribs {
 		o := c.Plan.Op(plan.OpID(rt.OpContribs[k].Op))
-		c.singletonRow(row, o, best.Assign[o.ID])
-		c.compact(X.Row(k), row)
+		c.singletonRow(X.Row(k), o, best.Assign[o.ID])
 	}
 	c.spec.PredictBatchDist(X, cost, nil, nil, nil)
 	for k := range rt.OpContribs {
