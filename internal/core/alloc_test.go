@@ -16,22 +16,22 @@ import (
 // 40-operator pipeline (two platforms, linear model, serial) may allocate:
 // context construction, enumeration and unvectorization together, in two
 // cases (measureRuns). On reused memory — the rows and bookkeeping of the run
-// before, which the collector has not reclaimed yet — it measures 34
+// before, which the collector has not reclaimed yet — it measures 32
 // allocations / 13 kB: NewContext's tables, the run's live cells, the scope
 // words, the worker scratch, the bound model, the Result and its plan
-// (ceilings 45 / 58 kB). On fresh memory it measures 42 allocations / 160 kB
-// (ceilings 65 / 178 kB). The two cases may differ by at most 8 allocations
+// (ceilings 43 / 58 kB). On fresh memory it measures 40 allocations / 160 kB
+// (ceilings 63 / 178 kB). The two cases may differ by at most 8 allocations
 // (8 measured: the runMem, its weak pointer's handle and the first chunk of
 // each of its six slabs), so that how many runs found their memory reclaimed
 // barely moves a workload's allocation count; TestRunMemoryMixedSizes holds
 // the same rule over the benchmark's mix of plan sizes. A run's rows hold
 // only the plan's live cells, its bookkeeping comes in blocks sized from the
-// plan, its parallel loop bodies are bound once per worker, and its model,
-// which has no Specialize, gets its rows expanded one kernel block per call
-// into a window off the kernels' shared stack. A regression past either
-// ceiling is the enumeration allocating per product, per batch or per plan
-// again, or its rows growing wider than the cells a plan can set; git log
-// has the history of these figures.
+// plan, its parallel loop bodies are its worker scratch (no allocation), and
+// its model, which has no Specialize, gets its rows expanded one kernel block
+// per call into a window off the kernels' shared stack. A regression past
+// either ceiling is the enumeration allocating per product, per batch or per
+// plan again, or its rows growing wider than the cells a plan can set; git
+// log has the history of these figures.
 func TestOptimizeAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -58,8 +58,8 @@ func TestOptimizeAllocCeiling(t *testing.T) {
 		maxAllocs float64
 		maxBytes  uint64
 	}{
-		{"fresh", false, 65, 178 << 10},
-		{"reused", true, 45, 58 << 10},
+		{"fresh", false, 63, 178 << 10},
+		{"reused", true, 43, 58 << 10},
 	} {
 		allocs, bytes := measureRuns(20, cs.reuse, run)
 		counts = append(counts, allocs)

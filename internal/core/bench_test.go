@@ -226,7 +226,9 @@ func BenchmarkParallelEnumeration(b *testing.B) {
 // hole-closing join merges and stresses work stealing instead. A third case
 // is the benchmark's paper-fig9 setting, serial whatever GOMAXPROCS is: the
 // 80-operator pipeline on two platforms, where the time goes to the
-// concatenations' arithmetic and bookkeeping rather than to the pool.
+// concatenations' arithmetic and bookkeeping rather than to the pool. A
+// fourth is Figure 9c's k = 5 cell, also serial: the 20-operator pipeline on
+// five platforms.
 func BenchmarkParallelEnumerate(b *testing.B) {
 	m := weightModel{}
 	b.Run("pipeline40x2", func(b *testing.B) {
@@ -241,6 +243,19 @@ func BenchmarkParallelEnumerate(b *testing.B) {
 	})
 	b.Run("pipeline80x2serial", func(b *testing.B) {
 		ctx, err := NewContext(workload.Pipeline(80, 1e9), platform.Subset(2), platform.DefaultAvailability())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx.Workers = 1
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ctx.Optimize(context.Background(), m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pipeline20x5serial", func(b *testing.B) {
+		ctx, err := NewContext(workload.Pipeline(20, 1e9), platform.Subset(5), platform.UniformAvailability(5))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -432,13 +432,17 @@ func (c *Context) mergeInto(out, v1, v2 *Vector, info *MergeCtx, st *Stats) {
 	vecops.Add(out.F, v1.F, v2.F)
 	out.F[TopoPipeline] -= float64(info.Fuses)
 	// The per-platform peak-bytes cells and the dataset cell merge by max,
-	// not by sum.
+	// not by sum: v2's cell only when it is greater (a NaN or -0 in v2 never
+	// replaces v1's), over subslices of one length so the loop checks no
+	// bounds.
 	lo, hi := c.Schema.maxMergedRange()
-	for i := c.moveAt + lo; i < c.moveAt+hi; i++ {
-		out.F[i] = v1.F[i]
-		if v2.F[i] > out.F[i] {
-			out.F[i] = v2.F[i]
+	lo, hi = c.moveAt+lo, c.moveAt+hi
+	d, x, y := out.F[lo:hi], v1.F[lo:hi], v2.F[lo:hi]
+	for i, a := range x {
+		if b := y[i]; b > a {
+			a = b
 		}
+		d[i] = a
 	}
 	andAssign(out.Assign, v1.Assign, v2.Assign)
 	move := out.F[c.moveAt:]

@@ -5,14 +5,21 @@ import (
 	"sync"
 )
 
-// parallelFor splits [0, n) into contiguous chunks and runs fn on each chunk
-// from its own goroutine. With workers ≤ 1 (or a small n) it runs inline.
-// Chunks are contiguous so callers can write into pre-sized result slices
-// without synchronization and with deterministic placement. fn also gets the
-// chunk's index, below max(workers, 1): concurrent calls never share one.
-func parallelFor(n, workers int, fn func(chunk, lo, hi int)) {
+// loopBody is the body of a parallel loop: run handles items [lo, hi) as
+// chunk chunk. The run's bodies are pointer types over a worker's scratch
+// (mergeBody, scoreBody), so handing one to a loop allocates nothing, where
+// a bound method value would allocate once per worker and run.
+type loopBody interface{ run(chunk, lo, hi int) }
+
+// parallelFor splits [0, n) into contiguous chunks and runs body on each
+// chunk from its own goroutine. With workers ≤ 1 (or a small n) it runs
+// inline. Chunks are contiguous so callers can write into pre-sized result
+// slices without synchronization and with deterministic placement. body also
+// gets the chunk's index, below max(workers, 1): concurrent calls never share
+// one.
+func parallelFor(n, workers int, body loopBody) {
 	if inline(n, workers) {
-		fn(0, 0, n)
+		body.run(0, 0, n)
 		return
 	}
 	workers = min(workers, n)
@@ -23,7 +30,7 @@ func parallelFor(n, workers int, fn func(chunk, lo, hi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			fn(lo/chunk, lo, hi)
+			body.run(lo/chunk, lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
@@ -39,28 +46,37 @@ func inline(n, workers int) bool { return workers <= 1 || n < 64 }
 // when the context was cancelled — the caller must then treat any
 // partially-filled result slice as invalid. A context that can never be
 // cancelled (Done() == nil, e.g. context.Background()) takes the unchecked
-// fast path with zero per-block overhead. A loop run in the caller wraps fn
+// fast path with zero per-block overhead. A loop run in the caller wraps body
 // in nothing, so it allocates nothing of its own.
-func parallelForCtx(ctx context.Context, n, workers, block int, fn func(chunk, lo, hi int)) error {
+func parallelForCtx(ctx context.Context, n, workers, block int, body loopBody) error {
 	if ctx == nil || ctx.Done() == nil {
-		parallelFor(n, workers, fn)
+		parallelFor(n, workers, body)
 		return nil
 	}
 	if inline(n, workers) {
-		inBlocks(ctx, block, fn, 0, 0, n)
+		inBlocks(ctx, block, body, 0, 0, n)
 	} else {
-		parallelFor(n, workers, func(chunk, lo, hi int) { inBlocks(ctx, block, fn, chunk, lo, hi) })
+		parallelFor(n, workers, &blocked{ctx, block, body})
 	}
 	return ctx.Err()
 }
 
-// inBlocks runs fn over chunk [lo, hi) in blocks of at most block items,
+// inBlocks runs body over chunk [lo, hi) in blocks of at most block items,
 // until ctx is done.
-func inBlocks(ctx context.Context, block int, fn func(chunk, lo, hi int), chunk, lo, hi int) {
+func inBlocks(ctx context.Context, block int, body loopBody, chunk, lo, hi int) {
 	for b := lo; b < hi; b += block {
 		if ctx.Err() != nil {
 			return
 		}
-		fn(chunk, b, min(b+block, hi))
+		body.run(chunk, b, min(b+block, hi))
 	}
 }
+
+// blocked is body run in blocks, by inBlocks, on every chunk.
+type blocked struct {
+	ctx   context.Context
+	block int
+	body  loopBody
+}
+
+func (b *blocked) run(chunk, lo, hi int) { inBlocks(b.ctx, b.block, b.body, chunk, lo, hi) }

@@ -60,20 +60,19 @@ func (sc *scratch) chunks(workers int) {
 	}
 }
 
-// scoreRows has model score *sub as rows [lo, hi) of a batch of n, into the
-// four output columns the scratch's out holds (mean, spread, lo, hi; n each).
-func (sc *scratch) scoreRows(model CostModel, sub *vecops.Matrix, n, lo, hi int) {
-	out := sc.out
-	model.PredictBatchDist(sub, out[lo:hi], out[n+lo:n+hi], out[2*n+lo:2*n+hi], out[3*n+lo:3*n+hi])
-}
+// scoreBody is a scratch as the body of predict's parallel loop.
+type scoreBody scratch
 
-// scoreChunk scores rows [lo, hi) of the batch in flight (scratch.scoring)
-// through parallel chunk chunk's matrix view.
-func (sc *scratch) scoreChunk(chunk, lo, hi int) {
-	b := &sc.scoring
+// run scores rows [lo, hi) of the batch in flight (scratch.scoring) through
+// parallel chunk chunk's matrix view, into the four output columns the
+// scratch's out holds (mean, spread, lo, hi; n each).
+func (b *scoreBody) run(chunk, lo, hi int) {
+	sc := (*scratch)(b)
+	s, out := &sc.scoring, sc.out
 	sub := &sc.views[chunk]
-	*sub = b.x.RowsView(lo, hi)
-	sc.scoreRows(b.model, sub, b.n, lo, hi)
+	*sub = s.x.RowsView(lo, hi)
+	n := s.n
+	s.model.PredictBatchDist(sub, out[lo:hi], out[n+lo:n+hi], out[2*n+lo:2*n+hi], out[3*n+lo:3*n+hi])
 }
 
 // predictEnum scores every vector of e not scored yet (see predict).
@@ -101,41 +100,45 @@ func (c *Context) predictEnum(ctx context.Context, e *Enumeration, st *Stats) bo
 // false when ctx was cancelled mid-batch; costs are then partial and the
 // caller must abandon the enumeration.
 func (c *Context) predict(ctx context.Context, e *Enumeration, hits int, st *Stats) bool {
-	lap := time.Since(c.clock)
 	sc := c.scratch
 	miss := sc.miss
-	ok := true
-	if len(miss) > 0 {
-		X := c.features(e)
-		// The four output columns share one buffer, the scratch's.
-		n := len(miss)
-		out := c.store.floats(&sc.out, 4*n)
-		sc.chunks(c.Workers)
-		sc.scoring.model, sc.scoring.x, sc.scoring.n = c.spec, X, n
-		err := parallelForCtx(ctx, n, c.Workers, pruneBlock, sc.scoreFn)
-		if err != nil {
-			ok = false
-		} else {
-			for k, i := range miss {
-				v := e.Vectors[i]
-				v.Dist = CostDist{Mean: out[k], Spread: out[n+k], Lo: out[2*n+k], Hi: out[3*n+k]}
-				v.Cost = c.score(v.Dist)
-				v.scored = true
-			}
+	if len(miss) == 0 {
+		// Nothing to score (every group of the prune uncontested): no
+		// model time to read off the clock.
+		if st != nil {
+			st.MemoHits += hits
+		}
+		if rec := c.curRec; rec != nil {
+			rec.MemoHits += hits
+		}
+		return true
+	}
+	lap := time.Since(c.clock)
+	X := c.features(e)
+	// The four output columns share one buffer, the scratch's.
+	n := len(miss)
+	out := c.store.floats(&sc.out, 4*n)
+	sc.chunks(c.Workers)
+	sc.scoring.model, sc.scoring.x, sc.scoring.n = c.spec, X, n
+	ok := parallelForCtx(ctx, n, c.Workers, pruneBlock, (*scoreBody)(sc)) == nil
+	if ok {
+		for k, i := range miss {
+			v := e.Vectors[i]
+			v.Dist = CostDist{Mean: out[k], Spread: out[n+k], Lo: out[2*n+k], Hi: out[3*n+k]}
+			v.Cost = c.score(v.Dist)
+			v.scored = true
 		}
 	}
 	if st != nil {
 		st.Timings.Infer += time.Since(c.clock) - lap
 		if ok {
-			if len(miss) > 0 {
-				st.ModelBatches++
-				st.ModelRows += len(miss)
-			}
+			st.ModelBatches++
+			st.ModelRows += n
 			st.MemoHits += hits
 		}
 	}
 	if rec := c.curRec; rec != nil && ok {
-		rec.ModelRows += len(miss)
+		rec.ModelRows += n
 		rec.MemoHits += hits
 	}
 	return ok

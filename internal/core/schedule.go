@@ -284,7 +284,7 @@ func (tc *Context) runTask(ctx context.Context, pr Pruner, t *enumNode, degraded
 		info := tc.MergeInfo(cur, &child.e)
 		sc.merging.c, sc.merging.out, sc.merging.left, sc.merging.right = tc, merged, left, right
 		sc.merging.info = info
-		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, sc.mergeFn)
+		err := parallelForCtx(ctx, pairs, tc.Workers, mergeBlock, (*mergeBody)(sc))
 		mspan.End()
 		if err != nil {
 			t.err = err

@@ -262,7 +262,6 @@ func (s *vecStore) enum(k int) *Enumeration {
 func (s *vecStore) worker(i int) *scratch {
 	for len(s.workers) <= i {
 		sc := &scratch{bounds: slab[plan.OpID]{next: 4 * s.nOps}, bound: make([]plan.OpID, 0, s.nOps)}
-		sc.mergeFn, sc.scoreFn = sc.mergeRows, sc.scoreChunk
 		s.workers = append(s.workers, sc)
 	}
 	return s.workers[i]
@@ -391,11 +390,10 @@ type scratch struct {
 	// its copy.
 	bounds slab[plan.OpID]
 	bound  []plan.OpID
-	// The two parallel loop bodies, bound once per worker and run: merging
-	// the product pairs of merging (runTask), scoring the rows of scoring
-	// (predict).
-	mergeFn, scoreFn func(chunk, lo, hi int)
-	merging          struct {
+	// The in-flight work of the two parallel loops, whose bodies are the
+	// scratch itself (mergeBody, scoreBody): merging the product pairs of
+	// merging (runTask), scoring the rows of scoring (predict).
+	merging struct {
 		c           *Context
 		out         *Enumeration
 		left, right []*Vector
@@ -440,10 +438,13 @@ func (sc *scratch) product(s *vecStore, scope plan.Bitset, n int) *Enumeration {
 	return &sc.enum
 }
 
-// mergeRows merges pairs [lo, hi) of the product in flight into its rows:
-// pair i is left[i/len(right)] × right[i%len(right)].
-func (sc *scratch) mergeRows(_, lo, hi int) {
-	m := &sc.merging
+// mergeBody is a scratch as the body of runTask's parallel loop.
+type mergeBody scratch
+
+// run merges pairs [lo, hi) of the product in flight into its rows: pair i
+// is left[i/len(right)] × right[i%len(right)].
+func (b *mergeBody) run(_, lo, hi int) {
+	m := &b.merging
 	nr := len(m.right)
 	for i := lo; i < hi; i++ {
 		m.c.mergeInto(m.out.Vectors[i], m.left[i/nr], m.right[i%nr], m.info, nil)

@@ -131,13 +131,33 @@ func (m latencyModel) Predict(f []float64) float64 {
 }
 
 // PredictBatchDist scores each row with Predict's arithmetic, so the latency
-// experiments exercise the enumeration's batched inference path. The model
+// experiments exercise the enumeration's batched inference path. Rows are
+// independent, so it walks four in lockstep, one accumulator each: every
+// row still sums its cells in column order from 0, bit-identical to
+// Predict, but the four add chains overlap instead of waiting on one
+// another. Rows past the last block of four go through Predict. The model
 // is point-only: zero spread, lo = hi = mean.
 func (m latencyModel) PredictBatchDist(X *mlmodel.Matrix, mean, spread, lo, hi []float64) {
-	for i := 0; i < X.Rows; i++ {
+	c, i := X.Cols, 0
+	for ; i+4 <= X.Rows; i += 4 {
+		d := X.Data[i*c : (i+4)*c]
+		r0, r1, r2, r3 := d[:c], d[c:][:c], d[2*c:][:c], d[3*c:][:c]
+		w := m.w[:c]
+		var s0, s1, s2, s3 float64
+		for j, wj := range w {
+			s0 += wj * r0[j]
+			s1 += wj * r1[j]
+			s2 += wj * r2[j]
+			s3 += wj * r3[j]
+		}
+		mean[i], mean[i+1], mean[i+2], mean[i+3] = s0, s1, s2, s3
+	}
+	for ; i < X.Rows; i++ {
 		mean[i] = m.Predict(X.Row(i))
-		if spread != nil {
-			spread[i], lo[i], hi[i] = 0, mean[i], mean[i]
+	}
+	if spread != nil {
+		for i, v := range mean[:X.Rows] {
+			spread[i], lo[i], hi[i] = 0, v, v
 		}
 	}
 }

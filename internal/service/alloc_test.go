@@ -122,16 +122,18 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 // over serving-shaped plans (pipelines, join trees and random DAGs) that
 // evict each other from a one-entry cache, in two cases. Reused, the
 // collector is off for the measurement, so each request's enumeration takes
-// over the rows and bookkeeping of the one before: 100 allocations and 42 kB
-// measured (101 / 43 kB while rows held whole operator-kind blocks; 111 / 54 kB while the bookkeeping was each run's own; 113 /
+// over the rows and bookkeeping of the one before: 98 allocations and 42 kB
+// measured (100 / 42 kB while each worker scratch bound its two parallel
+// loop bodies as method values; 101 / 43 kB while rows held whole operator-kind blocks; 111 / 54 kB while the bookkeeping was each run's own; 113 /
 // 54 kB while the frontier held a buffer for the tie's walk over the union
 // of scopes; 116 / 57 kB while admission made a release func per request,
 // pruning numbered its groups in a Go map and the frontier carved a task
 // slot per concatenation; 138 / 63 kB before bodies and replies lived in reused buffers and the reply
 // and the request log stopped going through reflection and boxing), ceilings
 // 240 / 107 kB, the headroom of the fresh case. Fresh, a collection runs
-// before every request, so each enumeration starts on new memory: 120
-// allocations and 286 kB measured (121 / 336 kB while rows held whole
+// before every request, so each enumeration starts on new memory: 118
+// allocations and 286 kB measured (120 / 286 kB with those method values;
+// 121 / 336 kB while rows held whole
 // operator-kind blocks; 129 / 322 kB while the bookkeeping came
 // in smaller blocks of its own, before each enumeration slot held its node
 // and task and a run carved at least 32 spare rows; 131 / 323 kB before the
