@@ -94,14 +94,15 @@ func TestDesignReferencesResolve(t *testing.T) {
 	}
 }
 
-// docBudgets caps each big document: README, DESIGN and EXPERIMENTS at their
-// size when the budget was set, rounded up to the next 1 000 bytes, and
-// CHANGES.md with room for its next entries. A doc grows only by cutting
-// elsewhere or by raising its line here, in review.
+// docBudgets caps each big document: README at its size when the budget was
+// set, rounded up to the next 1 000 bytes, DESIGN and EXPERIMENTS at their
+// size plus at most 10 %, rounded up the same way, and CHANGES.md with room
+// for its next entries. A doc grows only by cutting elsewhere or by raising
+// its line here, in review.
 var docBudgets = map[string]int64{
 	"README.md":      45_000,
-	"DESIGN.md":      77_000,
-	"EXPERIMENTS.md": 70_000,
+	"DESIGN.md":      56_000,
+	"EXPERIMENTS.md": 50_000,
 	"CHANGES.md":     64_000,
 }
 
@@ -115,6 +116,31 @@ func TestDocBudgets(t *testing.T) {
 		}
 		if fi.Size() > budget {
 			t.Errorf("%s is %d bytes, over its budget of %d", doc, fi.Size(), budget)
+		}
+	}
+}
+
+// prRef matches a pull-request attribution such as "PR 35" or "PRs 14–28",
+// also when a line break falls inside it.
+var prRef = regexp.MustCompile(`\bPRs?\s+\d`)
+
+// TestDocsStateNoPRHistory: README.md, DESIGN.md and EXPERIMENTS.md above its
+// appendix say what the code does now, not which pull request made it so.
+// That history lives in git log, CHANGES.md and ROADMAP.md, which this test
+// does not read.
+func TestDocsStateNoPRHistory(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		if doc == "EXPERIMENTS.md" {
+			text, _, _ = strings.Cut(text, "\n## Appendix")
+		}
+		for _, loc := range prRef.FindAllStringIndex(text, -1) {
+			line := strings.Count(text[:loc[0]], "\n") + 1
+			t.Errorf("%s:%d attributes to a pull request (%q): state what the code does now", doc, line, text[loc[0]:loc[1]])
 		}
 	}
 }

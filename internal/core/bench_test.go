@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/mlmodel"
 	"repro/internal/plan"
 	"repro/internal/platform"
 	"repro/internal/vecops"
@@ -345,10 +346,22 @@ func BenchmarkRiskPrune(b *testing.B) {
 	})
 }
 
-type weightModel struct{}
+// weightModel scores a row as the sum of its cells, the cell of Schema
+// column col weighted by col mod 7. A zero weightModel scores Schema-width
+// rows. Specialize gives it the weights of a run's live columns, so the
+// benchmarks score the run's rows in place, bit-identical to the zero model
+// on the expanded row (the other cells are 0), and time merging and pruning
+// rather than the expansion to Schema width.
+type weightModel struct{ w []float64 }
 
-func (weightModel) Predict(f []float64) float64 {
+func (m weightModel) Predict(f []float64) float64 {
 	s := 0.0
+	if m.w != nil {
+		for i, v := range f {
+			s += v * m.w[i]
+		}
+		return s
+	}
 	for i, v := range f {
 		s += v * float64(i%7)
 	}
@@ -366,9 +379,22 @@ func (m weightModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []f
 	}
 }
 
+func (m weightModel) Specialize(cols []int) mlmodel.Model {
+	w := make([]float64, len(cols))
+	for i, col := range cols {
+		w[i] = float64(col % 7)
+	}
+	return weightModel{w}
+}
+
 // distWeightModel extends weightModel with a cheap synthetic uncertainty so
-// BenchmarkRiskPrune exercises the full four-column distributional path.
+// BenchmarkRiskPrune exercises the full four-column distributional path. It
+// specialises to itself, so the spread survives the run's binding.
 type distWeightModel struct{ weightModel }
+
+func (m distWeightModel) Specialize(cols []int) mlmodel.Model {
+	return distWeightModel{m.weightModel.Specialize(cols).(weightModel)}
+}
 
 func (m distWeightModel) PredictBatchDist(X *vecops.Matrix, mean, spread, lo, hi []float64) {
 	m.weightModel.PredictBatchDist(X, mean, nil, nil, nil)

@@ -113,18 +113,6 @@ func (c *Context) addConversion(move []float64, e plan.Edge, pa, pb uint8) {
 	}
 }
 
-// totalFuses counts dataflow edges whose endpoints are both linear: each
-// such edge fuses two pipeline segments into one.
-func (c *Context) totalFuses() int {
-	fuses := 0
-	for _, e := range c.edges {
-		if c.ops[e.From].linear && c.ops[e.To].linear {
-			fuses++
-		}
-	}
-	return fuses
-}
-
 // addSingletonStructure adds operator o's platform-independent feature
 // contribution to r: topology counts, kind totals, topology membership, UDF
 // complexity and cardinalities.
@@ -685,16 +673,32 @@ func (c *Context) getOptimal(ctx context.Context, e *Enumeration, st *Stats) *Ve
 // plans with it, and the benchmark's prediction probes build their rows
 // with it.
 func (c *Context) VectorizeExecution(assign []uint8) *Vector {
+	return c.vectorize(&Vector{F: make([]float64, c.Schema.Len()), Assign: append([]uint8(nil), assign...)})
+}
+
+// vectorize fills v.F, zeroed and Schema-wide, with the plan vector of the
+// operators v.Assign places: an Unassigned operator is outside the subplan,
+// and an edge adds its conversion features and fuses two pipeline segments
+// only when both its endpoints are inside. Operators go in ID order and
+// edges in plan order, so float cells accumulate deterministically.
+func (c *Context) vectorize(v *Vector) *Vector {
 	s := c.Schema
-	v := &Vector{F: make([]float64, s.Len()), Assign: append([]uint8(nil), assign...)}
 	for _, o := range c.Plan.Ops {
-		r := s.cellsOf(v.F, o.Kind)
-		c.addSingletonStructure(&r, o)
-		c.addPlatformChoice(&r, o, int(assign[o.ID]))
+		if pi := v.Assign[o.ID]; pi != Unassigned {
+			r := s.cellsOf(v.F, o.Kind)
+			c.addSingletonStructure(&r, o)
+			c.addPlatformChoice(&r, o, int(pi))
+		}
 	}
-	v.F[TopoPipeline] -= float64(c.totalFuses())
 	for _, e := range c.edges {
-		c.addConversion(v.F[s.moveOff:], e, assign[e.From], assign[e.To])
+		pa, pb := v.Assign[e.From], v.Assign[e.To]
+		if pa == Unassigned || pb == Unassigned {
+			continue
+		}
+		if c.ops[e.From].linear && c.ops[e.To].linear {
+			v.F[TopoPipeline]--
+		}
+		c.addConversion(v.F[s.moveOff:], e, pa, pb)
 	}
 	v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
 	return v

@@ -15,34 +15,10 @@ import (
 // Robopt's vector-based enumeration never calls it — the enumeration state
 // already is the vector.
 func (c *Context) VectorizeSubplan(assign map[plan.OpID]uint8) *Vector {
-	s := c.Schema
-	v := &Vector{F: make([]float64, s.Len()), Assign: make([]uint8, c.Plan.NumOps())}
-	for i := range v.Assign {
-		v.Assign[i] = Unassigned
+	v := &Vector{F: make([]float64, c.Schema.Len()), Assign: make([]uint8, c.Plan.NumOps())}
+	unassign(v.Assign)
+	for id, pi := range assign {
+		v.Assign[id] = pi
 	}
-	// Iterate operators in ID order, not map order: feature cells are
-	// float sums and must accumulate deterministically.
-	for _, o := range c.Plan.Ops {
-		pi, ok := assign[o.ID]
-		if !ok {
-			continue
-		}
-		r := s.cellsOf(v.F, o.Kind)
-		c.addSingletonStructure(&r, o)
-		c.addPlatformChoice(&r, o, int(pi))
-		v.Assign[o.ID] = pi
-	}
-	for _, e := range c.edges {
-		pa, ok1 := assign[e.From]
-		pb, ok2 := assign[e.To]
-		if !ok1 || !ok2 {
-			continue
-		}
-		if c.ops[e.From].linear && c.ops[e.To].linear {
-			v.F[TopoPipeline]--
-		}
-		c.addConversion(v.F[s.moveOff:], e, pa, pb)
-	}
-	v.F[s.DatasetCell()] = c.Plan.AvgTupleBytes
-	return v
+	return c.vectorize(v)
 }
