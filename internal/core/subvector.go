@@ -17,8 +17,10 @@ import (
 func (c *Context) VectorizeSubplan(assign map[plan.OpID]uint8) *Vector {
 	v := &Vector{F: make([]float64, c.Schema.Len()), Assign: make([]uint8, c.Plan.NumOps())}
 	unassign(v.Assign)
-	for id, pi := range assign {
-		v.Assign[id] = pi
+	for _, o := range c.Plan.Ops {
+		if pi, ok := assign[o.ID]; ok {
+			v.Assign[o.ID] = pi
+		}
 	}
 	return c.vectorize(v)
 }
