@@ -1,9 +1,10 @@
 // Package jsonlex is the lexical layer of the repository's hand-written JSON
 // codecs: the plan grammar (internal/plan), the /peercache entry codec
-// (internal/peercache) and the /optimize reply (internal/service). It knows
-// tokens — brackets, separators, strings, numbers, the three literals — and
-// nothing of any grammar: which keys an object takes, whether an unknown one
-// is an error or skipped, and what null means are the caller's rules.
+// (internal/peercache), the /optimize reply (internal/service) and the model
+// artifact (internal/mlmodel). It knows tokens — brackets, separators,
+// strings, numbers, the three literals — and nothing of any grammar: which
+// keys an object takes, whether an unknown one is an error or skipped, and
+// what null means are the caller's rules.
 //
 // What it accepts as a token is what encoding/json accepts, and what its
 // appenders write is what encoding/json writes; the differential fuzz tests
@@ -20,10 +21,10 @@ import (
 	"unicode/utf8"
 )
 
-// maxDepth is how many objects and arrays may be open at once, as in
-// encoding/json. Only Skip can reach it: every other nesting is fixed by the
-// caller's grammar.
-const maxDepth = 10000
+// MaxDepth is how many objects and arrays may be open at once, as in
+// encoding/json. Skip holds a value to it, and so does a grammar whose
+// nesting is not fixed, such as the model artifact's envelopes.
+const MaxDepth = 10000
 
 // Scanner is a cursor over one JSON text. It does not recurse and does not
 // allocate on a plain-ASCII text without string escapes.
@@ -291,7 +292,7 @@ func (s *Scanner) Skip(depth int) error {
 		opened := c == '{' || c == '['
 		switch {
 		case opened:
-			if owed = append(owed, c+2); depth+len(owed) > maxDepth { // '{'+2 == '}', '['+2 == ']'
+			if owed = append(owed, c+2); depth+len(owed) > MaxDepth { // '{'+2 == '}', '['+2 == ']'
 				return s.Errorf("exceeded max depth")
 			}
 			s.Pos++

@@ -30,10 +30,10 @@ func FuzzSkip(f *testing.F) {
 		`[]`, `[ ]`, `[1]`, `[1,]`, `[,1]`, `[1 2]`, `[1,2`, `]`, `[[],[[]],{}]`,
 		`{}`, `{ }`, `{"a":1}`, `{"a":1,}`, `{"a"}`, `{"a":}`, `{a:1}`, `{"a":1 "b":2}`, `{"a":{"b":[{"c":null}]},"d":"e"}`, `{"a":1}}`,
 		` {"a" : [ 1 , "x" , true ] } `, `1 2`, `{} x`,
-		strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth),
-		strings.Repeat("[", maxDepth+1) + strings.Repeat("]", maxDepth+1),
-		strings.Repeat(`{"a":`, maxDepth) + `1` + strings.Repeat("}", maxDepth),
-		strings.Repeat(`{"a":`, maxDepth+1) + `1` + strings.Repeat("}", maxDepth+1),
+		strings.Repeat("[", MaxDepth) + strings.Repeat("]", MaxDepth),
+		strings.Repeat("[", MaxDepth+1) + strings.Repeat("]", MaxDepth+1),
+		strings.Repeat(`{"a":`, MaxDepth) + `1` + strings.Repeat("}", MaxDepth),
+		strings.Repeat(`{"a":`, MaxDepth+1) + `1` + strings.Repeat("}", MaxDepth+1),
 	} {
 		f.Add([]byte(seed))
 	}

@@ -1,7 +1,6 @@
 package mlmodel
 
 import (
-	"fmt"
 	"math"
 	"sync"
 )
@@ -97,23 +96,4 @@ func ensembleEnvelope(e Ensemble) (*modelEnvelope, error) {
 		return nil, err
 	}
 	return &modelEnvelope{Type: "ensemble", Payload: raw}, nil
-}
-
-func ensembleFromEnvelope(payload []byte) (Model, error) {
-	var members []*modelEnvelope
-	if err := unmarshalJSON(payload, &members); err != nil {
-		return nil, err
-	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("mlmodel: ensemble with no members")
-	}
-	e := Ensemble{}
-	for _, env := range members {
-		m, err := fromEnvelope(env)
-		if err != nil {
-			return nil, err
-		}
-		e.Models = append(e.Models, m)
-	}
-	return e, e.checkWidths()
 }

@@ -129,7 +129,7 @@ func (f *flatForest) endTree(lo int32) error {
 // Builders and loaders call it once, when the last tree is in; the nodes are
 // rewritten in place.
 func (f *flatForest) indexFeatures() {
-	var used []int32
+	used := make([]int32, 0, len(f.nodes))
 	for i, nd := range f.nodes {
 		if nd.kids[0] != int32(i) {
 			used = append(used, nd.feat)

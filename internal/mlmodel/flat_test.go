@@ -596,20 +596,25 @@ func TestLoadRejectsCraftedArtifacts(t *testing.T) {
 }
 
 // FuzzLoadModel: whatever the bytes, LoadModel returns an error or a model
-// that honours the prediction contract on rows of its own feature width —
-// Predict, the kernel's mean-only call and its full call agree bit for bit,
-// and lo ≤ mean ≤ hi on every row without a NaN — and comes back.
+// the encoding/json reference also reads from them, to the same saved bytes
+// (checkAgainstReference), that honours the prediction contract on rows of
+// its own feature width — Predict, the kernel's mean-only call and its full
+// call agree bit for bit, and lo ≤ mean ≤ hi on every row without a NaN —
+// and comes back.
 func FuzzLoadModel(f *testing.F) {
 	for _, c := range craftedArtifacts {
 		f.Add([]byte(c.raw))
+	}
+	for _, raw := range loadSeeds {
+		f.Add([]byte(raw))
 	}
 	d := synthDataset(60, 4, 1, func(x []float64) float64 { return x[0] + x[1]*x[2] }, 0.1)
 	for _, raw := range kernelFamilies(f, d) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := mlmodel.LoadModel(bytes.NewReader(raw))
-		if err != nil {
+		m := checkAgainstReference(t, raw)
+		if m == nil {
 			return
 		}
 		w, _ := mlmodel.FeatureWidth(m)

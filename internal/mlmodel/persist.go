@@ -19,8 +19,6 @@ type modelEnvelope struct {
 
 func marshalJSON(v any) (json.RawMessage, error) { return json.Marshal(v) }
 
-func unmarshalJSON(data []byte, v any) error { return json.Unmarshal(data, v) }
-
 type treeJSON struct {
 	Feature   []int32   `json:"feature"`
 	Threshold []float64 `json:"threshold"`
@@ -107,18 +105,6 @@ func (f *flatForest) addTree(tj treeJSON) error {
 		f.split(at, tj.Feature[i], tj.Threshold[i], off+l, off+r)
 	}
 	return f.endTree(off)
-}
-
-// addTrees appends every tree of tjs, in order, and indexes the features
-// their splits read: f is then complete.
-func (f *flatForest) addTrees(tjs []treeJSON) error {
-	for _, tj := range tjs {
-		if err := f.addTree(tj); err != nil {
-			return err
-		}
-	}
-	f.indexFeatures()
-	return nil
 }
 
 type gbmJSON struct {
@@ -233,74 +219,5 @@ func envelope(m Model) (*modelEnvelope, error) {
 		return ensembleEnvelope(mm)
 	default:
 		return nil, fmt.Errorf("mlmodel: cannot serialize model of type %T", m)
-	}
-}
-
-// LoadModel reads a model previously written by SaveModel.
-func LoadModel(r io.Reader) (Model, error) {
-	var env modelEnvelope
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&env); err != nil {
-		return nil, fmt.Errorf("mlmodel: decoding model: %w", err)
-	}
-	m, err := fromEnvelope(&env)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func fromEnvelope(env *modelEnvelope) (Model, error) {
-	switch env.Type {
-	case "gbm":
-		var gj gbmJSON
-		if err := json.Unmarshal(env.Payload, &gj); err != nil {
-			return nil, err
-		}
-		g := &GBM{flatForest{kind: boosted, base: gj.Base, scale: gj.LR}}
-		return g, g.addTrees(gj.Trees)
-	case "forest":
-		var fj forestJSON
-		if err := json.Unmarshal(env.Payload, &fj); err != nil {
-			return nil, err
-		}
-		if len(fj.Trees) == 0 {
-			return nil, fmt.Errorf("mlmodel: forest with no trees")
-		}
-		f := &Forest{flatForest{kind: bagged, scale: 1 / float64(len(fj.Trees))}}
-		return f, f.addTrees(fj.Trees)
-	case "linear":
-		var lj linearJSON
-		if err := json.Unmarshal(env.Payload, &lj); err != nil {
-			return nil, err
-		}
-		return &Linear{Weights: lj.Weights, Intercept: lj.Intercept, ResidStd: lj.ResidStd}, nil
-	case "mlp":
-		var mj mlpJSON
-		if err := json.Unmarshal(env.Payload, &mj); err != nil {
-			return nil, err
-		}
-		return mlpFromJSON(mj)
-	case "tree":
-		var tj treeJSON
-		if err := json.Unmarshal(env.Payload, &tj); err != nil {
-			return nil, err
-		}
-		t := &Tree{flatForest{kind: single}}
-		return t, t.addTrees([]treeJSON{tj})
-	case "ensemble":
-		return ensembleFromEnvelope(env.Payload)
-	case "logtarget":
-		var inner modelEnvelope
-		if err := json.Unmarshal(env.Payload, &inner); err != nil {
-			return nil, err
-		}
-		m, err := fromEnvelope(&inner)
-		if err != nil {
-			return nil, err
-		}
-		return LogTarget{Inner: m}, nil
-	default:
-		return nil, fmt.Errorf("mlmodel: unknown model type %q", env.Type)
 	}
 }

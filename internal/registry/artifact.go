@@ -19,8 +19,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"time"
 
+	"repro/internal/jsonlex"
 	"repro/internal/mlmodel"
 )
 
@@ -59,9 +61,9 @@ type Artifact struct {
 	Model mlmodel.Model `json:"-"`
 }
 
-// artifactFile is the on-disk layout: metadata next to the raw mlmodel
-// envelope. A bare mlmodel envelope (top-level "type"/"payload") is not an
-// artifact file, and Read refuses it.
+// artifactFile is the on-disk layout Write encodes: metadata next to the
+// compact mlmodel envelope. A bare mlmodel envelope (top-level
+// "type"/"payload") is not an artifact file, and Read refuses it.
 type artifactFile struct {
 	Artifact *Artifact       `json:"artifact"`
 	Model    json.RawMessage `json:"model"`
@@ -149,20 +151,26 @@ func (a *Artifact) Write(w io.Writer) error {
 	return enc.Encode(artifactFile{Artifact: a, Model: raw})
 }
 
-// Read decodes an artifact written by Write, verifying the content hash.
+// Read decodes an artifact written by Write, verifying the content hash. It
+// reads r into one buffer and walks it once: the metadata object is decoded
+// by encoding/json, the model by mlmodel.DecodeModel in place. The file's
+// keys are matched as the model's are: exactly, once each, with unknown keys
+// skipped and nothing but whitespace after the object.
 func Read(r io.Reader) (*Artifact, error) {
-	var f artifactFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("registry: decoding artifact: %w", err)
+	var buf bytes.Buffer
+	if n := sizeOf(r); n > 0 {
+		buf.Grow(n + bytes.MinRead)
 	}
-	if f.Artifact == nil || len(f.Model) == 0 {
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, fmt.Errorf("registry: reading artifact: %w", err)
+	}
+	a, m, model, err := decodeFile(buf.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	if a == nil || m == nil {
 		return nil, fmt.Errorf("registry: not an artifact file (missing artifact or model section)")
 	}
-	m, err := mlmodel.LoadModel(bytes.NewReader(f.Model))
-	if err != nil {
-		return nil, fmt.Errorf("registry: artifact model payload: %w", err)
-	}
-	a := f.Artifact
 	a.Model = m
 	// Serving decides from the metadata alone whether the model fits its plan
 	// vectors (Validate), so the metadata must not understate what the payload
@@ -174,16 +182,101 @@ func Read(r io.Reader) (*Artifact, error) {
 		return nil, err
 	}
 	if a.Hash != "" {
-		canon, err := canonicalJSON(f.Model)
+		sum, err := modelHash(model)
 		if err != nil {
 			return nil, err
 		}
-		sum := sha256.Sum256(canon)
-		if got := hex.EncodeToString(sum[:]); got != a.Hash {
-			return nil, fmt.Errorf("registry: artifact hash mismatch: file says %.8s…, payload is %.8s…", a.Hash, got)
+		if sum != a.Hash {
+			return nil, fmt.Errorf("registry: artifact hash mismatch: file says %.8s…, payload is %.8s…", a.Hash, sum)
 		}
 	}
 	return a, nil
+}
+
+// decodeFile walks an artifact file's top-level object: the metadata, nil
+// when the file has none, the model, and the model's span of data.
+func decodeFile(data []byte) (a *Artifact, m mlmodel.Model, model []byte, err error) {
+	s := jsonlex.Scanner{Data: data, What: "registry: decoding artifact"}
+	if err := s.Open('{'); err != nil {
+		return nil, nil, nil, err
+	}
+	var sawArtifact bool
+	for first := true; ; first = false {
+		ok, err := s.More(first, '}')
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if !ok {
+			break
+		}
+		key, err := s.Key()
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		s.SkipSpace()
+		start := s.Pos
+		switch {
+		case string(key) == "artifact" && !sawArtifact:
+			sawArtifact = true
+			if s.Null() {
+				continue
+			}
+			if err := s.Skip(1); err != nil {
+				return nil, nil, nil, err
+			}
+			a = new(Artifact)
+			if err := json.Unmarshal(data[start:s.Pos], a); err != nil {
+				return nil, nil, nil, fmt.Errorf("registry: decoding artifact: %w", err)
+			}
+		case string(key) == "model" && m == nil:
+			if m, err = mlmodel.DecodeModel(&s, 1); err != nil {
+				return nil, nil, nil, fmt.Errorf("registry: artifact model payload: %w", err)
+			}
+			model = data[start:s.Pos]
+		case bytes.EqualFold(key, []byte("artifact")), bytes.EqualFold(key, []byte("model")):
+			return nil, nil, nil, s.Errorf("repeated or case-folded key %q", key)
+		default:
+			if err := s.Skip(1); err != nil {
+				return nil, nil, nil, err
+			}
+		}
+	}
+	if s.SkipSpace(); s.Pos != len(data) {
+		return nil, nil, nil, s.Errorf("data after the artifact")
+	}
+	return a, m, model, nil
+}
+
+// sizeOf returns how many bytes r holds when r can tell (a file, a
+// bytes.Reader), so that Read reads it into a buffer made once; 0 otherwise.
+func sizeOf(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size())
+		}
+	}
+	return 0
+}
+
+// modelHash returns the hex SHA-256 of a model's span of an artifact file:
+// of the span itself when it holds no JSON whitespace, as Write leaves it,
+// and of its compact form otherwise, so a reformatted file hashes as written.
+func modelHash(model []byte) (string, error) {
+	for _, c := range []byte(" \t\n\r") {
+		if bytes.IndexByte(model, c) >= 0 {
+			canon, err := canonicalJSON(model)
+			if err != nil {
+				return "", err
+			}
+			model = canon
+			break
+		}
+	}
+	sum := sha256.Sum256(model)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // Validate checks the artifact against a serving configuration: the schema's

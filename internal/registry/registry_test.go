@@ -443,6 +443,9 @@ func TestReadChecksMetadataAgainstModel(t *testing.T) {
 	// The looping tree, wrapped with the hash of its own payload.
 	loop := `{"type":"tree","payload":{"feature":[0,0,-1],"threshold":[0,0,0],"left":[1,1,0],"right":[2,1,0],"value":[0,0,0]}}`
 	loopFile := fmt.Sprintf(`{"artifact":{"family":"tree","featureWidth":1,"hash":"%x"},"model":%s}`, sha256.Sum256([]byte(loop)), loop)
+	// A split whose child comes before it, likewise.
+	back := `{"type":"tree","payload":{"feature":[0,-1,0],"threshold":[1,0,1],"left":[2,0,1],"right":[1,0,1],"value":[0,0,0]}}`
+	backFile := fmt.Sprintf(`{"artifact":{"family":"tree","featureWidth":1,"hash":"%x"},"model":%s}`, sha256.Sum256([]byte(back)), back)
 
 	for _, c := range []struct {
 		name, file, wantErr string
@@ -453,6 +456,7 @@ func TestReadChecksMetadataAgainstModel(t *testing.T) {
 		{"linear width understated", redeclare(linFile, 6, 5), "feature width 6"},
 		{"linear width overstated", redeclare(linFile, 6, 7), "feature width 6"},
 		{"hash-valid looping tree", loopFile, "out-of-range children"},
+		{"hash-valid child before its parent", backFile, "out-of-range children"},
 	} {
 		_, err := registry.Read(strings.NewReader(c.file))
 		switch {

@@ -133,13 +133,15 @@ func (s *Store) Save(a *Artifact) (string, error) {
 // Adopt makes a's payload a stored version and returns that version's name,
 // which a.Version is on return: the version a already names when that holds
 // the same payload, else any version recording a's hash (so restarting on one
-// model file does not pile up copies), else a new one written by Save. The
-// scan reads each file's recorded hash without decoding its model.
+// model file does not pile up copies), else a new one written by Save. Both
+// checks read a file's recorded hash only, never its model: a promote has
+// just loaded the version it names, and a stored file's hash is what Load
+// verifies its payload against.
 func (s *Store) Adopt(a *Artifact) (string, error) {
 	if a.Hash == "" {
 		return s.Save(a)
 	}
-	if cur, err := s.Load(a.Version); err == nil && cur.Hash == a.Hash {
+	if _, ok := versionNum(a.Version); ok && s.recordedHash(a.Version) == a.Hash {
 		return a.Version, nil
 	}
 	versions, err := s.Versions()
@@ -147,18 +149,48 @@ func (s *Store) Adopt(a *Artifact) (string, error) {
 		return "", err
 	}
 	for _, v := range versions {
-		var f struct {
-			Artifact struct {
-				Hash string `json:"hash"`
-			} `json:"artifact"`
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, v+".json"))
-		if err == nil && json.Unmarshal(data, &f) == nil && f.Artifact.Hash == a.Hash {
+		if s.recordedHash(v) == a.Hash {
 			a.Version = v
 			return v, nil
 		}
 	}
 	return s.Save(a)
+}
+
+// recordedHash returns the content hash version's file records, or "" when
+// it records none or cannot be read. It reads the file only up to the end of
+// its metadata, which Write puts before the model.
+func (s *Store) recordedHash(version string) string {
+	f, err := os.Open(filepath.Join(s.dir, version+".json"))
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return ""
+	}
+	for dec.More() {
+		key, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		if key != "artifact" {
+			var skip json.RawMessage
+			if dec.Decode(&skip) != nil {
+				return ""
+			}
+			continue
+		}
+		var meta struct {
+			Hash string `json:"hash"`
+		}
+		if dec.Decode(&meta) != nil {
+			return ""
+		}
+		return meta.Hash
+	}
+	return ""
 }
 
 // writeFileLocked atomically writes the file at name, a path relative to the
