@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,7 +188,7 @@ func TestRunMemoryReuse(t *testing.T) {
 // allocation counts, a run of each size may make at most 8 allocations more
 // on new memory than on reused memory: what TestOptimizeAllocCeiling allows
 // one size run alone, held here while the memory a run takes over was sized
-// by a run of another size.
+// by a run of another size. Each count is the least of three replays.
 func TestRunMemoryMixedSizes(t *testing.T) {
 	sizes := []int{20, 40, 80}
 	plats := platform.Subset(2)
@@ -235,14 +236,35 @@ func TestRunMemoryMixedSizes(t *testing.T) {
 	// As testing.AllocsPerRun does, count on one P, with the collector off
 	// (see measureRuns) and after a first replay: on new memory it grows the
 	// spare stack, on reused memory it sizes the memory for the largest run.
+	// The count is the whole process's, so an allocation the runtime makes
+	// for itself inside a window counts as the run's: a type switch with an
+	// interface case (mlmodel.Specialize's) fills its cache on a random one
+	// call in 1 024, once per dynamic type. Each size keeps its least count
+	// over three replays, since such allocations only ever add.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	least := func(reuse bool) (picked []string, allocs []float64) {
+		for i := 0; i < 3; i++ {
+			if !reuse {
+				runtime.GC()
+			}
+			p, a := replay(reuse, false)
+			if i == 0 {
+				picked, allocs = p, a
+			} else if !slices.Equal(p, picked) {
+				t.Fatalf("replay %d on reused=%v memory picked other plans than the first", i+1, reuse)
+			}
+			for k := range allocs {
+				allocs[k] = min(allocs[k], a[k])
+			}
+		}
+		return picked, allocs
+	}
 	replay(false, false)
-	runtime.GC()
-	fresh, freshAllocs := replay(false, false)
+	fresh, freshAllocs := least(false)
 	runtime.GC()
 	replay(true, false)
-	reused, reusedAllocs := replay(true, false)
+	reused, reusedAllocs := least(true)
 	poisoned, _ := replay(true, true)
 	for i, k := range order {
 		if reused[i] != fresh[i] || poisoned[i] != fresh[i] {

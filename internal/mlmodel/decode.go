@@ -51,10 +51,12 @@ func DecodeModel(s *jsonlex.Scanner, depth int) (Model, error) {
 }
 
 // decoder reads the artifact grammar off jsonlex's tokens. tree holds the
-// lists of the tree being read, reused for every tree of the file.
+// lists of the tree being read, and level addTree's scratch, both reused for
+// every tree of the file.
 type decoder struct {
 	*jsonlex.Scanner
-	tree treeJSON
+	tree  treeJSON
+	level []int32
 }
 
 // The keys of the envelope and of every family's payload, as bits: which
@@ -461,7 +463,7 @@ func (d *decoder) leaf(fam family, depth int) (Model, error) {
 		t := &Tree{flatForest{kind: single}}
 		n := len(d.tree.Feature)
 		t.nodes, t.value = make([]node, 0, n), make([]float64, 0, n)
-		if err := t.addTree(d.tree); err != nil {
+		if err := t.addTree(d.tree, &d.level); err != nil {
 			return nil, err
 		}
 		t.indexFeatures()
@@ -530,7 +532,7 @@ func (d *decoder) trees(f *flatForest, depth int) error {
 		if err := d.readTree(depth + 1); err != nil {
 			return err
 		}
-		return f.addTree(d.tree)
+		return f.addTree(d.tree, &d.level)
 	})
 }
 

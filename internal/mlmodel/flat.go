@@ -96,9 +96,12 @@ func (f *flatForest) split(i, feat int32, thr float64, left, right int32) {
 // and records its depth. Both children of a split lie after it inside the
 // tree — what every builder emits and addTree demands of an artifact — so a
 // walk can only move forward, and one forward pass finds the longest path.
-func (f *flatForest) endTree(lo int32) error {
+// scratch is the caller's, reused across the trees of a forest.
+func (f *flatForest) endTree(lo int32, scratch *[]int32) error {
 	hi := int32(len(f.value))
-	level := make([]int32, hi-lo) // longest path from the root to each node
+	*scratch = slices.Grow((*scratch)[:0], int(hi-lo))[:hi-lo]
+	level := *scratch // longest path from the root to each node
+	clear(level)
 	deepest := int32(0)
 	for i := lo; i < hi; i++ {
 		l, r := f.nodes[i].kids[0], f.nodes[i].kids[1]

@@ -294,6 +294,7 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 		cntBuf: make([]int32, gbmMaxBins),
 	}
 	rows := make([]int32, 0, n)
+	var level []int32 // endTree's scratch
 	for round := 0; round < cfg.Trees; round++ {
 		for i := 0; i < n; i++ {
 			resid[i] = d.Y[i] - pred[i]
@@ -309,7 +310,7 @@ func FitGBM(d *Dataset, cfg GBMConfig) (*GBM, error) {
 			}
 		}
 		first := hb.build(&g.flatForest, rows, 0)
-		if err := g.endTree(first); err != nil {
+		if err := g.endTree(first, &level); err != nil {
 			return nil, err
 		}
 		if g.NumNodes() == int(first)+1 && math.Abs(g.value[first]) < 1e-15 {

@@ -77,7 +77,8 @@ func (f *flatForest) treesJSON() []treeJSON {
 // the tree could loop a walk forever, so it is refused here, at load. So is a
 // leaf with a threshold other than 0, which no builder writes: the slot is the
 // leaf's fold term in memory, and the file would not save back as it loaded.
-func (f *flatForest) addTree(tj treeJSON) error {
+// scratch is endTree's.
+func (f *flatForest) addTree(tj treeJSON, scratch *[]int32) error {
 	n := len(tj.Feature)
 	if len(tj.Threshold) != n || len(tj.Left) != n || len(tj.Right) != n || len(tj.Value) != n {
 		return fmt.Errorf("mlmodel: inconsistent tree arrays")
@@ -104,7 +105,7 @@ func (f *flatForest) addTree(tj treeJSON) error {
 		}
 		f.split(at, tj.Feature[i], tj.Threshold[i], off+l, off+r)
 	}
-	return f.endTree(off)
+	return f.endTree(off, scratch)
 }
 
 type gbmJSON struct {

@@ -26,8 +26,9 @@ func referenceLoad(raw []byte) (Model, error) {
 }
 
 func refAddTrees(f *flatForest, tjs []treeJSON) error {
+	var level []int32
 	for _, tj := range tjs {
-		if err := f.addTree(tj); err != nil {
+		if err := f.addTree(tj, &level); err != nil {
 			return err
 		}
 	}

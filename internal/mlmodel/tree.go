@@ -99,7 +99,8 @@ func FitTree(d *Dataset, cfg TreeConfig) (*Tree, error) {
 		idx[i] = i
 	}
 	t := &Tree{flatForest{kind: single}}
-	if err := t.endTree(b.build(&t.flatForest, idx, 0)); err != nil {
+	var level []int32
+	if err := t.endTree(b.build(&t.flatForest, idx, 0), &level); err != nil {
 		return nil, err
 	}
 	t.indexFeatures()

@@ -7,21 +7,20 @@
 // timeout, lookups hedge across at most two peers, clean fleet-wide misses
 // are memoized for a short window so cold fingerprints don't re-probe on
 // every request, and peers that keep failing are circuit-broken out of
-// rotation for a cooldown.
+// rotation for a cooldown. A probe is one request on a kept-alive connection
+// of the package's own small HTTP/1.1 client (client.go), run on the
+// caller's goroutine when only one peer can be asked.
 package peercache
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"net/url"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/jsonlex"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/registry"
@@ -55,22 +54,12 @@ const maxEntryBytes = 1 << 20
 
 var errEntryTooBig = fmt.Errorf("entry exceeds %d bytes", maxEntryBytes)
 
-// idleConnsPerPeer is how many idle connections the probe client keeps to
-// one peer. A lookup holds at most one connection to a peer at a time, so this
-// is how many lookups can be in flight toward one peer, burst after burst,
-// without dialling again: twice the default admission concurrency of an
-// 8-CPU replica, where http.DefaultTransport would keep 2.
+// idleConnsPerPeer is how many idle connections a Filler keeps to one peer.
+// A lookup holds at most one connection to a peer at a time, so this is how
+// many lookups can be in flight toward one peer, burst after burst, without
+// dialling again: twice the default admission concurrency of an 8-CPU
+// replica.
 const idleConnsPerPeer = 32
-
-// client carries every Filler's probes. Peers are addresses the fleet's own
-// replicas registered in the shared store, so it takes no proxy from the
-// environment; an entry is a kilobyte or two, so it does not negotiate gzip;
-// and it shares its connection pool with nothing else in the process.
-var client = &http.Client{Transport: &http.Transport{
-	DisableCompression:  true,
-	MaxIdleConnsPerHost: idleConnsPerPeer,
-	IdleConnTimeout:     90 * time.Second,
-}}
 
 // negCacheCap bounds the negative-result memo; past it, expired entries
 // are swept and, if the memo is still over cap, it is cleared outright
@@ -106,7 +95,12 @@ type Filler struct {
 	rr  atomic.Uint64 // round-robin rotation over the peer list
 
 	// The package constants, copied so in-package tests can shorten them.
-	timeout, hedgeDelay, negTTL, breakerCooldown time.Duration
+	timeout, hedgeDelay, negTTL, breakerCooldown, idleTimeout time.Duration
+
+	// The probe client's connections (client.go): dial opens one, and
+	// conns keeps the idle ones.
+	dial  func(ctx context.Context, network, addr string) (net.Conn, error)
+	conns *connPool
 
 	mu       sync.Mutex
 	neg      map[string]time.Time // key -> memo expiry
@@ -123,14 +117,16 @@ func New(cfg Config) (*Filler, error) {
 		return nil, fmt.Errorf("peercache: Config.Peers is required")
 	}
 	m := cfg.Metrics
+	var d net.Dialer
 	return &Filler{
 		cfg: cfg, neg: map[string]time.Time{}, breakers: map[string]*breaker{},
 		timeout: probeTimeout, hedgeDelay: hedgeDelay, negTTL: negTTL,
-		breakerCooldown: breakerCooldown,
-		hits:            m.Counter("peer_fill_hits_total"),
-		misses:          m.Counter("peer_fill_misses_total"),
-		errors:          m.Counter("peer_fill_errors_total"),
-		timeouts:        m.Counter("peer_fill_timeouts_total"),
+		breakerCooldown: breakerCooldown, idleTimeout: idleTimeout,
+		dial: d.DialContext, conns: &connPool{idle: map[string][]*peerConn{}},
+		hits:     m.Counter("peer_fill_hits_total"),
+		misses:   m.Counter("peer_fill_misses_total"),
+		errors:   m.Counter("peer_fill_errors_total"),
+		timeouts: m.Counter("peer_fill_timeouts_total"),
 	}, nil
 }
 
@@ -231,52 +227,13 @@ type probeResult struct {
 	err  error
 }
 
-// failed counts one failed probe: a deadline or timeout failure as a timeout,
-// anything else as an error.
+// failed counts one failed probe: a deadline or timeout failure, or the
+// caller's cancellation, as a timeout, anything else as an error.
 func (f *Filler) failed(err error) {
-	var ne interface{ Timeout() bool }
-	if errors.Is(err, context.DeadlineExceeded) || errors.As(err, &ne) && ne.Timeout() {
+	if isTimeout(err) {
 		f.timeouts.Inc()
 	} else {
 		f.errors.Inc()
-	}
-}
-
-// probe fetches (fp, version, band) from one peer. A 404 is a clean miss.
-func (f *Filler) probe(ctx context.Context, addr string, fp plancache.Fingerprint, version, band string) (*plancache.CachedPlan, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, f.timeout)
-	defer cancel()
-	u := "http://" + addr + "/peercache?fp=" + fp.String() +
-		"&version=" + url.QueryEscape(version) + "&band=" + url.QueryEscape(band)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		// A decoded entry keeps no reference to its bytes.
-		buf := jsonlex.TakeBuffer()
-		defer jsonlex.PutBuffer(buf)
-		buf.B, err = readBody(buf.B, resp.Body, resp.ContentLength)
-		if err != nil {
-			return nil, false, fmt.Errorf("peer %s: %w", addr, err)
-		}
-		cp, err := DecodeEntry(buf.B)
-		if err != nil {
-			return nil, false, fmt.Errorf("peer %s: %w", addr, err)
-		}
-		return cp, false, nil
-	case http.StatusNotFound:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, true, nil
-	default:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false, fmt.Errorf("peer %s: status %d", addr, resp.StatusCode)
 	}
 }
 
@@ -325,73 +282,83 @@ func (f *Filler) Fill(ctx context.Context, fp plancache.Fingerprint, version, ba
 		f.misses.Inc()
 		return nil, nil
 	}
-	start := int(f.rr.Add(1)-1) % len(peers)
-	n := min(hedgePeers, len(peers))
-	targets := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		targets = append(targets, peers[(start+i)%len(peers)].Addr)
+	t := tally{key: k}
+	if len(peers) == 1 {
+		cp, _, err := f.settle(&t, f.probe(ctx, peers[0].Addr, fp, version, band), true)
+		return cp, err
 	}
-
+	first := int(f.rr.Add(1)-1) % len(peers)
 	pctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := make(chan probeResult, len(targets))
-	launch := func(addr string) {
-		go func() {
-			cp, miss, err := f.probe(pctx, addr, fp, version, band)
-			results <- probeResult{addr: addr, cp: cp, miss: miss, err: err}
-		}()
+	results := make(chan probeResult, hedgePeers)
+	launch := func(i int) {
+		addr := peers[i%len(peers)].Addr
+		go func() { results <- f.probe(pctx, addr, fp, version, band) }()
 	}
-	launch(targets[0])
-	launched, outstanding := 1, 1
-	var hedgeC <-chan time.Time
-	if len(targets) > 1 {
-		t := time.NewTimer(f.hedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	sawMiss := false
-	var firstErr error
-	for outstanding > 0 {
+	launch(first)
+	outstanding := 1
+	hedge := time.NewTimer(f.hedgeDelay)
+	defer hedge.Stop()
+	hedgeC := hedge.C
+	for {
 		select {
 		case <-hedgeC:
 			hedgeC = nil
-			launch(targets[launched])
-			launched++
+			launch(first + 1)
 			outstanding++
 		case r := <-results:
 			outstanding--
-			switch {
-			case r.err == nil && r.cp != nil:
-				f.breakerResult(r.addr, true)
-				f.hits.Inc()
-				return r.cp, nil
-			case r.miss:
-				f.breakerResult(r.addr, true)
-				sawMiss = true
-			default:
-				f.breakerResult(r.addr, false)
-				f.failed(r.err)
-				if firstErr == nil {
-					firstErr = r.err
-				}
-			}
-			// One peer has answered without a hit; any unconsulted hedge
-			// target might still have the entry — probe it now rather than
-			// waiting out the hedge delay.
-			if hedgeC != nil && launched < len(targets) {
+			// One peer has answered without a hit; the second might still
+			// have the entry — probe it now rather than waiting out the
+			// hedge delay.
+			if r.cp == nil && hedgeC != nil {
 				hedgeC = nil
-				launch(targets[launched])
-				launched++
+				launch(first + 1)
 				outstanding++
+			}
+			if cp, done, err := f.settle(&t, r, outstanding == 0); done {
+				return cp, err
 			}
 		}
 	}
-	if sawMiss {
-		f.misses.Inc()
-		f.memoizeMiss(k)
-		return nil, nil
+}
+
+// tally is one lookup's outcome so far, over the probes that have answered.
+type tally struct {
+	key  string // the lookup's negative-memo key
+	miss bool   // a peer answered a clean miss
+	err  error  // the first failure
+}
+
+// settle books probe answer r, for the inline probe and the hedged ones
+// alike: the peer's breaker and the outcome counters. It reports done when r
+// decides the lookup, a hit or the last answer (last), and then returns
+// Fill's answer, having memoized a clean fleet-wide miss.
+func (f *Filler) settle(t *tally, r probeResult, last bool) (*plancache.CachedPlan, bool, error) {
+	switch {
+	case r.cp != nil:
+		f.breakerResult(r.addr, true)
+		f.hits.Inc()
+		return r.cp, true, nil
+	case r.miss:
+		f.breakerResult(r.addr, true)
+		t.miss = true
+	default:
+		f.breakerResult(r.addr, false)
+		f.failed(r.err)
+		if t.err == nil {
+			t.err = r.err
+		}
 	}
-	return nil, firstErr
+	switch {
+	case !last:
+		return nil, false, nil
+	case t.miss:
+		f.misses.Inc()
+		f.memoizeMiss(t.key)
+		return nil, true, nil
+	}
+	return nil, true, t.err
 }
 
 // Stats is the filler's point-in-time view, surfaced under /cachez.

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httptrace"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,7 +66,7 @@ func TestWireValidation(t *testing.T) {
 }
 
 // peerServer runs a scripted /peercache peer and returns its host:port.
-func peerServer(t *testing.T, handler http.HandlerFunc) string {
+func peerServer(t testing.TB, handler http.HandlerFunc) string {
 	t.Helper()
 	ts := httptest.NewServer(handler)
 	t.Cleanup(ts.Close)
@@ -297,40 +297,66 @@ func TestDefaultClientIsDirect(t *testing.T) {
 	t.Setenv("HTTP_PROXY", "http://127.0.0.1:1")
 	t.Setenv("http_proxy", "http://127.0.0.1:1")
 	cp := testPlan(4, "v1")
-	var acceptEncoding atomic.Value
+	var acceptEncoding, requestURI atomic.Value
 	addr := peerServer(t, func(w http.ResponseWriter, r *http.Request) {
 		acceptEncoding.Store(r.Header.Get("Accept-Encoding"))
+		requestURI.Store(r.RequestURI)
 		serveEntry(cp, "peer-a", nil)(w, r)
 	})
 	f := newFiller(t, Config{Peers: staticPeers(addr)})
-	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", ""); err != nil || got == nil {
+	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", "b 1&x"); err != nil || got == nil {
 		t.Fatalf("Fill = (%v, %v), want a hit with a dead proxy in the environment", got, err)
 	}
 	if ae := acceptEncoding.Load(); ae != "" {
 		t.Errorf("probe sent Accept-Encoding %q, want none", ae)
 	}
-	// Go never proxies a loopback address, so the fill above cannot tell:
-	// look at the transport itself.
-	tr, ok := client.Transport.(*http.Transport)
-	if !ok || tr.Proxy != nil {
-		t.Errorf("probe client transport = %#v, want an http.Transport without a proxy", client.Transport)
+	// A proxied request names its target in absolute form (http://host/...);
+	// a direct one in origin form, with every value query-escaped.
+	want := "/peercache?fp=" + cp.Fingerprint.String() + "&version=v1&band=b+1%26x"
+	if uri := requestURI.Load(); uri != want {
+		t.Errorf("request target %q, want %q", uri, want)
 	}
 }
 
+// countingPeer is a peer that counts the connections it accepts and sees
+// closed.
+type countingPeer struct {
+	*httptest.Server
+	addr           string
+	opened, closed atomic.Int64
+}
+
+func countConns(t *testing.T, h http.HandlerFunc) *countingPeer {
+	t.Helper()
+	p := &countingPeer{Server: httptest.NewUnstartedServer(h)}
+	p.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			p.opened.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			p.closed.Add(1)
+		}
+	}
+	p.Start()
+	t.Cleanup(p.Close)
+	p.addr = strings.TrimPrefix(p.URL, "http://")
+	return p
+}
+
 // TestDefaultClientReusesConnections: a burst of n concurrent lookups opens
-// at most n connections to a peer, and the next burst opens none — the
-// transport keeps as many idle connections per peer as lookups run at once.
+// exactly n connections to a peer, and the next burst opens none — the
+// client keeps as many idle connections per peer as lookups run at once, and
+// parks each before Fill returns.
 func TestDefaultClientReusesConnections(t *testing.T) {
 	const n = 8
 	cp := testPlan(6, "v1")
 	var (
 		arrived atomic.Int64
-		opened  atomic.Int64
 		waves   = [2]chan struct{}{make(chan struct{}), make(chan struct{})}
 	)
 	// Every request of a wave waits for the whole wave, so that none can
 	// reuse the connection of another.
-	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	p := countConns(t, func(w http.ResponseWriter, r *http.Request) {
 		k := arrived.Add(1)
 		if k%n == 0 {
 			close(waves[(k-1)/n])
@@ -340,49 +366,258 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 		case <-r.Context().Done():
 		}
 		serveEntry(cp, "peer-a", nil)(w, r)
-	}))
-	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-		if state == http.StateNew {
-			opened.Add(1)
-		}
-	}
-	ts.Start()
-	t.Cleanup(ts.Close)
-	f := newFiller(t, Config{Peers: staticPeers(strings.TrimPrefix(ts.URL, "http://"))})
-	f.timeout = 10 * time.Second
-
-	// The transport parks a connection after the probe has seen the end of
-	// its body, on a goroutine of its own: wait for that, not for Fill.
-	parked := make(chan struct{}, 2*n)
-	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
-		PutIdleConn: func(err error) {
-			if err != nil {
-				t.Errorf("connection not kept: %v", err)
-			}
-			parked <- struct{}{}
-		},
 	})
+	f := newFiller(t, Config{Peers: staticPeers(p.addr)})
+	f.timeout = 10 * time.Second
 	for wave := 1; wave <= 2; wave++ {
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got, err := f.Fill(ctx, cp.Fingerprint, "v1", ""); err != nil || got == nil {
+				if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", ""); err != nil || got == nil {
 					t.Errorf("Fill = (%v, %v), want a hit", got, err)
 				}
 			}()
 		}
 		wg.Wait()
-		for i := 0; i < n; i++ {
-			select {
-			case <-parked:
-			case <-time.After(10 * time.Second):
-				t.Fatalf("wave %d: %d of %d connections parked", wave, i, n)
-			}
-		}
-		if got := opened.Load(); got != n {
+		if got := p.opened.Load(); got != n {
 			t.Fatalf("after wave %d the peer has seen %d connections, want %d", wave, got, n)
+		}
+		if idle := len(f.conns.idle[p.addr]); idle != n {
+			t.Fatalf("after wave %d the client keeps %d idle connections, want %d", wave, idle, n)
+		}
+	}
+}
+
+// TestStaleConnectionRetried: a kept-alive connection the peer has closed
+// while it sat idle fails before the reply's first byte, so the probe is
+// sent once more on a new connection, and hits.
+func TestStaleConnectionRetried(t *testing.T) {
+	cp := testPlan(7, "v1")
+	var served atomic.Int64
+	p := countConns(t, serveEntry(cp, "peer-a", &served))
+	f := newFiller(t, Config{Peers: staticPeers(p.addr)})
+	f.timeout = 10 * time.Second
+	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", ""); err != nil || got == nil {
+		t.Fatalf("first Fill = (%v, %v), want a hit", got, err)
+	}
+	// The peer drops the parked connection, as its idle timeout does.
+	p.CloseClientConnections()
+	waitFor(t, func() bool { return p.closed.Load() == 1 })
+	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", "b1"); err != nil || got == nil {
+		t.Fatalf("Fill on a stale connection = (%v, %v), want a hit after one retry", got, err)
+	}
+	if p.opened.Load() != 2 || served.Load() != 2 {
+		t.Fatalf("peer saw %d connections and served %d probes, want 2 and 2", p.opened.Load(), served.Load())
+	}
+	if s := f.Snapshot(); s.Hits != 2 || s.Errors != 0 {
+		t.Fatalf("stats = %+v, want two hits and no error", s)
+	}
+}
+
+// TestFailureAfterFirstByteNotRetried: a reused connection that breaks
+// once the reply has begun is not retried: the peer has seen the probe.
+func TestFailureAfterFirstByteNotRetried(t *testing.T) {
+	cp := testPlan(8, "v1")
+	var served atomic.Int64
+	p := countConns(t, func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) == 1 {
+			serveEntry(cp, "peer-a", nil)(w, r)
+			return
+		}
+		// Half a reply head, then hang up.
+		conn, bw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		bw.WriteString("HTTP/1.1 200 OK\r\nContent-")
+		bw.Flush()
+		conn.Close()
+	})
+	f := newFiller(t, Config{Peers: staticPeers(p.addr)})
+	f.timeout = 10 * time.Second
+	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", ""); err != nil || got == nil {
+		t.Fatalf("first Fill = (%v, %v), want a hit", got, err)
+	}
+	if _, err := f.Fill(context.Background(), cp.Fingerprint, "v1", "b1"); err == nil {
+		t.Fatal("Fill succeeded on a reply cut off mid-head")
+	}
+	if served.Load() != 2 || p.opened.Load() != 1 {
+		t.Fatalf("peer served %d probes on %d connections, want 2 on 1 (no retry)", served.Load(), p.opened.Load())
+	}
+	if s := f.Snapshot(); s.Errors != 1 {
+		t.Fatalf("stats = %+v, want one error", s)
+	}
+}
+
+// TestReplyHeadBounded: a reply whose head runs past maxReplyHead is refused
+// once that much is read, not buffered whole.
+func TestReplyHeadBounded(t *testing.T) {
+	addr := peerServer(t, func(w http.ResponseWriter, r *http.Request) {
+		conn, bw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		bw.WriteString("HTTP/1.1 200 OK\r\nX-Pad: ")
+		bw.Write(bytes.Repeat([]byte("a"), 4*maxReplyHead))
+		bw.WriteString("\r\nContent-Length: 0\r\n\r\n")
+		bw.Flush()
+	})
+	f := newFiller(t, Config{Peers: staticPeers(addr)})
+	f.timeout = 10 * time.Second
+	var fp plancache.Fingerprint
+	if _, err := f.Fill(context.Background(), fp, "v1", ""); !errors.Is(err, errReplyHeadTooBig) {
+		t.Fatalf("Fill error %v, want %v", err, errReplyHeadTooBig)
+	}
+}
+
+// TestLongMissBodyClosesConnection: a 404 whose body is longer than the
+// drain limit closes its connection rather than parking it, so the next
+// probe does not read the leftover bytes as its reply.
+func TestLongMissBodyClosesConnection(t *testing.T) {
+	cp := testPlan(9, "v1")
+	var served atomic.Int64
+	p := countConns(t, func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) == 1 {
+			w.WriteHeader(http.StatusNotFound)
+			// A body that reads like a reply of its own past the drain limit.
+			w.Write(bytes.Repeat([]byte("x"), drainLimit))
+			w.Write([]byte("HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"))
+			return
+		}
+		serveEntry(cp, "peer-a", nil)(w, r)
+	})
+	f := newFiller(t, Config{Peers: staticPeers(p.addr)})
+	f.timeout = 10 * time.Second
+	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", ""); err != nil || got != nil {
+		t.Fatalf("first Fill = (%v, %v), want a miss", got, err)
+	}
+	if idle := len(f.conns.idle[p.addr]); idle != 0 {
+		t.Fatalf("%d connections parked after an undrained body, want 0", idle)
+	}
+	if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", "b1"); err != nil || got == nil {
+		t.Fatalf("second Fill = (%v, %v), want a hit", got, err)
+	}
+	if p.opened.Load() != 2 {
+		t.Fatalf("peer saw %d connections, want 2", p.opened.Load())
+	}
+}
+
+// TestCancelledCallerReturnsPromptly: cancelling the caller interrupts a
+// probe in flight well inside the probe timeout, and counts as a timeout.
+func TestCancelledCallerReturnsPromptly(t *testing.T) {
+	block := make(chan struct{})
+	defer close(block)
+	hang := peerServer(t, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-block:
+		case <-r.Context().Done():
+		}
+	})
+	f := newFiller(t, Config{Peers: staticPeers(hang)})
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	start := time.Now()
+	var fp plancache.Fingerprint
+	if _, err := f.Fill(ctx, fp, "v1", ""); err == nil {
+		t.Fatal("Fill succeeded against a hung peer")
+	}
+	if elapsed := time.Since(start); elapsed > probeTimeout/2 {
+		t.Fatalf("cancelled Fill took %v, want well inside the %v probe timeout", elapsed, probeTimeout)
+	}
+	if s := f.Snapshot(); s.Timeouts != 1 || s.Errors != 0 {
+		t.Fatalf("stats = %+v, want the cancellation counted as a timeout", s)
+	}
+	if idle := len(f.conns.idle[hang]); idle != 0 {
+		t.Fatalf("%d interrupted connections parked, want 0", idle)
+	}
+}
+
+// TestSilentPeerBoundedByProbeTimeout: a peer that accepts the connection
+// and never answers costs one probe timeout.
+func TestSilentPeerBoundedByProbeTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { c.Close() })
+		}
+	}()
+	f := newFiller(t, Config{Peers: staticPeers(ln.Addr().String())})
+	f.timeout = 30 * time.Millisecond
+	start := time.Now()
+	var fp plancache.Fingerprint
+	if _, err := f.Fill(context.Background(), fp, "v1", ""); err == nil {
+		t.Fatal("Fill succeeded against a silent peer")
+	}
+	if elapsed := time.Since(start); elapsed < f.timeout || elapsed > 2*time.Second {
+		t.Fatalf("Fill against a silent peer took %v, want about the %v probe timeout", elapsed, f.timeout)
+	}
+	if s := f.Snapshot(); s.Timeouts != 1 {
+		t.Fatalf("stats = %+v, want one timeout", s)
+	}
+}
+
+// TestIdleConnectionExpires: a connection idle past its expiry is closed, not
+// reused, and a lookup to another peer closes it too once it expires, as
+// when its peer has left the fleet.
+func TestIdleConnectionExpires(t *testing.T) {
+	cp := testPlan(10, "v1")
+	p := countConns(t, serveEntry(cp, "peer-a", nil))
+	f := newFiller(t, Config{Peers: staticPeers(p.addr)})
+	f.timeout, f.idleTimeout = 10*time.Second, 20*time.Millisecond
+	for i, band := range []string{"", "b1"} {
+		if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", band); err != nil || got == nil {
+			t.Fatalf("Fill %d = (%v, %v), want a hit", i, got, err)
+		}
+		time.Sleep(3 * f.idleTimeout)
+	}
+	if p.opened.Load() != 2 {
+		t.Fatalf("peer saw %d connections, want 2 (an expired connection was reused)", p.opened.Load())
+	}
+	waitFor(t, func() bool { return p.closed.Load() == 1 })
+	if c := f.conns.take("elsewhere.invalid:1", f.idleTimeout); c != nil {
+		t.Fatalf("take found a connection to a peer never asked: %v", c)
+	}
+	waitFor(t, func() bool { return p.closed.Load() == 2 })
+	if len(f.conns.idle) != 0 {
+		t.Fatalf("idle pool %v after the sweep, want it empty", f.conns.idle)
+	}
+}
+
+// BenchmarkPeerProbe: one Fill hit after another against a loopback peer,
+// each one probe on the client's kept-alive connection.
+func BenchmarkPeerProbe(b *testing.B) {
+	cp := testPlan(11, "v1")
+	f, err := New(Config{Peers: staticPeers(peerServer(b, serveEntry(cp, "peer-a", nil)))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if got, err := f.Fill(context.Background(), cp.Fingerprint, "v1", ""); err != nil || got == nil {
+			b.Fatalf("Fill = (%v, %v), want a hit", got, err)
+		}
+	}
+}
+
+// waitFor polls cond for up to 10 s.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 10 s")
 		}
 	}
 }

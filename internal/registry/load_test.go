@@ -110,11 +110,13 @@ func BenchmarkLoadArtifact(b *testing.B) {
 
 // TestLoadAllocCeiling: a Read of the served shape allocates at most three
 // times the file's size: the file once, the flat forests at their final
-// size, and little besides.
+// size, and little besides. It makes at most allocCeiling allocations (127
+// measured): a fixed number per forest, none per tree.
 func TestLoadAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation")
 	}
+	const allocCeiling = 160
 	file := servedShape(t)
 	const runs = 5
 	var before, after runtime.MemStats
@@ -126,9 +128,13 @@ func TestLoadAllocCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRead := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("%d-byte file: %.0f bytes allocated per Read (%.2f×)", len(file), perRead, perRead/float64(len(file)))
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("%d-byte file: %.0f bytes allocated per Read (%.2f×) in %.1f allocations", len(file), perRead, perRead/float64(len(file)), allocs)
 	if perRead > 3*float64(len(file)) {
 		t.Errorf("Read allocates %.0f bytes for a %d-byte file, more than 3×", perRead, len(file))
+	}
+	if allocs > allocCeiling {
+		t.Errorf("Read makes %.1f allocations, ceiling %d", allocs, allocCeiling)
 	}
 }
 
