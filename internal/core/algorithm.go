@@ -47,9 +47,9 @@ type Result struct {
 	Degraded bool
 	Stats    Stats
 	// Trace is the run's pruning audit trail, recorded only when
-	// Context.Trace was set (the span tree is in that trace, whose optimize
-	// span carries this same audit); Explain derives the explainability
-	// report from it. Nil on untraced runs.
+	// Context.Trace was a detailed trace (the span tree is in that trace,
+	// whose optimize span carries this same audit); Explain derives the
+	// explainability report from it. Nil on runs not traced in detail.
 	Trace *RunTrace
 }
 
@@ -69,8 +69,9 @@ func (c *Context) Optimize(ctx context.Context, m CostModel) (*Result, error) {
 
 // OptimizeOpts runs Algorithm 1 with an explicit pruner and traversal order,
 // under the same cancellation and budget contract as Optimize. When
-// Context.Trace is set, the run additionally records a span tree and pruning
-// audit trail, returned on Result.Trace.
+// Context.Trace is set, the run additionally records itself on it: a span
+// tree and pruning audit trail, returned on Result.Trace, on a detailed
+// trace, its optimize span alone on any other (see Context.Trace).
 func (c *Context) OptimizeOpts(ctx context.Context, m CostModel, pr Pruner, order OrderPolicy) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -154,14 +154,18 @@ type Context struct {
 	// degrades gracefully instead of erroring: see Budget.
 	Budget Budget
 
-	// Trace, when set, makes Optimize/OptimizeOpts record a span tree (one
-	// timed span per algebra operation: vectorize, split, enumerate, merge,
-	// prune, unvectorize, grouped into scheduler rounds and tasks) plus a
-	// typed pruning audit trail, which hangs on the run's optimize span and
-	// on Result.Trace and is consumable via Result.Explain. When nil — the
-	// default — the instrumented paths reduce to one nil check each, so
-	// untraced runs stay at full speed. Like the other per-run fields it
-	// must not be swapped mid-run.
+	// Trace, when set, makes Optimize/OptimizeOpts record the run on it. On
+	// a detailed trace (obs.Trace.Detailed: every bare obs.NewTrace, and a
+	// Tracer's trace whose sample draw hit or whose request forced it) the
+	// run records a span tree (one timed span per algebra operation:
+	// vectorize, split, enumerate, merge, prune, unvectorize, grouped into
+	// scheduler rounds and tasks) plus a typed pruning audit trail, which
+	// hangs on the run's optimize span and on Result.Trace and is consumable
+	// via Result.Explain. On any other trace it records only the optimize
+	// span, carrying the run's summary and its stage timings, and
+	// Result.Trace stays nil. When nil — the default — the instrumented paths
+	// reduce to one nil check each, so untraced runs stay at full speed. Like
+	// the other per-run fields it must not be swapped mid-run.
 	Trace *obs.Trace
 
 	// TraceParent, when set alongside Trace, parents the run's root span
@@ -204,17 +208,17 @@ type Context struct {
 	// this Context (see vecStore.poison).
 	poison bool
 
-	// Per-run tracing state, live only while Trace is set: the run's audit,
-	// its root span, and the prune audit record in flight on the goroutine
-	// driving this Context (a pool worker's copy has its own, see
+	// Per-run tracing state: the run's audit (only on a detailed trace), its
+	// root span (on any trace), and the prune audit record in flight on the
+	// goroutine driving this Context (a pool worker's copy has its own, see
 	// workerContext).
 	rt     *RunTrace
 	root   *obs.Span
 	curRec *PruneRecord
 }
 
-// span opens a child span of parent when this run is traced; the returned
-// span may be nil and all its methods then no-op.
+// span opens a child span of parent when this run is traced in detail; the
+// returned span may be nil and all its methods then no-op.
 func (c *Context) span(parent *obs.Span, name string) *obs.Span {
 	if c.rt == nil {
 		return nil
@@ -222,49 +226,69 @@ func (c *Context) span(parent *obs.Span, name string) *obs.Span {
 	return c.Trace.StartSpan(parent, name)
 }
 
-// beginRunTrace arms per-run tracing when a Trace is attached. endRunTrace
-// must run before the entry point returns.
+// beginRunTrace arms per-run tracing when a Trace is attached: the optimize
+// span always, the audit only on a detailed trace. endRunTrace must run
+// before the entry point returns.
 func (c *Context) beginRunTrace() {
 	c.rt, c.root, c.curRec = nil, nil, nil
 	if c.Trace == nil {
 		return
 	}
-	c.rt = c.newRunTrace()
+	if c.Trace.Detailed() {
+		c.rt = c.newRunTrace()
+	}
 	c.root = c.Trace.StartSpan(c.TraceParent, "optimize")
 	c.root.SetInt("ops", int64(c.Plan.NumOps()))
 	c.root.SetFloat("searchSpace", c.SearchSpaceSize())
 }
 
 // endRunTrace stamps the run's summary onto the root span, hangs the audit
-// on it, closes it, and clears the transient tracing state. Returns the
-// audit (nil on untraced runs) for attachment to the Result.
+// on it (a detailed run) or the stage timings the missing child spans would
+// have shown (any other), closes it, and clears the transient tracing state.
+// Returns the audit (nil unless the run was traced in detail) for attachment
+// to the Result.
 func (c *Context) endRunTrace(st *Stats, err error) *RunTrace {
-	rt := c.rt
-	if rt != nil {
-		rt.seal()
-		c.root.SetDetail(rt)
-		c.root.SetInt("vectorsCreated", int64(st.VectorsCreated))
-		c.root.SetInt("pruned", int64(st.Pruned))
-		c.root.SetInt("modelRows", int64(st.ModelRows))
-		c.root.SetInt("memoHits", int64(st.MemoHits))
+	rt, root := c.rt, c.root
+	if root != nil {
+		if rt != nil {
+			rt.seal()
+			root.SetDetail(rt)
+		}
+		root.SetInt("vectorsCreated", int64(st.VectorsCreated))
+		root.SetInt("pruned", int64(st.Pruned))
+		root.SetInt("modelRows", int64(st.ModelRows))
+		root.SetInt("memoHits", int64(st.MemoHits))
 		if st.Par.Rounds > 0 {
-			c.root.SetInt("rounds", int64(st.Par.Rounds))
-			c.root.SetInt("tasks", int64(st.Par.Tasks))
-			c.root.SetInt("steals", int64(st.Par.Steals))
-			c.root.SetInt("maxQueueDepth", int64(st.Par.MaxQueueDepth))
+			root.SetInt("rounds", int64(st.Par.Rounds))
+			root.SetInt("tasks", int64(st.Par.Tasks))
+			root.SetInt("steals", int64(st.Par.Steals))
+			root.SetInt("maxQueueDepth", int64(st.Par.MaxQueueDepth))
+		}
+		if rt == nil {
+			tm := &st.Timings
+			root.SetFloat("vectorizeMs", durMs(tm.Vectorize))
+			root.SetFloat("enumerateMs", durMs(tm.Enumerate))
+			root.SetFloat("mergeMs", durMs(tm.Merge))
+			root.SetFloat("pruneMs", durMs(tm.Prune))
+			root.SetFloat("unvectorizeMs", durMs(tm.Unvectorize))
+			root.SetFloat("inferMs", durMs(tm.Infer))
 		}
 		if st.Degraded {
-			c.root.SetBool("degraded", true)
-			c.root.SetStr("degradeReason", st.DegradeReason)
+			root.SetBool("degraded", true)
+			root.SetStr("degradeReason", st.DegradeReason)
 		}
 		if err != nil {
 			c.Trace.SetError(err.Error())
 		}
-		c.root.End()
+		root.End()
 	}
 	c.rt, c.root, c.curRec = nil, nil, nil
 	return rt
 }
+
+// durMs is d in milliseconds at microsecond resolution, as spans and
+// StageTimings.Milliseconds render durations.
+func durMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // NewContext prepares an optimization context for plan l over the given
 // platform universe and availability matrix.

@@ -10,19 +10,19 @@ import (
 	"repro/internal/vecops"
 )
 
-// This file is the explainability layer of the optimizer: when a trace is
-// attached to the Context (Context.Trace), every Optimize/OptimizeOpts run
-// records a typed pruning audit trail — which subplan enumerations were
-// pruned, by what predicted boundary costs, how many vectors were already
-// scored, and where the budget degraded the run. Each fact is written once,
-// here: the spans of the run carry only their durations and the step, round
-// and worker numbers that join them to these records. The audit rides on the
-// run's optimize span (Span.SetDetail) and on Result.Trace, and backs
-// Result.Explain, the human-readable account of why the winning platform
-// assignment beat its alternatives.
+// This file is the explainability layer of the optimizer: when a detailed
+// trace is attached to the Context (Context.Trace), every
+// Optimize/OptimizeOpts run records a typed pruning audit trail — which
+// subplan enumerations were pruned, by what predicted boundary costs, how
+// many vectors were already scored, and where the budget degraded the run.
+// Each fact is written once, here: the spans of the run carry only their
+// durations and the step, round and worker numbers that join them to these
+// records. The audit rides on the run's optimize span (Span.SetDetail) and on
+// Result.Trace, and backs Result.Explain, the human-readable account of why
+// the winning platform assignment beat its alternatives.
 
 // RunTrace is the pruning audit of one run, attached to Result and to the
-// run's optimize span by OptimizeOpts when Context.Trace is set.
+// run's optimize span by OptimizeOpts when Context.Trace is detailed.
 type RunTrace struct {
 	// Platforms maps schema platform columns to platform names, making the
 	// audit records self-contained.
@@ -175,7 +175,7 @@ type OpContribution struct {
 	Cost     float64 `json:"costSec"`
 }
 
-// newRunTrace seeds the per-run audit for a traced run.
+// newRunTrace seeds the per-run audit for a run traced in detail.
 func (c *Context) newRunTrace() *RunTrace {
 	names := make([]string, len(c.Schema.Platforms))
 	for i, p := range c.Schema.Platforms {
@@ -385,10 +385,11 @@ type Explanation struct {
 }
 
 // Explain derives the explainability report from the run's trace. Returns an
-// error when the run was not traced (set Context.Trace before optimizing).
+// error when the run was not traced in detail (set Context.Trace to a detailed
+// trace, such as obs.NewTrace's, before optimizing).
 func (r *Result) Explain() (*Explanation, error) {
 	if r.Trace == nil {
-		return nil, fmt.Errorf("core: result carries no trace; set Context.Trace before optimizing")
+		return nil, fmt.Errorf("core: result carries no trace; set Context.Trace to a detailed trace before optimizing")
 	}
 	ex := &Explanation{
 		Predicted:     r.Predicted,

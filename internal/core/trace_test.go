@@ -156,6 +156,78 @@ func TestTracedSpanVocabulary(t *testing.T) {
 	}
 }
 
+// TestSummaryTrace pins what a run records on a trace that is not detailed
+// (a tracer's trace whose sample draw missed): its optimize span alone,
+// carrying the summary a detailed run's optimize span carries plus the stage
+// timings, no audit on the span or on Result.Trace, and the same plan and
+// counters as a detailed run (bar the pool's steals and queue depth, which
+// vary between any two runs). A degraded run adds its reason; a failed run
+// records its error.
+func TestSummaryTrace(t *testing.T) {
+	stages := []string{"vectorizeMs", "enumerateMs", "mergeMs", "pruneMs", "unvectorizeMs", "inferMs"}
+	summary := func(t *testing.T, l *plan.Logical, workers int, budget core.Budget, ctxRun context.Context) (*core.Result, obs.TraceSnapshot, error) {
+		ctx := newCtx(t, l, 3)
+		ctx.Workers, ctx.Budget = workers, budget
+		ctx.Trace = obs.NewTracer(1, 0, 0).Start("summary")
+		res, err := ctx.Optimize(ctxRun, newLinModel(ctx.Schema.Len(), 7))
+		ctx.Trace.End()
+		return res, ctx.Trace.Snapshot(), err
+	}
+	plans := map[string]*plan.Logical{
+		"pipeline": workload.Pipeline(12, 1e8),
+		"jointree": workload.JoinTree(4, 1e8),
+		"dag":      workload.RandomDAG(16, 1e8, 5),
+	}
+	for name, l := range plans {
+		for _, workers := range []int{1, 4} {
+			detailed, dsnap := tracedRun(t, l, 3, workers)
+			res, snap, err := summary(t, l, workers, core.Budget{}, context.Background())
+			if err != nil {
+				t.Fatalf("%s/w%d: %v", name, workers, err)
+			}
+			if res.Trace != nil {
+				t.Errorf("%s/w%d: a summary run returned an audit", name, workers)
+			}
+			if len(snap.Spans) != 1 || snap.Spans[0].Name != "optimize" || snap.Spans[0].Detail != nil {
+				t.Fatalf("%s/w%d: summary trace = %+v, want one optimize span without a detail", name, workers, snap.Spans)
+			}
+			if !slices.Equal(res.Execution.Assign, detailed.Execution.Assign) || res.Predicted != detailed.Predicted ||
+				res.Stats.Counters() != detailed.Stats.Counters() {
+				t.Errorf("%s/w%d: the summary run's plan or counters differ from the detailed run's", name, workers)
+			}
+			attrs, want := snap.Spans[0].Attrs, dsnap.Spans[0].Attrs
+			if len(attrs) != len(want)+len(stages) {
+				t.Errorf("%s/w%d: summary attributes %v, want the detailed run's %v and the stages", name, workers, attrs, want)
+			}
+			for k, v := range want {
+				// Steals and queue depth vary between runs of a pool.
+				if _, ok := attrs[k]; !ok || attrs[k] != v && k != "steals" && k != "maxQueueDepth" {
+					t.Errorf("%s/w%d: summary %s = %v, detailed %v", name, workers, k, attrs[k], v)
+				}
+			}
+			for _, k := range stages {
+				if ms, ok := attrs[k].(float64); !ok || ms < 0 {
+					t.Errorf("%s/w%d: stage timing %s = %v", name, workers, k, attrs[k])
+				}
+			}
+		}
+	}
+
+	l := workload.Pipeline(12, 1e8)
+	res, snap, err := summary(t, l, 1, core.Budget{ForceDegraded: true}, context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := snap.Spans[0].Attrs; len(snap.Spans) != 1 || a["degraded"] != true || a["degradeReason"] != res.Stats.DegradeReason {
+		t.Errorf("degraded summary trace = %+v", snap.Spans)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, snap, err = summary(t, l, 1, core.Budget{}, canceled); err == nil || snap.Error != err.Error() || len(snap.Spans) != 1 {
+		t.Errorf("failed summary run: err %v, trace error %q, %d spans", err, snap.Error, len(snap.Spans))
+	}
+}
+
 // TestOpContribsMatchSubplanVectors checks the per-operator contributions,
 // scored as one batch, bit for bit against the model's score of
 // VectorizeSubplan's one-operator subplan alone, for every operator of a

@@ -10,9 +10,11 @@ import (
 
 // This file is the tracing half of the observability layer: cheap span trees
 // recording one optimization run each, and a Tracer that retains a bounded,
-// lock-free ring of recent traces with tail-based sampling (notable runs —
-// slow, degraded, errored or explicitly requested — are always retained;
-// unremarkable runs are retained with a configurable probability).
+// lock-free ring of recent traces. A trace's detail is drawn when it starts:
+// a trace the tracer samples (or the request forces) records every span and
+// the pruning audit, any other records only a summary. Its retention is
+// decided when it finishes: notable runs (slow, degraded, errored or
+// explicitly requested) are always retained, sampled ones too.
 //
 // The fast path when tracing is disabled is strict: a nil *Trace turns every
 // method below into a nil-check-and-return, so instrumented hot paths (core's
@@ -163,8 +165,18 @@ type Trace struct {
 	attrs []attr
 	strs  []string // the values of string attributes
 	links []TraceLink
-	seq   uint64 // ring insertion order, set by Tracer.Finish
+	// seq holds the start-time flags (traceDrawn, traceDetailed) in its low
+	// bits and, from Tracer.Finish on, the ring insertion order above them.
+	// Packing them keeps a Trace in its 240-byte size class.
+	seq uint64
 }
+
+// The flags in the low bits of Trace.seq.
+const (
+	traceDrawn    = 1 << iota // the tracer's sample draw hit at Start
+	traceDetailed             // runs on the trace record their full detail
+	seqFlagBits   = iota
+)
 
 // moreSpans is what a trace of more than one span holds besides its first:
 // spans 1, 2, … in chunks, chunk k holding firstSpanChunk<<k spans, and the
@@ -184,11 +196,28 @@ const (
 	firstAttrs     = 4
 )
 
-// NewTrace starts a new trace. Use a Tracer for sampling and retention; a
-// bare NewTrace is for one-shot uses (CLI runs, forced request traces on
-// servers without a tracer).
+// NewTrace starts a new detailed trace. Use a Tracer for sampling and
+// retention; a bare NewTrace is for one-shot uses (CLI runs, library
+// callers).
 func NewTrace(id string) *Trace {
-	return &Trace{ID: id, Start: time.Now()}
+	return &Trace{ID: id, Start: time.Now(), seq: traceDetailed}
+}
+
+// Detailed reports whether runs on the trace record their full detail (every
+// span and the pruning audit) rather than a summary: a bare NewTrace always,
+// a Tracer's trace when its sample draw hit or SetDetailed forced it. False
+// on a nil trace.
+func (t *Trace) Detailed() bool {
+	return t != nil && t.seq&traceDetailed != 0
+}
+
+// SetDetailed makes the trace detailed whatever its draw: a request that
+// forces its trace's retention gets the full detail too. Call it before the
+// trace is shared. Nil-safe.
+func (t *Trace) SetDetailed() {
+	if t != nil {
+		t.seq |= traceDetailed
+	}
 }
 
 // StartSpan opens a child span of parent (nil parent makes a root-level
@@ -361,28 +390,30 @@ func (s *Span) snapshot(ss *SpanSnapshot) {
 // DefaultTraceCap is the ring capacity of NewTracer when 0 is passed.
 const DefaultTraceCap = 128
 
-// Tracer retains recent traces in a bounded lock-free ring. Every run on a
-// traced server records a trace. Measured on cold misses of serving-shaped
-// plans (12–40 operators, one enumeration worker), recording adds about 26
-// allocations to the 143 an untraced request makes (TestColdMissAllocCeiling
-// pins the sum); while every span and attribute was an object of its own it
-// added about 260, and a retained trace held 5–20 % more than it does now. Retention is decided at Finish, when the run's outcome is known —
-// notable traces (explicitly requested, errored, degraded or slower than
-// SlowThreshold) are always retained, the rest with probability SampleRate.
+// Tracer retains recent traces in a bounded lock-free ring, with head-drawn
+// detail and tail-decided retention. Start draws the sample: a trace whose
+// id falls in it (a share SampleRate of ids) is detailed, and so is one the
+// request forces (Trace.SetDetailed); on any other an optimization run
+// records its optimize span alone, as a summary. Measured on cold misses of
+// serving-shaped plans (12–40 operators, one enumeration worker,
+// TestColdMissAllocCeiling), a detailed trace costs 24 allocations and
+// 21 kB more than a summary. Retention is decided at Finish, when the run's
+// outcome is known: notable traces (explicitly requested, errored, degraded
+// or slower than SlowThreshold) are always retained, with whatever detail
+// they drew, and the rest exactly when their draw hit.
 type Tracer struct {
 	sample float64
 	slow   time.Duration
 	slots  []atomic.Pointer[Trace]
 	seq    atomic.Uint64
-	rng    atomic.Uint64
 
 	retained Counter
 	dropped  Counter
 }
 
 // NewTracer returns a tracer retaining up to capacity traces
-// (DefaultTraceCap when 0), sampling unremarkable traces at rate sample
-// (clamped to [0,1]) and always retaining traces at least slow long (0
+// (DefaultTraceCap when 0), sampling a share sample of trace ids (clamped to
+// [0,1]) and always retaining traces at least slow long (0
 // disables the slow gate).
 func NewTracer(capacity int, sample float64, slow time.Duration) *Tracer {
 	if capacity <= 0 {
@@ -394,16 +425,15 @@ func NewTracer(capacity int, sample float64, slow time.Duration) *Tracer {
 	if sample > 1 {
 		sample = 1
 	}
-	t := &Tracer{
+	return &Tracer{
 		sample: sample,
 		slow:   slow,
 		slots:  make([]atomic.Pointer[Trace], capacity),
 	}
-	t.rng.Store(uint64(time.Now().UnixNano()) | 1)
-	return t
 }
 
-// SampleRate returns the configured probabilistic retention rate.
+// SampleRate returns the configured share of trace ids that are detailed
+// and retained.
 func (t *Tracer) SampleRate() float64 {
 	return t.sample
 }
@@ -434,27 +464,44 @@ func (t *Tracer) Dropped() int64 {
 	return t.dropped.Load()
 }
 
-// Start begins a new trace.
-func (t *Tracer) Start(id string) *Trace { return NewTrace(id) }
-
-// rand returns a uniform float64 in [0,1) from a lock-free xorshift64 state.
-func (t *Tracer) rand() float64 {
-	for {
-		old := t.rng.Load()
-		x := old
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		if t.rng.CompareAndSwap(old, x) {
-			return float64(x>>11) / float64(1<<53)
-		}
+// Start begins a new trace and draws its sample: a trace whose id falls in
+// the sample is detailed and, at Finish, retained as "sampled".
+func (t *Tracer) Start(id string) *Trace {
+	tr := &Trace{ID: id, Start: time.Now()}
+	if t.draw(id) {
+		tr.seq = traceDrawn | traceDetailed
 	}
+	return tr
+}
+
+// draw reports whether id falls in the sample: its hash, read as a uniform
+// fraction in [0,1), is below SampleRate. The draw is a function of the id
+// alone, as in OpenTelemetry's trace-ID ratio sampler: the same request
+// sequence draws the same traces run after run, and every replica draws the
+// same for one propagated trace ID.
+func (t *Tracer) draw(id string) bool {
+	if t.sample >= 1 || t.sample <= 0 {
+		return t.sample >= 1
+	}
+	// FNV-1a, then splitmix64's finalizer, so ids that differ in their last
+	// digit land all over the range.
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return float64(h>>11)/(1<<53) < t.sample
 }
 
 // Finish closes tr and decides retention: forced traces and notable ones
 // (non-empty notable reason, recorded error, duration ≥ the slow threshold)
-// are always retained; others are kept with probability SampleRate. Returns
-// whether the trace entered the ring. Nil-safe on the trace.
+// are always retained; others are kept exactly when Start's draw hit.
+// Returns whether the trace entered the ring. Nil-safe on the trace.
 func (t *Tracer) Finish(tr *Trace, forced bool, notable string) bool {
 	if tr == nil {
 		return false
@@ -470,7 +517,7 @@ func (t *Tracer) Finish(tr *Trace, forced bool, notable string) bool {
 		reason = notable
 	case t.slow > 0 && tr.Duration >= t.slow:
 		reason = "slow"
-	case t.sample > 0 && t.rand() < t.sample:
+	case tr.seq&traceDrawn != 0:
 		reason = "sampled"
 	}
 	if reason == "" {
@@ -479,7 +526,7 @@ func (t *Tracer) Finish(tr *Trace, forced bool, notable string) bool {
 	}
 	tr.Retained = reason
 	seq := t.seq.Add(1)
-	tr.seq = seq
+	tr.seq = seq<<seqFlagBits | tr.seq&(1<<seqFlagBits-1)
 	t.slots[seq%uint64(len(t.slots))].Store(tr)
 	t.retained.Inc()
 	return true

@@ -12,8 +12,8 @@ import (
 //
 //	traceparent: 00-<32 lowercase hex trace-id>-<16 lowercase hex parent-id>-<2 hex flags>
 //
-// Flag bit 0 is "sampled"; the serving layer treats it as a retention
-// request (forced tail-based retention), which is the useful reading when
+// Flag bit 0 is "sampled"; the serving layer treats it as a request for the
+// trace's full detail and forced retention, which is the useful reading when
 // the caller is a debugging client rather than a probabilistic sampler.
 
 // TraceParent is a parsed W3C traceparent header.

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/workload"
@@ -44,9 +45,17 @@ func (*reusedBody) Close() error { return nil }
 // cache configured by cache, serving on one enumeration worker.
 func roboptdServer(t testing.TB, cache plancache.Config) http.Handler {
 	t.Helper()
+	return sampledServer(t, cache, 0.1)
+}
+
+// sampledServer is roboptdServer with its tracer sampling at rate: 0 makes
+// every unforced trace a summary, 1 every trace detailed.
+func sampledServer(t testing.TB, cache plancache.Config, rate float64) http.Handler {
+	t.Helper()
 	s := newServer(modelProvider(sumModel{}))
 	s.DefaultDeadline = 30 * time.Second
 	s.Workers = 1
+	s.Tracer = obs.NewTracer(obs.DefaultTraceCap, rate, time.Second)
 	cache.Metrics = s.Metrics()
 	s.PlanCache = plancache.New(cache)
 	return s.Handler()
@@ -116,61 +125,10 @@ func TestWarmHitAllocCeiling(t *testing.T) {
 	t.Logf("warm hit of Pipeline(20): %.0f allocations", allocs)
 }
 
-// TestColdMissAllocCeiling pins what a cold miss allocates end to end on a
-// traced server — body read, decode, fingerprint, cache miss, enumeration
-// with its pruning audit, cache write, respond, account, encode — averaged
-// over serving-shaped plans (pipelines, join trees and random DAGs) that
-// evict each other from a one-entry cache, in two cases. Reused, the
-// collector is off for the measurement, so each request's enumeration takes
-// over the rows and bookkeeping of the one before: 98 allocations and 42 kB
-// measured (100 / 42 kB while each worker scratch bound its two parallel
-// loop bodies as method values; 101 / 43 kB while rows held whole operator-kind blocks; 111 / 54 kB while the bookkeeping was each run's own; 113 /
-// 54 kB while the frontier held a buffer for the tie's walk over the union
-// of scopes; 116 / 57 kB while admission made a release func per request,
-// pruning numbered its groups in a Go map and the frontier carved a task
-// slot per concatenation; 138 / 63 kB before bodies and replies lived in reused buffers and the reply
-// and the request log stopped going through reflection and boxing), ceilings
-// 240 / 107 kB, the headroom of the fresh case. Fresh, a collection runs
-// before every request, so each enumeration starts on new memory: 118
-// allocations and 286 kB measured (120 / 286 kB with those method values;
-// 121 / 336 kB while rows held whole
-// operator-kind blocks; 129 / 322 kB while the bookkeeping came
-// in smaller blocks of its own, before each enumeration slot held its node
-// and task and a run carved at least 32 spare rows; 131 / 323 kB before the
-// frontier lost that
-// buffer, 134 / 326 kB before the release-func, map and task-slot changes,
-// 158 / 334 kB before the buffers, which outlive collections, being on a free stack
-// and not in a sync.Pool; 162 / 337 kB while every run built the abstract
-// plan vector and the reply was boxed by value), where runs that dropped their rows took 178 / 305 kB
-// measured the same way (170 / 303 kB without the collections): the rows
-// come in fewer, larger chunks. Its ceilings are the ones it had then less
-// the buffers' saving (24 allocations, 8 kB) and the later 3 allocations and
-// 3 kB, and the story below is that case's.
-// Spans carry durations and join keys only and every step's counts are
-// written once, into its PruneRecord: 26 of the allocations are the trace's.
-// The run's bookkeeping and its trace come in blocks sized from the plan —
-// enumeration slots, scopes, vector headers, boundary lists, frontier nodes,
-// children lists, tasks, audit records, span chunks, one attribute block —
-// where each was an object per enumeration step at 783 allocations / 306 kB;
-// both ceilings keep the headroom they had over that measurement (123
-// allocations, 49 kB). The server's model has no Specialize,
-// so mlmodel.Specialize expands its rows to the Schema, at most 16 per model
-// call, into a window off the kernels' shared stack. It was 783 / 335 kB
-// while the run kept a buffer of expanded rows per worker, 818 allocations /
-// 531 kB while one matrix of expanded rows covered each whole batch
-// (reallocated whenever a batch outgrew it), the per-operator contributions
-// were scored one row at a time and a cancellable scoring loop wrapped its
-// body in a closure per call; 819
-// before that, 853 while every concatenation allocated its MergeCtx and
-// crossing edges, 893 while every 16-row scoring chunk moved its matrix view
-// to the heap, and 1265 when the merge, prune and infer spans each repeated
-// those counts. The allocation ceiling kept the 87 of headroom it had at 893
-// until the bookkeeping went into blocks; the byte ceiling keeps the 49 kB it
-// had above 335 kB, so expanding whole batches again fails it.
-func TestColdMissAllocCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector changes allocation counts")
-	}
+// coldMissBodies are serving-shaped plans (pipelines, join trees and random
+// DAGs) as request bodies.
+func coldMissBodies(t testing.TB) [][]byte {
+	t.Helper()
 	var bodies [][]byte
 	for _, l := range []*plan.Logical{
 		workload.Pipeline(12, 1e8), workload.Pipeline(20, 1e10), workload.Pipeline(40, 1e8),
@@ -183,21 +141,55 @@ func TestColdMissAllocCeiling(t *testing.T) {
 		}
 		bodies = append(bodies, body)
 	}
-	post := poster(t, roboptdServer(t, plancache.Config{Shards: 1, MaxEntries: 1}))
-	miss := func(body []byte) {
+	return bodies
+}
+
+// coldMisser returns a function that POSTs a body to a server whose tracer
+// samples at rate, over a one-entry cache, so coldMissBodies in turn evict
+// each other and every request is a miss.
+func coldMisser(t testing.TB, rate float64) func(body []byte) {
+	t.Helper()
+	post := poster(t, sampledServer(t, plancache.Config{Shards: 1, MaxEntries: 1}, rate))
+	return func(body []byte) {
 		if w := post(body); w.code != http.StatusOK || w.hdr.Get("X-Cache") != "miss" {
 			t.Fatalf("status %d, X-Cache %q: %s", w.code, w.hdr.Get("X-Cache"), w.buf.Bytes())
 		}
 	}
+}
+
+// TestColdMissAllocCeiling pins what a cold miss allocates end to end — body
+// read, decode, fingerprint, cache miss, enumeration, cache write, respond,
+// account, encode — averaged over coldMissBodies, on both trace paths: a
+// detailed trace (tracer rate 1: every span and the pruning audit) and a
+// summary (rate 0: the optimize span alone). Fresh, a collection runs before
+// every request, so each enumeration starts on new memory; reused, the
+// collector is off for the measurement, so each request's enumeration takes
+// over the rows and bookkeeping of the one before. Measured: detailed 119 /
+// 286 kB fresh and 98 / 42 kB reused, summary 95 / 262 kB and 74 / 21 kB. The
+// summary's ceilings are the detailed ones less the 24 allocations and 21 kB
+// the spans and audit cost, so a summary that grows part of them back fails.
+func TestColdMissAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	bodies := coldMissBodies(t)
 	for _, cs := range []struct {
-		mode      string
+		trace     string
+		rate      float64
 		reuse     bool
 		ceiling   float64
 		byteLimit uint64
 	}{
-		{"fresh", false, 266, 341 << 10},
-		{"reused", true, 240, 107 << 10},
+		{"detailed", 1, false, 266, 341 << 10},
+		{"detailed", 1, true, 240, 107 << 10},
+		{"summary", 0, false, 242, 320 << 10},
+		{"summary", 0, true, 216, 86 << 10},
 	} {
+		mode := "fresh"
+		if cs.reuse {
+			mode = "reused"
+		}
+		miss := coldMisser(t, cs.rate)
 		round := func() {
 			for _, body := range bodies {
 				if !cs.reuse {
@@ -210,12 +202,32 @@ func TestColdMissAllocCeiling(t *testing.T) {
 		allocs /= float64(len(bodies))
 		bytes /= uint64(len(bodies))
 		if allocs > cs.ceiling {
-			t.Errorf("%s memory: a cold miss allocates %.0f times on average, ceiling %.0f", cs.mode, allocs, cs.ceiling)
+			t.Errorf("%s trace, %s memory: a cold miss allocates %.0f times on average, ceiling %.0f", cs.trace, mode, allocs, cs.ceiling)
 		}
 		if bytes > cs.byteLimit {
-			t.Errorf("%s memory: a cold miss allocates %d bytes on average, ceiling %d", cs.mode, bytes, cs.byteLimit)
+			t.Errorf("%s trace, %s memory: a cold miss allocates %d bytes on average, ceiling %d", cs.trace, mode, bytes, cs.byteLimit)
 		}
-		t.Logf("cold miss on %s memory, mean over %d serving-shaped plans: %.0f allocations, %d kB", cs.mode, len(bodies), allocs, bytes>>10)
+		t.Logf("cold miss, %s trace, %s memory, mean over %d serving-shaped plans: %.0f allocations, %d kB", cs.trace, mode, len(bodies), allocs, bytes>>10)
+	}
+}
+
+// BenchmarkColdMiss is a cold miss end to end over coldMissBodies, on a
+// detailed trace and on a summary. One op is one request, round robin over
+// the plans.
+func BenchmarkColdMiss(b *testing.B) {
+	bodies := coldMissBodies(b)
+	for _, cs := range []struct {
+		name string
+		rate float64
+	}{{"detailed", 1}, {"undetailed", 0}} {
+		b.Run(cs.name, func(b *testing.B) {
+			miss := coldMisser(b, cs.rate)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				miss(bodies[i%len(bodies)])
+			}
+		})
 	}
 }
 

@@ -99,8 +99,8 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 
 	// The whole batch is one trace: a "batch" root span with one "member"
 	// child span per plan, so the fan-out reads as a single tree. A
-	// propagated traceparent names the trace; its sampled flag forces
-	// retention, exactly like ?trace=1 on /optimize.
+	// propagated traceparent names the trace; its sampled flag, or ?trace=1,
+	// forces its detail and retention, exactly as on /optimize.
 	btr := s.startTrace(&p)
 	broot := btr.StartSpan(nil, "batch")
 	broot.SetInt("members", int64(len(breq.Plans)))
@@ -225,7 +225,7 @@ func (s *Server) handleOptimizeBatch(w http.ResponseWriter, r *http.Request) {
 	if degraded > 0 {
 		notable = "degraded"
 	}
-	s.Tracer.Finish(btr, p.remoteSampled, notable)
+	s.Tracer.Finish(btr, p.forced(), notable)
 	s.send(w, &p, func(dst []byte) ([]byte, error) {
 		js, err := json.Marshal(&resp)
 		return append(dst, js...), err

@@ -38,8 +38,8 @@ type reqParams struct {
 	// nopeer bypasses the peer probe for this request, mirroring what
 	// nocache does for the local cache.
 	nopeer bool
-	// trace is ?trace=1: POST /optimize retains the request's trace and
-	// inlines it in the reply. A batch does not take it.
+	// trace is ?trace=1: the call's trace is detailed and retained, and
+	// POST /optimize inlines it in the reply (a batch's is on /tracez).
 	trace bool
 	// traceID is the W3C trace ID propagated by the caller's traceparent
 	// header; empty means the request ID doubles as the trace ID.
@@ -57,8 +57,7 @@ type reqParams struct {
 // account.
 type optimizeReq struct {
 	reqParams
-	l         *plan.Logical
-	wantTrace bool
+	l *plan.Logical
 	// snap is the one immutable model snapshot of the whole request:
 	// concurrent hot-swaps affect later requests, never this one, and the
 	// response's modelVersion is exactly the model that scored the plan.
@@ -193,16 +192,26 @@ func traceContext(w http.ResponseWriter, r *http.Request) (traceID string, sampl
 // startTrace opens the trace of one call. The request ID doubles as the
 // trace ID unless the caller propagated a W3C traceparent, in which case the
 // remote trace ID names the trace (retrievable via /tracez?id=<remote id>)
-// and RequestID keeps the local join key. Every call is recorded; the tracer
-// decides retention at the end (tail-based sampling).
+// and RequestID keeps the local join key. Every call is recorded: in detail
+// when the tracer's draw hits or the call forces its trace, as a summary
+// otherwise; the tracer decides retention at the end.
 func (s *Server) startTrace(p *reqParams) *obs.Trace {
+	var tr *obs.Trace
 	if p.traceID == "" {
-		return s.Tracer.Start(p.id)
+		tr = s.Tracer.Start(p.id)
+	} else {
+		tr = s.Tracer.Start(p.traceID)
+		tr.RequestID = p.id
 	}
-	tr := s.Tracer.Start(p.traceID)
-	tr.RequestID = p.id
+	if p.forced() {
+		tr.SetDetailed()
+	}
 	return tr
 }
+
+// forced reports whether the call forces its trace's detail and retention:
+// ?trace=1, or a traceparent whose sampled flag is set.
+func (p *reqParams) forced() bool { return p.trace || p.remoteSampled }
 
 // finishTrace closes one request unit's trace. Members of a shared batch
 // trace skip it — the batch handler finishes that trace exactly once, with
@@ -213,7 +222,7 @@ func (s *Server) finishTrace(q *optimizeReq, notable string) bool {
 	if q.member {
 		return false
 	}
-	return s.Tracer.Finish(q.tr, q.wantTrace || q.remoteSampled, notable)
+	return s.Tracer.Finish(q.tr, q.forced(), notable)
 }
 
 // sinceMs is the elapsed wall-clock in milliseconds.
@@ -391,7 +400,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer ls.done()
 
 	q := s.unit(&p, l)
-	q.wantTrace = p.trace
 	q.tr = s.startTrace(&p)
 	out := s.serve(ctx, q, 0)
 	if out.err != nil {
@@ -536,7 +544,7 @@ func (s *Server) respond(q *optimizeReq, a answer, x *plan.Execution) (resp Opti
 		resp.CachedAt = cp.CachedAt.UTC().Format(time.RFC3339Nano)
 		resp.StageMs = noStages
 	}
-	if q.wantTrace {
+	if q.trace && !q.member {
 		// closeTrace has finished the trace: nothing writes to it any more.
 		snap := q.tr.Snapshot()
 		resp.Trace = &snap

@@ -8,12 +8,15 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/platform"
 	"repro/internal/service"
+	"repro/internal/workload"
 )
 
 // newTracedServer is newTestServer with a tracer retaining every request.
@@ -291,4 +294,126 @@ func TestPprofGating(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof not reachable when enabled: status %d", resp.StatusCode)
 	}
+}
+
+// TestUnsampledShedTrace: on a tracer that samples nothing, a shed request's
+// trace is still retained, as "degraded", but it was not detailed: its
+// optimize span carries the run summary, the shed reason and the stage
+// timings, and no audit.
+func TestUnsampledShedTrace(t *testing.T) {
+	gm := newGateModel()
+	s := newServer(modelProvider(gm))
+	s.Tracer = obs.NewTracer(8, 0, 0)
+	// One slot, and shedAt = ceil(0.01·3) = 1: the request that queues
+	// behind the slot holder is shed.
+	s.Admission = &service.Admission{MaxConcurrent: 1, MaxQueue: 3, ShedFraction: 0.01}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := planJSON(t)
+
+	holder := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/optimize?nocache=1", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+		}
+		holder <- err
+	}()
+	<-gm.entered
+	var out service.OptimizeResponse
+	shed := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/optimize?nocache=1", "application/json", bytes.NewReader(body))
+		if err == nil {
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+		}
+		shed <- err
+	}()
+	for s.Metrics().Gauge("admission_queue_depth").Load() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gm.gate)
+	for _, c := range []chan error{holder, shed} {
+		if err := <-c; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out.DegradeReason != core.ShedReason {
+		t.Fatalf("queued request: degradeReason %q, want %q", out.DegradeReason, core.ShedReason)
+	}
+	snap := getTrace(t, ts.URL, out.TraceID)
+	if snap.Retained != "degraded" {
+		t.Errorf("shed trace retained as %q, want degraded", snap.Retained)
+	}
+	if len(snap.Spans) != 1 || snap.Spans[0].Name != "optimize" || snap.Spans[0].Detail != nil {
+		t.Fatalf("shed trace spans = %+v, want one optimize span without an audit", snap.Spans)
+	}
+	attrs := snap.Spans[0].Attrs
+	for _, k := range []string{"ops", "modelRows", "degraded", "degradeReason", "pruneMs", "inferMs"} {
+		if _, ok := attrs[k]; !ok {
+			t.Errorf("shed trace's optimize span lacks %q: %v", k, attrs)
+		}
+	}
+	if attrs["degradeReason"] != core.ShedReason {
+		t.Errorf("degradeReason attribute %v", attrs["degradeReason"])
+	}
+}
+
+// TestForcedTraceDetailed: on a tracer that samples nothing, every way of
+// forcing a trace still records it in full — ?trace=1 inline, a sampled
+// traceparent, and a ?trace=1 batch on /tracez — with every enumeration's
+// audit, per-operator contributions included.
+func TestForcedTraceDetailed(t *testing.T) {
+	s := newServer(modelProvider(sumModel{}))
+	s.Tracer = obs.NewTracer(8, 0, 0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	detailed := func(how string, snap obs.TraceSnapshot, enumerations int) {
+		t.Helper()
+		if snap.Retained != "forced" {
+			t.Errorf("%s: retained as %q, want forced", how, snap.Retained)
+		}
+		var n int
+		for _, sp := range snap.Spans {
+			if sp.Name != "optimize" {
+				continue
+			}
+			n++
+			raw, err := json.Marshal(sp.Detail)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rt core.RunTrace
+			if err := json.Unmarshal(raw, &rt); err != nil || len(rt.Prunes) == 0 || len(rt.OpContribs) == 0 {
+				t.Errorf("%s: optimize span %d carries no full audit: %.200s", how, sp.ID, raw)
+			}
+		}
+		if n != enumerations {
+			t.Errorf("%s: %d optimize spans, want %d", how, n, enumerations)
+		}
+	}
+
+	var inline service.OptimizeResponse
+	postTraced(t, ts.URL+"/optimize?trace=1&nocache=1", "", planJSON(t), &inline)
+	if inline.Trace == nil {
+		t.Fatal("?trace=1 inlined no trace")
+	}
+	detailed("?trace=1", *inline.Trace, 1)
+
+	var tp service.OptimizeResponse
+	postTraced(t, ts.URL+"/optimize?nocache=1", tpHeaderA, planJSON(t), &tp)
+	detailed("traceparent -01", getTrace(t, ts.URL, tpTraceA), 1)
+
+	other, err := plan.MarshalJSONPlan(workload.Pipeline(8, 1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	breq, err := json.Marshal(service.BatchRequest{Plans: []json.RawMessage{planJSON(t), other}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bresp service.BatchResponse
+	postTraced(t, ts.URL+"/optimize/batch?trace=1&nocache=1", "", breq, &bresp)
+	detailed("?trace=1 batch", getTrace(t, ts.URL, bresp.TraceID), 2)
 }
